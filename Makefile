@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet staticcheck build test race smoke-fleet bench-parallel bench-incr bench-gov bench-hotpath bench-multicheck bench-scale bench-feas bench-registry bench-fleet bench-micro profile clean
+.PHONY: check fmt vet staticcheck build test race smoke-fleet bench-check fuzz bench-parallel bench-incr bench-gov bench-hotpath bench-multicheck bench-scale bench-feas bench-registry bench-fleet bench-micro profile clean
 
-check: fmt vet staticcheck build race smoke-fleet
+check: fmt vet staticcheck build race smoke-fleet bench-check
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -39,6 +39,20 @@ race:
 # health and one analyze round-trip, so the fleet flags can't rot.
 smoke-fleet:
 	sh scripts/smoke_fleet.sh
+
+# benchmark/ is a nested module compiled against these packages
+# (BENCHMARK.json runs it), so root `go build ./... && go test ./...`
+# never see it: an API change here must not silently break it.
+bench-check:
+	$(GO) vet -C benchmark ./...
+	$(GO) test -C benchmark ./...
+
+# Go-native fuzzing of the decoders that read bytes from outside the
+# process (ROADMAP item 4a), seed corpora under testdata/fuzz/. The
+# budget is short: CI smoke, not a campaign.
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzDecodeUnit -fuzztime $(FUZZTIME) ./internal/cache/
 
 # Engine-parallelism scaling series (DESIGN.md §5): sweeps -j over the
 # E11 workload, asserts byte-identical output, writes BENCH_parallel.json.
@@ -110,10 +124,11 @@ bench-fleet:
 	$(GO) run ./cmd/mcbench -exp fleet $(FLEET_FLAGS)
 
 # Microbenchmarks for the §10 hot paths (match memoization, block
-# traversal, instance clone). -benchtime 100x keeps the target quick
-# enough for CI; drop the override for stable local numbers.
+# traversal, instance clone) and the summary reload path (§8/§12).
+# -benchtime 100x keeps the target quick enough for CI; drop the
+# override for stable local numbers.
 bench-micro:
-	$(GO) test -run '^$$' -bench 'BenchmarkBaseMatch|BenchmarkBlockTraversal|BenchmarkInstanceClone' \
+	$(GO) test -run '^$$' -bench 'BenchmarkBaseMatch|BenchmarkBlockTraversal|BenchmarkInstanceClone|BenchmarkImportSummaries' \
 		-benchtime 100x ./internal/pattern/ ./internal/core/
 
 # CPU + allocation profiles of a full suite run (written to pprof/).

@@ -301,10 +301,10 @@ func main() {
 				sp.Evictions, sp.Reloads, sp.SpillPuts, sp.SpillBytes, sp.ASTsReleased)
 		}
 		if in := res.Incr; in != nil {
-			fmt.Printf("cache: files reparsed=%d replayed=%d; units live=%d replayed=%d; funcs live=%d replayed=%d changed=%d invalidated=%d; store hits=%d misses=%d puts=%d\n",
+			fmt.Printf("cache: files reparsed=%d replayed=%d; units live=%d replayed=%d; funcs live=%d replayed=%d changed=%d invalidated=%d; store hits=%d misses=%d puts=%d; summaries deferred-bytes=%d loaded=%d\n",
 				in.FilesReparsed, in.FilesReplayed, in.UnitsLive, in.UnitsReplayed,
 				in.FuncsAnalyzedLive, in.FuncsAnalyzedReplayed, in.FuncsChanged, in.FuncsInvalidated,
-				in.CacheHits, in.CacheMisses, in.CachePuts)
+				in.CacheHits, in.CacheMisses, in.CachePuts, in.SummaryBytesDeferred, in.SummariesLoaded)
 		}
 	}
 	if *exitCode && len(res.Reports) > 0 {

@@ -176,6 +176,21 @@ func TestCacheFlagWarmRunIdentical(t *testing.T) {
 	if code != 0 || !strings.Contains(stats, "cache: files reparsed=0") {
 		t.Errorf("warm -stats did not report a full replay: code %d, %.400s", code, stats)
 	}
+	// Nobody inspected, so nobody paid for summaries.
+	if !strings.Contains(stats, "loaded=0") || strings.Contains(stats, "deferred-bytes=0 ") {
+		t.Errorf("warm -stats should defer every summary section: %.400s", stats)
+	}
+	// -supergraph through the cache renders what the plain engine
+	// renders, and -stats says what the inspection cost.
+	plain, _ := runXgcc(t, dir, "-checker", "free", "-supergraph", "use_after", buggy)
+	cached, code := runXgcc(t, dir, "-checker", "free", "-cache", cacheDir, "-supergraph", "use_after", "-stats", buggy)
+	graph := plain[strings.Index(plain, "--- supergraph"):]
+	if code != 0 || !strings.Contains(graph, "->") || !strings.Contains(cached, graph) {
+		t.Errorf("-supergraph through the cache differs from the plain run:\nplain:\n%s\ncached:\n%s", plain, cached)
+	}
+	if !strings.Contains(cached, "loaded=1") {
+		t.Errorf("-stats did not report the lazy summary load: %.600s", cached)
+	}
 	// The cache directory persists sharded entries on disk.
 	entries, err := os.ReadDir(cacheDir)
 	if err != nil || len(entries) == 0 {

@@ -23,11 +23,9 @@ func benchOptions() (optimized, baseline Options) {
 	return optimized, baseline
 }
 
-// BenchmarkBlockTraversal runs a full engine traversal over a seeded
-// workload with one bundled checker, optimized vs the hot-path
-// ablation baseline. The two must report identically; the benchmark
-// tracks how much the §10 machinery saves per analysis.
-func BenchmarkBlockTraversal(b *testing.B) {
+// benchInputs parses a seeded workload and one bundled checker once,
+// outside any timed loop.
+func benchInputs(b *testing.B) ([]*cc.File, *metal.Checker) {
 	srcs, _ := workload.MixedTree(2, 10, 7)
 	src, ok := checkers.Lookup("lock")
 	if !ok {
@@ -37,9 +35,6 @@ func BenchmarkBlockTraversal(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Parse once outside the timed loop; each iteration rebuilds the
-	// Program from the parsed files so every engine starts cold without
-	// re-paying parse time (Programs no longer retain their files).
 	names := make([]string, 0, len(srcs))
 	for n := range srcs {
 		names = append(names, n)
@@ -53,6 +48,18 @@ func BenchmarkBlockTraversal(b *testing.B) {
 		}
 		files[i] = f
 	}
+	return files, c
+}
+
+// BenchmarkBlockTraversal runs a full engine traversal over a seeded
+// workload with one bundled checker, optimized vs the hot-path
+// ablation baseline. The two must report identically; the benchmark
+// tracks how much the §10 machinery saves per analysis. Each iteration
+// rebuilds the Program from the parsed files so every engine starts
+// cold without re-paying parse time (Programs no longer retain their
+// files).
+func BenchmarkBlockTraversal(b *testing.B) {
+	files, c := benchInputs(b)
 	optimized, baseline := benchOptions()
 	for _, cfg := range []struct {
 		name string
@@ -64,6 +71,30 @@ func BenchmarkBlockTraversal(b *testing.B) {
 				NewEngine(prog.Build(files...), c, cfg.opts).Run()
 			}
 		})
+	}
+}
+
+// BenchmarkImportSummaries loads a whole program's summaries into a
+// fresh engine one function per call — the shape of the spill reload
+// path (maybeReload) and of the cached path's lazy inspection. The
+// FuncID index is built once per Program, so the cost per call must not
+// grow with program size.
+func BenchmarkImportSummaries(b *testing.B) {
+	files, c := benchInputs(b)
+	p := prog.Build(files...)
+	en := NewEngine(p, c, DefaultOptions())
+	en.Run()
+	sds := make([]*SummaryData, len(p.All))
+	for i, fn := range p.All {
+		sds[i] = en.ExportSummaries([]*prog.Function{fn})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		me := NewEngine(p, c, DefaultOptions())
+		for _, sd := range sds {
+			me.ImportSummaries(sd)
+		}
 	}
 }
 

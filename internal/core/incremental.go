@@ -209,30 +209,30 @@ func (en *Engine) ExportSummaries(fns []*prog.Function) *SummaryData {
 }
 
 // ImportSummaries loads serialized summaries into the engine's
-// per-function caches, keyed by FuncID against the engine's program.
+// per-function caches, keyed by FuncID against the engine's program
+// (prog.FuncByID: the index is built once per program, not per call).
 // Imported state is for inspection (supergraph rendering, daemon
 // residency) — the incremental runner never lets it feed a live
 // traversal, which would perturb path exploration relative to a cold
 // run.
 func (en *Engine) ImportSummaries(sd *SummaryData) {
-	byID := map[string]*prog.Function{}
-	for _, fn := range en.Prog.All {
-		byID[prog.FuncID(fn)] = fn
-	}
 	for _, fd := range sd.Funcs {
-		fn := byID[fd.Func]
+		fn := en.Prog.FuncByID(fd.Func)
 		if fn == nil || fn.Graph == nil {
 			// Unknown function, or one whose AST the streaming mode
 			// released: without its CFG the block ids cannot be mapped
 			// back, so the summary stays in the store.
 			continue
 		}
-		byBlock := map[int]*cfg.Block{}
+		fi := en.funcInfo(fn)
+		fi.Analyses += fd.Analyses
+		if len(fd.Blocks) == 0 {
+			continue
+		}
+		byBlock := make(map[int]*cfg.Block, len(fn.Graph.Blocks))
 		for _, b := range fn.Graph.Blocks {
 			byBlock[b.ID] = b
 		}
-		fi := en.funcInfo(fn)
-		fi.Analyses += fd.Analyses
 		for _, bd := range fd.Blocks {
 			b := byBlock[bd.Block]
 			if b == nil {

@@ -57,7 +57,6 @@ type Worker struct {
 type workerTree struct {
 	once sync.Once
 	prog *prog.Program
-	byID map[string]*prog.Function
 	err  error
 }
 
@@ -183,13 +182,13 @@ func (w *Worker) runJob(r *http.Request, tree *workerTree, opts core.Options, uj
 	}
 	funcs := make([]*prog.Function, len(uj.Funcs))
 	for i, id := range uj.Funcs {
-		if funcs[i] = tree.byID[id]; funcs[i] == nil {
+		if funcs[i] = tree.prog.FuncByID(id); funcs[i] == nil {
 			return nil, JobResult{Key: uj.Key, Err: "unknown function " + id}
 		}
 	}
 	roots := make([]*prog.Function, len(uj.Roots))
 	for i, id := range uj.Roots {
-		if roots[i] = tree.byID[id]; roots[i] == nil {
+		if roots[i] = tree.prog.FuncByID(id); roots[i] == nil {
 			return nil, JobResult{Key: uj.Key, Err: "unknown root " + id}
 		}
 	}
@@ -213,19 +212,7 @@ func (w *Worker) runJob(r *http.Request, tree *workerTree, opts core.Options, uj
 	if en.Degraded() || r.Context().Err() != nil {
 		return nil, JobResult{Key: uj.Key, Err: "degraded"}
 	}
-	entry := &cache.UnitEntry{
-		Stats:     en.Stats,
-		Rules:     en.RuleStats,
-		Marks:     en.MarkLog,
-		Summaries: en.ExportSummaries(funcs),
-	}
-	for _, rr := range runs {
-		entry.Roots = append(entry.Roots, cache.RootReports{
-			Root:    prog.FuncID(rr.Root),
-			Reports: rr.Reports,
-		})
-	}
-	data, err := cache.EncodeUnit(entry)
+	data, err := cache.EncodeUnit(cache.NewUnitEntry(en, funcs, runs))
 	if err != nil {
 		return nil, JobResult{Key: uj.Key, Err: "encode: " + err.Error()}
 	}
@@ -260,12 +247,6 @@ func (w *Worker) tree(fp string, files map[string]string) *workerTree {
 	t.once.Do(func() {
 		w.treesBuilt.Add(1)
 		t.prog, t.err = w.build(files)
-		if t.err == nil {
-			t.byID = map[string]*prog.Function{}
-			for _, fn := range t.prog.All {
-				t.byID[prog.FuncID(fn)] = fn
-			}
-		}
 	})
 	return t
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/cc"
 	"repro/internal/cfg"
@@ -76,6 +77,10 @@ type Program struct {
 	// tracked objects.
 	GlobalNames map[string]bool
 	Statics     map[string]string
+
+	// FuncByID's lazily built index (units.go).
+	byIDOnce sync.Once
+	byID     map[string]*Function
 }
 
 // staticKey names a file-scoped function uniquely.

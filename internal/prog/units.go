@@ -14,6 +14,19 @@ func FuncID(fn *Function) string {
 	return fn.Decl.File + "\x00" + fn.Name
 }
 
+// FuncByID resolves a FuncID to its function, or nil. The index is built
+// on first use, once per Program; it is the one piece of lazily derived
+// state a built Program carries, and safe under concurrent readers.
+func (p *Program) FuncByID(id string) *Function {
+	p.byIDOnce.Do(func() {
+		p.byID = make(map[string]*Function, len(p.All))
+		for _, fn := range p.All {
+			p.byID[FuncID(fn)] = fn
+		}
+	})
+	return p.byID[id]
+}
+
 // Unit is one weakly-connected component of the call graph: a maximal
 // set of functions with no call edges in or out. Because the engine's
 // per-function state (block caches, function summaries, analysis

@@ -39,6 +39,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/prog"
 	"repro/internal/rank"
+	"repro/internal/report"
 )
 
 // setStore enables the analysis cache on an arbitrary store (e.g.
@@ -93,6 +94,11 @@ type IncrStats struct {
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
 	CachePuts   int64 `json:"cache_puts"`
+
+	// Summary-section bytes still undecoded, and lazy loads performed:
+	// both move when Result.Engines is inspected after the run.
+	SummaryBytesDeferred int64 `json:"summary_bytes_deferred"`
+	SummariesLoaded      int   `json:"summaries_loaded"`
 }
 
 // unitTask is one (checker, unit) work item in a phase.
@@ -101,9 +107,8 @@ type unitTask struct {
 	funcs []*prog.Function
 	roots []*prog.Function
 	key   string           // "" = uncacheable, always live
-	entry *cache.UnitEntry // non-nil = replay
-	eng   *core.Engine     // set after a live run
-	runs  []core.RootRun   // the live run's per-root report segments
+	entry *cache.UnitEntry // replayed from the store, or built from the live run
+	eng   *core.Engine     // the live run's engine; nil = replay, and dropped at merge
 }
 
 // runCached is Run with the cache enabled. Governance rules
@@ -170,11 +175,9 @@ func (a *Analyzer) runCached(ctx context.Context) (*Result, error) {
 	}
 
 	// Streaming mode (DESIGN.md §12): unit engines spill summaries and
-	// evict their caches at retirement, replayed tasks count straight
-	// toward AST release (a replay never touches the AST), and the
-	// merge engines read the spill store lazily instead of importing
-	// every summary up front — the cached path's dominant resident
-	// cost. A streaming entry carries no inline Summaries; either mode
+	// evict their caches at retirement, and replayed tasks count
+	// straight toward AST release (a replay never touches the AST). A
+	// streaming entry carries an empty summary section; either mode
 	// reads both entry shapes, so spill on/off share cache keys.
 	var stream *streamState
 	var retire *prog.RetirePlan
@@ -260,8 +263,17 @@ func (a *Analyzer) runCached(ctx context.Context) (*Result, error) {
 					en.SetRetire(retire, stream.release.done)
 					en.ShareRetired(stream.retired[a.checkerFPs[t.ci]])
 				}
-				t.runs = en.RunRootsContext(ctx, t.roots)
-				t.eng = en
+				runs := en.RunRootsContext(ctx, t.roots)
+				// One export per live unit, shared by the Put and the
+				// merge engine's lazy source. A streaming engine already
+				// evicted its summaries to the spill store; inline copies
+				// would put the whole tree back into every warm run's
+				// store traffic.
+				funcs := t.funcs
+				if stream != nil {
+					funcs = nil
+				}
+				t.entry, t.eng = cache.NewUnitEntry(en, funcs, runs), en
 			}(t)
 		}
 		wg.Wait()
@@ -275,7 +287,7 @@ func (a *Analyzer) runCached(ctx context.Context) (*Result, error) {
 		// complete.
 		var puts map[string][]byte
 		for _, t := range tasks {
-			if t.entry != nil {
+			if t.eng == nil {
 				for _, ev := range t.entry.Marks {
 					a.shared.Mark(ev.Name, ev.Key)
 				}
@@ -287,7 +299,7 @@ func (a *Analyzer) runCached(ctx context.Context) (*Result, error) {
 				continue
 			}
 			if t.key != "" && t.eng.Failure == nil && !t.eng.Degraded() {
-				if data, err := cache.EncodeUnit(a.buildEntry(t)); err == nil {
+				if data, err := cache.EncodeUnit(t.entry); err == nil {
 					if puts == nil {
 						puts = map[string][]byte{}
 					}
@@ -304,9 +316,12 @@ func (a *Analyzer) runCached(ctx context.Context) (*Result, error) {
 	}
 	incr.AnalyzeNanos = time.Since(t0).Nanoseconds()
 
-	// Merge per checker, units in global root order: concatenating the
-	// per-root segments through a fresh report set reproduces the plain
-	// single-engine emission stream exactly.
+	// Merge per checker: stats and rule counts per unit, report segments
+	// per root in global root order — adding them through a fresh report
+	// set reproduces the plain single-engine emission stream exactly,
+	// also when one unit's roots interleave with another's. Nothing is
+	// imported: the merge engine reads summaries lazily (summarySource),
+	// and a live unit's engine is dropped here so it stays collectable.
 	t0 = time.Now()
 	res := &Result{
 		Program:   p,
@@ -314,48 +329,38 @@ func (a *Analyzer) runCached(ctx context.Context) (*Result, error) {
 		Stats:     map[string]core.Stats{},
 		Engines:   map[string]*core.Engine{},
 	}
+	var live []*core.Engine // for collectSpill
 	for ci, c := range a.checkers {
 		me := core.NewEngineShared(p, c, a.opts, a.shared)
-		if stream != nil {
-			// Streaming: the merge engine holds no summaries at all —
-			// inspection (SupergraphString) reloads them from the spill
-			// store on demand. AllowSpillReload is safe here because a
-			// merge engine never traverses.
-			me.SetSpill(stream.store, stream.keyFor(a.checkerFPs[ci]))
-			me.AllowSpillReload()
-		}
+		// AllowSpillReload is safe: a merge engine never traverses.
+		me.SetSpill(&summarySource{tasks: tasksByChecker[ci], incr: incr}, prog.FuncID)
+		me.AllowSpillReload()
 		agg := core.Stats{Analyses: map[string]int{}}
+		segs := map[string][]*report.Report{}
 		for _, t := range tasksByChecker[ci] {
-			if t.entry != nil {
-				for _, rr := range t.entry.Roots {
-					for _, r := range rr.Reports {
-						me.Reports.Add(r)
-					}
-				}
-				mergeStats(&agg, &t.entry.Stats)
-				for rule, rc := range t.entry.Rules {
-					mergeRule(me, rule, rc)
-				}
-				if t.entry.Summaries != nil && stream == nil {
-					me.ImportSummaries(t.entry.Summaries)
-				}
+			e := t.entry
+			for _, rr := range e.Roots {
+				segs[rr.Root] = rr.Reports
+			}
+			mergeStats(&agg, &e.Stats)
+			for rule, rc := range e.Rules {
+				mergeRule(me, rule, rc)
+			}
+			incr.SummaryBytesDeferred += int64(e.DeferredBytes())
+			if t.eng == nil {
 				incr.UnitsReplayed++
-				incr.FuncsAnalyzedReplayed += sumAnalyses(&t.entry.Stats)
+				incr.FuncsAnalyzedReplayed += sumAnalyses(&e.Stats)
 			} else {
-				en := t.eng
-				for _, r := range en.Reports.Reports {
-					me.Reports.Add(r)
-				}
-				mergeStats(&agg, &en.Stats)
-				for rule, rc := range en.RuleStats {
-					mergeRule(me, rule, rc)
-				}
-				if stream == nil {
-					me.ImportSummaries(en.ExportSummaries(t.funcs))
-				}
 				incr.UnitsLive++
-				incr.FuncsAnalyzedLive += sumAnalyses(&en.Stats)
-				collectGovernance(res, en)
+				incr.FuncsAnalyzedLive += sumAnalyses(&e.Stats)
+				collectGovernance(res, t.eng)
+				live = append(live, t.eng)
+				t.eng = nil
+			}
+		}
+		for _, root := range p.Roots {
+			for _, r := range segs[prog.FuncID(root)] {
+				me.Reports.Add(r)
 			}
 		}
 		me.Stats = agg
@@ -385,18 +390,7 @@ func (a *Analyzer) runCached(ctx context.Context) (*Result, error) {
 	incr.CacheMisses = a.cacheMetrics.Misses()
 	incr.CachePuts = a.cacheMetrics.Puts()
 	res.Incr = incr
-	if stream != nil {
-		ens := make([]*core.Engine, 0, len(a.checkers))
-		for _, ts := range tasksByChecker {
-			for _, t := range ts {
-				ens = append(ens, t.eng) // nil for replays; collectSpill skips
-			}
-		}
-		for _, me := range res.Engines {
-			ens = append(ens, me)
-		}
-		collectSpill(res, stream, ens)
-	}
+	collectSpill(res, stream, live)
 	if err := ctx.Err(); err != nil {
 		return res, err
 	}
@@ -405,8 +399,9 @@ func (a *Analyzer) runCached(ctx context.Context) (*Result, error) {
 
 // probeTasks fills task entries from the store in one batched
 // round-trip (cache.GetBatch collapses to one POST on a batch-capable
-// backend). A decode failure is a miss, exactly as the old per-key
-// probe treated it: the unit re-runs live and is overwritten.
+// backend), parsing only each record's replay section. A record that
+// does not decode, or whose root list is not this unit's, is a miss:
+// the unit re-runs live and is overwritten.
 func (a *Analyzer) probeTasks(tasks []*unitTask) {
 	var keys []string
 	byKey := map[string]*unitTask{}
@@ -421,8 +416,9 @@ func (a *Analyzer) probeTasks(tasks []*unitTask) {
 		return
 	}
 	for key, data := range cache.GetBatch(a.cacheStore, keys) {
-		if e, err := cache.DecodeUnit(data); err == nil {
-			byKey[key].entry = e
+		t := byKey[key]
+		if e, err := cache.DecodeUnit(data); err == nil && len(e.Roots) == len(t.roots) {
+			t.entry = e
 		}
 	}
 }
@@ -481,46 +477,57 @@ func (a *Analyzer) dispatchRemote(ctx context.Context, tasks []*unitTask, marks 
 	if err := a.unitRunner(ctx, run); err != nil {
 		return // every job falls back to a local run
 	}
-	keys := make([]string, len(pending))
-	for i, t := range pending {
-		keys[i] = t.key
-	}
-	found := cache.GetBatch(a.cacheStore, keys)
+	a.probeTasks(pending)
 	for _, t := range pending {
-		data, ok := found[t.key]
-		if !ok {
-			continue
-		}
-		if e, err := cache.DecodeUnit(data); err == nil {
-			t.entry = e
+		if t.entry != nil {
 			incr.UnitsRemote++
 		}
 	}
 }
 
-// buildEntry serializes a live unit run for the store. Streaming runs
-// write no inline Summaries: the engine evicted them to the spill
-// store at retirement, and inline copies would put the whole tree's
-// summaries back into every warm run's decode path. Summaries are
-// advisory (inspection only), so entries with and without them replay
-// identically and the two modes share cache keys.
-func (a *Analyzer) buildEntry(t *unitTask) *cache.UnitEntry {
-	en := t.eng
-	e := &cache.UnitEntry{
-		Stats: en.Stats,
-		Rules: en.RuleStats,
-		Marks: en.MarkLog,
+// summarySource is a merge engine's core.SummarySpill: nothing is
+// decoded until inspection (SupergraphString) asks for a function, then
+// the owning unit's summary section is decoded once. Summaries are
+// advisory — never fed to a live traversal — so a section that fails to
+// decode renders empty, as does a streaming live unit's (it has none:
+// the engine spilled per function, and the ASTs are released anyway).
+// Like the engine it serves, a source is not safe for concurrent use.
+type summarySource struct {
+	tasks []*unitTask
+	incr  *IncrStats
+	owner map[string]*unitTask // FuncID → owning task, built on first use
+}
+
+func (s *summarySource) PutSummary(string, *core.SummaryData) error { return nil }
+
+func (s *summarySource) GetSummary(id string) (*core.SummaryData, bool) {
+	if s.owner == nil {
+		s.owner = map[string]*unitTask{}
+		for _, t := range s.tasks {
+			for _, fn := range t.funcs {
+				s.owner[prog.FuncID(fn)] = t
+			}
+		}
 	}
-	if a.opts.MaxResidentMB == 0 {
-		e.Summaries = en.ExportSummaries(t.funcs)
+	t := s.owner[id]
+	if t == nil {
+		return nil, false
 	}
-	for _, rr := range t.runs {
-		e.Roots = append(e.Roots, cache.RootReports{
-			Root:    prog.FuncID(rr.Root),
-			Reports: rr.Reports,
-		})
+	e := t.entry
+	if n := e.DeferredBytes(); n > 0 {
+		s.incr.SummaryBytesDeferred -= int64(n)
+		if _, err := e.LoadSummaries(); err == nil {
+			s.incr.SummariesLoaded++
+		}
 	}
-	return e
+	if e.Summaries != nil {
+		for _, fd := range e.Summaries.Funcs {
+			if fd.Func == id {
+				return &core.SummaryData{Funcs: []core.FuncSummaryData{fd}}, true
+			}
+		}
+	}
+	return nil, false
 }
 
 // mergeStats accumulates src into dst: counters sum, HitBlockLimit
