@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet staticcheck build test race smoke-fleet bench-check fuzz bench-parallel bench-incr bench-gov bench-hotpath bench-multicheck bench-scale bench-feas bench-registry bench-fleet bench-micro profile clean
+.PHONY: check fmt vet no-ablation-knobs staticcheck build test race smoke-fleet bench-check fuzz bench-parallel bench-incr bench-gov bench-multicheck bench-scale bench-feas bench-registry bench-fleet bench-micro profile clean
 
-check: fmt vet staticcheck build race smoke-fleet bench-check
+check: fmt vet no-ablation-knobs staticcheck build race smoke-fleet bench-check
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -15,6 +15,14 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# The engine has one configuration per paper feature switch and no
+# semantics-preserving ones: to ablate an optimisation, benchmark the
+# commit before it (README "Ablating an optimisation"). The one-letter
+# brackets keep this line from matching itself when the same search is
+# run over Makefiles too; they match the plain identifiers.
+no-ablation-knobs:
+	! grep -rnE 'Match[M]emo|Block[F]ilter|Tuple[I]ntern|Lean[A]lloc|Multi[D]ispatch' --include=*.go .
 
 # staticcheck is optional locally (the repo adds no dependencies) but
 # mandatory in CI, which installs it. Configured by staticcheck.conf.
@@ -59,8 +67,8 @@ fuzz:
 bench-parallel:
 	$(GO) run ./cmd/mcbench -exp par
 
-# Incremental-replay series (DESIGN.md §8): warm-vs-cold live function
-# analyses per edit on the E11 workload; dies if warm output is not
+# Incremental-replay series (DESIGN.md §8): warm-vs-cold live units
+# per edit on the E11 workload; dies if warm output is not
 # byte-identical to cold or the one-file body tweak falls below the 5x
 # reduction bar. Writes BENCH_incremental.json.
 bench-incr:
@@ -72,16 +80,10 @@ bench-incr:
 bench-gov:
 	$(GO) run ./cmd/mcbench -exp gov
 
-# Hot-path ablation (DESIGN.md §10): default engine vs all four
-# optimizations disabled, full checker suite at -j 1 and -j 8; dies on
-# any output difference. Writes BENCH_hotpath.json.
-bench-hotpath:
-	$(GO) run ./cmd/mcbench -exp hotpath
-
-# Multi-checker dispatch ablation (DESIGN.md §11): 5/50/200-checker
-# suites with the compiled dispatch on and off; dies if the 50-checker
-# suite exceeds 3x the 5-checker runtime with dispatch on, or on any
-# output difference. Writes BENCH_multicheck.json.
+# Multi-checker dispatch scaling (DESIGN.md §11): 5/50/200-checker
+# suites at -j 1 and -j 8; dies if the 50-checker suite exceeds 3x the
+# 5-checker runtime, or on any output difference. Writes
+# BENCH_multicheck.json.
 bench-multicheck:
 	$(GO) run ./cmd/mcbench -exp multicheck
 
@@ -131,13 +133,14 @@ bench-micro:
 	$(GO) test -run '^$$' -bench 'BenchmarkBaseMatch|BenchmarkBlockTraversal|BenchmarkInstanceClone|BenchmarkImportSummaries' \
 		-benchtime 100x ./internal/pattern/ ./internal/core/
 
-# CPU + allocation profiles of a full suite run (written to pprof/).
+# CPU + allocation profiles of the 5/50/200-checker suite runs (written
+# to pprof/).
 # Inspect with: go tool pprof pprof/mcbench.cpu
 profile:
 	mkdir -p pprof
-	$(GO) run ./cmd/mcbench -cpuprofile pprof/mcbench.cpu -memprofile pprof/mcbench.mem -exp hotpath
+	$(GO) run ./cmd/mcbench -cpuprofile pprof/mcbench.cpu -memprofile pprof/mcbench.mem -exp multicheck
 
 clean:
-	rm -f BENCH_parallel.json BENCH_incremental.json BENCH_governance.json BENCH_hotpath.json BENCH_multicheck.json BENCH_scale.json BENCH_feas.json BENCH_registry.json BENCH_fleet.json
+	rm -f BENCH_parallel.json BENCH_incremental.json BENCH_governance.json BENCH_multicheck.json BENCH_scale.json BENCH_feas.json BENCH_registry.json BENCH_fleet.json
 	rm -rf pprof
 	$(GO) clean ./...

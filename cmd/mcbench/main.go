@@ -56,10 +56,9 @@ var experiments = []struct {
 	{"e11", "end-to-end: full checker suite precision/recall on a seeded tree", expE11},
 	{"e12", "§8 history: cross-version suppression isolates new bugs", expE12},
 	{"par", "engine parallelism: wall-clock vs -j on the E11 workload (writes BENCH_parallel.json)", expPar},
-	{"hotpath", "hot-path ablation: memoized matching + block pre-filters vs unoptimized engine (writes BENCH_hotpath.json)", expHotpath},
 	{"incr", "incremental replay: warm-vs-cold live analyses per edit on the E11 workload (writes BENCH_incremental.json)", expIncr},
 	{"gov", "governance overhead: plain vs budgeted RunContext on the E11 workload (writes BENCH_governance.json)", expGov},
-	{"multicheck", "multi-checker dispatch: 5/50/200-checker suites, compiled dispatch on/off (writes BENCH_multicheck.json)", expMulticheck},
+	{"multicheck", "multi-checker dispatch: 5/50/200-checker suites, sublinear scaling bar (writes BENCH_multicheck.json)", expMulticheck},
 	{"scale", "memory-bounded streaming: KLoC/min and peak RSS at 4 tree sizes, spill on/off (writes BENCH_scale.json)", expScale},
 	{"feas", "feasibility verdicts: infeasible-kill and false-kill rates, verdict latency on a seeded population (writes BENCH_feas.json)", expFeas},
 	{"registry", "checker platform: hot-reload latency and admission throughput over /v1/checkers (writes BENCH_registry.json)", expRegistry},
@@ -110,7 +109,7 @@ func main() {
 	}
 	if ran == 0 {
 		stopProf()
-		fmt.Fprintln(os.Stderr, "mcbench: no such experiment (ids: f1-f6, t1, t2, e1-e12, par, hotpath, incr, gov, multicheck, scale, feas, registry, fleet)")
+		fmt.Fprintln(os.Stderr, "mcbench: no such experiment (ids: f1-f6, t1, t2, e1-e12, par, incr, gov, multicheck, scale, feas, registry, fleet)")
 		os.Exit(2)
 	}
 }

@@ -1,17 +1,16 @@
 package main
 
-// expMulticheck measures the multi-checker compiled dispatch
-// (DESIGN.md §11) as a scaling ablation: synthetic checker suites of
-// 5/50/200 checkers — the bundled five plus callee-renamed variants,
-// the "many system-specific checkers, few relevant here" population
-// the paper's §10 deployment describes — over the E11 seeded tree,
-// with MultiDispatch on and off, at -j 1 and -j 8. Within each suite
-// size every configuration must produce byte-identical ranked output
-// (the variants' renamed callees never appear in the workload, so
-// skipping them is observationally invisible), and with dispatch on
-// the 50-checker suite must run within 3x the 5-checker suite — the
-// sublinear claim — while the compat path grows roughly linearly. The
-// series lands in BENCH_multicheck.json so CI can track it.
+// expMulticheck measures how the multi-checker compiled dispatch
+// (DESIGN.md §11) scales: synthetic checker suites of 5/50/200
+// checkers — the bundled five plus callee-renamed variants, the "many
+// system-specific checkers, few relevant here" population the paper's
+// §10 deployment describes — over the E11 seeded tree, at -j 1 and
+// -j 8. Every suite size and parallelism must produce byte-identical
+// ranked output (the variants' renamed callees never appear in the
+// workload, so skipping them is observationally invisible), and the
+// 50-checker suite must run within 3x the 5-checker suite — the
+// sublinear claim. The series lands in BENCH_multicheck.json so CI
+// can track it.
 
 import (
 	"context"
@@ -21,6 +20,7 @@ import (
 	"os"
 	"regexp"
 	"runtime"
+	"sort"
 	"strings"
 	"time"
 
@@ -32,7 +32,6 @@ import (
 
 type multiRun struct {
 	Checkers int     `json:"checkers"`
-	Dispatch bool    `json:"dispatch"`
 	Jobs     int     `json:"jobs"`
 	Seconds  float64 `json:"seconds"` // median over trials
 	Output   string  `json:"output_sha256"`
@@ -44,20 +43,28 @@ type multiBench struct {
 	Host       profiling.HostFacts `json:"host"`
 	Trials     int                 `json:"trials"`
 	Runs       []multiRun          `json:"runs"`
-	// RatioOn50 etc. are median(seconds at N checkers)/median(seconds
-	// at 5 checkers) at -j 1 for each dispatch mode. The acceptance
-	// criterion is RatioOn50 <= 3.
-	RatioOn50   float64 `json:"ratio_50v5_dispatch_on"`
-	RatioOff50  float64 `json:"ratio_50v5_dispatch_off"`
-	RatioOn200  float64 `json:"ratio_200v5_dispatch_on"`
-	RatioOff200 float64 `json:"ratio_200v5_dispatch_off"`
-	Identical   bool    `json:"output_identical"`
+	// Ratio50 and Ratio200 are median(seconds at N checkers) /
+	// median(seconds at 5 checkers) at -j 1. The acceptance criterion
+	// is Ratio50 <= 3.
+	Ratio50   float64 `json:"ratio_50v5"`
+	Ratio200  float64 `json:"ratio_200v5"`
+	Identical bool    `json:"output_identical"`
 	// PeakRSSBytes is the process's high-water resident set when the
 	// series finished (cumulative over every run in this process).
 	PeakRSSBytes int64 `json:"peak_rss_bytes"`
 }
 
 const multiTrials = 3
+
+func median(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
+}
 
 // variantSeeds lists, per bundled checker, the concrete callee names
 // its patterns hinge on; renaming them (and the sm name) yields a
@@ -103,12 +110,10 @@ func checkerSuite(n int) []string {
 }
 
 // multiAnalyze runs one suite over srcs and returns wall clock plus
-// the ranked-output digest (same rendering as suiteAnalyze).
-func multiAnalyze(srcs map[string]string, checkerSrcs []string, jobs int, dispatch bool) (time.Duration, string) {
+// the ranked-output digest (same rendering as parAnalyze).
+func multiAnalyze(srcs map[string]string, checkerSrcs []string, jobs int) (time.Duration, string) {
 	a := mc.NewAnalyzer()
-	opts := mc.DefaultOptions()
-	opts.MultiDispatch = dispatch
-	if err := a.Configure(mc.RunConfig{Options: &opts, Jobs: jobs}); err != nil {
+	if err := a.Configure(mc.RunConfig{Jobs: jobs}); err != nil {
 		die(err)
 	}
 	for name, src := range srcs {
@@ -148,59 +153,41 @@ func expMulticheck() {
 		Identical:  true,
 	}
 
-	// med[size][dispatch] at -j 1, for the scaling ratios.
-	med := map[int]map[bool]float64{}
-	fmt.Println("checkers  dispatch  jobs   seconds  output")
+	med := map[int]float64{} // suite size -> median seconds at -j 1
+	var refDigest string
+	fmt.Println("checkers  jobs   seconds  output")
 	for _, n := range sizes {
 		suite := checkerSuite(n)
-		med[n] = map[bool]float64{}
-		var refDigest string
-		for _, dispatch := range []bool{false, true} {
-			for _, jobs := range []int{1, 8} {
-				var secs []float64
-				var digest string
-				for t := 0; t < multiTrials; t++ {
-					runtime.GC()
-					d, dig := multiAnalyze(srcs, suite, jobs, dispatch)
-					secs = append(secs, d.Seconds())
-					if t == 0 {
-						digest = dig
-					} else if dig != digest {
-						die(fmt.Errorf("multicheck %d/%v/-j %d: output varied across trials", n, dispatch, jobs))
-					}
-				}
+		for _, jobs := range []int{1, 8} {
+			var secs []float64
+			for t := 0; t < multiTrials; t++ {
+				runtime.GC()
+				d, digest := multiAnalyze(srcs, suite, jobs)
+				secs = append(secs, d.Seconds())
 				if refDigest == "" {
 					refDigest = digest
 				}
 				if digest != refDigest {
-					bench.Identical = false
-					die(fmt.Errorf("multicheck %d checkers: dispatch=%v -j %d output differs — dispatch changed results", n, dispatch, jobs))
+					die(fmt.Errorf("multicheck %d checkers -j %d: output differs — suite size or parallelism changed results", n, jobs))
 				}
-				m := median(secs)
-				if jobs == 1 {
-					med[n][dispatch] = m
-				}
-				bench.Runs = append(bench.Runs, multiRun{
-					Checkers: n, Dispatch: dispatch, Jobs: jobs,
-					Seconds: m, Output: digest,
-				})
-				fmt.Printf("%8d  %8v  %4d  %8.3f  %s\n", n, dispatch, jobs, m, digest[:12])
 			}
+			m := median(secs)
+			if jobs == 1 {
+				med[n] = m
+			}
+			bench.Runs = append(bench.Runs, multiRun{Checkers: n, Jobs: jobs, Seconds: m, Output: refDigest})
+			fmt.Printf("%8d  %4d  %8.3f  %s\n", n, jobs, m, refDigest[:12])
 		}
 	}
 
 	bench.PeakRSSBytes = profiling.PeakRSS()
-	bench.RatioOn50 = med[50][true] / med[5][true]
-	bench.RatioOff50 = med[50][false] / med[5][false]
-	bench.RatioOn200 = med[200][true] / med[5][true]
-	bench.RatioOff200 = med[200][false] / med[5][false]
+	bench.Ratio50 = med[50] / med[5]
+	bench.Ratio200 = med[200] / med[5]
 
-	fmt.Printf("scaling 5 -> 50 checkers at -j 1: %.2fx with dispatch, %.2fx without (criterion: <= 3x with dispatch)\n",
-		bench.RatioOn50, bench.RatioOff50)
-	fmt.Printf("scaling 5 -> 200 checkers at -j 1: %.2fx with dispatch, %.2fx without\n",
-		bench.RatioOn200, bench.RatioOff200)
-	if bench.RatioOn50 > 3 {
-		die(fmt.Errorf("multicheck: 50-checker suite took %.2fx the 5-checker suite with dispatch on (> 3x)", bench.RatioOn50))
+	fmt.Printf("scaling at -j 1: 5 -> 50 checkers %.2fx (criterion: <= 3x), 5 -> 200 checkers %.2fx\n",
+		bench.Ratio50, bench.Ratio200)
+	if bench.Ratio50 > 3 {
+		die(fmt.Errorf("multicheck: 50-checker suite took %.2fx the 5-checker suite (> 3x)", bench.Ratio50))
 	}
 
 	data, err := json.MarshalIndent(bench, "", "  ")

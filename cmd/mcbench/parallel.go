@@ -42,15 +42,12 @@ type parBench struct {
 	PeakRSSBytes int64 `json:"peak_rss_bytes"`
 }
 
-// suiteAnalyze runs the full bundled suite over srcs at the given
-// parallelism and engine options (nil means the analyzer default) and
-// returns the elapsed wall clock, the heap allocation count
-// (runtime.MemStats.Mallocs delta, single-run cost of the whole
-// analysis), and a digest of the complete ranked, why-traced output
-// (what a user would diff).
-func suiteAnalyze(srcs map[string]string, jobs int, opts *mc.Options) (time.Duration, uint64, string) {
+// parAnalyze runs the full bundled suite over srcs at the given
+// parallelism and returns the elapsed wall clock and a digest of the
+// complete ranked, why-traced output (what a user would diff).
+func parAnalyze(srcs map[string]string, jobs int) (time.Duration, string) {
 	a := mc.NewAnalyzer()
-	if err := a.Configure(mc.RunConfig{Jobs: jobs, Options: opts}); err != nil {
+	if err := a.Configure(mc.RunConfig{Jobs: jobs}); err != nil {
 		die(err)
 	}
 	for name, src := range srcs {
@@ -62,12 +59,9 @@ func suiteAnalyze(srcs map[string]string, jobs int, opts *mc.Options) (time.Dura
 		}
 	}
 	a.MarkFunction("net_wait", "blocking")
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
 	start := time.Now()
 	res, err := a.RunContext(context.Background())
 	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
 	if err != nil {
 		die(err)
 	}
@@ -78,14 +72,7 @@ func suiteAnalyze(srcs map[string]string, jobs int, opts *mc.Options) (time.Dura
 	for _, g := range res.Grouped() {
 		fmt.Fprintf(&sb, "%s %.3f %d\n", g.Rule, g.Z, len(g.Reports))
 	}
-	return elapsed, after.Mallocs - before.Mallocs, fmt.Sprintf("%x", sha256.Sum256([]byte(sb.String())))
-}
-
-// parAnalyze keeps expPar's original shape: default options, wall
-// clock plus output digest.
-func parAnalyze(srcs map[string]string, jobs int) (time.Duration, string) {
-	elapsed, _, digest := suiteAnalyze(srcs, jobs, nil)
-	return elapsed, digest
+	return elapsed, fmt.Sprintf("%x", sha256.Sum256([]byte(sb.String())))
 }
 
 func die(err error) {

@@ -16,9 +16,9 @@
 // enabled checker is live on the tenant's next analyze without a
 // restart, and with -registry the uploaded set survives restarts.
 //
-// The HTTP surface is versioned under /v1/; unversioned paths remain
-// as aliases and answer with a Deprecation header. Governance flags bound the daemon's resource use:
-// -max-inflight sheds excess analyze requests with 429,
+// The HTTP surface is versioned under /v1/; any other path answers
+// with the enveloped 404. Governance flags bound the daemon's resource
+// use: -max-inflight sheds excess analyze requests with 429,
 // -request-timeout cancels overlong runs with 503, and the budget
 // flags truncate runaway traversals (DESIGN.md §9).
 //

@@ -11,18 +11,6 @@ import (
 	"repro/internal/workload"
 )
 
-// benchOptions returns the default configuration and the hot-path
-// ablation baseline (all four DESIGN.md §10 optimizations off).
-func benchOptions() (optimized, baseline Options) {
-	optimized = DefaultOptions()
-	baseline = DefaultOptions()
-	baseline.MatchMemo = false
-	baseline.BlockFilter = false
-	baseline.TupleIntern = false
-	baseline.LeanAlloc = false
-	return optimized, baseline
-}
-
 // benchInputs parses a seeded workload and one bundled checker once,
 // outside any timed loop.
 func benchInputs(b *testing.B) ([]*cc.File, *metal.Checker) {
@@ -52,25 +40,14 @@ func benchInputs(b *testing.B) ([]*cc.File, *metal.Checker) {
 }
 
 // BenchmarkBlockTraversal runs a full engine traversal over a seeded
-// workload with one bundled checker, optimized vs the hot-path
-// ablation baseline. The two must report identically; the benchmark
-// tracks how much the §10 machinery saves per analysis. Each iteration
-// rebuilds the Program from the parsed files so every engine starts
-// cold without re-paying parse time (Programs no longer retain their
-// files).
+// workload with one bundled checker. Each iteration rebuilds the
+// Program from the parsed files so every engine starts cold without
+// re-paying parse time (Programs no longer retain their files).
 func BenchmarkBlockTraversal(b *testing.B) {
 	files, c := benchInputs(b)
-	optimized, baseline := benchOptions()
-	for _, cfg := range []struct {
-		name string
-		opts Options
-	}{{"optimized", optimized}, {"baseline", baseline}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				NewEngine(prog.Build(files...), c, cfg.opts).Run()
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		NewEngine(prog.Build(files...), c, DefaultOptions()).Run()
 	}
 }
 
@@ -98,34 +75,19 @@ func BenchmarkImportSummaries(b *testing.B) {
 	}
 }
 
-// BenchmarkInstanceClone measures the per-clone cost of the shared
-// cons-list trace against the ablation's deep copy. Cloning happens at
-// every path split and call boundary for every active instance, so
-// this is the engine's hottest allocation site.
+// BenchmarkInstanceClone measures the per-clone cost of an instance
+// with a shared cons-list trace. Cloning happens at every path split
+// and call boundary for every active instance, so this is the engine's
+// hottest allocation site.
 func BenchmarkInstanceClone(b *testing.B) {
-	mk := func(copyTrace bool) *Instance {
-		in := &Instance{Var: "v", Obj: "p", Val: "locked", copyTrace: copyTrace}
-		for i := 0; i < 8; i++ {
-			in.trace = in.trace.push("f.c:10: locked -> unlocked at spin_unlock(p)")
-		}
-		return in
+	in := &Instance{Var: "v", Obj: "p", Val: "locked"}
+	for i := 0; i < 8; i++ {
+		in.trace = in.trace.push("f.c:10: locked -> unlocked at spin_unlock(p)")
 	}
-	b.Run("lean", func(b *testing.B) {
-		in := mk(false)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if cp := in.clone(); cp.trace != in.trace {
-				b.Fatal("lean clone must share the trace")
-			}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if cp := in.clone(); cp.trace != in.trace {
+			b.Fatal("clone must share the trace")
 		}
-	})
-	b.Run("deep-copy", func(b *testing.B) {
-		in := mk(true)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if cp := in.clone(); cp.trace == in.trace {
-				b.Fatal("ablation clone must copy the trace")
-			}
-		}
-	})
+	}
 }

@@ -8,10 +8,13 @@ package core
 // identical.
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/checkers"
 	"repro/internal/metal"
+	"repro/internal/workload"
 )
 
 func mustChecker(t *testing.T, src string) *metal.Checker {
@@ -166,68 +169,142 @@ int f(void) { cli(); return 1; }
 	}
 }
 
-// TestDispatchEquivalence: attaching the compiled automaton must not
-// change any checker's reports on a program that exercises fires,
-// skips, nested callees, return patterns, and end-of-path dispatch.
-func TestDispatchEquivalence(t *testing.T) {
-	src := map[string]string{"a.c": `
+// callRichSrc is a multi-root tree whose bugs only show across calls:
+// a free in a callee used by two roots, a lock taken and dropped
+// through helpers, a panic() callee (panic-marker -> pathkill
+// composition), a blocking-marked callee under cli(), plus roots no
+// checker can fire on, so per-root skips are exercised too.
+var callRichSrc = map[string]string{
+	"lib.c": `
 void kfree(void *p);
 void *kmalloc(int n);
 void lock(void *l);
 void unlock(void *l);
 void cli(void);
 void sti(void);
+void panic(char *msg);
+void net_wait(void);
 
-int use_after_free(int *p) {
-	kfree(p);
-	return *p;
+void drop(int *p) { kfree(p); }
+void grab(int *l) { lock(l); }
+void release(int *l) { unlock(l); }
+int *make(int n) { return kmalloc(n); }
+void die_if(int c) { if (c) panic("bad"); }
+int add(int a, int b) { return a + b; }
+`,
+	"roots.c": `
+void drop(int *p);
+void grab(int *l);
+void release(int *l);
+int *make(int n);
+void die_if(int c);
+int add(int a, int b);
+void cli(void);
+void sti(void);
+void net_wait(void);
+
+int root_uaf(int *p) { drop(p); return *p; }
+int root_double(int *p, int n) { drop(p); if (n) drop(p); return n; }
+int root_lock(int *l, int n) { grab(l); if (n > 0) return 0; release(l); return 1; }
+int root_null(int n) { int *v = make(n); return *v; }
+int root_kill(int *p, int c) { drop(p); die_if(c); return *p; }
+int root_block(int n) { cli(); net_wait(); sti(); return n; }
+int root_intr(int n) { cli(); if (n) sti(); return n; }
+int root_clean(int a, int b) { return add(a, b) + add(b, a); }
+`,
 }
 
-int null_deref(int n) {
-	int *v = kmalloc(n);
-	return *v;
+// suiteRun is what one full-suite run exposes per checker, in load
+// order: the report stream in emission order, the rule counts, and the
+// composition marks it emitted.
+type suiteRun struct {
+	reports [][]string
+	rules   []map[string]RuleCount
+	marks   [][]MarkEvent
 }
 
-int forgotten_lock(int *l, int n) {
-	lock(l);
-	if (n > 0)
-		return 0;
-	unlock(l);
-	return 1;
-}
+// runSuite applies the whole bundled suite to a fresh build of srcs,
+// phase by phase over one shared annotation store (the -j 1 schedule),
+// with the compiled dispatch attached to every engine or to none.
+func runSuite(t *testing.T, srcs map[string]string, compiled bool) suiteRun {
+	t.Helper()
+	p := buildProg(t, srcs)
+	var cs []*metal.Checker
+	for _, s := range checkers.All() {
+		cs = append(cs, mustChecker(t, s.Text))
+	}
+	shared := NewShared()
+	shared.Mark("net_wait", "blocking")
+	shared.Mark("disk_sync", "blocking")
 
-int intr_path(int n) {
-	cli();
-	if (n)
-		sti();
-	return n;
-}
-
-int clean(int a, int b) {
-	return a + b;
-}
-`}
-	for _, name := range []string{"free", "lock", "null", "interrupt"} {
-		cs, ok := checkers.Lookup(name)
-		if !ok {
-			t.Fatalf("bundled checker %s missing", name)
+	engines := make([]*Engine, len(cs))
+	var cd *CompiledDispatch
+	if compiled {
+		cd = CompileDispatch(p, cs)
+	}
+	for i, c := range cs {
+		engines[i] = NewEngineShared(p, c, DefaultOptions(), shared)
+		if compiled {
+			engines[i].SetCompiled(cd, i)
 		}
-		c := mustChecker(t, cs.Text)
-
-		p1 := buildProg(t, src)
-		plain := NewEngine(p1, c, DefaultOptions())
-		plainKeys := reportKeys(plain.Run())
-
-		p2 := buildProg(t, src)
-		c2 := mustChecker(t, cs.Text)
-		cd := CompileDispatch(p2, []*metal.Checker{c2})
-		compiled := NewEngine(p2, c2, DefaultOptions())
-		compiled.SetCompiled(cd, 0)
-		compiledKeys := reportKeys(compiled.Run())
-
-		if !equalKeys(plainKeys, compiledKeys) {
-			t.Errorf("%s: compiled dispatch changed reports:\n  plain:    %v\n  compiled: %v",
-				name, plainKeys, compiledKeys)
+	}
+	for _, phase := range PlanPhases(cs) {
+		for _, i := range phase {
+			engines[i].Run()
 		}
+	}
+
+	var out suiteRun
+	for _, en := range engines {
+		var keys []string
+		for _, r := range en.Reports.Reports {
+			keys = append(keys, fmt.Sprintf("%s|%s|%s|%s|%s", r.Pos, r.Checker, r.Rule, r.Class, r.Msg))
+		}
+		rules := map[string]RuleCount{}
+		for rule, rc := range en.RuleStats {
+			rules[rule] = *rc
+		}
+		out.reports = append(out.reports, keys)
+		out.rules = append(out.rules, rules)
+		out.marks = append(out.marks, en.MarkLog)
+	}
+	return out
+}
+
+// TestDispatchEquivalence: the compiled automaton changes no output
+// byte. The full bundled suite runs over the seeded mixed tree and over
+// a call-rich multi-root tree, every engine with SetCompiled against
+// every engine on the per-engine reference path (featsOf/admits); each
+// checker's report stream (in emission order), rule counts and mark
+// log must be identical.
+func TestDispatchEquivalence(t *testing.T) {
+	mixed, _ := workload.MixedTree(4, 25, 2002)
+	for _, tc := range []struct {
+		name string
+		srcs map[string]string
+	}{{"mixed", mixed}, {"call-rich", callRichSrc}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ref := runSuite(t, tc.srcs, false)
+			got := runSuite(t, tc.srcs, true)
+			total := 0
+			for i, s := range checkers.All() {
+				total += len(ref.reports[i])
+				if !reflect.DeepEqual(ref.reports[i], got.reports[i]) {
+					t.Errorf("%s: compiled dispatch changed reports:\n  reference: %v\n  compiled:  %v",
+						s.Name, ref.reports[i], got.reports[i])
+				}
+				if !reflect.DeepEqual(ref.rules[i], got.rules[i]) {
+					t.Errorf("%s: compiled dispatch changed rule counts:\n  reference: %v\n  compiled:  %v",
+						s.Name, ref.rules[i], got.rules[i])
+				}
+				if !reflect.DeepEqual(ref.marks[i], got.marks[i]) {
+					t.Errorf("%s: compiled dispatch changed the mark log:\n  reference: %v\n  compiled:  %v",
+						s.Name, ref.marks[i], got.marks[i])
+				}
+			}
+			if total == 0 {
+				t.Fatal("reference run produced no reports; the comparison is vacuous")
+			}
+		})
 	}
 }

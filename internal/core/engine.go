@@ -39,45 +39,13 @@ type Options struct {
 	// MaxPartitions caps the disjoint exit-state partitions built at a
 	// call return (§6.3 step 5).
 	MaxPartitions int
-	// MatchMemo memoizes the path-independent syntactic half of each
-	// pattern match per (transition, program point) in funcInfo, so
-	// later paths through a point only re-check binding compatibility
-	// (DESIGN.md §10). Semantics-preserving; off only for ablation.
-	MatchMemo bool
-	// BlockFilter skips pattern dispatch for state refs none of whose
-	// transitions can syntactically fire at any point of the current
-	// block (DESIGN.md §10). Semantics-preserving; off only for
-	// ablation.
-	BlockFilter bool
-	// TupleIntern identifies state tuples by hash-consed integer ids
-	// instead of rendering their Key() string per cache lookup, and
-	// caches edgeSet.all()'s deterministic ordering between inserts
-	// (DESIGN.md §10). Off, every lookup re-renders and every all()
-	// re-sorts — the original behaviour, kept for ablation.
-	TupleIntern bool
-	// LeanAlloc enables the allocation-lean hot paths (DESIGN.md §10):
-	// instance clones share the trace as an immutable list instead of
-	// copying it, per-block summary maps are allocated on first use
-	// instead of eagerly, and each block's ExecOrder point expansion is
-	// computed once and reused across paths. Semantics-preserving; off
-	// only for ablation.
-	LeanAlloc bool
-	// MultiDispatch compiles the union of all loaded checkers'
-	// transition patterns into one shared dispatch structure per run
-	// (DESIGN.md §11): a callee-name literal index plus a root-kind
-	// discrimination tree yield per-block candidate sets for every
-	// checker in one walk, and provably inert checkers skip whole
-	// roots. Semantics-preserving (byte-identical output); off runs
-	// the faithful per-engine compat path.
-	MultiDispatch bool
 	// MaxResidentMB is a soft memory budget in MiB; > 0 enables the
 	// streaming mode (DESIGN.md §12): function summaries spill to an
 	// on-disk store and funcInfo caches plus ASTs are evicted at unit
 	// retirement, with the budget sizing the decoded-summary reload
 	// LRU. Semantics-preserving — output is byte-identical to the
 	// in-memory run at every parallelism level and through the cache —
-	// so, like MatchMemo and friends, it stays out of the incremental
-	// cache's options fingerprint.
+	// so it stays out of the incremental cache's options fingerprint.
 	MaxResidentMB int
 	// Budgets bounds per-path and per-function traversal work
 	// (governance layer, DESIGN.md §9). Zero value = unlimited.
@@ -93,11 +61,6 @@ func DefaultOptions() Options {
 		FPP:             true,
 		Synonyms:        true,
 		Kills:           true,
-		MatchMemo:       true,
-		BlockFilter:     true,
-		TupleIntern:     true,
-		LeanAlloc:       true,
-		MultiDispatch:   true,
 		MaxBlocks:       0,
 		MaxCallDepth:    64,
 		MaxPartitions:   16,
@@ -221,8 +184,9 @@ type Engine struct {
 	filters map[*metal.Transition]transFilter
 	// compiled is the run-wide multi-checker dispatch structure
 	// (compile.go), shared read-only across engines; nil runs the
-	// per-engine compat path. checkerIdx is this engine's checker's
-	// index in the compiled checker list.
+	// per-engine reference path (featsOf/admits in prefilter.go).
+	// checkerIdx is this engine's checker's index in the compiled
+	// checker list.
 	compiled   *CompiledDispatch
 	checkerIdx int
 	// Streaming mode (stream.go): spill/spillKey address the summary
@@ -257,7 +221,7 @@ func NewEngineShared(p *prog.Program, c *metal.Checker, opts Options, shared *Sh
 		shared:    shared,
 		funcs:     map[*prog.Function]*funcInfo{},
 		actions:   builtinActions(),
-		intern:    newInterner(!opts.TupleIntern, !opts.LeanAlloc),
+		intern:    newInterner(),
 	}
 	en.filters = buildFilters(c)
 	en.govern = opts.Budgets.Active()
@@ -456,16 +420,12 @@ type blockRec struct {
 
 func instKey(varName, obj string) string { return varName + "|" + obj }
 
-// newBlockRec builds the traversal record; eager forces the ablation
-// baseline's unconditional map allocation (= !Options.LeanAlloc). The
-// lean path leaves entry/killed nil until needed — most traversals of
-// most blocks carry no active instances and kill nothing, and nil
-// maps read as empty everywhere the record is consumed.
-func newBlockRec(sm *SM, eager bool) *blockRec {
+// newBlockRec builds the traversal record. entry/killed stay nil until
+// needed — most traversals of most blocks carry no active instances
+// and kill nothing, and nil maps read as empty everywhere the record is
+// consumed.
+func newBlockRec(sm *SM) *blockRec {
 	rec := &blockRec{entryG: sm.GState}
-	if eager {
-		rec.entry, rec.killed = map[string]Tuple{}, map[string]Tuple{}
-	}
 	for _, in := range sm.Active {
 		if in.Inactive {
 			continue
@@ -519,7 +479,7 @@ func (r *blockRec) noteKill(g string, in *Instance) {
 // every end-of-path pass).
 func (en *Engine) nonParamLocals(fn *prog.Function) map[string]bool {
 	fi := en.funcInfo(fn)
-	if fi.nonParam == nil || !en.Opts.LeanAlloc {
+	if fi.nonParam == nil {
 		params := map[string]bool{}
 		for _, p := range fn.Decl.Params {
 			params[p.Name] = true
@@ -541,7 +501,7 @@ func (en *Engine) nonParamLocals(fn *prog.Function) map[string]bool {
 // about q because q is a local variable"). Memoized per function.
 func (en *Engine) localOmitFor(fn *prog.Function) func(Tuple) bool {
 	fi := en.funcInfo(fn)
-	if fi.localOmit == nil || !en.Opts.LeanAlloc {
+	if fi.localOmit == nil {
 		nonParam := en.nonParamLocals(fn)
 		fi.localOmit = func(t Tuple) bool {
 			if t.ObjExpr == nil {
@@ -608,7 +568,7 @@ func (en *Engine) traverseBlock(st *pathState, b *cfg.Block) {
 	}
 
 	st.backtrace = append(st.backtrace, traceEntry{block: b, info: bi})
-	rec := newBlockRec(st.sm, !en.Opts.LeanAlloc)
+	rec := newBlockRec(st.sm)
 	rec.fp = fp
 
 	if b.Exit {
@@ -621,20 +581,16 @@ func (en *Engine) traverseBlock(st *pathState, b *cfg.Block) {
 }
 
 // blockPoints returns the block's ExecOrder point expansion, cached in
-// the blockInfo under LeanAlloc (the expansion depends only on the
-// block; callers treat the slice as read-only).
+// the blockInfo (the expansion depends only on the block; callers
+// treat the slice as read-only).
 func (en *Engine) blockPoints(bi *blockInfo, b *cfg.Block) []cc.Expr {
-	if bi.pointsOK {
-		return bi.points
+	if !bi.pointsOK {
+		for _, e := range b.Exprs {
+			bi.points = cc.ExecOrder(e, bi.points)
+		}
+		bi.pointsOK = true
 	}
-	var points []cc.Expr
-	for _, e := range b.Exprs {
-		points = cc.ExecOrder(e, points)
-	}
-	if en.Opts.LeanAlloc {
-		bi.points, bi.pointsOK = points, true
-	}
-	return points
+	return bi.points
 }
 
 // runFrom processes block points starting at index idx, then finishes
@@ -951,11 +907,6 @@ type pointDispatch struct {
 
 func (d *pointDispatch) context(pt cc.Expr, returnPoint bool) *pattern.Ctx {
 	if d.ctx == nil {
-		// Built at most once per block traversal under LeanAlloc; the
-		// point-independent parts (types, callouts, block extras) are
-		// constant across the block's points. The ablation resets the
-		// cached context per point (see applyExtension), rebuilding
-		// once per dispatch as the engine originally did.
 		d.ctx = d.en.matchCtx(d.st, d.b, nil, false, false)
 	}
 	d.ctx.Point = pt
@@ -970,13 +921,10 @@ func (d *pointDispatch) context(pt cc.Expr, returnPoint bool) *pattern.Ctx {
 var noBindings = pattern.Bindings{}
 
 // matchTrans matches one transition's pattern at ctx.Point against
-// the prior bindings. With MatchMemo, the path-independent syntactic
-// half is computed once per (transition, point) and memoized in
-// funcInfo; only the binding-compatibility half runs per path.
+// the prior bindings. The path-independent syntactic half is computed
+// once per (transition, point) and memoized in funcInfo; only the
+// binding-compatibility half runs per path.
 func (en *Engine) matchTrans(fi *funcInfo, ctx *pattern.Ctx, tr *metal.Transition, prior pattern.Bindings) (pattern.Bindings, bool) {
-	if !en.Opts.MatchMemo || fi == nil {
-		return tr.Pat.Match(ctx, prior)
-	}
 	k := preKey{tr: tr, pt: ctx.Point, ret: ctx.ReturnPoint}
 	pv, ok := fi.pre[k]
 	if !ok {
@@ -1001,15 +949,11 @@ func (en *Engine) applyExtension(st *pathState, fi *funcInfo, bi *blockInfo, b *
 		en.rootInstOps += n
 	}
 	matched := false
-	filter := en.Opts.BlockFilter
-	if !en.Opts.LeanAlloc {
-		disp.ctx = nil // ablation: rebuild the context once per point
-	}
 
 	// Global-state transitions (including creation transitions). The
 	// pre-filter skips the whole loop when no transition sourced at
 	// the current global state can fire anywhere in this block.
-	if !filter || en.mayFire(bi, b, metal.StateRef{Val: st.sm.GState}) {
+	if en.mayFire(bi, b, metal.StateRef{Val: st.sm.GState}) {
 		ctx := disp.context(pt, returnPoint)
 		for _, tr := range en.transIdx[metal.StateRef{Val: st.sm.GState}] {
 			bnd, ok := en.matchTrans(fi, ctx, tr, noBindings)
@@ -1067,20 +1011,18 @@ func (en *Engine) applyExtension(st *pathState, fi *funcInfo, bi *blockInfo, b *
 	// when no live instance's state ref can fire anywhere in this
 	// block, skip the snapshot and dispatch entirely. Sound because a
 	// block where nothing fires also changes no instance state.
-	if filter {
-		anyInst := false
-		for _, in := range st.sm.Active {
-			if in.Inactive || in.CreatedAt == pt {
-				continue
-			}
-			if en.mayFire(bi, b, metal.StateRef{Var: in.Var, Val: in.Val}) {
-				anyInst = true
-				break
-			}
+	anyInst := false
+	for _, in := range st.sm.Active {
+		if in.Inactive || in.CreatedAt == pt {
+			continue
 		}
-		if !anyInst {
-			return matched
+		if en.mayFire(bi, b, metal.StateRef{Var: in.Var, Val: in.Val}) {
+			anyInst = true
+			break
 		}
+	}
+	if !anyInst {
+		return matched
 	}
 	snapshot := append([]*Instance(nil), st.sm.Active...)
 	for _, inst := range snapshot {
@@ -1090,7 +1032,7 @@ func (en *Engine) applyExtension(st *pathState, fi *funcInfo, bi *blockInfo, b *
 		if !en.stillActive(st, inst) {
 			continue
 		}
-		if filter && !en.mayFire(bi, b, metal.StateRef{Var: inst.Var, Val: inst.Val}) {
+		if !en.mayFire(bi, b, metal.StateRef{Var: inst.Var, Val: inst.Val}) {
 			continue
 		}
 		var prior pattern.Bindings
@@ -1255,7 +1197,6 @@ func (en *Engine) createInstance(st *pathState, rec *blockRec, varName, val stri
 		StartPos:  posOf(pt),
 		StartFunc: st.fn.Name,
 		CallDepth: st.callDepth,
-		copyTrace: !en.Opts.LeanAlloc,
 	}
 	if pt != nil {
 		inst.trace = inst.trace.push(fmt.Sprintf("%s: %s enters state %s at %s",
@@ -1493,12 +1434,10 @@ func (en *Engine) endOfPath(st *pathState, rec *blockRec) {
 		if !leavesScope {
 			continue
 		}
-		// The prior is identical for every transition of the instance;
-		// the ablation baseline rebuilds it per attempt as the
-		// pre-optimization loop did.
+		// The prior is identical for every transition of the instance.
 		var prior pattern.Bindings
 		for _, tr := range en.transIdx[metal.StateRef{Var: inst.Var, Val: inst.Val}] {
-			if prior == nil || !en.Opts.LeanAlloc {
+			if prior == nil {
 				prior = pattern.Bindings{inst.Var: pattern.Binding{Expr: inst.ObjExpr}}
 			}
 			bnd, ok := tr.Pat.Match(ctx, prior)
@@ -1516,11 +1455,7 @@ func (en *Engine) endOfPath(st *pathState, rec *blockRec) {
 	}
 	if isRoot {
 		for _, tr := range en.transIdx[metal.StateRef{Val: st.sm.GState}] {
-			empty := noBindings
-			if !en.Opts.LeanAlloc {
-				empty = pattern.Bindings{}
-			}
-			bnd, ok := tr.Pat.Match(ctx, empty)
+			bnd, ok := tr.Pat.Match(ctx, noBindings)
 			if !ok {
 				continue
 			}

@@ -24,27 +24,15 @@ type tupleKey struct {
 }
 
 // interner hash-conses tuples. One per engine; engines run on a
-// single goroutine each, so no locking. It doubles as the per-engine
-// mode carrier for the summary structures (every edgeSet and blockInfo
-// already holds the interner): compat reproduces the pre-interning
-// render-per-lookup cost for the hotpath ablation, and eager restores
-// the original allocate-maps-up-front behaviour of the block caches.
+// single goroutine each, so no locking.
 type interner struct {
 	ids   map[tupleKey]tid
 	byStr map[string]tid
 	strs  []string // tid -> rendered Key()
-	// compat (= !Options.TupleIntern) renders the Key() string on
-	// every lookup and re-sorts every all() call, as the string-keyed
-	// engine did.
-	compat bool
-	// eager (= !Options.LeanAlloc) makes newEdgeSet and newBlockInfo
-	// allocate their maps up front instead of on first insert, and
-	// disables the per-block point-expansion cache.
-	eager bool
 }
 
-func newInterner(compat, eager bool) *interner {
-	return &interner{ids: map[tupleKey]tid{}, byStr: map[string]tid{}, compat: compat, eager: eager}
+func newInterner() *interner {
+	return &interner{ids: map[tupleKey]tid{}, byStr: map[string]tid{}}
 }
 
 // idsCacheCap bounds the struct-key cache. ids is pure cache in front
@@ -57,13 +45,8 @@ func newInterner(compat, eager bool) *interner {
 const idsCacheCap = 1 << 16
 
 // id interns the tuple, rendering its Key() string only on first
-// sight of the (g, var, obj, val, data) combination. In compat mode
-// the struct-key cache is bypassed: the string is rendered and hashed
-// on every call, exactly as the string-keyed engine paid per lookup.
+// sight of the (g, var, obj, val, data) combination.
 func (in *interner) id(t Tuple) tid {
-	if in.compat {
-		return in.idByStr(t.Key())
-	}
 	k := tupleKey{g: t.G, varName: t.Var, obj: t.Obj, val: t.Val, data: t.Data}
 	if id, ok := in.ids[k]; ok {
 		return id

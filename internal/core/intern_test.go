@@ -50,7 +50,7 @@ func TestInternerStableAcrossRuns(t *testing.T) {
 // TestInternerIdsCacheBounded: within a run, the struct-key cache
 // resets at idsCacheCap instead of growing monotonically.
 func TestInternerIdsCacheBounded(t *testing.T) {
-	in := newInterner(false, false)
+	in := newInterner()
 	for i := 0; i < idsCacheCap*2; i++ {
 		in.id(Tuple{G: "g", Var: "v", Obj: "o", Val: "val", Data: int64(i)})
 		if got := len(in.ids); got > idsCacheCap {

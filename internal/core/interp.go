@@ -340,12 +340,11 @@ func (en *Engine) restoreInstance(t Tuple, maps []argMap, caller, callee *prog.F
 		return nil
 	}
 	inst := &Instance{
-		Var:       t.Var,
-		Obj:       cc.ExprKey(objExpr),
-		ObjExpr:   objExpr,
-		Val:       t.Val,
-		Data:      t.Data,
-		copyTrace: !en.Opts.LeanAlloc,
+		Var:     t.Var,
+		Obj:     cc.ExprKey(objExpr),
+		ObjExpr: objExpr,
+		Val:     t.Val,
+		Data:    t.Data,
 	}
 	if prov := t.Prov; prov != nil {
 		inst.StartPos = prov.StartPos
@@ -356,9 +355,6 @@ func (en *Engine) restoreInstance(t Tuple, maps []argMap, caller, callee *prog.F
 		inst.Data = prov.Data
 		inst.Val = prov.Val
 		inst.trace = prov.trace
-		if inst.copyTrace {
-			inst.trace = prov.trace.deepCopy()
-		}
 	}
 	// The tuple's recorded value wins over provenance (the instance
 	// snapshot may predate later transitions).

@@ -54,10 +54,6 @@ type Instance struct {
 	// pointer instead of the accumulated history. Rendered to []string
 	// only when a report is emitted.
 	trace *traceList
-	// copyTrace (= !Options.LeanAlloc, stamped at creation) makes
-	// clone deep-copy the history instead, reproducing the original
-	// per-clone cost for the hotpath ablation.
-	copyTrace bool
 
 	// Scope classification of the object.
 	GlobalObj bool
@@ -69,13 +65,9 @@ type Instance struct {
 }
 
 // clone copies an instance. The trace cons list is immutable and
-// shared, so the struct copy is the whole operation (unless the
-// ablation flag forces the old deep copy).
+// shared, so the struct copy is the whole operation.
 func (in *Instance) clone() *Instance {
 	cp := *in
-	if in.copyTrace {
-		cp.trace = in.trace.deepCopy()
-	}
 	return &cp
 }
 
@@ -95,17 +87,6 @@ func (t *traceList) push(msg string) *traceList {
 		n = t.n + 1
 	}
 	return &traceList{prev: t, msg: msg, n: n}
-}
-
-// deepCopy clones every cell (ablation mode only — the whole point of
-// the cons list is that sharing makes this unnecessary).
-func (t *traceList) deepCopy() *traceList {
-	if t == nil {
-		return nil
-	}
-	cp := *t
-	cp.prev = t.prev.deepCopy()
-	return &cp
 }
 
 // strings renders the list oldest-first.

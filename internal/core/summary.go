@@ -28,57 +28,25 @@ type edgeSet struct {
 	in     *interner
 	byFrom map[tid][]edge
 	count  int
-	// seenStr dedups in compat mode: the key is the rendered
-	// "from->to" string, concatenated per attempt, exactly as the
-	// string-keyed implementation paid. The interned path instead
-	// scans the byFrom bucket (buckets hold a handful of edges).
-	seenStr map[string]bool
 	// sorted caches all()'s deterministic ordering between adds; the
 	// relaxation loop calls all() far more often than it adds.
 	sorted []edge
 	dirty  bool
 }
 
-func newEdgeSet(in *interner) *edgeSet {
-	s := &edgeSet{}
-	s.init(in)
-	return s
-}
+func newEdgeSet(in *interner) *edgeSet { return &edgeSet{in: in} }
 
-// init prepares an edgeSet in place (blockInfo embeds five by value).
-func (s *edgeSet) init(in *interner) {
-	s.in = in
-	if in.eager {
-		s.byFrom = map[tid][]edge{}
-		if in.compat {
-			s.seenStr = map[string]bool{}
-		}
-	}
-}
-
-// add inserts the edge; it reports whether the edge was new. The
-// index maps are created on the first insert: most blocks of most
-// checkers never store an edge (their patterns never fire there), so
-// eager maps are pure overhead.
+// add inserts the edge; it reports whether the edge was new. Dedup
+// scans the byFrom bucket (buckets hold a handful of edges). The index
+// map is created on the first insert: most blocks of most checkers
+// never store an edge (their patterns never fire there), so eager maps
+// are pure overhead.
 func (s *edgeSet) add(e edge) bool {
-	if s.in.compat {
-		kf, kt := e.From.Key(), e.To.Key()
-		key := kf + "->" + kt
-		if s.seenStr[key] {
+	e.fromID = s.in.id(e.From)
+	e.toID = s.in.id(e.To)
+	for _, prev := range s.byFrom[e.fromID] {
+		if prev.toID == e.toID {
 			return false
-		}
-		if s.seenStr == nil {
-			s.seenStr = map[string]bool{}
-		}
-		s.seenStr[key] = true
-		e.fromID, e.toID = s.in.idByStr(kf), s.in.idByStr(kt)
-	} else {
-		e.fromID = s.in.id(e.From)
-		e.toID = s.in.id(e.To)
-		for _, prev := range s.byFrom[e.fromID] {
-			if prev.toID == e.toID {
-				return false
-			}
 		}
 	}
 	if s.byFrom == nil {
@@ -101,10 +69,10 @@ func (s *edgeSet) from(t Tuple) []edge { return s.byFrom[s.in.id(t)] }
 // string-keyed ordering). The slice is cached until the next add;
 // callers must not mutate it.
 func (s *edgeSet) all() []edge {
-	if !s.dirty && !s.in.compat {
+	if !s.dirty {
 		return s.sorted
 	}
-	if len(s.byFrom) == 1 && !s.in.compat {
+	if len(s.byFrom) == 1 {
 		// Single start tuple — the common shape — needs no id slice
 		// and no sort; the bucket is already in insertion order.
 		for _, edges := range s.byFrom {
@@ -123,11 +91,6 @@ func (s *edgeSet) all() []edge {
 	out := make([]edge, 0, n)
 	for _, id := range ids {
 		out = append(out, s.byFrom[id]...)
-	}
-	if s.in.compat {
-		// Ablation mode: rebuild per call, as the string-keyed
-		// implementation did.
-		return out
 	}
 	s.sorted = out
 	s.dirty = false
@@ -167,9 +130,8 @@ type blockInfo struct {
 	// fire caches, per state ref, whether any of the ref's
 	// transitions can possibly fire at a point of this block.
 	fire map[stateRefKey]bool
-	// points caches the block's ExecOrder program-point expansion
-	// (LeanAlloc): the expansion is a pure function of the block, but
-	// was rebuilt on every traversal. pointsOK distinguishes an empty
+	// points caches the block's ExecOrder program-point expansion (a
+	// pure function of the block). pointsOK distinguishes an empty
 	// expansion from "not computed yet".
 	points   []cc.Expr
 	pointsOK bool
@@ -178,10 +140,7 @@ type blockInfo struct {
 func newBlockInfo(in *interner) *blockInfo {
 	bi := &blockInfo{in: in}
 	for _, s := range []*edgeSet{&bi.trans, &bi.adds, &bi.gstate, &bi.sfxTrans, &bi.sfxAdds} {
-		s.init(in)
-	}
-	if in.eager {
-		bi.fpSeen = map[string]map[tid]bool{}
+		s.in = in
 	}
 	return bi
 }

@@ -271,3 +271,27 @@ func TestWorkerTreeReuse(t *testing.T) {
 		t.Fatal("worker filled nothing")
 	}
 }
+
+// TestWorkerCompilesCheckerOncePerTree: every job used to parse its
+// checker and compile whole-program dispatch for itself; the worker now
+// does both once per (tree, checker) however many unit jobs name it,
+// including jobs of one request running concurrently.
+func TestWorkerCompilesCheckerOncePerTree(t *testing.T) {
+	srcs, _ := workload.MixedTree(2, 6, 45)
+	cas := cache.NewMemStore()
+	w := fleet.NewWorker(cas, 4)
+	srv := httptest.NewServer(w.Handler())
+	defer srv.Close()
+	co := fleet.NewCoordinator(fleet.Config{Workers: []string{srv.URL}})
+	defer co.Close()
+
+	run(t, srcs, cas, co.RunnerFor("t1"))
+	st := w.Stats()
+	if st.CheckersCompiled != int64(len(fleetCheckers)) {
+		t.Errorf("worker compiled %d checkers for %d loaded", st.CheckersCompiled, len(fleetCheckers))
+	}
+	if st.JobsRun <= st.CheckersCompiled {
+		t.Fatalf("only %d jobs for %d checkers: the test no longer sends several jobs per checker",
+			st.JobsRun, st.CheckersCompiled)
+	}
+}

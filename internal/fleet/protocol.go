@@ -46,14 +46,17 @@ type WorkResponse struct {
 	Results []JobResult `json:"results"`
 }
 
-// WorkerStats is a worker's /v1/stats payload.
+// WorkerStats is a worker's /v1/stats payload. CheckersCompiled counts
+// (tree, checker) pairs parsed and compiled — once each, however many
+// jobs name them.
 type WorkerStats struct {
-	Requests    int64 `json:"requests"`
-	JobsRun     int64 `json:"jobs_run"`
-	JobsFilled  int64 `json:"jobs_filled"`
-	TreesBuilt  int64 `json:"trees_built"`
-	TreesReused int64 `json:"trees_reused"`
-	EntryPuts   int64 `json:"entry_puts"`
+	Requests         int64 `json:"requests"`
+	JobsRun          int64 `json:"jobs_run"`
+	JobsFilled       int64 `json:"jobs_filled"`
+	TreesBuilt       int64 `json:"trees_built"`
+	TreesReused      int64 `json:"trees_reused"`
+	CheckersCompiled int64 `json:"checkers_compiled"`
+	EntryPuts        int64 `json:"entry_puts"`
 }
 
 // Stats is the coordinator's counter snapshot, merged into the

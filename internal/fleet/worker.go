@@ -6,9 +6,10 @@ package fleet
 // produces goes into the shared store, where the coordinator — or any
 // other coordinator sharing the CAS — replays it. A worker run
 // mirrors the coordinator's live-unit path exactly: fresh engine per
-// job, marks pre-applied from the job's phase barrier, and nothing is
-// ever written for a degraded or failed run, so a partial result
-// cannot poison the cache no matter when the worker dies.
+// job over a checker compiled once per tree, marks pre-applied from
+// the job's phase barrier, and nothing is ever written for a degraded
+// or failed run, so a partial result cannot poison the cache no matter
+// when the worker dies.
 
 import (
 	"encoding/json"
@@ -43,21 +44,36 @@ type Worker struct {
 	trees map[string]*workerTree
 	order []string // LRU, most recent last
 
-	requests    atomic.Int64
-	jobsRun     atomic.Int64
-	jobsFilled  atomic.Int64
-	treesBuilt  atomic.Int64
-	treesReused atomic.Int64
-	entryPuts   atomic.Int64
+	requests         atomic.Int64
+	jobsRun          atomic.Int64
+	jobsFilled       atomic.Int64
+	treesBuilt       atomic.Int64
+	treesReused      atomic.Int64
+	checkersCompiled atomic.Int64
+	entryPuts        atomic.Int64
 }
 
 // workerTree is one built program, constructed at most once per tree
 // fingerprint (concurrent requests for the same tree share the build
-// through the once).
+// through the once), and the checkers compiled against it.
 type workerTree struct {
 	once sync.Once
 	prog *prog.Program
 	err  error
+
+	mu       sync.Mutex
+	checkers map[string]*workerChecker // by checker source text
+}
+
+// workerChecker is one checker parsed and compiled against one tree,
+// at most once (a request's concurrent jobs share it through the
+// once). Engines only read the checker and its dispatch structure, as
+// the coordinator's per-unit engines do.
+type workerChecker struct {
+	once     sync.Once
+	c        *metal.Checker
+	compiled *core.CompiledDispatch
+	err      error
 }
 
 // NewWorker creates a worker over the shared store. jobs bounds
@@ -88,12 +104,13 @@ func (w *Worker) Handler() http.Handler {
 // Stats snapshots the worker counters.
 func (w *Worker) Stats() WorkerStats {
 	return WorkerStats{
-		Requests:    w.requests.Load(),
-		JobsRun:     w.jobsRun.Load(),
-		JobsFilled:  w.jobsFilled.Load(),
-		TreesBuilt:  w.treesBuilt.Load(),
-		TreesReused: w.treesReused.Load(),
-		EntryPuts:   w.entryPuts.Load(),
+		Requests:         w.requests.Load(),
+		JobsRun:          w.jobsRun.Load(),
+		JobsFilled:       w.jobsFilled.Load(),
+		TreesBuilt:       w.treesBuilt.Load(),
+		TreesReused:      w.treesReused.Load(),
+		CheckersCompiled: w.checkersCompiled.Load(),
+		EntryPuts:        w.entryPuts.Load(),
 	}
 }
 
@@ -171,14 +188,13 @@ func (w *Worker) handleWork(rw http.ResponseWriter, r *http.Request) {
 }
 
 // runJob executes one unit exactly as the coordinator's live path
-// would: fresh engine, barrier marks pre-applied to a private shared
-// store, compiled dispatch when the options ask for it. It returns
-// the encoded entry (nil when the run must not be cached) and the
-// job's result.
+// would: fresh engine with compiled dispatch, barrier marks pre-applied
+// to a private shared store. It returns the encoded entry (nil when
+// the run must not be cached) and the job's result.
 func (w *Worker) runJob(r *http.Request, tree *workerTree, opts core.Options, uj mc.UnitJob) ([]byte, JobResult) {
-	c, err := metal.Parse(uj.CheckerSrc)
-	if err != nil {
-		return nil, JobResult{Key: uj.Key, Err: "checker: " + err.Error()}
+	wc := w.checker(tree, uj.CheckerSrc)
+	if wc.err != nil {
+		return nil, JobResult{Key: uj.Key, Err: "checker: " + wc.err.Error()}
 	}
 	funcs := make([]*prog.Function, len(uj.Funcs))
 	for i, id := range uj.Funcs {
@@ -196,10 +212,8 @@ func (w *Worker) runJob(r *http.Request, tree *workerTree, opts core.Options, uj
 	for _, ev := range uj.Marks {
 		shared.Mark(ev.Name, ev.Key)
 	}
-	en := core.NewEngineShared(tree.prog, c, opts, shared)
-	if opts.MultiDispatch {
-		en.SetCompiled(core.CompileDispatch(tree.prog, []*metal.Checker{c}), 0)
-	}
+	en := core.NewEngineShared(tree.prog, wc.c, opts, shared)
+	en.SetCompiled(wc.compiled, 0)
 	runs := en.RunRootsContext(r.Context(), roots)
 	// The cache governance rule, verbatim: degraded or failed runs are
 	// never written — a cached entry always represents a complete
@@ -219,15 +233,35 @@ func (w *Worker) runJob(r *http.Request, tree *workerTree, opts core.Options, uj
 	return data, JobResult{Key: uj.Key, Filled: true}
 }
 
+// checker returns the tree's parsed and compiled form of a checker
+// source, building it on first sight. The key is the source text the
+// worker received, not the job's CheckerFP label, so a mislabelled job
+// cannot borrow another checker.
+func (w *Worker) checker(tree *workerTree, src string) *workerChecker {
+	tree.mu.Lock()
+	wc := tree.checkers[src]
+	if wc == nil {
+		wc = &workerChecker{}
+		tree.checkers[src] = wc
+	}
+	tree.mu.Unlock()
+	wc.once.Do(func() {
+		w.checkersCompiled.Add(1)
+		if wc.c, wc.err = metal.Parse(src); wc.err == nil {
+			wc.compiled = core.CompileDispatch(tree.prog, []*metal.Checker{wc.c})
+		}
+	})
+	return wc
+}
+
 // tree returns the built program for a fingerprint, building (and
-// caching) it on first sight. The build itself reuses the shared
-// store's pass-1 AST cache, batched: one multi-get for every file's
-// AST key, one multi-put for the freshly parsed remainder.
-func (w *Worker) tree(fp string, files map[string]string) *workerTree {
+// caching) it on first sight. The build runs the shared pass-1 loader
+// over the shared store's AST cache.
+func (w *Worker) tree(fp string, srcs map[string]string) *workerTree {
 	w.mu.Lock()
 	t := w.trees[fp]
 	if t == nil {
-		t = &workerTree{}
+		t = &workerTree{checkers: map[string]*workerChecker{}}
 		w.trees[fp] = t
 		w.order = append(w.order, fp)
 		if len(w.order) > workerMaxTrees {
@@ -246,45 +280,12 @@ func (w *Worker) tree(fp string, files map[string]string) *workerTree {
 	w.mu.Unlock()
 	t.once.Do(func() {
 		w.treesBuilt.Add(1)
-		t.prog, t.err = w.build(files)
+		var files []*cc.File
+		if files, _, t.err = cache.LoadSources(w.cas, srcs, w.jobs); t.err == nil {
+			t.prog = prog.Build(files...)
+		}
 	})
 	return t
-}
-
-func (w *Worker) build(files map[string]string) (*prog.Program, error) {
-	names := make([]string, 0, len(files))
-	for n := range files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	keys := make([]string, len(names))
-	for i, n := range names {
-		keys[i] = cache.ASTKey(n, cc.HashBytes([]byte(files[n])))
-	}
-	cached := cache.GetBatch(w.cas, keys)
-	parsed := make([]*cc.File, len(names))
-	var puts map[string][]byte
-	for i, n := range names {
-		if data, ok := cached[keys[i]]; ok {
-			if f, err := cc.ReadFile(data); err == nil {
-				parsed[i] = f
-				continue
-			}
-		}
-		f, err := cc.ParseFile(n, files[n])
-		if err != nil {
-			return nil, fmt.Errorf("parse %s: %w", n, err)
-		}
-		parsed[i] = f
-		if puts == nil {
-			puts = map[string][]byte{}
-		}
-		puts[keys[i]] = cc.EmitFile(f)
-	}
-	if len(puts) > 0 {
-		cache.PutBatch(w.cas, puts) // best effort
-	}
-	return prog.Build(parsed...), nil
 }
 
 // TreeFP renders a deterministic fingerprint for a source set; the

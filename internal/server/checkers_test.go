@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -489,37 +490,48 @@ func TestCheckerCRUDErrors(t *testing.T) {
 	}
 }
 
-// TestLegacyAliasDeprecationHeader: the unversioned paths still work
-// but answer with Deprecation and a successor-version Link; the /v1
-// paths answer with neither.
-func TestLegacyAliasDeprecationHeader(t *testing.T) {
+// TestUnversionedPathsAreGone: the pre-v1 aliases were removed, so each
+// old path answers like any unknown path — the enveloped 404 — for
+// reads and for the analyze POST alike, and no /v1 response carries a
+// Deprecation header any more.
+func TestUnversionedPathsAreGone(t *testing.T) {
 	srv := New(Config{Checkers: []string{"free"}})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	for _, path := range []string{"/stats", "/metrics"} {
+	for _, path := range []string{"/analyze", "/reports", "/stats", "/metrics"} {
+		method, body := http.MethodGet, ""
+		if path == "/analyze" {
+			method, body = http.MethodPost, `{"files": {"a.c": "void f(void) { }"}}`
+		}
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s: status %d, want 404: %.200s", method, path, resp.StatusCode, data)
+			continue
+		}
+		if env := decodeEnvelope(t, data); env.Code != "not_found" {
+			t.Errorf("%s %s: code %q, want not_found", method, path, env.Code)
+		}
+	}
+	for _, path := range []string{"/v1/reports", "/v1/stats", "/v1/metrics"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("legacy %s: status %d", path, resp.StatusCode)
+		if resp.Header.Get("Deprecation") != "" || resp.Header.Get("Link") != "" {
+			t.Errorf("%s carries deprecation signaling: Deprecation=%q Link=%q",
+				path, resp.Header.Get("Deprecation"), resp.Header.Get("Link"))
 		}
-		if resp.Header.Get("Deprecation") != "true" {
-			t.Errorf("legacy %s: no Deprecation header", path)
-		}
-		if want := fmt.Sprintf("</v1%s>; rel=\"successor-version\"", path); resp.Header.Get("Link") != want {
-			t.Errorf("legacy %s: Link = %q, want %q", path, resp.Header.Get("Link"), want)
-		}
-	}
-	resp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "" {
-		t.Error("/v1/stats carries a Deprecation header")
 	}
 }
 

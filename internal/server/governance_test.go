@@ -40,9 +40,9 @@ func decodeEnvelope(t *testing.T, data []byte) ErrorEnvelope {
 	return env
 }
 
-// TestV1AndLegacyPathsServeIdentically: both path families answer, and
-// a tree pushed through one is visible through the other.
-func TestV1AndLegacyPathsServeIdentically(t *testing.T) {
+// TestV1PathsServe: a tree pushed through /v1/analyze is visible on
+// every /v1 read route.
+func TestV1PathsServe(t *testing.T) {
 	srv := New(Config{Checkers: []string{"free"}})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -51,16 +51,11 @@ func TestV1AndLegacyPathsServeIdentically(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/v1/analyze: status %d", resp.StatusCode)
 	}
-	for _, path := range []string{"/v1/reports", "/reports", "/v1/stats", "/stats", "/v1/metrics", "/metrics"} {
+	for _, path := range []string{"/v1/reports", "/v1/stats", "/v1/metrics"} {
 		code, body := getBody(t, ts.URL+path)
 		if code != http.StatusOK {
 			t.Errorf("%s: status %d: %.200s", path, code, body)
 		}
-	}
-	// Legacy POST still works too.
-	resp, _ = postRaw(t, ts.URL+"/analyze", AnalyzeRequest{})
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("legacy /analyze: status %d", resp.StatusCode)
 	}
 }
 

@@ -27,10 +27,9 @@
 // resident tree, and unchanged checkers replay byte-identically
 // because cache keys fingerprint checker text.
 //
-// The unversioned paths (/analyze, /reports, /stats, /metrics) remain
-// as aliases for pre-v1 clients and answer with a "Deprecation: true"
-// header naming the /v1 successor. Every error response is a uniform
-// JSON envelope {"code": ..., "message": ..., "details": ...}.
+// Every route lives under /v1/; anything else, the pre-v1 unversioned
+// paths included, gets the enveloped 404. Every error response is a
+// uniform JSON envelope {"code": ..., "message": ..., "details": ...}.
 //
 // Resource governance: at most Config.MaxInFlight analyze requests are
 // admitted at once (excess gets 429 "overloaded"), each admitted run
@@ -423,9 +422,8 @@ func reportJSON(r *report.Report) ReportJSON {
 }
 
 // Handler returns the daemon's HTTP handler: the /v1/ surface
-// (including the /v1/checkers admission pipeline), the unversioned
-// legacy aliases (which answer with a Deprecation header naming their
-// /v1 successor), and an enveloped 404 for everything else.
+// (including the /v1/checkers admission pipeline) and an enveloped 404
+// for everything else.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/analyze", s.handleAnalyze)
@@ -471,19 +469,6 @@ func (s *Server) Handler() http.Handler {
 	}
 	mux.HandleFunc("/v1/checkers", fallback)
 	mux.HandleFunc("/v1/checkers/", fallback)
-	// Legacy aliases: same handlers, plus deprecation signaling (the
-	// /v1 path is the successor; new routes have no legacy alias).
-	legacy := func(h http.HandlerFunc) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Deprecation", "true")
-			w.Header().Set("Link", fmt.Sprintf("</v1%s>; rel=\"successor-version\"", r.URL.Path))
-			h(w, r)
-		}
-	}
-	mux.HandleFunc("/analyze", legacy(s.handleAnalyze))
-	mux.HandleFunc("/reports", legacy(s.handleReports))
-	mux.HandleFunc("/stats", legacy(s.handleStats))
-	mux.HandleFunc("/metrics", legacy(s.handleMetrics))
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		s.countRequest()
 		writeError(w, http.StatusNotFound, "not_found",

@@ -14,7 +14,7 @@ import (
 func postAnalyze(t *testing.T, ts *httptest.Server, req AnalyzeRequest) AnalyzeResponse {
 	t.Helper()
 	body, _ := json.Marshal(req)
-	resp, err := http.Post(ts.URL+"/analyze", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestDaemonSession(t *testing.T) {
 	defer ts.Close()
 
 	// Reports before any analysis: 404.
-	if code, _ := getBody(t, ts.URL+"/reports"); code != http.StatusNotFound {
+	if code, _ := getBody(t, ts.URL+"/v1/reports"); code != http.StatusNotFound {
 		t.Errorf("reports before analysis: status %d", code)
 	}
 
@@ -91,23 +91,23 @@ func TestDaemonSession(t *testing.T) {
 	}
 
 	// Reports endpoint: json and text, generic and z ranking.
-	code, body := getBody(t, ts.URL+"/reports")
+	code, body := getBody(t, ts.URL+"/v1/reports")
 	if code != http.StatusOK || !strings.Contains(body, "\"pos\"") {
 		t.Errorf("reports json: %d %.120s", code, body)
 	}
-	code, body = getBody(t, ts.URL+"/reports?format=text&rank=z")
+	code, body = getBody(t, ts.URL+"/v1/reports?format=text&rank=z")
 	if code != http.StatusOK || !strings.Contains(body, "use") && !strings.Contains(body, "free") {
 		t.Errorf("reports text: %d %.120s", code, body)
 	}
 
 	// Stats endpoint.
-	code, body = getBody(t, ts.URL+"/stats")
+	code, body = getBody(t, ts.URL+"/v1/stats")
 	if code != http.StatusOK || !strings.Contains(body, "\"analyses\": 2") {
 		t.Errorf("stats: %d %.200s", code, body)
 	}
 
 	// Metrics endpoint: Prometheus text with the headline series.
-	code, body = getBody(t, ts.URL+"/metrics")
+	code, body = getBody(t, ts.URL+"/v1/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("metrics: status %d", code)
 	}
@@ -137,13 +137,13 @@ func TestDaemonRejectsBadRequests(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// GET /analyze is a method error.
-	if code, _ := getBody(t, ts.URL+"/analyze"); code != http.StatusMethodNotAllowed {
+	// GET /v1/analyze is a method error.
+	if code, _ := getBody(t, ts.URL+"/v1/analyze"); code != http.StatusMethodNotAllowed {
 		t.Errorf("GET analyze: %d", code)
 	}
 	// Empty tree is a 400.
 	body, _ := json.Marshal(AnalyzeRequest{})
-	resp, err := http.Post(ts.URL+"/analyze", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,11 +152,11 @@ func TestDaemonRejectsBadRequests(t *testing.T) {
 		t.Errorf("empty analyze: %d", resp.StatusCode)
 	}
 	// Unparseable C is a 422, and the daemon survives it.
-	r2 := postJSONStatus(t, ts.URL+"/analyze", `{"files": {"bad.c": "int ("}}`)
+	r2 := postJSONStatus(t, ts.URL+"/v1/analyze", `{"files": {"bad.c": "int ("}}`)
 	if r2 != http.StatusUnprocessableEntity {
 		t.Errorf("bad C: %d", r2)
 	}
-	r3 := postJSONStatus(t, ts.URL+"/analyze", `{"files": {"ok.c": "void f(void) { }"}}`)
+	r3 := postJSONStatus(t, ts.URL+"/v1/analyze", `{"files": {"ok.c": "void f(void) { }"}}`)
 	if r3 != http.StatusOK {
 		t.Errorf("after bad C, good C: %d", r3)
 	}

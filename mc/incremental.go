@@ -27,7 +27,6 @@ package mc
 
 import (
 	"context"
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -120,7 +119,7 @@ func (a *Analyzer) runCached(ctx context.Context) (*Result, error) {
 	incr := &IncrStats{}
 
 	t0 := time.Now()
-	files, err := a.parseCachedSources(incr)
+	files, err := a.parseSources(incr)
 	if err != nil {
 		return nil, err
 	}
@@ -180,14 +179,12 @@ func (a *Analyzer) runCached(ctx context.Context) (*Result, error) {
 	// streaming entry carries an empty summary section; either mode
 	// reads both entry shapes, so spill on/off share cache keys.
 	var stream *streamState
-	var retire *prog.RetirePlan
 	if a.opts.MaxResidentMB > 0 {
 		stream, err = a.newStream(p, files, len(a.checkers))
 		if err != nil {
 			return nil, err
 		}
 		defer stream.cleanup()
-		retire = p.PlanRetire(p.Roots)
 	}
 	incr.BuildNanos = time.Since(t0).Nanoseconds()
 
@@ -205,10 +202,7 @@ func (a *Analyzer) runCached(ctx context.Context) (*Result, error) {
 	// Multi-checker compiled dispatch, shared by every live engine in
 	// every phase (the structure is purely syntactic, so one build
 	// covers all phases; replayed units never consult it).
-	var compiled *core.CompiledDispatch
-	if a.opts.MultiDispatch {
-		compiled = core.CompileDispatch(p, a.checkers)
-	}
+	compiled := core.CompileDispatch(p, a.checkers)
 	tasksByChecker := make([][]*unitTask, len(a.checkers))
 	for _, phase := range core.PlanPhases(a.checkers) {
 		// The marks visible to every engine in this phase are exactly
@@ -254,15 +248,7 @@ func (a *Analyzer) runCached(ctx context.Context) (*Result, error) {
 			go func(t *unitTask) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				en := core.NewEngineShared(p, a.checkers[t.ci], a.opts, a.shared)
-				if compiled != nil {
-					en.SetCompiled(compiled, t.ci)
-				}
-				if stream != nil {
-					en.SetSpill(stream.store, stream.keyFor(a.checkerFPs[t.ci]))
-					en.SetRetire(retire, stream.release.done)
-					en.ShareRetired(stream.retired[a.checkerFPs[t.ci]])
-				}
+				en := a.liveEngine(p, t.ci, compiled, stream)
 				runs := en.RunRootsContext(ctx, t.roots)
 				// One export per live unit, shared by the Put and the
 				// merge engine's lazy source. A streaming engine already
@@ -569,15 +555,16 @@ func sumAnalyses(s *core.Stats) int {
 }
 
 // optionsFingerprint renders every semantics-affecting Options field
-// into the cache key. Semantics-preserving switches (MatchMemo,
-// BlockFilter, TupleIntern, LeanAlloc, MaxResidentMB) are deliberately
-// excluded: they cannot change any output byte, so runs under either
-// setting share entries — which is also what lets the streaming
-// determinism test pin spill-on warm runs against spill-off cold ones.
+// into the cache key. MaxResidentMB is deliberately excluded: it cannot
+// change any output byte, so streaming and in-memory runs share entries
+// — which is also what lets the streaming determinism test pin spill-on
+// warm runs against spill-off cold ones. A new Options field must be
+// rendered here or join that exemption in
+// TestOptionsFingerprintCoversEveryField.
 func optionsFingerprint(o Options) string {
 	var sb strings.Builder
 	sb.WriteString("opts|")
-	for _, b := range []bool{o.Interprocedural, o.BlockCache, o.FunctionCache, o.FPP, o.Synonyms, o.Kills, o.MultiDispatch} {
+	for _, b := range []bool{o.Interprocedural, o.BlockCache, o.FunctionCache, o.FPP, o.Synonyms, o.Kills} {
 		if b {
 			sb.WriteByte('1')
 		} else {
@@ -596,6 +583,7 @@ func optionsFingerprint(o Options) string {
 		strconv.FormatInt(o.Budgets.PathSteps, 10),
 		strconv.FormatInt(o.Budgets.FuncBlocks, 10),
 		strconv.FormatInt(int64(o.Budgets.FuncTime), 10),
+		strconv.FormatInt(o.Budgets.InstanceOps, 10),
 	}, ","))
 	return sb.String()
 }
@@ -605,101 +593,4 @@ func optionsFingerprint(o Options) string {
 func (a *Analyzer) configFingerprint(optsFP string) string {
 	parts := append([]string{"config", optsFP}, a.checkerFPs...)
 	return cache.Key(parts...)
-}
-
-// parseCachedSources is parseSources with the pass-1 AST cache: a
-// file whose content hash is cached loads its emitted AST instead of
-// re-parsing (the two-pass identity is pinned by the cc round-trip
-// tests). Pre-parsed ASTs (AddAST) pass through untouched.
-func (a *Analyzer) parseCachedSources(incr *IncrStats) ([]*cc.File, error) {
-	files := append([]*cc.File(nil), a.files...)
-	names := make([]string, 0, len(a.srcs))
-	for n := range a.srcs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-
-	// One batched Get for every file's AST key up front, one batched
-	// Put for every freshly emitted AST at the end — on a batch-capable
-	// backend (shared CAS) the whole pass-1 cache costs two
-	// round-trips regardless of file count.
-	keys := make([]string, len(names))
-	for i, name := range names {
-		keys[i] = cache.ASTKey(name, cc.HashBytes([]byte(a.srcs[name])))
-	}
-	cached := cache.GetBatch(a.cacheStore, keys)
-
-	parsed := make([]*cc.File, len(names))
-	errs := make([]error, len(names))
-	replayed := make([]bool, len(names))
-	emitted := make([][]byte, len(names))
-	one := func(i int) {
-		name := names[i]
-		src := a.srcs[name]
-		if data, ok := cached[keys[i]]; ok {
-			if f, err := cc.ReadFile(data); err == nil {
-				parsed[i], replayed[i] = f, true
-				return
-			}
-		}
-		f, err := cc.ParseFile(name, src)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		parsed[i] = f
-		emitted[i] = cc.EmitFile(f)
-	}
-
-	workers := a.parallelism()
-	if workers > len(names) {
-		workers = len(names)
-	}
-	if workers > 1 {
-		idxCh := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idxCh {
-					one(i)
-				}
-			}()
-		}
-		for i := range names {
-			idxCh <- i
-		}
-		close(idxCh)
-		wg.Wait()
-	} else {
-		for i := range names {
-			one(i)
-		}
-	}
-	var puts map[string][]byte
-	for i, data := range emitted {
-		if data != nil {
-			if puts == nil {
-				puts = map[string][]byte{}
-			}
-			puts[keys[i]] = data
-		}
-	}
-	if len(puts) > 0 {
-		cache.PutBatch(a.cacheStore, puts) // best effort
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("parse %s: %w", names[i], err)
-		}
-	}
-	for _, r := range replayed {
-		if r {
-			incr.FilesReplayed++
-		} else {
-			incr.FilesReparsed++
-		}
-	}
-	return append(files, parsed...), nil
 }

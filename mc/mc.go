@@ -253,7 +253,7 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 	if a.cacheStore != nil {
 		return a.runCached(ctx)
 	}
-	files, err := a.parseSources()
+	files, err := a.parseSources(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -271,33 +271,21 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 	// checker is done with them. Eviction never touches state a
 	// remaining traversal can read, so output is unchanged.
 	var stream *streamState
-	var retire *prog.RetirePlan
 	if a.opts.MaxResidentMB > 0 {
 		stream, err = a.newStream(p, files, len(a.checkers))
 		if err != nil {
 			return nil, err
 		}
 		defer stream.cleanup()
-		retire = p.PlanRetire(p.Roots)
 	}
 
-	engines := make([]*core.Engine, len(a.checkers))
-	for i, c := range a.checkers {
-		engines[i] = core.NewEngineShared(p, c, a.opts, a.shared)
-		if stream != nil {
-			engines[i].SetSpill(stream.store, stream.keyFor(a.checkerFPs[i]))
-			engines[i].SetRetire(retire, stream.release.done)
-			engines[i].ShareRetired(stream.retired[a.checkerFPs[i]])
-		}
-	}
 	// Multi-checker compiled dispatch (DESIGN.md §11): one automaton
 	// over the union of all loaded checkers' patterns, built once per
 	// run and shared read-only by every engine.
-	if a.opts.MultiDispatch {
-		cd := core.CompileDispatch(p, a.checkers)
-		for i := range engines {
-			engines[i].SetCompiled(cd, i)
-		}
+	cd := core.CompileDispatch(p, a.checkers)
+	engines := make([]*core.Engine, len(a.checkers))
+	for i := range a.checkers {
+		engines[i] = a.liveEngine(p, i, cd, stream)
 	}
 	for _, phase := range core.PlanPhases(a.checkers) {
 		a.runPhase(ctx, engines, phase)

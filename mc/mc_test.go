@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -383,4 +384,45 @@ void u3(void) { acq(); }
 	if pairs[0].Examples != 2 || pairs[0].Violations != 1 {
 		t.Errorf("evidence = %d/%d", pairs[0].Examples, pairs[0].Violations)
 	}
+}
+
+// TestOptionsFingerprintCoversEveryField: every core.Options field
+// (nested structs included) must move the cache key, or be named here
+// as unable to change an output byte — so a future field cannot
+// silently share cache entries across its settings.
+func TestOptionsFingerprintCoversEveryField(t *testing.T) {
+	semanticsPreserving := map[string]bool{"MaxResidentMB": true}
+
+	base := optionsFingerprint(DefaultOptions())
+	var walk func(path string, at func(*Options) reflect.Value)
+	walk = func(path string, at func(*Options) reflect.Value) {
+		o := DefaultOptions()
+		v := at(&o)
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				i := i
+				name := v.Type().Field(i).Name
+				if path != "" {
+					name = path + "." + name
+				}
+				walk(name, func(o *Options) reflect.Value { return at(o).Field(i) })
+			}
+			return
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		case reflect.Int, reflect.Int64:
+			v.SetInt(v.Int() + 1)
+		default:
+			t.Fatalf("Options.%s: kind %s not handled by this test", path, v.Kind())
+		}
+		moved := optionsFingerprint(o) != base
+		switch {
+		case semanticsPreserving[path] && moved:
+			t.Errorf("Options.%s is listed as semantics-preserving but moves the fingerprint", path)
+		case !semanticsPreserving[path] && !moved:
+			t.Errorf("Options.%s is not rendered by optionsFingerprint and not listed as semantics-preserving", path)
+		}
+	}
+	walk("", func(o *Options) reflect.Value { return reflect.ValueOf(o).Elem() })
 }

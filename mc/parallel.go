@@ -2,12 +2,13 @@ package mc
 
 import (
 	"context"
-	"fmt"
 	"sort"
 	"sync"
 
+	"repro/internal/cache"
 	"repro/internal/cc"
 	"repro/internal/core"
+	"repro/internal/prog"
 )
 
 // This file is the parallel execution layer of Analyzer.Run: pass-1
@@ -18,52 +19,35 @@ import (
 // the mutex-guarded core.Shared store, and the merge in Run reads
 // engines back in checker load order.
 
-// parseSources runs pass 1: every registered source is parsed, fanned
-// out over the worker pool. Pre-parsed ASTs (AddAST) pass through
-// untouched. Errors surface exactly as in a sequential name-ordered
-// parse: the failure for the first (sorted) offending name wins.
-func (a *Analyzer) parseSources() ([]*cc.File, error) {
-	files := append([]*cc.File(nil), a.files...)
-	names := make([]string, 0, len(a.srcs))
-	for n := range a.srcs {
-		names = append(names, n)
+// parseSources runs pass 1 (cache.LoadSources): every registered source
+// is parsed on the worker pool, through the pass-1 AST cache when the
+// run has a store. Pre-parsed ASTs (AddAST) pass through untouched.
+// incr, when non-nil, receives the replayed/reparsed file counts.
+func (a *Analyzer) parseSources(incr *IncrStats) ([]*cc.File, error) {
+	parsed, replayed, err := cache.LoadSources(a.cacheStore, a.srcs, a.parallelism())
+	if err != nil {
+		return nil, err
 	}
-	sort.Strings(names)
+	if incr != nil {
+		incr.FilesReplayed = replayed
+		incr.FilesReparsed = len(parsed) - replayed
+	}
+	return append(append([]*cc.File(nil), a.files...), parsed...), nil
+}
 
-	parsed := make([]*cc.File, len(names))
-	errs := make([]error, len(names))
-	workers := a.parallelism()
-	if workers > len(names) {
-		workers = len(names)
+// liveEngine builds the traversal engine for checker ci: compiled
+// dispatch attached (DESIGN.md §11), plus the spill, retire and
+// shared-retired hooks when the run streams (DESIGN.md §12).
+func (a *Analyzer) liveEngine(p *prog.Program, ci int, cd *core.CompiledDispatch, stream *streamState) *core.Engine {
+	en := core.NewEngineShared(p, a.checkers[ci], a.opts, a.shared)
+	en.SetCompiled(cd, ci)
+	if stream != nil {
+		fp := a.checkerFPs[ci]
+		en.SetSpill(stream.store, stream.keyFor(fp))
+		en.SetRetire(stream.retire, stream.release.done)
+		en.ShareRetired(stream.retired[fp])
 	}
-	if workers > 1 {
-		idxCh := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idxCh {
-					parsed[i], errs[i] = cc.ParseFile(names[i], a.srcs[names[i]])
-				}
-			}()
-		}
-		for i := range names {
-			idxCh <- i
-		}
-		close(idxCh)
-		wg.Wait()
-	} else {
-		for i, n := range names {
-			parsed[i], errs[i] = cc.ParseFile(n, a.srcs[n])
-		}
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("parse %s: %w", names[i], err)
-		}
-	}
-	return append(files, parsed...), nil
+	return en
 }
 
 // markEntry is one pre-annotation: MarkFunction(name, key).

@@ -88,11 +88,13 @@ func (ar *astReleaser) count() int64 {
 }
 
 // streamState is one run's streaming context: the summary store, the
-// AST releaser, and the precomputed content-addressed key material.
+// retirement schedule, the AST releaser, and the precomputed
+// content-addressed key material.
 // Function hashes are captured before any traversal starts because
 // reload may recompute a key after the body was released.
 type streamState struct {
 	store   *spill.Store
+	retire  *prog.RetirePlan
 	release *astReleaser
 	optsFP  string
 	envFP   string
@@ -144,6 +146,7 @@ func (a *Analyzer) newStream(p *prog.Program, files []*cc.File, need int) (*stre
 	}
 	st := &streamState{
 		store:   spill.New(lg, budget),
+		retire:  p.PlanRetire(p.Roots),
 		release: newASTReleaser(p.All, need),
 		optsFP:  optionsFingerprint(a.opts),
 		envFP:   cc.EnvHash(files),
