@@ -57,10 +57,13 @@ bench-check:
 
 # Go-native fuzzing of the decoders that read bytes from outside the
 # process (ROADMAP item 4a), seed corpora under testdata/fuzz/. The
-# budget is short: CI smoke, not a campaign.
+# budget is short: CI smoke, not a campaign. FuzzOpenStore goes through
+# the file system, so its coverage is noisy and the fuzzer's default
+# 60 s minimisation of every interesting input would eat the budget.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeUnit -fuzztime $(FUZZTIME) ./internal/cache/
+	$(GO) test -run '^$$' -fuzz FuzzOpenStore -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/cache/
 
 # Engine-parallelism scaling series (DESIGN.md §5): sweeps -j over the
 # E11 workload, asserts byte-identical output, writes BENCH_parallel.json.
@@ -126,12 +129,14 @@ bench-fleet:
 	$(GO) run ./cmd/mcbench -exp fleet $(FLEET_FLAGS)
 
 # Microbenchmarks for the §10 hot paths (match memoization, block
-# traversal, instance clone) and the summary reload path (§8/§12).
+# traversal, instance clone), the summary reload path (§8/§12) and the
+# disk store (§8: one cold calls-S run's 2685 records / 5.6 MB, written
+# as one batch and indexed at open).
 # -benchtime 100x keeps the target quick enough for CI; drop the
 # override for stable local numbers.
 bench-micro:
-	$(GO) test -run '^$$' -bench 'BenchmarkBaseMatch|BenchmarkBlockTraversal|BenchmarkInstanceClone|BenchmarkImportSummaries' \
-		-benchtime 100x ./internal/pattern/ ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkBaseMatch|BenchmarkBlockTraversal|BenchmarkInstanceClone|BenchmarkImportSummaries|BenchmarkStoreOpen|BenchmarkStorePutBatch' \
+		-benchtime 100x ./internal/pattern/ ./internal/core/ ./internal/cache/
 
 # CPU + allocation profiles of the 5/50/200-checker suite runs (written
 # to pprof/).

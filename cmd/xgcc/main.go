@@ -301,10 +301,14 @@ func main() {
 				sp.Evictions, sp.Reloads, sp.SpillPuts, sp.SpillBytes, sp.ASTsReleased)
 		}
 		if in := res.Incr; in != nil {
-			fmt.Printf("cache: files reparsed=%d replayed=%d; units live=%d replayed=%d; funcs live=%d replayed=%d changed=%d invalidated=%d; store hits=%d misses=%d puts=%d; summaries deferred-bytes=%d loaded=%d\n",
+			fmt.Printf("cache: files reparsed=%d replayed=%d; units live=%d replayed=%d; funcs live=%d replayed=%d changed=%d invalidated=%d; store hits=%d misses=%d puts=%d put-errors=%d; summaries deferred-bytes=%d loaded=%d\n",
 				in.FilesReparsed, in.FilesReplayed, in.UnitsLive, in.UnitsReplayed,
 				in.FuncsAnalyzedLive, in.FuncsAnalyzedReplayed, in.FuncsChanged, in.FuncsInvalidated,
-				in.CacheHits, in.CacheMisses, in.CachePuts, in.SummaryBytesDeferred, in.SummariesLoaded)
+				in.CacheHits, in.CacheMisses, in.CachePuts, in.CachePutErrors, in.SummaryBytesDeferred, in.SummariesLoaded)
+			if st := in.Store; st != nil {
+				fmt.Printf("store: records=%d live-bytes=%d superseded-bytes=%d compactions=%d\n",
+					st.Records, st.LiveBytes, st.SupersededBytes, st.Compactions)
+			}
 		}
 	}
 	if *exitCode && len(res.Reports) > 0 {

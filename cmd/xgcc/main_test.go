@@ -191,10 +191,14 @@ func TestCacheFlagWarmRunIdentical(t *testing.T) {
 	if !strings.Contains(cached, "loaded=1") {
 		t.Errorf("-stats did not report the lazy summary load: %.600s", cached)
 	}
-	// The cache directory persists sharded entries on disk.
+	// The cache directory holds the one packed log, and -stats says what
+	// is in it and that no write failed.
 	entries, err := os.ReadDir(cacheDir)
-	if err != nil || len(entries) == 0 {
-		t.Errorf("cache dir empty after runs: %v", err)
+	if err != nil || len(entries) != 1 {
+		t.Errorf("cache dir holds %d entries (%v), want the log alone", len(entries), err)
+	}
+	if !strings.Contains(stats, "put-errors=0;") || !strings.Contains(stats, "store: records=") || strings.Contains(stats, "records=0 ") {
+		t.Errorf("warm -stats did not report the store: %.600s", stats)
 	}
 }
 

@@ -2,7 +2,8 @@ package cache_test
 
 // Backend conformance (DESIGN.md §15): every Store backend — memory,
 // dir, HTTP-over-memory, HTTP-over-dir, and the metrics wrapper —
-// must pass the one shared suite, under -race. The HTTP cases spin a
+// must pass the one shared suite, under -race; the disk store also
+// passes the reopen suite (DESIGN.md §8). The HTTP cases spin a
 // real CASServer over a loopback listener, so the wire encoding
 // (base64 batch envelopes, 404-as-miss, HEAD probes) is covered too.
 
@@ -33,6 +34,16 @@ func TestDirStoreConformance(t *testing.T) {
 		}
 		return s
 	})
+}
+
+func TestDirStoreReopen(t *testing.T) {
+	cachetest.Reopen(t, func(t *testing.T, dir string) cache.Store {
+		s, err := cache.NewDirStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}, func(dir string) string { return filepath.Join(dir, "store.log") })
 }
 
 func TestMetricsWrapperConformance(t *testing.T) {
@@ -119,8 +130,10 @@ func TestHTTPStoreGetCoalescing(t *testing.T) {
 	}
 }
 
-// TestDirStoreTornWriteTolerance: a leftover temp file or a manually
-// truncated entry behaves as bytes-or-miss, never a crash.
+// TestDirStoreTornWriteTolerance: whatever a crashed host leaves in the
+// log — a half-written record, or bytes that were never a record — the
+// store answers bytes-or-miss, never a crash, and what it does serve
+// still decodes or fails cleanly.
 func TestDirStoreTornWriteTolerance(t *testing.T) {
 	dir := t.TempDir()
 	s, err := cache.NewDirStore(dir)
@@ -131,16 +144,32 @@ func TestDirStoreTornWriteTolerance(t *testing.T) {
 	if err := s.Put(key, []byte("full entry content")); err != nil {
 		t.Fatal(err)
 	}
-	// Truncate the entry file in place, as a crashed host might leave it.
-	path := filepath.Join(dir, key[:2], key)
-	if err := os.WriteFile(path, []byte("torn"), 0o644); err != nil {
+	path := filepath.Join(dir, "store.log")
+	whole, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	data, ok := s.Get(key)
-	if ok && string(data) != "torn" {
-		t.Fatalf("unexpected content %q", data)
-	}
-	if _, err := cache.DecodeUnit(data); err == nil {
-		t.Fatal("DecodeUnit accepted torn bytes")
+	for name, content := range map[string][]byte{
+		"cut mid-record":  whole[:len(whole)-5],
+		"garbage":         []byte("\xff\xff\xff not a log \x00\x01"),
+		"garbage at tail": append(append([]byte(nil), whole...), 0x7f, 0x7f, 1, 2, 3),
+	} {
+		if err := os.WriteFile(path, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := cache.NewDirStore(dir)
+		if err != nil {
+			t.Fatalf("%s: open: %v", name, err)
+		}
+		data, ok := s.Get(key)
+		if ok && string(data) != "full entry content" {
+			t.Fatalf("%s: served %q", name, data)
+		}
+		if ok != (name == "garbage at tail") {
+			t.Fatalf("%s: served=%v", name, ok)
+		}
+		if _, err := cache.DecodeUnit(data); err == nil {
+			t.Fatalf("%s: DecodeUnit accepted the bytes", name)
+		}
 	}
 }

@@ -7,8 +7,6 @@ package cache
 // to key-at-a-time loops on plain stores. Semantics are exactly N
 // independent Get/Put calls; batching changes only the I/O shape.
 
-import "os"
-
 // BatchStore is an optional Store extension for multi-key traffic.
 type BatchStore interface {
 	Store
@@ -100,37 +98,6 @@ func (s *MemStore) Has(key string) bool {
 	return ok
 }
 
-// DirStore batch/probe extensions. Disk has no cheaper multi-key
-// primitive than the loop, but implementing BatchStore keeps the
-// backend set uniform under the conformance suite.
-
-// GetBatch reads each key's file.
-func (s *DirStore) GetBatch(keys []string) map[string][]byte {
-	out := make(map[string][]byte, len(keys))
-	for _, k := range keys {
-		if data, ok := s.Get(k); ok {
-			out[k] = data
-		}
-	}
-	return out
-}
-
-// PutBatch writes each entry atomically.
-func (s *DirStore) PutBatch(entries map[string][]byte) error {
-	for k, data := range entries {
-		if err := s.Put(k, data); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Has stats the entry's file without reading it.
-func (s *DirStore) Has(key string) bool {
-	fi, err := os.Stat(s.path(key))
-	return err == nil && !fi.IsDir()
-}
-
 // counted batch/probe extensions: batch traffic lands in the same
 // hit/miss/put counters as single-key traffic, and the underlying
 // store's batching (or lack of it) passes through.
@@ -143,10 +110,14 @@ func (c *counted) GetBatch(keys []string) map[string][]byte {
 	return out
 }
 
-// PutBatch counts one put per entry.
+// PutBatch counts one put per entry, and one error per failed call.
 func (c *counted) PutBatch(entries map[string][]byte) error {
 	c.m.puts.Add(int64(len(entries)))
-	return PutBatch(c.s, entries)
+	err := PutBatch(c.s, entries)
+	if err != nil {
+		c.m.putErrs.Add(1)
+	}
+	return err
 }
 
 // Has probes without touching the counters (it is not a fetch).

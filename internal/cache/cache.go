@@ -10,8 +10,6 @@ package cache
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 )
@@ -53,9 +51,10 @@ type Store interface {
 // atomically; read them with the corresponding Load methods while
 // other goroutines may be writing.
 type Metrics struct {
-	hits   atomic.Int64
-	misses atomic.Int64
-	puts   atomic.Int64
+	hits    atomic.Int64
+	misses  atomic.Int64
+	puts    atomic.Int64
+	putErrs atomic.Int64
 }
 
 // Hits returns the hit count.
@@ -67,14 +66,18 @@ func (m *Metrics) Misses() int64 { return m.misses.Load() }
 // Puts returns the put count.
 func (m *Metrics) Puts() int64 { return m.puts.Load() }
 
+// PutErrors returns how many put calls the store failed: callers treat
+// cache writes as best effort, so this is the only sign of a full disk.
+func (m *Metrics) PutErrors() int64 { return m.putErrs.Load() }
+
 // counted wraps a Store with traffic counting.
 type counted struct {
 	s Store
 	m *Metrics
 }
 
-// WithMetrics returns a view of s that counts hits, misses, and puts
-// into m.
+// WithMetrics returns a view of s that counts hits, misses, puts and
+// failed puts into m.
 func WithMetrics(s Store, m *Metrics) Store { return &counted{s: s, m: m} }
 
 func (c *counted) Get(key string) ([]byte, bool) {
@@ -88,8 +91,7 @@ func (c *counted) Get(key string) ([]byte, bool) {
 }
 
 func (c *counted) Put(key string, data []byte) error {
-	c.m.puts.Add(1)
-	return c.s.Put(key, data)
+	return c.PutBatch(map[string][]byte{key: data})
 }
 
 // MemStore is an in-memory store: the daemon's resident cache, and
@@ -124,67 +126,4 @@ func (s *MemStore) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.m)
-}
-
-// DirStore is a disk-backed store: one file per entry under
-// dir/aa/<key>, sharded by the key's first byte to keep directories
-// small. Writes go to a temp file in the destination directory and
-// rename into place, so a crash mid-write leaves either the old entry
-// or none — never a torn one — and concurrent writers of the same key
-// are safe (they write identical content).
-type DirStore struct {
-	dir string
-}
-
-// NewDirStore opens (creating if needed) a disk store rooted at dir.
-func NewDirStore(dir string) (*DirStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	return &DirStore{dir: dir}, nil
-}
-
-func (s *DirStore) path(key string) string {
-	shard := "xx"
-	if len(key) >= 2 {
-		shard = key[:2]
-	}
-	return filepath.Join(s.dir, shard, key)
-}
-
-// Get returns the blob stored under key.
-func (s *DirStore) Get(key string) ([]byte, bool) {
-	data, err := os.ReadFile(s.path(key))
-	if err != nil {
-		return nil, false
-	}
-	return data, true
-}
-
-// Put stores the blob under key atomically.
-func (s *DirStore) Put(key string, data []byte) error {
-	dst := s.path(key)
-	dir := filepath.Dir(dst)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return err
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return err
-	}
-	if err := os.Rename(name, dst); err != nil {
-		os.Remove(name)
-		return err
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -53,25 +54,39 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDirStoreAtomicNoTempLeftovers: the store's directory holds the
+// log and nothing else, also after compaction went through its temp
+// file, and a compaction serves the same records it found.
 func TestDirStoreAtomicNoTempLeftovers(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "c")
 	ds, err := NewDirStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := Key("k")
-	if err := ds.Put(key, []byte("v")); err != nil {
+	if err := ds.Put(Key("kept"), []byte("kept")); err != nil {
 		t.Fatal(err)
 	}
-	var tmps []string
-	filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() && strings.HasPrefix(info.Name(), ".tmp-") {
-			tmps = append(tmps, path)
+	for i := 0; ds.Stats().Compactions == 0; i++ {
+		if i > 100 {
+			t.Fatal("100 overwrites of one key never compacted")
 		}
-		return nil
-	})
-	if len(tmps) > 0 {
-		t.Errorf("temp files left behind: %v", tmps)
+		if err := ds.Put(Key("k"), []byte(strings.Repeat("v", 100+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := ds.Stats()
+	if st.Records != 2 || st.SupersededBytes != 0 {
+		t.Errorf("after compaction: %+v, want 2 records and nothing superseded", st)
+	}
+	if fi, err := os.Stat(filepath.Join(dir, "store.log")); err != nil || fi.Size() < st.LiveBytes || fi.Size() > st.LiveBytes+2*16 {
+		t.Errorf("log is %d bytes (%v), want its %d live bytes plus two records' framing", fi.Size(), err, st.LiveBytes)
+	}
+	if got, ok := ds.Get(Key("kept")); !ok || string(got) != "kept" {
+		t.Errorf("record lost in compaction: %q %v", got, ok)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil || len(ents) != 1 || ents[0].Name() != "store.log" {
+		t.Errorf("store directory holds %v (%v), want only store.log", ents, err)
 	}
 }
 
@@ -81,8 +96,30 @@ func TestMetricsCounting(t *testing.T) {
 	s.Get(Key("a"))
 	s.Put(Key("a"), []byte("x"))
 	s.Get(Key("a"))
-	if m.Hits() != 1 || m.Misses() != 1 || m.Puts() != 1 {
-		t.Errorf("metrics = %d/%d/%d, want 1/1/1", m.Hits(), m.Misses(), m.Puts())
+	if m.Hits() != 1 || m.Misses() != 1 || m.Puts() != 1 || m.PutErrors() != 0 {
+		t.Errorf("metrics = %d/%d/%d/%d, want 1/1/1/0", m.Hits(), m.Misses(), m.Puts(), m.PutErrors())
+	}
+}
+
+// failingStore refuses every write, like a full disk.
+type failingStore struct{ Store }
+
+func (failingStore) Put(string, []byte) error { return errors.New("disk full") }
+
+func TestMetricsCountPutErrors(t *testing.T) {
+	var m Metrics
+	s := WithMetrics(failingStore{NewMemStore()}, &m)
+	if err := s.Put(Key("a"), []byte("x")); err == nil {
+		t.Fatal("failing Put reported success")
+	}
+	if err := PutBatch(s, map[string][]byte{Key("b"): nil, Key("c"): nil}); err == nil {
+		t.Fatal("failing PutBatch reported success")
+	}
+	if err := SaveManifest(s, "cfg", &Manifest{}); err == nil {
+		t.Fatal("failing SaveManifest reported success")
+	}
+	if m.PutErrors() != 3 {
+		t.Errorf("PutErrors = %d, want 3 (one per failed call)", m.PutErrors())
 	}
 }
 

@@ -10,6 +10,9 @@ package cachetest
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -181,6 +184,278 @@ func Conformance(t *testing.T, open func(t *testing.T) cache.Store) {
 		}
 		if _, err := cache.DecodeUnit(data); err == nil {
 			t.Fatal("DecodeUnit accepted a truncated entry")
+		}
+	})
+}
+
+// Reopen is the disk half of the suite: what a store that outlives its
+// handle must guarantee (DESIGN.md §8). open returns a new handle on
+// the store in dir, and may be called several times for one dir while
+// earlier handles are still live. The guarantee cases never close a
+// handle, because the analysis layers never do; only the loops that open
+// hundreds do, to stay under the descriptor limit. file names the
+// store's one data file, which the crash cases cut and corrupt.
+func Reopen(t *testing.T, open func(t *testing.T, dir string) cache.Store, file func(dir string) string) {
+	t.Helper()
+	key := func(parts ...string) string { return cache.Key(append([]string{"reopen"}, parts...)...) }
+	mustPut := func(t *testing.T, s cache.Store, k string, data []byte) {
+		t.Helper()
+		if err := s.Put(k, data); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+	}
+	mustGet := func(t *testing.T, s cache.Store, k string, want []byte) {
+		t.Helper()
+		if got, ok := s.Get(k); !ok || !bytes.Equal(got, want) {
+			t.Fatalf("Get(%.8s) = %d bytes ok=%v, want %d bytes", k, len(got), ok, len(want))
+		}
+	}
+	blob := func(i int) []byte { return bytes.Repeat([]byte{byte('a' + i)}, 40+300*i) }
+	closeHandle := func(s cache.Store) {
+		if c, ok := s.(io.Closer); ok {
+			c.Close()
+		}
+	}
+
+	t.Run("VisibleWithoutClose", func(t *testing.T) {
+		dir := t.TempDir()
+		a := open(t, dir)
+		mustPut(t, a, key("single"), []byte("one put"))
+		batch := map[string][]byte{}
+		for i := 0; i < 5; i++ {
+			batch[key("batch", fmt.Sprint(i))] = blob(i)
+		}
+		if err := cache.PutBatch(a, batch); err != nil {
+			t.Fatalf("PutBatch: %v", err)
+		}
+		b := open(t, dir) // a is still open and was never flushed or closed
+		mustGet(t, b, key("single"), []byte("one put"))
+		for k, want := range batch {
+			mustGet(t, b, k, want)
+			if !cache.Has(b, k) {
+				t.Fatalf("Has(%.8s) = false after reopen", k)
+			}
+		}
+	})
+	t.Run("LatestWinsAcrossReopen", func(t *testing.T) {
+		dir := t.TempDir()
+		a := open(t, dir)
+		mustPut(t, a, key("dup"), []byte("old"))
+		mustPut(t, a, key("other"), []byte("untouched"))
+		mustPut(t, a, key("dup"), []byte("newer and longer"))
+		mustGet(t, a, key("dup"), []byte("newer and longer"))
+		b := open(t, dir)
+		mustGet(t, b, key("dup"), []byte("newer and longer"))
+		mustGet(t, b, key("other"), []byte("untouched"))
+	})
+	t.Run("TornTailThenAppend", func(t *testing.T) {
+		// Three records, the file cut mid-third, then records shorter than
+		// what is left of the third. The next handle must cut that residue
+		// out of the file: left in place it is either parsed as records
+		// nobody put, or, with appends going to the end of the file, sits
+		// in front of them and mis-frames every one.
+		dir := t.TempDir()
+		a := open(t, dir)
+		mustPut(t, a, key("torn", "0"), blob(1))
+		mustPut(t, a, key("torn", "1"), blob(2))
+		mustPut(t, a, key("torn", "2"), bytes.Repeat([]byte{'c'}, 5000))
+		fi, err := os.Stat(file(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(file(dir), fi.Size()-2500); err != nil {
+			t.Fatal(err)
+		}
+		b := open(t, dir)
+		mustPut(t, b, key("torn", "short"), []byte("s"))
+		mustPut(t, b, key("torn", "3"), []byte("three"))
+		mustPut(t, b, key("torn", "4"), []byte("four"))
+		c := open(t, dir)
+		if _, ok := c.Get(key("torn", "2")); ok {
+			t.Fatal("the torn record is served")
+		}
+		fresh := t.TempDir()
+		fs := open(t, fresh)
+		for k, want := range map[string][]byte{
+			key("torn", "0"): blob(1), key("torn", "1"): blob(2), key("torn", "short"): []byte("s"),
+			key("torn", "3"): []byte("three"), key("torn", "4"): []byte("four"),
+		} {
+			mustGet(t, c, k, want)
+			mustPut(t, fs, k, want)
+		}
+		got, _ := os.Stat(file(dir))
+		want, _ := os.Stat(file(fresh))
+		if got.Size() != want.Size() {
+			t.Errorf("file is %d bytes, its five records are %d: the torn residue is still in it", got.Size(), want.Size())
+		}
+	})
+	t.Run("EveryCutServesAPrefix", func(t *testing.T) {
+		// A crash can leave any prefix of the file. Whatever the cut, open
+		// must not panic, must serve exactly a prefix of the records, each
+		// byte-identical, and must take new records afterwards.
+		src := t.TempDir()
+		a := open(t, src)
+		const n = 5
+		small := func(i int) []byte { return blob(i)[:10+30*i] }
+		for i := 0; i < n; i++ {
+			mustPut(t, a, key("cut", fmt.Sprint(i)), small(i))
+		}
+		whole, err := os.ReadFile(file(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cut := 0; cut <= len(whole); cut++ {
+			dir := t.TempDir()
+			if err := os.WriteFile(file(dir), whole[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s := open(t, dir)
+			served := 0
+			for i := 0; i < n; i++ {
+				got, ok := s.Get(key("cut", fmt.Sprint(i)))
+				if !ok {
+					break
+				}
+				if !bytes.Equal(got, small(i)) {
+					t.Fatalf("cut %d: record %d served with wrong bytes", cut, i)
+				}
+				served++
+			}
+			for i := served; i < n; i++ {
+				if _, ok := s.Get(key("cut", fmt.Sprint(i))); ok {
+					t.Fatalf("cut %d: record %d served after record %d was lost", cut, i, served)
+				}
+			}
+			if cut == len(whole) && served != n {
+				t.Fatalf("uncut file serves %d of %d records", served, n)
+			}
+			mustPut(t, s, key("cut", "after"), []byte("appended"))
+			again := open(t, dir)
+			mustGet(t, again, key("cut", "after"), []byte("appended"))
+			closeHandle(s)
+			closeHandle(again)
+		}
+	})
+	t.Run("ChecksumFlipIsAMiss", func(t *testing.T) {
+		dir := t.TempDir()
+		a := open(t, dir)
+		mustPut(t, a, key("flip", "before"), []byte("intact before"))
+		victim := bytes.Repeat([]byte("victim payload "), 20)
+		mustPut(t, a, key("flip", "victim"), victim)
+		mustPut(t, a, key("flip", "after"), []byte("intact after"))
+		data, err := os.ReadFile(file(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := bytes.Index(data, victim)
+		if at < 0 {
+			t.Fatal("payload not found verbatim in the store file")
+		}
+		data[at+len(victim)/2] ^= 0x40
+		if err := os.WriteFile(file(dir), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		b := open(t, dir)
+		if got, ok := b.Get(key("flip", "victim")); ok {
+			t.Fatalf("corrupted record served (%d bytes)", len(got))
+		}
+		if got := cache.GetBatch(b, []string{key("flip", "victim"), key("flip", "after")}); len(got) != 1 {
+			t.Fatalf("GetBatch over a corrupted record found %d entries, want 1", len(got))
+		}
+		mustGet(t, b, key("flip", "before"), []byte("intact before"))
+		mustGet(t, b, key("flip", "after"), []byte("intact after"))
+	})
+	t.Run("BoundedGrowth", func(t *testing.T) {
+		// Every complete run re-puts its manifest under one key. Neither
+		// a run per process (a handle per save) nor a resident daemon
+		// (one handle, many saves) may grow the file without bound.
+		manifest := func(i int) *cache.Manifest {
+			m := &cache.Manifest{Files: map[string]string{}, Funcs: map[string]string{}}
+			for f := 0; f < 50; f++ {
+				m.Funcs[fmt.Sprintf("f.c\x00fn%d", f)] = cache.Key("hash", fmt.Sprint(i, f))
+			}
+			return m
+		}
+		for _, mode := range []string{"handle per save", "one handle"} {
+			dir := t.TempDir()
+			s := open(t, dir)
+			for i := 0; i < 8; i++ {
+				mustPut(t, s, key("grow", "unit", fmt.Sprint(i)), blob(i))
+			}
+			for i := 0; i < 200; i++ {
+				if mode == "handle per save" {
+					closeHandle(s)
+					s = open(t, dir)
+				}
+				if err := cache.SaveManifest(s, "cfg", manifest(i)); err != nil {
+					t.Fatalf("%s: save %d: %v", mode, i, err)
+				}
+			}
+			// The live size: the same final content in a fresh store.
+			fresh := t.TempDir()
+			fs := open(t, fresh)
+			for i := 0; i < 8; i++ {
+				mustPut(t, fs, key("grow", "unit", fmt.Sprint(i)), blob(i))
+			}
+			cache.SaveManifest(fs, "cfg", manifest(199))
+			got, _ := os.Stat(file(dir))
+			live, _ := os.Stat(file(fresh))
+			if got.Size() > 2*live.Size() {
+				t.Errorf("%s: file is %d bytes after 200 manifest saves, live content is %d", mode, got.Size(), live.Size())
+			}
+			last := open(t, dir)
+			if m := cache.LoadManifest(last, "cfg"); m == nil || m.Funcs["f.c\x00fn7"] != manifest(199).Funcs["f.c\x00fn7"] {
+				t.Errorf("%s: the last manifest is not the one served", mode)
+			}
+			for i := 0; i < 8; i++ {
+				mustGet(t, last, key("grow", "unit", fmt.Sprint(i)), blob(i))
+			}
+			if ents, _ := os.ReadDir(filepath.Dir(file(dir))); len(ents) != 1 {
+				t.Errorf("%s: %d files left in the store directory, want the data file alone", mode, len(ents))
+			}
+		}
+	})
+	t.Run("ConcurrentHandles", func(t *testing.T) {
+		// Two handles on one directory (two processes sharing -cache, or a
+		// cold and a warm analyzer in one) append at once: no record may
+		// overwrite or splice another. Distinct keys, so compaction never
+		// moves the file under a writer.
+		dir := t.TempDir()
+		handles := []cache.Store{open(t, dir), open(t, dir)}
+		const writers, rounds = 4, 40
+		val := func(h, w, i int) []byte { return bytes.Repeat([]byte(fmt.Sprintf("h%dw%di%d|", h, w, i)), 1+(w+i)%17) }
+		var wg sync.WaitGroup
+		for h, s := range handles {
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(h, w int, s cache.Store) {
+					defer wg.Done()
+					for i := 0; i < rounds; i += 2 {
+						if err := s.Put(key("conc", fmt.Sprint(h, w, i)), val(h, w, i)); err != nil {
+							t.Errorf("handle %d writer %d: %v", h, w, err)
+							return
+						}
+						pair := map[string][]byte{key("conc", fmt.Sprint(h, w, i+1)): val(h, w, i+1)}
+						if err := cache.PutBatch(s, pair); err != nil {
+							t.Errorf("handle %d writer %d: %v", h, w, err)
+							return
+						}
+						if got, ok := s.Get(key("conc", fmt.Sprint(h, w, i))); !ok || !bytes.Equal(got, val(h, w, i)) {
+							t.Errorf("handle %d writer %d: own record %d not served back", h, w, i)
+							return
+						}
+					}
+				}(h, w, s)
+			}
+		}
+		wg.Wait()
+		third := open(t, dir)
+		for h := range handles {
+			for w := 0; w < writers; w++ {
+				for i := 0; i < rounds; i++ {
+					mustGet(t, third, key("conc", fmt.Sprint(h, w, i)), val(h, w, i))
+				}
+			}
 		}
 	})
 }

@@ -3,7 +3,7 @@ package cache
 // CASHandler serves the HTTPStore wire protocol over any Store — the
 // server half of the shared CAS (DESIGN.md §15). A coordinator mounts
 // it in front of its local store so workers share one content space;
-// a dedicated blob host can serve a DirStore the same way. The handler
+// a dedicated blob host can serve a LogStore the same way. The handler
 // is as dumb as the protocol: content addressing means no invalidation
 // routes, no versions, no metadata — just blobs under keys.
 
@@ -44,8 +44,8 @@ func NewCASServer(s Store) *CASServer { return &CASServer{store: s} }
 // validKey accepts the hex SHA-256 shape Key produces, plus the few
 // structured keys (manifest etc.) that are themselves Key outputs —
 // so in practice: non-empty, no separators, hex. Rejecting everything
-// else keeps the handler from ever touching a path-traversal shape on
-// a DirStore.
+// else keeps arbitrary client strings out of whatever backs the store
+// (a key was once a file name, and may be again behind another backend).
 func validKey(key string) bool {
 	if key == "" || len(key) > 128 {
 		return false

@@ -925,6 +925,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		counter("xgccd_cache_hits_total", in.CacheHits, "store hits in the last run")
 		counter("xgccd_cache_misses_total", in.CacheMisses, "store misses in the last run")
 		counter("xgccd_cache_puts_total", in.CachePuts, "store writes in the last run")
+		counter("xgccd_cache_put_errors", in.CachePutErrors, "store writes that failed in the last run (full disk, read-only cache)")
+		if st := in.Store; st != nil {
+			gauge("xgccd_store_records", float64(st.Records), "keys the disk store serves")
+			gauge("xgccd_store_live_bytes", float64(st.LiveBytes), "bytes of the records the disk store serves")
+			gauge("xgccd_store_superseded_bytes", float64(st.SupersededBytes), "bytes of overwritten records awaiting compaction")
+			counter("xgccd_store_compactions", int64(st.Compactions), "times the disk store rewrote its log since it was opened")
+		}
 		gauge("xgccd_funcs_changed", float64(in.FuncsChanged), "functions whose content changed in the last run")
 		gauge("xgccd_funcs_invalidated", float64(in.FuncsInvalidated), "changed functions plus transitive callers")
 		gauge("xgccd_funcs_analyzed_live", float64(in.FuncsAnalyzedLive), "function analyses performed live")

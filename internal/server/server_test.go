@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"repro/internal/cache"
 	"strings"
 	"testing"
 
@@ -129,6 +130,38 @@ func TestDaemonSession(t *testing.T) {
 	rm := postAnalyze(t, ts, AnalyzeRequest{Remove: []string{"tree_2.c"}})
 	if rm.Files != 2 {
 		t.Errorf("after remove: %d files", rm.Files)
+	}
+}
+
+// TestDaemonDiskStoreStats: over a disk store (xgccd -cache) the stats
+// and metrics endpoints carry the failed-write counter and the store's
+// own shape, and a second daemon on the same directory replays the
+// first one's work while the first is still up.
+func TestDaemonDiskStoreStats(t *testing.T) {
+	dir := t.TempDir()
+	srcs, _ := workload.MixedTree(2, 6, 2002)
+	for i, wantReplay := range []bool{false, true} {
+		ds, err := cache.NewDirStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := New(Config{Checkers: []string{"free", "lock"}, Jobs: 2, Store: ds})
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close() // so the first daemon, and its store handle, outlive the second
+		got := postAnalyze(t, ts, AnalyzeRequest{Files: srcs})
+		if got.Incr == nil || (got.Incr.UnitsLive == 0) != wantReplay {
+			t.Fatalf("daemon %d: units live=%d replayed=%d, want full replay=%v", i, got.Incr.UnitsLive, got.Incr.UnitsReplayed, wantReplay)
+		}
+		_, stats := getBody(t, ts.URL+"/v1/stats")
+		if !strings.Contains(stats, `"cache_put_errors": 0`) || !strings.Contains(stats, `"store": {`) || !strings.Contains(stats, `"live_bytes"`) {
+			t.Errorf("daemon %d: stats lack the store section: %.600s", i, stats)
+		}
+		_, metrics := getBody(t, ts.URL+"/v1/metrics")
+		for _, want := range []string{"xgccd_cache_put_errors 0", "xgccd_store_records ", "xgccd_store_live_bytes ", "xgccd_store_superseded_bytes ", "xgccd_store_compactions 0"} {
+			if !strings.Contains(metrics, want) {
+				t.Errorf("daemon %d: metrics missing %q", i, want)
+			}
+		}
 	}
 }
 

@@ -1,168 +1,6 @@
 package spill
 
-// The packed spill log. The streaming mode's original backend was a
-// cache.DirStore — one file per spilled summary, each Put paying a
-// MkdirAll + create-temp + rename round trip. Profiling the scale
-// benchmark showed those opens dominating the spill-on wall-clock
-// (the syscall path, not lost summary reuse: units are call-closed,
-// so cross-unit reuse cannot exist). The Log replaces the per-summary
-// files with ONE append-only file of length-prefixed records plus an
-// in-memory key index: a Put is a single buffered append, a Get is a
-// pread at the indexed offset. Reopening an existing log rebuilds the
-// index by scanning the records, so a persistent -spill-dir keeps
-// serving post-run inspection across processes; a torn tail (crash
-// mid-append) truncates the scan at the last whole record — the store
-// is advisory, so a lost summary only degrades inspection.
-//
-// Duplicate keys are legal (a re-run over a persistent dir re-spills
-// identical content under identical keys); the latest record wins,
-// matching DirStore's overwrite semantics.
+import "repro/internal/cache"
 
-import (
-	"encoding/binary"
-	"io"
-	"os"
-	"sync"
-
-	"repro/internal/cache"
-)
-
-// logSpan locates one record's payload inside the log file.
-type logSpan struct {
-	off int64
-	len int64
-}
-
-// Log is an append-only packed record file implementing cache.Store.
-// Safe for concurrent use: appends serialize under the mutex, reads
-// go through pread and never touch the write offset.
-type Log struct {
-	mu  sync.Mutex
-	f   *os.File
-	idx map[string]logSpan
-	off int64
-}
-
-// OpenLog opens (or creates) the packed log at path and rebuilds the
-// key index from any existing records.
-func OpenLog(path string) (*Log, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	l := &Log{f: f, idx: map[string]logSpan{}}
-	if err := l.scan(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return l, nil
-}
-
-// scan rebuilds the index from the records on disk, stopping (and
-// truncating the logical end) at the first torn or corrupt record.
-func (l *Log) scan() error {
-	r := &countingReader{r: io.NewSectionReader(l.f, 0, 1<<62)}
-	br := &byteReader{r: r}
-	for {
-		start := r.n
-		key, ok := readRecordString(br, r)
-		if !ok {
-			l.off = start
-			return nil
-		}
-		dlen, err := binary.ReadUvarint(br)
-		if err != nil {
-			l.off = start
-			return nil
-		}
-		payload := r.n
-		if _, err := io.CopyN(io.Discard, r, int64(dlen)); err != nil {
-			l.off = start
-			return nil
-		}
-		l.idx[key] = logSpan{off: payload, len: int64(dlen)}
-	}
-}
-
-// readRecordString reads one uvarint-prefixed string.
-func readRecordString(br io.ByteReader, r io.Reader) (string, bool) {
-	n, err := binary.ReadUvarint(br)
-	if err != nil || n > 1<<20 {
-		return "", false
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", false
-	}
-	return string(buf), true
-}
-
-// countingReader tracks the absolute offset consumed.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// byteReader adapts a Reader to io.ByteReader for ReadUvarint.
-type byteReader struct{ r io.Reader }
-
-func (b *byteReader) ReadByte() (byte, error) {
-	var buf [1]byte
-	_, err := io.ReadFull(b.r, buf[:])
-	return buf[0], err
-}
-
-// Put appends one record and indexes it.
-func (l *Log) Put(key string, data []byte) error {
-	var tmp [binary.MaxVarintLen64]byte
-	rec := make([]byte, 0, len(key)+len(data)+2*binary.MaxVarintLen64)
-	n := binary.PutUvarint(tmp[:], uint64(len(key)))
-	rec = append(rec, tmp[:n]...)
-	rec = append(rec, key...)
-	n = binary.PutUvarint(tmp[:], uint64(len(data)))
-	rec = append(rec, tmp[:n]...)
-	payloadAt := int64(len(rec))
-	rec = append(rec, data...)
-
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if _, err := l.f.WriteAt(rec, l.off); err != nil {
-		return err
-	}
-	l.idx[key] = logSpan{off: l.off + payloadAt, len: int64(len(data))}
-	l.off += int64(len(rec))
-	return nil
-}
-
-// Get preads the latest record stored under key.
-func (l *Log) Get(key string) ([]byte, bool) {
-	l.mu.Lock()
-	sp, ok := l.idx[key]
-	l.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	buf := make([]byte, sp.len)
-	if _, err := l.f.ReadAt(buf, sp.off); err != nil {
-		return nil, false
-	}
-	return buf, true
-}
-
-// Len reports how many distinct keys the log serves.
-func (l *Log) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.idx)
-}
-
-// Close closes the underlying file.
-func (l *Log) Close() error { return l.f.Close() }
-
-var _ cache.Store = (*Log)(nil)
+// OpenLog opens the summary log at path: the cache's one disk store type.
+func OpenLog(path string) (*cache.LogStore, error) { return cache.OpenLogStore(path) }

@@ -46,6 +46,7 @@ import (
 // way in (RunConfig.CacheDir / CacheStore). A nil store disables
 // caching.
 func (a *Analyzer) setStore(s cache.Store) {
+	a.diskStore, _ = s.(interface{ Stats() *cache.StoreStats })
 	if s == nil {
 		a.cacheStore = nil
 		a.cacheMetrics = nil
@@ -89,10 +90,12 @@ type IncrStats struct {
 	FuncsChanged     int `json:"funcs_changed"`
 	FuncsInvalidated int `json:"funcs_invalidated"`
 
-	// Store traffic.
-	CacheHits   int64 `json:"cache_hits"`
-	CacheMisses int64 `json:"cache_misses"`
-	CachePuts   int64 `json:"cache_puts"`
+	// Store traffic (a failed put is otherwise silent); Store: a disk store's shape.
+	CacheHits      int64             `json:"cache_hits"`
+	CacheMisses    int64             `json:"cache_misses"`
+	CachePuts      int64             `json:"cache_puts"`
+	CachePutErrors int64             `json:"cache_put_errors"`
+	Store          *cache.StoreStats `json:"store,omitempty"`
 
 	// Summary-section bytes still undecoded, and lazy loads performed:
 	// both move when Result.Engines is inspected after the run.
@@ -129,16 +132,7 @@ func (a *Analyzer) runCached(ctx context.Context) (*Result, error) {
 	p := prog.Build(files...)
 	units := p.Units()
 
-	// Fingerprints. optsFP covers every engine switch; envFP the
-	// position-independent declaration environment (types, globals,
-	// signatures) every unit's analysis consults; funcHash the full
-	// emitted content (positions included — reports embed them).
-	optsFP := optionsFingerprint(a.opts)
-	envFP := cc.EnvHash(files)
-	funcHash := map[*prog.Function]string{}
-	for _, fn := range p.All {
-		funcHash[fn] = cc.HashDecl(fn.Decl)
-	}
+	optsFP, envFP, funcHash := a.fingerprints(p, files)
 	configFP := a.configFingerprint(optsFP)
 
 	// Manifest diff: invalidation accounting for stats and /metrics.
@@ -180,7 +174,7 @@ func (a *Analyzer) runCached(ctx context.Context) (*Result, error) {
 	// reads both entry shapes, so spill on/off share cache keys.
 	var stream *streamState
 	if a.opts.MaxResidentMB > 0 {
-		stream, err = a.newStream(p, files, len(a.checkers))
+		stream, err = a.newStream(p, optsFP, envFP, funcHash, len(a.checkers))
 		if err != nil {
 			return nil, err
 		}
@@ -188,7 +182,7 @@ func (a *Analyzer) runCached(ctx context.Context) (*Result, error) {
 	}
 	incr.BuildNanos = time.Since(t0).Nanoseconds()
 
-	// Per-unit fingerprints: sorted member FuncID=hash lines.
+	// Per-unit fingerprints (sorted member FuncID=hash lines): one per unit.
 	unitFP := func(fns []*prog.Function) string {
 		lines := make([]string, len(fns))
 		for i, fn := range fns {
@@ -197,6 +191,11 @@ func (a *Analyzer) runCached(ctx context.Context) (*Result, error) {
 		sort.Strings(lines)
 		return strings.Join(lines, "\n")
 	}
+	unitFPs := make([]string, len(units))
+	for i, u := range units {
+		unitFPs[i] = unitFP(u.Funcs)
+	}
+	wholeFP := sync.OnceValue(func() string { return unitFP(p.All) })
 
 	t0 = time.Now()
 	// Multi-checker compiled dispatch, shared by every live engine in
@@ -219,11 +218,11 @@ func (a *Analyzer) runCached(ctx context.Context) (*Result, error) {
 				tasks = append(tasks, &unitTask{ci: ci, funcs: p.All, roots: p.Roots})
 			case (c.UsesAction("mark_fn") && c.UsesCallout("mc_fn_marked")) || a.opts.MaxBlocks > 0:
 				// Whole-program single unit (see package comment).
-				key := cache.UnitKey(a.checkerFPs[ci], optsFP, envFP, marksFP, unitFP(p.All))
+				key := cache.UnitKey(a.checkerFPs[ci], optsFP, envFP, marksFP, wholeFP())
 				tasks = append(tasks, &unitTask{ci: ci, funcs: p.All, roots: p.Roots, key: key})
 			default:
-				for _, u := range units {
-					key := cache.UnitKey(a.checkerFPs[ci], optsFP, envFP, marksFP, unitFP(u.Funcs))
+				for i, u := range units {
+					key := cache.UnitKey(a.checkerFPs[ci], optsFP, envFP, marksFP, unitFPs[i])
 					tasks = append(tasks, &unitTask{ci: ci, funcs: u.Funcs, roots: u.Roots, key: key})
 				}
 			}
@@ -294,7 +293,7 @@ func (a *Analyzer) runCached(ctx context.Context) (*Result, error) {
 			}
 		}
 		if len(puts) > 0 {
-			cache.PutBatch(a.cacheStore, puts) // best effort
+			cache.PutBatch(a.cacheStore, puts) // best effort; failures land in CachePutErrors
 		}
 		for _, t := range tasks {
 			tasksByChecker[t.ci] = append(tasksByChecker[t.ci], t)
@@ -368,19 +367,33 @@ func (a *Analyzer) runCached(ctx context.Context) (*Result, error) {
 	// partial run must not become that baseline, so only complete runs
 	// save it (DESIGN.md §9).
 	if len(res.Failures) == 0 && !res.Degraded && ctx.Err() == nil {
-		cache.SaveManifest(a.cacheStore, configFP, manifest) // best effort
+		cache.SaveManifest(a.cacheStore, configFP, manifest) // best effort, likewise
 	}
 	incr.MergeNanos = time.Since(t0).Nanoseconds()
 
 	incr.CacheHits = a.cacheMetrics.Hits()
 	incr.CacheMisses = a.cacheMetrics.Misses()
 	incr.CachePuts = a.cacheMetrics.Puts()
+	incr.CachePutErrors = a.cacheMetrics.PutErrors()
+	if a.diskStore != nil {
+		incr.Store = a.diskStore.Stats()
+	}
 	res.Incr = incr
 	collectSpill(res, stream, live)
 	if err := ctx.Err(); err != nil {
 		return res, err
 	}
 	return res, nil
+}
+
+// fingerprints derives a run's key material: every engine switch, the
+// position-independent declaration environment, each function's content.
+func (a *Analyzer) fingerprints(p *prog.Program, files []*cc.File) (optsFP, envFP string, funcHash map[*prog.Function]string) {
+	funcHash = make(map[*prog.Function]string, len(p.All))
+	for _, fn := range p.All {
+		funcHash[fn] = cc.HashDecl(fn.Decl)
+	}
+	return optionsFingerprint(a.opts), cc.EnvHash(files), funcHash
 }
 
 // probeTasks fills task entries from the store in one batched

@@ -63,6 +63,7 @@ type Analyzer struct {
 	// loaded checker for cache keying.
 	cacheStore   cache.Store
 	cacheMetrics *cache.Metrics
+	diskStore    interface{ Stats() *cache.StoreStats } // the store, when it reports its shape
 	checkerFPs   []string
 	// checkerSrcs retains each loaded checker's metal source so fleet
 	// jobs can ship it to workers (RunConfig.UnitRunner); entries are
@@ -272,7 +273,8 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 	// remaining traversal can read, so output is unchanged.
 	var stream *streamState
 	if a.opts.MaxResidentMB > 0 {
-		stream, err = a.newStream(p, files, len(a.checkers))
+		optsFP, envFP, funcHash := a.fingerprints(p, files)
+		stream, err = a.newStream(p, optsFP, envFP, funcHash, len(a.checkers))
 		if err != nil {
 			return nil, err
 		}

@@ -1,0 +1,168 @@
+package mc_test
+
+// The analyzer over the one disk store (DESIGN.md §8): keys are what
+// they have always been, failed writes are counted, and several
+// analyzers may share one cache directory.
+
+import (
+	"context"
+	"errors"
+	"path/filepath"
+	"runtime"
+	"sort"
+	"sync"
+	"testing"
+
+	"repro/internal/cache"
+	"repro/internal/spill"
+	"repro/internal/workload"
+	"repro/mc"
+)
+
+const keySrc = `void kfree(void *p);
+static int helper(int *p) { kfree(p); return 0; }
+int entry(int *p) { helper(p); return *p; }
+`
+
+// keyLog records every key written through it.
+type keyLog struct {
+	cache.Store
+	mu   sync.Mutex
+	keys []string
+}
+
+func (s *keyLog) Put(key string, data []byte) error {
+	s.mu.Lock()
+	s.keys = append(s.keys, key)
+	s.mu.Unlock()
+	return s.Store.Put(key, data)
+}
+
+// TestStoreKeysAreStable pins the key derivation: the keys a cold run
+// writes for one small unit are the ones the previous release derived
+// (golden, below), so a cache it filled still hits. Hoisting a hash out
+// of a loop, or handing it to another function, must not move a key;
+// changing what a key covers means bumping cache.FormatVersion and
+// these goldens together.
+func TestStoreKeysAreStable(t *testing.T) {
+	golden := []string{
+		"0b8f45c140b015afe6e8924e6ffa9f034fe1468ec8b013374f6d7df0d887677f", // the {helper, entry} unit under "free"
+		"373e46b58838e99252077ac67a003360d674b36f1ddf2fd5ed52eafe34b7d12b", // the manifest
+		"9179187ec96782b47d61e7ba2a51430fd67383dec69971f8e89e9c46299c1968", // k.c's AST
+	}
+	const goldenSpill = "a9b110b6527bf5b97e63a22a9079f402b247fda2dff0061670bbf247455fcda2" // one function's summaries under "free"
+
+	store := &keyLog{Store: cache.NewMemStore()}
+	spillDir := t.TempDir()
+	run := func(cfg mc.RunConfig) *mc.Result {
+		t.Helper()
+		res, err := mc.AnalyzeContext(context.Background(), cfg, map[string]string{"k.c": keySrc}, "free")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	run(mc.RunConfig{Jobs: 1, CacheStore: store})
+	sort.Strings(store.keys)
+	if len(store.keys) != len(golden) {
+		t.Fatalf("cold run wrote %d keys, want %d: %q", len(store.keys), len(golden), store.keys)
+	}
+	for i, k := range store.keys {
+		if k != golden[i] {
+			t.Errorf("key %d = %s, golden %s", i, k, golden[i])
+		}
+	}
+	// A store holding only the golden keys is a full hit.
+	if res := run(mc.RunConfig{Jobs: 1, CacheStore: store.Store}); res.Incr.UnitsLive != 0 || res.Incr.FilesReparsed != 0 || res.Incr.FuncsChanged != 0 {
+		t.Errorf("warm run over the golden keys: %+v", res.Incr)
+	}
+
+	// Spill keys come from the same fingerprints, now handed to the
+	// stream rather than recomputed by it.
+	run(mc.RunConfig{Jobs: 1, MaxResidentMB: 1, SpillDir: spillDir})
+	lg, err := spill.OpenLog(filepath.Join(spillDir, "summaries.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lg.Close()
+	if !lg.Has(goldenSpill) {
+		t.Errorf("spill log (%d records) lacks the golden key %s", lg.Stats().Records, goldenSpill)
+	}
+}
+
+// refusingStore reads like its inner store and refuses every write,
+// like a full disk or a read-only -cache directory.
+type refusingStore struct{ cache.Store }
+
+func (refusingStore) Put(string, []byte) error { return errors.New("no space left on device") }
+
+// TestCachePutErrorsSurface: a store that cannot be written leaves the
+// run's output alone and every later run cold; IncrStats says so.
+func TestCachePutErrorsSurface(t *testing.T) {
+	srcs, _ := workload.MixedTree(2, 6, 7)
+	plain, _ := runDigest(t, srcs, 2, nil)
+	store := refusingStore{cache.NewMemStore()}
+	for run := 0; run < 2; run++ {
+		got, res := runDigest(t, srcs, 2, store)
+		if got != plain {
+			t.Errorf("run %d over a refusing store differs from the plain run:\n%s", run, firstDiff(plain, got))
+		}
+		// One failed call each for the AST batch, every phase's unit
+		// batch and the manifest.
+		if res.Incr.CachePutErrors < 3 || res.Incr.UnitsReplayed != 0 {
+			t.Errorf("run %d: put errors=%d units replayed=%d, want >= 3 and a cold run", run, res.Incr.CachePutErrors, res.Incr.UnitsReplayed)
+		}
+	}
+	if _, res := runDigest(t, srcs, 2, cache.NewMemStore()); res.Incr.CachePutErrors != 0 {
+		t.Errorf("healthy store counted %d put errors", res.Incr.CachePutErrors)
+	}
+}
+
+// TestAnalyzersShareCacheDir: a cold CacheDir run, then a second
+// analyzer on the same directory while the first (and the store handle
+// it never closes) is still referenced, then a third: every later run
+// replays every unit and reports the same thing.
+func TestAnalyzersShareCacheDir(t *testing.T) {
+	srcs, _ := workload.MixedTree(2, 8, 7)
+	dir := t.TempDir()
+	var analyzers []*mc.Analyzer
+	var cold string
+	for i := 0; i < 3; i++ {
+		a := mc.NewAnalyzer()
+		if err := a.Configure(mc.RunConfig{Jobs: 2, CacheDir: dir}); err != nil {
+			t.Fatal(err)
+		}
+		analyzers = append(analyzers, a)
+		for name, src := range srcs {
+			a.AddSource(name, src)
+		}
+		for _, c := range incrCheckers {
+			if err := a.LoadBundledChecker(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := a.RunContext(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := res.Incr
+		if in.Store == nil || in.Store.Records == 0 || in.CachePutErrors != 0 {
+			t.Fatalf("run %d: store stats %+v, put errors %d", i, in.Store, in.CachePutErrors)
+		}
+		if i == 0 {
+			cold = outputDigest(res)
+			if in.UnitsReplayed != 0 {
+				t.Fatalf("cold run replayed %d units", in.UnitsReplayed)
+			}
+			continue
+		}
+		if in.UnitsLive != 0 || in.UnitsReplayed == 0 || in.FilesReparsed != 0 || in.FuncsChanged != 0 {
+			t.Errorf("run %d: units live=%d replayed=%d files reparsed=%d funcs changed=%d, want a full replay",
+				i, in.UnitsLive, in.UnitsReplayed, in.FilesReparsed, in.FuncsChanged)
+		}
+		if got := outputDigest(res); got != cold {
+			t.Errorf("run %d differs from the cold run:\n%s", i, firstDiff(cold, got))
+		}
+	}
+	runtime.KeepAlive(analyzers)
+}

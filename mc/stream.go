@@ -17,7 +17,6 @@ import (
 	"sync"
 
 	"repro/internal/cache"
-	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/prog"
 	"repro/internal/spill"
@@ -108,12 +107,12 @@ type streamState struct {
 	cleanup func()
 }
 
-// newStream builds the run's streaming context. need is how many
-// checker passes must retire a function before its AST may go. The
-// store lives in RunConfig.SpillDir when set (persistent, so post-run
-// inspection keeps working across processes); otherwise in a temp
-// directory removed when the run returns.
-func (a *Analyzer) newStream(p *prog.Program, files []*cc.File, need int) (*streamState, error) {
+// newStream builds the run's streaming context over the run's
+// fingerprints. need is how many checker passes must retire a function
+// before its AST may go. The store lives in RunConfig.SpillDir when set
+// (persistent, so post-run inspection keeps working across processes);
+// otherwise in a temp directory removed when the run returns.
+func (a *Analyzer) newStream(p *prog.Program, optsFP, envFP string, funcHash map[*prog.Function]string, need int) (*streamState, error) {
 	dir := a.spillDir
 	cleanup := func() {}
 	if dir == "" {
@@ -124,10 +123,7 @@ func (a *Analyzer) newStream(p *prog.Program, files []*cc.File, need int) (*stre
 		dir = tmp
 		cleanup = func() { os.RemoveAll(tmp) }
 	}
-	// The store's backend is a single packed append-only log, not a
-	// file per summary: spilling happens once per (function, checker)
-	// and the per-put open/rename of a directory store dominated the
-	// spill-on wall-clock at scale (see internal/spill/log.go).
+	// One append to the cache's packed log per (function, checker).
 	lg, err := spill.OpenLog(filepath.Join(dir, "summaries.log"))
 	if err != nil {
 		cleanup()
@@ -148,14 +144,14 @@ func (a *Analyzer) newStream(p *prog.Program, files []*cc.File, need int) (*stre
 		store:   spill.New(lg, budget),
 		retire:  p.PlanRetire(p.Roots),
 		release: newASTReleaser(p.All, need),
-		optsFP:  optionsFingerprint(a.opts),
-		envFP:   cc.EnvHash(files),
+		optsFP:  optsFP,
+		envFP:   envFP,
 		funcKey: make(map[*prog.Function]string, len(p.All)),
 		retired: make(map[string]*core.RetiredSet, len(a.checkerFPs)),
 		cleanup: cleanup,
 	}
 	for _, fn := range p.All {
-		st.funcKey[fn] = prog.FuncID(fn) + "=" + cc.HashDecl(fn.Decl)
+		st.funcKey[fn] = prog.FuncID(fn) + "=" + funcHash[fn]
 	}
 	for _, fp := range a.checkerFPs {
 		st.retired[fp] = core.NewRetiredSet()
