@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet no-ablation-knobs staticcheck build test race smoke-fleet bench-check fuzz bench-parallel bench-incr bench-gov bench-multicheck bench-scale bench-feas bench-registry bench-fleet bench-micro profile clean
+.PHONY: check fmt vet no-deleted-knobs staticcheck build test race smoke-fleet bench-check fuzz bench-parallel bench-incr bench-gov bench-multicheck bench-scale bench-feas bench-registry bench-fleet bench-micro profile clean
 
-check: fmt vet no-ablation-knobs staticcheck build race smoke-fleet bench-check
+check: fmt vet no-deleted-knobs staticcheck build race smoke-fleet bench-check
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -20,9 +20,11 @@ vet:
 # semantics-preserving ones: to ablate an optimisation, benchmark the
 # commit before it (README "Ablating an optimisation"). The one-letter
 # brackets keep this line from matching itself when the same search is
-# run over Makefiles too; they match the plain identifiers.
-no-ablation-knobs:
-	! grep -rnE 'Match[M]emo|Block[F]ilter|Tuple[I]ntern|Lean[A]lloc|Multi[D]ispatch' --include=*.go .
+# run over Makefiles too; they match the plain identifiers. The fleet
+# likewise has one configuration, its worker list: the queue, quota and
+# batch knobs of its deleted scheduler stay gone (DESIGN.md §15).
+no-deleted-knobs:
+	! grep -rnE 'Match[M]emo|Block[F]ilter|Tuple[I]ntern|Lean[A]lloc|Multi[D]ispatch|Tenant[Q]uota|Queue[D]epth|Batch[S]ize' --include=*.go .
 
 # staticcheck is optional locally (the repo adds no dependencies) but
 # mandatory in CI, which installs it. Configured by staticcheck.conf.
@@ -58,12 +60,14 @@ bench-check:
 # Go-native fuzzing of the decoders that read bytes from outside the
 # process (ROADMAP item 4a), seed corpora under testdata/fuzz/. The
 # budget is short: CI smoke, not a campaign. FuzzOpenStore goes through
-# the file system, so its coverage is noisy and the fuzzer's default
-# 60 s minimisation of every interesting input would eat the budget.
+# the file system and FuzzWorkRequest (the /v1/work body) runs whole
+# analyses, so their coverage is noisy and the fuzzer's default 60 s
+# minimisation of every interesting input would eat the budget.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeUnit -fuzztime $(FUZZTIME) ./internal/cache/
 	$(GO) test -run '^$$' -fuzz FuzzOpenStore -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/cache/
+	$(GO) test -run '^$$' -fuzz FuzzWorkRequest -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/fleet/
 
 # Engine-parallelism scaling series (DESIGN.md §5): sweeps -j over the
 # E11 workload, asserts byte-identical output, writes BENCH_parallel.json.

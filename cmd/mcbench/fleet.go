@@ -25,7 +25,7 @@ import (
 
 // expFleet measures the scale-out tentpole (DESIGN.md §15) with the
 // whole fleet in one process: httptest workers filling unit keys
-// through the HTTP CAS surface, a coordinator scheduling onto them,
+// through the HTTP CAS surface, a coordinator sharding onto them,
 // and the daemon's /v1/analyze request coalescing. Three claims land
 // in BENCH_fleet.json:
 //
@@ -53,7 +53,7 @@ type fleetRun struct {
 	UnitsRemote   int     `json:"units_remote"`
 	UnitsReplayed int     `json:"units_replayed"`
 	Dispatched    int64   `json:"dispatched"`
-	Requeues      int64   `json:"requeues"`
+	Posts         int64   `json:"posts"` // /v1/work requests the run cost
 	Output        string  `json:"output_sha256"`
 	Identical     bool    `json:"identical_to_single_process"`
 }
@@ -224,7 +224,7 @@ func expFleet() {
 	// Cold fleet runs at each worker count, each over its own shared
 	// CAS reached through the HTTP blob surface.
 	var warmCAS cache.Store
-	fmt.Println("workers  seconds  units-remote  dispatched  requeues  identical")
+	fmt.Println("workers  seconds  units-remote  dispatched  posts  identical")
 	for _, n := range sweep {
 		cas := cache.NewMemStore()
 		urls, stop := fleetWorkers(cas, n)
@@ -239,13 +239,13 @@ func expFleet() {
 			UnitsRemote:   res.Incr.UnitsRemote,
 			UnitsReplayed: res.Incr.UnitsReplayed,
 			Dispatched:    st.Dispatched,
-			Requeues:      st.Requeues,
+			Posts:         st.Batches,
 			Output:        digest,
 			Identical:     digest == baseDigest,
 		}
 		bench.Runs = append(bench.Runs, run)
-		fmt.Printf("%7d  %7.3f  %12d  %10d  %8d  %v\n",
-			n, run.Seconds, run.UnitsRemote, run.Dispatched, run.Requeues, run.Identical)
+		fmt.Printf("%7d  %7.3f  %12d  %10d  %5d  %v\n",
+			n, run.Seconds, run.UnitsRemote, run.Dispatched, run.Posts, run.Identical)
 		if !run.Identical {
 			die(fmt.Errorf("fleet: %d-worker output differs from single-process — sharding changed results", n))
 		}

@@ -28,7 +28,7 @@
 //	xgccd -worker -cas http://coordinator:8745/v1/cas -addr :8746
 //
 // A coordinator is an ordinary daemon that additionally serves its
-// store at /v1/cas/ and schedules each run's cache-miss units onto
+// store at /v1/cas/ and shards each run's cache-miss units over
 // the workers; workers fill unit cache keys in the shared store and
 // hold no state a restart could lose. Without -coordinator/-worker
 // the daemon is the unchanged single-process mode — output is
@@ -72,7 +72,7 @@ func main() {
 		verifyJobs  = flag.Int("verify-workers", 1, "verdict worker pool size (requires -verify)")
 
 		// Fleet roles (DESIGN.md §15).
-		coordinator = flag.Bool("coordinator", false, "run as a fleet coordinator: serve the store at /v1/cas/ and schedule cache-miss units onto -workers")
+		coordinator = flag.Bool("coordinator", false, "run as a fleet coordinator: serve the store at /v1/cas/ and shard cache-miss units over -workers")
 		worker      = flag.Bool("worker", false, "run as a fleet worker: serve /v1/work over the shared CAS given by -cas (no analyze surface)")
 		workerList  = flag.String("workers", "", "comma-separated worker base URLs (coordinator mode)")
 		casURL      = flag.String("cas", "", "shared CAS base URL: required for -worker; optional for -coordinator to use an external CAS instead of its own store")

@@ -27,6 +27,7 @@ package cache
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -49,8 +50,9 @@ type httpResult struct {
 // returned on the write side — a flaky CAS costs recomputation, never
 // corruption (the consumer treats undecodable entries as misses too).
 type HTTPStore struct {
-	base   string
-	client *http.Client
+	base    string
+	client  *http.Client
+	maxBlob int64 // casMaxBlob; tests shrink it
 
 	// Traffic counters for stats surfaces (atomic).
 	fetches   atomic.Int64 // GETs actually sent (after coalescing)
@@ -68,7 +70,7 @@ func NewHTTPStore(base string, client *http.Client) *HTTPStore {
 	if client == nil {
 		client = &http.Client{Timeout: 30 * time.Second}
 	}
-	return &HTTPStore{base: strings.TrimRight(base, "/"), client: client}
+	return &HTTPStore{base: strings.TrimRight(base, "/"), client: client, maxBlob: casMaxBlob}
 }
 
 // Fetches returns the number of GET round-trips actually performed.
@@ -101,7 +103,17 @@ func (s *HTTPStore) Get(key string) ([]byte, bool) {
 	return res.data, res.ok
 }
 
-// fetch is the uncoalesced GET.
+// ReadCapped reads r to its end, failing once it has yielded more than
+// max bytes: nothing a peer sends is read unbounded.
+func ReadCapped(r io.Reader, max int64) ([]byte, error) {
+	data, err := io.ReadAll(io.LimitReader(r, max+1))
+	if err == nil && int64(len(data)) > max {
+		err = fmt.Errorf("body exceeds %d bytes", max)
+	}
+	return data, err
+}
+
+// fetch is the uncoalesced GET. An oversize blob is a miss.
 func (s *HTTPStore) fetch(key string) httpResult {
 	resp, err := s.client.Get(s.keyURL(key))
 	if err != nil {
@@ -112,7 +124,7 @@ func (s *HTTPStore) fetch(key string) httpResult {
 		io.Copy(io.Discard, resp.Body)
 		return httpResult{}
 	}
-	data, err := io.ReadAll(resp.Body)
+	data, err := ReadCapped(resp.Body, s.maxBlob)
 	if err != nil {
 		return httpResult{}
 	}
@@ -163,8 +175,9 @@ type batchEnvelope struct {
 	Entries map[string][]byte `json:"entries"`
 }
 
-// GetBatch fetches many keys in one round-trip; on any failure it
-// returns the empty result (every key a miss — the caller recomputes).
+// GetBatch fetches many keys in one round-trip; on any failure, an
+// oversize reply included, it returns the empty result (every key a
+// miss — the caller recomputes).
 func (s *HTTPStore) GetBatch(keys []string) map[string][]byte {
 	if len(keys) == 0 {
 		return map[string][]byte{}
@@ -184,7 +197,7 @@ func (s *HTTPStore) GetBatch(keys []string) map[string][]byte {
 		return map[string][]byte{}
 	}
 	var env batchEnvelope
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+	if data, err := ReadCapped(resp.Body, s.maxBlob); err != nil || json.Unmarshal(data, &env) != nil {
 		return map[string][]byte{}
 	}
 	if env.Entries == nil {
@@ -193,17 +206,34 @@ func (s *HTTPStore) GetBatch(keys []string) map[string][]byte {
 	return env.Entries
 }
 
+// batchPutBody renders a batchEnvelope into one buffer of its final
+// size. A fleet worker puts a whole phase's records at once;
+// json.Marshal would grow its buffer by doubling to several times that
+// and leave it pooled.
+func batchPutBody(entries map[string][]byte) []byte {
+	n := len(`{"entries":{}}`)
+	for k, v := range entries {
+		n += len(k) + base64.StdEncoding.EncodedLen(len(v)) + len(`"":"",`)
+	}
+	buf := append(make([]byte, 0, n), `{"entries":{`...)
+	for k, v := range entries {
+		if buf[len(buf)-1] != '{' {
+			buf = append(buf, ',')
+		}
+		key, _ := json.Marshal(k) // a string: Marshal cannot fail
+		buf = append(append(buf, key...), ':', '"')
+		buf = append(base64.StdEncoding.AppendEncode(buf, v), '"')
+	}
+	return append(buf, '}', '}')
+}
+
 // PutBatch stores many entries in one round-trip.
 func (s *HTTPStore) PutBatch(entries map[string][]byte) error {
 	if len(entries) == 0 {
 		return nil
 	}
 	s.batchPuts.Add(1)
-	body, err := json.Marshal(batchEnvelope{Entries: entries})
-	if err != nil {
-		return err
-	}
-	resp, err := s.client.Post(s.base+"/?op=put", "application/json", bytes.NewReader(body))
+	resp, err := s.client.Post(s.base+"/?op=put", "application/json", bytes.NewReader(batchPutBody(entries)))
 	if err != nil {
 		return err
 	}

@@ -169,51 +169,6 @@ int f(void) { cli(); return 1; }
 	}
 }
 
-// callRichSrc is a multi-root tree whose bugs only show across calls:
-// a free in a callee used by two roots, a lock taken and dropped
-// through helpers, a panic() callee (panic-marker -> pathkill
-// composition), a blocking-marked callee under cli(), plus roots no
-// checker can fire on, so per-root skips are exercised too.
-var callRichSrc = map[string]string{
-	"lib.c": `
-void kfree(void *p);
-void *kmalloc(int n);
-void lock(void *l);
-void unlock(void *l);
-void cli(void);
-void sti(void);
-void panic(char *msg);
-void net_wait(void);
-
-void drop(int *p) { kfree(p); }
-void grab(int *l) { lock(l); }
-void release(int *l) { unlock(l); }
-int *make(int n) { return kmalloc(n); }
-void die_if(int c) { if (c) panic("bad"); }
-int add(int a, int b) { return a + b; }
-`,
-	"roots.c": `
-void drop(int *p);
-void grab(int *l);
-void release(int *l);
-int *make(int n);
-void die_if(int c);
-int add(int a, int b);
-void cli(void);
-void sti(void);
-void net_wait(void);
-
-int root_uaf(int *p) { drop(p); return *p; }
-int root_double(int *p, int n) { drop(p); if (n) drop(p); return n; }
-int root_lock(int *l, int n) { grab(l); if (n > 0) return 0; release(l); return 1; }
-int root_null(int n) { int *v = make(n); return *v; }
-int root_kill(int *p, int c) { drop(p); die_if(c); return *p; }
-int root_block(int n) { cli(); net_wait(); sti(); return n; }
-int root_intr(int n) { cli(); if (n) sti(); return n; }
-int root_clean(int a, int b) { return add(a, b) + add(b, a); }
-`,
-}
-
 // suiteRun is what one full-suite run exposes per checker, in load
 // order: the report stream in emission order, the rule counts, and the
 // composition marks it emitted.
@@ -282,7 +237,7 @@ func TestDispatchEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		srcs map[string]string
-	}{{"mixed", mixed}, {"call-rich", callRichSrc}} {
+	}{{"mixed", mixed}, {"call-rich", workload.CallRichTree()}} {
 		t.Run(tc.name, func(t *testing.T) {
 			ref := runSuite(t, tc.srcs, false)
 			got := runSuite(t, tc.srcs, true)

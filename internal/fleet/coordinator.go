@@ -1,72 +1,42 @@
 package fleet
 
-// The fleet coordinator: turns each analysis phase's cache-miss units
-// into worker jobs (DESIGN.md §15). Scheduling is deliberately plain:
-//
-//   - a bounded priority queue ordered largest-unit-first (LPT —
-//     longest processing time — keeps the stragglers off the critical
-//     path), FIFO among equals;
-//   - per-tenant quotas at admission, so one tenant's huge tree
-//     cannot starve the fleet (overflow runs on the coordinator's own
-//     CPU, which is exactly where it ran before the fleet existed);
-//   - one in-flight batch per worker, pulled from the queue — workers
-//     self-balance by pull rate, and batching amortizes the source
-//     tree upload across every job in the batch;
-//   - transport failures requeue the batch's jobs with a bounded
-//     retry budget; jobs that exhaust it resolve unfilled and run
-//     locally. Nothing is ever lost and nothing partial is ever
-//     committed — workers only write complete entries.
+// The fleet coordinator is a sharder (DESIGN.md §15), not a scheduler:
+// it packs one phase's cache-miss units into one shard per worker,
+// posts the shards concurrently, and returns when every post has. A
+// shard whose post fails in transport is re-posted once, to the next
+// worker; whatever is still unfilled runs locally, which is where it
+// ran before the fleet existed. Back-pressure is the daemon's admission
+// bound (-max-inflight) in front and each worker's own concurrency
+// bound behind.
 
 import (
 	"bytes"
-	"container/heap"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cache"
 	"repro/mc"
 )
 
-// Config configures a Coordinator. Workers is the only required
-// field.
+// Config configures a Coordinator.
 type Config struct {
 	// Workers lists worker base URLs (e.g. "http://host:7779").
 	Workers []string
-	// Client is the HTTP client for worker calls; nil uses a client
-	// with a 5-minute timeout.
-	Client *http.Client
-	// BatchSize bounds jobs per worker request; 0 means 16.
-	BatchSize int
-	// QueueDepth bounds the job queue; 0 means 1024. Jobs refused at
-	// a full queue run locally.
-	QueueDepth int
-	// TenantQuota bounds one tenant's queued-plus-inflight jobs; 0
-	// means no per-tenant bound beyond the queue itself.
-	TenantQuota int
-	// Retries is the per-job requeue budget after transport failures;
-	// 0 means 2.
-	Retries int
 }
 
-// Coordinator schedules unit jobs onto workers. Create with
+// Coordinator shards unit runs over workers. Create with
 // NewCoordinator, wire into an analyzer via RunnerFor, and Close when
-// done.
+// done. Safe for concurrent runs.
 type Coordinator struct {
-	cfg    Config
-	client *http.Client
-
-	mu         sync.Mutex
-	cond       *sync.Cond
-	queue      jobQueue
-	seq        int64
-	tenantLoad map[string]int
-	closed     bool
-	loops      sync.WaitGroup
+	workers  []string
+	client   *http.Client
+	maxReply int64 // workerMaxBody; tests shrink it
 
 	dispatched    atomic.Int64
 	filled        atomic.Int64
@@ -76,62 +46,17 @@ type Coordinator struct {
 	batches       atomic.Int64
 }
 
-// job is one queued unit job; run ties it back to the UnitRunner call
-// that admitted it.
-type job struct {
-	run    *runState
-	uj     mc.UnitJob
-	weight int   // len(Funcs): LPT priority
-	seq    int64 // admission order: FIFO among equal weights
-	tries  int
-}
-
-type runState struct {
-	ctx    context.Context
-	tenant string
-	treeFP string
-	files  map[string]string
-	opts   mc.Options
-	wg     sync.WaitGroup
-}
-
-// NewCoordinator starts one dispatch loop per configured worker.
+// NewCoordinator returns a coordinator over the configured workers.
 func NewCoordinator(cfg Config) *Coordinator {
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 16
+	return &Coordinator{
+		workers:  cfg.Workers,
+		client:   &http.Client{Timeout: 5 * time.Minute},
+		maxReply: workerMaxBody,
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 1024
-	}
-	if cfg.Retries <= 0 {
-		cfg.Retries = 2
-	}
-	c := &Coordinator{cfg: cfg, client: cfg.Client, tenantLoad: map[string]int{}}
-	if c.client == nil {
-		c.client = &http.Client{Timeout: 5 * time.Minute}
-	}
-	c.cond = sync.NewCond(&c.mu)
-	for _, url := range cfg.Workers {
-		c.loops.Add(1)
-		go c.workerLoop(url)
-	}
-	return c
 }
 
-// Close stops the dispatch loops; queued jobs resolve unfilled (their
-// runs fall back to local execution).
-func (c *Coordinator) Close() {
-	c.mu.Lock()
-	c.closed = true
-	drained := c.queue
-	c.queue = nil
-	c.cond.Broadcast()
-	c.mu.Unlock()
-	for _, j := range drained {
-		c.resolve(j, false)
-	}
-	c.loops.Wait()
-}
+// Close releases the connections kept open to workers.
+func (c *Coordinator) Close() { c.client.CloseIdleConnections() }
 
 // Stats snapshots the fleet counters.
 func (c *Coordinator) Stats() Stats {
@@ -142,224 +67,104 @@ func (c *Coordinator) Stats() Stats {
 		Refused:       c.refused.Load(),
 		LocalFallback: c.localFallback.Load(),
 		Batches:       c.batches.Load(),
-		Workers:       len(c.cfg.Workers),
+		Workers:       len(c.workers),
 	}
 }
 
-// RunnerFor returns an mc.UnitRunner that schedules the run's jobs on
-// the fleet for the given tenant and blocks until every admitted job
-// is resolved (filled in the shared store, or given up for local
-// execution). Jobs refused at admission — full queue, tenant over
-// quota, coordinator closed — are simply not admitted; the analyzer
-// runs them locally, so refusal is back-pressure, not failure.
+// RunnerFor returns an mc.UnitRunner that shards each run over the
+// workers and blocks until every shard is settled: filled in the
+// shared store, or given up for local execution. With no workers the
+// run is refused whole. Nothing is scheduled by tenant, the caller's name.
 func (c *Coordinator) RunnerFor(tenant string) mc.UnitRunner {
 	return func(ctx context.Context, run *mc.UnitRun) error {
-		rs := &runState{
-			ctx: ctx, tenant: tenant,
-			treeFP: run.TreeFP, files: run.Files, opts: run.Options,
+		if len(c.workers) == 0 {
+			c.refused.Add(int64(len(run.Jobs)))
+			return nil
 		}
-		admitted := 0
-		c.mu.Lock()
-		for _, uj := range run.Jobs {
-			// With no workers there is nobody to resolve a job; refuse
-			// everything rather than block the run forever.
-			if c.closed || len(c.cfg.Workers) == 0 || len(c.queue) >= c.cfg.QueueDepth ||
-				(c.cfg.TenantQuota > 0 && c.tenantLoad[tenant] >= c.cfg.TenantQuota) {
-				c.refused.Add(1)
+		var wg sync.WaitGroup
+		for i, sh := range shard(run, len(c.workers)) {
+			if len(sh.Jobs) == 0 {
 				continue
 			}
-			c.tenantLoad[tenant]++
-			c.seq++
-			rs.wg.Add(1)
-			heap.Push(&c.queue, &job{run: rs, uj: uj, weight: len(uj.Funcs), seq: c.seq})
-			admitted++
-			c.dispatched.Add(1)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c.runShard(ctx, i, &sh)
+			}()
 		}
-		c.cond.Broadcast()
-		c.mu.Unlock()
-		if admitted == 0 {
-			return nil
-		}
-		done := make(chan struct{})
-		go func() { rs.wg.Wait(); close(done) }()
-		select {
-		case <-done:
-			return nil
-		case <-ctx.Done():
-			// Outstanding jobs drain as no-ops: the dispatch loops see
-			// the dead run context and resolve them without sending.
-			return ctx.Err()
-		}
+		wg.Wait()
+		return ctx.Err()
 	}
 }
 
-// resolve finishes one job: release its tenant slot and wake its run.
-func (c *Coordinator) resolve(j *job, filled bool) {
-	c.mu.Lock()
-	c.tenantLoad[j.run.tenant]--
-	if c.tenantLoad[j.run.tenant] <= 0 {
-		delete(c.tenantLoad, j.run.tenant)
+// shard LPT-packs the run's units into n requests, heaviest unit first
+// onto the lightest shard; shard i goes to worker i first.
+func shard(run *mc.UnitRun, n int) []mc.UnitRun {
+	jobs := append([]mc.UnitJob(nil), run.Jobs...)
+	sort.SliceStable(jobs, func(a, b int) bool { return jobs[a].Weight > jobs[b].Weight })
+	shards := make([]mc.UnitRun, n)
+	for k := range shards {
+		shards[k] = *run
+		shards[k].Jobs = nil
 	}
-	c.mu.Unlock()
-	if filled {
-		c.filled.Add(1)
-	}
-	j.run.wg.Done()
-}
-
-// nextBatch blocks for work, then pops up to BatchSize jobs from one
-// run (a batch shares a single tree upload, so jobs from different
-// runs never mix). Returns nil when the coordinator is closed.
-func (c *Coordinator) nextBatch() []*job {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for {
-		if c.closed {
-			return nil
-		}
-		if len(c.queue) == 0 {
-			c.cond.Wait()
-			continue
-		}
-		first := heap.Pop(&c.queue).(*job)
-		batch := []*job{first}
-		for len(batch) < c.cfg.BatchSize && len(c.queue) > 0 && c.queue[0].run == first.run {
-			batch = append(batch, heap.Pop(&c.queue).(*job))
-		}
-		return batch
-	}
-}
-
-// requeue re-admits a job after a transport failure, or resolves it
-// for local fallback once its retry budget is spent.
-func (c *Coordinator) requeue(j *job) {
-	j.tries++
-	if j.tries > c.cfg.Retries {
-		c.localFallback.Add(1)
-		c.resolve(j, false)
-		return
-	}
-	c.requeues.Add(1)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		c.resolve(j, false)
-		return
-	}
-	c.seq++
-	j.seq = c.seq
-	heap.Push(&c.queue, j)
-	c.cond.Broadcast()
-	c.mu.Unlock()
-}
-
-// workerLoop is one worker's dispatch loop: pull a batch, post it,
-// settle the results. A dead worker keeps pulling and failing until
-// jobs exhaust their retries on it or land on a healthier peer —
-// with one in-flight batch per worker, a slow or dead worker
-// naturally pulls less.
-func (c *Coordinator) workerLoop(url string) {
-	defer c.loops.Done()
-	for {
-		batch := c.nextBatch()
-		if batch == nil {
-			return
-		}
-		run := batch[0].run
-		if run.ctx.Err() != nil {
-			for _, j := range batch {
-				c.resolve(j, false)
-			}
-			continue
-		}
-		c.batches.Add(1)
-		results, err := c.post(url, run, batch)
-		if err != nil {
-			// Transport failure — worker loss mid-unit included. The
-			// worker never responded, so nothing it half-did is
-			// visible: entries are committed to the shared store
-			// before the response, and incomplete runs are never
-			// committed at all. Requeue the whole batch.
-			for _, j := range batch {
-				c.requeue(j)
-			}
-			continue
-		}
-		for _, j := range batch {
-			res, ok := results[j.uj.Key]
-			switch {
-			case ok && res.Filled:
-				c.resolve(j, true)
-			case ok:
-				// The job ran and was declined (degraded, checker
-				// failure): retrying reproduces the outcome, so send
-				// it straight to the local fallback path.
-				c.localFallback.Add(1)
-				c.resolve(j, false)
-			default:
-				// The worker answered but skipped the job: treat like
-				// a transport failure.
-				c.requeue(j)
+	load := make([]int, n)
+	for _, j := range jobs {
+		k := 0
+		for i := range load {
+			if load[i] < load[k] {
+				k = i
 			}
 		}
+		load[k] += j.Weight
+		shards[k].Jobs = append(shards[k].Jobs, j)
 	}
+	return shards
 }
 
-// post sends one batch to one worker and indexes the results by key.
-func (c *Coordinator) post(url string, run *runState, batch []*job) (map[string]JobResult, error) {
-	wreq := WorkRequest{TreeFP: run.treeFP, Files: run.files, Options: run.opts}
-	for _, j := range batch {
-		wreq.Jobs = append(wreq.Jobs, j.uj)
+// runShard posts one shard and settles its counters. A transport
+// failure — worker loss mid-shard included — leaves nothing half-done
+// behind: a worker commits complete records only, in one batched write,
+// before it answers. So the same body goes once more, to the next
+// worker, and whatever is unfilled after that runs locally.
+func (c *Coordinator) runShard(ctx context.Context, i int, sh *mc.UnitRun) {
+	n := int64(len(sh.Jobs))
+	c.dispatched.Add(n)
+	body, _ := json.Marshal(sh) // strings and ints: Marshal cannot fail
+	filled, err := c.post(ctx, c.workers[i], body)
+	if err != nil && ctx.Err() == nil {
+		c.requeues.Add(1)
+		filled, _ = c.post(ctx, c.workers[(i+1)%len(c.workers)], body)
 	}
-	body, err := json.Marshal(wreq)
+	filled = max(0, min(filled, n)) // whatever the worker claims
+	c.filled.Add(filled)
+	c.localFallback.Add(n - filled)
+}
+
+// post sends one shard to one worker and returns how many keys the
+// worker reports filled. Anything but a well-formed 200 within the
+// reply bound is a transport failure.
+func (c *Coordinator) post(ctx context.Context, url string, body []byte) (int64, error) {
+	c.batches.Add(1)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/work", bytes.NewReader(body))
 	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(run.ctx, http.MethodPost, url+"/v1/work", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := c.client.Do(req)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	defer func() {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-	}()
+	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("worker %s: HTTP %d", url, resp.StatusCode)
+		return 0, fmt.Errorf("worker %s: HTTP %d", url, resp.StatusCode)
+	}
+	data, err := cache.ReadCapped(resp.Body, c.maxReply)
+	if err != nil {
+		return 0, fmt.Errorf("worker %s: %w", url, err)
 	}
 	var wresp WorkResponse
-	if err := json.NewDecoder(resp.Body).Decode(&wresp); err != nil {
-		return nil, err
+	if err := json.Unmarshal(data, &wresp); err != nil {
+		return 0, err
 	}
-	out := make(map[string]JobResult, len(wresp.Results))
-	for _, res := range wresp.Results {
-		out[res.Key] = res
-	}
-	return out, nil
-}
-
-// jobQueue is a max-heap by unit weight (LPT), admission order among
-// equals.
-type jobQueue []*job
-
-func (q jobQueue) Len() int { return len(q) }
-func (q jobQueue) Less(i, j int) bool {
-	if q[i].weight != q[j].weight {
-		return q[i].weight > q[j].weight
-	}
-	return q[i].seq < q[j].seq
-}
-func (q jobQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *jobQueue) Push(x any)   { *q = append(*q, x.(*job)) }
-func (q *jobQueue) Pop() any {
-	old := *q
-	n := len(old)
-	j := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return j
+	return wresp.Filled, nil
 }

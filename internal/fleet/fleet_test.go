@@ -4,15 +4,20 @@ package fleet_test
 // -race via `make race`:
 //
 //   - byte-identical output: a coordinator run over N workers — cold
-//     and warm, any N — must reproduce the single-process run's
-//     ranked output, rule groups, and statistics exactly;
+//     and warm, any N, per-unit and whole-program-unit checkers — must
+//     reproduce the single-process run's ranked output, rule groups,
+//     and statistics exactly;
 //   - shared-CAS reuse: a second coordinator sharing the store
 //     replays everything without dispatching a single job;
-//   - worker loss mid-unit: killing a worker requeues its jobs,
-//     never poisons the cache, and never changes a byte of output.
+//   - worker loss mid-shard: the shard is re-posted to the next
+//     worker, the cache is never poisoned, and no byte of output
+//     changes;
+//   - a worker fills only keys it derived from the content it was sent.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -52,15 +57,43 @@ func digest(res *mc.Result) string {
 	return sb.String()
 }
 
+// suite is one analysis configuration: a tree, the standard checker
+// set plus an optional extra metal checker, and an optional MaxBlocks.
+type suite struct {
+	srcs      map[string]string
+	extra     string
+	maxBlocks int64
+}
+
+// selfCoupledSrc both writes marks (mark_fn) and reads them
+// (mc_fn_marked): every kfree call after the first one in global root
+// order is reported, so its result depends on the whole program and it
+// keys as a single whole-program unit.
+const selfCoupledSrc = `
+sm refree;
+decl any_fn_call fn;
+decl any_arguments args;
+start:
+    { fn(args) } && ${ mc_fn_marked(fn, "freed-before") } ==> start, { err("freeing routine called again"); }
+  | { fn(args) } && ${ mc_is_call_to(fn, "kfree") } ==> start, { mark_fn(fn, "freed-before"); }
+;`
+
 // run analyzes srcs with the standard checker set; runner == nil is
 // the plain single-process path.
-func run(t *testing.T, srcs map[string]string, store cache.Store, runner mc.UnitRunner) (*mc.Result, string) {
+func run(t testing.TB, srcs map[string]string, store cache.Store, runner mc.UnitRunner) (*mc.Result, string) {
 	t.Helper()
+	return suite{srcs: srcs}.run(t, store, runner)
+}
+
+func (s suite) run(t testing.TB, store cache.Store, runner mc.UnitRunner) (*mc.Result, string) {
+	t.Helper()
+	opts := mc.DefaultOptions()
+	opts.MaxBlocks = s.maxBlocks
 	a := mc.NewAnalyzer()
-	if err := a.Configure(mc.RunConfig{Jobs: 2, CacheStore: store, UnitRunner: runner}); err != nil {
+	if err := a.Configure(mc.RunConfig{Options: &opts, Jobs: 2, CacheStore: store, UnitRunner: runner}); err != nil {
 		t.Fatal(err)
 	}
-	for name, src := range srcs {
+	for name, src := range s.srcs {
 		a.AddSource(name, src)
 	}
 	for _, c := range fleetCheckers {
@@ -68,7 +101,13 @@ func run(t *testing.T, srcs map[string]string, store cache.Store, runner mc.Unit
 			t.Fatal(err)
 		}
 	}
+	if s.extra != "" {
+		if err := a.LoadChecker(s.extra); err != nil {
+			t.Fatal(err)
+		}
+	}
 	a.MarkFunction("printk", "blocking")
+	a.MarkFunction("net_wait", "blocking")
 	res, err := a.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +117,7 @@ func run(t *testing.T, srcs map[string]string, store cache.Store, runner mc.Unit
 
 // startWorkers spins n in-process fleet workers over the shared CAS
 // and returns their URLs.
-func startWorkers(t *testing.T, cas cache.Store, n int) []string {
+func startWorkers(t testing.TB, cas cache.Store, n int) []string {
 	t.Helper()
 	urls := make([]string, n)
 	for i := range urls {
@@ -89,39 +128,59 @@ func startWorkers(t *testing.T, cas cache.Store, n int) []string {
 	return urls
 }
 
+// TestFleetByteIdenticalColdAndWarm covers every arm of the unit
+// enumeration a worker derives for itself: leaf-only units (one root
+// each), call-rich units with several roots, a self-coupled checker and
+// a MaxBlocks run (both single whole-program units).
 func TestFleetByteIdenticalColdAndWarm(t *testing.T) {
-	srcs, _ := workload.MixedTree(3, 8, 41)
-	_, plain := run(t, srcs, nil, nil)
-	_, single := run(t, srcs, cache.NewMemStore(), nil)
-	if single != plain {
-		t.Fatal("single-process cached run differs from plain (pre-existing)")
-	}
+	leaf, _ := workload.MixedTree(3, 8, 41)
+	for _, tc := range []struct {
+		name string
+		suite
+	}{
+		{"leaf", suite{srcs: leaf}},
+		{"call-rich", suite{srcs: workload.CallRichTree()}},
+		{"self-coupled", suite{srcs: leaf, extra: selfCoupledSrc}},
+		{"max-blocks", suite{srcs: workload.CallRichTree(), maxBlocks: 400}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plainRes, plain := tc.run(t, nil, nil)
+			if len(plainRes.Reports) == 0 {
+				t.Fatal("plain run reported nothing; the comparison is vacuous")
+			}
+			if tc.extra != "" && !strings.Contains(plain, "freeing routine called again") {
+				t.Fatal("the self-coupled checker never fired; the comparison is vacuous")
+			}
+			if _, single := tc.run(t, cache.NewMemStore(), nil); single != plain {
+				t.Fatal("single-process cached run differs from plain (pre-existing)")
+			}
+			for _, workers := range []int{1, 2, 3} {
+				cas := cache.NewMemStore()
+				co := fleet.NewCoordinator(fleet.Config{Workers: startWorkers(t, cas, workers)})
+				defer co.Close()
 
-	for _, workers := range []int{1, 3} {
-		cas := cache.NewMemStore()
-		co := fleet.NewCoordinator(fleet.Config{Workers: startWorkers(t, cas, workers)})
-		defer co.Close()
+				cold, coldDigest := tc.run(t, cas, co.RunnerFor("t1"))
+				if coldDigest != plain {
+					t.Fatalf("N=%d cold fleet output differs from single-process", workers)
+				}
+				if cold.Incr.UnitsRemote == 0 {
+					t.Fatalf("N=%d cold fleet run filled no units remotely: %+v", workers, co.Stats())
+				}
+				if cold.Incr.UnitsRemote != cold.Incr.UnitsReplayed || cold.Incr.UnitsLive != 0 {
+					t.Fatalf("N=%d: %d remote fills, %d replays, %d live on a cold store",
+						workers, cold.Incr.UnitsRemote, cold.Incr.UnitsReplayed, cold.Incr.UnitsLive)
+				}
 
-		cold, coldDigest := run(t, srcs, cas, co.RunnerFor("t1"))
-		if coldDigest != plain {
-			t.Fatalf("N=%d cold fleet output differs from single-process", workers)
-		}
-		if cold.Incr.UnitsRemote == 0 {
-			t.Fatalf("N=%d cold fleet run filled no units remotely: %+v", workers, co.Stats())
-		}
-		if cold.Incr.UnitsRemote != cold.Incr.UnitsReplayed {
-			t.Fatalf("N=%d: %d remote fills but %d replays on a cold store",
-				workers, cold.Incr.UnitsRemote, cold.Incr.UnitsReplayed)
-		}
-
-		warm, warmDigest := run(t, srcs, cas, co.RunnerFor("t1"))
-		if warmDigest != plain {
-			t.Fatalf("N=%d warm fleet output differs from single-process", workers)
-		}
-		if warm.Incr.UnitsLive != 0 || warm.Incr.UnitsRemote != 0 {
-			t.Fatalf("N=%d warm run was not a pure replay: live=%d remote=%d",
-				workers, warm.Incr.UnitsLive, warm.Incr.UnitsRemote)
-		}
+				warm, warmDigest := tc.run(t, cas, co.RunnerFor("t1"))
+				if warmDigest != plain {
+					t.Fatalf("N=%d warm fleet output differs from single-process", workers)
+				}
+				if warm.Incr.UnitsLive != 0 || warm.Incr.UnitsRemote != 0 {
+					t.Fatalf("N=%d warm run was not a pure replay: live=%d remote=%d",
+						workers, warm.Incr.UnitsLive, warm.Incr.UnitsRemote)
+				}
+			}
+		})
 	}
 }
 
@@ -183,9 +242,10 @@ func TestFleetSharedCASSecondTenant(t *testing.T) {
 	}
 }
 
-// TestFleetWorkerLossRequeues kills a worker mid-unit: its jobs must
-// requeue to the healthy worker (fleet_requeues > 0), the cache must
-// never see a partial entry, and the output must not change.
+// TestFleetWorkerLossRequeues kills a worker mid-shard: the shard must
+// be re-posted to the healthy worker (fleet_requeues counts re-posted
+// shards), the cache must never see a partial entry, and the output
+// must not change.
 func TestFleetWorkerLossRequeues(t *testing.T) {
 	srcs, _ := workload.MixedTree(3, 8, 43)
 	_, plain := run(t, srcs, nil, nil)
@@ -193,7 +253,7 @@ func TestFleetWorkerLossRequeues(t *testing.T) {
 	cas := cache.NewMemStore()
 	good := startWorkers(t, cas, 1)[0]
 
-	// The doomed worker accepts work and dies mid-unit: the connection
+	// The doomed worker accepts work and dies mid-shard: the connection
 	// drops with no response, after the request (and any partial
 	// computation) is already in flight.
 	var killed atomic.Int64
@@ -217,11 +277,14 @@ func TestFleetWorkerLossRequeues(t *testing.T) {
 		t.Fatalf("worker loss surfaced as degradation: %+v", res.Failures)
 	}
 	st := co.Stats()
-	if killed.Load() > 0 && st.Requeues == 0 {
-		t.Fatalf("doomed worker took %d batches but nothing requeued: %+v", killed.Load(), st)
+	if killed.Load() == 0 || st.Requeues == 0 {
+		t.Fatalf("doomed worker took %d shards and %d were re-posted: %+v", killed.Load(), st.Requeues, st)
 	}
 	if st.Dispatched != st.Filled+st.LocalFallback {
-		t.Fatalf("job accounting leaked: %+v", st)
+		t.Fatalf("unit accounting leaked: %+v", st)
+	}
+	if res.Incr.UnitsLive != 0 {
+		t.Fatalf("%d units ran locally although the healthy worker took the re-posted shards", res.Incr.UnitsLive)
 	}
 
 	// The cache the dying worker touched must warm-replay identically.
@@ -234,20 +297,105 @@ func TestFleetWorkerLossRequeues(t *testing.T) {
 	}
 }
 
-// TestFleetTenantQuotaRefusesNotFails: a quota of 1 forces most jobs
-// onto the local path without changing output.
-func TestFleetTenantQuotaRefusesNotFails(t *testing.T) {
-	srcs, _ := workload.MixedTree(2, 6, 44)
-	_, plain := run(t, srcs, nil, nil)
-	cas := cache.NewMemStore()
-	co := fleet.NewCoordinator(fleet.Config{Workers: startWorkers(t, cas, 1), TenantQuota: 1})
-	defer co.Close()
-	_, got := run(t, srcs, cas, co.RunnerFor("greedy"))
-	if got != plain {
-		t.Fatal("quota-constrained fleet output differs")
+// offered runs s over a fresh store with a runner that records what the
+// analyzer offers the fleet and fills nothing: the unit keys an honest
+// coordinator derives for that content, phase by phase.
+func (s suite) offered(t testing.TB) []*mc.UnitRun {
+	t.Helper()
+	var runs []*mc.UnitRun
+	s.run(t, cache.NewMemStore(), func(_ context.Context, run *mc.UnitRun) error {
+		runs = append(runs, run)
+		return nil
+	})
+	if len(runs) == 0 {
+		t.Fatal("the analyzer offered nothing")
 	}
-	if st := co.Stats(); st.Refused == 0 {
-		t.Fatalf("quota of 1 refused nothing: %+v", st)
+	return runs
+}
+
+// postWork posts one request to a worker and returns how many keys it
+// reports filled.
+func postWork(t testing.TB, url string, req *fleet.WorkRequest) int64 {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url+"/v1/work", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var wresp fleet.WorkResponse
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/work: status %d", resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&wresp); err != nil {
+		t.Fatal(err)
+	}
+	return wresp.Filled
+}
+
+// TestWorkerFillsOnlyDerivedKeys asks a worker for tree A's unit keys
+// while describing tree B (A with every line of one file shifted, so
+// that file's reports move). The worker derives keys from B: the other
+// files' units have the same key in both trees and fill, with content
+// that is right for either; the shifted units' A keys are not
+// derivable from what was sent, so the
+// store must gain nothing under them, and A's replay over that store
+// must still equal the plain run. (A worker that trusted the request's
+// pairing of key and unit would store B's reports under A's keys.)
+func TestWorkerFillsOnlyDerivedKeys(t *testing.T) {
+	treeA, _ := workload.MixedTree(2, 6, 46)
+	var edited string
+	for name := range treeA {
+		if edited == "" || name < edited {
+			edited = name
+		}
+	}
+	treeB := workload.PrependBanner(edited).Apply(treeA)
+	a, b := suite{srcs: treeA}, suite{srcs: treeB}
+	_, plainA := a.run(t, nil, nil)
+	if _, plainB := b.run(t, nil, nil); plainB == plainA {
+		t.Fatal("the edit changed no report; poisoning would be invisible")
+	}
+
+	derivedB := map[string]bool{}
+	for _, run := range b.offered(t) {
+		for _, job := range run.Jobs {
+			derivedB[job.Key] = true
+		}
+	}
+	cas := cache.NewMemStore()
+	url := startWorkers(t, cas, 1)[0]
+	foreign := 0
+	for _, run := range a.offered(t) {
+		req := *run
+		req.Files = treeB // A's keys, B's content
+		filled := postWork(t, url, &req)
+		for _, job := range run.Jobs {
+			if derivedB[job.Key] {
+				filled--
+			} else {
+				foreign++
+			}
+			if cache.Has(cas, job.Key) != derivedB[job.Key] {
+				t.Fatalf("key %s: derivable from the content sent = %v, in store = %v",
+					job.Key, derivedB[job.Key], cache.Has(cas, job.Key))
+			}
+		}
+		if filled != 0 {
+			t.Fatalf("the worker's filled count is off by %d from the keys the content derives", filled)
+		}
+	}
+	if foreign == 0 {
+		t.Fatal("every key of A is also a key of B; the test asked for nothing foreign")
+	}
+
+	co := fleet.NewCoordinator(fleet.Config{Workers: []string{url}})
+	defer co.Close()
+	if _, got := a.run(t, cas, co.RunnerFor("t1")); got != plainA {
+		t.Fatal("replay of A over the store the mismatched request touched differs from the plain run")
 	}
 }
 

@@ -60,10 +60,7 @@ type UploadRequest struct {
 func (s *Server) handleCheckerUpload(w http.ResponseWriter, r *http.Request) {
 	s.countRequest()
 	var req UploadRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.bumpFailures()
-		writeError(w, http.StatusBadRequest, "bad_request",
-			"malformed JSON body", err.Error())
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if req.Source == "" {

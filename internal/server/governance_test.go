@@ -7,8 +7,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -117,6 +119,51 @@ func TestErrorEnvelopeShape(t *testing.T) {
 		if env.Code != tc.code || env.Message == "" {
 			t.Errorf("%s: envelope %+v, want code %q", tc.name, env, tc.code)
 		}
+	}
+}
+
+// filler is an endless stream of one byte.
+type filler byte
+
+func (f filler) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(f)
+	}
+	return len(p), nil
+}
+
+// TestOversizeBody413: a body that streams past the daemon's bound
+// (no Content-Length to refuse up front) is cut off at the bound with
+// the enveloped 413, on both routes that decode one, and the daemon
+// keeps serving.
+func TestOversizeBody413(t *testing.T) {
+	srv := New(Config{Checkers: []string{"free"}})
+	srv.maxBody = 1 << 10
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	for path, open := range map[string]string{
+		"/v1/analyze":  `{"files": {"a.c": "`,
+		"/v1/checkers": `{"source": "`,
+	} {
+		body := io.MultiReader(strings.NewReader(open), io.LimitReader(filler('x'), 64<<10), strings.NewReader(`"}`))
+		resp, err := http.Post(ts.URL+path, "application/json", body)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413: %.200s", path, resp.StatusCode, data)
+			continue
+		}
+		if env := decodeEnvelope(t, data); env.Code != "payload_too_large" {
+			t.Errorf("%s: envelope %+v, want code payload_too_large", path, env)
+		}
+	}
+	resp, _ := postRaw(t, ts.URL+"/v1/analyze", AnalyzeRequest{Files: map[string]string{"a.c": tinySrc}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("analyze under the bound after a 413: status %d", resp.StatusCode)
 	}
 }
 

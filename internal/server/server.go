@@ -42,7 +42,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -99,7 +101,7 @@ type Config struct {
 	// Harness tunes checker validation; the zero value means
 	// harness.DefaultConfig() with the daemon's Jobs setting.
 	Harness harness.Config
-	// Fleet, when non-nil, schedules each run's cache-miss units onto
+	// Fleet, when non-nil, shards each run's cache-miss units over
 	// the coordinator's workers (DESIGN.md §15). The store MUST then be
 	// the same shared CAS the workers write to. Nil keeps every unit
 	// local — the single-process mode, byte-identical either way.
@@ -122,6 +124,11 @@ type Config struct {
 // is zero.
 const DefaultMaxInFlight = 4
 
+// maxRequestBody bounds every JSON request body the daemon decodes (a
+// source tree or a checker): the bound a fleet worker puts on the same
+// tree. Beyond it the request gets 413 payload_too_large.
+const maxRequestBody = 256 << 20
+
 // Server is the daemon state. Mutable state lives behind mu: the
 // source tree, the last result, and cumulative counters. runMu
 // serializes the run-and-commit section so concurrent analyze
@@ -129,10 +136,11 @@ const DefaultMaxInFlight = 4
 // semaphore in front of it. The store is internally synchronized and
 // shared across requests — that is the residency.
 type Server struct {
-	cfg   Config
-	store cache.Store
-	sem   chan struct{}
-	runMu sync.Mutex
+	cfg     Config
+	store   cache.Store
+	sem     chan struct{}
+	runMu   sync.Mutex
+	maxBody int64 // maxRequestBody; tests shrink it
 
 	// flight coalesces concurrent identical analyze requests: K posts
 	// that denote the same (tree, patch, tenant, checker set) share one
@@ -214,6 +222,7 @@ func New(cfg Config) *Server {
 		sem:         make(chan struct{}, cfg.MaxInFlight),
 		srcs:        map[string]string{},
 		lastEnabled: map[string]string{},
+		maxBody:     maxRequestBody,
 	}
 	if cfg.Verify {
 		var budget feas.Budget
@@ -356,6 +365,29 @@ type ErrorEnvelope struct {
 	Details string `json:"details,omitempty"`
 }
 
+// decodeBody decodes the request's JSON body into v, reading at most
+// maxBody bytes of it; an empty body leaves v untouched. On failure it
+// answers the request (413 or 400) and reports false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	if r.Body == nil {
+		return true
+	}
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody)).Decode(v)
+	if err == nil || errors.Is(err, io.EOF) {
+		return true
+	}
+	s.bumpFailures()
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, "payload_too_large",
+			"request body too large", fmt.Sprintf("limit is %d bytes", tooBig.Limit))
+	} else {
+		writeError(w, http.StatusBadRequest, "bad_request",
+			"malformed JSON body", err.Error())
+	}
+	return false
+}
+
 func writeError(w http.ResponseWriter, status int, code, message, details string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -492,14 +524,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	tenant := tenantOf(r)
 	var req AnalyzeRequest
-	if r.Body != nil {
-		dec := json.NewDecoder(r.Body)
-		if err := dec.Decode(&req); err != nil && err.Error() != "EOF" {
-			s.bumpFailures()
-			writeError(w, http.StatusBadRequest, "bad_request",
-				"malformed JSON body", err.Error())
-			return
-		}
+	if !s.decodeBody(w, r, &req) {
+		return
 	}
 
 	// Request coalescing (DESIGN.md §15): concurrent requests that
@@ -791,8 +817,8 @@ type StatsResponse struct {
 	ValidationsRejected int64 `json:"validations_rejected"`
 	RegistryCheckers    int   `json:"registry_checkers"`
 	// Fleet counters (DESIGN.md §15): analyze requests that shared an
-	// in-flight identical run, and — on a coordinator — the job
-	// scheduler's dispatch/fill/requeue accounting.
+	// in-flight identical run, and — on a coordinator — the sharder's
+	// dispatch/fill/re-post accounting.
 	CoalescedAnalyzes int64        `json:"coalesced_analyzes"`
 	Fleet             *fleet.Stats `json:"fleet,omitempty"`
 
@@ -891,12 +917,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("xgccd_coalesced_analyzes_total", s.coalescedAnalyzes, "analyze requests that shared an identical in-flight run")
 	if s.cfg.Fleet != nil {
 		fs := s.cfg.Fleet.Stats()
-		counter("xgccd_fleet_dispatched_total", fs.Dispatched, "unit jobs admitted to the fleet queue")
-		counter("xgccd_fleet_filled_total", fs.Filled, "unit jobs a worker completed into the shared CAS")
-		counter("xgccd_fleet_requeues_total", fs.Requeues, "unit jobs requeued after a worker transport failure")
-		counter("xgccd_fleet_refused_total", fs.Refused, "unit jobs refused at admission (queue full or tenant quota)")
-		counter("xgccd_fleet_local_fallback_total", fs.LocalFallback, "unit jobs that fell back to local execution")
-		counter("xgccd_fleet_batches_total", fs.Batches, "worker batch round-trips")
+		counter("xgccd_fleet_dispatched_total", fs.Dispatched, "units offered to fleet workers")
+		counter("xgccd_fleet_filled_total", fs.Filled, "units a worker completed into the shared CAS")
+		counter("xgccd_fleet_requeues_total", fs.Requeues, "shards re-posted to the next worker after a transport failure")
+		counter("xgccd_fleet_refused_total", fs.Refused, "units not offered because no worker is configured")
+		counter("xgccd_fleet_local_fallback_total", fs.LocalFallback, "offered units no worker filled, run locally instead")
+		counter("xgccd_fleet_batches_total", fs.Batches, "posts to workers (one per worker per phase with misses, plus re-posts)")
 		gauge("xgccd_fleet_workers", float64(fs.Workers), "configured fleet workers")
 	}
 	fmt.Fprintf(&sb, "# HELP xgccd_validations_total checker validations by outcome\n# TYPE xgccd_validations_total counter\n")

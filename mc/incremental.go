@@ -13,24 +13,13 @@ package mc
 // marks visible at its phase start, and the content hashes of its
 // member functions — so invalidation is implicit: an edit re-keys the
 // changed functions' units and every untouched unit replays from
-// cache.
-//
-// Three kinds of checker need coarser handling:
-//   - checkers with custom Go callouts: native code is invisible to
-//     the source fingerprint, so they always run live;
-//   - self-coupled checkers (both mark_fn and mc_fn_marked): their
-//     own marks flow across units within one run, so they cache as a
-//     single whole-program unit;
-//   - any checker when Options.MaxBlocks > 0: the traversal budget is
-//     engine-global, so per-unit engines would diverge from the plain
-//     path; they also fall back to a single whole-program unit.
+// cache. Which checkers key per unit and which as one whole-program
+// unit is decided in one place, UnitTree.tasks (unitrun.go).
 
 import (
 	"context"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/cache"
@@ -103,21 +92,9 @@ type IncrStats struct {
 	SummariesLoaded      int   `json:"summaries_loaded"`
 }
 
-// unitTask is one (checker, unit) work item in a phase.
-type unitTask struct {
-	ci    int
-	funcs []*prog.Function
-	roots []*prog.Function
-	key   string           // "" = uncacheable, always live
-	entry *cache.UnitEntry // replayed from the store, or built from the live run
-	eng   *core.Engine     // the live run's engine; nil = replay, and dropped at merge
-}
-
 // runCached is Run with the cache enabled. Governance rules
-// (DESIGN.md §9): a unit whose live run was degraded (budget hit or
-// cancellation) or whose checker panicked is never written to the
-// store — a cached entry always represents a complete analysis — and
-// the manifest is only saved for complete runs.
+// (DESIGN.md §9): only complete unit runs are stored (runLive,
+// unitrun.go), and the manifest is only saved for complete runs.
 func (a *Analyzer) runCached(ctx context.Context) (*Result, error) {
 	incr := &IncrStats{}
 
@@ -129,10 +106,9 @@ func (a *Analyzer) runCached(ctx context.Context) (*Result, error) {
 	incr.ParseNanos = time.Since(t0).Nanoseconds()
 
 	t0 = time.Now()
-	p := prog.Build(files...)
-	units := p.Units()
-
-	optsFP, envFP, funcHash := a.fingerprints(p, files)
+	tree := NewUnitTree(files)
+	p, funcHash := tree.Prog, tree.funcHash
+	optsFP := optionsFingerprint(a.opts)
 	configFP := a.configFingerprint(optsFP)
 
 	// Manifest diff: invalidation accounting for stats and /metrics.
@@ -174,7 +150,7 @@ func (a *Analyzer) runCached(ctx context.Context) (*Result, error) {
 	// reads both entry shapes, so spill on/off share cache keys.
 	var stream *streamState
 	if a.opts.MaxResidentMB > 0 {
-		stream, err = a.newStream(p, optsFP, envFP, funcHash, len(a.checkers))
+		stream, err = a.newStream(p, optsFP, tree.envFP, funcHash, len(a.checkers))
 		if err != nil {
 			return nil, err
 		}
@@ -182,121 +158,53 @@ func (a *Analyzer) runCached(ctx context.Context) (*Result, error) {
 	}
 	incr.BuildNanos = time.Since(t0).Nanoseconds()
 
-	// Per-unit fingerprints (sorted member FuncID=hash lines): one per unit.
-	unitFP := func(fns []*prog.Function) string {
-		lines := make([]string, len(fns))
-		for i, fn := range fns {
-			lines[i] = prog.FuncID(fn) + "=" + funcHash[fn]
-		}
-		sort.Strings(lines)
-		return strings.Join(lines, "\n")
-	}
-	unitFPs := make([]string, len(units))
-	for i, u := range units {
-		unitFPs[i] = unitFP(u.Funcs)
-	}
-	wholeFP := sync.OnceValue(func() string { return unitFP(p.All) })
-
 	t0 = time.Now()
 	// Multi-checker compiled dispatch, shared by every live engine in
 	// every phase (the structure is purely syntactic, so one build
 	// covers all phases; replayed units never consult it).
 	compiled := core.CompileDispatch(p, a.checkers)
+	sem := make(chan struct{}, a.parallelism())
 	tasksByChecker := make([][]*unitTask, len(a.checkers))
 	for _, phase := range core.PlanPhases(a.checkers) {
 		// The marks visible to every engine in this phase are exactly
 		// those present at the barrier: PlanPhases guarantees no
 		// intra-phase write-then-read.
-		marksFP := cache.Key("marks", a.shared.Snapshot())
-
+		marksFP := marksFingerprint(a.shared)
 		var tasks []*unitTask
 		for _, ci := range phase {
-			c := a.checkers[ci]
-			switch {
-			case len(c.Callouts) > 0:
-				// Native code: fingerprint can't see it; run live.
-				tasks = append(tasks, &unitTask{ci: ci, funcs: p.All, roots: p.Roots})
-			case (c.UsesAction("mark_fn") && c.UsesCallout("mc_fn_marked")) || a.opts.MaxBlocks > 0:
-				// Whole-program single unit (see package comment).
-				key := cache.UnitKey(a.checkerFPs[ci], optsFP, envFP, marksFP, wholeFP())
-				tasks = append(tasks, &unitTask{ci: ci, funcs: p.All, roots: p.Roots, key: key})
-			default:
-				for i, u := range units {
-					key := cache.UnitKey(a.checkerFPs[ci], optsFP, envFP, marksFP, unitFPs[i])
-					tasks = append(tasks, &unitTask{ci: ci, funcs: u.Funcs, roots: u.Roots, key: key})
-				}
-			}
+			tasks = append(tasks, tree.tasks(ci, a.checkers[ci], a.checkerFPs[ci], a.opts, marksFP)...)
 		}
 
 		// Probe the store for every keyed task in one batched
-		// round-trip, then offer what is still missing to the fleet
-		// (DESIGN.md §15); unfilled keys run locally below.
+		// round-trip, offer what is still missing to the fleet
+		// (DESIGN.md §15), and run what nobody filled.
 		a.probeTasks(tasks)
-		a.dispatchRemote(ctx, tasks, a.shared.Events(), incr)
-
-		// Run the misses concurrently; slots acquired in task order so
-		// -j 1 degenerates to the sequential schedule.
-		sem := make(chan struct{}, a.parallelism())
-		var wg sync.WaitGroup
-		for _, t := range tasks {
-			if t.entry != nil {
-				continue
-			}
-			sem <- struct{}{}
-			wg.Add(1)
-			go func(t *unitTask) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				en := a.liveEngine(p, t.ci, compiled, stream)
-				runs := en.RunRootsContext(ctx, t.roots)
-				// One export per live unit, shared by the Put and the
-				// merge engine's lazy source. A streaming engine already
-				// evicted its summaries to the spill store; inline copies
-				// would put the whole tree back into every warm run's
-				// store traffic.
-				funcs := t.funcs
-				if stream != nil {
-					funcs = nil
-				}
-				t.entry, t.eng = cache.NewUnitEntry(en, funcs, runs), en
-			}(t)
-		}
-		wg.Wait()
+		a.dispatchRemote(ctx, tasks, incr)
+		runLive(ctx, sem, tasks, func(t *unitTask) *core.Engine {
+			return a.liveEngine(p, t.ci, compiled, stream)
+		}, stream == nil, true)
 
 		// Post-phase: replayed marks join the store (live marks landed
 		// during the run; ordering within the phase is immaterial —
 		// marks are an idempotent set read only after the barrier),
-		// and fresh results are written back in one batched store
-		// round-trip. Degraded or failed units must never be cached:
-		// their entries would replay truncated output as if it were
-		// complete.
-		var puts map[string][]byte
-		for _, t := range tasks {
-			if t.eng == nil {
-				for _, ev := range t.entry.Marks {
-					a.shared.Mark(ev.Name, ev.Key)
-				}
-				if stream != nil {
-					// A replayed unit never touches the AST again;
-					// count its checker pass toward release now.
-					stream.release.done(t.funcs)
-				}
-				continue
-			}
-			if t.key != "" && t.eng.Failure == nil && !t.eng.Degraded() {
-				if data, err := cache.EncodeUnit(t.entry); err == nil {
-					if puts == nil {
-						puts = map[string][]byte{}
-					}
-					puts[t.key] = data
-				}
-			}
-		}
-		if len(puts) > 0 {
-			cache.PutBatch(a.cacheStore, puts) // best effort; failures land in CachePutErrors
-		}
+		// and fresh complete results are written back in one batched
+		// store round-trip.
 		for _, t := range tasks {
 			tasksByChecker[t.ci] = append(tasksByChecker[t.ci], t)
+			if t.eng != nil {
+				continue
+			}
+			for _, ev := range t.entry.Marks {
+				a.shared.Mark(ev.Name, ev.Key)
+			}
+			if stream != nil {
+				// A replayed unit never touches the AST again;
+				// count its checker pass toward release now.
+				stream.release.done(t.funcs)
+			}
+		}
+		if puts := records(tasks); len(puts) > 0 {
+			cache.PutBatch(a.cacheStore, puts) // best effort; failures land in CachePutErrors
 		}
 	}
 	incr.AnalyzeNanos = time.Since(t0).Nanoseconds()
@@ -386,16 +294,6 @@ func (a *Analyzer) runCached(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// fingerprints derives a run's key material: every engine switch, the
-// position-independent declaration environment, each function's content.
-func (a *Analyzer) fingerprints(p *prog.Program, files []*cc.File) (optsFP, envFP string, funcHash map[*prog.Function]string) {
-	funcHash = make(map[*prog.Function]string, len(p.All))
-	for _, fn := range p.All {
-		funcHash[fn] = cc.HashDecl(fn.Decl)
-	}
-	return optionsFingerprint(a.opts), cc.EnvHash(files), funcHash
-}
-
 // probeTasks fills task entries from the store in one batched
 // round-trip (cache.GetBatch collapses to one POST on a batch-capable
 // backend), parsing only each record's replay section. A record that
@@ -429,52 +327,29 @@ func (a *Analyzer) probeTasks(tasks []*unitTask) {
 // locally — worker loss or a runner error never fails the analysis.
 // Pre-parsed ASTs (AddAST) have no source text to ship, so such runs
 // never dispatch.
-func (a *Analyzer) dispatchRemote(ctx context.Context, tasks []*unitTask, marks []core.MarkEvent, incr *IncrStats) {
+func (a *Analyzer) dispatchRemote(ctx context.Context, tasks []*unitTask, incr *IncrStats) {
 	if a.unitRunner == nil || len(a.files) > 0 {
 		return
 	}
-	var jobs []UnitJob
+	run := &UnitRun{Files: a.srcs, Options: a.opts, Marks: a.shared.Events()}
 	var pending []*unitTask
+	last := -1 // tasks arrive grouped by checker
 	for _, t := range tasks {
 		if t.key == "" || t.entry != nil || a.checkerSrcs[t.ci] == "" {
 			continue
 		}
-		funcs := make([]string, len(t.funcs))
-		for i, fn := range t.funcs {
-			funcs[i] = prog.FuncID(fn)
+		if t.ci != last {
+			run.Checkers = append(run.Checkers, a.checkerSrcs[t.ci])
+			last = t.ci
 		}
-		roots := make([]string, len(t.roots))
-		for i, fn := range t.roots {
-			roots[i] = prog.FuncID(fn)
-		}
-		jobs = append(jobs, UnitJob{
-			Key:        t.key,
-			CheckerSrc: a.checkerSrcs[t.ci],
-			CheckerFP:  a.checkerFPs[t.ci],
-			Funcs:      funcs,
-			Roots:      roots,
-			Marks:      marks,
-		})
+		run.Jobs = append(run.Jobs, UnitJob{Key: t.key, Checker: len(run.Checkers) - 1, Weight: len(t.funcs)})
 		pending = append(pending, t)
 	}
-	if len(jobs) == 0 {
+	if len(pending) == 0 {
 		return
 	}
-	files := make(map[string]string, len(a.srcs))
-	treeLines := make([]string, 0, len(a.srcs))
-	for name, src := range a.srcs {
-		files[name] = src
-		treeLines = append(treeLines, name+"="+cc.HashBytes([]byte(src)))
-	}
-	sort.Strings(treeLines)
-	run := &UnitRun{
-		TreeFP:  cache.Key("tree", strings.Join(treeLines, "\n")),
-		Files:   files,
-		Options: a.opts,
-		Jobs:    jobs,
-	}
 	if err := a.unitRunner(ctx, run); err != nil {
-		return // every job falls back to a local run
+		return // every unit falls back to a local run
 	}
 	a.probeTasks(pending)
 	for _, t := range pending {

@@ -273,8 +273,8 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 	// remaining traversal can read, so output is unchanged.
 	var stream *streamState
 	if a.opts.MaxResidentMB > 0 {
-		optsFP, envFP, funcHash := a.fingerprints(p, files)
-		stream, err = a.newStream(p, optsFP, envFP, funcHash, len(a.checkers))
+		envFP, funcHash := fingerprints(p, files)
+		stream, err = a.newStream(p, optionsFingerprint(a.opts), envFP, funcHash, len(a.checkers))
 		if err != nil {
 			return nil, err
 		}

@@ -1,57 +1,285 @@
 package mc
 
-// Fleet unit dispatch (DESIGN.md §15): the analyzer-side half of the
-// coordinator/worker protocol. When RunConfig.UnitRunner is set, the
-// cached run path offers each phase's cache-miss units to it as a
-// UnitRun batch before running them locally. Workers are "fill this
-// cache key" services: a worker computes the complete unit entry and
-// writes it to the shared store under the job's key; the coordinator
-// then re-probes the store and replays whatever appeared through the
-// ordinary (byte-identical-pinned) replay path. Keys the runner did
-// not fill — worker loss, degraded remote runs, transport failures —
-// simply stay misses and run locally, so the fallback path is the
-// normal path and no new consistency argument is needed.
+// Unit execution (DESIGN.md §8, §15): the one enumerator of a phase's
+// (checker, unit) tasks with their content-derived keys, and the one
+// producer of storable records from live runs. It has two callers —
+// the cached run's phase loop (runCached) and a fleet worker (RunUnits)
+// — so a unit runs remotely exactly as it runs locally, and remote
+// execution is this file plus a shared store.
+//
+// That is also the fleet's safety argument. A UnitRun names the keys it
+// wants filled, never what a key contains: the worker rebuilds the
+// tree, derives every key itself from (tree, options, checker text,
+// barrier marks), runs the units whose derived key was asked for, and
+// stores each record under the key it derived; a wanted key the inputs
+// do not derive is not filled. Unfilled keys — worker loss, a declined
+// request, a run the storage rule refuses — stay cache misses and run
+// locally, so the fallback path is the normal path.
+//
+// The storage rule, stated once (runLive): a live run that a budget or
+// a cancellation truncated (Engine.Degraded) or whose checker panicked
+// (Engine.Failure) is never stored. A record always stands for a
+// complete analysis, wherever it ran.
 
 import (
 	"context"
+	"sort"
+	"strings"
+	"sync"
 
+	"repro/internal/cache"
+	"repro/internal/cc"
 	"repro/internal/core"
+	"repro/internal/metal"
+	"repro/internal/prog"
 )
 
 // MarkEvent re-exports one composition-mark record (core.MarkEvent).
-// A UnitJob carries the annotation store visible at its phase barrier
-// as sorted MarkEvents; marks are an idempotent boolean set, so the
-// worker reconstructs the same store by re-applying them.
+// Marks are an idempotent boolean set, so re-applying the sorted events
+// reconstructs the annotation store they were listed from.
 type MarkEvent = core.MarkEvent
 
-// UnitJob is one cache-miss (checker, unit) pair offered to the unit
-// runner. Funcs and Roots are prog.FuncIDs into the program built from
-// UnitRun.Files; CheckerSrc is the full metal source (checkers with
-// native Go callouts are never offered — their code cannot ride a
-// wire). Key is the content-addressed unit key the worker must fill.
+// UnitJob is one cache-miss (checker, unit) pair: the key wanted and
+// the index of its checker in UnitRun.Checkers. Weight is the unit's
+// member-function count, the sharder's packing weight; it does not
+// travel.
 type UnitJob struct {
-	Key        string      `json:"key"`
-	CheckerSrc string      `json:"checker_src"`
-	CheckerFP  string      `json:"checker_fp"`
-	Funcs      []string    `json:"funcs"`
-	Roots      []string    `json:"roots"`
-	Marks      []MarkEvent `json:"marks,omitempty"`
+	Key     string `json:"key"`
+	Checker int    `json:"checker"`
+	Weight  int    `json:"-"`
 }
 
-// UnitRun is one phase's batch of cache-miss units. Files is the full
-// source set (workers rebuild the whole program — unit fingerprints
-// include the declaration environment, so a partial tree would re-key
-// everything); Options are the coordinator's engine options (workers
-// may zero MaxResidentMB: it is excluded from the options fingerprint
-// and entries with or without inline summaries replay identically).
+// UnitRun is one phase's cache-miss units, and the body a fleet worker
+// is posted. Files is the full source set (unit keys cover the
+// declaration environment, so a partial tree would re-key everything);
+// Options are the coordinator's engine options; Marks is the annotation
+// store at the phase barrier; Checkers holds each checker's metal
+// source once (checkers with native Go callouts are never offered —
+// their code cannot ride a wire).
 type UnitRun struct {
-	TreeFP  string            `json:"tree_fp"`
-	Files   map[string]string `json:"files"`
-	Options Options           `json:"options"`
-	Jobs    []UnitJob         `json:"jobs"`
+	Files    map[string]string `json:"files"`
+	Options  Options           `json:"options"`
+	Marks    []MarkEvent       `json:"marks,omitempty"`
+	Checkers []string          `json:"checkers"`
+	Jobs     []UnitJob         `json:"jobs"`
 }
 
-// UnitRunner executes a UnitRun batch, filling cache keys as a side
-// effect. An error (or any unfilled key) means those units run
-// locally; it never fails the analysis.
+// UnitRunner offers a UnitRun to remote executors, which fill unit
+// keys in the shared store as a side effect. An error (or any unfilled
+// key) means those units run locally; it never fails the analysis.
 type UnitRunner = func(ctx context.Context, run *UnitRun) error
+
+// UnitTree is a built program with the content fingerprints every unit
+// key is derived from.
+type UnitTree struct {
+	Prog     *prog.Program
+	envFP    string
+	funcHash map[*prog.Function]string
+	units    []*prog.Unit
+	unitFPs  []string      // parallel to units
+	wholeFP  func() string // of Prog.All, derived on first use
+
+	mu       sync.Mutex
+	checkers map[string]*unitChecker // by source text; nil = does not parse
+}
+
+// NewUnitTree assembles parsed files into a program and fingerprints it.
+func NewUnitTree(files []*cc.File) *UnitTree {
+	p := prog.Build(files...)
+	t := &UnitTree{Prog: p, units: p.Units(), checkers: map[string]*unitChecker{}}
+	t.envFP, t.funcHash = fingerprints(p, files)
+	t.unitFPs = make([]string, len(t.units))
+	for i, u := range t.units {
+		t.unitFPs[i] = t.unitFP(u.Funcs)
+	}
+	t.wholeFP = sync.OnceValue(func() string { return t.unitFP(p.All) })
+	return t
+}
+
+// fingerprints derives a tree's key material: the position-independent
+// declaration environment and each function's content.
+func fingerprints(p *prog.Program, files []*cc.File) (envFP string, funcHash map[*prog.Function]string) {
+	funcHash = make(map[*prog.Function]string, len(p.All))
+	for _, fn := range p.All {
+		funcHash[fn] = cc.HashDecl(fn.Decl)
+	}
+	return cc.EnvHash(files), funcHash
+}
+
+// unitFP fingerprints a member list: sorted FuncID=hash lines.
+func (t *UnitTree) unitFP(fns []*prog.Function) string {
+	lines := make([]string, len(fns))
+	for i, fn := range fns {
+		lines[i] = prog.FuncID(fn) + "=" + t.funcHash[fn]
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
+}
+
+// unitTask is one (checker, unit) work item in a phase.
+type unitTask struct {
+	ci     int // the checker's index in its Analyzer
+	funcs  []*prog.Function
+	roots  []*prog.Function
+	key    string           // "" = uncacheable, always live
+	entry  *cache.UnitEntry // replayed from the store, or built from the live run
+	eng    *core.Engine     // the live run's engine; nil = replay, and dropped at merge
+	record []byte           // the live run's storable encoding, until records takes it
+}
+
+// tasks enumerates checker c's work at one phase barrier, each task
+// with the key its complete analysis is stored under. Three kinds of
+// checker need coarser handling than one task per call-graph unit:
+//   - custom Go callouts: native code is invisible to the source
+//     fingerprint, so the checker runs live, whole-program, unkeyed;
+//   - self-coupled checkers (both mark_fn and mc_fn_marked): their own
+//     marks flow across units within one run, so they key as a single
+//     whole-program unit;
+//   - any checker when Options.MaxBlocks > 0: the traversal budget is
+//     engine-global, so per-unit engines would diverge from the plain
+//     path; again a single whole-program unit.
+func (t *UnitTree) tasks(ci int, c *metal.Checker, checkerFP string, opts Options, marksFP string) []*unitTask {
+	p := t.Prog
+	optsFP := optionsFingerprint(opts)
+	key := func(unitFP string) string {
+		return cache.UnitKey(checkerFP, optsFP, t.envFP, marksFP, unitFP)
+	}
+	switch {
+	case len(c.Callouts) > 0:
+		return []*unitTask{{ci: ci, funcs: p.All, roots: p.Roots}}
+	case (c.UsesAction("mark_fn") && c.UsesCallout("mc_fn_marked")) || opts.MaxBlocks > 0:
+		return []*unitTask{{ci: ci, funcs: p.All, roots: p.Roots, key: key(t.wholeFP())}}
+	}
+	out := make([]*unitTask, len(t.units))
+	for i, u := range t.units {
+		out[i] = &unitTask{ci: ci, funcs: u.Funcs, roots: u.Roots, key: key(t.unitFPs[i])}
+	}
+	return out
+}
+
+// marksFingerprint keys the annotation store visible at a phase barrier.
+func marksFingerprint(s *core.Shared) string { return cache.Key("marks", s.Snapshot()) }
+
+// runLive runs every task that has no entry yet on a fresh engine from
+// newEngine, one sem slot per run. Slots are acquired in task order, so
+// a one-slot semaphore (-j 1) degenerates to the sequential schedule.
+// Each run's summaries are exported once, into the entry the record and
+// the merge engine's lazy source share — unless inlineSummaries is off:
+// a streaming engine already evicted them to the spill store, and
+// inline copies would put the whole tree back into every warm run's
+// traffic. A complete keyed run leaves its record on the task (the
+// storage rule above); keep also leaves the entry and the engine, for a
+// caller that merges the run into a result.
+func runLive(ctx context.Context, sem chan struct{}, tasks []*unitTask, newEngine func(*unitTask) *core.Engine, inlineSummaries, keep bool) {
+	var wg sync.WaitGroup
+	for _, t := range tasks {
+		if t.entry != nil {
+			continue
+		}
+		sem <- struct{}{}
+		wg.Add(1)
+		go func(t *unitTask) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			en := newEngine(t)
+			runs := en.RunRootsContext(ctx, t.roots)
+			funcs := t.funcs
+			if !inlineSummaries {
+				funcs = nil
+			}
+			entry := cache.NewUnitEntry(en, funcs, runs)
+			if t.key != "" && en.Failure == nil && !en.Degraded() {
+				t.record, _ = cache.EncodeUnit(entry)
+			}
+			if keep {
+				t.entry, t.eng = entry, en
+			}
+		}(t)
+	}
+	wg.Wait()
+}
+
+// records hands over the records runLive left on the tasks, by key.
+func records(tasks []*unitTask) map[string][]byte {
+	out := map[string][]byte{}
+	for _, t := range tasks {
+		if t.record != nil {
+			out[t.key], t.record = t.record, nil
+		}
+	}
+	return out
+}
+
+// unitChecker is a checker parsed and compiled against one UnitTree.
+// Engines only read it, so concurrent runs share one.
+type unitChecker struct {
+	c        *metal.Checker
+	fp       string
+	compiled *core.CompiledDispatch
+}
+
+// checker returns the tree's compiled form of a metal source, parsing
+// it and compiling its dispatch over the tree on first sight (fresh
+// reports that); nil when the source does not parse.
+func (t *UnitTree) checker(src string) (uc *unitChecker, fresh bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	uc, seen := t.checkers[src]
+	if !seen {
+		if c, err := metal.Parse(src); err == nil {
+			uc = &unitChecker{c: c, fp: cc.HashBytes([]byte(src)),
+				compiled: core.CompileDispatch(t.Prog, []*metal.Checker{c})}
+		}
+		t.checkers[src] = uc
+	}
+	return uc, !seen
+}
+
+// RunUnits is the remote half of a phase: it compiles the checkers the
+// run's jobs name (once per tree each; compiled counts the new ones),
+// derives every unit key at the barrier run.Marks describes, runs the
+// units some job asks for — one sem slot each, so one semaphore bounds
+// all of a caller's concurrent calls — and returns each complete run's
+// record by key. A job whose checker does not parse or whose key the
+// inputs do not derive is ignored.
+func (t *UnitTree) RunUnits(ctx context.Context, sem chan struct{}, run *UnitRun) (recs map[string][]byte, compiled int) {
+	want := make(map[UnitJob]bool, len(run.Jobs))
+	for _, j := range run.Jobs {
+		want[UnitJob{Key: j.Key, Checker: j.Checker}] = true
+	}
+	// One annotation store per checker: units of one checker never read
+	// each other's marks (a checker that would is a single task), and
+	// a run pairing a writer with its reader cannot leak marks between
+	// them.
+	checkers := make([]*unitChecker, len(run.Checkers))
+	shared := make([]*core.Shared, len(run.Checkers))
+	var tasks []*unitTask
+	for _, j := range run.Jobs {
+		ci := j.Checker
+		if ci < 0 || ci >= len(checkers) || shared[ci] != nil {
+			continue
+		}
+		shared[ci] = core.NewShared()
+		for _, ev := range run.Marks {
+			shared[ci].Mark(ev.Name, ev.Key)
+		}
+		uc, fresh := t.checker(run.Checkers[ci])
+		if fresh {
+			compiled++
+		}
+		if checkers[ci] = uc; uc == nil {
+			continue
+		}
+		for _, task := range t.tasks(ci, uc.c, uc.fp, run.Options, marksFingerprint(shared[ci])) {
+			if task.key != "" && want[UnitJob{Key: task.key, Checker: ci}] {
+				tasks = append(tasks, task)
+			}
+		}
+	}
+	runLive(ctx, sem, tasks, func(task *unitTask) *core.Engine {
+		en := core.NewEngineShared(t.Prog, checkers[task.ci].c, run.Options, shared[task.ci])
+		en.SetCompiled(checkers[task.ci].compiled, 0)
+		return en
+	}, true, false)
+	return records(tasks), compiled
+}

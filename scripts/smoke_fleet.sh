@@ -3,9 +3,10 @@
 # boot a coordinator, boot a worker against the coordinator's shared
 # CAS, rewire the coordinator to dispatch onto that worker, check both
 # health endpoints, and push one analyze through the coordinator —
-# asserting units were actually filled remotely. `make check` runs
-# this so a flag, startup, or dispatch regression in either role fails
-# the gate.
+# asserting units were actually filled remotely, in a handful of
+# /v1/work posts (one per phase with misses, not one per batch of
+# units). `make check` runs this so a flag, startup, or dispatch
+# regression in either role fails the gate.
 #
 # Boot order (the two roles name each other, so ephemeral ports need
 # one restart): coordinator on :0 -> worker against its CAS URL ->
@@ -67,5 +68,9 @@ echo "$resp" | grep -q '"reports"' ||
 	{ echo "smoke-fleet: analyze response missing reports: $resp" >&2; exit 1; }
 echo "$resp" | grep -q '"units_remote": 0' &&
 	{ echo "smoke-fleet: no units filled remotely" >&2; cat "$tmp/w.log" >&2; exit 1; }
+
+curl -fsS "http://$W_ADDR/v1/stats" | grep -Eq '"requests": ?[1-9],' ||
+	{ echo "smoke-fleet: worker /v1/stats does not show a single-digit number of requests" >&2
+	  curl -fsS "http://$W_ADDR/v1/stats" >&2; exit 1; }
 
 echo "smoke-fleet: coordinator ($CO_ADDR) dispatched onto worker ($W_ADDR)"
