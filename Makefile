@@ -63,8 +63,11 @@ bench-check:
 # the file system and FuzzWorkRequest (the /v1/work body) runs whole
 # analyses, so their coverage is noisy and the fuzzer's default 60 s
 # minimisation of every interesting input would eat the budget.
+# FuzzEnvOps is the odd one out: no decoder, but the §8 fact
+# environment driven against its map-based reference implementation.
 FUZZTIME ?= 10s
 fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzEnvOps -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/fpp/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeUnit -fuzztime $(FUZZTIME) ./internal/cache/
 	$(GO) test -run '^$$' -fuzz FuzzOpenStore -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/cache/
 	$(GO) test -run '^$$' -fuzz FuzzWorkRequest -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/fleet/
@@ -132,22 +135,28 @@ FLEET_FLAGS ?=
 bench-fleet:
 	$(GO) run ./cmd/mcbench -exp fleet $(FLEET_FLAGS)
 
-# Microbenchmarks for the §10 hot paths (match memoization, block
-# traversal, instance clone), the summary reload path (§8/§12) and the
-# disk store (§8: one cold calls-S run's 2685 records / 5.6 MB, written
-# as one batch and indexed at open).
+# Microbenchmarks for the §10 hot paths (match memoization, block and
+# call-rich traversal, instance clone, the per-path FPP environment's
+# clone and fingerprint, edge-set insertion), the summary reload path
+# (§8/§12) and the disk store (§8: one cold calls-S run's 2685 records
+# / 5.6 MB, written as one batch and indexed at open).
 # -benchtime 100x keeps the target quick enough for CI; drop the
 # override for stable local numbers.
 bench-micro:
-	$(GO) test -run '^$$' -bench 'BenchmarkBaseMatch|BenchmarkBlockTraversal|BenchmarkInstanceClone|BenchmarkImportSummaries|BenchmarkStoreOpen|BenchmarkStorePutBatch' \
-		-benchtime 100x ./internal/pattern/ ./internal/core/ ./internal/cache/
+	$(GO) test -run '^$$' -bench 'BenchmarkBaseMatch|BenchmarkBlockTraversal|BenchmarkCallRichTraversal|BenchmarkInstanceClone|BenchmarkEdgeSetAdd|BenchmarkEnvClone|BenchmarkEnvFingerprint|BenchmarkImportSummaries|BenchmarkStoreOpen|BenchmarkStorePutBatch' \
+		-benchtime 100x ./internal/pattern/ ./internal/core/ ./internal/fpp/ ./internal/cache/
 
-# CPU + allocation profiles of the 5/50/200-checker suite runs (written
-# to pprof/).
+# CPU + allocation profiles (written to pprof/): the 5/50/200-checker
+# suite runs, and the cold-calls shape — the full bundled suite over a
+# call-rich tree, no cache — which is where the DFS hot loop (DESIGN.md
+# §10.4) shows.
 # Inspect with: go tool pprof pprof/mcbench.cpu
+#               go tool pprof pprof/core.test pprof/callrich.cpu
 profile:
 	mkdir -p pprof
 	$(GO) run ./cmd/mcbench -cpuprofile pprof/mcbench.cpu -memprofile pprof/mcbench.mem -exp multicheck
+	$(GO) test -run '^$$' -bench BenchmarkCallRichTraversal -benchtime 2000x -o pprof/core.test \
+		-cpuprofile pprof/callrich.cpu -memprofile pprof/callrich.mem ./internal/core/
 
 clean:
 	rm -f BENCH_parallel.json BENCH_incremental.json BENCH_governance.json BENCH_multicheck.json BENCH_scale.json BENCH_feas.json BENCH_registry.json BENCH_fleet.json

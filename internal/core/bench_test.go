@@ -11,6 +11,25 @@ import (
 	"repro/internal/workload"
 )
 
+// parseSorted parses a source tree in file-name order.
+func parseSorted(tb testing.TB, srcs map[string]string) []*cc.File {
+	tb.Helper()
+	names := make([]string, 0, len(srcs))
+	for n := range srcs {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	files := make([]*cc.File, len(names))
+	for i, n := range names {
+		f, err := cc.ParseFile(n, srcs[n])
+		if err != nil {
+			tb.Fatal(err)
+		}
+		files[i] = f
+	}
+	return files
+}
+
 // benchInputs parses a seeded workload and one bundled checker once,
 // outside any timed loop.
 func benchInputs(b *testing.B) ([]*cc.File, *metal.Checker) {
@@ -23,20 +42,7 @@ func benchInputs(b *testing.B) ([]*cc.File, *metal.Checker) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	names := make([]string, 0, len(srcs))
-	for n := range srcs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	files := make([]*cc.File, len(names))
-	for i, n := range names {
-		f, err := cc.ParseFile(n, srcs[n])
-		if err != nil {
-			b.Fatal(err)
-		}
-		files[i] = f
-	}
-	return files, c
+	return parseSorted(b, srcs), c
 }
 
 // BenchmarkBlockTraversal runs a full engine traversal over a seeded
@@ -48,6 +54,66 @@ func BenchmarkBlockTraversal(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		NewEngine(prog.Build(files...), c, DefaultOptions()).Run()
+	}
+}
+
+// suiteInputs parses the call-rich tree and the whole bundled suite
+// once — the cold-calls benchmark workload in miniature: every bug of
+// the tree shows only across calls, so summaries, refine/restore and
+// the per-path FPP state all do the work.
+func suiteInputs(tb testing.TB) ([]*cc.File, []*metal.Checker) {
+	tb.Helper()
+	var suite []*metal.Checker
+	for _, src := range checkers.All() {
+		c, err := metal.Parse(src.Text)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		suite = append(suite, c)
+	}
+	return parseSorted(tb, workload.CallRichTree()), suite
+}
+
+// runCallRich is one cold run: every bundled checker in order over a
+// fresh Program, sharing one annotation store. It returns the report
+// count so callers can check the run did something.
+func runCallRich(files []*cc.File, suite []*metal.Checker) int {
+	p := prog.Build(files...)
+	shared := NewShared()
+	shared.Mark("net_wait", "blocking")
+	reports := 0
+	for _, c := range suite {
+		reports += len(NewEngineShared(p, c, DefaultOptions(), shared).Run().Reports)
+	}
+	return reports
+}
+
+// BenchmarkCallRichTraversal is BenchmarkBlockTraversal for the
+// interprocedural half of the engine (`make profile` profiles it).
+func BenchmarkCallRichTraversal(b *testing.B) {
+	files, suite := suiteInputs(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		runCallRich(files, suite)
+	}
+}
+
+// callRichAllocCeiling bounds the heap allocations of one runCallRich,
+// about 5 % above the measured 18,887 (go1.24). The count repeats to
+// the unit, so a regression in the per-path state (fpp.Env, edge sets,
+// fpSeen) fails here without a timer. Before those became flat data
+// the same run allocated 30,788 objects.
+const callRichAllocCeiling = 19_800
+
+func TestCallRichTraversalAllocs(t *testing.T) {
+	files, suite := suiteInputs(t)
+	if runCallRich(files, suite) == 0 {
+		t.Fatal("the suite reported nothing on the call-rich tree")
+	}
+	got := testing.AllocsPerRun(5, func() { runCallRich(files, suite) })
+	t.Logf("%.0f allocations per suite run (ceiling %d)", got, callRichAllocCeiling)
+	if got > callRichAllocCeiling {
+		t.Errorf("%.0f allocations per suite run, ceiling %d", got, callRichAllocCeiling)
 	}
 }
 

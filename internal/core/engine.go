@@ -325,14 +325,15 @@ func (en *Engine) RunFunction(name string) *report.Set {
 	if fn == nil {
 		return en.Reports
 	}
+	fi := en.funcInfo(fn)
 	st := &pathState{
 		sm:        &SM{GState: en.Checker.InitialGlobal()},
-		env:       fpp.NewEnv(),
+		env:       fi.terms.NewEnv(),
 		fn:        fn,
 		callStack: []*prog.Function{fn},
 	}
 	en.Stats.Analyses[fn.Name]++
-	en.funcInfo(fn).Analyses++
+	fi.Analyses++
 	en.beginRoot(fn)
 	en.traverseBlock(st, fn.Graph.Entry)
 	return en.Reports
@@ -410,7 +411,7 @@ func (st *pathState) setPathClass(c report.Class) {
 // survives state cloning at mid-block call forks.
 type blockRec struct {
 	entryG string
-	fp     string
+	fp     uint32
 	entry  map[string]Tuple
 	killed map[string]Tuple
 	// createdKilled holds stop tuples for instances created and then
@@ -499,15 +500,12 @@ func (en *Engine) nonParamLocals(fn *prog.Function) map[string]bool {
 // function's non-parameter locals are omitted from suffix summaries
 // (Figure 5: "none of the suffix summaries record any information
 // about q because q is a local variable"). Memoized per function.
-func (en *Engine) localOmitFor(fn *prog.Function) func(Tuple) bool {
+func (en *Engine) localOmitFor(fn *prog.Function) func(cc.Expr) bool {
 	fi := en.funcInfo(fn)
 	if fi.localOmit == nil {
 		nonParam := en.nonParamLocals(fn)
-		fi.localOmit = func(t Tuple) bool {
-			if t.ObjExpr == nil {
-				return false
-			}
-			return mentionsAny(t.ObjExpr, nonParam)
+		fi.localOmit = func(obj cc.Expr) bool {
+			return obj != nil && mentionsAny(obj, nonParam)
 		}
 	}
 	return fi.localOmit
@@ -533,7 +531,7 @@ func (en *Engine) traverseBlock(st *pathState, b *cfg.Block) {
 	// remains. Coverage is refined by the FPP fact fingerprint so that
 	// paths with different branch facts are not conflated (see
 	// blockInfo.coversUnder).
-	fp := ""
+	var fp uint32
 	if en.Opts.FPP && st.env != nil {
 		fp = st.env.Fingerprint()
 	}
@@ -646,7 +644,8 @@ func (en *Engine) finishBlock(st *pathState, b *cfg.Block, bi *blockInfo, rec *b
 	// to relax add edges through gstate-preserving blocks). It joins
 	// the cache-relevant transition edges only when the placeholder
 	// actually was the extension state.
-	ghost := edge{From: placeholderTuple(rec.entryG), To: placeholderTuple(gEnd)}
+	ix := en.intern
+	ghost := ix.edge(placeholderTuple(rec.entryG), placeholderTuple(gEnd))
 	bi.gstate.add(ghost)
 	if len(rec.entry) == 0 {
 		bi.trans.add(ghost)
@@ -668,33 +667,33 @@ func (en *Engine) finishBlock(st *pathState, b *cfg.Block, bi *blockInfo, rec *b
 	// transition can be the identity").
 	for key, from := range rec.entry {
 		if to, wasKilled := rec.killed[key]; wasKilled {
-			bi.trans.add(edge{From: from, To: to})
+			bi.trans.add(ix.edge(from, to))
 			continue
 		}
-		if in, ok := current[key]; ok {
-			bi.trans.add(edge{From: from, To: instTuple(gEnd, in)})
+		if inst, ok := current[key]; ok {
+			bi.trans.add(ix.edge(from, instTuple(gEnd, inst)))
 		} else {
 			// The instance left scope some other way (e.g. dropped at
 			// a call boundary); record a stop edge.
 			to := from
 			to.G = gEnd
 			to.Val = StopVal
-			bi.trans.add(edge{From: from, To: to})
+			bi.trans.add(ix.edge(from, to))
 		}
 	}
 	// Add edges for instances created during the block.
-	for key, in := range current {
+	for key, inst := range current {
 		if _, known := rec.entry[key]; known {
 			continue
 		}
-		from := unknownTuple(rec.entryG, in.Var, in.Obj)
-		from.ObjExpr = in.ObjExpr
-		bi.adds.add(edge{From: from, To: instTuple(gEnd, in)})
+		from := unknownTuple(rec.entryG, inst.Var, inst.Obj)
+		from.ObjExpr = inst.ObjExpr
+		bi.adds.add(ix.edge(from, instTuple(gEnd, inst)))
 	}
 	for _, stop := range rec.createdKilled {
 		from := unknownTuple(rec.entryG, stop.Var, stop.Obj)
 		from.ObjExpr = stop.ObjExpr
-		bi.adds.add(edge{From: from, To: stop})
+		bi.adds.add(ix.edge(from, stop))
 	}
 
 	if st.killPath || len(b.Succs) == 0 {

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/cfg"
-	"repro/internal/fpp"
 	"repro/internal/prog"
 	"repro/internal/report"
 )
@@ -263,14 +262,15 @@ func (en *Engine) runRootIsolated(root *prog.Function) {
 			}
 		}
 	}()
+	fi := en.funcInfo(root)
 	st := &pathState{
 		sm:        &SM{GState: en.Checker.InitialGlobal()},
-		env:       fpp.NewEnv(),
+		env:       fi.terms.NewEnv(),
 		fn:        root,
 		callStack: []*prog.Function{root},
 	}
 	en.Stats.Analyses[root.Name]++
-	en.funcInfo(root).Analyses++
+	fi.Analyses++
 	en.beginRoot(root)
 	en.traverseBlock(st, root.Graph.Entry)
 }

@@ -162,14 +162,14 @@ func edgeData(s *edgeSet) []EdgeData {
 	}
 	out := make([]EdgeData, len(edges))
 	for i, e := range edges {
-		out[i] = EdgeData{From: tupleData(e.From), To: tupleData(e.To)}
+		out[i] = EdgeData{From: tupleData(s.in.fromTuple(e)), To: tupleData(s.in.toTuple(e))}
 	}
 	return out
 }
 
 func importEdges(s *edgeSet, data []EdgeData) {
 	for _, ed := range data {
-		s.add(edge{From: ed.From.tuple(), To: ed.To.tuple()})
+		s.add(s.in.edge(ed.From.tuple(), ed.To.tuple()))
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cc"
 	"repro/internal/cfg"
-	"repro/internal/fpp"
 	"repro/internal/prog"
 )
 
@@ -115,7 +114,7 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, fi *funcInfo, bi *bloc
 			}
 			cst := &pathState{
 				sm:        calleeSM,
-				env:       fpp.NewEnv(),
+				env:       calleeFi.terms.NewEnv(),
 				fn:        callee,
 				callStack: append(append([]*prog.Function(nil), st.callStack...), callee),
 				callDepth: st.callDepth + 1,
@@ -203,18 +202,22 @@ func (en *Engine) partitionResults(refined *SM, summary, entryBI *blockInfo, inT
 	// The exit global states come from the placeholder suffix edges;
 	// their absence means the callee has no summary at all in this
 	// state.
-	phEdges := summary.sfxTrans.from(placeholderTuple(refined.GState))
+	ix := en.intern
 	gstates := map[string]bool{}
-	for _, e := range phEdges {
-		gstates[e.To.G] = true
+	for _, e := range summary.sfxTrans.from(placeholderTuple(refined.GState)) {
+		gstates[ix.tups[e.to].g] = true
 	}
 	if len(gstates) == 0 {
 		return nil
 	}
 
-	// outsByG[gstate][objKey] = distinct out tuples.
-	outsByG := map[string]map[string][]Tuple{}
-	record := func(t Tuple) {
+	// outsByG[gstate][objKey] = distinct out tuples, by interned id.
+	type out struct {
+		id tid
+		t  Tuple
+	}
+	outsByG := map[string]map[string][]out{}
+	record := func(id tid, t Tuple) {
 		g := t.G
 		gstates[g] = true
 		if t.IsPlaceholder() {
@@ -222,17 +225,16 @@ func (en *Engine) partitionResults(refined *SM, summary, entryBI *blockInfo, inT
 		}
 		m := outsByG[g]
 		if m == nil {
-			m = map[string][]Tuple{}
+			m = map[string][]out{}
 			outsByG[g] = m
 		}
 		key := instKey(t.Var, t.Obj)
-		id := en.intern.id(t)
 		for _, prev := range m[key] {
-			if en.intern.id(prev) == id {
+			if prev.id == id {
 				return
 			}
 		}
-		m[key] = append(m[key], t)
+		m[key] = append(m[key], out{id, t})
 	}
 
 	for _, in := range inTuples {
@@ -244,14 +246,14 @@ func (en *Engine) partitionResults(refined *SM, summary, entryBI *blockInfo, inT
 			if !entryBI.trans.hasFrom(in) {
 				// Never traversed in this state (incomplete recursive
 				// summary): pass the instance through unchanged (§7).
-				record(in)
+				record(ix.id(in), in)
 			}
 			// Else: every path stopped the object — it drops out of
 			// the outgoing state (§6.3).
 			continue
 		}
 		for _, e := range outs {
-			record(e.To)
+			record(e.to, ix.toTuple(e))
 		}
 	}
 	// Add edges: apply when the object has no instance at entry
@@ -264,13 +266,11 @@ func (en *Engine) partitionResults(refined *SM, summary, entryBI *blockInfo, inT
 		}
 	}
 	for _, e := range summary.sfxAdds.all() {
-		if e.From.G != refined.GState {
+		from := &ix.tups[e.from]
+		if from.g != refined.GState || have[instKey(from.varName, from.obj)] {
 			continue
 		}
-		if have[instKey(e.From.Var, e.From.Obj)] {
-			continue
-		}
-		record(e.To)
+		record(e.to, ix.toTuple(e))
 	}
 
 	// Build partitions: group by out gstate; within a group, take the
@@ -295,7 +295,7 @@ func (en *Engine) partitionResults(refined *SM, summary, entryBI *blockInfo, inT
 			var next []partition
 			for _, c := range combos {
 				for _, o := range outs {
-					nc := partition{gstate: g, tuples: append(append([]Tuple(nil), c.tuples...), o)}
+					nc := partition{gstate: g, tuples: append(append([]Tuple(nil), c.tuples...), o.t)}
 					next = append(next, nc)
 					if len(next) >= en.Opts.MaxPartitions {
 						break

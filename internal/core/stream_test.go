@@ -88,6 +88,49 @@ func TestStreamingRunMatchesInMemory(t *testing.T) {
 	}
 }
 
+// The FPP term/fingerprint table and the fpSeen sets that hold its ids
+// are owned by a function's funcInfo, so retiring the function drops
+// both together: under streaming neither can outgrow the resident
+// units. A reload for inspection brings back the exported summaries
+// only — fpSeen is traversal-internal — on a fresh, empty table.
+func TestRetirementDropsFPPState(t *testing.T) {
+	srcs := workload.CallRichTree()
+	fppState := func(en *Engine) (terms, fps, seen int) {
+		for _, fi := range en.funcs {
+			nt, nf := fi.terms.Len()
+			terms, fps = terms+nt, fps+nf
+			for _, bi := range fi.blocks {
+				seen += len(bi.fpSeen)
+			}
+		}
+		return
+	}
+
+	resident := NewEngine(rebuild(t, "fpp-resident", srcs), mustTestChecker(t, "free"), DefaultOptions())
+	resident.Run()
+	if terms, fps, seen := fppState(resident); terms == 0 || fps == 0 || seen == 0 {
+		t.Fatalf("resident run holds terms=%d fingerprints=%d fpSeen=%d; the tree no longer exercises FPP", terms, fps, seen)
+	}
+
+	p := rebuild(t, "fpp-stream", srcs)
+	en := NewEngine(p, mustTestChecker(t, "free"), DefaultOptions())
+	en.SetSpill(newMapSpill(), spillKey)
+	en.SetRetire(p.PlanRetire(p.Roots), nil)
+	en.Run()
+	if len(en.funcs) != 0 {
+		t.Fatalf("%d funcInfo blocks survived full retirement", len(en.funcs))
+	}
+	for _, fn := range p.All {
+		en.SupergraphString(fn.Name)
+	}
+	if en.Spill.Reloads == 0 {
+		t.Fatal("inspection reloaded nothing")
+	}
+	if terms, fps, seen := fppState(en); terms != 0 || fps != 0 || seen != 0 {
+		t.Errorf("retired functions left terms=%d fingerprints=%d fpSeen=%d behind", terms, fps, seen)
+	}
+}
+
 // Reload is gated to the engine's own evictions: an engine that never
 // spilled a function must not import foreign store content into a live
 // traversal (AllowSpillReload is reserved for non-traversing engines).

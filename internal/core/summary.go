@@ -2,109 +2,95 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/cc"
 	"repro/internal/cfg"
+	"repro/internal/fpp"
 )
 
 // edge is a directed summary edge between state tuples (§5.2).
 // Transition edges start at a concrete tuple; add edges start at an
-// "(g, v:t->unknown)" tuple. fromID/toID are the interned tuple ids,
-// populated when the edge is stored in an edgeSet.
+// "(g, v:t->unknown)" tuple. The tuples' identity lives in the
+// interner, once; the edge holds their ids plus the material that is
+// not identity and that applying a summary at a call boundary needs:
+// both object expressions and the end tuple's provenance.
 type edge struct {
-	From, To     Tuple
-	fromID, toID tid
+	from, to         tid
+	fromExpr, toExpr cc.Expr
+	prov             *Instance
 }
 
-// edgeSet stores edges indexed by interned start-tuple id,
-// deduplicated by (from, to) id pair. Identity and deterministic
-// ordering follow the rendered Key() strings exactly (the interner
-// assigns one id per distinct rendered string), so replacing the
-// string keys with ids cannot change what is stored or the order
-// all() yields.
+// edgeSet stores edges deduplicated by (from, to) id pair in one
+// slice, grouped by start tuple: groups in ascending order of the
+// start tuple's rendered key, insertion order within a group — the
+// original string-keyed ordering, which all() therefore yields without
+// sorting or copying. Most blocks of most checkers never store an edge
+// (their patterns never fire there), so the zero value is ready and
+// owns nothing.
 type edgeSet struct {
-	in     *interner
-	byFrom map[tid][]edge
-	count  int
-	// sorted caches all()'s deterministic ordering between adds; the
-	// relaxation loop calls all() far more often than it adds.
-	sorted []edge
-	dirty  bool
+	in    *interner
+	edges []edge
 }
 
-func newEdgeSet(in *interner) *edgeSet { return &edgeSet{in: in} }
+// group returns the index range of the edges starting at the tuple;
+// when there are none, lo == hi is where the first one belongs. Ids
+// and rendered keys correspond one to one, so the binary search only
+// compares strings against other groups.
+func (s *edgeSet) group(id tid) (lo, hi int) {
+	lo, hi = 0, len(s.edges)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if f := s.edges[m].from; f != id && s.in.key(f) < s.in.key(id) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	for hi = lo; hi < len(s.edges) && s.edges[hi].from == id; hi++ {
+	}
+	return lo, hi
+}
 
-// add inserts the edge; it reports whether the edge was new. Dedup
-// scans the byFrom bucket (buckets hold a handful of edges). The index
-// map is created on the first insert: most blocks of most checkers
-// never store an edge (their patterns never fire there), so eager maps
-// are pure overhead.
+// add inserts the edge; it reports whether the edge was new.
 func (s *edgeSet) add(e edge) bool {
-	e.fromID = s.in.id(e.From)
-	e.toID = s.in.id(e.To)
-	for _, prev := range s.byFrom[e.fromID] {
-		if prev.toID == e.toID {
+	lo, hi := s.group(e.from)
+	for _, prev := range s.edges[lo:hi] {
+		if prev.to == e.to {
 			return false
 		}
 	}
-	if s.byFrom == nil {
-		s.byFrom = map[tid][]edge{}
-	}
-	s.byFrom[e.fromID] = append(s.byFrom[e.fromID], e)
-	s.count++
-	s.dirty = true
+	s.edges = slices.Insert(s.edges, hi, e)
 	return true
 }
 
 // hasFrom reports whether any edge starts at the given tuple.
-func (s *edgeSet) hasFrom(t Tuple) bool { return len(s.byFrom[s.in.id(t)]) > 0 }
+func (s *edgeSet) hasFrom(t Tuple) bool { return len(s.from(t)) > 0 }
 
-// from returns the edges starting at the tuple.
-func (s *edgeSet) from(t Tuple) []edge { return s.byFrom[s.in.id(t)] }
-
-// all returns every edge in deterministic order (ascending rendered
-// start-tuple key, insertion order within a key — the original
-// string-keyed ordering). The slice is cached until the next add;
-// callers must not mutate it.
-func (s *edgeSet) all() []edge {
-	if !s.dirty {
-		return s.sorted
+// from returns the edges starting at the tuple. The slice aliases the
+// set: it is valid until the next add.
+func (s *edgeSet) from(t Tuple) []edge {
+	if len(s.edges) == 0 {
+		return nil
 	}
-	if len(s.byFrom) == 1 {
-		// Single start tuple — the common shape — needs no id slice
-		// and no sort; the bucket is already in insertion order.
-		for _, edges := range s.byFrom {
-			s.sorted = append([]edge(nil), edges...)
-		}
-		s.dirty = false
-		return s.sorted
-	}
-	ids := make([]tid, 0, len(s.byFrom))
-	n := 0
-	for id, edges := range s.byFrom {
-		ids = append(ids, id)
-		n += len(edges)
-	}
-	sort.Slice(ids, func(i, j int) bool { return s.in.key(ids[i]) < s.in.key(ids[j]) })
-	out := make([]edge, 0, n)
-	for _, id := range ids {
-		out = append(out, s.byFrom[id]...)
-	}
-	s.sorted = out
-	s.dirty = false
-	return out
+	lo, hi := s.group(s.in.id(t))
+	return s.edges[lo:hi]
 }
 
-func (s *edgeSet) len() int { return s.count }
+// all returns every edge in the deterministic order above. The slice
+// is the set's own: callers must not mutate it, nor add to this set
+// while ranging over it.
+func (s *edgeSet) all() []edge { return s.edges }
+
+func (s *edgeSet) len() int { return len(s.edges) }
 
 // blockInfo is the per-block cache: the block summary (transition +
 // add edges, §5.2) and the suffix summary (§6.2).
 type blockInfo struct {
 	// The five edge sets are value fields: one blockInfo allocation
-	// covers all of them (they used to be five separate allocations
-	// per block per engine, a top allocation site).
+	// covers all of them.
 	trans edgeSet
 	adds  edgeSet
 	// gstate records the "(g,<>) -> (g',<>)" global-instance edge of
@@ -120,10 +106,14 @@ type blockInfo struct {
 	// fpSeen refines cache coverage by the FPP fact fingerprint at
 	// block entry: a tuple only counts as covered under the same
 	// facts, so pruning decisions downstream stay consistent (the
-	// paper's footnote-1 gap). Bounded by fpCacheCap; past the cap
-	// coverage falls back to tuple-only (the paper's behaviour).
-	fpSeen map[string]map[tid]bool
-	in     *interner
+	// paper's footnote-1 gap). It is the sorted set of
+	// fingerprint<<32|tid pairs seen, fpCount the distinct fingerprints
+	// among them; once fpCount passes fpCacheCap, coverage falls back to
+	// tuple-only (the paper's behaviour) for good and fpSeen is dropped.
+	// The ids belong to the function's fpp.Table (funcInfo.terms).
+	fpSeen  []uint64
+	fpCount int
+	in      *interner
 	// feats caches the block's syntactic features for the transition
 	// pre-filter (see prefilter.go); nil until first traversal.
 	feats *blockFeats
@@ -150,29 +140,35 @@ const fpCacheCap = 16
 
 // coversUnder reports whether the tuple is covered for the given FPP
 // fingerprint. With the cap exceeded (or no FPP facts at all, fp ==
-// ""), coverage degrades to the tuple-only §5.2 condition.
-func (b *blockInfo) coversUnder(t Tuple, fp string) bool {
-	if fp == "" || len(b.fpSeen) > fpCacheCap {
+// 0), coverage degrades to the tuple-only §5.2 condition.
+func (b *blockInfo) coversUnder(t Tuple, fp uint32) bool {
+	if fp == 0 || b.fpCount > fpCacheCap {
 		return b.covers(t)
 	}
-	return b.fpSeen[fp][b.in.id(t)]
+	_, seen := slices.BinarySearch(b.fpSeen, uint64(fp)<<32|uint64(b.in.id(t)))
+	return seen
 }
 
 // noteSeen records that the tuple reached this block under the given
 // fingerprint.
-func (b *blockInfo) noteSeen(t Tuple, fp string) {
-	if fp == "" {
+func (b *blockInfo) noteSeen(t Tuple, fp uint32) {
+	if fp == 0 || b.fpCount > fpCacheCap {
 		return
 	}
-	if b.fpSeen == nil {
-		b.fpSeen = map[string]map[tid]bool{}
+	key := uint64(fp)<<32 | uint64(b.in.id(t))
+	i, seen := slices.BinarySearch(b.fpSeen, key)
+	if seen {
+		return
 	}
-	m := b.fpSeen[fp]
-	if m == nil {
-		m = map[tid]bool{}
-		b.fpSeen[fp] = m
+	// The pairs of one fingerprint are adjacent, so a new fingerprint
+	// shows in the neighbours.
+	if (i == 0 || uint32(b.fpSeen[i-1]>>32) != fp) && (i == len(b.fpSeen) || uint32(b.fpSeen[i]>>32) != fp) {
+		if b.fpCount++; b.fpCount > fpCacheCap {
+			b.fpSeen = nil
+			return
+		}
 	}
-	m[b.in.id(t)] = true
+	b.fpSeen = slices.Insert(b.fpSeen, i, key)
 }
 
 // covers reports whether the block summary already contains the tuple
@@ -197,7 +193,13 @@ type funcInfo struct {
 	// the non-parameter locals set and the suffix-summary omission
 	// predicate built from it (both were rebuilt per use before).
 	nonParam  map[string]bool
-	localOmit func(Tuple) bool
+	localOmit func(cc.Expr) bool
+	// terms interns the FPP terms and fingerprints of this function's
+	// path environments (an environment never crosses a call boundary,
+	// so neither do its ids). It shares the funcInfo's lifetime with
+	// the fpSeen sets that hold its fingerprint ids: eviction drops
+	// both together.
+	terms fpp.Table
 }
 
 func newFuncInfo(g *cfg.Graph, in *interner) *funcInfo {
@@ -238,10 +240,10 @@ type traceEntry struct {
 // relax propagates suffix edges backwards along the just-finished
 // path (Figure 6). final is the block whose suffix summary seeds the
 // propagation: the exit block at a normal path end, or the cache-hit
-// block on an abort. localOmit reports tuples whose objects are
+// block on an abort. localOmit reports object expressions that are
 // function-local, whose suffix edges should be skipped because "the
 // analysis would never use these edges" (Figure 5 caption).
-func relax(backtrace []traceEntry, final *blockInfo, seedFinal bool, localOmit func(t Tuple) bool) {
+func relax(backtrace []traceEntry, final *blockInfo, seedFinal bool, localOmit func(cc.Expr) bool) {
 	// Seed only at a true path end: "ep's suffix summary equals its
 	// block summary" (§6.2) holds for the exit block alone. On a
 	// cache-hit abort the hit block's suffix is already populated from
@@ -268,21 +270,19 @@ func relax(backtrace []traceEntry, final *blockInfo, seedFinal bool, localOmit f
 // summary (dropping stop-ending edges and local objects). Global
 // instance edges always seed: they carry the reachable exit gstates
 // that function-summary application reads.
-func seedSuffix(bi *blockInfo, localOmit func(Tuple) bool) {
+func seedSuffix(bi *blockInfo, localOmit func(cc.Expr) bool) {
 	for _, e := range bi.gstate.all() {
 		bi.sfxTrans.add(e)
 	}
 	for _, e := range bi.trans.all() {
-		if suffixSkip(e, localOmit) {
-			continue
+		if !bi.in.suffixSkip(e, localOmit) {
+			bi.sfxTrans.add(e)
 		}
-		bi.sfxTrans.add(e)
 	}
 	for _, e := range bi.adds.all() {
-		if suffixSkip(e, localOmit) {
-			continue
+		if !bi.in.suffixSkip(e, localOmit) {
+			bi.sfxAdds.add(e)
 		}
-		bi.sfxAdds.add(e)
 	}
 }
 
@@ -290,98 +290,80 @@ func seedSuffix(bi *blockInfo, localOmit func(Tuple) bool) {
 // ending in stop are unnecessary ("the suffix summary intentionally
 // omits edges that end in a tuple with the value stop"), and edges
 // about function-local objects are never used by callers.
-func suffixSkip(e edge, localOmit func(Tuple) bool) bool {
-	if strings.HasPrefix(e.To.Val, StopVal) {
+func (in *interner) suffixSkip(e edge, localOmit func(cc.Expr) bool) bool {
+	if strings.HasPrefix(in.tups[e.to].val, StopVal) {
 		return true
 	}
-	if localOmit != nil {
-		if e.From.Obj != "" && localOmit(e.From) {
-			return true
-		}
-		if e.To.Obj != "" && localOmit(e.To) {
-			return true
-		}
-	}
-	return false
+	return localOmit != nil && (localOmit(e.fromExpr) || localOmit(e.toExpr))
 }
 
 // StopVal is the stop sink's value string.
 const StopVal = "stop"
 
+// compose joins a block edge and a suffix edge that starts where it
+// ends: the block edge's start, the suffix edge's end.
+func compose(pe, sfx edge) edge {
+	sfx.from, sfx.fromExpr = pe.from, pe.fromExpr
+	return sfx
+}
+
 // combineSuffix merges next's suffix edges through cur's block
 // summary into cur's suffix summary; it reports whether anything new
 // was added.
-func combineSuffix(cur, next *blockInfo, localOmit func(Tuple) bool) bool {
+func combineSuffix(cur, next *blockInfo, localOmit func(cc.Expr) bool) bool {
+	in := cur.in
 	grew := false
+	// On a loop cur can be next: range over next's edges as they stand,
+	// not as cur's additions shift them.
+	snapshot := func(edges []edge) []edge {
+		if cur == next {
+			return slices.Clone(edges)
+		}
+		return edges
+	}
 	// Suffix transition edges: compose with cur's transition or add
 	// edges whose end tuple equals the suffix edge's start tuple.
 	// Placeholder suffix edges compose through cur's global-instance
 	// edges instead.
-	for _, et := range next.sfxTrans.all() {
-		if et.From.IsPlaceholder() {
+	for _, et := range snapshot(next.sfxTrans.all()) {
+		if from := &in.tups[et.from]; from.obj == "" {
 			for _, ge := range cur.gstate.all() {
-				if ge.To.G != et.From.G {
-					continue
-				}
-				ne := edge{From: ge.From, To: et.To}
-				if cur.sfxTrans.add(ne) {
+				if in.tups[ge.to].g == from.g && cur.sfxTrans.add(compose(ge, et)) {
 					grew = true
 				}
 			}
 			continue
 		}
-		for _, pe := range edgesEndingAt(&cur.trans, et.From) {
-			ne := edge{From: pe.From, To: et.To}
-			if suffixSkip(ne, localOmit) {
-				continue
-			}
-			if cur.sfxTrans.add(ne) {
-				grew = true
-			}
-		}
-		for _, pe := range edgesEndingAt(&cur.adds, et.From) {
-			ne := edge{From: pe.From, To: et.To}
-			if suffixSkip(ne, localOmit) {
-				continue
-			}
-			if cur.sfxAdds.add(ne) {
-				grew = true
+		through := func(block, sfx *edgeSet) {
+			for _, pe := range block.all() {
+				if pe.to != et.from {
+					continue
+				}
+				if ne := compose(pe, et); !in.suffixSkip(ne, localOmit) && sfx.add(ne) {
+					grew = true
+				}
 			}
 		}
+		through(&cur.trans, &cur.sfxTrans)
+		through(&cur.adds, &cur.sfxAdds)
 	}
 	// Suffix add edges: the object was unknown throughout cur too, so
 	// compose with cur's global-instance edges — the "(g,<>)->(g',<>)"
 	// transitions every traversal records (§6.2).
-	for _, ea := range next.sfxAdds.all() {
+	for _, ea := range snapshot(next.sfxAdds.all()) {
+		from := in.tups[ea.from]
 		for _, ge := range cur.gstate.all() {
-			if ge.To.G != ea.From.G {
+			if in.tups[ge.to].g != from.g {
 				continue
 			}
-			ne := edge{From: unknownTuple(ge.From.G, ea.From.Var, ea.From.Obj), To: ea.To}
-			ne.From.ObjExpr = ea.From.ObjExpr
-			if suffixSkip(ne, localOmit) {
-				continue
-			}
-			if cur.sfxAdds.add(ne) {
+			ne := ea
+			ne.from = in.id(unknownTuple(in.tups[ge.from].g, from.varName, from.obj))
+			if !in.suffixSkip(ne, localOmit) && cur.sfxAdds.add(ne) {
 				grew = true
 			}
 		}
 	}
 	return grew
-}
-
-// edgesEndingAt returns the edges in s whose end tuple equals t.
-func edgesEndingAt(s *edgeSet, t Tuple) []edge {
-	id := s.in.id(t)
-	var out []edge
-	for _, edges := range s.byFrom {
-		for _, e := range edges {
-			if e.toID == id {
-				out = append(out, e)
-			}
-		}
-	}
-	return out
 }
 
 // FormatBlockSummary renders a block's summary edges in the Figure 5
@@ -391,18 +373,20 @@ func edgesEndingAt(s *edgeSet, t Tuple) []edge {
 // only element in the cache").
 func formatEdges(trans, adds *edgeSet) string {
 	var parts []string
+	in := trans.in
+	render := func(e edge) string { return in.key(e.from) + " --> " + in.key(e.to) }
 	for _, e := range trans.all() {
-		if e.From.IsPlaceholder() && e.To.IsPlaceholder() {
+		if in.tups[e.from].obj == "" && in.tups[e.to].obj == "" {
 			continue
 		}
-		parts = append(parts, e.From.Key()+" --> "+e.To.Key())
+		parts = append(parts, render(e))
 	}
 	for _, e := range adds.all() {
-		parts = append(parts, e.From.Key()+" --> "+e.To.Key())
+		parts = append(parts, render(e))
 	}
 	if len(parts) == 0 {
 		for _, e := range trans.all() {
-			parts = append(parts, e.From.Key()+" --> "+e.To.Key())
+			parts = append(parts, render(e))
 		}
 	}
 	sort.Strings(parts)

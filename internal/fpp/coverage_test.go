@@ -64,6 +64,29 @@ func TestTermForms(t *testing.T) {
 	if got := e4.EvalCond(expr(t, "f(x) == 1")); got != Unknown {
 		t.Errorf("call term should be untracked: %v", got)
 	}
+	// Constant terms are decoded in one place, the term table: "$<n>"
+	// is a constant exactly when n fits an int64. (A second, hand-rolled
+	// decoder used to wrap on overflow and call the last one a constant.)
+	e5 := NewEnv()
+	for _, c := range []struct {
+		term string
+		val  int64
+		ok   bool
+	}{
+		{ConstTerm(-7), -7, true},
+		{"$9223372036854775807", 9223372036854775807, true},
+		{"$99999999999999999999", 0, false},
+		{"$", 0, false},
+		{"$x", 0, false},
+		{"x#0", 0, false},
+	} {
+		if v, ok := e5.TermConst(c.term); v != c.val || ok != c.ok {
+			t.Errorf("TermConst(%q) = %d, %v; want %d, %v", c.term, v, ok, c.val, c.ok)
+		}
+		if got := e5.CanonTerm(c.term); got != c.term {
+			t.Errorf("CanonTerm(%q) = %q, want itself", c.term, got)
+		}
+	}
 }
 
 func TestConstOfThroughClasses(t *testing.T) {

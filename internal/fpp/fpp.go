@@ -5,12 +5,7 @@
 // executable and most data dependencies are simple.
 package fpp
 
-import (
-	"fmt"
-	"strconv"
-
-	"repro/internal/cc"
-)
+import "repro/internal/cc"
 
 // Verdict is the result of evaluating a branch condition.
 type Verdict int
@@ -22,103 +17,93 @@ const (
 	MustFalse
 )
 
-// Env is the per-path fact environment. Each path through the CFG
-// carries its own copy; Clone is cheap-ish (maps copied on demand at
-// split points by the engine).
+// Env is the per-path fact environment: variable versions (§8 step 1:
+// "For each assignment to a variable, we assign a new name to that
+// variable so that different definitions of the variable are not
+// confused") and the congruence-closure facts of facts.go, in one flat
+// pointer-free list over the terms of a Table. Each path through the
+// CFG carries its own copy, which the engine clones at every split.
 type Env struct {
-	// versions renames variables on assignment (§8 step 1: "For each
-	// assignment to a variable, we assign a new name to that variable
-	// so that different definitions of the variable are not
-	// confused").
-	versions     map[string]int
-	uf           *unionFind
+	tab          *Table
+	facts        []fact
 	contradicted bool
-	// fp caches Fingerprint(); mutations invalidate it.
-	fp      string
+	// fp caches Fingerprint(); a new or rewritten fact other than a
+	// version invalidates it.
+	fp      uint32
 	fpValid bool
 }
 
-// NewEnv returns an empty fact environment.
-func NewEnv() *Env {
-	return &Env{versions: map[string]int{}, uf: newUnionFind()}
-}
+// NewEnv returns an empty fact environment over a table of its own.
+func NewEnv() *Env { return NewTable().NewEnv() }
 
-// Clone deep-copies the environment.
+// cloneSlack is the room a clone leaves for the facts the branch it
+// was made for is about to assume.
+const cloneSlack = 4
+
+// Clone copies the environment: the struct and one pointer-free array.
 func (e *Env) Clone() *Env {
-	out := &Env{
-		versions:     make(map[string]int, len(e.versions)),
-		uf:           e.uf.clone(),
-		contradicted: e.contradicted,
-		fp:           e.fp,
-		fpValid:      e.fpValid,
-	}
-	for k, v := range e.versions {
-		out.versions[k] = v
-	}
-	return out
+	out := *e
+	out.facts = make([]fact, len(e.facts), len(e.facts)+cloneSlack)
+	copy(out.facts, e.facts)
+	return &out
 }
 
 // Contradicted reports whether the path's facts became inconsistent
 // (the path is infeasible).
 func (e *Env) Contradicted() bool { return e.contradicted }
 
-// term renders an expression with version-subscripted variable names,
-// or "" if the expression is too complex to name stably.
-func (e *Env) term(x cc.Expr) string {
+// term interns an expression over version-subscripted variables, or
+// returns noTerm if the expression is too complex to name stably.
+func (e *Env) term(x cc.Expr) term {
+	tb := e.tab
 	switch x := x.(type) {
 	case *cc.Ident:
-		return fmt.Sprintf("%s#%d", x.Name, e.versions[x.Name])
+		return e.varTerm(tb.nameID(x.Name))
 	case *cc.IntLit:
-		return constTerm(x.Value)
+		return tb.constID(x.Value)
 	case *cc.CharLit:
 		if v, ok := cc.ConstEval(x); ok {
-			return constTerm(v)
+			return tb.constID(v)
 		}
-		return ""
 	case *cc.UnaryExpr:
 		if x.Op == cc.TokMinus {
 			if v, ok := e.constOf(x.X); ok {
-				return constTerm(-v)
+				return tb.constID(-v)
 			}
 		}
-		inner := e.term(x.X)
-		if inner == "" {
-			return ""
+		if inner := e.term(x.X); inner != noTerm {
+			return tb.intern(node{kind: kindUnary, op: x.Op, a: int32(inner)})
 		}
-		return x.Op.String() + "(" + inner + ")"
 	case *cc.BinaryExpr:
 		// Try full constant folding through known values first.
 		if v, ok := e.eval(x); ok {
-			return constTerm(v)
+			return tb.constID(v)
 		}
-		l, r := e.term(x.X), e.term(x.Y)
-		if l == "" || r == "" {
-			return ""
+		if l, r := e.term(x.X), e.term(x.Y); l != noTerm && r != noTerm {
+			return tb.intern(node{kind: kindBinary, op: x.Op, a: int32(l), b: int32(r)})
 		}
-		return "(" + l + x.Op.String() + r + ")"
 	case *cc.FieldExpr:
-		inner := e.term(x.X)
-		if inner == "" {
-			return ""
+		if inner := e.term(x.X); inner != noTerm {
+			op := cc.TokDot
+			if x.Arrow {
+				op = cc.TokArrow
+			}
+			return tb.intern(node{kind: kindField, op: op, a: int32(inner), b: tb.nameID(x.Name)})
 		}
-		sep := "."
-		if x.Arrow {
-			sep = "->"
-		}
-		return inner + sep + x.Name
 	case *cc.IndexExpr:
-		b, i := e.term(x.X), e.term(x.Index)
-		if b == "" || i == "" {
-			return ""
+		if b, i := e.term(x.X), e.term(x.Index); b != noTerm && i != noTerm {
+			return tb.intern(node{kind: kindIndex, a: int32(b), b: int32(i)})
 		}
-		return b + "[" + i + "]"
 	case *cc.CastExpr:
 		return e.term(x.X)
 	}
-	return ""
+	return noTerm
 }
 
-func constTerm(v int64) string { return "$" + strconv.FormatInt(v, 10) }
+// varTerm is the term of a variable at its current version.
+func (e *Env) varTerm(name int32) term {
+	return e.tab.intern(node{kind: kindVar, a: name, b: e.version(name)})
+}
 
 // constOf resolves an expression to a known constant through the
 // equivalence classes.
@@ -126,11 +111,7 @@ func (e *Env) constOf(x cc.Expr) (int64, bool) {
 	if v, ok := cc.ConstEval(x); ok {
 		return v, true
 	}
-	t := e.term(x)
-	if t == "" {
-		return 0, false
-	}
-	return e.uf.constOf(t)
+	return e.termConst(e.term(x))
 }
 
 // eval tries to evaluate an expression using tracked values (§8 step
@@ -142,7 +123,7 @@ func (e *Env) eval(x cc.Expr) (int64, bool) {
 	case *cc.CharLit:
 		return cc.ConstEval(x)
 	case *cc.Ident:
-		return e.uf.constOf(e.term(x))
+		return e.termConst(e.term(x))
 	case *cc.UnaryExpr:
 		v, ok := e.eval(x.X)
 		if !ok {
@@ -254,25 +235,23 @@ func (e *Env) Assign(lhs, rhs cc.Expr) {
 		return
 	}
 	// Evaluate the RHS in the *old* environment before renaming.
-	rhsTerm := ""
+	var rhsTerm term
 	if v, ok := e.eval(rhs); ok {
-		rhsTerm = constTerm(v)
+		rhsTerm = e.tab.constID(v)
 	} else {
 		rhsTerm = e.term(rhs)
 	}
-	e.versions[id.Name]++
-	e.fpValid = false
-	if rhsTerm != "" {
-		e.uf.union(e.term(id), rhsTerm)
+	name := e.tab.nameID(id.Name)
+	e.bump(name)
+	if rhsTerm != noTerm {
+		// A fresh version has no facts yet, so this cannot contradict.
+		e.union(e.varTerm(name), rhsTerm)
 	}
 }
 
 // Havoc invalidates a variable (used for loop bodies, §8 step 3, and
 // address-taken escapes).
-func (e *Env) Havoc(name string) {
-	e.versions[name]++
-	e.fpValid = false
-}
+func (e *Env) Havoc(name string) { e.bump(e.tab.nameID(name)) }
 
 // HavocAssigned havocs every variable assigned anywhere in the
 // statement (loop bodies): "we set the value of all variables defined
@@ -397,18 +376,18 @@ func (e *Env) evalRelation(cond cc.Expr) Verdict {
 			return Unknown
 		case cc.TokEq, cc.TokNe, cc.TokLt, cc.TokGt, cc.TokLe, cc.TokGe:
 			lt, rt := e.term(cond.X), e.term(cond.Y)
-			if lt == "" || rt == "" {
+			if lt == noTerm || rt == noTerm {
 				return Unknown
 			}
-			return e.uf.relate(cond.Op, lt, rt)
+			return e.relate(cond.Op, lt, rt)
 		}
 	case *cc.Ident, *cc.FieldExpr, *cc.IndexExpr:
 		// Bare truth test: x is true iff x != 0.
 		t := e.term(cond)
-		if t == "" {
+		if t == noTerm {
 			return Unknown
 		}
-		return e.uf.relate(cc.TokNe, t, constTerm(0))
+		return e.relate(cc.TokNe, t, e.tab.constID(0))
 	}
 	return Unknown
 }
@@ -444,14 +423,7 @@ func (e *Env) AssumeCond(cond cc.Expr, truth bool) {
 			if !truth {
 				op = negateRel(op)
 			}
-			lt, rt := e.term(cond.X), e.term(cond.Y)
-			if lt == "" || rt == "" {
-				return
-			}
-			e.fpValid = false
-			if !e.uf.assert(op, lt, rt) {
-				e.contradicted = true
-			}
+			e.assume(op, e.term(cond.X), e.term(cond.Y))
 			return
 		case cc.TokPlus, cc.TokMinus, cc.TokStar, cc.TokSlash, cc.TokPercent,
 			cc.TokAmp, cc.TokPipe, cc.TokCaret, cc.TokShl, cc.TokShr:
@@ -470,16 +442,20 @@ func (e *Env) AssumeCond(cond cc.Expr, truth bool) {
 
 // assumeTruthy records expr != 0 (truth) or expr == 0 (!truth).
 func (e *Env) assumeTruthy(x cc.Expr, truth bool) {
-	e.fpValid = false
-	t := e.term(x)
-	if t == "" {
-		return
-	}
 	op := cc.TokNe
 	if !truth {
 		op = cc.TokEq
 	}
-	if !e.uf.assert(op, t, constTerm(0)) {
+	e.assume(op, e.term(x), e.tab.constID(0))
+}
+
+// assume asserts op(l, r) when both sides are nameable; a
+// contradiction marks the environment infeasible.
+func (e *Env) assume(op cc.TokKind, l, r term) {
+	if l == noTerm || r == noTerm {
+		return
+	}
+	if !e.assert(op, l, r) {
 		e.contradicted = true
 	}
 }
@@ -504,35 +480,24 @@ func negateRel(op cc.TokKind) cc.TokKind {
 
 // AssumeCase asserts tag == val (switch dispatch).
 func (e *Env) AssumeCase(tag cc.Expr, val int64) {
-	t := e.term(tag)
-	if t == "" {
-		return
-	}
-	e.fpValid = false
-	if !e.uf.assert(cc.TokEq, t, constTerm(val)) {
-		e.contradicted = true
-	}
+	e.assume(cc.TokEq, e.term(tag), e.tab.constID(val))
 }
 
 // AssumeNotCase asserts tag != val (the default edge given the listed
 // cases).
 func (e *Env) AssumeNotCase(tag cc.Expr, val int64) {
-	t := e.term(tag)
-	if t == "" {
-		return
-	}
-	e.fpValid = false
-	if !e.uf.assert(cc.TokNe, t, constTerm(val)) {
-		e.contradicted = true
-	}
+	e.assume(cc.TokNe, e.term(tag), e.tab.constID(val))
 }
 
-// Fingerprint summarizes the environment for cache keying; equal
-// environments produce equal fingerprints. The result is cached until
-// the next mutation.
-func (e *Env) Fingerprint() string {
+// Fingerprint summarizes the facts (not the versions) for cache
+// keying: within one Table, two environments get the same id exactly
+// when they hold the same set of facts; 0 means no facts. The result
+// is cached until the next mutation.
+func (e *Env) Fingerprint() uint32 {
 	if !e.fpValid {
-		e.fp = e.uf.fingerprint(e.versions)
+		tb := e.tab
+		tb.sorted = e.canonical(tb.sorted[:0])
+		e.fp = tb.fingerprint(tb.sorted)
 		e.fpValid = true
 	}
 	return e.fp

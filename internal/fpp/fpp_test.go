@@ -229,8 +229,10 @@ func TestAssignmentInCondition(t *testing.T) {
 }
 
 func TestFingerprintStability(t *testing.T) {
+	// Fingerprint ids compare within one table.
+	tab := NewTable()
 	build := func() *Env {
-		e := NewEnv()
+		e := tab.NewEnv()
 		e.Assign(expr(t, "x"), expr(t, "7"))
 		e.AssumeCond(expr(t, "y < z"), true)
 		return e
