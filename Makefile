@@ -22,9 +22,13 @@ vet:
 # brackets keep this line from matching itself when the same search is
 # run over Makefiles too; they match the plain identifiers. The fleet
 # likewise has one configuration, its worker list: the queue, quota and
-# batch knobs of its deleted scheduler stay gone (DESIGN.md §15).
+# batch knobs of its deleted scheduler stay gone (DESIGN.md §15). And a
+# cached run is the plain run (DESIGN.md §8): the record's summary
+# section, the lazy merge engines that read it and the sibling-engine
+# reload gate stay gone too.
 no-deleted-knobs:
 	! grep -rnE 'Match[M]emo|Block[F]ilter|Tuple[I]ntern|Lean[A]lloc|Multi[D]ispatch|Tenant[Q]uota|Queue[D]epth|Batch[S]ize' --include=*.go .
+	! grep -rnE 'Load[S]ummaries|summary[S]ource|Retired[S]et|Allow[S]pillReload|Summaries[L]oaded|SummaryBytes[D]eferred' --include=*.go .
 
 # staticcheck is optional locally (the repo adds no dependencies) but
 # mandatory in CI, which installs it. Configured by staticcheck.conf.

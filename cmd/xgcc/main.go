@@ -51,7 +51,7 @@ func main() {
 		list         = flag.Bool("list", false, "list bundled checkers and exit")
 		rankMode     = flag.String("rank", "generic", "report ordering: generic, z, or grouped")
 		stats        = flag.Bool("stats", false, "print engine statistics")
-		supergraph   = flag.String("supergraph", "", "print block/suffix summaries for the named function (Figure 5 style)")
+		supergraph   = flag.String("supergraph", "", "print block/suffix summaries for the named function (Figure 5 style); runs live, ignoring -cache")
 		twoPass      = flag.Bool("two-pass", false, "emit ASTs to temp files and reload them (the paper's pass 1/pass 2 pipeline)")
 		detailed     = flag.Bool("why", false, "print why-traces with each report")
 		verify       = flag.Bool("verify", false, "run the second-tier feasibility pass: replay each report's witness path and annotate it confirmed/infeasible/unknown (verdicts never add or remove reports or change exit codes)")
@@ -113,6 +113,11 @@ func main() {
 	opts := mc.DefaultOptions()
 	opts.Interprocedural = !*intra
 	opts.FPP = !*noFPP
+	if *supergraph != "" {
+		// Inspection shows what this run traversed, and a replayed unit
+		// is not traversed: -supergraph asks for a live run.
+		*cacheDir = ""
+	}
 	if err := a.Configure(mc.RunConfig{
 		Options:  &opts,
 		Jobs:     *jobs,
@@ -301,10 +306,10 @@ func main() {
 				sp.Evictions, sp.Reloads, sp.SpillPuts, sp.SpillBytes, sp.ASTsReleased)
 		}
 		if in := res.Incr; in != nil {
-			fmt.Printf("cache: files reparsed=%d replayed=%d; units live=%d replayed=%d; funcs live=%d replayed=%d changed=%d invalidated=%d; store hits=%d misses=%d puts=%d put-errors=%d; summaries deferred-bytes=%d loaded=%d\n",
+			fmt.Printf("cache: files reparsed=%d replayed=%d; units live=%d replayed=%d; funcs live=%d replayed=%d changed=%d invalidated=%d; store hits=%d misses=%d puts=%d put-errors=%d\n",
 				in.FilesReparsed, in.FilesReplayed, in.UnitsLive, in.UnitsReplayed,
 				in.FuncsAnalyzedLive, in.FuncsAnalyzedReplayed, in.FuncsChanged, in.FuncsInvalidated,
-				in.CacheHits, in.CacheMisses, in.CachePuts, in.CachePutErrors, in.SummaryBytesDeferred, in.SummariesLoaded)
+				in.CacheHits, in.CacheMisses, in.CachePuts, in.CachePutErrors)
 			if st := in.Store; st != nil {
 				fmt.Printf("store: records=%d live-bytes=%d superseded-bytes=%d compactions=%d\n",
 					st.Records, st.LiveBytes, st.SupersededBytes, st.Compactions)

@@ -17,7 +17,7 @@ import (
 // FormatVersion is folded into every key; bump it when any serialized
 // form changes so old cache directories degrade to cold runs instead
 // of mis-deserializing.
-const FormatVersion = "xgcc-cache-v3" // v3: two-section unit records (entry.go)
+const FormatVersion = "xgcc-cache-v4" // v4: one-section unit records (entry.go)
 
 // Key derives a cache key: the hex SHA-256 of the format version and
 // the given parts, length-prefixed so part boundaries can't alias.

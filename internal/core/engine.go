@@ -191,17 +191,12 @@ type Engine struct {
 	checkerIdx int
 	// Streaming mode (stream.go): spill/spillKey address the summary
 	// store, retire schedules eviction, onRetire notifies the mc
-	// releaser, spilled gates reload to own evictions, and
-	// spillReloadAll opens reload for inspection-only engines.
-	spill          SummarySpill
-	spillKey       func(*prog.Function) string
-	retire         *prog.RetirePlan
-	onRetire       func([]*prog.Function)
-	spilled        map[*prog.Function]bool
-	spillReloadAll bool
-	// sharedRetired joins same-checker sibling engines: any sibling's
-	// retirement widens this engine's reload gate (stream.go).
-	sharedRetired *RetiredSet
+	// releaser, and spilled gates reload to own evictions.
+	spill    SummarySpill
+	spillKey func(*prog.Function) string
+	retire   *prog.RetirePlan
+	onRetire func([]*prog.Function)
+	spilled  map[*prog.Function]bool
 }
 
 // NewEngine builds an engine for one checker over a program.
@@ -302,7 +297,7 @@ func (en *Engine) funcInfo(fn *prog.Function) *funcInfo {
 		en.funcs[fn] = fi
 		// Streaming mode: an evicted function's summaries come back
 		// from the spill store on demand (inspection only; stream.go).
-		en.maybeReload(fn, fi)
+		en.maybeReload(fn)
 	}
 	return fi
 }

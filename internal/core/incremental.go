@@ -1,11 +1,13 @@
 package core
 
 // Incremental-analysis entry points (DESIGN.md §8): per-root report
-// segmentation, the mark log, annotation-store snapshots, and summary
-// serialization. The cache layer (internal/cache, mc) composes these:
-// a unit's cached entry stores the report segments its roots produced,
-// the marks its traversal emitted, and its serialized function
-// summaries, so a warm run can replay the unit without traversing it.
+// segmentation, the cut at a unit boundary, the mark log,
+// annotation-store snapshots, and summary serialization. The cache
+// layer (internal/cache, mc) composes the first four: a unit's record
+// stores the report segments its roots produced and what the engine
+// accumulated while running them, so a warm run can replay the unit
+// without traversing it. Summary serialization serves the streaming
+// mode's spill store (stream.go).
 
 import (
 	"context"
@@ -34,6 +36,39 @@ type RootRun struct {
 // cancellation.
 func (en *Engine) RunRoots(roots []*prog.Function) []RootRun {
 	return en.RunRootsContext(context.Background(), roots)
+}
+
+// UnitCut is what an engine accumulated while running one unit's roots:
+// the part of a unit record that is not a per-root report segment.
+// Complete is the storage rule's input — false when a budget or a
+// cancellation truncated these roots, or the checker has panicked.
+type UnitCut struct {
+	Stats        Stats
+	Rules        map[string]*RuleCount
+	Marks        []MarkEvent
+	Degradations []DegradeEvent
+	Complete     bool
+}
+
+// CutUnit hands over what the engine accumulated since the previous cut
+// (or since it was built) and resets it, so one engine run over several
+// units in turn yields, per unit, what a fresh engine would have.
+// Everything the engine keeps across the cut is either keyed by
+// function — summaries, term tables and match memos in funcInfo, and
+// the report set's dedup keys, which carry function and position — and
+// units share no function, or is identity only (interned tuple ids,
+// synonym group numbers). Budgets are per root already. Failure and
+// cancellation are not reset: they stop the engine for good, and every
+// later cut is incomplete.
+func (en *Engine) CutUnit() UnitCut {
+	cut := UnitCut{
+		Stats: en.Stats, Rules: en.RuleStats, Marks: en.MarkLog, Degradations: en.Degradations,
+		Complete: len(en.Degradations) == 0 && en.Failure == nil && !en.cancelled,
+	}
+	en.Stats = Stats{Analyses: map[string]int{}}
+	en.RuleStats = map[string]*RuleCount{}
+	en.MarkLog, en.Degradations, en.degradeSeen = nil, nil, nil
+	return cut
 }
 
 // MarkEvent records one composition mark (§3.2) emitted during
@@ -92,9 +127,9 @@ func (s *Shared) Snapshot() string {
 
 // TupleData is a serialized state tuple. ObjExpr is rendered through
 // cc.ExprString and reparsed on import; Prov (per-path provenance) is
-// deliberately dropped — imported summaries serve display and warm
-// daemon state, never as live traversal caches, so reconstruction
-// material for report emission is not needed.
+// deliberately dropped — imported summaries serve display, never as
+// live traversal caches, so reconstruction material for report emission
+// is not needed.
 type TupleData struct {
 	G       string `json:"g"`
 	Var     string `json:"var,omitempty"`
@@ -211,10 +246,9 @@ func (en *Engine) ExportSummaries(fns []*prog.Function) *SummaryData {
 // ImportSummaries loads serialized summaries into the engine's
 // per-function caches, keyed by FuncID against the engine's program
 // (prog.FuncByID: the index is built once per program, not per call).
-// Imported state is for inspection (supergraph rendering, daemon
-// residency) — the incremental runner never lets it feed a live
-// traversal, which would perturb path exploration relative to a cold
-// run.
+// Imported state is for inspection (supergraph rendering of a function
+// the streaming mode evicted) — it never feeds a live traversal, which
+// would perturb path exploration relative to a cold run.
 func (en *Engine) ImportSummaries(sd *SummaryData) {
 	for _, fd := range sd.Funcs {
 		fn := en.Prog.FuncByID(fd.Func)

@@ -13,19 +13,14 @@ package core
 // finished — and prog.Units guarantees no call edge crosses a
 // component boundary, so no later traversal, in any phase or at any
 // parallelism level, can observe the evicted state. Reload is gated to
-// functions this engine itself spilled, to functions a same-checker
-// sibling engine retired (see RetiredSet — siblings partition the
-// functions by unit, so a sibling's function is unreachable from this
-// engine's traversal), or to engines that never traverse (see
-// AllowSpillReload): a spilled summary can therefore never feed a
-// live traversal, the same invariant ImportSummaries documents, and
-// output stays byte-identical to the in-memory run.
+// functions this engine itself spilled, that is, to functions whose
+// unit it has finished (a checker has one engine per run, so there is
+// no sibling whose evictions it could want): a spilled summary can
+// therefore never feed a live traversal, the same invariant
+// ImportSummaries documents, and output stays byte-identical to the
+// in-memory run.
 
-import (
-	"sync"
-
-	"repro/internal/prog"
-)
+import "repro/internal/prog"
 
 // SummarySpill is the on-disk function-summary store the streaming
 // mode spills to (implemented by internal/spill over a cache.Store).
@@ -67,59 +62,6 @@ func (en *Engine) SetRetire(plan *prog.RetirePlan, onRetire func([]*prog.Functio
 	en.onRetire = onRetire
 }
 
-// AllowSpillReload lets funcInfo reload any function's summary from
-// the spill store, not only ones this engine evicted. Only safe on
-// engines that never traverse (the cached path's merge engines, which
-// exist purely for inspection): on a traversing engine it would let
-// spilled summaries feed live path exploration.
-func (en *Engine) AllowSpillReload() { en.spillReloadAll = true }
-
-// RetiredSet is a concurrency-safe set of retired functions shared by
-// a group of sibling engines running the SAME checker over disjoint
-// units. Membership widens the reload gate beyond an engine's own
-// evictions: a function retired by any sibling may be reloaded by all
-// of them.
-//
-// Why that preserves the determinism argument above: sibling engines
-// of one checker partition the program's functions by unit, and
-// prog.Units guarantees units are call-closed — so an engine's live
-// traversal can only ever reach functions of its own units, never a
-// sibling's. A function enters the set only at unit retirement, after
-// the sibling that owned it finished every root that could touch it.
-// A cross-sibling reload is therefore always a post-run (or
-// post-retirement) inspection read, exactly like a reload of the
-// engine's own spill, and output stays byte-identical. Sharing a set
-// across engines of DIFFERENT checkers would be unsound in spirit
-// (their spill keys differ, so a reload would miss anyway) — the mc
-// layer allocates one set per checker.
-type RetiredSet struct {
-	mu  sync.RWMutex
-	fns map[*prog.Function]bool
-}
-
-// NewRetiredSet builds an empty shared retired-set.
-func NewRetiredSet() *RetiredSet {
-	return &RetiredSet{fns: map[*prog.Function]bool{}}
-}
-
-func (rs *RetiredSet) mark(fn *prog.Function) {
-	rs.mu.Lock()
-	rs.fns[fn] = true
-	rs.mu.Unlock()
-}
-
-func (rs *RetiredSet) has(fn *prog.Function) bool {
-	rs.mu.RLock()
-	ok := rs.fns[fn]
-	rs.mu.RUnlock()
-	return ok
-}
-
-// ShareRetired joins this engine to a same-checker sibling group: its
-// own evictions are published to rs, and the reload gate additionally
-// admits any function a sibling retired.
-func (en *Engine) ShareRetired(rs *RetiredSet) { en.sharedRetired = rs }
-
 // retireAfter runs the eviction schedule for one completed root. A
 // failed or cancelled engine stops evicting: its remaining state is
 // about to be discarded wholesale, and the panic may have left this
@@ -153,29 +95,20 @@ func (en *Engine) evict(fn *prog.Function) {
 			en.spilled = map[*prog.Function]bool{}
 		}
 		en.spilled[fn] = true
-		if en.sharedRetired != nil {
-			en.sharedRetired.mark(fn)
-		}
 	}
 	delete(en.funcs, fn)
 	en.Spill.Evictions++
 }
 
 // maybeReload repopulates a freshly created funcInfo from the spill
-// store. Gated to functions this engine spilled (or reload-all
-// inspection engines), so it can only run after the function's unit
-// retired — never during live traversal.
-func (en *Engine) maybeReload(fn *prog.Function, fi *funcInfo) {
-	if en.spill == nil || en.spillKey == nil {
-		return
-	}
-	if !en.spillReloadAll && !en.spilled[fn] &&
-		(en.sharedRetired == nil || !en.sharedRetired.has(fn)) {
+// store. Gated to functions this engine spilled, so it can only run
+// after the function's unit retired — never during live traversal.
+func (en *Engine) maybeReload(fn *prog.Function) {
+	if en.spill == nil || en.spillKey == nil || !en.spilled[fn] {
 		return
 	}
 	if sd, ok := en.spill.GetSummary(en.spillKey(fn)); ok {
-		_ = fi // already registered in en.funcs; ImportSummaries targets it
-		en.ImportSummaries(sd)
+		en.ImportSummaries(sd) // fn's funcInfo is already registered in en.funcs
 		en.Spill.Reloads++
 	}
 }

@@ -184,38 +184,6 @@ func TestFleetByteIdenticalColdAndWarm(t *testing.T) {
 	}
 }
 
-// TestFleetFilledSupergraph: records a worker filled come from the same
-// producer as local ones (cache.NewUnitEntry), so the coordinator's
-// merge engines inspect them lazily and render what the plain engine
-// renders.
-func TestFleetFilledSupergraph(t *testing.T) {
-	srcs, _ := workload.MixedTree(3, 8, 41)
-	plain, _ := run(t, srcs, nil, nil)
-	cas := cache.NewMemStore()
-	co := fleet.NewCoordinator(fleet.Config{Workers: startWorkers(t, cas, 2)})
-	defer co.Close()
-	filled, _ := run(t, srcs, cas, co.RunnerFor("t1"))
-	if filled.Incr.UnitsRemote == 0 {
-		t.Fatalf("no unit was filled remotely: %+v", co.Stats())
-	}
-	edges := 0
-	for c, en := range plain.Engines {
-		for _, fn := range plain.Program.All {
-			want := en.SupergraphString(fn.Name)
-			edges += strings.Count(want, "->")
-			if got := filled.Engines[c].SupergraphString(fn.Name); got != want {
-				t.Fatalf("supergraph of %s under %s differs:\nplain:\n%s\nfleet-filled:\n%s", fn.Name, c, want, got)
-			}
-		}
-	}
-	if edges == 0 {
-		t.Fatal("plain engine rendered no summary edges; the comparison is vacuous")
-	}
-	if filled.Incr.SummariesLoaded == 0 {
-		t.Error("inspection loaded no summary section")
-	}
-}
-
 // TestFleetSharedCASSecondTenant pins the warm-reuse acceptance bar:
 // a second coordinator sharing the CAS replays >= 90% of its units
 // without dispatching anything.

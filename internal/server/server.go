@@ -693,6 +693,9 @@ func (s *Server) runAnalyze(w http.ResponseWriter, ctx context.Context, tenant s
 		s.astsReleased += sp.ASTsReleased
 	}
 	s.srcs = next
+	// Kept for its reports and stats; nothing here inspects, so the
+	// engines (and every summary they hold) go now, not at the next run.
+	res.Engines = nil
 	s.last = res
 	s.lastIncr = res.Incr
 	if s.feas != nil {
@@ -965,8 +968,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		gauge("xgccd_units_live", float64(in.UnitsLive), "units analyzed live")
 		gauge("xgccd_units_replayed", float64(in.UnitsReplayed), "units replayed from cache")
 		gauge("xgccd_units_remote", float64(in.UnitsRemote), "units a fleet worker filled during the last run")
-		gauge("xgccd_summary_bytes_deferred", float64(in.SummaryBytesDeferred), "summary-section bytes the last run left undecoded")
-		gauge("xgccd_summaries_loaded", float64(in.SummariesLoaded), "summary sections decoded on demand since the last run")
 		gauge("xgccd_files_reparsed", float64(in.FilesReparsed), "files re-parsed")
 		gauge("xgccd_files_replayed", float64(in.FilesReplayed), "files replayed from the AST cache")
 		gauge("xgccd_phase_parse_seconds", float64(in.ParseNanos)/1e9, "pass-1 wall time")

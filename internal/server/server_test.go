@@ -117,8 +117,6 @@ func TestDaemonSession(t *testing.T) {
 		"xgccd_cache_hits_total",
 		"xgccd_funcs_invalidated",
 		"xgccd_units_replayed",
-		"xgccd_summary_bytes_deferred",
-		"xgccd_summaries_loaded 0",
 		"xgccd_phase_analyze_seconds",
 	} {
 		if !strings.Contains(body, want) {

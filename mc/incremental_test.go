@@ -165,6 +165,44 @@ func TestBodyTweakReplaysMostUnits(t *testing.T) {
 	}
 }
 
+// TestDuplicateCheckerReplaysFully: two loaded checkers with identical
+// source derive identical unit keys. Every task holding a key gets the
+// record, so a warm run replays both copies, not just the last loaded.
+func TestDuplicateCheckerReplaysFully(t *testing.T) {
+	store := cache.NewMemStore()
+	run := func() (string, *mc.IncrStats) {
+		a := mc.NewAnalyzer()
+		if err := a.Configure(mc.RunConfig{Jobs: 2, CacheStore: store}); err != nil {
+			t.Fatal(err)
+		}
+		for name, src := range workload.CallRichTree() {
+			a.AddSource(name, src)
+		}
+		for i := 0; i < 2; i++ {
+			if err := a.LoadBundledChecker("free"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := a.RunContext(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outputDigest(res), res.Incr
+	}
+	cold, in := run()
+	units := in.UnitsLive
+	if units == 0 || units%2 != 0 || in.UnitsReplayed != 0 {
+		t.Fatalf("cold run: %d units live, %d replayed", in.UnitsLive, in.UnitsReplayed)
+	}
+	warm, in := run()
+	if in.UnitsLive != 0 || in.UnitsReplayed != units {
+		t.Errorf("warm run: %d units live, %d replayed, want 0 and %d", in.UnitsLive, in.UnitsReplayed, units)
+	}
+	if warm != cold {
+		t.Errorf("warm output differs:\n%s", firstDiff(cold, warm))
+	}
+}
+
 func firstDiff(a, b string) string {
 	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
 	for i := 0; i < len(al) && i < len(bl); i++ {

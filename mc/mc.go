@@ -58,8 +58,8 @@ type Analyzer struct {
 	// jobs is the worker count for parallel parsing and checker
 	// execution; 0 means runtime.GOMAXPROCS(0).
 	jobs int
-	// Incremental cache (RunConfig.CacheDir / CacheStore); nil runs
-	// the plain path. checkerFPs tracks one source fingerprint per
+	// Incremental cache (RunConfig.CacheDir / CacheStore); nil keys
+	// and stores nothing. checkerFPs tracks one source fingerprint per
 	// loaded checker for cache keying.
 	cacheStore   cache.Store
 	cacheMetrics *cache.Metrics
@@ -199,10 +199,15 @@ type Result struct {
 	RuleStats map[string]rank.RuleStat
 	// Stats aggregates engine counters per checker.
 	Stats map[string]core.Stats
-	// Engines retains each checker's engine for summary inspection.
+	// Engines retains, by checker name, the engine that ran, for
+	// summary inspection (SupergraphString). It holds what this run
+	// traversed: everything without a store or on a cold one; on a
+	// warm run a replayed unit's functions render no edges, and a
+	// checker whose every unit replayed has no engine at all. To
+	// inspect, run without a store (xgcc -supergraph does).
 	Engines map[string]*core.Engine
-	// Incr reports what the cache-aware run replayed versus analyzed
-	// live; nil when the cache is disabled.
+	// Incr reports what a run with a store replayed versus analyzed
+	// live; nil without one.
 	Incr *IncrStats
 	// Spill reports the streaming mode's memory-bounding activity
 	// (evictions, reloads, spill bytes, ASTs released); nil when
@@ -220,11 +225,18 @@ type Result struct {
 }
 
 // RunContext parses everything (pass 1 fans out over a worker pool),
-// assembles the program, and applies each loaded checker (engines run
-// concurrently, ordered into phases around the composition barrier).
-// Results are merged deterministically in checker load order, so the
-// output is bit-identical at every parallelism level; see DESIGN.md §5
-// "Engine parallelism".
+// assembles the program, and applies each loaded checker: one engine
+// per checker, engines of a phase concurrently, phases ordered around
+// the composition barrier. Results are merged deterministically in
+// checker load order, so the output is bit-identical at every
+// parallelism level; see DESIGN.md §5 "Engine parallelism".
+//
+// There is one body for every run (DESIGN.md §8). With a store, each
+// checker's work is one keyed task per call-graph unit: units whose
+// record the store (or a fleet worker) holds replay, the rest run on the
+// checker's engine in order, cut into records at the unit boundaries.
+// Without one, nothing is keyed and each checker's work is one task,
+// the whole program.
 //
 // The context cancels the analysis mid-traversal: the engines stop at
 // the next governance poll (within ~256 blocks), and RunContext
@@ -232,7 +244,9 @@ type Result struct {
 // carries a DegradeCancelled record per interrupted checker, so
 // callers can distinguish "complete" from "cut short". A checker that
 // panics is contained: it lands in Result.Failures and the remaining
-// checkers finish normally (DESIGN.md §9).
+// checkers finish normally (DESIGN.md §9). Only complete units are
+// stored (runLive, unitrun.go), and the manifest is only saved for
+// complete runs.
 func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -251,14 +265,28 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 	if len(a.checkers) == 0 {
 		return nil, fmt.Errorf("no checkers loaded")
 	}
-	if a.cacheStore != nil {
-		return a.runCached(ctx)
-	}
-	files, err := a.parseSources(nil)
+	cached := a.cacheStore != nil
+	incr := &IncrStats{} // Result.Incr when cached
+
+	t0 := time.Now()
+	files, err := a.parseSources(incr)
 	if err != nil {
 		return nil, err
 	}
-	p := prog.Build(files...)
+	incr.ParseNanos = time.Since(t0).Nanoseconds()
+
+	t0 = time.Now()
+	var tree *UnitTree
+	var configFP string
+	var manifest *cache.Manifest
+	if cached {
+		tree = NewUnitTree(files)
+		configFP = a.configFingerprint()
+		manifest = a.diffManifest(tree, files, configFP, incr)
+	} else {
+		tree = &UnitTree{Prog: prog.Build(files...)}
+	}
+	p := tree.Prog
 
 	// Pre-annotations apply before any checker runs; sorted order keeps
 	// the engine's input stream deterministic (the paper's caching model
@@ -267,72 +295,152 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 		a.shared.Mark(m.name, m.key)
 	}
 
-	// Streaming mode (DESIGN.md §12): spill summaries and evict
+	// Streaming mode (DESIGN.md §12): engines spill summaries and evict
 	// per-function state at unit retirement, releasing ASTs once every
-	// checker is done with them. Eviction never touches state a
-	// remaining traversal can read, so output is unchanged.
+	// checker is done with them (a replayed unit is done at once: it
+	// never touches the AST). Eviction never touches state a remaining
+	// traversal can read, so output is unchanged.
 	var stream *streamState
 	if a.opts.MaxResidentMB > 0 {
-		envFP, funcHash := fingerprints(p, files)
-		stream, err = a.newStream(p, optionsFingerprint(a.opts), envFP, funcHash, len(a.checkers))
+		envFP, funcHash := tree.envFP, tree.funcHash
+		if !cached {
+			envFP, funcHash = fingerprints(p, files) // spill keys derive from them as unit keys do
+		}
+		stream, err = a.newStream(p, envFP, funcHash, len(a.checkers))
 		if err != nil {
 			return nil, err
 		}
 		defer stream.cleanup()
 	}
+	incr.BuildNanos = time.Since(t0).Nanoseconds()
 
+	t0 = time.Now()
 	// Multi-checker compiled dispatch (DESIGN.md §11): one automaton
 	// over the union of all loaded checkers' patterns, built once per
-	// run and shared read-only by every engine.
-	cd := core.CompileDispatch(p, a.checkers)
+	// run and shared read-only by every engine (the structure is purely
+	// syntactic, so one build covers all phases).
+	compiled := core.CompileDispatch(p, a.checkers)
+	sem := make(chan struct{}, a.parallelism())
 	engines := make([]*core.Engine, len(a.checkers))
-	for i := range a.checkers {
-		engines[i] = a.liveEngine(p, i, cd, stream)
-	}
+	tasksByChecker := make([][]*unitTask, len(a.checkers))
 	for _, phase := range core.PlanPhases(a.checkers) {
-		a.runPhase(ctx, engines, phase)
-	}
+		// The marks visible to every engine in this phase are exactly
+		// those present at the barrier: PlanPhases guarantees no
+		// intra-phase write-then-read.
+		var tasks []*unitTask
+		for _, ci := range phase {
+			tasksByChecker[ci] = tree.tasks(ci, a.checkers[ci], a.checkerFPs[ci], a.opts, a.shared)
+			tasks = append(tasks, tasksByChecker[ci]...)
+		}
 
+		// Probe the store for every keyed task in one batched
+		// round-trip, offer what is still missing to the fleet
+		// (DESIGN.md §15), and run what nobody filled.
+		a.probeTasks(tasks)
+		a.dispatchRemote(ctx, tasks, incr)
+		runLive(ctx, sem, tasks, func(ci int) *core.Engine {
+			engines[ci] = a.liveEngine(p, ci, compiled, stream)
+			return engines[ci]
+		})
+
+		// Post-phase: replayed marks join the store (live marks landed
+		// during the run; ordering within the phase is immaterial —
+		// marks are an idempotent set read only after the barrier),
+		// and fresh complete records are written back in one batched
+		// store round-trip.
+		for _, t := range tasks {
+			if !t.replayed {
+				continue
+			}
+			for _, ev := range t.cut.Marks {
+				a.shared.Mark(ev.Name, ev.Key)
+			}
+			if stream != nil {
+				stream.release.done(t.funcs)
+			}
+		}
+		if puts := records(tasks); len(puts) > 0 {
+			cache.PutBatch(a.cacheStore, puts) // best effort; failures land in CachePutErrors
+		}
+	}
+	incr.AnalyzeNanos = time.Since(t0).Nanoseconds()
+
+	// Merge per checker: stats and rule counts per unit, report segments
+	// per root in global root order. That is the single whole-program
+	// engine's emission stream exactly, also when one unit's roots
+	// interleave with another's: each segment was deduplicated against
+	// its own unit's earlier roots where it was produced, and a report's
+	// identity carries its function and position, so segments of
+	// different units cannot repeat one another.
+	t0 = time.Now()
 	res := &Result{
 		Program:   p,
 		RuleStats: map[string]rank.RuleStat{},
 		Stats:     map[string]core.Stats{},
 		Engines:   map[string]*core.Engine{},
 	}
-	for i, c := range a.checkers {
-		en := engines[i]
-		res.Reports = append(res.Reports, en.Reports.Reports...)
-		for rule, rc := range en.RuleStats {
-			prev := res.RuleStats[rule]
-			prev.Rule = rule
-			prev.Examples += rc.Examples
-			prev.Violations += rc.Violations
-			res.RuleStats[rule] = prev
+	for ci, c := range a.checkers {
+		agg := core.Stats{Analyses: map[string]int{}}
+		segs := map[*prog.Function][]*Report{}
+		for _, t := range tasksByChecker[ci] {
+			for _, rr := range t.runs {
+				if len(rr.Reports) > 0 {
+					segs[rr.Root] = rr.Reports
+				}
+			}
+			mergeStats(&agg, &t.cut.Stats)
+			for rule, rc := range t.cut.Rules {
+				prev := res.RuleStats[rule]
+				prev.Rule = rule
+				prev.Examples += rc.Examples
+				prev.Violations += rc.Violations
+				res.RuleStats[rule] = prev
+			}
+			res.Degradations = append(res.Degradations, t.cut.Degradations...)
+			if t.replayed {
+				incr.UnitsReplayed++
+				incr.FuncsAnalyzedReplayed += sumAnalyses(&t.cut.Stats)
+			} else {
+				incr.UnitsLive++
+				incr.FuncsAnalyzedLive += sumAnalyses(&t.cut.Stats)
+			}
 		}
-		res.Stats[c.Name] = en.Stats
-		res.Engines[c.Name] = en
-		collectGovernance(res, en)
+		for _, root := range p.Roots {
+			res.Reports = append(res.Reports, segs[root]...)
+		}
+		res.Stats[c.Name] = agg
+		if en := engines[ci]; en != nil {
+			res.Engines[c.Name] = en
+			if en.Failure != nil {
+				res.Failures = append(res.Failures, en.Failure)
+			}
+		}
 	}
+	res.Degraded = len(res.Degradations) > 0
 	collectSpill(res, stream, engines)
 	if a.history != nil {
 		res.Reports = a.history.Suppress(res.Reports)
+	}
+	if cached {
+		// The manifest is the invalidation baseline for the next run; a
+		// partial run must not become that baseline (DESIGN.md §9).
+		if len(res.Failures) == 0 && !res.Degraded && ctx.Err() == nil {
+			cache.SaveManifest(a.cacheStore, configFP, manifest) // best effort, likewise
+		}
+		incr.MergeNanos = time.Since(t0).Nanoseconds()
+		incr.CacheHits = a.cacheMetrics.Hits()
+		incr.CacheMisses = a.cacheMetrics.Misses()
+		incr.CachePuts = a.cacheMetrics.Puts()
+		incr.CachePutErrors = a.cacheMetrics.PutErrors()
+		if a.diskStore != nil {
+			incr.Store = a.diskStore.Stats()
+		}
+		res.Incr = incr
 	}
 	if err := ctx.Err(); err != nil {
 		return res, err
 	}
 	return res, nil
-}
-
-// collectGovernance folds one engine's failure/degradation records
-// into the result.
-func collectGovernance(res *Result, en *core.Engine) {
-	if en.Failure != nil {
-		res.Failures = append(res.Failures, en.Failure)
-	}
-	if len(en.Degradations) > 0 {
-		res.Degradations = append(res.Degradations, en.Degradations...)
-		res.Degraded = true
-	}
 }
 
 // Ranked returns the reports ordered by the generic ranking criteria

@@ -1,16 +1,19 @@
 package mc_test
 
-// Replay-path tests for the two-section unit record and the lazy merge
-// engine (DESIGN.md §8): emission order on multi-root units, summary
-// inspection through the cache, and damaged or foreign records.
+// Replay-path tests (DESIGN.md §8): emission order on multi-root units,
+// what a cached run's engines hold for inspection, and damaged or
+// foreign records.
 
 import (
 	"encoding/json"
+	"os"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/cc"
+	"repro/internal/prog"
 	"repro/internal/workload"
 	"repro/mc"
 )
@@ -86,9 +89,12 @@ func diffSupergraphs(t *testing.T, label string, want, got map[string]string) {
 	}
 }
 
-// TestSupergraphThroughCache: inspection of a cached run's engines — of
-// functions replayed from the store and of functions analyzed live —
-// renders what the plain engine renders, and says what it cost.
+// TestSupergraphThroughCache: a cached run's engines hold what the run
+// traversed. On a cold run that is everything: every function renders
+// under every checker exactly as on the plain run, which only one engine
+// per checker holding every unit can satisfy. On a warm run the functions
+// of live units still do; replayed ones were not traversed and render no
+// edges.
 func TestSupergraphThroughCache(t *testing.T) {
 	srcs, _ := workload.MixedTree(3, 8, 11)
 	store := cache.NewMemStore()
@@ -104,9 +110,17 @@ func TestSupergraphThroughCache(t *testing.T) {
 	if nonEmpty == 0 {
 		t.Fatal("plain engine rendered no summary edges; the comparison would be vacuous")
 	}
+	if got := supergraphs(cold); len(got) != len(want) {
+		t.Fatalf("cold cache rendered %d (checker, function) pairs, the plain run %d", len(got), len(want))
+	}
 	diffSupergraphs(t, "cold cache", want, supergraphs(cold))
 
-	// Warm, after a body edit: one file's units run live, the rest replay.
+	// Warm, after a body edit: the functions whose content moved run live
+	// (MixedTree units are single functions), the rest replay.
+	oldHash := map[string]string{}
+	for _, fn := range cold.Program.All {
+		oldHash[prog.FuncID(fn)] = cc.HashDecl(fn.Decl)
+	}
 	srcs = workload.TweakBody("tree_1.c").Apply(srcs)
 	_, plain = runDigest(t, srcs, 2, nil)
 	_, warm := runDigest(t, srcs, 2, store)
@@ -114,13 +128,21 @@ func TestSupergraphThroughCache(t *testing.T) {
 	if in.UnitsLive == 0 || in.UnitsReplayed == 0 {
 		t.Fatalf("edit should mix live and replayed units, got %d/%d", in.UnitsLive, in.UnitsReplayed)
 	}
-	if in.SummaryBytesDeferred == 0 || in.SummariesLoaded != 0 {
-		t.Errorf("before inspection: deferred=%d loaded=%d, want >0 and 0", in.SummaryBytesDeferred, in.SummariesLoaded)
+	want, got := supergraphs(plain), supergraphs(warm)
+	liveEdges := 0
+	for k, w := range want {
+		fn := plain.Program.Lookup(k[strings.Index(k, "/")+1:])
+		switch edited := oldHash[prog.FuncID(fn)] != cc.HashDecl(fn.Decl); {
+		case edited && got[k] != w:
+			t.Fatalf("warm cache: supergraph of live %s differs:\n%s", k, firstDiff(w, got[k]))
+		case edited:
+			liveEdges += strings.Count(w, "->")
+		case strings.Contains(got[k], "->"):
+			t.Fatalf("warm cache: replayed %s rendered edges nobody traversed:\n%s", k, got[k])
+		}
 	}
-	deferred := in.SummaryBytesDeferred
-	diffSupergraphs(t, "warm cache", supergraphs(plain), supergraphs(warm))
-	if in.SummariesLoaded == 0 || in.SummaryBytesDeferred >= deferred {
-		t.Errorf("after inspection: deferred=%d (was %d) loaded=%d", in.SummaryBytesDeferred, deferred, in.SummariesLoaded)
+	if liveEdges == 0 {
+		t.Fatal("the live units rendered no summary edges; the warm comparison is vacuous")
 	}
 }
 
@@ -154,34 +176,16 @@ func (s *recordingStore) rewriteUnits(t *testing.T, f func(data []byte) []byte) 
 	}
 }
 
-// TestDamagedRecords: summaries are advisory, so a record whose summary
-// section is torn still replays its reports and merely renders nothing;
-// a record whose replay section is torn — or that is in the v2 format,
-// bare JSON — is a miss that re-runs live and is overwritten.
+// TestDamagedRecords: a record that is torn, or in an older format — v2,
+// bare JSON, or v3, two sections (testdata holds a real one) — is a miss
+// that re-runs live and is overwritten.
 func TestDamagedRecords(t *testing.T) {
 	srcs, _ := workload.MixedTree(2, 8, 7)
 	want, _ := runDigest(t, srcs, 2, nil)
-
-	t.Run("summary section", func(t *testing.T) {
-		store := &recordingStore{inner: cache.NewMemStore()}
-		runDigest(t, srcs, 2, store)
-		store.rewriteUnits(t, func(data []byte) []byte { return data[:len(data)-7] })
-		got, res := runDigest(t, srcs, 2, store)
-		if got != want {
-			t.Fatalf("torn summaries changed the output:\n%s", firstDiff(want, got))
-		}
-		if res.Incr.UnitsLive != 0 {
-			t.Errorf("torn summaries forced %d units live", res.Incr.UnitsLive)
-		}
-		for k, s := range supergraphs(res) {
-			if strings.Contains(s, "->") {
-				t.Fatalf("supergraph of %s rendered edges from a torn section:\n%s", k, s)
-			}
-		}
-		if res.Incr.SummariesLoaded != 0 {
-			t.Errorf("%d torn sections counted as loaded", res.Incr.SummariesLoaded)
-		}
-	})
+	v3, err := os.ReadFile("../internal/cache/testdata/unit-v3.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for name, damage := range map[string]func([]byte) []byte{
 		"replay section": func(data []byte) []byte {
@@ -190,10 +194,10 @@ func TestDamagedRecords(t *testing.T) {
 		},
 		"v2 record": func(data []byte) []byte {
 			e, _ := cache.DecodeUnit(data) // recordingStore keeps only keys that decode
-			sd, _ := e.LoadSummaries()
-			v2, _ := json.Marshal(map[string]any{"roots": e.Roots, "stats": e.Stats, "rules": e.Rules, "marks": e.Marks, "summaries": sd})
+			v2, _ := json.Marshal(map[string]any{"roots": e.Roots, "stats": e.Stats, "rules": e.Rules, "marks": e.Marks, "summaries": nil})
 			return v2
 		},
+		"v3 record": func([]byte) []byte { return v3 },
 	} {
 		t.Run(name, func(t *testing.T) {
 			store := &recordingStore{inner: cache.NewMemStore()}

@@ -40,8 +40,7 @@ type SpillStats struct {
 }
 
 // astReleaser frees a function's AST once every checker has retired
-// it. Each engine's retire callback (and, on the cached path, each
-// replayed task) decrements the function's countdown; the goroutine
+// it. Each engine's retire callback (and each replayed task) decrements the function's countdown; the goroutine
 // performing the final decrement releases the body while holding the
 // mutex, which also orders the write after every earlier reader's own
 // decrement — so the release is race-free without the readers taking
@@ -98,12 +97,6 @@ type streamState struct {
 	optsFP  string
 	envFP   string
 	funcKey map[*prog.Function]string
-	// retired holds one shared retired-set per checker fingerprint:
-	// same-checker sibling engines (the cached path runs one engine per
-	// unit) publish retirements to it and may reload each other's
-	// spilled summaries (core.RetiredSet documents why that preserves
-	// byte-identical output).
-	retired map[string]*core.RetiredSet
 	cleanup func()
 }
 
@@ -112,7 +105,7 @@ type streamState struct {
 // before its AST may go. The store lives in RunConfig.SpillDir when set
 // (persistent, so post-run inspection keeps working across processes);
 // otherwise in a temp directory removed when the run returns.
-func (a *Analyzer) newStream(p *prog.Program, optsFP, envFP string, funcHash map[*prog.Function]string, need int) (*streamState, error) {
+func (a *Analyzer) newStream(p *prog.Program, envFP string, funcHash map[*prog.Function]string, need int) (*streamState, error) {
 	dir := a.spillDir
 	cleanup := func() {}
 	if dir == "" {
@@ -144,17 +137,13 @@ func (a *Analyzer) newStream(p *prog.Program, optsFP, envFP string, funcHash map
 		store:   spill.New(lg, budget),
 		retire:  p.PlanRetire(p.Roots),
 		release: newASTReleaser(p.All, need),
-		optsFP:  optsFP,
+		optsFP:  optionsFingerprint(a.opts),
 		envFP:   envFP,
 		funcKey: make(map[*prog.Function]string, len(p.All)),
-		retired: make(map[string]*core.RetiredSet, len(a.checkerFPs)),
 		cleanup: cleanup,
 	}
 	for _, fn := range p.All {
 		st.funcKey[fn] = prog.FuncID(fn) + "=" + funcHash[fn]
-	}
-	for _, fp := range a.checkerFPs {
-		st.retired[fp] = core.NewRetiredSet()
 	}
 	return st, nil
 }

@@ -3,9 +3,9 @@ package mc
 // Unit execution (DESIGN.md §8, §15): the one enumerator of a phase's
 // (checker, unit) tasks with their content-derived keys, and the one
 // producer of storable records from live runs. It has two callers —
-// the cached run's phase loop (runCached) and a fleet worker (RunUnits)
-// — so a unit runs remotely exactly as it runs locally, and remote
-// execution is this file plus a shared store.
+// RunContext's phase loop and a fleet worker (RunUnits) — so a unit runs
+// remotely exactly as it runs locally, and remote execution is this file
+// plus a shared store.
 //
 // That is also the fleet's safety argument. A UnitRun names the keys it
 // wants filled, never what a key contains: the worker rebuilds the
@@ -16,10 +16,10 @@ package mc
 // request, a run the storage rule refuses — stay cache misses and run
 // locally, so the fallback path is the normal path.
 //
-// The storage rule, stated once (runLive): a live run that a budget or
-// a cancellation truncated (Engine.Degraded) or whose checker panicked
-// (Engine.Failure) is never stored. A record always stands for a
-// complete analysis, wherever it ran.
+// The storage rule, stated once (runLive, applied per unit): a unit whose
+// roots a budget or a cancellation truncated, or that ran on or after its
+// checker's panic, is never stored (core.UnitCut.Complete). A record
+// always stands for a complete analysis, wherever it ran.
 
 import (
 	"context"
@@ -70,9 +70,12 @@ type UnitRun struct {
 type UnitRunner = func(ctx context.Context, run *UnitRun) error
 
 // UnitTree is a built program with the content fingerprints every unit
-// key is derived from.
+// key is derived from. RunContext builds one without them (keyed false)
+// for a run that has no store: nothing is keyed, and tasks hands every
+// checker the whole program.
 type UnitTree struct {
 	Prog     *prog.Program
+	keyed    bool
 	envFP    string
 	funcHash map[*prog.Function]string
 	units    []*prog.Unit
@@ -86,7 +89,7 @@ type UnitTree struct {
 // NewUnitTree assembles parsed files into a program and fingerprints it.
 func NewUnitTree(files []*cc.File) *UnitTree {
 	p := prog.Build(files...)
-	t := &UnitTree{Prog: p, units: p.Units(), checkers: map[string]*unitChecker{}}
+	t := &UnitTree{Prog: p, keyed: true, units: p.Units(), checkers: map[string]*unitChecker{}}
 	t.envFP, t.funcHash = fingerprints(p, files)
 	t.unitFPs = make([]string, len(t.units))
 	for i, u := range t.units {
@@ -116,38 +119,54 @@ func (t *UnitTree) unitFP(fns []*prog.Function) string {
 	return strings.Join(lines, "\n")
 }
 
-// unitTask is one (checker, unit) work item in a phase.
+// unitTask is one (checker, unit) work item in a phase. Replayed from
+// the store or run live, it ends up holding the same thing: the unit's
+// per-root report segments and its cut.
 type unitTask struct {
-	ci     int // the checker's index in its Analyzer
-	funcs  []*prog.Function
-	roots  []*prog.Function
-	key    string           // "" = uncacheable, always live
-	entry  *cache.UnitEntry // replayed from the store, or built from the live run
-	eng    *core.Engine     // the live run's engine; nil = replay, and dropped at merge
-	record []byte           // the live run's storable encoding, until records takes it
+	ci       int // the checker's index in its Analyzer
+	funcs    []*prog.Function
+	roots    []*prog.Function
+	key      string // "" = uncacheable, always live
+	replayed bool   // runs and cut came from the store
+	runs     []core.RootRun
+	cut      core.UnitCut
+	record   []byte // the live run's storable encoding, until records takes it
+}
+
+// replay fills the task from a decoded record, as if it had just run.
+// Roots pair up by position: a record lists the unit's roots in the
+// order they ran, and probeTasks has checked the count.
+func (t *unitTask) replay(e *cache.UnitEntry) {
+	t.replayed = true
+	t.cut = core.UnitCut{Stats: e.Stats, Rules: e.Rules, Marks: e.Marks, Complete: true}
+	t.runs = make([]core.RootRun, len(e.Roots))
+	for i, rr := range e.Roots {
+		t.runs[i] = core.RootRun{Root: t.roots[i], Reports: rr.Reports}
+	}
 }
 
 // tasks enumerates checker c's work at one phase barrier, each task
-// with the key its complete analysis is stored under. Three kinds of
-// checker need coarser handling than one task per call-graph unit:
+// with the key its complete analysis is stored under; marks is the
+// annotation store at that barrier. Without a store to key for, and for
+// three kinds of checker, one task per call-graph unit is too fine:
 //   - custom Go callouts: native code is invisible to the source
 //     fingerprint, so the checker runs live, whole-program, unkeyed;
 //   - self-coupled checkers (both mark_fn and mc_fn_marked): their own
 //     marks flow across units within one run, so they key as a single
 //     whole-program unit;
 //   - any checker when Options.MaxBlocks > 0: the traversal budget is
-//     engine-global, so per-unit engines would diverge from the plain
-//     path; again a single whole-program unit.
-func (t *UnitTree) tasks(ci int, c *metal.Checker, checkerFP string, opts Options, marksFP string) []*unitTask {
+//     engine-global and a cut resets it, so per-unit cuts would diverge
+//     from the whole-program run; again a single whole-program unit.
+func (t *UnitTree) tasks(ci int, c *metal.Checker, checkerFP string, opts Options, marks *core.Shared) []*unitTask {
 	p := t.Prog
-	optsFP := optionsFingerprint(opts)
+	if !t.keyed || len(c.Callouts) > 0 {
+		return []*unitTask{{ci: ci, funcs: p.All, roots: p.Roots}}
+	}
+	optsFP, marksFP := optionsFingerprint(opts), marksFingerprint(marks)
 	key := func(unitFP string) string {
 		return cache.UnitKey(checkerFP, optsFP, t.envFP, marksFP, unitFP)
 	}
-	switch {
-	case len(c.Callouts) > 0:
-		return []*unitTask{{ci: ci, funcs: p.All, roots: p.Roots}}
-	case (c.UsesAction("mark_fn") && c.UsesCallout("mc_fn_marked")) || opts.MaxBlocks > 0:
+	if (c.UsesAction("mark_fn") && c.UsesCallout("mc_fn_marked")) || opts.MaxBlocks > 0 {
 		return []*unitTask{{ci: ci, funcs: p.All, roots: p.Roots, key: key(t.wholeFP())}}
 	}
 	out := make([]*unitTask, len(t.units))
@@ -160,41 +179,45 @@ func (t *UnitTree) tasks(ci int, c *metal.Checker, checkerFP string, opts Option
 // marksFingerprint keys the annotation store visible at a phase barrier.
 func marksFingerprint(s *core.Shared) string { return cache.Key("marks", s.Snapshot()) }
 
-// runLive runs every task that has no entry yet on a fresh engine from
-// newEngine, one sem slot per run. Slots are acquired in task order, so
-// a one-slot semaphore (-j 1) degenerates to the sequential schedule.
-// Each run's summaries are exported once, into the entry the record and
-// the merge engine's lazy source share — unless inlineSummaries is off:
-// a streaming engine already evicted them to the spill store, and
-// inline copies would put the whole tree back into every warm run's
-// traffic. A complete keyed run leaves its record on the task (the
-// storage rule above); keep also leaves the entry and the engine, for a
-// caller that merges the run into a result.
-func runLive(ctx context.Context, sem chan struct{}, tasks []*unitTask, newEngine func(*unitTask) *core.Engine, inlineSummaries, keep bool) {
+// runLive runs the tasks nothing replayed: one engine per checker that
+// has any (newEngine builds it), that checker's tasks on it in order,
+// cut at each unit boundary (core.Engine.CutUnit has the argument for
+// why a cut equals a fresh engine's run). Engines of one call run
+// concurrently, one sem slot each, slots acquired in task order — tasks
+// arrive grouped by checker in load order — so a one-slot semaphore
+// (-j 1) degenerates to the sequential schedule. A complete keyed unit
+// leaves its record on the task (the storage rule above).
+func runLive(ctx context.Context, sem chan struct{}, tasks []*unitTask, newEngine func(ci int) *core.Engine) {
 	var wg sync.WaitGroup
-	for _, t := range tasks {
-		if t.entry != nil {
+	for len(tasks) > 0 {
+		n := 1
+		for n < len(tasks) && tasks[n].ci == tasks[0].ci {
+			n++
+		}
+		var live []*unitTask
+		for _, t := range tasks[:n] {
+			if !t.replayed {
+				live = append(live, t)
+			}
+		}
+		tasks = tasks[n:]
+		if len(live) == 0 {
 			continue
 		}
+		en := newEngine(live[0].ci)
 		sem <- struct{}{}
 		wg.Add(1)
-		go func(t *unitTask) {
+		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			en := newEngine(t)
-			runs := en.RunRootsContext(ctx, t.roots)
-			funcs := t.funcs
-			if !inlineSummaries {
-				funcs = nil
+			for _, t := range live {
+				t.runs = en.RunRootsContext(ctx, t.roots)
+				t.cut = en.CutUnit()
+				if t.key != "" && t.cut.Complete {
+					t.record, _ = cache.EncodeUnit(cache.NewUnitEntry(t.cut, t.runs))
+				}
 			}
-			entry := cache.NewUnitEntry(en, funcs, runs)
-			if t.key != "" && en.Failure == nil && !en.Degraded() {
-				t.record, _ = cache.EncodeUnit(entry)
-			}
-			if keep {
-				t.entry, t.eng = entry, en
-			}
-		}(t)
+		}()
 	}
 	wg.Wait()
 }
@@ -238,9 +261,9 @@ func (t *UnitTree) checker(src string) (uc *unitChecker, fresh bool) {
 // RunUnits is the remote half of a phase: it compiles the checkers the
 // run's jobs name (once per tree each; compiled counts the new ones),
 // derives every unit key at the barrier run.Marks describes, runs the
-// units some job asks for — one sem slot each, so one semaphore bounds
-// all of a caller's concurrent calls — and returns each complete run's
-// record by key. A job whose checker does not parse or whose key the
+// units some job asks for — one engine and one sem slot per checker, so
+// one semaphore bounds all of a caller's concurrent calls — and returns
+// each complete unit's record by key. A job whose checker does not parse or whose key the
 // inputs do not derive is ignored.
 func (t *UnitTree) RunUnits(ctx context.Context, sem chan struct{}, run *UnitRun) (recs map[string][]byte, compiled int) {
 	want := make(map[UnitJob]bool, len(run.Jobs))
@@ -270,16 +293,16 @@ func (t *UnitTree) RunUnits(ctx context.Context, sem chan struct{}, run *UnitRun
 		if checkers[ci] = uc; uc == nil {
 			continue
 		}
-		for _, task := range t.tasks(ci, uc.c, uc.fp, run.Options, marksFingerprint(shared[ci])) {
+		for _, task := range t.tasks(ci, uc.c, uc.fp, run.Options, shared[ci]) {
 			if task.key != "" && want[UnitJob{Key: task.key, Checker: ci}] {
 				tasks = append(tasks, task)
 			}
 		}
 	}
-	runLive(ctx, sem, tasks, func(task *unitTask) *core.Engine {
-		en := core.NewEngineShared(t.Prog, checkers[task.ci].c, run.Options, shared[task.ci])
-		en.SetCompiled(checkers[task.ci].compiled, 0)
+	runLive(ctx, sem, tasks, func(ci int) *core.Engine {
+		en := core.NewEngineShared(t.Prog, checkers[ci].c, run.Options, shared[ci])
+		en.SetCompiled(checkers[ci].compiled, 0)
 		return en
-	}, true, false)
+	})
 	return records(tasks), compiled
 }
