@@ -25,10 +25,13 @@ vet:
 # batch knobs of its deleted scheduler stay gone (DESIGN.md §15). And a
 # cached run is the plain run (DESIGN.md §8): the record's summary
 # section, the lazy merge engines that read it and the sibling-engine
-# reload gate stay gone too.
+# reload gate stay gone too. And a run stores only what a later run
+# reads (DESIGN.md §8, §12): the pass-1 AST entries and the streaming
+# summary spill stay gone.
 no-deleted-knobs:
 	! grep -rnE 'Match[M]emo|Block[F]ilter|Tuple[I]ntern|Lean[A]lloc|Multi[D]ispatch|Tenant[Q]uota|Queue[D]epth|Batch[S]ize' --include=*.go .
 	! grep -rnE 'Load[S]ummaries|summary[S]ource|Retired[S]et|Allow[S]pillReload|Summaries[L]oaded|SummaryBytes[D]eferred' --include=*.go .
+	! grep -rnE 'Load[S]ources|AST[K]ey|Files[R]eplayed|Set[S]pill|Summary[S]pill|maybe[R]eload|Spill[D]ir|Put[S]ummary|Get[S]ummary' --include=*.go .
 
 # staticcheck is optional locally (the repo adds no dependencies) but
 # mandatory in CI, which installs it. Configured by staticcheck.conf.
@@ -141,13 +144,12 @@ bench-fleet:
 
 # Microbenchmarks for the §10 hot paths (match memoization, block and
 # call-rich traversal, instance clone, the per-path FPP environment's
-# clone and fingerprint, edge-set insertion), the summary reload path
-# (§8/§12) and the disk store (§8: one cold calls-S run's 2685 records
-# / 5.6 MB, written as one batch and indexed at open).
+# clone and fingerprint, edge-set insertion) and the disk store (§8:
+# 2685 records / 5.6 MB, written as one batch and indexed at open).
 # -benchtime 100x keeps the target quick enough for CI; drop the
 # override for stable local numbers.
 bench-micro:
-	$(GO) test -run '^$$' -bench 'BenchmarkBaseMatch|BenchmarkBlockTraversal|BenchmarkCallRichTraversal|BenchmarkInstanceClone|BenchmarkEdgeSetAdd|BenchmarkEnvClone|BenchmarkEnvFingerprint|BenchmarkImportSummaries|BenchmarkStoreOpen|BenchmarkStorePutBatch' \
+	$(GO) test -run '^$$' -bench 'BenchmarkBaseMatch|BenchmarkBlockTraversal|BenchmarkCallRichTraversal|BenchmarkInstanceClone|BenchmarkEdgeSetAdd|BenchmarkEnvClone|BenchmarkEnvFingerprint|BenchmarkStoreOpen|BenchmarkStorePutBatch' \
 		-benchtime 100x ./internal/pattern/ ./internal/core/ ./internal/fpp/ ./internal/cache/
 
 # CPU + allocation profiles (written to pprof/): the 5/50/200-checker

@@ -34,7 +34,6 @@ type incrRun struct {
 	UnitsLive     int     `json:"units_live"`
 	Reduction     float64 `json:"reduction"` // cold_units_live / units_live
 	UnitsReplayed int     `json:"units_replayed"`
-	FilesReparsed int     `json:"files_reparsed"`
 	ColdSeconds   float64 `json:"cold_seconds"`
 	WarmSeconds   float64 `json:"warm_seconds"`
 	Output        string  `json:"output_sha256"`
@@ -133,7 +132,6 @@ func expIncr() {
 			UnitsLive:     warmLive,
 			Reduction:     reduction,
 			UnitsReplayed: warmRes.Incr.UnitsReplayed,
-			FilesReparsed: warmRes.Incr.FilesReparsed,
 			ColdSeconds:   coldSec,
 			WarmSeconds:   warmSec,
 			Output:        warmDigest,

@@ -22,9 +22,10 @@ import (
 // bundled suite in three streaming configurations (-j 1, -j 8, and
 // through a cold incremental cache) against an unbounded in-memory
 // reference. Every cell must produce the reference's byte-identical
-// ranked output; with spill on, a 4x larger tree must stay within a
-// 2x peak-RSS growth (the Go runtime and the per-file parse are the
-// residual linear terms). Peak RSS is the kernel's VmHWM — a
+// ranked output; with streaming on (the cells named spill-on — the
+// name predates the spill store's deletion) a 4x larger tree must stay
+// within a 2x peak-RSS growth (the Go runtime and the per-file parse
+// are the residual linear terms). Peak RSS is the kernel's VmHWM — a
 // process-lifetime high-water mark — so every cell runs in a child
 // process (mcbench re-execs itself with the hidden -scale-cell flag)
 // and reports its own RSS. The series lands in BENCH_scale.json.
@@ -36,9 +37,9 @@ var (
 	scaleShortFlag = flag.Bool("scale-short", false, "scale experiment: two tree sizes and no RSS-ratio assertion (CI mode)")
 )
 
-// scaleMaxResidentMB is the memory budget handed to every spill-on
-// cell; small enough that the summary LRU stays far below the tree's
-// total summary volume at the larger sizes.
+// scaleMaxResidentMB is handed to every spill-on cell as
+// RunConfig.MaxResidentMB: any value > 0 switches streaming on, the
+// magnitude is not consulted.
 const scaleMaxResidentMB = 64
 
 type scaleCellSpec struct {
@@ -55,9 +56,6 @@ type scaleCellResult struct {
 	Lines        int     `json:"lines"`
 	PeakRSSBytes int64   `json:"peak_rss_bytes"`
 	Evictions    int64   `json:"evictions"`
-	Reloads      int64   `json:"reloads"`
-	SpillPuts    int64   `json:"spill_puts"`
-	SpillBytes   int64   `json:"spill_bytes"`
 	ASTsReleased int64   `json:"asts_released"`
 	Output       string  `json:"output_sha256"`
 }
@@ -118,9 +116,6 @@ func runScaleCell(spec string) {
 	}
 	if sp := res.Spill; sp != nil {
 		out.Evictions = sp.Evictions
-		out.Reloads = sp.Reloads
-		out.SpillPuts = sp.SpillPuts
-		out.SpillBytes = sp.SpillBytes
 		out.ASTsReleased = sp.ASTsReleased
 	}
 	if err := json.NewEncoder(os.Stdout).Encode(out); err != nil {
@@ -158,8 +153,6 @@ type scaleRun struct {
 	KLoCPerMin   float64 `json:"kloc_per_min"`
 	PeakRSSBytes int64   `json:"peak_rss_bytes"`
 	Evictions    int64   `json:"evictions"`
-	Reloads      int64   `json:"reloads"`
-	SpillBytes   int64   `json:"spill_bytes"`
 	ASTsReleased int64   `json:"asts_released"`
 	Output       string  `json:"output_sha256"`
 	Identical    bool    `json:"identical_to_reference"`
@@ -182,8 +175,7 @@ type scaleBench struct {
 	RatioBound       float64 `json:"ratio_bound,omitempty"`
 	// WallRatioSpillOnJ1 is the spill-on-j1 wall-clock over the
 	// unbounded reference at the largest size — the streaming mode's
-	// slowdown factor. Reported, not asserted (timing noise); the
-	// packed spill log (internal/spill/log.go) is what keeps it near 1.
+	// slowdown factor. Reported, not asserted (timing noise).
 	WallRatioSpillOnJ1 float64 `json:"wall_ratio_spill_on_j1,omitempty"`
 }
 
@@ -223,7 +215,7 @@ func expScale() {
 	secOn := map[int]float64{}
 	secOff := map[int]float64{}
 
-	fmt.Println("files  mode                 seconds  kloc/min  peak-rss-mb  evictions  reloads  identical")
+	fmt.Println("files  mode                 seconds  kloc/min  peak-rss-mb  evictions  identical")
 	for _, n := range sizes {
 		var refDigest string
 		for _, m := range modes {
@@ -250,15 +242,15 @@ func expScale() {
 				Seconds:      r.Seconds,
 				KLoCPerMin:   float64(r.Lines) / 1000 / (r.Seconds / 60),
 				PeakRSSBytes: r.PeakRSSBytes,
-				Evictions:    r.Evictions, Reloads: r.Reloads,
-				SpillBytes: r.SpillBytes, ASTsReleased: r.ASTsReleased,
-				Output:    r.Output,
-				Identical: r.Output == refDigest,
+				Evictions:    r.Evictions,
+				ASTsReleased: r.ASTsReleased,
+				Output:       r.Output,
+				Identical:    r.Output == refDigest,
 			}
 			bench.Runs = append(bench.Runs, run)
-			fmt.Printf("%5d  %-19s  %7.3f  %8.0f  %11.1f  %9d  %7d  %v\n",
+			fmt.Printf("%5d  %-19s  %7.3f  %8.0f  %11.1f  %9d  %v\n",
 				n, m.name, run.Seconds, run.KLoCPerMin,
-				float64(run.PeakRSSBytes)/(1<<20), run.Evictions, run.Reloads, run.Identical)
+				float64(run.PeakRSSBytes)/(1<<20), run.Evictions, run.Identical)
 			if !run.Identical {
 				die(fmt.Errorf("scale %d files: %s output differs from the in-memory reference — streaming changed results", n, m.name))
 			}

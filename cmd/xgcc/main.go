@@ -51,7 +51,7 @@ func main() {
 		list         = flag.Bool("list", false, "list bundled checkers and exit")
 		rankMode     = flag.String("rank", "generic", "report ordering: generic, z, or grouped")
 		stats        = flag.Bool("stats", false, "print engine statistics")
-		supergraph   = flag.String("supergraph", "", "print block/suffix summaries for the named function (Figure 5 style); runs live, ignoring -cache")
+		supergraph   = flag.String("supergraph", "", "print block/suffix summaries for the named function (Figure 5 style); runs live and resident, ignoring -cache and -max-resident-mb")
 		twoPass      = flag.Bool("two-pass", false, "emit ASTs to temp files and reload them (the paper's pass 1/pass 2 pipeline)")
 		detailed     = flag.Bool("why", false, "print why-traces with each report")
 		verify       = flag.Bool("verify", false, "run the second-tier feasibility pass: replay each report's witness path and annotate it confirmed/infeasible/unknown (verdicts never add or remove reports or change exit codes)")
@@ -62,14 +62,13 @@ func main() {
 		marks        = flag.String("mark", "", "function annotations, e.g. might_sleep=blocking,panic=pathkill")
 		baseline     = flag.String("baseline", "", "history file: suppress reports recorded there; new reports are appended (§8 History)")
 		jobs         = flag.Int("j", 0, "parallel workers for parsing and checker execution (0 = GOMAXPROCS); output is identical at every level")
-		cacheDir     = flag.String("cache", "", "persist parsed ASTs and per-unit results here; warm re-runs replay unchanged work (DESIGN.md §8)")
+		cacheDir     = flag.String("cache", "", "persist per-unit results here; warm re-runs replay unchanged units (DESIGN.md §8)")
 		exitCode     = flag.Bool("exit-code", false, "exit 1 if any non-suppressed report is emitted (errors exit 2, cancellation exits 3)")
 		timeout      = flag.Duration("timeout", 0, "abort the analysis after this duration, exit 3 (0 = unbounded)")
 		pathSteps    = flag.Int64("budget-path-steps", 0, "per-path program-point budget; a tripped budget truncates the path and flags the run degraded (0 = unbounded)")
 		funcBlocks   = flag.Int64("budget-func-blocks", 0, "per-root block-visit budget (0 = unbounded)")
 		funcTime     = flag.Duration("budget-func-time", 0, "per-root wall-clock budget (0 = unbounded)")
-		maxResident  = flag.Int("max-resident-mb", 0, "soft memory budget in MiB: spill function summaries to disk and release ASTs once their unit retires; output is byte-identical (0 = keep everything resident)")
-		spillDir     = flag.String("spill-dir", "", "directory for spilled summaries (default: per-run temp dir; requires -max-resident-mb)")
+		maxResident  = flag.Int("max-resident-mb", 0, "streaming switch: any value > 0 drops per-function analysis state and releases ASTs once their unit retires (the number is not a limit); output is byte-identical, and the run keeps no per-function state for inspection (0 = keep everything resident)")
 		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile   = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
@@ -114,9 +113,11 @@ func main() {
 	opts.Interprocedural = !*intra
 	opts.FPP = !*noFPP
 	if *supergraph != "" {
-		// Inspection shows what this run traversed, and a replayed unit
-		// is not traversed: -supergraph asks for a live run.
+		// Inspection shows what this run traversed and still holds: a
+		// replayed unit is not traversed and a retired one is dropped
+		// for good, so -supergraph asks for a live, resident run.
 		*cacheDir = ""
+		*maxResident = 0
 	}
 	if err := a.Configure(mc.RunConfig{
 		Options:  &opts,
@@ -129,7 +130,6 @@ func main() {
 			FuncTime:   *funcTime,
 		},
 		MaxResidentMB: *maxResident,
-		SpillDir:      *spillDir,
 	}); err != nil {
 		fatal(err)
 	}
@@ -302,12 +302,11 @@ func main() {
 				feasStats.CacheHits, feasStats.P50Micros, feasStats.P95Micros)
 		}
 		if sp := res.Spill; sp != nil {
-			fmt.Printf("spill: evictions=%d reloads=%d puts=%d bytes=%d asts-released=%d\n",
-				sp.Evictions, sp.Reloads, sp.SpillPuts, sp.SpillBytes, sp.ASTsReleased)
+			fmt.Printf("stream: evictions=%d asts-released=%d\n", sp.Evictions, sp.ASTsReleased)
 		}
 		if in := res.Incr; in != nil {
-			fmt.Printf("cache: files reparsed=%d replayed=%d; units live=%d replayed=%d; funcs live=%d replayed=%d changed=%d invalidated=%d; store hits=%d misses=%d puts=%d put-errors=%d\n",
-				in.FilesReparsed, in.FilesReplayed, in.UnitsLive, in.UnitsReplayed,
+			fmt.Printf("cache: files parsed=%d; units live=%d replayed=%d; funcs live=%d replayed=%d changed=%d invalidated=%d; store hits=%d misses=%d puts=%d put-errors=%d\n",
+				in.FilesReparsed, in.UnitsLive, in.UnitsReplayed,
 				in.FuncsAnalyzedLive, in.FuncsAnalyzedReplayed, in.FuncsChanged, in.FuncsInvalidated,
 				in.CacheHits, in.CacheMisses, in.CachePuts, in.CachePutErrors)
 			if st := in.Store; st != nil {

@@ -173,7 +173,7 @@ func TestCacheFlagWarmRunIdentical(t *testing.T) {
 	}
 	// -stats on a warm run reports the full replay.
 	stats, code := runXgcc(t, dir, "-checker", "free,null", "-cache", cacheDir, "-stats", buggy)
-	if code != 0 || !strings.Contains(stats, "cache: files reparsed=0") {
+	if code != 0 || !strings.Contains(stats, "cache: files parsed=1; units live=0 replayed=2;") {
 		t.Errorf("warm -stats did not report a full replay: code %d, %.400s", code, stats)
 	}
 	// -supergraph through the cache renders what the plain engine
@@ -192,6 +192,36 @@ func TestCacheFlagWarmRunIdentical(t *testing.T) {
 	}
 	if !strings.Contains(stats, "put-errors=0\n") || !strings.Contains(stats, "store: records=") || strings.Contains(stats, "records=0 ") {
 		t.Errorf("warm -stats did not report the store: %.600s", stats)
+	}
+}
+
+// TestSupergraphRunsResident: inspection needs the engine's resident
+// state and a streaming run's retirement is final, so -supergraph drops
+// -max-resident-mb for its run as it drops -cache, and renders what the
+// plain run renders.
+func TestSupergraphRunsResident(t *testing.T) {
+	ringbuf, err := filepath.Abs("../../testdata/corpus/ringbuf.c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	plain, code := runXgcc(t, dir, "-checker", "free", "-supergraph", "ring_push", ringbuf)
+	if code != 0 || strings.Count(plain, "\nB") != 9 {
+		t.Fatalf("plain -supergraph: code %d, %d blocks, want 9:\n%s", code, strings.Count(plain, "\nB"), plain)
+	}
+	streamed, code := runXgcc(t, dir, "-checker", "free", "-max-resident-mb", "1", "-supergraph", "ring_push", ringbuf)
+	if code != 0 || streamed != plain {
+		t.Errorf("-supergraph under -max-resident-mb differs from the plain run (code %d):\nplain:\n%s\nstreamed:\n%s", code, plain, streamed)
+	}
+}
+
+// TestRemovedFlagRejected: the spill store went and -spill-dir with it.
+func TestRemovedFlagRejected(t *testing.T) {
+	dir := t.TempDir()
+	buggy := writeSrc(t, dir, "buggy.c", buggySrc)
+	out, code := runXgcc(t, dir, "-spill-dir", "x", buggy)
+	if code != 2 || !strings.Contains(out, "flag provided but not defined: -spill-dir") {
+		t.Errorf("-spill-dir: code %d, want 2 and an unknown-flag error: %.200s", code, out)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Command xgccd is the long-running xgcc analysis daemon: it keeps
-// the source tree, pass-1 ASTs, and per-unit analysis results
-// resident, so repeated analyses after small edits replay everything
+// the source tree and per-unit analysis results resident, so repeated
+// analyses after small edits re-parse the tree and replay every unit
 // the edit didn't touch (DESIGN.md §8).
 //
 // A typical session:
@@ -66,8 +66,7 @@ func main() {
 		pathSteps   = flag.Int64("budget-path-steps", 0, "per-path program-point budget (0 = unbounded)")
 		funcBlocks  = flag.Int64("budget-func-blocks", 0, "per-root block-visit budget (0 = unbounded)")
 		funcTime    = flag.Duration("budget-func-time", 0, "per-root wall-clock budget (0 = unbounded)")
-		maxResident = flag.Int("max-resident-mb", 0, "soft memory budget in MiB: spill summaries to disk and release ASTs after unit retirement; output unchanged (0 = keep everything resident)")
-		spillDir    = flag.String("spill-dir", "", "directory for spilled summaries (default: per-run temp dir; requires -max-resident-mb)")
+		maxResident = flag.Int("max-resident-mb", 0, "streaming switch: any value > 0 drops per-function analysis state and releases ASTs after unit retirement (the number is not a limit); output unchanged (0 = keep everything resident)")
 		verify      = flag.Bool("verify", false, "run the asynchronous feasibility-verdict pipeline: analyze responses return immediately with verdict \"unverified\" and background workers annotate reports confirmed/infeasible/unknown (DESIGN.md §13)")
 		verifyJobs  = flag.Int("verify-workers", 1, "verdict worker pool size (requires -verify)")
 
@@ -120,7 +119,6 @@ func main() {
 			FuncTime:   *funcTime,
 		},
 		MaxResidentMB: *maxResident,
-		SpillDir:      *spillDir,
 		Verify:        *verify,
 		VerifyWorkers: *verifyJobs,
 	}

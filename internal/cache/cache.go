@@ -1,10 +1,10 @@
 // Package cache is the content-addressed persistent store behind
 // incremental analysis (DESIGN.md §8). Entries are keyed by SHA-256
-// fingerprints of everything the cached computation depends on — file
-// content, checker source, core.Options, the declaration environment,
-// visible composition marks — so invalidation is implicit: an edit
-// changes the key, and the stale entry is simply never asked for
-// again. Stores are safe for concurrent use.
+// fingerprints of everything the cached computation depends on —
+// function content, checker source, core.Options, the declaration
+// environment, visible composition marks — so invalidation is
+// implicit: an edit changes the key, and the stale entry is simply
+// never asked for again. Stores are safe for concurrent use.
 package cache
 
 import (

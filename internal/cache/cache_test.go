@@ -168,18 +168,24 @@ func TestManifestRoundTrip(t *testing.T) {
 	if LoadManifest(s, "cfg") != nil {
 		t.Error("manifest on empty store")
 	}
-	m := &Manifest{
-		Files: map[string]string{"a.c": "h1"},
-		Funcs: map[string]string{"a.c\x00f": "h2"},
-	}
+	m := &Manifest{Funcs: map[string]string{"a.c\x00f": "h2"}}
 	if err := SaveManifest(s, "cfg", m); err != nil {
 		t.Fatal(err)
 	}
 	back := LoadManifest(s, "cfg")
-	if back == nil || back.Files["a.c"] != "h1" || back.Funcs["a.c\x00f"] != "h2" {
+	if back == nil || back.Funcs["a.c\x00f"] != "h2" {
 		t.Errorf("manifest lost: %+v", back)
 	}
 	if LoadManifest(s, "other-cfg") != nil {
 		t.Error("manifest leaked across configurations")
+	}
+	// A manifest saved before the per-file hashes were dropped still
+	// carries its "files" map; it decodes, the map ignored.
+	old := `{"files":{"a.c":"h1"},"funcs":{"a.c\u0000f":"h3"}}`
+	if err := s.Put(ManifestKey("old-cfg"), []byte(old)); err != nil {
+		t.Fatal(err)
+	}
+	if back := LoadManifest(s, "old-cfg"); back == nil || back.Funcs["a.c\x00f"] != "h3" {
+		t.Errorf("old-format manifest did not decode: %+v", back)
 	}
 }

@@ -370,7 +370,7 @@ func Reopen(t *testing.T, open func(t *testing.T, dir string) cache.Store, file 
 		// a run per process (a handle per save) nor a resident daemon
 		// (one handle, many saves) may grow the file without bound.
 		manifest := func(i int) *cache.Manifest {
-			m := &cache.Manifest{Files: map[string]string{}, Funcs: map[string]string{}}
+			m := &cache.Manifest{Funcs: map[string]string{}}
 			for f := 0; f < 50; f++ {
 				m.Funcs[fmt.Sprintf("f.c\x00fn%d", f)] = cache.Key("hash", fmt.Sprint(i, f))
 			}

@@ -1,15 +1,13 @@
 package cache
 
-// Serialized entry shapes. Three kinds of entry live in the store:
+// Serialized entry shapes. Two kinds of entry live in the store:
 //
-//   - AST entries: raw cc.EmitFile bytes keyed by file name + source
-//     hash, so a warm run reads pass-1 output instead of re-parsing.
 //   - Unit entries: one checker's complete analysis output for one
 //     call-graph unit — report segments per root, stats, rule counts,
 //     marks: what a warm run replays — keyed by checker + options +
 //     environment + visible marks + the unit's member-function hashes.
-//   - The manifest: the previous run's file and function hashes, used
-//     to compute changed/invalidated counts for stats and metrics
+//   - The manifest: the previous run's function hashes, used to
+//     compute changed/invalidated counts for stats and metrics
 //     (correctness never depends on it — content addressing alone
 //     decides reuse).
 
@@ -82,11 +80,9 @@ func DecodeUnit(data []byte) (*UnitEntry, error) {
 	return e, nil
 }
 
-// Manifest records the file and function content hashes of the last
-// completed run under a given configuration.
+// Manifest records the function content hashes of the last completed
+// run under a given configuration.
 type Manifest struct {
-	// Files maps file name to source-content hash.
-	Files map[string]string `json:"files"`
 	// Funcs maps prog.FuncID to declaration content hash.
 	Funcs map[string]string `json:"funcs"`
 }
@@ -117,9 +113,6 @@ func SaveManifest(s Store, configFP string, m *Manifest) error {
 	}
 	return s.Put(ManifestKey(configFP), data)
 }
-
-// ASTKey derives the store key for a pass-1 emitted AST.
-func ASTKey(fileName, srcHash string) string { return Key("ast", fileName, srcHash) }
 
 // UnitKey derives the store key for a unit entry. checkerFP covers
 // the checker's source (load order is the manifest key's concern);

@@ -117,30 +117,6 @@ func TestCallRichTraversalAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkImportSummaries loads a whole program's summaries into a
-// fresh engine one function per call — the shape of the spill reload
-// path (maybeReload) and of the cached path's lazy inspection. The
-// FuncID index is built once per Program, so the cost per call must not
-// grow with program size.
-func BenchmarkImportSummaries(b *testing.B) {
-	files, c := benchInputs(b)
-	p := prog.Build(files...)
-	en := NewEngine(p, c, DefaultOptions())
-	en.Run()
-	sds := make([]*SummaryData, len(p.All))
-	for i, fn := range p.All {
-		sds[i] = en.ExportSummaries([]*prog.Function{fn})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		me := NewEngine(p, c, DefaultOptions())
-		for _, sd := range sds {
-			me.ImportSummaries(sd)
-		}
-	}
-}
-
 // BenchmarkInstanceClone measures the per-clone cost of an instance
 // with a shared cons-list trace. Cloning happens at every path split
 // and call boundary for every active instance, so this is the engine's

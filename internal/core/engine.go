@@ -39,14 +39,6 @@ type Options struct {
 	// MaxPartitions caps the disjoint exit-state partitions built at a
 	// call return (§6.3 step 5).
 	MaxPartitions int
-	// MaxResidentMB is a soft memory budget in MiB; > 0 enables the
-	// streaming mode (DESIGN.md §12): function summaries spill to an
-	// on-disk store and funcInfo caches plus ASTs are evicted at unit
-	// retirement, with the budget sizing the decoded-summary reload
-	// LRU. Semantics-preserving — output is byte-identical to the
-	// in-memory run at every parallelism level and through the cache —
-	// so it stays out of the incremental cache's options fingerprint.
-	MaxResidentMB int
 	// Budgets bounds per-path and per-function traversal work
 	// (governance layer, DESIGN.md §9). Zero value = unlimited.
 	Budgets Budgets
@@ -150,7 +142,7 @@ type Engine struct {
 	// or Go-callout bug); reports emitted before the crash survive.
 	Failure *CheckerFailure
 	// Spill tallies streaming-mode activity: funcInfo evictions at
-	// unit retirement and summary reloads from the store (stream.go).
+	// unit retirement (stream.go).
 	Spill SpillCounts
 
 	// Run-scoped governance state (see governance.go). govern gates
@@ -189,14 +181,10 @@ type Engine struct {
 	// checker list.
 	compiled   *CompiledDispatch
 	checkerIdx int
-	// Streaming mode (stream.go): spill/spillKey address the summary
-	// store, retire schedules eviction, onRetire notifies the mc
-	// releaser, and spilled gates reload to own evictions.
-	spill    SummarySpill
-	spillKey func(*prog.Function) string
+	// Streaming mode (stream.go): retire schedules eviction, onRetire
+	// notifies the mc releaser.
 	retire   *prog.RetirePlan
 	onRetire func([]*prog.Function)
-	spilled  map[*prog.Function]bool
 }
 
 // NewEngine builds an engine for one checker over a program.
@@ -295,9 +283,6 @@ func (en *Engine) funcInfo(fn *prog.Function) *funcInfo {
 	if !ok {
 		fi = newFuncInfo(fn.Graph, en.intern)
 		en.funcs[fn] = fi
-		// Streaming mode: an evicted function's summaries come back
-		// from the spill store on demand (inspection only; stream.go).
-		en.maybeReload(fn)
 	}
 	return fi
 }

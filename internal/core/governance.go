@@ -239,8 +239,8 @@ func (en *Engine) RunRootsContext(ctx context.Context, roots []*prog.Function) [
 		before := len(en.Reports.Reports)
 		en.runRootIsolated(root)
 		out = append(out, RootRun{Root: root, Reports: en.Reports.Reports[before:]})
-		// Streaming mode: spill and drop whatever this root's
-		// completion retired (stream.go; no-op without SetRetire).
+		// Streaming mode: drop whatever this root's completion
+		// retired (stream.go; no-op without SetRetire).
 		en.retireAfter(root)
 	}
 	// The interner's struct-key cache is run-scoped: dropping it here

@@ -6,8 +6,8 @@ package core
 // layer (internal/cache, mc) composes the first four: a unit's record
 // stores the report segments its roots produced and what the engine
 // accumulated while running them, so a warm run can replay the unit
-// without traversing it. Summary serialization serves the streaming
-// mode's spill store (stream.go).
+// without traversing it. Summary serialization has no product caller
+// left (see its section below).
 
 import (
 	"context"
@@ -123,6 +123,13 @@ func (s *Shared) Snapshot() string {
 
 // ---------------------------------------------------------------------------
 // Summary serialization
+//
+// A vestige: the unit records (PR 17) and the streaming spill (PR 18)
+// that carried serialized summaries are gone, and no product code calls
+// ExportSummaries or ImportSummaries. The section stays only because
+// the frozen benchmark/layers.go (lines 459-462, 507-512, 537-539) still
+// models both as export + import; it goes with the benchmark PR that
+// drops that model (ROADMAP item 5).
 // ---------------------------------------------------------------------------
 
 // TupleData is a serialized state tuple. ObjExpr is rendered through
@@ -246,16 +253,16 @@ func (en *Engine) ExportSummaries(fns []*prog.Function) *SummaryData {
 // ImportSummaries loads serialized summaries into the engine's
 // per-function caches, keyed by FuncID against the engine's program
 // (prog.FuncByID: the index is built once per program, not per call).
-// Imported state is for inspection (supergraph rendering of a function
-// the streaming mode evicted) — it never feeds a live traversal, which
-// would perturb path exploration relative to a cold run.
+// Imported state is for inspection (supergraph rendering) — it never
+// feeds a live traversal, which would perturb path exploration relative
+// to a cold run.
 func (en *Engine) ImportSummaries(sd *SummaryData) {
 	for _, fd := range sd.Funcs {
 		fn := en.Prog.FuncByID(fd.Func)
 		if fn == nil || fn.Graph == nil {
 			// Unknown function, or one whose AST the streaming mode
 			// released: without its CFG the block ids cannot be mapped
-			// back, so the summary stays in the store.
+			// back.
 			continue
 		}
 		fi := en.funcInfo(fn)

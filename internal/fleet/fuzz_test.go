@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/cache"
-	"repro/internal/cc"
 	"repro/internal/fleet"
 	"repro/mc"
 )
@@ -38,10 +37,8 @@ func derivable(req *fleet.WorkRequest) map[string]bool {
 	keys := map[string]bool{}
 	for _, src := range req.Checkers {
 		ctx, cancel := context.WithCancel(context.Background())
-		opts := req.Options
-		opts.MaxResidentMB = 0
 		a := mc.NewAnalyzer()
-		a.Configure(mc.RunConfig{Options: &opts, Jobs: 1, CacheStore: cache.NewMemStore(),
+		a.Configure(mc.RunConfig{Options: &req.Options, Jobs: 1, CacheStore: cache.NewMemStore(),
 			UnitRunner: func(_ context.Context, run *mc.UnitRun) error {
 				for _, job := range run.Jobs {
 					keys[job.Key] = true
@@ -70,9 +67,8 @@ int g(int *q) { return *q; }
 
 // FuzzWorkRequest throws arbitrary bodies at /v1/work: the worker never
 // panics, never answers 5xx, answers 400 to what is not JSON, and every
-// key the store gains is a pass-1 AST key of the files sent or a unit
-// key derivable from the content sent — whatever keys the body asked
-// for.
+// key the store gains is a unit key derivable from the content sent —
+// whatever keys the body asked for.
 func FuzzWorkRequest(f *testing.F) {
 	// The malformed seeds are the checked-in corpus (testdata/fuzz); the
 	// two added here carry keys derived under the current key format.
@@ -103,9 +99,6 @@ func FuzzWorkRequest(f *testing.F) {
 			return
 		}
 		allowed := derivable(&req)
-		for name, text := range req.Files {
-			allowed[cache.ASTKey(name, cc.HashBytes([]byte(text)))] = true
-		}
 		for _, key := range store.keys {
 			if !allowed[key] {
 				t.Fatalf("store gained key %s, which the content sent does not derive", key)

@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cache"
+	"repro/internal/cc"
 	"repro/mc"
 )
 
@@ -122,8 +123,9 @@ func (w *Worker) handleWork(rw http.ResponseWriter, r *http.Request) {
 
 // tree returns the built program for a source set, building (and
 // caching) it on first sight. The cache key is computed here from the
-// sources themselves, so a request cannot alias another tree. The build
-// runs the shared pass-1 loader over the shared store's AST cache.
+// sources themselves, so a request cannot alias another tree. The
+// worker parses the sources it was sent (cc.ParseFiles, the
+// coordinator's own pass 1).
 func (w *Worker) tree(srcs map[string]string) *workerTree {
 	canon, _ := json.Marshal(srcs) // keys sorted: one encoding per source set
 	fp := cache.Key(string(canon))
@@ -148,7 +150,7 @@ func (w *Worker) tree(srcs map[string]string) *workerTree {
 	w.mu.Unlock()
 	t.once.Do(func() {
 		w.treesBuilt.Add(1)
-		files, _, err := cache.LoadSources(w.cas, srcs, cap(w.sem))
+		files, err := cc.ParseFiles(srcs, cap(w.sem))
 		if t.err = err; err == nil {
 			t.tree = mc.NewUnitTree(files)
 		}

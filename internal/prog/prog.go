@@ -146,18 +146,9 @@ func Build(files ...*cc.File) *Program {
 // BuildSource parses the given named sources and assembles a program.
 // srcs maps file name to C source text.
 func BuildSource(srcs map[string]string) (*Program, error) {
-	names := make([]string, 0, len(srcs))
-	for n := range srcs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var files []*cc.File
-	for _, n := range names {
-		f, err := cc.ParseFile(n, srcs[n])
-		if err != nil {
-			return nil, fmt.Errorf("parse %s: %w", n, err)
-		}
-		files = append(files, f)
+	files, err := cc.ParseFiles(srcs, 1)
+	if err != nil {
+		return nil, err
 	}
 	return Build(files...), nil
 }

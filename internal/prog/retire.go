@@ -26,35 +26,7 @@ func (p *Program) PlanRetire(roots []*Function) *RetirePlan {
 	if len(roots) == 0 {
 		return &RetirePlan{}
 	}
-	// Component id per function, flood-filled over undirected call
-	// edges exactly as Units does.
-	comp := map[*Function]int{}
-	next := 0
-	for _, fn := range p.All {
-		if _, done := comp[fn]; done {
-			continue
-		}
-		id := next
-		next++
-		stack := []*Function{fn}
-		comp[fn] = id
-		for len(stack) > 0 {
-			cur := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, nb := range cur.Callees {
-				if _, done := comp[nb]; !done {
-					comp[nb] = id
-					stack = append(stack, nb)
-				}
-			}
-			for _, nb := range cur.Callers {
-				if _, done := comp[nb]; !done {
-					comp[nb] = id
-					stack = append(stack, nb)
-				}
-			}
-		}
-	}
+	comp, _ := p.components()
 	// Last root per component in traversal order.
 	last := map[int]*Function{}
 	for _, r := range roots {

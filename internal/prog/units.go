@@ -46,40 +46,41 @@ type Unit struct {
 	FirstRoot int
 }
 
+// components numbers the weakly-connected components of the call graph:
+// a flood fill over undirected call edges, ids in Program.All order of
+// each component's first member. n is the component count.
+func (p *Program) components() (comp map[*Function]int, n int) {
+	comp = map[*Function]int{}
+	for _, fn := range p.All {
+		if _, done := comp[fn]; done {
+			continue
+		}
+		stack := []*Function{fn}
+		comp[fn] = n
+		for len(stack) > 0 {
+			cur := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, nbs := range [2][]*Function{cur.Callees, cur.Callers} {
+				for _, nb := range nbs {
+					if _, done := comp[nb]; !done {
+						comp[nb] = n
+						stack = append(stack, nb)
+					}
+				}
+			}
+		}
+		n++
+	}
+	return comp, n
+}
+
 // Units partitions the program into weakly-connected components of the
 // call graph, ordered by the position of each component's first root
 // in Program.Roots. Every function belongs to exactly one unit, and
 // every unit has at least one root (computeRoots guarantees all
 // functions are reachable from Roots).
 func (p *Program) Units() []*Unit {
-	comp := map[*Function]int{}
-	next := 0
-	for _, fn := range p.All {
-		if _, done := comp[fn]; done {
-			continue
-		}
-		// Flood fill over undirected call edges.
-		id := next
-		next++
-		stack := []*Function{fn}
-		comp[fn] = id
-		for len(stack) > 0 {
-			cur := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, nb := range cur.Callees {
-				if _, done := comp[nb]; !done {
-					comp[nb] = id
-					stack = append(stack, nb)
-				}
-			}
-			for _, nb := range cur.Callers {
-				if _, done := comp[nb]; !done {
-					comp[nb] = id
-					stack = append(stack, nb)
-				}
-			}
-		}
-	}
+	comp, next := p.components()
 	units := make([]*Unit, next)
 	for i := range units {
 		units[i] = &Unit{FirstRoot: -1}

@@ -85,14 +85,12 @@ type Config struct {
 	RequestTimeout time.Duration
 	// Budgets bounds each traversal inside a run (mc.RunConfig.Budgets).
 	Budgets mc.Budgets
-	// MaxResidentMB enables streaming mode (DESIGN.md §12): analyzed
-	// summaries spill to disk and ASTs are released once their unit
-	// retires, bounding the daemon's peak residency. 0 = keep
-	// everything in memory. Output is identical either way.
+	// MaxResidentMB is the streaming switch (DESIGN.md §12): any value
+	// > 0 drops per-function analysis state and releases ASTs once
+	// their unit retires, bounding the daemon's peak residency; the
+	// number is not a limit. 0 = keep everything in memory. Output is
+	// identical either way.
 	MaxResidentMB int
-	// SpillDir is where streaming mode spills summaries; empty means a
-	// per-run temp directory.
-	SpillDir string
 	// Registry is the versioned checker inventory backing the
 	// /v1/checkers routes (DESIGN.md §14). Nil gets a fresh memory-only
 	// registry, so the routes always work; pass registry.Open(dir) to
@@ -169,8 +167,6 @@ type Server struct {
 	// Cumulative streaming counters across all runs (zero unless
 	// Config.MaxResidentMB > 0; DESIGN.md §12).
 	spillEvictions int64
-	spillReloads   int64
-	spillBytes     int64
 	astsReleased   int64
 	// Checker-platform counters (DESIGN.md §14): hot-reloads observed
 	// on the analyze path and validation outcomes. lastEnabled tracks
@@ -286,8 +282,9 @@ func retryAfterSeconds(d time.Duration, inflight int64) int {
 }
 
 // newAnalyzer assembles a fresh analyzer over the given tree and the
-// resident store for one tenant. Analyzer construction is cheap; all
-// heavy state (parsed ASTs, unit results) lives in the store. The
+// resident store for one tenant. Analyzer construction is cheap; the
+// heavy state that outlives a run (unit results) lives in the store,
+// and every run parses the tree it is given. The
 // registry read here IS the hot-reload: every run loads the tenant's
 // currently enabled checkers, so an enable/disable between requests
 // takes effect on the next analyze with no restart — and because unit
@@ -301,7 +298,6 @@ func (s *Server) newAnalyzer(tree map[string]string, tenant string) (*mc.Analyze
 		CacheStore:    s.store,
 		Budgets:       s.cfg.Budgets,
 		MaxResidentMB: s.cfg.MaxResidentMB,
-		SpillDir:      s.cfg.SpillDir,
 	}
 	if s.cfg.Fleet != nil {
 		cfg.UnitRunner = s.cfg.Fleet.RunnerFor(tenant)
@@ -688,8 +684,6 @@ func (s *Server) runAnalyze(w http.ResponseWriter, ctx context.Context, tenant s
 	}
 	if sp := res.Spill; sp != nil {
 		s.spillEvictions += sp.Evictions
-		s.spillReloads += sp.Reloads
-		s.spillBytes += sp.SpillBytes
 		s.astsReleased += sp.ASTsReleased
 	}
 	s.srcs = next
@@ -808,8 +802,6 @@ type StatsResponse struct {
 	MaxInFlight     int   `json:"max_inflight"`
 	// Streaming counters, cumulative across runs (DESIGN.md §12).
 	SpillEvictions int64 `json:"spill_evictions"`
-	SpillReloads   int64 `json:"spill_reloads"`
-	SpillBytes     int64 `json:"spill_bytes"`
 	ASTsReleased   int64 `json:"asts_released"`
 	MaxResidentMB  int   `json:"max_resident_mb,omitempty"`
 	// Checker-platform counters (DESIGN.md §14): active-set changes
@@ -857,8 +849,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		DegradedRuns:    s.degradedRuns,
 		MaxInFlight:     s.cfg.MaxInFlight,
 		SpillEvictions:  s.spillEvictions,
-		SpillReloads:    s.spillReloads,
-		SpillBytes:      s.spillBytes,
 		ASTsReleased:    s.astsReleased,
 		MaxResidentMB:   s.cfg.MaxResidentMB,
 		Files:           len(s.srcs),
@@ -912,9 +902,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("xgccd_timeouts_total", s.timeouts, "analyses cancelled by the request deadline")
 	counter("xgccd_checker_failures_total", s.checkerFailures, "checkers contained after panicking mid-run")
 	counter("xgccd_degraded_runs_total", s.degradedRuns, "runs with budget-truncated traversals")
-	counter("xgccd_spill_evictions_total", s.spillEvictions, "function summaries evicted to the spill store")
-	counter("xgccd_spill_reloads_total", s.spillReloads, "summaries demand-loaded back from the spill store")
-	counter("xgccd_spill_bytes_total", s.spillBytes, "bytes written to the spill store")
+	counter("xgccd_spill_evictions_total", s.spillEvictions, "per-function analysis states dropped at unit retirement")
 	counter("xgccd_asts_released_total", s.astsReleased, "function bodies released after unit retirement")
 	counter("xgccd_checker_reloads_total", s.checkerReloads, "active checker-set changes picked up by analyze runs")
 	counter("xgccd_coalesced_analyzes_total", s.coalescedAnalyzes, "analyze requests that shared an identical in-flight run")
@@ -968,8 +956,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		gauge("xgccd_units_live", float64(in.UnitsLive), "units analyzed live")
 		gauge("xgccd_units_replayed", float64(in.UnitsReplayed), "units replayed from cache")
 		gauge("xgccd_units_remote", float64(in.UnitsRemote), "units a fleet worker filled during the last run")
-		gauge("xgccd_files_reparsed", float64(in.FilesReparsed), "files re-parsed")
-		gauge("xgccd_files_replayed", float64(in.FilesReplayed), "files replayed from the AST cache")
+		gauge("xgccd_files_reparsed", float64(in.FilesReparsed), "files parsed (every file, every run)")
 		gauge("xgccd_phase_parse_seconds", float64(in.ParseNanos)/1e9, "pass-1 wall time")
 		gauge("xgccd_phase_build_seconds", float64(in.BuildNanos)/1e9, "program assembly wall time")
 		gauge("xgccd_phase_analyze_seconds", float64(in.AnalyzeNanos)/1e9, "checker execution wall time")

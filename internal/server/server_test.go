@@ -87,8 +87,8 @@ func TestDaemonSession(t *testing.T) {
 		t.Errorf("warm live analyses %d not below cold %d",
 			warm.Incr.FuncsAnalyzedLive, cold.Incr.FuncsAnalyzedLive)
 	}
-	if warm.Incr.FilesReplayed == 0 {
-		t.Error("warm run re-parsed every file")
+	if warm.Incr.FilesReparsed != len(srcs) {
+		t.Errorf("warm run parsed %d files; pass 1 parses the whole resident tree, %d", warm.Incr.FilesReparsed, len(srcs))
 	}
 
 	// Reports endpoint: json and text, generic and z ranking.

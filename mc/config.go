@@ -50,16 +50,12 @@ type RunConfig struct {
 	// Options.Budgets (so callers can pass DefaultOptions plus a
 	// budget without touching the struct).
 	Budgets Budgets
-	// MaxResidentMB enables the streaming mode (DESIGN.md §12) with a
-	// soft memory budget in MiB; > 0 overrides Options.MaxResidentMB.
-	// Output stays byte-identical to the in-memory run.
+	// MaxResidentMB is the streaming switch (DESIGN.md §12): any value
+	// > 0 turns unit retirement and AST release on. The number is not a
+	// limit and is not otherwise consulted. Output stays byte-identical
+	// to the in-memory run, and the run keeps no per-function state for
+	// inspection afterwards.
 	MaxResidentMB int
-	// SpillDir is the streaming mode's summary-store directory
-	// (created if needed). Empty spills to a per-run temp directory
-	// that is removed when the run returns — set it (or share
-	// CacheDir's parent) when post-run supergraph inspection of
-	// evicted functions matters.
-	SpillDir string
 	// Timeout bounds each RunContext call; RunContext derives a
 	// deadline context per run. Zero means no analyzer-imposed bound.
 	Timeout time.Duration
@@ -84,10 +80,7 @@ func (a *Analyzer) Configure(cfg RunConfig) error {
 		a.opts.Budgets = cfg.Budgets
 	}
 	if cfg.MaxResidentMB > 0 {
-		a.opts.MaxResidentMB = cfg.MaxResidentMB
-	}
-	if cfg.SpillDir != "" {
-		a.spillDir = cfg.SpillDir
+		a.streaming = true
 	}
 	if cfg.Jobs < 0 {
 		a.jobs = 0

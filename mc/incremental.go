@@ -1,7 +1,7 @@
 package mc
 
 // Incremental analysis (DESIGN.md §8): what RunContext does with a
-// store — reuse pass-1 ASTs and whole-unit analysis results across runs.
+// store — reuse whole-unit analysis results across runs.
 //
 // The unit of reuse is a weakly-connected component of the call graph
 // (prog.Units): the engine's per-function state never crosses unit
@@ -23,7 +23,6 @@ import (
 	"strings"
 
 	"repro/internal/cache"
-	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/prog"
 )
@@ -54,9 +53,10 @@ type IncrStats struct {
 	AnalyzeNanos int64 `json:"analyze_nanos"`
 	MergeNanos   int64 `json:"merge_nanos"`
 
-	// Pass-1 reuse.
+	// FilesReparsed is the number of source files pass 1 parsed: all
+	// of them, every run (the name dates from a pass-1 AST cache and is
+	// pinned by the frozen benchmark/layers.go:162).
 	FilesReparsed int `json:"files_reparsed"`
-	FilesReplayed int `json:"files_replayed"`
 
 	// Unit reuse, counted per (checker, unit) pair. UnitsRemote is the
 	// subset of UnitsReplayed that a fleet worker filled during this
@@ -89,16 +89,9 @@ type IncrStats struct {
 // the last complete run under this configuration: invalidation
 // accounting for stats and /metrics. Correctness never depends on it —
 // content-addressed keys alone decide reuse.
-func (a *Analyzer) diffManifest(tree *UnitTree, files []*cc.File, configFP string, incr *IncrStats) *cache.Manifest {
+func (a *Analyzer) diffManifest(tree *UnitTree, configFP string, incr *IncrStats) *cache.Manifest {
 	p, funcHash := tree.Prog, tree.funcHash
-	manifest := &cache.Manifest{Files: map[string]string{}, Funcs: map[string]string{}}
-	for _, f := range files {
-		if src, ok := a.srcs[f.Name]; ok {
-			manifest.Files[f.Name] = cc.HashBytes([]byte(src))
-		} else {
-			manifest.Files[f.Name] = cc.HashBytes(cc.EmitFile(f))
-		}
-	}
+	manifest := &cache.Manifest{Funcs: map[string]string{}}
 	for _, fn := range p.All {
 		manifest.Funcs[prog.FuncID(fn)] = funcHash[fn]
 	}
@@ -221,13 +214,11 @@ func sumAnalyses(s *core.Stats) int {
 	return n
 }
 
-// optionsFingerprint renders every semantics-affecting Options field
-// into the cache key. MaxResidentMB is deliberately excluded: it cannot
-// change any output byte, so streaming and in-memory runs share entries
-// — which is also what lets the streaming determinism test pin spill-on
-// warm runs against spill-off cold ones. A new Options field must be
-// rendered here or join that exemption in
-// TestOptionsFingerprintCoversEveryField.
+// optionsFingerprint renders every Options field into the cache key
+// (TestOptionsFingerprintCoversEveryField holds a new field to that).
+// The streaming switch is not an Options field and is not keyed: it
+// cannot change any output byte, so streaming and in-memory runs share
+// entries.
 func optionsFingerprint(o Options) string {
 	var sb strings.Builder
 	sb.WriteString("opts|")

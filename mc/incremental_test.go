@@ -102,8 +102,8 @@ func TestWarmIdenticalRunReplaysEverything(t *testing.T) {
 	if res.Incr.FuncsAnalyzedLive != 0 {
 		t.Errorf("unchanged warm run analyzed %d functions live", res.Incr.FuncsAnalyzedLive)
 	}
-	if res.Incr.FilesReparsed != 0 {
-		t.Errorf("unchanged warm run reparsed %d files", res.Incr.FilesReparsed)
+	if res.Incr.FilesReparsed != len(srcs) {
+		t.Errorf("warm run parsed %d files; pass 1 parses every file every run, %d", res.Incr.FilesReparsed, len(srcs))
 	}
 	if res.Incr.FuncsChanged != 0 || res.Incr.FuncsInvalidated != 0 {
 		t.Errorf("unchanged warm run invalidated %d/%d functions",

@@ -75,9 +75,9 @@ type Analyzer struct {
 	// timeout bounds each RunContext call (RunConfig.Timeout); zero
 	// means no bound beyond the caller's context.
 	timeout time.Duration
-	// spillDir is the streaming mode's persistent summary-store
-	// directory (RunConfig.SpillDir); empty uses a per-run temp dir.
-	spillDir string
+	// streaming turns unit retirement and AST release on
+	// (RunConfig.MaxResidentMB > 0; DESIGN.md §12).
+	streaming bool
 }
 
 // NewAnalyzer returns an analyzer with default options.
@@ -203,15 +203,17 @@ type Result struct {
 	// summary inspection (SupergraphString). It holds what this run
 	// traversed: everything without a store or on a cold one; on a
 	// warm run a replayed unit's functions render no edges, and a
-	// checker whose every unit replayed has no engine at all. To
-	// inspect, run without a store (xgcc -supergraph does).
+	// checker whose every unit replayed has no engine at all. A
+	// streaming run keeps no per-function state for inspection. To
+	// inspect, run without a store and without MaxResidentMB (xgcc
+	// -supergraph does).
 	Engines map[string]*core.Engine
 	// Incr reports what a run with a store replayed versus analyzed
 	// live; nil without one.
 	Incr *IncrStats
 	// Spill reports the streaming mode's memory-bounding activity
-	// (evictions, reloads, spill bytes, ASTs released); nil when
-	// Options.MaxResidentMB is 0 (DESIGN.md §12).
+	// (evictions, ASTs released); nil when RunConfig.MaxResidentMB is
+	// 0 (DESIGN.md §12).
 	Spill *SpillStats
 	// Failures lists checkers that panicked mid-run (a metal action or
 	// Go-callout bug). A failed checker keeps the reports it emitted
@@ -282,7 +284,7 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 	if cached {
 		tree = NewUnitTree(files)
 		configFP = a.configFingerprint()
-		manifest = a.diffManifest(tree, files, configFP, incr)
+		manifest = a.diffManifest(tree, configFP, incr)
 	} else {
 		tree = &UnitTree{Prog: prog.Build(files...)}
 	}
@@ -295,22 +297,14 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 		a.shared.Mark(m.name, m.key)
 	}
 
-	// Streaming mode (DESIGN.md §12): engines spill summaries and evict
-	// per-function state at unit retirement, releasing ASTs once every
-	// checker is done with them (a replayed unit is done at once: it
-	// never touches the AST). Eviction never touches state a remaining
-	// traversal can read, so output is unchanged.
+	// Streaming mode (DESIGN.md §12): engines drop per-function state
+	// at unit retirement, releasing ASTs once every checker is done
+	// with them (a replayed unit is done at once: it never touches the
+	// AST). Eviction never touches state a remaining traversal can
+	// read, so output is unchanged.
 	var stream *streamState
-	if a.opts.MaxResidentMB > 0 {
-		envFP, funcHash := tree.envFP, tree.funcHash
-		if !cached {
-			envFP, funcHash = fingerprints(p, files) // spill keys derive from them as unit keys do
-		}
-		stream, err = a.newStream(p, envFP, funcHash, len(a.checkers))
-		if err != nil {
-			return nil, err
-		}
-		defer stream.cleanup()
+	if a.streaming {
+		stream = newStream(p, len(a.checkers))
 	}
 	incr.BuildNanos = time.Since(t0).Nanoseconds()
 

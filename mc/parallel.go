@@ -3,7 +3,6 @@ package mc
 import (
 	"sort"
 
-	"repro/internal/cache"
 	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/prog"
@@ -17,28 +16,26 @@ import (
 // prog.Program and the mutex-guarded core.Shared store, and the merge
 // in RunContext reads tasks back in checker load order.
 
-// parseSources runs pass 1 (cache.LoadSources): every registered source
-// is parsed on the worker pool, through the pass-1 AST cache when the
-// run has a store. Pre-parsed ASTs (AddAST) pass through untouched.
-// incr receives the replayed/reparsed file counts.
+// parseSources runs pass 1 (cc.ParseFiles): every registered source is
+// parsed on the worker pool, on every run — no store stands in for a
+// parse (DESIGN.md §8). Pre-parsed ASTs (AddAST) pass through untouched.
+// incr receives the parsed file count.
 func (a *Analyzer) parseSources(incr *IncrStats) ([]*cc.File, error) {
-	parsed, replayed, err := cache.LoadSources(a.cacheStore, a.srcs, a.parallelism())
+	parsed, err := cc.ParseFiles(a.srcs, a.parallelism())
 	if err != nil {
 		return nil, err
 	}
-	incr.FilesReplayed = replayed
-	incr.FilesReparsed = len(parsed) - replayed
+	incr.FilesReparsed = len(parsed)
 	return append(append([]*cc.File(nil), a.files...), parsed...), nil
 }
 
 // liveEngine builds the traversal engine for checker ci: compiled
-// dispatch attached (DESIGN.md §11), plus the spill and retire hooks
-// when the run streams (DESIGN.md §12).
+// dispatch attached (DESIGN.md §11), plus the retire hook when the run
+// streams (DESIGN.md §12).
 func (a *Analyzer) liveEngine(p *prog.Program, ci int, cd *core.CompiledDispatch, stream *streamState) *core.Engine {
 	en := core.NewEngineShared(p, a.checkers[ci], a.opts, a.shared)
 	en.SetCompiled(cd, ci)
 	if stream != nil {
-		en.SetSpill(stream.store, stream.keyFor(a.checkerFPs[ci]))
 		en.SetRetire(stream.retire, stream.release.done)
 	}
 	return en

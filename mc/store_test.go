@@ -7,14 +7,12 @@ package mc_test
 import (
 	"context"
 	"errors"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"sync"
 	"testing"
 
 	"repro/internal/cache"
-	"repro/internal/spill"
 	"repro/internal/workload"
 	"repro/mc"
 )
@@ -50,12 +48,9 @@ func TestStoreKeysAreStable(t *testing.T) {
 	golden := []string{
 		"1d0c27fb08078c2d928e3fd381a82da44db4130250170c8916cf91daffaaa51b", // the manifest
 		"2f489292300266cc387a2096ee68018a3ca8271f97ab6a45875b934b70b3864d", // the {helper, entry} unit under "free"
-		"50b143a51cc912b8034d9641a54cf31f6e00b8c5dc9c19db6f7a9904ea897e26", // k.c's AST
 	}
-	const goldenSpill = "6b9cd21da17f474065ac233d409b502c2be580fe777a43e3b7ffaf9d48298faa" // helper's summaries under "free"
 
 	store := &keyLog{Store: cache.NewMemStore()}
-	spillDir := t.TempDir()
 	run := func(cfg mc.RunConfig) *mc.Result {
 		t.Helper()
 		res, err := mc.AnalyzeContext(context.Background(), cfg, map[string]string{"k.c": keySrc}, "free")
@@ -75,20 +70,8 @@ func TestStoreKeysAreStable(t *testing.T) {
 		}
 	}
 	// A store holding only the golden keys is a full hit.
-	if res := run(mc.RunConfig{Jobs: 1, CacheStore: store.Store}); res.Incr.UnitsLive != 0 || res.Incr.FilesReparsed != 0 || res.Incr.FuncsChanged != 0 {
+	if res := run(mc.RunConfig{Jobs: 1, CacheStore: store.Store}); res.Incr.UnitsLive != 0 || res.Incr.FuncsChanged != 0 {
 		t.Errorf("warm run over the golden keys: %+v", res.Incr)
-	}
-
-	// Spill keys come from the same fingerprints, now handed to the
-	// stream rather than recomputed by it.
-	run(mc.RunConfig{Jobs: 1, MaxResidentMB: 1, SpillDir: spillDir})
-	lg, err := spill.OpenLog(filepath.Join(spillDir, "summaries.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lg.Close()
-	if !lg.Has(goldenSpill) {
-		t.Errorf("spill log (%d records) lacks the golden key %s", lg.Stats().Records, goldenSpill)
 	}
 }
 
@@ -109,8 +92,8 @@ func TestCachePutErrorsSurface(t *testing.T) {
 		if got != plain {
 			t.Errorf("run %d over a refusing store differs from the plain run:\n%s", run, firstDiff(plain, got))
 		}
-		// One failed call each for the AST batch, every phase's unit
-		// batch and the manifest.
+		// One failed call each for every phase's unit batch and the
+		// manifest.
 		if res.Incr.CachePutErrors < 3 || res.Incr.UnitsReplayed != 0 {
 			t.Errorf("run %d: put errors=%d units replayed=%d, want >= 3 and a cold run", run, res.Incr.CachePutErrors, res.Incr.UnitsReplayed)
 		}
@@ -158,9 +141,9 @@ func TestAnalyzersShareCacheDir(t *testing.T) {
 			}
 			continue
 		}
-		if in.UnitsLive != 0 || in.UnitsReplayed == 0 || in.FilesReparsed != 0 || in.FuncsChanged != 0 {
-			t.Errorf("run %d: units live=%d replayed=%d files reparsed=%d funcs changed=%d, want a full replay",
-				i, in.UnitsLive, in.UnitsReplayed, in.FilesReparsed, in.FuncsChanged)
+		if in.UnitsLive != 0 || in.UnitsReplayed == 0 || in.FuncsChanged != 0 {
+			t.Errorf("run %d: units live=%d replayed=%d funcs changed=%d, want a full replay",
+				i, in.UnitsLive, in.UnitsReplayed, in.FuncsChanged)
 		}
 		if got := outputDigest(res); got != cold {
 			t.Errorf("run %d differs from the cold run:\n%s", i, firstDiff(cold, got))

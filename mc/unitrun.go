@@ -86,27 +86,22 @@ type UnitTree struct {
 	checkers map[string]*unitChecker // by source text; nil = does not parse
 }
 
-// NewUnitTree assembles parsed files into a program and fingerprints it.
+// NewUnitTree assembles parsed files into a program and fingerprints
+// it: the position-independent declaration environment and each
+// function's content are what every unit key derives from.
 func NewUnitTree(files []*cc.File) *UnitTree {
 	p := prog.Build(files...)
-	t := &UnitTree{Prog: p, keyed: true, units: p.Units(), checkers: map[string]*unitChecker{}}
-	t.envFP, t.funcHash = fingerprints(p, files)
+	t := &UnitTree{Prog: p, keyed: true, units: p.Units(), checkers: map[string]*unitChecker{},
+		envFP: cc.EnvHash(files), funcHash: make(map[*prog.Function]string, len(p.All))}
+	for _, fn := range p.All {
+		t.funcHash[fn] = cc.HashDecl(fn.Decl)
+	}
 	t.unitFPs = make([]string, len(t.units))
 	for i, u := range t.units {
 		t.unitFPs[i] = t.unitFP(u.Funcs)
 	}
 	t.wholeFP = sync.OnceValue(func() string { return t.unitFP(p.All) })
 	return t
-}
-
-// fingerprints derives a tree's key material: the position-independent
-// declaration environment and each function's content.
-func fingerprints(p *prog.Program, files []*cc.File) (envFP string, funcHash map[*prog.Function]string) {
-	funcHash = make(map[*prog.Function]string, len(p.All))
-	for _, fn := range p.All {
-		funcHash[fn] = cc.HashDecl(fn.Decl)
-	}
-	return cc.EnvHash(files), funcHash
 }
 
 // unitFP fingerprints a member list: sorted FuncID=hash lines.
