@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet no-deleted-knobs staticcheck build test race smoke-fleet bench-check fuzz bench-parallel bench-incr bench-gov bench-multicheck bench-scale bench-feas bench-registry bench-fleet bench-micro profile clean
+.PHONY: check fmt vet no-deleted-knobs staticcheck build test race smoke-fleet bench-check fuzz bench-micro profile clean
 
 check: fmt vet no-deleted-knobs staticcheck build race smoke-fleet bench-check
 
@@ -27,11 +27,15 @@ vet:
 # section, the lazy merge engines that read it and the sibling-engine
 # reload gate stay gone too. And a run stores only what a later run
 # reads (DESIGN.md §8, §12): the pass-1 AST entries and the streaming
-# summary spill stay gone.
+# summary spill stay gone. And there is one bench system (DESIGN.md
+# §10.5): mcbench's perf tiers, their flags and their BENCH_*.json
+# stay gone; a gate is a go test assertion, a number is BENCHMARK.json's.
 no-deleted-knobs:
 	! grep -rnE 'Match[M]emo|Block[F]ilter|Tuple[I]ntern|Lean[A]lloc|Multi[D]ispatch|Tenant[Q]uota|Queue[D]epth|Batch[S]ize' --include=*.go .
 	! grep -rnE 'Load[S]ummaries|summary[S]ource|Retired[S]et|Allow[S]pillReload|Summaries[L]oaded|SummaryBytes[D]eferred' --include=*.go .
 	! grep -rnE 'Load[S]ources|AST[K]ey|Files[R]eplayed|Set[S]pill|Summary[S]pill|maybe[R]eload|Spill[D]ir|Put[S]ummary|Get[S]ummary' --include=*.go .
+	! grep -rnE 'exp[P]ar|exp[I]ncr|exp[G]ov|exp[M]ulticheck|exp[S]cale|exp[F]eas|exp[R]egistry|exp[F]leet|scale[-]cell|(scale|feas|fleet)[-]short|Host[F]acts' --include=*.go .
+	! ls BENCH_*.json 2>/dev/null | grep .
 
 # staticcheck is optional locally (the repo adds no dependencies) but
 # mandatory in CI, which installs it. Configured by staticcheck.conf.
@@ -79,69 +83,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzOpenStore -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/cache/
 	$(GO) test -run '^$$' -fuzz FuzzWorkRequest -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/fleet/
 
-# Engine-parallelism scaling series (DESIGN.md §5): sweeps -j over the
-# E11 workload, asserts byte-identical output, writes BENCH_parallel.json.
-bench-parallel:
-	$(GO) run ./cmd/mcbench -exp par
-
-# Incremental-replay series (DESIGN.md §8): warm-vs-cold live units
-# per edit on the E11 workload; dies if warm output is not
-# byte-identical to cold or the one-file body tweak falls below the 5x
-# reduction bar. Writes BENCH_incremental.json.
-bench-incr:
-	$(GO) run ./cmd/mcbench -exp incr
-
-# Governance-overhead series (DESIGN.md §9): plain vs budgeted
-# RunContext on the E11 workload; dies above 5% overhead or on
-# any output difference. Writes BENCH_governance.json.
-bench-gov:
-	$(GO) run ./cmd/mcbench -exp gov
-
-# Multi-checker dispatch scaling (DESIGN.md §11): 5/50/200-checker
-# suites at -j 1 and -j 8; dies if the 50-checker suite exceeds 3x the
-# 5-checker runtime, or on any output difference. Writes
-# BENCH_multicheck.json.
-bench-multicheck:
-	$(GO) run ./cmd/mcbench -exp multicheck
-
-# Memory-bounded streaming series (DESIGN.md §12): MixedTree at four
-# sizes, spill on/off, each cell in a child process so peak RSS is
-# per-cell; dies on any output difference or if a 4x tree grows peak
-# RSS beyond 2x with spill on. Writes BENCH_scale.json. CI passes
-# SCALE_FLAGS=-scale-short (two sizes, no ratio assertion).
-SCALE_FLAGS ?=
-bench-scale:
-	$(GO) run ./cmd/mcbench -exp scale $(SCALE_FLAGS)
-
-# Feasibility-verdict series (DESIGN.md §13): seeded TP/FP population
-# through the second-tier pass; dies if any seeded true positive is
-# marked infeasible (false kill), if no seeded false positive is
-# killed, or if the warm run replays no cached verdicts. Writes
-# BENCH_feas.json. CI passes FEAS_FLAGS=-feas-short (smaller
-# population).
-FEAS_FLAGS ?=
-bench-feas:
-	$(GO) run ./cmd/mcbench -exp feas $(FEAS_FLAGS)
-
-# Checker-platform series (DESIGN.md §14): hot-reload latency (first
-# analyze after an enable vs steady-state warm analyze) and admission
-# throughput through /v1/checkers upload→validate→verdict; dies if an
-# enabled checker is not live on the next analyze, if any clean
-# candidate is rejected, or if the hostile candidate is admitted.
-# Writes BENCH_registry.json.
-bench-registry:
-	$(GO) run ./cmd/mcbench -exp registry
-
-# Scale-out fleet series (DESIGN.md §15): worker-count sweep with
-# byte-identity against the single-process run, second-tenant reuse
-# over a warm shared CAS (>= 90% replayed, zero dispatches), and the
-# K=8 identical-burst coalescing bound (one analysis, <= 1.5x one
-# post). Writes BENCH_fleet.json. CI passes FLEET_FLAGS=-fleet-short
-# (smaller tree and sweep).
-FLEET_FLAGS ?=
-bench-fleet:
-	$(GO) run ./cmd/mcbench -exp fleet $(FLEET_FLAGS)
-
 # Microbenchmarks for the §10 hot paths (match memoization, block and
 # call-rich traversal, instance clone, the per-path FPP environment's
 # clone and fingerprint, edge-set insertion) and the disk store (§8:
@@ -156,15 +97,14 @@ bench-micro:
 # suite runs, and the cold-calls shape — the full bundled suite over a
 # call-rich tree, no cache — which is where the DFS hot loop (DESIGN.md
 # §10.4) shows.
-# Inspect with: go tool pprof pprof/mcbench.cpu
+# Inspect with: go tool pprof pprof/repro.test pprof/suite.cpu
 #               go tool pprof pprof/core.test pprof/callrich.cpu
 profile:
 	mkdir -p pprof
-	$(GO) run ./cmd/mcbench -cpuprofile pprof/mcbench.cpu -memprofile pprof/mcbench.mem -exp multicheck
-	$(GO) test -run '^$$' -bench BenchmarkCallRichTraversal -benchtime 2000x -o pprof/core.test \
+	$(GO) test -run '^$$' -bench BenchmarkCheckerSuite -benchtime 20x -o pprof/repro.test -cpuprofile pprof/suite.cpu -memprofile pprof/suite.mem .
+	$(GO) test -run '^$$' -bench BenchmarkCallRichTraversal/plain -benchtime 2000x -o pprof/core.test \
 		-cpuprofile pprof/callrich.cpu -memprofile pprof/callrich.mem ./internal/core/
 
 clean:
-	rm -f BENCH_parallel.json BENCH_incremental.json BENCH_governance.json BENCH_multicheck.json BENCH_scale.json BENCH_feas.json BENCH_registry.json BENCH_fleet.json
 	rm -rf pprof
 	$(GO) clean ./...

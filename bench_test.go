@@ -6,7 +6,11 @@
 package repro
 
 import (
+	"context"
 	"fmt"
+	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/checkers"
@@ -213,5 +217,139 @@ func BenchmarkPatternMatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		en := core.NewEngine(p, c, core.DefaultOptions())
 		en.Run()
+	}
+}
+
+// suiteSeeds lists, per bundled checker, the concrete callee names its
+// patterns hinge on; renaming them (and the sm name) yields a checker
+// that is structurally identical but watches an API surface the
+// workload never touches.
+var suiteSeeds = []struct {
+	name    string
+	callees []string
+}{
+	{"free", []string{"kfree"}},
+	{"lock", []string{"lock", "spin_lock", "trylock", "unlock", "spin_unlock"}},
+	{"null", []string{"kmalloc", "malloc"}},
+	{"interrupt", []string{"cli", "sti"}},
+	{"block", []string{"cli", "sti"}},
+}
+
+var smNameRe = regexp.MustCompile(`(?m)^sm\s+(\w+);`)
+
+// checkerSuite returns n checker sources: the bundled five verbatim,
+// then callee-renamed variants cycling over the five — the "many
+// system-specific checkers, few relevant here" population of the
+// paper's §10 deployment.
+func checkerSuite(tb testing.TB, n int) []string {
+	tb.Helper()
+	var out []string
+	for i := 0; i < n; i++ {
+		seed := suiteSeeds[i%len(suiteSeeds)]
+		s, ok := checkers.Lookup(seed.name)
+		if !ok {
+			tb.Fatalf("bundled checker %s missing", seed.name)
+		}
+		text := s.Text
+		if v := i - len(suiteSeeds); v >= 0 {
+			suffix := fmt.Sprintf("_v%d", v)
+			for _, c := range seed.callees {
+				text = regexp.MustCompile(`\b`+c+`\(`).ReplaceAllString(text, c+suffix+"(")
+			}
+			text = smNameRe.ReplaceAllString(text, "sm ${1}"+suffix+";")
+		}
+		out = append(out, text)
+	}
+	return out
+}
+
+// runCheckerSuite is one cold run of a checkerSuite over srcs.
+func runCheckerSuite(tb testing.TB, srcs map[string]string, suite []string, jobs int) *mc.Result {
+	tb.Helper()
+	a := mc.NewAnalyzer()
+	if err := a.Configure(mc.RunConfig{Jobs: jobs}); err != nil {
+		tb.Fatal(err)
+	}
+	for name, src := range srcs {
+		a.AddSource(name, src)
+	}
+	for i, cs := range suite {
+		if err := a.LoadChecker(cs); err != nil {
+			tb.Fatalf("suite checker %d: %v", i, err)
+		}
+	}
+	a.MarkFunction("net_wait", "blocking")
+	res, err := a.RunContext(context.Background())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
+// BenchmarkCheckerSuite is the wall-clock side of compiled dispatch
+// (DESIGN.md §11): 5/50/200-checker suites over the E11 tree. Read the
+// ratios with -count N; `make profile` profiles it.
+func BenchmarkCheckerSuite(b *testing.B) {
+	srcs, _ := workload.MixedTree(4, 25, 2002)
+	for _, n := range []int{5, 50, 200} {
+		suite := checkerSuite(b, n)
+		b.Run(fmt.Sprintf("checkers=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				runCheckerSuite(b, srcs, suite, 1)
+			}
+		})
+	}
+}
+
+// TestCheckerSuiteVariantsTraverseNothing states §11's sublinearity
+// claim as an identity: a checker whose callees never occur in the
+// tree is skipped at every root, so it traverses no block, the bundled
+// five do exactly the work they do alone, and the output is the
+// five-checker output byte for byte at any suite size and parallelism.
+func TestCheckerSuiteVariantsTraverseNothing(t *testing.T) {
+	srcs, _ := workload.MixedTree(4, 25, 2002)
+	var refOut string
+	var refStats map[string]core.Stats
+	for _, n := range []int{5, 50, 200} {
+		suite := checkerSuite(t, n)
+		for _, jobs := range []int{1, 8} {
+			res := runCheckerSuite(t, srcs, suite, jobs)
+			var sb strings.Builder
+			for _, r := range res.Ranked() {
+				sb.WriteString(r.Detailed())
+			}
+			for _, g := range res.Grouped() {
+				fmt.Fprintf(&sb, "%s %.3f %d\n", g.Rule, g.Z, len(g.Reports))
+			}
+			if refStats == nil {
+				refOut, refStats = sb.String(), res.Stats
+				var blocks, points int64
+				for _, st := range refStats {
+					blocks += st.Blocks
+					points += st.Points
+				}
+				t.Logf("five checkers: %d blocks, %d points, %d reports", blocks, points, len(res.Reports))
+				if len(res.Reports) == 0 || blocks == 0 {
+					t.Fatal("the five-checker run did nothing; the comparison is vacuous")
+				}
+			}
+			if sb.String() != refOut {
+				t.Errorf("%d checkers -j %d: output differs from the five-checker run", n, jobs)
+			}
+			if len(res.Stats) != n {
+				t.Fatalf("%d checkers -j %d: Stats has %d entries", n, jobs, len(res.Stats))
+			}
+			for name, st := range res.Stats {
+				if ref, bundled := refStats[name]; bundled {
+					if !reflect.DeepEqual(st, ref) {
+						t.Errorf("%d checkers -j %d: %s did %+v, alone %+v", n, jobs, name, st, ref)
+					}
+				} else if st.Blocks != 0 || st.Points != 0 || len(st.Analyses) != 0 {
+					t.Errorf("%d checkers -j %d: variant %s traversed %d blocks, %d points, %d functions",
+						n, jobs, name, st.Blocks, st.Points, len(st.Analyses))
+				}
+			}
+		}
 	}
 }

@@ -1,12 +1,15 @@
 package repro
 
 // End-to-end CLI tests: build and drive the three commands the way a
-// user would. These run `go run ./cmd/...` in the repository root.
+// user would. These run `go run ./cmd/...` (mcbench: a built binary,
+// for its exit code) from the repository root.
 
 import (
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -118,16 +121,139 @@ func TestMetalcCLI(t *testing.T) {
 	}
 }
 
+// submatches returns the first capture group of every match of re in
+// the named file.
+func submatches(t *testing.T, file, re string) []string {
+	t.Helper()
+	data, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, m := range regexp.MustCompile(re).FindAllStringSubmatch(string(data), -1) {
+		out = append(out, m[1])
+	}
+	return out
+}
+
+// mcbenchIDs reads the experiment registry out of mcbench's source.
+func mcbenchIDs(t *testing.T) []string {
+	t.Helper()
+	ids := submatches(t, "cmd/mcbench/main.go", `(?m)^\t\{"(\w+)", "`)
+	if len(ids) == 0 {
+		t.Fatal("no experiment registry found in cmd/mcbench/main.go")
+	}
+	return ids
+}
+
+// TestMcbenchCLISingleExperiment drives the built binary: one
+// experiment, all of them (one banner each, nothing written to the
+// working directory), and unknown ids, which must fail the whole
+// invocation before anything runs.
 func TestMcbenchCLISingleExperiment(t *testing.T) {
 	if testing.Short() {
-		t.Skip("spawns go run")
+		t.Skip("spawns go build")
 	}
-	out, err := runCmd(t, "./cmd/mcbench", "-exp", "t2")
+	bin := filepath.Join(t.TempDir(), "mcbench")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/mcbench").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, tc := range []struct {
+		exp                string
+		exit, banners, oks int // oks: Table 2 rows reproduced
+	}{
+		{"t2", 0, 1, 5},
+		{"all", 0, len(mcbenchIDs(t)), 5},
+		{"t2,par", 2, 0, 0},
+		{"par", 2, 0, 0},
+	} {
+		cmd := exec.Command(bin, "-exp", tc.exp)
+		cmd.Dir = t.TempDir()
+		raw, err := cmd.CombinedOutput()
+		out := string(raw)
+		if _, exited := err.(*exec.ExitError); err != nil && !exited {
+			t.Fatal(err)
+		}
+		if got := cmd.ProcessState.ExitCode(); got != tc.exit {
+			t.Errorf("-exp %s: exit %d, want %d:\n%s", tc.exp, got, tc.exit, out)
+		}
+		if got := strings.Count(out, " ====\n"); got != tc.banners {
+			t.Errorf("-exp %s: %d experiment banners, want %d:\n%s", tc.exp, got, tc.banners, out)
+		}
+		if got := strings.Count(out, "-> ok"); got != tc.oks {
+			t.Errorf("-exp %s: %d Table 2 rows ok, want %d:\n%s", tc.exp, got, tc.oks, out)
+		}
+		if tc.exit != 0 && !strings.Contains(out, `"par"`) {
+			t.Errorf("-exp %s: error does not name the unknown id:\n%s", tc.exp, out)
+		}
+		if left, err := os.ReadDir(cmd.Dir); err != nil || len(left) != 0 {
+			t.Errorf("-exp %s left %d files in its working directory (%v)", tc.exp, len(left), err)
+		}
+	}
+}
+
+// TestDocsCiteWhatExists: every test, benchmark and fuzz target, make
+// target, mcbench experiment and repo-root JSON file the documentation
+// names is there. A trailing * on a test name is a prefix match.
+func TestDocsCiteWhatExists(t *testing.T) {
+	funcs := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if strings.HasSuffix(path, "_test.go") {
+			for _, f := range submatches(t, path, `(?m)^func ((?:Test|Benchmark|Fuzz)\w+)\(`) {
+				funcs[f] = true
+			}
+		}
+		return nil
+	})
 	if err != nil {
-		t.Fatalf("mcbench failed: %v\n%s", err, out)
+		t.Fatal(err)
 	}
-	if strings.Count(out, "-> ok") != 5 {
-		t.Errorf("T2 rows not all ok:\n%s", out)
+	set := func(names []string) map[string]bool {
+		m := map[string]bool{}
+		for _, n := range names {
+			m[n] = true
+		}
+		return m
+	}
+	targets := set(submatches(t, "Makefile", `(?m)^([a-z][\w-]*):`))
+	ids := set(append(mcbenchIDs(t), "all"))
+
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "TUTORIAL.md"} {
+		for _, cite := range submatches(t, doc, `\b((?:Test|Benchmark|Fuzz)[A-Z0-9]\w*\*?)`) {
+			name := strings.TrimSuffix(cite, "*")
+			ok := funcs[name]
+			if name != cite {
+				for f := range funcs {
+					ok = ok || strings.HasPrefix(f, name)
+				}
+			}
+			if !ok {
+				t.Errorf("%s cites %s: no _test.go defines it", doc, cite)
+			}
+		}
+		for _, target := range submatches(t, doc, "(?m)(?:[`(]|^)make ([a-z][\\w-]*)") {
+			if !targets[target] {
+				t.Errorf("%s cites make %s: not a Makefile target", doc, target)
+			}
+		}
+		for _, list := range submatches(t, doc, `mcbench -exp ([\w,]+)`) {
+			for _, id := range strings.Split(list, ",") {
+				if !ids[id] {
+					t.Errorf("%s cites mcbench -exp %s: not a registered experiment", doc, id)
+				}
+			}
+		}
+		for _, file := range submatches(t, doc, `(?:^|[^\w/.-])([A-Z]\w*\.json)`) {
+			if _, err := os.Stat(file); err != nil {
+				t.Errorf("%s cites %s: not in the repository root", doc, file)
+			}
+		}
 	}
 }
 

@@ -22,7 +22,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/metal"
 	"repro/internal/pattern"
-	"repro/internal/profiling"
 	"repro/internal/prog"
 	"repro/internal/rank"
 	"repro/internal/report"
@@ -55,62 +54,39 @@ var experiments = []struct {
 	{"e10", "§8: kill-on-redefinition vs false positives", expE10},
 	{"e11", "end-to-end: full checker suite precision/recall on a seeded tree", expE11},
 	{"e12", "§8 history: cross-version suppression isolates new bugs", expE12},
-	{"par", "engine parallelism: wall-clock vs -j on the E11 workload (writes BENCH_parallel.json)", expPar},
-	{"incr", "incremental replay: warm-vs-cold live analyses per edit on the E11 workload (writes BENCH_incremental.json)", expIncr},
-	{"gov", "governance overhead: plain vs budgeted RunContext on the E11 workload (writes BENCH_governance.json)", expGov},
-	{"multicheck", "multi-checker dispatch: 5/50/200-checker suites, sublinear scaling bar (writes BENCH_multicheck.json)", expMulticheck},
-	{"scale", "memory-bounded streaming: KLoC/min and peak RSS at 4 tree sizes, spill on/off (writes BENCH_scale.json)", expScale},
-	{"feas", "feasibility verdicts: infeasible-kill and false-kill rates, verdict latency on a seeded population (writes BENCH_feas.json)", expFeas},
-	{"registry", "checker platform: hot-reload latency and admission throughput over /v1/checkers (writes BENCH_registry.json)", expRegistry},
-	{"fleet", "scale-out fleet: worker sharding byte-identity, shared-CAS reuse, analyze coalescing (writes BENCH_fleet.json)", expFleet},
 }
-
-// jobsFlag is the -j value; expPar adds it to its sweep, and 0 means
-// sweep the defaults only.
-var jobsFlag int
 
 func main() {
 	exp := flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
-	flag.IntVar(&jobsFlag, "j", 0, "extra worker count for the par experiment's sweep (0 = defaults 1,2,4,8)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation (heap) profile to this file on exit")
 	flag.Parse()
 
-	// Hidden re-exec entry: the scale experiment runs each measurement
-	// in a child process so peak RSS (a process-lifetime high-water
-	// mark) is per-cell, not cumulative.
-	if *scaleCellFlag != "" {
-		runScaleCell(*scaleCellFlag)
-		return
+	known := map[string]bool{}
+	var ids []string
+	for _, e := range experiments {
+		known[e.id] = true
+		ids = append(ids, e.id)
 	}
-
-	stopProf, err := profiling.Start(*cpuprofile, *memprofile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mcbench:", err)
-		os.Exit(2)
-	}
-	defer stopProf()
-
-	want := map[string]bool{}
+	// Every requested id is checked before anything runs: one unknown
+	// id fails the invocation instead of being skipped.
+	want := known
 	if *exp != "all" {
+		want = map[string]bool{}
 		for _, id := range strings.Split(*exp, ",") {
-			want[strings.TrimSpace(id)] = true
+			id = strings.TrimSpace(id)
+			if !known[id] {
+				fmt.Fprintf(os.Stderr, "mcbench: no such experiment %q (ids: %s, or all)\n", id, strings.Join(ids, ", "))
+				os.Exit(2)
+			}
+			want[id] = true
 		}
 	}
-	ran := 0
 	for _, e := range experiments {
-		if *exp != "all" && !want[e.id] {
+		if !want[e.id] {
 			continue
 		}
 		fmt.Printf("==== %s: %s ====\n", strings.ToUpper(e.id), e.desc)
 		e.run()
 		fmt.Println()
-		ran++
-	}
-	if ran == 0 {
-		stopProf()
-		fmt.Fprintln(os.Stderr, "mcbench: no such experiment (ids: f1-f6, t1, t2, e1-e12, par, incr, gov, multicheck, scale, feas, registry, fleet)")
-		os.Exit(2)
 	}
 }
 

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/cc"
 	"repro/internal/checkers"
@@ -75,26 +77,42 @@ func suiteInputs(tb testing.TB) ([]*cc.File, []*metal.Checker) {
 }
 
 // runCallRich is one cold run: every bundled checker in order over a
-// fresh Program, sharing one annotation store. It returns the report
-// count so callers can check the run did something.
-func runCallRich(files []*cc.File, suite []*metal.Checker) int {
+// fresh Program, sharing one annotation store. governed runs it the
+// way every governed caller does when nothing is cut: a cancellable
+// context and budgets that never trip. It returns the report count so
+// callers can check the run did something.
+func runCallRich(files []*cc.File, suite []*metal.Checker, governed bool) int {
 	p := prog.Build(files...)
 	shared := NewShared()
 	shared.Mark("net_wait", "blocking")
+	opts, ctx := DefaultOptions(), context.Background()
+	if governed {
+		opts.Budgets = Budgets{PathSteps: 1 << 40, FuncBlocks: 1 << 40, FuncTime: time.Hour}
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithCancel(ctx)
+		defer cancel()
+	}
 	reports := 0
 	for _, c := range suite {
-		reports += len(NewEngineShared(p, c, DefaultOptions(), shared).Run().Reports)
+		reports += len(NewEngineShared(p, c, opts, shared).RunContext(ctx).Reports)
 	}
 	return reports
 }
 
 // BenchmarkCallRichTraversal is BenchmarkBlockTraversal for the
 // interprocedural half of the engine (`make profile` profiles it).
+// governed/plain, read with -count N, is what governance costs when it
+// never fires (DESIGN.md §9.6).
 func BenchmarkCallRichTraversal(b *testing.B) {
 	files, suite := suiteInputs(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		runCallRich(files, suite)
+	for _, name := range []string{"plain", "governed"} {
+		governed := name == "governed"
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				runCallRich(files, suite, governed)
+			}
+		})
 	}
 }
 
@@ -102,18 +120,26 @@ func BenchmarkCallRichTraversal(b *testing.B) {
 // about 5 % above the measured 18,887 (go1.24). The count repeats to
 // the unit, so a regression in the per-path state (fpp.Env, edge sets,
 // fpSeen) fails here without a timer. Before those became flat data
-// the same run allocated 30,788 objects.
+// the same run allocated 30,788 objects. The governed run sits under
+// the same ceiling (+3, its context): step counters and amortized
+// polls allocate nothing.
 const callRichAllocCeiling = 19_800
 
 func TestCallRichTraversalAllocs(t *testing.T) {
 	files, suite := suiteInputs(t)
-	if runCallRich(files, suite) == 0 {
+	plain := runCallRich(files, suite, false)
+	if plain == 0 {
 		t.Fatal("the suite reported nothing on the call-rich tree")
 	}
-	got := testing.AllocsPerRun(5, func() { runCallRich(files, suite) })
-	t.Logf("%.0f allocations per suite run (ceiling %d)", got, callRichAllocCeiling)
-	if got > callRichAllocCeiling {
-		t.Errorf("%.0f allocations per suite run, ceiling %d", got, callRichAllocCeiling)
+	if got := runCallRich(files, suite, true); got != plain {
+		t.Errorf("governed run: %d reports, plain run has %d", got, plain)
+	}
+	for _, governed := range []bool{false, true} {
+		got := testing.AllocsPerRun(5, func() { runCallRich(files, suite, governed) })
+		t.Logf("governed=%v: %.0f allocations per suite run (ceiling %d)", governed, got, callRichAllocCeiling)
+		if got > callRichAllocCeiling {
+			t.Errorf("governed=%v: %.0f allocations per suite run, ceiling %d", governed, got, callRichAllocCeiling)
+		}
 	}
 }
 

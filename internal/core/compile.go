@@ -350,7 +350,7 @@ func (cd *CompiledDispatch) blockMayFire(b *cfg.Block, trs []*metal.Transition) 
 }
 
 // Strategy exposes the meta-engine classification for a transition
-// (benchmark and test introspection).
+// (test introspection).
 func (cd *CompiledDispatch) Strategy(tr *metal.Transition) (literal, structural, fallback bool) {
 	id, ok := cd.entryID[tr]
 	if !ok {

@@ -1,8 +1,7 @@
-// Package profiling wires the standard pprof profiles into the
-// command-line tools (-cpuprofile / -memprofile on xgcc and mcbench).
-// It exists so every binary exposes the knobs identically and so the
-// main functions can defer one stop handle instead of repeating the
-// start/stop/write choreography.
+// Package profiling wires the standard pprof profiles into xgcc
+// (-cpuprofile / -memprofile), so main defers one stop handle instead
+// of the start/stop/write choreography, and reads the process's peak
+// resident set for the benchmark harness.
 package profiling
 
 import (
@@ -11,19 +10,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 )
-
-// HostFacts records the machine shape a benchmark ran on, embedded in
-// every BENCH_*.json next to peak_rss_bytes so a number can be read
-// against the hardware that produced it.
-type HostFacts struct {
-	NumCPU     int `json:"num_cpu"`
-	GOMAXPROCS int `json:"gomaxprocs"`
-}
-
-// Host snapshots the current process's host facts.
-func Host() HostFacts {
-	return HostFacts{NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
-}
 
 // Start begins CPU profiling into cpuPath when non-empty and returns a
 // stop function that finishes the profile and then, when memPath is

@@ -9,8 +9,8 @@ import (
 
 // PeakRSS returns the process's peak resident set size in bytes. On
 // Linux it reads VmHWM from /proc/self/status — the kernel's
-// high-water mark for the whole process lifetime, which is exactly the
-// "did memory stay bounded" number the scale benchmark tracks. On
+// high-water mark for the whole process lifetime, which is the
+// peak_rss_mb the benchmark records per workload process. On
 // other platforms (or a sandboxed /proc) it falls back to the Go
 // runtime's total OS reservation (MemStats.Sys), an upper bound on the
 // Go heap's footprint that still trends with real residency.

@@ -2,9 +2,8 @@ package workload
 
 // Deterministic edit operations over generated source trees, used by
 // the incremental-analysis correctness property test (cold run ==
-// warm run after edits) and the mcbench incr experiment. Each edit is
-// a pure function from tree to tree, so the same seed always yields
-// the same edit sequence.
+// warm run after edits). Each edit is a pure function from tree to
+// tree, so the same seed always yields the same edit sequence.
 
 import (
 	"fmt"

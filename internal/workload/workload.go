@@ -435,8 +435,8 @@ func MixedTree(files, funcsPerFile int, seed int64) (map[string]string, []Bug) {
 	return out, bugs
 }
 
-// FeasPopulation generates the feasibility-verdict benchmark
-// population (DESIGN.md §13): every function frees under one branch
+// FeasPopulation generates the feasibility-verdict test population
+// (DESIGN.md §13): every function frees under one branch
 // and uses under another, in four shapes. Two are false positives
 // whose witness paths the second-tier pass can refute arithmetically
 // — disjoint intervals (n > hi then n < lo) and an equality pinned

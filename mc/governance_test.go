@@ -8,6 +8,7 @@ package mc
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -162,6 +163,49 @@ func TestConfigureTimeoutExpires(t *testing.T) {
 	}
 	if d := time.Since(start); d > 5*time.Second {
 		t.Errorf("timed-out run took %v to return", d)
+	}
+}
+
+// TestUntrippedGovernanceIsInvisible: the configuration every governed
+// caller pays for even when nothing is cut — a cancellable context
+// plus budgets far above what the workload needs — is the plain run
+// byte for byte, counter for counter, and records no degradation.
+func TestUntrippedGovernanceIsInvisible(t *testing.T) {
+	srcs, _ := workload.MixedTree(4, 25, 2002)
+	plain := streamRun(t, srcs, 0, 0, nil)
+	if len(plain.Reports) == 0 {
+		t.Fatal("plain run produced no reports; workload regressed")
+	}
+
+	a := NewAnalyzer()
+	if err := a.Configure(RunConfig{Budgets: Budgets{
+		PathSteps: 1 << 40, FuncBlocks: 1 << 40, FuncTime: time.Hour,
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range srcs {
+		a.AddSource(name, src)
+	}
+	for _, s := range BundledCheckers() {
+		if err := a.LoadBundledChecker(s.Name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.MarkFunction("net_wait", "blocking")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	gov, err := a.RunContext(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gov.Degraded || len(gov.Degradations) > 0 || len(gov.Failures) > 0 {
+		t.Errorf("untripped budgets degraded or failed the run: %+v %+v", gov.Degradations, gov.Failures)
+	}
+	if streamDigest(gov) != streamDigest(plain) {
+		t.Error("governed output differs from the plain run")
+	}
+	if !reflect.DeepEqual(gov.Stats, plain.Stats) {
+		t.Error("governed run traversed differently from the plain run")
 	}
 }
 

@@ -44,8 +44,7 @@ func (a *Analyzer) setStore(s cache.Store) {
 
 // IncrStats reports what a run with a store did (Result.Incr; nil
 // without one): per-phase wall times, replay-vs-live volumes, the
-// manifest diff, and store traffic. It is the daemon's /metrics feed
-// and the mcbench incr experiment's measurement.
+// manifest diff, and store traffic. It is the daemon's /metrics feed.
 type IncrStats struct {
 	// Wall-clock nanoseconds per pipeline phase.
 	ParseNanos   int64 `json:"parse_nanos"`

@@ -17,6 +17,8 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/feas"
+	"repro/internal/report"
 	"repro/internal/workload"
 )
 
@@ -79,11 +81,18 @@ func reportSetDigest(res *Result) string {
 // parallelism, through no cache, a cold cache, or a warm cache (where
 // verdicts replay content-addressed), the report set must be
 // byte-identical and the verdict assignment itself must be identical
-// in every verify-on cell.
+// in every verify-on cell. The reference cell is also held to the
+// population's ground truth — every seeded true positive confirmed,
+// every reported false positive infeasible, nothing unknown — and a
+// warm cell must take every verdict from the cache.
 func TestVerifyDeterminismMatrix(t *testing.T) {
-	pr := workload.FeasPopulation(24, 7)
+	pr := workload.FeasPopulation(200, 2002)
+	seeded := map[string]bool{}
+	for _, b := range pr.Bugs {
+		seeded[b.Func] = true
+	}
 
-	run := func(jobs int, store cache.Store, verify bool) (*Result, map[string]string) {
+	run := func(jobs int, store cache.Store, verify bool) (*Result, map[string]string, feas.Stats) {
 		t.Helper()
 		a := NewAnalyzer()
 		if err := a.Configure(RunConfig{Jobs: jobs, CacheStore: store}); err != nil {
@@ -98,17 +107,18 @@ func TestVerifyDeterminismMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		var verdicts map[string]string
+		var stats feas.Stats
 		if verify {
-			a.Verify(res, jobs)
+			stats = a.Verify(res, jobs)
 			verdicts = map[string]string{}
 			for _, r := range res.Reports {
 				verdicts[r.Pos.String()+"|"+r.Msg] = r.Verdict
 			}
 		}
-		return res, verdicts
+		return res, verdicts, stats
 	}
 
-	refRes, _ := run(1, nil, false)
+	refRes, _, _ := run(1, nil, false)
 	ref := reportSetDigest(refRes)
 	if len(refRes.Reports) == 0 {
 		t.Fatal("reference run produced no reports; workload regressed")
@@ -130,15 +140,29 @@ func TestVerifyDeterminismMatrix(t *testing.T) {
 		}
 		for _, c := range cells {
 			name := fmt.Sprintf("verify=%v/%s", verify, c.name)
-			res, verdicts := run(c.jobs, c.store, verify)
+			res, verdicts, stats := run(c.jobs, c.store, verify)
 			if got := reportSetDigest(res); got != ref {
 				t.Errorf("%s: report set differs from the verify-off reference", name)
 			}
 			if !verify {
 				continue
 			}
+			if strings.HasPrefix(c.name, "warm/") && stats.CacheHits != int64(len(res.Reports)) {
+				t.Errorf("%s: %d verdict cache hits for %d reports", name, stats.CacheHits, len(res.Reports))
+			}
 			if verdictRef == nil {
 				verdictRef = verdicts
+				want := map[bool]string{true: report.VerdictConfirmed, false: report.VerdictInfeasible}
+				got := map[string]int{}
+				for _, r := range res.Reports {
+					got[r.Verdict]++
+					if r.Verdict != want[seeded[r.Func]] {
+						t.Errorf("%s: %s (seeded bug: %v) judged %q: %s", name, r.Func, seeded[r.Func], r.Verdict, r.VerdictWhy)
+					}
+				}
+				if got[report.VerdictConfirmed] != len(pr.Bugs) || got[report.VerdictInfeasible] == 0 {
+					t.Errorf("%s: verdicts %v over %d seeded bugs; a seeded bug went unreported or no false positive was reported", name, got, len(pr.Bugs))
+				}
 				continue
 			}
 			if len(verdicts) != len(verdictRef) {
@@ -193,7 +217,11 @@ func TestStreamingDeterminismMatrix(t *testing.T) {
 	// semantics-preserving), so the two modes share entries.
 	for _, warmMB := range []int{0, 64} {
 		warmed := cache.NewMemStore()
-		check(fmt.Sprintf("cached/cold/warm-mb=%d", warmMB), streamRun(t, srcs, 1, warmMB, warmed))
+		cold := streamRun(t, srcs, 1, warmMB, warmed)
+		check(fmt.Sprintf("cached/cold/warm-mb=%d", warmMB), cold)
+		if sp := cold.Spill; warmMB > 0 && (sp == nil || sp.Evictions == 0 || sp.ASTsReleased == 0) {
+			t.Errorf("cached/cold: streaming did not engage: %+v", sp)
+		}
 		for _, runMB := range []int{0, 64} {
 			for _, jobs := range []int{1, 8} {
 				name := fmt.Sprintf("cached/warm-mb=%d/run-mb=%d/-j%d", warmMB, runMB, jobs)
