@@ -30,11 +30,15 @@ vet:
 # summary spill stay gone. And there is one bench system (DESIGN.md
 # §10.5): mcbench's perf tiers, their flags and their BENCH_*.json
 # stay gone; a gate is a go test assertion, a number is BENCHMARK.json's.
+# And pattern dispatch has one matcher and one gate (DESIGN.md §10.1):
+# the per-point match memo and its second matcher, the dispatch strategy
+# labels and the string-keyed callout context stay gone.
 no-deleted-knobs:
 	! grep -rnE 'Match[M]emo|Block[F]ilter|Tuple[I]ntern|Lean[A]lloc|Multi[D]ispatch|Tenant[Q]uota|Queue[D]epth|Batch[S]ize' --include=*.go .
 	! grep -rnE 'Load[S]ummaries|summary[S]ource|Retired[S]et|Allow[S]pillReload|Summaries[L]oaded|SummaryBytes[D]eferred' --include=*.go .
 	! grep -rnE 'Load[S]ources|AST[K]ey|Files[R]eplayed|Set[S]pill|Summary[S]pill|maybe[R]eload|Spill[D]ir|Put[S]ummary|Get[S]ummary' --include=*.go .
 	! grep -rnE 'exp[P]ar|exp[I]ncr|exp[G]ov|exp[M]ulticheck|exp[S]cale|exp[F]eas|exp[R]egistry|exp[F]leet|scale[-]cell|(scale|feas|fleet)[-]short|Host[F]acts' --include=*.go .
+	! grep -rnE 'Pre[M]atch|Syn[M]atch|pre[K]ey|match[T]rans|dispatch[S]trategy|Ctx[.]Extra|\.Extra\[' --include=*.go .
 	! ls BENCH_*.json 2>/dev/null | grep .
 
 # staticcheck is optional locally (the repo adds no dependencies) but
@@ -83,7 +87,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzOpenStore -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/cache/
 	$(GO) test -run '^$$' -fuzz FuzzWorkRequest -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/fleet/
 
-# Microbenchmarks for the §10 hot paths (match memoization, block and
+# Microbenchmarks for the §10 hot paths (pattern match, block and
 # call-rich traversal, instance clone, the per-path FPP environment's
 # clone and fingerprint, edge-set insertion) and the disk store (§8:
 # 2685 records / 5.6 MB, written as one batch and indexed at open).

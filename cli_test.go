@@ -119,6 +119,29 @@ func TestMetalcCLI(t *testing.T) {
 			t.Errorf("metalc output missing %q:\n%s", want, out)
 		}
 	}
+
+	// -match lists what the engine fires: the leak checker's creation
+	// transition is guarded by mc_is_local, which reads the function's
+	// locals from the match context, and its two holes print in name
+	// order on every run.
+	src := writeTemp(t, "leak.c", `void *kmalloc(int n);
+int f(int n) {
+    int *p;
+    p = kmalloc(n);
+    if (!p) return 0;
+    return 1;
+}
+`)
+	out, err = runCmd(t, "./cmd/metalc", "-bundled", "leak", "-match", src)
+	if err != nil {
+		t.Fatalf("metalc -match failed: %v\n%s", err, out)
+	}
+	if !regexp.MustCompile(`leak\.c:4:5: transition \[0\] .*mc_is_local.* matches "p = kmalloc\(n\)"  args=n  v=p\n`).MatchString(out) {
+		t.Errorf("-match does not list the creation transition on the kmalloc line:\n%s", out)
+	}
+	if again, _ := runCmd(t, "./cmd/metalc", "-bundled", "leak", "-match", src); again != out {
+		t.Errorf("two -match runs differ:\n%s\n---\n%s", out, again)
+	}
 }
 
 // submatches returns the first capture group of every match of re in

@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 
 	"repro/internal/cc"
 	"repro/internal/checkers"
@@ -105,17 +106,22 @@ func showMatches(c *metal.Checker, path string) error {
 				points = cc.ExecOrder(e, points)
 			}
 			for _, pt := range points {
-				ctx := &pattern.Ctx{Point: pt, Types: fn.Types, Callouts: reg, FuncName: fn.Name}
-				if b.Cond != nil {
-					ctx.Extra = map[string]interface{}{"branch_cond": b.Cond}
+				ctx := &pattern.Ctx{
+					Point: pt, Types: fn.Types, Callouts: reg, FuncName: fn.Name,
+					Locals: fn.Graph.Locals, BranchCond: b.Cond, ReturnExpr: b.ReturnX,
 				}
 				for _, tr := range c.Transitions {
 					if bnd, ok := tr.Pat.Match(ctx, pattern.Bindings{}); ok {
 						total++
 						fmt.Printf("  %s: transition [%d] %s matches %q",
 							pt.Pos(), tr.ID, tr.Pat, cc.ExprString(pt))
-						for name, b := range bnd {
-							fmt.Printf("  %s=%s", name, b.String())
+						names := make([]string, 0, len(bnd))
+						for name := range bnd {
+							names = append(names, name)
+						}
+						sort.Strings(names)
+						for _, name := range names {
+							fmt.Printf("  %s=%s", name, bnd[name])
 						}
 						fmt.Println()
 					}

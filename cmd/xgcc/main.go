@@ -280,18 +280,13 @@ func main() {
 	fmt.Printf("%d reports\n", len(res.Reports))
 
 	if *supergraph != "" {
-		for name, en := range res.Engines {
+		for _, name := range sortedNames(res.Engines) {
 			fmt.Printf("--- supergraph of %s under checker %s ---\n", *supergraph, name)
-			fmt.Print(en.SupergraphString(*supergraph))
+			fmt.Print(res.Engines[name].SupergraphString(*supergraph))
 		}
 	}
 	if *stats {
-		names := make([]string, 0, len(res.Stats))
-		for n := range res.Stats {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
+		for _, n := range sortedNames(res.Stats) {
 			s := res.Stats[n]
 			fmt.Printf("checker %s: points=%d blocks=%d paths=%d pruned=%d cache-hits=%d fn-cache-hits=%d\n",
 				n, s.Points, s.Blocks, s.Paths, s.PrunedPaths, s.CacheHits, s.FuncCacheHits)
@@ -324,6 +319,17 @@ func main() {
 // stopProf flushes any active profiles; fatal and the explicit os.Exit
 // sites call it because os.Exit skips deferred functions.
 var stopProf = func() {}
+
+// sortedNames lists a per-checker map's names in sorted order: every
+// per-checker section prints in it, so output never follows map order.
+func sortedNames[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for n := range m {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
 
 // runValidate is the -validate mode: the admission harness instead of
 // an analysis. The checker comes from -checker-file when given,

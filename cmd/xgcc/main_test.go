@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -212,6 +213,33 @@ func TestSupergraphRunsResident(t *testing.T) {
 	streamed, code := runXgcc(t, dir, "-checker", "free", "-max-resident-mb", "1", "-supergraph", "ring_push", ringbuf)
 	if code != 0 || streamed != plain {
 		t.Errorf("-supergraph under -max-resident-mb differs from the plain run (code %d):\nplain:\n%s\nstreamed:\n%s", code, plain, streamed)
+	}
+}
+
+// TestSupergraphSectionsSorted: with several checkers -supergraph prints
+// one section per checker in checker-name order, the same on every run,
+// not in the order a map happens to yield them.
+func TestSupergraphSectionsSorted(t *testing.T) {
+	ringbuf, err := filepath.Abs("../../testdata/corpus/ringbuf.c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	first, code := runXgcc(t, dir, "-checker", "null,free,lock", "-supergraph", "ring_push", ringbuf)
+	if code != 0 {
+		t.Fatalf("-supergraph with three checkers: code %d:\n%s", code, first)
+	}
+	var headers []string
+	for _, line := range strings.Split(first, "\n") {
+		if strings.HasPrefix(line, "--- supergraph of ") {
+			headers = append(headers, line)
+		}
+	}
+	if len(headers) != 3 || !sort.StringsAreSorted(headers) {
+		t.Errorf("section headers %q, want three in checker-name order", headers)
+	}
+	if second, _ := runXgcc(t, dir, "-checker", "null,free,lock", "-supergraph", "ring_push", ringbuf); second != first {
+		t.Errorf("two -supergraph runs differ:\n%s\n---\n%s", first, second)
 	}
 }
 

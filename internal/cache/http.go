@@ -2,11 +2,10 @@ package cache
 
 // HTTPStore is the remote shared-CAS backend (DESIGN.md §15): a Store
 // speaking a four-verb blob protocol to a CASHandler (or anything
-// wire-compatible). It is what makes spilled summaries and per-unit
-// checker results fleet-wide shared state: a coordinator and N workers
-// all point their caches at one URL and content addressing does the
-// rest — the protocol needs no invalidation verbs because keys change
-// when inputs change.
+// wire-compatible). It is what makes per-unit checker results
+// fleet-wide shared state: a coordinator and N workers all point their
+// caches at one URL and content addressing does the rest — the protocol
+// needs no invalidation verbs because keys change when inputs change.
 //
 // Wire protocol (all paths relative to the configured base URL):
 //

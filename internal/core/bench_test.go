@@ -117,13 +117,14 @@ func BenchmarkCallRichTraversal(b *testing.B) {
 }
 
 // callRichAllocCeiling bounds the heap allocations of one runCallRich,
-// about 5 % above the measured 18,887 (go1.24). The count repeats to
+// about 5 % above the measured 15,682 (go1.24). The count repeats to
 // the unit, so a regression in the per-path state (fpp.Env, edge sets,
-// fpSeen) fails here without a timer. Before those became flat data
-// the same run allocated 30,788 objects. The governed run sits under
-// the same ceiling (+3, its context): step counters and amortized
-// polls allocate nothing.
-const callRichAllocCeiling = 19_800
+// fpSeen) or in pattern dispatch (DESIGN.md §10.1) fails here without
+// a timer. Before the per-path state became flat data the same run
+// allocated 30,788 objects. The governed run sits under the same
+// ceiling (+3, its context): step counters and amortized polls
+// allocate nothing.
+const callRichAllocCeiling = 16_450
 
 func TestCallRichTraversalAllocs(t *testing.T) {
 	files, suite := suiteInputs(t)

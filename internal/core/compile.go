@@ -12,11 +12,8 @@ package core
 //     "which of the N checkers' transitions name this function?" for
 //     all checkers at once;
 //   - a discrimination tree keyed by root AST-node kind for non-call
-//     shape patterns, plus a return-statement bucket;
-//   - a meta-engine classification of every transition into a dispatch
-//     strategy — literal-callee fast path, structural tree walk, or
-//     callout/end-of-path fallback — recorded per entry so the indexes
-//     route each pattern through its cheapest sound test.
+//     shape patterns, plus a return-statement bucket; an atom with no
+//     requirement at all (a callout) is a candidate in every block.
 //
 // One walk per block then yields the candidate (checker, transition)
 // admit set as a bitset, shared read-only by every engine; the engines'
@@ -40,29 +37,10 @@ import (
 	"repro/internal/prog"
 )
 
-// dispatchStrategy is the meta-engine's classification of one
-// transition's cheapest sound dispatch route.
-type dispatchStrategy uint8
-
-const (
-	// stratLiteral: every alternative of the pattern names a root
-	// callee — the transition is fully served by the literal index.
-	stratLiteral dispatchStrategy = iota
-	// stratStruct: concrete shape alternatives (root kind, possibly a
-	// nested callee) — served by the discrimination tree and the
-	// literal index's nested-callee rows.
-	stratStruct
-	// stratFallback: some alternative is opaque (a callout) or the
-	// pattern only fires at end-of-path — the entry stays in the
-	// always-candidate set (or fires outside block dispatch entirely).
-	stratFallback
-)
-
 // compiledTrans is one checker transition in the union automaton.
 type compiledTrans struct {
 	checker int
 	tr      *metal.Transition
-	strat   dispatchStrategy
 	// eop: the pattern can match at an end-of-path dispatch, where no
 	// block feature can rule it out.
 	eop   bool
@@ -163,7 +141,7 @@ func CompileDispatch(p *prog.Program, checkers []*metal.Checker) *CompiledDispat
 		skipAll:     make([]bool, len(checkers)),
 	}
 
-	// Entry construction + strategy classification.
+	// Entry construction.
 	for ci, c := range checkers {
 		init := metal.StateRef{Val: c.InitialGlobal()}
 		for _, tr := range c.Transitions {
@@ -173,7 +151,6 @@ func CompileDispatch(p *prog.Program, checkers []*metal.Checker) *CompiledDispat
 			cd.entries = append(cd.entries, compiledTrans{
 				checker: ci,
 				tr:      tr,
-				strat:   classify(atoms, eop),
 				eop:     eop,
 				atoms:   atoms,
 			})
@@ -244,27 +221,6 @@ func CompileDispatch(p *prog.Program, checkers []*metal.Checker) *CompiledDispat
 		cd.skipAll[ci] = !cd.canFire(ci, cd.progAdmit)
 	}
 	return cd
-}
-
-// classify is the meta-engine's strategy pick for one entry.
-func classify(atoms []filterAtom, eop bool) dispatchStrategy {
-	if len(atoms) == 0 {
-		// No in-block alternative at all: pure end-of-path (or never).
-		return stratFallback
-	}
-	strat := stratLiteral
-	for _, a := range atoms {
-		if a == anyAtom {
-			return stratFallback
-		}
-		if !a.rootCallee {
-			strat = stratStruct
-		}
-	}
-	if eop {
-		return stratFallback
-	}
-	return strat
 }
 
 // admitSet computes one block's candidate-entry bitset: block features
@@ -347,20 +303,4 @@ func (cd *CompiledDispatch) blockMayFire(b *cfg.Block, trs []*metal.Transition) 
 		}
 	}
 	return false
-}
-
-// Strategy exposes the meta-engine classification for a transition
-// (test introspection).
-func (cd *CompiledDispatch) Strategy(tr *metal.Transition) (literal, structural, fallback bool) {
-	id, ok := cd.entryID[tr]
-	if !ok {
-		return false, false, true
-	}
-	switch cd.entries[id].strat {
-	case stratLiteral:
-		return true, false, false
-	case stratStruct:
-		return false, true, false
-	}
-	return false, false, true
 }

@@ -1,10 +1,9 @@
 package core
 
 // Compiled multi-checker dispatch tests (DESIGN.md §11): the union
-// automaton must (a) classify transitions into the strategies the
-// meta-engine advertises, (b) skip exactly the (checker, root) pairs
-// that provably fire nothing, and (c) never change which reports an
-// engine emits — with or without the automaton attached, the output is
+// automaton must (a) skip exactly the (checker, root) pairs that
+// provably fire nothing, and (b) never change which reports an engine
+// emits — with or without the automaton attached, the output is
 // identical.
 
 import (
@@ -24,59 +23,6 @@ func mustChecker(t *testing.T, src string) *metal.Checker {
 		t.Fatal(err)
 	}
 	return c
-}
-
-// TestDispatchStrategyClassification pins the meta-engine's routing:
-// root-callee patterns take the literal fast path, concrete shapes
-// with nested or absent callees take the structural tree, and
-// end-of-path / callout alternatives fall back.
-func TestDispatchStrategyClassification(t *testing.T) {
-	free := mustChecker(t, checkers.Free)
-	null := mustChecker(t, checkers.Null)
-	block := mustChecker(t, checkers.Block)
-	p := buildProg(t, map[string]string{"a.c": "int f(void) { return 0; }"})
-	cd := CompileDispatch(p, []*metal.Checker{free, null, block})
-
-	byPat := func(c *metal.Checker, sub string) *metal.Transition {
-		for _, tr := range c.Transitions {
-			if containsStr(tr.Pat.String(), sub) {
-				return tr
-			}
-		}
-		t.Fatalf("no transition of %s matching %q", c.Name, sub)
-		return nil
-	}
-
-	// { kfree(v) }: root callee -> literal index.
-	if lit, _, _ := cd.Strategy(byPat(free, "kfree(v)")); !lit {
-		t.Error("kfree(v) should be literal-callee dispatch")
-	}
-	// { v = kmalloc(args) }: assignment root, nested callee -> structural.
-	if _, st, _ := cd.Strategy(byPat(null, "kmalloc")); !st {
-		t.Error("v = kmalloc(args) should be structural dispatch")
-	}
-	// { *v }: unary shape, no callee -> structural.
-	if _, st, _ := cd.Strategy(byPat(free, "*v")); !st {
-		t.Error("*v should be structural dispatch")
-	}
-	// $end_of_path$ alternative -> fallback (fires outside block dispatch).
-	if _, _, fb := cd.Strategy(byPat(free, "$end_of_path$")); !fb {
-		t.Error("$end_of_path$ should be fallback dispatch")
-	}
-	// { fn(args) } && ${ mc_fn_marked(...) }: hole callee, callout
-	// conjunct -> the call-kind shape still routes it structurally.
-	if _, st, _ := cd.Strategy(byPat(block, "mc_fn_marked")); !st {
-		t.Error("fn(args) && callout should be structural dispatch")
-	}
-}
-
-func containsStr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }
 
 // TestDispatchWholeCheckerSkip: in a program that only frees, the lock

@@ -583,7 +583,7 @@ func (en *Engine) runFrom(st *pathState, b *cfg.Block, fi *funcInfo, bi *blockIn
 	for i := idx; i < len(points); i++ {
 		pt := points[i]
 		en.Stats.Points++
-		fired := en.applyExtension(st, fi, bi, b, rec, &disp, pt, false)
+		fired := en.applyExtension(st, bi, b, rec, &disp, pt, false)
 		if st.killPath {
 			en.finishBlock(st, b, bi, rec)
 			return
@@ -607,7 +607,7 @@ func (en *Engine) runFrom(st *pathState, b *cfg.Block, fi *funcInfo, bi *blockIn
 	// synthetic point where return-statement patterns match (§4).
 	if b.IsReturn {
 		en.Stats.Points++
-		en.applyExtension(st, fi, bi, b, rec, &disp, b.ReturnX, true)
+		en.applyExtension(st, bi, b, rec, &disp, b.ReturnX, true)
 		if st.killPath {
 			en.finishBlock(st, b, bi, rec)
 			return
@@ -847,10 +847,10 @@ func (en *Engine) applyPending(st *pathState, taken bool) {
 // Extension application at a program point
 // ---------------------------------------------------------------------------
 
-// matchCtx builds the pattern-match context for a point. The current
-// block's branch condition (if any) is exposed to callouts through
-// Extra["branch_cond"], so checkers can recognize "this use is itself
-// the branch condition" idioms (the null checker's bare "if (v)").
+// matchCtx builds the pattern-match context for a point. The
+// function's locals and the current block's branch condition and
+// returned expression ride along for the callouts that read them (the
+// null checker's bare "if (v)", the leak checker's "return v").
 func (en *Engine) matchCtx(st *pathState, b *cfg.Block, pt cc.Expr, endOfPath, returnPoint bool) *pattern.Ctx {
 	ctx := &pattern.Ctx{
 		Point:       pt,
@@ -859,15 +859,11 @@ func (en *Engine) matchCtx(st *pathState, b *cfg.Block, pt cc.Expr, endOfPath, r
 		EndOfPath:   endOfPath,
 		ReturnPoint: returnPoint,
 		FuncName:    st.fn.Name,
+		Locals:      st.fn.Graph.Locals,
 	}
-	ctx.Extra = map[string]interface{}{"locals": st.fn.Graph.Locals}
 	if b != nil {
-		if b.Cond != nil {
-			ctx.Extra["branch_cond"] = b.Cond
-		}
-		if b.ReturnX != nil {
-			ctx.Extra["return_expr"] = b.ReturnX
-		}
+		ctx.BranchCond = b.Cond
+		ctx.ReturnExpr = b.ReturnX
 	}
 	return ctx
 }
@@ -875,8 +871,8 @@ func (en *Engine) matchCtx(st *pathState, b *cfg.Block, pt cc.Expr, endOfPath, r
 // pointDispatch lazily builds the pattern-match context for one
 // runFrom pass over a block's points. The context is allocated on
 // first use and shared by every point of the block — only Point and
-// ReturnPoint vary; everything else (types, callouts, Extra) is
-// constant per (path state, block).
+// ReturnPoint vary; everything else (types, callouts, locals, the
+// block's condition and return) is constant per (path state, block).
 type pointDispatch struct {
 	en  *Engine
 	st  *pathState
@@ -894,27 +890,9 @@ func (d *pointDispatch) context(pt cc.Expr, returnPoint bool) *pattern.Ctx {
 }
 
 // noBindings is the shared empty prior for global-state dispatch.
-// Match and Bind never mutate their prior (they clone before
-// extending), so sharing one map is safe and saves an allocation per
-// transition attempt.
+// Match never writes its prior (it copies at the first hole it binds),
+// so sharing one map is safe.
 var noBindings = pattern.Bindings{}
-
-// matchTrans matches one transition's pattern at ctx.Point against
-// the prior bindings. The path-independent syntactic half is computed
-// once per (transition, point) and memoized in funcInfo; only the
-// binding-compatibility half runs per path.
-func (en *Engine) matchTrans(fi *funcInfo, ctx *pattern.Ctx, tr *metal.Transition, prior pattern.Bindings) (pattern.Bindings, bool) {
-	k := preKey{tr: tr, pt: ctx.Point, ret: ctx.ReturnPoint}
-	pv, ok := fi.pre[k]
-	if !ok {
-		pv.syn, pv.ok = pattern.PreMatch(tr.Pat, ctx)
-		fi.pre[k] = pv
-	}
-	if !pv.ok {
-		return nil, false
-	}
-	return pv.syn.Bind(ctx, prior)
-}
 
 // applyExtension runs the checker at one program point; it reports
 // whether any transition matched (used to decide whether to follow a
@@ -922,7 +900,7 @@ func (en *Engine) matchTrans(fi *funcInfo, ctx *pattern.Ctx, tr *metal.Transitio
 // extension matches these calls", Figure 5 caption). With returnPoint
 // set it is the synthetic-return-point flavor: statement patterns
 // like "{ return v }" match there (§4).
-func (en *Engine) applyExtension(st *pathState, fi *funcInfo, bi *blockInfo, b *cfg.Block, rec *blockRec, disp *pointDispatch, pt cc.Expr, returnPoint bool) bool {
+func (en *Engine) applyExtension(st *pathState, bi *blockInfo, b *cfg.Block, rec *blockRec, disp *pointDispatch, pt cc.Expr, returnPoint bool) bool {
 	if n := int64(len(st.sm.Active)); n > 0 {
 		en.Stats.InstanceOps += n
 		en.rootInstOps += n
@@ -935,7 +913,7 @@ func (en *Engine) applyExtension(st *pathState, fi *funcInfo, bi *blockInfo, b *
 	if en.mayFire(bi, b, metal.StateRef{Val: st.sm.GState}) {
 		ctx := disp.context(pt, returnPoint)
 		for _, tr := range en.transIdx[metal.StateRef{Val: st.sm.GState}] {
-			bnd, ok := en.matchTrans(fi, ctx, tr, noBindings)
+			bnd, ok := tr.Pat.Match(ctx, noBindings)
 			if !ok {
 				continue
 			}
@@ -1019,7 +997,7 @@ func (en *Engine) applyExtension(st *pathState, fi *funcInfo, bi *blockInfo, b *
 			if prior == nil {
 				prior = pattern.Bindings{inst.Var: pattern.Binding{Expr: inst.ObjExpr}}
 			}
-			bnd, ok := en.matchTrans(fi, disp.context(pt, returnPoint), tr, prior)
+			bnd, ok := tr.Pat.Match(disp.context(pt, returnPoint), prior)
 			if !ok {
 				continue
 			}

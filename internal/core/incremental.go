@@ -54,9 +54,9 @@ type UnitCut struct {
 // (or since it was built) and resets it, so one engine run over several
 // units in turn yields, per unit, what a fresh engine would have.
 // Everything the engine keeps across the cut is either keyed by
-// function — summaries, term tables and match memos in funcInfo, and
-// the report set's dedup keys, which carry function and position — and
-// units share no function, or is identity only (interned tuple ids,
+// function — summaries and term tables in funcInfo, and the report
+// set's dedup keys, which carry function and position — and units
+// share no function, or is identity only (interned tuple ids,
 // synonym group numbers). Budgets are per root already. Failure and
 // cancellation are not reset: they stop the engine for good, and every
 // later cut is incomplete.

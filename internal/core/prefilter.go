@@ -21,26 +21,6 @@ import (
 	"repro/internal/pattern"
 )
 
-// stateRefKey keys the per-block fire cache.
-type stateRefKey = metal.StateRef
-
-// preKey identifies one memoized syntactic match: a transition's
-// pattern at a program point (ret distinguishes the synthetic
-// return-statement dispatch, which offers the same expression under
-// ReturnPoint semantics).
-type preKey struct {
-	tr  *metal.Transition
-	pt  cc.Expr
-	ret bool
-}
-
-// preVal is the memoized result: the syntactic match (nil when the
-// pattern cannot match at the point for any prior bindings).
-type preVal struct {
-	syn pattern.SynMatch
-	ok  bool
-}
-
 // Root node kinds for the pre-filter. Every matchExpr template case
 // type-asserts the target to the template's own concrete node type,
 // so a template rooted at kind k only matches points of kind k.
@@ -366,37 +346,24 @@ func buildFilters(c *metal.Checker) map[*metal.Transition]transFilter {
 }
 
 // mayFire reports whether any transition sourced at ref can possibly
-// match at some point of the block. Results are cached per (block,
-// ref). With compiled dispatch attached the answer comes from the
-// run-wide per-block admit bitsets (one walk per block at compile
-// time, shared across engines); otherwise block features are computed
-// per engine on the block's first traversal.
+// match at some point of the block. With compiled dispatch attached
+// the answer is a probe of the run-wide per-block admit bitsets (one
+// walk per block at compile time, shared across engines); without it,
+// the reference path tests the ref's filter atoms against block
+// features computed on the block's first traversal.
 func (en *Engine) mayFire(bi *blockInfo, b *cfg.Block, ref metal.StateRef) bool {
-	if v, ok := bi.fire[ref]; ok {
-		return v
-	}
-	var fire bool
 	if en.compiled != nil {
-		fire = en.compiled.blockMayFire(b, en.transIdx[ref])
-	} else {
-		if bi.feats == nil {
-			bi.feats = featsOf(b, en.blockPoints(bi, b))
-		}
-		for _, tr := range en.transIdx[ref] {
-			for _, a := range en.filters[tr].atoms {
-				if bi.feats.admits(a) {
-					fire = true
-					break
-				}
-			}
-			if fire {
-				break
+		return en.compiled.blockMayFire(b, en.transIdx[ref])
+	}
+	if bi.feats == nil {
+		bi.feats = featsOf(b, en.blockPoints(bi, b))
+	}
+	for _, tr := range en.transIdx[ref] {
+		for _, a := range en.filters[tr].atoms {
+			if bi.feats.admits(a) {
+				return true
 			}
 		}
 	}
-	if bi.fire == nil {
-		bi.fire = map[stateRefKey]bool{}
-	}
-	bi.fire[ref] = fire
-	return fire
+	return false
 }

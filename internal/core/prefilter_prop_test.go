@@ -207,16 +207,12 @@ func TestPrefilterSoundnessProperty(t *testing.T) {
 					// The filter claims this pattern cannot fire here:
 					// every match attempt must fail.
 					ctx := &pattern.Ctx{
-						Types:    fn.Types,
-						Callouts: pattern.Builtins(),
-						FuncName: fn.Name,
-						Extra:    map[string]interface{}{"locals": fn.Graph.Locals},
-					}
-					if b.Cond != nil {
-						ctx.Extra["branch_cond"] = b.Cond
-					}
-					if b.ReturnX != nil {
-						ctx.Extra["return_expr"] = b.ReturnX
+						Types:      fn.Types,
+						Callouts:   pattern.Builtins(),
+						FuncName:   fn.Name,
+						Locals:     fn.Graph.Locals,
+						BranchCond: b.Cond,
+						ReturnExpr: b.ReturnX,
 					}
 					for _, pt := range points {
 						ctx.Point, ctx.ReturnPoint = pt, false

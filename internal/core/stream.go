@@ -1,8 +1,8 @@
 package core
 
 // Streaming & memory bounding (DESIGN.md §12). The engine's
-// per-function caches — block summaries, suffix summaries, match
-// memos — are what actually grows with tree size; the streaming mode
+// per-function caches — block summaries, suffix summaries, FPP term
+// tables — are what actually grows with tree size; the streaming mode
 // deletes them as soon as the unit DAG proves no in-flight traversal
 // can read them again. Retirement is final: nothing is written
 // anywhere and nothing comes back, so a streaming engine keeps no

@@ -117,9 +117,6 @@ type blockInfo struct {
 	// feats caches the block's syntactic features for the transition
 	// pre-filter (see prefilter.go); nil until first traversal.
 	feats *blockFeats
-	// fire caches, per state ref, whether any of the ref's
-	// transitions can possibly fire at a point of this block.
-	fire map[stateRefKey]bool
 	// points caches the block's ExecOrder program-point expansion (a
 	// pure function of the block). pointsOK distinguishes an empty
 	// expansion from "not computed yet".
@@ -184,11 +181,6 @@ type funcInfo struct {
 	// Analyses counts full traversals started on this function's CFG
 	// (experiment E2: memoization avoids re-traversal).
 	Analyses int
-	// pre memoizes syntactic match results per (transition, program
-	// point): the path-independent half of a pattern match, shared
-	// across every path and instance that reaches the point
-	// (DESIGN.md §10).
-	pre map[preKey]preVal
 	// nonParam and localOmit memoize the function's scope filters:
 	// the non-parameter locals set and the suffix-summary omission
 	// predicate built from it (both were rebuilt per use before).
@@ -203,13 +195,7 @@ type funcInfo struct {
 }
 
 func newFuncInfo(g *cfg.Graph, in *interner) *funcInfo {
-	fi := &funcInfo{blocks: map[*cfg.Block]*blockInfo{}, in: in, pre: map[preKey]preVal{}}
-	if g == nil {
-		// Released AST (streaming mode): the shell still accepts
-		// reloaded summaries via info(), keyed by whatever *cfg.Block
-		// pointers the caller holds.
-		return fi
-	}
+	fi := &funcInfo{blocks: map[*cfg.Block]*blockInfo{}, in: in}
 	for _, b := range g.Blocks {
 		fi.blocks[b] = newBlockInfo(in)
 	}

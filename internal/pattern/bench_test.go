@@ -6,62 +6,38 @@ import (
 	"repro/internal/cc"
 )
 
-// BenchmarkBaseMatch compares the monolithic Match against the
-// PreMatch/Bind split the engine memoizes (DESIGN.md §10): the
-// syntactic half runs once per program point, so repeat visits — every
-// additional path through a block — pay only Bind.
+// BenchmarkBaseMatch times the three outcomes of one pattern match
+// attempt (DESIGN.md §10.1): a match, which binds a hole and so copies
+// its prior, and the two rejections that make up nearly every attempt
+// the engine makes — the wrong root node kind and the wrong callee —
+// which allocate nothing.
 func BenchmarkBaseMatch(b *testing.B) {
-	holes := map[string]*Hole{
-		"fn": {Name: "fn", Meta: MetaAnyFnCall},
-		"e":  {Name: "e", Meta: MetaAnyExpr},
-	}
+	holes := map[string]*Hole{"e": {Name: "e", Meta: MetaAnyExpr}}
 	p, err := CompileBase("spin_lock(e)", holes)
 	if err != nil {
 		b.Fatal(err)
 	}
-	target, err := cc.ParseExprString("spin_lock(flags + 1)")
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := &Ctx{Point: target, Callouts: Builtins()}
 	prior := Bindings{}
-
-	b.Run("match", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, ok := p.Match(ctx, prior); !ok {
-				b.Fatal("match failed")
+	for _, c := range []struct {
+		name, point string
+		matches     bool
+	}{
+		{"match", "spin_lock(flags + 1)", true},
+		{"mismatch-root", "flags + 1", false},
+		{"mismatch-callee", "spin_unlock(flags + 1)", false},
+	} {
+		target, err := cc.ParseExprString(c.point)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ctx := &Ctx{Point: target, Callouts: Builtins()}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, ok := p.Match(ctx, prior); ok != c.matches {
+					b.Fatalf("{spin_lock(e)} at %q matched=%v", c.point, ok)
+				}
 			}
-		}
-	})
-	b.Run("prematch+bind", func(b *testing.B) {
-		b.ReportAllocs()
-		syn, ok := PreMatch(p, ctx)
-		if !ok {
-			b.Fatal("prematch failed")
-		}
-		for i := 0; i < b.N; i++ {
-			if _, ok := syn.Bind(ctx, prior); !ok {
-				b.Fatal("bind failed")
-			}
-		}
-	})
-	b.Run("bind-per-path", func(b *testing.B) {
-		// The engine's actual steady state: PreMatch amortized away,
-		// Bind evaluated under a per-path prior.
-		b.ReportAllocs()
-		syn, ok := PreMatch(p, ctx)
-		if !ok {
-			b.Fatal("prematch failed")
-		}
-		bnd, ok := syn.Bind(ctx, prior)
-		if !ok {
-			b.Fatal("bind failed")
-		}
-		for i := 0; i < b.N; i++ {
-			if _, ok := syn.Bind(ctx, bnd); !ok {
-				b.Fatal("bind failed")
-			}
-		}
-	})
+		})
+	}
 }

@@ -90,11 +90,7 @@ func Builtins() Registry {
 				return false
 			}
 			id, ok := args[0].Binding.Expr.(*cc.Ident)
-			if !ok {
-				return false
-			}
-			locals, ok := ctx.Extra["locals"].(map[string]bool)
-			return ok && locals[id.Name]
+			return ok && ctx.Locals[id.Name]
 		},
 		// mc_is_returned(v): the current block returns the bound
 		// expression (a value escape for leak-style checkers).
@@ -102,18 +98,16 @@ func Builtins() Registry {
 			if len(args) != 1 || !args[0].Bound || args[0].Binding.Expr == nil {
 				return false
 			}
-			ret, ok := ctx.Extra["return_expr"].(cc.Expr)
-			return ok && cc.EqualExpr(ret, args[0].Binding.Expr)
+			return ctx.ReturnExpr != nil && cc.EqualExpr(ctx.ReturnExpr, args[0].Binding.Expr)
 		},
 		// mc_is_branch_cond(v): the current point is itself the branch
 		// condition of its block — matches the bare "if (v)" idiom
 		// without matching every other use of v.
 		"mc_is_branch_cond": func(ctx *Ctx, args []CalloutArg) bool {
-			cond, ok := ctx.Extra["branch_cond"].(cc.Expr)
-			if !ok || ctx.Point == nil {
+			if ctx.BranchCond == nil || ctx.Point == nil {
 				return false
 			}
-			return ctx.Point == cond || cc.EqualExpr(ctx.Point, cond)
+			return ctx.Point == ctx.BranchCond || cc.EqualExpr(ctx.Point, ctx.BranchCond)
 		},
 	}
 }

@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -114,6 +115,27 @@ func TestMatchAllNodeKinds(t *testing.T) {
 	}
 }
 
+// TestMatchPriorBoundHoleSkipsTypeCheck: a hole the prior already binds
+// is held to equality with that binding, not to its type constraint, so
+// a point that fails the constraint still matches under the right
+// prior.
+func TestMatchPriorBoundHoleSkipsTypeCheck(t *testing.T) {
+	holes := map[string]*Hole{"fn": {Name: "fn", Meta: MetaAnyFnCall}}
+	p, err := CompileBase("fn + 1", holes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, _ := cc.ParseExprString("y + 1")
+	yExpr, _ := cc.ParseExprString("y")
+	ctx := &Ctx{Point: target, Callouts: Builtins()}
+	if _, ok := p.Match(ctx, Bindings{}); ok {
+		t.Error("unbound any_fn_call must reject a non-call")
+	}
+	if _, ok := p.Match(ctx, Bindings{"fn": {Expr: yExpr}}); !ok {
+		t.Error("a prior-bound hole skips the type check")
+	}
+}
+
 func TestMatchCommaTemplate(t *testing.T) {
 	holes := map[string]*Hole{"e": {Name: "e", Meta: MetaAnyExpr}}
 	p, err := CompileBase("a = 1, e", holes)
@@ -203,9 +225,20 @@ func TestBuiltinEdgeCases(t *testing.T) {
 	if reg["mc_is_branch_cond"](ctx, []CalloutArg{{Bound: true, Binding: Binding{Expr: id}}}) {
 		t.Error("no branch context: mc_is_branch_cond must be false")
 	}
-	ctx2 := &Ctx{Point: id, Callouts: reg, Extra: map[string]interface{}{"branch_cond": cc.Expr(id)}}
+	ctx2 := &Ctx{Point: id, Callouts: reg, BranchCond: id}
 	if !reg["mc_is_branch_cond"](ctx2, []CalloutArg{{Bound: true, Binding: Binding{Expr: id}}}) {
 		t.Error("point == branch cond should satisfy mc_is_branch_cond")
+	}
+	// mc_is_local and mc_is_returned read the context's other two
+	// fields the same way: false above, where neither was set.
+	ctx3 := &Ctx{Point: e, Callouts: reg, Locals: map[string]bool{"x": true}, ReturnExpr: id}
+	for _, name := range []string{"mc_is_local", "mc_is_returned"} {
+		if !reg[name](ctx3, []CalloutArg{{Bound: true, Binding: Binding{Expr: id}}}) {
+			t.Errorf("%s(x) should hold with x local and returned", name)
+		}
+		if reg[name](ctx3, []CalloutArg{{Bound: true, Binding: Binding{Expr: e}}}) {
+			t.Errorf("%s(f(x)) must not hold", name)
+		}
 	}
 }
 
@@ -243,172 +276,151 @@ func bindingsEqual(a, b Bindings) bool {
 	return true
 }
 
-// assertAgree checks the PreMatch/Bind contract against Match for one
-// (pattern, ctx, prior): PreMatch failure implies Match fails for this
-// prior, and PreMatch success implies Bind reproduces Match exactly.
-func assertAgree(t *testing.T, label string, p Pattern, ctx *Ctx, prior Bindings) {
-	t.Helper()
-	wantB, wantOK := p.Match(ctx, prior)
-	syn, synOK := PreMatch(p, ctx)
-	if !synOK {
-		if wantOK {
-			t.Errorf("%s: PreMatch=false but Match succeeds", label)
-		}
-		return
-	}
-	gotB, gotOK := syn.Bind(ctx, prior)
-	if gotOK != wantOK {
-		t.Errorf("%s: Bind=%v, Match=%v", label, gotOK, wantOK)
-		return
-	}
-	if gotOK && !bindingsEqual(gotB, wantB) {
-		t.Errorf("%s: Bind bindings %v != Match bindings %v", label, gotB, wantB)
-	}
-}
-
-// TestPreMatchAgreesWithMatch drives the syntactic/binding split
-// through the full node-kind corpus, under the empty prior and under
-// priors that both agree and conflict with what each hole would bind.
-func TestPreMatchAgreesWithMatch(t *testing.T) {
+// TestMatchNeverWritesPrior pins the invariant the engine's shared
+// empty prior and Base.Match's copy-on-first-bind both rest on, over
+// the node-kind corpus and the combinators, under the empty prior and
+// priors that agree and conflict with what each hole would bind: Match
+// leaves prior as it found it whether it succeeds or fails, a success
+// returns a map of the caller's own that contains prior, and a failure
+// returns nil.
+func TestMatchNeverWritesPrior(t *testing.T) {
 	holes := map[string]*Hole{
-		"e": {Name: "e", Meta: MetaAnyExpr},
-	}
-	corpus := []struct {
-		pattern string
-		targets []string
-	}{
-		{"x + e", []string{"x + 1", "x + y", "y + 1", "x - 1"}},
-		{"-e", []string{"-5", "-x", "+x", "~x"}},
-		{"e++", []string{"i++", "++i", "i--"}},
-		{"a[e]", []string{"a[0]", "a[i + 1]", "b[0]", "a"}},
-		{"s.len", []string{"s.len", "s->len", "t.len", "s.cap"}},
-		{"s->len", []string{"s->len", "s.len"}},
-		{"e ? 1 : 0", []string{"x ? 1 : 0", "x ? 0 : 1"}},
-		{"f(e, 2)", []string{"f(1, 2)", "f(x, 2)", "f(1)", "f(1, 3)", "g(1, 2)"}},
-		{"(char)e", []string{"(char)x", "(int)x", "x"}},
-		{"sizeof e", []string{"sizeof x", "sizeof(int)"}},
-		{"sizeof(long)", []string{"sizeof(long)", "sizeof(short)", "sizeof x"}},
-		{`"lit"`, []string{`"lit"`, `"other"`, "x"}},
-		{"'a'", []string{"'a'", "'b'", "97"}},
-		{"1.5", []string{"1.5", "1.25"}},
-		{"e = 3", []string{"x = 3", "a[0] = 3", "x = 4", "x += 3"}},
-		{"e += 1", []string{"x += 1", "x -= 1", "x = 1"}},
-		{"e + e", []string{"x + x", "x + y", "a[0] + a[0]"}},
-		{"a = 1, e", []string{"a = 1, b", "a = 1"}},
-	}
-	xExpr, _ := cc.ParseExprString("x")
-	zExpr, _ := cc.ParseExprString("z")
-	priors := []Bindings{
-		{},
-		{"e": {Expr: xExpr}},
-		{"e": {Expr: zExpr}},
-		{"e": {Args: []cc.Expr{xExpr}}}, // args-kind binding against an expr hole
-	}
-	for _, c := range corpus {
-		p, err := CompileBase(c.pattern, holes)
-		if err != nil {
-			t.Fatalf("compile %q: %v", c.pattern, err)
-		}
-		for _, src := range c.targets {
-			e, err := cc.ParseExprString(src)
-			if err != nil {
-				t.Fatalf("parse %q: %v", src, err)
-			}
-			ctx := &Ctx{Point: e, Callouts: Builtins()}
-			for i, prior := range priors {
-				assertAgree(t, c.pattern+" vs "+src+" prior#"+string(rune('0'+i)), p, ctx, prior)
-			}
-		}
-	}
-}
-
-// TestPreMatchDeferredTypeCheck pins the subtle asymmetry the split
-// must preserve: Match skips the hole type constraint when the prior
-// already binds the hole (repeated-hole equality replaces it), so a
-// type-failing point can still match under the right prior.
-func TestPreMatchDeferredTypeCheck(t *testing.T) {
-	holes := map[string]*Hole{"fn": {Name: "fn", Meta: MetaAnyFnCall}}
-	p, err := CompileBase("fn + 1", holes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	target, _ := cc.ParseExprString("y + 1")
-	yExpr, _ := cc.ParseExprString("y")
-	ctx := &Ctx{Point: target, Callouts: Builtins()}
-
-	// Empty prior: y is not a call, the type check fails both ways.
-	assertAgree(t, "fn+1 empty prior", p, ctx, Bindings{})
-	if _, ok := p.Match(ctx, Bindings{}); ok {
-		t.Fatal("sanity: unbound any_fn_call must reject a non-call")
-	}
-	// Prior binds fn to y: equality replaces the type check and the
-	// match succeeds — PreMatch must not have ruled the point out.
-	assertAgree(t, "fn+1 bound prior", p, ctx, Bindings{"fn": {Expr: yExpr}})
-	if _, ok := p.Match(ctx, Bindings{"fn": {Expr: yExpr}}); !ok {
-		t.Fatal("sanity: prior-bound hole skips the type check in Match")
-	}
-}
-
-// TestPreMatchCombinators covers &&/||/callout/end-of-path/return
-// composition of the split.
-func TestPreMatchCombinators(t *testing.T) {
-	holes := map[string]*Hole{
+		"e":    {Name: "e", Meta: MetaAnyExpr},
 		"v":    {Name: "v", Meta: MetaAnyExpr},
 		"fn":   {Name: "fn", Meta: MetaAnyFnCall},
 		"args": {Name: "args", Meta: MetaAnyArgs},
 	}
-	base, _ := CompileBase("kfree(v)", holes)
-	anyCall, _ := CompileBase("fn(args)", holes)
-	isKfree, _ := CompileCallout(`mc_is_call_to(fn, "kfree")`)
-	isGets, _ := CompileCallout(`mc_is_call_to(fn, "gets")`)
-	yes, _ := CompileCallout("1")
-	no, _ := CompileCallout("0")
-	repeated, _ := CompileBase("pair(first(args), second(args))", holes)
-	retV, _ := CompileBase("return v", holes)
-	retBare, _ := CompileBase("return", holes)
-
+	base := func(src string) Pattern {
+		p, err := CompileBase(src, holes)
+		if err != nil {
+			t.Fatalf("compile %q: %v", src, err)
+		}
+		return p
+	}
+	callout := func(src string) Pattern {
+		p, err := CompileCallout(src)
+		if err != nil {
+			t.Fatalf("compile %q: %v", src, err)
+		}
+		return p
+	}
+	kfree, anyCall := base("kfree(v)"), base("fn(args)")
+	isKfree, isGets := callout(`mc_is_call_to(fn, "kfree")`), callout(`mc_is_call_to(fn, "gets")`)
+	yes, no := callout("1"), callout("0")
 	pats := []Pattern{
-		base, anyCall, repeated, retV, retBare, yes, no, EndOfPath{},
+		kfree, anyCall, base("pair(first(args), second(args))"), base("return v"), base("return"),
+		yes, no, EndOfPath{},
 		&And{X: anyCall, Y: isKfree},
 		&And{X: anyCall, Y: isGets},
-		&And{X: base, Y: no},
-		&Or{X: base, Y: anyCall},
+		&And{X: kfree, Y: no},
+		&Or{X: kfree, Y: anyCall},
 		&Or{X: no, Y: anyCall},
 		&Or{X: no, Y: no},
-		&And{X: &Or{X: base, Y: anyCall}, Y: isKfree},
+		&And{X: &Or{X: kfree, Y: anyCall}, Y: isKfree},
 	}
-	targets := []string{"kfree(p)", "kfree(p, q)", "gets(buf)", "x + 1", "f()"}
+	for _, src := range []string{
+		"x + e", "-e", "e++", "a[e]", "s.len", "s->len", "e ? 1 : 0", "f(e, 2)", "(char)e",
+		"sizeof e", "sizeof(long)", `"lit"`, "'a'", "1.5", "e = 3", "e += 1", "e + e", "a = 1, e",
+	} {
+		pats = append(pats, base(src))
+	}
+	var points []cc.Expr
+	for _, src := range []string{
+		"x + 1", "x + y", "y + 1", "x - 1", "x + x", "a[0] + a[0]", "-5", "-x", "+x", "~x",
+		"i++", "++i", "a[0]", "a[i + 1]", "b[0]", "a", "s.len", "s->len", "t.len",
+		"x ? 1 : 0", "x ? 0 : 1", "f(1, 2)", "f(x, 2)", "f(1)", "g(1, 2)", "f()",
+		"(char)x", "(int)x", "sizeof x", "sizeof(int)", "sizeof(long)", `"lit"`, `"other"`,
+		"'a'", "'b'", "97", "1.5", "1.25", "x = 3", "a[0] = 3", "x = 4", "x += 3", "x += 1",
+		"a = 1, b", "a = 1", "kfree(p)", "kfree(p, q)", "gets(buf)",
+		"pair(first(1, x), second(1, x))", "pair(first(1, x), second(1, y))",
+	} {
+		e, err := cc.ParseExprString(src)
+		if err != nil {
+			t.Fatalf("parse %q: %v", src, err)
+		}
+		points = append(points, e)
+	}
+	points = append(points, nil) // bare "return;" and end-of-path dispatches
+	xExpr, _ := cc.ParseExprString("x")
 	pExpr, _ := cc.ParseExprString("p")
-	qExpr, _ := cc.ParseExprString("q")
+	zExpr, _ := cc.ParseExprString("z")
 	priors := []Bindings{
 		{},
-		{"v": {Expr: pExpr}},
-		{"v": {Expr: qExpr}},
-		{"args": {Args: []cc.Expr{pExpr}}},
+		{"e": {Expr: xExpr}, "v": {Expr: pExpr}},
+		{"e": {Expr: zExpr}, "v": {Expr: zExpr}},
+		{"e": {Args: []cc.Expr{xExpr}}, "args": {Args: []cc.Expr{pExpr}}}, // an args-kind binding against an expr hole
 	}
+	successes := 0
 	for _, p := range pats {
-		for _, src := range targets {
-			e, err := cc.ParseExprString(src)
-			if err != nil {
-				t.Fatalf("parse %q: %v", src, err)
-			}
+		for _, pt := range points {
 			for _, ctx := range []*Ctx{
-				{Point: e, Callouts: Builtins()},
-				{Point: e, Callouts: Builtins(), ReturnPoint: true},
-				{Point: e, Callouts: Builtins(), EndOfPath: true},
+				{Point: pt, Callouts: Builtins()},
+				{Point: pt, Callouts: Builtins(), ReturnPoint: true},
+				{Point: pt, Callouts: Builtins(), EndOfPath: true},
 			} {
 				for i, prior := range priors {
-					assertAgree(t, p.String()+" vs "+src+" prior#"+string(rune('0'+i)), p, ctx, prior)
+					label := p.String() + " at " + cc.ExprString(pt) + " prior#" + string(rune('0'+i))
+					before := prior.clone()
+					got, ok := p.Match(ctx, prior)
+					if !bindingsEqual(prior, before) {
+						t.Fatalf("%s: Match wrote its prior: %v, was %v", label, prior, before)
+					}
+					if !ok {
+						if got != nil {
+							t.Errorf("%s: failed match returned %v, want nil", label, got)
+						}
+						continue
+					}
+					successes++
+					if reflect.ValueOf(got).Pointer() == reflect.ValueOf(prior).Pointer() {
+						t.Errorf("%s: successful match returned prior itself", label)
+					}
+					kept := Bindings{}
+					for name := range prior {
+						kept[name] = got[name]
+					}
+					if !bindingsEqual(kept, prior) {
+						t.Errorf("%s: result %v lost or changed a binding of prior %v", label, got, prior)
+					}
 				}
 			}
 		}
-		// Bare-return and end-of-path shapes: nil point.
-		for _, ctx := range []*Ctx{
-			{Callouts: Builtins(), ReturnPoint: true},
-			{Callouts: Builtins(), EndOfPath: true},
-			{Callouts: Builtins()},
-		} {
-			assertAgree(t, p.String()+" vs <nil point>", p, ctx, Bindings{})
+	}
+	if successes < 100 {
+		t.Errorf("only %d successful matches: the corpus no longer exercises the success path", successes)
+	}
+}
+
+// TestMatchAllocs: an attempt that fails before any hole binds — the
+// wrong root node kind, the wrong callee name — allocates nothing, and
+// a successful bind allocates its result map only (the header and, on
+// the first insert, its one bucket group).
+func TestMatchAllocs(t *testing.T) {
+	holes := map[string]*Hole{"v": {Name: "v", Meta: MetaAnyExpr}}
+	p, err := CompileBase("kfree(v)", holes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prior := Bindings{}
+	for _, c := range []struct {
+		name, point string
+		matches     bool
+		max         float64
+	}{
+		{"mismatch-root", "x + 1", false, 0},
+		{"mismatch-callee", "kmalloc(n)", false, 0},
+		{"match", "kfree(p)", true, 2},
+	} {
+		e, err := cc.ParseExprString(c.point)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := &Ctx{Point: e}
+		if _, ok := p.Match(ctx, prior); ok != c.matches {
+			t.Fatalf("%s: {kfree(v)} at %q matched=%v", c.name, c.point, ok)
+		}
+		if got := testing.AllocsPerRun(100, func() { p.Match(ctx, prior) }); got > c.max {
+			t.Errorf("%s: %.0f allocations per Match, want <= %.0f", c.name, got, c.max)
 		}
 	}
 }

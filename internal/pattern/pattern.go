@@ -65,13 +65,39 @@ func (b Binding) String() string {
 // Bindings maps hole names to what they matched.
 type Bindings map[string]Binding
 
-// clone copies the bindings (matching is speculative).
+// clone copies the bindings: Match never writes its prior, and a
+// success hands the caller a map of its own.
 func (b Bindings) clone() Bindings {
 	out := make(Bindings, len(b))
 	for k, v := range b {
 		out[k] = v
 	}
 	return out
+}
+
+// binder is the bindings of one Base match in progress. Reads fall
+// through to prior until the first hole binds, which is when prior is
+// copied: a match that fails before binding anything — at the
+// template's root type assertion, for nearly every attempt the engine
+// makes — allocates nothing.
+type binder struct {
+	prior, out Bindings
+}
+
+func (b *binder) get(name string) (Binding, bool) {
+	if b.out != nil {
+		v, ok := b.out[name]
+		return v, ok
+	}
+	v, ok := b.prior[name]
+	return v, ok
+}
+
+func (b *binder) set(name string, v Binding) {
+	if b.out == nil {
+		b.out = b.prior.clone()
+	}
+	b.out[name] = v
 }
 
 // CalloutFunc is a registered general-purpose predicate. It receives
@@ -108,9 +134,13 @@ type Ctx struct {
 	ReturnPoint bool
 	// FuncName is the enclosing function, available to callouts.
 	FuncName string
-	// Extra lets the engine expose state (e.g., AST annotations for
-	// checker composition) to callouts.
-	Extra map[string]interface{}
+	// Locals names the enclosing function's locals, parameters included
+	// (mc_is_local). BranchCond and ReturnExpr are the current block's
+	// branch condition and returned expression, nil when it has none
+	// (mc_is_branch_cond, mc_is_returned).
+	Locals     map[string]bool
+	BranchCond cc.Expr
+	ReturnExpr cc.Expr
 }
 
 // Pattern is a compiled metal pattern.
@@ -221,33 +251,21 @@ func substituteHoles(e cc.Expr, holes map[string]*Hole) cc.Expr {
 
 // Match implements Pattern.
 func (b *Base) Match(ctx *Ctx, prior Bindings) (Bindings, bool) {
-	if b.isReturn {
-		if !ctx.ReturnPoint {
-			return nil, false
-		}
-		if b.retTmpl == nil {
-			if ctx.Point != nil {
-				return nil, false
-			}
-			return prior.clone(), true
-		}
-		if ctx.Point == nil {
-			return nil, false
-		}
-		bnd := prior.clone()
-		if matchExpr(ctx, b.retTmpl, ctx.Point, bnd) {
-			return bnd, true
-		}
+	// A return pattern matches only the synthetic return point and an
+	// expression pattern never does; a bare "return;" is the nil
+	// template against the nil point, which matchExpr accepts.
+	tmpl, isReturn := b.Template()
+	if isReturn != ctx.ReturnPoint || (!isReturn && ctx.Point == nil) {
 		return nil, false
 	}
-	if ctx.Point == nil || ctx.ReturnPoint {
+	bnd := binder{prior: prior}
+	if !matchExpr(ctx, tmpl, ctx.Point, &bnd) {
 		return nil, false
 	}
-	bnd := prior.clone()
-	if matchExpr(ctx, b.Tmpl, ctx.Point, bnd) {
-		return bnd, true
+	if bnd.out == nil {
+		return prior.clone(), true
 	}
-	return nil, false
+	return bnd.out, true
 }
 
 // String implements Pattern.
@@ -265,7 +283,7 @@ func (b *Base) Template() (cc.Expr, bool) {
 }
 
 // matchExpr matches the template against the target, extending bnd.
-func matchExpr(ctx *Ctx, tmpl, target cc.Expr, bnd Bindings) bool {
+func matchExpr(ctx *Ctx, tmpl, target cc.Expr, bnd *binder) bool {
 	if tmpl == nil || target == nil {
 		return tmpl == nil && target == nil
 	}
@@ -368,8 +386,8 @@ func matchExpr(ctx *Ctx, tmpl, target cc.Expr, bnd Bindings) bool {
 // plus repeated-hole consistency ("If the same hole variable appears
 // multiple times in a pattern, each appearance must contain equivalent
 // ASTs", §4).
-func matchHole(ctx *Ctx, h *cc.HoleExpr, target cc.Expr, bnd Bindings) bool {
-	if prev, ok := bnd[h.Name]; ok {
+func matchHole(ctx *Ctx, h *cc.HoleExpr, target cc.Expr, bnd *binder) bool {
+	if prev, ok := bnd.get(h.Name); ok {
 		if prev.Expr == nil || !cc.EqualExpr(prev.Expr, target) {
 			return false
 		}
@@ -378,7 +396,7 @@ func matchHole(ctx *Ctx, h *cc.HoleExpr, target cc.Expr, bnd Bindings) bool {
 	if !holeTypeOK(ctx, h, target) {
 		return false
 	}
-	bnd[h.Name] = Binding{Expr: target}
+	bnd.set(h.Name, Binding{Expr: target})
 	return true
 }
 
@@ -416,8 +434,8 @@ func typeOf(ctx *Ctx, e cc.Expr) *cc.Type {
 	return ctx.Types.TypeOf(e)
 }
 
-func bindArgs(h *cc.HoleArgs, args []cc.Expr, bnd Bindings) bool {
-	if prev, ok := bnd[h.Name]; ok {
+func bindArgs(h *cc.HoleArgs, args []cc.Expr, bnd *binder) bool {
+	if prev, ok := bnd.get(h.Name); ok {
 		if len(prev.Args) != len(args) {
 			return false
 		}
@@ -428,7 +446,7 @@ func bindArgs(h *cc.HoleArgs, args []cc.Expr, bnd Bindings) bool {
 		}
 		return true
 	}
-	bnd[h.Name] = Binding{Args: args}
+	bnd.set(h.Name, Binding{Args: args})
 	return true
 }
 
