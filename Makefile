@@ -32,13 +32,17 @@ vet:
 # stay gone; a gate is a go test assertion, a number is BENCHMARK.json's.
 # And pattern dispatch has one matcher and one gate (DESIGN.md §10.1):
 # the per-point match memo and its second matcher, the dispatch strategy
-# labels and the string-keyed callout context stay gone.
+# labels and the string-keyed callout context stay gone. And the
+# program model is built once (DESIGN.md §5): the per-engine point
+# expansion, argument pairing, scope-set memos and second dispatch gate
+# stay gone.
 no-deleted-knobs:
 	! grep -rnE 'Match[M]emo|Block[F]ilter|Tuple[I]ntern|Lean[A]lloc|Multi[D]ispatch|Tenant[Q]uota|Queue[D]epth|Batch[S]ize' --include=*.go .
 	! grep -rnE 'Load[S]ummaries|summary[S]ource|Retired[S]et|Allow[S]pillReload|Summaries[L]oaded|SummaryBytes[D]eferred' --include=*.go .
 	! grep -rnE 'Load[S]ources|AST[K]ey|Files[R]eplayed|Set[S]pill|Summary[S]pill|maybe[R]eload|Spill[D]ir|Put[S]ummary|Get[S]ummary' --include=*.go .
 	! grep -rnE 'exp[P]ar|exp[I]ncr|exp[G]ov|exp[M]ulticheck|exp[S]cale|exp[F]eas|exp[R]egistry|exp[F]leet|scale[-]cell|(scale|feas|fleet)[-]short|Host[F]acts' --include=*.go .
 	! grep -rnE 'Pre[M]atch|Syn[M]atch|pre[K]ey|match[T]rans|dispatch[S]trategy|Ctx[.]Extra|\.Extra\[' --include=*.go .
+	! grep -rnE 'points[O]K|block[P]oints|build[F]ilters|formal[N]odes|build[A]rgMaps|local[O]mitFor|nonParam[L]ocals|new[B]lockInfo' --include=*.go .
 	! ls BENCH_*.json 2>/dev/null | grep .
 
 # staticcheck is optional locally (the repo adds no dependencies) but
@@ -73,7 +77,7 @@ bench-check:
 	$(GO) test -C benchmark ./...
 
 # Go-native fuzzing of the decoders that read bytes from outside the
-# process (ROADMAP item 4a), seed corpora under testdata/fuzz/. The
+# process (ROADMAP item 4(c)), seed corpora under testdata/fuzz/. The
 # budget is short: CI smoke, not a campaign. FuzzOpenStore goes through
 # the file system and FuzzWorkRequest (the /v1/work body) runs whole
 # analyses, so their coverage is noisy and the fuzzer's default 60 s

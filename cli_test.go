@@ -60,6 +60,11 @@ func TestXgccCLIBasic(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
+	// An unnamed parameter does not end the argument mapping (§6.1).
+	unnamed := writeTemp(t, "unnamed.c", "void kfree(void *p);\nvoid rel(int, int *p) { kfree(p); }\nint caller(int *q) { rel(0, q); return *q; }\n")
+	if out, err := runCmd(t, "./cmd/xgcc", "-checker", "free", unnamed); err != nil || !strings.Contains(out, "using q after free!") {
+		t.Errorf("unnamed parameter: want the use of q after rel(0, q) reported (err %v):\n%s", err, out)
+	}
 }
 
 func TestXgccCLIListAndStats(t *testing.T) {

@@ -101,11 +101,7 @@ func showMatches(c *metal.Checker, path string) error {
 	total := 0
 	for _, fn := range p.All {
 		for _, b := range fn.Graph.Blocks {
-			var points []cc.Expr
-			for _, e := range b.Exprs {
-				points = cc.ExecOrder(e, points)
-			}
-			for _, pt := range points {
+			for _, pt := range b.Points {
 				ctx := &pattern.Ctx{
 					Point: pt, Types: fn.Types, Callouts: reg, FuncName: fn.Name,
 					Locals: fn.Graph.Locals, BranchCond: b.Cond, ReturnExpr: b.ReturnX,

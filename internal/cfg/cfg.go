@@ -55,8 +55,14 @@ type Edge struct {
 // element of Exprs). When the block ends in a switch dispatch, Switch
 // is the tag expression.
 type Block struct {
-	ID     int
-	Exprs  []cc.Expr
+	// ID is the block's index in Graph.Blocks.
+	ID    int
+	Exprs []cc.Expr
+	// Points is the cc.ExecOrder expansion of Exprs: the program points
+	// the block's expressions visit, in execution order. Build fills it
+	// once; every reader (the call graph, the dispatch compiler, each
+	// engine's DFS) shares the slice and must not write it.
+	Points []cc.Expr
 	Cond   cc.Expr
 	Switch cc.Expr
 	Succs  []Edge
@@ -190,7 +196,29 @@ func Build(fn *cc.FuncDecl) *Graph {
 		// silently continue (§6).
 	}
 	g.prune()
+	g.expandPoints()
 	return g
+}
+
+// expandPoints fills every block's Points. The function's points share
+// one backing array of exact size: it lives as long as the AST does.
+func (g *Graph) expandPoints() {
+	var all []cc.Expr
+	ends := make([]int, len(g.Blocks))
+	for i, b := range g.Blocks {
+		for _, e := range b.Exprs {
+			all = cc.ExecOrder(e, all)
+		}
+		ends[i] = len(all)
+	}
+	all = append(make([]cc.Expr, 0, len(all)), all...)
+	lo := 0
+	for i, b := range g.Blocks {
+		if hi := ends[i]; hi > lo {
+			b.Points = all[lo:hi:hi]
+			lo = hi
+		}
+	}
 }
 
 func (b *builder) newBlock() *Block {
@@ -515,11 +543,9 @@ func (g *Graph) prune() {
 // to locate callsites.
 func CallsIn(b *Block) []*cc.CallExpr {
 	var calls []*cc.CallExpr
-	for _, e := range b.Exprs {
-		for _, pt := range cc.ExecOrder(e, nil) {
-			if c, ok := pt.(*cc.CallExpr); ok {
-				calls = append(calls, c)
-			}
+	for _, pt := range b.Points {
+		if c, ok := pt.(*cc.CallExpr); ok {
+			calls = append(calls, c)
 		}
 	}
 	return calls

@@ -65,19 +65,12 @@ func BenchmarkBlockTraversal(b *testing.B) {
 // the per-path FPP state all do the work.
 func suiteInputs(tb testing.TB) ([]*cc.File, []*metal.Checker) {
 	tb.Helper()
-	var suite []*metal.Checker
-	for _, src := range checkers.All() {
-		c, err := metal.Parse(src.Text)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		suite = append(suite, c)
-	}
-	return parseSorted(tb, workload.CallRichTree()), suite
+	return parseSorted(tb, workload.CallRichTree()), bundledSuite(tb)
 }
 
 // runCallRich is one cold run: every bundled checker in order over a
-// fresh Program, sharing one annotation store. governed runs it the
+// fresh Program, sharing one annotation store and — as in every mc run
+// — one compiled dispatch. governed runs it the
 // way every governed caller does when nothing is cut: a cancellable
 // context and budgets that never trip. It returns the report count so
 // callers can check the run did something.
@@ -92,9 +85,12 @@ func runCallRich(files []*cc.File, suite []*metal.Checker, governed bool) int {
 		ctx, cancel = context.WithCancel(ctx)
 		defer cancel()
 	}
+	cd := CompileDispatch(p, suite)
 	reports := 0
-	for _, c := range suite {
-		reports += len(NewEngineShared(p, c, opts, shared).RunContext(ctx).Reports)
+	for i, c := range suite {
+		en := NewEngineShared(p, c, opts, shared)
+		en.SetCompiled(cd, i)
+		reports += len(en.RunContext(ctx).Reports)
 	}
 	return reports
 }
@@ -117,14 +113,15 @@ func BenchmarkCallRichTraversal(b *testing.B) {
 }
 
 // callRichAllocCeiling bounds the heap allocations of one runCallRich,
-// about 5 % above the measured 15,682 (go1.24). The count repeats to
+// about 5 % above the measured 5,140 (go1.24). The count repeats to
 // the unit, so a regression in the per-path state (fpp.Env, edge sets,
-// fpSeen) or in pattern dispatch (DESIGN.md §10.1) fails here without
-// a timer. Before the per-path state became flat data the same run
-// allocated 30,788 objects. The governed run sits under the same
-// ceiling (+3, its context): step counters and amortized polls
-// allocate nothing.
-const callRichAllocCeiling = 16_450
+// fpSeen), in pattern dispatch (DESIGN.md §10.1) or in what prog.Build
+// holds for every engine (§5) fails here without a timer. The same
+// run, same dispatch, allocated 6,068 objects while each engine still
+// expanded the points, paired the arguments and built the scope sets
+// for itself. The governed run sits under the same ceiling (+3, its
+// context): step counters and amortized polls allocate nothing.
+const callRichAllocCeiling = 5_400
 
 func TestCallRichTraversalAllocs(t *testing.T) {
 	files, suite := suiteInputs(t)

@@ -30,22 +30,11 @@ package core
 // CompiledDispatch is safely shared by engines running concurrently.
 
 import (
-	"repro/internal/cc"
 	"repro/internal/cfg"
 	"repro/internal/metal"
 	"repro/internal/pattern"
 	"repro/internal/prog"
 )
-
-// compiledTrans is one checker transition in the union automaton.
-type compiledTrans struct {
-	checker int
-	tr      *metal.Transition
-	// eop: the pattern can match at an end-of-path dispatch, where no
-	// block feature can rule it out.
-	eop   bool
-	atoms []filterAtom
-}
 
 // bitset is a fixed-capacity bit vector over entry ids.
 type bitset []uint64
@@ -91,10 +80,14 @@ type idxEntry struct {
 // Engine.SetCompiled. Read-only after construction.
 type CompiledDispatch struct {
 	checkers []*metal.Checker
-	entries  []compiledTrans
-	// entryID maps a transition back to its entry (engines key their
-	// transIdx by *metal.Transition).
-	entryID map[*metal.Transition]int32
+	// entries holds one row per checker transition in the union
+	// automaton: the alternatives of its pattern's pre-filter
+	// (prefilter.go).
+	entries [][]filterAtom
+	// firstEntry[ci] is the entry id of checker ci's first transition;
+	// a checker's transitions take consecutive ids in declaration
+	// order, which is how an engine names its own (SetCompiled).
+	firstEntry []int32
 
 	// Literal index: callee name -> atom rows requiring that name
 	// (root-callee fast path rows and nested-callee structural rows).
@@ -107,12 +100,13 @@ type CompiledDispatch struct {
 	// fallback) — candidates in every block.
 	alwaysMask bitset
 
-	// blockAdmit: per block, the entries some point of the block can
-	// satisfy. funcAdmit unions a function's blocks; rootAdmit unions a
-	// root's callee closure; progAdmit unions everything.
-	blockAdmit map[*cfg.Block]bitset
-	funcAdmit  map[*prog.Function]bitset
-	rootAdmit  map[*prog.Function]bitset
+	// blockAdmit[fn.Index][b.ID]: the entries some point of the block
+	// can satisfy. funcAdmit[fn.Index] unions a function's blocks;
+	// rootAdmit[root.Index] unions a root's callee closure (nil for a
+	// function that is no root); progAdmit unions everything.
+	blockAdmit [][]bitset
+	funcAdmit  []bitset
+	rootAdmit  []bitset
 	progAdmit  bitset
 
 	// initEntries lists, per checker, the entries sourced at its
@@ -129,47 +123,14 @@ type CompiledDispatch struct {
 // probe per (block feature, bucket row) — paid once per run, then
 // shared by every engine.
 func CompileDispatch(p *prog.Program, checkers []*metal.Checker) *CompiledDispatch {
-	cd := &CompiledDispatch{
-		checkers:    checkers,
-		entryID:     map[*metal.Transition]int32{},
-		byCallee:    map[string][]idxEntry{},
-		blockAdmit:  map[*cfg.Block]bitset{},
-		funcAdmit:   map[*prog.Function]bitset{},
-		rootAdmit:   map[*prog.Function]bitset{},
-		initEntries: make([][]int32, len(checkers)),
-		initEOP:     make([]bool, len(checkers)),
-		skipAll:     make([]bool, len(checkers)),
-	}
-
-	// Entry construction.
-	for ci, c := range checkers {
-		init := metal.StateRef{Val: c.InitialGlobal()}
-		for _, tr := range c.Transitions {
-			id := int32(len(cd.entries))
-			atoms := filterOf(tr.Pat).atoms
-			eop := pattern.MayMatchEndOfPath(tr.Pat)
-			cd.entries = append(cd.entries, compiledTrans{
-				checker: ci,
-				tr:      tr,
-				eop:     eop,
-				atoms:   atoms,
-			})
-			cd.entryID[tr] = id
-			if tr.Source == init {
-				cd.initEntries[ci] = append(cd.initEntries[ci], id)
-				if eop {
-					cd.initEOP[ci] = true
-				}
-			}
-		}
-	}
+	cd := newDispatch(checkers)
 
 	// Index construction: each atom lands in exactly one bucket, keyed
 	// by its sharpest requirement.
-	n := len(cd.entries)
-	cd.alwaysMask = newBitset(n)
-	for id, e := range cd.entries {
-		for _, a := range e.atoms {
+	cd.byCallee = map[string][]idxEntry{}
+	cd.alwaysMask = newBitset(len(cd.entries))
+	for id, atoms := range cd.entries {
+		for _, a := range atoms {
 			switch {
 			case a == anyAtom:
 				cd.alwaysMask.set(int32(id))
@@ -182,45 +143,82 @@ func CompileDispatch(p *prog.Program, checkers []*metal.Checker) *CompiledDispat
 			}
 		}
 	}
+	cd.fill(p, cd.admitSet)
+	return cd
+}
 
-	// One walk per block: features once, then index probes fill the
-	// admit bitset for all checkers at once.
+// newDispatch numbers the checkers' transitions and records which of
+// them are sourced at each checker's initial global state.
+func newDispatch(checkers []*metal.Checker) *CompiledDispatch {
+	cd := &CompiledDispatch{
+		checkers:    checkers,
+		firstEntry:  make([]int32, len(checkers)),
+		initEntries: make([][]int32, len(checkers)),
+		initEOP:     make([]bool, len(checkers)),
+		skipAll:     make([]bool, len(checkers)),
+	}
+	for ci, c := range checkers {
+		cd.firstEntry[ci] = int32(len(cd.entries))
+		init := metal.StateRef{Val: c.InitialGlobal()}
+		for _, tr := range c.Transitions {
+			id := int32(len(cd.entries))
+			cd.entries = append(cd.entries, filterOf(tr.Pat))
+			if tr.Source == init {
+				cd.initEntries[ci] = append(cd.initEntries[ci], id)
+				// At an end-of-path dispatch no block feature can rule
+				// the pattern out.
+				if pattern.MayMatchEndOfPath(tr.Pat) {
+					cd.initEOP[ci] = true
+				}
+			}
+		}
+	}
+	return cd
+}
+
+// fill computes the admit tables from a per-block admit function: one
+// walk per block, then the per-function, per-program and per-root
+// (callee closure) unions and the skip tables.
+func (cd *CompiledDispatch) fill(p *prog.Program, admit func(*cfg.Block) bitset) {
+	n := len(cd.entries)
+	cd.blockAdmit = make([][]bitset, len(p.All))
+	cd.funcAdmit = make([]bitset, len(p.All))
+	cd.rootAdmit = make([]bitset, len(p.All))
 	cd.progAdmit = newBitset(n)
 	for _, fn := range p.All {
 		fa := newBitset(n)
-		for _, b := range fn.Graph.Blocks {
-			bits := cd.admitSet(b)
-			cd.blockAdmit[b] = bits
-			fa.or(bits)
+		blocks := make([]bitset, len(fn.Graph.Blocks))
+		for i, b := range fn.Graph.Blocks {
+			blocks[i] = admit(b)
+			fa.or(blocks[i])
 		}
-		cd.funcAdmit[fn] = fa
+		cd.blockAdmit[fn.Index] = blocks
+		cd.funcAdmit[fn.Index] = fa
 		cd.progAdmit.or(fa)
 	}
 
-	// Per-root callee-closure admit sets, then the skip tables.
-	for _, root := range p.Roots {
+	// visited[fn.Index] is the ordinal (from 1) of the last root whose
+	// closure walk reached fn.
+	visited := make([]int, len(p.All))
+	for ri, root := range p.Roots {
 		ra := newBitset(n)
-		seen := map[*prog.Function]bool{}
 		var walk func(*prog.Function)
 		walk = func(fn *prog.Function) {
-			if seen[fn] {
+			if visited[fn.Index] == ri+1 {
 				return
 			}
-			seen[fn] = true
-			if fa, ok := cd.funcAdmit[fn]; ok {
-				ra.or(fa)
-			}
+			visited[fn.Index] = ri + 1
+			ra.or(cd.funcAdmit[fn.Index])
 			for _, c := range fn.Callees {
 				walk(c)
 			}
 		}
 		walk(root)
-		cd.rootAdmit[root] = ra
+		cd.rootAdmit[root.Index] = ra
 	}
-	for ci := range checkers {
+	for ci := range cd.checkers {
 		cd.skipAll[ci] = !cd.canFire(ci, cd.progAdmit)
 	}
-	return cd
 }
 
 // admitSet computes one block's candidate-entry bitset: block features
@@ -228,11 +226,7 @@ func CompileDispatch(p *prog.Program, checkers []*metal.Checker) *CompiledDispat
 // discrimination-tree bucket per present root kind, the return bucket
 // if the block returns, and the always mask.
 func (cd *CompiledDispatch) admitSet(b *cfg.Block) bitset {
-	var points []cc.Expr
-	for _, e := range b.Exprs {
-		points = cc.ExecOrder(e, points)
-	}
-	feats := featsOf(b, points)
+	feats := featsOf(b)
 	bits := cd.alwaysMask.clone()
 	if feats.isReturn {
 		for _, row := range cd.byRet {
@@ -278,29 +272,9 @@ func (cd *CompiledDispatch) SkipRoot(ci int, root *prog.Function) bool {
 	if cd.skipAll[ci] {
 		return true
 	}
-	ra, ok := cd.rootAdmit[root]
-	if !ok {
-		return false // unknown root (RunRoots on a non-root): stay conservative
+	ra := cd.rootAdmit[root.Index]
+	if ra == nil {
+		return false // RunRoots on a non-root: stay conservative
 	}
 	return !cd.canFire(ci, ra)
-}
-
-// blockMayFire answers the engine's per-(block, state-ref) gate from
-// the precomputed admit set: can any of the ref's transitions fire at
-// some point of the block?
-func (cd *CompiledDispatch) blockMayFire(b *cfg.Block, trs []*metal.Transition) bool {
-	bits, ok := cd.blockAdmit[b]
-	if !ok {
-		return true // block outside the compiled program: conservative
-	}
-	for _, tr := range trs {
-		id, ok := cd.entryID[tr]
-		if !ok {
-			return true // transition unknown to the compiler: conservative
-		}
-		if bits.get(id) {
-			return true
-		}
-	}
-	return false
 }

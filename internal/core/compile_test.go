@@ -3,20 +3,22 @@ package core
 // Compiled multi-checker dispatch tests (DESIGN.md §11): the union
 // automaton must (a) skip exactly the (checker, root) pairs that
 // provably fire nothing, and (b) never change which reports an engine
-// emits — with or without the automaton attached, the output is
-// identical.
+// emits — indexed, brute-force or compiled by the engine for itself,
+// the output is identical.
 
 import (
 	"fmt"
 	"reflect"
 	"testing"
 
+	"repro/internal/cfg"
 	"repro/internal/checkers"
 	"repro/internal/metal"
+	"repro/internal/prog"
 	"repro/internal/workload"
 )
 
-func mustChecker(t *testing.T, src string) *metal.Checker {
+func mustChecker(t testing.TB, src string) *metal.Checker {
 	t.Helper()
 	c, err := metal.Parse(src)
 	if err != nil {
@@ -115,6 +117,16 @@ int f(void) { cli(); return 1; }
 	}
 }
 
+// bundledSuite parses the bundled checkers, in load order.
+func bundledSuite(t testing.TB) []*metal.Checker {
+	t.Helper()
+	var cs []*metal.Checker
+	for _, s := range checkers.All() {
+		cs = append(cs, mustChecker(t, s.Text))
+	}
+	return cs
+}
+
 // suiteRun is what one full-suite run exposes per checker, in load
 // order: the report stream in emission order, the rule counts, and the
 // composition marks it emitted.
@@ -124,28 +136,55 @@ type suiteRun struct {
 	marks   [][]MarkEvent
 }
 
+// bruteDispatch fills a CompiledDispatch by the reference gate: every
+// filter atom of every transition against every block's features, with
+// no index in between.
+func bruteDispatch(p *prog.Program, cs []*metal.Checker) *CompiledDispatch {
+	cd := newDispatch(cs)
+	cd.fill(p, func(b *cfg.Block) bitset {
+		feats := featsOf(b)
+		bits := newBitset(len(cd.entries))
+		for id, atoms := range cd.entries {
+			for _, a := range atoms {
+				if feats.admits(a) {
+					bits.set(int32(id))
+					break
+				}
+			}
+		}
+		return bits
+	})
+	return cd
+}
+
+// How runSuite's engines get their dispatch.
+const (
+	dispatchIndexed = iota // one CompileDispatch over the suite, SetCompiled on each
+	dispatchBrute          // the same, filled by bruteDispatch
+	dispatchOwn            // no SetCompiled: each engine compiles its own checker
+)
+
 // runSuite applies the whole bundled suite to a fresh build of srcs,
-// phase by phase over one shared annotation store (the -j 1 schedule),
-// with the compiled dispatch attached to every engine or to none.
-func runSuite(t *testing.T, srcs map[string]string, compiled bool) suiteRun {
+// phase by phase over one shared annotation store (the -j 1 schedule).
+func runSuite(t *testing.T, srcs map[string]string, dispatch int) suiteRun {
 	t.Helper()
 	p := buildProg(t, srcs)
-	var cs []*metal.Checker
-	for _, s := range checkers.All() {
-		cs = append(cs, mustChecker(t, s.Text))
-	}
+	cs := bundledSuite(t)
 	shared := NewShared()
 	shared.Mark("net_wait", "blocking")
 	shared.Mark("disk_sync", "blocking")
 
 	engines := make([]*Engine, len(cs))
 	var cd *CompiledDispatch
-	if compiled {
+	switch dispatch {
+	case dispatchIndexed:
 		cd = CompileDispatch(p, cs)
+	case dispatchBrute:
+		cd = bruteDispatch(p, cs)
 	}
 	for i, c := range cs {
 		engines[i] = NewEngineShared(p, c, DefaultOptions(), shared)
-		if compiled {
+		if cd != nil {
 			engines[i].SetCompiled(cd, i)
 		}
 	}
@@ -172,12 +211,13 @@ func runSuite(t *testing.T, srcs map[string]string, compiled bool) suiteRun {
 	return out
 }
 
-// TestDispatchEquivalence: the compiled automaton changes no output
-// byte. The full bundled suite runs over the seeded mixed tree and over
-// a call-rich multi-root tree, every engine with SetCompiled against
-// every engine on the per-engine reference path (featsOf/admits); each
-// checker's report stream (in emission order), rule counts and mark
-// log must be identical.
+// TestDispatchEquivalence: the index changes no output byte. Over the
+// seeded mixed tree and a call-rich multi-root tree, the indexed
+// dispatcher's admit and skip tables equal the brute-force reference's
+// bit for bit, and the full bundled suite emits each checker's report
+// stream (in emission order), rule counts and mark log identically
+// whether its engines share the indexed dispatch, share the reference,
+// or are left to compile their own checker each.
 func TestDispatchEquivalence(t *testing.T) {
 	mixed, _ := workload.MixedTree(4, 25, 2002)
 	for _, tc := range []struct {
@@ -185,22 +225,36 @@ func TestDispatchEquivalence(t *testing.T) {
 		srcs map[string]string
 	}{{"mixed", mixed}, {"call-rich", workload.CallRichTree()}} {
 		t.Run(tc.name, func(t *testing.T) {
-			ref := runSuite(t, tc.srcs, false)
-			got := runSuite(t, tc.srcs, true)
+			p := buildProg(t, tc.srcs)
+			cs := bundledSuite(t)
+			indexed, brute := CompileDispatch(p, cs), bruteDispatch(p, cs)
+			if !reflect.DeepEqual(indexed.blockAdmit, brute.blockAdmit) ||
+				!reflect.DeepEqual(indexed.rootAdmit, brute.rootAdmit) ||
+				!reflect.DeepEqual(indexed.skipAll, brute.skipAll) {
+				t.Error("the indexed dispatcher's admit tables differ from the brute-force reference's")
+			}
+
+			ref := runSuite(t, tc.srcs, dispatchBrute)
 			total := 0
-			for i, s := range checkers.All() {
-				total += len(ref.reports[i])
-				if !reflect.DeepEqual(ref.reports[i], got.reports[i]) {
-					t.Errorf("%s: compiled dispatch changed reports:\n  reference: %v\n  compiled:  %v",
-						s.Name, ref.reports[i], got.reports[i])
-				}
-				if !reflect.DeepEqual(ref.rules[i], got.rules[i]) {
-					t.Errorf("%s: compiled dispatch changed rule counts:\n  reference: %v\n  compiled:  %v",
-						s.Name, ref.rules[i], got.rules[i])
-				}
-				if !reflect.DeepEqual(ref.marks[i], got.marks[i]) {
-					t.Errorf("%s: compiled dispatch changed the mark log:\n  reference: %v\n  compiled:  %v",
-						s.Name, ref.marks[i], got.marks[i])
+			for _, leg := range []struct {
+				name     string
+				dispatch int
+			}{{"indexed", dispatchIndexed}, {"own", dispatchOwn}} {
+				got := runSuite(t, tc.srcs, leg.dispatch)
+				for i, s := range checkers.All() {
+					total += len(ref.reports[i])
+					if !reflect.DeepEqual(ref.reports[i], got.reports[i]) {
+						t.Errorf("%s, %s dispatch changed reports:\n  reference: %v\n  got:       %v",
+							s.Name, leg.name, ref.reports[i], got.reports[i])
+					}
+					if !reflect.DeepEqual(ref.rules[i], got.rules[i]) {
+						t.Errorf("%s, %s dispatch changed rule counts:\n  reference: %v\n  got:       %v",
+							s.Name, leg.name, ref.rules[i], got.rules[i])
+					}
+					if !reflect.DeepEqual(ref.marks[i], got.marks[i]) {
+						t.Errorf("%s, %s dispatch changed the mark log:\n  reference: %v\n  got:       %v",
+							s.Name, leg.name, ref.marks[i], got.marks[i])
+					}
 				}
 			}
 			if total == 0 {

@@ -181,13 +181,13 @@ int entry(int *p) { helper(p); return *p; }
 	if en.SupergraphString("nosuch") != "" {
 		t.Error("unknown function should render empty")
 	}
-	// CalleeOf resolves a call expression.
+	// Resolve finds a direct call's definition.
 	call, _ := cc.ParseExprString("helper(p)")
-	if fn := en.CalleeOf("entry", call.(*cc.CallExpr)); fn == nil || fn.Name != "helper" {
-		t.Errorf("CalleeOf = %v", fn)
+	if fn := p.Resolve(p.Lookup("entry"), call.(*cc.CallExpr)); fn == nil || fn.Name != "helper" {
+		t.Errorf("Resolve = %v", fn)
 	}
 	indirect, _ := cc.ParseExprString("(*fp)(p)")
-	if fn := en.CalleeOf("entry", indirect.(*cc.CallExpr)); fn != nil {
+	if fn := p.Resolve(p.Lookup("entry"), indirect.(*cc.CallExpr)); fn != nil {
 		t.Error("indirect call should not resolve")
 	}
 }

@@ -160,8 +160,10 @@ type Engine struct {
 	curRoot      string
 	degradeSeen  map[string]bool
 
-	shared    *Shared
-	funcs     map[*prog.Function]*funcInfo
+	shared *Shared
+	// funcs is indexed by prog.Function.Index; a nil slot is a function
+	// this engine has not entered yet, or one it evicted (stream.go).
+	funcs     []*funcInfo
 	actions   map[string]ActionFunc
 	callouts  pattern.Registry
 	nextGroup int
@@ -171,16 +173,15 @@ type Engine struct {
 	// intern hash-conses state tuples for the summary caches
 	// (intern.go); one table per engine, engines are single-goroutine.
 	intern *interner
-	// filters holds each transition's syntactic pre-filter
-	// (prefilter.go).
-	filters map[*metal.Transition]transFilter
-	// compiled is the run-wide multi-checker dispatch structure
-	// (compile.go), shared read-only across engines; nil runs the
-	// per-engine reference path (featsOf/admits in prefilter.go).
-	// checkerIdx is this engine's checker's index in the compiled
-	// checker list.
+	// compiled is the multi-checker dispatch structure (compile.go),
+	// shared read-only across engines; checkerIdx is this engine's
+	// checker's index in its checker list, and entryIDs the compiled
+	// entry ids of transIdx's transitions, source state by source
+	// state. An engine that starts a root without SetCompiled compiles
+	// its own checker alone (ensureCompiled).
 	compiled   *CompiledDispatch
 	checkerIdx int
+	entryIDs   map[metal.StateRef][]int32
 	// Streaming mode (stream.go): retire schedules eviction, onRetire
 	// notifies the mc releaser.
 	retire   *prog.RetirePlan
@@ -202,11 +203,10 @@ func NewEngineShared(p *prog.Program, c *metal.Checker, opts Options, shared *Sh
 		Reports:   &report.Set{},
 		RuleStats: map[string]*RuleCount{},
 		shared:    shared,
-		funcs:     map[*prog.Function]*funcInfo{},
+		funcs:     make([]*funcInfo, len(p.All)),
 		actions:   builtinActions(),
 		intern:    newInterner(),
 	}
-	en.filters = buildFilters(c)
 	en.govern = opts.Budgets.Active()
 	en.Stats.Analyses = map[string]int{}
 	en.transIdx = map[metal.StateRef][]*metal.Transition{}
@@ -246,8 +246,24 @@ func NewEngineShared(p *prog.Program, c *metal.Checker, opts Options, shared *Sh
 // by CompileDispatch; idx is this engine's checker's index in the
 // compiled checker list. Must be called before the engine runs.
 func (en *Engine) SetCompiled(cd *CompiledDispatch, idx int) {
+	if cd.checkers[idx] != en.Checker {
+		panic("core: SetCompiled: the dispatch was not compiled for this engine's checker")
+	}
 	en.compiled = cd
 	en.checkerIdx = idx
+	en.entryIDs = make(map[metal.StateRef][]int32, len(en.transIdx))
+	for i, tr := range en.Checker.Transitions {
+		en.entryIDs[tr.Source] = append(en.entryIDs[tr.Source], cd.firstEntry[idx]+int32(i))
+	}
+}
+
+// ensureCompiled gives an engine nobody called SetCompiled on the
+// dispatch of its own checker, so that there is one gate (mayFire) and
+// one root-skip rule however the engine was set up.
+func (en *Engine) ensureCompiled() {
+	if en.compiled == nil {
+		en.SetCompiled(CompileDispatch(en.Prog, []*metal.Checker{en.Checker}), 0)
+	}
 }
 
 // RegisterAction installs a custom action verb (general-purpose escape
@@ -279,10 +295,10 @@ func (en *Engine) countRule(rule string, example bool) {
 }
 
 func (en *Engine) funcInfo(fn *prog.Function) *funcInfo {
-	fi, ok := en.funcs[fn]
-	if !ok {
+	fi := en.funcs[fn.Index]
+	if fi == nil {
 		fi = newFuncInfo(fn.Graph, en.intern)
-		en.funcs[fn] = fi
+		en.funcs[fn.Index] = fi
 	}
 	return fi
 }
@@ -301,21 +317,9 @@ func (en *Engine) Run() *report.Set {
 // RunFunction applies the checker to a single function (used by
 // intraprocedural checkers and tests).
 func (en *Engine) RunFunction(name string) *report.Set {
-	fn := en.Prog.Lookup(name)
-	if fn == nil {
-		return en.Reports
+	if fn := en.Prog.Lookup(name); fn != nil {
+		en.RunRoots([]*prog.Function{fn})
 	}
-	fi := en.funcInfo(fn)
-	st := &pathState{
-		sm:        &SM{GState: en.Checker.InitialGlobal()},
-		env:       fi.terms.NewEnv(),
-		fn:        fn,
-		callStack: []*prog.Function{fn},
-	}
-	en.Stats.Analyses[fn.Name]++
-	fi.Analyses++
-	en.beginRoot(fn)
-	en.traverseBlock(st, fn.Graph.Entry)
 	return en.Reports
 }
 
@@ -455,42 +459,6 @@ func (r *blockRec) noteKill(g string, in *Instance) {
 // Traversal
 // ---------------------------------------------------------------------------
 
-// nonParamLocals returns the function's non-parameter locals set,
-// memoized in funcInfo (the set is consulted on every path end and
-// every end-of-path pass).
-func (en *Engine) nonParamLocals(fn *prog.Function) map[string]bool {
-	fi := en.funcInfo(fn)
-	if fi.nonParam == nil {
-		params := map[string]bool{}
-		for _, p := range fn.Decl.Params {
-			params[p.Name] = true
-		}
-		nonParam := map[string]bool{}
-		for name := range fn.Graph.Locals {
-			if !params[name] {
-				nonParam[name] = true
-			}
-		}
-		fi.nonParam = nonParam
-	}
-	return fi.nonParam
-}
-
-// localOmitFor builds the suffix-edge filter: objects mentioning the
-// function's non-parameter locals are omitted from suffix summaries
-// (Figure 5: "none of the suffix summaries record any information
-// about q because q is a local variable"). Memoized per function.
-func (en *Engine) localOmitFor(fn *prog.Function) func(cc.Expr) bool {
-	fi := en.funcInfo(fn)
-	if fi.localOmit == nil {
-		nonParam := en.nonParamLocals(fn)
-		fi.localOmit = func(obj cc.Expr) bool {
-			return obj != nil && mentionsAny(obj, nonParam)
-		}
-	}
-	return fi.localOmit
-}
-
 // traverseBlock is the heart of Figure 4: the caching DFS. It is also
 // the governance choke point: cancellation and budget checks gate
 // every block so a wedged traversal stops within one poll interval.
@@ -503,8 +471,7 @@ func (en *Engine) traverseBlock(st *pathState, b *cfg.Block) {
 		return
 	}
 	en.Stats.Blocks++
-	fi := en.funcInfo(st.fn)
-	bi := fi.info(b)
+	bi := en.funcInfo(st.fn).info(b)
 
 	// Block-level cache check (§5.2): drop every state tuple already
 	// covered by the block summary; abort the path when nothing
@@ -538,7 +505,7 @@ func (en *Engine) traverseBlock(st *pathState, b *cfg.Block) {
 			}
 		}
 		if allHit {
-			relax(st.backtrace, bi, false, en.localOmitFor(st.fn))
+			relax(st.backtrace, bi, false, st.fn.NonParamLocals)
 			return
 		}
 		en.Stats.CacheMisses++
@@ -555,20 +522,7 @@ func (en *Engine) traverseBlock(st *pathState, b *cfg.Block) {
 		return
 	}
 
-	en.runFrom(st, b, fi, bi, rec, en.blockPoints(bi, b), 0)
-}
-
-// blockPoints returns the block's ExecOrder point expansion, cached in
-// the blockInfo (the expansion depends only on the block; callers
-// treat the slice as read-only).
-func (en *Engine) blockPoints(bi *blockInfo, b *cfg.Block) []cc.Expr {
-	if !bi.pointsOK {
-		for _, e := range b.Exprs {
-			bi.points = cc.ExecOrder(e, bi.points)
-		}
-		bi.pointsOK = true
-	}
-	return bi.points
+	en.runFrom(st, b, bi, rec, 0)
 }
 
 // runFrom processes block points starting at index idx, then finishes
@@ -578,12 +532,12 @@ func (en *Engine) blockPoints(bi *blockInfo, b *cfg.Block) []cc.Expr {
 // most once per runFrom: its point-independent parts (types, callout
 // registry, block extras) are constant across the block's points, and
 // blocks whose pre-filter rejects every live state ref never build it.
-func (en *Engine) runFrom(st *pathState, b *cfg.Block, fi *funcInfo, bi *blockInfo, rec *blockRec, points []cc.Expr, idx int) {
+func (en *Engine) runFrom(st *pathState, b *cfg.Block, bi *blockInfo, rec *blockRec, idx int) {
 	disp := pointDispatch{en: en, st: st, b: b}
-	for i := idx; i < len(points); i++ {
-		pt := points[i]
+	for i := idx; i < len(b.Points); i++ {
+		pt := b.Points[i]
 		en.Stats.Points++
-		fired := en.applyExtension(st, bi, b, rec, &disp, pt, false)
+		fired := en.applyExtension(st, b, rec, &disp, pt, false)
 		if st.killPath {
 			en.finishBlock(st, b, bi, rec)
 			return
@@ -597,7 +551,7 @@ func (en *Engine) runFrom(st *pathState, b *cfg.Block, fi *funcInfo, bi *blockIn
 			}
 		case *cc.CallExpr:
 			if !fired && en.Opts.Interprocedural {
-				if forked := en.followCall(st, b, fi, bi, rec, x, points, i); forked {
+				if forked := en.followCall(st, b, bi, rec, x, i); forked {
 					return
 				}
 			}
@@ -607,7 +561,7 @@ func (en *Engine) runFrom(st *pathState, b *cfg.Block, fi *funcInfo, bi *blockIn
 	// synthetic point where return-statement patterns match (§4).
 	if b.IsReturn {
 		en.Stats.Points++
-		en.applyExtension(st, bi, b, rec, &disp, b.ReturnX, true)
+		en.applyExtension(st, b, rec, &disp, b.ReturnX, true)
 		if st.killPath {
 			en.finishBlock(st, b, bi, rec)
 			return
@@ -692,7 +646,7 @@ func (en *Engine) endPath(st *pathState) {
 	}
 	last := st.backtrace[len(st.backtrace)-1]
 	relax(st.backtrace[:len(st.backtrace)-1], last.info, last.block.Exit && !st.killPath,
-		en.localOmitFor(st.fn))
+		st.fn.NonParamLocals)
 }
 
 // descend explores the block's successors, splitting the extension
@@ -900,7 +854,7 @@ var noBindings = pattern.Bindings{}
 // extension matches these calls", Figure 5 caption). With returnPoint
 // set it is the synthetic-return-point flavor: statement patterns
 // like "{ return v }" match there (§4).
-func (en *Engine) applyExtension(st *pathState, bi *blockInfo, b *cfg.Block, rec *blockRec, disp *pointDispatch, pt cc.Expr, returnPoint bool) bool {
+func (en *Engine) applyExtension(st *pathState, b *cfg.Block, rec *blockRec, disp *pointDispatch, pt cc.Expr, returnPoint bool) bool {
 	if n := int64(len(st.sm.Active)); n > 0 {
 		en.Stats.InstanceOps += n
 		en.rootInstOps += n
@@ -910,7 +864,7 @@ func (en *Engine) applyExtension(st *pathState, bi *blockInfo, b *cfg.Block, rec
 	// Global-state transitions (including creation transitions). The
 	// pre-filter skips the whole loop when no transition sourced at
 	// the current global state can fire anywhere in this block.
-	if en.mayFire(bi, b, metal.StateRef{Val: st.sm.GState}) {
+	if en.mayFire(st.fn, b, metal.StateRef{Val: st.sm.GState}) {
 		ctx := disp.context(pt, returnPoint)
 		for _, tr := range en.transIdx[metal.StateRef{Val: st.sm.GState}] {
 			bnd, ok := tr.Pat.Match(ctx, noBindings)
@@ -973,7 +927,7 @@ func (en *Engine) applyExtension(st *pathState, bi *blockInfo, b *cfg.Block, rec
 		if in.Inactive || in.CreatedAt == pt {
 			continue
 		}
-		if en.mayFire(bi, b, metal.StateRef{Var: in.Var, Val: in.Val}) {
+		if en.mayFire(st.fn, b, metal.StateRef{Var: in.Var, Val: in.Val}) {
 			anyInst = true
 			break
 		}
@@ -989,7 +943,7 @@ func (en *Engine) applyExtension(st *pathState, bi *blockInfo, b *cfg.Block, rec
 		if !en.stillActive(st, inst) {
 			continue
 		}
-		if !en.mayFire(bi, b, metal.StateRef{Var: inst.Var, Val: inst.Val}) {
+		if !en.mayFire(st.fn, b, metal.StateRef{Var: inst.Var, Val: inst.Val}) {
 			continue
 		}
 		var prior pattern.Bindings
@@ -1379,7 +1333,7 @@ func valueDependsOn(e cc.Expr, name string) bool {
 // scope or when the program terminates").
 func (en *Engine) endOfPath(st *pathState, rec *blockRec) {
 	isRoot := st.callDepth == 0
-	nonParam := en.nonParamLocals(st.fn)
+	nonParam := st.fn.NonParamLocals
 	ctx := en.matchCtx(st, nil, nil, true, false)
 
 	snapshot := append([]*Instance(nil), st.sm.Active...)

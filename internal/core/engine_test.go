@@ -323,7 +323,8 @@ int bad(int *b) {
 
 func TestFunctionSummaryMemoization(t *testing.T) {
 	// Many callsites in the same state: the callee is traversed once,
-	// then served from its function summary (§6.2).
+	// then served from its function summary (§6.2). The closing kfree
+	// keeps the root from being skipped as inert (compile.go).
 	src := `
 void kfree(void *p);
 void noop(int *n) {
@@ -331,6 +332,7 @@ void noop(int *n) {
 }
 int entry(int *p) {
     noop(p); noop(p); noop(p); noop(p); noop(p);
+    kfree(p);
     return 0;
 }`
 	en, _ := runChecker(t, freeChecker, map[string]string{"m.c": src}, DefaultOptions())
@@ -440,7 +442,8 @@ func TestBlockCacheLinearOnDiamonds(t *testing.T) {
 		c := string(rune('a' + i))
 		sb.WriteString("    if (c" + c + ") { p = p; } else { p = p; }\n")
 	}
-	sb.WriteString("    return 0;\n}\n")
+	// The closing kfree keeps the root from being skipped as inert.
+	sb.WriteString("    kfree(p);\n    return 0;\n}\n")
 
 	opts := DefaultOptions()
 	opts.FPP = false // FPP is orthogonal here

@@ -215,6 +215,7 @@ func (en *Engine) RunRootsContext(ctx context.Context, roots []*prog.Function) [
 		en.runCtx = ctx
 		en.govern = true
 	}
+	en.ensureCompiled()
 	out := make([]RootRun, 0, len(roots))
 	for _, root := range roots {
 		if en.runCtx != nil && !en.cancelled {
@@ -231,7 +232,7 @@ func (en *Engine) RunRootsContext(ctx context.Context, roots []*prog.Function) [
 		// root's callee closure is a provable no-op over it — no
 		// reports, marks, or rule counts — so the traversal is skipped
 		// with an empty segment, byte-identical to having run it.
-		if en.compiled != nil && en.compiled.SkipRoot(en.checkerIdx, root) {
+		if en.compiled.SkipRoot(en.checkerIdx, root) {
 			out = append(out, RootRun{Root: root})
 			en.retireAfter(root)
 			continue

@@ -15,7 +15,6 @@ import (
 	"strings"
 
 	"repro/internal/cc"
-	"repro/internal/cfg"
 	"repro/internal/prog"
 	"repro/internal/report"
 )
@@ -129,7 +128,7 @@ func (s *Shared) Snapshot() string {
 // ExportSummaries or ImportSummaries. The section stays only because
 // the frozen benchmark/layers.go (lines 459-462, 507-512, 537-539) still
 // models both as export + import; it goes with the benchmark PR that
-// drops that model (ROADMAP item 5).
+// drops that model (ROADMAP item 2).
 // ---------------------------------------------------------------------------
 
 // TupleData is a serialized state tuple. ObjExpr is rendered through
@@ -223,13 +222,10 @@ func (en *Engine) ExportSummaries(fns []*prog.Function) *SummaryData {
 	sd := &SummaryData{}
 	for _, fn := range fns {
 		fd := FuncSummaryData{Func: prog.FuncID(fn)}
-		if fi, ok := en.funcs[fn]; ok && fn.Graph != nil {
+		if fi := en.funcs[fn.Index]; fi != nil && fn.Graph != nil {
 			fd.Analyses = fi.Analyses
 			for _, b := range fn.Graph.Blocks {
-				bi, ok := fi.blocks[b]
-				if !ok {
-					continue
-				}
+				bi := fi.info(b)
 				bd := BlockSummaryData{
 					Block:    b.ID,
 					Trans:    edgeData(&bi.trans),
@@ -270,16 +266,11 @@ func (en *Engine) ImportSummaries(sd *SummaryData) {
 		if len(fd.Blocks) == 0 {
 			continue
 		}
-		byBlock := make(map[int]*cfg.Block, len(fn.Graph.Blocks))
-		for _, b := range fn.Graph.Blocks {
-			byBlock[b.ID] = b
-		}
 		for _, bd := range fd.Blocks {
-			b := byBlock[bd.Block]
-			if b == nil {
+			if bd.Block < 0 || bd.Block >= len(fi.blocks) {
 				continue
 			}
-			bi := fi.info(b)
+			bi := &fi.blocks[bd.Block]
 			importEdges(&bi.trans, bd.Trans)
 			importEdges(&bi.adds, bd.Adds)
 			importEdges(&bi.gstate, bd.GState)

@@ -16,9 +16,9 @@ import (
 // followCall handles a call program point. It returns true when the
 // traversal forked into multiple continuations (disjoint exit-state
 // partitions, §6.3 step 5-6) and the caller's loop must stop.
-func (en *Engine) followCall(st *pathState, b *cfg.Block, fi *funcInfo, bi *blockInfo, rec *blockRec, call *cc.CallExpr, points []cc.Expr, idx int) bool {
-	callee := en.Prog.Resolve(st.fn, call)
-	if callee == nil || callee.Graph == nil {
+func (en *Engine) followCall(st *pathState, b *cfg.Block, bi *blockInfo, rec *blockRec, call *cc.CallExpr, idx int) bool {
+	site := st.fn.Site(b, idx)
+	if site == nil || site.Callee.Graph == nil {
 		// "By default, if the function's CFG is not available, the
 		// system silently continues to the next CFG node."
 		return false
@@ -26,9 +26,7 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, fi *funcInfo, bi *bloc
 	if en.Opts.MaxCallDepth > 0 && st.callDepth >= en.Opts.MaxCallDepth {
 		return false
 	}
-
-	maps := buildArgMaps(call, callee)
-	formals := formalNodes(maps)
+	callee, maps := site.Callee, site.Args
 
 	// --- Refine (§6.1) ---
 	refined := &SM{GState: st.sm.GState}
@@ -52,7 +50,7 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, fi *funcInfo, bi *bloc
 			}
 		default:
 			mapped, ok := refineObj(inst.ObjExpr, maps)
-			if ok && !leftoverCallerLocals(mapped, st.fn.Graph.Locals, formals) {
+			if ok && !leftoverCallerLocals(mapped, st.fn.Graph.Locals, maps) {
 				cp.ObjExpr = mapped
 				cp.Obj = cc.ExprKey(mapped)
 				refined.Active = append(refined.Active, cp)
@@ -175,7 +173,7 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, fi *funcInfo, bi *bloc
 		}
 		ns.sm = restored
 		if len(parts) > 1 {
-			en.runFrom(ns, b, fi, bi, nrec, points, idx+1)
+			en.runFrom(ns, b, bi, nrec, idx+1)
 			if pi == len(parts)-1 {
 				return true
 			}
@@ -318,25 +316,22 @@ func (en *Engine) partitionResults(refined *SM, summary, entryBI *blockInfo, inT
 
 // restoreInstance rebuilds a caller-scope instance from a callee
 // summary out-tuple (§6.1 restore; Table 2 read right-to-left).
-func (en *Engine) restoreInstance(t Tuple, maps []argMap, caller, callee *prog.Function) *Instance {
+func (en *Engine) restoreInstance(t Tuple, maps []prog.ArgMap, caller, callee *prog.Function) *Instance {
 	if t.ObjExpr == nil {
 		return nil
 	}
 	objExpr := restoreObj(t.ObjExpr, maps)
 	// Formals were substituted away by restoreObj; any remaining
-	// mention of a callee non-parameter local means the object died
-	// with the callee frame.
-	calleeParams := map[string]bool{}
-	for _, p := range callee.Decl.Params {
-		calleeParams[p.Name] = true
-	}
-	nonParam := map[string]bool{}
-	for name := range callee.Graph.Locals {
-		if !calleeParams[name] && !caller.Graph.Locals[name] {
-			nonParam[name] = true
+	// mention of a callee non-parameter local (one that is not also a
+	// caller local's name) means the object died with the callee frame.
+	died := false
+	cc.WalkExpr(objExpr, func(sub cc.Expr) bool {
+		if id, ok := sub.(*cc.Ident); ok && callee.NonParamLocals[id.Name] && !caller.Graph.Locals[id.Name] {
+			died = true
 		}
-	}
-	if mentionsAny(objExpr, nonParam) {
+		return !died
+	})
+	if died {
 		return nil
 	}
 	inst := &Instance{
@@ -363,11 +358,6 @@ func (en *Engine) restoreInstance(t Tuple, maps []argMap, caller, callee *prog.F
 	st := &pathState{fn: caller}
 	en.classifyScope(st, inst)
 	return inst
-}
-
-// CalleeOf exposes call resolution for tests.
-func (en *Engine) CalleeOf(fnName string, call *cc.CallExpr) *prog.Function {
-	return en.Prog.Resolve(en.Prog.Lookup(fnName), call)
 }
 
 // BlockFor finds a block by comment prefix (test helper for Figure 5

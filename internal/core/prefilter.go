@@ -19,6 +19,7 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/metal"
 	"repro/internal/pattern"
+	"repro/internal/prog"
 )
 
 // Root node kinds for the pre-filter. Every matchExpr template case
@@ -104,13 +105,6 @@ type filterAtom struct {
 
 var anyAtom = filterAtom{kind: kindAny}
 
-// transFilter is the disjunction of a pattern's alternatives; an
-// empty alternative list means the pattern can never match at an
-// in-block or return point (e.g. ${0}, or pure $end_of_path$).
-type transFilter struct {
-	atoms []filterAtom
-}
-
 // conjoin merges two atoms; ok is false when they contradict.
 func conjoin(a, b filterAtom) (filterAtom, bool) {
 	if a == anyAtom {
@@ -153,39 +147,40 @@ func mergeCallee(a, b filterAtom) (filterAtom, bool) {
 	return a, true
 }
 
-// filterOf computes the pattern's filter. Soundness invariant: if
-// p.Match(ctx, prior) can succeed at an in-block or return-statement
-// dispatch for ANY prior, some atom accepts that point.
-func filterOf(p pattern.Pattern) transFilter {
+// filterOf computes the pattern's filter: the disjunction of its
+// alternatives. An empty list means the pattern can never match at an
+// in-block or return point (e.g. ${0}, or pure $end_of_path$).
+// Soundness invariant: if p.Match(ctx, prior) can succeed at an
+// in-block or return-statement dispatch for ANY prior, some atom
+// accepts that point.
+func filterOf(p pattern.Pattern) []filterAtom {
 	switch p := p.(type) {
 	case *pattern.Base:
-		return transFilter{atoms: []filterAtom{baseAtom(p)}}
+		return []filterAtom{baseAtom(p)}
 	case *pattern.And:
-		fx, fy := filterOf(p.X), filterOf(p.Y)
 		var atoms []filterAtom
-		for _, a := range fx.atoms {
-			for _, b := range fy.atoms {
+		for _, a := range filterOf(p.X) {
+			for _, b := range filterOf(p.Y) {
 				if c, ok := conjoin(a, b); ok {
 					atoms = append(atoms, c)
 				}
 			}
 		}
-		return transFilter{atoms: atoms}
+		return atoms
 	case *pattern.Or:
-		fx, fy := filterOf(p.X), filterOf(p.Y)
-		return transFilter{atoms: append(append([]filterAtom(nil), fx.atoms...), fy.atoms...)}
+		return append(filterOf(p.X), filterOf(p.Y)...)
 	case *pattern.Callout:
 		if p.Const && !p.ConstVal {
-			return transFilter{} // ${0}: never matches
+			return nil // ${0}: never matches
 		}
-		return transFilter{atoms: []filterAtom{anyAtom}}
+		return []filterAtom{anyAtom}
 	case pattern.EndOfPath:
 		// In-block and return-point dispatches always carry
 		// EndOfPath == false; the exit-block endOfPath pass dispatches
 		// without the filter.
-		return transFilter{}
+		return nil
 	default:
-		return transFilter{atoms: []filterAtom{anyAtom}}
+		return []filterAtom{anyAtom}
 	}
 }
 
@@ -296,12 +291,11 @@ type blockFeats struct {
 	isReturn bool
 }
 
-// featsOf computes the block's features from the same ExecOrder
-// expansion runFrom dispatches over (passed in so the cached
-// per-block expansion is reused).
-func featsOf(b *cfg.Block, points []cc.Expr) *blockFeats {
+// featsOf computes the block's features from the point expansion
+// runFrom dispatches over.
+func featsOf(b *cfg.Block) *blockFeats {
 	f := &blockFeats{isReturn: b.IsReturn}
-	for _, pt := range points {
+	for _, pt := range b.Points {
 		k := kindOf(pt)
 		if k >= 0 {
 			f.kinds |= 1 << uint(k)
@@ -335,35 +329,10 @@ func (f *blockFeats) admits(a filterAtom) bool {
 	return a.callee == "" || f.callees[a.callee]
 }
 
-// buildFilters precomputes every transition's filter at engine
-// construction.
-func buildFilters(c *metal.Checker) map[*metal.Transition]transFilter {
-	out := make(map[*metal.Transition]transFilter, len(c.Transitions))
-	for _, tr := range c.Transitions {
-		out[tr] = filterOf(tr.Pat)
-	}
-	return out
-}
-
 // mayFire reports whether any transition sourced at ref can possibly
-// match at some point of the block. With compiled dispatch attached
-// the answer is a probe of the run-wide per-block admit bitsets (one
-// walk per block at compile time, shared across engines); without it,
-// the reference path tests the ref's filter atoms against block
-// features computed on the block's first traversal.
-func (en *Engine) mayFire(bi *blockInfo, b *cfg.Block, ref metal.StateRef) bool {
-	if en.compiled != nil {
-		return en.compiled.blockMayFire(b, en.transIdx[ref])
-	}
-	if bi.feats == nil {
-		bi.feats = featsOf(b, en.blockPoints(bi, b))
-	}
-	for _, tr := range en.transIdx[ref] {
-		for _, a := range en.filters[tr].atoms {
-			if bi.feats.admits(a) {
-				return true
-			}
-		}
-	}
-	return false
+// match at some point of the block: a probe of the compiled per-block
+// admit bitset (one walk per block at compile time, shared across
+// engines) for the ref's entry ids.
+func (en *Engine) mayFire(fn *prog.Function, b *cfg.Block, ref metal.StateRef) bool {
+	return en.compiled.blockAdmit[fn.Index][b.ID].anyOf(en.entryIDs[ref])
 }

@@ -187,14 +187,11 @@ func TestPrefilterSoundnessProperty(t *testing.T) {
 		p := randProgram(t, r)
 		for _, fn := range p.All {
 			for _, b := range fn.Graph.Blocks {
-				var points []cc.Expr
-				for _, e := range b.Exprs {
-					points = cc.ExecOrder(e, points)
-				}
-				feats := featsOf(b, points)
+				points := b.Points
+				feats := featsOf(b)
 				for _, pat := range pats {
 					admitted := false
-					for _, a := range filterOf(pat).atoms {
+					for _, a := range filterOf(pat) {
 						if feats.admits(a) {
 							admitted = true
 							break

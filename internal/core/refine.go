@@ -21,34 +21,6 @@ import (
 // inactivated while the analysis is in a different file; everything
 // else local to the caller is saved and restored around the call.
 
-// argMap describes one actual/formal correspondence.
-type argMap struct {
-	// actual is the expression to substitute away. For a plain
-	// argument this is the argument itself; for &E it is E and deref
-	// is set, so E maps to *formal.
-	actual cc.Expr
-	formal *cc.Ident
-	deref  bool
-}
-
-// buildArgMaps pairs a call's actuals with the callee's formals.
-func buildArgMaps(call *cc.CallExpr, callee *prog.Function) []argMap {
-	var maps []argMap
-	for i, p := range callee.Decl.Params {
-		if i >= len(call.Args) || p.Name == "" {
-			break
-		}
-		actual := call.Args[i]
-		formal := &cc.Ident{Name: p.Name}
-		if u, ok := actual.(*cc.UnaryExpr); ok && u.Op == cc.TokAmp && !u.Postfix {
-			maps = append(maps, argMap{actual: u.X, formal: formal, deref: true})
-			continue
-		}
-		maps = append(maps, argMap{actual: actual, formal: formal})
-	}
-	return maps
-}
-
 // substExpr replaces every occurrence of from (structural equality)
 // with to, returning the rewritten tree and whether anything changed.
 func substExpr(e, from, to cc.Expr) (cc.Expr, bool) {
@@ -157,13 +129,13 @@ func simplifyExpr(e cc.Expr) cc.Expr {
 // refineObj maps a caller-scope object expression into the callee's
 // scope. It returns the mapped expression and whether a mapping
 // applied.
-func refineObj(obj cc.Expr, maps []argMap) (cc.Expr, bool) {
+func refineObj(obj cc.Expr, maps []prog.ArgMap) (cc.Expr, bool) {
 	for _, m := range maps {
-		var to cc.Expr = m.formal
-		if m.deref {
-			to = &cc.UnaryExpr{Op: cc.TokStar, X: m.formal}
+		var to cc.Expr = m.Formal
+		if m.Deref {
+			to = &cc.UnaryExpr{Op: cc.TokStar, X: m.Formal}
 		}
-		if out, changed := substExpr(obj, m.actual, to); changed {
+		if out, changed := substExpr(obj, m.Actual, to); changed {
 			return out, true
 		}
 	}
@@ -174,13 +146,13 @@ func refineObj(obj cc.Expr, maps []argMap) (cc.Expr, bool) {
 // caller's scope (the inverse substitution). It reports whether the
 // expression still mentions callee-local names afterwards (in which
 // case the instance dies with the callee frame).
-func restoreObj(obj cc.Expr, maps []argMap) cc.Expr {
+func restoreObj(obj cc.Expr, maps []prog.ArgMap) cc.Expr {
 	out := obj
 	for _, m := range maps {
-		var from cc.Expr = m.formal
-		var to cc.Expr = m.actual
-		if m.deref {
-			from = &cc.UnaryExpr{Op: cc.TokStar, X: m.formal}
+		var from cc.Expr = m.Formal
+		var to cc.Expr = m.Actual
+		if m.Deref {
+			from = &cc.UnaryExpr{Op: cc.TokStar, X: m.Formal}
 			// state(*xf) restores to state(xa) for &xa actuals.
 		}
 		if res, changed := substExpr(out, from, to); changed {
@@ -190,12 +162,12 @@ func restoreObj(obj cc.Expr, maps []argMap) cc.Expr {
 		// A bare formal may appear under extra derefs/fields; replace
 		// the formal identifier itself with &actual-free mapping:
 		// formal -> actual (value correspondence).
-		if res, changed := substExpr(out, m.formal, m.actual); changed && !m.deref {
+		if res, changed := substExpr(out, m.Formal, m.Actual); changed && !m.Deref {
 			out = res
-		} else if m.deref {
+		} else if m.Deref {
 			// formal == &actual.
-			addr := &cc.UnaryExpr{Op: cc.TokAmp, X: m.actual}
-			if res, changed := substExpr(out, m.formal, addr); changed {
+			addr := &cc.UnaryExpr{Op: cc.TokAmp, X: m.Actual}
+			if res, changed := substExpr(out, m.Formal, addr); changed {
 				out = simplifyDeep(res)
 			}
 		}
@@ -230,24 +202,22 @@ func mentionsAny(e cc.Expr, names map[string]bool) bool {
 	return found
 }
 
-// formalNodes collects the formal Ident nodes of the arg maps, so
-// refine can distinguish a freshly substituted formal named "p" from a
-// leftover caller local that happens to share the name.
-func formalNodes(maps []argMap) map[*cc.Ident]bool {
-	out := map[*cc.Ident]bool{}
-	for _, m := range maps {
-		out[m.formal] = true
-	}
-	return out
-}
-
 // leftoverCallerLocals reports whether e still mentions caller locals
-// after refine substitution — ignoring the substituted formal nodes
-// themselves (matched by pointer identity).
-func leftoverCallerLocals(e cc.Expr, callerLocals map[string]bool, formals map[*cc.Ident]bool) bool {
+// after refine substitution — ignoring the site's substituted formal
+// nodes themselves, matched by pointer identity so that a formal named
+// "p" is told from a leftover caller local that shares the name.
+func leftoverCallerLocals(e cc.Expr, callerLocals map[string]bool, maps []prog.ArgMap) bool {
+	isFormal := func(id *cc.Ident) bool {
+		for _, m := range maps {
+			if m.Formal == id {
+				return true
+			}
+		}
+		return false
+	}
 	found := false
 	cc.WalkExpr(e, func(sub cc.Expr) bool {
-		if id, ok := sub.(*cc.Ident); ok && callerLocals[id.Name] && !formals[id] {
+		if id, ok := sub.(*cc.Ident); ok && callerLocals[id.Name] && !isFormal(id) {
 			found = true
 		}
 		return !found

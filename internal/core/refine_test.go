@@ -198,20 +198,12 @@ func TestSimplifyDerefAddr(t *testing.T) {
 }
 
 func TestRefineObjTable2(t *testing.T) {
-	// Direct unit coverage of the five Table 2 rows.
-	call := parseE(t, "f(xa, &ya)").(*cc.CallExpr)
-	fnSrc := `void f(int *xf, int *yf);`
-	f, err := cc.ParseFile("h.c", fnSrc+"\nvoid f(int *xf, int *yf) {}")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = f
-	// Build maps by hand to avoid needing a full program.
-	maps := []argMap{
-		{actual: parseE(t, "xa"), formal: &cc.Ident{Name: "xf"}},
-		{actual: parseE(t, "ya"), formal: &cc.Ident{Name: "yf"}, deref: true},
-	}
-	_ = call
+	// Direct unit coverage of the five Table 2 rows, over the pairs
+	// prog.Build records for the call site.
+	p := buildProg(t, map[string]string{"h.c": `
+void f(int *xf, int *yf) {}
+void caller(int *xa, int ya) { f(xa, &ya); }`})
+	maps := p.Lookup("caller").Sites[0].Args
 	cases := []struct{ obj, want string }{
 		{"xa", "xf"},
 		{"xa.field", "xf.field"},
@@ -229,6 +221,22 @@ func TestRefineObjTable2(t *testing.T) {
 		if cc.ExprString(back) != c.obj {
 			t.Errorf("restore(refine(%s)) = %s", c.obj, cc.ExprString(back))
 		}
+	}
+}
+
+// TestRefineSkipsUnnamedParam: a parameter without a name (legal C23,
+// and what people write for an unused one) holds no state, and must not
+// end the pairing of the parameters after it.
+func TestRefineSkipsUnnamedParam(t *testing.T) {
+	src := `void kfree(void *p);
+void rel(int, int *p) { kfree(p); }
+int caller(int *q) {
+    rel(0, q);
+    return *q;
+}`
+	_, rs := runChecker(t, freeChecker, map[string]string{"u.c": src}, DefaultOptions())
+	if rs.Len() != 1 || !hasReportAt(rs, 5, "using q after free!") {
+		t.Errorf("unnamed first parameter: got %v", rs.Reports)
 	}
 }
 

@@ -57,8 +57,8 @@ func (en *Engine) retireAfter(root *prog.Function) {
 
 // evict drops one function's funcInfo block and counts it.
 func (en *Engine) evict(fn *prog.Function) {
-	if _, ok := en.funcs[fn]; ok {
-		delete(en.funcs, fn)
+	if en.funcs[fn.Index] != nil {
+		en.funcs[fn.Index] = nil
 		en.Spill.Evictions++
 	}
 }

@@ -38,8 +38,8 @@ func TestStreamingRunMatchesInMemory(t *testing.T) {
 	if en.Spill.Evictions == 0 {
 		t.Error("streaming run evicted nothing")
 	}
-	if len(en.funcs) != 0 {
-		t.Errorf("%d funcInfo blocks survived full retirement; want 0", len(en.funcs))
+	if n := liveFuncInfos(en); n != 0 {
+		t.Errorf("%d funcInfo blocks survived full retirement; want 0", n)
 	}
 	if len(retired) != len(streamProg.All) {
 		t.Errorf("onRetire saw %d functions; want all %d", len(retired), len(streamProg.All))
@@ -70,10 +70,13 @@ func TestRetirementDropsFPPState(t *testing.T) {
 	srcs := workload.CallRichTree()
 	fppState := func(en *Engine) (terms, fps, seen int) {
 		for _, fi := range en.funcs {
+			if fi == nil {
+				continue
+			}
 			nt, nf := fi.terms.Len()
 			terms, fps = terms+nt, fps+nf
-			for _, bi := range fi.blocks {
-				seen += len(bi.fpSeen)
+			for i := range fi.blocks {
+				seen += len(fi.blocks[i].fpSeen)
 			}
 		}
 		return
@@ -89,8 +92,8 @@ func TestRetirementDropsFPPState(t *testing.T) {
 	en := NewEngine(p, mustTestChecker(t, "free"), DefaultOptions())
 	en.SetRetire(p.PlanRetire(p.Roots), nil)
 	en.Run()
-	if len(en.funcs) != 0 {
-		t.Fatalf("%d funcInfo blocks survived full retirement", len(en.funcs))
+	if n := liveFuncInfos(en); n != 0 {
+		t.Fatalf("%d funcInfo blocks survived full retirement", n)
 	}
 	for _, fn := range p.All {
 		en.SupergraphString(fn.Name)
@@ -109,8 +112,8 @@ func TestReleasedBodyRendersEmpty(t *testing.T) {
 	en.Run()
 	fn := p.All[0]
 	fn.ReleaseBody()
-	if fn.Graph != nil || fn.Decl.Body != nil {
-		t.Fatal("ReleaseBody left the CFG or body behind")
+	if fn.Graph != nil || fn.Decl.Body != nil || fn.Sites != nil || fn.NonParamLocals != nil {
+		t.Fatal("ReleaseBody left the CFG, the body or the program model behind")
 	}
 	if got := en.SupergraphString(fn.Name); got != "" {
 		t.Errorf("released %s rendered %q; want empty", fn.Name, got)
@@ -119,6 +122,17 @@ func TestReleasedBodyRendersEmpty(t *testing.T) {
 	// panic.
 	sd := en.ExportSummaries([]*prog.Function{fn})
 	en.ImportSummaries(sd)
+}
+
+// liveFuncInfos counts the functions the engine holds state for.
+func liveFuncInfos(en *Engine) int {
+	n := 0
+	for _, fi := range en.funcs {
+		if fi != nil {
+			n++
+		}
+	}
+	return n
 }
 
 func mustTestChecker(t *testing.T, name string) *metal.Checker {

@@ -114,22 +114,6 @@ type blockInfo struct {
 	fpSeen  []uint64
 	fpCount int
 	in      *interner
-	// feats caches the block's syntactic features for the transition
-	// pre-filter (see prefilter.go); nil until first traversal.
-	feats *blockFeats
-	// points caches the block's ExecOrder program-point expansion (a
-	// pure function of the block). pointsOK distinguishes an empty
-	// expansion from "not computed yet".
-	points   []cc.Expr
-	pointsOK bool
-}
-
-func newBlockInfo(in *interner) *blockInfo {
-	bi := &blockInfo{in: in}
-	for _, s := range []*edgeSet{&bi.trans, &bi.adds, &bi.gstate, &bi.sfxTrans, &bi.sfxAdds} {
-		s.in = in
-	}
-	return bi
 }
 
 // fpCacheCap bounds the distinct FPP fingerprints tracked per block.
@@ -173,19 +157,13 @@ func (b *blockInfo) noteSeen(t Tuple, fp uint32) {
 func (b *blockInfo) covers(t Tuple) bool { return b.trans.hasFrom(t) }
 
 // funcInfo caches per-function analysis state: one blockInfo per
-// basic block. The function summary (§6.2) is the entry block's
-// suffix summary.
+// basic block, indexed by cfg.Block.ID. The function summary (§6.2) is
+// the entry block's suffix summary.
 type funcInfo struct {
-	blocks map[*cfg.Block]*blockInfo
-	in     *interner
+	blocks []blockInfo
 	// Analyses counts full traversals started on this function's CFG
 	// (experiment E2: memoization avoids re-traversal).
 	Analyses int
-	// nonParam and localOmit memoize the function's scope filters:
-	// the non-parameter locals set and the suffix-summary omission
-	// predicate built from it (both were rebuilt per use before).
-	nonParam  map[string]bool
-	localOmit func(cc.Expr) bool
 	// terms interns the FPP terms and fingerprints of this function's
 	// path environments (an environment never crosses a call boundary,
 	// so neither do its ids). It shares the funcInfo's lifetime with
@@ -195,21 +173,18 @@ type funcInfo struct {
 }
 
 func newFuncInfo(g *cfg.Graph, in *interner) *funcInfo {
-	fi := &funcInfo{blocks: map[*cfg.Block]*blockInfo{}, in: in}
-	for _, b := range g.Blocks {
-		fi.blocks[b] = newBlockInfo(in)
+	fi := &funcInfo{blocks: make([]blockInfo, len(g.Blocks))}
+	for i := range fi.blocks {
+		bi := &fi.blocks[i]
+		bi.in = in
+		for _, s := range []*edgeSet{&bi.trans, &bi.adds, &bi.gstate, &bi.sfxTrans, &bi.sfxAdds} {
+			s.in = in
+		}
 	}
 	return fi
 }
 
-func (fi *funcInfo) info(b *cfg.Block) *blockInfo {
-	bi, ok := fi.blocks[b]
-	if !ok {
-		bi = newBlockInfo(fi.in)
-		fi.blocks[b] = bi
-	}
-	return bi
-}
+func (fi *funcInfo) info(b *cfg.Block) *blockInfo { return &fi.blocks[b.ID] }
 
 // summaryOf returns the function summary: the suffix summary of the
 // entry block.
@@ -226,10 +201,10 @@ type traceEntry struct {
 // relax propagates suffix edges backwards along the just-finished
 // path (Figure 6). final is the block whose suffix summary seeds the
 // propagation: the exit block at a normal path end, or the cache-hit
-// block on an abort. localOmit reports object expressions that are
-// function-local, whose suffix edges should be skipped because "the
+// block on an abort. locals is the function's non-parameter locals set:
+// suffix edges about objects that mention one are skipped because "the
 // analysis would never use these edges" (Figure 5 caption).
-func relax(backtrace []traceEntry, final *blockInfo, seedFinal bool, localOmit func(cc.Expr) bool) {
+func relax(backtrace []traceEntry, final *blockInfo, seedFinal bool, locals map[string]bool) {
 	// Seed only at a true path end: "ep's suffix summary equals its
 	// block summary" (§6.2) holds for the exit block alone. On a
 	// cache-hit abort the hit block's suffix is already populated from
@@ -237,13 +212,13 @@ func relax(backtrace []traceEntry, final *blockInfo, seedFinal bool, localOmit f
 	// block summary there would fabricate path-to-exit edges that no
 	// traversed path justifies.
 	if seedFinal {
-		seedSuffix(final, localOmit)
+		seedSuffix(final, locals)
 	}
 
 	next := final
 	for i := len(backtrace) - 1; i >= 0; i-- {
 		cur := backtrace[i].info
-		if !combineSuffix(cur, next, localOmit) {
+		if !combineSuffix(cur, next, locals) {
 			// No new edges propagated; earlier blocks are already
 			// up to date (Figure 6's early stop).
 			break
@@ -256,17 +231,17 @@ func relax(backtrace []traceEntry, final *blockInfo, seedFinal bool, localOmit f
 // summary (dropping stop-ending edges and local objects). Global
 // instance edges always seed: they carry the reachable exit gstates
 // that function-summary application reads.
-func seedSuffix(bi *blockInfo, localOmit func(cc.Expr) bool) {
+func seedSuffix(bi *blockInfo, locals map[string]bool) {
 	for _, e := range bi.gstate.all() {
 		bi.sfxTrans.add(e)
 	}
 	for _, e := range bi.trans.all() {
-		if !bi.in.suffixSkip(e, localOmit) {
+		if !bi.in.suffixSkip(e, locals) {
 			bi.sfxTrans.add(e)
 		}
 	}
 	for _, e := range bi.adds.all() {
-		if !bi.in.suffixSkip(e, localOmit) {
+		if !bi.in.suffixSkip(e, locals) {
 			bi.sfxAdds.add(e)
 		}
 	}
@@ -276,11 +251,11 @@ func seedSuffix(bi *blockInfo, localOmit func(cc.Expr) bool) {
 // ending in stop are unnecessary ("the suffix summary intentionally
 // omits edges that end in a tuple with the value stop"), and edges
 // about function-local objects are never used by callers.
-func (in *interner) suffixSkip(e edge, localOmit func(cc.Expr) bool) bool {
+func (in *interner) suffixSkip(e edge, locals map[string]bool) bool {
 	if strings.HasPrefix(in.tups[e.to].val, StopVal) {
 		return true
 	}
-	return localOmit != nil && (localOmit(e.fromExpr) || localOmit(e.toExpr))
+	return mentionsAny(e.fromExpr, locals) || mentionsAny(e.toExpr, locals)
 }
 
 // StopVal is the stop sink's value string.
@@ -296,7 +271,7 @@ func compose(pe, sfx edge) edge {
 // combineSuffix merges next's suffix edges through cur's block
 // summary into cur's suffix summary; it reports whether anything new
 // was added.
-func combineSuffix(cur, next *blockInfo, localOmit func(cc.Expr) bool) bool {
+func combineSuffix(cur, next *blockInfo, locals map[string]bool) bool {
 	in := cur.in
 	grew := false
 	// On a loop cur can be next: range over next's edges as they stand,
@@ -325,7 +300,7 @@ func combineSuffix(cur, next *blockInfo, localOmit func(cc.Expr) bool) bool {
 				if pe.to != et.from {
 					continue
 				}
-				if ne := compose(pe, et); !in.suffixSkip(ne, localOmit) && sfx.add(ne) {
+				if ne := compose(pe, et); !in.suffixSkip(ne, locals) && sfx.add(ne) {
 					grew = true
 				}
 			}
@@ -344,7 +319,7 @@ func combineSuffix(cur, next *blockInfo, localOmit func(cc.Expr) bool) bool {
 			}
 			ne := ea
 			ne.from = in.id(unknownTuple(in.tups[ge.from].g, from.varName, from.obj))
-			if !in.suffixSkip(ne, localOmit) && cur.sfxAdds.add(ne) {
+			if !in.suffixSkip(ne, locals) && cur.sfxAdds.add(ne) {
 				grew = true
 			}
 		}

@@ -26,7 +26,7 @@ func pathEnv(tb testing.TB) (*Env, cc.Expr) {
 	return e, ex("n > 3 && q != 0 && acc == 0")
 }
 
-// The allocation guards of the DFS hot path (ROADMAP 3(c): gate on what
+// The allocation guards of the DFS hot path (ROADMAP 2(d): gate on what
 // is deterministic). A clone is the struct and one pointer-free array;
 // a fingerprint of an unchanged environment is a cached id; evaluating
 // a condition over interned terms allocates nothing.

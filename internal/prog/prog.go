@@ -22,21 +22,92 @@ import (
 )
 
 // Function is one analyzed function: its declaration, CFG, inferred
-// expression types, and call-graph links.
+// expression types, call-graph links, and the part of the program
+// model (DESIGN.md §5) that is a function of the program alone, so
+// that Build computes it once and no engine computes it again.
 type Function struct {
-	Name    string
+	Name string
+	// Index is the function's position in Program.All: the dense id
+	// engines and the dispatch compiler index their per-function
+	// tables by.
+	Index   int
 	Decl    *cc.FuncDecl
 	Graph   *cfg.Graph
 	Types   cc.TypeMap
 	Callees []*Function
 	Callers []*Function
+	// NonParamLocals is the set of names the body declares, parameters
+	// excluded: the objects that die with the function's frame
+	// ($end_of_path$, §3.2) and that suffix summaries omit (Figure 5).
+	NonParamLocals map[string]bool
+	// Sites holds one record per direct call in the body whose callee
+	// has a definition, ordered by (Block, Point).
+	Sites []CallSite
+}
+
+// ArgMap is one actual/formal correspondence at a call site (§6.1,
+// Table 2).
+type ArgMap struct {
+	// Actual is the expression to substitute away. For a plain
+	// argument this is the argument itself; for &E it is E and Deref
+	// is set, so E maps to *Formal.
+	Actual cc.Expr
+	// Formal is this site's own node for the parameter: refine tells a
+	// substituted formal from a caller local of the same name by
+	// pointer identity.
+	Formal *cc.Ident
+	Deref  bool
+}
+
+// CallSite is a resolved direct call: Graph.Blocks[Block].Points[Point]
+// is the call expression.
+type CallSite struct {
+	Block, Point int
+	Callee       *Function
+	Args         []ArgMap
+}
+
+// argMaps pairs a call's actuals with the callee's formals. A
+// parameter without a name can hold no state and is skipped.
+func argMaps(call *cc.CallExpr, callee *Function) []ArgMap {
+	var maps []ArgMap
+	for i, p := range callee.Decl.Params {
+		if i >= len(call.Args) {
+			break
+		}
+		if p.Name == "" {
+			continue
+		}
+		actual := call.Args[i]
+		formal := &cc.Ident{Name: p.Name}
+		if u, ok := actual.(*cc.UnaryExpr); ok && u.Op == cc.TokAmp && !u.Postfix {
+			maps = append(maps, ArgMap{Actual: u.X, Formal: formal, Deref: true})
+			continue
+		}
+		maps = append(maps, ArgMap{Actual: actual, Formal: formal})
+	}
+	return maps
+}
+
+// Site returns the record of the call at b.Points[point], or nil when
+// that point is not a direct call to a defined function.
+func (fn *Function) Site(b *cfg.Block, point int) *CallSite {
+	i := sort.Search(len(fn.Sites), func(i int) bool {
+		s := &fn.Sites[i]
+		return s.Block > b.ID || s.Block == b.ID && s.Point >= point
+	})
+	if i == len(fn.Sites) || fn.Sites[i].Block != b.ID || fn.Sites[i].Point != point {
+		return nil
+	}
+	return &fn.Sites[i]
 }
 
 // ReleaseBody drops the function's CFG, type map, and body AST so the
 // garbage collector can reclaim them — the AST-eviction half of the
 // streaming mode (DESIGN.md §12). The declaration shell (name, file,
 // params) survives, so FuncID, call-graph links, and spill keys keep
-// working. This is the one sanctioned mutation of a built Program; the
+// working; the program model goes with the graph it describes. This is
+// the one sanctioned mutation of a built Program; the
 // caller must guarantee no traversal can still visit the function
 // (prog.Units: no call edge leaves a unit, so once a unit's last root
 // finishes, its functions are unreachable by any in-flight DFS) and
@@ -49,6 +120,8 @@ type Function struct {
 func (fn *Function) ReleaseBody() {
 	fn.Graph = nil
 	fn.Types = nil
+	fn.NonParamLocals = nil
+	fn.Sites = nil
 	if fn.Decl != nil {
 		fn.Decl.Body = nil
 	}
@@ -108,7 +181,7 @@ func Build(files ...*cc.File) *Program {
 	// Collect definitions.
 	for _, f := range files {
 		for _, fd := range f.Funcs() {
-			fn := &Function{Name: fd.Name, Decl: fd}
+			fn := &Function{Name: fd.Name, Index: len(p.All), Decl: fd}
 			p.All = append(p.All, fn)
 			if fd.Storage == cc.StorageStatic {
 				p.Funcs[staticKey(f.Name, fd.Name)] = fn
@@ -120,17 +193,33 @@ func Build(files ...*cc.File) *Program {
 			}
 		}
 	}
-	// Build CFGs and types; link the call graph.
+	// Build CFGs, types and scope sets; then resolve every call site,
+	// which links the call graph.
 	for _, fn := range p.All {
 		fn.Graph = cfg.Build(fn.Decl)
 		fn.Types = p.Env.CheckFunc(fn.Decl)
+		fn.NonParamLocals = map[string]bool{}
+		for name := range fn.Graph.Locals {
+			fn.NonParamLocals[name] = true
+		}
+		for _, param := range fn.Decl.Params {
+			delete(fn.NonParamLocals, param.Name)
+		}
 	}
 	for _, fn := range p.All {
 		seen := map[*Function]bool{}
 		for _, b := range fn.Graph.Blocks {
-			for _, call := range cfg.CallsIn(b) {
+			for i, pt := range b.Points {
+				call, ok := pt.(*cc.CallExpr)
+				if !ok {
+					continue
+				}
 				callee := p.Resolve(fn, call)
-				if callee == nil || seen[callee] {
+				if callee == nil {
+					continue
+				}
+				fn.Sites = append(fn.Sites, CallSite{Block: b.ID, Point: i, Callee: callee, Args: argMaps(call, callee)})
+				if seen[callee] {
 					continue
 				}
 				seen[callee] = true

@@ -5,7 +5,7 @@
 // the frozen benchmark/layers.go (spill.Encode at lines 466 and 545,
 // spill.OpenLog at 553, spill.Decode at 575) still models a streaming
 // run as this codec over a packed log, and go with the benchmark PR
-// that drops that model (ROADMAP item 5).
+// that drops that model (ROADMAP item 2).
 package spill
 
 import (

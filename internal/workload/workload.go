@@ -153,7 +153,9 @@ func InstanceScaling(k, branches int) Program {
 }
 
 // CallsiteFanout builds m callsites to one shared helper — the E2
-// function-summary workload.
+// function-summary workload. Every site frees its pointer after the
+// call: the helper is always entered in the same state (nothing
+// tracked), and no root is inert under the free checker.
 func CallsiteFanout(m int) Program {
 	var sb strings.Builder
 	sb.WriteString(prologue)
@@ -167,7 +169,7 @@ func CallsiteFanout(m int) Program {
 }
 `)
 	for i := 0; i < m; i++ {
-		fmt.Fprintf(&sb, "int site_%d(int *p) {\n    return helper(p, %d);\n}\n", i, i)
+		fmt.Fprintf(&sb, "int site_%d(int *p) {\n    int r = helper(p, %d);\n    kfree(p);\n    return r;\n}\n", i, i)
 	}
 	return Program{Source: sb.String(), Funcs: m + 1}
 }
