@@ -35,7 +35,9 @@ vet:
 # labels and the string-keyed callout context stay gone. And the
 # program model is built once (DESIGN.md §5): the per-engine point
 # expansion, argument pairing, scope-set memos and second dispatch gate
-# stay gone.
+# stay gone. And the DFS owns its stacks (DESIGN.md §5): the per-block
+# dispatch context, the string-keyed block recorder and the per-call
+# miss-id map stay gone.
 no-deleted-knobs:
 	! grep -rnE 'Match[M]emo|Block[F]ilter|Tuple[I]ntern|Lean[A]lloc|Multi[D]ispatch|Tenant[Q]uota|Queue[D]epth|Batch[S]ize' --include=*.go .
 	! grep -rnE 'Load[S]ummaries|summary[S]ource|Retired[S]et|Allow[S]pillReload|Summaries[L]oaded|SummaryBytes[D]eferred' --include=*.go .
@@ -43,6 +45,7 @@ no-deleted-knobs:
 	! grep -rnE 'exp[P]ar|exp[I]ncr|exp[G]ov|exp[M]ulticheck|exp[S]cale|exp[F]eas|exp[R]egistry|exp[F]leet|scale[-]cell|(scale|feas|fleet)[-]short|Host[F]acts' --include=*.go .
 	! grep -rnE 'Pre[M]atch|Syn[M]atch|pre[K]ey|match[T]rans|dispatch[S]trategy|Ctx[.]Extra|\.Extra\[' --include=*.go .
 	! grep -rnE 'points[O]K|block[P]oints|build[F]ilters|formal[N]odes|build[A]rgMaps|local[O]mitFor|nonParam[L]ocals|new[B]lockInfo' --include=*.go .
+	! grep -rnE 'point[D]ispatch|inst[K]ey|new[B]lockRec|created[K]illed|miss[I]Ds|callee[S]M' --include=*.go .
 	! ls BENCH_*.json 2>/dev/null | grep .
 
 # staticcheck is optional locally (the repo adds no dependencies) but

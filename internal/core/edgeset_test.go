@@ -58,7 +58,7 @@ func TestEdgeSetMatchesModel(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		in := newInterner()
-		set := &edgeSet{in: in}
+		fi, set := &funcInfo{in: in}, &edgeSet{}
 		model := &edgeModel{in: in, buckets: map[string][]edge{}}
 		// A small tuple universe, so starts repeat, pairs collide and
 		// new groups land before, between and after the existing ones.
@@ -72,7 +72,7 @@ func TestEdgeSetMatchesModel(t *testing.T) {
 		}
 		for i := 0; i < 120; i++ {
 			e := in.edge(tuple(), tuple())
-			if got, want := set.add(e), model.add(e); got != want {
+			if got, want := set.add(fi, e), model.add(e); got != want {
 				t.Fatalf("seed %d step %d: add = %v, model %v", seed, i, got, want)
 			}
 			if set.len() != model.n {
@@ -80,11 +80,11 @@ func TestEdgeSetMatchesModel(t *testing.T) {
 			}
 			probe := tuple()
 			want := model.buckets[probe.Key()]
-			if got := set.from(probe); renderEdges(in, got) != renderEdges(in, want) {
+			if got := set.from(in, probe); renderEdges(in, got) != renderEdges(in, want) {
 				t.Fatalf("seed %d step %d: from(%s) =\n%swant\n%s", seed, i, probe.Key(), renderEdges(in, got), renderEdges(in, want))
 			}
-			if set.hasFrom(probe) != (len(want) > 0) {
-				t.Fatalf("seed %d step %d: hasFrom(%s) = %v", seed, i, probe.Key(), set.hasFrom(probe))
+			if set.hasFrom(in, probe) != (len(want) > 0) {
+				t.Fatalf("seed %d step %d: hasFrom(%s) = %v", seed, i, probe.Key(), set.hasFrom(in, probe))
 			}
 			if got, want := renderEdges(in, set.all()), renderEdges(in, model.all()); got != want {
 				t.Fatalf("seed %d step %d: all() =\n%swant\n%s", seed, i, got, want)
@@ -123,12 +123,12 @@ func BenchmarkEdgeSetAdd(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		set := &edgeSet{in: in}
+		fi, set := &funcInfo{in: in}, &edgeSet{}
 		for _, e := range edges {
-			set.add(e)
+			set.add(fi, e)
 		}
 		for _, e := range edges {
-			set.add(e) // duplicates: the dedup scan
+			set.add(fi, e) // duplicates: the dedup scan
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -186,7 +187,34 @@ type Engine struct {
 	// notifies the mc releaser.
 	retire   *prog.RetirePlan
 	onRetire func([]*prog.Function)
+
+	// Memory whose lifetime is the DFS's is the engine's, not re-made per
+	// split, per point or per call (DESIGN.md §5).
+	//
+	// backtrace and callStack are the DFS's two stacks; they persist
+	// across roots. A pathState holds a frame of them by index and a
+	// split copies neither. One engine is one goroutine and siblings run
+	// strictly one after another: a state only ever reads entries below
+	// its own top, and a later sibling overwriting index n cannot be
+	// observed by an earlier one, which has already returned.
+	backtrace []traceEntry
+	callStack []*prog.Function
+	// ctx is the one pattern-match context, refilled at every point
+	// (matchCtx). snapshot is the copy of the active set the dispatch
+	// loops range over while transitions edit the set itself; the loops
+	// that use it never nest.
+	ctx      pattern.Ctx
+	snapshot []*Instance
+	// outs and parts are partitionResults' buffers. parts is handed to
+	// followCall, which copies it before it forks: each continuation
+	// re-enters runFrom and, at the next call, this buffer.
+	outs  []outTuple
+	parts []partition
 }
+
+// stackInitCap is the capacity both DFS stacks start with; they grow
+// once per engine, not once per root.
+const stackInitCap = 32
 
 // NewEngine builds an engine for one checker over a program.
 func NewEngine(p *prog.Program, c *metal.Checker, opts Options) *Engine {
@@ -206,6 +234,8 @@ func NewEngineShared(p *prog.Program, c *metal.Checker, opts Options, shared *Sh
 		funcs:     make([]*funcInfo, len(p.All)),
 		actions:   builtinActions(),
 		intern:    newInterner(),
+		backtrace: make([]traceEntry, 0, stackInitCap),
+		callStack: make([]*prog.Function, 0, stackInitCap),
 	}
 	en.govern = opts.Budgets.Active()
 	en.Stats.Analyses = map[string]int{}
@@ -330,10 +360,11 @@ func (en *Engine) RunFunction(name string) *report.Set {
 // pendingBranch is a matched path-specific transition awaiting branch
 // resolution (§3.2).
 type pendingBranch struct {
-	tr       *metal.Transition
-	instKey  string // "var|obj" of the triggering instance; "" for creation
-	bindings pattern.Bindings
-	neg      bool // matched subexpression appears under negation
+	tr *metal.Transition
+	// instVar and instObj name the triggering instance; "" for creation.
+	instVar, instObj string
+	bindings         pattern.Bindings
+	neg              bool // matched subexpression appears under negation
 }
 
 // pathState is the per-path analysis state: the extension state, the
@@ -341,15 +372,17 @@ type pendingBranch struct {
 // at path splits so "mutations revert when the extension backtracks"
 // (§5.1).
 type pathState struct {
-	sm        *SM
-	env       *fpp.Env
-	fn        *prog.Function
-	backtrace []traceEntry
-	callStack []*prog.Function
-	callDepth int
-	killPath  bool
-	pathClass report.Class
-	pending   []pendingBranch
+	sm  SM
+	env *fpp.Env
+	fn  *prog.Function
+	// btBase and btTop delimit this state's frame of the engine's
+	// backtrace stack: the blocks traversed so far in fn on this path.
+	// Its call stack is the first callDepth+1 entries of the engine's.
+	btBase, btTop int
+	callDepth     int
+	killPath      bool
+	pathClass     report.Class
+	pending       []pendingBranch
 	// plog records the path's branch/assign/havoc events for the
 	// feasibility pass (pathlog.go); immutable, so clones share it.
 	plog *pathLog
@@ -363,6 +396,8 @@ func (st *pathState) cloneFor() *pathState {
 	out := &pathState{
 		sm:        st.sm.clone(),
 		fn:        st.fn,
+		btBase:    st.btBase,
+		btTop:     st.btTop,
 		callDepth: st.callDepth,
 		killPath:  st.killPath,
 		pathClass: st.pathClass,
@@ -372,8 +407,6 @@ func (st *pathState) cloneFor() *pathState {
 	if st.env != nil {
 		out.env = st.env.Clone()
 	}
-	out.backtrace = append([]traceEntry(nil), st.backtrace...)
-	out.callStack = append([]*prog.Function(nil), st.callStack...)
 	out.pending = append([]pendingBranch(nil), st.pending...)
 	return out
 }
@@ -391,68 +424,58 @@ func (st *pathState) setPathClass(c report.Class) {
 // ---------------------------------------------------------------------------
 
 // blockRec tracks one traversal of one block so its summary edges can
-// be recorded at block end. Keys are "var|obj" strings so the recorder
-// survives state cloning at mid-block call forks.
+// be recorded at block end. Instances are told apart by (Var, Obj), not
+// by pointer, so the recorder survives state cloning at mid-block call
+// forks; the live set is a handful, so the lists are scanned.
 type blockRec struct {
 	entryG string
 	fp     uint32
-	entry  map[string]Tuple
-	killed map[string]Tuple
-	// createdKilled holds stop tuples for instances created and then
-	// killed within the block (add edges ending in stop).
-	createdKilled []Tuple
+	// entry holds the tuple of every instance active at block entry.
+	entry []Tuple
+	// kills holds a stop tuple per instance removed during the block, in
+	// order: the last one for an entry instance ends its transition edge,
+	// the others are instances created and then killed within the block
+	// (add edges ending in stop).
+	kills []Tuple
 }
 
-func instKey(varName, obj string) string { return varName + "|" + obj }
+func sameObj(t *Tuple, varName, obj string) bool { return t.Var == varName && t.Obj == obj }
 
-// newBlockRec builds the traversal record. entry/killed stay nil until
-// needed — most traversals of most blocks carry no active instances
-// and kill nothing, and nil maps read as empty everywhere the record is
-// consumed.
-func newBlockRec(sm *SM) *blockRec {
-	rec := &blockRec{entryG: sm.GState}
+// lastOf returns the last tuple of the list about the object, or nil.
+func lastOf(ts []Tuple, varName, obj string) *Tuple {
+	for i := len(ts) - 1; i >= 0; i-- {
+		if sameObj(&ts[i], varName, obj) {
+			return &ts[i]
+		}
+	}
+	return nil
+}
+
+// start fills in the traversal record, which is a local of
+// traverseBlock: most traversals of most blocks carry no active
+// instances and kill nothing, and then both lists stay nil and the
+// record allocates nothing ("rec does not escape", -gcflags=-m).
+func (rec *blockRec) start(sm *SM, fp uint32) {
+	rec.entryG, rec.fp = sm.GState, fp
 	for _, in := range sm.Active {
 		if in.Inactive {
 			continue
 		}
-		if rec.entry == nil {
-			rec.entry = map[string]Tuple{}
+		if prev := lastOf(rec.entry, in.Var, in.Obj); prev != nil {
+			*prev = instTuple(sm.GState, in)
+		} else {
+			rec.entry = append(rec.entry, instTuple(sm.GState, in))
 		}
-		rec.entry[instKey(in.Var, in.Obj)] = instTuple(sm.GState, in)
 	}
-	return rec
 }
 
 func (r *blockRec) clone() *blockRec {
-	out := &blockRec{entryG: r.entryG, fp: r.fp}
-	if r.entry != nil {
-		out.entry = make(map[string]Tuple, len(r.entry))
-		for k, v := range r.entry {
-			out.entry[k] = v
-		}
-	}
-	if r.killed != nil {
-		out.killed = make(map[string]Tuple, len(r.killed))
-		for k, v := range r.killed {
-			out.killed[k] = v
-		}
-	}
-	out.createdKilled = append([]Tuple(nil), r.createdKilled...)
-	return out
+	return &blockRec{entryG: r.entryG, fp: r.fp, entry: slices.Clone(r.entry), kills: slices.Clone(r.kills)}
 }
 
 // noteKill records an instance's removal for summary generation.
 func (r *blockRec) noteKill(g string, in *Instance) {
-	key := instKey(in.Var, in.Obj)
-	stop := Tuple{G: g, Var: in.Var, Obj: in.Obj, Val: StopVal, ObjExpr: in.ObjExpr}
-	if _, known := r.entry[key]; known {
-		if r.killed == nil {
-			r.killed = map[string]Tuple{}
-		}
-		r.killed[key] = stop
-	} else {
-		r.createdKilled = append(r.createdKilled, stop)
-	}
+	r.kills = append(r.kills, Tuple{G: g, Var: in.Var, Obj: in.Obj, Val: StopVal, ObjExpr: in.ObjExpr})
 }
 
 // ---------------------------------------------------------------------------
@@ -483,14 +506,14 @@ func (en *Engine) traverseBlock(st *pathState, b *cfg.Block) {
 		fp = st.env.Fingerprint()
 	}
 	if en.Opts.BlockCache {
-		tuples := st.sm.Tuples()
-		allHit := true
+		allHit, live := true, false
 		var keep []*Instance
 		for _, in := range st.sm.Active {
 			if in.Inactive {
 				keep = append(keep, in)
 				continue
 			}
+			live = true
 			if bi.coversUnder(instTuple(st.sm.GState, in), fp) {
 				en.Stats.CacheHits++
 			} else {
@@ -498,46 +521,44 @@ func (en *Engine) traverseBlock(st *pathState, b *cfg.Block) {
 				keep = append(keep, in)
 			}
 		}
-		if len(tuples) == 1 && tuples[0].IsPlaceholder() {
-			allHit = bi.coversUnder(tuples[0], fp)
+		if !live {
+			// The placeholder is the extension state.
+			allHit = bi.coversUnder(placeholderTuple(st.sm.GState), fp)
 			if allHit {
 				en.Stats.CacheHits++
 			}
 		}
 		if allHit {
-			relax(st.backtrace, bi, false, st.fn.NonParamLocals)
+			relax(en.backtrace[st.btBase:st.btTop], bi, false, st.fn.NonParamLocals)
 			return
 		}
 		en.Stats.CacheMisses++
 		st.sm.Active = keep
 	}
 
-	st.backtrace = append(st.backtrace, traceEntry{block: b, info: bi})
-	rec := newBlockRec(st.sm)
-	rec.fp = fp
+	en.backtrace = append(en.backtrace[:st.btTop], traceEntry{block: b, info: bi})
+	st.btTop++
+	var rec blockRec
+	rec.start(&st.sm, fp)
 
 	if b.Exit {
-		en.endOfPath(st, rec)
-		en.finishBlock(st, b, bi, rec)
+		en.endOfPath(st, &rec)
+		en.finishBlock(st, b, bi, &rec)
 		return
 	}
 
-	en.runFrom(st, b, bi, rec, 0)
+	en.runFrom(st, b, bi, &rec, 0)
 }
 
 // runFrom processes block points starting at index idx, then finishes
 // the block. Mid-block call returns with multiple disjoint exit states
 // fork here: each partition continues the remaining points
-// independently (§6.3 step 6). The pattern-match context is built at
-// most once per runFrom: its point-independent parts (types, callout
-// registry, block extras) are constant across the block's points, and
-// blocks whose pre-filter rejects every live state ref never build it.
+// independently (§6.3 step 6).
 func (en *Engine) runFrom(st *pathState, b *cfg.Block, bi *blockInfo, rec *blockRec, idx int) {
-	disp := pointDispatch{en: en, st: st, b: b}
 	for i := idx; i < len(b.Points); i++ {
 		pt := b.Points[i]
 		en.Stats.Points++
-		fired := en.applyExtension(st, b, rec, &disp, pt, false)
+		fired := en.applyExtension(st, b, rec, pt, false)
 		if st.killPath {
 			en.finishBlock(st, b, bi, rec)
 			return
@@ -561,7 +582,7 @@ func (en *Engine) runFrom(st *pathState, b *cfg.Block, bi *blockInfo, rec *block
 	// synthetic point where return-statement patterns match (§4).
 	if b.IsReturn {
 		en.Stats.Points++
-		en.applyExtension(st, b, rec, &disp, b.ReturnX, true)
+		en.applyExtension(st, b, rec, b.ReturnX, true)
 		if st.killPath {
 			en.finishBlock(st, b, bi, rec)
 			return
@@ -578,56 +599,46 @@ func (en *Engine) finishBlock(st *pathState, b *cfg.Block, bi *blockInfo, rec *b
 	// to relax add edges through gstate-preserving blocks). It joins
 	// the cache-relevant transition edges only when the placeholder
 	// actually was the extension state.
-	ix := en.intern
+	fi, ix := bi.fi, en.intern
 	ghost := ix.edge(placeholderTuple(rec.entryG), placeholderTuple(gEnd))
-	bi.gstate.add(ghost)
+	bi.gstate.add(fi, ghost)
 	if len(rec.entry) == 0 {
-		bi.trans.add(ghost)
+		bi.trans.add(fi, ghost)
 		bi.noteSeen(placeholderTuple(rec.entryG), rec.fp)
-	}
-	for _, from := range rec.entry {
-		bi.noteSeen(from, rec.fp)
-	}
-
-	current := map[string]*Instance{}
-	for _, in := range st.sm.Active {
-		if in.Inactive {
-			continue
-		}
-		current[instKey(in.Var, in.Obj)] = in
 	}
 	// Transition edges for each entry tuple ("Each state tuple that
 	// reaches a block generates exactly one transition edge, where the
 	// transition can be the identity").
-	for key, from := range rec.entry {
-		if to, wasKilled := rec.killed[key]; wasKilled {
-			bi.trans.add(ix.edge(from, to))
-			continue
+	for i := range rec.entry {
+		from := &rec.entry[i]
+		bi.noteSeen(*from, rec.fp)
+		// Where the instance went: killed, still here, or out of scope
+		// some other way (e.g. dropped at a call boundary) — a stop edge.
+		to := *from
+		to.G, to.Val = gEnd, StopVal
+		if stop := lastOf(rec.kills, from.Var, from.Obj); stop != nil {
+			to = *stop
+		} else if inst := st.sm.lastLive(from.Var, from.Obj); inst != nil {
+			to = instTuple(gEnd, inst)
 		}
-		if inst, ok := current[key]; ok {
-			bi.trans.add(ix.edge(from, instTuple(gEnd, inst)))
-		} else {
-			// The instance left scope some other way (e.g. dropped at
-			// a call boundary); record a stop edge.
-			to := from
-			to.G = gEnd
-			to.Val = StopVal
-			bi.trans.add(ix.edge(from, to))
-		}
+		bi.trans.add(fi, ix.edge(*from, to))
 	}
 	// Add edges for instances created during the block.
-	for key, inst := range current {
-		if _, known := rec.entry[key]; known {
+	for _, inst := range st.sm.Active {
+		if inst.Inactive || lastOf(rec.entry, inst.Var, inst.Obj) != nil || st.sm.lastLive(inst.Var, inst.Obj) != inst {
 			continue
 		}
 		from := unknownTuple(rec.entryG, inst.Var, inst.Obj)
 		from.ObjExpr = inst.ObjExpr
-		bi.adds.add(ix.edge(from, instTuple(gEnd, inst)))
+		bi.adds.add(fi, ix.edge(from, instTuple(gEnd, inst)))
 	}
-	for _, stop := range rec.createdKilled {
+	for _, stop := range rec.kills {
+		if lastOf(rec.entry, stop.Var, stop.Obj) != nil {
+			continue
+		}
 		from := unknownTuple(rec.entryG, stop.Var, stop.Obj)
 		from.ObjExpr = stop.ObjExpr
-		bi.adds.add(ix.edge(from, stop))
+		bi.adds.add(fi, ix.edge(from, stop))
 	}
 
 	if st.killPath || len(b.Succs) == 0 {
@@ -641,11 +652,11 @@ func (en *Engine) finishBlock(st *pathState, b *cfg.Block, bi *blockInfo, rec *b
 // backtrace (Figure 6).
 func (en *Engine) endPath(st *pathState) {
 	en.Stats.Paths++
-	if len(st.backtrace) == 0 {
+	if st.btTop == st.btBase {
 		return
 	}
-	last := st.backtrace[len(st.backtrace)-1]
-	relax(st.backtrace[:len(st.backtrace)-1], last.info, last.block.Exit && !st.killPath,
+	last := en.backtrace[st.btTop-1]
+	relax(en.backtrace[st.btBase:st.btTop-1], last.info, last.block.Exit && !st.killPath,
 		st.fn.NonParamLocals)
 }
 
@@ -727,9 +738,13 @@ func (en *Engine) descend(st *pathState, b *cfg.Block) {
 			en.traverseBlock(ns, e.To)
 		}
 	default:
-		for i, e := range b.Succs {
+		for _, e := range b.Succs {
+			// At a split the last successor is cloned too: summary edges
+			// hold their end tuple's instance (edge.prov) and restore reads
+			// its Conds and trace later, so an instance that lived on past
+			// its split would change ranking input.
 			ns := st
-			if len(b.Succs) > 1 || i < len(b.Succs)-1 {
+			if len(b.Succs) > 1 {
 				ns = st.cloneFor()
 			}
 			en.applyPending(ns, true)
@@ -760,7 +775,7 @@ func (en *Engine) applyPending(st *pathState, taken bool) {
 		if eff {
 			dest = p.tr.TrueDest
 		}
-		if p.instKey == "" {
+		if p.instVar == "" {
 			// Creation: attach the destination state to the bound
 			// object unless the destination is stop.
 			if dest.IsStop() || dest.Var == "" {
@@ -774,13 +789,7 @@ func (en *Engine) applyPending(st *pathState, taken bool) {
 			continue
 		}
 		// Instance transition.
-		var inst *Instance
-		for _, in := range st.sm.Active {
-			if instKey(in.Var, in.Obj) == p.instKey {
-				inst = in
-				break
-			}
-		}
+		inst := st.sm.Find(p.instVar, p.instObj)
 		if inst == nil {
 			continue
 		}
@@ -801,46 +810,24 @@ func (en *Engine) applyPending(st *pathState, taken bool) {
 // Extension application at a program point
 // ---------------------------------------------------------------------------
 
-// matchCtx builds the pattern-match context for a point. The
-// function's locals and the current block's branch condition and
-// returned expression ride along for the callouts that read them (the
-// null checker's bare "if (v)", the leak checker's "return v").
+// matchCtx fills the engine's one pattern-match context for a point and
+// returns it. The function's locals and the current block's branch
+// condition and returned expression ride along for the callouts that
+// read them (the null checker's bare "if (v)", the leak checker's
+// "return v"). Every field is written at every point: a call followed
+// between two points of a block runs the callee's points through the
+// same context, and the caller must not resume on the callee's types,
+// locals or name.
 func (en *Engine) matchCtx(st *pathState, b *cfg.Block, pt cc.Expr, endOfPath, returnPoint bool) *pattern.Ctx {
-	ctx := &pattern.Ctx{
-		Point:       pt,
-		Types:       st.fn.Types,
-		Callouts:    en.callouts,
-		EndOfPath:   endOfPath,
-		ReturnPoint: returnPoint,
-		FuncName:    st.fn.Name,
-		Locals:      st.fn.Graph.Locals,
-	}
+	ctx := &en.ctx
+	ctx.Point, ctx.EndOfPath, ctx.ReturnPoint = pt, endOfPath, returnPoint
+	ctx.Types, ctx.FuncName, ctx.Locals = st.fn.Types, st.fn.Name, st.fn.Graph.Locals
+	ctx.Callouts = en.callouts
+	ctx.BranchCond, ctx.ReturnExpr = nil, nil
 	if b != nil {
-		ctx.BranchCond = b.Cond
-		ctx.ReturnExpr = b.ReturnX
+		ctx.BranchCond, ctx.ReturnExpr = b.Cond, b.ReturnX
 	}
 	return ctx
-}
-
-// pointDispatch lazily builds the pattern-match context for one
-// runFrom pass over a block's points. The context is allocated on
-// first use and shared by every point of the block — only Point and
-// ReturnPoint vary; everything else (types, callouts, locals, the
-// block's condition and return) is constant per (path state, block).
-type pointDispatch struct {
-	en  *Engine
-	st  *pathState
-	b   *cfg.Block
-	ctx *pattern.Ctx
-}
-
-func (d *pointDispatch) context(pt cc.Expr, returnPoint bool) *pattern.Ctx {
-	if d.ctx == nil {
-		d.ctx = d.en.matchCtx(d.st, d.b, nil, false, false)
-	}
-	d.ctx.Point = pt
-	d.ctx.ReturnPoint = returnPoint
-	return d.ctx
 }
 
 // noBindings is the shared empty prior for global-state dispatch.
@@ -854,7 +841,7 @@ var noBindings = pattern.Bindings{}
 // extension matches these calls", Figure 5 caption). With returnPoint
 // set it is the synthetic-return-point flavor: statement patterns
 // like "{ return v }" match there (§4).
-func (en *Engine) applyExtension(st *pathState, b *cfg.Block, rec *blockRec, disp *pointDispatch, pt cc.Expr, returnPoint bool) bool {
+func (en *Engine) applyExtension(st *pathState, b *cfg.Block, rec *blockRec, pt cc.Expr, returnPoint bool) bool {
 	if n := int64(len(st.sm.Active)); n > 0 {
 		en.Stats.InstanceOps += n
 		en.rootInstOps += n
@@ -865,7 +852,7 @@ func (en *Engine) applyExtension(st *pathState, b *cfg.Block, rec *blockRec, dis
 	// pre-filter skips the whole loop when no transition sourced at
 	// the current global state can fire anywhere in this block.
 	if en.mayFire(st.fn, b, metal.StateRef{Val: st.sm.GState}) {
-		ctx := disp.context(pt, returnPoint)
+		ctx := en.matchCtx(st, b, pt, false, returnPoint)
 		for _, tr := range en.transIdx[metal.StateRef{Val: st.sm.GState}] {
 			bnd, ok := tr.Pat.Match(ctx, noBindings)
 			if !ok {
@@ -935,8 +922,9 @@ func (en *Engine) applyExtension(st *pathState, b *cfg.Block, rec *blockRec, dis
 	if !anyInst {
 		return matched
 	}
-	snapshot := append([]*Instance(nil), st.sm.Active...)
-	for _, inst := range snapshot {
+	ctx := en.matchCtx(st, b, pt, false, returnPoint)
+	en.snapshot = append(en.snapshot[:0], st.sm.Active...)
+	for _, inst := range en.snapshot {
 		if inst.Inactive || inst.CreatedAt == pt {
 			continue
 		}
@@ -946,19 +934,15 @@ func (en *Engine) applyExtension(st *pathState, b *cfg.Block, rec *blockRec, dis
 		if !en.mayFire(st.fn, b, metal.StateRef{Var: inst.Var, Val: inst.Val}) {
 			continue
 		}
-		var prior pattern.Bindings
 		for _, tr := range en.transIdx[metal.StateRef{Var: inst.Var, Val: inst.Val}] {
-			if prior == nil {
-				prior = pattern.Bindings{inst.Var: pattern.Binding{Expr: inst.ObjExpr}}
-			}
-			bnd, ok := tr.Pat.Match(disp.context(pt, returnPoint), prior)
+			bnd, ok := tr.Pat.Match(ctx, inst.matchPrior())
 			if !ok {
 				continue
 			}
 			matched = true
 			if tr.PathSpecific {
 				st.pending = append(st.pending, pendingBranch{
-					tr: tr, instKey: instKey(inst.Var, inst.Obj),
+					tr: tr, instVar: inst.Var, instObj: inst.Obj,
 					bindings: bnd, neg: polarityOf(b, pt),
 				})
 				en.runTransitionActions(st, tr, bnd, pt, inst)
@@ -1113,15 +1097,15 @@ func (en *Engine) createInstance(st *pathState, rec *blockRec, varName, val stri
 		inst.trace = inst.trace.push(fmt.Sprintf("%s: %s enters state %s at %s",
 			posOf(pt), obj, val, cc.ExprString(pt)))
 	}
-	en.classifyScope(st, inst)
+	en.classifyScope(st.fn, inst)
 	st.sm.Active = append(st.sm.Active, inst)
 	return inst
 }
 
 // classifyScope records whether the tracked object is a global, a
 // file-scope static, or local-mentioning (§6.1 scoping rules).
-func (en *Engine) classifyScope(st *pathState, inst *Instance) {
-	if mentionsLocals(inst.ObjExpr, st.fn) {
+func (en *Engine) classifyScope(fn *prog.Function, inst *Instance) {
+	if mentionsLocals(inst.ObjExpr, fn) {
 		return
 	}
 	root := rootIdent(inst.ObjExpr)
@@ -1191,39 +1175,38 @@ func (en *Engine) handleAssign(st *pathState, rec *blockRec, asg *cc.AssignExpr,
 		en.handleMutation(st, rec, asg.LHS)
 		return
 	}
-	lhsKey := cc.ExprKey(asg.LHS)
-	rhsKey := cc.ExprKey(asg.RHS)
-	if lhsKey == rhsKey {
+	if cc.EqualExpr(asg.LHS, asg.RHS) {
 		return
 	}
 	// Synonyms: "If a variable tracked by an extension is assigned to
 	// another variable, both variables become synonyms." Chained
 	// assignments (p = q = kmalloc(...)) look through to the inner
-	// LHS, which carries the value — the paper's §8 example.
-	srcExpr := asg.RHS
-	for {
-		inner, ok := srcExpr.(*cc.AssignExpr)
-		if !ok || inner.Op != cc.TokAssign {
-			break
-		}
-		srcExpr = inner.LHS
-	}
-	srcKey := cc.ExprKey(srcExpr)
+	// LHS, which carries the value — the paper's §8 example. A key is
+	// rendered only when there is an instance it could name.
 	var newInst *Instance
-	if en.Opts.Synonyms {
+	if en.Opts.Synonyms && len(st.sm.Active) > 0 {
+		srcExpr := asg.RHS
+		for {
+			inner, ok := srcExpr.(*cc.AssignExpr)
+			if !ok || inner.Op != cc.TokAssign {
+				break
+			}
+			srcExpr = inner.LHS
+		}
+		srcKey := cc.ExprKey(srcExpr)
 		if src := st.sm.FindObj(srcKey); src != nil && !src.Inactive {
 			if src.Group == 0 {
 				en.nextGroup++
 				src.Group = en.nextGroup
 			}
 			newInst = src.clone()
-			newInst.Obj = lhsKey
+			newInst.Obj = cc.ExprKey(asg.LHS)
 			newInst.ObjExpr = asg.LHS
 			newInst.SynDepth = src.SynDepth + 1
 			newInst.CreatedAt = pt
 			newInst.trace = newInst.trace.push(fmt.Sprintf("%s: %s becomes a synonym of %s",
-				posOf(pt), lhsKey, srcKey))
-			en.classifyScope(st, newInst)
+				posOf(pt), newInst.Obj, srcKey))
+			en.classifyScope(st.fn, newInst)
 		}
 	}
 	// Kill on redefinition: delete state attached to the assigned
@@ -1232,7 +1215,7 @@ func (en *Engine) handleAssign(st *pathState, rec *blockRec, asg *cc.AssignExpr,
 		en.killMentions(st, rec, asg.LHS, newInst, pt)
 	}
 	if newInst != nil {
-		if old := st.sm.Find(newInst.Var, lhsKey); old != nil {
+		if old := st.sm.Find(newInst.Var, newInst.Obj); old != nil {
 			en.killInstance(st, rec, old, false)
 		}
 		st.sm.Active = append(st.sm.Active, newInst)
@@ -1260,8 +1243,8 @@ func (en *Engine) handleMutation(st *pathState, rec *blockRec, lval cc.Expr) {
 // address — so lock state attached to &mutex survives mutex = 0.
 func (en *Engine) killMentions(st *pathState, rec *blockRec, lval cc.Expr, spare *Instance, pt cc.Expr) {
 	id, isIdent := lval.(*cc.Ident)
-	snapshot := append([]*Instance(nil), st.sm.Active...)
-	for _, in := range snapshot {
+	en.snapshot = append(en.snapshot[:0], st.sm.Active...)
+	for _, in := range en.snapshot {
 		if in == spare {
 			continue
 		}
@@ -1336,8 +1319,8 @@ func (en *Engine) endOfPath(st *pathState, rec *blockRec) {
 	nonParam := st.fn.NonParamLocals
 	ctx := en.matchCtx(st, nil, nil, true, false)
 
-	snapshot := append([]*Instance(nil), st.sm.Active...)
-	for _, inst := range snapshot {
+	en.snapshot = append(en.snapshot[:0], st.sm.Active...)
+	for _, inst := range en.snapshot {
 		if inst.Inactive || !en.stillActive(st, inst) {
 			continue
 		}
@@ -1345,13 +1328,8 @@ func (en *Engine) endOfPath(st *pathState, rec *blockRec) {
 		if !leavesScope {
 			continue
 		}
-		// The prior is identical for every transition of the instance.
-		var prior pattern.Bindings
 		for _, tr := range en.transIdx[metal.StateRef{Var: inst.Var, Val: inst.Val}] {
-			if prior == nil {
-				prior = pattern.Bindings{inst.Var: pattern.Binding{Expr: inst.ObjExpr}}
-			}
-			bnd, ok := tr.Pat.Match(ctx, prior)
+			bnd, ok := tr.Pat.Match(ctx, inst.matchPrior())
 			if !ok {
 				continue
 			}

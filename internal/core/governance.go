@@ -264,11 +264,11 @@ func (en *Engine) runRootIsolated(root *prog.Function) {
 		}
 	}()
 	fi := en.funcInfo(root)
+	en.callStack = append(en.callStack[:0], root)
 	st := &pathState{
-		sm:        &SM{GState: en.Checker.InitialGlobal()},
-		env:       fi.terms.NewEnv(),
-		fn:        root,
-		callStack: []*prog.Function{root},
+		sm:  SM{GState: en.Checker.InitialGlobal()},
+		env: fi.terms.NewEnv(),
+		fn:  root,
 	}
 	en.Stats.Analyses[root.Name]++
 	fi.Analyses++

@@ -196,21 +196,21 @@ func (td TupleData) tuple() Tuple {
 	return t
 }
 
-func edgeData(s *edgeSet) []EdgeData {
+func edgeData(in *interner, s *edgeSet) []EdgeData {
 	edges := s.all()
 	if len(edges) == 0 {
 		return nil
 	}
 	out := make([]EdgeData, len(edges))
 	for i, e := range edges {
-		out[i] = EdgeData{From: tupleData(s.in.fromTuple(e)), To: tupleData(s.in.toTuple(e))}
+		out[i] = EdgeData{From: tupleData(in.fromTuple(e)), To: tupleData(in.toTuple(e))}
 	}
 	return out
 }
 
-func importEdges(s *edgeSet, data []EdgeData) {
+func importEdges(fi *funcInfo, s *edgeSet, data []EdgeData) {
 	for _, ed := range data {
-		s.add(s.in.edge(ed.From.tuple(), ed.To.tuple()))
+		s.add(fi, fi.in.edge(ed.From.tuple(), ed.To.tuple()))
 	}
 }
 
@@ -228,11 +228,11 @@ func (en *Engine) ExportSummaries(fns []*prog.Function) *SummaryData {
 				bi := fi.info(b)
 				bd := BlockSummaryData{
 					Block:    b.ID,
-					Trans:    edgeData(&bi.trans),
-					Adds:     edgeData(&bi.adds),
-					GState:   edgeData(&bi.gstate),
-					SfxTrans: edgeData(&bi.sfxTrans),
-					SfxAdds:  edgeData(&bi.sfxAdds),
+					Trans:    edgeData(en.intern, &bi.trans),
+					Adds:     edgeData(en.intern, &bi.adds),
+					GState:   edgeData(en.intern, &bi.gstate),
+					SfxTrans: edgeData(en.intern, &bi.sfxTrans),
+					SfxAdds:  edgeData(en.intern, &bi.sfxAdds),
 				}
 				if bd.Trans == nil && bd.Adds == nil && bd.GState == nil &&
 					bd.SfxTrans == nil && bd.SfxAdds == nil {
@@ -271,11 +271,11 @@ func (en *Engine) ImportSummaries(sd *SummaryData) {
 				continue
 			}
 			bi := &fi.blocks[bd.Block]
-			importEdges(&bi.trans, bd.Trans)
-			importEdges(&bi.adds, bd.Adds)
-			importEdges(&bi.gstate, bd.GState)
-			importEdges(&bi.sfxTrans, bd.SfxTrans)
-			importEdges(&bi.sfxAdds, bd.SfxAdds)
+			importEdges(fi, &bi.trans, bd.Trans)
+			importEdges(fi, &bi.adds, bd.Adds)
+			importEdges(fi, &bi.gstate, bd.GState)
+			importEdges(fi, &bi.sfxTrans, bd.SfxTrans)
+			importEdges(fi, &bi.sfxAdds, bd.SfxAdds)
 		}
 	}
 }

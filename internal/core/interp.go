@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/cc"
 	"repro/internal/cfg"
@@ -29,7 +30,7 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, bi *blockInfo, rec *bl
 	callee, maps := site.Callee, site.Args
 
 	// --- Refine (§6.1) ---
-	refined := &SM{GState: st.sm.GState}
+	refined := SM{GState: st.sm.GState}
 	var saved []*Instance
 	for _, inst := range st.sm.Active {
 		cp := inst.clone()
@@ -70,29 +71,32 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, bi *blockInfo, rec *bl
 	// --- Function summary check (§6.2) ---
 	calleeFi := en.funcInfo(callee)
 	summary := calleeFi.summaryOf(callee.Graph)
-	inTuples := refined.Tuples()
-	var missing []Tuple
-	if en.Opts.FunctionCache {
-		for _, t := range inTuples {
-			if summary.sfxTrans.hasFrom(t) {
-				en.Stats.FuncCacheHits++
-			} else {
-				missing = append(missing, t)
-			}
+	// covered: the summary already has an edge out of the tuple.
+	covered := func(t Tuple) bool {
+		return en.Opts.FunctionCache && summary.sfxTrans.hasFrom(en.intern, t)
+	}
+	missing, live := false, false
+	for _, in := range refined.Active {
+		if in.Inactive {
+			continue
 		}
-	} else {
-		missing = inTuples
+		live = true
+		if covered(instTuple(refined.GState, in)) {
+			en.Stats.FuncCacheHits++
+		} else {
+			missing = true
+		}
+	}
+	if !live {
+		if covered(placeholderTuple(refined.GState)) {
+			en.Stats.FuncCacheHits++
+		} else {
+			missing = true
+		}
 	}
 
-	recursing := false
-	for _, f := range st.callStack {
-		if f == callee {
-			recursing = true
-			break
-		}
-	}
-	if len(missing) > 0 {
-		if recursing {
+	if missing {
+		if slices.Contains(en.callStack[:st.callDepth+1], callee) {
 			// §7: "our algorithm assumes that the existing function
 			// summary is sufficient" inside recursive loops.
 			en.Stats.RecursionCuts++
@@ -100,31 +104,28 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, bi *blockInfo, rec *bl
 			en.Stats.FuncFollows++
 			en.Stats.Analyses[callee.Name]++
 			calleeFi.Analyses++
-			missIDs := map[tid]bool{}
-			for _, t := range missing {
-				missIDs[en.intern.id(t)] = true
-			}
-			calleeSM := &SM{GState: refined.GState}
-			for _, in := range refined.Active {
-				if in.Inactive || missIDs[en.intern.id(instTuple(refined.GState, in))] {
-					calleeSM.Active = append(calleeSM.Active, in.clone())
-				}
-			}
+			// The callee's frame of both stacks begins above the caller's.
+			en.callStack = append(en.callStack[:st.callDepth+1], callee)
 			cst := &pathState{
-				sm:        calleeSM,
+				sm:        SM{GState: refined.GState},
 				env:       calleeFi.terms.NewEnv(),
 				fn:        callee,
-				callStack: append(append([]*prog.Function(nil), st.callStack...), callee),
+				btBase:    st.btTop,
+				btTop:     st.btTop,
 				callDepth: st.callDepth + 1,
 				pathClass: st.pathClass,
+			}
+			for _, in := range refined.Active {
+				if in.Inactive || !covered(instTuple(refined.GState, in)) {
+					cst.sm.Active = append(cst.sm.Active, in.clone())
+				}
 			}
 			en.traverseBlock(cst, callee.Graph.Entry)
 		}
 	}
 
 	// --- Apply summary edges (§6.3 steps 3-5) ---
-	entryBI := calleeFi.info(callee.Graph.Entry)
-	parts := en.partitionResults(refined, summary, entryBI, inTuples)
+	parts := en.partitionResults(&refined, summary, calleeFi.info(callee.Graph.Entry))
 
 	// FPP: values reachable by the callee through pointers may change.
 	for _, a := range call.Args {
@@ -143,27 +144,32 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, bi *blockInfo, rec *bl
 		// summary): leave the caller state unchanged (§7 unsoundness).
 		return false
 	}
+	forked := len(parts) > 1
+	if forked {
+		// Each continuation below re-enters runFrom, and with it this
+		// function and the engine's partition buffer.
+		parts = slices.Clone(parts)
+	}
 
 	// --- Restore (§6.1) and continue (§6.3 step 6) ---
-	for pi, part := range parts {
-		ns := st
-		nrec := rec
-		if len(parts) > 1 {
-			ns = st.cloneFor()
-			nrec = rec.clone()
+	for _, part := range parts {
+		ns, nrec := st, rec
+		if forked {
+			ns, nrec = st.cloneFor(), rec.clone()
 		}
-		restored := &SM{GState: part.gstate}
+		// The state's own instance array is free to refill: refined and
+		// saved hold what is still needed of it.
+		restored := SM{GState: part.gstate, Active: ns.sm.Active[:0]}
 		for _, t := range part.tuples {
 			if in := en.restoreInstance(t, maps, st.fn, callee); in != nil {
 				restored.Active = append(restored.Active, in)
 			}
 		}
 		for _, inst := range saved {
-			restoredInst := inst
-			if len(parts) > 1 {
-				restoredInst = inst.clone()
+			if forked {
+				inst = inst.clone()
 			}
-			restored.Active = append(restored.Active, restoredInst)
+			restored.Active = append(restored.Active, inst)
 		}
 		// Reactivate file-scope statics that are back in scope.
 		for _, in := range restored.Active {
@@ -172,14 +178,11 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, bi *blockInfo, rec *bl
 			}
 		}
 		ns.sm = restored
-		if len(parts) > 1 {
+		if forked {
 			en.runFrom(ns, b, bi, nrec, idx+1)
-			if pi == len(parts)-1 {
-				return true
-			}
 		}
 	}
-	return len(parts) > 1
+	return forked
 }
 
 // partition is one disjoint exit state: a global state value plus at
@@ -189,59 +192,69 @@ type partition struct {
 	tuples []Tuple
 }
 
+// outTuple is one distinct summary out-tuple, with its interned id.
+type outTuple struct {
+	id tid
+	t  Tuple
+}
+
+// cmpOut orders out-tuples by exit global state, then by object in the
+// order of the objects' "var|obj" renderings.
+func cmpOut(a, b outTuple) int {
+	if c := strings.Compare(a.t.G, b.t.G); c != 0 {
+		return c
+	}
+	if a.t.Var == b.t.Var {
+		return strings.Compare(a.t.Obj, b.t.Obj)
+	}
+	return strings.Compare(a.t.Var+"|"+a.t.Obj, b.t.Var+"|"+b.t.Obj)
+}
+
 // partitionResults computes the edges applicable to the current state
 // and partitions them into disjoint exit states. entryBI is the
 // callee entry block's own summary: its transition edges record which
 // in-tuples have ever been traversed, which distinguishes "the callee
 // stopped this object on every path" (edges ending in stop are omitted
 // from function summaries, §6.3) from "the callee was never analyzed
-// in this state" (possible under recursion, §7).
-func (en *Engine) partitionResults(refined *SM, summary, entryBI *blockInfo, inTuples []Tuple) []partition {
+// in this state" (possible under recursion, §7). The result is the
+// engine's partition buffer: it is valid until the next call.
+func (en *Engine) partitionResults(refined *SM, summary, entryBI *blockInfo) []partition {
 	// The exit global states come from the placeholder suffix edges;
 	// their absence means the callee has no summary at all in this
 	// state.
 	ix := en.intern
-	gstates := map[string]bool{}
-	for _, e := range summary.sfxTrans.from(placeholderTuple(refined.GState)) {
-		gstates[ix.tups[e.to].g] = true
+	var gsBuf [4]string
+	gs := gsBuf[:0]
+	addG := func(g string) {
+		if !slices.Contains(gs, g) {
+			gs = append(gs, g)
+		}
 	}
-	if len(gstates) == 0 {
+	for _, e := range summary.sfxTrans.from(ix, placeholderTuple(refined.GState)) {
+		addG(ix.tups[e.to].g)
+	}
+	if len(gs) == 0 {
 		return nil
 	}
 
-	// outsByG[gstate][objKey] = distinct out tuples, by interned id.
-	type out struct {
-		id tid
-		t  Tuple
-	}
-	outsByG := map[string]map[string][]out{}
+	// outs collects the distinct out tuples; an id names its exit state
+	// and object too.
+	outs := en.outs[:0]
 	record := func(id tid, t Tuple) {
-		g := t.G
-		gstates[g] = true
-		if t.IsPlaceholder() {
+		addG(t.G)
+		if t.IsPlaceholder() || slices.ContainsFunc(outs, func(o outTuple) bool { return o.id == id }) {
 			return
 		}
-		m := outsByG[g]
-		if m == nil {
-			m = map[string][]out{}
-			outsByG[g] = m
-		}
-		key := instKey(t.Var, t.Obj)
-		for _, prev := range m[key] {
-			if prev.id == id {
-				return
-			}
-		}
-		m[key] = append(m[key], out{id, t})
+		outs = append(outs, outTuple{id, t})
 	}
-
-	for _, in := range inTuples {
-		if in.IsPlaceholder() {
+	for _, inst := range refined.Active {
+		if inst.Inactive {
 			continue
 		}
-		outs := summary.sfxTrans.from(in)
-		if len(outs) == 0 {
-			if !entryBI.trans.hasFrom(in) {
+		in := instTuple(refined.GState, inst)
+		edges := summary.sfxTrans.from(ix, in)
+		if len(edges) == 0 {
+			if !entryBI.trans.hasFrom(ix, in) {
 				// Never traversed in this state (incomplete recursive
 				// summary): pass the instance through unchanged (§7).
 				record(ix.id(in), in)
@@ -250,67 +263,54 @@ func (en *Engine) partitionResults(refined *SM, summary, entryBI *blockInfo, inT
 			// the outgoing state (§6.3).
 			continue
 		}
-		for _, e := range outs {
+		for _, e := range edges {
 			record(e.to, ix.toTuple(e))
 		}
 	}
 	// Add edges: apply when the object has no instance at entry
 	// ("(s, v:t→unknown) ... the edge only applies when we know
 	// nothing about t at the entry").
-	have := map[string]bool{}
-	for _, in := range refined.Active {
-		if !in.Inactive {
-			have[instKey(in.Var, in.Obj)] = true
-		}
-	}
 	for _, e := range summary.sfxAdds.all() {
 		from := &ix.tups[e.from]
-		if from.g != refined.GState || have[instKey(from.varName, from.obj)] {
+		if from.g != refined.GState || refined.lastLive(from.varName, from.obj) != nil {
 			continue
 		}
 		record(e.to, ix.toTuple(e))
 	}
+	en.outs = outs
 
 	// Build partitions: group by out gstate; within a group, take the
 	// cartesian product over objects with multiple possible values.
-	var gs []string
-	for g := range gstates {
-		gs = append(gs, g)
-	}
-	sort.Strings(gs)
-
-	var parts []partition
+	slices.Sort(gs)
+	slices.SortStableFunc(outs, cmpOut)
+	parts := en.parts[:0]
 	for _, g := range gs {
-		m := outsByG[g]
-		var keys []string
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		combos := []partition{{gstate: g}}
-		for _, k := range keys {
-			outs := m[k]
+		first := len(parts)
+		parts = append(parts, partition{gstate: g})
+		for len(outs) > 0 && outs[0].t.G == g {
+			// The out tuples of one object: each combination so far
+			// continues with each of them.
+			n := 1
+			for n < len(outs) && outs[n].t.G == g && sameObj(&outs[n].t, outs[0].t.Var, outs[0].t.Obj) {
+				n++
+			}
 			var next []partition
-			for _, c := range combos {
-				for _, o := range outs {
-					nc := partition{gstate: g, tuples: append(append([]Tuple(nil), c.tuples...), o.t)}
-					next = append(next, nc)
-					if len(next) >= en.Opts.MaxPartitions {
-						break
+			for _, c := range parts[first:] {
+				for _, o := range outs[:n] {
+					if len(next) < en.Opts.MaxPartitions {
+						next = append(next, partition{gstate: g, tuples: append(slices.Clone(c.tuples), o.t)})
 					}
 				}
-				if len(next) >= en.Opts.MaxPartitions {
-					break
-				}
 			}
-			combos = next
+			parts = append(parts[:first], next...)
+			outs = outs[n:]
 		}
-		parts = append(parts, combos...)
 		if len(parts) >= en.Opts.MaxPartitions {
 			parts = parts[:en.Opts.MaxPartitions]
 			break
 		}
 	}
+	en.parts = parts
 	return parts
 }
 
@@ -355,8 +355,7 @@ func (en *Engine) restoreInstance(t Tuple, maps []prog.ArgMap, caller, callee *p
 	// snapshot may predate later transitions).
 	inst.Val = t.Val
 	inst.Data = t.Data
-	st := &pathState{fn: caller}
-	en.classifyScope(st, inst)
+	en.classifyScope(caller, inst)
 	return inst
 }
 

@@ -1,0 +1,106 @@
+package core
+
+import (
+	"strings"
+	"testing"
+
+	"repro/internal/checkers"
+	"repro/internal/metal"
+)
+
+// marginalAllocs runs the free checker over gen(small) and gen(large) —
+// one fresh engine per run on a program and a dispatch built once, as
+// every engine of an mc run finds them — and returns the heap objects
+// each extra unit of n costs, with the engines' counters for the
+// caller to check the shape against. Nothing in the programs can be
+// freed: kfree is only ever handed an int, so the checker is admitted
+// to one block (the root is not skipped) and never fires.
+func marginalAllocs(t *testing.T, gen func(n int) string, small, large int) (perUnit float64, lo, hi Stats) {
+	t.Helper()
+	free := mustChecker(t, checkers.Free)
+	run := func(n int) (float64, Stats) {
+		p := buildProg(t, map[string]string{"m.c": gen(n)})
+		cd := CompileDispatch(p, []*metal.Checker{free})
+		var stats Stats
+		allocs := testing.AllocsPerRun(5, func() {
+			en := NewEngine(p, free, DefaultOptions())
+			en.SetCompiled(cd, 0)
+			if len(en.Run().Reports) != 0 {
+				t.Fatal("the checker fired")
+			}
+			stats = en.Stats
+		})
+		return allocs, stats
+	}
+	a, lo := run(small)
+	b, hi := run(large)
+	return (b - a) / float64(large-small), lo, hi
+}
+
+// TestTraversalMarginalAllocs is the ownership rule of DESIGN.md §5 as a
+// counter: memory whose lifetime is the DFS's, the function's or the
+// instance's is not re-made per block, per call or per split. Each bound
+// is the measurement (go1.24) + 5 %; before the engine owned its stacks,
+// slabs and match context the three read 3.03, 3.00 and 11.76.
+func TestTraversalMarginalAllocs(t *testing.T) {
+	const small, large = 10, 100
+
+	// (a) A block with nothing to say: n statements, one block each,
+	// none admitted to the checker.
+	blocks := func(n int) string {
+		return "void kfree(void *p);\nvoid tick(void);\nint f(int n) {\n" +
+			strings.Repeat("    tick();\n", n) + "    kfree(n);\n    return n;\n}\n"
+	}
+	perBlock, lo, hi := marginalAllocs(t, blocks, small, large)
+	if got := hi.Blocks - lo.Blocks; got != large-small {
+		t.Fatalf("(a) %d extra blocks traversed, want %d", got, large-small)
+	}
+	// What remains, 10 objects over 90 blocks: a slab chunk per 32 first
+	// edges (a block owns three singleton sets: its global-instance edge,
+	// its transition edge and its suffix edge) and the backtrace stack
+	// doubling twice past stackInitCap.
+	t.Logf("(a) %.3f objects per extra traversed block", perBlock)
+	if perBlock > 0.117 {
+		t.Errorf("(a) %.3f objects per extra traversed block, want <= 0.117", perBlock)
+	}
+
+	// (b) A call boundary with nothing tracked: n calls in one block to
+	// a callee the first of them summarises.
+	calls := func(n int) string {
+		return "void kfree(void *p);\nint leaf(int n) { return n; }\nint f(int n) {\n    kfree(n);\n    return leaf(n)" +
+			strings.Repeat(" + leaf(n)", n-1) + ";\n}\n"
+	}
+	perCall, lo, hi := marginalAllocs(t, calls, small, large)
+	if got := hi.FuncCacheHits - lo.FuncCacheHits; got != large-small || hi.FuncFollows != 1 || hi.Blocks != lo.Blocks {
+		t.Fatalf("(b) %d extra summary hits, %d follows, %d extra blocks; want %d, 1, 0",
+			got, hi.FuncFollows, hi.Blocks-lo.Blocks, large-small)
+	}
+	// Nothing remains: the refined state, the exit global states and the
+	// one partition live on followCall's stack and in the engine's
+	// buffers, and the restored state is the caller's own.
+	t.Logf("(b) %.3f objects per extra followed call", perCall)
+	if perCall > 0 {
+		t.Errorf("(b) %.3f objects per extra followed call, want 0", perCall)
+	}
+
+	// (c) A fork: n ifs on one variable. The first splits the path in
+	// two; at each later one a path takes the arm it already knows and
+	// prunes the other, so an extra if is two forks, one per path.
+	ifs := func(n int) string {
+		return "void kfree(void *p);\nvoid tick(void);\nint f(int n) {\n" +
+			strings.Repeat("    if (n) tick();\n", n) + "    kfree(n);\n    return n;\n}\n"
+	}
+	perIf, lo, hi := marginalAllocs(t, ifs, small, large)
+	if hi.Paths != 2 || hi.PrunedPaths-lo.PrunedPaths != 2*(large-small) {
+		t.Fatalf("(c) %d paths, %d extra pruned arms; want 2, %d", hi.Paths, hi.PrunedPaths-lo.PrunedPaths, 2*(large-small))
+	}
+	// What a fork legitimately costs: the pathState, Env.Clone's struct
+	// and fact array and the pathLog cell make 4; the rest is the if
+	// block's second fpSeen key (its first fingerprint came from the
+	// slab, the other path's grows the set: 0.5 a split) and the slab
+	// chunks of (a). No stack copy, no context, no edge array.
+	t.Logf("(c) %.3f objects per extra split", perIf/2)
+	if perIf/2 > 4.88 {
+		t.Errorf("(c) %.3f objects per extra split, want <= 4.88", perIf/2)
+	}
+}

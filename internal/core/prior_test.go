@@ -1,0 +1,127 @@
+package core
+
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/cc"
+	"repro/internal/checkers"
+	"repro/internal/metal"
+	"repro/internal/pattern"
+	"repro/internal/workload"
+)
+
+func sameMap(a, b pattern.Bindings) bool {
+	return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
+}
+
+// exactPrior reports whether m is exactly {inst.Var: inst.ObjExpr}.
+func exactPrior(m pattern.Bindings, inst *Instance) bool {
+	b, ok := m[inst.Var]
+	return len(m) == 1 && ok && b.Expr == inst.ObjExpr && b.Args == nil
+}
+
+// priorSpy wraps a transition's pattern and checks the prior of every
+// variable-specific dispatch against the engine's own state. Both
+// dispatch loops range over en.snapshot and hand Match the dispatching
+// instance's prior map itself, so some snapshot instance in the
+// transition's source state must hold that very map for its current
+// ObjExpr, and the map must be exactly {Var: ObjExpr}. (A clone that has
+// not dispatched since it was re-pointed may still hold its original's
+// map; it builds its own at its first dispatch, which is what this
+// sees.)
+type priorSpy struct {
+	pattern.Pattern
+	t    *testing.T
+	tr   *metal.Transition
+	en   **Engine
+	objs map[string]int // dispatches seen, by the prior's object
+}
+
+func (s priorSpy) Match(ctx *pattern.Ctx, prior pattern.Bindings) (pattern.Bindings, bool) {
+	if src := s.tr.Source; src.Var != "" {
+		held := false
+		for _, inst := range (*s.en).snapshot {
+			if inst.Var != src.Var || inst.Val != src.Val || inst.priorFor != inst.ObjExpr || !sameMap(inst.prior, prior) {
+				continue
+			}
+			held = true
+			if !exactPrior(prior, inst) {
+				s.t.Errorf("%s dispatched on %s with prior %v", src, inst.Obj, prior)
+			}
+		}
+		if !held {
+			s.t.Errorf("%s dispatched with prior %v, which no active instance in that state holds for its current object", src, prior)
+		}
+		s.objs[cc.ExprKey(prior[src.Var].Expr)]++
+	}
+	return s.Pattern.Match(ctx, prior)
+}
+
+// spied runs the suite over the sources in load order on one annotation
+// store, every transition's pattern wrapped in a priorSpy, and returns
+// the dispatch counts by prior object.
+func spied(t *testing.T, srcs map[string]string, suite []*metal.Checker) (objs map[string]int, reports []string) {
+	t.Helper()
+	p := buildProg(t, srcs)
+	shared := NewShared()
+	shared.Mark("net_wait", "blocking")
+	objs = map[string]int{}
+	for _, c := range suite {
+		var en *Engine
+		for _, tr := range c.Transitions {
+			tr.Pat = priorSpy{Pattern: tr.Pat, t: t, tr: tr, en: &en, objs: objs}
+		}
+		en = NewEngineShared(p, c, DefaultOptions(), shared)
+		for _, r := range en.Run().Reports {
+			reports = append(reports, r.Msg)
+		}
+	}
+	return objs, reports
+}
+
+// TestInstancePrior: the prior an instance's transitions match from is
+// shared, current and never written (Match's half of that is
+// TestMatchNeverWritesPrior in internal/pattern).
+func TestInstancePrior(t *testing.T) {
+	p, q := &cc.Ident{Name: "p"}, &cc.Ident{Name: "q"}
+	inst := &Instance{Var: "v", Obj: "p", ObjExpr: p, Val: "freed"}
+	orig := inst.matchPrior()
+	if !exactPrior(orig, inst) {
+		t.Fatalf("prior %v, want exactly {v: p}", orig)
+	}
+	cp := inst.clone()
+	if !sameMap(cp.matchPrior(), orig) || !sameMap(inst.matchPrior(), orig) {
+		t.Error("an instance and its clone must share one prior map")
+	}
+	// What refine's mapped copy and the synonym copy do to a clone.
+	cp.ObjExpr, cp.Obj = q, "q"
+	if moved := cp.matchPrior(); sameMap(moved, orig) || !exactPrior(moved, cp) {
+		t.Errorf("re-pointed clone's prior %v, want a map of its own, exactly {v: q}", moved)
+	}
+	if !sameMap(inst.matchPrior(), orig) || !exactPrior(orig, inst) {
+		t.Errorf("the original's prior became %v, want it untouched at {v: p}", inst.matchPrior())
+	}
+
+	// The two sites themselves, under the engine: use() sees p as its
+	// formal q (refine), r becomes a synonym of p (handleAssign), and
+	// each dispatches — and so fires — on a prior for its own expression.
+	objs, reports := spied(t, map[string]string{"sites.c": `
+void kfree(void *p);
+int use(int *q) { return *q; }
+int f(int *p, int *r) { kfree(p); r = p; use(r); return *p; }
+`}, []*metal.Checker{mustChecker(t, checkers.Free)})
+	for _, obj := range []string{"p", "q", "r"} {
+		if objs[obj] == 0 {
+			t.Errorf("no dispatch on a prior for %s (seen: %v)", obj, objs)
+		}
+	}
+	if want := []string{"using q after free!", "using p after free!"}; !reflect.DeepEqual(reports, want) {
+		t.Errorf("reports %q, want %q", reports, want)
+	}
+
+	// And wherever the bundled suite dispatches on the call-rich tree.
+	if objs, _ := spied(t, workload.CallRichTree(), bundledSuite(t)); len(objs) == 0 {
+		t.Error("the suite dispatched no variable-specific transition on the call-rich tree")
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"repro/internal/cc"
+	"repro/internal/pattern"
 )
 
 // UnknownVal is the distinguished value used in the start tuple of add
@@ -62,6 +63,23 @@ type Instance struct {
 	// Inactive marks file-scope instances temporarily out of scope
 	// while the analysis is in another file (§6.1).
 	Inactive bool
+
+	// prior is the one-entry binding every match of this instance's
+	// transitions starts from, built for priorFor (matchPrior).
+	prior    pattern.Bindings
+	priorFor cc.Expr
+}
+
+// matchPrior returns {Var: ObjExpr} as pattern bindings. Match never
+// writes its prior, so the map is built once and shared by the
+// instance's clones; a clone whose ObjExpr is re-pointed (refine at a
+// call boundary, a synonym) builds its own on first use and leaves the
+// original's alone.
+func (inst *Instance) matchPrior() pattern.Bindings {
+	if inst.prior == nil || inst.priorFor != inst.ObjExpr {
+		inst.prior, inst.priorFor = pattern.Bindings{inst.Var: {Expr: inst.ObjExpr}}, inst.ObjExpr
+	}
+	return inst.prior
 }
 
 // clone copies an instance. The trace cons list is immutable and
@@ -170,10 +188,13 @@ type SM struct {
 
 // clone deep-copies the SM for a path split; modifications on one path
 // revert when the DFS backtracks (§5.1).
-func (s *SM) clone() *SM {
-	out := &SM{GState: s.GState, Active: make([]*Instance, len(s.Active))}
-	for i, in := range s.Active {
-		out.Active[i] = in.clone()
+func (s *SM) clone() SM {
+	out := SM{GState: s.GState}
+	if len(s.Active) > 0 {
+		out.Active = make([]*Instance, len(s.Active))
+		for i, in := range s.Active {
+			out.Active[i] = in.clone()
+		}
 	}
 	return out
 }
@@ -200,6 +221,18 @@ func (s *SM) Tuples() []Tuple {
 func (s *SM) Find(varName, obj string) *Instance {
 	for _, in := range s.Active {
 		if in.Var == varName && in.Obj == obj {
+			return in
+		}
+	}
+	return nil
+}
+
+// lastLive returns the last active, in-scope instance attached to the
+// object for the state variable, or nil: the one a map keyed by
+// (variable, object) would end up holding.
+func (s *SM) lastLive(varName, obj string) *Instance {
+	for i := len(s.Active) - 1; i >= 0; i-- {
+		if in := s.Active[i]; !in.Inactive && in.Var == varName && in.Obj == obj {
 			return in
 		}
 	}

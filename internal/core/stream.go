@@ -15,7 +15,10 @@ package core
 // parallelism level, can observe the evicted state, and output stays
 // byte-identical to the in-memory run.
 
-import "repro/internal/prog"
+import (
+	"repro/internal/pattern"
+	"repro/internal/prog"
+)
 
 // SpillCounts tallies one engine's streaming activity.
 type SpillCounts struct {
@@ -50,6 +53,14 @@ func (en *Engine) retireAfter(root *prog.Function) {
 	for _, fn := range fns {
 		en.evict(fn)
 	}
+	// The DFS is between roots, so everything in its own buffers is
+	// dead — and would pin the evicted blocks, their instances and the
+	// ASTs about to be released until a later root overwrote it.
+	clear(en.backtrace[:cap(en.backtrace)])
+	clear(en.snapshot[:cap(en.snapshot)])
+	clear(en.outs[:cap(en.outs)])
+	clear(en.parts[:cap(en.parts)])
+	en.ctx = pattern.Ctx{}
 	if en.onRetire != nil {
 		en.onRetire(fns)
 	}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/checkers"
 	"repro/internal/metal"
@@ -62,10 +64,50 @@ func TestStreamingRunMatchesInMemory(t *testing.T) {
 	}
 }
 
+// slabArrays counts the edge and fpSeen-key arrays reachable from v
+// through the engine's own types — edge sets, fpSeen sets and the slabs
+// their first elements are carved from alike — wherever they hang: a
+// funcInfo, the interner or the engine itself. The compiled dispatch is
+// shared, not the engine's, and its bitsets are skipped.
+func slabArrays(v reflect.Value, seen map[unsafe.Pointer]bool) int {
+	ours := func(t reflect.Type) bool {
+		for t.Kind() == reflect.Pointer || t.Kind() == reflect.Slice || t.Kind() == reflect.Map {
+			t = t.Elem()
+		}
+		return t.PkgPath() == "repro/internal/core" && t != reflect.TypeOf(CompiledDispatch{})
+	}
+	n := 0
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() && !seen[v.UnsafePointer()] && ours(v.Type()) {
+			seen[v.UnsafePointer()] = true
+			n += slabArrays(v.Elem(), seen)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			n += slabArrays(v.Field(i), seen)
+		}
+	case reflect.Map:
+		for it := v.MapRange(); ours(v.Type()) && it.Next(); {
+			n += slabArrays(it.Value(), seen)
+		}
+	case reflect.Slice:
+		if et := v.Type().Elem(); v.Cap() > 0 && (et == reflect.TypeOf(edge{}) || et.Kind() == reflect.Uint64) {
+			n++
+		}
+		for i := 0; ours(v.Type()) && i < v.Len(); i++ {
+			n += slabArrays(v.Index(i), seen)
+		}
+	}
+	return n
+}
+
 // The FPP term/fingerprint table and the fpSeen sets that hold its ids
-// are owned by a function's funcInfo, so retiring the function drops
-// both together: under streaming neither can outgrow the resident
-// units, and inspection afterwards brings nothing back.
+// are owned by a function's funcInfo, and so are the slabs the first
+// edge of every edge set and the first fpSeen key are carved from:
+// retiring the function drops them all together. Under streaming none
+// can outgrow the resident units, and inspection afterwards brings
+// nothing back.
 func TestRetirementDropsFPPState(t *testing.T) {
 	srcs := workload.CallRichTree()
 	fppState := func(en *Engine) (terms, fps, seen int) {
@@ -87,6 +129,9 @@ func TestRetirementDropsFPPState(t *testing.T) {
 	if terms, fps, seen := fppState(resident); terms == 0 || fps == 0 || seen == 0 {
 		t.Fatalf("resident run holds terms=%d fingerprints=%d fpSeen=%d; the tree no longer exercises FPP", terms, fps, seen)
 	}
+	if n := slabArrays(reflect.ValueOf(resident), map[unsafe.Pointer]bool{}); n == 0 {
+		t.Fatal("no edge or fpSeen array found under the resident engine; the walk is blind")
+	}
 
 	p := rebuild(t, "fpp-stream", srcs)
 	en := NewEngine(p, mustTestChecker(t, "free"), DefaultOptions())
@@ -100,6 +145,11 @@ func TestRetirementDropsFPPState(t *testing.T) {
 	}
 	if terms, fps, seen := fppState(en); terms != 0 || fps != 0 || seen != 0 {
 		t.Errorf("retired functions left terms=%d fingerprints=%d fpSeen=%d behind", terms, fps, seen)
+	}
+	// The slabs die with the funcInfo: hung off the interner or the
+	// engine they would pin every retired unit's AST nodes and instances.
+	if n := slabArrays(reflect.ValueOf(en), map[unsafe.Pointer]bool{}); n != 0 {
+		t.Errorf("%d edge or fpSeen arrays are still reachable from the engine after full retirement", n)
 	}
 }
 

@@ -27,11 +27,10 @@ type edge struct {
 // slice, grouped by start tuple: groups in ascending order of the
 // start tuple's rendered key, insertion order within a group — the
 // original string-keyed ordering, which all() therefore yields without
-// sorting or copying. Most blocks of most checkers never store an edge
-// (their patterns never fire there), so the zero value is ready and
-// owns nothing.
+// sorting or copying. The zero value is ready and owns nothing; a set's
+// first edge is carved from its funcInfo's slab, so the methods that
+// add or compare keys are handed the owner.
 type edgeSet struct {
-	in    *interner
 	edges []edge
 }
 
@@ -39,11 +38,11 @@ type edgeSet struct {
 // when there are none, lo == hi is where the first one belongs. Ids
 // and rendered keys correspond one to one, so the binary search only
 // compares strings against other groups.
-func (s *edgeSet) group(id tid) (lo, hi int) {
+func (s *edgeSet) group(in *interner, id tid) (lo, hi int) {
 	lo, hi = 0, len(s.edges)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if f := s.edges[m].from; f != id && s.in.key(f) < s.in.key(id) {
+		if f := s.edges[m].from; f != id && in.key(f) < in.key(id) {
 			lo = m + 1
 		} else {
 			hi = m
@@ -54,9 +53,15 @@ func (s *edgeSet) group(id tid) (lo, hi int) {
 	return lo, hi
 }
 
-// add inserts the edge; it reports whether the edge was new.
-func (s *edgeSet) add(e edge) bool {
-	lo, hi := s.group(e.from)
+// add inserts the edge; it reports whether the edge was new. The first
+// edge of a set lives in fi's slab at capacity one, so the second
+// reallocates the set privately, as every later growth does.
+func (s *edgeSet) add(fi *funcInfo, e edge) bool {
+	if len(s.edges) == 0 {
+		s.edges = carve(&fi.edgeSlab, 3*len(fi.blocks), e)
+		return true
+	}
+	lo, hi := s.group(fi.in, e.from)
 	for _, prev := range s.edges[lo:hi] {
 		if prev.to == e.to {
 			return false
@@ -67,15 +72,15 @@ func (s *edgeSet) add(e edge) bool {
 }
 
 // hasFrom reports whether any edge starts at the given tuple.
-func (s *edgeSet) hasFrom(t Tuple) bool { return len(s.from(t)) > 0 }
+func (s *edgeSet) hasFrom(in *interner, t Tuple) bool { return len(s.from(in, t)) > 0 }
 
 // from returns the edges starting at the tuple. The slice aliases the
 // set: it is valid until the next add.
-func (s *edgeSet) from(t Tuple) []edge {
+func (s *edgeSet) from(in *interner, t Tuple) []edge {
 	if len(s.edges) == 0 {
 		return nil
 	}
-	lo, hi := s.group(s.in.id(t))
+	lo, hi := s.group(in, in.id(t))
 	return s.edges[lo:hi]
 }
 
@@ -113,7 +118,9 @@ type blockInfo struct {
 	// The ids belong to the function's fpp.Table (funcInfo.terms).
 	fpSeen  []uint64
 	fpCount int
-	in      *interner
+	// fi is the function's funcInfo: the interner, and the slabs the
+	// first edge of each set above and the first fpSeen key come from.
+	fi *funcInfo
 }
 
 // fpCacheCap bounds the distinct FPP fingerprints tracked per block.
@@ -126,7 +133,7 @@ func (b *blockInfo) coversUnder(t Tuple, fp uint32) bool {
 	if fp == 0 || b.fpCount > fpCacheCap {
 		return b.covers(t)
 	}
-	_, seen := slices.BinarySearch(b.fpSeen, uint64(fp)<<32|uint64(b.in.id(t)))
+	_, seen := slices.BinarySearch(b.fpSeen, uint64(fp)<<32|uint64(b.fi.in.id(t)))
 	return seen
 }
 
@@ -136,7 +143,7 @@ func (b *blockInfo) noteSeen(t Tuple, fp uint32) {
 	if fp == 0 || b.fpCount > fpCacheCap {
 		return
 	}
-	key := uint64(fp)<<32 | uint64(b.in.id(t))
+	key := uint64(fp)<<32 | uint64(b.fi.in.id(t))
 	i, seen := slices.BinarySearch(b.fpSeen, key)
 	if seen {
 		return
@@ -149,12 +156,16 @@ func (b *blockInfo) noteSeen(t Tuple, fp uint32) {
 			return
 		}
 	}
+	if len(b.fpSeen) == 0 {
+		b.fpSeen = carve(&b.fi.fpSlab, len(b.fi.blocks), key)
+		return
+	}
 	b.fpSeen = slices.Insert(b.fpSeen, i, key)
 }
 
 // covers reports whether the block summary already contains the tuple
 // as the start of some transition edge — the §5.2 cache condition.
-func (b *blockInfo) covers(t Tuple) bool { return b.trans.hasFrom(t) }
+func (b *blockInfo) covers(t Tuple) bool { return b.trans.hasFrom(b.fi.in, t) }
 
 // funcInfo caches per-function analysis state: one blockInfo per
 // basic block, indexed by cfg.Block.ID. The function summary (§6.2) is
@@ -170,18 +181,41 @@ type funcInfo struct {
 	// the fpSeen sets that hold its fingerprint ids: eviction drops
 	// both together.
 	terms fpp.Table
+	in    *interner
+	// edgeSlab and fpSlab are what is left of the chunks that the first
+	// edge of every edge set and the first key of every fpSeen are carved
+	// from: a traversed block owns three singleton sets, and one array
+	// apiece was a tenth of the engine's objects. The slabs are the
+	// funcInfo's, not the engine's, because edges hold AST nodes and
+	// instances: eviction must drop them with the sets (stream.go). A
+	// chunk stays whole until then even if its sets outgrow their slots.
+	edgeSlab []edge
+	fpSlab   []uint64
 }
 
 func newFuncInfo(g *cfg.Graph, in *interner) *funcInfo {
-	fi := &funcInfo{blocks: make([]blockInfo, len(g.Blocks))}
+	fi := &funcInfo{blocks: make([]blockInfo, len(g.Blocks)), in: in}
 	for i := range fi.blocks {
-		bi := &fi.blocks[i]
-		bi.in = in
-		for _, s := range []*edgeSet{&bi.trans, &bi.adds, &bi.gstate, &bi.sfxTrans, &bi.sfxAdds} {
-			s.in = in
-		}
+		fi.blocks[i].fi = fi
 	}
 	return fi
+}
+
+// slabChunk bounds one slab chunk, so that a long function that is
+// barely entered does not pay for all of its blocks up front.
+const slabChunk = 32
+
+// carve cuts a one-element slice of capacity one off the slab and
+// stores v in it. A used-up slab is replaced by a chunk of want
+// elements, at most slabChunk.
+func carve[T any](slab *[]T, want int, v T) []T {
+	if len(*slab) == 0 {
+		*slab = make([]T, min(max(want, 1), slabChunk))
+	}
+	s := (*slab)[:1:1]
+	*slab = (*slab)[1:]
+	s[0] = v
+	return s
 }
 
 func (fi *funcInfo) info(b *cfg.Block) *blockInfo { return &fi.blocks[b.ID] }
@@ -232,17 +266,18 @@ func relax(backtrace []traceEntry, final *blockInfo, seedFinal bool, locals map[
 // instance edges always seed: they carry the reachable exit gstates
 // that function-summary application reads.
 func seedSuffix(bi *blockInfo, locals map[string]bool) {
+	fi := bi.fi
 	for _, e := range bi.gstate.all() {
-		bi.sfxTrans.add(e)
+		bi.sfxTrans.add(fi, e)
 	}
 	for _, e := range bi.trans.all() {
-		if !bi.in.suffixSkip(e, locals) {
-			bi.sfxTrans.add(e)
+		if !fi.in.suffixSkip(e, locals) {
+			bi.sfxTrans.add(fi, e)
 		}
 	}
 	for _, e := range bi.adds.all() {
-		if !bi.in.suffixSkip(e, locals) {
-			bi.sfxAdds.add(e)
+		if !fi.in.suffixSkip(e, locals) {
+			bi.sfxAdds.add(fi, e)
 		}
 	}
 }
@@ -272,7 +307,7 @@ func compose(pe, sfx edge) edge {
 // summary into cur's suffix summary; it reports whether anything new
 // was added.
 func combineSuffix(cur, next *blockInfo, locals map[string]bool) bool {
-	in := cur.in
+	fi, in := cur.fi, cur.fi.in
 	grew := false
 	// On a loop cur can be next: range over next's edges as they stand,
 	// not as cur's additions shift them.
@@ -289,7 +324,7 @@ func combineSuffix(cur, next *blockInfo, locals map[string]bool) bool {
 	for _, et := range snapshot(next.sfxTrans.all()) {
 		if from := &in.tups[et.from]; from.obj == "" {
 			for _, ge := range cur.gstate.all() {
-				if in.tups[ge.to].g == from.g && cur.sfxTrans.add(compose(ge, et)) {
+				if in.tups[ge.to].g == from.g && cur.sfxTrans.add(fi, compose(ge, et)) {
 					grew = true
 				}
 			}
@@ -300,7 +335,7 @@ func combineSuffix(cur, next *blockInfo, locals map[string]bool) bool {
 				if pe.to != et.from {
 					continue
 				}
-				if ne := compose(pe, et); !in.suffixSkip(ne, locals) && sfx.add(ne) {
+				if ne := compose(pe, et); !in.suffixSkip(ne, locals) && sfx.add(fi, ne) {
 					grew = true
 				}
 			}
@@ -319,7 +354,7 @@ func combineSuffix(cur, next *blockInfo, locals map[string]bool) bool {
 			}
 			ne := ea
 			ne.from = in.id(unknownTuple(in.tups[ge.from].g, from.varName, from.obj))
-			if !in.suffixSkip(ne, locals) && cur.sfxAdds.add(ne) {
+			if !in.suffixSkip(ne, locals) && cur.sfxAdds.add(fi, ne) {
 				grew = true
 			}
 		}
@@ -332,9 +367,8 @@ func combineSuffix(cur, next *blockInfo, locals map[string]bool) bool {
 // only content ("Edges that start and end in a tuple containing the
 // placeholder <> are omitted from the cache unless this tuple is the
 // only element in the cache").
-func formatEdges(trans, adds *edgeSet) string {
+func formatEdges(in *interner, trans, adds *edgeSet) string {
 	var parts []string
-	in := trans.in
 	render := func(e edge) string { return in.key(e.from) + " --> " + in.key(e.to) }
 	for _, e := range trans.all() {
 		if in.tups[e.from].obj == "" && in.tups[e.to].obj == "" {
@@ -362,7 +396,7 @@ func (en *Engine) BlockSummaryString(fnName string, b *cfg.Block) string {
 		return ""
 	}
 	bi := en.funcInfo(fn).info(b)
-	return formatEdges(&bi.trans, &bi.adds)
+	return formatEdges(en.intern, &bi.trans, &bi.adds)
 }
 
 // SuffixSummaryString renders the suffix summary (the middle field of
@@ -373,7 +407,7 @@ func (en *Engine) SuffixSummaryString(fnName string, b *cfg.Block) string {
 		return ""
 	}
 	bi := en.funcInfo(fn).info(b)
-	return formatEdges(&bi.sfxTrans, &bi.sfxAdds)
+	return formatEdges(en.intern, &bi.sfxTrans, &bi.sfxAdds)
 }
 
 // SupergraphString renders every block of a function with its block

@@ -141,6 +141,10 @@ type Ctx struct {
 	Locals     map[string]bool
 	BranchCond cc.Expr
 	ReturnExpr cc.Expr
+	// args is Callout.Match's argument buffer, reused from one callout
+	// to the next: a callout does not re-enter Match and must not keep
+	// its argument slice.
+	args []CalloutArg
 }
 
 // Pattern is a compiled metal pattern.
@@ -556,21 +560,22 @@ func (c *Callout) Match(ctx *Ctx, prior Bindings) (Bindings, bool) {
 	if !ok {
 		return nil, false
 	}
-	args := make([]CalloutArg, len(c.ArgSrcs))
-	for i, src := range c.ArgSrcs {
+	args := ctx.args[:0]
+	for _, src := range c.ArgSrcs {
 		switch {
 		case src.isStr:
-			args[i] = CalloutArg{Str: src.str, IsStr: true}
+			args = append(args, CalloutArg{Str: src.str, IsStr: true})
 		case src.isNum:
-			args[i] = CalloutArg{Int: src.num, IsInt: true}
+			args = append(args, CalloutArg{Int: src.num, IsInt: true})
 		default:
 			arg := CalloutArg{Bound: true, Name: src.hole}
 			if b, ok := prior[src.hole]; ok {
 				arg.Binding = b
 			}
-			args[i] = arg
+			args = append(args, arg)
 		}
 	}
+	ctx.args = args
 	if fn(ctx, args) {
 		return prior.clone(), true
 	}
