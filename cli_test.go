@@ -353,3 +353,19 @@ int fresh_bug(int *q) {
 		t.Errorf("run 3 should show only the fresh bug:\n%s", out)
 	}
 }
+
+// TestRemovedModeFlagRejected: a run has one mode (DESIGN.md §12), and
+// the flag that switched between two is an unknown flag to both binaries:
+// exit 2, before anything runs or listens.
+func TestRemovedModeFlagRejected(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns go run")
+	}
+	flag := "-max-" + "resident-mb"
+	for _, cmd := range []string{"./cmd/xgcc", "./cmd/xgccd"} {
+		out, err := runCmd(t, cmd, flag, "1")
+		if err == nil || !strings.Contains(out, "flag provided but not defined: "+flag) || !strings.Contains(out, "exit status 2") {
+			t.Errorf("%s %s 1: err %v, want an unknown-flag error and exit status 2:\n%.300s", cmd, flag, err, out)
+		}
+	}
+}

@@ -51,7 +51,7 @@ func main() {
 		list         = flag.Bool("list", false, "list bundled checkers and exit")
 		rankMode     = flag.String("rank", "generic", "report ordering: generic, z, or grouped")
 		stats        = flag.Bool("stats", false, "print engine statistics")
-		supergraph   = flag.String("supergraph", "", "print block/suffix summaries for the named function (Figure 5 style); runs live and resident, ignoring -cache and -max-resident-mb")
+		supergraph   = flag.String("supergraph", "", "print block/suffix summaries for the named function (Figure 5 style), rendered as its unit retires; drops -cache for the run (a replayed unit is not traversed)")
 		twoPass      = flag.Bool("two-pass", false, "emit ASTs to temp files and reload them (the paper's pass 1/pass 2 pipeline)")
 		detailed     = flag.Bool("why", false, "print why-traces with each report")
 		verify       = flag.Bool("verify", false, "run the second-tier feasibility pass: replay each report's witness path and annotate it confirmed/infeasible/unknown (verdicts never add or remove reports or change exit codes)")
@@ -68,7 +68,6 @@ func main() {
 		pathSteps    = flag.Int64("budget-path-steps", 0, "per-path program-point budget; a tripped budget truncates the path and flags the run degraded (0 = unbounded)")
 		funcBlocks   = flag.Int64("budget-func-blocks", 0, "per-root block-visit budget (0 = unbounded)")
 		funcTime     = flag.Duration("budget-func-time", 0, "per-root wall-clock budget (0 = unbounded)")
-		maxResident  = flag.Int("max-resident-mb", 0, "streaming switch: any value > 0 drops per-function analysis state and releases ASTs once their unit retires (the number is not a limit); output is byte-identical, and the run keeps no per-function state for inspection (0 = keep everything resident)")
 		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile   = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
@@ -113,11 +112,9 @@ func main() {
 	opts.Interprocedural = !*intra
 	opts.FPP = !*noFPP
 	if *supergraph != "" {
-		// Inspection shows what this run traversed and still holds: a
-		// replayed unit is not traversed and a retired one is dropped
-		// for good, so -supergraph asks for a live, resident run.
+		// Inspection shows what this run traversed, and a replayed unit
+		// is not traversed: -supergraph asks for a live run.
 		*cacheDir = ""
-		*maxResident = 0
 	}
 	if err := a.Configure(mc.RunConfig{
 		Options:  &opts,
@@ -129,7 +126,7 @@ func main() {
 			FuncBlocks: *funcBlocks,
 			FuncTime:   *funcTime,
 		},
-		MaxResidentMB: *maxResident,
+		Supergraph: *supergraph,
 	}); err != nil {
 		fatal(err)
 	}
@@ -279,11 +276,9 @@ func main() {
 	}
 	fmt.Printf("%d reports\n", len(res.Reports))
 
-	if *supergraph != "" {
-		for _, name := range sortedNames(res.Engines) {
-			fmt.Printf("--- supergraph of %s under checker %s ---\n", *supergraph, name)
-			fmt.Print(res.Engines[name].SupergraphString(*supergraph))
-		}
+	for _, name := range sortedNames(res.Supergraph) {
+		fmt.Printf("--- supergraph of %s under checker %s ---\n", *supergraph, name)
+		fmt.Print(res.Supergraph[name])
 	}
 	if *stats {
 		for _, n := range sortedNames(res.Stats) {
@@ -296,9 +291,7 @@ func main() {
 				feasStats.Done, feasStats.Confirmed, feasStats.Infeasible, feasStats.Unknown,
 				feasStats.CacheHits, feasStats.P50Micros, feasStats.P95Micros)
 		}
-		if sp := res.Spill; sp != nil {
-			fmt.Printf("stream: evictions=%d asts-released=%d\n", sp.Evictions, sp.ASTsReleased)
-		}
+		fmt.Printf("stream: evictions=%d asts-released=%d\n", res.Spill.Evictions, res.Spill.ASTsReleased)
 		if in := res.Incr; in != nil {
 			fmt.Printf("cache: files parsed=%d; units live=%d replayed=%d; funcs live=%d replayed=%d changed=%d invalidated=%d; store hits=%d misses=%d puts=%d put-errors=%d\n",
 				in.FilesReparsed, in.UnitsLive, in.UnitsReplayed,

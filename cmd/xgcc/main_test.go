@@ -12,6 +12,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/checkers"
+	"repro/internal/core"
+	"repro/internal/prog"
 )
 
 const buggySrc = `void kfree(void *p);
@@ -196,23 +200,36 @@ func TestCacheFlagWarmRunIdentical(t *testing.T) {
 	}
 }
 
-// TestSupergraphRunsResident: inspection needs the engine's resident
-// state and a streaming run's retirement is final, so -supergraph drops
-// -max-resident-mb for its run as it drops -cache, and renders what the
-// plain run renders.
+// TestSupergraphRunsResident: every run retires what it has finished
+// with, and -supergraph prints what each engine rendered on the way out:
+// byte for byte what a resident engine — a core.Engine nobody called
+// SetRetire on — holds for the function at the end of its run.
 func TestSupergraphRunsResident(t *testing.T) {
 	ringbuf, err := filepath.Abs("../../testdata/corpus/ringbuf.c")
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	plain, code := runXgcc(t, dir, "-checker", "free", "-supergraph", "ring_push", ringbuf)
-	if code != 0 || strings.Count(plain, "\nB") != 9 {
-		t.Fatalf("plain -supergraph: code %d, %d blocks, want 9:\n%s", code, strings.Count(plain, "\nB"), plain)
+	src, err := os.ReadFile(ringbuf)
+	if err != nil {
+		t.Fatal(err)
 	}
-	streamed, code := runXgcc(t, dir, "-checker", "free", "-max-resident-mb", "1", "-supergraph", "ring_push", ringbuf)
-	if code != 0 || streamed != plain {
-		t.Errorf("-supergraph under -max-resident-mb differs from the plain run (code %d):\nplain:\n%s\nstreamed:\n%s", code, plain, streamed)
+	p, err := prog.BuildSource(map[string]string{ringbuf: string(src)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := checkers.Parse("interrupt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resident := core.NewEngine(p, c, core.DefaultOptions())
+	resident.Run()
+	want := "--- supergraph of ring_push under checker " + c.Name + " ---\n" + resident.SupergraphString("ring_push")
+	if strings.Count(want, "\nB") != 9 || !strings.Contains(want, "->") {
+		t.Fatalf("the resident engine rendered %d blocks, want 9 and some edges:\n%s", strings.Count(want, "\nB"), want)
+	}
+	out, code := runXgcc(t, t.TempDir(), "-checker", "interrupt", "-supergraph", "ring_push", ringbuf)
+	if code != 0 || !strings.HasSuffix(out, "reports\n"+want) {
+		t.Errorf("-supergraph (code %d) printed:\n%s\nthe resident engine holds:\n%s", code, out, want)
 	}
 }
 
@@ -243,13 +260,16 @@ func TestSupergraphSectionsSorted(t *testing.T) {
 	}
 }
 
-// TestRemovedFlagRejected: the spill store went and -spill-dir with it.
+// TestRemovedFlagRejected: the spill store went and -spill-dir with it;
+// a run has one mode and the switch between two went with the other.
 func TestRemovedFlagRejected(t *testing.T) {
 	dir := t.TempDir()
 	buggy := writeSrc(t, dir, "buggy.c", buggySrc)
-	out, code := runXgcc(t, dir, "-spill-dir", "x", buggy)
-	if code != 2 || !strings.Contains(out, "flag provided but not defined: -spill-dir") {
-		t.Errorf("-spill-dir: code %d, want 2 and an unknown-flag error: %.200s", code, out)
+	for _, flag := range []string{"-spill-dir", "-max-" + "resident-mb"} {
+		out, code := runXgcc(t, dir, flag, "1", buggy)
+		if code != 2 || !strings.Contains(out, "flag provided but not defined: "+flag) {
+			t.Errorf("%s: code %d, want 2 and an unknown-flag error: %.200s", flag, code, out)
+		}
 	}
 }
 

@@ -66,7 +66,6 @@ func main() {
 		pathSteps   = flag.Int64("budget-path-steps", 0, "per-path program-point budget (0 = unbounded)")
 		funcBlocks  = flag.Int64("budget-func-blocks", 0, "per-root block-visit budget (0 = unbounded)")
 		funcTime    = flag.Duration("budget-func-time", 0, "per-root wall-clock budget (0 = unbounded)")
-		maxResident = flag.Int("max-resident-mb", 0, "streaming switch: any value > 0 drops per-function analysis state and releases ASTs after unit retirement (the number is not a limit); output unchanged (0 = keep everything resident)")
 		verify      = flag.Bool("verify", false, "run the asynchronous feasibility-verdict pipeline: analyze responses return immediately with verdict \"unverified\" and background workers annotate reports confirmed/infeasible/unknown (DESIGN.md §13)")
 		verifyJobs  = flag.Int("verify-workers", 1, "verdict worker pool size (requires -verify)")
 
@@ -118,7 +117,6 @@ func main() {
 			FuncBlocks: *funcBlocks,
 			FuncTime:   *funcTime,
 		},
-		MaxResidentMB: *maxResident,
 		Verify:        *verify,
 		VerifyWorkers: *verifyJobs,
 	}

@@ -6,7 +6,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -24,19 +23,12 @@ func main() {
 
 	a := mc.NewAnalyzer()
 	a.AddSource("base.c", pr.Source)
-	// The analyzer needs at least one checker to run; the free checker
-	// doubles as a sanity pass here.
-	if err := a.LoadBundledChecker("free"); err != nil {
-		log.Fatal(err)
-	}
-	res, err := a.RunContext(context.Background())
+	pairs, err := a.InferPairs(func(name string) bool {
+		return strings.HasPrefix(name, "res_") || strings.HasPrefix(name, "misc_")
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	pairs := res.InferPairs(func(name string) bool {
-		return strings.HasPrefix(name, "res_") || strings.HasPrefix(name, "misc_")
-	})
 
 	fmt.Println("inferred candidate rules (z-ranked — only the top is trustworthy):")
 	fmt.Print(checkers.FormatPairs(pairs, 6))

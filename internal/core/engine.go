@@ -142,9 +142,9 @@ type Engine struct {
 	// Failure is set when the checker panicked mid-run (a metal action
 	// or Go-callout bug); reports emitted before the crash survive.
 	Failure *CheckerFailure
-	// Spill tallies streaming-mode activity: funcInfo evictions at
-	// unit retirement (stream.go).
-	Spill SpillCounts
+	// Evictions counts funcInfo blocks dropped at unit retirement
+	// (stream.go).
+	Evictions int64
 
 	// Run-scoped governance state (see governance.go). govern gates
 	// the per-block checks: it is false unless a cancellable context
@@ -183,10 +183,14 @@ type Engine struct {
 	compiled   *CompiledDispatch
 	checkerIdx int
 	entryIDs   map[metal.StateRef][]int32
-	// Streaming mode (stream.go): retire schedules eviction, onRetire
-	// notifies the mc releaser.
-	retire   *prog.RetirePlan
-	onRetire func([]*prog.Function)
+	// Retirement (stream.go): rootsRun counts the roots run per unit,
+	// by unit index (nil = this engine never retires); onRetire
+	// notifies the mc releaser; inspect names the function whose
+	// supergraph is rendered, into inspected, before its unit goes.
+	rootsRun  []int32
+	onRetire  func(*prog.Unit)
+	inspect   string
+	inspected string
 
 	// Memory whose lifetime is the DFS's is the engine's, not re-made per
 	// split, per point or per call (DESIGN.md §5).
@@ -1409,7 +1413,7 @@ func (en *Engine) emitReport(ctx *ActionCtx, msg string) {
 	}
 	// Witness path for the feasibility pass, rendered while the ASTs
 	// are guaranteed live (emission happens mid-traversal, before any
-	// streaming-mode retirement).
+	// retirement).
 	r.Path = st.plog.render()
 	en.Reports.Add(r)
 }

@@ -240,8 +240,8 @@ func (en *Engine) RunRootsContext(ctx context.Context, roots []*prog.Function) [
 		before := len(en.Reports.Reports)
 		en.runRootIsolated(root)
 		out = append(out, RootRun{Root: root, Reports: en.Reports.Reports[before:]})
-		// Streaming mode: drop whatever this root's completion
-		// retired (stream.go; no-op without SetRetire).
+		// Drop whatever this root's completion retired (stream.go;
+		// no-op without SetRetire).
 		en.retireAfter(root)
 	}
 	// The interner's struct-key cache is run-scoped: dropping it here

@@ -256,7 +256,7 @@ func (en *Engine) ImportSummaries(sd *SummaryData) {
 	for _, fd := range sd.Funcs {
 		fn := en.Prog.FuncByID(fd.Func)
 		if fn == nil || fn.Graph == nil {
-			// Unknown function, or one whose AST the streaming mode
+			// Unknown function, or one whose body has been
 			// released: without its CFG the block ids cannot be mapped
 			// back.
 			continue

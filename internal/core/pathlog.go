@@ -30,7 +30,7 @@ const (
 
 // pathEvent is one recorded step. Expressions stay as AST pointers
 // until a report renders them (emitReport runs mid-traversal, before
-// any streaming-mode AST retirement).
+// any AST retirement).
 type pathEvent struct {
 	kind  string
 	pos   cc.Pos

@@ -1,57 +1,65 @@
 package core
 
-// Streaming & memory bounding (DESIGN.md §12). The engine's
-// per-function caches — block summaries, suffix summaries, FPP term
-// tables — are what actually grows with tree size; the streaming mode
-// deletes them as soon as the unit DAG proves no in-flight traversal
-// can read them again. Retirement is final: nothing is written
-// anywhere and nothing comes back, so a streaming engine keeps no
-// per-function state for inspection after its run.
-//
-// Determinism argument: eviction happens only at unit retirement —
-// after the last root of a weakly-connected call-graph component has
-// finished — and prog.Units guarantees no call edge crosses a
-// component boundary, so no later traversal, in any phase or at any
-// parallelism level, can observe the evicted state, and output stays
-// byte-identical to the in-memory run.
+// Retirement (DESIGN.md §12). A retiring engine drops a call-graph
+// unit's funcInfo blocks — summaries, FPP term tables, slabs — when the
+// unit's last root has finished. No call edge crosses a unit boundary and
+// summaries flow only along call edges, so no later traversal can read
+// them: output is that of an engine nobody called SetRetire on. Nothing
+// comes back, so what is to be inspected is rendered on the way out.
 
-import (
-	"repro/internal/pattern"
-	"repro/internal/prog"
-)
+import "repro/internal/prog"
 
-// SpillCounts tallies one engine's streaming activity.
-type SpillCounts struct {
-	// Evictions counts funcInfo blocks released at unit retirement.
-	Evictions int64 `json:"evictions"`
-}
-
-// SetRetire installs the unit-retirement schedule driving eviction:
-// after each root in the engine's traversal order completes, the
-// funcInfo blocks of the functions plan.After(root) returns are
-// dropped. onRetire (optional) is invoked with the retired functions
-// afterwards, under the engine's goroutine — the mc layer uses it to
-// refcount engines for AST release. Must be called before the engine
-// runs.
-func (en *Engine) SetRetire(plan *prog.RetirePlan, onRetire func([]*prog.Function)) {
-	en.retire = plan
+// SetRetire makes the engine retire: it counts the roots it has run per
+// unit, in whatever order they arrive (each at most once), and evicts
+// the unit when all have, so a unit with a root withheld never retires.
+// onRetire (optional) is then called with the unit on the engine's
+// goroutine; mc counts checker passes with it to release ASTs. Must be
+// called before the engine runs.
+func (en *Engine) SetRetire(onRetire func(*prog.Unit)) {
+	en.rootsRun = make([]int32, len(en.Prog.Units()))
 	en.onRetire = onRetire
 }
 
-// retireAfter runs the eviction schedule for one completed root. A
-// failed or cancelled engine stops evicting: its remaining state is
-// about to be discarded wholesale, and the panic may have left this
-// root's unit half-traversed.
+// Inspect names one function whose SupergraphString a retiring engine
+// renders just before it evicts the function's unit. Must be called
+// before the engine runs.
+func (en *Engine) Inspect(fnName string) { en.inspect = fnName }
+
+// Inspection returns the supergraph of the function Inspect named — as
+// rendered at retirement, or as it stands if the unit never retired (a
+// failed or cancelled engine, a withheld root) — and false if there is
+// no such function or this engine ran no root of its unit.
+func (en *Engine) Inspection() (string, bool) {
+	fn := en.Prog.Lookup(en.inspect)
+	if fn == nil || en.rootsRun == nil || en.rootsRun[fn.Unit.Index] == 0 {
+		return "", false
+	}
+	if en.inspected == "" {
+		return en.SupergraphString(en.inspect), true
+	}
+	return en.inspected, true
+}
+
+// retireAfter counts one root that has been run and retires its unit
+// with the last. A failed or cancelled engine stops retiring: its state is about
+// to be discarded wholesale, and the panic may have left this root's
+// unit half-traversed.
 func (en *Engine) retireAfter(root *prog.Function) {
-	if en.retire == nil || en.Failure != nil || en.cancelled {
+	if en.rootsRun == nil {
 		return
 	}
-	fns := en.retire.After(root)
-	if len(fns) == 0 {
+	u := root.Unit
+	if en.rootsRun[u.Index]++; int(en.rootsRun[u.Index]) != len(u.Roots) || en.Failure != nil || en.cancelled {
 		return
 	}
-	for _, fn := range fns {
-		en.evict(fn)
+	if fn := en.Prog.Lookup(en.inspect); fn != nil && fn.Unit == u {
+		en.inspected = en.SupergraphString(en.inspect)
+	}
+	for _, fn := range u.Funcs {
+		if en.funcs[fn.Index] != nil {
+			en.funcs[fn.Index] = nil
+			en.Evictions++
+		}
 	}
 	// The DFS is between roots, so everything in its own buffers is
 	// dead — and would pin the evicted blocks, their instances and the
@@ -60,16 +68,8 @@ func (en *Engine) retireAfter(root *prog.Function) {
 	clear(en.snapshot[:cap(en.snapshot)])
 	clear(en.outs[:cap(en.outs)])
 	clear(en.parts[:cap(en.parts)])
-	en.ctx = pattern.Ctx{}
+	en.ctx.Reset()
 	if en.onRetire != nil {
-		en.onRetire(fns)
-	}
-}
-
-// evict drops one function's funcInfo block and counts it.
-func (en *Engine) evict(fn *prog.Function) {
-	if en.funcs[fn.Index] != nil {
-		en.funcs[fn.Index] = nil
-		en.Spill.Evictions++
+		en.onRetire(u)
 	}
 }

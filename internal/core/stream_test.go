@@ -1,20 +1,24 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
 
+	"repro/internal/cc"
 	"repro/internal/checkers"
 	"repro/internal/metal"
 	"repro/internal/prog"
+	"repro/internal/report"
 	"repro/internal/workload"
 )
 
-// A streaming engine — one with a retirement schedule — must report
-// exactly what the in-memory engine reports and evict every function it
-// touched, for good: afterwards it renders no summary edge.
+// A retiring engine must report exactly what the engine nobody called
+// SetRetire on reports and evict every function it touched, for good:
+// afterwards it renders no summary edge.
 func TestStreamingRunMatchesInMemory(t *testing.T) {
 	srcs, _ := workload.MixedTree(2, 10, 7)
 
@@ -29,16 +33,16 @@ func TestStreamingRunMatchesInMemory(t *testing.T) {
 	en := NewEngine(streamProg, mustTestChecker(t, "lock"), DefaultOptions())
 
 	var retired []*prog.Function
-	en.SetRetire(streamProg.PlanRetire(streamProg.Roots), func(fns []*prog.Function) {
-		retired = append(retired, fns...)
+	en.SetRetire(func(u *prog.Unit) {
+		retired = append(retired, u.Funcs...)
 	})
 	got := reportKeys(en.Run())
 
 	if !equalKeys(got, plainReports) {
-		t.Errorf("streaming run changed reports:\n  plain:     %v\n  streaming: %v", plainReports, got)
+		t.Errorf("retirement changed reports:\n  resident: %v\n  retiring: %v", plainReports, got)
 	}
-	if en.Spill.Evictions == 0 {
-		t.Error("streaming run evicted nothing")
+	if en.Evictions == 0 {
+		t.Error("the retiring run evicted nothing")
 	}
 	if n := liveFuncInfos(en); n != 0 {
 		t.Errorf("%d funcInfo blocks survived full retirement; want 0", n)
@@ -105,9 +109,8 @@ func slabArrays(v reflect.Value, seen map[unsafe.Pointer]bool) int {
 // The FPP term/fingerprint table and the fpSeen sets that hold its ids
 // are owned by a function's funcInfo, and so are the slabs the first
 // edge of every edge set and the first fpSeen key are carved from:
-// retiring the function drops them all together. Under streaming none
-// can outgrow the resident units, and inspection afterwards brings
-// nothing back.
+// retiring the function drops them all together. None can outgrow the
+// units still in flight, and inspection afterwards brings nothing back.
 func TestRetirementDropsFPPState(t *testing.T) {
 	srcs := workload.CallRichTree()
 	fppState := func(en *Engine) (terms, fps, seen int) {
@@ -135,7 +138,7 @@ func TestRetirementDropsFPPState(t *testing.T) {
 
 	p := rebuild(t, "fpp-stream", srcs)
 	en := NewEngine(p, mustTestChecker(t, "free"), DefaultOptions())
-	en.SetRetire(p.PlanRetire(p.Roots), nil)
+	en.SetRetire(nil)
 	en.Run()
 	if n := liveFuncInfos(en); n != 0 {
 		t.Fatalf("%d funcInfo blocks survived full retirement", n)
@@ -154,16 +157,31 @@ func TestRetirementDropsFPPState(t *testing.T) {
 }
 
 // A released function body renders an empty supergraph instead of
-// panicking — the documented inspection degradation of streaming mode.
+// panicking, and the release writes nothing through the declaration it
+// was built from: the caller of AddAST still owns that.
 func TestReleasedBodyRendersEmpty(t *testing.T) {
 	srcs, _ := workload.MixedTree(2, 10, 7)
-	p := rebuild(t, "stream-release", srcs)
+	files, err := cc.ParseFiles(srcs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := prog.Build(files...)
 	en := NewEngine(p, mustTestChecker(t, "lock"), DefaultOptions())
 	en.Run()
 	fn := p.All[0]
+	decl, id := files[0].Funcs()[0], prog.FuncID(fn)
+	if decl.Name != fn.Name || decl.Body == nil {
+		t.Fatalf("%s is not the declaration %s was built from", decl.Name, fn.Name)
+	}
 	fn.ReleaseBody()
 	if fn.Graph != nil || fn.Decl.Body != nil || fn.Sites != nil || fn.NonParamLocals != nil {
 		t.Fatal("ReleaseBody left the CFG, the body or the program model behind")
+	}
+	if decl.Body == nil {
+		t.Fatal("ReleaseBody wrote through the declaration it was handed")
+	}
+	if prog.FuncID(fn) != id || len(fn.Decl.Params) != len(decl.Params) {
+		t.Fatal("ReleaseBody lost the declaration shell")
 	}
 	if got := en.SupergraphString(fn.Name); got != "" {
 		t.Errorf("released %s rendered %q; want empty", fn.Name, got)
@@ -192,4 +210,157 @@ func mustTestChecker(t *testing.T, name string) *metal.Checker {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// retireSrc has two units: A = {a1, a2, a3, a_leaf} (three roots sharing
+// a callee) and B = {b1} (a singleton).
+const retireSrc = `
+void kfree(void *p);
+int a_leaf(int *p, int f) { if (f) kfree(p); return 0; }
+int a1(int *p) { kfree(p); a_leaf(p, 1); return *p; }
+int a2(int *p) { a_leaf(p, 0); return *p; }
+int a3(int *p, int n) { a_leaf(p, n); return *p; }
+int b1(int *q) { kfree(q); return *q; }
+`
+
+// retirement is one entry of a retiring engine's log: which unit went
+// after how many roots.
+type retirement struct {
+	unit  *prog.Unit
+	after int
+}
+
+// retireRun runs the roots one at a time on a resident engine and on a
+// retiring one that inspects a_leaf, and returns both with the retiring
+// engine's retirement log.
+func retireRun(t *testing.T, roots func(*prog.Program) []*prog.Function) (ref, en *Engine, order []*prog.Function, log []retirement) {
+	t.Helper()
+	refProg := rebuild(t, "retire-ref", map[string]string{"r.c": retireSrc})
+	ref = NewEngine(refProg, mustTestChecker(t, "free"), DefaultOptions())
+	for _, r := range roots(refProg) {
+		ref.RunRootsContext(context.Background(), []*prog.Function{r})
+	}
+	p := rebuild(t, "retire", map[string]string{"r.c": retireSrc})
+	en = NewEngine(p, mustTestChecker(t, "free"), DefaultOptions())
+	ran := 0
+	en.SetRetire(func(u *prog.Unit) { log = append(log, retirement{u, ran}) })
+	en.Inspect("a_leaf")
+	order = roots(p)
+	for _, r := range order {
+		ran++
+		en.RunRootsContext(context.Background(), []*prog.Function{r})
+	}
+	if got, want := reportStream(en.Reports), reportStream(ref.Reports); !equalKeys(got, want) {
+		t.Errorf("retirement changed the report stream:\n  resident: %v\n  retiring: %v", want, got)
+	}
+	return ref, en, order, log
+}
+
+// reportStream lists a set's reports in emission order.
+func reportStream(rs *report.Set) []string {
+	var out []string
+	for _, r := range rs.Reports {
+		out = append(out, fmt.Sprintf("%s|%s|%s", r.Pos, r.Checker, r.Msg))
+	}
+	return out
+}
+
+func namedRoots(names ...string) func(*prog.Program) []*prog.Function {
+	return func(p *prog.Program) []*prog.Function {
+		out := make([]*prog.Function, len(names))
+		for i, n := range names {
+			out[i] = p.Lookup(n)
+		}
+		return out
+	}
+}
+
+// A unit retires exactly once, after its LAST root in whatever order the
+// roots arrive — the invariant eviction safety rests on (no call edge
+// crosses a unit, so nothing after that root can revisit it) — and what
+// the engine rendered on the way out is what the resident engine holds.
+func TestRetireLastRootPerUnit(t *testing.T) {
+	var perms [][]string
+	var permute func(done, rest []string)
+	permute = func(done, rest []string) {
+		if len(rest) == 0 {
+			perms = append(perms, append([]string(nil), done...))
+		}
+		for i := range rest {
+			next := append(append([]string(nil), rest[:i]...), rest[i+1:]...)
+			permute(append(done, rest[i]), next)
+		}
+	}
+	permute(nil, []string{"a1", "a2", "a3", "b1"})
+	if len(perms) != 24 {
+		t.Fatalf("%d permutations", len(perms))
+	}
+	for _, perm := range perms {
+		ref, en, order, log := retireRun(t, namedRoots(perm...))
+		if len(ref.Reports.Reports) == 0 {
+			t.Fatal("the resident run reported nothing; the program regressed")
+		}
+		lastOf := map[*prog.Unit]int{}
+		for i, r := range order {
+			lastOf[r.Unit] = i + 1
+		}
+		if len(lastOf) != 2 || len(log) != 2 {
+			t.Fatalf("%v: %d units, %d retirements; want 2 and 2", perm, len(lastOf), len(log))
+		}
+		for _, ret := range log {
+			if ret.after != lastOf[ret.unit] {
+				t.Errorf("%v: unit %d retired after %d roots; its last root is number %d", perm, ret.unit.Index, ret.after, lastOf[ret.unit])
+			}
+			delete(lastOf, ret.unit)
+		}
+		if len(lastOf) != 0 {
+			t.Errorf("%v: one unit retired twice, the other never", perm)
+		}
+		if n := liveFuncInfos(en); n != 0 {
+			t.Errorf("%v: %d funcInfo blocks survived full retirement", perm, n)
+		}
+		got, ok := en.Inspection()
+		if want := ref.SupergraphString("a_leaf"); !ok || got != want || !strings.Contains(got, "->") {
+			t.Errorf("%v: rendered at retirement (ok=%v):\n%s\nthe resident engine holds:\n%s", perm, ok, got, want)
+		}
+	}
+}
+
+// Withholding one root of a unit means the unit never retires; a unit
+// whose every root ran still does. What was to be inspected is rendered
+// as it stands.
+func TestRetireRootSubset(t *testing.T) {
+	ref, en, order, log := retireRun(t, namedRoots("a1", "b1", "a3"))
+	if len(log) != 1 || log[0].unit != order[1].Unit || log[0].after != 2 {
+		t.Fatalf("retirements %+v; want only b1's unit, after the second root", log)
+	}
+	for _, fn := range order[0].Unit.Funcs {
+		if fn.Name != "a2" && en.funcs[fn.Index] == nil {
+			t.Errorf("%s was evicted although a2 never ran", fn.Name)
+		}
+	}
+	got, ok := en.Inspection()
+	if want := ref.SupergraphString("a_leaf"); !ok || got != want {
+		t.Errorf("inspection of a unit that never retired (ok=%v):\n%s\nwant:\n%s", ok, got, want)
+	}
+}
+
+// No roots, nothing retired, nothing to show; and an engine nobody
+// called SetRetire on never retires at all.
+func TestRetireEmpty(t *testing.T) {
+	_, en, _, log := retireRun(t, namedRoots())
+	if _, ok := en.Inspection(); ok || len(log) != 0 || en.Evictions != 0 {
+		t.Errorf("an engine that ran no root retired %d units, evicted %d blocks, inspection ok=%v", len(log), en.Evictions, ok)
+	}
+	_, en, _, _ = retireRun(t, namedRoots("b1"))
+	if _, ok := en.Inspection(); ok {
+		t.Error("inspection of a_leaf reported by an engine that ran no root of its unit")
+	}
+	p := rebuild(t, "retire-resident", map[string]string{"r.c": retireSrc})
+	resident := NewEngine(p, mustTestChecker(t, "free"), DefaultOptions())
+	resident.Inspect("a_leaf")
+	resident.Run()
+	if _, ok := resident.Inspection(); ok || resident.Evictions != 0 || liveFuncInfos(resident) == 0 {
+		t.Errorf("a resident engine evicted %d blocks (inspection ok=%v)", resident.Evictions, ok)
+	}
 }

@@ -415,8 +415,8 @@ func (en *Engine) SuffixSummaryString(fnName string, b *cfg.Block) string {
 func (en *Engine) SupergraphString(fnName string) string {
 	fn := en.Prog.Lookup(fnName)
 	if fn == nil || fn.Graph == nil {
-		// Unknown function, or one whose AST the streaming mode
-		// released (DESIGN.md §12) — nothing renderable remains.
+		// Unknown function, or one whose body has been released
+		// (DESIGN.md §12) — nothing renderable remains.
 		return ""
 	}
 	var sb strings.Builder

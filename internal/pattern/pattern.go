@@ -147,6 +147,14 @@ type Ctx struct {
 	args []CalloutArg
 }
 
+// Reset zeroes the context, argument buffer included, but keeps the
+// buffer's capacity: for an owner that must not pin what the last match
+// looked at and will match again.
+func (c *Ctx) Reset() {
+	clear(c.args[:cap(c.args)])
+	*c = Ctx{args: c.args[:0]}
+}
+
 // Pattern is a compiled metal pattern.
 type Pattern interface {
 	// Match attempts to match at ctx.Point with the given prior

@@ -36,6 +36,9 @@ type Function struct {
 	Types   cc.TypeMap
 	Callees []*Function
 	Callers []*Function
+	// Unit is the call-graph component the function belongs to
+	// (units.go).
+	Unit *Unit
 	// NonParamLocals is the set of names the body declares, parameters
 	// excluded: the objects that die with the function's frame
 	// ($end_of_path$, §3.2) and that suffix summaries omit (Figure 5).
@@ -102,21 +105,19 @@ func (fn *Function) Site(b *cfg.Block, point int) *CallSite {
 	return &fn.Sites[i]
 }
 
-// ReleaseBody drops the function's CFG, type map, and body AST so the
-// garbage collector can reclaim them — the AST-eviction half of the
-// streaming mode (DESIGN.md §12). The declaration shell (name, file,
-// params) survives, so FuncID, call-graph links, and spill keys keep
-// working; the program model goes with the graph it describes. This is
-// the one sanctioned mutation of a built Program; the
-// caller must guarantee no traversal can still visit the function
-// (prog.Units: no call edge leaves a unit, so once a unit's last root
-// finishes, its functions are unreachable by any in-flight DFS) and
-// must publish the write with an ordering barrier of its own (the mc
-// releaser does it under a mutex its readers also pass through). A
-// released function looks like one without a body: Resolve still finds
-// it, but interprocedural descent treats it as summary-less, exactly
-// the §6 missing-CFG case — which is why release is only sound
-// post-traversal.
+// ReleaseBody drops the function's CFG, type map, program model and
+// body AST so the garbage collector can reclaim them — the AST half of
+// retirement (DESIGN.md §12). The declaration shell (name, file,
+// params) survives, so FuncID and the call-graph links keep working;
+// Decl is the Program's own copy of it (Build), so the declaration a
+// caller handed to AddAST is never written. This is the one sanctioned
+// mutation of a built Program; the caller must guarantee no traversal
+// can still visit the function (no call edge leaves a unit, so once a
+// unit's last root finishes nothing can) and must publish the write
+// with an ordering barrier of its own (the mc releaser does it under a
+// mutex its readers also pass through). A released function looks like
+// one without a body — the §6 missing-CFG case — which is why release
+// is only sound post-traversal.
 func (fn *Function) ReleaseBody() {
 	fn.Graph = nil
 	fn.Types = nil
@@ -134,7 +135,6 @@ func (fn *Function) ReleaseBody() {
 // collector reclaim non-function declarations as soon as the caller's
 // own references lapse (DESIGN.md §12).
 type Program struct {
-	Env *cc.TypeEnv
 	// Funcs maps resolvable names to function definitions. Static
 	// functions are registered under both "file.c:name" and, when not
 	// shadowed by an external definition, the bare name.
@@ -151,6 +151,9 @@ type Program struct {
 	GlobalNames map[string]bool
 	Statics     map[string]string
 
+	// units is the call-graph partition (units.go), built by Build.
+	units []*Unit
+
 	// FuncByID's lazily built index (units.go).
 	byIDOnce sync.Once
 	byID     map[string]*Function
@@ -161,8 +164,10 @@ func staticKey(file, name string) string { return file + ":" + name }
 
 // Build assembles a program from parsed files.
 func Build(files ...*cc.File) *Program {
+	// The type environment indexes every declaration, body included, so
+	// it is Build's own: a released body has no referent in the Program.
+	env := cc.NewTypeEnv(files...)
 	p := &Program{
-		Env:         cc.NewTypeEnv(files...),
 		Funcs:       map[string]*Function{},
 		GlobalNames: map[string]bool{},
 		Statics:     map[string]string{},
@@ -181,7 +186,8 @@ func Build(files ...*cc.File) *Program {
 	// Collect definitions.
 	for _, f := range files {
 		for _, fd := range f.Funcs() {
-			fn := &Function{Name: fd.Name, Index: len(p.All), Decl: fd}
+			decl := *fd // the Program's own: ReleaseBody empties it
+			fn := &Function{Name: fd.Name, Index: len(p.All), Decl: &decl}
 			p.All = append(p.All, fn)
 			if fd.Storage == cc.StorageStatic {
 				p.Funcs[staticKey(f.Name, fd.Name)] = fn
@@ -197,7 +203,7 @@ func Build(files ...*cc.File) *Program {
 	// which links the call graph.
 	for _, fn := range p.All {
 		fn.Graph = cfg.Build(fn.Decl)
-		fn.Types = p.Env.CheckFunc(fn.Decl)
+		fn.Types = env.CheckFunc(fn.Decl)
 		fn.NonParamLocals = map[string]bool{}
 		for name := range fn.Graph.Locals {
 			fn.NonParamLocals[name] = true
@@ -229,6 +235,7 @@ func Build(files ...*cc.File) *Program {
 		}
 	}
 	p.computeRoots()
+	p.buildUnits()
 	return p
 }
 

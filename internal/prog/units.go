@@ -4,8 +4,6 @@
 // safe to call from concurrent engines.
 package prog
 
-import "sort"
-
 // FuncID names a function uniquely and stably across rebuilds of the
 // same sources: defining file plus name. (Static functions in
 // different files share a bare name; the file disambiguates. Two
@@ -30,11 +28,15 @@ func (p *Program) FuncByID(id string) *Function {
 // Unit is one weakly-connected component of the call graph: a maximal
 // set of functions with no call edges in or out. Because the engine's
 // per-function state (block caches, function summaries, analysis
-// counters) is keyed by *Function and only flows along call edges,
+// counters) is keyed by function and only flows along call edges,
 // analyzing a unit in a fresh engine produces exactly the state the
 // shared engine would have built for those functions — the property
-// the incremental cache's replay correctness rests on.
+// the incremental cache's replay correctness rests on — and nothing
+// can read that state once the unit's last root has finished, so the
+// unit list is also the retirement schedule (DESIGN.md §12).
 type Unit struct {
+	// Index is the unit's position in Program.Units().
+	Index int
 	// Funcs lists the member functions in Program.All order.
 	Funcs []*Function
 	// Roots lists the member roots in global Program.Roots order, so
@@ -46,58 +48,63 @@ type Unit struct {
 	FirstRoot int
 }
 
-// components numbers the weakly-connected components of the call graph:
-// a flood fill over undirected call edges, ids in Program.All order of
-// each component's first member. n is the component count.
-func (p *Program) components() (comp map[*Function]int, n int) {
-	comp = map[*Function]int{}
-	for _, fn := range p.All {
-		if _, done := comp[fn]; done {
-			continue
-		}
-		stack := []*Function{fn}
-		comp[fn] = n
-		for len(stack) > 0 {
-			cur := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, nbs := range [2][]*Function{cur.Callees, cur.Callers} {
-				for _, nb := range nbs {
-					if _, done := comp[nb]; !done {
-						comp[nb] = n
-						stack = append(stack, nb)
+// Units returns the partition of the program into units, ordered by
+// the position of each unit's first root in Program.Roots. Every
+// function belongs to exactly one unit (Function.Unit) and every unit
+// has a root (computeRoots reaches every function from Roots). Build
+// computed it; callers only read it.
+func (p *Program) Units() []*Unit { return p.units }
+
+// PlanRetire does nothing: the unit list is the retirement schedule. It
+// stays only because the frozen benchmark/layers.go:344 calls it.
+func (p *Program) PlanRetire([]*Function) {}
+
+// buildUnits is Build's last step: a flood fill over undirected call
+// edges from each root not yet reached, in Program.Roots order, so units
+// come out ordered by FirstRoot. The Unit structs, their Funcs and
+// their Roots are carved from three backing arrays: the partition costs
+// the same six objects whatever its size.
+func (p *Program) buildUnits() {
+	units := make([]Unit, 0, len(p.Roots)) // never regrown: &units[i] is stable
+	nFuncs := make([]int, 2*len(p.Roots))
+	nRoots := nFuncs[len(p.Roots):]
+	stack := make([]*Function, 0, len(p.All)) // a function is pushed once
+	for i, r := range p.Roots {
+		if r.Unit == nil {
+			units = append(units, Unit{Index: len(units), FirstRoot: i})
+			r.Unit = &units[len(units)-1]
+			stack = append(stack, r)
+			for len(stack) > 0 {
+				cur := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				nFuncs[r.Unit.Index]++
+				for _, nbs := range [2][]*Function{cur.Callees, cur.Callers} {
+					for _, nb := range nbs {
+						if nb.Unit == nil {
+							nb.Unit = r.Unit
+							stack = append(stack, nb)
+						}
 					}
 				}
 			}
 		}
-		n++
+		nRoots[r.Unit.Index]++
 	}
-	return comp, n
-}
-
-// Units partitions the program into weakly-connected components of the
-// call graph, ordered by the position of each component's first root
-// in Program.Roots. Every function belongs to exactly one unit, and
-// every unit has at least one root (computeRoots guarantees all
-// functions are reachable from Roots).
-func (p *Program) Units() []*Unit {
-	comp, next := p.components()
-	units := make([]*Unit, next)
+	funcs := make([]*Function, len(p.All))
+	roots := make([]*Function, len(p.Roots))
+	p.units = make([]*Unit, len(units))
 	for i := range units {
-		units[i] = &Unit{FirstRoot: -1}
+		u := &units[i]
+		u.Funcs, funcs = funcs[:0:nFuncs[i]], funcs[nFuncs[i]:]
+		u.Roots, roots = roots[:0:nRoots[i]], roots[nRoots[i]:]
+		p.units[i] = u
 	}
 	for _, fn := range p.All {
-		u := units[comp[fn]]
-		u.Funcs = append(u.Funcs, fn)
+		fn.Unit.Funcs = append(fn.Unit.Funcs, fn)
 	}
-	for i, r := range p.Roots {
-		u := units[comp[r]]
-		u.Roots = append(u.Roots, r)
-		if u.FirstRoot < 0 {
-			u.FirstRoot = i
-		}
+	for _, r := range p.Roots {
+		r.Unit.Roots = append(r.Unit.Roots, r)
 	}
-	sort.Slice(units, func(i, j int) bool { return units[i].FirstRoot < units[j].FirstRoot })
-	return units
 }
 
 // DirtyClosure returns the set of functions whose analysis results an

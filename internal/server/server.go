@@ -85,12 +85,6 @@ type Config struct {
 	RequestTimeout time.Duration
 	// Budgets bounds each traversal inside a run (mc.RunConfig.Budgets).
 	Budgets mc.Budgets
-	// MaxResidentMB is the streaming switch (DESIGN.md §12): any value
-	// > 0 drops per-function analysis state and releases ASTs once
-	// their unit retires, bounding the daemon's peak residency; the
-	// number is not a limit. 0 = keep everything in memory. Output is
-	// identical either way.
-	MaxResidentMB int
 	// Registry is the versioned checker inventory backing the
 	// /v1/checkers routes (DESIGN.md §14). Nil gets a fresh memory-only
 	// registry, so the routes always work; pass registry.Open(dir) to
@@ -164,10 +158,15 @@ type Server struct {
 	checkerFailures int64
 	degradedRuns    int64
 	inflight        int64
-	// Cumulative streaming counters across all runs (zero unless
-	// Config.MaxResidentMB > 0; DESIGN.md §12).
+	// Cumulative retirement (DESIGN.md §12) and store-traffic counters
+	// across all runs; every run has a fresh analyzer, so the per-run
+	// figures in lastIncr fall between scrapes and these do not.
 	spillEvictions int64
 	astsReleased   int64
+	cacheHits      int64
+	cacheMisses    int64
+	cachePuts      int64
+	cachePutErrors int64
 	// Checker-platform counters (DESIGN.md §14): hot-reloads observed
 	// on the analyze path and validation outcomes. lastEnabled tracks
 	// each tenant's active-set fingerprint so a changed set on the next
@@ -293,11 +292,10 @@ func retryAfterSeconds(d time.Duration, inflight int64) int {
 func (s *Server) newAnalyzer(tree map[string]string, tenant string) (*mc.Analyzer, error) {
 	a := mc.NewAnalyzer()
 	cfg := mc.RunConfig{
-		Options:       s.cfg.Options,
-		Jobs:          s.cfg.Jobs,
-		CacheStore:    s.store,
-		Budgets:       s.cfg.Budgets,
-		MaxResidentMB: s.cfg.MaxResidentMB,
+		Options:    s.cfg.Options,
+		Jobs:       s.cfg.Jobs,
+		CacheStore: s.store,
+		Budgets:    s.cfg.Budgets,
 	}
 	if s.cfg.Fleet != nil {
 		cfg.UnitRunner = s.cfg.Fleet.RunnerFor(tenant)
@@ -414,8 +412,7 @@ type AnalyzeResponse struct {
 	Failures     []*mc.CheckerFailure `json:"failures,omitempty"`
 	Degraded     bool                 `json:"degraded,omitempty"`
 	Degradations []mc.DegradeEvent    `json:"degradations,omitempty"`
-	// Streaming-mode accounting for this run (nil unless the daemon
-	// runs with a memory budget; DESIGN.md §12).
+	// What this run retired (DESIGN.md §12).
 	Spill *mc.SpillStats `json:"spill,omitempty"`
 }
 
@@ -682,14 +679,15 @@ func (s *Server) runAnalyze(w http.ResponseWriter, ctx context.Context, tenant s
 	if res.Degraded {
 		s.degradedRuns++
 	}
-	if sp := res.Spill; sp != nil {
-		s.spillEvictions += sp.Evictions
-		s.astsReleased += sp.ASTsReleased
+	s.spillEvictions += res.Spill.Evictions
+	s.astsReleased += res.Spill.ASTsReleased
+	if in := res.Incr; in != nil {
+		s.cacheHits += in.CacheHits
+		s.cacheMisses += in.CacheMisses
+		s.cachePuts += in.CachePuts
+		s.cachePutErrors += in.CachePutErrors
 	}
 	s.srcs = next
-	// Kept for its reports and stats; nothing here inspects, so the
-	// engines (and every summary they hold) go now, not at the next run.
-	res.Engines = nil
 	s.last = res
 	s.lastIncr = res.Incr
 	if s.feas != nil {
@@ -800,10 +798,9 @@ type StatsResponse struct {
 	CheckerFailures int64 `json:"checker_failures"`
 	DegradedRuns    int64 `json:"degraded_runs"`
 	MaxInFlight     int   `json:"max_inflight"`
-	// Streaming counters, cumulative across runs (DESIGN.md §12).
+	// Retirement counters, cumulative across runs (DESIGN.md §12).
 	SpillEvictions int64 `json:"spill_evictions"`
 	ASTsReleased   int64 `json:"asts_released"`
-	MaxResidentMB  int   `json:"max_resident_mb,omitempty"`
 	// Checker-platform counters (DESIGN.md §14): active-set changes
 	// observed on the analyze path, validation outcomes, and the
 	// registry inventory size.
@@ -850,7 +847,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		MaxInFlight:     s.cfg.MaxInFlight,
 		SpillEvictions:  s.spillEvictions,
 		ASTsReleased:    s.astsReleased,
-		MaxResidentMB:   s.cfg.MaxResidentMB,
 		Files:           len(s.srcs),
 		Incr:            s.lastIncr,
 
@@ -938,11 +934,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.last != nil {
 		gauge("xgccd_reports", float64(len(s.last.Reports)), "reports in the last run")
 	}
+	counter("xgccd_cache_hits_total", s.cacheHits, "store hits, all runs")
+	counter("xgccd_cache_misses_total", s.cacheMisses, "store misses, all runs")
+	counter("xgccd_cache_puts_total", s.cachePuts, "store writes, all runs")
+	counter("xgccd_cache_put_errors", s.cachePutErrors, "store writes that failed, all runs (full disk, read-only cache)")
 	if in := s.lastIncr; in != nil {
-		counter("xgccd_cache_hits_total", in.CacheHits, "store hits in the last run")
-		counter("xgccd_cache_misses_total", in.CacheMisses, "store misses in the last run")
-		counter("xgccd_cache_puts_total", in.CachePuts, "store writes in the last run")
-		counter("xgccd_cache_put_errors", in.CachePutErrors, "store writes that failed in the last run (full disk, read-only cache)")
 		if st := in.Store; st != nil {
 			gauge("xgccd_store_records", float64(st.Records), "keys the disk store serves")
 			gauge("xgccd_store_live_bytes", float64(st.LiveBytes), "bytes of the records the disk store serves")

@@ -50,12 +50,13 @@ type RunConfig struct {
 	// Options.Budgets (so callers can pass DefaultOptions plus a
 	// budget without touching the struct).
 	Budgets Budgets
-	// MaxResidentMB is the streaming switch (DESIGN.md §12): any value
-	// > 0 turns unit retirement and AST release on. The number is not a
-	// limit and is not otherwise consulted. Output stays byte-identical
-	// to the in-memory run, and the run keeps no per-function state for
-	// inspection afterwards.
+	// MaxResidentMB is ignored: every run retires (DESIGN.md §12). It
+	// stays only because the frozen benchmark/workloads.go:74 sets it.
 	MaxResidentMB int
+	// Supergraph names one function whose summaries each engine that
+	// traverses it live renders just before retiring its unit
+	// (Result.Supergraph). It changes no traversal and no report.
+	Supergraph string
 	// Timeout bounds each RunContext call; RunContext derives a
 	// deadline context per run. Zero means no analyzer-imposed bound.
 	Timeout time.Duration
@@ -79,8 +80,8 @@ func (a *Analyzer) Configure(cfg RunConfig) error {
 	if cfg.Budgets.Active() {
 		a.opts.Budgets = cfg.Budgets
 	}
-	if cfg.MaxResidentMB > 0 {
-		a.streaming = true
+	if cfg.Supergraph != "" {
+		a.supergraph = cfg.Supergraph
 	}
 	if cfg.Jobs < 0 {
 		a.jobs = 0

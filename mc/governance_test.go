@@ -172,7 +172,7 @@ func TestConfigureTimeoutExpires(t *testing.T) {
 // byte for byte, counter for counter, and records no degradation.
 func TestUntrippedGovernanceIsInvisible(t *testing.T) {
 	srcs, _ := workload.MixedTree(4, 25, 2002)
-	plain := streamRun(t, srcs, 0, 0, nil)
+	plain := streamRun(t, srcs, 0, nil)
 	if len(plain.Reports) == 0 {
 		t.Fatal("plain run produced no reports; workload regressed")
 	}

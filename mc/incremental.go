@@ -215,9 +215,8 @@ func sumAnalyses(s *core.Stats) int {
 
 // optionsFingerprint renders every Options field into the cache key
 // (TestOptionsFingerprintCoversEveryField holds a new field to that).
-// The streaming switch is not an Options field and is not keyed: it
-// cannot change any output byte, so streaming and in-memory runs share
-// entries.
+// RunConfig.Supergraph is not an Options field and is not keyed: it
+// cannot change any output byte.
 func optionsFingerprint(o Options) string {
 	var sb strings.Builder
 	sb.WriteString("opts|")

@@ -75,9 +75,9 @@ type Analyzer struct {
 	// timeout bounds each RunContext call (RunConfig.Timeout); zero
 	// means no bound beyond the caller's context.
 	timeout time.Duration
-	// streaming turns unit retirement and AST release on
-	// (RunConfig.MaxResidentMB > 0; DESIGN.md §12).
-	streaming bool
+	// supergraph names the function each live engine renders before it
+	// retires the function's unit (RunConfig.Supergraph).
+	supergraph string
 }
 
 // NewAnalyzer returns an analyzer with default options.
@@ -191,7 +191,9 @@ func (a *Analyzer) SetHistory(old []*Report) { a.history = report.NewHistory(old
 
 // Result is one analysis run's output.
 type Result struct {
-	// Program is the assembled whole-program view.
+	// Program is the assembled whole-program view. A finished run has
+	// retired it (DESIGN.md §12): names, files, parameters and
+	// call-graph links remain, function bodies and CFGs do not.
 	Program *prog.Program
 	// Raw reports in emission order, after history suppression.
 	Reports []*Report
@@ -199,21 +201,17 @@ type Result struct {
 	RuleStats map[string]rank.RuleStat
 	// Stats aggregates engine counters per checker.
 	Stats map[string]core.Stats
-	// Engines retains, by checker name, the engine that ran, for
-	// summary inspection (SupergraphString). It holds what this run
-	// traversed: everything without a store or on a cold one; on a
-	// warm run a replayed unit's functions render no edges, and a
-	// checker whose every unit replayed has no engine at all. A
-	// streaming run keeps no per-function state for inspection. To
-	// inspect, run without a store and without MaxResidentMB (xgcc
-	// -supergraph does).
-	Engines map[string]*core.Engine
+	// Supergraph holds, by checker name, the block and suffix summaries
+	// of the function RunConfig.Supergraph names, rendered by each
+	// engine that traversed the function's unit live, just before it
+	// retired the unit. A checker that replayed the unit from a store
+	// has no entry; empty when no function was named.
+	Supergraph map[string]string
 	// Incr reports what a run with a store replayed versus analyzed
 	// live; nil without one.
 	Incr *IncrStats
-	// Spill reports the streaming mode's memory-bounding activity
-	// (evictions, ASTs released); nil when RunConfig.MaxResidentMB is
-	// 0 (DESIGN.md §12).
+	// Spill reports what the run retired (evictions, ASTs released;
+	// DESIGN.md §12).
 	Spill *SpillStats
 	// Failures lists checkers that panicked mid-run (a metal action or
 	// Go-callout bug). A failed checker keeps the reports it emitted
@@ -297,15 +295,10 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 		a.shared.Mark(m.name, m.key)
 	}
 
-	// Streaming mode (DESIGN.md §12): engines drop per-function state
-	// at unit retirement, releasing ASTs once every checker is done
-	// with them (a replayed unit is done at once: it never touches the
-	// AST). Eviction never touches state a remaining traversal can
-	// read, so output is unchanged.
-	var stream *streamState
-	if a.streaming {
-		stream = newStream(p, len(a.checkers))
-	}
+	// Retirement (DESIGN.md §12): engines drop a unit's state when its
+	// last root finishes, and its ASTs go once every checker pass is
+	// done with it (a replayed unit at once: it never touches the AST).
+	release := &astReleaser{passes: int32(len(a.checkers)), done: make([]int32, len(p.Units()))}
 	incr.BuildNanos = time.Since(t0).Nanoseconds()
 
 	t0 = time.Now()
@@ -333,9 +326,9 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 		a.probeTasks(tasks)
 		a.dispatchRemote(ctx, tasks, incr)
 		runLive(ctx, sem, tasks, func(ci int) *core.Engine {
-			engines[ci] = a.liveEngine(p, ci, compiled, stream)
+			engines[ci] = a.liveEngine(p, ci, compiled)
 			return engines[ci]
-		})
+		}, release.pass)
 
 		// Post-phase: replayed marks join the store (live marks landed
 		// during the run; ordering within the phase is immaterial —
@@ -349,8 +342,8 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 			for _, ev := range t.cut.Marks {
 				a.shared.Mark(ev.Name, ev.Key)
 			}
-			if stream != nil {
-				stream.release.done(t.funcs)
+			for _, u := range t.units {
+				release.pass(u)
 			}
 		}
 		if puts := records(tasks); len(puts) > 0 {
@@ -368,10 +361,11 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 	// different units cannot repeat one another.
 	t0 = time.Now()
 	res := &Result{
-		Program:   p,
-		RuleStats: map[string]rank.RuleStat{},
-		Stats:     map[string]core.Stats{},
-		Engines:   map[string]*core.Engine{},
+		Program:    p,
+		RuleStats:  map[string]rank.RuleStat{},
+		Stats:      map[string]core.Stats{},
+		Supergraph: map[string]string{},
+		Spill:      &SpillStats{},
 	}
 	for ci, c := range a.checkers {
 		agg := core.Stats{Analyses: map[string]int{}}
@@ -404,14 +398,17 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 		}
 		res.Stats[c.Name] = agg
 		if en := engines[ci]; en != nil {
-			res.Engines[c.Name] = en
 			if en.Failure != nil {
 				res.Failures = append(res.Failures, en.Failure)
 			}
+			res.Spill.Evictions += en.Evictions
+			if s, ok := en.Inspection(); ok {
+				res.Supergraph[c.Name] = s
+			}
 		}
 	}
+	res.Spill.ASTsReleased = release.released // every engine has finished
 	res.Degraded = len(res.Degradations) > 0
-	collectSpill(res, stream, engines)
 	if a.history != nil {
 		res.Reports = a.history.Suppress(res.Reports)
 	}
@@ -450,9 +447,14 @@ func (r *Result) ZRanked() []*Report { return rank.Statistical(r.Reports, r.Rule
 func (r *Result) Grouped() []rank.RuleGroup { return rank.Grouped(r.Reports, r.RuleStats) }
 
 // InferPairs runs the statistical must-pair rule inference of [10]
-// over the assembled program.
-func (r *Result) InferPairs(filter func(string) bool) []checkers.InferredPair {
-	return checkers.InferPairs(r.Program, filter)
+// over the registered sources: it parses them and assembles the
+// program, and needs neither a checker nor a run.
+func (a *Analyzer) InferPairs(filter func(string) bool) ([]checkers.InferredPair, error) {
+	files, err := a.parseSources(&IncrStats{})
+	if err != nil {
+		return nil, err
+	}
+	return checkers.InferPairs(prog.Build(files...), filter), nil
 }
 
 // Callout re-exports the custom-callout type for native extensions.

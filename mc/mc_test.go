@@ -363,34 +363,98 @@ func TestEmitASTErrors(t *testing.T) {
 	}
 }
 
-func TestResultInferPairs(t *testing.T) {
+// TestAnalyzerInferPairs: rule inference reads the registered sources;
+// it needs no checker and no run. A finished run's Result.Program could
+// not serve it: retirement left names, files, parameters and call-graph
+// links, but no bodies.
+func TestAnalyzerInferPairs(t *testing.T) {
 	a := NewAnalyzer()
 	a.AddSource("p.c", `
+void kfree(void *p);
 void acq(void) {}
 void rel(void) {}
 void u1(void) { acq(); rel(); }
 void u2(void) { acq(); rel(); }
-void u3(void) { acq(); }
+int u3(int *p) { acq(); kfree(p); return *p; }
 `)
-	a.LoadBundledChecker("free")
-	res, err := a.RunContext(context.Background())
+	pairs, err := a.InferPairs(func(n string) bool { return n == "acq" || n == "rel" })
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs := res.InferPairs(func(n string) bool { return n == "acq" || n == "rel" })
 	if len(pairs) == 0 || pairs[0].Rule != "acq->rel" {
-		t.Errorf("pairs = %v", pairs)
+		t.Fatalf("pairs = %v", pairs)
 	}
 	if pairs[0].Examples != 2 || pairs[0].Violations != 1 {
 		t.Errorf("evidence = %d/%d", pairs[0].Examples, pairs[0].Violations)
+	}
+
+	a.LoadBundledChecker("free")
+	res, err := a.RunContext(context.Background())
+	if err != nil || len(res.Reports) != 1 {
+		t.Fatalf("run: %v, %d reports", err, len(res.Reports))
+	}
+	u3 := res.Program.Lookup("u3")
+	if u3 == nil || u3.Graph != nil || u3.Decl.Body != nil || u3.Sites != nil {
+		t.Fatalf("a finished run left u3's body behind: %+v", u3)
+	}
+	if u3.Decl.File != "p.c" || len(u3.Decl.Params) != 1 || len(u3.Callees) != 1 || u3.Callees[0].Name != "acq" || len(res.Program.Units()) == 0 {
+		t.Errorf("a finished run lost u3's shell or its call-graph links: %+v", u3)
+	}
+	if again, err := a.InferPairs(func(n string) bool { return n == "acq" || n == "rel" }); err != nil || len(again) != len(pairs) || again[0].Rule != pairs[0].Rule || again[0].Examples != 2 {
+		t.Errorf("inference after a run = %v, %v; before it %v", again, err, pairs)
+	}
+}
+
+// TestRunTwiceOverAddAST: releasing a body drops the program's
+// references to it and never writes through the declaration the caller
+// handed to AddAST, so one loaded file serves any number of runs and of
+// analyzers.
+func TestRunTwiceOverAddAST(t *testing.T) {
+	data, err := EmitAST("d.c", "void kfree(void *p);\nint f(int *p) { kfree(p); return *p; }\nint g(int *q) { return f(q); }")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := LoadAST(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want string
+	for i := 0; i < 2; i++ {
+		a := NewAnalyzer()
+		a.AddAST(f)
+		a.LoadBundledChecker("free")
+		for run := 0; run < 2; run++ {
+			res, err := a.RunContext(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Spill.ASTsReleased != 2 {
+				t.Fatalf("analyzer %d run %d released %d bodies; want 2", i, run, res.Spill.ASTsReleased)
+			}
+			var sb strings.Builder
+			for _, r := range res.Ranked() {
+				sb.WriteString(r.Detailed())
+			}
+			if want == "" {
+				want = sb.String()
+			}
+			if got := sb.String(); got != want || len(res.Reports) != 1 {
+				t.Errorf("analyzer %d run %d: %d reports:\n%s\nthe first run reported:\n%s", i, run, len(res.Reports), got, want)
+			}
+		}
+	}
+	for _, fd := range f.Funcs() {
+		if fd.Body == nil {
+			t.Errorf("a run wrote through the caller's declaration of %s", fd.Name)
+		}
 	}
 }
 
 // TestOptionsFingerprintCoversEveryField: every core.Options field
 // (nested structs included) must move the cache key — so a future field
 // cannot silently share cache entries across its settings. There is no
-// exemption list: a switch that cannot change an output byte (the
-// streaming one) does not belong in Options.
+// exemption list: a setting that cannot change an output byte (the
+// supergraph request) does not belong in Options.
 func TestOptionsFingerprintCoversEveryField(t *testing.T) {
 	base := optionsFingerprint(DefaultOptions())
 	var walk func(path string, at func(*Options) reflect.Value)

@@ -30,14 +30,12 @@ func (a *Analyzer) parseSources(incr *IncrStats) ([]*cc.File, error) {
 }
 
 // liveEngine builds the traversal engine for checker ci: compiled
-// dispatch attached (DESIGN.md §11), plus the retire hook when the run
-// streams (DESIGN.md §12).
-func (a *Analyzer) liveEngine(p *prog.Program, ci int, cd *core.CompiledDispatch, stream *streamState) *core.Engine {
+// dispatch attached (DESIGN.md §11), the function to render before its
+// unit retires named (RunConfig.Supergraph). runLive adds the retire hook.
+func (a *Analyzer) liveEngine(p *prog.Program, ci int, cd *core.CompiledDispatch) *core.Engine {
 	en := core.NewEngineShared(p, a.checkers[ci], a.opts, a.shared)
 	en.SetCompiled(cd, ci)
-	if stream != nil {
-		en.SetRetire(stream.retire, stream.release.done)
-	}
+	en.Inspect(a.supergraph)
 	return en
 }
 

@@ -1,10 +1,11 @@
 package mc_test
 
 // Replay-path tests (DESIGN.md §8): emission order on multi-root units,
-// what a cached run's engines hold for inspection, and damaged or
-// foreign records.
+// what a cached run renders for inspection, and damaged or foreign
+// records.
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"strings"
@@ -12,7 +13,9 @@ import (
 	"testing"
 
 	"repro/internal/cache"
-	"repro/internal/cc"
+	"repro/internal/checkers"
+	"repro/internal/core"
+	"repro/internal/metal"
 	"repro/internal/prog"
 	"repro/internal/workload"
 	"repro/mc"
@@ -68,12 +71,45 @@ func TestMultiRootUnitsRankLikePlain(t *testing.T) {
 	}
 }
 
-// supergraphs renders every function under every checker.
-func supergraphs(res *mc.Result) map[string]string {
+// supergraphRun is runDigest with RunConfig.Supergraph set.
+func supergraphRun(t *testing.T, srcs map[string]string, fn string, store cache.Store) *mc.Result {
+	t.Helper()
+	a := newIncrAnalyzer(t, srcs, 2, store)
+	if err := a.Configure(mc.RunConfig{Supergraph: fn}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := a.RunContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// residentSupergraphs renders fn under every checker of newIncrAnalyzer
+// on engines that retire nothing: one core.Engine per checker, phase by
+// phase over one prog.Build, nobody calling SetRetire.
+func residentSupergraphs(t *testing.T, srcs map[string]string, fn string) map[string]string {
+	t.Helper()
+	p, err := prog.BuildSource(srcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cs []*metal.Checker
+	for _, name := range incrCheckers {
+		c, err := checkers.Parse(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs = append(cs, c)
+	}
+	shared := core.NewShared()
+	shared.Mark("printk", "blocking")
 	out := map[string]string{}
-	for c, en := range res.Engines {
-		for _, fn := range res.Program.All {
-			out[c+"/"+fn.Name] = en.SupergraphString(fn.Name)
+	for _, phase := range core.PlanPhases(cs) {
+		for _, ci := range phase {
+			en := core.NewEngineShared(p, cs[ci], mc.DefaultOptions(), shared)
+			en.Run()
+			out[cs[ci].Name] = en.SupergraphString(fn)
 		}
 	}
 	return out
@@ -81,68 +117,65 @@ func supergraphs(res *mc.Result) map[string]string {
 
 func diffSupergraphs(t *testing.T, label string, want, got map[string]string) {
 	t.Helper()
+	if len(got) != len(want) {
+		t.Errorf("%s: rendered under %d checkers, want %d", label, len(got), len(want))
+	}
 	for k, w := range want {
 		if got[k] != w {
-			t.Errorf("%s: supergraph of %s differs:\n%s", label, k, firstDiff(w, got[k]))
+			t.Errorf("%s: supergraph under %s differs:\n%s", label, k, firstDiff(w, got[k]))
 			return
 		}
 	}
 }
 
-// TestSupergraphThroughCache: a cached run's engines hold what the run
-// traversed. On a cold run that is everything: every function renders
-// under every checker exactly as on the plain run, which only one engine
-// per checker holding every unit can satisfy. On a warm run the functions
-// of live units still do; replayed ones were not traversed and render no
-// edges.
+// TestSupergraphThroughCache: Result.Supergraph holds what each engine
+// that traversed the named function rendered just before it retired the
+// function's unit. Without a store and on a cold one that is every
+// checker, byte for byte what an engine that retires nothing holds at
+// the end of its run — for a root, a hot helper and a leaf alike. On a
+// warm run a replayed unit was not traversed and has no entry; a unit an
+// edit sent back to the engines has.
 func TestSupergraphThroughCache(t *testing.T) {
-	srcs, _ := workload.MixedTree(3, 8, 11)
-	store := cache.NewMemStore()
-	_, plain := runDigest(t, srcs, 2, nil)
-	_, cold := runDigest(t, srcs, 2, store)
-	want := supergraphs(plain)
-	nonEmpty := 0
-	for _, s := range want {
-		if strings.Contains(s, "->") {
-			nonEmpty++
+	srcs := workload.CallRichTree()
+	edges := 0
+	for _, fn := range []string{"root_double", "drop", "add"} {
+		want := residentSupergraphs(t, srcs, fn)
+		for _, s := range want {
+			edges += strings.Count(s, "->")
+		}
+		store := cache.NewMemStore()
+		diffSupergraphs(t, fn+", no store", want, supergraphRun(t, srcs, fn, nil).Supergraph)
+		diffSupergraphs(t, fn+", cold store", want, supergraphRun(t, srcs, fn, store).Supergraph)
+		warm := supergraphRun(t, srcs, fn, store)
+		if warm.Incr.UnitsLive != 0 || len(warm.Supergraph) != 0 {
+			t.Errorf("%s, warm store: %d units live, rendered %v; want nothing traversed, nothing rendered", fn, warm.Incr.UnitsLive, warm.Supergraph)
 		}
 	}
-	if nonEmpty == 0 {
-		t.Fatal("plain engine rendered no summary edges; the comparison would be vacuous")
+	if edges == 0 {
+		t.Fatal("the resident engines rendered no summary edge; the comparison would be vacuous")
 	}
-	if got := supergraphs(cold); len(got) != len(want) {
-		t.Fatalf("cold cache rendered %d (checker, function) pairs, the plain run %d", len(got), len(want))
+	if res := supergraphRun(t, srcs, "", nil); len(res.Supergraph) != 0 {
+		t.Errorf("no function named, yet Result.Supergraph = %v", res.Supergraph)
 	}
-	diffSupergraphs(t, "cold cache", want, supergraphs(cold))
 
-	// Warm, after a body edit: the functions whose content moved run live
-	// (MixedTree units are single functions), the rest replay.
-	oldHash := map[string]string{}
-	for _, fn := range cold.Program.All {
-		oldHash[prog.FuncID(fn)] = cc.HashDecl(fn.Decl)
+	// Warm, after a body edit to root_clean: its unit {root_clean, add}
+	// runs live, drop's unit replays.
+	store := cache.NewMemStore()
+	supergraphRun(t, srcs, "add", store)
+	edited := map[string]string{}
+	for name, src := range srcs {
+		edited[name] = strings.Replace(src, "{ return add(a, b) + add(b, a); }", "{ if (a) return add(a, b); return add(b, a); }", 1)
 	}
-	srcs = workload.TweakBody("tree_1.c").Apply(srcs)
-	_, plain = runDigest(t, srcs, 2, nil)
-	_, warm := runDigest(t, srcs, 2, store)
-	in := warm.Incr
-	if in.UnitsLive == 0 || in.UnitsReplayed == 0 {
+	if edited["roots.c"] == srcs["roots.c"] {
+		t.Fatal("the edit did not apply")
+	}
+	res := supergraphRun(t, edited, "add", store)
+	if in := res.Incr; in.UnitsLive == 0 || in.UnitsReplayed == 0 {
 		t.Fatalf("edit should mix live and replayed units, got %d/%d", in.UnitsLive, in.UnitsReplayed)
 	}
-	want, got := supergraphs(plain), supergraphs(warm)
-	liveEdges := 0
-	for k, w := range want {
-		fn := plain.Program.Lookup(k[strings.Index(k, "/")+1:])
-		switch edited := oldHash[prog.FuncID(fn)] != cc.HashDecl(fn.Decl); {
-		case edited && got[k] != w:
-			t.Fatalf("warm cache: supergraph of live %s differs:\n%s", k, firstDiff(w, got[k]))
-		case edited:
-			liveEdges += strings.Count(w, "->")
-		case strings.Contains(got[k], "->"):
-			t.Fatalf("warm cache: replayed %s rendered edges nobody traversed:\n%s", k, got[k])
-		}
-	}
-	if liveEdges == 0 {
-		t.Fatal("the live units rendered no summary edges; the warm comparison is vacuous")
+	diffSupergraphs(t, "add, warm store after an edit to its caller", residentSupergraphs(t, edited, "add"), res.Supergraph)
+	if res := supergraphRun(t, edited, "drop", store); len(res.Supergraph) != 0 {
+		t.Errorf("drop's unit replayed, yet it rendered under %d checkers", len(res.Supergraph))
 	}
 }
 

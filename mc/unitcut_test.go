@@ -39,12 +39,12 @@ type cutSuite struct {
 	budgets   Budgets
 }
 
-func (s cutSuite) analyzer(t *testing.T, jobs, maxMB int, store cache.Store) *Analyzer {
+func (s cutSuite) analyzer(t *testing.T, jobs int, store cache.Store) *Analyzer {
 	t.Helper()
 	opts := DefaultOptions()
 	opts.MaxBlocks = s.maxBlocks
 	a := NewAnalyzer()
-	if err := a.Configure(RunConfig{Options: &opts, Jobs: jobs, MaxResidentMB: maxMB, Budgets: s.budgets, CacheStore: store}); err != nil {
+	if err := a.Configure(RunConfig{Options: &opts, Jobs: jobs, Budgets: s.budgets, CacheStore: store}); err != nil {
 		t.Fatal(err)
 	}
 	for name, src := range s.srcs {
@@ -64,9 +64,9 @@ func (s cutSuite) analyzer(t *testing.T, jobs, maxMB int, store cache.Store) *An
 	return a
 }
 
-func (s cutSuite) run(t *testing.T, jobs, maxMB int, store cache.Store) *Result {
+func (s cutSuite) run(t *testing.T, jobs int, store cache.Store) *Result {
 	t.Helper()
-	res, err := s.analyzer(t, jobs, maxMB, store).RunContext(context.Background())
+	res, err := s.analyzer(t, jobs, store).RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,12 +74,13 @@ func (s cutSuite) run(t *testing.T, jobs, maxMB int, store cache.Store) *Result 
 }
 
 // referenceRecords runs every keyed (checker, unit) task of the suite on
-// an engine of its own, phase by phase as RunContext orders them, and
+// an engine of its own that retires nothing (nobody calls SetRetire on
+// it), phase by phase as RunContext orders them, and
 // returns each complete unit's record by key; tasks is how many keyed
 // tasks there were.
 func (s cutSuite) referenceRecords(t *testing.T) (recs map[string][]byte, tasks int) {
 	t.Helper()
-	a := s.analyzer(t, 1, 0, nil)
+	a := s.analyzer(t, 1, nil)
 	files, err := a.parseSources(&IncrStats{})
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +103,7 @@ func (s cutSuite) referenceRecords(t *testing.T) (recs map[string][]byte, tasks 
 				continue
 			}
 			tasks++
-			en := a.liveEngine(tree.Prog, task.ci, compiled, nil)
+			en := a.liveEngine(tree.Prog, task.ci, compiled)
 			runs := en.RunRootsContext(context.Background(), task.roots)
 			if cut := en.CutUnit(); cut.Complete {
 				if recs[task.key], err = cache.EncodeUnit(cache.NewUnitEntry(cut, runs)); err != nil {
@@ -157,22 +158,23 @@ func TestRecordIsFunctionOfKey(t *testing.T) {
 				t.Fatalf("reference stored %d of %d keyed tasks; degrades=%v", len(want), tasks, tc.degrades)
 			}
 			for _, jobs := range []int{1, 8} {
-				for _, maxMB := range []int{0, 1} {
-					store := &unitRecords{Store: cache.NewMemStore(), recs: map[string][]byte{}}
-					res := tc.run(t, jobs, maxMB, store)
-					label := fmt.Sprintf("-j %d MaxResidentMB %d", jobs, maxMB)
-					if res.Degraded != tc.degrades {
-						t.Errorf("%s: Degraded = %v", label, res.Degraded)
-					}
-					// A degraded unit is not stored while its neighbours
-					// on the same engine are: same key set, same bytes.
-					if len(store.recs) != len(want) {
-						t.Errorf("%s: stored %d unit records, the reference %d", label, len(store.recs), len(want))
-					}
-					for key, w := range want {
-						if got := store.recs[key]; !bytes.Equal(got, w) {
-							t.Fatalf("%s: record %s differs from a fresh engine's:\nshared: %s\nfresh:  %s", label, key[:8], got, w)
-						}
+				store := &unitRecords{Store: cache.NewMemStore(), recs: map[string][]byte{}}
+				res := tc.run(t, jobs, store)
+				label := fmt.Sprintf("-j %d", jobs)
+				if res.Degraded != tc.degrades {
+					t.Errorf("%s: Degraded = %v", label, res.Degraded)
+				}
+				if res.Spill.Evictions == 0 || res.Spill.ASTsReleased == 0 {
+					t.Errorf("%s: the run retired nothing: %+v", label, res.Spill)
+				}
+				// A degraded unit is not stored while its neighbours
+				// on the same engine are: same key set, same bytes.
+				if len(store.recs) != len(want) {
+					t.Errorf("%s: stored %d unit records, the reference %d", label, len(store.recs), len(want))
+				}
+				for key, w := range want {
+					if got := store.recs[key]; !bytes.Equal(got, w) {
+						t.Fatalf("%s: record %s differs from a fresh engine's:\nshared: %s\nfresh:  %s", label, key[:8], got, w)
 					}
 				}
 			}
@@ -213,8 +215,8 @@ func TestEditRevertNeverPoisons(t *testing.T) {
 			{"edit", edited, true, true},
 			{"revert", base, false, true},
 		} {
-			res := step.suite.run(t, jobs, 0, store)
-			if want := digest(step.suite.run(t, jobs, 0, nil)); digest(res) != want {
+			res := step.suite.run(t, jobs, store)
+			if want := digest(step.suite.run(t, jobs, nil)); digest(res) != want {
 				t.Errorf("-j %d step %d (%s): output differs from the plain engine's", jobs, i, step.name)
 			}
 			if in := res.Incr; (in.UnitsLive > 0) != step.live || (in.UnitsReplayed > 0) != step.replayed {

@@ -78,8 +78,7 @@ type UnitTree struct {
 	keyed    bool
 	envFP    string
 	funcHash map[*prog.Function]string
-	units    []*prog.Unit
-	unitFPs  []string      // parallel to units
+	unitFPs  []string      // parallel to Prog.Units()
 	wholeFP  func() string // of Prog.All, derived on first use
 
 	mu       sync.Mutex
@@ -91,13 +90,13 @@ type UnitTree struct {
 // function's content are what every unit key derives from.
 func NewUnitTree(files []*cc.File) *UnitTree {
 	p := prog.Build(files...)
-	t := &UnitTree{Prog: p, keyed: true, units: p.Units(), checkers: map[string]*unitChecker{},
+	t := &UnitTree{Prog: p, keyed: true, checkers: map[string]*unitChecker{},
 		envFP: cc.EnvHash(files), funcHash: make(map[*prog.Function]string, len(p.All))}
 	for _, fn := range p.All {
 		t.funcHash[fn] = cc.HashDecl(fn.Decl)
 	}
-	t.unitFPs = make([]string, len(t.units))
-	for i, u := range t.units {
+	t.unitFPs = make([]string, len(p.Units()))
+	for i, u := range p.Units() {
 		t.unitFPs[i] = t.unitFP(u.Funcs)
 	}
 	t.wholeFP = sync.OnceValue(func() string { return t.unitFP(p.All) })
@@ -119,6 +118,7 @@ func (t *UnitTree) unitFP(fns []*prog.Function) string {
 // per-root report segments and its cut.
 type unitTask struct {
 	ci       int // the checker's index in its Analyzer
+	units    []*prog.Unit
 	funcs    []*prog.Function
 	roots    []*prog.Function
 	key      string // "" = uncacheable, always live
@@ -155,18 +155,18 @@ func (t *unitTask) replay(e *cache.UnitEntry) {
 func (t *UnitTree) tasks(ci int, c *metal.Checker, checkerFP string, opts Options, marks *core.Shared) []*unitTask {
 	p := t.Prog
 	if !t.keyed || len(c.Callouts) > 0 {
-		return []*unitTask{{ci: ci, funcs: p.All, roots: p.Roots}}
+		return []*unitTask{{ci: ci, units: p.Units(), funcs: p.All, roots: p.Roots}}
 	}
 	optsFP, marksFP := optionsFingerprint(opts), marksFingerprint(marks)
 	key := func(unitFP string) string {
 		return cache.UnitKey(checkerFP, optsFP, t.envFP, marksFP, unitFP)
 	}
 	if (c.UsesAction("mark_fn") && c.UsesCallout("mc_fn_marked")) || opts.MaxBlocks > 0 {
-		return []*unitTask{{ci: ci, funcs: p.All, roots: p.Roots, key: key(t.wholeFP())}}
+		return []*unitTask{{ci: ci, units: p.Units(), funcs: p.All, roots: p.Roots, key: key(t.wholeFP())}}
 	}
-	out := make([]*unitTask, len(t.units))
-	for i, u := range t.units {
-		out[i] = &unitTask{ci: ci, funcs: u.Funcs, roots: u.Roots, key: key(t.unitFPs[i])}
+	out := make([]*unitTask, len(p.Units()))
+	for i, u := range p.Units() {
+		out[i] = &unitTask{ci: ci, units: p.Units()[i : i+1], funcs: u.Funcs, roots: u.Roots, key: key(t.unitFPs[i])}
 	}
 	return out
 }
@@ -175,14 +175,16 @@ func (t *UnitTree) tasks(ci int, c *metal.Checker, checkerFP string, opts Option
 func marksFingerprint(s *core.Shared) string { return cache.Key("marks", s.Snapshot()) }
 
 // runLive runs the tasks nothing replayed: one engine per checker that
-// has any (newEngine builds it), that checker's tasks on it in order,
-// cut at each unit boundary (core.Engine.CutUnit has the argument for
-// why a cut equals a fresh engine's run). Engines of one call run
-// concurrently, one sem slot each, slots acquired in task order — tasks
-// arrive grouped by checker in load order — so a one-slot semaphore
-// (-j 1) degenerates to the sequential schedule. A complete keyed unit
-// leaves its record on the task (the storage rule above).
-func runLive(ctx context.Context, sem chan struct{}, tasks []*unitTask, newEngine func(ci int) *core.Engine) {
+// has any (newEngine builds it; it retires each unit after the unit's
+// last root, telling onRetire when there is one — DESIGN.md §12), that
+// checker's tasks on it in order, cut at each unit boundary
+// (core.Engine.CutUnit has the argument for why a cut equals a fresh
+// engine's run). Engines of one call run concurrently, one sem slot
+// each, slots acquired in task order — tasks arrive grouped by checker
+// in load order — so a one-slot semaphore (-j 1) degenerates to the
+// sequential schedule. A complete keyed unit leaves its record on the
+// task (the storage rule above).
+func runLive(ctx context.Context, sem chan struct{}, tasks []*unitTask, newEngine func(ci int) *core.Engine, onRetire func(*prog.Unit)) {
 	var wg sync.WaitGroup
 	for len(tasks) > 0 {
 		n := 1
@@ -200,6 +202,7 @@ func runLive(ctx context.Context, sem chan struct{}, tasks []*unitTask, newEngin
 			continue
 		}
 		en := newEngine(live[0].ci)
+		en.SetRetire(onRetire)
 		sem <- struct{}{}
 		wg.Add(1)
 		go func() {
@@ -298,6 +301,6 @@ func (t *UnitTree) RunUnits(ctx context.Context, sem chan struct{}, run *UnitRun
 		en := core.NewEngineShared(t.Prog, checkers[ci].c, run.Options, shared[ci])
 		en.SetCompiled(checkers[ci].compiled, 0)
 		return en
-	})
+	}, nil) // no AST goes: the tree outlives the call
 	return records(tasks), compiled
 }
