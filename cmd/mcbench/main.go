@@ -308,7 +308,8 @@ int f(int i, float fl, int *p, char *s, struct point pt) {
 	callTgt, _ := cc.ParseExprString("g(1, x, s)")
 	actx := &pattern.Ctx{Point: callTgt, Types: fakeTM, Callouts: pattern.Builtins()}
 	if bnd, ok := ap.Match(actx, pattern.Bindings{}); ok {
-		fmt.Printf("%-12s  { g(args) } on g(1, x, s) binds args = [%s]\n", "any_arguments", bnd["args"].String())
+		args, _ := bnd.Get("args")
+		fmt.Printf("%-12s  { g(args) } on g(1, x, s) binds args = [%s]\n", "any_arguments", args)
 	}
 }
 

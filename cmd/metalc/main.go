@@ -12,7 +12,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/cc"
 	"repro/internal/checkers"
@@ -111,13 +112,10 @@ func showMatches(c *metal.Checker, path string) error {
 						total++
 						fmt.Printf("  %s: transition [%d] %s matches %q",
 							pt.Pos(), tr.ID, tr.Pat, cc.ExprString(pt))
-						names := make([]string, 0, len(bnd))
-						for name := range bnd {
-							names = append(names, name)
-						}
-						sort.Strings(names)
-						for _, name := range names {
-							fmt.Printf("  %s=%s", name, bnd[name])
+						byName := slices.Clone(bnd)
+						slices.SortFunc(byName, func(a, b pattern.Bound) int { return strings.Compare(a.Name, b.Name) })
+						for _, b := range byName {
+							fmt.Printf("  %s=%s", b.Name, b.Binding)
 						}
 						fmt.Println()
 					}

@@ -10,6 +10,14 @@ import (
 // original source spacing — the same property the paper relies on when
 // it matches ASTs rather than text.
 func ExprString(e Expr) string {
+	// A leaf is its own text: no builder for what is nearly always an
+	// identifier (ExprKey of a tracked object).
+	switch e := e.(type) {
+	case *Ident:
+		return e.Name
+	case *IntLit:
+		return e.Text
+	}
 	var sb strings.Builder
 	writeExpr(&sb, e, 0)
 	return sb.String()

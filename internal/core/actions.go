@@ -53,7 +53,7 @@ func (ctx *ActionCtx) argString(a metal.ActionArg) string {
 		}
 		return a.Call.String()
 	default:
-		if b, ok := ctx.Bindings[a.Hole]; ok {
+		if b, ok := ctx.Bindings.Get(a.Hole); ok {
 			return b.String()
 		}
 		if ctx.Inst != nil && a.Hole == ctx.Inst.Var {
@@ -73,7 +73,7 @@ func (ctx *ActionCtx) argInstance(a metal.ActionArg) *Instance {
 	if ctx.Inst != nil && a.Hole == ctx.Inst.Var {
 		return ctx.Inst
 	}
-	if b, ok := ctx.Bindings[a.Hole]; ok && b.Expr != nil {
+	if b, ok := ctx.Bindings.Get(a.Hole); ok && b.Expr != nil {
 		return ctx.State.sm.FindObj(cc.ExprKey(b.Expr))
 	}
 	return nil
@@ -231,7 +231,7 @@ func calleeNameOf(ctx *ActionCtx, a metal.ActionArg) string {
 	if a.IsStr {
 		return a.Str
 	}
-	b, ok := ctx.Bindings[a.Hole]
+	b, ok := ctx.Bindings.Get(a.Hole)
 	if !ok || b.Expr == nil {
 		return ""
 	}

@@ -27,6 +27,43 @@ int other(int *q) { kfree(q); return *q; }
 	}
 }
 
+// TestDuplicateReportRendersNothing: the second path to a violation
+// marks the report the first one left and stops there — no Vars, no
+// Trace, no PathStep slice, so what it allocates does not depend on how
+// long the path was (report.Set's half is TestSetAddMarksMultiPath).
+func TestDuplicateReportRendersNothing(t *testing.T) {
+	p := buildProg(t, map[string]string{"d.c": "int f(int *p) { return *p; }\n"})
+	c, _ := parseChecker(freeChecker)
+	cond, _ := cc.ParseExprString("p != 0")
+	obj, _ := cc.ParseExprString("p->next")
+	emit := func(events int) (*Engine, float64) {
+		en := NewEngine(p, c, DefaultOptions())
+		st := &pathState{fn: p.Lookup("f")}
+		for i := 0; i < events; i++ {
+			st.plog = st.plog.push(pathEvent{kind: evBranch, pos: cc.Pos{File: "d.c", Line: 1}, expr: cond, taken: true})
+		}
+		inst := &Instance{Var: "v", Obj: "p->next", ObjExpr: obj, Val: "freed", StartFunc: "f"}
+		inst.trace = inst.trace.push("d.c:1: p->next enters state freed")
+		ctx := &ActionCtx{Engine: en, State: st, Pos: cc.Pos{File: "d.c", Line: 1}, Inst: inst}
+		en.emitReport(ctx, "using p->next after free!")
+		return en, testing.AllocsPerRun(20, func() { en.emitReport(ctx, "using p->next after free!") })
+	}
+	en, long := emit(64)
+	if en.Reports.Len() != 1 {
+		t.Fatalf("%d reports, want the first and nothing else", en.Reports.Len())
+	}
+	r := en.Reports.Reports[0]
+	if len(r.Path) != 64 || len(r.Trace) != 2 || len(r.Vars) != 1 || !r.MultiPath {
+		t.Errorf("retained report: %d path steps, %d trace lines, vars %v, MultiPath=%v; want 64, 2, [p], true",
+			len(r.Path), len(r.Trace), r.Vars, r.MultiPath)
+	}
+	// 9 objects each: the Report and its key's format. The race
+	// detector adds one or two of its own; rendering would add 129.
+	if _, short := emit(1); long > short+2 || long > 16 {
+		t.Errorf("a duplicate report allocates %.0f objects after 64 path events, %.0f after 1: want the same handful", long, short)
+	}
+}
+
 func TestSetPathClassPrecedence(t *testing.T) {
 	st := &pathState{}
 	st.setPathClass(report.ClassMinor)

@@ -367,8 +367,10 @@ type pendingBranch struct {
 	tr *metal.Transition
 	// instVar and instObj name the triggering instance; "" for creation.
 	instVar, instObj string
-	bindings         pattern.Bindings
-	neg              bool // matched subexpression appears under negation
+	// bindings is a creation's own copy: the match's result is gone at
+	// the next match (pattern.Ctx) and the branch resolves at block end.
+	bindings pattern.Bindings
+	neg      bool // matched subexpression appears under negation
 }
 
 // pathState is the per-path analysis state: the extension state, the
@@ -785,11 +787,11 @@ func (en *Engine) applyPending(st *pathState, taken bool) {
 			if dest.IsStop() || dest.Var == "" {
 				continue
 			}
-			bnd, ok := p.bindings[dest.Var]
+			bnd, ok := p.bindings.Get(dest.Var)
 			if !ok || bnd.Expr == nil {
 				continue
 			}
-			en.createInstance(st, nil, dest.Var, dest.Val, bnd.Expr, nil, p.bindings)
+			en.createInstance(st, nil, dest.Var, dest.Val, bnd.Expr, nil)
 			continue
 		}
 		// Instance transition.
@@ -834,10 +836,8 @@ func (en *Engine) matchCtx(st *pathState, b *cfg.Block, pt cc.Expr, endOfPath, r
 	return ctx
 }
 
-// noBindings is the shared empty prior for global-state dispatch.
-// Match never writes its prior (it copies at the first hole it binds),
-// so sharing one map is safe.
-var noBindings = pattern.Bindings{}
+// noBindings is the empty prior of global-state dispatch.
+var noBindings pattern.Bindings
 
 // applyExtension runs the checker at one program point; it reports
 // whether any transition matched (used to decide whether to follow a
@@ -868,13 +868,13 @@ func (en *Engine) applyExtension(st *pathState, b *cfg.Block, rec *blockRec, pt 
 					creationVar = tr.FalseDest.Var
 				}
 				if creationVar != "" {
-					if obj, ok := bnd[creationVar]; !ok || obj.Expr == nil || st.sm.Find(creationVar, cc.ExprKey(obj.Expr)) != nil {
+					if obj, ok := bnd.Get(creationVar); !ok || obj.Expr == nil || st.sm.Find(creationVar, cc.ExprKey(obj.Expr)) != nil {
 						continue
 					}
 				}
 				matched = true
 				st.pending = append(st.pending, pendingBranch{
-					tr: tr, bindings: bnd, neg: polarityOf(b, pt),
+					tr: tr, bindings: slices.Clone(bnd), neg: polarityOf(b, pt),
 				})
 				en.runTransitionActions(st, tr, bnd, pt, nil)
 				break
@@ -883,7 +883,7 @@ func (en *Engine) applyExtension(st *pathState, b *cfg.Block, rec *blockRec, pt 
 				// Creation transition: applies only when the object has
 				// no live instance ("the edge only applies when we know
 				// nothing about t", §5.2).
-				objBnd, ok := bnd[tr.Dest.Var]
+				objBnd, ok := bnd.Get(tr.Dest.Var)
 				if !ok || objBnd.Expr == nil {
 					continue
 				}
@@ -894,7 +894,7 @@ func (en *Engine) applyExtension(st *pathState, b *cfg.Block, rec *blockRec, pt 
 				matched = true
 				var created *Instance
 				if !tr.Dest.IsStop() {
-					created = en.createInstance(st, rec, tr.Dest.Var, tr.Dest.Val, objBnd.Expr, pt, bnd)
+					created = en.createInstance(st, rec, tr.Dest.Var, tr.Dest.Val, objBnd.Expr, pt)
 				}
 				// Actions on a creation transition see the new instance
 				// (so note()/incr() initialize its trace and data).
@@ -946,8 +946,7 @@ func (en *Engine) applyExtension(st *pathState, b *cfg.Block, rec *blockRec, pt 
 			matched = true
 			if tr.PathSpecific {
 				st.pending = append(st.pending, pendingBranch{
-					tr: tr, instVar: inst.Var, instObj: inst.Obj,
-					bindings: bnd, neg: polarityOf(b, pt),
+					tr: tr, instVar: inst.Var, instObj: inst.Obj, neg: polarityOf(b, pt),
 				})
 				en.runTransitionActions(st, tr, bnd, pt, inst)
 				break
@@ -1085,7 +1084,7 @@ func findPolarity(e cc.Expr, target cc.Expr, neg bool) (bool, bool) {
 
 // createInstance attaches a new state to a program object, spawning a
 // new state machine (§2.1).
-func (en *Engine) createInstance(st *pathState, rec *blockRec, varName, val string, objExpr cc.Expr, pt cc.Expr, bnd pattern.Bindings) *Instance {
+func (en *Engine) createInstance(st *pathState, rec *blockRec, varName, val string, objExpr cc.Expr, pt cc.Expr) *Instance {
 	obj := cc.ExprKey(objExpr)
 	inst := &Instance{
 		Var:       varName,
@@ -1361,13 +1360,15 @@ func (en *Engine) endOfPath(st *pathState, rec *blockRec) {
 	}
 }
 
-// emitReport materializes an err() action into a ranked report.
+// emitReport materializes an err() action into a ranked report. The set
+// is asked before anything is rendered: a duplicate only marks the first.
 func (en *Engine) emitReport(ctx *ActionCtx, msg string) {
 	st := ctx.State
 	r := &report.Report{
 		Checker: en.Checker.Name,
 		Msg:     msg,
 		Pos:     ctx.Pos,
+		Start:   ctx.Pos,
 		Func:    st.fn.Name,
 		Class:   ctx.Class,
 		Rule:    ctx.Rule,
@@ -1378,13 +1379,25 @@ func (en *Engine) emitReport(ctx *ActionCtx, msg string) {
 	if r.Rule == "" {
 		r.Rule = en.Checker.Name
 	}
-	if in := ctx.Inst; in != nil {
+	in := ctx.Inst
+	if in != nil {
 		r.Start = in.StartPos
 		// End-of-path transitions have no program point; anchor the
 		// report where tracking began (the unreleased lock site).
 		if !r.Pos.IsValid() {
 			r.Pos = in.StartPos
 		}
+	} else if !r.Pos.IsValid() {
+		// Global end-of-path reports carry no program point; anchor
+		// them at the function so reports from different functions
+		// stay distinct.
+		r.Pos = st.fn.Decl.P
+		r.Start = r.Pos
+	}
+	if !en.Reports.Add(r) {
+		return
+	}
+	if in != nil {
 		r.Conditionals = in.Conds
 		r.SynonymDepth = in.SynDepth
 		r.Interprocedural = in.StartFunc != st.fn.Name
@@ -1401,21 +1414,11 @@ func (en *Engine) emitReport(ctx *ActionCtx, msg string) {
 		r.Vars = identsOf(in.ObjExpr)
 		r.Trace = append(in.trace.strings(),
 			fmt.Sprintf("%s: %s", ctx.Pos, msg))
-	} else {
-		r.Start = ctx.Pos
-		// Global end-of-path reports carry no program point; anchor
-		// them at the function so reports from different functions
-		// stay distinct.
-		if !r.Pos.IsValid() {
-			r.Pos = st.fn.Decl.P
-			r.Start = r.Pos
-		}
 	}
 	// Witness path for the feasibility pass, rendered while the ASTs
 	// are guaranteed live (emission happens mid-traversal, before any
 	// retirement).
 	r.Path = st.plog.render()
-	en.Reports.Add(r)
 }
 
 // identsOf lists the identifier names mentioned by an expression.

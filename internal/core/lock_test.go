@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -138,6 +139,45 @@ int bad(void) {
 	_, rs2 := runChecker(t, lockChecker, map[string]string{"n.c": src2}, DefaultOptions())
 	if rs2.Len() != 1 || !strings.Contains(rs2.Reports[0].Msg, "never released") {
 		t.Errorf("want never-released on the acquired path, got %v", rs2.Reports)
+	}
+}
+
+// TestPendingCreationKeepsItsBindings: a path-specific creation waits
+// for the block's end while later points of the block match on the same
+// context, and a match's bindings last until the next match
+// (pattern.Ctx): the pending transition must hold its own copy, or both
+// arms would track the second lock twice and the first never.
+func TestPendingCreationKeepsItsBindings(t *testing.T) {
+	const checker = `
+sm both_arms;
+state decl any_pointer l;
+
+start:
+    { trylock(l) } ==> true=l.held, false=l.failed
+;
+
+l.held:
+    $end_of_path$ ==> l.stop, { err("%s held", mc_identifier(l)); }
+;
+
+l.failed:
+    $end_of_path$ ==> l.stop, { err("%s failed", mc_identifier(l)); }
+;
+`
+	src := lockDecls + `
+int two(int *a, int *b) {
+    if (trylock(a) | trylock(b))
+        return 1;
+    return 0;
+}`
+	_, rs := runChecker(t, checker, map[string]string{"two.c": src}, DefaultOptions())
+	var got []string
+	for _, r := range rs.Reports {
+		got = append(got, r.Msg)
+	}
+	slices.Sort(got)
+	if want := []string{"a failed", "a held", "b failed", "b held"}; !slices.Equal(got, want) {
+		t.Errorf("reports %q, want %q", got, want)
 	}
 }
 

@@ -11,24 +11,24 @@ import (
 	"repro/internal/workload"
 )
 
-func sameMap(a, b pattern.Bindings) bool {
-	return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
+// sameSlice reports whether a and b are one slice, not equal copies.
+func sameSlice(a, b pattern.Bindings) bool {
+	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
 }
 
 // exactPrior reports whether m is exactly {inst.Var: inst.ObjExpr}.
 func exactPrior(m pattern.Bindings, inst *Instance) bool {
-	b, ok := m[inst.Var]
-	return len(m) == 1 && ok && b.Expr == inst.ObjExpr && b.Args == nil
+	return len(m) == 1 && m[0].Name == inst.Var && m[0].Expr == inst.ObjExpr && m[0].Args == nil
 }
 
 // priorSpy wraps a transition's pattern and checks the prior of every
 // variable-specific dispatch against the engine's own state. Both
 // dispatch loops range over en.snapshot and hand Match the dispatching
-// instance's prior map itself, so some snapshot instance in the
-// transition's source state must hold that very map for its current
-// ObjExpr, and the map must be exactly {Var: ObjExpr}. (A clone that has
-// not dispatched since it was re-pointed may still hold its original's
-// map; it builds its own at its first dispatch, which is what this
+// instance's prior slice itself, so some snapshot instance in the
+// transition's source state must hold that very slice for its current
+// ObjExpr, and it must be exactly {Var: ObjExpr}. (A clone that has not
+// dispatched since it was re-pointed may still hold its original's
+// slice; it builds its own at its first dispatch, which is what this
 // sees.)
 type priorSpy struct {
 	pattern.Pattern
@@ -42,7 +42,7 @@ func (s priorSpy) Match(ctx *pattern.Ctx, prior pattern.Bindings) (pattern.Bindi
 	if src := s.tr.Source; src.Var != "" {
 		held := false
 		for _, inst := range (*s.en).snapshot {
-			if inst.Var != src.Var || inst.Val != src.Val || inst.priorFor != inst.ObjExpr || !sameMap(inst.prior, prior) {
+			if inst.Var != src.Var || inst.Val != src.Val || !sameSlice(inst.prior, prior) || prior[0].Expr != inst.ObjExpr {
 				continue
 			}
 			held = true
@@ -53,7 +53,7 @@ func (s priorSpy) Match(ctx *pattern.Ctx, prior pattern.Bindings) (pattern.Bindi
 		if !held {
 			s.t.Errorf("%s dispatched with prior %v, which no active instance in that state holds for its current object", src, prior)
 		}
-		s.objs[cc.ExprKey(prior[src.Var].Expr)]++
+		s.objs[cc.ExprKey(prior[0].Expr)]++
 	}
 	return s.Pattern.Match(ctx, prior)
 }
@@ -91,15 +91,15 @@ func TestInstancePrior(t *testing.T) {
 		t.Fatalf("prior %v, want exactly {v: p}", orig)
 	}
 	cp := inst.clone()
-	if !sameMap(cp.matchPrior(), orig) || !sameMap(inst.matchPrior(), orig) {
-		t.Error("an instance and its clone must share one prior map")
+	if !sameSlice(cp.matchPrior(), orig) || !sameSlice(inst.matchPrior(), orig) {
+		t.Error("an instance and its clone must share one prior slice")
 	}
 	// What refine's mapped copy and the synonym copy do to a clone.
 	cp.ObjExpr, cp.Obj = q, "q"
-	if moved := cp.matchPrior(); sameMap(moved, orig) || !exactPrior(moved, cp) {
-		t.Errorf("re-pointed clone's prior %v, want a map of its own, exactly {v: q}", moved)
+	if moved := cp.matchPrior(); sameSlice(moved, orig) || !exactPrior(moved, cp) {
+		t.Errorf("re-pointed clone's prior %v, want a slice of its own, exactly {v: q}", moved)
 	}
-	if !sameMap(inst.matchPrior(), orig) || !exactPrior(orig, inst) {
+	if !sameSlice(inst.matchPrior(), orig) || !exactPrior(orig, inst) {
 		t.Errorf("the original's prior became %v, want it untouched at {v: p}", inst.matchPrior())
 	}
 

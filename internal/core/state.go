@@ -65,19 +65,18 @@ type Instance struct {
 	Inactive bool
 
 	// prior is the one-entry binding every match of this instance's
-	// transitions starts from, built for priorFor (matchPrior).
-	prior    pattern.Bindings
-	priorFor cc.Expr
+	// transitions starts from (matchPrior).
+	prior pattern.Bindings
 }
 
 // matchPrior returns {Var: ObjExpr} as pattern bindings. Match never
-// writes its prior, so the map is built once and shared by the
+// writes its prior, so the slice is built once and shared by the
 // instance's clones; a clone whose ObjExpr is re-pointed (refine at a
-// call boundary, a synonym) builds its own on first use and leaves the
-// original's alone.
+// call boundary, a synonym) no longer finds its expression there,
+// builds its own on first use and leaves the original's alone.
 func (inst *Instance) matchPrior() pattern.Bindings {
-	if inst.prior == nil || inst.priorFor != inst.ObjExpr {
-		inst.prior, inst.priorFor = pattern.Bindings{inst.Var: {Expr: inst.ObjExpr}}, inst.ObjExpr
+	if inst.prior == nil || inst.prior[0].Expr != inst.ObjExpr {
+		inst.prior = pattern.Bindings{{Name: inst.Var, Binding: pattern.Binding{Expr: inst.ObjExpr}}}
 	}
 	return inst.prior
 }

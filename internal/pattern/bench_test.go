@@ -7,17 +7,17 @@ import (
 )
 
 // BenchmarkBaseMatch times the three outcomes of one pattern match
-// attempt (DESIGN.md §10.1): a match, which binds a hole and so copies
-// its prior, and the two rejections that make up nearly every attempt
-// the engine makes — the wrong root node kind and the wrong callee —
-// which allocate nothing.
+// attempt (DESIGN.md §10.1): a match, which binds a hole into the
+// context's buffer, and the two rejections that make up nearly every
+// attempt the engine makes — the wrong root node kind and the wrong
+// callee. None of the three allocates.
 func BenchmarkBaseMatch(b *testing.B) {
 	holes := map[string]*Hole{"e": {Name: "e", Meta: MetaAnyExpr}}
 	p, err := CompileBase("spin_lock(e)", holes)
 	if err != nil {
 		b.Fatal(err)
 	}
-	prior := Bindings{}
+	var prior Bindings
 	for _, c := range []struct {
 		name, point string
 		matches     bool

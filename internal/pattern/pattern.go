@@ -62,42 +62,46 @@ func (b Binding) String() string {
 	return strings.Join(parts, ", ")
 }
 
-// Bindings maps hole names to what they matched.
-type Bindings map[string]Binding
-
-// clone copies the bindings: Match never writes its prior, and a
-// success hands the caller a map of its own.
-func (b Bindings) clone() Bindings {
-	out := make(Bindings, len(b))
-	for k, v := range b {
-		out[k] = v
-	}
-	return out
+// Bound is one hole's binding.
+type Bound struct {
+	Name string
+	Binding
 }
 
-// binder is the bindings of one Base match in progress. Reads fall
-// through to prior until the first hole binds, which is when prior is
-// copied: a match that fails before binding anything — at the
+// Bindings lists what each bound hole matched, in binding order. A
+// checker declares a handful of holes, so a lookup is a scan.
+type Bindings []Bound
+
+// Get returns the named hole's binding.
+func (b Bindings) Get(name string) (Binding, bool) {
+	for i := range b {
+		if b[i].Name == name {
+			return b[i].Binding, true
+		}
+	}
+	return Binding{}, false
+}
+
+// binder is the bindings of one Base match in progress: prior itself
+// until the first hole binds, which is when prior is copied into the
+// context's buffer. A match that fails before binding anything — at the
 // template's root type assertion, for nearly every attempt the engine
-// makes — allocates nothing.
+// makes — touches nothing, and one whose holes prior already holds
+// returns prior.
 type binder struct {
-	prior, out Bindings
-}
-
-func (b *binder) get(name string) (Binding, bool) {
-	if b.out != nil {
-		v, ok := b.out[name]
-		return v, ok
-	}
-	v, ok := b.prior[name]
-	return v, ok
+	ctx   *Ctx
+	cur   Bindings
+	bound bool
 }
 
 func (b *binder) set(name string, v Binding) {
-	if b.out == nil {
-		b.out = b.prior.clone()
+	if !b.bound {
+		// prior may be the buffer's own prefix (the left conjunct's
+		// result): the copy then lands on itself.
+		b.cur, b.bound = append(b.ctx.bnd[:0], b.cur...), true
 	}
-	b.out[name] = v
+	b.cur = append(b.cur, Bound{name, v})
+	b.ctx.bnd = b.cur
 }
 
 // CalloutFunc is a registered general-purpose predicate. It receives
@@ -145,21 +149,28 @@ type Ctx struct {
 	// to the next: a callout does not re-enter Match and must not keep
 	// its argument slice.
 	args []CalloutArg
+	// bnd is where a match binds (binder.set): a successful Match's
+	// result is prior itself or a view of this buffer, good until the
+	// next Match on the context. Whoever keeps bindings copies them.
+	bnd Bindings
 }
 
-// Reset zeroes the context, argument buffer included, but keeps the
-// buffer's capacity: for an owner that must not pin what the last match
-// looked at and will match again.
+// Reset zeroes the context, argument and binding buffers included, but
+// keeps the buffers' capacity: for an owner that must not pin what the
+// last match looked at and will match again.
 func (c *Ctx) Reset() {
 	clear(c.args[:cap(c.args)])
-	*c = Ctx{args: c.args[:0]}
+	clear(c.bnd[:cap(c.bnd)])
+	*c = Ctx{args: c.args[:0], bnd: c.bnd[:0]}
 }
 
 // Pattern is a compiled metal pattern.
 type Pattern interface {
 	// Match attempts to match at ctx.Point with the given prior
-	// bindings (from sibling conjuncts); on success it returns the
-	// extended bindings.
+	// bindings (from sibling conjuncts), which it never writes; on
+	// success it returns the extended bindings, prior first — prior
+	// itself when nothing new bound, else a view of ctx's buffer that
+	// the next Match on ctx overwrites.
 	Match(ctx *Ctx, prior Bindings) (Bindings, bool)
 	// String renders the pattern in metal syntax.
 	String() string
@@ -270,14 +281,11 @@ func (b *Base) Match(ctx *Ctx, prior Bindings) (Bindings, bool) {
 	if isReturn != ctx.ReturnPoint || (!isReturn && ctx.Point == nil) {
 		return nil, false
 	}
-	bnd := binder{prior: prior}
+	bnd := binder{ctx: ctx, cur: prior}
 	if !matchExpr(ctx, tmpl, ctx.Point, &bnd) {
 		return nil, false
 	}
-	if bnd.out == nil {
-		return prior.clone(), true
-	}
-	return bnd.out, true
+	return bnd.cur, true
 }
 
 // String implements Pattern.
@@ -399,7 +407,7 @@ func matchExpr(ctx *Ctx, tmpl, target cc.Expr, bnd *binder) bool {
 // multiple times in a pattern, each appearance must contain equivalent
 // ASTs", §4).
 func matchHole(ctx *Ctx, h *cc.HoleExpr, target cc.Expr, bnd *binder) bool {
-	if prev, ok := bnd.get(h.Name); ok {
+	if prev, ok := bnd.cur.Get(h.Name); ok {
 		if prev.Expr == nil || !cc.EqualExpr(prev.Expr, target) {
 			return false
 		}
@@ -447,7 +455,7 @@ func typeOf(ctx *Ctx, e cc.Expr) *cc.Type {
 }
 
 func bindArgs(h *cc.HoleArgs, args []cc.Expr, bnd *binder) bool {
-	if prev, ok := bnd.get(h.Name); ok {
+	if prev, ok := bnd.cur.Get(h.Name); ok {
 		if len(prev.Args) != len(args) {
 			return false
 		}
@@ -560,7 +568,7 @@ func CompileCallout(src string) (*Callout, error) {
 func (c *Callout) Match(ctx *Ctx, prior Bindings) (Bindings, bool) {
 	if c.Const {
 		if c.ConstVal {
-			return prior.clone(), true
+			return prior, true
 		}
 		return nil, false
 	}
@@ -576,16 +584,13 @@ func (c *Callout) Match(ctx *Ctx, prior Bindings) (Bindings, bool) {
 		case src.isNum:
 			args = append(args, CalloutArg{Int: src.num, IsInt: true})
 		default:
-			arg := CalloutArg{Bound: true, Name: src.hole}
-			if b, ok := prior[src.hole]; ok {
-				arg.Binding = b
-			}
-			args = append(args, arg)
+			b, _ := prior.Get(src.hole)
+			args = append(args, CalloutArg{Bound: true, Name: src.hole, Binding: b})
 		}
 	}
 	ctx.args = args
 	if fn(ctx, args) {
-		return prior.clone(), true
+		return prior, true
 	}
 	return nil, false
 }
@@ -600,7 +605,7 @@ type EndOfPath struct{}
 // Match implements Pattern.
 func (EndOfPath) Match(ctx *Ctx, prior Bindings) (Bindings, bool) {
 	if ctx.EndOfPath {
-		return prior.clone(), true
+		return prior, true
 	}
 	return nil, false
 }

@@ -80,8 +80,8 @@ func TestBaseMatchCall(t *testing.T) {
 	if !ok {
 		t.Fatal("no match")
 	}
-	if bnd["v"].String() != "p" {
-		t.Errorf("v bound to %q", bnd["v"])
+	if v, _ := bnd.Get("v"); v.String() != "p" {
+		t.Errorf("v bound to %q", v)
 	}
 }
 
@@ -199,8 +199,8 @@ int f(char *buf) {
 	if !ok {
 		t.Fatal("fn(args) should match gets(buf)")
 	}
-	if bnd["args"].String() != "buf" {
-		t.Errorf("args bound to %q", bnd["args"])
+	if args, _ := bnd.Get("args"); args.String() != "buf" {
+		t.Errorf("args bound to %q", args)
 	}
 }
 
