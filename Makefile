@@ -40,7 +40,10 @@ vet:
 # miss-id map stay gone. And a run has one mode (DESIGN.md §12): the
 # streaming switch, its flags and the retirement plan stay gone. And a
 # match binds into the context's buffer (DESIGN.md §10.1): the per-match
-# binding map and its copy stay gone.
+# binding map and its copy stay gone. And the shared CAS speaks two batch
+# operations (DESIGN.md §15.1): the probe interface, the GET coalescing
+# and its counters, the unread server counters and the engine-global
+# block bound stay gone.
 no-deleted-knobs:
 	! grep -rnE 'Match[M]emo|Block[F]ilter|Tuple[I]ntern|Lean[A]lloc|Multi[D]ispatch|Tenant[Q]uota|Queue[D]epth|Batch[S]ize' --include=*.go .
 	! grep -rnE 'Load[S]ummaries|summary[S]ource|Retired[S]et|Allow[S]pillReload|Summaries[L]oaded|SummaryBytes[D]eferred' --include=*.go .
@@ -51,6 +54,7 @@ no-deleted-knobs:
 	! grep -rnE 'point[D]ispatch|inst[K]ey|new[B]lockRec|created[K]illed|miss[I]Ds|callee[S]M' --include=*.go .
 	! grep -rnE 'max[-]resident|stream[S]tate|Retire[P]lan|new[S]tream' --include=*.go .
 	! grep -rnE 'map\[[s]tring\]Binding|Bindings[.]clone' --include=*.go .
+	! grep -rnE 'Prob[e]r|CoalescedG[e]ts|FlightWait[e]rs|CASCount[e]rs|httpRes[u]lt|MaxBl[o]cks|HitBl[o]ckLimit' --include=*.go .
 	! ls BENCH_*.json 2>/dev/null | grep .
 
 # staticcheck is optional locally (the repo adds no dependencies) but

@@ -62,7 +62,7 @@ func BenchmarkF4Caching(b *testing.B) {
 			opts := core.DefaultOptions()
 			opts.FPP = false
 			opts.BlockCache = false
-			opts.MaxBlocks = 5_000_000
+			opts.Budgets.FuncBlocks = 5_000_000
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				en := core.NewEngine(p, mustCheckerB(b, "free"), opts)

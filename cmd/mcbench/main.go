@@ -206,7 +206,7 @@ func expF4() {
 
 		off := on
 		off.BlockCache = false
-		off.MaxBlocks = 5_000_000
+		off.Budgets.FuncBlocks = 5_000_000
 		t1 := time.Now()
 		enOff, _ := runEngine(srcs, "free", off)
 		dOff := time.Since(t1)

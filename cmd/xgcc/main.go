@@ -84,12 +84,13 @@ func main() {
 		}
 		return
 	}
+	budgets := mc.Budgets{
+		PathSteps:  *pathSteps,
+		FuncBlocks: *funcBlocks,
+		FuncTime:   *funcTime,
+	}
 	if *validate {
-		runValidate(*checkerFile, *checkerNames, *jobs, *timeout, mc.Budgets{
-			PathSteps:  *pathSteps,
-			FuncBlocks: *funcBlocks,
-			FuncTime:   *funcTime,
-		}, *jsonOut)
+		runValidate(*checkerFile, *checkerNames, *jobs, *timeout, budgets, *jsonOut)
 		return
 	}
 	if flag.NArg() == 0 {
@@ -111,21 +112,17 @@ func main() {
 	opts := mc.DefaultOptions()
 	opts.Interprocedural = !*intra
 	opts.FPP = !*noFPP
+	opts.Budgets = budgets
 	if *supergraph != "" {
 		// Inspection shows what this run traversed, and a replayed unit
 		// is not traversed: -supergraph asks for a live run.
 		*cacheDir = ""
 	}
 	if err := a.Configure(mc.RunConfig{
-		Options:  &opts,
-		Jobs:     *jobs,
-		CacheDir: *cacheDir,
-		Timeout:  *timeout,
-		Budgets: mc.Budgets{
-			PathSteps:  *pathSteps,
-			FuncBlocks: *funcBlocks,
-			FuncTime:   *funcTime,
-		},
+		Options:    &opts,
+		Jobs:       *jobs,
+		CacheDir:   *cacheDir,
+		Timeout:    *timeout,
 		Supergraph: *supergraph,
 	}); err != nil {
 		fatal(err)

@@ -106,19 +106,19 @@ func main() {
 	opts := mc.DefaultOptions()
 	opts.FPP = !*noFPP
 	opts.Interprocedural = !*noInter
+	opts.Budgets = mc.Budgets{
+		PathSteps:  *pathSteps,
+		FuncBlocks: *funcBlocks,
+		FuncTime:   *funcTime,
+	}
 
 	cfg := server.Config{
 		Options:        &opts,
 		Jobs:           *jobs,
 		MaxInFlight:    *maxInflight,
 		RequestTimeout: *reqTimeout,
-		Budgets: mc.Budgets{
-			PathSteps:  *pathSteps,
-			FuncBlocks: *funcBlocks,
-			FuncTime:   *funcTime,
-		},
-		Verify:        *verify,
-		VerifyWorkers: *verifyJobs,
+		Verify:         *verify,
+		VerifyWorkers:  *verifyJobs,
 	}
 	for _, name := range strings.Split(*checkerList, ",") {
 		if name = strings.TrimSpace(name); name != "" {

@@ -5,16 +5,16 @@ package cache_test
 // must pass the one shared suite, under -race; the disk store also
 // passes the reopen suite (DESIGN.md §8). The HTTP cases spin a
 // real CASServer over a loopback listener, so the wire encoding
-// (base64 batch envelopes, 404-as-miss, HEAD probes) is covered too.
+// (base64 batch envelopes, one-key batches for Get and Put) is covered
+// too.
 
 import (
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"sync/atomic"
+	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/cache"
 	"repro/internal/cache/cachetest"
@@ -76,57 +76,47 @@ func TestHTTPStoreOverDirConformance(t *testing.T) {
 	})
 }
 
-// TestHTTPStoreGetCoalescing pins the shared-CAS half of request
-// coalescing: concurrent Gets of one key cost one backend round-trip.
-func TestHTTPStoreGetCoalescing(t *testing.T) {
+// TestCASServerServesBatchesOnly: the handler speaks POST /?op=get|put
+// and nothing else. The single-key routes are gone (405), and a key
+// that is not hex is refused in either batch before the store sees it.
+func TestCASServerServesBatchesOnly(t *testing.T) {
 	backing := cache.NewMemStore()
-	key := cache.Key("coalesce", "k")
-	backing.Put(key, []byte("payload"))
-
-	var backendGets atomic.Int64
-	gate := make(chan struct{})
-	cas := cache.NewCASServer(backing)
-	srv := httptest.NewServer(http.StripPrefix("/v1/cas",
-		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.Method == http.MethodGet {
-				backendGets.Add(1)
-				<-gate // hold every fetch until all clients have piled on
-			}
-			cas.ServeHTTP(w, r)
-		})))
+	srv := httptest.NewServer(http.StripPrefix("/v1/cas", cache.NewCASServer(backing)))
 	defer srv.Close()
-	hs := cache.NewHTTPStore(srv.URL+"/v1/cas", srv.Client())
+	key := cache.Key("cas", "routes")
+	backing.Put(key, []byte("blob"))
 
-	const n = 12
-	results := make(chan bool, n)
-	for i := 0; i < n; i++ {
-		go func() {
-			data, ok := hs.Get(key)
-			results <- ok && string(data) == "payload"
-		}()
+	do := func(method, path, body string) int {
+		t.Helper()
+		req, err := http.NewRequest(method, srv.URL+"/v1/cas"+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
 	}
-	// Wait until the leader's fetch is in flight and every follower
-	// has attached to it (the leader itself counts as one waiter),
-	// then release. CoalescedGets cannot be the wait condition here:
-	// followers are only counted after the shared fetch completes,
-	// which is exactly what the gate is holding.
-	for backendGets.Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	for hs.FlightWaiters(key) < n {
-		time.Sleep(time.Millisecond)
-	}
-	close(gate)
-	for i := 0; i < n; i++ {
-		if !<-results {
-			t.Fatal("coalesced Get returned wrong data")
+	for _, method := range []string{http.MethodGet, http.MethodHead, http.MethodPut} {
+		if got := do(method, "/"+key, "blob"); got != http.StatusMethodNotAllowed {
+			t.Errorf("%s /<key>: status %d, want 405", method, got)
 		}
 	}
-	if got := backendGets.Load(); got != 1 {
-		t.Fatalf("backend saw %d GETs for %d concurrent clients, want 1", got, n)
+	for _, tc := range []struct{ op, body string }{
+		{"get", `{"keys":["../etc/passwd"]}`},
+		{"put", `{"entries":{"not-hex":"YmxvYg=="}}`},
+	} {
+		if got := do(http.MethodPost, "/?op="+tc.op, tc.body); got != http.StatusBadRequest {
+			t.Errorf("batch %s with a non-hex key: status %d, want 400", tc.op, got)
+		}
 	}
-	if got := hs.CoalescedGets(); got != n-1 {
-		t.Fatalf("CoalescedGets = %d, want %d", got, n-1)
+	if backing.Len() != 1 {
+		t.Errorf("the store holds %d entries after refused requests, want 1", backing.Len())
+	}
+	if got := do(http.MethodPost, "/?op=get", `{"keys":["`+key+`"]}`); got != http.StatusOK {
+		t.Errorf("batch get of a valid key: status %d, want 200", got)
 	}
 }
 

@@ -1,10 +1,10 @@
 package cache
 
-// Batched and probing store access (DESIGN.md §15). The fleet moves
-// whole phases of unit entries at a time; on a remote store a
-// round-trip per key would dominate, so backends can implement
-// BatchStore and callers go through GetBatch/PutBatch, which fall back
-// to key-at-a-time loops on plain stores. Semantics are exactly N
+// Batched store access (DESIGN.md §15). The fleet moves whole phases of
+// unit entries at a time; on a remote store a round-trip per key would
+// dominate, so backends implement BatchStore and callers go through
+// GetBatch/PutBatch, which fall back to key-at-a-time loops on plain
+// stores (the test doubles that wrap a Store). Semantics are exactly N
 // independent Get/Put calls; batching changes only the I/O shape.
 
 // BatchStore is an optional Store extension for multi-key traffic.
@@ -16,13 +16,6 @@ type BatchStore interface {
 	// PutBatch stores every entry; an error may leave a prefix of the
 	// entries stored (puts are idempotent, so retrying is safe).
 	PutBatch(entries map[string][]byte) error
-}
-
-// Prober is an optional Store extension for existence checks without
-// fetching the blob (the conformance suite exercises it; the fleet
-// uses it for cheap warm-CAS probes).
-type Prober interface {
-	Has(key string) bool
 }
 
 // GetBatch fetches many keys through one backend round-trip when s
@@ -54,17 +47,12 @@ func PutBatch(s Store, entries map[string][]byte) error {
 	return nil
 }
 
-// Has reports whether key exists, using Prober when available and a
-// full Get otherwise.
+// Has reports whether key is stored. It is a Get, so it answers exactly
+// what Get would: a record that no longer verifies is not there.
 func Has(s Store, key string) bool {
-	if p, ok := s.(Prober); ok {
-		return p.Has(key)
-	}
 	_, ok := s.Get(key)
 	return ok
 }
-
-// MemStore batch/probe extensions.
 
 // GetBatch returns the stored subset of keys under one lock
 // acquisition.
@@ -90,15 +78,7 @@ func (s *MemStore) PutBatch(entries map[string][]byte) error {
 	return nil
 }
 
-// Has reports whether key is stored.
-func (s *MemStore) Has(key string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.m[key]
-	return ok
-}
-
-// counted batch/probe extensions: batch traffic lands in the same
+// counted batch extensions: batch traffic lands in the same
 // hit/miss/put counters as single-key traffic, and the underlying
 // store's batching (or lack of it) passes through.
 
@@ -119,6 +99,3 @@ func (c *counted) PutBatch(entries map[string][]byte) error {
 	}
 	return err
 }
-
-// Has probes without touching the counters (it is not a fetch).
-func (c *counted) Has(key string) bool { return Has(c.s, key) }

@@ -362,6 +362,9 @@ func Reopen(t *testing.T, open func(t *testing.T, dir string) cache.Store, file 
 		if got := cache.GetBatch(b, []string{key("flip", "victim"), key("flip", "after")}); len(got) != 1 {
 			t.Fatalf("GetBatch over a corrupted record found %d entries, want 1", len(got))
 		}
+		if cache.Has(b, key("flip", "victim")) {
+			t.Fatal("Has reports a record Get refuses")
+		}
 		mustGet(t, b, key("flip", "before"), []byte("intact before"))
 		mustGet(t, b, key("flip", "after"), []byte("intact after"))
 	})

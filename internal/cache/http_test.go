@@ -8,15 +8,13 @@ import (
 	"testing"
 )
 
-// TestHTTPStoreOversizeIsMiss: a CAS that streams past the blob bound
-// without end (chunked, so no Content-Length gives it away) reads as a
-// miss, from the single-key GET and from the batch get alike. An
-// unbounded read would never return.
+// TestHTTPStoreOversizeIsMiss: a CAS that streams past the envelope
+// bound without end (chunked, so no Content-Length gives it away) reads
+// as a miss, from Get and from GetBatch alike — one code path, since Get
+// is a one-key batch. An unbounded read would never return.
 func TestHTTPStoreOversizeIsMiss(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost {
-			io.WriteString(w, `{"entries":{"ab":"`)
-		}
+		io.WriteString(w, `{"entries":{"ab":"`)
 		chunk := strings.Repeat("A", 512)
 		for {
 			if _, err := io.WriteString(w, chunk); err != nil {

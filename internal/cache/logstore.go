@@ -195,14 +195,6 @@ func (l *LogStore) GetBatch(keys []string) map[string][]byte {
 	return out
 }
 
-// Has reports whether key is indexed, without reading the record.
-func (l *LogStore) Has(key string) bool {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	_, ok := l.idx[key]
-	return ok
-}
-
 // Stats snapshots the store's shape.
 func (l *LogStore) Stats() *StoreStats {
 	l.mu.RLock()

@@ -64,7 +64,7 @@ func rebuild(t *testing.T, name string, srcs map[string]string) *prog.Program {
 func checkCacheConsistency(t *testing.T, name string, srcs map[string]string, checkerSrc string) {
 	t.Helper()
 	base := DefaultOptions()
-	base.MaxBlocks = 3_000_000
+	base.Budgets.FuncBlocks = 3_000_000
 
 	full := reportKeys(runWith(t, rebuild(t, name, srcs), checkerSrc, base))
 

@@ -73,7 +73,7 @@ func TestEngineNeverPanics(t *testing.T) {
 			o.Interprocedural = false
 		case 1:
 			o.BlockCache = false
-			o.MaxBlocks = 500_000
+			o.Budgets.FuncBlocks = 500_000
 		case 2:
 			o.FunctionCache = false
 		case 3:

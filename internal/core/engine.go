@@ -32,9 +32,6 @@ type Options struct {
 	Synonyms bool
 	// Kills enables kill-on-redefinition (§8).
 	Kills bool
-	// MaxBlocks bounds total block traversals (a safety valve for
-	// cache-off ablations on adversarial CFGs; 0 means no bound).
-	MaxBlocks int64
 	// MaxCallDepth bounds interprocedural descent.
 	MaxCallDepth int
 	// MaxPartitions caps the disjoint exit-state partitions built at a
@@ -54,7 +51,6 @@ func DefaultOptions() Options {
 		FPP:             true,
 		Synonyms:        true,
 		Kills:           true,
-		MaxBlocks:       0,
 		MaxCallDepth:    64,
 		MaxPartitions:   16,
 	}
@@ -75,9 +71,6 @@ type Stats struct {
 	// points — the per-point matching work block counts cannot see
 	// (Budgets.InstanceOps bounds it per root).
 	InstanceOps int64
-	// HitBlockLimit reports that MaxBlocks stopped the traversal (the
-	// cache-off ablation safety valve fired).
-	HitBlockLimit bool
 	// Analyses maps function name to the number of times its CFG
 	// traversal was (re)started.
 	Analyses map[string]int
@@ -493,10 +486,6 @@ func (r *blockRec) noteKill(g string, in *Instance) {
 // every block so a wedged traversal stops within one poll interval.
 func (en *Engine) traverseBlock(st *pathState, b *cfg.Block) {
 	if en.govern && (en.halted() || en.overBudget(st, b)) {
-		return
-	}
-	if en.Opts.MaxBlocks > 0 && en.Stats.Blocks >= en.Opts.MaxBlocks {
-		en.Stats.HitBlockLimit = true
 		return
 	}
 	en.Stats.Blocks++

@@ -454,7 +454,7 @@ func TestBlockCacheLinearOnDiamonds(t *testing.T) {
 
 	optsOff := opts
 	optsOff.BlockCache = false
-	optsOff.MaxBlocks = 2_000_000
+	optsOff.Budgets.FuncBlocks = 2_000_000
 	en2, _ := runChecker(t, freeChecker, map[string]string{"d.c": sb.String()}, optsOff)
 	if en2.Stats.Blocks < 4096 {
 		t.Errorf("without caching expected exponential traversal, got %d blocks", en2.Stats.Blocks)

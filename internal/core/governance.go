@@ -22,8 +22,8 @@ import (
 
 // Budgets bounds traversal work. Zero fields mean unlimited. Tripping
 // a budget truncates exploration — the engine keeps running and
-// records a DegradeEvent — so results become approximate in exactly
-// the way MaxBlocks already is (§7 unsoundness, deliberately).
+// records a DegradeEvent — so results become approximate (§7
+// unsoundness, deliberately).
 type Budgets struct {
 	// PathSteps caps program points visited along one DFS path
 	// (checked at block entry; the path is truncated past the cap).

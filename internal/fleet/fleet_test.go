@@ -4,9 +4,9 @@ package fleet_test
 // -race via `make race`:
 //
 //   - byte-identical output: a coordinator run over N workers — cold
-//     and warm, any N, per-unit and whole-program-unit checkers — must
-//     reproduce the single-process run's ranked output, rule groups,
-//     and statistics exactly;
+//     and warm, any N, per-unit and whole-program-unit checkers, with
+//     and without budgets — must reproduce the single-process run's
+//     ranked output, rule groups, and statistics exactly;
 //   - shared-CAS reuse: a second coordinator sharing the store
 //     replays everything without dispatching a single job;
 //   - worker loss mid-shard: the shard is re-posted to the next
@@ -58,11 +58,11 @@ func digest(res *mc.Result) string {
 }
 
 // suite is one analysis configuration: a tree, the standard checker
-// set plus an optional extra metal checker, and an optional MaxBlocks.
+// set plus an optional extra metal checker, and optional budgets.
 type suite struct {
-	srcs      map[string]string
-	extra     string
-	maxBlocks int64
+	srcs    map[string]string
+	extra   string
+	budgets mc.Budgets
 }
 
 // selfCoupledSrc both writes marks (mark_fn) and reads them
@@ -88,7 +88,7 @@ func run(t testing.TB, srcs map[string]string, store cache.Store, runner mc.Unit
 func (s suite) run(t testing.TB, store cache.Store, runner mc.UnitRunner) (*mc.Result, string) {
 	t.Helper()
 	opts := mc.DefaultOptions()
-	opts.MaxBlocks = s.maxBlocks
+	opts.Budgets = s.budgets
 	a := mc.NewAnalyzer()
 	if err := a.Configure(mc.RunConfig{Options: &opts, Jobs: 2, CacheStore: store, UnitRunner: runner}); err != nil {
 		t.Fatal(err)
@@ -130,8 +130,9 @@ func startWorkers(t testing.TB, cas cache.Store, n int) []string {
 
 // TestFleetByteIdenticalColdAndWarm covers every arm of the unit
 // enumeration a worker derives for itself: leaf-only units (one root
-// each), call-rich units with several roots, a self-coupled checker and
-// a MaxBlocks run (both single whole-program units).
+// each), call-rich units with several roots and a self-coupled checker
+// (a single whole-program unit) — and a budgeted run, whose budgets
+// travel in the options and key every unit a worker derives.
 func TestFleetByteIdenticalColdAndWarm(t *testing.T) {
 	leaf, _ := workload.MixedTree(3, 8, 41)
 	for _, tc := range []struct {
@@ -141,7 +142,7 @@ func TestFleetByteIdenticalColdAndWarm(t *testing.T) {
 		{"leaf", suite{srcs: leaf}},
 		{"call-rich", suite{srcs: workload.CallRichTree()}},
 		{"self-coupled", suite{srcs: leaf, extra: selfCoupledSrc}},
-		{"max-blocks", suite{srcs: workload.CallRichTree(), maxBlocks: 400}},
+		{"budgeted", suite{srcs: workload.CallRichTree(), budgets: mc.Budgets{FuncBlocks: 400}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			plainRes, plain := tc.run(t, nil, nil)
@@ -207,6 +208,37 @@ func TestFleetSharedCASSecondTenant(t *testing.T) {
 	}
 	if got := co2.Stats().Dispatched; got != 0 {
 		t.Fatalf("second tenant dispatched %d jobs over a warm CAS", got)
+	}
+}
+
+// TestSiblingCoordinatorOverHTTPCAS is the `xgccd -coordinator -cas URL`
+// shape: the analyzer's store is an HTTPStore on another host's
+// CASServer, so every probe and write — the units' batches and the
+// manifest's one-key Get and Put — crosses the wire. A cold run fills
+// the CAS; a second analyzer replays every unit and finds the manifest
+// (no function changed), hitting exactly units + 1 keys.
+func TestSiblingCoordinatorOverHTTPCAS(t *testing.T) {
+	srcs, _ := workload.MixedTree(3, 8, 44)
+	_, plain := run(t, srcs, nil, nil)
+	srv := httptest.NewServer(http.StripPrefix("/v1/cas", cache.NewCASServer(cache.NewMemStore())))
+	defer srv.Close()
+	cas := cache.NewHTTPStore(srv.URL+"/v1/cas", srv.Client())
+
+	cold, coldDigest := run(t, srcs, cas, nil)
+	if coldDigest != plain {
+		t.Fatal("cold run over an HTTP CAS differs from the plain run")
+	}
+	units := cold.Incr.UnitsLive
+	if units == 0 || cold.Incr.UnitsReplayed != 0 {
+		t.Fatalf("cold run: %d units live, %d replayed", units, cold.Incr.UnitsReplayed)
+	}
+	warm, warmDigest := run(t, srcs, cas, nil)
+	if warmDigest != plain {
+		t.Fatal("warm run over an HTTP CAS differs from the plain run")
+	}
+	if in := warm.Incr; in.UnitsLive != 0 || in.UnitsReplayed != units || in.FuncsChanged != 0 || in.CacheHits != int64(units)+1 {
+		t.Fatalf("warm run: %d live, %d of %d replayed, %d funcs changed, %d hits (want units + the manifest)",
+			in.UnitsLive, in.UnitsReplayed, units, in.FuncsChanged, in.CacheHits)
 	}
 }
 

@@ -152,9 +152,11 @@ func validate(ctx context.Context, src string, callouts map[string]mc.Callout, c
 	corpus := workload.ValidationCorpus(cfg.CorpusScale, cfg.Seed)
 
 	a := mc.NewAnalyzer()
+	opts := mc.DefaultOptions()
+	opts.Budgets = cfg.Budgets
 	if err := a.Configure(mc.RunConfig{
+		Options: &opts,
 		Jobs:    cfg.Jobs,
-		Budgets: cfg.Budgets,
 		Timeout: cfg.Timeout,
 	}); err != nil {
 		return nil, err

@@ -34,8 +34,8 @@
 // Resource governance: at most Config.MaxInFlight analyze requests are
 // admitted at once (excess gets 429 "overloaded"), each admitted run
 // is bounded by Config.RequestTimeout (503 "timeout" on expiry, with
-// the resident tree rolled back), and Config.Budgets bounds each
-// traversal inside a run.
+// the resident tree rolled back), and Config.Options.Budgets bounds
+// each traversal inside a run.
 package server
 
 import (
@@ -71,7 +71,8 @@ type Config struct {
 	Checkers []string
 	// Extra checkers given as metal source text.
 	CheckerSources []string
-	// Engine options; zero value means mc.DefaultOptions().
+	// Engine options, traversal budgets included; nil means
+	// mc.DefaultOptions().
 	Options *mc.Options
 	// Jobs is the analysis parallelism; 0 = GOMAXPROCS.
 	Jobs int
@@ -83,8 +84,6 @@ type Config struct {
 	// RequestTimeout bounds each admitted analysis run; an expired run
 	// returns 503 and rolls the resident tree back. 0 means unbounded.
 	RequestTimeout time.Duration
-	// Budgets bounds each traversal inside a run (mc.RunConfig.Budgets).
-	Budgets mc.Budgets
 	// Registry is the versioned checker inventory backing the
 	// /v1/checkers routes (DESIGN.md §14). Nil gets a fresh memory-only
 	// registry, so the routes always work; pass registry.Open(dir) to
@@ -221,8 +220,8 @@ func New(cfg Config) *Server {
 	}
 	if cfg.Verify {
 		var budget feas.Budget
-		if cfg.Budgets.PathSteps > 0 {
-			budget.MaxSteps = int(cfg.Budgets.PathSteps)
+		if cfg.Options != nil && cfg.Options.Budgets.PathSteps > 0 {
+			budget.MaxSteps = int(cfg.Options.Budgets.PathSteps)
 		}
 		s.feas = feas.NewPipeline(feas.Config{
 			Workers: cfg.VerifyWorkers,
@@ -295,7 +294,6 @@ func (s *Server) newAnalyzer(tree map[string]string, tenant string) (*mc.Analyze
 		Options:    s.cfg.Options,
 		Jobs:       s.cfg.Jobs,
 		CacheStore: s.store,
-		Budgets:    s.cfg.Budgets,
 	}
 	if s.cfg.Fleet != nil {
 		cfg.UnitRunner = s.cfg.Fleet.RunnerFor(tenant)

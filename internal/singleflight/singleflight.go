@@ -1,8 +1,7 @@
 // Package singleflight coalesces concurrent duplicate work: all
 // callers that ask for the same key while a computation is in flight
-// share its one result instead of redoing it. It is the dedup layer
-// behind both /v1/analyze request coalescing and the HTTP CAS client's
-// fetch coalescing (DESIGN.md §15).
+// share its one result instead of redoing it. Its one user is
+// /v1/analyze request coalescing (DESIGN.md §15.3).
 //
 // Unlike the classic library shape, the in-flight computation runs
 // under a call-scoped context owned by the group, not the leader's

@@ -1,8 +1,9 @@
 package mc
 
 // Consolidated configuration (the context-first API surface, DESIGN.md
-// §9): RunConfig gathers every knob — options, parallelism, cache
-// wiring, budgets, timeout — and Configure applies them in one call.
+// §9): RunConfig gathers every knob — options (budgets included),
+// parallelism, cache wiring, timeout — and Configure applies them in
+// one call.
 // This is the only configuration surface; the per-field setters from
 // earlier releases are gone (see README.md "Configuring the analyzer").
 
@@ -17,10 +18,11 @@ import (
 	"repro/internal/metal"
 )
 
-// Budgets re-exports the engine resource budgets (core.Budgets): a
-// per-path step ceiling, a per-root block ceiling, and a per-root wall
-// clock. A tripped budget degrades the result (Result.Degraded) rather
-// than failing the run.
+// Budgets re-exports the engine resource budgets (core.Budgets, set as
+// Options.Budgets): a per-path step ceiling, a per-root block ceiling,
+// a per-root wall clock and a per-root instance-ops ceiling. A tripped
+// budget degrades the result (Result.Degraded) rather than failing the
+// run.
 type Budgets = core.Budgets
 
 // DegradeEvent re-exports one recorded traversal truncation.
@@ -46,10 +48,6 @@ type RunConfig struct {
 	// CacheStore enables the analysis cache on an arbitrary store
 	// (e.g. cache.NewMemStore() for a resident daemon).
 	CacheStore cache.Store
-	// Budgets bounds each traversal; a non-zero value overrides
-	// Options.Budgets (so callers can pass DefaultOptions plus a
-	// budget without touching the struct).
-	Budgets Budgets
 	// MaxResidentMB is ignored: every run retires (DESIGN.md §12). It
 	// stays only because the frozen benchmark/workloads.go:74 sets it.
 	MaxResidentMB int
@@ -76,9 +74,6 @@ func (a *Analyzer) Configure(cfg RunConfig) error {
 	}
 	if cfg.Options != nil {
 		a.opts = *cfg.Options
-	}
-	if cfg.Budgets.Active() {
-		a.opts.Budgets = cfg.Budgets
 	}
 	if cfg.Supergraph != "" {
 		a.supergraph = cfg.Supergraph

@@ -99,7 +99,8 @@ func explosionConfig(budgets Budgets) RunConfig {
 	opts := DefaultOptions()
 	opts.BlockCache = false
 	opts.FPP = false
-	return RunConfig{Options: &opts, Budgets: budgets}
+	opts.Budgets = budgets
+	return RunConfig{Options: &opts}
 }
 
 func TestPathExplosionBudgetDegrades(t *testing.T) {
@@ -178,9 +179,9 @@ func TestUntrippedGovernanceIsInvisible(t *testing.T) {
 	}
 
 	a := NewAnalyzer()
-	if err := a.Configure(RunConfig{Budgets: Budgets{
-		PathSteps: 1 << 40, FuncBlocks: 1 << 40, FuncTime: time.Hour,
-	}}); err != nil {
+	opts := DefaultOptions()
+	opts.Budgets = Budgets{PathSteps: 1 << 40, FuncBlocks: 1 << 40, FuncTime: time.Hour}
+	if err := a.Configure(RunConfig{Options: &opts}); err != nil {
 		t.Fatal(err)
 	}
 	for name, src := range srcs {
@@ -251,7 +252,9 @@ func TestCompleteRunStillCached(t *testing.T) {
 		if err := a.LoadBundledChecker("free"); err != nil {
 			t.Fatal(err)
 		}
-		cfg := RunConfig{Budgets: Budgets{FuncBlocks: 1 << 40}, CacheStore: store}
+		opts := DefaultOptions()
+		opts.Budgets.FuncBlocks = 1 << 40
+		cfg := RunConfig{Options: &opts, CacheStore: store}
 		if err := a.Configure(cfg); err != nil {
 			t.Fatal(err)
 		}

@@ -185,8 +185,7 @@ func (a *Analyzer) dispatchRemote(ctx context.Context, tasks []*unitTask, incr *
 	}
 }
 
-// mergeStats accumulates src into dst: counters sum, HitBlockLimit
-// ORs, Analyses maps add.
+// mergeStats accumulates src into dst: counters sum, Analyses maps add.
 func mergeStats(dst, src *core.Stats) {
 	dst.Points += src.Points
 	dst.Blocks += src.Blocks
@@ -198,7 +197,6 @@ func mergeStats(dst, src *core.Stats) {
 	dst.FuncFollows += src.FuncFollows
 	dst.RecursionCuts += src.RecursionCuts
 	dst.InstanceOps += src.InstanceOps
-	dst.HitBlockLimit = dst.HitBlockLimit || src.HitBlockLimit
 	for k, v := range src.Analyses {
 		dst.Analyses[k] += v
 	}
@@ -228,9 +226,7 @@ func optionsFingerprint(o Options) string {
 		}
 	}
 	sb.WriteString("|")
-	sb.WriteString(strings.Join([]string{
-		strconv.FormatInt(o.MaxBlocks, 10), strconv.Itoa(o.MaxCallDepth), strconv.Itoa(o.MaxPartitions),
-	}, ","))
+	sb.WriteString(strconv.Itoa(o.MaxCallDepth) + "," + strconv.Itoa(o.MaxPartitions))
 	// Budgets re-key the cache even though degraded units are never
 	// written: a complete run under a tight budget is still a different
 	// computation boundary than an unbudgeted one.

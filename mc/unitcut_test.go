@@ -33,18 +33,17 @@ start:
 
 // cutSuite is one analysis configuration under test.
 type cutSuite struct {
-	srcs      map[string]string
-	extra     string // an extra metal checker, loaded last
-	maxBlocks int64
-	budgets   Budgets
+	srcs    map[string]string
+	extra   string // an extra metal checker, loaded last
+	budgets Budgets
 }
 
 func (s cutSuite) analyzer(t *testing.T, jobs int, store cache.Store) *Analyzer {
 	t.Helper()
 	opts := DefaultOptions()
-	opts.MaxBlocks = s.maxBlocks
+	opts.Budgets = s.budgets
 	a := NewAnalyzer()
-	if err := a.Configure(RunConfig{Options: &opts, Jobs: jobs, Budgets: s.budgets, CacheStore: store}); err != nil {
+	if err := a.Configure(RunConfig{Options: &opts, Jobs: jobs, CacheStore: store}); err != nil {
 		t.Fatal(err)
 	}
 	for name, src := range s.srcs {
@@ -146,7 +145,6 @@ func TestRecordIsFunctionOfKey(t *testing.T) {
 		{name: "call-rich", cutSuite: cutSuite{srcs: workload.CallRichTree()}},
 		{name: "mixed", cutSuite: cutSuite{srcs: mixed}},
 		{name: "self-coupled", cutSuite: cutSuite{srcs: mixed, extra: cutSelfCoupled}},
-		{name: "max-blocks", cutSuite: cutSuite{srcs: workload.CallRichTree(), maxBlocks: 400}},
 		{name: "budget-degraded", cutSuite: cutSuite{srcs: explosive, budgets: Budgets{FuncBlocks: 100}}, degrades: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -143,15 +143,12 @@ func (t *unitTask) replay(e *cache.UnitEntry) {
 // tasks enumerates checker c's work at one phase barrier, each task
 // with the key its complete analysis is stored under; marks is the
 // annotation store at that barrier. Without a store to key for, and for
-// three kinds of checker, one task per call-graph unit is too fine:
+// two kinds of checker, one task per call-graph unit is too fine:
 //   - custom Go callouts: native code is invisible to the source
 //     fingerprint, so the checker runs live, whole-program, unkeyed;
 //   - self-coupled checkers (both mark_fn and mc_fn_marked): their own
 //     marks flow across units within one run, so they key as a single
-//     whole-program unit;
-//   - any checker when Options.MaxBlocks > 0: the traversal budget is
-//     engine-global and a cut resets it, so per-unit cuts would diverge
-//     from the whole-program run; again a single whole-program unit.
+//     whole-program unit.
 func (t *UnitTree) tasks(ci int, c *metal.Checker, checkerFP string, opts Options, marks *core.Shared) []*unitTask {
 	p := t.Prog
 	if !t.keyed || len(c.Callouts) > 0 {
@@ -161,7 +158,7 @@ func (t *UnitTree) tasks(ci int, c *metal.Checker, checkerFP string, opts Option
 	key := func(unitFP string) string {
 		return cache.UnitKey(checkerFP, optsFP, t.envFP, marksFP, unitFP)
 	}
-	if (c.UsesAction("mark_fn") && c.UsesCallout("mc_fn_marked")) || opts.MaxBlocks > 0 {
+	if c.UsesAction("mark_fn") && c.UsesCallout("mc_fn_marked") {
 		return []*unitTask{{ci: ci, units: p.Units(), funcs: p.All, roots: p.Roots, key: key(t.wholeFP())}}
 	}
 	out := make([]*unitTask, len(p.Units()))
