@@ -43,7 +43,9 @@ vet:
 # binding map and its copy stay gone. And the shared CAS speaks two batch
 # operations (DESIGN.md §15.1): the probe interface, the GET coalescing
 # and its counters, the unread server counters and the engine-global
-# block bound stay gone.
+# block bound stay gone. And a path's memory is the engine's (DESIGN.md
+# §5): the per-event witness cell, the per-split state clone and the fact
+# environment's clone stay gone.
 no-deleted-knobs:
 	! grep -rnE 'Match[M]emo|Block[F]ilter|Tuple[I]ntern|Lean[A]lloc|Multi[D]ispatch|Tenant[Q]uota|Queue[D]epth|Batch[S]ize' --include=*.go .
 	! grep -rnE 'Load[S]ummaries|summary[S]ource|Retired[S]et|Allow[S]pillReload|Summaries[L]oaded|SummaryBytes[D]eferred' --include=*.go .
@@ -55,6 +57,7 @@ no-deleted-knobs:
 	! grep -rnE 'max[-]resident|stream[S]tate|Retire[P]lan|new[S]tream' --include=*.go .
 	! grep -rnE 'map\[[s]tring\]Binding|Bindings[.]clone' --include=*.go .
 	! grep -rnE 'Prob[e]r|CoalescedG[e]ts|FlightWait[e]rs|CASCount[e]rs|httpRes[u]lt|MaxBl[o]cks|HitBl[o]ckLimit' --include=*.go .
+	! grep -rnE 'path[L]og|clone[F]or|clone[S]lack' --include=*.go .
 	! ls BENCH_*.json 2>/dev/null | grep .
 
 # staticcheck is optional locally (the repo adds no dependencies) but
@@ -105,12 +108,12 @@ fuzz:
 
 # Microbenchmarks for the §10 hot paths (pattern match, block and
 # call-rich traversal, instance clone, the per-path FPP environment's
-# clone and fingerprint, edge-set insertion) and the disk store (§8:
+# copy and fingerprint, edge-set insertion) and the disk store (§8:
 # 2685 records / 5.6 MB, written as one batch and indexed at open).
 # -benchtime 100x keeps the target quick enough for CI; drop the
 # override for stable local numbers.
 bench-micro:
-	$(GO) test -run '^$$' -bench 'BenchmarkBaseMatch|BenchmarkBlockTraversal|BenchmarkCallRichTraversal|BenchmarkInstanceClone|BenchmarkEdgeSetAdd|BenchmarkEnvClone|BenchmarkEnvFingerprint|BenchmarkStoreOpen|BenchmarkStorePutBatch' \
+	$(GO) test -run '^$$' -bench 'BenchmarkBaseMatch|BenchmarkBlockTraversal|BenchmarkCallRichTraversal|BenchmarkInstanceClone|BenchmarkEdgeSetAdd|BenchmarkEnvCopy|BenchmarkEnvFingerprint|BenchmarkStoreOpen|BenchmarkStorePutBatch' \
 		-benchtime 100x ./internal/pattern/ ./internal/core/ ./internal/fpp/ ./internal/cache/
 
 # CPU + allocation profiles (written to pprof/): the 5/50/200-checker

@@ -40,7 +40,7 @@ func TestDuplicateReportRendersNothing(t *testing.T) {
 		en := NewEngine(p, c, DefaultOptions())
 		st := &pathState{fn: p.Lookup("f")}
 		for i := 0; i < events; i++ {
-			st.plog = st.plog.push(pathEvent{kind: evBranch, pos: cc.Pos{File: "d.c", Line: 1}, expr: cond, taken: true})
+			en.logEvent(st, pathEvent{kind: evBranch, pos: cc.Pos{File: "d.c", Line: 1}, expr: cond, taken: true})
 		}
 		inst := &Instance{Var: "v", Obj: "p->next", ObjExpr: obj, Val: "freed", StartFunc: "f"}
 		inst.trace = inst.trace.push("d.c:1: p->next enters state freed")

@@ -188,14 +188,20 @@ type Engine struct {
 	// Memory whose lifetime is the DFS's is the engine's, not re-made per
 	// split, per point or per call (DESIGN.md §5).
 	//
-	// backtrace and callStack are the DFS's two stacks; they persist
-	// across roots. A pathState holds a frame of them by index and a
-	// split copies neither. One engine is one goroutine and siblings run
-	// strictly one after another: a state only ever reads entries below
-	// its own top, and a later sibling overwriting index n cannot be
-	// observed by an earlier one, which has already returned.
+	// backtrace, callStack and events (the witness log, pathlog.go) are
+	// the DFS's three stacks; they persist across roots. A pathState
+	// holds a frame of them by index and a split copies none. One engine
+	// is one goroutine and siblings run strictly one after another: a
+	// state only ever reads entries below its own top, and a later
+	// sibling overwriting index n cannot be observed by an earlier one,
+	// which has already returned.
 	backtrace []traceEntry
 	callStack []*prog.Function
+	events    []pathEvent
+	// frames is the pool of path states whose traversal has returned
+	// (frame, release). A frame keeps its instance, pending and fact
+	// arrays, so a split copies into arrays an earlier path grew.
+	frames []*pathState
 	// ctx is the one pattern-match context, refilled at every point
 	// (matchCtx). snapshot is the copy of the active set the dispatch
 	// loops range over while transitions edit the set itself; the loops
@@ -367,47 +373,75 @@ type pendingBranch struct {
 }
 
 // pathState is the per-path analysis state: the extension state, the
-// FPP fact environment, and the traversal bookkeeping. Copies are made
-// at path splits so "mutations revert when the extension backtracks"
-// (§5.1).
+// FPP fact environment, and the traversal bookkeeping. Each successor of
+// a split gets its own copy so "mutations revert when the extension
+// backtracks" (§5.1), made in a frame from the engine's pool (split).
 type pathState struct {
-	sm  SM
-	env *fpp.Env
+	sm SM
+	// env is the frame's own: a split copies the facts into its array.
+	env fpp.Env
 	fn  *prog.Function
 	// btBase and btTop delimit this state's frame of the engine's
 	// backtrace stack: the blocks traversed so far in fn on this path.
 	// Its call stack is the first callDepth+1 entries of the engine's.
 	btBase, btTop int
-	callDepth     int
-	killPath      bool
-	pathClass     report.Class
-	pending       []pendingBranch
-	// plog records the path's branch/assign/havoc events for the
-	// feasibility pass (pathlog.go); immutable, so clones share it.
-	plog *pathLog
+	// logBase and logTop delimit its part of the engine's event stack:
+	// the path's witness events in fn (pathlog.go).
+	logBase, logTop int
+	callDepth       int
+	killPath        bool
+	pathClass       report.Class
+	pending         []pendingBranch
 	// steps counts program points visited along this path, bulk-added
 	// at block entry, for the per-path budget (governance layer).
 	steps int64
 }
 
-// cloneFor duplicates the state for a path split.
-func (st *pathState) cloneFor() *pathState {
-	out := &pathState{
-		sm:        st.sm.clone(),
-		fn:        st.fn,
-		btBase:    st.btBase,
-		btTop:     st.btTop,
-		callDepth: st.callDepth,
-		killPath:  st.killPath,
-		pathClass: st.pathClass,
-		plog:      st.plog,
-		steps:     st.steps,
+// frame takes a path state from the engine's pool, or makes one. Its
+// arrays keep their capacity; every field is the caller's to set.
+func (en *Engine) frame() *pathState {
+	n := len(en.frames)
+	if n == 0 {
+		return &pathState{}
 	}
-	if st.env != nil {
-		out.env = st.env.Clone()
+	st := en.frames[n-1]
+	en.frames = en.frames[:n-1]
+	return st
+}
+
+// release returns a state whose traversal has returned to the pool.
+func (en *Engine) release(st *pathState) { en.frames = append(en.frames, st) }
+
+// enter takes a frame for a new traversal of fn — a root (caller nil) or
+// a followed callee: nothing tracked, nothing pending, no facts, and its
+// parts of the engine's stacks beginning at the caller's tops.
+func (en *Engine) enter(caller *pathState, fn *prog.Function, fi *funcInfo, g string) *pathState {
+	st := en.frame()
+	*st = pathState{sm: SM{GState: g, Active: st.sm.Active[:0]}, env: st.env, fn: fn, pending: st.pending[:0]}
+	st.env.Reset(&fi.terms)
+	if caller != nil {
+		st.btBase, st.btTop = caller.btTop, caller.btTop
+		st.logBase, st.logTop = caller.logTop, caller.logTop
+		st.callDepth = caller.callDepth + 1
+		st.pathClass = caller.pathClass
 	}
-	out.pending = append([]pendingBranch(nil), st.pending...)
-	return out
+	return st
+}
+
+// split takes a frame that continues st's path: every field copied, the
+// facts and pending transitions into the frame's own arrays. Its
+// instance array is left empty for the caller to fill: a successor of a
+// branch clones st's instances into it (SM.cloneActive), a call-return
+// partition restores its own.
+func (en *Engine) split(st *pathState) *pathState {
+	ns := en.frame()
+	env, active, pending := ns.env, ns.sm.Active[:0], ns.pending[:0]
+	*ns = *st
+	ns.env = env
+	ns.env.CopyFrom(&st.env)
+	ns.sm.Active = active
+	ns.pending = append(pending, st.pending...)
+	return ns
 }
 
 // setPathClass keeps the highest-priority annotation seen on the
@@ -497,7 +531,7 @@ func (en *Engine) traverseBlock(st *pathState, b *cfg.Block) {
 	// paths with different branch facts are not conflated (see
 	// blockInfo.coversUnder).
 	var fp uint32
-	if en.Opts.FPP && st.env != nil {
+	if en.Opts.FPP {
 		fp = st.env.Fingerprint()
 	}
 	if en.Opts.BlockCache {
@@ -663,7 +697,7 @@ func (en *Engine) descend(st *pathState, b *cfg.Block) {
 	switch {
 	case b.Cond != nil:
 		verdict := fpp.Unknown
-		if en.Opts.FPP && st.env != nil {
+		if en.Opts.FPP {
 			verdict = st.env.EvalCond(b.Cond)
 		}
 		for _, e := range b.Succs {
@@ -680,18 +714,21 @@ func (en *Engine) descend(st *pathState, b *cfg.Block) {
 				en.Stats.PrunedPaths++
 				continue
 			}
-			ns := st.cloneFor()
-			if en.Opts.FPP && ns.env != nil {
+			ns := en.split(st)
+			if en.Opts.FPP {
 				ns.env.AssumeCond(b.Cond, taken)
 				if ns.env.Contradicted() {
 					en.Stats.PrunedPaths++
+					en.release(ns)
 					continue
 				}
 			}
-			ns.plog = ns.plog.push(pathEvent{kind: evBranch, pos: posOf(b.Cond), expr: b.Cond, taken: taken})
+			ns.sm.cloneActive(&st.sm)
+			en.logEvent(ns, pathEvent{kind: evBranch, pos: posOf(b.Cond), expr: b.Cond, taken: taken})
 			en.noteConditional(ns)
 			en.applyPending(ns, taken)
 			en.traverseBlock(ns, e.To)
+			en.release(ns)
 		}
 	case b.Switch != nil:
 		var caseVals []int64
@@ -701,8 +738,8 @@ func (en *Engine) descend(st *pathState, b *cfg.Block) {
 			}
 		}
 		for _, e := range b.Succs {
-			ns := st.cloneFor()
-			if en.Opts.FPP && ns.env != nil {
+			ns := en.split(st)
+			if en.Opts.FPP {
 				switch e.Kind {
 				case cfg.EdgeCase:
 					if e.CaseConst {
@@ -715,22 +752,25 @@ func (en *Engine) descend(st *pathState, b *cfg.Block) {
 				}
 				if ns.env.Contradicted() {
 					en.Stats.PrunedPaths++
+					en.release(ns)
 					continue
 				}
 			}
+			ns.sm.cloneActive(&st.sm)
 			switch e.Kind {
 			case cfg.EdgeCase:
 				if e.CaseConst {
-					ns.plog = ns.plog.push(pathEvent{kind: evCase, pos: posOf(b.Switch), expr: b.Switch, val: e.CaseVal})
+					en.logEvent(ns, pathEvent{kind: evCase, pos: posOf(b.Switch), expr: b.Switch, val: e.CaseVal})
 				}
 			case cfg.EdgeDefault:
 				for _, v := range caseVals {
-					ns.plog = ns.plog.push(pathEvent{kind: evNotCase, pos: posOf(b.Switch), expr: b.Switch, val: v})
+					en.logEvent(ns, pathEvent{kind: evNotCase, pos: posOf(b.Switch), expr: b.Switch, val: v})
 				}
 			}
 			en.noteConditional(ns)
 			en.applyPending(ns, true)
 			en.traverseBlock(ns, e.To)
+			en.release(ns)
 		}
 	default:
 		for _, e := range b.Succs {
@@ -740,10 +780,14 @@ func (en *Engine) descend(st *pathState, b *cfg.Block) {
 			// its split would change ranking input.
 			ns := st
 			if len(b.Succs) > 1 {
-				ns = st.cloneFor()
+				ns = en.split(st)
+				ns.sm.cloneActive(&st.sm)
 			}
 			en.applyPending(ns, true)
 			en.traverseBlock(ns, e.To)
+			if ns != st {
+				en.release(ns)
+			}
 		}
 	}
 }
@@ -759,9 +803,7 @@ func (en *Engine) noteConditional(st *pathState) {
 // applyPending resolves path-specific transitions for the chosen
 // branch direction (§3.2).
 func (en *Engine) applyPending(st *pathState, taken bool) {
-	pend := st.pending
-	st.pending = nil
-	for _, p := range pend {
+	for _, p := range st.pending {
 		eff := taken
 		if p.neg {
 			eff = !eff
@@ -799,6 +841,9 @@ func (en *Engine) applyPending(st *pathState, taken bool) {
 			}
 		}
 	}
+	// Resolving a transition adds none, so the frame's array is emptied
+	// in place.
+	st.pending = st.pending[:0]
 }
 
 // ---------------------------------------------------------------------------
@@ -1152,14 +1197,14 @@ func (en *Engine) killInstance(st *pathState, rec *blockRec, inst *Instance, mir
 // ---------------------------------------------------------------------------
 
 func (en *Engine) handleAssign(st *pathState, rec *blockRec, asg *cc.AssignExpr, pt cc.Expr) {
-	if en.Opts.FPP && st.env != nil && asg.Op == cc.TokAssign {
+	if en.Opts.FPP && asg.Op == cc.TokAssign {
 		st.env.Assign(asg.LHS, asg.RHS)
 	}
 	if asg.Op == cc.TokAssign {
 		// Only Ident targets are version-tracked (fpp.Assign ignores the
 		// rest), so only they matter to the replay.
 		if _, ok := asg.LHS.(*cc.Ident); ok {
-			st.plog = st.plog.push(pathEvent{kind: evAssign, pos: posOf(pt), expr: asg.LHS, rhs: asg.RHS})
+			en.logEvent(st, pathEvent{kind: evAssign, pos: posOf(pt), expr: asg.LHS, rhs: asg.RHS})
 		}
 	}
 	if asg.Op != cc.TokAssign {
@@ -1217,10 +1262,10 @@ func (en *Engine) handleAssign(st *pathState, rec *blockRec, asg *cc.AssignExpr,
 // handleMutation kills state invalidated by ++/--/compound updates.
 func (en *Engine) handleMutation(st *pathState, rec *blockRec, lval cc.Expr) {
 	if id, ok := lval.(*cc.Ident); ok {
-		if en.Opts.FPP && st.env != nil {
+		if en.Opts.FPP {
 			st.env.Havoc(id.Name)
 		}
-		st.plog = st.plog.push(pathEvent{kind: evHavoc, pos: posOf(lval), expr: id})
+		en.logEvent(st, pathEvent{kind: evHavoc, pos: posOf(lval), expr: id})
 	}
 	if en.Opts.Kills {
 		en.killMentions(st, rec, lval, nil, nil)
@@ -1407,7 +1452,7 @@ func (en *Engine) emitReport(ctx *ActionCtx, msg string) {
 	// Witness path for the feasibility pass, rendered while the ASTs
 	// are guaranteed live (emission happens mid-traversal, before any
 	// retirement).
-	r.Path = st.plog.render()
+	r.Path = renderPath(en.events[st.logBase:st.logTop])
 }
 
 // identsOf lists the identifier names mentioned by an expression.

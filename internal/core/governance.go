@@ -265,13 +265,10 @@ func (en *Engine) runRootIsolated(root *prog.Function) {
 	}()
 	fi := en.funcInfo(root)
 	en.callStack = append(en.callStack[:0], root)
-	st := &pathState{
-		sm:  SM{GState: en.Checker.InitialGlobal()},
-		env: fi.terms.NewEnv(),
-		fn:  root,
-	}
+	st := en.enter(nil, root, fi, en.Checker.InitialGlobal())
 	en.Stats.Analyses[root.Name]++
 	fi.Analyses++
 	en.beginRoot(root)
 	en.traverseBlock(st, root.Graph.Entry)
+	en.release(st)
 }

@@ -104,23 +104,16 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, bi *blockInfo, rec *bl
 			en.Stats.FuncFollows++
 			en.Stats.Analyses[callee.Name]++
 			calleeFi.Analyses++
-			// The callee's frame of both stacks begins above the caller's.
+			// The callee's frame of the stacks begins above the caller's.
 			en.callStack = append(en.callStack[:st.callDepth+1], callee)
-			cst := &pathState{
-				sm:        SM{GState: refined.GState},
-				env:       calleeFi.terms.NewEnv(),
-				fn:        callee,
-				btBase:    st.btTop,
-				btTop:     st.btTop,
-				callDepth: st.callDepth + 1,
-				pathClass: st.pathClass,
-			}
+			cst := en.enter(st, callee, calleeFi, refined.GState)
 			for _, in := range refined.Active {
 				if in.Inactive || !covered(instTuple(refined.GState, in)) {
 					cst.sm.Active = append(cst.sm.Active, in.clone())
 				}
 			}
 			en.traverseBlock(cst, callee.Graph.Entry)
+			en.release(cst)
 		}
 	}
 
@@ -131,10 +124,10 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, bi *blockInfo, rec *bl
 	for _, a := range call.Args {
 		if u, ok := a.(*cc.UnaryExpr); ok && u.Op == cc.TokAmp {
 			if id, ok := u.X.(*cc.Ident); ok {
-				if en.Opts.FPP && st.env != nil {
+				if en.Opts.FPP {
 					st.env.Havoc(id.Name)
 				}
-				st.plog = st.plog.push(pathEvent{kind: evHavoc, pos: posOf(a), expr: id})
+				en.logEvent(st, pathEvent{kind: evHavoc, pos: posOf(a), expr: id})
 			}
 		}
 	}
@@ -155,10 +148,10 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, bi *blockInfo, rec *bl
 	for _, part := range parts {
 		ns, nrec := st, rec
 		if forked {
-			ns, nrec = st.cloneFor(), rec.clone()
+			ns, nrec = en.split(st), rec.clone()
 		}
 		// The state's own instance array is free to refill: refined and
-		// saved hold what is still needed of it.
+		// saved hold what is still needed of it (a split's is empty).
 		restored := SM{GState: part.gstate, Active: ns.sm.Active[:0]}
 		for _, t := range part.tuples {
 			if in := en.restoreInstance(t, maps, st.fn, callee); in != nil {
@@ -180,6 +173,7 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, bi *blockInfo, rec *bl
 		ns.sm = restored
 		if forked {
 			en.runFrom(ns, b, bi, nrec, idx+1)
+			en.release(ns)
 		}
 	}
 	return forked

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -41,10 +42,12 @@ func marginalAllocs(t *testing.T, gen func(n int) string, small, large int) (per
 // counter: memory whose lifetime is the DFS's, the function's or the
 // instance's is not re-made per block, per call or per split. Each bound
 // is the measurement (go1.24) + 5 %; before the engine owned its stacks,
-// slabs and match context the three read 3.03, 3.00 and 11.76. Nothing
+// slabs and match context (a)-(c) read 3.03, 3.00 and 11.76. Nothing
 // binds in these programs (the checker never fires), so moving bindings
 // into the match context's buffer left all three where they were:
-// 0.111, 0 and 4.644 before and after.
+// 0.111, 0 and 4.644 before and after. Recycling path frames and moving
+// the witness log onto the engine's event stack took (c) from 4.644 to
+// 2.178 and (d) from 6.478 to 1.500.
 func TestTraversalMarginalAllocs(t *testing.T) {
 	const small, large = 10, 100
 
@@ -97,13 +100,42 @@ func TestTraversalMarginalAllocs(t *testing.T) {
 	if hi.Paths != 2 || hi.PrunedPaths-lo.PrunedPaths != 2*(large-small) {
 		t.Fatalf("(c) %d paths, %d extra pruned arms; want 2, %d", hi.Paths, hi.PrunedPaths-lo.PrunedPaths, 2*(large-small))
 	}
-	// What a fork legitimately costs: the pathState, Env.Clone's struct
-	// and fact array and the pathLog cell make 4; the rest is the if
-	// block's second fpSeen key (its first fingerprint came from the
-	// slab, the other path's grows the set: 0.5 a split) and the slab
-	// chunks of (a). No stack copy, no context, no edge array.
+	// Here every extra if is a new nesting level of the DFS, and a new
+	// level in a fresh engine costs one frame plus one fact array: the
+	// first path's split takes both (0.5 + 0.5 a split); the second
+	// path's reuses the frame the first released but regrows its array,
+	// since n == 0 is two facts to n != 0's one (0.5). The rest is the if
+	// block's second fpSeen key (its first fingerprint came from the slab,
+	// the other path's grows the set: 0.5 a split) and the slab chunks of
+	// (a). No stack copy, no context, no witness cell, no edge array.
 	t.Logf("(c) %.3f objects per extra split", perIf/2)
-	if perIf/2 > 4.88 {
-		t.Errorf("(c) %.3f objects per extra split, want <= 4.88", perIf/2)
+	if perIf/2 > 2.29 {
+		t.Errorf("(c) %.3f objects per extra split, want <= 2.29", perIf/2)
+	}
+
+	// (d) Siblings: n case arms under one switch, each run after the
+	// previous one has returned.
+	arms := func(n int) string {
+		var sb strings.Builder
+		sb.WriteString("void kfree(void *p);\nvoid tick(void);\nint f(int n) {\n    switch (n) {\n")
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&sb, "    case %d: tick(); break;\n", i)
+		}
+		sb.WriteString("    }\n    kfree(n);\n    return n;\n}\n")
+		return sb.String()
+	}
+	perArm, lo, hi := marginalAllocs(t, arms, small, large)
+	if hi.PrunedPaths != 0 || hi.Blocks-lo.Blocks < 2*(large-small) {
+		t.Fatalf("(d) %d pruned arms, %d extra blocks; want 0, >= %d (each arm's block and the join after it)",
+			hi.PrunedPaths, hi.Blocks-lo.Blocks, 2*(large-small))
+	}
+	// An arm reuses the frame, fact array and event slots its previous
+	// sibling released. What remains is the arm's own fact set (n == i),
+	// which the function's table fingerprints once (one object an arm),
+	// and the amortized growth of the table, the slabs and the list of
+	// case values.
+	t.Logf("(d) %.3f objects per extra arm", perArm)
+	if perArm > 1.58 {
+		t.Errorf("(d) %.3f objects per extra arm, want <= 1.58", perArm)
 	}
 }

@@ -1,14 +1,20 @@
 package core
 
 // Witness-path recording for the second-tier feasibility pass
-// (internal/feas, DESIGN.md §13). Every path carries an immutable
-// cons list of the events that shaped its fact environment — branch
-// assumptions, switch dispatch, simple assignments, havocs — in
-// traversal order. The list mirrors exactly the six env-mutation
-// sites of the §8 pruner, so replaying it through a fresh fpp.Env
-// reconstructs the engine's environment at the report point; clones
-// share tails (the traceList trick), so recording costs one small
-// allocation per event regardless of path-split fan-out.
+// (internal/feas, DESIGN.md §13). Every path records the events that
+// shaped its fact environment — branch assumptions, switch dispatch,
+// simple assignments, havocs — in traversal order. The events mirror
+// exactly the six env-mutation sites of the §8 pruner, so replaying
+// them through a fresh fpp.Env reconstructs the engine's environment at
+// the report point.
+//
+// The log is a stack the engine owns (DESIGN.md §5), like the backtrace:
+// a path state holds its part as events[logBase:logTop], a split copies
+// the two indices, and a followed callee's part starts at its caller's
+// top. Siblings run one after another and a state never reads above its
+// own top, so a later sibling overwriting an earlier one's events cannot
+// be observed. Recording an event allocates nothing once the stack has
+// grown to the deepest path's length.
 //
 // Recording is unconditional (no option gate): the Path field must be
 // byte-identical whether or not the verdict pass runs, at every -j,
@@ -40,41 +46,28 @@ type pathEvent struct {
 	val   int64 // switch case constant
 }
 
-// pathLog is an immutable persistent list of path events, newest
-// first; push never mutates existing cells.
-type pathLog struct {
-	prev *pathLog
-	ev   pathEvent
-	n    int
+// logEvent pushes ev onto st's part of the engine's event stack.
+func (en *Engine) logEvent(st *pathState, ev pathEvent) {
+	en.events = append(en.events[:st.logTop], ev)
+	st.logTop++
 }
 
-// push returns a new list with ev appended. Works on a nil receiver.
-func (l *pathLog) push(ev pathEvent) *pathLog {
-	n := 1
-	if l != nil {
-		n = l.n + 1
-	}
-	return &pathLog{prev: l, ev: ev, n: n}
-}
-
-// render materializes the log oldest-first as serializable steps,
+// renderPath materializes events oldest-first as serializable steps,
 // rendering expressions to source text the feasibility pass re-parses
 // (cc.ParseExprString round-trips cc.ExprString for the subset).
-func (l *pathLog) render() []report.PathStep {
-	if l == nil {
+func renderPath(events []pathEvent) []report.PathStep {
+	if len(events) == 0 {
 		return nil
 	}
-	out := make([]report.PathStep, l.n)
-	for c := l; c != nil; c = c.prev {
-		ev := c.ev
-		step := report.PathStep{Kind: ev.kind, Pos: ev.pos, Taken: ev.taken, Val: ev.val}
+	out := make([]report.PathStep, len(events))
+	for i, ev := range events {
+		out[i] = report.PathStep{Kind: ev.kind, Pos: ev.pos, Taken: ev.taken, Val: ev.val}
 		if ev.expr != nil {
-			step.Text = cc.ExprString(ev.expr)
+			out[i].Text = cc.ExprString(ev.expr)
 		}
 		if ev.rhs != nil {
-			step.RHS = cc.ExprString(ev.rhs)
+			out[i].RHS = cc.ExprString(ev.rhs)
 		}
-		out[c.n-1] = step
 	}
 	return out
 }

@@ -185,17 +185,15 @@ type SM struct {
 	Active []*Instance
 }
 
-// clone deep-copies the SM for a path split; modifications on one path
-// revert when the DFS backtracks (§5.1).
-func (s *SM) clone() SM {
-	out := SM{GState: s.GState}
-	if len(s.Active) > 0 {
-		out.Active = make([]*Instance, len(s.Active))
-		for i, in := range s.Active {
-			out.Active[i] = in.clone()
-		}
+// cloneActive appends clones of from's instances to s's own array, for a
+// path split: modifications on one path revert when the DFS backtracks
+// (§5.1). The instances themselves are cloned, not shared, because
+// summary edges hold their end tuple's instance (edge.prov) and restore
+// reads it after the split.
+func (s *SM) cloneActive(from *SM) {
+	for _, in := range from.Active {
+		s.Active = append(s.Active, in.clone())
 	}
-	return out
 }
 
 // Tuples returns the extension state as a set of state tuples (§5.2).

@@ -65,6 +65,14 @@ func (en *Engine) retireAfter(root *prog.Function) {
 	// dead — and would pin the evicted blocks, their instances and the
 	// ASTs about to be released until a later root overwrote it.
 	clear(en.backtrace[:cap(en.backtrace)])
+	clear(en.events[:cap(en.events)])
+	// Every frame is in the pool between roots. A stale env would pin a
+	// whole evicted funcInfo: its table is &funcInfo.terms.
+	for _, st := range en.frames {
+		clear(st.sm.Active[:cap(st.sm.Active)])
+		clear(st.pending[:cap(st.pending)])
+		st.env.Reset(nil)
+	}
 	clear(en.snapshot[:cap(en.snapshot)])
 	clear(en.outs[:cap(en.outs)])
 	clear(en.parts[:cap(en.parts)])

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cc"
 	"repro/internal/checkers"
+	"repro/internal/fpp"
 	"repro/internal/metal"
 	"repro/internal/prog"
 	"repro/internal/report"
@@ -68,42 +69,71 @@ func TestStreamingRunMatchesInMemory(t *testing.T) {
 	}
 }
 
-// slabArrays counts the edge and fpSeen-key arrays reachable from v
-// through the engine's own types — edge sets, fpSeen sets and the slabs
-// their first elements are carved from alike — wherever they hang: a
-// funcInfo, the interner or the engine itself. The compiled dispatch is
-// shared, not the engine's, and its bitsets are skipped.
-func slabArrays(v reflect.Value, seen map[unsafe.Pointer]bool) int {
+// pins counts what a value holds through the engine's own types and
+// the fpp.Env a path frame keeps, wherever it hangs — a funcInfo, the
+// interner, a pooled frame or the engine itself — reading every slice to
+// its capacity: a stale slot past the length pins what it points to all
+// the same. The compiled dispatch is shared, not the engine's, and its
+// bitsets are skipped.
+type pins struct {
+	// slabs counts edge and fpSeen-key arrays: edge sets, fpSeen sets and
+	// the slabs their first elements are carved from alike.
+	slabs int
+	// tables counts FPP term tables, held by value in a funcInfo or by
+	// pointer from an environment.
+	tables int
+	// events counts witness events that still hold an AST node.
+	events int
+}
+
+func (p *pins) walk(v reflect.Value, seen map[unsafe.Pointer]bool) {
 	ours := func(t reflect.Type) bool {
 		for t.Kind() == reflect.Pointer || t.Kind() == reflect.Slice || t.Kind() == reflect.Map {
 			t = t.Elem()
 		}
-		return t.PkgPath() == "repro/internal/core" && t != reflect.TypeOf(CompiledDispatch{})
+		return t.PkgPath() == "repro/internal/core" && t != reflect.TypeOf(CompiledDispatch{}) || t == reflect.TypeOf(fpp.Env{})
 	}
-	n := 0
 	switch v.Kind() {
 	case reflect.Pointer:
-		if !v.IsNil() && !seen[v.UnsafePointer()] && ours(v.Type()) {
+		switch {
+		case v.IsNil():
+		case v.Type() == reflect.TypeOf((*fpp.Table)(nil)):
+			p.tables++
+		case !seen[v.UnsafePointer()] && ours(v.Type()):
 			seen[v.UnsafePointer()] = true
-			n += slabArrays(v.Elem(), seen)
+			p.walk(v.Elem(), seen)
 		}
 	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			n += slabArrays(v.Field(i), seen)
+		switch v.Type() {
+		case reflect.TypeOf(fpp.Table{}):
+			p.tables++
+		case reflect.TypeOf(pathEvent{}):
+			if !v.FieldByName("expr").IsNil() || !v.FieldByName("rhs").IsNil() {
+				p.events++
+			}
+		default:
+			for i := 0; i < v.NumField(); i++ {
+				p.walk(v.Field(i), seen)
+			}
 		}
 	case reflect.Map:
 		for it := v.MapRange(); ours(v.Type()) && it.Next(); {
-			n += slabArrays(it.Value(), seen)
+			p.walk(it.Value(), seen)
 		}
 	case reflect.Slice:
 		if et := v.Type().Elem(); v.Cap() > 0 && (et == reflect.TypeOf(edge{}) || et.Kind() == reflect.Uint64) {
-			n++
+			p.slabs++
 		}
-		for i := 0; ours(v.Type()) && i < v.Len(); i++ {
-			n += slabArrays(v.Index(i), seen)
+		for i, full := 0, v.Slice(0, v.Cap()); ours(v.Type()) && i < full.Len(); i++ {
+			p.walk(full.Index(i), seen)
 		}
 	}
-	return n
+}
+
+func pinsOf(en *Engine) pins {
+	var p pins
+	p.walk(reflect.ValueOf(en), map[unsafe.Pointer]bool{})
+	return p
 }
 
 // The FPP term/fingerprint table and the fpSeen sets that hold its ids
@@ -111,6 +141,9 @@ func slabArrays(v reflect.Value, seen map[unsafe.Pointer]bool) int {
 // edge of every edge set and the first fpSeen key are carved from:
 // retiring the function drops them all together. None can outgrow the
 // units still in flight, and inspection afterwards brings nothing back.
+// Nor may the DFS's own memory keep them: a pooled frame's environment
+// points at the table of the last function it ran in, and the event
+// stack holds AST nodes.
 func TestRetirementDropsFPPState(t *testing.T) {
 	srcs := workload.CallRichTree()
 	fppState := func(en *Engine) (terms, fps, seen int) {
@@ -132,8 +165,11 @@ func TestRetirementDropsFPPState(t *testing.T) {
 	if terms, fps, seen := fppState(resident); terms == 0 || fps == 0 || seen == 0 {
 		t.Fatalf("resident run holds terms=%d fingerprints=%d fpSeen=%d; the tree no longer exercises FPP", terms, fps, seen)
 	}
-	if n := slabArrays(reflect.ValueOf(resident), map[unsafe.Pointer]bool{}); n == 0 {
-		t.Fatal("no edge or fpSeen array found under the resident engine; the walk is blind")
+	if p := pinsOf(resident); p.slabs == 0 || p.tables == 0 || p.events == 0 {
+		t.Fatalf("under the resident engine the walk finds %+v; it is blind to one of them", p)
+	}
+	if len(resident.frames) == 0 {
+		t.Fatal("the resident engine pooled no frame")
 	}
 
 	p := rebuild(t, "fpp-stream", srcs)
@@ -143,16 +179,26 @@ func TestRetirementDropsFPPState(t *testing.T) {
 	if n := liveFuncInfos(en); n != 0 {
 		t.Fatalf("%d funcInfo blocks survived full retirement", n)
 	}
+	// The slabs die with the funcInfo: hung off the interner or the
+	// engine they would pin every retired unit's AST nodes and instances.
+	// A table still reachable pins its whole funcInfo (an environment's
+	// table is &funcInfo.terms), an event its AST.
+	if got := pinsOf(en); got != (pins{}) {
+		t.Errorf("after full retirement the engine still reaches %d edge or fpSeen arrays, %d term tables and %d events holding an AST",
+			got.slabs, got.tables, got.events)
+	}
 	for _, fn := range p.All {
 		en.SupergraphString(fn.Name)
 	}
 	if terms, fps, seen := fppState(en); terms != 0 || fps != 0 || seen != 0 {
 		t.Errorf("retired functions left terms=%d fingerprints=%d fpSeen=%d behind", terms, fps, seen)
 	}
-	// The slabs die with the funcInfo: hung off the interner or the
-	// engine they would pin every retired unit's AST nodes and instances.
-	if n := slabArrays(reflect.ValueOf(en), map[unsafe.Pointer]bool{}); n != 0 {
-		t.Errorf("%d edge or fpSeen arrays are still reachable from the engine after full retirement", n)
+	// Inspection rebuilds a funcInfo per retired function, and with it an
+	// empty term table; it must bring back no edge or fpSeen array and
+	// no event.
+	if got := pinsOf(en); got.slabs != 0 || got.events != 0 {
+		t.Errorf("after inspection the engine reaches %d edge or fpSeen arrays and %d events holding an AST",
+			got.slabs, got.events)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/prog"
 	"repro/internal/workload"
 )
 
@@ -56,46 +57,94 @@ int root(int *p, int *q, int *s, int n) { return mid(p, q, s, n) + *s; }
 // computes, not who owns the memory.
 const summariesDigest = "e989146867b5805774db622d12720516b6f1c6d745ef159f7299a65e2d51af1a"
 
-func TestSummariesUnchanged(t *testing.T) {
+// witnessDigest is the SHA-256 over every report's String() and witness
+// Path under every bundled checker for the three trees below plus
+// witnessSrc, taken at the commit before a path's frames and witness log
+// moved onto engine-owned stacks. Report digests do not see the Path
+// (Report.Detailed omits it); this does.
+const witnessDigest = "7ff12f10b8b429ac66b3eb5eca5fae380823a8f83082b6bb8c1a5150474709be"
+
+// digestTree is one program the two digests run the bundled suite over.
+type digestTree struct {
+	name string
+	srcs map[string]string
+}
+
+func digestTrees(t *testing.T) []digestTree {
+	t.Helper()
 	if stackAdversaryDepth <= stackInitCap {
-		t.Fatalf("the adversary's chain (%d) no longer outgrows stackInitCap (%d): deepen it and re-take the digest at a commit known good",
+		t.Fatalf("the adversary's chain (%d) no longer outgrows stackInitCap (%d): deepen it and re-take the digests at a commit known good",
 			stackAdversaryDepth, stackInitCap)
 	}
 	finding4, err := os.ReadFile("../../testdata/rootorder/finding4.c")
 	if err != nil {
 		t.Fatal(err)
 	}
-	trees := []struct {
-		name string
-		srcs map[string]string
-	}{
+	return []digestTree{
 		{"callrich", workload.CallRichTree()},
 		{"finding4", map[string]string{"finding4.c": string(finding4)}},
 		{"adversary", stackAdversary(stackAdversaryDepth)},
 	}
+}
+
+// digestRun runs every bundled checker over the tree, the way an mc run
+// does (one annotation store, one compiled dispatch), and hands each
+// engine to visit after its run.
+func digestRun(t *testing.T, tree digestTree, visit func(p *prog.Program, en *Engine)) {
+	t.Helper()
 	suite := bundledSuite(t)
+	p := buildProg(t, tree.srcs)
+	shared := NewShared()
+	shared.Mark("net_wait", "blocking")
+	cd := CompileDispatch(p, suite)
+	for i, c := range suite {
+		en := NewEngineShared(p, c, DefaultOptions(), shared)
+		en.SetCompiled(cd, i)
+		en.Run()
+		visit(p, en)
+	}
+}
+
+func TestSummariesUnchanged(t *testing.T) {
 	h := sha256.New()
-	for _, tree := range trees {
-		p := buildProg(t, tree.srcs)
-		shared := NewShared()
-		shared.Mark("net_wait", "blocking")
-		cd := CompileDispatch(p, suite)
+	for _, tree := range digestTrees(t) {
 		edges := 0
-		for i, c := range suite {
-			en := NewEngineShared(p, c, DefaultOptions(), shared)
-			en.SetCompiled(cd, i)
-			en.Run()
+		digestRun(t, tree, func(p *prog.Program, en *Engine) {
 			for _, fn := range p.All {
 				s := en.SupergraphString(fn.Name)
 				edges += strings.Count(s, "-->")
-				fmt.Fprintf(h, "%s/%s/%s\n%s", tree.name, c.Name, fn.Name, s)
+				fmt.Fprintf(h, "%s/%s/%s\n%s", tree.name, en.Checker.Name, fn.Name, s)
 			}
-		}
+		})
 		if edges == 0 {
 			t.Fatalf("%s: no summary edge rendered; the digest would be vacuous", tree.name)
 		}
 	}
 	if got := fmt.Sprintf("%x", h.Sum(nil)); got != summariesDigest {
 		t.Errorf("summaries digest %s, want %s", got, summariesDigest)
+	}
+}
+
+func TestWitnessPathsUnchanged(t *testing.T) {
+	h := sha256.New()
+	reports, steps := 0, 0
+	trees := append(digestTrees(t), digestTree{"witness", map[string]string{"w.c": witnessSrc}})
+	for _, tree := range trees {
+		digestRun(t, tree, func(_ *prog.Program, en *Engine) {
+			for _, r := range en.Reports.Reports {
+				reports, steps = reports+1, steps+len(r.Path)
+				fmt.Fprintf(h, "%s/%s\n%s\n", tree.name, en.Checker.Name, r)
+				for _, s := range r.Path {
+					fmt.Fprintf(h, "  %+v\n", s)
+				}
+			}
+		})
+	}
+	t.Logf("%d reports, %d witness steps", reports, steps)
+	if steps == 0 {
+		t.Fatal("no witness step rendered; the digest would be vacuous")
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != witnessDigest {
+		t.Errorf("witness digest %s, want %s", got, witnessDigest)
 	}
 }

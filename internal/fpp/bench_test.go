@@ -27,13 +27,19 @@ func pathEnv(tb testing.TB) (*Env, cc.Expr) {
 }
 
 // The allocation guards of the DFS hot path (ROADMAP 2(d): gate on what
-// is deterministic). A clone is the struct and one pointer-free array;
-// a fingerprint of an unchanged environment is a cached id; evaluating
-// a condition over interned terms allocates nothing.
+// is deterministic). Copying into a warmed environment — a recycled
+// frame's — reuses its array; a fingerprint of an unchanged environment
+// is a cached id; evaluating a condition over interned terms allocates
+// nothing.
 func TestEnvAllocs(t *testing.T) {
 	e, cond := pathEnv(t)
-	if got := testing.AllocsPerRun(100, func() { sink = e.Clone() }); got > 2 {
-		t.Errorf("Clone: %v allocs, want <= 2", got)
+	var c Env
+	c.CopyFrom(e)
+	if got := testing.AllocsPerRun(100, func() { c.CopyFrom(e) }); got != 0 {
+		t.Errorf("CopyFrom into a warmed Env: %v allocs, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { c.Reset(e.tab); c.CopyFrom(e) }); got != 0 {
+		t.Errorf("Reset then CopyFrom: %v allocs, want 0", got)
 	}
 	e.Fingerprint()
 	if got := testing.AllocsPerRun(100, func() { sinkFP = e.Fingerprint() }); got != 0 {
@@ -41,7 +47,7 @@ func TestEnvAllocs(t *testing.T) {
 	}
 	// A changed environment whose fact set the table has seen costs
 	// nothing either: the id is found, not built.
-	c := e.Clone()
+	c.CopyFrom(e)
 	if got := testing.AllocsPerRun(100, func() {
 		c.fpValid = false
 		sinkFP = c.Fingerprint()
@@ -57,20 +63,22 @@ func TestEnvAllocs(t *testing.T) {
 }
 
 var (
-	sink   *Env
 	sinkFP uint32
 	sinkV  Verdict
 )
 
-func BenchmarkEnvClone(b *testing.B) {
+// BenchmarkEnvCopy is the environment's share of a path split: a copy
+// into the successor's recycled frame.
+func BenchmarkEnvCopy(b *testing.B) {
 	e, _ := pathEnv(b)
+	var c Env
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sink = e.Clone()
+		c.CopyFrom(e)
 	}
 }
 
-// BenchmarkEnvFingerprint is the per-block cost after a split: clone,
+// BenchmarkEnvFingerprint is the per-block cost after a split: copy,
 // assume the branch, fingerprint the (already seen) fact set.
 func BenchmarkEnvFingerprint(b *testing.B) {
 	e, _ := pathEnv(b)
@@ -78,9 +86,10 @@ func BenchmarkEnvFingerprint(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var c Env
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c := e.Clone()
+		c.CopyFrom(e)
 		c.AssumeCond(cond, true)
 		sinkFP = c.Fingerprint()
 	}

@@ -125,6 +125,9 @@ func runOps(t testing.TB, data []byte) {
 	tab := NewTable()
 	envs := []envPair{{tab.NewEnv(), newRefEnv()}}
 	var seen []fpPair
+	// warm is the recycled frame every copy passes through, as the
+	// engine's copies do: whatever it held before must not show.
+	var warm Env
 	pos := 0
 	next := func() int {
 		if pos >= len(data) {
@@ -201,7 +204,10 @@ func runOps(t testing.TB, data []byte) {
 			}
 		case 7:
 			if len(envs) < diffMaxEnvs {
-				envs = append(envs, envPair{p.got.Clone(), p.ref.Clone()})
+				warm.CopyFrom(p.got)
+				got := new(Env)
+				got.CopyFrom(&warm)
+				envs = append(envs, envPair{got, p.ref.Clone()})
 			}
 		case 8:
 			x := pick()

@@ -22,7 +22,8 @@ const (
 // variable so that different definitions of the variable are not
 // confused") and the congruence-closure facts of facts.go, in one flat
 // pointer-free list over the terms of a Table. Each path through the
-// CFG carries its own copy, which the engine clones at every split.
+// CFG carries its own copy: at every split the engine copies it into the
+// successor's recycled frame (CopyFrom), whose fact array is reused.
 type Env struct {
 	tab          *Table
 	facts        []fact
@@ -36,17 +37,18 @@ type Env struct {
 // NewEnv returns an empty fact environment over a table of its own.
 func NewEnv() *Env { return NewTable().NewEnv() }
 
-// cloneSlack is the room a clone leaves for the facts the branch it
-// was made for is about to assume.
-const cloneSlack = 4
-
-// Clone copies the environment: the struct and one pointer-free array.
-func (e *Env) Clone() *Env {
-	out := *e
-	out.facts = make([]fact, len(e.facts), len(e.facts)+cloneSlack)
-	copy(out.facts, e.facts)
-	return &out
+// CopyFrom makes e a copy of src in e's own fact array, which grows only
+// when src holds more facts than it ever has: copying into a warmed
+// environment allocates nothing. src must not share e's array.
+func (e *Env) CopyFrom(src *Env) {
+	facts := append(e.facts[:0], src.facts...)
+	*e = *src
+	e.facts = facts
 }
+
+// Reset makes e an empty environment over tab, as tab.NewEnv would,
+// keeping its fact array. A nil tab leaves e pinning no table.
+func (e *Env) Reset(tab *Table) { *e = Env{tab: tab, facts: e.facts[:0]} }
 
 // Contradicted reports whether the path's facts became inconsistent
 // (the path is infeasible).

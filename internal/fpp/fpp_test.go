@@ -191,13 +191,28 @@ func TestSwitchCaseFacts(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	e := NewEnv()
 	e.Assign(expr(t, "x"), expr(t, "1"))
-	c := e.Clone()
+	var c Env
+	c.CopyFrom(e)
 	c.Assign(expr(t, "x"), expr(t, "2"))
 	if got := e.EvalCond(expr(t, "x == 1")); got != MustTrue {
-		t.Errorf("original env damaged by clone mutation: %v", got)
+		t.Errorf("original env damaged by copy mutation: %v", got)
 	}
 	if got := c.EvalCond(expr(t, "x == 2")); got != MustTrue {
-		t.Errorf("clone: %v", got)
+		t.Errorf("copy: %v", got)
+	}
+	// Copying back over a longer environment leaves none of its facts.
+	c.AssumeCond(expr(t, "y < z"), true)
+	c.CopyFrom(e)
+	if got := c.EvalCond(expr(t, "y < z")); got != Unknown {
+		t.Errorf("a fact of the overwritten copy survived: %v", got)
+	}
+	if c.Fingerprint() != e.Fingerprint() {
+		t.Error("a copy fingerprints differently from its source")
+	}
+	// Reset is an environment fresh from the table.
+	c.Reset(e.tab)
+	if got := c.EvalCond(expr(t, "x == 1")); got != Unknown || c.Fingerprint() != 0 || c.Contradicted() {
+		t.Errorf("a reset environment still knows x == 1 (%v), fingerprint %d", got, c.Fingerprint())
 	}
 }
 
@@ -278,17 +293,18 @@ func TestAssumeEvalConsistency(t *testing.T) {
 	}
 }
 
-// Property: facts are monotone under clone — a cloned env gives the
+// Property: facts are monotone under copy — a copied env gives the
 // same verdicts as its source for conditions over existing variables.
 func TestCloneVerdictEquality(t *testing.T) {
 	conds := []string{"x == 1", "x < y", "y != 0", "x >= y"}
 	e := NewEnv()
 	e.Assign(expr(t, "x"), expr(t, "1"))
 	e.AssumeCond(expr(t, "y > x"), true)
-	c := e.Clone()
+	var c Env
+	c.CopyFrom(e)
 	for _, s := range conds {
 		if e.EvalCond(expr(t, s)) != c.EvalCond(expr(t, s)) {
-			t.Errorf("verdict mismatch after clone for %q", s)
+			t.Errorf("verdict mismatch after copy for %q", s)
 		}
 	}
 }
