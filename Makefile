@@ -97,11 +97,14 @@ bench-check:
 # the file system and FuzzWorkRequest (the /v1/work body) runs whole
 # analyses, so their coverage is noisy and the fuzzer's default 60 s
 # minimisation of every interesting input would eat the budget.
-# FuzzEnvOps is the odd one out: no decoder, but the §8 fact
-# environment driven against its map-based reference implementation.
+# FuzzEnvOps and FuzzPrefilterSound are the odd ones out: no decoder,
+# but the §8 fact environment driven against its map-based reference
+# implementation, and the §11 pre-filter held to the matcher (a block no
+# atom admits has no matching point, under any prior).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzEnvOps -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/fpp/
+	$(GO) test -run '^$$' -fuzz FuzzPrefilterSound -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeUnit -fuzztime $(FUZZTIME) ./internal/cache/
 	$(GO) test -run '^$$' -fuzz FuzzOpenStore -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/cache/
 	$(GO) test -run '^$$' -fuzz FuzzWorkRequest -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/fleet/

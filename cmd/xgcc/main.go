@@ -280,8 +280,8 @@ func main() {
 	if *stats {
 		for _, n := range sortedNames(res.Stats) {
 			s := res.Stats[n]
-			fmt.Printf("checker %s: points=%d blocks=%d paths=%d pruned=%d cache-hits=%d fn-cache-hits=%d\n",
-				n, s.Points, s.Blocks, s.Paths, s.PrunedPaths, s.CacheHits, s.FuncCacheHits)
+			fmt.Printf("checker %s: points=%d blocks=%d paths=%d pruned=%d cache-hits=%d fn-cache-hits=%d roots-skipped=%d\n",
+				n, s.Points, s.Blocks, s.Paths, s.PrunedPaths, s.CacheHits, s.FuncCacheHits, s.RootsSkipped)
 		}
 		if *verify {
 			fmt.Printf("feas: done=%d confirmed=%d infeasible=%d unknown=%d cache-hits=%d p50=%dus p95=%dus\n",

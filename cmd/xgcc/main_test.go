@@ -116,6 +116,27 @@ func TestExitCodeFlag(t *testing.T) {
 	}
 }
 
+// TestStatsRootsSkipped: -stats says, per checker, how many roots the
+// compiled dispatch skipped. banned's "{ fn(args) } && ${ mc_is_call_to(fn,
+// "gets") }" idiom is keyed by its callee names, none of which use_after
+// calls, so it skips the one root and traverses nothing; free runs it.
+func TestStatsRootsSkipped(t *testing.T) {
+	dir := t.TempDir()
+	buggy := writeSrc(t, dir, "buggy.c", buggySrc)
+	out, code := runXgcc(t, dir, "-checker", "free,banned", "-stats", buggy)
+	if code != 0 {
+		t.Fatalf("code %d, out %.400s", code, out)
+	}
+	for _, want := range []string{
+		"checker banned_checker: points=0 blocks=0 paths=0 pruned=0 cache-hits=0 fn-cache-hits=0 roots-skipped=1\n",
+		"checker free_checker: points=6 blocks=4 paths=1 pruned=0 cache-hits=0 fn-cache-hits=0 roots-skipped=0\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("-stats lacks %q:\n%s", want, out)
+		}
+	}
+}
+
 // TestTimeoutExitCode3: an expired -timeout exits 3, distinct from
 // findings (1) and errors (2), and -h documents the code map.
 func TestTimeoutExitCode3(t *testing.T) {

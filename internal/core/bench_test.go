@@ -113,22 +113,25 @@ func BenchmarkCallRichTraversal(b *testing.B) {
 }
 
 // callRichAllocCeiling bounds the heap allocations of one runCallRich,
-// about 5 % above the measured 2,897 (go1.24). The count repeats to
-// the unit, so a regression in the per-path state (fpp.Env, edge sets,
-// fpSeen), in pattern dispatch (DESIGN.md §10.1), in what prog.Build
-// holds for every engine or in what the engine, the funcInfo and the
-// instance own for the DFS (§5) fails here without a timer;
+// about 5 % above the measured 2,489 (go1.24; governed 2,494). The count
+// repeats to the unit, so a regression in the per-path state (fpp.Env,
+// edge sets, fpSeen), in pattern dispatch (DESIGN.md §10.1), in what
+// prog.Build holds for every engine or in what the engine, the funcInfo
+// and the instance own for the DFS (§5) fails here without a timer;
 // TestTraversalMarginalAllocs says which. The same run, same dispatch,
 // allocated 5,140 objects while every split copied both stacks, every
 // edge set owned its first edge and every dispatch built its context
 // and prior, 6,068 before the program model moved into prog.Build,
 // 3,442 (ceiling 3,600) while every binding match built a map and every
-// duplicate report was rendered before the set dropped it, and 3,082
+// duplicate report was rendered before the set dropped it, 3,082
 // (ceiling 3,240) while every split allocated its path state and fact
-// array and every witness event its own list cell. The governed run sits
-// under the same ceiling (+3, its context): step counters and amortized
-// polls allocate nothing.
-const callRichAllocCeiling = 3_042
+// array and every witness event its own list cell, and 2,897 (ceiling
+// 3,042) while banned, sec-annotator and panic-marker traversed every
+// root that makes a call, their mc_is_call_to conjuncts outside the
+// callee index (DESIGN.md §11.1). The governed run sits under the same
+// ceiling (+5, its context): step counters and amortized polls
+// allocate nothing.
+const callRichAllocCeiling = 2_613
 
 func TestCallRichTraversalAllocs(t *testing.T) {
 	files, suite := suiteInputs(t)

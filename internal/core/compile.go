@@ -10,10 +10,13 @@ package core
 //   - a multi-pattern callee-name literal index (the Teddy-prefilter
 //     analogue): one hash probe per distinct callee in a block answers
 //     "which of the N checkers' transitions name this function?" for
-//     all checkers at once;
-//   - a discrimination tree keyed by root AST-node kind for non-call
-//     shape patterns, plus a return-statement bucket; an atom with no
-//     requirement at all (a callout) is a candidate in every block.
+//     all checkers at once — "{ fn(args) } && ${ mc_is_call_to(fn,
+//     "gets") }" included, keyed by "gets" like "{ gets(args) }";
+//   - a discrimination tree keyed by root AST-node kind for callee-free
+//     shape patterns ("{ fn(args) }" alone, or with any other callout,
+//     sits in the call bucket), plus a return-statement bucket; an atom
+//     with no requirement at all (a bare callout, a hole root) is a
+//     candidate in every block.
 //
 // One walk per block then yields the candidate (checker, transition)
 // admit set as a bitset, shared read-only by every engine; the engines'
@@ -96,8 +99,8 @@ type CompiledDispatch struct {
 	// requirement; byRet holds return-statement rows.
 	byKind [kindCount][]idxEntry
 	byRet  []idxEntry
-	// alwaysMask: entries with an unconstrained alternative (callout
-	// fallback) — candidates in every block.
+	// alwaysMask: entries with an unconstrained alternative (a bare
+	// callout, a hole root) — candidates in every block.
 	alwaysMask bitset
 
 	// blockAdmit[fn.Index][b.ID]: the entries some point of the block
@@ -160,9 +163,12 @@ func newDispatch(checkers []*metal.Checker) *CompiledDispatch {
 	for ci, c := range checkers {
 		cd.firstEntry[ci] = int32(len(cd.entries))
 		init := metal.StateRef{Val: c.InitialGlobal()}
+		// A checker that overrides mc_is_call_to keeps the callout
+		// opaque (filterOf); Engine.RegisterCallout refuses the name.
+		_, ownCallTo := c.Callouts["mc_is_call_to"]
 		for _, tr := range c.Transitions {
 			id := int32(len(cd.entries))
-			cd.entries = append(cd.entries, filterOf(tr.Pat))
+			cd.entries = append(cd.entries, filterOf(tr.Pat, !ownCallTo))
 			if tr.Source == init {
 				cd.initEntries[ci] = append(cd.initEntries[ci], id)
 				// At an end-of-path dispatch no block feature can rule

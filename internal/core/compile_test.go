@@ -9,11 +9,14 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/cc"
 	"repro/internal/cfg"
 	"repro/internal/checkers"
 	"repro/internal/metal"
+	"repro/internal/pattern"
 	"repro/internal/prog"
 	"repro/internal/workload"
 )
@@ -164,24 +167,15 @@ const (
 	dispatchOwn            // no SetCompiled: each engine compiles its own checker
 )
 
-// runSuite applies the whole bundled suite to a fresh build of srcs,
-// phase by phase over one shared annotation store (the -j 1 schedule).
-func runSuite(t *testing.T, srcs map[string]string, dispatch int) suiteRun {
-	t.Helper()
-	p := buildProg(t, srcs)
-	cs := bundledSuite(t)
+// suiteEngines runs checkers cs over p phase by phase over one shared
+// annotation store (the -j 1 schedule), every engine attached to cd —
+// or, for a nil cd, each compiling its own checker — and returns the
+// engines in load order.
+func suiteEngines(p *prog.Program, cs []*metal.Checker, cd *CompiledDispatch) []*Engine {
 	shared := NewShared()
 	shared.Mark("net_wait", "blocking")
 	shared.Mark("disk_sync", "blocking")
-
 	engines := make([]*Engine, len(cs))
-	var cd *CompiledDispatch
-	switch dispatch {
-	case dispatchIndexed:
-		cd = CompileDispatch(p, cs)
-	case dispatchBrute:
-		cd = bruteDispatch(p, cs)
-	}
 	for i, c := range cs {
 		engines[i] = NewEngineShared(p, c, DefaultOptions(), shared)
 		if cd != nil {
@@ -193,9 +187,25 @@ func runSuite(t *testing.T, srcs map[string]string, dispatch int) suiteRun {
 			engines[i].Run()
 		}
 	}
+	return engines
+}
+
+// runSuite applies the whole bundled suite to a fresh build of srcs
+// (suiteEngines).
+func runSuite(t *testing.T, srcs map[string]string, dispatch int) suiteRun {
+	t.Helper()
+	p := buildProg(t, srcs)
+	cs := bundledSuite(t)
+	var cd *CompiledDispatch
+	switch dispatch {
+	case dispatchIndexed:
+		cd = CompileDispatch(p, cs)
+	case dispatchBrute:
+		cd = bruteDispatch(p, cs)
+	}
 
 	var out suiteRun
-	for _, en := range engines {
+	for _, en := range suiteEngines(p, cs, cd) {
 		var keys []string
 		for _, r := range en.Reports.Reports {
 			keys = append(keys, fmt.Sprintf("%s|%s|%s|%s|%s", r.Pos, r.Checker, r.Rule, r.Class, r.Msg))
@@ -262,4 +272,134 @@ func TestDispatchEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// callToIdiomCheckers are the bundled checkers written entirely in the
+// §4 idiom "{ fn(args) } && ${ mc_is_call_to(fn, "name") }".
+var callToIdiomCheckers = map[string]bool{"banned": true, "sec-annotator": true, "panic-marker": true}
+
+// TestCallToIdiomSkipsEveryRoot: the seeded mixed tree calls none of
+// the idiom checkers' names, so the callee index proves each a no-op
+// over every root — counted in Stats.RootsSkipped — and they traverse
+// nothing. For every checker, a run traverses no block exactly when it
+// skipped every root.
+func TestCallToIdiomSkipsEveryRoot(t *testing.T) {
+	mixed, _ := workload.MixedTree(4, 25, 2002)
+	p := buildProg(t, mixed)
+	cs := bundledSuite(t)
+	engines := suiteEngines(p, cs, CompileDispatch(p, cs))
+	for i, s := range checkers.All() {
+		st := engines[i].Stats
+		if all := st.RootsSkipped == int64(len(p.Roots)); all != (st.Blocks == 0) {
+			t.Errorf("%s: RootsSkipped %d of %d roots, yet Blocks %d", s.Name, st.RootsSkipped, len(p.Roots), st.Blocks)
+		}
+		if callToIdiomCheckers[s.Name] && (st.RootsSkipped != int64(len(p.Roots)) || st.Blocks != 0 || st.Points != 0) {
+			t.Errorf("%s: RootsSkipped %d of %d roots, Blocks %d, Points %d; want every root skipped, nothing traversed",
+				s.Name, st.RootsSkipped, len(p.Roots), st.Blocks, st.Points)
+		}
+	}
+}
+
+// TestPanicMarkerTraversesDieIf: on the call-rich tree the index keys
+// panic-marker by "panic", so it still traverses root_kill — the one
+// root whose callee closure reaches die_if's panic("bad") — skips the
+// other seven, and marks exactly what it marked when it traversed every
+// root: panic, pathkill.
+func TestPanicMarkerTraversesDieIf(t *testing.T) {
+	p := buildProg(t, workload.CallRichTree())
+	cs := bundledSuite(t)
+	cd := CompileDispatch(p, cs)
+	engines := suiteEngines(p, cs, cd)
+	for i, s := range checkers.All() {
+		if s.Name != "panic-marker" {
+			continue
+		}
+		for _, root := range p.Roots {
+			if got, want := cd.SkipRoot(i, root), root.Name != "root_kill"; got != want {
+				t.Errorf("SkipRoot(panic-marker, %s) = %v, want %v", root.Name, got, want)
+			}
+		}
+		en := engines[i]
+		if en.Stats.RootsSkipped != int64(len(p.Roots)-1) || en.Stats.Blocks == 0 || en.Analyses("die_if") == 0 {
+			t.Errorf("panic-marker: RootsSkipped %d of %d, Blocks %d, die_if analysed %d times; want one root traversed through die_if",
+				en.Stats.RootsSkipped, len(p.Roots), en.Stats.Blocks, en.Analyses("die_if"))
+		}
+		if want := []MarkEvent{{Name: "panic", Key: "pathkill"}}; !reflect.DeepEqual(en.MarkLog, want) {
+			t.Errorf("panic-marker marks %v, want %v", en.MarkLog, want)
+		}
+	}
+}
+
+// wrappedGets reports gets and, through an overriding mc_is_call_to,
+// any wrapper whose name ends in "gets".
+const wrappedGets = `
+sm wrapped_gets;
+decl any_fn_call fn;
+decl any_arguments args;
+
+start:
+    { fn(args) } && ${ mc_is_call_to(fn, "gets") } ==> start, { err("gets or a wrapper of it"); }
+;
+`
+
+// TestCallToOverrideKeepsCallAtom: a checker whose own Callouts
+// override mc_is_call_to (mc.Analyzer.LoadCheckerWithCallouts) keeps the
+// name-free call atom, so a root that calls only my_gets is not skipped
+// and the override fires there — under a shared dispatch exactly as
+// with none attached. Without the override the builtin's meaning keys
+// the entry by "gets" and the root is skipped.
+func TestCallToOverrideKeepsCallAtom(t *testing.T) {
+	p := buildProg(t, map[string]string{"a.c": `
+char *my_gets(char *b);
+int reader(char *b) { my_gets(b); return 0; }
+`})
+	root := p.Lookup("reader")
+	builtin := mustChecker(t, wrappedGets)
+	if cd := CompileDispatch(p, []*metal.Checker{builtin}); !cd.SkipRoot(0, root) {
+		t.Error("builtin mc_is_call_to: SkipRoot(reader) = false, want true (reader never calls gets)")
+	}
+
+	override := func() *metal.Checker {
+		c := mustChecker(t, wrappedGets)
+		c.Callouts["mc_is_call_to"] = func(ctx *pattern.Ctx, args []pattern.CalloutArg) bool {
+			call, ok := args[0].Binding.Expr.(*cc.CallExpr)
+			if !ok {
+				return false
+			}
+			id, ok := call.Fun.(*cc.Ident)
+			return ok && strings.HasSuffix(id.Name, args[1].Str)
+		}
+		return c
+	}
+	c := override()
+	cd := CompileDispatch(p, []*metal.Checker{mustChecker(t, checkers.Free), c})
+	if want := []filterAtom{{kind: kindCall}}; !reflect.DeepEqual(cd.entries[cd.firstEntry[1]], want) {
+		t.Errorf("overridden mc_is_call_to: atoms %+v, want the name-free call atom %+v", cd.entries[cd.firstEntry[1]], want)
+	}
+	if cd.SkipRoot(1, root) {
+		t.Error("overridden mc_is_call_to: SkipRoot(reader) = true, want false")
+	}
+	attached := NewEngine(p, c, DefaultOptions())
+	attached.SetCompiled(cd, 1)
+	alone := NewEngine(p, override(), DefaultOptions())
+	got, want := reportKeys(attached.Run()), reportKeys(alone.Run())
+	if len(want) != 1 || !reflect.DeepEqual(got, want) {
+		t.Errorf("reports under the shared dispatch %v, with none attached %v; want the one my_gets report in both", got, want)
+	}
+}
+
+// TestRegisterCallToPanics: the compiled dispatch is shared by engines
+// and cannot see one engine's registry, so RegisterCallout refuses
+// mc_is_call_to and says where an override goes instead.
+func TestRegisterCallToPanics(t *testing.T) {
+	en := NewEngine(buildProg(t, map[string]string{"a.c": "int f(void) { return 0; }"}),
+		mustChecker(t, checkers.PanicMarker), DefaultOptions())
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "mc_is_call_to") || !strings.Contains(msg, "LoadCheckerWithCallouts") {
+			t.Errorf("RegisterCallout(mc_is_call_to) panicked with %q; want it to name the checker's Callouts", msg)
+		}
+	}()
+	en.RegisterCallout("mc_is_call_to", func(*pattern.Ctx, []pattern.CalloutArg) bool { return true })
+	t.Error("RegisterCallout(mc_is_call_to) returned")
 }

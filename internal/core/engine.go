@@ -71,6 +71,9 @@ type Stats struct {
 	// points — the per-point matching work block counts cannot see
 	// (Budgets.InstanceOps bounds it per root).
 	InstanceOps int64
+	// RootsSkipped counts the roots the compiled dispatch proved this
+	// checker a no-op over (CompiledDispatch.SkipRoot): never traversed.
+	RootsSkipped int64
 	// Analyses maps function name to the number of times its CFG
 	// traversal was (re)started.
 	Analyses map[string]int
@@ -303,8 +306,18 @@ func (en *Engine) ensureCompiled() {
 // for native Go checkers).
 func (en *Engine) RegisterAction(name string, fn ActionFunc) { en.actions[name] = fn }
 
-// RegisterCallout installs a custom pattern callout.
-func (en *Engine) RegisterCallout(name string, fn pattern.CalloutFunc) { en.callouts[name] = fn }
+// RegisterCallout installs a custom pattern callout. mc_is_call_to is
+// refused: the compiled dispatch, shared by engines, reads the builtin's
+// meaning into its callee index (filterOf) and cannot see one engine's
+// registry. A checker overrides it in its own Callouts instead
+// (mc.Analyzer.LoadCheckerWithCallouts), which the dispatch does see.
+func (en *Engine) RegisterCallout(name string, fn pattern.CalloutFunc) {
+	if name == "mc_is_call_to" {
+		panic("core: RegisterCallout: mc_is_call_to is keyed by the compiled dispatch; " +
+			"override it in the checker's Callouts (metal.Checker.Callouts, mc.Analyzer.LoadCheckerWithCallouts) instead")
+	}
+	en.callouts[name] = fn
+}
 
 // MarkFn annotates a function name with a composition flag. The mark
 // is also appended to the engine's MarkLog for cache replay.

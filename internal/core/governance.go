@@ -233,6 +233,7 @@ func (en *Engine) RunRootsContext(ctx context.Context, roots []*prog.Function) [
 		// reports, marks, or rule counts — so the traversal is skipped
 		// with an empty segment, byte-identical to having run it.
 		if en.compiled.SkipRoot(en.checkerIdx, root) {
+			en.Stats.RootsSkipped++
 			out = append(out, RootRun{Root: root})
 			en.retireAfter(root)
 			continue

@@ -153,14 +153,27 @@ func mergeCallee(a, b filterAtom) (filterAtom, bool) {
 // Soundness invariant: if p.Match(ctx, prior) can succeed at an
 // in-block or return-statement dispatch for ANY prior, some atom
 // accepts that point.
-func filterOf(p pattern.Pattern) []filterAtom {
+//
+// Callouts are opaque, with one exception when callTo says the
+// checker's mc_is_call_to is the builtin: as the right conjunct of an
+// And whose left side binds fn to the point (bindsPointCall),
+// ${ mc_is_call_to(fn, "name") } holds only where the point is a call
+// to name — the atom "{ name(args) }" has — so the §4 idiom
+// "{ fn(args) } && ${ mc_is_call_to(fn, "name") }" joins the callee index.
+func filterOf(p pattern.Pattern, callTo bool) []filterAtom {
 	switch p := p.(type) {
 	case *pattern.Base:
 		return []filterAtom{baseAtom(p)}
 	case *pattern.And:
+		right := filterOf(p.Y, callTo)
+		if co, ok := p.Y.(*pattern.Callout); ok && callTo {
+			if h, name, ok := co.CallTo(); ok && bindsPointCall(p.X, h) {
+				right = []filterAtom{{kind: kindCall, callee: name, rootCallee: true}}
+			}
+		}
 		var atoms []filterAtom
-		for _, a := range filterOf(p.X) {
-			for _, b := range filterOf(p.Y) {
+		for _, a := range filterOf(p.X, callTo) {
+			for _, b := range right {
 				if c, ok := conjoin(a, b); ok {
 					atoms = append(atoms, c)
 				}
@@ -168,7 +181,7 @@ func filterOf(p pattern.Pattern) []filterAtom {
 		}
 		return atoms
 	case *pattern.Or:
-		return append(filterOf(p.X), filterOf(p.Y)...)
+		return append(filterOf(p.X, callTo), filterOf(p.Y, callTo)...)
 	case *pattern.Callout:
 		if p.Const && !p.ConstVal {
 			return nil // ${0}: never matches
@@ -219,6 +232,28 @@ func baseAtom(b *pattern.Base) filterAtom {
 	default:
 		return filterAtom{kind: kindOf(tmpl), callee: requiredCallee(tmpl)}
 	}
+}
+
+// bindsPointCall reports whether p, whenever it matches, leaves hole h
+// bound to an expression equal to the point, which is a call: p is the
+// Base "{ h(args) }" with h an any_fn_call hole — matchExpr binds h to
+// the whole call or, when the prior already holds h, requires that
+// binding to be EqualExpr to it — or an And with such a conjunct on
+// either side, since no pattern rebinds a bound hole.
+func bindsPointCall(p pattern.Pattern, h string) bool {
+	switch p := p.(type) {
+	case *pattern.Base:
+		tmpl, isReturn := p.Template()
+		call, ok := tmpl.(*cc.CallExpr)
+		if isReturn || !ok {
+			return false
+		}
+		fn, ok := call.Fun.(*cc.HoleExpr)
+		return ok && fn.Name == h && pattern.MetaKind(fn.Meta) == pattern.MetaAnyFnCall
+	case *pattern.And:
+		return bindsPointCall(p.X, h) || bindsPointCall(p.Y, h)
+	}
+	return false
 }
 
 // requiredCallee finds a function name the template forces into any

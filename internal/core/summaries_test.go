@@ -50,12 +50,20 @@ int root(int *p, int *q, int *s, int n) { return mid(p, q, s, n) + *s; }
 }
 
 // summariesDigest is the SHA-256 over SupergraphString of every
-// function under every bundled checker for the three trees below, taken
-// at the commit before the DFS came to own its stacks, slabs and match
-// context (PR 22). Report digests do not see block and suffix
-// summaries; this does. A change that moves it changed what the engine
-// computes, not who owns the memory.
-const summariesDigest = "e989146867b5805774db622d12720516b6f1c6d745ef159f7299a65e2d51af1a"
+// function under every bundled checker for the three trees below. Report
+// digests do not see block and suffix summaries; this does. A change
+// that moves it changed what the engine computes, not who owns the
+// memory.
+//
+// It moved once, when "{ fn(args) } && ${ mc_is_call_to(fn, "name") }"
+// joined the compiled dispatch's callee index (e989146… before): banned,
+// sec-annotator and panic-marker stopped traversing roots that never
+// call their names. Rendered per (tree, checker, function) on both
+// sides, 177 of the 960 renderings changed, all of the three checkers'
+// (banned 60, sec-annotator 60, panic-marker 57), and each went from
+// placeholder-only — 1,972 edges in all, every one (start,<>) -->
+// (start,<>) — to empty; the other 783 are byte-identical.
+const summariesDigest = "0f71f0df737a312183b10363089d9bc7bd9285f5235e1895ef8541a65dc9515a"
 
 // witnessDigest is the SHA-256 over every report's String() and witness
 // Path under every bundled checker for the three trees below plus

@@ -595,6 +595,21 @@ func (c *Callout) Match(ctx *Ctx, prior Bindings) (Bindings, bool) {
 	return nil, false
 }
 
+// CallTo reports whether the callout is ${ mc_is_call_to(hole, "name") }:
+// the one builtin whose meaning is syntactic — it holds only where the
+// hole's binding is a call whose function is the identifier name. The
+// engine's pre-filter reads it to key such a conjunct by callee.
+func (c *Callout) CallTo() (hole, name string, ok bool) {
+	if c.FnName != "mc_is_call_to" || len(c.ArgSrcs) != 2 {
+		return "", "", false
+	}
+	h, n := c.ArgSrcs[0], c.ArgSrcs[1]
+	if h.isStr || h.isNum || !n.isStr {
+		return "", "", false
+	}
+	return h.hole, n.str, true
+}
+
 // String implements Pattern.
 func (c *Callout) String() string { return "${" + c.Raw + "}" }
 

@@ -197,6 +197,7 @@ func mergeStats(dst, src *core.Stats) {
 	dst.FuncFollows += src.FuncFollows
 	dst.RecursionCuts += src.RecursionCuts
 	dst.InstanceOps += src.InstanceOps
+	dst.RootsSkipped += src.RootsSkipped
 	for k, v := range src.Analyses {
 		dst.Analyses[k] += v
 	}
