@@ -45,7 +45,10 @@ vet:
 # and its counters, the unread server counters and the engine-global
 # block bound stay gone. And a path's memory is the engine's (DESIGN.md
 # §5): the per-event witness cell, the per-split state clone and the fact
-# environment's clone stay gone.
+# environment's clone stay gone. And the daemon names each series once
+# (DESIGN.md §9.5): the hand-copied stats body, the CAS-sharing switch
+# a coordinator already implies and the per-handler method checks the
+# route patterns replaced stay gone.
 no-deleted-knobs:
 	! grep -rnE 'Match[M]emo|Block[F]ilter|Tuple[I]ntern|Lean[A]lloc|Multi[D]ispatch|Tenant[Q]uota|Queue[D]epth|Batch[S]ize' --include=*.go .
 	! grep -rnE 'Load[S]ummaries|summary[S]ource|Retired[S]et|Allow[S]pillReload|Summaries[L]oaded|SummaryBytes[D]eferred' --include=*.go .
@@ -58,6 +61,7 @@ no-deleted-knobs:
 	! grep -rnE 'map\[[s]tring\]Binding|Bindings[.]clone' --include=*.go .
 	! grep -rnE 'Prob[e]r|CoalescedG[e]ts|FlightWait[e]rs|CASCount[e]rs|httpRes[u]lt|MaxBl[o]cks|HitBl[o]ckLimit' --include=*.go .
 	! grep -rnE 'path[L]og|clone[F]or|clone[S]lack' --include=*.go .
+	! grep -rnE 'Share[C]AS|StatsRes[p]onse|GET [o]nly|POST [o]nly' --include=*.go .
 	! ls BENCH_*.json 2>/dev/null | grep .
 
 # staticcheck is optional locally (the repo adds no dependencies) but

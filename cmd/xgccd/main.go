@@ -149,13 +149,12 @@ func main() {
 
 	if *coordinator {
 		// The coordinator's store IS the shared CAS: served at
-		// /v1/cas/ for workers, analyzed against locally. With -cas it
-		// instead joins an external CAS (and still re-serves it, so
-		// workers may point at either).
+		// /v1/cas/ for workers (setting cfg.Fleet mounts it), analyzed
+		// against locally. With -cas it instead joins an external CAS
+		// (and still re-serves it, so workers may point at either).
 		if *casURL != "" {
 			cfg.Store = cache.NewHTTPStore(*casURL, nil)
 		}
-		cfg.ShareCAS = true
 		var workers []string
 		for _, u := range strings.Split(*workerList, ",") {
 			if u = strings.TrimSpace(u); u != "" {

@@ -399,6 +399,26 @@ func TestWorkerFillsOnlyDerivedKeys(t *testing.T) {
 	}
 }
 
+// TestWorkerWorkIsPostOnly: /v1/work is registered as a POST route, so
+// any other method gets the mux's 405 naming POST in Allow and is not
+// counted as a work request.
+func TestWorkerWorkIsPostOnly(t *testing.T) {
+	w := fleet.NewWorker(cache.NewMemStore(), 1)
+	srv := httptest.NewServer(w.Handler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/v1/work")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != "POST" {
+		t.Errorf("GET /v1/work: status %d, Allow %q; want 405, POST", resp.StatusCode, resp.Header.Get("Allow"))
+	}
+	if n := w.Stats().Requests; n != 0 {
+		t.Errorf("a refused GET counted as %d work requests", n)
+	}
+}
+
 // TestWorkerTreeReuse pins the worker-side program cache: two
 // requests for one tree build it once.
 func TestWorkerTreeReuse(t *testing.T) {

@@ -63,7 +63,7 @@ func NewWorker(cas cache.Store, jobs int) *Worker {
 // /v1/healthz, GET /v1/stats.
 func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/work", w.handleWork)
+	mux.HandleFunc("POST /v1/work", w.handleWork)
 	mux.HandleFunc("/v1/healthz", func(rw http.ResponseWriter, r *http.Request) {
 		rw.Header().Set("Content-Type", "application/json")
 		fmt.Fprintln(rw, `{"status":"ok","role":"worker"}`)
@@ -88,10 +88,6 @@ func (w *Worker) Stats() WorkerStats {
 }
 
 func (w *Worker) handleWork(rw http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(rw, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	w.requests.Add(1)
 	var req WorkRequest
 	body := http.MaxBytesReader(rw, r.Body, workerMaxBody)

@@ -7,9 +7,7 @@ package server
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/internal/harness"
@@ -58,7 +56,6 @@ type UploadRequest struct {
 // 200 when this exact text was already stored (uploads are idempotent
 // by content address), 400 when the source does not parse as metal.
 func (s *Server) handleCheckerUpload(w http.ResponseWriter, r *http.Request) {
-	s.countRequest()
 	var req UploadRequest
 	if !s.decodeBody(w, r, &req) {
 		return
@@ -80,23 +77,19 @@ func (s *Server) handleCheckerUpload(w http.ResponseWriter, r *http.Request) {
 	if created {
 		status = http.StatusCreated
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	writeJSONBody(w, checkerJSON(e, s.enabledSet(tenantOf(r))))
+	writeJSON(w, status, checkerJSON(e, s.enabledSet(tenantOf(r))))
 }
 
 func (s *Server) handleCheckerList(w http.ResponseWriter, r *http.Request) {
-	s.countRequest()
 	enabled := s.enabledSet(tenantOf(r))
 	out := []CheckerJSON{}
 	for _, e := range s.cfg.Registry.List() {
 		out = append(out, checkerJSON(e, enabled))
 	}
-	writeJSON(w, out)
+	writeJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleCheckerGet(w http.ResponseWriter, r *http.Request) {
-	s.countRequest()
 	id := r.PathValue("id")
 	e, ok := s.cfg.Registry.Get(id)
 	if !ok {
@@ -107,18 +100,17 @@ func (s *Server) handleCheckerGet(w http.ResponseWriter, r *http.Request) {
 	if src, err := s.cfg.Registry.Source(id); err == nil {
 		out.Source = src
 	}
-	writeJSON(w, out)
+	writeJSON(w, http.StatusOK, out)
 }
 
 // handleCheckerValidate runs the admission harness on a stored
-// checker. Validation is real analysis work, so it sits behind the
-// same admission semaphore as analyze (429 + Retry-After when
-// saturated). The harness outcome — admitted or rejected, with
-// z-score, kill-rate, and isolation counts — is stored on the entry
-// and returned; a buggy checker is a structured rejection, never a
-// daemon outage.
+// checker. Validation is real analysis work, so it goes through the
+// same admission as analyze: 429 + Retry-After when saturated, 503
+// when RequestTimeout expires first (the entry keeps no verdict). The
+// harness outcome — admitted or rejected, with z-score, kill-rate, and
+// isolation counts — is stored on the entry and returned; a buggy
+// checker is a structured rejection, never a daemon outage.
 func (s *Server) handleCheckerValidate(w http.ResponseWriter, r *http.Request) {
-	s.countRequest()
 	id := r.PathValue("id")
 	if _, ok := s.cfg.Registry.Get(id); !ok {
 		writeError(w, http.StatusNotFound, "not_found", "no such checker", id)
@@ -132,35 +124,16 @@ func (s *Server) handleCheckerValidate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	select {
-	case s.sem <- struct{}{}:
-	default:
-		s.mu.Lock()
-		s.rejected++
-		inflight := s.inflight
-		s.mu.Unlock()
-		w.Header().Set("Retry-After",
-			strconv.Itoa(retryAfterSeconds(s.cfg.RequestTimeout, inflight)))
-		writeError(w, http.StatusTooManyRequests, "overloaded",
-			"too many analyses in flight", fmt.Sprintf("max_inflight=%d", s.cfg.MaxInFlight))
+	ctx, release, ok := s.admit(w, r.Context())
+	if !ok {
 		return
 	}
-	defer func() { <-s.sem }()
-	s.mu.Lock()
-	s.inflight++
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		s.inflight--
-		s.mu.Unlock()
-	}()
+	defer release()
 
 	t0 := time.Now()
-	v, err := harness.Validate(r.Context(), src, s.cfg.Harness)
+	v, err := harness.Validate(ctx, src, s.cfg.Harness)
 	if err != nil {
-		s.bumpFailures()
-		writeError(w, http.StatusUnprocessableEntity, "validation_failed",
-			"validation could not run", err.Error())
+		s.runFailed(w, ctx, err, "validation_failed", "validation could not run")
 		return
 	}
 	raw, err := json.Marshal(v)
@@ -183,7 +156,7 @@ func (s *Server) handleCheckerValidate(w http.ResponseWriter, r *http.Request) {
 		s.validationsRejected++
 	}
 	s.mu.Unlock()
-	writeJSON(w, struct {
+	writeJSON(w, http.StatusOK, struct {
 		ID          string           `json:"id"`
 		Status      string           `json:"status"`
 		Verdict     *harness.Verdict `json:"verdict"`
@@ -196,7 +169,6 @@ func (s *Server) handleCheckerValidate(w http.ResponseWriter, r *http.Request) {
 // of the same checker name is implicitly disabled, so an upgrade is
 // one call. The change is live on the tenant's next analyze.
 func (s *Server) handleCheckerEnable(w http.ResponseWriter, r *http.Request) {
-	s.countRequest()
 	id := r.PathValue("id")
 	tenant := tenantOf(r)
 	e, ok := s.cfg.Registry.Get(id)
@@ -209,11 +181,10 @@ func (s *Server) handleCheckerEnable(w http.ResponseWriter, r *http.Request) {
 			"checker is not admitted for enablement", err.Error())
 		return
 	}
-	writeJSON(w, checkerJSON(e, s.enabledSet(tenant)))
+	writeJSON(w, http.StatusOK, checkerJSON(e, s.enabledSet(tenant)))
 }
 
 func (s *Server) handleCheckerDisable(w http.ResponseWriter, r *http.Request) {
-	s.countRequest()
 	id := r.PathValue("id")
 	tenant := tenantOf(r)
 	e, ok := s.cfg.Registry.Get(id)
@@ -226,11 +197,10 @@ func (s *Server) handleCheckerDisable(w http.ResponseWriter, r *http.Request) {
 			"disable failed", err.Error())
 		return
 	}
-	writeJSON(w, checkerJSON(e, s.enabledSet(tenant)))
+	writeJSON(w, http.StatusOK, checkerJSON(e, s.enabledSet(tenant)))
 }
 
 func (s *Server) handleCheckerDelete(w http.ResponseWriter, r *http.Request) {
-	s.countRequest()
 	id := r.PathValue("id")
 	if _, ok := s.cfg.Registry.Get(id); !ok {
 		writeError(w, http.StatusNotFound, "not_found", "no such checker", id)
@@ -241,7 +211,7 @@ func (s *Server) handleCheckerDelete(w http.ResponseWriter, r *http.Request) {
 			"delete failed", err.Error())
 		return
 	}
-	writeJSON(w, struct {
+	writeJSON(w, http.StatusOK, struct {
 		ID      string `json:"id"`
 		Deleted bool   `json:"deleted"`
 	}{id, true})

@@ -243,17 +243,12 @@ func TestCheckerLifecycleAndHotReload(t *testing.T) {
 			}
 
 			// Reload counters observed the two active-set changes.
-			code, body = doJSON(t, "GET", ts.URL+"/v1/stats", nil)
-			if code != http.StatusOK {
-				t.Fatalf("stats: status %d", code)
+			st := getStats(t, ts.URL)
+			if st["checker_reloads"] != 2.0 {
+				t.Errorf("checker_reloads = %v, want 2", st["checker_reloads"])
 			}
-			var st StatsResponse
-			json.Unmarshal(body, &st)
-			if st.CheckerReloads != 2 {
-				t.Errorf("checker_reloads = %d, want 2", st.CheckerReloads)
-			}
-			if st.ValidationsAdmitted != 2 || st.ValidationsRejected != 0 {
-				t.Errorf("validations = %d/%d, want 2/0", st.ValidationsAdmitted, st.ValidationsRejected)
+			if st["validations_admitted"] != 2.0 || st["validations_rejected"] != 0.0 {
+				t.Errorf("validations = %v/%v, want 2/0", st["validations_admitted"], st["validations_rejected"])
 			}
 		})
 	}
@@ -322,14 +317,8 @@ func TestBuggyCheckerIsVerdictNotOutage(t *testing.T) {
 	}
 
 	// The daemon is alive and the rejection is counted.
-	code, body = doJSON(t, "GET", ts.URL+"/v1/stats", nil)
-	if code != http.StatusOK {
-		t.Fatalf("stats after rejection: status %d", code)
-	}
-	var st StatsResponse
-	json.Unmarshal(body, &st)
-	if st.ValidationsRejected != 1 {
-		t.Errorf("validations_rejected = %d, want 1", st.ValidationsRejected)
+	if st := getStats(t, ts.URL); st["validations_rejected"] != 1.0 {
+		t.Errorf("validations_rejected = %v, want 1", st["validations_rejected"])
 	}
 }
 
@@ -454,6 +443,10 @@ func TestCheckerCRUDErrors(t *testing.T) {
 		{"DELETE", "/v1/checkers/nope", nil, http.StatusNotFound, "not_found"},
 		{"PUT", "/v1/checkers", nil, http.StatusMethodNotAllowed, "method_not_allowed"},
 		{"PATCH", "/v1/checkers/x/validate", nil, http.StatusMethodNotAllowed, "method_not_allowed"},
+		{"POST", "/v1/stats", nil, http.StatusMethodNotAllowed, "method_not_allowed"},
+		{"DELETE", "/v1/metrics", nil, http.StatusMethodNotAllowed, "method_not_allowed"},
+		{"PUT", "/v1/reports", nil, http.StatusMethodNotAllowed, "method_not_allowed"},
+		{"GET", "/v1/analyze", nil, http.StatusMethodNotAllowed, "method_not_allowed"},
 	}
 	for _, tc := range cases {
 		code, body := doJSON(t, tc.method, ts.URL+tc.path, tc.body)
@@ -464,6 +457,16 @@ func TestCheckerCRUDErrors(t *testing.T) {
 		var env ErrorEnvelope
 		if err := json.Unmarshal(body, &env); err != nil || env.Code != tc.wantCode {
 			t.Errorf("%s %s: envelope %s, want code %q", tc.method, tc.path, body, tc.wantCode)
+		}
+	}
+	// HEAD carries no body, so only its status is pinned: refused where
+	// GET is hand-served, answered where the /v1/checkers GET routes are.
+	for path, want := range map[string]int{
+		"/v1/reports": http.StatusMethodNotAllowed, "/v1/stats": http.StatusMethodNotAllowed,
+		"/v1/metrics": http.StatusMethodNotAllowed, "/v1/checkers": http.StatusOK,
+	} {
+		if code, _ := doJSON(t, "HEAD", ts.URL+path, nil); code != want {
+			t.Errorf("HEAD %s: status %d, want %d", path, code, want)
 		}
 	}
 

@@ -108,17 +108,17 @@ func TestFleetModeEndToEnd(t *testing.T) {
 	defer tsPlain.Close()
 	want := postAnalyze(t, tsPlain, AnalyzeRequest{Files: srcs})
 
-	store := cache.NewMemStore()
-	s := New(Config{Jobs: 2, Store: store, ShareCAS: true})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	cas := cache.NewHTTPStore(ts.URL+"/v1/cas", nil)
+	// The coordinator exists before its handler, so the worker's CAS
+	// client is handed the listener's address ahead of the server start.
+	ts := httptest.NewUnstartedServer(nil)
+	cas := cache.NewHTTPStore("http://"+ts.Listener.Addr().String()+"/v1/cas", nil)
 	wsrv := httptest.NewServer(fleet.NewWorker(cas, 2).Handler())
 	defer wsrv.Close()
 	co := fleet.NewCoordinator(fleet.Config{Workers: []string{wsrv.URL}})
 	defer co.Close()
-	s.cfg.Fleet = co
+	ts.Config.Handler = New(Config{Jobs: 2, Fleet: co}).Handler()
+	ts.Start()
+	defer ts.Close()
 
 	got := postAnalyze(t, ts, AnalyzeRequest{Files: srcs})
 	if !reflect.DeepEqual(got.Ranked, want.Ranked) {
@@ -129,17 +129,9 @@ func TestFleetModeEndToEnd(t *testing.T) {
 	}
 
 	// The fleet counters surface on /v1/stats and /v1/metrics.
-	resp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if st.Fleet == nil || st.Fleet.Filled == 0 {
-		t.Fatalf("stats missing fleet counters: %+v", st.Fleet)
+	fs, _ := getStats(t, ts.URL)["fleet"].(map[string]any)
+	if filled, _ := fs["fleet_filled"].(float64); filled == 0 {
+		t.Fatalf("stats missing fleet counters: %v", fs)
 	}
 	mresp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {

@@ -231,16 +231,8 @@ func TestBackpressure429(t *testing.T) {
 		t.Errorf("held request finished with %d, want 200", code)
 	}
 
-	code, body2 := getBody(t, ts.URL+"/v1/stats")
-	if code != http.StatusOK {
-		t.Fatalf("stats: %d", code)
-	}
-	var stats StatsResponse
-	if err := json.Unmarshal([]byte(body2), &stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Rejected != 1 {
-		t.Errorf("rejected counter = %d, want 1", stats.Rejected)
+	if st := getStats(t, ts.URL); st["rejected"] != 1.0 {
+		t.Errorf("rejected counter = %v, want 1", st["rejected"])
 	}
 }
 
@@ -271,16 +263,8 @@ func TestRequestTimeout503(t *testing.T) {
 		t.Errorf("post-timeout request: status %d", resp.StatusCode)
 	}
 
-	code, body2 := getBody(t, ts.URL+"/v1/stats")
-	if code != http.StatusOK {
-		t.Fatal("stats unavailable")
-	}
-	var stats StatsResponse
-	if err := json.Unmarshal([]byte(body2), &stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Timeouts != 1 {
-		t.Errorf("timeouts counter = %d, want 1", stats.Timeouts)
+	if st := getStats(t, ts.URL); st["timeouts"] != 1.0 {
+		t.Errorf("timeouts counter = %v, want 1", st["timeouts"])
 	}
 }
 
@@ -298,5 +282,43 @@ func TestGovernanceMetricsExposed(t *testing.T) {
 		if !bytes.Contains([]byte(body), []byte(name)) {
 			t.Errorf("metric %s missing from /v1/metrics", name)
 		}
+	}
+}
+
+// TestValidateTimeout503: validation goes through the analyze path's
+// admission, deadline included. A validation that outlives
+// RequestTimeout answers 503/"timeout", counts in timeouts, and leaves
+// the registry entry without a verdict.
+func TestValidateTimeout503(t *testing.T) {
+	srv := New(Config{Checkers: []string{"free"}, RequestTimeout: time.Millisecond})
+	srv.testRunHook = func(ctx context.Context) { <-ctx.Done() }
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	code, body := doJSON(t, "POST", ts.URL+"/v1/checkers", UploadRequest{Source: uafCheckerV1})
+	if code != http.StatusCreated {
+		t.Fatalf("upload: status %d: %s", code, body)
+	}
+	var uploaded CheckerJSON
+	json.Unmarshal(body, &uploaded)
+
+	code, body = doJSON(t, "POST", ts.URL+"/v1/checkers/"+uploaded.ID+"/validate", nil)
+	if code != http.StatusServiceUnavailable {
+		t.Fatalf("validate: status %d, want 503: %s", code, body)
+	}
+	if env := decodeEnvelope(t, body); env.Code != "timeout" {
+		t.Errorf("envelope code %q, want timeout", env.Code)
+	}
+	st := getStats(t, ts.URL)
+	if st["timeouts"] != 1.0 || st["validations_admitted"] != 0.0 || st["validations_rejected"] != 0.0 {
+		t.Errorf("timeouts/admitted/rejected = %v/%v/%v, want 1/0/0",
+			st["timeouts"], st["validations_admitted"], st["validations_rejected"])
+	}
+	_, body = doJSON(t, "GET", ts.URL+"/v1/checkers/"+uploaded.ID, nil)
+	var got CheckerJSON
+	json.Unmarshal(body, &got)
+	if got.Verdict != nil || got.Status != uploaded.Status {
+		t.Errorf("timed-out validation touched the entry: status %q (was %q), verdict %s",
+			got.Status, uploaded.Status, got.Verdict)
 	}
 }

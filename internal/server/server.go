@@ -31,11 +31,11 @@
 // paths included, gets the enveloped 404. Every error response is a
 // uniform JSON envelope {"code": ..., "message": ..., "details": ...}.
 //
-// Resource governance: at most Config.MaxInFlight analyze requests are
-// admitted at once (excess gets 429 "overloaded"), each admitted run
-// is bounded by Config.RequestTimeout (503 "timeout" on expiry, with
-// the resident tree rolled back), and Config.Options.Budgets bounds
-// each traversal inside a run.
+// Resource governance: at most Config.MaxInFlight analyze and validate
+// requests are admitted at once (excess gets 429 "overloaded"), each
+// admitted run is bounded by Config.RequestTimeout (503 "timeout" on
+// expiry, with the resident tree rolled back), and
+// Config.Options.Budgets bounds each traversal inside a run.
 package server
 
 import (
@@ -53,7 +53,6 @@ import (
 	"time"
 
 	"repro/internal/cache"
-	"repro/internal/core"
 	"repro/internal/feas"
 	"repro/internal/fleet"
 	"repro/internal/harness"
@@ -78,11 +77,12 @@ type Config struct {
 	Jobs int
 	// Store is the resident cache; nil = a fresh in-memory store.
 	Store cache.Store
-	// MaxInFlight bounds concurrently admitted analyze requests;
-	// excess requests are rejected with 429. 0 means DefaultMaxInFlight.
+	// MaxInFlight bounds concurrently admitted analyze and validate
+	// requests; excess requests are rejected with 429. 0 means
+	// DefaultMaxInFlight.
 	MaxInFlight int
-	// RequestTimeout bounds each admitted analysis run; an expired run
-	// returns 503 and rolls the resident tree back. 0 means unbounded.
+	// RequestTimeout bounds each admitted run, analysis or validation;
+	// an expired run returns 503 and commits nothing. 0 means unbounded.
 	RequestTimeout time.Duration
 	// Registry is the versioned checker inventory backing the
 	// /v1/checkers routes (DESIGN.md §14). Nil gets a fresh memory-only
@@ -93,13 +93,11 @@ type Config struct {
 	// harness.DefaultConfig() with the daemon's Jobs setting.
 	Harness harness.Config
 	// Fleet, when non-nil, shards each run's cache-miss units over
-	// the coordinator's workers (DESIGN.md §15). The store MUST then be
-	// the same shared CAS the workers write to. Nil keeps every unit
-	// local — the single-process mode, byte-identical either way.
+	// the coordinator's workers (DESIGN.md §15) and mounts the store at
+	// /v1/cas/, so the workers (and sibling coordinators) read and fill
+	// it over HTTP. Nil keeps every unit local — the single-process
+	// mode, byte-identical either way.
 	Fleet *fleet.Coordinator
-	// ShareCAS mounts the daemon's store at /v1/cas/ so fleet workers
-	// (and sibling coordinators) can read and fill it over HTTP.
-	ShareCAS bool
 	// Verify enables the asynchronous feasibility-verdict pipeline
 	// (DESIGN.md §13): analyze responses return immediately with every
 	// report marked "unverified", and a bounded worker pool replays
@@ -140,9 +138,9 @@ type Server struct {
 	// slot.
 	flight singleflight.Group[*bufferedResponse]
 
-	// testRunHook, when set, runs inside the admitted, serialized run
-	// section before the analysis starts. Tests use it to hold a run
-	// in flight (backpressure) or to wait out the request deadline.
+	// testRunHook, when set, runs once a request is admitted, under its
+	// deadline. Tests use it to hold a run in flight (backpressure) or
+	// to wait out the request deadline.
 	testRunHook func(context.Context)
 
 	mu              sync.Mutex
@@ -381,11 +379,7 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 }
 
 func writeError(w http.ResponseWriter, status int, code, message, details string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(ErrorEnvelope{Code: code, Message: message, Details: details})
+	writeJSON(w, status, ErrorEnvelope{Code: code, Message: message, Details: details})
 }
 
 // AnalyzeRequest is the POST /v1/analyze body. Files merge into the
@@ -449,17 +443,40 @@ func reportJSON(r *report.Report) ReportJSON {
 // for everything else.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/analyze", s.handleAnalyze)
-	mux.HandleFunc("/v1/reports", s.handleReports)
-	mux.HandleFunc("/v1/stats", s.handleStats)
-	mux.HandleFunc("/v1/metrics", s.handleMetrics)
-	mux.HandleFunc("POST /v1/checkers", s.handleCheckerUpload)
-	mux.HandleFunc("GET /v1/checkers", s.handleCheckerList)
-	mux.HandleFunc("GET /v1/checkers/{id}", s.handleCheckerGet)
-	mux.HandleFunc("POST /v1/checkers/{id}/validate", s.handleCheckerValidate)
-	mux.HandleFunc("POST /v1/checkers/{id}/enable", s.handleCheckerEnable)
-	mux.HandleFunc("POST /v1/checkers/{id}/disable", s.handleCheckerDisable)
-	mux.HandleFunc("DELETE /v1/checkers/{id}", s.handleCheckerDelete)
+	// api registers a route that counts in requests.
+	api := func(pattern string, h http.HandlerFunc) {
+		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+			s.mu.Lock()
+			s.requests++
+			s.mu.Unlock()
+			h(w, r)
+		})
+	}
+	api("POST /v1/analyze", s.handleAnalyze)
+	api("GET /v1/reports", s.handleReports)
+	api("GET /v1/stats", s.handleStats)
+	api("GET /v1/metrics", s.handleMetrics)
+	api("POST /v1/checkers", s.handleCheckerUpload)
+	api("GET /v1/checkers", s.handleCheckerList)
+	api("GET /v1/checkers/{id}", s.handleCheckerGet)
+	api("POST /v1/checkers/{id}/validate", s.handleCheckerValidate)
+	api("POST /v1/checkers/{id}/enable", s.handleCheckerEnable)
+	api("POST /v1/checkers/{id}/disable", s.handleCheckerDisable)
+	api("DELETE /v1/checkers/{id}", s.handleCheckerDelete)
+	// Any other method on these paths, and an unknown subpath under
+	// /v1/checkers/, would otherwise get the mux's plain-text 405; keep
+	// the enveloped surface uniform. A GET pattern also serves HEAD, so
+	// the HEAD rows keep the 405 these three routes always gave it.
+	for _, path := range []string{"/v1/analyze", "/v1/reports", "/v1/stats", "/v1/metrics", "/v1/checkers", "/v1/checkers/",
+		"HEAD /v1/reports", "HEAD /v1/stats", "HEAD /v1/metrics"} {
+		api(path, func(w http.ResponseWriter, r *http.Request) {
+			writeError(w, http.StatusMethodNotAllowed, "method_not_allowed",
+				"method not supported on this route", r.Method+" "+r.URL.Path)
+		})
+	}
+	api("/", func(w http.ResponseWriter, r *http.Request) {
+		writeError(w, http.StatusNotFound, "not_found", "unknown path", r.URL.Path)
+	})
 	// Liveness probe, shaped like the fleet worker's so one health
 	// check covers every role; the role field tells them apart.
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -470,7 +487,7 @@ func (s *Server) Handler() http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, "{\"status\":\"ok\",\"role\":%q}\n", role)
 	})
-	if s.cfg.ShareCAS {
+	if s.cfg.Fleet != nil {
 		// The shared CAS surface (DESIGN.md §15): fleet workers and
 		// sibling coordinators read and fill the same store the daemon
 		// analyzes against. Content-addressed keys make this safe —
@@ -482,37 +499,10 @@ func (s *Server) Handler() http.Handler {
 		// POST into a GET.
 		mux.Handle("/v1/cas", cas)
 	}
-	// Wrong-method (and unknown-subpath) requests under /v1/checkers
-	// would otherwise get the mux's plain-text 405; keep the enveloped
-	// surface uniform.
-	fallback := func(w http.ResponseWriter, r *http.Request) {
-		s.countRequest()
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed",
-			"method not supported on this route", r.Method+" "+r.URL.Path)
-	}
-	mux.HandleFunc("/v1/checkers", fallback)
-	mux.HandleFunc("/v1/checkers/", fallback)
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		s.countRequest()
-		writeError(w, http.StatusNotFound, "not_found",
-			"unknown path", r.URL.Path)
-	})
 	return mux
 }
 
-func (s *Server) countRequest() {
-	s.mu.Lock()
-	s.requests++
-	s.mu.Unlock()
-}
-
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	s.countRequest()
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed",
-			"POST only", r.Method)
-		return
-	}
 	tenant := tenantOf(r)
 	var req AnalyzeRequest
 	if !s.decodeBody(w, r, &req) {
@@ -581,37 +571,11 @@ func (s *Server) analyzeKey(tenant string, req *AnalyzeRequest) string {
 // response to w (a bufferedResponse when the request came through the
 // coalescing layer).
 func (s *Server) runAnalyze(w http.ResponseWriter, ctx context.Context, tenant string, req *AnalyzeRequest) {
-	// Admission control: try-acquire, never queue. A daemon saturated
-	// with analyses sheds load immediately instead of stacking
-	// goroutines behind runMu.
-	select {
-	case s.sem <- struct{}{}:
-	default:
-		s.mu.Lock()
-		s.rejected++
-		inflight := s.inflight
-		s.mu.Unlock()
-		w.Header().Set("Retry-After",
-			strconv.Itoa(retryAfterSeconds(s.cfg.RequestTimeout, inflight)))
-		writeError(w, http.StatusTooManyRequests, "overloaded",
-			"too many analyses in flight", fmt.Sprintf("max_inflight=%d", s.cfg.MaxInFlight))
+	ctx, release, ok := s.admit(w, ctx)
+	if !ok {
 		return
 	}
-	defer func() { <-s.sem }()
-	s.mu.Lock()
-	s.inflight++
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		s.inflight--
-		s.mu.Unlock()
-	}()
-
-	if s.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
-	}
+	defer release()
 
 	// Serialize run-and-commit: snapshot the tree, run outside mu (the
 	// analysis is the long part), commit only on success so a request
@@ -641,10 +605,6 @@ func (s *Server) runAnalyze(w http.ResponseWriter, ctx context.Context, tenant s
 		return
 	}
 
-	if s.testRunHook != nil {
-		s.testRunHook(ctx)
-	}
-
 	a, err := s.newAnalyzer(next, tenant)
 	if err != nil {
 		s.bumpFailures()
@@ -655,18 +615,7 @@ func (s *Server) runAnalyze(w http.ResponseWriter, ctx context.Context, tenant s
 	t0 := time.Now()
 	res, err := a.RunContext(ctx)
 	if err != nil {
-		if ctx.Err() != nil {
-			s.mu.Lock()
-			s.timeouts++
-			s.failures++
-			s.mu.Unlock()
-			writeError(w, http.StatusServiceUnavailable, "timeout",
-				"analysis cancelled or timed out", ctx.Err().Error())
-			return
-		}
-		s.bumpFailures()
-		writeError(w, http.StatusUnprocessableEntity, "analysis_failed",
-			"analysis failed", err.Error())
+		s.runFailed(w, ctx, err, "analysis_failed", "analysis failed")
 		return
 	}
 
@@ -722,7 +671,63 @@ func (s *Server) runAnalyze(w http.ResponseWriter, ctx context.Context, tenant s
 			s.feas.Enqueue(rep)
 		}
 	}
-	writeJSON(w, resp)
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// admit is the admission path of every request that runs an analysis
+// (analyze, validate): try-acquire, never queue — a saturated daemon
+// sheds load at once with 429 and a Retry-After instead of stacking
+// goroutines — then inflight accounting and the RequestTimeout
+// deadline. On success the caller runs under the returned context and
+// calls release when done.
+func (s *Server) admit(w http.ResponseWriter, ctx context.Context) (context.Context, func(), bool) {
+	select {
+	case s.sem <- struct{}{}:
+	default:
+		s.mu.Lock()
+		s.rejected++
+		inflight := s.inflight
+		s.mu.Unlock()
+		w.Header().Set("Retry-After",
+			strconv.Itoa(retryAfterSeconds(s.cfg.RequestTimeout, inflight)))
+		writeError(w, http.StatusTooManyRequests, "overloaded",
+			"too many analyses in flight", fmt.Sprintf("max_inflight=%d", s.cfg.MaxInFlight))
+		return nil, nil, false
+	}
+	s.mu.Lock()
+	s.inflight++
+	s.mu.Unlock()
+	cancel := context.CancelFunc(func() {})
+	if s.cfg.RequestTimeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
+	}
+	if s.testRunHook != nil {
+		s.testRunHook(ctx)
+	}
+	return ctx, func() {
+		cancel()
+		s.mu.Lock()
+		s.inflight--
+		s.mu.Unlock()
+		<-s.sem
+	}, true
+}
+
+// runFailed answers an admitted run that returned err: 503 "timeout"
+// when its context ended (the deadline, or every waiting caller gave
+// up), else 422 with the given code.
+func (s *Server) runFailed(w http.ResponseWriter, ctx context.Context, err error, code, message string) {
+	if ctx.Err() != nil {
+		s.mu.Lock()
+		s.timeouts++
+		s.failures++
+		s.mu.Unlock()
+		writeError(w, http.StatusServiceUnavailable, "timeout",
+			"analysis cancelled or timed out", ctx.Err().Error())
+		return
+	}
+	s.bumpFailures()
+	writeError(w, http.StatusUnprocessableEntity, code, message, err.Error())
 }
 
 func (s *Server) bumpFailures() {
@@ -732,12 +737,6 @@ func (s *Server) bumpFailures() {
 }
 
 func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
-	s.countRequest()
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed",
-			"GET only", r.Method)
-		return
-	}
 	// Verdict workers mutate reports under mu, and the rank
 	// comparators read verdicts — hold the lock through ranking and
 	// rendering.
@@ -782,181 +781,155 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 		out = append(out, reportJSON(rep))
 	}
 	s.mu.Unlock()
-	writeJSON(w, out)
+	writeJSON(w, http.StatusOK, out)
 }
 
-// StatsResponse is the GET /v1/stats body.
-type StatsResponse struct {
-	Requests int64 `json:"requests"`
-	Analyses int64 `json:"analyses"`
-	Failures int64 `json:"failures"`
-	// Governance counters (DESIGN.md §9).
-	Rejected        int64 `json:"rejected"`
-	Timeouts        int64 `json:"timeouts"`
-	CheckerFailures int64 `json:"checker_failures"`
-	DegradedRuns    int64 `json:"degraded_runs"`
-	MaxInFlight     int   `json:"max_inflight"`
-	// Retirement counters, cumulative across runs (DESIGN.md §12).
-	SpillEvictions int64 `json:"spill_evictions"`
-	ASTsReleased   int64 `json:"asts_released"`
-	// Checker-platform counters (DESIGN.md §14): active-set changes
-	// observed on the analyze path, validation outcomes, and the
-	// registry inventory size.
-	CheckerReloads      int64 `json:"checker_reloads"`
-	ValidationsAdmitted int64 `json:"validations_admitted"`
-	ValidationsRejected int64 `json:"validations_rejected"`
-	RegistryCheckers    int   `json:"registry_checkers"`
-	// Fleet counters (DESIGN.md §15): analyze requests that shared an
-	// in-flight identical run, and — on a coordinator — the sharder's
-	// dispatch/fill/re-post accounting.
-	CoalescedAnalyzes int64        `json:"coalesced_analyzes"`
-	Fleet             *fleet.Stats `json:"fleet,omitempty"`
-
-	Files    int                   `json:"files"`
-	Reports  int                   `json:"reports"`
-	Incr     *mc.IncrStats         `json:"incr,omitempty"`
-	Checkers map[string]core.Stats `json:"checkers,omitempty"`
-
-	// Feasibility pipeline counters (nil unless Config.Verify;
-	// DESIGN.md §13): queue depth, outcomes, and verdict latency.
-	Feas *feas.Stats `json:"feas,omitempty"`
-	// FeasStale counts verdicts computed for runs that were already
-	// superseded when they finished.
-	FeasStale int64 `json:"feas_stale,omitempty"`
+// series is one daemon counter or gauge, as both /v1/stats and
+// /v1/metrics render it.
+type series struct {
+	name    string // Prometheus name, labels included
+	key     string // /v1/stats key; "" when a nested object carries the value
+	counter bool
+	v       float64
+	help    string
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.countRequest()
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed",
-			"GET only", r.Method)
-		return
+// eachSeries names every daemon counter and gauge once, in /v1/metrics
+// order; a family's labelled samples are adjacent. It returns the objects
+// /v1/stats nests (incr, checkers, fleet, feas) from the snapshots the
+// series read: their JSON field names are, by design, a second naming of
+// the series keyed "". Called with s.mu held.
+func (s *Server) eachSeries(emit func(series)) (nested map[string]any) {
+	nested = map[string]any{}
+	counter := func(name, key string, v int64, help string) {
+		emit(series{name, key, true, float64(v), help})
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	resp := StatsResponse{
-		Requests:        s.requests,
-		Analyses:        s.analyses,
-		Failures:        s.failures,
-		Rejected:        s.rejected,
-		Timeouts:        s.timeouts,
-		CheckerFailures: s.checkerFailures,
-		DegradedRuns:    s.degradedRuns,
-		MaxInFlight:     s.cfg.MaxInFlight,
-		SpillEvictions:  s.spillEvictions,
-		ASTsReleased:    s.astsReleased,
-		Files:           len(s.srcs),
-		Incr:            s.lastIncr,
-
-		CheckerReloads:      s.checkerReloads,
-		ValidationsAdmitted: s.validationsAdmitted,
-		ValidationsRejected: s.validationsRejected,
-		RegistryCheckers:    len(s.cfg.Registry.List()),
-		CoalescedAnalyzes:   s.coalescedAnalyzes,
+	gauge := func(name, key string, v float64, help string) {
+		emit(series{name, key, false, v, help})
 	}
+	counter("xgccd_requests_total", "requests", s.requests, "HTTP requests served")
+	counter("xgccd_analyses_total", "analyses", s.analyses, "successful analysis runs")
+	counter("xgccd_failures_total", "failures", s.failures, "failed requests")
+	// Governance (DESIGN.md §9).
+	counter("xgccd_rejected_total", "rejected", s.rejected, "analyze requests shed by admission control")
+	counter("xgccd_timeouts_total", "timeouts", s.timeouts, "analyses cancelled by the request deadline")
+	counter("xgccd_checker_failures_total", "checker_failures", s.checkerFailures, "checkers contained after panicking mid-run")
+	counter("xgccd_degraded_runs_total", "degraded_runs", s.degradedRuns, "runs with budget-truncated traversals")
+	// Retirement, cumulative across runs (DESIGN.md §12).
+	counter("xgccd_spill_evictions_total", "spill_evictions", s.spillEvictions, "per-function analysis states dropped at unit retirement")
+	counter("xgccd_asts_released_total", "asts_released", s.astsReleased, "function bodies released after unit retirement")
+	// Checker platform (DESIGN.md §14) and fleet (§15).
+	counter("xgccd_checker_reloads_total", "checker_reloads", s.checkerReloads, "active checker-set changes picked up by analyze runs")
+	counter("xgccd_coalesced_analyzes_total", "coalesced_analyzes", s.coalescedAnalyzes, "analyze requests that shared an identical in-flight run")
 	if s.cfg.Fleet != nil {
 		fs := s.cfg.Fleet.Stats()
-		resp.Fleet = &fs
+		nested["fleet"] = fs
+		counter("xgccd_fleet_dispatched_total", "", fs.Dispatched, "units offered to fleet workers")
+		counter("xgccd_fleet_filled_total", "", fs.Filled, "units a worker completed into the shared CAS")
+		counter("xgccd_fleet_requeues_total", "", fs.Requeues, "shards re-posted to the next worker after a transport failure")
+		counter("xgccd_fleet_refused_total", "", fs.Refused, "units not offered because no worker is configured")
+		counter("xgccd_fleet_local_fallback_total", "", fs.LocalFallback, "offered units no worker filled, run locally instead")
+		counter("xgccd_fleet_batches_total", "", fs.Batches, "posts to workers (one per worker per phase with misses, plus re-posts)")
+		gauge("xgccd_fleet_workers", "", float64(fs.Workers), "configured fleet workers")
 	}
-	if s.last != nil {
-		resp.Reports = len(s.last.Reports)
-		resp.Checkers = s.last.Stats
-	}
+	counter(`xgccd_validations_total{outcome="admitted"}`, "validations_admitted", s.validationsAdmitted, "checker validations by outcome")
+	counter(`xgccd_validations_total{outcome="rejected"}`, "validations_rejected", s.validationsRejected, "checker validations by outcome")
+	gauge("xgccd_registry_checkers", "registry_checkers", float64(len(s.cfg.Registry.List())), "checker versions stored in the registry")
+	// Feasibility pipeline (DESIGN.md §13).
 	if s.feas != nil {
 		fs := s.feas.Stats()
-		resp.Feas = &fs
-		resp.FeasStale = s.verifyStale
+		nested["feas"] = fs
+		counter("xgccd_feas_enqueued_total", "", fs.Enqueued, "reports queued for feasibility verdicts")
+		counter("xgccd_feas_done_total", "", fs.Done, "feasibility verdicts issued")
+		counter("xgccd_feas_confirmed_total", "", fs.Confirmed, "reports whose witness path was confirmed feasible")
+		counter("xgccd_feas_infeasible_total", "", fs.Infeasible, "reports whose witness path was proven infeasible")
+		counter("xgccd_feas_unknown_total", "", fs.Unknown, "reports the feasibility pass could not decide")
+		counter("xgccd_feas_cache_hits_total", "", fs.CacheHits, "verdicts replayed from the content-addressed cache")
+		counter("xgccd_feas_stale_total", "feas_stale", s.verifyStale, "verdicts dropped because a newer analysis superseded them")
+		gauge("xgccd_feas_queue_depth", "", float64(fs.Depth), "reports awaiting a feasibility verdict")
+		gauge("xgccd_feas_latency_p50_seconds", "", float64(fs.P50Micros)/1e6, "median verdict latency, enqueue to sink")
+		gauge("xgccd_feas_latency_p95_seconds", "", float64(fs.P95Micros)/1e6, "95th-percentile verdict latency")
 	}
-	writeJSON(w, resp)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.countRequest()
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed",
-			"GET only", r.Method)
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var sb strings.Builder
-	counter := func(name string, v int64, help string) {
-		fmt.Fprintf(&sb, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-		fmt.Fprintf(&sb, "%s %d\n", name, v)
-	}
-	gauge := func(name string, v float64, help string) {
-		fmt.Fprintf(&sb, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
-		fmt.Fprintf(&sb, "%s %g\n", name, v)
-	}
-	counter("xgccd_requests_total", s.requests, "HTTP requests served")
-	counter("xgccd_analyses_total", s.analyses, "successful analysis runs")
-	counter("xgccd_failures_total", s.failures, "failed requests")
-	counter("xgccd_rejected_total", s.rejected, "analyze requests shed by admission control")
-	counter("xgccd_timeouts_total", s.timeouts, "analyses cancelled by the request deadline")
-	counter("xgccd_checker_failures_total", s.checkerFailures, "checkers contained after panicking mid-run")
-	counter("xgccd_degraded_runs_total", s.degradedRuns, "runs with budget-truncated traversals")
-	counter("xgccd_spill_evictions_total", s.spillEvictions, "per-function analysis states dropped at unit retirement")
-	counter("xgccd_asts_released_total", s.astsReleased, "function bodies released after unit retirement")
-	counter("xgccd_checker_reloads_total", s.checkerReloads, "active checker-set changes picked up by analyze runs")
-	counter("xgccd_coalesced_analyzes_total", s.coalescedAnalyzes, "analyze requests that shared an identical in-flight run")
-	if s.cfg.Fleet != nil {
-		fs := s.cfg.Fleet.Stats()
-		counter("xgccd_fleet_dispatched_total", fs.Dispatched, "units offered to fleet workers")
-		counter("xgccd_fleet_filled_total", fs.Filled, "units a worker completed into the shared CAS")
-		counter("xgccd_fleet_requeues_total", fs.Requeues, "shards re-posted to the next worker after a transport failure")
-		counter("xgccd_fleet_refused_total", fs.Refused, "units not offered because no worker is configured")
-		counter("xgccd_fleet_local_fallback_total", fs.LocalFallback, "offered units no worker filled, run locally instead")
-		counter("xgccd_fleet_batches_total", fs.Batches, "posts to workers (one per worker per phase with misses, plus re-posts)")
-		gauge("xgccd_fleet_workers", float64(fs.Workers), "configured fleet workers")
-	}
-	fmt.Fprintf(&sb, "# HELP xgccd_validations_total checker validations by outcome\n# TYPE xgccd_validations_total counter\n")
-	fmt.Fprintf(&sb, "xgccd_validations_total{outcome=\"admitted\"} %d\n", s.validationsAdmitted)
-	fmt.Fprintf(&sb, "xgccd_validations_total{outcome=\"rejected\"} %d\n", s.validationsRejected)
-	gauge("xgccd_registry_checkers", float64(len(s.cfg.Registry.List())), "checker versions stored in the registry")
-	if s.feas != nil {
-		fs := s.feas.Stats()
-		counter("xgccd_feas_enqueued_total", fs.Enqueued, "reports queued for feasibility verdicts")
-		counter("xgccd_feas_done_total", fs.Done, "feasibility verdicts issued")
-		counter("xgccd_feas_confirmed_total", fs.Confirmed, "reports whose witness path was confirmed feasible")
-		counter("xgccd_feas_infeasible_total", fs.Infeasible, "reports whose witness path was proven infeasible")
-		counter("xgccd_feas_unknown_total", fs.Unknown, "reports the feasibility pass could not decide")
-		counter("xgccd_feas_cache_hits_total", fs.CacheHits, "verdicts replayed from the content-addressed cache")
-		counter("xgccd_feas_stale_total", s.verifyStale, "verdicts dropped because a newer analysis superseded them")
-		gauge("xgccd_feas_queue_depth", float64(fs.Depth), "reports awaiting a feasibility verdict")
-		gauge("xgccd_feas_latency_p50_seconds", float64(fs.P50Micros)/1e6, "median verdict latency, enqueue to sink")
-		gauge("xgccd_feas_latency_p95_seconds", float64(fs.P95Micros)/1e6, "95th-percentile verdict latency")
-	}
-	gauge("xgccd_inflight", float64(s.inflight), "analyze requests currently admitted")
-	gauge("xgccd_resident_files", float64(len(s.srcs)), "sources in the resident tree")
+	gauge("xgccd_inflight", "inflight", float64(s.inflight), "analyze requests currently admitted")
+	gauge("xgccd_max_inflight", "max_inflight", float64(s.cfg.MaxInFlight), "admission bound on concurrently admitted requests")
+	gauge("xgccd_resident_files", "files", float64(len(s.srcs)), "sources in the resident tree")
 	if s.last != nil {
-		gauge("xgccd_reports", float64(len(s.last.Reports)), "reports in the last run")
-	}
-	counter("xgccd_cache_hits_total", s.cacheHits, "store hits, all runs")
-	counter("xgccd_cache_misses_total", s.cacheMisses, "store misses, all runs")
-	counter("xgccd_cache_puts_total", s.cachePuts, "store writes, all runs")
-	counter("xgccd_cache_put_errors", s.cachePutErrors, "store writes that failed, all runs (full disk, read-only cache)")
-	if in := s.lastIncr; in != nil {
-		if st := in.Store; st != nil {
-			gauge("xgccd_store_records", float64(st.Records), "keys the disk store serves")
-			gauge("xgccd_store_live_bytes", float64(st.LiveBytes), "bytes of the records the disk store serves")
-			gauge("xgccd_store_superseded_bytes", float64(st.SupersededBytes), "bytes of overwritten records awaiting compaction")
-			counter("xgccd_store_compactions", int64(st.Compactions), "times the disk store rewrote its log since it was opened")
+		gauge("xgccd_reports", "reports", float64(len(s.last.Reports)), "reports in the last run")
+		if len(s.last.Stats) > 0 {
+			nested["checkers"] = s.last.Stats
 		}
-		gauge("xgccd_funcs_changed", float64(in.FuncsChanged), "functions whose content changed in the last run")
-		gauge("xgccd_funcs_invalidated", float64(in.FuncsInvalidated), "changed functions plus transitive callers")
-		gauge("xgccd_funcs_analyzed_live", float64(in.FuncsAnalyzedLive), "function analyses performed live")
-		gauge("xgccd_funcs_analyzed_replayed", float64(in.FuncsAnalyzedReplayed), "function analyses replayed from cache")
-		gauge("xgccd_units_live", float64(in.UnitsLive), "units analyzed live")
-		gauge("xgccd_units_replayed", float64(in.UnitsReplayed), "units replayed from cache")
-		gauge("xgccd_units_remote", float64(in.UnitsRemote), "units a fleet worker filled during the last run")
-		gauge("xgccd_files_reparsed", float64(in.FilesReparsed), "files parsed (every file, every run)")
-		gauge("xgccd_phase_parse_seconds", float64(in.ParseNanos)/1e9, "pass-1 wall time")
-		gauge("xgccd_phase_build_seconds", float64(in.BuildNanos)/1e9, "program assembly wall time")
-		gauge("xgccd_phase_analyze_seconds", float64(in.AnalyzeNanos)/1e9, "checker execution wall time")
-		gauge("xgccd_phase_merge_seconds", float64(in.MergeNanos)/1e9, "result merge wall time")
 	}
-	w.Write([]byte(sb.String()))
+	// Store traffic, cumulative across runs; the last run's own figures
+	// follow, and nest under incr on /v1/stats.
+	counter("xgccd_cache_hits_total", "cache_hits", s.cacheHits, "store hits, all runs")
+	counter("xgccd_cache_misses_total", "cache_misses", s.cacheMisses, "store misses, all runs")
+	counter("xgccd_cache_puts_total", "cache_puts", s.cachePuts, "store writes, all runs")
+	counter("xgccd_cache_put_errors", "cache_put_errors", s.cachePutErrors, "store writes that failed, all runs (full disk, read-only cache)")
+	in := s.lastIncr
+	if in == nil {
+		return nested
+	}
+	nested["incr"] = in
+	if st := in.Store; st != nil {
+		gauge("xgccd_store_records", "", float64(st.Records), "keys the disk store serves")
+		gauge("xgccd_store_live_bytes", "", float64(st.LiveBytes), "bytes of the records the disk store serves")
+		gauge("xgccd_store_superseded_bytes", "", float64(st.SupersededBytes), "bytes of overwritten records awaiting compaction")
+		counter("xgccd_store_compactions", "", int64(st.Compactions), "times the disk store rewrote its log since it was opened")
+	}
+	gauge("xgccd_funcs_changed", "", float64(in.FuncsChanged), "functions whose content changed in the last run")
+	gauge("xgccd_funcs_invalidated", "", float64(in.FuncsInvalidated), "changed functions plus transitive callers")
+	gauge("xgccd_funcs_analyzed_live", "", float64(in.FuncsAnalyzedLive), "function analyses performed live")
+	gauge("xgccd_funcs_analyzed_replayed", "", float64(in.FuncsAnalyzedReplayed), "function analyses replayed from cache")
+	gauge("xgccd_units_live", "", float64(in.UnitsLive), "units analyzed live")
+	gauge("xgccd_units_replayed", "", float64(in.UnitsReplayed), "units replayed from cache")
+	gauge("xgccd_units_remote", "", float64(in.UnitsRemote), "units a fleet worker filled during the last run")
+	gauge("xgccd_files_reparsed", "", float64(in.FilesReparsed), "files parsed (every file, every run)")
+	gauge("xgccd_phase_parse_seconds", "", float64(in.ParseNanos)/1e9, "pass-1 wall time")
+	gauge("xgccd_phase_build_seconds", "", float64(in.BuildNanos)/1e9, "program assembly wall time")
+	gauge("xgccd_phase_analyze_seconds", "", float64(in.AnalyzeNanos)/1e9, "checker execution wall time")
+	gauge("xgccd_phase_merge_seconds", "", float64(in.MergeNanos)/1e9, "result merge wall time")
+	return nested
+}
+
+// handleStats renders every series with a /v1/stats key as a flat
+// field, plus the nested objects that carry the rest: the last run's
+// incr and per-checker stats, and the fleet and feasibility counters.
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// reports reads 0 until the first run brings its series.
+	out := map[string]any{"reports": 0}
+	nested := s.eachSeries(func(m series) {
+		if m.key != "" {
+			out[m.key] = m.v
+		}
+	})
+	for k, v := range nested {
+		out[k] = v
+	}
+	writeJSON(w, http.StatusOK, out)
+}
+
+// handleMetrics renders every series in the Prometheus text format, one
+// HELP/TYPE header per family.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	var sb strings.Builder
+	family := ""
+	s.mu.Lock()
+	s.eachSeries(func(m series) {
+		typ, format := "gauge", "%s %g\n"
+		if m.counter {
+			typ, format = "counter", "%s %.0f\n"
+		}
+		if f, _, _ := strings.Cut(m.name, "{"); f != family {
+			family = f
+			fmt.Fprintf(&sb, "# HELP %s %s\n# TYPE %s %s\n", f, m.help, f, typ)
+		}
+		fmt.Fprintf(&sb, format, m.name, m.v)
+	})
+	s.mu.Unlock()
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	io.WriteString(w, sb.String())
 }
 
 // bufferedResponse captures one handler's full response — status,
@@ -987,14 +960,9 @@ func (b *bufferedResponse) replay(w http.ResponseWriter) {
 	w.Write(b.body.Bytes())
 }
 
-func writeJSON(w http.ResponseWriter, v interface{}) {
+func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	writeJSONBody(w, v)
-}
-
-// writeJSONBody encodes v for callers that already wrote the header
-// (non-200 successes like 201 Created).
-func writeJSONBody(w http.ResponseWriter, v interface{}) {
+	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)

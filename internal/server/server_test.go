@@ -53,6 +53,21 @@ func getBody(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, sb.String()
 }
 
+// getStats decodes GET /v1/stats: flat counters as float64, nested
+// objects as maps.
+func getStats(t *testing.T, base string) map[string]any {
+	t.Helper()
+	code, body := getBody(t, base+"/v1/stats")
+	if code != http.StatusOK {
+		t.Fatalf("stats: status %d: %.200s", code, body)
+	}
+	var st map[string]any
+	if err := json.Unmarshal([]byte(body), &st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 func TestDaemonSession(t *testing.T) {
 	srv := New(Config{Checkers: []string{"free", "lock", "null", "leak", "interrupt"}, Jobs: 2})
 	ts := httptest.NewServer(srv.Handler())
