@@ -48,7 +48,12 @@ vet:
 # environment's clone stay gone. And the daemon names each series once
 # (DESIGN.md §9.5): the hand-copied stats body, the CAS-sharing switch
 # a coordinator already implies and the per-handler method checks the
-# route patterns replaced stay gone.
+# route patterns replaced stay gone. And every setting has a second
+# value in use (DESIGN.md §7, §9.1, §14.3): the engine's two caps are
+# constants, a run's deadline is its context's, a cache directory is a
+# store the caller opens, the harness corpus and z gate are fixed, and
+# the one-call analyze form, the registry generation, the pair-stats
+# map and the second verdict-budget derivation stay gone.
 no-deleted-knobs:
 	! grep -rnE 'Match[M]emo|Block[F]ilter|Tuple[I]ntern|Lean[A]lloc|Multi[D]ispatch|Tenant[Q]uota|Queue[D]epth|Batch[S]ize' --include=*.go .
 	! grep -rnE 'Load[S]ummaries|summary[S]ource|Retired[S]et|Allow[S]pillReload|Summaries[L]oaded|SummaryBytes[D]eferred' --include=*.go .
@@ -62,6 +67,7 @@ no-deleted-knobs:
 	! grep -rnE 'Prob[e]r|CoalescedG[e]ts|FlightWait[e]rs|CASCount[e]rs|httpRes[u]lt|MaxBl[o]cks|HitBl[o]ckLimit' --include=*.go .
 	! grep -rnE 'path[L]og|clone[F]or|clone[S]lack' --include=*.go .
 	! grep -rnE 'Share[C]AS|StatsRes[p]onse|GET [o]nly|POST [o]nly' --include=*.go .
+	! grep -rnE 'Analyze[C]ontext|Corpus[S]cale|Min[R]eports|Max[I]ters|\bCache[D]ir\b|Pair[S]tats|Verdict[B]udget|[Oo]pts\.Max[CP]|\.Generatio[n]\(|cfg\.Harnes[s]' --include=*.go .
 	! ls BENCH_*.json 2>/dev/null | grep .
 
 # staticcheck is optional locally (the repo adds no dependencies) but

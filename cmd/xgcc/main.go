@@ -37,6 +37,7 @@ import (
 
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/checkers"
 	"repro/internal/feas"
 	"repro/internal/harness"
@@ -113,18 +114,17 @@ func main() {
 	opts.Interprocedural = !*intra
 	opts.FPP = !*noFPP
 	opts.Budgets = budgets
-	if *supergraph != "" {
-		// Inspection shows what this run traversed, and a replayed unit
-		// is not traversed: -supergraph asks for a live run.
-		*cacheDir = ""
+	cfg := mc.RunConfig{Options: &opts, Jobs: *jobs, Supergraph: *supergraph}
+	// Inspection shows what this run traversed, and a replayed unit is
+	// not traversed: -supergraph asks for a live run.
+	if *cacheDir != "" && *supergraph == "" {
+		ds, err := cache.NewDirStore(*cacheDir)
+		if err != nil {
+			fatal(err)
+		}
+		cfg.CacheStore = ds
 	}
-	if err := a.Configure(mc.RunConfig{
-		Options:    &opts,
-		Jobs:       *jobs,
-		CacheDir:   *cacheDir,
-		Timeout:    *timeout,
-		Supergraph: *supergraph,
-	}); err != nil {
+	if err := a.Configure(cfg); err != nil {
 		fatal(err)
 	}
 
@@ -211,6 +211,11 @@ func main() {
 	// errors (2).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	if *timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
+	}
 	res, err := a.RunContext(ctx)
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {

@@ -159,16 +159,6 @@ func PairReports(pairs []InferredPair, minZ float64) []*report.Report {
 	return out
 }
 
-// PairStats exposes the evidence as rank.RuleStat values keyed by rule
-// for the statistical ranker.
-func PairStats(pairs []InferredPair) map[string]rank.RuleStat {
-	out := map[string]rank.RuleStat{}
-	for _, pr := range pairs {
-		out[pr.Rule] = pr.RuleStat
-	}
-	return out
-}
-
 // FormatPairs renders the inferred rules as a table for the examples
 // and the mcbench harness.
 func FormatPairs(pairs []InferredPair, limit int) string {

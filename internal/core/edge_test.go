@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -467,43 +468,74 @@ int entry(int *p, int n) {
 	}
 }
 
-// TestMaxPartitionsCap: a callee producing many disjoint exit states
-// is bounded by Options.MaxPartitions (§6.3 step 5 with a safety cap).
+// TestMaxPartitionsCap: a callee that leaves five objects in two
+// states each has 2^5 = 32 disjoint exit states; the caller continues
+// from exactly 16 of them (MaxPartitions, §6.3 step 5) and drops the
+// rest. tick() counts the continuations that reach mark(); the block
+// cache is off so that none of them stops early, covered by another.
 func TestMaxPartitionsCap(t *testing.T) {
 	checkerSrc := `
-sm many_states;
+sm two_way;
 state decl any_pointer v;
 
 start:
     { begin(v) } ==> v.s0
+  | { mark() }   ==> start, { tick(); }
 ;
 
 v.s0:
     { go1(v) } ==> v.s1
   | { go2(v) } ==> v.s2
-  | { go3(v) } ==> v.s3
 ;
 `
 	src := `
-void begin(int *p); void go1(int *p); void go2(int *p); void go3(int *p);
-void split(int *p, int a, int b) {
-    if (a)
-        go1(p);
-    else if (b)
-        go2(p);
-    else
-        go3(p);
+void begin(int *p); void go1(int *p); void go2(int *p); void mark(void);
+void split(int *a, int *b, int *c, int *d, int *e, int x) {
+    if (x & 1) go1(a); else go2(a);
+    if (x & 2) go1(b); else go2(b);
+    if (x & 4) go1(c); else go2(c);
+    if (x & 8) go1(d); else go2(d);
+    if (x & 16) go1(e); else go2(e);
 }
-void entry(int *p, int a, int b) {
-    begin(p);
-    split(p, a, b);
+void entry(int *a, int *b, int *c, int *d, int *e, int x) {
+    begin(a); begin(b); begin(c); begin(d); begin(e);
+    split(a, b, c, d, e, x);
+    mark();
 }`
+	c, err := metal.Parse(checkerSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	opts := DefaultOptions()
-	opts.MaxPartitions = 2
-	en, _ := runChecker(t, checkerSrc, map[string]string{"p.c": src}, opts)
-	// Bounded and terminating is the contract; the engine must not
-	// blow past the cap.
-	if en.Stats.Blocks > 500 {
-		t.Errorf("partition cap not respected: %d blocks", en.Stats.Blocks)
+	opts.BlockCache = false
+	en := NewEngine(buildProg(t, map[string]string{"p.c": src}), c, opts)
+	ticks := 0
+	en.RegisterAction("tick", func(*ActionCtx, []metal.ActionArg) { ticks++ })
+	en.Run()
+	if ticks != 16 {
+		t.Errorf("caller continued from %d of the callee's 32 exit states, want the cap, 16", ticks)
+	}
+}
+
+// TestMaxCallDepthCut: a call made MaxCallDepth (64) calls below the
+// root is not followed. In the chain f0 -> f1 -> ... -> f65, f64 is
+// traversed and f65, which holds the free and its use, never is: the
+// use-after-free goes unreported.
+func TestMaxCallDepthCut(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("void kfree(void *p);\n")
+	sb.WriteString("int f65(int *p) { kfree(p); return *p; }\n")
+	for i := 64; i >= 0; i-- {
+		fmt.Fprintf(&sb, "int f%d(int *p) { return f%d(p); }\n", i, i+1)
+	}
+	en, rs := runChecker(t, freeChecker, map[string]string{"d.c": sb.String()}, DefaultOptions())
+	if got := en.Stats.Analyses["f64"]; got != 1 {
+		t.Errorf("f64, 64 calls below the root, traversed %d times, want 1", got)
+	}
+	if got := en.Stats.Analyses["f65"]; got != 0 {
+		t.Errorf("f65, 65 calls below the root, traversed %d times, want 0 (cut)", got)
+	}
+	if rs.Len() != 0 {
+		t.Errorf("the cut hides f65's use after free, got %v", rs.Reports)
 	}
 }

@@ -32,15 +32,22 @@ type Options struct {
 	Synonyms bool
 	// Kills enables kill-on-redefinition (§8).
 	Kills bool
-	// MaxCallDepth bounds interprocedural descent.
-	MaxCallDepth int
-	// MaxPartitions caps the disjoint exit-state partitions built at a
-	// call return (§6.3 step 5).
-	MaxPartitions int
 	// Budgets bounds per-path and per-function traversal work
 	// (governance layer, DESIGN.md §9). Zero value = unlimited.
 	Budgets Budgets
 }
+
+// The engine's two silent caps. Both are part of every unit key
+// (mc's options fingerprint), so changing one re-keys every unit.
+const (
+	// MaxCallDepth bounds interprocedural descent: a call made at this
+	// depth below the root is not followed (followCall).
+	MaxCallDepth = 64
+	// MaxPartitions caps the disjoint exit-state partitions a caller
+	// continues from at a call return (§6.3 step 5); the rest are
+	// dropped.
+	MaxPartitions = 16
+)
 
 // DefaultOptions enables the full analysis.
 func DefaultOptions() Options {
@@ -51,8 +58,6 @@ func DefaultOptions() Options {
 		FPP:             true,
 		Synonyms:        true,
 		Kills:           true,
-		MaxCallDepth:    64,
-		MaxPartitions:   16,
 	}
 }
 

@@ -24,7 +24,7 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, bi *blockInfo, rec *bl
 		// system silently continues to the next CFG node."
 		return false
 	}
-	if en.Opts.MaxCallDepth > 0 && st.callDepth >= en.Opts.MaxCallDepth {
+	if st.callDepth >= MaxCallDepth {
 		return false
 	}
 	callee, maps := site.Callee, site.Args
@@ -291,7 +291,7 @@ func (en *Engine) partitionResults(refined *SM, summary, entryBI *blockInfo) []p
 			var next []partition
 			for _, c := range parts[first:] {
 				for _, o := range outs[:n] {
-					if len(next) < en.Opts.MaxPartitions {
+					if len(next) < MaxPartitions {
 						next = append(next, partition{gstate: g, tuples: append(slices.Clone(c.tuples), o.t)})
 					}
 				}
@@ -299,8 +299,8 @@ func (en *Engine) partitionResults(refined *SM, summary, entryBI *blockInfo) []p
 			parts = append(parts[:first], next...)
 			outs = outs[n:]
 		}
-		if len(parts) >= en.Opts.MaxPartitions {
-			parts = parts[:en.Opts.MaxPartitions]
+		if len(parts) >= MaxPartitions {
+			parts = parts[:MaxPartitions]
 			break
 		}
 	}

@@ -52,7 +52,7 @@ func (rp *replayResult) unmodeled(why string) {
 }
 
 // replay drives the slice + forward replay + interval check.
-func replay(steps []report.PathStep, b Budget) replayResult {
+func replay(steps []report.PathStep) replayResult {
 	rp := replayResult{modeled: true}
 
 	// Parse branch conditions and assignment right-hand sides back
@@ -156,7 +156,7 @@ func replay(steps []report.PathStep, b Budget) replayResult {
 	rp.nconstraints = len(cons)
 
 	// Interval layer over the final equivalence classes.
-	contra, converged, why := checkIntervals(env, cons, b.MaxIters)
+	contra, converged, why := checkIntervals(env, cons)
 	if contra {
 		rp.contra = true
 		rp.why = why

@@ -20,26 +20,8 @@ import (
 )
 
 // DefaultMaxSteps bounds the number of path events replayed per
-// verdict when the budget does not say otherwise.
+// verdict when the caller does not say otherwise.
 const DefaultMaxSteps = 4096
-
-// Budget bounds one verdict computation. The zero value means
-// defaults.
-type Budget struct {
-	// MaxSteps caps the path events replayed; longer paths get
-	// VerdictUnknown. 0 means DefaultMaxSteps.
-	MaxSteps int
-	// MaxIters caps interval bound-propagation sweeps. 0 derives the
-	// cap from the constraint count.
-	MaxIters int
-}
-
-func (b Budget) maxSteps() int {
-	if b.MaxSteps > 0 {
-		return b.MaxSteps
-	}
-	return DefaultMaxSteps
-}
 
 // Outcome is one verdict with its explanation and effort counters.
 type Outcome struct {
@@ -52,12 +34,17 @@ type Outcome struct {
 	Sliced int `json:"sliced"`
 }
 
-// Evaluate issues a verdict for one report. It never mutates the
-// report. An infeasible first witness on a MultiPath report caps at
-// VerdictUnknown: other, unrecorded paths reach the same violation,
-// so killing it on this witness alone would be unsound.
-func Evaluate(r *report.Report, b Budget) Outcome {
-	out := evalPath(r.Path, b)
+// Evaluate issues a verdict for one report, replaying at most maxSteps
+// recorded path events (0 means DefaultMaxSteps); a longer path gets
+// VerdictUnknown. It never mutates the report. An infeasible first
+// witness on a MultiPath report caps at VerdictUnknown: other,
+// unrecorded paths reach the same violation, so killing it on this
+// witness alone would be unsound.
+func Evaluate(r *report.Report, maxSteps int) Outcome {
+	if maxSteps <= 0 {
+		maxSteps = DefaultMaxSteps
+	}
+	out := evalPath(r.Path, maxSteps)
 	if out.Verdict == report.VerdictInfeasible && r.MultiPath {
 		out.Verdict = report.VerdictUnknown
 		out.Why = "recorded witness infeasible but violation reached along other paths: " + out.Why
@@ -66,14 +53,14 @@ func Evaluate(r *report.Report, b Budget) Outcome {
 }
 
 // evalPath runs slice + replay + interval check over a recorded path.
-func evalPath(steps []report.PathStep, b Budget) Outcome {
+func evalPath(steps []report.PathStep, maxSteps int) Outcome {
 	out := Outcome{Steps: len(steps)}
-	if len(steps) > b.maxSteps() {
+	if len(steps) > maxSteps {
 		out.Verdict = report.VerdictUnknown
-		out.Why = fmt.Sprintf("path exceeds verdict budget (%d steps > %d)", len(steps), b.maxSteps())
+		out.Why = fmt.Sprintf("path exceeds verdict budget (%d steps > %d)", len(steps), maxSteps)
 		return out
 	}
-	rp := replay(steps, b)
+	rp := replay(steps)
 	out.Sliced = rp.sliced
 	switch {
 	case rp.contra:

@@ -22,7 +22,7 @@ func cs(tag string, val int64) report.PathStep {
 
 func eval(t *testing.T, steps ...report.PathStep) Outcome {
 	t.Helper()
-	return Evaluate(&report.Report{Path: steps}, Budget{})
+	return Evaluate(&report.Report{Path: steps}, 0)
 }
 
 func TestStraightLineConfirmed(t *testing.T) {
@@ -109,7 +109,7 @@ func TestMultiPathCapsInfeasible(t *testing.T) {
 		Path:      []report.PathStep{br("n > 5", true), br("n < 3", true)},
 		MultiPath: true,
 	}
-	o := Evaluate(r, Budget{})
+	o := Evaluate(r, 0)
 	if o.Verdict != report.VerdictUnknown {
 		t.Fatalf("multi-path infeasible witness: got %s, want unknown", o.Verdict)
 	}
@@ -138,7 +138,7 @@ func TestParseFailureUnknown(t *testing.T) {
 
 func TestBudgetExhaustionUnknown(t *testing.T) {
 	r := &report.Report{Path: []report.PathStep{br("n > 5", true), br("n < 3", true)}}
-	o := Evaluate(r, Budget{MaxSteps: 1})
+	o := Evaluate(r, 1)
 	if o.Verdict != report.VerdictUnknown {
 		t.Fatalf("over budget: got %s, want unknown", o.Verdict)
 	}
@@ -167,7 +167,6 @@ func TestPipelineVerdictsAndCache(t *testing.T) {
 		p := NewPipeline(Config{
 			Workers: 2,
 			Store:   store,
-			Salt:    "test",
 			Sink: func(r *report.Report, o Outcome) {
 				r.Verdict = o.Verdict
 				r.VerdictWhy = o.Why
@@ -225,10 +224,7 @@ func TestEnqueueAfterCloseRejected(t *testing.T) {
 func TestVerdictKeyDistinguishesPaths(t *testing.T) {
 	a := &report.Report{Msg: "m", Path: []report.PathStep{br("n > 5", true)}}
 	b := &report.Report{Msg: "m", Path: []report.PathStep{br("n > 5", false)}}
-	if VerdictKey(a, "s") == VerdictKey(b, "s") {
+	if VerdictKey(a) == VerdictKey(b) {
 		t.Fatal("keys collide across different paths")
-	}
-	if VerdictKey(a, "s") == VerdictKey(a, "other") {
-		t.Fatal("keys collide across salts")
 	}
 }

@@ -85,8 +85,9 @@ type exclusion struct {
 // checkIntervals reports whether the constraint set contradicts
 // (contra), whether bound propagation reached a fixpoint within the
 // iteration budget (converged — required for a confirmed verdict),
-// and a human-readable reason for either failure.
-func checkIntervals(env *fpp.Env, cons []constraint, maxIters int) (contra, converged bool, why string) {
+// and a human-readable reason for either failure. The budget is
+// 2*len(cons)+8 propagation sweeps.
+func checkIntervals(env *fpp.Env, cons []constraint) (contra, converged bool, why string) {
 	ivs := map[string]*interval{}
 	var edges []edge
 	var excls []exclusion
@@ -182,9 +183,7 @@ func checkIntervals(env *fpp.Env, cons []constraint, maxIters int) (contra, conv
 		}
 	}
 
-	if maxIters <= 0 {
-		maxIters = 2*len(cons) + 8
-	}
+	maxIters := 2*len(cons) + 8
 	converged = false
 	for it := 0; it < maxIters; it++ {
 		changed := false

@@ -30,14 +30,11 @@ const latSample = 4096
 type Config struct {
 	// Workers is the pool size; 0 means 1.
 	Workers int
-	// Budget bounds each verdict computation.
-	Budget Budget
+	// MaxSteps caps the path events one verdict replays (Evaluate);
+	// 0 means DefaultMaxSteps.
+	MaxSteps int
 	// Store, when non-nil, caches outcomes by report content hash.
 	Store cache.Store
-	// Salt is folded into cache keys (e.g. the checker-set
-	// fingerprint) so semantically different deployments do not share
-	// verdicts.
-	Salt string
 	// Sink receives each finished verdict, called from worker
 	// goroutines; it must do its own locking.
 	Sink func(r *report.Report, o Outcome)
@@ -210,16 +207,16 @@ func (p *Pipeline) worker() {
 // verdict computes (or replays) one outcome; hit reports a cache hit.
 func (p *Pipeline) verdict(r *report.Report) (Outcome, bool) {
 	if p.cfg.Store == nil {
-		return Evaluate(r, p.cfg.Budget), false
+		return Evaluate(r, p.cfg.MaxSteps), false
 	}
-	key := VerdictKey(r, p.cfg.Salt)
+	key := VerdictKey(r)
 	if data, ok := p.cfg.Store.Get(key); ok {
 		var o Outcome
 		if json.Unmarshal(data, &o) == nil && o.Verdict != "" {
 			return o, true
 		}
 	}
-	o := Evaluate(r, p.cfg.Budget)
+	o := Evaluate(r, p.cfg.MaxSteps)
 	if data, err := json.Marshal(o); err == nil {
 		_ = p.cfg.Store.Put(key, data)
 	}
@@ -229,9 +226,9 @@ func (p *Pipeline) verdict(r *report.Report) (Outcome, bool) {
 // VerdictKey content-addresses a report's verdict: everything the
 // evaluator reads is folded in, so an edit that changes the witness
 // path (or the multi-path bit) changes the key.
-func VerdictKey(r *report.Report, salt string) string {
+func VerdictKey(r *report.Report) string {
 	path, _ := json.Marshal(r.Path)
-	return cache.Key("feas", feasFormat, salt,
+	return cache.Key("feas", feasFormat,
 		r.Checker, r.Rule, r.Msg, r.Pos.String(), r.Func,
 		strconv.FormatBool(r.MultiPath), string(path))
 }

@@ -34,15 +34,27 @@ const (
 	StatusRejected = "rejected"
 )
 
+// The admission corpus and its z gate, fixed so every verdict is
+// reproducible.
+const (
+	// corpusScale is the number of seeded corpus groups
+	// (workload.ValidationCorpus's scale); each group carries 6 seeded
+	// bugs plus clean, call-dense, and branch-dense functions.
+	corpusScale = 4
+	// corpusSeed fixes the corpus generator.
+	corpusSeed = 20020617 // PLDI 2002's opening day
+	// minZ is the admission floor on the §9 z-statistic; checkers with
+	// at least minReports reports and z below the floor are rejected as
+	// over-reporters.
+	minZ = 0.0
+	// minReports is how many reports it takes before the z gate
+	// applies — a handful of reports is signal either way, not noise.
+	minReports = 5
+)
+
 // Config tunes one validation run. The zero value is unusable; start
 // from DefaultConfig.
 type Config struct {
-	// CorpusScale is the number of seeded corpus groups
-	// (workload.ValidationCorpus's scale); each group carries 6 seeded
-	// bugs plus clean, call-dense, and branch-dense functions.
-	CorpusScale int
-	// Seed fixes the corpus generator, keeping verdicts reproducible.
-	Seed int64
 	// Budgets bounds the candidate's traversals (mc.Budgets); a tripped
 	// budget is a rejection, since every bundled checker fits far under
 	// the defaults.
@@ -51,13 +63,6 @@ type Config struct {
 	Timeout time.Duration
 	// Jobs is the analyzer parallelism (0 = GOMAXPROCS).
 	Jobs int
-	// MinZ is the admission floor on the §9 z-statistic; checkers with
-	// at least MinReports reports and z below the floor are rejected as
-	// over-reporters.
-	MinZ float64
-	// MinReports is how many reports it takes before the z gate
-	// applies — a handful of reports is signal either way, not noise.
-	MinReports int
 }
 
 // DefaultConfig returns the admission settings the daemon and xgcc
@@ -70,17 +75,13 @@ type Config struct {
 // instance-ops budget can see.
 func DefaultConfig() Config {
 	return Config{
-		CorpusScale: 4,
-		Seed:        20020617, // PLDI 2002's opening day
 		Budgets: mc.Budgets{
 			PathSteps:   200_000,
 			FuncBlocks:  50_000,
 			FuncTime:    5 * time.Second,
 			InstanceOps: 10_000,
 		},
-		Timeout:    30 * time.Second,
-		MinZ:       0,
-		MinReports: 5,
+		Timeout: 30 * time.Second,
 	}
 }
 
@@ -146,19 +147,12 @@ func validate(ctx context.Context, src string, callouts map[string]mc.Callout, c
 	if err != nil {
 		return nil, fmt.Errorf("checker does not parse: %w", err)
 	}
-	if cfg.CorpusScale <= 0 {
-		cfg.CorpusScale = DefaultConfig().CorpusScale
-	}
-	corpus := workload.ValidationCorpus(cfg.CorpusScale, cfg.Seed)
+	corpus := workload.ValidationCorpus(corpusScale, corpusSeed)
 
 	a := mc.NewAnalyzer()
 	opts := mc.DefaultOptions()
 	opts.Budgets = cfg.Budgets
-	if err := a.Configure(mc.RunConfig{
-		Options: &opts,
-		Jobs:    cfg.Jobs,
-		Timeout: cfg.Timeout,
-	}); err != nil {
+	if err := a.Configure(mc.RunConfig{Options: &opts, Jobs: cfg.Jobs}); err != nil {
 		return nil, err
 	}
 	a.AddSource("corpus.c", corpus.Source)
@@ -172,7 +166,9 @@ func validate(ctx context.Context, src string, callouts map[string]mc.Callout, c
 	}
 
 	start := time.Now()
-	res, runErr := a.RunContext(ctx)
+	runCtx, cancel := context.WithTimeout(ctx, cfg.Timeout)
+	defer cancel()
+	res, runErr := a.RunContext(runCtx)
 	v := &Verdict{
 		Checker:    c.Name,
 		SeededBugs: len(corpus.Bugs),
@@ -184,8 +180,9 @@ func validate(ctx context.Context, src string, callouts map[string]mc.Callout, c
 		return nil, runErr
 	}
 	if runErr != nil && ctx.Err() == nil {
-		// The analyzer's own deadline fired (cfg.Timeout): the
-		// checker's fault, so score what ran and reject below.
+		// The harness's own deadline fired (cfg.Timeout), not the
+		// caller's: the checker's fault, so score what ran and reject
+		// below.
 		v.TimedOut = true
 	} else if runErr != nil {
 		return nil, runErr // caller's context cancelled — not the checker's fault
@@ -228,8 +225,8 @@ func validate(ctx context.Context, src string, callouts map[string]mc.Callout, c
 	if v.Degradations > 0 {
 		v.Reasons = append(v.Reasons, fmt.Sprintf("traversal budget tripped %d time(s): checker cost is far outside the bundled envelope", v.Degradations))
 	}
-	if v.Reports >= cfg.MinReports && v.Z < cfg.MinZ {
-		v.Reasons = append(v.Reasons, fmt.Sprintf("over-reporting: %d reports, %d true positives, z=%.2f below floor %.2f", v.Reports, v.TruePositives, v.Z, cfg.MinZ))
+	if v.Reports >= minReports && v.Z < minZ {
+		v.Reasons = append(v.Reasons, fmt.Sprintf("over-reporting: %d reports, %d true positives, z=%.2f below floor %.2f", v.Reports, v.TruePositives, v.Z, minZ))
 	}
 	if len(v.Reasons) > 0 {
 		v.Status = StatusRejected

@@ -191,8 +191,8 @@ func TestCallerCancellationIsError(t *testing.T) {
 	}
 }
 
-// TestCheckerTimeoutRejected: an analyzer-imposed deadline (the
-// harness's own wall clock) IS the checker's fault and rejects.
+// TestCheckerTimeoutRejected: the harness's own deadline (its wall
+// clock, cfg.Timeout) IS the checker's fault and rejects.
 func TestCheckerTimeoutRejected(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Budgets = mc.Budgets{} // no step budget: force the clock to be the limiter

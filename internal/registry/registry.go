@@ -65,7 +65,6 @@ type Registry struct {
 	entries map[string]*Entry
 	sources map[string]string          // id -> source (memory mode or cache)
 	tenants map[string]map[string]bool // tenant -> enabled ids
-	gen     int64
 }
 
 // state.json's on-disk shape.
@@ -306,7 +305,6 @@ func (r *Registry) Enable(tenant, id string) error {
 		}
 	}
 	set[id] = true
-	r.gen++
 	return r.save()
 }
 
@@ -322,7 +320,6 @@ func (r *Registry) Disable(tenant, id string) error {
 	}
 	if set := r.tenants[tenant]; set[id] {
 		delete(set, id)
-		r.gen++
 		return r.save()
 	}
 	return nil
@@ -336,20 +333,13 @@ func (r *Registry) Delete(id string) error {
 	if _, ok := r.entries[id]; !ok {
 		return fmt.Errorf("no checker %s", id)
 	}
-	enabled := false
 	for _, set := range r.tenants {
-		if set[id] {
-			delete(set, id)
-			enabled = true
-		}
+		delete(set, id)
 	}
 	delete(r.entries, id)
 	delete(r.sources, id)
 	if r.dir != "" {
 		os.Remove(r.blobPath(id)) // best effort; state.json is the truth
-	}
-	if enabled {
-		r.gen++
 	}
 	return r.save()
 }
@@ -411,12 +401,4 @@ func (r *Registry) EnabledIDs(tenant string) []string {
 	}
 	sort.Strings(ids)
 	return ids
-}
-
-// Generation counts enable/disable/delete mutations — a cheap "did
-// any active set change?" signal.
-func (r *Registry) Generation() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.gen
 }

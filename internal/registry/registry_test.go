@@ -199,12 +199,8 @@ func TestDeleteClearsEverything(t *testing.T) {
 	}
 	r.SetVerdict(e.ID, true, nil)
 	r.Enable("t", e.ID)
-	gen := r.Generation()
 	if err := r.Delete(e.ID); err != nil {
 		t.Fatal(err)
-	}
-	if r.Generation() == gen {
-		t.Error("deleting an enabled checker did not bump the generation")
 	}
 	if _, ok := r.Get(e.ID); ok {
 		t.Error("entry survives delete")
@@ -221,27 +217,29 @@ func TestDeleteClearsEverything(t *testing.T) {
 	}
 }
 
-func TestGenerationTracksActiveSetOnly(t *testing.T) {
+// TestEnableStateTracksActiveSet: only enable and disable move a
+// tenant's active set (EnabledIDs, what the daemon counts reloads by);
+// a verdict and a repeated disable do not.
+func TestEnableStateTracksActiveSet(t *testing.T) {
 	r, _ := Open("")
 	e, _, _ := r.Upload(checkerV1)
-	g0 := r.Generation()
-	r.SetVerdict(e.ID, true, nil) // no active-set change
-	if r.Generation() != g0 {
-		t.Error("verdict bumped generation")
+	r.SetVerdict(e.ID, true, nil)
+	if ids := r.EnabledIDs("t"); len(ids) != 0 {
+		t.Errorf("verdict enabled %v", ids)
 	}
 	r.Enable("t", e.ID)
-	g1 := r.Generation()
-	if g1 == g0 {
-		t.Error("enable did not bump generation")
+	if ids := r.EnabledIDs("t"); len(ids) != 1 || ids[0] != e.ID {
+		t.Errorf("after enable: %v", ids)
 	}
 	r.Disable("t", e.ID)
-	if r.Generation() == g1 {
-		t.Error("disable did not bump generation")
+	if ids := r.EnabledIDs("t"); len(ids) != 0 {
+		t.Errorf("after disable: %v", ids)
 	}
-	g2 := r.Generation()
-	r.Disable("t", e.ID) // already off: no-op
-	if r.Generation() != g2 {
-		t.Error("no-op disable bumped generation")
+	if err := r.Disable("t", e.ID); err != nil { // already off: no-op
+		t.Errorf("no-op disable: %v", err)
+	}
+	if ids := r.EnabledIDs("t"); len(ids) != 0 {
+		t.Errorf("after no-op disable: %v", ids)
 	}
 }
 

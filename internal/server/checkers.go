@@ -131,7 +131,9 @@ func (s *Server) handleCheckerValidate(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	t0 := time.Now()
-	v, err := harness.Validate(ctx, src, s.cfg.Harness)
+	hcfg := harness.DefaultConfig()
+	hcfg.Jobs = s.cfg.Jobs
+	v, err := harness.Validate(ctx, src, hcfg)
 	if err != nil {
 		s.runFailed(w, ctx, err, "validation_failed", "validation could not run")
 		return

@@ -55,7 +55,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/feas"
 	"repro/internal/fleet"
-	"repro/internal/harness"
 	"repro/internal/registry"
 	"repro/internal/report"
 	"repro/internal/singleflight"
@@ -89,9 +88,6 @@ type Config struct {
 	// registry, so the routes always work; pass registry.Open(dir) to
 	// persist uploads and enable state across restarts.
 	Registry *registry.Registry
-	// Harness tunes checker validation; the zero value means
-	// harness.DefaultConfig() with the daemon's Jobs setting.
-	Harness harness.Config
 	// Fleet, when non-nil, shards each run's cache-miss units over
 	// the coordinator's workers (DESIGN.md §15) and mounts the store at
 	// /v1/cas/, so the workers (and sibling coordinators) read and fill
@@ -200,13 +196,9 @@ func New(cfg Config) *Server {
 	if cfg.Registry == nil {
 		cfg.Registry, _ = registry.Open("") // memory-only never fails
 	}
-	if cfg.Harness.CorpusScale == 0 {
-		jobs := cfg.Harness.Jobs
-		if jobs == 0 {
-			jobs = cfg.Jobs
-		}
-		cfg.Harness = harness.DefaultConfig()
-		cfg.Harness.Jobs = jobs
+	if cfg.Options == nil {
+		opts := mc.DefaultOptions()
+		cfg.Options = &opts
 	}
 	s := &Server{
 		cfg:         cfg,
@@ -217,14 +209,11 @@ func New(cfg Config) *Server {
 		maxBody:     maxRequestBody,
 	}
 	if cfg.Verify {
-		var budget feas.Budget
-		if cfg.Options != nil && cfg.Options.Budgets.PathSteps > 0 {
-			budget.MaxSteps = int(cfg.Options.Budgets.PathSteps)
-		}
 		s.feas = feas.NewPipeline(feas.Config{
 			Workers: cfg.VerifyWorkers,
-			Budget:  budget,
-			Store:   store,
+			// A PathSteps budget also caps each verdict's replay.
+			MaxSteps: int(cfg.Options.Budgets.PathSteps),
+			Store:    store,
 			Sink: func(r *report.Report, o feas.Outcome) {
 				s.mu.Lock()
 				if s.verifyCur[r] {

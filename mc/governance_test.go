@@ -146,21 +146,27 @@ func TestPreCancelledContext(t *testing.T) {
 	}
 }
 
+// TestConfigureTimeoutExpires: a run's time bound is its context's
+// deadline; on expiry RunContext returns the partial result alongside
+// context.DeadlineExceeded, promptly.
 func TestConfigureTimeoutExpires(t *testing.T) {
 	a := NewAnalyzer()
 	a.AddSource("d.c", workload.DiamondChain(18).Source)
 	if err := a.LoadBundledChecker("free"); err != nil {
 		t.Fatal(err)
 	}
-	cfg := explosionConfig(Budgets{})
-	cfg.Timeout = 10 * time.Millisecond
-	if err := a.Configure(cfg); err != nil {
+	if err := a.Configure(explosionConfig(Budgets{})); err != nil {
 		t.Fatal(err)
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	_, err := a.RunContext(context.Background())
+	res, err := a.RunContext(ctx)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if res == nil || !res.Degraded {
+		t.Errorf("timed-out run returned no partial, degraded result: %+v", res)
 	}
 	if d := time.Since(start); d > 5*time.Second {
 		t.Errorf("timed-out run took %v to return", d)
@@ -307,24 +313,6 @@ func TestFailedCheckerRunNotCached(t *testing.T) {
 	// panicking checker re-runs live every time (native callouts).
 	if second.Incr.UnitsReplayed == 0 {
 		t.Error("healthy checker's complete unit did not replay")
-	}
-}
-
-// TestAnalyzeContextEndToEnd drives the consolidated one-call API.
-func TestAnalyzeContextEndToEnd(t *testing.T) {
-	res, err := AnalyzeContext(context.Background(),
-		RunConfig{Jobs: 2, Timeout: time.Minute},
-		map[string]string{"v.c": victimSrc}, "free", "null")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Reports) == 0 || res.Degraded || len(res.Failures) != 0 {
-		t.Errorf("unexpected result: %+v", res)
-	}
-	// Unknown checker surfaces as a load error.
-	if _, err := AnalyzeContext(context.Background(), RunConfig{},
-		map[string]string{"v.c": victimSrc}, "no-such"); err == nil {
-		t.Error("unknown checker did not error")
 	}
 }
 

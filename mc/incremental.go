@@ -27,21 +27,6 @@ import (
 	"repro/internal/prog"
 )
 
-// setStore enables the analysis cache on an arbitrary store (e.g.
-// cache.NewMemStore() for a resident daemon); Configure is the public
-// way in (RunConfig.CacheDir / CacheStore). A nil store disables
-// caching.
-func (a *Analyzer) setStore(s cache.Store) {
-	a.diskStore, _ = s.(interface{ Stats() *cache.StoreStats })
-	if s == nil {
-		a.cacheStore = nil
-		a.cacheMetrics = nil
-		return
-	}
-	a.cacheMetrics = &cache.Metrics{}
-	a.cacheStore = cache.WithMetrics(s, a.cacheMetrics)
-}
-
 // IncrStats reports what a run with a store did (Result.Incr; nil
 // without one): per-phase wall times, replay-vs-live volumes, the
 // manifest diff, and store traffic. It is the daemon's /metrics feed.
@@ -226,8 +211,10 @@ func optionsFingerprint(o Options) string {
 			sb.WriteByte('0')
 		}
 	}
+	// The engine's caps are constants, keyed so that changing one
+	// re-keys every unit.
 	sb.WriteString("|")
-	sb.WriteString(strconv.Itoa(o.MaxCallDepth) + "," + strconv.Itoa(o.MaxPartitions))
+	sb.WriteString(strconv.Itoa(core.MaxCallDepth) + "," + strconv.Itoa(core.MaxPartitions))
 	// Budgets re-key the cache even though degraded units are never
 	// written: a complete run under a tight budget is still a different
 	// computation boundary than an unbudgeted one.

@@ -58,8 +58,8 @@ type Analyzer struct {
 	// jobs is the worker count for parallel parsing and checker
 	// execution; 0 means runtime.GOMAXPROCS(0).
 	jobs int
-	// Incremental cache (RunConfig.CacheDir / CacheStore); nil keys
-	// and stores nothing. checkerFPs tracks one source fingerprint per
+	// Incremental cache (RunConfig.CacheStore); nil keys and stores
+	// nothing. checkerFPs tracks one source fingerprint per
 	// loaded checker for cache keying.
 	cacheStore   cache.Store
 	cacheMetrics *cache.Metrics
@@ -72,9 +72,6 @@ type Analyzer struct {
 	// unitRunner, when set, is offered each phase's cache-miss units
 	// before they run locally (RunConfig.UnitRunner; DESIGN.md §15).
 	unitRunner func(ctx context.Context, run *UnitRun) error
-	// timeout bounds each RunContext call (RunConfig.Timeout); zero
-	// means no bound beyond the caller's context.
-	timeout time.Duration
 	// supergraph names the function each live engine renders before it
 	// retires the function's unit (RunConfig.Supergraph).
 	supergraph string
@@ -238,9 +235,10 @@ type Result struct {
 // Without one, nothing is keyed and each checker's work is one task,
 // the whole program.
 //
-// The context cancels the analysis mid-traversal: the engines stop at
-// the next governance poll (within ~256 blocks), and RunContext
-// returns the partial Result alongside ctx.Err(). The partial result
+// The context cancels the analysis mid-traversal, and its deadline is
+// the run's time bound (context.WithTimeout): the engines stop at the
+// next governance poll (within ~256 blocks), and RunContext returns
+// the partial Result alongside ctx.Err(). The partial result
 // carries a DegradeCancelled record per interrupted checker, so
 // callers can distinguish "complete" from "cut short". A checker that
 // panics is contained: it lands in Result.Failures and the remaining
@@ -250,11 +248,6 @@ type Result struct {
 func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if a.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, a.timeout)
-		defer cancel()
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

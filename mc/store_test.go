@@ -53,15 +53,23 @@ func TestStoreKeysAreStable(t *testing.T) {
 	}
 
 	store := &keyLog{Store: cache.NewMemStore()}
-	run := func(cfg mc.RunConfig) *mc.Result {
+	run := func(s cache.Store) *mc.Result {
 		t.Helper()
-		res, err := mc.AnalyzeContext(context.Background(), cfg, map[string]string{"k.c": keySrc}, "free")
+		a := mc.NewAnalyzer()
+		if err := a.Configure(mc.RunConfig{Jobs: 1, CacheStore: s}); err != nil {
+			t.Fatal(err)
+		}
+		a.AddSource("k.c", keySrc)
+		if err := a.LoadBundledChecker("free"); err != nil {
+			t.Fatal(err)
+		}
+		res, err := a.RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	run(mc.RunConfig{Jobs: 1, CacheStore: store})
+	run(store)
 	sort.Strings(store.keys)
 	if len(store.keys) != len(golden) {
 		t.Fatalf("cold run wrote %d keys, want %d: %q", len(store.keys), len(golden), store.keys)
@@ -72,7 +80,7 @@ func TestStoreKeysAreStable(t *testing.T) {
 		}
 	}
 	// A store holding only the golden keys is a full hit.
-	if res := run(mc.RunConfig{Jobs: 1, CacheStore: store.Store}); res.Incr.UnitsLive != 0 || res.Incr.FuncsChanged != 0 {
+	if res := run(store.Store); res.Incr.UnitsLive != 0 || res.Incr.FuncsChanged != 0 {
 		t.Errorf("warm run over the golden keys: %+v", res.Incr)
 	}
 }
@@ -105,18 +113,23 @@ func TestCachePutErrorsSurface(t *testing.T) {
 	}
 }
 
-// TestAnalyzersShareCacheDir: a cold CacheDir run, then a second
-// analyzer on the same directory while the first (and the store handle
-// it never closes) is still referenced, then a third: every later run
-// replays every unit and reports the same thing.
+// TestAnalyzersShareCacheDir: a cold run over a directory store, then
+// a second analyzer with its own store handle on the same directory
+// while the first (and the handle it never closes) is still referenced,
+// then a third: every later run replays every unit and reports the
+// same thing.
 func TestAnalyzersShareCacheDir(t *testing.T) {
 	srcs, _ := workload.MixedTree(2, 8, 7)
 	dir := t.TempDir()
 	var analyzers []*mc.Analyzer
 	var cold string
 	for i := 0; i < 3; i++ {
+		ds, err := cache.NewDirStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
 		a := mc.NewAnalyzer()
-		if err := a.Configure(mc.RunConfig{Jobs: 2, CacheDir: dir}); err != nil {
+		if err := a.Configure(mc.RunConfig{Jobs: 2, CacheStore: ds}); err != nil {
 			t.Fatal(err)
 		}
 		analyzers = append(analyzers, a)

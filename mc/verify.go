@@ -10,27 +10,17 @@ import (
 	"repro/internal/report"
 )
 
-// VerdictBudget derives the feasibility pass's per-verdict budget
-// from the analyzer's governance budgets: a PathSteps ceiling also
-// caps how many recorded witness events one verdict may replay.
-func (a *Analyzer) VerdictBudget() feas.Budget {
-	var b feas.Budget
-	if a.opts.Budgets.PathSteps > 0 {
-		b.MaxSteps = int(a.opts.Budgets.PathSteps)
-	}
-	return b
-}
-
 // Verify runs the feasibility pass synchronously over res.Reports
 // with a worker pool of the given size (0 means one worker), writing
-// Verdict/VerdictWhy into each report. Verdicts are content-address
-// cached in the analyzer's cache store (when one is configured), so
-// warm runs replay them.
+// Verdict/VerdictWhy into each report. A Budgets.PathSteps ceiling also
+// caps how many recorded witness events one verdict may replay.
+// Verdicts are content-address cached in the analyzer's cache store
+// (when one is configured), so warm runs replay them.
 func (a *Analyzer) Verify(res *Result, workers int) feas.Stats {
 	return feas.Annotate(res.Reports, feas.Config{
-		Workers: workers,
-		Budget:  a.VerdictBudget(),
-		Store:   a.cacheStore,
+		Workers:  workers,
+		MaxSteps: int(a.opts.Budgets.PathSteps),
+		Store:    a.cacheStore,
 	})
 }
 
