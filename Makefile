@@ -53,7 +53,10 @@ vet:
 # constants, a run's deadline is its context's, a cache directory is a
 # store the caller opens, the harness corpus and z gate are fixed, and
 # the one-call analyze form, the registry generation, the pair-stats
-# map and the second verdict-budget derivation stay gone.
+# map and the second verdict-budget derivation stay gone. And every key
+# in the store names its content (DESIGN.md §8): the per-configuration
+# manifest, its changed-function count and the log compaction only its
+# re-puts needed stay gone.
 no-deleted-knobs:
 	! grep -rnE 'Match[M]emo|Block[F]ilter|Tuple[I]ntern|Lean[A]lloc|Multi[D]ispatch|Tenant[Q]uota|Queue[D]epth|Batch[S]ize' --include=*.go .
 	! grep -rnE 'Load[S]ummaries|summary[S]ource|Retired[S]et|Allow[S]pillReload|Summaries[L]oaded|SummaryBytes[D]eferred' --include=*.go .
@@ -68,6 +71,7 @@ no-deleted-knobs:
 	! grep -rnE 'path[L]og|clone[F]or|clone[S]lack' --include=*.go .
 	! grep -rnE 'Share[C]AS|StatsRes[p]onse|GET [o]nly|POST [o]nly' --include=*.go .
 	! grep -rnE 'Analyze[C]ontext|Corpus[S]cale|Min[R]eports|Max[I]ters|\bCache[D]ir\b|Pair[S]tats|Verdict[B]udget|[Oo]pts\.Max[CP]|\.Generatio[n]\(|cfg\.Harnes[s]' --include=*.go .
+	! grep -rnE 'Load[M]anifest|Save[M]anifest|Manifest[K]ey|cache\.[M]anifest|diff[M]anifest|config[F]ingerprint|Funcs[C]hanged|maybe[C]ompact|\.Compaction[s]' --include=*.go .
 	! ls BENCH_*.json 2>/dev/null | grep .
 
 # staticcheck is optional locally (the repo adds no dependencies) but

@@ -55,34 +55,21 @@ func TestStoreRoundTrip(t *testing.T) {
 }
 
 // TestDirStoreAtomicNoTempLeftovers: the store's directory holds the
-// log and nothing else, also after compaction went through its temp
-// file, and a compaction serves the same records it found.
+// log and nothing else, however many puts and handles went through it.
 func TestDirStoreAtomicNoTempLeftovers(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "c")
-	ds, err := NewDirStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.Put(Key("kept"), []byte("kept")); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; ds.Stats().Compactions == 0; i++ {
-		if i > 100 {
-			t.Fatal("100 overwrites of one key never compacted")
-		}
-		if err := ds.Put(Key("k"), []byte(strings.Repeat("v", 100+i))); err != nil {
+	for i := 0; i < 3; i++ {
+		ds, err := NewDirStore(dir)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	st := ds.Stats()
-	if st.Records != 2 || st.SupersededBytes != 0 {
-		t.Errorf("after compaction: %+v, want 2 records and nothing superseded", st)
-	}
-	if fi, err := os.Stat(filepath.Join(dir, "store.log")); err != nil || fi.Size() < st.LiveBytes || fi.Size() > st.LiveBytes+2*16 {
-		t.Errorf("log is %d bytes (%v), want its %d live bytes plus two records' framing", fi.Size(), err, st.LiveBytes)
-	}
-	if got, ok := ds.Get(Key("kept")); !ok || string(got) != "kept" {
-		t.Errorf("record lost in compaction: %q %v", got, ok)
+		if err := PutBatch(ds, map[string][]byte{Key("k", strings.Repeat("k", i)): []byte("v"), Key("kept"): []byte("kept")}); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := ds.Get(Key("kept")); !ok || string(got) != "kept" {
+			t.Errorf("handle %d: record lost: %q %v", i, got, ok)
+		}
+		ds.Close()
 	}
 	ents, err := os.ReadDir(dir)
 	if err != nil || len(ents) != 1 || ents[0].Name() != "store.log" {
@@ -115,11 +102,8 @@ func TestMetricsCountPutErrors(t *testing.T) {
 	if err := PutBatch(s, map[string][]byte{Key("b"): nil, Key("c"): nil}); err == nil {
 		t.Fatal("failing PutBatch reported success")
 	}
-	if err := SaveManifest(s, "cfg", &Manifest{}); err == nil {
-		t.Fatal("failing SaveManifest reported success")
-	}
-	if m.PutErrors() != 3 {
-		t.Errorf("PutErrors = %d, want 3 (one per failed call)", m.PutErrors())
+	if m.PutErrors() != 2 {
+		t.Errorf("PutErrors = %d, want 2 (one per failed call)", m.PutErrors())
 	}
 }
 
@@ -160,32 +144,5 @@ func TestUnitEntryRoundTrip(t *testing.T) {
 	}
 	if len(back.Marks) != 1 || back.Marks[0].Name != "panic" {
 		t.Errorf("marks lost: %+v", back.Marks)
-	}
-}
-
-func TestManifestRoundTrip(t *testing.T) {
-	s := NewMemStore()
-	if LoadManifest(s, "cfg") != nil {
-		t.Error("manifest on empty store")
-	}
-	m := &Manifest{Funcs: map[string]string{"a.c\x00f": "h2"}}
-	if err := SaveManifest(s, "cfg", m); err != nil {
-		t.Fatal(err)
-	}
-	back := LoadManifest(s, "cfg")
-	if back == nil || back.Funcs["a.c\x00f"] != "h2" {
-		t.Errorf("manifest lost: %+v", back)
-	}
-	if LoadManifest(s, "other-cfg") != nil {
-		t.Error("manifest leaked across configurations")
-	}
-	// A manifest saved before the per-file hashes were dropped still
-	// carries its "files" map; it decodes, the map ignored.
-	old := `{"files":{"a.c":"h1"},"funcs":{"a.c\u0000f":"h3"}}`
-	if err := s.Put(ManifestKey("old-cfg"), []byte(old)); err != nil {
-		t.Fatal(err)
-	}
-	if back := LoadManifest(s, "old-cfg"); back == nil || back.Funcs["a.c\x00f"] != "h3" {
-		t.Errorf("old-format manifest did not decode: %+v", back)
 	}
 }

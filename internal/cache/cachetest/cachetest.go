@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -368,61 +367,10 @@ func Reopen(t *testing.T, open func(t *testing.T, dir string) cache.Store, file 
 		mustGet(t, b, key("flip", "before"), []byte("intact before"))
 		mustGet(t, b, key("flip", "after"), []byte("intact after"))
 	})
-	t.Run("BoundedGrowth", func(t *testing.T) {
-		// Every complete run re-puts its manifest under one key. Neither
-		// a run per process (a handle per save) nor a resident daemon
-		// (one handle, many saves) may grow the file without bound.
-		manifest := func(i int) *cache.Manifest {
-			m := &cache.Manifest{Funcs: map[string]string{}}
-			for f := 0; f < 50; f++ {
-				m.Funcs[fmt.Sprintf("f.c\x00fn%d", f)] = cache.Key("hash", fmt.Sprint(i, f))
-			}
-			return m
-		}
-		for _, mode := range []string{"handle per save", "one handle"} {
-			dir := t.TempDir()
-			s := open(t, dir)
-			for i := 0; i < 8; i++ {
-				mustPut(t, s, key("grow", "unit", fmt.Sprint(i)), blob(i))
-			}
-			for i := 0; i < 200; i++ {
-				if mode == "handle per save" {
-					closeHandle(s)
-					s = open(t, dir)
-				}
-				if err := cache.SaveManifest(s, "cfg", manifest(i)); err != nil {
-					t.Fatalf("%s: save %d: %v", mode, i, err)
-				}
-			}
-			// The live size: the same final content in a fresh store.
-			fresh := t.TempDir()
-			fs := open(t, fresh)
-			for i := 0; i < 8; i++ {
-				mustPut(t, fs, key("grow", "unit", fmt.Sprint(i)), blob(i))
-			}
-			cache.SaveManifest(fs, "cfg", manifest(199))
-			got, _ := os.Stat(file(dir))
-			live, _ := os.Stat(file(fresh))
-			if got.Size() > 2*live.Size() {
-				t.Errorf("%s: file is %d bytes after 200 manifest saves, live content is %d", mode, got.Size(), live.Size())
-			}
-			last := open(t, dir)
-			if m := cache.LoadManifest(last, "cfg"); m == nil || m.Funcs["f.c\x00fn7"] != manifest(199).Funcs["f.c\x00fn7"] {
-				t.Errorf("%s: the last manifest is not the one served", mode)
-			}
-			for i := 0; i < 8; i++ {
-				mustGet(t, last, key("grow", "unit", fmt.Sprint(i)), blob(i))
-			}
-			if ents, _ := os.ReadDir(filepath.Dir(file(dir))); len(ents) != 1 {
-				t.Errorf("%s: %d files left in the store directory, want the data file alone", mode, len(ents))
-			}
-		}
-	})
 	t.Run("ConcurrentHandles", func(t *testing.T) {
 		// Two handles on one directory (two processes sharing -cache, or a
 		// cold and a warm analyzer in one) append at once: no record may
-		// overwrite or splice another. Distinct keys, so compaction never
-		// moves the file under a writer.
+		// overwrite or splice another.
 		dir := t.TempDir()
 		handles := []cache.Store{open(t, dir), open(t, dir)}
 		const writers, rounds = 4, 40

@@ -29,9 +29,8 @@ type CASServer struct {
 // NewCASServer wraps a store in the blob protocol.
 func NewCASServer(s Store) *CASServer { return &CASServer{store: s} }
 
-// validKey accepts the hex SHA-256 shape Key produces, plus the few
-// structured keys (manifest etc.) that are themselves Key outputs —
-// so in practice: non-empty, no separators, hex. Rejecting everything
+// validKey accepts the hex SHA-256 shape Key produces — so in
+// practice: non-empty, no separators, hex. Rejecting everything
 // else keeps arbitrary client strings out of whatever backs the store
 // (a key was once a file name, and may be again behind another backend).
 func validKey(key string) bool {

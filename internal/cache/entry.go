@@ -1,15 +1,13 @@
 package cache
 
-// Serialized entry shapes. Two kinds of entry live in the store:
-//
-//   - Unit entries: one checker's complete analysis output for one
-//     call-graph unit — report segments per root, stats, rule counts,
-//     marks: what a warm run replays — keyed by checker + options +
-//     environment + visible marks + the unit's member-function hashes.
-//   - The manifest: the previous run's function hashes, used to
-//     compute changed/invalidated counts for stats and metrics
-//     (correctness never depends on it — content addressing alone
-//     decides reuse).
+// Serialized entry shapes. The analysis stores one kind of entry (the
+// other records are feas verdicts): the unit entry, one checker's
+// complete analysis output for one call-graph unit — report segments
+// per root, stats, rule counts, marks: what a warm run replays — keyed
+// by checker + options + environment + visible marks + the unit's
+// member-function hashes. Every key names the complete computation
+// behind its value, so a run writes only keys the store lacked, or
+// held damaged.
 
 import (
 	"bytes"
@@ -80,43 +78,8 @@ func DecodeUnit(data []byte) (*UnitEntry, error) {
 	return e, nil
 }
 
-// Manifest records the function content hashes of the last completed
-// run under a given configuration.
-type Manifest struct {
-	// Funcs maps prog.FuncID to declaration content hash.
-	Funcs map[string]string `json:"funcs"`
-}
-
-// ManifestKey derives the store key for the manifest under one
-// analyzer configuration (checker set + options fingerprints).
-func ManifestKey(configFP string) string { return Key("manifest", configFP) }
-
-// LoadManifest reads the manifest for the configuration, or nil when
-// absent or unreadable (a cold run).
-func LoadManifest(s Store, configFP string) *Manifest {
-	data, ok := s.Get(ManifestKey(configFP))
-	if !ok {
-		return nil
-	}
-	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil
-	}
-	return &m
-}
-
-// SaveManifest writes the manifest for the configuration.
-func SaveManifest(s Store, configFP string, m *Manifest) error {
-	data, err := json.Marshal(m)
-	if err != nil {
-		return err
-	}
-	return s.Put(ManifestKey(configFP), data)
-}
-
 // UnitKey derives the store key for a unit entry. checkerFP covers
-// the checker's source (load order is the manifest key's concern);
-// optsFP the core.Options;
+// the checker's source; optsFP the core.Options;
 // envFP the position-independent declaration environment; marksFP the
 // visible composition marks at phase start; unitFP the sorted member
 // FuncID+hash list.

@@ -16,8 +16,8 @@ package cache
 // would trip ServeMux's trailing-slash 301 on prefix-mounted servers,
 // and Go clients rewrite a redirected POST into a GET. Get and Put are
 // one-key batches: the traffic this store carries is whole phases of
-// unit records and one manifest per run, so a single-key route or GET
-// coalescing would have nothing to do.
+// unit records, so a single-key route or GET coalescing would have
+// nothing to do.
 
 import (
 	"bytes"

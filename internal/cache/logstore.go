@@ -26,20 +26,21 @@ type span struct {
 
 // LogStore is the packed-log Store, safe for concurrent use.
 type LogStore struct {
-	mu          sync.RWMutex
-	path        string
-	f           *os.File
-	idx         map[string]span
-	size, live  int64 // key+payload bytes of every record this handle knows of; of those idx serves
-	compactions int
+	mu         sync.RWMutex
+	path       string
+	f          *os.File
+	idx        map[string]span
+	size, live int64 // key+payload bytes of every record this handle knows of; of those idx serves
 }
 
 // StoreStats is a LogStore's shape; bytes count keys and payloads.
+// SupersededBytes is what later records of the same key shadow: only
+// two handles that put one key, or a damaged record rewritten, leave
+// any, so it is bounded by the live content, not the number of runs.
 type StoreStats struct {
 	Records         int   `json:"records"`
 	LiveBytes       int64 `json:"live_bytes"`
 	SupersededBytes int64 `json:"superseded_bytes"`
-	Compactions     int   `json:"compactions"`
 }
 
 // NewDirStore opens (creating if needed) the disk store in dir: the log
@@ -51,8 +52,8 @@ func NewDirStore(dir string) (*LogStore, error) {
 	return OpenLogStore(filepath.Join(dir, "store.log"))
 }
 
-// OpenLogStore opens (or creates) the log at path, indexes its records,
-// cuts a torn tail off and compacts if the growth rule says so.
+// OpenLogStore opens (or creates) the log at path, indexes its records
+// and cuts a torn tail off.
 func OpenLogStore(path string) (*LogStore, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
@@ -63,7 +64,6 @@ func OpenLogStore(path string) (*LogStore, error) {
 		f.Close()
 		return nil, fmt.Errorf("cache: open %s: %w", path, err)
 	}
-	l.maybeCompact()
 	return l, nil
 }
 
@@ -161,7 +161,6 @@ func (l *LogStore) PutBatch(entries map[string][]byte) error {
 		sp.off += end - int64(len(buf))
 		l.index(k, sp)
 	}
-	l.maybeCompact()
 	return nil
 }
 
@@ -199,37 +198,8 @@ func (l *LogStore) GetBatch(keys []string) map[string][]byte {
 func (l *LogStore) Stats() *StoreStats {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return &StoreStats{Records: len(l.idx), LiveBytes: l.live, SupersededBytes: l.size - l.live, Compactions: l.compactions}
+	return &StoreStats{Records: len(l.idx), LiveBytes: l.live, SupersededBytes: l.size - l.live}
 }
 
 // Close closes the log file. Optional: nothing is buffered.
 func (l *LogStore) Close() error { return l.f.Close() }
-
-// maybeCompact applies the growth rule — superseded bytes exceed live
-// bytes — by copying the live records into a second log renamed over
-// this one; a failure leaves the log as it was. A handle still open on
-// the old file appends into the void: misses for everyone but itself.
-func (l *LogStore) maybeCompact() {
-	if l.size-l.live <= l.live {
-		return
-	}
-	os.Remove(l.path + ".compact") // a crashed compaction's leftover
-	nl, err := OpenLogStore(l.path + ".compact")
-	for k := range l.idx {
-		if data, ok := l.read(k); ok && err == nil { // a record that no longer verifies is dropped
-			err = nl.Put(k, data)
-		}
-	}
-	if err == nil {
-		err = os.Rename(nl.path, l.path)
-	}
-	if err != nil {
-		if nl != nil {
-			nl.Close()
-			os.Remove(nl.path)
-		}
-		return
-	}
-	l.f.Close()
-	l.f, l.idx, l.size, l.live, l.compactions = nl.f, nl.idx, nl.size, nl.live, l.compactions+1
-}

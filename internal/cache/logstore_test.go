@@ -92,9 +92,10 @@ func TestLogTornTailTruncated(t *testing.T) {
 	}
 }
 
-// A handle whose file was compacted away by another keeps answering
-// from the file it has open, and whatever it reads through a stale
-// index into the new file's bytes fails the checksum: a miss.
+// A handle whose file another handle rewrote in place — a torn-tail
+// truncation at open followed by appends, the only in-place rewrite the
+// log has — keeps answering from its own index, and whatever it reads
+// through a stale span into the new bytes fails the checksum: a miss.
 func TestLogStaleHandleNeverSplices(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.log")
 	a := openLog(t, path)
@@ -102,8 +103,7 @@ func TestLogStaleHandleNeverSplices(t *testing.T) {
 	a.Put("y", bytes.Repeat([]byte("y"), 300))
 
 	// Rewrite the file in place behind a's back, same length, other
-	// content: what a torn-tail truncation followed by appends does to
-	// the spans a still holds.
+	// content.
 	data, _ := os.ReadFile(path)
 	for i := len(data) / 2; i < len(data); i++ {
 		data[i] = 'z'

@@ -213,10 +213,10 @@ func TestFleetSharedCASSecondTenant(t *testing.T) {
 
 // TestSiblingCoordinatorOverHTTPCAS is the `xgccd -coordinator -cas URL`
 // shape: the analyzer's store is an HTTPStore on another host's
-// CASServer, so every probe and write — the units' batches and the
-// manifest's one-key Get and Put — crosses the wire. A cold run fills
-// the CAS; a second analyzer replays every unit and finds the manifest
-// (no function changed), hitting exactly units + 1 keys.
+// CASServer, so every probe and write — the units' batches — crosses
+// the wire. A cold run fills the CAS; a second analyzer replays every
+// unit (no function invalidated), hitting exactly one key per unit and
+// writing none.
 func TestSiblingCoordinatorOverHTTPCAS(t *testing.T) {
 	srcs, _ := workload.MixedTree(3, 8, 44)
 	_, plain := run(t, srcs, nil, nil)
@@ -236,9 +236,9 @@ func TestSiblingCoordinatorOverHTTPCAS(t *testing.T) {
 	if warmDigest != plain {
 		t.Fatal("warm run over an HTTP CAS differs from the plain run")
 	}
-	if in := warm.Incr; in.UnitsLive != 0 || in.UnitsReplayed != units || in.FuncsChanged != 0 || in.CacheHits != int64(units)+1 {
-		t.Fatalf("warm run: %d live, %d of %d replayed, %d funcs changed, %d hits (want units + the manifest)",
-			in.UnitsLive, in.UnitsReplayed, units, in.FuncsChanged, in.CacheHits)
+	if in := warm.Incr; in.UnitsLive != 0 || in.UnitsReplayed != units || in.FuncsInvalidated != 0 || in.CacheHits != int64(units) || in.CachePuts != 0 {
+		t.Fatalf("warm run: %d live, %d of %d replayed, %d funcs invalidated, %d hits, %d puts (want one hit per unit, no put)",
+			in.UnitsLive, in.UnitsReplayed, units, in.FuncsInvalidated, in.CacheHits, in.CachePuts)
 	}
 }
 

@@ -112,6 +112,8 @@ func (p *Program) buildUnits() {
 // their transitive callers. A callee's summary feeds every caller that
 // follows the call (§6.2), so invalidation walks caller edges; callees
 // of a changed function are unaffected unless separately changed.
+// Nothing in the product calls it: unit keys decide what re-runs. It
+// stays only because the frozen benchmark/layers.go:600 calls it.
 func (p *Program) DirtyClosure(changed []*Function) map[*Function]bool {
 	dirty := map[*Function]bool{}
 	var walk func(*Function)

@@ -862,11 +862,9 @@ func (s *Server) eachSeries(emit func(series)) (nested map[string]any) {
 	if st := in.Store; st != nil {
 		gauge("xgccd_store_records", "", float64(st.Records), "keys the disk store serves")
 		gauge("xgccd_store_live_bytes", "", float64(st.LiveBytes), "bytes of the records the disk store serves")
-		gauge("xgccd_store_superseded_bytes", "", float64(st.SupersededBytes), "bytes of overwritten records awaiting compaction")
-		counter("xgccd_store_compactions", "", int64(st.Compactions), "times the disk store rewrote its log since it was opened")
+		gauge("xgccd_store_superseded_bytes", "", float64(st.SupersededBytes), "bytes of records a later record of the same key shadows (two handles put one key, or a damaged record was rewritten)")
 	}
-	gauge("xgccd_funcs_changed", "", float64(in.FuncsChanged), "functions whose content changed in the last run")
-	gauge("xgccd_funcs_invalidated", "", float64(in.FuncsInvalidated), "changed functions plus transitive callers")
+	gauge("xgccd_funcs_invalidated", "", float64(in.FuncsInvalidated), "functions of the units the last run found no store record for")
 	gauge("xgccd_funcs_analyzed_live", "", float64(in.FuncsAnalyzedLive), "function analyses performed live")
 	gauge("xgccd_funcs_analyzed_replayed", "", float64(in.FuncsAnalyzedReplayed), "function analyses replayed from cache")
 	gauge("xgccd_units_live", "", float64(in.UnitsLive), "units analyzed live")

@@ -24,12 +24,11 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/prog"
 )
 
 // IncrStats reports what a run with a store did (Result.Incr; nil
-// without one): per-phase wall times, replay-vs-live volumes, the
-// manifest diff, and store traffic. It is the daemon's /metrics feed.
+// without one): per-phase wall times, replay-vs-live volumes, and
+// store traffic. It is the daemon's /metrics feed.
 type IncrStats struct {
 	// Wall-clock nanoseconds per pipeline phase.
 	ParseNanos   int64 `json:"parse_nanos"`
@@ -55,10 +54,10 @@ type IncrStats struct {
 	FuncsAnalyzedLive     int `json:"funcs_analyzed_live"`
 	FuncsAnalyzedReplayed int `json:"funcs_analyzed_replayed"`
 
-	// Manifest diff against the previous run under this
-	// configuration: functions whose content hash changed (or are
-	// new), and the size of their transitive-caller closure.
-	FuncsChanged     int `json:"funcs_changed"`
+	// FuncsInvalidated counts the distinct functions of the keyed
+	// (checker, unit) tasks the store held no record for when the run
+	// probed it — before fleet dispatch, so units a worker then fills
+	// count too: what this run could not replay from earlier runs.
 	FuncsInvalidated int `json:"funcs_invalidated"`
 
 	// Store traffic (a failed put is otherwise silent); Store: a disk store's shape.
@@ -67,32 +66,6 @@ type IncrStats struct {
 	CachePuts      int64             `json:"cache_puts"`
 	CachePutErrors int64             `json:"cache_put_errors"`
 	Store          *cache.StoreStats `json:"store,omitempty"`
-}
-
-// diffManifest builds this run's manifest and counts what changed since
-// the last complete run under this configuration: invalidation
-// accounting for stats and /metrics. Correctness never depends on it —
-// content-addressed keys alone decide reuse.
-func (a *Analyzer) diffManifest(tree *UnitTree, configFP string, incr *IncrStats) *cache.Manifest {
-	p, funcHash := tree.Prog, tree.funcHash
-	manifest := &cache.Manifest{Funcs: map[string]string{}}
-	for _, fn := range p.All {
-		manifest.Funcs[prog.FuncID(fn)] = funcHash[fn]
-	}
-	if prev := cache.LoadManifest(a.cacheStore, configFP); prev != nil {
-		var changed []*prog.Function
-		for _, fn := range p.All {
-			if prev.Funcs[prog.FuncID(fn)] != funcHash[fn] {
-				changed = append(changed, fn)
-			}
-		}
-		incr.FuncsChanged = len(changed)
-		incr.FuncsInvalidated = len(p.DirtyClosure(changed))
-	} else {
-		incr.FuncsChanged = len(p.All)
-		incr.FuncsInvalidated = len(p.All)
-	}
-	return manifest
 }
 
 // probeTasks replays tasks from the store in one batched round-trip
@@ -226,11 +199,4 @@ func optionsFingerprint(o Options) string {
 		strconv.FormatInt(o.Budgets.InstanceOps, 10),
 	}, ","))
 	return sb.String()
-}
-
-// configFingerprint identifies the analyzer configuration (checker
-// set in load order + options) for the manifest.
-func (a *Analyzer) configFingerprint() string {
-	parts := append([]string{"config", optionsFingerprint(a.opts)}, a.checkerFPs...)
-	return cache.Key(parts...)
 }

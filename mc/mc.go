@@ -243,8 +243,7 @@ type Result struct {
 // callers can distinguish "complete" from "cut short". A checker that
 // panics is contained: it lands in Result.Failures and the remaining
 // checkers finish normally (DESIGN.md §9). Only complete units are
-// stored (runLive, unitrun.go), and the manifest is only saved for
-// complete runs.
+// stored (runLive, unitrun.go).
 func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -270,12 +269,10 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 
 	t0 = time.Now()
 	var tree *UnitTree
-	var configFP string
-	var manifest *cache.Manifest
+	var missed []bool // by Function.Index: in a keyed task the store lacked, counted once into FuncsInvalidated
 	if cached {
 		tree = NewUnitTree(files)
-		configFP = a.configFingerprint()
-		manifest = a.diffManifest(tree, configFP, incr)
+		missed = make([]bool, len(tree.Prog.All))
 	} else {
 		tree = &UnitTree{Prog: prog.Build(files...)}
 	}
@@ -317,6 +314,16 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 		// round-trip, offer what is still missing to the fleet
 		// (DESIGN.md §15), and run what nobody filled.
 		a.probeTasks(tasks)
+		for _, t := range tasks {
+			if t.key != "" && !t.replayed {
+				for _, fn := range t.funcs {
+					if !missed[fn.Index] {
+						missed[fn.Index] = true
+						incr.FuncsInvalidated++
+					}
+				}
+			}
+		}
 		a.dispatchRemote(ctx, tasks, incr)
 		runLive(ctx, sem, tasks, func(ci int) *core.Engine {
 			engines[ci] = a.liveEngine(p, ci, compiled)
@@ -406,11 +413,6 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 		res.Reports = a.history.Suppress(res.Reports)
 	}
 	if cached {
-		// The manifest is the invalidation baseline for the next run; a
-		// partial run must not become that baseline (DESIGN.md §9).
-		if len(res.Failures) == 0 && !res.Degraded && ctx.Err() == nil {
-			cache.SaveManifest(a.cacheStore, configFP, manifest) // best effort, likewise
-		}
 		incr.MergeNanos = time.Since(t0).Nanoseconds()
 		incr.CacheHits = a.cacheMetrics.Hits()
 		incr.CacheMisses = a.cacheMetrics.Misses()

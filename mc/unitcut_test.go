@@ -180,11 +180,26 @@ func TestRecordIsFunctionOfKey(t *testing.T) {
 	}
 }
 
+// onlyNewKeys fails the test on a Put of a key its store already holds:
+// a key names its content, so no run has cause to write one twice.
+type onlyNewKeys struct {
+	cache.Store
+	t *testing.T
+}
+
+func (s onlyNewKeys) Put(key string, data []byte) error {
+	if cache.Has(s.Store, key) {
+		s.t.Errorf("key %.12s put again", key)
+	}
+	return s.Store.Put(key, data)
+}
+
 // TestEditRevertNeverPoisons: units A and B fill live together on one
 // engine; A is edited (B replays, A' runs alone), then reverted (both
 // replay). A record that had kept anything of its engine's other units —
 // a dedup key, a rule count — would surface here as a ranking that
-// differs from the plain engine's.
+// differs from the plain engine's. Every step writes only keys the
+// store lacked.
 func TestEditRevertNeverPoisons(t *testing.T) {
 	base := cutSuite{srcs: workload.CallRichTree()}
 	edited := cutSuite{srcs: map[string]string{}}
@@ -203,7 +218,7 @@ func TestEditRevertNeverPoisons(t *testing.T) {
 		return sb.String()
 	}
 	for _, jobs := range []int{1, 8} {
-		store := cache.NewMemStore()
+		store := onlyNewKeys{cache.NewMemStore(), t}
 		for i, step := range []struct {
 			name           string
 			suite          cutSuite
