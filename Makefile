@@ -56,7 +56,9 @@ vet:
 # map and the second verdict-budget derivation stay gone. And every key
 # in the store names its content (DESIGN.md §8): the per-configuration
 # manifest, its changed-function count and the log compaction only its
-# re-puts needed stay gone.
+# re-puts needed stay gone. And a tuple is five integers (DESIGN.md
+# §10.3): the engine's capped struct-key cache and the rendered-key map
+# it fronted stay gone (fpp.Table's own byStr is the feas hook's).
 no-deleted-knobs:
 	! grep -rnE 'Match[M]emo|Block[F]ilter|Tuple[I]ntern|Lean[A]lloc|Multi[D]ispatch|Tenant[Q]uota|Queue[D]epth|Batch[S]ize' --include=*.go .
 	! grep -rnE 'Load[S]ummaries|summary[S]ource|Retired[S]et|Allow[S]pillReload|Summaries[L]oaded|SummaryBytes[D]eferred' --include=*.go .
@@ -72,6 +74,7 @@ no-deleted-knobs:
 	! grep -rnE 'Share[C]AS|StatsRes[p]onse|GET [o]nly|POST [o]nly' --include=*.go .
 	! grep -rnE 'Analyze[C]ontext|Corpus[S]cale|Min[R]eports|Max[I]ters|\bCache[D]ir\b|Pair[S]tats|Verdict[B]udget|[Oo]pts\.Max[CP]|\.Generatio[n]\(|cfg\.Harnes[s]' --include=*.go .
 	! grep -rnE 'Load[M]anifest|Save[M]anifest|Manifest[K]ey|cache\.[M]anifest|diff[M]anifest|config[F]ingerprint|Funcs[C]hanged|maybe[C]ompact|\.Compaction[s]' --include=*.go .
+	! grep -rnE 'idsCache[C]ap|by[S]tr|idBy[S]tr' --include=*.go internal/core
 	! ls BENCH_*.json 2>/dev/null | grep .
 
 # staticcheck is optional locally (the repo adds no dependencies) but
@@ -124,13 +127,14 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWorkRequest -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/fleet/
 
 # Microbenchmarks for the §10 hot paths (pattern match, block and
-# call-rich traversal, instance clone, the per-path FPP environment's
-# copy and fingerprint, edge-set insertion) and the disk store (§8:
+# call-rich traversal, instance clone, an interned tuple's id, the
+# per-path FPP environment's copy and fingerprint, edge-set insertion)
+# and the disk store (§8:
 # 2685 records / 5.6 MB, written as one batch and indexed at open).
 # -benchtime 100x keeps the target quick enough for CI; drop the
 # override for stable local numbers.
 bench-micro:
-	$(GO) test -run '^$$' -bench 'BenchmarkBaseMatch|BenchmarkBlockTraversal|BenchmarkCallRichTraversal|BenchmarkInstanceClone|BenchmarkEdgeSetAdd|BenchmarkEnvCopy|BenchmarkEnvFingerprint|BenchmarkStoreOpen|BenchmarkStorePutBatch' \
+	$(GO) test -run '^$$' -bench 'BenchmarkBaseMatch|BenchmarkBlockTraversal|BenchmarkCallRichTraversal|BenchmarkInstanceClone|BenchmarkInternHit|BenchmarkEdgeSetAdd|BenchmarkEnvCopy|BenchmarkEnvFingerprint|BenchmarkStoreOpen|BenchmarkStorePutBatch' \
 		-benchtime 100x ./internal/pattern/ ./internal/core/ ./internal/fpp/ ./internal/cache/
 
 # CPU + allocation profiles (written to pprof/): the 5/50/200-checker

@@ -56,8 +56,8 @@ func (ctx *ActionCtx) argString(a metal.ActionArg) string {
 		if b, ok := ctx.Bindings.Get(a.Hole); ok {
 			return b.String()
 		}
-		if ctx.Inst != nil && a.Hole == ctx.Inst.Var {
-			return ctx.Inst.Obj
+		if ctx.Inst != nil && a.Hole == ctx.instVar() {
+			return ctx.Engine.intern.objs.name(ctx.Inst.obj)
 		}
 		return a.Hole
 	}
@@ -70,14 +70,19 @@ func (ctx *ActionCtx) argInstance(a metal.ActionArg) *Instance {
 	if a.Hole == "" {
 		return nil
 	}
-	if ctx.Inst != nil && a.Hole == ctx.Inst.Var {
+	if ctx.Inst != nil && a.Hole == ctx.instVar() {
 		return ctx.Inst
 	}
 	if b, ok := ctx.Bindings.Get(a.Hole); ok && b.Expr != nil {
-		return ctx.State.sm.FindObj(cc.ExprKey(b.Expr))
+		if obj, ok := ctx.Engine.intern.objs.find(cc.ExprKey(b.Expr)); ok {
+			return ctx.State.sm.FindObj(obj)
+		}
 	}
 	return nil
 }
+
+// instVar names the triggering instance's state variable.
+func (ctx *ActionCtx) instVar() string { return ctx.Engine.intern.vars.name(ctx.Inst.v) }
 
 // builtinActions returns the standard action library.
 func builtinActions() map[string]ActionFunc {
@@ -178,7 +183,7 @@ func builtinActions() map[string]ActionFunc {
 				return
 			}
 			if in.Data < args[1].Int || in.Data > args[2].Int {
-				ctx.Engine.emitReport(ctx, fmt.Sprintf("%s (%s depth %d)", args[3].Str, in.Obj, in.Data))
+				ctx.Engine.emitReport(ctx, fmt.Sprintf("%s (%s depth %d)", args[3].Str, ctx.Engine.intern.objs.name(in.obj), in.Data))
 			}
 		},
 		// note("text", args...): append a step to the instance's

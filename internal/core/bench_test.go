@@ -113,7 +113,7 @@ func BenchmarkCallRichTraversal(b *testing.B) {
 }
 
 // callRichAllocCeiling bounds the heap allocations of one runCallRich,
-// about 5 % above the measured 2,489 (go1.24; governed 2,494). The count
+// about 5 % above the measured 2,368 (go1.24; governed 2,372). The count
 // repeats to the unit, so a regression in the per-path state (fpp.Env,
 // edge sets, fpSeen), in pattern dispatch (DESIGN.md §10.1), in what
 // prog.Build holds for every engine or in what the engine, the funcInfo
@@ -128,10 +128,13 @@ func BenchmarkCallRichTraversal(b *testing.B) {
 // array and every witness event its own list cell, and 2,897 (ceiling
 // 3,042) while banned, sec-annotator and panic-marker traversed every
 // root that makes a call, their mc_is_call_to conjuncts outside the
-// callee index (DESIGN.md §11.1). The governed run sits under the same
-// ceiling (+5, its context): step counters and amortized polls
-// allocate nothing.
-const callRichAllocCeiling = 2_613
+// callee index (DESIGN.md §11.1), and 2,489 (ceiling 2,613) while a tuple
+// was four strings: every distinct tuple rendered its key into a map,
+// and every engine built two StateRef-keyed maps of per-state slices
+// where it now numbers its checker's states into flat arrays (§10.3).
+// The governed run sits under the same ceiling (+4, its context): step
+// counters and amortized polls allocate nothing.
+const callRichAllocCeiling = 2_487
 
 func TestCallRichTraversalAllocs(t *testing.T) {
 	files, suite := suiteInputs(t)
@@ -156,7 +159,7 @@ func TestCallRichTraversalAllocs(t *testing.T) {
 // and call boundary for every active instance, so this is the engine's
 // hottest allocation site.
 func BenchmarkInstanceClone(b *testing.B) {
-	in := &Instance{Var: "v", Obj: "p", Val: "locked"}
+	in := &Instance{v: 1, obj: 1, val: 3}
 	for i := 0; i < 8; i++ {
 		in.trace = in.trace.push("f.c:10: locked -> unlocked at spin_unlock(p)")
 	}

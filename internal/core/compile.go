@@ -33,6 +33,9 @@ package core
 // CompiledDispatch is safely shared by engines running concurrently.
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/cfg"
 	"repro/internal/metal"
 	"repro/internal/pattern"
@@ -259,6 +262,84 @@ func (cd *CompiledDispatch) admitSet(b *cfg.Block) bitset {
 		}
 	}
 	return bits
+}
+
+// stateSym is a metal.StateRef numbered by an engine's interner: v 0 is
+// the global state.
+type stateSym struct{ v, val int32 }
+
+// rule is one of the checker's transitions with its states numbered;
+// pos is its position in Checker.Transitions.
+type rule struct {
+	*metal.Transition
+	pos                            int32
+	src, dest, trueDest, falseDest stateSym
+}
+
+// srcRules lists the rules sourced at one state, in source order, and
+// their compiled-dispatch entry ids (Engine.SetCompiled fills them in).
+type srcRules struct {
+	rules   []rule
+	entries []int32
+}
+
+// stateIdx indexes a checker's rules by source state (v, val), v 0 being
+// the global state: row v of stride values each.
+type stateIdx struct {
+	rows   []srcRules
+	stride int
+}
+
+// noRules is what a state no transition is sourced at has.
+var noRules srcRules
+
+// at returns the rules sourced at (v, val). A symbol numbered after the
+// index was built (an imported summary's) has none.
+func (x *stateIdx) at(v, val int32) *srcRules {
+	if i := int(v)*x.stride + int(val); int(val) < x.stride && i < len(x.rows) {
+		return &x.rows[i]
+	}
+	return &noRules
+}
+
+// numberStates numbers the checker's state symbols in an engine's
+// interner before its first block — the initial global state, then
+// every state a transition names, which is every state an instance or
+// the global state can reach — and indexes the transitions by source
+// state. Unlike the dispatch above, the numbering and the index are the
+// engine's own. A symbol first seen later (an imported summary's) gets
+// a later number, and no rule.
+func numberStates(in *interner, c *metal.Checker) (initG int32, idx stateIdx) {
+	nvals := len(c.GlobalStates)
+	for _, vs := range c.VarStates {
+		nvals += len(vs)
+	}
+	in.vars.strs = slices.Grow(in.vars.strs, len(c.Vars))
+	in.vals.strs = slices.Grow(in.vals.strs, 1+nvals)
+	sym := func(r metal.StateRef) stateSym { return stateSym{in.vars.id(r.Var), in.vals.id(r.Val)} }
+	initG = in.vals.id(c.InitialGlobal())
+	rules := make([]rule, len(c.Transitions))
+	for i, tr := range c.Transitions {
+		rules[i] = rule{Transition: tr, pos: int32(i),
+			src: sym(tr.Source), dest: sym(tr.Dest), trueDest: sym(tr.TrueDest), falseDest: sym(tr.FalseDest)}
+	}
+	// One array each for the rules and their entry ids, every state's
+	// a contiguous run in source order.
+	slices.SortStableFunc(rules, func(a, b rule) int {
+		return cmp.Or(cmp.Compare(a.src.v, b.src.v), cmp.Compare(a.src.val, b.src.val))
+	})
+	entries := make([]int32, len(rules))
+	idx = stateIdx{rows: make([]srcRules, len(in.vars.strs)*len(in.vals.strs)), stride: len(in.vals.strs)}
+	for lo := 0; lo < len(rules); {
+		hi := lo + 1
+		for hi < len(rules) && rules[hi].src == rules[lo].src {
+			hi++
+		}
+		src := rules[lo].src
+		idx.rows[int(src.v)*idx.stride+int(src.val)] = srcRules{rules: rules[lo:hi:hi], entries: entries[lo:hi:hi]}
+		lo = hi
+	}
+	return initG, idx
 }
 
 // canFire reports whether checker ci's initial-global-state transitions

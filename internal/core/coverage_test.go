@@ -42,7 +42,8 @@ func TestDuplicateReportRendersNothing(t *testing.T) {
 		for i := 0; i < events; i++ {
 			en.logEvent(st, pathEvent{kind: evBranch, pos: cc.Pos{File: "d.c", Line: 1}, expr: cond, taken: true})
 		}
-		inst := &Instance{Var: "v", Obj: "p->next", ObjExpr: obj, Val: "freed", StartFunc: "f"}
+		ix := en.intern
+		inst := &Instance{v: ix.vars.id("v"), obj: ix.objs.id("p->next"), ObjExpr: obj, val: ix.vals.id("freed"), StartFunc: "f"}
 		inst.trace = inst.trace.push("d.c:1: p->next enters state freed")
 		ctx := &ActionCtx{Engine: en, State: st, Pos: cc.Pos{File: "d.c", Line: 1}, Inst: inst}
 		en.emitReport(ctx, "using p->next after free!")
@@ -171,33 +172,6 @@ func TestValueDependsOnForms(t *testing.T) {
 		if got := valueDependsOn(e, c.name); got != c.want {
 			t.Errorf("valueDependsOn(%s, %s) = %v, want %v", c.expr, c.name, got, c.want)
 		}
-	}
-}
-
-func TestTupleAndSMStrings(t *testing.T) {
-	in := &Instance{Var: "v", Obj: "p", Val: "freed"}
-	tup := instTuple("start", in)
-	if tup.Key() != "(start,v:p->freed)" {
-		t.Errorf("tuple key = %q", tup.Key())
-	}
-	if tup.String() != tup.Key() {
-		t.Error("String != Key")
-	}
-	in.Data = 2
-	if in.TupleVal() != "freed/2" {
-		t.Errorf("TupleVal = %q", in.TupleVal())
-	}
-	in.Data = 0
-	if in.TupleVal() != "freed" {
-		t.Errorf("TupleVal = %q", in.TupleVal())
-	}
-	sm := &SM{GState: "start", Active: []*Instance{in}}
-	if got := sm.String(); !strings.Contains(got, "(start,v:p->freed)") {
-		t.Errorf("SM string = %q", got)
-	}
-	empty := &SM{GState: "start"}
-	if got := empty.String(); got != "{(start,<>)}" {
-		t.Errorf("empty SM string = %q", got)
 	}
 }
 

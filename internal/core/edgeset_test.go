@@ -62,29 +62,30 @@ func TestEdgeSetMatchesModel(t *testing.T) {
 		model := &edgeModel{in: in, buckets: map[string][]edge{}}
 		// A small tuple universe, so starts repeat, pairs collide and
 		// new groups land before, between and after the existing ones.
-		tuple := func() Tuple {
+		draw := func() TupleData {
 			g := []string{"start", "locked", "a"}[rng.Intn(3)]
 			if rng.Intn(4) == 0 {
-				return placeholderTuple(g)
+				return TupleData{G: g}
 			}
-			return Tuple{G: g, Var: "v", Obj: fmt.Sprintf("p%d", rng.Intn(5)),
+			return TupleData{G: g, Var: "v", Obj: fmt.Sprintf("p%d", rng.Intn(5)),
 				Val: []string{"freed", UnknownVal, StopVal}[rng.Intn(3)], Data: int64(rng.Intn(2))}
 		}
 		for i := 0; i < 120; i++ {
-			e := in.edge(tuple(), tuple())
+			e := in.edge(in.tupleOf(draw()), in.tupleOf(draw()))
 			if got, want := set.add(fi, e), model.add(e); got != want {
 				t.Fatalf("seed %d step %d: add = %v, model %v", seed, i, got, want)
 			}
 			if set.len() != model.n {
 				t.Fatalf("seed %d step %d: len = %d, model %d", seed, i, set.len(), model.n)
 			}
-			probe := tuple()
-			want := model.buckets[probe.Key()]
+			td := draw()
+			probe, key := in.tupleOf(td), oracleKey(td)
+			want := model.buckets[key]
 			if got := set.from(in, probe); renderEdges(in, got) != renderEdges(in, want) {
-				t.Fatalf("seed %d step %d: from(%s) =\n%swant\n%s", seed, i, probe.Key(), renderEdges(in, got), renderEdges(in, want))
+				t.Fatalf("seed %d step %d: from(%s) =\n%swant\n%s", seed, i, key, renderEdges(in, got), renderEdges(in, want))
 			}
 			if set.hasFrom(in, probe) != (len(want) > 0) {
-				t.Fatalf("seed %d step %d: hasFrom(%s) = %v", seed, i, probe.Key(), set.hasFrom(in, probe))
+				t.Fatalf("seed %d step %d: hasFrom(%s) = %v", seed, i, key, set.hasFrom(in, probe))
 			}
 			if got, want := renderEdges(in, set.all()), renderEdges(in, model.all()); got != want {
 				t.Fatalf("seed %d step %d: all() =\n%swant\n%s", seed, i, got, want)
@@ -97,9 +98,9 @@ func TestEdgeSetMatchesModel(t *testing.T) {
 // the interner and the rest from the edge.
 func TestEdgeRoundTrip(t *testing.T) {
 	in := newInterner()
-	inst := &Instance{Var: "v", Obj: "p", Val: "freed", Data: 2}
-	from := unknownTuple("start", "v", "p")
-	to := instTuple("locked", inst)
+	inst := &Instance{v: in.vars.id("v"), obj: in.objs.id("p"), val: in.vals.id("freed"), Data: 2}
+	from := unknownTuple(in.vals.id("start"), inst.v, inst.obj)
+	to := instTuple(in.vals.id("locked"), inst)
 	e := in.edge(from, to)
 	if got := in.fromTuple(e); got != from {
 		t.Errorf("fromTuple = %+v, want %+v", got, from)
@@ -113,10 +114,10 @@ func BenchmarkEdgeSetAdd(b *testing.B) {
 	in := newInterner()
 	var edges []edge
 	for f := 0; f < 6; f++ {
-		from := Tuple{G: "start", Var: "v", Obj: fmt.Sprintf("p%d", f), Val: "freed"}
+		from := in.tupleOf(TupleData{G: "start", Var: "v", Obj: fmt.Sprintf("p%d", f), Val: "freed"})
 		for _, val := range []string{"freed", StopVal} {
 			to := from
-			to.Val = val
+			to.val = in.vals.id(val)
 			edges = append(edges, in.edge(from, to))
 		}
 	}

@@ -169,21 +169,23 @@ type Engine struct {
 	actions   map[string]ActionFunc
 	callouts  pattern.Registry
 	nextGroup int
-	// transIdx indexes the checker's transitions by source state so
-	// the per-point hot loop avoids rescanning the transition list.
-	transIdx map[metal.StateRef][]*metal.Transition
-	// intern hash-conses state tuples for the summary caches
+	// intern numbers the checker's state symbols and the tracked
+	// objects, and hash-conses state tuples for the summary caches
 	// (intern.go); one table per engine, engines are single-goroutine.
 	intern *interner
+	// initG is the initial global state's symbol; transIdx indexes the
+	// checker's transitions by source state (numberStates), so the
+	// per-point hot loop neither rescans the transition list nor hashes a
+	// state.
+	initG    int32
+	transIdx stateIdx
 	// compiled is the multi-checker dispatch structure (compile.go),
 	// shared read-only across engines; checkerIdx is this engine's
-	// checker's index in its checker list, and entryIDs the compiled
-	// entry ids of transIdx's transitions, source state by source
-	// state. An engine that starts a root without SetCompiled compiles
-	// its own checker alone (ensureCompiled).
+	// checker's index in its checker list. SetCompiled fills transIdx's
+	// entry ids from it. An engine that starts a root without
+	// SetCompiled compiles its own checker alone (ensureCompiled).
 	compiled   *CompiledDispatch
 	checkerIdx int
-	entryIDs   map[metal.StateRef][]int32
 	// Retirement (stream.go): rootsRun counts the roots run per unit,
 	// by unit index (nil = this engine never retires); onRetire
 	// notifies the mc releaser; inspect names the function whose
@@ -250,10 +252,7 @@ func NewEngineShared(p *prog.Program, c *metal.Checker, opts Options, shared *Sh
 	}
 	en.govern = opts.Budgets.Active()
 	en.Stats.Analyses = map[string]int{}
-	en.transIdx = map[metal.StateRef][]*metal.Transition{}
-	for _, tr := range c.Transitions {
-		en.transIdx[tr.Source] = append(en.transIdx[tr.Source], tr)
-	}
+	en.initG, en.transIdx = numberStates(en.intern, c)
 	en.callouts = pattern.Registry{}
 	for k, v := range pattern.Builtins() {
 		en.callouts[k] = v
@@ -292,9 +291,11 @@ func (en *Engine) SetCompiled(cd *CompiledDispatch, idx int) {
 	}
 	en.compiled = cd
 	en.checkerIdx = idx
-	en.entryIDs = make(map[metal.StateRef][]int32, len(en.transIdx))
-	for i, tr := range en.Checker.Transitions {
-		en.entryIDs[tr.Source] = append(en.entryIDs[tr.Source], cd.firstEntry[idx]+int32(i))
+	for i := range en.transIdx.rows {
+		src := &en.transIdx.rows[i]
+		for j := range src.rules {
+			src.entries[j] = cd.firstEntry[idx] + src.rules[j].pos
+		}
 	}
 }
 
@@ -381,9 +382,9 @@ func (en *Engine) RunFunction(name string) *report.Set {
 // pendingBranch is a matched path-specific transition awaiting branch
 // resolution (§3.2).
 type pendingBranch struct {
-	tr *metal.Transition
-	// instVar and instObj name the triggering instance; "" for creation.
-	instVar, instObj string
+	r *rule
+	// v and obj name the triggering instance; v 0 for creation.
+	v, obj int32
 	// bindings is a creation's own copy: the match's result is gone at
 	// the next match (pattern.Ctx) and the branch resolves at block end.
 	bindings pattern.Bindings
@@ -433,9 +434,9 @@ func (en *Engine) release(st *pathState) { en.frames = append(en.frames, st) }
 // enter takes a frame for a new traversal of fn — a root (caller nil) or
 // a followed callee: nothing tracked, nothing pending, no facts, and its
 // parts of the engine's stacks beginning at the caller's tops.
-func (en *Engine) enter(caller *pathState, fn *prog.Function, fi *funcInfo, g string) *pathState {
+func (en *Engine) enter(caller *pathState, fn *prog.Function, fi *funcInfo, g int32) *pathState {
 	st := en.frame()
-	*st = pathState{sm: SM{GState: g, Active: st.sm.Active[:0]}, env: st.env, fn: fn, pending: st.pending[:0]}
+	*st = pathState{sm: SM{g: g, Active: st.sm.Active[:0]}, env: st.env, fn: fn, pending: st.pending[:0]}
 	st.env.Reset(&fi.terms)
 	if caller != nil {
 		st.btBase, st.btTop = caller.btTop, caller.btTop
@@ -475,11 +476,11 @@ func (st *pathState) setPathClass(c report.Class) {
 // ---------------------------------------------------------------------------
 
 // blockRec tracks one traversal of one block so its summary edges can
-// be recorded at block end. Instances are told apart by (Var, Obj), not
+// be recorded at block end. Instances are told apart by (v, obj), not
 // by pointer, so the recorder survives state cloning at mid-block call
 // forks; the live set is a handful, so the lists are scanned.
 type blockRec struct {
-	entryG string
+	entryG int32
 	fp     uint32
 	// entry holds the tuple of every instance active at block entry.
 	entry []Tuple
@@ -490,12 +491,12 @@ type blockRec struct {
 	kills []Tuple
 }
 
-func sameObj(t *Tuple, varName, obj string) bool { return t.Var == varName && t.Obj == obj }
+func sameObj(t *Tuple, v, obj int32) bool { return t.v == v && t.obj == obj }
 
 // lastOf returns the last tuple of the list about the object, or nil.
-func lastOf(ts []Tuple, varName, obj string) *Tuple {
+func lastOf(ts []Tuple, v, obj int32) *Tuple {
 	for i := len(ts) - 1; i >= 0; i-- {
-		if sameObj(&ts[i], varName, obj) {
+		if sameObj(&ts[i], v, obj) {
 			return &ts[i]
 		}
 	}
@@ -507,15 +508,15 @@ func lastOf(ts []Tuple, varName, obj string) *Tuple {
 // instances and kill nothing, and then both lists stay nil and the
 // record allocates nothing ("rec does not escape", -gcflags=-m).
 func (rec *blockRec) start(sm *SM, fp uint32) {
-	rec.entryG, rec.fp = sm.GState, fp
+	rec.entryG, rec.fp = sm.g, fp
 	for _, in := range sm.Active {
 		if in.Inactive {
 			continue
 		}
-		if prev := lastOf(rec.entry, in.Var, in.Obj); prev != nil {
-			*prev = instTuple(sm.GState, in)
+		if prev := lastOf(rec.entry, in.v, in.obj); prev != nil {
+			*prev = instTuple(sm.g, in)
 		} else {
-			rec.entry = append(rec.entry, instTuple(sm.GState, in))
+			rec.entry = append(rec.entry, instTuple(sm.g, in))
 		}
 	}
 }
@@ -525,8 +526,8 @@ func (r *blockRec) clone() *blockRec {
 }
 
 // noteKill records an instance's removal for summary generation.
-func (r *blockRec) noteKill(g string, in *Instance) {
-	r.kills = append(r.kills, Tuple{G: g, Var: in.Var, Obj: in.Obj, Val: StopVal, ObjExpr: in.ObjExpr})
+func (r *blockRec) noteKill(g int32, in *Instance) {
+	r.kills = append(r.kills, Tuple{tupleKey: tupleKey{g: g, v: in.v, val: symStop, obj: in.obj}, ObjExpr: in.ObjExpr})
 }
 
 // ---------------------------------------------------------------------------
@@ -561,7 +562,7 @@ func (en *Engine) traverseBlock(st *pathState, b *cfg.Block) {
 				continue
 			}
 			live = true
-			if bi.coversUnder(instTuple(st.sm.GState, in), fp) {
+			if bi.coversUnder(instTuple(st.sm.g, in), fp) {
 				en.Stats.CacheHits++
 			} else {
 				allHit = false
@@ -570,7 +571,7 @@ func (en *Engine) traverseBlock(st *pathState, b *cfg.Block) {
 		}
 		if !live {
 			// The placeholder is the extension state.
-			allHit = bi.coversUnder(placeholderTuple(st.sm.GState), fp)
+			allHit = bi.coversUnder(placeholderTuple(st.sm.g), fp)
 			if allHit {
 				en.Stats.CacheHits++
 			}
@@ -641,7 +642,7 @@ func (en *Engine) runFrom(st *pathState, b *cfg.Block, bi *blockInfo, rec *block
 // finishBlock records the block's summary edges (§5.2) and descends
 // into the successors (or ends the path).
 func (en *Engine) finishBlock(st *pathState, b *cfg.Block, bi *blockInfo, rec *blockRec) {
-	gEnd := st.sm.GState
+	gEnd := st.sm.g
 	// Global-instance edge, recorded on every traversal (§6.2 needs it
 	// to relax add edges through gstate-preserving blocks). It joins
 	// the cache-relevant transition edges only when the placeholder
@@ -662,28 +663,28 @@ func (en *Engine) finishBlock(st *pathState, b *cfg.Block, bi *blockInfo, rec *b
 		// Where the instance went: killed, still here, or out of scope
 		// some other way (e.g. dropped at a call boundary) — a stop edge.
 		to := *from
-		to.G, to.Val = gEnd, StopVal
-		if stop := lastOf(rec.kills, from.Var, from.Obj); stop != nil {
+		to.g, to.val = gEnd, symStop
+		if stop := lastOf(rec.kills, from.v, from.obj); stop != nil {
 			to = *stop
-		} else if inst := st.sm.lastLive(from.Var, from.Obj); inst != nil {
+		} else if inst := st.sm.lastLive(from.v, from.obj); inst != nil {
 			to = instTuple(gEnd, inst)
 		}
 		bi.trans.add(fi, ix.edge(*from, to))
 	}
 	// Add edges for instances created during the block.
 	for _, inst := range st.sm.Active {
-		if inst.Inactive || lastOf(rec.entry, inst.Var, inst.Obj) != nil || st.sm.lastLive(inst.Var, inst.Obj) != inst {
+		if inst.Inactive || lastOf(rec.entry, inst.v, inst.obj) != nil || st.sm.lastLive(inst.v, inst.obj) != inst {
 			continue
 		}
-		from := unknownTuple(rec.entryG, inst.Var, inst.Obj)
+		from := unknownTuple(rec.entryG, inst.v, inst.obj)
 		from.ObjExpr = inst.ObjExpr
 		bi.adds.add(fi, ix.edge(from, instTuple(gEnd, inst)))
 	}
 	for _, stop := range rec.kills {
-		if lastOf(rec.entry, stop.Var, stop.Obj) != nil {
+		if lastOf(rec.entry, stop.v, stop.obj) != nil {
 			continue
 		}
-		from := unknownTuple(rec.entryG, stop.Var, stop.Obj)
+		from := unknownTuple(rec.entryG, stop.v, stop.obj)
 		from.ObjExpr = stop.ObjExpr
 		bi.adds.add(fi, ix.edge(from, stop))
 	}
@@ -826,35 +827,35 @@ func (en *Engine) applyPending(st *pathState, taken bool) {
 		if p.neg {
 			eff = !eff
 		}
-		dest := p.tr.FalseDest
+		ref, dest := p.r.FalseDest, p.r.falseDest
 		if eff {
-			dest = p.tr.TrueDest
+			ref, dest = p.r.TrueDest, p.r.trueDest
 		}
-		if p.instVar == "" {
+		if p.v == 0 {
 			// Creation: attach the destination state to the bound
 			// object unless the destination is stop.
-			if dest.IsStop() || dest.Var == "" {
+			if dest.val == symStop || dest.v == 0 {
 				continue
 			}
-			bnd, ok := p.bindings.Get(dest.Var)
+			bnd, ok := p.bindings.Get(ref.Var)
 			if !ok || bnd.Expr == nil {
 				continue
 			}
-			en.createInstance(st, nil, dest.Var, dest.Val, bnd.Expr, nil)
+			en.createInstance(st, nil, dest, bnd.Expr, cc.ExprKey(bnd.Expr), nil)
 			continue
 		}
 		// Instance transition.
-		inst := st.sm.Find(p.instVar, p.instObj)
+		inst := st.sm.Find(p.v, p.obj)
 		if inst == nil {
 			continue
 		}
-		if dest.IsStop() {
+		if dest.val == symStop {
 			en.killInstance(st, nil, inst, true)
 		} else {
-			oldVal := inst.Val
+			oldVal := inst.val
 			for _, m := range st.sm.GroupMembers(inst) {
-				if m.Val == oldVal {
-					m.Val = dest.Val
+				if m.val == oldVal {
+					m.val = dest.val
 				}
 			}
 		}
@@ -907,56 +908,57 @@ func (en *Engine) applyExtension(st *pathState, b *cfg.Block, rec *blockRec, pt 
 	// Global-state transitions (including creation transitions). The
 	// pre-filter skips the whole loop when no transition sourced at
 	// the current global state can fire anywhere in this block.
-	if en.mayFire(st.fn, b, metal.StateRef{Val: st.sm.GState}) {
+	if gs := en.transIdx.at(0, st.sm.g); en.mayFire(st.fn, b, gs) {
 		ctx := en.matchCtx(st, b, pt, false, returnPoint)
-		for _, tr := range en.transIdx[metal.StateRef{Val: st.sm.GState}] {
-			bnd, ok := tr.Pat.Match(ctx, noBindings)
+		for i := range gs.rules {
+			r := &gs.rules[i]
+			bnd, ok := r.Pat.Match(ctx, noBindings)
 			if !ok {
 				continue
 			}
-			if tr.PathSpecific {
-				creationVar := tr.TrueDest.Var
-				if creationVar == "" {
-					creationVar = tr.FalseDest.Var
+			if r.PathSpecific {
+				creation, cv := r.TrueDest, r.trueDest.v
+				if creation.Var == "" {
+					creation, cv = r.FalseDest, r.falseDest.v
 				}
-				if creationVar != "" {
-					if obj, ok := bnd.Get(creationVar); !ok || obj.Expr == nil || st.sm.Find(creationVar, cc.ExprKey(obj.Expr)) != nil {
+				if creation.Var != "" {
+					if obj, ok := bnd.Get(creation.Var); !ok || obj.Expr == nil || en.tracked(st, cv, cc.ExprKey(obj.Expr)) {
 						continue
 					}
 				}
 				matched = true
 				st.pending = append(st.pending, pendingBranch{
-					tr: tr, bindings: slices.Clone(bnd), neg: polarityOf(b, pt),
+					r: r, bindings: slices.Clone(bnd), neg: polarityOf(b, pt),
 				})
-				en.runTransitionActions(st, tr, bnd, pt, nil)
+				en.runTransitionActions(st, r.Transition, bnd, pt, nil)
 				break
 			}
-			if tr.Dest.Var != "" {
+			if r.dest.v != 0 {
 				// Creation transition: applies only when the object has
 				// no live instance ("the edge only applies when we know
 				// nothing about t", §5.2).
-				objBnd, ok := bnd.Get(tr.Dest.Var)
+				objBnd, ok := bnd.Get(r.Dest.Var)
 				if !ok || objBnd.Expr == nil {
 					continue
 				}
 				obj := cc.ExprKey(objBnd.Expr)
-				if st.sm.Find(tr.Dest.Var, obj) != nil {
+				if en.tracked(st, r.dest.v, obj) {
 					continue
 				}
 				matched = true
 				var created *Instance
-				if !tr.Dest.IsStop() {
-					created = en.createInstance(st, rec, tr.Dest.Var, tr.Dest.Val, objBnd.Expr, pt)
+				if r.dest.val != symStop {
+					created = en.createInstance(st, rec, r.dest, objBnd.Expr, obj, pt)
 				}
 				// Actions on a creation transition see the new instance
 				// (so note()/incr() initialize its trace and data).
-				en.runTransitionActions(st, tr, bnd, pt, created)
+				en.runTransitionActions(st, r.Transition, bnd, pt, created)
 				break
 			}
 			// Pure global-state transition.
 			matched = true
-			st.sm.GState = tr.Dest.Val
-			en.runTransitionActions(st, tr, bnd, pt, nil)
+			st.sm.g = r.dest.val
+			en.runTransitionActions(st, r.Transition, bnd, pt, nil)
 			break
 		}
 	}
@@ -970,7 +972,7 @@ func (en *Engine) applyExtension(st *pathState, b *cfg.Block, rec *blockRec, pt 
 		if in.Inactive || in.CreatedAt == pt {
 			continue
 		}
-		if en.mayFire(st.fn, b, metal.StateRef{Var: in.Var, Val: in.Val}) {
+		if en.mayFire(st.fn, b, en.transIdx.at(in.v, in.val)) {
 			anyInst = true
 			break
 		}
@@ -987,24 +989,26 @@ func (en *Engine) applyExtension(st *pathState, b *cfg.Block, rec *blockRec, pt 
 		if !en.stillActive(st, inst) {
 			continue
 		}
-		if !en.mayFire(st.fn, b, metal.StateRef{Var: inst.Var, Val: inst.Val}) {
+		src := en.transIdx.at(inst.v, inst.val)
+		if !en.mayFire(st.fn, b, src) {
 			continue
 		}
-		for _, tr := range en.transIdx[metal.StateRef{Var: inst.Var, Val: inst.Val}] {
-			bnd, ok := tr.Pat.Match(ctx, inst.matchPrior())
+		for i := range src.rules {
+			r := &src.rules[i]
+			bnd, ok := r.Pat.Match(ctx, inst.matchPrior(r.Source.Var))
 			if !ok {
 				continue
 			}
 			matched = true
-			if tr.PathSpecific {
+			if r.PathSpecific {
 				st.pending = append(st.pending, pendingBranch{
-					tr: tr, instVar: inst.Var, instObj: inst.Obj, neg: polarityOf(b, pt),
+					r: r, v: inst.v, obj: inst.obj, neg: polarityOf(b, pt),
 				})
-				en.runTransitionActions(st, tr, bnd, pt, inst)
+				en.runTransitionActions(st, r.Transition, bnd, pt, inst)
 				break
 			}
-			en.runTransitionActions(st, tr, bnd, pt, inst)
-			if tr.Dest.IsStop() {
+			en.runTransitionActions(st, r.Transition, bnd, pt, inst)
+			if r.dest.val == symStop {
 				// Synonym mirroring on stop follows the paper's own
 				// trace: an error transition stops only the triggering
 				// instance (Figure 2 step 9 stops q but leaves its
@@ -1012,14 +1016,14 @@ func (en *Engine) applyExtension(st *pathState, b *cfg.Block, rec *blockRec, pt 
 				// transition stops the whole group (§8: "a successful
 				// check that p is not null also implies that q is not
 				// null").
-				en.killInstance(st, rec, inst, !transitionReports(tr))
+				en.killInstance(st, rec, inst, !transitionReports(r.Transition))
 			} else {
-				oldVal := inst.Val
+				oldVal := inst.val
 				for _, m := range st.sm.GroupMembers(inst) {
-					if m.Val == oldVal {
-						m.Val = tr.Dest.Val
+					if m.val == oldVal {
+						m.val = r.dest.val
 						m.trace = m.trace.push(fmt.Sprintf("%s: %s -> %s at %s",
-							posOf(pt), oldVal, tr.Dest.Val, cc.ExprString(pt)))
+							posOf(pt), en.intern.vals.name(oldVal), r.Dest.Val, cc.ExprString(pt)))
 					}
 				}
 			}
@@ -1030,6 +1034,13 @@ func (en *Engine) applyExtension(st *pathState, b *cfg.Block, rec *blockRec, pt 
 		}
 	}
 	return matched
+}
+
+// tracked reports whether the object, by its canonical key, has an
+// active instance of state variable v.
+func (en *Engine) tracked(st *pathState, v int32, obj string) bool {
+	id, ok := en.intern.objs.find(obj)
+	return ok && st.sm.Find(v, id) != nil
 }
 
 func (en *Engine) stillActive(st *pathState, inst *Instance) bool {
@@ -1134,15 +1145,14 @@ func findPolarity(e cc.Expr, target cc.Expr, neg bool) (bool, bool) {
 // Instance lifecycle
 // ---------------------------------------------------------------------------
 
-// createInstance attaches a new state to a program object, spawning a
-// new state machine (§2.1).
-func (en *Engine) createInstance(st *pathState, rec *blockRec, varName, val string, objExpr cc.Expr, pt cc.Expr) *Instance {
-	obj := cc.ExprKey(objExpr)
+// createInstance attaches a new state to a program object, whose
+// canonical key is obj, spawning a new state machine (§2.1).
+func (en *Engine) createInstance(st *pathState, rec *blockRec, dest stateSym, objExpr cc.Expr, obj string, pt cc.Expr) *Instance {
 	inst := &Instance{
-		Var:       varName,
-		Obj:       obj,
+		v:         dest.v,
+		obj:       en.intern.objs.id(obj),
 		ObjExpr:   objExpr,
-		Val:       val,
+		val:       dest.val,
 		CreatedAt: pt,
 		StartPos:  posOf(pt),
 		StartFunc: st.fn.Name,
@@ -1150,7 +1160,7 @@ func (en *Engine) createInstance(st *pathState, rec *blockRec, varName, val stri
 	}
 	if pt != nil {
 		inst.trace = inst.trace.push(fmt.Sprintf("%s: %s enters state %s at %s",
-			posOf(pt), obj, val, cc.ExprString(pt)))
+			posOf(pt), obj, en.intern.vals.name(dest.val), cc.ExprString(pt)))
 	}
 	en.classifyScope(st.fn, inst)
 	st.sm.Active = append(st.sm.Active, inst)
@@ -1204,7 +1214,7 @@ func (en *Engine) killInstance(st *pathState, rec *blockRec, inst *Instance, mir
 	}
 	for _, v := range victims {
 		if rec != nil {
-			rec.noteKill(st.sm.GState, v)
+			rec.noteKill(st.sm.g, v)
 		}
 		st.sm.Remove(v)
 	}
@@ -1249,19 +1259,22 @@ func (en *Engine) handleAssign(st *pathState, rec *blockRec, asg *cc.AssignExpr,
 			srcExpr = inner.LHS
 		}
 		srcKey := cc.ExprKey(srcExpr)
-		if src := st.sm.FindObj(srcKey); src != nil && !src.Inactive {
-			if src.Group == 0 {
-				en.nextGroup++
-				src.Group = en.nextGroup
+		if obj, ok := en.intern.objs.find(srcKey); ok {
+			if src := st.sm.FindObj(obj); src != nil && !src.Inactive {
+				if src.Group == 0 {
+					en.nextGroup++
+					src.Group = en.nextGroup
+				}
+				lhsKey := cc.ExprKey(asg.LHS)
+				newInst = src.clone()
+				newInst.obj = en.intern.objs.id(lhsKey)
+				newInst.ObjExpr = asg.LHS
+				newInst.SynDepth = src.SynDepth + 1
+				newInst.CreatedAt = pt
+				newInst.trace = newInst.trace.push(fmt.Sprintf("%s: %s becomes a synonym of %s",
+					posOf(pt), lhsKey, srcKey))
+				en.classifyScope(st.fn, newInst)
 			}
-			newInst = src.clone()
-			newInst.Obj = cc.ExprKey(asg.LHS)
-			newInst.ObjExpr = asg.LHS
-			newInst.SynDepth = src.SynDepth + 1
-			newInst.CreatedAt = pt
-			newInst.trace = newInst.trace.push(fmt.Sprintf("%s: %s becomes a synonym of %s",
-				posOf(pt), newInst.Obj, srcKey))
-			en.classifyScope(st.fn, newInst)
 		}
 	}
 	// Kill on redefinition: delete state attached to the assigned
@@ -1270,7 +1283,7 @@ func (en *Engine) handleAssign(st *pathState, rec *blockRec, asg *cc.AssignExpr,
 		en.killMentions(st, rec, asg.LHS, newInst, pt)
 	}
 	if newInst != nil {
-		if old := st.sm.Find(newInst.Var, newInst.Obj); old != nil {
+		if old := st.sm.Find(newInst.v, newInst.obj); old != nil {
 			en.killInstance(st, rec, old, false)
 		}
 		st.sm.Active = append(st.sm.Active, newInst)
@@ -1383,29 +1396,33 @@ func (en *Engine) endOfPath(st *pathState, rec *blockRec) {
 		if !leavesScope {
 			continue
 		}
-		for _, tr := range en.transIdx[metal.StateRef{Var: inst.Var, Val: inst.Val}] {
-			bnd, ok := tr.Pat.Match(ctx, inst.matchPrior())
+		rules := en.transIdx.at(inst.v, inst.val).rules
+		for i := range rules {
+			r := &rules[i]
+			bnd, ok := r.Pat.Match(ctx, inst.matchPrior(r.Source.Var))
 			if !ok {
 				continue
 			}
-			en.runTransitionActions(st, tr, bnd, nil, inst)
-			if tr.PathSpecific || tr.Dest.IsStop() {
+			en.runTransitionActions(st, r.Transition, bnd, nil, inst)
+			if r.PathSpecific || r.dest.val == symStop {
 				en.killInstance(st, rec, inst, false)
 			} else {
-				inst.Val = tr.Dest.Val
+				inst.val = r.dest.val
 			}
 			break
 		}
 	}
 	if isRoot {
-		for _, tr := range en.transIdx[metal.StateRef{Val: st.sm.GState}] {
-			bnd, ok := tr.Pat.Match(ctx, noBindings)
+		rules := en.transIdx.at(0, st.sm.g).rules
+		for i := range rules {
+			r := &rules[i]
+			bnd, ok := r.Pat.Match(ctx, noBindings)
 			if !ok {
 				continue
 			}
-			en.runTransitionActions(st, tr, bnd, nil, nil)
-			if !tr.PathSpecific && tr.Dest.Var == "" {
-				st.sm.GState = tr.Dest.Val
+			en.runTransitionActions(st, r.Transition, bnd, nil, nil)
+			if !r.PathSpecific && r.dest.v == 0 {
+				st.sm.g = r.dest.val
 			}
 			break
 		}

@@ -245,10 +245,6 @@ func (en *Engine) RunRootsContext(ctx context.Context, roots []*prog.Function) [
 		// no-op without SetRetire).
 		en.retireAfter(root)
 	}
-	// The interner's struct-key cache is run-scoped: dropping it here
-	// bounds the engine's footprint when it is re-run over a resident
-	// tree (intern.go).
-	en.intern.endRun()
 	return out
 }
 
@@ -266,7 +262,7 @@ func (en *Engine) runRootIsolated(root *prog.Function) {
 	}()
 	fi := en.funcInfo(root)
 	en.callStack = append(en.callStack[:0], root)
-	st := en.enter(nil, root, fi, en.Checker.InitialGlobal())
+	st := en.enter(nil, root, fi, en.initG)
 	en.Stats.Analyses[root.Name]++
 	fi.Analyses++
 	en.beginRoot(root)

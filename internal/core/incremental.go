@@ -131,11 +131,13 @@ func (s *Shared) Snapshot() string {
 // drops that model (ROADMAP item 2).
 // ---------------------------------------------------------------------------
 
-// TupleData is a serialized state tuple. ObjExpr is rendered through
-// cc.ExprString and reparsed on import; Prov (per-path provenance) is
-// deliberately dropped — imported summaries serve display, never as
-// live traversal caches, so reconstruction material for report emission
-// is not needed.
+// TupleData is a serialized state tuple, its symbols by name: a record
+// may come from an engine that numbered them differently, or from
+// another checker. ObjExpr is rendered through cc.ExprString and
+// reparsed on import; Prov (per-path provenance) is deliberately
+// dropped — imported summaries serve display, never as live traversal
+// caches, so reconstruction material for report emission is not
+// needed.
 type TupleData struct {
 	G       string `json:"g"`
 	Var     string `json:"var,omitempty"`
@@ -178,16 +180,21 @@ type SummaryData struct {
 	Funcs []FuncSummaryData `json:"funcs,omitempty"`
 }
 
-func tupleData(t Tuple) TupleData {
-	td := TupleData{G: t.G, Var: t.Var, Obj: t.Obj, Val: t.Val, Data: t.Data}
+func (in *interner) tupleData(t Tuple) TupleData {
+	td := TupleData{G: in.vals.name(t.g), Var: in.vars.name(t.v), Obj: in.objs.name(t.obj), Val: in.vals.name(t.val), Data: t.data}
 	if t.ObjExpr != nil {
 		td.ObjExpr = cc.ExprString(t.ObjExpr)
 	}
 	return td
 }
 
-func (td TupleData) tuple() Tuple {
-	t := Tuple{G: td.G, Var: td.Var, Obj: td.Obj, Val: td.Val, Data: td.Data}
+// tupleOf numbers a serialized tuple's symbols. One the checker never
+// declared gets a fresh number (names.id), so it can collide with none
+// it did.
+func (in *interner) tupleOf(td TupleData) Tuple {
+	t := Tuple{tupleKey: tupleKey{
+		g: in.vals.id(td.G), v: in.vars.id(td.Var), val: in.vals.id(td.Val), obj: in.objs.id(td.Obj), data: td.Data,
+	}}
 	if td.ObjExpr != "" {
 		if e, err := cc.ParseExprString(td.ObjExpr); err == nil {
 			t.ObjExpr = e
@@ -203,14 +210,14 @@ func edgeData(in *interner, s *edgeSet) []EdgeData {
 	}
 	out := make([]EdgeData, len(edges))
 	for i, e := range edges {
-		out[i] = EdgeData{From: tupleData(in.fromTuple(e)), To: tupleData(in.toTuple(e))}
+		out[i] = EdgeData{From: in.tupleData(in.fromTuple(e)), To: in.tupleData(in.toTuple(e))}
 	}
 	return out
 }
 
 func importEdges(fi *funcInfo, s *edgeSet, data []EdgeData) {
 	for _, ed := range data {
-		s.add(fi, fi.in.edge(ed.From.tuple(), ed.To.tuple()))
+		s.add(fi, fi.in.edge(fi.in.tupleOf(ed.From), fi.in.tupleOf(ed.To)))
 	}
 }
 

@@ -2,8 +2,12 @@ package core
 
 import (
 	"encoding/json"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/checkers"
 	"repro/internal/metal"
 	"repro/internal/prog"
 )
@@ -100,6 +104,51 @@ func TestSummaryExportImportRoundTrip(t *testing.T) {
 			// funcInfo.Analyses.
 			t.Errorf("%s: import bumped Stats.Analyses", fn.Name)
 		}
+	}
+}
+
+// TestImportForeignSymbols: a summary record written under other
+// symbols — another checker's, or a stale one's — imports without a
+// panic. A state, variable or value the engine's checker never declared
+// gets a fresh number and no rule, none of the declared ones moves, and
+// the record exports back unchanged. The engine then runs over the
+// program with the foreign summary as its callee's, restoring a lock
+// instance into a free checker's state at the call.
+func TestImportForeignSymbols(t *testing.T) {
+	p := buildProg(t, map[string]string{"lk.c": `
+void kfree(void *p);
+void spin_lock(int *l);
+void take(int *l) { spin_lock(l); }
+int f(int *l, int n) { kfree(l); take(l); return n; }
+`})
+	lock := NewEngine(p, mustChecker(t, checkers.Lock), DefaultOptions())
+	lock.Run()
+	sd := lock.ExportSummaries([]*prog.Function{p.Lookup("take")})
+
+	free := NewEngine(p, mustChecker(t, checkers.Free), DefaultOptions())
+	ix := free.intern
+	vars, vals := slices.Clone(ix.vars.strs), slices.Clone(ix.vals.strs)
+	if _, ok := ix.vals.find("locked"); ok {
+		t.Fatal("the free checker declares locked; the record would not be foreign")
+	}
+	free.ImportSummaries(sd)
+	if !slices.Equal(ix.vars.strs[:len(vars)], vars) || !slices.Equal(ix.vals.strs[:len(vals)], vals) {
+		t.Errorf("import renumbered declared symbols: vars %q -> %q, vals %q -> %q", vars, ix.vars.strs, vals, ix.vals.strs)
+	}
+	l, okL := ix.vars.find("l")
+	locked, okLocked := ix.vals.find("locked")
+	if !okL || !okLocked || int(l) < len(vars) || int(locked) < len(vals) {
+		t.Fatalf("foreign symbols l=%d (%v), locked=%d (%v); want fresh numbers past %d and %d", l, okL, locked, okLocked, len(vars), len(vals))
+	}
+	if rules := free.transIdx.at(l, locked).rules; len(rules) != 0 {
+		t.Errorf("a foreign state has %d rules", len(rules))
+	}
+	if got := free.ExportSummaries([]*prog.Function{p.Lookup("take")}); !reflect.DeepEqual(got, sd) {
+		t.Errorf("re-export differs from the imported record:\ngot  %+v\nwant %+v", got, sd)
+	}
+	free.Run()
+	if !strings.Contains(free.SupergraphString("f"), "(start,l:l->unknown) --> (start,l:l->locked)") {
+		t.Errorf("the call to take restored no lock instance into f:\n%s", free.SupergraphString("f"))
 	}
 }
 

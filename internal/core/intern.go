@@ -1,96 +1,150 @@
 package core
 
-// Tuple interning (DESIGN.md §10). The §5.2 cache-subsumption check
-// and the suffix-summary relaxation both key on state tuples, which
-// were originally identified by their rendered Key() strings — a
-// fmt.Sprintf per lookup on the hottest paths in the engine. The
-// interner hash-conses tuples into small integer ids per engine, so
-// edgeSet membership and fpSeen coverage become integer comparisons and
-// a summary edge stores two ids instead of two tuples. The rendered
-// string is still produced, but exactly once per unique tuple: it
-// stays the canonical identity (two tuples are the same tuple iff
-// their Key() strings are equal) and the deterministic sort key for
-// edgeSet.all(), so interning cannot perturb output order.
+import (
+	"strconv"
+
+	"repro/internal/cc"
+)
+
+// Tuple interning (DESIGN.md §10.3). The §5.2 cache-subsumption check
+// and the suffix-summary relaxation both key on state tuples. A tuple's
+// global state, state variable and value are symbols of the checker —
+// a finite set, numbered once when the engine is built (numberStates) —
+// and its object is an expression key, numbered on first sight. So a
+// tuple is five integers, and the interner hash-conses those into one
+// small id per distinct tuple: edgeSet membership, fpSeen coverage and
+// summary edges are integer comparisons. The rendered string, the
+// tuple's canonical identity (two tuples are the same tuple iff they
+// render the same), is built only when something reads it: the edgeSet
+// group order, summaries rendered for a person, exported summaries.
 
 // tid is an interned tuple id, unique within one engine.
 type tid int32
 
-// tupleKey is the hashable identity of a tuple's rendered Key(). It
-// is a cache key only: two distinct tupleKeys can render to the same
-// string (a Val already carrying a "/data" suffix), and then they
-// share a tid.
+// names numbers strings densely within one engine, from the fixed ones
+// it starts with. A checker's variables and values are a dozen strings,
+// numbered once and looked up by name only when a summary is imported,
+// so they are scanned; ids indexes the open-ended object keys.
+type names struct {
+	ids  map[string]int32
+	strs []string
+}
+
+// id returns s's number, giving s the next one on first sight.
+func (n *names) id(s string) int32 {
+	if id, ok := n.find(s); ok {
+		return id
+	}
+	id := int32(len(n.strs))
+	n.strs = append(n.strs, s)
+	if n.ids != nil {
+		n.ids[s] = id
+	}
+	return id
+}
+
+// find returns s's number without giving it one.
+func (n *names) find(s string) (int32, bool) {
+	if n.ids == nil {
+		for i, x := range n.strs {
+			if x == s {
+				return int32(i), true
+			}
+		}
+		return 0, false
+	}
+	id, ok := n.ids[s]
+	return id, ok
+}
+
+func (n *names) name(id int32) string { return n.strs[id] }
+
+// The symbols every engine numbers first, whatever its checker: id 0 is
+// "" in each table (no variable, no value, the placeholder's object).
+// The tables start as full-capacity views of these arrays, so their
+// first append copies and the arrays are never written.
+var (
+	fixedVars = [...]string{""}
+	fixedVals = [...]string{"", UnknownVal, StopVal}
+	fixedObjs = [...]string{""}
+)
+
+const (
+	symUnknown int32 = 1 + iota // UnknownVal
+	symStop                     // StopVal
+)
+
+// tupleKey is a tuple's identity: g and val number state values, v the
+// state variable, obj the object key, 0 the placeholder <> (whose
+// other fields are then 0 too: id normalises them).
 type tupleKey struct {
-	g, varName, obj, val string
-	data                 int64
+	g, v, val, obj int32
+	data           int64
 }
 
 // interner hash-conses tuples. One per engine; engines run on a
 // single goroutine each, so no locking.
 type interner struct {
-	ids   map[tupleKey]tid
-	byStr map[string]tid
-	strs  []string // tid -> rendered Key()
-	// tups holds each tid's identity fields once, as first interned;
-	// edges rebuild their tuples from it.
-	tups []tupleKey
+	// vars numbers state variables (0: none), vals state values — global
+	// and variable-specific alike, unknown and stop included — and objs
+	// object keys (0: the placeholder).
+	vars, vals, objs names
+	ids              map[tupleKey]tid
+	tups             []tupleKey // tid -> identity
+	strs             []string   // tid -> rendered key, "" until key asks
 }
 
 func newInterner() *interner {
-	return &interner{ids: map[tupleKey]tid{}, byStr: map[string]tid{}}
+	in := &interner{}
+	in.init()
+	return in
 }
 
-// idsCacheCap bounds the struct-key cache. ids is pure cache in front
-// of byStr — two tupleKeys may share a tid, and dropping an entry only
-// costs a re-render on the next lookup — so it can be reset at any
-// time. Without a bound it grows monotonically for the engine's
-// lifetime (one entry per distinct tuple identity ever seen), which
-// under a long-lived engine on a large tree dwarfs the canonical
-// byStr/strs tables it fronts.
-const idsCacheCap = 1 << 16
+func (in *interner) init() {
+	in.vars.strs, in.vals.strs = fixedVars[:], fixedVals[:]
+	in.objs = names{ids: map[string]int32{"": 0}, strs: fixedObjs[:]}
+	in.ids = map[tupleKey]tid{}
+}
 
-// id interns the tuple, rendering its Key() string only on first
-// sight of the (g, var, obj, val, data) combination.
+// id interns the tuple.
 func (in *interner) id(t Tuple) tid {
-	k := tupleKey{g: t.G, varName: t.Var, obj: t.Obj, val: t.Val, data: t.Data}
+	k := t.tupleKey
+	if k.obj == 0 {
+		k = tupleKey{g: k.g}
+	}
 	if id, ok := in.ids[k]; ok {
 		return id
 	}
-	id := in.idByStr(t.Key(), k)
-	if len(in.ids) >= idsCacheCap {
-		in.ids = make(map[tupleKey]tid, idsCacheCap/4)
-	}
+	id := tid(len(in.tups))
+	in.tups = append(in.tups, k)
+	in.strs = append(in.strs, "")
 	in.ids[k] = id
 	return id
 }
 
-// endRun releases the run-scoped struct-key cache. byStr/strs/tups must
-// survive — interned tids are held by the engine's summary structures
-// (edge sets, block caches) and must keep rendering — but they are
-// keyed by canonical identity, so re-running the engine over the same
-// tree re-derives the same ids without growing them.
-func (in *interner) endRun() {
-	in.ids = map[tupleKey]tid{}
-}
-
-func (in *interner) idByStr(s string, k tupleKey) tid {
-	id, ok := in.byStr[s]
-	if !ok {
-		id = tid(len(in.strs))
-		in.strs = append(in.strs, s)
-		in.tups = append(in.tups, k)
-		in.byStr[s] = id
+// key returns the rendered identity of an interned id, e.g.
+// "(start,v:p->freed)", "(start,v:p->locked/2)" or "(start,<>)".
+func (in *interner) key(id tid) string {
+	if s := in.strs[id]; s != "" {
+		return s
 	}
-	return id
+	k := &in.tups[id]
+	var s string
+	if k.obj == 0 {
+		s = "(" + in.vals.name(k.g) + ",<>)"
+	} else {
+		val := in.vals.name(k.val)
+		if k.data != 0 {
+			val += "/" + strconv.FormatInt(k.data, 10)
+		}
+		s = "(" + in.vals.name(k.g) + "," + in.vars.name(k.v) + ":" + in.objs.name(k.obj) + "->" + val + ")"
+	}
+	in.strs[id] = s
+	return s
 }
-
-// key returns the rendered Key() string for an interned id.
-func (in *interner) key(id tid) string { return in.strs[id] }
 
 // tuple rebuilds the identity part of an interned tuple.
-func (in *interner) tuple(id tid) Tuple {
-	k := &in.tups[id]
-	return Tuple{G: k.g, Var: k.varName, Obj: k.obj, Val: k.val, Data: k.data}
-}
+func (in *interner) tuple(id tid) Tuple { return Tuple{tupleKey: in.tups[id]} }
 
 // edge interns the two tuples into an edge.
 func (in *interner) edge(from, to Tuple) edge {
@@ -109,3 +163,6 @@ func (in *interner) toTuple(e edge) Tuple {
 	t.ObjExpr, t.Prov = e.toExpr, e.prov
 	return t
 }
+
+// objID numbers an object expression's canonical key.
+func (in *interner) objID(e cc.Expr) int32 { return in.objs.id(cc.ExprKey(e)) }

@@ -30,7 +30,7 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, bi *blockInfo, rec *bl
 	callee, maps := site.Callee, site.Args
 
 	// --- Refine (§6.1) ---
-	refined := SM{GState: st.sm.GState}
+	refined := SM{g: st.sm.g}
 	var saved []*Instance
 	for _, inst := range st.sm.Active {
 		cp := inst.clone()
@@ -53,7 +53,7 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, bi *blockInfo, rec *bl
 			mapped, ok := refineObj(inst.ObjExpr, maps)
 			if ok && !leftoverCallerLocals(mapped, st.fn.Graph.Locals, maps) {
 				cp.ObjExpr = mapped
-				cp.Obj = cc.ExprKey(mapped)
+				cp.obj = en.intern.objID(mapped)
 				refined.Active = append(refined.Active, cp)
 			} else if !mentionsLocals(inst.ObjExpr, st.fn) {
 				// Mentions no caller locals: passes through (unknown
@@ -81,14 +81,14 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, bi *blockInfo, rec *bl
 			continue
 		}
 		live = true
-		if covered(instTuple(refined.GState, in)) {
+		if covered(instTuple(refined.g, in)) {
 			en.Stats.FuncCacheHits++
 		} else {
 			missing = true
 		}
 	}
 	if !live {
-		if covered(placeholderTuple(refined.GState)) {
+		if covered(placeholderTuple(refined.g)) {
 			en.Stats.FuncCacheHits++
 		} else {
 			missing = true
@@ -106,9 +106,9 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, bi *blockInfo, rec *bl
 			calleeFi.Analyses++
 			// The callee's frame of the stacks begins above the caller's.
 			en.callStack = append(en.callStack[:st.callDepth+1], callee)
-			cst := en.enter(st, callee, calleeFi, refined.GState)
+			cst := en.enter(st, callee, calleeFi, refined.g)
 			for _, in := range refined.Active {
-				if in.Inactive || !covered(instTuple(refined.GState, in)) {
+				if in.Inactive || !covered(instTuple(refined.g, in)) {
 					cst.sm.Active = append(cst.sm.Active, in.clone())
 				}
 			}
@@ -152,7 +152,7 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, bi *blockInfo, rec *bl
 		}
 		// The state's own instance array is free to refill: refined and
 		// saved hold what is still needed of it (a split's is empty).
-		restored := SM{GState: part.gstate, Active: ns.sm.Active[:0]}
+		restored := SM{g: part.gstate, Active: ns.sm.Active[:0]}
 		for _, t := range part.tuples {
 			if in := en.restoreInstance(t, maps, st.fn, callee); in != nil {
 				restored.Active = append(restored.Active, in)
@@ -182,7 +182,7 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, bi *blockInfo, rec *bl
 // partition is one disjoint exit state: a global state value plus at
 // most one tuple per program object (§6.3 step 5).
 type partition struct {
-	gstate string
+	gstate int32
 	tuples []Tuple
 }
 
@@ -192,16 +192,19 @@ type outTuple struct {
 	t  Tuple
 }
 
+// cmpG orders global states by name.
+func (in *interner) cmpG(a, b int32) int { return strings.Compare(in.vals.name(a), in.vals.name(b)) }
+
 // cmpOut orders out-tuples by exit global state, then by object in the
 // order of the objects' "var|obj" renderings.
-func cmpOut(a, b outTuple) int {
-	if c := strings.Compare(a.t.G, b.t.G); c != 0 {
+func (in *interner) cmpOut(a, b outTuple) int {
+	if c := in.cmpG(a.t.g, b.t.g); c != 0 {
 		return c
 	}
-	if a.t.Var == b.t.Var {
-		return strings.Compare(a.t.Obj, b.t.Obj)
+	if a.t.v == b.t.v {
+		return strings.Compare(in.objs.name(a.t.obj), in.objs.name(b.t.obj))
 	}
-	return strings.Compare(a.t.Var+"|"+a.t.Obj, b.t.Var+"|"+b.t.Obj)
+	return strings.Compare(in.vars.name(a.t.v)+"|"+in.objs.name(a.t.obj), in.vars.name(b.t.v)+"|"+in.objs.name(b.t.obj))
 }
 
 // partitionResults computes the edges applicable to the current state
@@ -217,14 +220,14 @@ func (en *Engine) partitionResults(refined *SM, summary, entryBI *blockInfo) []p
 	// their absence means the callee has no summary at all in this
 	// state.
 	ix := en.intern
-	var gsBuf [4]string
+	var gsBuf [4]int32
 	gs := gsBuf[:0]
-	addG := func(g string) {
+	addG := func(g int32) {
 		if !slices.Contains(gs, g) {
 			gs = append(gs, g)
 		}
 	}
-	for _, e := range summary.sfxTrans.from(ix, placeholderTuple(refined.GState)) {
+	for _, e := range summary.sfxTrans.from(ix, placeholderTuple(refined.g)) {
 		addG(ix.tups[e.to].g)
 	}
 	if len(gs) == 0 {
@@ -235,8 +238,8 @@ func (en *Engine) partitionResults(refined *SM, summary, entryBI *blockInfo) []p
 	// and object too.
 	outs := en.outs[:0]
 	record := func(id tid, t Tuple) {
-		addG(t.G)
-		if t.IsPlaceholder() || slices.ContainsFunc(outs, func(o outTuple) bool { return o.id == id }) {
+		addG(t.g)
+		if t.obj == 0 || slices.ContainsFunc(outs, func(o outTuple) bool { return o.id == id }) {
 			return
 		}
 		outs = append(outs, outTuple{id, t})
@@ -245,7 +248,7 @@ func (en *Engine) partitionResults(refined *SM, summary, entryBI *blockInfo) []p
 		if inst.Inactive {
 			continue
 		}
-		in := instTuple(refined.GState, inst)
+		in := instTuple(refined.g, inst)
 		edges := summary.sfxTrans.from(ix, in)
 		if len(edges) == 0 {
 			if !entryBI.trans.hasFrom(ix, in) {
@@ -266,7 +269,7 @@ func (en *Engine) partitionResults(refined *SM, summary, entryBI *blockInfo) []p
 	// nothing about t at the entry").
 	for _, e := range summary.sfxAdds.all() {
 		from := &ix.tups[e.from]
-		if from.g != refined.GState || refined.lastLive(from.varName, from.obj) != nil {
+		if from.g != refined.g || refined.lastLive(from.v, from.obj) != nil {
 			continue
 		}
 		record(e.to, ix.toTuple(e))
@@ -275,17 +278,17 @@ func (en *Engine) partitionResults(refined *SM, summary, entryBI *blockInfo) []p
 
 	// Build partitions: group by out gstate; within a group, take the
 	// cartesian product over objects with multiple possible values.
-	slices.Sort(gs)
-	slices.SortStableFunc(outs, cmpOut)
+	slices.SortFunc(gs, ix.cmpG)
+	slices.SortStableFunc(outs, ix.cmpOut)
 	parts := en.parts[:0]
 	for _, g := range gs {
 		first := len(parts)
 		parts = append(parts, partition{gstate: g})
-		for len(outs) > 0 && outs[0].t.G == g {
+		for len(outs) > 0 && outs[0].t.g == g {
 			// The out tuples of one object: each combination so far
 			// continues with each of them.
 			n := 1
-			for n < len(outs) && outs[n].t.G == g && sameObj(&outs[n].t, outs[0].t.Var, outs[0].t.Obj) {
+			for n < len(outs) && outs[n].t.g == g && sameObj(&outs[n].t, outs[0].t.v, outs[0].t.obj) {
 				n++
 			}
 			var next []partition
@@ -328,12 +331,14 @@ func (en *Engine) restoreInstance(t Tuple, maps []prog.ArgMap, caller, callee *p
 	if died {
 		return nil
 	}
+	// The tuple's recorded value and data win over provenance (the
+	// instance snapshot may predate later transitions).
 	inst := &Instance{
-		Var:     t.Var,
-		Obj:     cc.ExprKey(objExpr),
+		v:       t.v,
+		obj:     en.intern.objID(objExpr),
 		ObjExpr: objExpr,
-		Val:     t.Val,
-		Data:    t.Data,
+		val:     t.val,
+		Data:    t.data,
 	}
 	if prov := t.Prov; prov != nil {
 		inst.StartPos = prov.StartPos
@@ -341,14 +346,8 @@ func (en *Engine) restoreInstance(t Tuple, maps []prog.ArgMap, caller, callee *p
 		inst.Conds = prov.Conds
 		inst.SynDepth = prov.SynDepth
 		inst.CallDepth = prov.CallDepth
-		inst.Data = prov.Data
-		inst.Val = prov.Val
 		inst.trace = prov.trace
 	}
-	// The tuple's recorded value wins over provenance (the instance
-	// snapshot may predate later transitions).
-	inst.Val = t.Val
-	inst.Data = t.Data
 	en.classifyScope(caller, inst)
 	return inst
 }

@@ -17,7 +17,6 @@ package core
 import (
 	"repro/internal/cc"
 	"repro/internal/cfg"
-	"repro/internal/metal"
 	"repro/internal/pattern"
 	"repro/internal/prog"
 )
@@ -364,10 +363,10 @@ func (f *blockFeats) admits(a filterAtom) bool {
 	return a.callee == "" || f.callees[a.callee]
 }
 
-// mayFire reports whether any transition sourced at ref can possibly
-// match at some point of the block: a probe of the compiled per-block
-// admit bitset (one walk per block at compile time, shared across
-// engines) for the ref's entry ids.
-func (en *Engine) mayFire(fn *prog.Function, b *cfg.Block, ref metal.StateRef) bool {
-	return en.compiled.blockAdmit[fn.Index][b.ID].anyOf(en.entryIDs[ref])
+// mayFire reports whether any of the rules sourced at one state
+// (stateIdx.at) can possibly match at some point of the block: a
+// probe of the compiled per-block admit bitset (one walk per block at
+// compile time, shared across engines) for the rules' entry ids.
+func (en *Engine) mayFire(fn *prog.Function, b *cfg.Block, src *srcRules) bool {
+	return en.compiled.blockAdmit[fn.Index][b.ID].anyOf(src.entries)
 }

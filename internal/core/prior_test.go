@@ -16,9 +16,9 @@ func sameSlice(a, b pattern.Bindings) bool {
 	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
 }
 
-// exactPrior reports whether m is exactly {inst.Var: inst.ObjExpr}.
-func exactPrior(m pattern.Bindings, inst *Instance) bool {
-	return len(m) == 1 && m[0].Name == inst.Var && m[0].Expr == inst.ObjExpr && m[0].Args == nil
+// exactPrior reports whether m is exactly {varName: inst.ObjExpr}.
+func exactPrior(m pattern.Bindings, varName string, inst *Instance) bool {
+	return len(m) == 1 && m[0].Name == varName && m[0].Expr == inst.ObjExpr && m[0].Args == nil
 }
 
 // priorSpy wraps a transition's pattern and checks the prior of every
@@ -41,13 +41,14 @@ type priorSpy struct {
 func (s priorSpy) Match(ctx *pattern.Ctx, prior pattern.Bindings) (pattern.Bindings, bool) {
 	if src := s.tr.Source; src.Var != "" {
 		held := false
+		ix := (*s.en).intern
 		for _, inst := range (*s.en).snapshot {
-			if inst.Var != src.Var || inst.Val != src.Val || !sameSlice(inst.prior, prior) || prior[0].Expr != inst.ObjExpr {
+			if ix.vars.name(inst.v) != src.Var || ix.vals.name(inst.val) != src.Val || !sameSlice(inst.prior, prior) || prior[0].Expr != inst.ObjExpr {
 				continue
 			}
 			held = true
-			if !exactPrior(prior, inst) {
-				s.t.Errorf("%s dispatched on %s with prior %v", src, inst.Obj, prior)
+			if !exactPrior(prior, src.Var, inst) {
+				s.t.Errorf("%s dispatched on %s with prior %v", src, ix.objs.name(inst.obj), prior)
 			}
 		}
 		if !held {
@@ -85,22 +86,22 @@ func spied(t *testing.T, srcs map[string]string, suite []*metal.Checker) (objs m
 // TestMatchNeverWritesPrior in internal/pattern).
 func TestInstancePrior(t *testing.T) {
 	p, q := &cc.Ident{Name: "p"}, &cc.Ident{Name: "q"}
-	inst := &Instance{Var: "v", Obj: "p", ObjExpr: p, Val: "freed"}
-	orig := inst.matchPrior()
-	if !exactPrior(orig, inst) {
+	inst := &Instance{ObjExpr: p}
+	orig := inst.matchPrior("v")
+	if !exactPrior(orig, "v", inst) {
 		t.Fatalf("prior %v, want exactly {v: p}", orig)
 	}
 	cp := inst.clone()
-	if !sameSlice(cp.matchPrior(), orig) || !sameSlice(inst.matchPrior(), orig) {
+	if !sameSlice(cp.matchPrior("v"), orig) || !sameSlice(inst.matchPrior("v"), orig) {
 		t.Error("an instance and its clone must share one prior slice")
 	}
 	// What refine's mapped copy and the synonym copy do to a clone.
-	cp.ObjExpr, cp.Obj = q, "q"
-	if moved := cp.matchPrior(); sameSlice(moved, orig) || !exactPrior(moved, cp) {
+	cp.ObjExpr = q
+	if moved := cp.matchPrior("v"); sameSlice(moved, orig) || !exactPrior(moved, "v", cp) {
 		t.Errorf("re-pointed clone's prior %v, want a slice of its own, exactly {v: q}", moved)
 	}
-	if !sameSlice(inst.matchPrior(), orig) || !exactPrior(orig, inst) {
-		t.Errorf("the original's prior became %v, want it untouched at {v: p}", inst.matchPrior())
+	if !sameSlice(inst.matchPrior("v"), orig) || !exactPrior(orig, "v", inst) {
+		t.Errorf("the original's prior became %v, want it untouched at {v: p}", inst.matchPrior("v"))
 	}
 
 	// The two sites themselves, under the engine: use() sees p as its

@@ -6,9 +6,6 @@
 package core
 
 import (
-	"fmt"
-	"strings"
-
 	"repro/internal/cc"
 	"repro/internal/pattern"
 )
@@ -18,14 +15,18 @@ import (
 // entry (§5.2).
 const UnknownVal = "unknown"
 
+// StopVal is the stop sink's value string.
+const StopVal = "stop"
+
 // Instance is one variable-specific state-variable instance: a state
 // value attached to a program object, plus the extension-defined data
 // value and the provenance the ranking criteria need (§3.1, §5.1).
 type Instance struct {
-	Var     string
-	Obj     string // canonical expression key
-	ObjExpr cc.Expr
-	Val     string
+	// v, obj and val are the state variable, the object's canonical
+	// expression key and the state value, numbered by the engine's
+	// interner (intern.go).
+	v, obj, val int32
+	ObjExpr     cc.Expr
 	// Data is the extension-manipulable data value (the paper allows
 	// an arbitrary C struct; we provide an integer, which the action
 	// library manipulates). Data participates in tuple identity so
@@ -69,14 +70,15 @@ type Instance struct {
 	prior pattern.Bindings
 }
 
-// matchPrior returns {Var: ObjExpr} as pattern bindings. Match never
-// writes its prior, so the slice is built once and shared by the
-// instance's clones; a clone whose ObjExpr is re-pointed (refine at a
-// call boundary, a synonym) no longer finds its expression there,
-// builds its own on first use and leaves the original's alone.
-func (inst *Instance) matchPrior() pattern.Bindings {
+// matchPrior returns {varName: ObjExpr} as pattern bindings, varName
+// being the instance's state variable. Match never writes its prior, so
+// the slice is built once and shared by the instance's clones; a clone
+// whose ObjExpr is re-pointed (refine at a call boundary, a synonym) no
+// longer finds its expression there, builds its own on first use and
+// leaves the original's alone.
+func (inst *Instance) matchPrior(varName string) pattern.Bindings {
 	if inst.prior == nil || inst.prior[0].Expr != inst.ObjExpr {
-		inst.prior = pattern.Bindings{{Name: inst.Var, Binding: pattern.Binding{Expr: inst.ObjExpr}}}
+		inst.prior = pattern.Bindings{{Name: varName, Binding: pattern.Binding{Expr: inst.ObjExpr}}}
 	}
 	return inst.prior
 }
@@ -118,23 +120,12 @@ func (t *traceList) strings() []string {
 	return out
 }
 
-// TupleVal renders the value component including the data value when
-// set, e.g. "freed" or "locked/2".
-func (in *Instance) TupleVal() string {
-	if in.Data != 0 {
-		return fmt.Sprintf("%s/%d", in.Val, in.Data)
-	}
-	return in.Val
-}
-
 // Tuple is one state tuple (§5.2): the global instance value plus one
-// variable-specific instance (or the <> placeholder when Obj is "").
+// variable-specific instance, or the <> placeholder when obj is 0. Its
+// identity is the interner's numbering (tupleKey); the value is UnknownVal
+// in add-edge starts.
 type Tuple struct {
-	G    string
-	Var  string
-	Obj  string
-	Val  string // state value, possibly with "/data" suffix; UnknownVal in add-edge starts
-	Data int64
+	tupleKey
 	// ObjExpr and Prov carry reconstruction material for applying
 	// summary edges at call boundaries; they do not participate in
 	// identity.
@@ -142,46 +133,28 @@ type Tuple struct {
 	Prov    *Instance
 }
 
-// IsPlaceholder reports whether this is a "(g, <>)" tuple.
-func (t Tuple) IsPlaceholder() bool { return t.Obj == "" }
-
-// Key is the canonical identity string, e.g.
-// "(start,v:p->freed)" or "(start,<>)".
-func (t Tuple) Key() string {
-	if t.IsPlaceholder() {
-		return "(" + t.G + ",<>)"
-	}
-	val := t.Val
-	if t.Data != 0 {
-		val = fmt.Sprintf("%s/%d", val, t.Data)
-	}
-	return fmt.Sprintf("(%s,%s:%s->%s)", t.G, t.Var, t.Obj, val)
-}
-
-// String renders the tuple in the paper's notation.
-func (t Tuple) String() string { return t.Key() }
-
 // placeholderTuple builds the (g,<>) tuple.
-func placeholderTuple(g string) Tuple { return Tuple{G: g} }
+func placeholderTuple(g int32) Tuple { return Tuple{tupleKey: tupleKey{g: g}} }
 
 // instTuple builds the tuple for an instance under global state g.
-func instTuple(g string, in *Instance) Tuple {
+func instTuple(g int32, in *Instance) Tuple {
 	return Tuple{
-		G: g, Var: in.Var, Obj: in.Obj, Val: in.Val, Data: in.Data,
-		ObjExpr: in.ObjExpr, Prov: in,
+		tupleKey: tupleKey{g: g, v: in.v, val: in.val, obj: in.obj, data: in.Data},
+		ObjExpr:  in.ObjExpr, Prov: in,
 	}
 }
 
 // unknownTuple builds the add-edge start tuple (g, v:obj->unknown).
-func unknownTuple(g, varName, obj string) Tuple {
-	return Tuple{G: g, Var: varName, Obj: obj, Val: UnknownVal}
+func unknownTuple(g, v, obj int32) Tuple {
+	return Tuple{tupleKey: tupleKey{g: g, v: v, val: symUnknown, obj: obj}}
 }
 
-// SM is the extension's state: one global state value and the active
-// variable-specific instances (§5.1's sm_instance). The <> placeholder
-// is implicit: Tuples() materializes it when Active is empty.
+// SM is the extension's state: one global state value (g, numbered
+// like an instance's value) and the active variable-specific instances
+// (§5.1's sm_instance). The <> placeholder is implicit: it stands for
+// the state when no active instance is in scope.
 type SM struct {
-	GState string
+	g      int32
 	Active []*Instance
 }
 
@@ -196,28 +169,11 @@ func (s *SM) cloneActive(from *SM) {
 	}
 }
 
-// Tuples returns the extension state as a set of state tuples (§5.2).
-// Inactive (out-of-file) instances are excluded from cache identity
-// exactly as they are excluded from the analysis.
-func (s *SM) Tuples() []Tuple {
-	var out []Tuple
-	for _, in := range s.Active {
-		if in.Inactive {
-			continue
-		}
-		out = append(out, instTuple(s.GState, in))
-	}
-	if len(out) == 0 {
-		return []Tuple{placeholderTuple(s.GState)}
-	}
-	return out
-}
-
 // Find returns the active instance attached to the given object for
 // the given state variable, or nil.
-func (s *SM) Find(varName, obj string) *Instance {
+func (s *SM) Find(v, obj int32) *Instance {
 	for _, in := range s.Active {
-		if in.Var == varName && in.Obj == obj {
+		if in.v == v && in.obj == obj {
 			return in
 		}
 	}
@@ -227,9 +183,9 @@ func (s *SM) Find(varName, obj string) *Instance {
 // lastLive returns the last active, in-scope instance attached to the
 // object for the state variable, or nil: the one a map keyed by
 // (variable, object) would end up holding.
-func (s *SM) lastLive(varName, obj string) *Instance {
+func (s *SM) lastLive(v, obj int32) *Instance {
 	for i := len(s.Active) - 1; i >= 0; i-- {
-		if in := s.Active[i]; !in.Inactive && in.Var == varName && in.Obj == obj {
+		if in := s.Active[i]; !in.Inactive && in.v == v && in.obj == obj {
 			return in
 		}
 	}
@@ -237,9 +193,9 @@ func (s *SM) lastLive(varName, obj string) *Instance {
 }
 
 // FindObj returns any active instance attached to the object.
-func (s *SM) FindObj(obj string) *Instance {
+func (s *SM) FindObj(obj int32) *Instance {
 	for _, in := range s.Active {
-		if in.Obj == obj {
+		if in.obj == obj {
 			return in
 		}
 	}
@@ -269,13 +225,4 @@ func (s *SM) GroupMembers(in *Instance) []*Instance {
 		}
 	}
 	return out
-}
-
-// String renders the SM state for diagnostics.
-func (s *SM) String() string {
-	var parts []string
-	for _, t := range s.Tuples() {
-		parts = append(parts, t.Key())
-	}
-	return "{" + strings.Join(parts, ", ") + "}"
 }

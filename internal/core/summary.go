@@ -37,7 +37,8 @@ type edgeSet struct {
 // group returns the index range of the edges starting at the tuple;
 // when there are none, lo == hi is where the first one belongs. Ids
 // and rendered keys correspond one to one, so the binary search only
-// compares strings against other groups.
+// compares strings against other groups, rendering each key the first
+// time it is compared (interner.key).
 func (s *edgeSet) group(in *interner, id tid) (lo, hi int) {
 	lo, hi = 0, len(s.edges)
 	for lo < hi {
@@ -287,14 +288,11 @@ func seedSuffix(bi *blockInfo, locals map[string]bool) {
 // omits edges that end in a tuple with the value stop"), and edges
 // about function-local objects are never used by callers.
 func (in *interner) suffixSkip(e edge, locals map[string]bool) bool {
-	if strings.HasPrefix(in.tups[e.to].val, StopVal) {
+	if in.tups[e.to].val == symStop {
 		return true
 	}
 	return mentionsAny(e.fromExpr, locals) || mentionsAny(e.toExpr, locals)
 }
-
-// StopVal is the stop sink's value string.
-const StopVal = "stop"
 
 // compose joins a block edge and a suffix edge that starts where it
 // ends: the block edge's start, the suffix edge's end.
@@ -322,7 +320,7 @@ func combineSuffix(cur, next *blockInfo, locals map[string]bool) bool {
 	// Placeholder suffix edges compose through cur's global-instance
 	// edges instead.
 	for _, et := range snapshot(next.sfxTrans.all()) {
-		if from := &in.tups[et.from]; from.obj == "" {
+		if from := &in.tups[et.from]; from.obj == 0 {
 			for _, ge := range cur.gstate.all() {
 				if in.tups[ge.to].g == from.g && cur.sfxTrans.add(fi, compose(ge, et)) {
 					grew = true
@@ -353,7 +351,7 @@ func combineSuffix(cur, next *blockInfo, locals map[string]bool) bool {
 				continue
 			}
 			ne := ea
-			ne.from = in.id(unknownTuple(in.tups[ge.from].g, from.varName, from.obj))
+			ne.from = in.id(unknownTuple(in.tups[ge.from].g, from.v, from.obj))
 			if !in.suffixSkip(ne, locals) && cur.sfxAdds.add(fi, ne) {
 				grew = true
 			}
@@ -371,7 +369,7 @@ func formatEdges(in *interner, trans, adds *edgeSet) string {
 	var parts []string
 	render := func(e edge) string { return in.key(e.from) + " --> " + in.key(e.to) }
 	for _, e := range trans.all() {
-		if in.tups[e.from].obj == "" && in.tups[e.to].obj == "" {
+		if in.tups[e.from].obj == 0 && in.tups[e.to].obj == 0 {
 			continue
 		}
 		parts = append(parts, render(e))
