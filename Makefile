@@ -58,7 +58,10 @@ vet:
 # manifest, its changed-function count and the log compaction only its
 # re-puts needed stay gone. And a tuple is five integers (DESIGN.md
 # §10.3): the engine's capped struct-key cache and the rendered-key map
-# it fronted stay gone (fpp.Table's own byStr is the feas hook's).
+# it fronted stay gone (fpp.Table's own byStr is the feas hook's). And a
+# verdict is a loop (DESIGN.md §13.4): the daemon's verdict queue, its
+# worker-count knob, its stale-verdict bookkeeping and latency sample,
+# and the verdict cache stay gone.
 no-deleted-knobs:
 	! grep -rnE 'Match[M]emo|Block[F]ilter|Tuple[I]ntern|Lean[A]lloc|Multi[D]ispatch|Tenant[Q]uota|Queue[D]epth|Batch[S]ize' --include=*.go .
 	! grep -rnE 'Load[S]ummaries|summary[S]ource|Retired[S]et|Allow[S]pillReload|Summaries[L]oaded|SummaryBytes[D]eferred' --include=*.go .
@@ -75,6 +78,7 @@ no-deleted-knobs:
 	! grep -rnE 'Analyze[C]ontext|Corpus[S]cale|Min[R]eports|Max[I]ters|\bCache[D]ir\b|Pair[S]tats|Verdict[B]udget|[Oo]pts\.Max[CP]|\.Generatio[n]\(|cfg\.Harnes[s]' --include=*.go .
 	! grep -rnE 'Load[M]anifest|Save[M]anifest|Manifest[K]ey|cache\.[M]anifest|diff[M]anifest|config[F]ingerprint|Funcs[C]hanged|maybe[C]ompact|\.Compaction[s]' --include=*.go .
 	! grep -rnE 'idsCache[C]ap|by[S]tr|idBy[S]tr' --include=*.go internal/core
+	! grep -rnE 'Verify[W]orkers|verify[-]workers|New[P]ipeline|Drain[V]erdicts|Verdict[K]ey|feas[-]v1|verify[C]ur|verify[S]tale|lat[S]ample|P50[M]icros' --include=*.go .
 	! ls BENCH_*.json 2>/dev/null | grep .
 
 # staticcheck is optional locally (the repo adds no dependencies) but

@@ -30,7 +30,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"syscall"
@@ -233,11 +232,7 @@ func main() {
 	}
 	var feasStats feas.Stats
 	if *verify {
-		workers := *jobs
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		feasStats = a.Verify(res, workers)
+		feasStats = a.Verify(res, 0)
 	}
 	if *baseline != "" {
 		if err := appendBaseline(*baseline, res.Reports); err != nil {
@@ -289,9 +284,8 @@ func main() {
 				n, s.Points, s.Blocks, s.Paths, s.PrunedPaths, s.CacheHits, s.FuncCacheHits, s.RootsSkipped)
 		}
 		if *verify {
-			fmt.Printf("feas: done=%d confirmed=%d infeasible=%d unknown=%d cache-hits=%d p50=%dus p95=%dus\n",
-				feasStats.Done, feasStats.Confirmed, feasStats.Infeasible, feasStats.Unknown,
-				feasStats.CacheHits, feasStats.P50Micros, feasStats.P95Micros)
+			fmt.Printf("feas: done=%d confirmed=%d infeasible=%d unknown=%d\n",
+				feasStats.Done, feasStats.Confirmed, feasStats.Infeasible, feasStats.Unknown)
 		}
 		fmt.Printf("stream: evictions=%d asts-released=%d\n", res.Spill.Evictions, res.Spill.ASTsReleased)
 		if in := res.Incr; in != nil {

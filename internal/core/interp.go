@@ -70,10 +70,11 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, bi *blockInfo, rec *bl
 
 	// --- Function summary check (§6.2) ---
 	calleeFi := en.funcInfo(callee)
-	summary := calleeFi.summaryOf(callee.Graph)
+	// The function summary is the entry block's suffix summary.
+	entry := calleeFi.info(callee.Graph.Entry)
 	// covered: the summary already has an edge out of the tuple.
 	covered := func(t Tuple) bool {
-		return en.Opts.FunctionCache && summary.sfxTrans.hasFrom(en.intern, t)
+		return en.Opts.FunctionCache && entry.sfxTrans.hasFrom(en.intern, t)
 	}
 	missing, live := false, false
 	for _, in := range refined.Active {
@@ -118,7 +119,7 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, bi *blockInfo, rec *bl
 	}
 
 	// --- Apply summary edges (§6.3 steps 3-5) ---
-	parts := en.partitionResults(&refined, summary, calleeFi.info(callee.Graph.Entry))
+	parts := en.partitionResults(&refined, entry)
 
 	// FPP: values reachable by the callee through pointers may change.
 	for _, a := range call.Args {
@@ -208,14 +209,15 @@ func (in *interner) cmpOut(a, b outTuple) int {
 }
 
 // partitionResults computes the edges applicable to the current state
-// and partitions them into disjoint exit states. entryBI is the
-// callee entry block's own summary: its transition edges record which
-// in-tuples have ever been traversed, which distinguishes "the callee
-// stopped this object on every path" (edges ending in stop are omitted
-// from function summaries, §6.3) from "the callee was never analyzed
-// in this state" (possible under recursion, §7). The result is the
-// engine's partition buffer: it is valid until the next call.
-func (en *Engine) partitionResults(refined *SM, summary, entryBI *blockInfo) []partition {
+// and partitions them into disjoint exit states. entry is the callee's
+// entry block: its suffix summary is the function summary, and its own
+// block summary's transition edges record which in-tuples have ever
+// been traversed, which distinguishes "the callee stopped this object
+// on every path" (edges ending in stop are omitted from function
+// summaries, §6.3) from "the callee was never analyzed in this state"
+// (possible under recursion, §7). The result is the engine's partition
+// buffer: it is valid until the next call.
+func (en *Engine) partitionResults(refined *SM, entry *blockInfo) []partition {
 	// The exit global states come from the placeholder suffix edges;
 	// their absence means the callee has no summary at all in this
 	// state.
@@ -227,7 +229,7 @@ func (en *Engine) partitionResults(refined *SM, summary, entryBI *blockInfo) []p
 			gs = append(gs, g)
 		}
 	}
-	for _, e := range summary.sfxTrans.from(ix, placeholderTuple(refined.g)) {
+	for _, e := range entry.sfxTrans.from(ix, placeholderTuple(refined.g)) {
 		addG(ix.tups[e.to].g)
 	}
 	if len(gs) == 0 {
@@ -249,9 +251,9 @@ func (en *Engine) partitionResults(refined *SM, summary, entryBI *blockInfo) []p
 			continue
 		}
 		in := instTuple(refined.g, inst)
-		edges := summary.sfxTrans.from(ix, in)
+		edges := entry.sfxTrans.from(ix, in)
 		if len(edges) == 0 {
-			if !entryBI.trans.hasFrom(ix, in) {
+			if !entry.trans.hasFrom(ix, in) {
 				// Never traversed in this state (incomplete recursive
 				// summary): pass the instance through unchanged (§7).
 				record(ix.id(in), in)
@@ -267,7 +269,7 @@ func (en *Engine) partitionResults(refined *SM, summary, entryBI *blockInfo) []p
 	// Add edges: apply when the object has no instance at entry
 	// ("(s, v:t→unknown) ... the edge only applies when we know
 	// nothing about t at the entry").
-	for _, e := range summary.sfxAdds.all() {
+	for _, e := range entry.sfxAdds.all() {
 		from := &ix.tups[e.from]
 		if from.g != refined.g || refined.lastLive(from.v, from.obj) != nil {
 			continue

@@ -221,10 +221,6 @@ func carve[T any](slab *[]T, want int, v T) []T {
 
 func (fi *funcInfo) info(b *cfg.Block) *blockInfo { return &fi.blocks[b.ID] }
 
-// summaryOf returns the function summary: the suffix summary of the
-// entry block.
-func (fi *funcInfo) summaryOf(g *cfg.Graph) *blockInfo { return fi.info(g.Entry) }
-
 // traceEntry records one block traversal on the current path: the
 // edges generated during that traversal. relax composes these
 // backwards into suffix summaries (Figure 6).

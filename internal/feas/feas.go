@@ -9,8 +9,8 @@
 //
 // Verdicts only ever annotate reports — they never add or remove one —
 // and evaluation is a pure function of the report's content, so the
-// pass is deterministic at any worker count and its results can be
-// content-address cached (Pipeline).
+// pass is one loop over the reports (Annotate) and its answer does not
+// depend on when or where it runs.
 package feas
 
 import (
@@ -32,6 +32,35 @@ type Outcome struct {
 	// Sliced is how many of them the slicer weakened to havocs for
 	// not feeding any branch condition.
 	Sliced int `json:"sliced"`
+}
+
+// Stats counts the verdicts of one or more Annotate passes.
+type Stats struct {
+	Done       int64 `json:"done"`
+	Confirmed  int64 `json:"confirmed"`
+	Infeasible int64 `json:"infeasible"`
+	Unknown    int64 `json:"unknown"`
+}
+
+// Annotate issues a verdict for every report, in order, writes it into
+// the report's Verdict and VerdictWhy, and counts the verdicts.
+// maxSteps is Evaluate's.
+func Annotate(reports []*report.Report, maxSteps int) Stats {
+	var st Stats
+	for _, r := range reports {
+		o := Evaluate(r, maxSteps)
+		r.Verdict, r.VerdictWhy = o.Verdict, o.Why
+		st.Done++
+		switch o.Verdict {
+		case report.VerdictConfirmed:
+			st.Confirmed++
+		case report.VerdictInfeasible:
+			st.Infeasible++
+		default:
+			st.Unknown++
+		}
+	}
+	return st
 }
 
 // Evaluate issues a verdict for one report, replaying at most maxSteps

@@ -3,7 +3,6 @@ package feas
 import (
 	"testing"
 
-	"repro/internal/cache"
 	"repro/internal/report"
 )
 
@@ -152,79 +151,24 @@ func TestNegatedBranchDirection(t *testing.T) {
 	}
 }
 
-func TestPipelineVerdictsAndCache(t *testing.T) {
-	store := cache.NewMemStore()
-	mkReports := func() []*report.Report {
-		return []*report.Report{
-			{Msg: "fp", Path: []report.PathStep{br("n > 5", true), br("n < 3", true)}},
-			{Msg: "tp", Path: []report.PathStep{br("n > 5", true), br("n > 2", true)}},
-			{Msg: "unk", Path: []report.PathStep{br("a || b", true)}},
-		}
+func TestAnnotateCounts(t *testing.T) {
+	reports := []*report.Report{
+		{Msg: "fp", Path: []report.PathStep{br("n > 5", true), br("n < 3", true)}},
+		{Msg: "tp", Path: []report.PathStep{br("n > 5", true), br("n > 2", true)}},
+		{Msg: "unk", Path: []report.PathStep{br("a || b", true)}},
 	}
-
-	run := func() (Stats, []*report.Report) {
-		reports := mkReports()
-		p := NewPipeline(Config{
-			Workers: 2,
-			Store:   store,
-			Sink: func(r *report.Report, o Outcome) {
-				r.Verdict = o.Verdict
-				r.VerdictWhy = o.Why
-			},
-		})
-		for _, r := range reports {
-			if !p.Enqueue(r) {
-				t.Fatal("enqueue rejected before Close")
-			}
-		}
-		p.Drain()
-		st := p.Stats()
-		p.Close()
-		return st, reports
-	}
-
-	st, reports := run()
+	st := Annotate(reports, 0)
 	want := map[string]string{
 		"fp":  report.VerdictInfeasible,
 		"tp":  report.VerdictConfirmed,
 		"unk": report.VerdictUnknown,
 	}
 	for _, r := range reports {
-		if r.Verdict != want[r.Msg] {
+		if r.Verdict != want[r.Msg] || r.VerdictWhy == "" {
 			t.Errorf("%s: verdict %s (%s), want %s", r.Msg, r.Verdict, r.VerdictWhy, want[r.Msg])
 		}
 	}
-	if st.Done != 3 || st.Confirmed != 1 || st.Infeasible != 1 || st.Unknown != 1 {
+	if st != (Stats{Done: 3, Confirmed: 1, Infeasible: 1, Unknown: 1}) {
 		t.Errorf("stats = %+v, want 1/1/1 over 3", st)
-	}
-	if st.CacheHits != 0 {
-		t.Errorf("cold run had %d cache hits", st.CacheHits)
-	}
-
-	// Warm run replays every verdict from the store.
-	st2, reports2 := run()
-	if st2.CacheHits != 3 {
-		t.Errorf("warm run cache hits = %d, want 3", st2.CacheHits)
-	}
-	for i, r := range reports2 {
-		if r.Verdict != reports[i].Verdict {
-			t.Errorf("warm verdict for %s = %s, want %s", r.Msg, r.Verdict, reports[i].Verdict)
-		}
-	}
-}
-
-func TestEnqueueAfterCloseRejected(t *testing.T) {
-	p := NewPipeline(Config{})
-	p.Close()
-	if p.Enqueue(&report.Report{}) {
-		t.Fatal("Enqueue accepted after Close")
-	}
-}
-
-func TestVerdictKeyDistinguishesPaths(t *testing.T) {
-	a := &report.Report{Msg: "m", Path: []report.PathStep{br("n > 5", true)}}
-	b := &report.Report{Msg: "m", Path: []report.PathStep{br("n > 5", false)}}
-	if VerdictKey(a) == VerdictKey(b) {
-		t.Fatal("keys collide across different paths")
 	}
 }

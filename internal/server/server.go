@@ -94,15 +94,11 @@ type Config struct {
 	// it over HTTP. Nil keeps every unit local — the single-process
 	// mode, byte-identical either way.
 	Fleet *fleet.Coordinator
-	// Verify enables the asynchronous feasibility-verdict pipeline
-	// (DESIGN.md §13): analyze responses return immediately with every
-	// report marked "unverified", and a bounded worker pool replays
-	// witness paths in the background, annotating reports as
-	// confirmed/infeasible/unknown. Verdicts never add or remove
-	// reports.
+	// Verify runs the feasibility pass (DESIGN.md §13) on every run
+	// before it commits: each report in the analyze reply and on
+	// /v1/reports carries its verdict, confirmed/infeasible/unknown.
+	// Verdicts never add or remove reports.
 	Verify bool
-	// VerifyWorkers bounds the verdict worker pool; 0 means 1.
-	VerifyWorkers int
 }
 
 // DefaultMaxInFlight is the admission bound when Config.MaxInFlight
@@ -171,14 +167,8 @@ type Server struct {
 	// coalescedAnalyzes counts analyze requests that shared another
 	// request's in-flight run instead of starting their own.
 	coalescedAnalyzes int64
-
-	// Feasibility pipeline (nil unless Config.Verify; DESIGN.md §13).
-	// verifyCur marks the reports of the current run: a new analysis
-	// supersedes queued items, whose verdicts are then counted stale
-	// and dropped instead of written into a replaced result.
-	feas        *feas.Pipeline
-	verifyCur   map[*report.Report]bool
-	verifyStale int64
+	// verdicts sums every run's feasibility pass (Config.Verify).
+	verdicts feas.Stats
 }
 
 // New builds a daemon from the configuration.
@@ -200,7 +190,7 @@ func New(cfg Config) *Server {
 		opts := mc.DefaultOptions()
 		cfg.Options = &opts
 	}
-	s := &Server{
+	return &Server{
 		cfg:         cfg,
 		store:       store,
 		sem:         make(chan struct{}, cfg.MaxInFlight),
@@ -208,42 +198,11 @@ func New(cfg Config) *Server {
 		lastEnabled: map[string]string{},
 		maxBody:     maxRequestBody,
 	}
-	if cfg.Verify {
-		s.feas = feas.NewPipeline(feas.Config{
-			Workers: cfg.VerifyWorkers,
-			// A PathSteps budget also caps each verdict's replay.
-			MaxSteps: int(cfg.Options.Budgets.PathSteps),
-			Store:    store,
-			Sink: func(r *report.Report, o feas.Outcome) {
-				s.mu.Lock()
-				if s.verifyCur[r] {
-					r.Verdict = o.Verdict
-					r.VerdictWhy = o.Why
-				} else {
-					s.verifyStale++
-				}
-				s.mu.Unlock()
-			},
-		})
-	}
-	return s
 }
 
-// Close shuts the feasibility pipeline down (no-op without one). The
-// HTTP handler keeps working; new analyses simply stay unverified.
-func (s *Server) Close() {
-	if s.feas != nil {
-		s.feas.Close()
-	}
-}
-
-// DrainVerdicts blocks until every queued report has a verdict
-// (tests; no-op without a pipeline).
-func (s *Server) DrainVerdicts() {
-	if s.feas != nil {
-		s.feas.Drain()
-	}
-}
+// Close does nothing: a Server holds nothing to release. It stays only
+// because the frozen benchmark/workloads.go:175 calls it.
+func (s *Server) Close() {}
 
 // retryAfterSeconds derives the 429 Retry-After hint from the
 // per-request timeout and the current admitted depth: every admitted
@@ -406,9 +365,8 @@ type ReportJSON struct {
 	Class   string `json:"class,omitempty"`
 	Msg     string `json:"msg"`
 	Text    string `json:"text"`
-	// Feasibility verdict (DESIGN.md §13): "unverified" while queued,
-	// then confirmed/infeasible/unknown; absent when the pipeline is
-	// disabled.
+	// Feasibility verdict (DESIGN.md §13): confirmed, infeasible or
+	// unknown; absent without Config.Verify.
 	Verdict    string `json:"verdict,omitempty"`
 	VerdictWhy string `json:"verdict_why,omitempty"`
 }
@@ -607,6 +565,10 @@ func (s *Server) runAnalyze(w http.ResponseWriter, ctx context.Context, tenant s
 		s.runFailed(w, ctx, err, "analysis_failed", "analysis failed")
 		return
 	}
+	var verdicts feas.Stats
+	if s.cfg.Verify {
+		verdicts = a.Verify(res, 0)
+	}
 
 	s.mu.Lock()
 	s.analyses++
@@ -623,25 +585,17 @@ func (s *Server) runAnalyze(w http.ResponseWriter, ctx context.Context, tenant s
 		s.cachePuts += in.CachePuts
 		s.cachePutErrors += in.CachePutErrors
 	}
+	s.verdicts.Done += verdicts.Done
+	s.verdicts.Confirmed += verdicts.Confirmed
+	s.verdicts.Infeasible += verdicts.Infeasible
+	s.verdicts.Unknown += verdicts.Unknown
 	s.srcs = next
 	s.last = res
 	s.lastIncr = res.Incr
-	if s.feas != nil {
-		// Supersede any still-queued verdicts from the previous run
-		// and mark this run's reports pending. Workers only write
-		// verdicts into reports in verifyCur, under this mutex.
-		s.verifyCur = make(map[*report.Report]bool, len(res.Reports))
-		for _, rep := range res.Reports {
-			rep.Verdict = report.VerdictUnverified
-			s.verifyCur[rep] = true
-		}
-	}
 	files := len(s.srcs)
 	s.mu.Unlock()
 
-	// Render before enqueueing: no worker touches these reports until
-	// Enqueue below, so the response snapshot (every report
-	// "unverified") needs no lock and returns immediately.
+	// A committed result never changes again, so it renders unlocked.
 	resp := AnalyzeResponse{
 		Files:        files,
 		Reports:      len(res.Reports),
@@ -654,11 +608,6 @@ func (s *Server) runAnalyze(w http.ResponseWriter, ctx context.Context, tenant s
 	}
 	for _, rep := range res.Ranked() {
 		resp.Ranked = append(resp.Ranked, reportJSON(rep))
-	}
-	if s.feas != nil {
-		for _, rep := range res.Reports {
-			s.feas.Enqueue(rep)
-		}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -726,13 +675,12 @@ func (s *Server) bumpFailures() {
 }
 
 func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
-	// Verdict workers mutate reports under mu, and the rank
-	// comparators read verdicts — hold the lock through ranking and
-	// rendering.
+	// A committed result never changes again: rank and render it
+	// outside the lock.
 	s.mu.Lock()
 	last := s.last
+	s.mu.Unlock()
 	if last == nil {
-		s.mu.Unlock()
 		writeError(w, http.StatusNotFound, "no_analysis",
 			"no analysis yet", "")
 		return
@@ -749,7 +697,6 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 			report.VerdictInfeasible, report.VerdictUnknown:
 			ranked = mc.VerifiedOnly(ranked, v)
 		default:
-			s.mu.Unlock()
 			writeError(w, http.StatusBadRequest, "bad_request",
 				"unknown verdict filter", v)
 			return
@@ -760,7 +707,6 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 		for _, rep := range ranked {
 			fmt.Fprintln(&sb, rep)
 		}
-		s.mu.Unlock()
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.Write([]byte(sb.String()))
 		return
@@ -769,7 +715,6 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 	for _, rep := range ranked {
 		out = append(out, reportJSON(rep))
 	}
-	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -824,20 +769,14 @@ func (s *Server) eachSeries(emit func(series)) (nested map[string]any) {
 	counter(`xgccd_validations_total{outcome="admitted"}`, "validations_admitted", s.validationsAdmitted, "checker validations by outcome")
 	counter(`xgccd_validations_total{outcome="rejected"}`, "validations_rejected", s.validationsRejected, "checker validations by outcome")
 	gauge("xgccd_registry_checkers", "registry_checkers", float64(len(s.cfg.Registry.List())), "checker versions stored in the registry")
-	// Feasibility pipeline (DESIGN.md §13).
-	if s.feas != nil {
-		fs := s.feas.Stats()
+	// Feasibility verdicts, cumulative across runs (DESIGN.md §13).
+	if s.cfg.Verify {
+		fs := s.verdicts
 		nested["feas"] = fs
-		counter("xgccd_feas_enqueued_total", "", fs.Enqueued, "reports queued for feasibility verdicts")
 		counter("xgccd_feas_done_total", "", fs.Done, "feasibility verdicts issued")
 		counter("xgccd_feas_confirmed_total", "", fs.Confirmed, "reports whose witness path was confirmed feasible")
 		counter("xgccd_feas_infeasible_total", "", fs.Infeasible, "reports whose witness path was proven infeasible")
 		counter("xgccd_feas_unknown_total", "", fs.Unknown, "reports the feasibility pass could not decide")
-		counter("xgccd_feas_cache_hits_total", "", fs.CacheHits, "verdicts replayed from the content-addressed cache")
-		counter("xgccd_feas_stale_total", "feas_stale", s.verifyStale, "verdicts dropped because a newer analysis superseded them")
-		gauge("xgccd_feas_queue_depth", "", float64(fs.Depth), "reports awaiting a feasibility verdict")
-		gauge("xgccd_feas_latency_p50_seconds", "", float64(fs.P50Micros)/1e6, "median verdict latency, enqueue to sink")
-		gauge("xgccd_feas_latency_p95_seconds", "", float64(fs.P95Micros)/1e6, "95th-percentile verdict latency")
 	}
 	gauge("xgccd_inflight", "inflight", float64(s.inflight), "analyze requests currently admitted")
 	gauge("xgccd_max_inflight", "max_inflight", float64(s.cfg.MaxInFlight), "admission bound on concurrently admitted requests")

@@ -19,15 +19,14 @@ import (
 
 // surfaceAdditions are the entries /v1/stats and /v1/metrics gained
 // when both began rendering one series list: the cumulative cache
-// counters and the inflight gauge on /v1/stats, feas_stale present at
-// zero, and the max_inflight gauge on /v1/metrics.
+// counters and the inflight gauge on /v1/stats, and the max_inflight
+// gauge on /v1/metrics.
 var surfaceAdditions = map[string]bool{
 	"stats cache_hits":          true,
 	"stats cache_misses":        true,
 	"stats cache_puts":          true,
 	"stats cache_put_errors":    true,
 	"stats inflight":            true,
-	"stats feas_stale":          true,
 	"metric xgccd_max_inflight": true,
 	"sample xgccd_max_inflight": true,
 }
@@ -120,8 +119,7 @@ func TestDaemonSurface(t *testing.T) {
 	defer wsrv.Close()
 	co := fleet.NewCoordinator(fleet.Config{Workers: []string{wsrv.URL}})
 	defer co.Close()
-	s := New(Config{Jobs: 1, Fleet: co, Verify: true, VerifyWorkers: 1})
-	defer s.Close()
+	s := New(Config{Jobs: 1, Fleet: co, Verify: true})
 	ts.Config.Handler = s.Handler()
 	ts.Start()
 	defer ts.Close()
@@ -131,7 +129,6 @@ func TestDaemonSurface(t *testing.T) {
 	if got := postAnalyze(t, ts, AnalyzeRequest{Files: srcs}); got.Incr == nil || got.Incr.UnitsRemote == 0 {
 		t.Fatalf("no units filled remotely: %+v", got.Incr)
 	}
-	s.DrainVerdicts()
 	got := daemonSurface(t, ts.URL)
 
 	data, err := os.ReadFile("testdata/daemon_surface.golden")
@@ -183,7 +180,6 @@ func TestDaemonSurface(t *testing.T) {
 	// reports 0 and carries no nested run objects, /v1/metrics has no
 	// xgccd_reports and no last-run gauges.
 	fresh := New(Config{Jobs: 1})
-	defer fresh.Close()
 	fts := httptest.NewServer(fresh.Handler())
 	defer fts.Close()
 	pre := daemonSurface(t, fts.URL)

@@ -1,13 +1,17 @@
 package server
 
-// Tests for the asynchronous feasibility-verdict pipeline (DESIGN.md
-// §13): immediate "unverified" responses, background annotation,
-// /v1/reports verdict filtering, counters, and the invariant that the
-// pass never changes the report set.
+// Tests for the feasibility pass behind the daemon (DESIGN.md §13):
+// verdicts in the analyze reply, /v1/reports verdict filtering,
+// counters, and the invariant that the pass never changes the report
+// set.
 
 import (
+	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -31,9 +35,11 @@ int tp_plain(int *p) {
 }
 `
 
-func TestVerifyPipeline(t *testing.T) {
-	srv := New(Config{Checkers: []string{"free"}, Verify: true, VerifyWorkers: 2})
-	defer srv.Close()
+// TestVerifyInRequest: with Config.Verify the analyze reply itself
+// carries every verdict; /v1/reports filters by them, and the verdict
+// counters on /v1/stats and /v1/metrics are the run's.
+func TestVerifyInRequest(t *testing.T) {
+	srv := New(Config{Checkers: []string{"free"}, Verify: true})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -41,30 +47,17 @@ func TestVerifyPipeline(t *testing.T) {
 	if resp.Reports != 3 {
 		t.Fatalf("reports = %d, want 3", resp.Reports)
 	}
-	// The analyze response returns before any verdict lands.
-	for _, r := range resp.Ranked {
-		if r.Verdict != "unverified" {
-			t.Errorf("analyze response verdict = %q, want unverified", r.Verdict)
-		}
-	}
-
-	srv.DrainVerdicts()
-
-	code, body := getBody(t, ts.URL+"/v1/reports")
-	if code != 200 {
-		t.Fatalf("reports: status %d", code)
-	}
-	for fn, want := range map[string]string{
+	want := map[string]string{
 		"fp_interval": "infeasible",
 		"tp_guarded":  "confirmed",
 		"tp_plain":    "confirmed",
-	} {
-		if !strings.Contains(body, want) || !strings.Contains(body, fn) {
-			t.Errorf("reports body missing %s/%s:\n%s", fn, want, body)
+	}
+	for _, r := range resp.Ranked {
+		if r.Verdict != want[r.Func] {
+			t.Errorf("analyze reply: %s verdict = %q (%s), want %q", r.Func, r.Verdict, r.VerdictWhy, want[r.Func])
 		}
 	}
 
-	// Verdict filtering.
 	for filter, want := range map[string]int{
 		"infeasible": 1,
 		"confirmed":  2,
@@ -80,16 +73,53 @@ func TestVerifyPipeline(t *testing.T) {
 		t.Errorf("bogus verdict filter: status %d, want 400", code)
 	}
 
-	// Counters surface on /v1/stats and /v1/metrics.
-	if _, stats := getBody(t, ts.URL+"/v1/stats"); !strings.Contains(stats, `"done": 3`) ||
-		!strings.Contains(stats, `"confirmed": 2`) || !strings.Contains(stats, `"infeasible": 1`) {
-		t.Errorf("stats missing feas counters:\n%s", stats)
+	_, stats := getBody(t, ts.URL+"/v1/stats")
+	for _, c := range []string{`"done": 3`, `"confirmed": 2`, `"infeasible": 1`, `"unknown": 0`} {
+		if !strings.Contains(stats, c) {
+			t.Errorf("stats missing %s:\n%s", c, stats)
+		}
 	}
-	if _, metrics := getBody(t, ts.URL+"/v1/metrics"); !strings.Contains(metrics, "xgccd_feas_done_total 3") ||
-		!strings.Contains(metrics, "xgccd_feas_infeasible_total 1") ||
-		!strings.Contains(metrics, "xgccd_feas_queue_depth 0") {
-		t.Errorf("metrics missing feas counters:\n%s", metrics)
+	_, metrics := getBody(t, ts.URL+"/v1/metrics")
+	for _, c := range []string{"xgccd_feas_done_total 3", "xgccd_feas_confirmed_total 2",
+		"xgccd_feas_infeasible_total 1", "xgccd_feas_unknown_total 0"} {
+		if !strings.Contains(metrics, c+"\n") {
+			t.Errorf("metrics missing %s:\n%s", c, metrics)
+		}
 	}
+}
+
+// TestReportsReadWhileVerifying: /v1/reports ranks and renders the
+// committed result outside the server mutex while later analyze
+// requests verify and commit their own (run it under -race).
+func TestReportsReadWhileVerifying(t *testing.T) {
+	srv := New(Config{Checkers: []string{"free"}, Verify: true})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	postAnalyze(t, ts, AnalyzeRequest{Files: map[string]string{"drv.c": feasSrc}})
+
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 5; j++ {
+				resp, err := http.Get(ts.URL + "/v1/reports?rank=z")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("reports: status %d", resp.StatusCode)
+				}
+			}
+		}()
+	}
+	for i := 0; i < 3; i++ {
+		postAnalyze(t, ts, AnalyzeRequest{Files: map[string]string{"drv.c": feasSrc + fmt.Sprintf("int pad%d;\n", i)}})
+	}
+	wg.Wait()
 }
 
 // TestVerifyNeverChangesReportSet: the verdict pass annotates; the
@@ -97,12 +127,10 @@ func TestVerifyPipeline(t *testing.T) {
 // pipeline on and off.
 func TestVerifyNeverChangesReportSet(t *testing.T) {
 	collect := func(verify bool) map[string]bool {
-		srv := New(Config{Checkers: []string{"free"}, Verify: verify, VerifyWorkers: 2})
-		defer srv.Close()
+		srv := New(Config{Checkers: []string{"free"}, Verify: verify})
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
 		resp := postAnalyze(t, ts, AnalyzeRequest{Files: map[string]string{"drv.c": feasSrc}})
-		srv.DrainVerdicts()
 		set := map[string]bool{}
 		for _, r := range resp.Ranked {
 			set[r.Pos+"|"+r.Msg] = true

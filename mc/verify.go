@@ -10,18 +10,15 @@ import (
 	"repro/internal/report"
 )
 
-// Verify runs the feasibility pass synchronously over res.Reports
-// with a worker pool of the given size (0 means one worker), writing
-// Verdict/VerdictWhy into each report. A Budgets.PathSteps ceiling also
-// caps how many recorded witness events one verdict may replay.
-// Verdicts are content-address cached in the analyzer's cache store
-// (when one is configured), so warm runs replay them.
+// Verify runs the feasibility pass over res.Reports, writing
+// Verdict/VerdictWhy into each report, and counts the verdicts. A
+// Budgets.PathSteps ceiling also caps how many recorded witness events
+// one verdict may replay. It writes nothing to the cache store: a
+// verdict costs less to recompute than to fetch (DESIGN.md §13.4).
+// workers is ignored: the pass is one loop. It stays only because the
+// frozen benchmark/layers.go:630 passes it.
 func (a *Analyzer) Verify(res *Result, workers int) feas.Stats {
-	return feas.Annotate(res.Reports, feas.Config{
-		Workers:  workers,
-		MaxSteps: int(a.opts.Budgets.PathSteps),
-		Store:    a.cacheStore,
-	})
+	return feas.Annotate(res.Reports, int(a.opts.Budgets.PathSteps))
 }
 
 // VerifiedOnly filters reports by verdict, preserving order: verdict
