@@ -61,7 +61,9 @@ vet:
 # it fronted stay gone (fpp.Table's own byStr is the feas hook's). And a
 # verdict is a loop (DESIGN.md §13.4): the daemon's verdict queue, its
 # worker-count knob, its stale-verdict bookkeeping and latency sample,
-# and the verdict cache stay gone.
+# and the verdict cache stay gone. And a cap is a budget (DESIGN.md §7,
+# §9.2): the engine's two caps record a degrade event and are not
+# exported, so nothing outside the engine names them.
 no-deleted-knobs:
 	! grep -rnE 'Match[M]emo|Block[F]ilter|Tuple[I]ntern|Lean[A]lloc|Multi[D]ispatch|Tenant[Q]uota|Queue[D]epth|Batch[S]ize' --include=*.go .
 	! grep -rnE 'Load[S]ummaries|summary[S]ource|Retired[S]et|Allow[S]pillReload|Summaries[L]oaded|SummaryBytes[D]eferred' --include=*.go .
@@ -75,7 +77,7 @@ no-deleted-knobs:
 	! grep -rnE 'Prob[e]r|CoalescedG[e]ts|FlightWait[e]rs|CASCount[e]rs|httpRes[u]lt|MaxBl[o]cks|HitBl[o]ckLimit' --include=*.go .
 	! grep -rnE 'path[L]og|clone[F]or|clone[S]lack' --include=*.go .
 	! grep -rnE 'Share[C]AS|StatsRes[p]onse|GET [o]nly|POST [o]nly' --include=*.go .
-	! grep -rnE 'Analyze[C]ontext|Corpus[S]cale|Min[R]eports|Max[I]ters|\bCache[D]ir\b|Pair[S]tats|Verdict[B]udget|[Oo]pts\.Max[CP]|\.Generatio[n]\(|cfg\.Harnes[s]' --include=*.go .
+	! grep -rnE 'Analyze[C]ontext|Corpus[S]cale|Min[R]eports|Max[I]ters|\bCache[D]ir\b|Pair[S]tats|Verdict[B]udget|[Oo]pts\.Max[CP]|core\.Max[CP]|\.Generatio[n]\(|cfg\.Harnes[s]' --include=*.go .
 	! grep -rnE 'Load[M]anifest|Save[M]anifest|Manifest[K]ey|cache\.[M]anifest|diff[M]anifest|config[F]ingerprint|Funcs[C]hanged|maybe[C]ompact|\.Compaction[s]' --include=*.go .
 	! grep -rnE 'idsCache[C]ap|by[S]tr|idBy[S]tr' --include=*.go internal/core
 	! grep -rnE 'Verify[W]orkers|verify[-]workers|New[P]ipeline|Drain[V]erdicts|Verdict[K]ey|feas[-]v1|verify[C]ur|verify[S]tale|lat[S]ample|P50[M]icros' --include=*.go .

@@ -228,7 +228,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "xgcc: checker %s panicked at root %s (contained): %s\n", f.Checker, f.Root, f.Panic)
 	}
 	if res.Degraded {
-		fmt.Fprintf(os.Stderr, "xgcc: results degraded: %d traversal(s) truncated by budget\n", len(res.Degradations))
+		fmt.Fprintf(os.Stderr, "xgcc: results degraded: %d traversal(s) truncated by a budget or cap\n", len(res.Degradations))
 	}
 	var feasStats feas.Stats
 	if *verify {
@@ -280,8 +280,9 @@ func main() {
 	if *stats {
 		for _, n := range sortedNames(res.Stats) {
 			s := res.Stats[n]
-			fmt.Printf("checker %s: points=%d blocks=%d paths=%d pruned=%d cache-hits=%d fn-cache-hits=%d roots-skipped=%d\n",
-				n, s.Points, s.Blocks, s.Paths, s.PrunedPaths, s.CacheHits, s.FuncCacheHits, s.RootsSkipped)
+			fmt.Printf("checker %s: points=%d blocks=%d paths=%d pruned=%d cache-hits=%d fn-cache-hits=%d roots-skipped=%d recursion-cuts=%d fp-fallbacks=%d statics-held=%d\n",
+				n, s.Points, s.Blocks, s.Paths, s.PrunedPaths, s.CacheHits, s.FuncCacheHits, s.RootsSkipped,
+				s.RecursionCuts, s.FingerprintFallbacks, s.StaticsHeld)
 		}
 		if *verify {
 			fmt.Printf("feas: done=%d confirmed=%d infeasible=%d unknown=%d\n",

@@ -128,8 +128,8 @@ func TestStatsRootsSkipped(t *testing.T) {
 		t.Fatalf("code %d, out %.400s", code, out)
 	}
 	for _, want := range []string{
-		"checker banned_checker: points=0 blocks=0 paths=0 pruned=0 cache-hits=0 fn-cache-hits=0 roots-skipped=1\n",
-		"checker free_checker: points=6 blocks=4 paths=1 pruned=0 cache-hits=0 fn-cache-hits=0 roots-skipped=0\n",
+		"checker banned_checker: points=0 blocks=0 paths=0 pruned=0 cache-hits=0 fn-cache-hits=0 roots-skipped=1 recursion-cuts=0 fp-fallbacks=0 statics-held=0\n",
+		"checker free_checker: points=6 blocks=4 paths=1 pruned=0 cache-hits=0 fn-cache-hits=0 roots-skipped=0 recursion-cuts=0 fp-fallbacks=0 statics-held=0\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("-stats lacks %q:\n%s", want, out)

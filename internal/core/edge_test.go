@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -470,9 +471,10 @@ int entry(int *p, int n) {
 
 // TestMaxPartitionsCap: a callee that leaves five objects in two
 // states each has 2^5 = 32 disjoint exit states; the caller continues
-// from exactly 16 of them (MaxPartitions, §6.3 step 5) and drops the
-// rest. tick() counts the continuations that reach mark(); the block
-// cache is off so that none of them stops early, covered by another.
+// from exactly 16 of them (maxPartitions, §6.3 step 5) and drops the
+// rest, which degrades the run. tick() counts the continuations that
+// reach mark(); the block cache is off so that none of them stops
+// early, covered by another.
 func TestMaxPartitionsCap(t *testing.T) {
 	checkerSrc := `
 sm two_way;
@@ -515,12 +517,17 @@ void entry(int *a, int *b, int *c, int *d, int *e, int x) {
 	if ticks != 16 {
 		t.Errorf("caller continued from %d of the callee's 32 exit states, want the cap, 16", ticks)
 	}
+	want := []DegradeEvent{{Kind: DegradePartitions, Checker: "two_way", Func: "entry",
+		Detail: "split: 32 exit states, continued from 16"}}
+	if !reflect.DeepEqual(en.Degradations, want) {
+		t.Errorf("degradations %v, want %v", en.Degradations, want)
+	}
 }
 
-// TestMaxCallDepthCut: a call made MaxCallDepth (64) calls below the
-// root is not followed. In the chain f0 -> f1 -> ... -> f65, f64 is
-// traversed and f65, which holds the free and its use, never is: the
-// use-after-free goes unreported.
+// TestMaxCallDepthCut: a call made maxCallDepth (64) calls below the
+// root is not followed, which degrades the run. In the chain f0 -> f1
+// -> ... -> f65, f64 is traversed and f65, which holds the free and its
+// use, never is: the use-after-free goes unreported.
 func TestMaxCallDepthCut(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString("void kfree(void *p);\n")
@@ -537,5 +544,9 @@ func TestMaxCallDepthCut(t *testing.T) {
 	}
 	if rs.Len() != 0 {
 		t.Errorf("the cut hides f65's use after free, got %v", rs.Reports)
+	}
+	want := []DegradeEvent{{Kind: DegradeCallDepth, Checker: "free_checker", Func: "f0", Detail: "f65"}}
+	if !reflect.DeepEqual(en.Degradations, want) {
+		t.Errorf("degradations %v, want %v", en.Degradations, want)
 	}
 }

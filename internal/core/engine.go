@@ -37,16 +37,17 @@ type Options struct {
 	Budgets Budgets
 }
 
-// The engine's two silent caps. Both are part of every unit key
-// (mc's options fingerprint), so changing one re-keys every unit.
+// The engine's two caps. Each cut is a truncation, recorded like a
+// tripped budget (DegradeCallDepth, DegradePartitions); DESIGN.md §7
+// says why no budget replaces them.
 const (
-	// MaxCallDepth bounds interprocedural descent: a call made at this
+	// maxCallDepth bounds interprocedural descent: a call made at this
 	// depth below the root is not followed (followCall).
-	MaxCallDepth = 64
-	// MaxPartitions caps the disjoint exit-state partitions a caller
+	maxCallDepth = 64
+	// maxPartitions caps the disjoint exit-state partitions a caller
 	// continues from at a call return (§6.3 step 5); the rest are
 	// dropped.
-	MaxPartitions = 16
+	maxPartitions = 16
 )
 
 // DefaultOptions enables the full analysis.
@@ -71,7 +72,12 @@ type Stats struct {
 	CacheMisses   int64
 	FuncCacheHits int64
 	FuncFollows   int64
-	RecursionCuts int64
+	// RecursionCuts, FingerprintFallbacks (blocks past fpCacheCap, once
+	// each) and StaticsHeld (file-scope instances held at a call into
+	// another file) count approximations that are not cuts (DESIGN.md §7).
+	RecursionCuts        int64
+	FingerprintFallbacks int64
+	StaticsHeld          int64
 	// InstanceOps sums the live-instance count over visited program
 	// points — the per-point matching work block counts cannot see
 	// (Budgets.InstanceOps bounds it per root).
@@ -136,7 +142,7 @@ type Engine struct {
 	// order. The incremental cache replays it so a warm run's later
 	// phases observe the same annotation store (DESIGN.md §8).
 	MarkLog []MarkEvent
-	// Degradations records every budget truncation and cancellation
+	// Degradations records every budget or cap truncation and cancellation
 	// this run suffered (DESIGN.md §9); empty means the run was
 	// complete. A degraded run must never enter the incremental cache.
 	Degradations []DegradeEvent
@@ -652,14 +658,14 @@ func (en *Engine) finishBlock(st *pathState, b *cfg.Block, bi *blockInfo, rec *b
 	bi.gstate.add(fi, ghost)
 	if len(rec.entry) == 0 {
 		bi.trans.add(fi, ghost)
-		bi.noteSeen(placeholderTuple(rec.entryG), rec.fp)
+		en.noteSeen(bi, placeholderTuple(rec.entryG), rec.fp)
 	}
 	// Transition edges for each entry tuple ("Each state tuple that
 	// reaches a block generates exactly one transition edge, where the
 	// transition can be the identity").
 	for i := range rec.entry {
 		from := &rec.entry[i]
-		bi.noteSeen(*from, rec.fp)
+		en.noteSeen(bi, *from, rec.fp)
 		// Where the instance went: killed, still here, or out of scope
 		// some other way (e.g. dropped at a call boundary) — a stop edge.
 		to := *from

@@ -17,4 +17,10 @@ func TestFingerprintCacheBounded(t *testing.T) {
 	if en.Stats.Blocks > 30000 {
 		t.Errorf("fingerprint cache cap failed to bound traversal: %d blocks", en.Stats.Blocks)
 	}
+	// Blocks deep in the chain see more than fpCacheCap fact sets; each
+	// one that falls back to tuple-only coverage is counted once.
+	blocks := int64(len(en.Prog.Lookup("diamonds").Graph.Blocks))
+	if fb := en.Stats.FingerprintFallbacks; fb == 0 || fb > blocks {
+		t.Errorf("FingerprintFallbacks = %d, want between 1 and the function's %d blocks", fb, blocks)
+	}
 }

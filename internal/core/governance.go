@@ -21,9 +21,9 @@ import (
 )
 
 // Budgets bounds traversal work. Zero fields mean unlimited. Tripping
-// a budget truncates exploration — the engine keeps running and
-// records a DegradeEvent — so results become approximate (§7
-// unsoundness, deliberately).
+// a budget, like hitting a cap (maxCallDepth, maxPartitions), truncates
+// exploration — the engine keeps running and records a DegradeEvent —
+// so results become approximate (§7 unsoundness, deliberately).
 type Budgets struct {
 	// PathSteps caps program points visited along one DFS path
 	// (checked at block entry; the path is truncated past the cap).
@@ -63,6 +63,10 @@ const (
 	// DegradeCancelled: the run's context was cancelled or its
 	// deadline expired mid-traversal.
 	DegradeCancelled DegradeKind = "cancelled"
+	// DegradeCallDepth: a call maxCallDepth below the root was not followed.
+	DegradeCallDepth DegradeKind = "call-depth"
+	// DegradePartitions: exit states past maxPartitions were dropped.
+	DegradePartitions DegradeKind = "partitions"
 )
 
 // DegradeEvent records one truncation: which bound fired, under which
@@ -101,8 +105,8 @@ func (f *CheckerFailure) String() string {
 // trade is that cancellation lags by at most this many blocks.
 const ctxPollInterval = 256
 
-// Degraded reports whether any budget or cancellation truncated this
-// engine's run.
+// Degraded reports whether any budget, cap or cancellation truncated
+// this engine's run.
 func (en *Engine) Degraded() bool { return len(en.Degradations) > 0 }
 
 // noteDegrade records a truncation once per (kind, func).

@@ -39,8 +39,8 @@ func (en *Engine) RunRoots(roots []*prog.Function) []RootRun {
 
 // UnitCut is what an engine accumulated while running one unit's roots:
 // the part of a unit record that is not a per-root report segment.
-// Complete is the storage rule's input — false when a budget or a
-// cancellation truncated these roots, or the checker has panicked.
+// Complete is the storage rule's input — false when a budget, a cap or
+// a cancellation truncated these roots, or the checker has panicked.
 type UnitCut struct {
 	Stats        Stats
 	Rules        map[string]*RuleCount

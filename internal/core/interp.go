@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -24,10 +26,11 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, bi *blockInfo, rec *bl
 		// system silently continues to the next CFG node."
 		return false
 	}
-	if st.callDepth >= MaxCallDepth {
+	callee, maps := site.Callee, site.Args
+	if st.callDepth >= maxCallDepth {
+		en.noteDegrade(DegradeCallDepth, en.curRoot, callee.Name)
 		return false
 	}
-	callee, maps := site.Callee, site.Args
 
 	// --- Refine (§6.1) ---
 	refined := SM{g: st.sm.g}
@@ -48,6 +51,7 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, bi *blockInfo, rec *bl
 				refined.Active = append(refined.Active, cp)
 			} else {
 				saved = append(saved, inst)
+				en.Stats.StaticsHeld++
 			}
 		default:
 			mapped, ok := refineObj(inst.ObjExpr, maps)
@@ -119,7 +123,7 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, bi *blockInfo, rec *bl
 	}
 
 	// --- Apply summary edges (§6.3 steps 3-5) ---
-	parts := en.partitionResults(&refined, entry)
+	parts := en.partitionResults(&refined, callee, entry)
 
 	// FPP: values reachable by the callee through pointers may change.
 	for _, a := range call.Args {
@@ -217,7 +221,7 @@ func (in *interner) cmpOut(a, b outTuple) int {
 // summaries, §6.3) from "the callee was never analyzed in this state"
 // (possible under recursion, §7). The result is the engine's partition
 // buffer: it is valid until the next call.
-func (en *Engine) partitionResults(refined *SM, entry *blockInfo) []partition {
+func (en *Engine) partitionResults(refined *SM, callee *prog.Function, entry *blockInfo) []partition {
 	// The exit global states come from the placeholder suffix edges;
 	// their absence means the callee has no summary at all in this
 	// state.
@@ -280,12 +284,18 @@ func (en *Engine) partitionResults(refined *SM, entry *blockInfo) []partition {
 
 	// Build partitions: group by out gstate; within a group, take the
 	// cartesian product over objects with multiple possible values.
+	// Past maxPartitions the rest are dropped; states counts them all
+	// (saturating per group) for the degrade record.
 	slices.SortFunc(gs, ix.cmpG)
 	slices.SortStableFunc(outs, ix.cmpOut)
 	parts := en.parts[:0]
+	states := 0
 	for _, g := range gs {
 		first := len(parts)
-		parts = append(parts, partition{gstate: g})
+		if first < maxPartitions {
+			parts = append(parts, partition{gstate: g})
+		}
+		inG := 1
 		for len(outs) > 0 && outs[0].t.g == g {
 			// The out tuples of one object: each combination so far
 			// continues with each of them.
@@ -293,10 +303,11 @@ func (en *Engine) partitionResults(refined *SM, entry *blockInfo) []partition {
 			for n < len(outs) && outs[n].t.g == g && sameObj(&outs[n].t, outs[0].t.v, outs[0].t.obj) {
 				n++
 			}
+			inG = min(inG*n, math.MaxInt32)
 			var next []partition
 			for _, c := range parts[first:] {
 				for _, o := range outs[:n] {
-					if len(next) < MaxPartitions {
+					if len(next) < maxPartitions {
 						next = append(next, partition{gstate: g, tuples: append(slices.Clone(c.tuples), o.t)})
 					}
 				}
@@ -304,10 +315,12 @@ func (en *Engine) partitionResults(refined *SM, entry *blockInfo) []partition {
 			parts = append(parts[:first], next...)
 			outs = outs[n:]
 		}
-		if len(parts) >= MaxPartitions {
-			parts = parts[:MaxPartitions]
-			break
-		}
+		states += inG
+	}
+	parts = parts[:min(len(parts), maxPartitions)]
+	if states > len(parts) {
+		en.noteDegrade(DegradePartitions, en.curRoot,
+			fmt.Sprintf("%s: %d exit states, continued from %d", callee.Name, states, len(parts)))
 	}
 	en.parts = parts
 	return parts

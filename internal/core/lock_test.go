@@ -335,7 +335,9 @@ int f(int *p, int c) {
 }
 
 // TestFileStaticInactivation: file-scope statics pass across calls but
-// are inactive in other files and reactivate on return (§6.1).
+// are inactive in other files and reactivate on return (§6.1). The hold
+// at the call into b.c is the A→B→A approximation (DESIGN.md §7), and
+// is counted.
 func TestFileStaticInactivation(t *testing.T) {
 	srcs := map[string]string{
 		"a.c": `
@@ -352,10 +354,13 @@ int *cache_b;
 void other_file_helper(void) {
 }`,
 	}
-	_, rs := runChecker(t, freeChecker, srcs, DefaultOptions())
+	en, rs := runChecker(t, freeChecker, srcs, DefaultOptions())
 	// The error is on the caller side after reactivation.
 	if rs.Len() != 1 || !hasReportAt(rs, 8, "using cache after free!") {
 		t.Errorf("static reactivation: got %v", rs.Reports)
+	}
+	if en.Stats.StaticsHeld != 1 {
+		t.Errorf("StaticsHeld = %d, want 1 (cache, at the call into b.c)", en.Stats.StaticsHeld)
 	}
 }
 

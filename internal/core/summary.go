@@ -138,9 +138,9 @@ func (b *blockInfo) coversUnder(t Tuple, fp uint32) bool {
 	return seen
 }
 
-// noteSeen records that the tuple reached this block under the given
-// fingerprint.
-func (b *blockInfo) noteSeen(t Tuple, fp uint32) {
+// noteSeen records that the tuple reached block b under the given
+// fingerprint, and counts the block's fall-back past fpCacheCap.
+func (en *Engine) noteSeen(b *blockInfo, t Tuple, fp uint32) {
 	if fp == 0 || b.fpCount > fpCacheCap {
 		return
 	}
@@ -154,6 +154,7 @@ func (b *blockInfo) noteSeen(t Tuple, fp uint32) {
 	if (i == 0 || uint32(b.fpSeen[i-1]>>32) != fp) && (i == len(b.fpSeen) || uint32(b.fpSeen[i]>>32) != fp) {
 		if b.fpCount++; b.fpCount > fpCacheCap {
 			b.fpSeen = nil
+			en.Stats.FingerprintFallbacks++
 			return
 		}
 	}

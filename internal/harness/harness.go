@@ -109,7 +109,7 @@ type Verdict struct {
 	Z              float64 `json:"z"`
 
 	// Isolation outcomes: Panicked (with PanicValue) if the checker
-	// crashed mid-run, Degradations counting budget truncations,
+	// crashed mid-run, Degradations counting budget and cap truncations,
 	// TimedOut if the run hit the wall clock.
 	Panicked     bool   `json:"panicked"`
 	PanicValue   string `json:"panic_value,omitempty"`
@@ -223,7 +223,7 @@ func validate(ctx context.Context, src string, callouts map[string]mc.Callout, c
 		v.Reasons = append(v.Reasons, fmt.Sprintf("validation exceeded the %s wall clock", cfg.Timeout))
 	}
 	if v.Degradations > 0 {
-		v.Reasons = append(v.Reasons, fmt.Sprintf("traversal budget tripped %d time(s): checker cost is far outside the bundled envelope", v.Degradations))
+		v.Reasons = append(v.Reasons, fmt.Sprintf("traversal budget or cap tripped %d time(s): checker cost is far outside the bundled envelope", v.Degradations))
 	}
 	if v.Reports >= minReports && v.Z < minZ {
 		v.Reasons = append(v.Reasons, fmt.Sprintf("over-reporting: %d reports, %d true positives, z=%.2f below floor %.2f", v.Reports, v.TruePositives, v.Z, minZ))

@@ -348,7 +348,7 @@ type AnalyzeResponse struct {
 	Incr        *mc.IncrStats `json:"incr"`
 	ElapsedNano int64         `json:"elapsed_nanos"`
 	// Governance (DESIGN.md §9): a run can succeed with partial
-	// results — checkers that panicked, or traversals a budget cut.
+	// results — checkers that panicked, or traversals a budget or cap cut.
 	Failures     []*mc.CheckerFailure `json:"failures,omitempty"`
 	Degraded     bool                 `json:"degraded,omitempty"`
 	Degradations []mc.DegradeEvent    `json:"degradations,omitempty"`
@@ -748,7 +748,7 @@ func (s *Server) eachSeries(emit func(series)) (nested map[string]any) {
 	counter("xgccd_rejected_total", "rejected", s.rejected, "analyze requests shed by admission control")
 	counter("xgccd_timeouts_total", "timeouts", s.timeouts, "analyses cancelled by the request deadline")
 	counter("xgccd_checker_failures_total", "checker_failures", s.checkerFailures, "checkers contained after panicking mid-run")
-	counter("xgccd_degraded_runs_total", "degraded_runs", s.degradedRuns, "runs with budget-truncated traversals")
+	counter("xgccd_degraded_runs_total", "degraded_runs", s.degradedRuns, "runs with traversals a budget or cap truncated")
 	// Retirement, cumulative across runs (DESIGN.md §12).
 	counter("xgccd_spill_evictions_total", "spill_evictions", s.spillEvictions, "per-function analysis states dropped at unit retirement")
 	counter("xgccd_asts_released_total", "asts_released", s.astsReleased, "function bodies released after unit retirement")

@@ -19,8 +19,8 @@ import (
 // Budgets re-exports the engine resource budgets (core.Budgets, set as
 // Options.Budgets): a per-path step ceiling, a per-root block ceiling,
 // a per-root wall clock and a per-root instance-ops ceiling. A tripped
-// budget degrades the result (Result.Degraded) rather than failing the
-// run.
+// budget, like the engine's fixed call-depth and exit-partition caps,
+// degrades the result (Result.Degraded) rather than failing the run.
 type Budgets = core.Budgets
 
 // DegradeEvent re-exports one recorded traversal truncation.

@@ -8,6 +8,7 @@ package mc
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -217,33 +218,50 @@ func TestUntrippedGovernanceIsInvisible(t *testing.T) {
 }
 
 // TestDegradedUnitNeverCached: a degraded unit must not be written to
-// the store — a warm re-run finds nothing to replay.
+// the store — a warm re-run finds nothing to replay, runs the unit live
+// and degrades again. A tripped budget and the engine's call-depth cap
+// (a chain f0 -> ... -> f65, one unit, cut below f64) are one rule.
 func TestDegradedUnitNeverCached(t *testing.T) {
-	store := cache.NewMemStore()
-	run := func() *Result {
-		a := NewAnalyzer()
-		a.AddSource("d.c", workload.DiamondChain(12).Source)
-		if err := a.LoadBundledChecker("free"); err != nil {
-			t.Fatal(err)
-		}
-		cfg := explosionConfig(Budgets{FuncBlocks: 100})
-		cfg.CacheStore = store
-		if err := a.Configure(cfg); err != nil {
-			t.Fatal(err)
-		}
-		res, err := a.RunContext(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	var chain strings.Builder
+	chain.WriteString("void kfree(void *p);\nint f65(int *p) { kfree(p); return *p; }\n")
+	for i := 64; i >= 0; i-- {
+		fmt.Fprintf(&chain, "int f%d(int *p) { return f%d(p); }\n", i, i+1)
 	}
-	first := run()
-	if !first.Degraded {
-		t.Fatal("run under tight budget not degraded")
-	}
-	second := run()
-	if !second.Degraded || second.Incr.UnitsReplayed != 0 {
-		t.Errorf("degraded unit was cached: replayed=%d", second.Incr.UnitsReplayed)
+	for _, tc := range []struct {
+		name, src string
+		cfg       RunConfig
+	}{
+		{"budget", workload.DiamondChain(12).Source, explosionConfig(Budgets{FuncBlocks: 100})},
+		{"call-depth", chain.String(), RunConfig{}},
+	} {
+		store := cache.NewMemStore()
+		run := func() *Result {
+			a := NewAnalyzer()
+			a.AddSource("d.c", tc.src)
+			if err := a.LoadBundledChecker("free"); err != nil {
+				t.Fatal(err)
+			}
+			cfg := tc.cfg
+			cfg.CacheStore = store
+			if err := a.Configure(cfg); err != nil {
+				t.Fatal(err)
+			}
+			res, err := a.RunContext(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		first := run()
+		if !first.Degraded || first.Incr.UnitsLive != 1 || first.Incr.CachePuts != 0 {
+			t.Fatalf("%s: first run degraded=%v, units live=%d, puts=%d; want degraded, 1, 0",
+				tc.name, first.Degraded, first.Incr.UnitsLive, first.Incr.CachePuts)
+		}
+		second := run()
+		if !second.Degraded || second.Incr.UnitsReplayed != 0 || second.Incr.UnitsLive != 1 {
+			t.Errorf("%s: degraded unit was cached: degraded=%v, replayed=%d, live=%d",
+				tc.name, second.Degraded, second.Incr.UnitsReplayed, second.Incr.UnitsLive)
+		}
 	}
 }
 

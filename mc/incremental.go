@@ -154,6 +154,8 @@ func mergeStats(dst, src *core.Stats) {
 	dst.FuncCacheHits += src.FuncCacheHits
 	dst.FuncFollows += src.FuncFollows
 	dst.RecursionCuts += src.RecursionCuts
+	dst.FingerprintFallbacks += src.FingerprintFallbacks
+	dst.StaticsHeld += src.StaticsHeld
 	dst.InstanceOps += src.InstanceOps
 	dst.RootsSkipped += src.RootsSkipped
 	for k, v := range src.Analyses {
@@ -173,7 +175,8 @@ func sumAnalyses(s *core.Stats) int {
 // optionsFingerprint renders every Options field into the cache key
 // (TestOptionsFingerprintCoversEveryField holds a new field to that).
 // RunConfig.Supergraph is not an Options field and is not keyed: it
-// cannot change any output byte.
+// cannot change any output byte. Nor are the engine's caps: a unit
+// that hits one is degraded and never stored.
 func optionsFingerprint(o Options) string {
 	var sb strings.Builder
 	sb.WriteString("opts|")
@@ -184,10 +187,6 @@ func optionsFingerprint(o Options) string {
 			sb.WriteByte('0')
 		}
 	}
-	// The engine's caps are constants, keyed so that changing one
-	// re-keys every unit.
-	sb.WriteString("|")
-	sb.WriteString(strconv.Itoa(core.MaxCallDepth) + "," + strconv.Itoa(core.MaxPartitions))
 	// Budgets re-key the cache even though degraded units are never
 	// written: a complete run under a tight budget is still a different
 	// computation boundary than an unbudgeted one.

@@ -91,10 +91,25 @@ func TestCachedColdMatchesPlain(t *testing.T) {
 	}
 }
 
+// TestWarmIdenticalRunReplaysEverything: an unchanged tree replays every
+// unit, engine statistics included. Beside the E11 tree it holds a
+// diamond chain, whose blocks pass the FPP fingerprint cap, and a
+// file-scope static held across a call into another file, so the two
+// approximation counters a record carries are not zero.
 func TestWarmIdenticalRunReplaysEverything(t *testing.T) {
-	srcs, _ := workload.MixedTree(2, 8, 7)
+	srcs, _ := workload.MixedTree(4, 25, 2002)
+	srcs["diamonds.c"] = workload.DiamondChain(16).Source
+	srcs["held_a.c"] = `void kfree(void *p);
+void held_helper(void);
+static int *held_buf;
+int held_entry(void) { kfree(held_buf); held_helper(); return *held_buf; }
+`
+	srcs["held_b.c"] = "void held_helper(void) {}\n"
 	store := cache.NewMemStore()
-	cold, _ := runDigest(t, srcs, 2, store)
+	cold, cres := runDigest(t, srcs, 2, store)
+	if free := cres.Stats["free_checker"]; free.FingerprintFallbacks == 0 || free.StaticsHeld != 1 {
+		t.Errorf("cold run: FingerprintFallbacks %d, StaticsHeld %d; want > 0 and 1", free.FingerprintFallbacks, free.StaticsHeld)
+	}
 	warm, res := runDigest(t, srcs, 2, store)
 	if warm != cold {
 		t.Errorf("warm output differs:\n%s", firstDiff(cold, warm))

@@ -214,8 +214,8 @@ type Result struct {
 	// Go-callout bug). A failed checker keeps the reports it emitted
 	// before crashing; the remaining checkers run to completion.
 	Failures []*CheckerFailure
-	// Degraded reports that some traversal was truncated — a budget
-	// tripped or the context was cancelled. Degradations records
+	// Degraded reports that some traversal was truncated — a budget or
+	// cap tripped or the context was cancelled. Degradations records
 	// exactly what was cut. Degraded results are never cached.
 	Degraded     bool
 	Degradations []DegradeEvent
