@@ -58,12 +58,16 @@ vet:
 # manifest, its changed-function count and the log compaction only its
 # re-puts needed stay gone. And a tuple is five integers (DESIGN.md
 # §10.3): the engine's capped struct-key cache and the rendered-key map
-# it fronted stay gone (fpp.Table's own byStr is the feas hook's). And a
+# it fronted stay gone. And a
 # verdict is a loop (DESIGN.md §13.4): the daemon's verdict queue, its
 # worker-count knob, its stale-verdict bookkeeping and latency sample,
 # and the verdict cache stay gone. And a cap is a budget (DESIGN.md §7,
 # §9.2): the engine's two caps record a degrade event and are not
-# exported, so nothing outside the engine names them.
+# exported, so nothing outside the engine names them. And there is one
+# false-path model (DESIGN.md §8): the verdict tier, its filter, rank
+# stratum and report fields, the term-string hooks only it read, and
+# the witness path with the engine's log that recorded it stay gone
+# (benchmark/ still names its feas.* metrics until it is unfrozen).
 no-deleted-knobs:
 	! grep -rnE 'Match[M]emo|Block[F]ilter|Tuple[I]ntern|Lean[A]lloc|Multi[D]ispatch|Tenant[Q]uota|Queue[D]epth|Batch[S]ize' --include=*.go .
 	! grep -rnE 'Load[S]ummaries|summary[S]ource|Retired[S]et|Allow[S]pillReload|Summaries[L]oaded|SummaryBytes[D]eferred' --include=*.go .
@@ -81,6 +85,7 @@ no-deleted-knobs:
 	! grep -rnE 'Load[M]anifest|Save[M]anifest|Manifest[K]ey|cache\.[M]anifest|diff[M]anifest|config[F]ingerprint|Funcs[C]hanged|maybe[C]ompact|\.Compaction[s]' --include=*.go .
 	! grep -rnE 'idsCache[C]ap|by[S]tr|idBy[S]tr' --include=*.go internal/core
 	! grep -rnE 'Verify[W]orkers|verify[-]workers|New[P]ipeline|Drain[V]erdicts|Verdict[K]ey|feas[-]v1|verify[C]ur|verify[S]tale|lat[S]ample|P50[M]icros' --include=*.go .
+	! grep -rnE 'internal/[f]eas|[f]eas[.]|Verified[O]nly|Verdict(R[a]nk|W[h]y|U[n]verified|C[o]nfirmed|I[n]feasible|U[n]known)|Term[O]f|Canon[T]erm|Const[T]erm|Term[C]onst|Path[S]tep\b|Multi[P]ath|log[E]vent' --include=*.go --exclude-dir=benchmark .
 	! ls BENCH_*.json 2>/dev/null | grep .
 
 # staticcheck is optional locally (the repo adds no dependencies) but

@@ -354,18 +354,21 @@ int fresh_bug(int *q) {
 	}
 }
 
-// TestRemovedModeFlagRejected: a run has one mode (DESIGN.md §12), and
-// the flag that switched between two is an unknown flag to both binaries:
-// exit 2, before anything runs or listens.
+// TestRemovedModeFlagRejected: a run has one mode (DESIGN.md §12) and
+// one false-path model (§8), and the flags that switched on a second
+// are unknown flags to both binaries: exit 2, before anything runs or
+// listens.
 func TestRemovedModeFlagRejected(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns go run")
 	}
-	flag := "-max-" + "resident-mb"
-	for _, cmd := range []string{"./cmd/xgcc", "./cmd/xgccd"} {
-		out, err := runCmd(t, cmd, flag, "1")
-		if err == nil || !strings.Contains(out, "flag provided but not defined: "+flag) || !strings.Contains(out, "exit status 2") {
-			t.Errorf("%s %s 1: err %v, want an unknown-flag error and exit status 2:\n%.300s", cmd, flag, err, out)
+	for _, args := range [][]string{{"-max-" + "resident-mb", "1"}, {"-" + "verify"}} {
+		flag := args[0]
+		for _, cmd := range []string{"./cmd/xgcc", "./cmd/xgccd"} {
+			out, err := runCmd(t, append([]string{cmd}, args...)...)
+			if err == nil || !strings.Contains(out, "flag provided but not defined: "+flag) || !strings.Contains(out, "exit status 2") {
+				t.Errorf("%s %s: err %v, want an unknown-flag error and exit status 2:\n%.300s", cmd, strings.Join(args, " "), err, out)
+			}
 		}
 	}
 }

@@ -38,7 +38,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/checkers"
-	"repro/internal/feas"
 	"repro/internal/harness"
 	"repro/internal/profiling"
 	"repro/mc"
@@ -54,7 +53,6 @@ func main() {
 		supergraph   = flag.String("supergraph", "", "print block/suffix summaries for the named function (Figure 5 style), rendered as its unit retires; drops -cache for the run (a replayed unit is not traversed)")
 		twoPass      = flag.Bool("two-pass", false, "emit ASTs to temp files and reload them (the paper's pass 1/pass 2 pipeline)")
 		detailed     = flag.Bool("why", false, "print why-traces with each report")
-		verify       = flag.Bool("verify", false, "run the second-tier feasibility pass: replay each report's witness path and annotate it confirmed/infeasible/unknown (verdicts never add or remove reports or change exit codes)")
 		validate     = flag.Bool("validate", false, "run the admission harness on the checker instead of analyzing files: exit 0 admitted, 1 rejected, 2 error (combine with -checker-file or -checker; -json for the raw verdict)")
 		jsonOut      = flag.Bool("json", false, "emit reports as JSON lines")
 		intra        = flag.Bool("intra", false, "disable interprocedural analysis")
@@ -230,10 +228,6 @@ func main() {
 	if res.Degraded {
 		fmt.Fprintf(os.Stderr, "xgcc: results degraded: %d traversal(s) truncated by a budget or cap\n", len(res.Degradations))
 	}
-	var feasStats feas.Stats
-	if *verify {
-		feasStats = a.Verify(res, 0)
-	}
 	if *baseline != "" {
 		if err := appendBaseline(*baseline, res.Reports); err != nil {
 			fatal(err)
@@ -283,10 +277,6 @@ func main() {
 			fmt.Printf("checker %s: points=%d blocks=%d paths=%d pruned=%d cache-hits=%d fn-cache-hits=%d roots-skipped=%d recursion-cuts=%d fp-fallbacks=%d statics-held=%d\n",
 				n, s.Points, s.Blocks, s.Paths, s.PrunedPaths, s.CacheHits, s.FuncCacheHits, s.RootsSkipped,
 				s.RecursionCuts, s.FingerprintFallbacks, s.StaticsHeld)
-		}
-		if *verify {
-			fmt.Printf("feas: done=%d confirmed=%d infeasible=%d unknown=%d\n",
-				feasStats.Done, feasStats.Confirmed, feasStats.Infeasible, feasStats.Unknown)
 		}
 		fmt.Printf("stream: evictions=%d asts-released=%d\n", res.Spill.Evictions, res.Spill.ASTsReleased)
 		if in := res.Incr; in != nil {
@@ -417,8 +407,6 @@ type reportJSON struct {
 	SynonymDepth    int      `json:"synonym_depth,omitempty"`
 	Interprocedural bool     `json:"interprocedural,omitempty"`
 	Trace           []string `json:"trace,omitempty"`
-	Verdict         string   `json:"verdict,omitempty"`
-	VerdictWhy      string   `json:"verdict_why,omitempty"`
 }
 
 func jsonReport(r *mc.Report) reportJSON {
@@ -436,21 +424,12 @@ func jsonReport(r *mc.Report) reportJSON {
 		SynonymDepth:    r.SynonymDepth,
 		Interprocedural: r.Interprocedural,
 		Trace:           r.Trace,
-		Verdict:         r.Verdict,
-		VerdictWhy:      r.VerdictWhy,
 	}
 }
 
 func printReport(r *mc.Report, detailed bool) {
 	if detailed {
 		fmt.Print(r.Detailed())
-		if r.Verdict != "" {
-			fmt.Printf("    verdict: %s (%s)\n", r.Verdict, r.VerdictWhy)
-		}
-		return
-	}
-	if r.Verdict != "" {
-		fmt.Printf("%s [%s]\n", r, r.Verdict)
 		return
 	}
 	fmt.Println(r)

@@ -66,7 +66,6 @@ func main() {
 		pathSteps   = flag.Int64("budget-path-steps", 0, "per-path program-point budget (0 = unbounded)")
 		funcBlocks  = flag.Int64("budget-func-blocks", 0, "per-root block-visit budget (0 = unbounded)")
 		funcTime    = flag.Duration("budget-func-time", 0, "per-root wall-clock budget (0 = unbounded)")
-		verify      = flag.Bool("verify", false, "run the feasibility pass on every analysis before it replies: each report carries its verdict, confirmed/infeasible/unknown (DESIGN.md §13)")
 
 		// Fleet roles (DESIGN.md §15).
 		coordinator = flag.Bool("coordinator", false, "run as a fleet coordinator: serve the store at /v1/cas/ and shard cache-miss units over -workers")
@@ -116,7 +115,6 @@ func main() {
 		Jobs:           *jobs,
 		MaxInFlight:    *maxInflight,
 		RequestTimeout: *reqTimeout,
-		Verify:         *verify,
 	}
 	for _, name := range strings.Split(*checkerList, ",") {
 		if name = strings.TrimSpace(name); name != "" {

@@ -1,9 +1,9 @@
 package cache
 
-// Serialized entry shapes. The analysis stores one kind of entry (the
-// other records are feas verdicts): the unit entry, one checker's
-// complete analysis output for one call-graph unit — report segments
-// per root, stats, rule counts, marks: what a warm run replays — keyed
+// Serialized entry shapes. The analysis stores one kind of entry, the
+// unit entry: one checker's complete analysis output for one call-graph
+// unit — report segments per root, stats, rule counts, marks: what a
+// warm run replays — keyed
 // by checker + options + environment + visible marks + the unit's
 // member-function hashes. Every key names the complete computation
 // behind its value, so a run writes only keys the store lacked, or

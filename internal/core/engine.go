@@ -204,16 +204,14 @@ type Engine struct {
 	// Memory whose lifetime is the DFS's is the engine's, not re-made per
 	// split, per point or per call (DESIGN.md §5).
 	//
-	// backtrace, callStack and events (the witness log, pathlog.go) are
-	// the DFS's three stacks; they persist across roots. A pathState
-	// holds a frame of them by index and a split copies none. One engine
-	// is one goroutine and siblings run strictly one after another: a
-	// state only ever reads entries below its own top, and a later
-	// sibling overwriting index n cannot be observed by an earlier one,
-	// which has already returned.
+	// backtrace and callStack are the DFS's two stacks; they persist
+	// across roots. A pathState holds a frame of them by index and a
+	// split copies neither. One engine is one goroutine and siblings run
+	// strictly one after another: a state only ever reads entries below
+	// its own top, and a later sibling overwriting index n cannot be
+	// observed by an earlier one, which has already returned.
 	backtrace []traceEntry
 	callStack []*prog.Function
-	events    []pathEvent
 	// frames is the pool of path states whose traversal has returned
 	// (frame, release). A frame keeps its instance, pending and fact
 	// arrays, so a split copies into arrays an earlier path grew.
@@ -410,13 +408,10 @@ type pathState struct {
 	// backtrace stack: the blocks traversed so far in fn on this path.
 	// Its call stack is the first callDepth+1 entries of the engine's.
 	btBase, btTop int
-	// logBase and logTop delimit its part of the engine's event stack:
-	// the path's witness events in fn (pathlog.go).
-	logBase, logTop int
-	callDepth       int
-	killPath        bool
-	pathClass       report.Class
-	pending         []pendingBranch
+	callDepth     int
+	killPath      bool
+	pathClass     report.Class
+	pending       []pendingBranch
 	// steps counts program points visited along this path, bulk-added
 	// at block entry, for the per-path budget (governance layer).
 	steps int64
@@ -446,7 +441,6 @@ func (en *Engine) enter(caller *pathState, fn *prog.Function, fi *funcInfo, g in
 	st.env.Reset(&fi.terms)
 	if caller != nil {
 		st.btBase, st.btTop = caller.btTop, caller.btTop
-		st.logBase, st.logTop = caller.logTop, caller.logTop
 		st.callDepth = caller.callDepth + 1
 		st.pathClass = caller.pathClass
 	}
@@ -749,7 +743,6 @@ func (en *Engine) descend(st *pathState, b *cfg.Block) {
 				}
 			}
 			ns.sm.cloneActive(&st.sm)
-			en.logEvent(ns, pathEvent{kind: evBranch, pos: posOf(b.Cond), expr: b.Cond, taken: taken})
 			en.noteConditional(ns)
 			en.applyPending(ns, taken)
 			en.traverseBlock(ns, e.To)
@@ -782,16 +775,6 @@ func (en *Engine) descend(st *pathState, b *cfg.Block) {
 				}
 			}
 			ns.sm.cloneActive(&st.sm)
-			switch e.Kind {
-			case cfg.EdgeCase:
-				if e.CaseConst {
-					en.logEvent(ns, pathEvent{kind: evCase, pos: posOf(b.Switch), expr: b.Switch, val: e.CaseVal})
-				}
-			case cfg.EdgeDefault:
-				for _, v := range caseVals {
-					en.logEvent(ns, pathEvent{kind: evNotCase, pos: posOf(b.Switch), expr: b.Switch, val: v})
-				}
-			}
 			en.noteConditional(ns)
 			en.applyPending(ns, true)
 			en.traverseBlock(ns, e.To)
@@ -1234,13 +1217,6 @@ func (en *Engine) handleAssign(st *pathState, rec *blockRec, asg *cc.AssignExpr,
 	if en.Opts.FPP && asg.Op == cc.TokAssign {
 		st.env.Assign(asg.LHS, asg.RHS)
 	}
-	if asg.Op == cc.TokAssign {
-		// Only Ident targets are version-tracked (fpp.Assign ignores the
-		// rest), so only they matter to the replay.
-		if _, ok := asg.LHS.(*cc.Ident); ok {
-			en.logEvent(st, pathEvent{kind: evAssign, pos: posOf(pt), expr: asg.LHS, rhs: asg.RHS})
-		}
-	}
 	if asg.Op != cc.TokAssign {
 		// Compound assignment redefines the LHS without copying state.
 		en.handleMutation(st, rec, asg.LHS)
@@ -1298,11 +1274,8 @@ func (en *Engine) handleAssign(st *pathState, rec *blockRec, asg *cc.AssignExpr,
 
 // handleMutation kills state invalidated by ++/--/compound updates.
 func (en *Engine) handleMutation(st *pathState, rec *blockRec, lval cc.Expr) {
-	if id, ok := lval.(*cc.Ident); ok {
-		if en.Opts.FPP {
-			st.env.Havoc(id.Name)
-		}
-		en.logEvent(st, pathEvent{kind: evHavoc, pos: posOf(lval), expr: id})
+	if id, ok := lval.(*cc.Ident); ok && en.Opts.FPP {
+		st.env.Havoc(id.Name)
 	}
 	if en.Opts.Kills {
 		en.killMentions(st, rec, lval, nil, nil)
@@ -1490,10 +1463,6 @@ func (en *Engine) emitReport(ctx *ActionCtx, msg string) {
 		r.Trace = append(in.trace.strings(),
 			fmt.Sprintf("%s: %s", ctx.Pos, msg))
 	}
-	// Witness path for the feasibility pass, rendered while the ASTs
-	// are guaranteed live (emission happens mid-traversal, before any
-	// retirement).
-	r.Path = renderPath(en.events[st.logBase:st.logTop])
 }
 
 // identsOf lists the identifier names mentioned by an expression.

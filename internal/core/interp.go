@@ -126,13 +126,12 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, bi *blockInfo, rec *bl
 	parts := en.partitionResults(&refined, callee, entry)
 
 	// FPP: values reachable by the callee through pointers may change.
-	for _, a := range call.Args {
-		if u, ok := a.(*cc.UnaryExpr); ok && u.Op == cc.TokAmp {
-			if id, ok := u.X.(*cc.Ident); ok {
-				if en.Opts.FPP {
+	if en.Opts.FPP {
+		for _, a := range call.Args {
+			if u, ok := a.(*cc.UnaryExpr); ok && u.Op == cc.TokAmp {
+				if id, ok := u.X.(*cc.Ident); ok {
 					st.env.Havoc(id.Name)
 				}
-				en.logEvent(st, pathEvent{kind: evHavoc, pos: posOf(a), expr: id})
 			}
 		}
 	}

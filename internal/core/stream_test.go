@@ -82,8 +82,6 @@ type pins struct {
 	// tables counts FPP term tables, held by value in a funcInfo or by
 	// pointer from an environment.
 	tables int
-	// events counts witness events that still hold an AST node.
-	events int
 }
 
 func (p *pins) walk(v reflect.Value, seen map[unsafe.Pointer]bool) {
@@ -107,10 +105,6 @@ func (p *pins) walk(v reflect.Value, seen map[unsafe.Pointer]bool) {
 		switch v.Type() {
 		case reflect.TypeOf(fpp.Table{}):
 			p.tables++
-		case reflect.TypeOf(pathEvent{}):
-			if !v.FieldByName("expr").IsNil() || !v.FieldByName("rhs").IsNil() {
-				p.events++
-			}
 		default:
 			for i := 0; i < v.NumField(); i++ {
 				p.walk(v.Field(i), seen)
@@ -142,8 +136,7 @@ func pinsOf(en *Engine) pins {
 // retiring the function drops them all together. None can outgrow the
 // units still in flight, and inspection afterwards brings nothing back.
 // Nor may the DFS's own memory keep them: a pooled frame's environment
-// points at the table of the last function it ran in, and the event
-// stack holds AST nodes.
+// points at the table of the last function it ran in.
 func TestRetirementDropsFPPState(t *testing.T) {
 	srcs := workload.CallRichTree()
 	fppState := func(en *Engine) (terms, fps, seen int) {
@@ -165,7 +158,7 @@ func TestRetirementDropsFPPState(t *testing.T) {
 	if terms, fps, seen := fppState(resident); terms == 0 || fps == 0 || seen == 0 {
 		t.Fatalf("resident run holds terms=%d fingerprints=%d fpSeen=%d; the tree no longer exercises FPP", terms, fps, seen)
 	}
-	if p := pinsOf(resident); p.slabs == 0 || p.tables == 0 || p.events == 0 {
+	if p := pinsOf(resident); p.slabs == 0 || p.tables == 0 {
 		t.Fatalf("under the resident engine the walk finds %+v; it is blind to one of them", p)
 	}
 	if len(resident.frames) == 0 {
@@ -182,10 +175,10 @@ func TestRetirementDropsFPPState(t *testing.T) {
 	// The slabs die with the funcInfo: hung off the interner or the
 	// engine they would pin every retired unit's AST nodes and instances.
 	// A table still reachable pins its whole funcInfo (an environment's
-	// table is &funcInfo.terms), an event its AST.
+	// table is &funcInfo.terms).
 	if got := pinsOf(en); got != (pins{}) {
-		t.Errorf("after full retirement the engine still reaches %d edge or fpSeen arrays, %d term tables and %d events holding an AST",
-			got.slabs, got.tables, got.events)
+		t.Errorf("after full retirement the engine still reaches %d edge or fpSeen arrays and %d term tables",
+			got.slabs, got.tables)
 	}
 	for _, fn := range p.All {
 		en.SupergraphString(fn.Name)
@@ -194,11 +187,9 @@ func TestRetirementDropsFPPState(t *testing.T) {
 		t.Errorf("retired functions left terms=%d fingerprints=%d fpSeen=%d behind", terms, fps, seen)
 	}
 	// Inspection rebuilds a funcInfo per retired function, and with it an
-	// empty term table; it must bring back no edge or fpSeen array and
-	// no event.
-	if got := pinsOf(en); got.slabs != 0 || got.events != 0 {
-		t.Errorf("after inspection the engine reaches %d edge or fpSeen arrays and %d events holding an AST",
-			got.slabs, got.events)
+	// empty term table; it must bring back no edge or fpSeen array.
+	if got := pinsOf(en); got.slabs != 0 {
+		t.Errorf("after inspection the engine reaches %d edge or fpSeen arrays", got.slabs)
 	}
 }
 

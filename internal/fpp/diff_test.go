@@ -67,6 +67,14 @@ type envPair struct {
 	ref *refEnv
 }
 
+// render is a term's string form, "" for noTerm as in the reference.
+func (e *Env) render(t term) string {
+	if t == noTerm {
+		return ""
+	}
+	return e.tab.str(t)
+}
+
 // oldFingerprint renders the environment's facts in the reference
 // implementation's fingerprint format, so the two fact sets can be
 // compared directly and not only through which states they tell apart.
@@ -211,20 +219,20 @@ func runOps(t testing.TB, data []byte) {
 			}
 		case 8:
 			x := pick()
-			g, w := p.got.TermOf(x), p.ref.TermOf(x)
-			if g != w {
-				t.Fatalf("step %d: TermOf(%s) = %q, reference %q", step, cc.ExprString(x), g, w)
+			id, w := p.got.term(x), p.ref.term(x)
+			if g := p.got.render(id); g != w {
+				t.Fatalf("step %d: term(%s) = %q, reference %q", step, cc.ExprString(x), g, w)
 			}
-			if g == "" {
+			if id == noTerm {
 				break
 			}
-			if gc, wc := p.got.CanonTerm(g), p.ref.CanonTerm(w); gc != wc {
-				t.Fatalf("step %d: CanonTerm(%q) = %q, reference %q", step, g, gc, wc)
+			if gc, wc := p.got.render(p.got.find(id)), p.ref.uf.find(w); gc != wc {
+				t.Fatalf("step %d: class of %q = %q, reference %q", step, w, gc, wc)
 			}
-			gv, gok := p.got.TermConst(g)
-			wv, wok := p.ref.TermConst(w)
+			gv, gok := p.got.termConst(id)
+			wv, wok := p.ref.uf.constOf(w)
 			if gv != wv || gok != wok {
-				t.Fatalf("step %d: TermConst(%q) = %d,%v, reference %d,%v", step, g, gv, gok, wv, wok)
+				t.Fatalf("step %d: constant of %q = %d,%v, reference %d,%v", step, w, gv, gok, wv, wok)
 			}
 		}
 		if g, w := p.got.Contradicted(), p.ref.Contradicted(); g != w {

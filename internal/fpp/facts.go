@@ -173,7 +173,9 @@ func contains(facts []fact, want fact) bool {
 }
 
 // consistent re-checks a class after a change: no self-disequality,
-// no self-less, its constant respects the orderings recorded from it.
+// no self-less, its constant respects every ordering that touches it,
+// from it or into it. A new ordering only ever touches the two classes
+// assert or union re-checks, so this covers every fact they add.
 func (e *Env) consistent(r term) bool {
 	if e.has(factNe, r, r) || e.has(factLt, r, r) {
 		return false
@@ -183,10 +185,20 @@ func (e *Env) consistent(r term) bool {
 		return true
 	}
 	for _, f := range e.facts {
-		if (f.kind != factLt && f.kind != factLe) || f.a != int32(r) {
+		if f.kind != factLt && f.kind != factLe {
 			continue
 		}
-		if co, ok := e.rootConst(term(f.b)); ok && (c > co || (c == co && f.kind == factLt)) {
+		var lo, hi int64
+		var ok bool
+		switch int32(r) {
+		case f.a:
+			lo = c
+			hi, ok = e.rootConst(term(f.b))
+		case f.b:
+			lo, ok = e.rootConst(term(f.a))
+			hi = c
+		}
+		if ok && (lo > hi || (lo == hi && f.kind == factLt)) {
 			return false
 		}
 	}
@@ -269,6 +281,11 @@ func (e *Env) assert(op cc.TokKind, a, b term) bool {
 	case cc.TokLt:
 		e.addLess(ra, rb)
 	case cc.TokLe:
+		// Antisymmetry: b <= a already recorded makes a <= b an
+		// equality.
+		if e.has(factLe, rb, ra) {
+			return e.union(ra, rb)
+		}
 		e.addLeq(ra, rb)
 	}
 	return e.consistent(ra) && e.consistent(rb)

@@ -14,8 +14,11 @@ import (
 	"repro/internal/cc"
 )
 
-// refEnv is the map-based environment the flat Env replaced, kept
-// verbatim as the oracle of the differential tests (diff_test.go).
+// refEnv is the map-based environment the flat Env replaced, kept as the
+// oracle of the differential tests (diff_test.go). It has since gained
+// the closure's two later rules (unionFind.consistent checks orderings
+// into a constant class too; assert unions a <= pair), so the two
+// implementations keep agreeing on every verdict.
 type refEnv struct {
 	// versions renames variables on assignment (§8 step 1: "For each
 	// assignment to a variable, we assign a new name to that variable
@@ -449,12 +452,6 @@ func (e *refEnv) Fingerprint() string {
 	return e.fp
 }
 
-func (e *refEnv) TermOf(x cc.Expr) string { return e.term(x) }
-
-func (e *refEnv) CanonTerm(t string) string { return e.uf.find(t) }
-
-func (e *refEnv) TermConst(t string) (int64, bool) { return e.uf.constOf(t) }
-
 // unionFind is the congruence-closure core (§8 step 4): equivalence
 // classes over terms, each optionally carrying a constant; plus
 // disequalities and strict orderings between classes ("if x < y holds,
@@ -595,7 +592,7 @@ func (u *unionFind) addRel(rel map[string]map[string]bool, a, b string) {
 }
 
 // consistent re-checks a class after merging: no self-disequality,
-// no self-less, constants respect orderings.
+// no self-less, constants respect orderings out of and into the class.
 func (u *unionFind) consistent(r string) bool {
 	if u.diseq[r][r] || u.less[r][r] {
 		return false
@@ -613,6 +610,16 @@ func (u *unionFind) consistent(r string) bool {
 	for other := range u.leq[r] {
 		ro := u.find(other)
 		if co := u.konst[ro]; co != nil && !(*c <= *co) {
+			return false
+		}
+	}
+	for other, m := range u.less {
+		if co := u.konst[u.find(other)]; m[r] && co != nil && !(*co < *c) {
+			return false
+		}
+	}
+	for other, m := range u.leq {
+		if co := u.konst[u.find(other)]; m[r] && co != nil && !(*co <= *c) {
 			return false
 		}
 	}
@@ -720,9 +727,17 @@ func (u *unionFind) assert(op cc.TokKind, a, b string) bool {
 		u.addLess(rb, ra)
 		return u.consistent(ra) && u.consistent(rb)
 	case cc.TokLe:
+		// Antisymmetry: b <= a already recorded makes a <= b an
+		// equality (the class of a keeps its root).
+		if u.leq[rb][ra] {
+			return u.union(ra, rb)
+		}
 		u.addLeq(ra, rb)
 		return u.consistent(ra) && u.consistent(rb)
 	case cc.TokGe:
+		if u.leq[ra][rb] {
+			return u.union(rb, ra)
+		}
 		u.addLeq(rb, ra)
 		return u.consistent(ra) && u.consistent(rb)
 	}

@@ -2,7 +2,6 @@ package fpp
 
 import (
 	"encoding/binary"
-	"strconv"
 
 	"repro/internal/cc"
 )
@@ -25,9 +24,9 @@ const (
 )
 
 // node is one hash-consed term. Its fields are exactly what the
-// rendered form shows, so two expressions share a term iff they render
-// to the same string (casts are transparent, prefix and postfix forms
-// of a unary operator coincide).
+// rendered form (render_test.go) shows, so two expressions share a term
+// iff they render to the same string (casts are transparent, prefix and
+// postfix forms of a unary operator coincide).
 type node struct {
 	kind termKind
 	op   cc.TokKind
@@ -45,11 +44,6 @@ type Table struct {
 	nameStr []string
 	ids     map[node]term
 	nodes   []node
-	// strs caches rendered terms ("" = not rendered yet) and byStr
-	// inverts it for the string-keyed hooks in export.go; the engine
-	// itself never renders a term.
-	strs  []string
-	byStr map[string]term
 	// fps maps a canonical fact list (sorted, 12 bytes a fact) to its
 	// fingerprint id, counting from 1; 0 is the empty list.
 	fps map[string]uint32
@@ -88,7 +82,6 @@ func (tb *Table) intern(n node) term {
 		}
 		t = term(len(tb.nodes))
 		tb.nodes = append(tb.nodes, n)
-		tb.strs = append(tb.strs, "")
 		tb.ids[n] = t
 	}
 	return t
@@ -101,53 +94,6 @@ func (tb *Table) constVal(t term) (int64, bool) {
 	n := &tb.nodes[t]
 	return n.v, n.kind == kindConst
 }
-
-// str renders a term in the form the feasibility pass and its "why"
-// texts use: "x#2", "$5", "!(x#0)", "(x#0+y#1)", "s#0->f", "a#0[$1]".
-func (tb *Table) str(t term) string {
-	if s := tb.strs[t]; s != "" {
-		return s
-	}
-	n := tb.nodes[t]
-	var s string
-	switch n.kind {
-	case kindVar:
-		s = tb.nameStr[n.a] + "#" + strconv.Itoa(int(n.b))
-	case kindConst:
-		s = constTerm(n.v)
-	case kindUnary:
-		s = n.op.String() + "(" + tb.str(term(n.a)) + ")"
-	case kindBinary:
-		s = "(" + tb.str(term(n.a)) + n.op.String() + tb.str(term(n.b)) + ")"
-	case kindField:
-		s = tb.str(term(n.a)) + n.op.String() + tb.nameStr[n.b]
-	case kindIndex:
-		s = tb.str(term(n.a)) + "[" + tb.str(term(n.b)) + "]"
-	}
-	if tb.byStr == nil {
-		tb.byStr = map[string]term{}
-	}
-	tb.strs[t] = s
-	tb.byStr[s] = t
-	return s
-}
-
-// lookup resolves a rendered term back to its id: one this table has
-// rendered, or a "$<n>" constant, which describes itself. Anything else
-// names a term no environment of this table holds a fact about.
-func (tb *Table) lookup(s string) (term, bool) {
-	if t, ok := tb.byStr[s]; ok {
-		return t, true
-	}
-	if len(s) > 1 && s[0] == '$' {
-		if v, err := strconv.ParseInt(s[1:], 10, 64); err == nil {
-			return tb.constID(v), true
-		}
-	}
-	return noTerm, false
-}
-
-func constTerm(v int64) string { return "$" + strconv.FormatInt(v, 10) }
 
 // fingerprint interns a canonical (sorted, duplicate-free) fact list,
 // allocating only the first time the list is seen.

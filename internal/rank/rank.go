@@ -24,19 +24,10 @@ import (
 // classes, which are then sorted using the first two criteria" — i.e.
 // indirection and locality stratify; distance and conditionals order
 // within each stratum.
-//
-// When the feasibility pass has run (DESIGN.md §13), its verdict
-// stratifies outermost: confirmed reports float above everything,
-// infeasible ones sink below everything, and unverified/unknown/
-// absent verdicts stay neutral — so a run without the pass ranks
-// exactly as before.
 func Generic(reports []*report.Report) []*report.Report {
 	out := append([]*report.Report(nil), reports...)
 	sort.SliceStable(out, func(i, j int) bool {
 		a, b := out[i], out[j]
-		if va, vb := report.VerdictRank(a.Verdict), report.VerdictRank(b.Verdict); va != vb {
-			return va < vb
-		}
 		if a.Class.Rank() != b.Class.Rank() {
 			return a.Class.Rank() < b.Class.Rank()
 		}
@@ -102,18 +93,11 @@ func ByZ(stats []RuleStat) []RuleStat {
 // Statistical orders reports by the reliability of the rules that
 // produced them (§9 "Statistical ranking"): reports whose Rule has a
 // higher z-statistic come first; within a rule, the generic criteria
-// apply. Reports for unknown rules sink to the bottom. Feasibility
-// verdicts stratify outermost, as in Generic.
+// apply. Reports for unknown rules sink to the bottom.
 func Statistical(reports []*report.Report, stats map[string]RuleStat) []*report.Report {
 	ranked := Generic(reports)
 	sort.SliceStable(ranked, func(i, j int) bool {
-		a, b := ranked[i], ranked[j]
-		if va, vb := report.VerdictRank(a.Verdict), report.VerdictRank(b.Verdict); va != vb {
-			return va < vb
-		}
-		zi := ruleZ(a, stats)
-		zj := ruleZ(b, stats)
-		return zi > zj
+		return ruleZ(ranked[i], stats) > ruleZ(ranked[j], stats)
 	})
 	return ranked
 }

@@ -38,51 +38,6 @@ func (c Class) Rank() int {
 	return 2
 }
 
-// Verdicts issued by the second-tier feasibility pass (DESIGN.md
-// §13). The empty string means the pass never ran; "unverified" means
-// it is queued but has not finished. Verdicts only ever annotate a
-// report — they never add or remove one.
-const (
-	VerdictUnverified = "unverified"
-	VerdictConfirmed  = "confirmed"
-	VerdictInfeasible = "infeasible"
-	VerdictUnknown    = "unknown"
-)
-
-// VerdictRank orders verdicts for ranking (§9 + DESIGN.md §13):
-// confirmed reports outrank everything, infeasible ones sink below
-// everything, and unverified/unknown/absent verdicts stay neutral in
-// the middle — so a run without the pass ranks exactly as before.
-func VerdictRank(v string) int {
-	switch v {
-	case VerdictConfirmed:
-		return 0
-	case VerdictInfeasible:
-		return 2
-	}
-	return 1
-}
-
-// PathStep is one recorded event on a report's witness path: the
-// branch assumptions, simple assignments, and havocs the engine
-// performed, in traversal order. The feasibility pass replays them
-// (internal/feas); everything is rendered to strings at emission time
-// so steps survive AST retirement and cache round-trips.
-type PathStep struct {
-	// Kind is "branch", "case", "notcase", "assign", or "havoc".
-	Kind string `json:"kind"`
-	Pos  cc.Pos `json:"pos,omitempty"`
-	// Text is the condition (branch), switch tag (case/notcase),
-	// assignment LHS (assign), or variable name (havoc).
-	Text string `json:"text,omitempty"`
-	// RHS is the assignment's right-hand side.
-	RHS string `json:"rhs,omitempty"`
-	// Taken is the branch direction assumed.
-	Taken bool `json:"taken,omitempty"`
-	// Val is the switch case constant (case/notcase).
-	Val int64 `json:"val,omitempty"`
-}
-
 // Report is one rule-violation report with the provenance the ranking
 // criteria of §9 need.
 type Report struct {
@@ -111,22 +66,6 @@ type Report struct {
 
 	// Trace records why the error was flagged, step by step.
 	Trace []string
-
-	// Path is the witness path's recorded branch/assign/havoc events,
-	// the feasibility pass's input. Old baselines and cache entries
-	// without the field decode with a nil Path (treated as an
-	// unverifiable report, never a parse error).
-	Path []PathStep `json:"path,omitempty"`
-	// MultiPath notes that the same violation was reached along more
-	// than one engine path; only the first witness is recorded, so an
-	// infeasible first witness must not kill the report.
-	MultiPath bool `json:"multi_path,omitempty"`
-	// Verdict is the feasibility pass's conclusion (VerdictConfirmed,
-	// VerdictInfeasible, VerdictUnknown, VerdictUnverified while
-	// queued; empty when the pass never ran).
-	Verdict string `json:"verdict,omitempty"`
-	// VerdictWhy is the pass's one-line explanation.
-	VerdictWhy string `json:"verdict_why,omitempty"`
 }
 
 // Distance is the line span between the start of tracking and the
@@ -183,24 +122,21 @@ func (r *Report) Detailed() string {
 // violation reached along several paths).
 type Set struct {
 	Reports []*Report
-	seen    map[string]*Report
+	seen    map[string]bool
 }
 
 // Add inserts a report unless an identical one (same position, checker,
 // message, rule) is already present. It reports whether the report was
-// new. A duplicate marks the retained report MultiPath: its recorded
-// witness is no longer the only path to the violation, so the
-// feasibility pass must not kill it on that witness alone.
+// new.
 func (s *Set) Add(r *Report) bool {
 	if s.seen == nil {
-		s.seen = map[string]*Report{}
+		s.seen = map[string]bool{}
 	}
 	key := fmt.Sprintf("%s|%s|%s|%s|%s", r.Pos, r.Func, r.Checker, r.Msg, r.Rule)
-	if prev := s.seen[key]; prev != nil {
-		prev.MultiPath = true
+	if s.seen[key] {
 		return false
 	}
-	s.seen[key] = r
+	s.seen[key] = true
 	s.Reports = append(s.Reports, r)
 	return true
 }

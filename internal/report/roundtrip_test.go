@@ -6,40 +6,45 @@ import (
 	"testing"
 )
 
-// Old baselines and cache entries predate the verdict fields; they
-// must keep decoding, yielding a nil Path and empty verdict.
+// Old baselines and cache entries keep decoding: those written before
+// the witness and verdict fields existed, and those written while they
+// did, whose extra keys are ignored.
 func TestOldJSONWithoutVerdictFieldsParses(t *testing.T) {
-	old := `{"Checker":"free_checker","Msg":"use after free","Func":"f","Rule":"kfree","Vars":["p"]}`
-	var r Report
-	if err := json.Unmarshal([]byte(old), &r); err != nil {
-		t.Fatalf("old report JSON failed to parse: %v", err)
-	}
-	if r.Path != nil || r.Verdict != "" || r.VerdictWhy != "" || r.MultiPath {
-		t.Fatalf("old JSON decoded with verdict state set: %+v", r)
-	}
-	if r.Checker != "free_checker" || r.Msg != "use after free" {
-		t.Fatalf("old fields lost: %+v", r)
+	for _, old := range []string{
+		`{"Checker":"free_checker","Msg":"use after free","Func":"f","Rule":"kfree","Vars":["p"]}`,
+		`{"Checker":"free_checker","Msg":"use after free","Func":"f","Rule":"kfree","Vars":["p"],` +
+			`"path":[{"kind":"branch","text":"n > 5","taken":true}],"multi_path":true,` +
+			`"verdict":"infeasible","verdict_why":"n has an empty range"}`,
+	} {
+		var r Report
+		if err := json.Unmarshal([]byte(old), &r); err != nil {
+			t.Fatalf("old report JSON failed to parse: %v", err)
+		}
+		want := Report{Checker: "free_checker", Msg: "use after free", Func: "f", Rule: "kfree", Vars: []string{"p"}}
+		if !reflect.DeepEqual(r, want) {
+			t.Fatalf("old JSON decoded as %+v, want %+v", r, want)
+		}
 	}
 }
 
-// New fields must survive a marshal/unmarshal cycle bit-for-bit (the
-// unit cache stores reports as JSON, and verdict cache keys hash the
-// re-decoded path).
-func TestVerdictFieldsRoundTrip(t *testing.T) {
+// A report survives a marshal/unmarshal cycle bit-for-bit: the unit
+// cache stores reports as JSON.
+func TestReportJSONRoundTrip(t *testing.T) {
 	r := &Report{
-		Checker: "free_checker",
-		Msg:     "use after free",
-		Path: []PathStep{
-			{Kind: "branch", Text: "n > 5", Taken: true},
-			{Kind: "assign", Text: "x", RHS: "n + 1"},
-			{Kind: "havoc", Text: "x"},
-			{Kind: "case", Text: "c", Val: 3},
-			{Kind: "notcase", Text: "c", Val: -7},
-		},
-		MultiPath:  true,
-		Verdict:    VerdictInfeasible,
-		VerdictWhy: "branch constraints leave n an empty range",
+		Checker:         "free_checker",
+		Rule:            "kfree",
+		Msg:             "use after free",
+		Func:            "f",
+		Vars:            []string{"p"},
+		Conditionals:    2,
+		SynonymDepth:    1,
+		Interprocedural: true,
+		CallChain:       3,
+		Class:           ClassError,
+		Trace:           []string{"a.c:3: p enters state freed", "a.c:5: using p after free"},
 	}
+	r.Pos.File, r.Pos.Line, r.Pos.Col = "a.c", 5, 9
+	r.Start.File, r.Start.Line = "a.c", 3
 	data, err := json.Marshal(r)
 	if err != nil {
 		t.Fatal(err)
@@ -50,53 +55,5 @@ func TestVerdictFieldsRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(&got, r) {
 		t.Fatalf("round trip changed the report:\n got %+v\nwant %+v", got, *r)
-	}
-}
-
-// A report without verdict state must serialize without the new keys,
-// so cache entries written before a verdict pass are byte-stable.
-func TestVerdictFieldsOmittedWhenEmpty(t *testing.T) {
-	data, err := json.Marshal(&Report{Checker: "c", Msg: "m"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"path", "multi_path", "verdict", "verdict_why"} {
-		if containsKey(data, key) {
-			t.Errorf("empty report serialized %q: %s", key, data)
-		}
-	}
-}
-
-func containsKey(data []byte, key string) bool {
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal(data, &m); err != nil {
-		return false
-	}
-	_, ok := m[key]
-	return ok
-}
-
-// Duplicate Adds mark the retained report MultiPath: its recorded
-// witness is no longer the only path, so an infeasible verdict on
-// that witness alone must not kill it.
-func TestSetAddMarksMultiPath(t *testing.T) {
-	var s Set
-	a := &Report{Checker: "c", Msg: "m", Func: "f", Rule: "r"}
-	dup := &Report{Checker: "c", Msg: "m", Func: "f", Rule: "r"}
-	other := &Report{Checker: "c", Msg: "other", Func: "f", Rule: "r"}
-	if !s.Add(a) || !s.Add(other) {
-		t.Fatal("first adds rejected")
-	}
-	if a.MultiPath {
-		t.Fatal("MultiPath set before any duplicate")
-	}
-	if s.Add(dup) {
-		t.Fatal("duplicate accepted")
-	}
-	if !a.MultiPath {
-		t.Fatal("duplicate did not mark the retained report MultiPath")
-	}
-	if other.MultiPath {
-		t.Fatal("unrelated report marked MultiPath")
 	}
 }

@@ -53,7 +53,6 @@ import (
 	"time"
 
 	"repro/internal/cache"
-	"repro/internal/feas"
 	"repro/internal/fleet"
 	"repro/internal/registry"
 	"repro/internal/report"
@@ -94,11 +93,6 @@ type Config struct {
 	// it over HTTP. Nil keeps every unit local — the single-process
 	// mode, byte-identical either way.
 	Fleet *fleet.Coordinator
-	// Verify runs the feasibility pass (DESIGN.md §13) on every run
-	// before it commits: each report in the analyze reply and on
-	// /v1/reports carries its verdict, confirmed/infeasible/unknown.
-	// Verdicts never add or remove reports.
-	Verify bool
 }
 
 // DefaultMaxInFlight is the admission bound when Config.MaxInFlight
@@ -138,7 +132,6 @@ type Server struct {
 	mu              sync.Mutex
 	srcs            map[string]string
 	last            *mc.Result
-	lastIncr        *mc.IncrStats
 	requests        int64
 	analyses        int64
 	failures        int64
@@ -149,7 +142,7 @@ type Server struct {
 	inflight        int64
 	// Cumulative retirement (DESIGN.md §12) and store-traffic counters
 	// across all runs; every run has a fresh analyzer, so the per-run
-	// figures in lastIncr fall between scrapes and these do not.
+	// figures in last.Incr fall between scrapes and these do not.
 	spillEvictions int64
 	astsReleased   int64
 	cacheHits      int64
@@ -167,8 +160,6 @@ type Server struct {
 	// coalescedAnalyzes counts analyze requests that shared another
 	// request's in-flight run instead of starting their own.
 	coalescedAnalyzes int64
-	// verdicts sums every run's feasibility pass (Config.Verify).
-	verdicts feas.Stats
 }
 
 // New builds a daemon from the configuration.
@@ -365,23 +356,17 @@ type ReportJSON struct {
 	Class   string `json:"class,omitempty"`
 	Msg     string `json:"msg"`
 	Text    string `json:"text"`
-	// Feasibility verdict (DESIGN.md §13): confirmed, infeasible or
-	// unknown; absent without Config.Verify.
-	Verdict    string `json:"verdict,omitempty"`
-	VerdictWhy string `json:"verdict_why,omitempty"`
 }
 
 func reportJSON(r *report.Report) ReportJSON {
 	return ReportJSON{
-		Pos:        r.Pos.String(),
-		Checker:    r.Checker,
-		Rule:       r.Rule,
-		Func:       r.Func,
-		Class:      string(r.Class),
-		Msg:        r.Msg,
-		Text:       r.String(),
-		Verdict:    r.Verdict,
-		VerdictWhy: r.VerdictWhy,
+		Pos:     r.Pos.String(),
+		Checker: r.Checker,
+		Rule:    r.Rule,
+		Func:    r.Func,
+		Class:   string(r.Class),
+		Msg:     r.Msg,
+		Text:    r.String(),
 	}
 }
 
@@ -565,10 +550,6 @@ func (s *Server) runAnalyze(w http.ResponseWriter, ctx context.Context, tenant s
 		s.runFailed(w, ctx, err, "analysis_failed", "analysis failed")
 		return
 	}
-	var verdicts feas.Stats
-	if s.cfg.Verify {
-		verdicts = a.Verify(res, 0)
-	}
 
 	s.mu.Lock()
 	s.analyses++
@@ -585,13 +566,8 @@ func (s *Server) runAnalyze(w http.ResponseWriter, ctx context.Context, tenant s
 		s.cachePuts += in.CachePuts
 		s.cachePutErrors += in.CachePutErrors
 	}
-	s.verdicts.Done += verdicts.Done
-	s.verdicts.Confirmed += verdicts.Confirmed
-	s.verdicts.Infeasible += verdicts.Infeasible
-	s.verdicts.Unknown += verdicts.Unknown
 	s.srcs = next
 	s.last = res
-	s.lastIncr = res.Incr
 	files := len(s.srcs)
 	s.mu.Unlock()
 
@@ -691,17 +667,6 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 	} else {
 		ranked = last.Ranked()
 	}
-	if v := r.URL.Query().Get("verdict"); v != "" {
-		switch v {
-		case report.VerdictUnverified, report.VerdictConfirmed,
-			report.VerdictInfeasible, report.VerdictUnknown:
-			ranked = mc.VerifiedOnly(ranked, v)
-		default:
-			writeError(w, http.StatusBadRequest, "bad_request",
-				"unknown verdict filter", v)
-			return
-		}
-	}
 	if r.URL.Query().Get("format") == "text" {
 		var sb strings.Builder
 		for _, rep := range ranked {
@@ -730,7 +695,7 @@ type series struct {
 
 // eachSeries names every daemon counter and gauge once, in /v1/metrics
 // order; a family's labelled samples are adjacent. It returns the objects
-// /v1/stats nests (incr, checkers, fleet, feas) from the snapshots the
+// /v1/stats nests (incr, checkers, fleet) from the snapshots the
 // series read: their JSON field names are, by design, a second naming of
 // the series keyed "". Called with s.mu held.
 func (s *Server) eachSeries(emit func(series)) (nested map[string]any) {
@@ -769,15 +734,6 @@ func (s *Server) eachSeries(emit func(series)) (nested map[string]any) {
 	counter(`xgccd_validations_total{outcome="admitted"}`, "validations_admitted", s.validationsAdmitted, "checker validations by outcome")
 	counter(`xgccd_validations_total{outcome="rejected"}`, "validations_rejected", s.validationsRejected, "checker validations by outcome")
 	gauge("xgccd_registry_checkers", "registry_checkers", float64(len(s.cfg.Registry.List())), "checker versions stored in the registry")
-	// Feasibility verdicts, cumulative across runs (DESIGN.md §13).
-	if s.cfg.Verify {
-		fs := s.verdicts
-		nested["feas"] = fs
-		counter("xgccd_feas_done_total", "", fs.Done, "feasibility verdicts issued")
-		counter("xgccd_feas_confirmed_total", "", fs.Confirmed, "reports whose witness path was confirmed feasible")
-		counter("xgccd_feas_infeasible_total", "", fs.Infeasible, "reports whose witness path was proven infeasible")
-		counter("xgccd_feas_unknown_total", "", fs.Unknown, "reports the feasibility pass could not decide")
-	}
 	gauge("xgccd_inflight", "inflight", float64(s.inflight), "analyze requests currently admitted")
 	gauge("xgccd_max_inflight", "max_inflight", float64(s.cfg.MaxInFlight), "admission bound on concurrently admitted requests")
 	gauge("xgccd_resident_files", "files", float64(len(s.srcs)), "sources in the resident tree")
@@ -793,10 +749,10 @@ func (s *Server) eachSeries(emit func(series)) (nested map[string]any) {
 	counter("xgccd_cache_misses_total", "cache_misses", s.cacheMisses, "store misses, all runs")
 	counter("xgccd_cache_puts_total", "cache_puts", s.cachePuts, "store writes, all runs")
 	counter("xgccd_cache_put_errors", "cache_put_errors", s.cachePutErrors, "store writes that failed, all runs (full disk, read-only cache)")
-	in := s.lastIncr
-	if in == nil {
+	if s.last == nil || s.last.Incr == nil {
 		return nested
 	}
+	in := s.last.Incr
 	nested["incr"] = in
 	if st := in.Store; st != nil {
 		gauge("xgccd_store_records", "", float64(st.Records), "keys the disk store serves")
@@ -819,7 +775,7 @@ func (s *Server) eachSeries(emit func(series)) (nested map[string]any) {
 
 // handleStats renders every series with a /v1/stats key as a flat
 // field, plus the nested objects that carry the rest: the last run's
-// incr and per-checker stats, and the fleet and feasibility counters.
+// incr and per-checker stats, and the fleet counters.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -3,10 +3,13 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"repro/internal/cache"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/workload"
@@ -216,4 +219,38 @@ func postJSONStatus(t *testing.T, url, body string) int {
 	}
 	resp.Body.Close()
 	return resp.StatusCode
+}
+
+// TestReportsReadWhileCommitting: /v1/reports ranks and renders the
+// committed result outside the server mutex while later analyze
+// requests commit their own (run it under -race).
+func TestReportsReadWhileCommitting(t *testing.T) {
+	srv := New(Config{Checkers: []string{"free"}})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	postAnalyze(t, ts, AnalyzeRequest{Files: map[string]string{"drv.c": feasSrc}})
+
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 5; j++ {
+				resp, err := http.Get(ts.URL + "/v1/reports?rank=z")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("reports: status %d", resp.StatusCode)
+				}
+			}
+		}()
+	}
+	for i := 0; i < 3; i++ {
+		postAnalyze(t, ts, AnalyzeRequest{Files: map[string]string{"drv.c": feasSrc + fmt.Sprintf("int pad%d;\n", i)}})
+	}
+	wg.Wait()
 }

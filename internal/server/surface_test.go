@@ -17,6 +17,26 @@ import (
 	"repro/internal/workload"
 )
 
+// feasSrc seeds one false positive, fp_interval (n > 5 then n < 3),
+// which the §8 closure prunes, and two true positives.
+const feasSrc = `
+void kfree(void *p);
+int fp_interval(int n, int *p) {
+    if (n > 5) kfree(p);
+    if (n < 3) return *p;
+    return 0;
+}
+int tp_guarded(int n, int *p) {
+    if (n > 5) kfree(p);
+    if (n > 2) return *p;
+    return 0;
+}
+int tp_plain(int *p) {
+    kfree(p);
+    return *p;
+}
+`
+
 // surfaceAdditions are the entries /v1/stats and /v1/metrics gained
 // when both began rendering one series list: the cumulative cache
 // counters and the inflight gauge on /v1/stats, and the max_inflight
@@ -106,8 +126,8 @@ func seriesForStatsKey(surface map[string]string, key string) (string, bool) {
 	return "", false
 }
 
-// TestDaemonSurface: after one verified analyze on a coordinator with
-// one worker, every /v1/stats key and /v1/metrics series of the golden
+// TestDaemonSurface: after one analyze on a coordinator with one
+// worker, every /v1/stats key and /v1/metrics series of the golden
 // is present with the same value (timings masked), the only new
 // entries are surfaceAdditions, every flat /v1/stats key has a series
 // with the same value, and each family has one # TYPE line ahead of
@@ -119,7 +139,7 @@ func TestDaemonSurface(t *testing.T) {
 	defer wsrv.Close()
 	co := fleet.NewCoordinator(fleet.Config{Workers: []string{wsrv.URL}})
 	defer co.Close()
-	s := New(Config{Jobs: 1, Fleet: co, Verify: true})
+	s := New(Config{Jobs: 1, Fleet: co})
 	ts.Config.Handler = s.Handler()
 	ts.Start()
 	defer ts.Close()

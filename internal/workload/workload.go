@@ -437,18 +437,17 @@ func MixedTree(files, funcsPerFile int, seed int64) (map[string]string, []Bug) {
 	return out, bugs
 }
 
-// FeasPopulation generates the feasibility-verdict test population
-// (DESIGN.md §13): every function frees under one branch
-// and uses under another, in four shapes. Two are false positives
-// whose witness paths the second-tier pass can refute arithmetically
-// — disjoint intervals (n > hi then n < lo) and an equality pinned
-// outside an inequality's range (n >= hi then n == v, v < hi) — both
-// of which survive the tier-1 false-path pruner, which only relates
-// conditions that resolve to constants. The other two are seeded true
-// positives the pass must NOT kill: a plain straight-line
-// use-after-free and a guarded one whose two conditions overlap
-// (n > a then n > b, b < a). Bugs lists the true positives; reports
-// on any other function are false positives.
+// FeasPopulation generates the false-path pruning population
+// (DESIGN.md §8): every function frees under one branch and uses under
+// another, in four shapes. Two are false positives the §8 closure
+// refutes only because it compares a class's constant with the
+// orderings into the class — disjoint intervals (n > hi then n < lo)
+// and an equality pinned outside an inequality's range (n >= hi then
+// n == v, v < hi). The other two are seeded true positives the pruner
+// must NOT cut: a plain straight-line use-after-free and a guarded one
+// whose two conditions overlap (n > a then n > b, b < a). Bugs lists
+// the true positives; reports on any other function are false
+// positives.
 func FeasPopulation(funcs int, seed int64) Program {
 	rng := rand.New(rand.NewSource(seed))
 	var sb strings.Builder

@@ -186,6 +186,12 @@ func (a *Analyzer) MarkFunction(name, key string) {
 // suppressed (§8 "History").
 func (a *Analyzer) SetHistory(old []*Report) { a.history = report.NewHistory(old) }
 
+// Verify does nothing and its two counts are always zero: infeasible
+// paths are pruned during traversal (DESIGN.md §8), so no pass after
+// the run has anything to judge. It stays only because the frozen
+// benchmark/layers.go:630 calls it and reads Done and Unknown.
+func (a *Analyzer) Verify(*Result, int) (st struct{ Done, Unknown int64 }) { return st }
+
 // Result is one analysis run's output.
 type Result struct {
 	// Program is the assembled whole-program view. A finished run has

@@ -19,7 +19,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/prog"
 	"repro/internal/rank"
-	"repro/internal/report"
 	"repro/internal/workload"
 )
 
@@ -105,39 +104,26 @@ func streamDigest(res *Result) string {
 	return fmt.Sprintf("%x", sha256.Sum256([]byte(sb.String())))
 }
 
-// reportSetDigest hashes the raw emission-order report stream,
-// deliberately ignoring the verdict fields and ranking: the
-// feasibility pass reorders Ranked() by design (confirmed first,
-// infeasible last) but must never add, remove, or reword a report.
-func reportSetDigest(res *Result) string {
-	var sb strings.Builder
-	for _, r := range res.Reports {
-		sb.WriteString(r.Detailed())
-	}
-	return fmt.Sprintf("%x", sha256.Sum256([]byte(sb.String())))
-}
-
-// TestVerifyDeterminismMatrix extends the streaming matrix to the
-// feasibility pass (DESIGN.md §13): with the pass on or off, at any
-// parallelism, through no cache, a cold cache, or a warm cache, the
-// report set must be byte-identical and the verdict assignment itself
-// must be identical in every verify-on cell. The reference cell is also
-// held to the population's ground truth — every seeded true positive
-// confirmed, every reported false positive infeasible, nothing unknown.
-func TestVerifyDeterminismMatrix(t *testing.T) {
+// TestPruningDeterminismMatrix holds the §8 pruner to the ground truth
+// of a population written for it (workload.FeasPopulation): half its
+// functions are false positives only a closure that compares a class's
+// constant with the orderings into it can see, the other half seeded
+// bugs. At any parallelism, through no cache, a cold cache or a warm
+// one, the run reports exactly the seeded bugs — the false paths are
+// pruned during traversal and never reach a report.
+func TestPruningDeterminismMatrix(t *testing.T) {
 	pr := workload.FeasPopulation(200, 2002)
 	seeded := map[string]bool{}
 	for _, b := range pr.Bugs {
 		seeded[b.Func] = true
 	}
-
-	run := func(jobs int, store cache.Store, verify bool) (*Result, map[string]string) {
+	run := func(jobs int, store cache.Store) *Result {
 		t.Helper()
 		a := NewAnalyzer()
 		if err := a.Configure(RunConfig{Jobs: jobs, CacheStore: store}); err != nil {
 			t.Fatal(err)
 		}
-		a.AddSource("feas.c", pr.Source)
+		a.AddSource("pop.c", pr.Source)
 		if err := a.LoadBundledChecker("free"); err != nil {
 			t.Fatal(err)
 		}
@@ -145,83 +131,54 @@ func TestVerifyDeterminismMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var verdicts map[string]string
-		if verify {
-			a.Verify(res, jobs)
-			verdicts = map[string]string{}
-			for _, r := range res.Reports {
-				verdicts[r.Pos.String()+"|"+r.Msg] = r.Verdict
-			}
-		}
-		return res, verdicts
+		return res
 	}
 
-	refRes, _ := run(1, nil, false)
-	ref := reportSetDigest(refRes)
-	if len(refRes.Reports) == 0 {
-		t.Fatal("reference run produced no reports; workload regressed")
+	ref := run(1, nil)
+	if got := ref.Stats["free_checker"].PrunedPaths; got != 150 {
+		t.Errorf("-j1, no cache: %d pruned paths, want 150 (8 before the closure checked bounds into a class)", got)
 	}
-
-	var verdictRef map[string]string
-	for _, verify := range []bool{false, true} {
+	want := streamDigest(ref)
+	for _, jobs := range []int{1, 8} {
 		store := cache.NewMemStore()
-		cells := []struct {
+		for _, c := range []struct {
 			name  string
-			jobs  int
 			store cache.Store
-		}{
-			{"nocache/-j1", 1, nil},
-			{"nocache/-j8", 8, nil},
-			{"cold/-j1", 1, store},
-			{"warm/-j1", 1, store},
-			{"warm/-j8", 8, store},
-		}
-		for _, c := range cells {
-			name := fmt.Sprintf("verify=%v/%s", verify, c.name)
-			res, verdicts := run(c.jobs, c.store, verify)
-			if got := reportSetDigest(res); got != ref {
-				t.Errorf("%s: report set differs from the verify-off reference", name)
-			}
-			if !verify {
-				continue
-			}
-			if verdictRef == nil {
-				verdictRef = verdicts
-				want := map[bool]string{true: report.VerdictConfirmed, false: report.VerdictInfeasible}
-				got := map[string]int{}
-				for _, r := range res.Reports {
-					got[r.Verdict]++
-					if r.Verdict != want[seeded[r.Func]] {
-						t.Errorf("%s: %s (seeded bug: %v) judged %q: %s", name, r.Func, seeded[r.Func], r.Verdict, r.VerdictWhy)
-					}
+		}{{"nocache", nil}, {"cold", store}, {"warm", store}} {
+			name := fmt.Sprintf("%s/-j%d", c.name, jobs)
+			res := run(jobs, c.store)
+			reported := map[string]bool{}
+			for _, r := range res.Reports {
+				reported[r.Func] = true
+				if strings.HasPrefix(r.Func, "feas_fp_") {
+					t.Errorf("%s: false positive reported: %s", name, r)
 				}
-				if got[report.VerdictConfirmed] != len(pr.Bugs) || got[report.VerdictInfeasible] == 0 {
-					t.Errorf("%s: verdicts %v over %d seeded bugs; a seeded bug went unreported or no false positive was reported", name, got, len(pr.Bugs))
-				}
-				continue
 			}
-			if len(verdicts) != len(verdictRef) {
-				t.Fatalf("%s: %d verdicts, reference has %d", name, len(verdicts), len(verdictRef))
+			if len(res.Reports) != len(pr.Bugs) {
+				t.Errorf("%s: %d reports, want the %d seeded bugs", name, len(res.Reports), len(pr.Bugs))
 			}
-			for k, v := range verdictRef {
-				if verdicts[k] != v {
-					t.Errorf("%s: verdict for %s = %q, reference %q", name, k, verdicts[k], v)
+			for f := range seeded {
+				if !reported[f] {
+					t.Errorf("%s: seeded bug in %s not reported", name, f)
 				}
+			}
+			if got := streamDigest(res); got != want {
+				t.Errorf("%s: output differs from -j1 with no cache", name)
 			}
 		}
 	}
 }
 
-// TestVerifyStoresNothing: a verdict is recomputed, never cached. After
-// Verify on a cold run, the store holds exactly the unit records the
-// run put, and nothing per report.
+// TestVerifyStoresNothing: Verify is an empty vestige. On a finished
+// cold run it counts nothing, leaves every report as it was and puts
+// nothing in the store.
 func TestVerifyStoresNothing(t *testing.T) {
 	store := cache.NewMemStore()
 	a := NewAnalyzer()
 	if err := a.Configure(RunConfig{Jobs: 1, CacheStore: store}); err != nil {
 		t.Fatal(err)
 	}
-	a.AddSource("feas.c", workload.FeasPopulation(20, 2002).Source)
+	a.AddSource("pop.c", workload.FeasPopulation(20, 2002).Source)
 	if err := a.LoadBundledChecker("free"); err != nil {
 		t.Fatal(err)
 	}
@@ -229,15 +186,18 @@ func TestVerifyStoresNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	units := store.Len()
+	units, before := store.Len(), streamDigest(res)
 	if units == 0 || int64(units) != res.Incr.CachePuts || len(res.Reports) == 0 {
 		t.Fatalf("cold run: %d store keys, %d puts, %d reports", units, res.Incr.CachePuts, len(res.Reports))
 	}
-	if st := a.Verify(res, 1); st.Done != int64(len(res.Reports)) {
-		t.Fatalf("Verify issued %d verdicts for %d reports", st.Done, len(res.Reports))
+	if st := a.Verify(res, 1); st.Done != 0 || st.Unknown != 0 {
+		t.Errorf("Verify counted %+v, want nothing", st)
 	}
 	if got := store.Len(); got != units {
 		t.Errorf("store holds %d keys after Verify, %d unit records before it", got, units)
+	}
+	if streamDigest(res) != before {
+		t.Error("Verify changed the reports")
 	}
 }
 
