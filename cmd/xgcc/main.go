@@ -50,7 +50,7 @@ func main() {
 		list         = flag.Bool("list", false, "list bundled checkers and exit")
 		rankMode     = flag.String("rank", "generic", "report ordering: generic, z, or grouped")
 		stats        = flag.Bool("stats", false, "print engine statistics")
-		supergraph   = flag.String("supergraph", "", "print block/suffix summaries for the named function (Figure 5 style), rendered as its unit retires; drops -cache for the run (a replayed unit is not traversed)")
+		supergraph   = flag.String("supergraph", "", "print block/suffix summaries for the named function (Figure 5 style) under each checker, from an inspection run of its own after the analysis")
 		twoPass      = flag.Bool("two-pass", false, "emit ASTs to temp files and reload them (the paper's pass 1/pass 2 pipeline)")
 		detailed     = flag.Bool("why", false, "print why-traces with each report")
 		validate     = flag.Bool("validate", false, "run the admission harness on the checker instead of analyzing files: exit 0 admitted, 1 rejected, 2 error (combine with -checker-file or -checker; -json for the raw verdict)")
@@ -111,10 +111,8 @@ func main() {
 	opts.Interprocedural = !*intra
 	opts.FPP = !*noFPP
 	opts.Budgets = budgets
-	cfg := mc.RunConfig{Options: &opts, Jobs: *jobs, Supergraph: *supergraph}
-	// Inspection shows what this run traversed, and a replayed unit is
-	// not traversed: -supergraph asks for a live run.
-	if *cacheDir != "" && *supergraph == "" {
+	cfg := mc.RunConfig{Options: &opts, Jobs: *jobs}
+	if *cacheDir != "" {
 		ds, err := cache.NewDirStore(*cacheDir)
 		if err != nil {
 			fatal(err)
@@ -214,6 +212,10 @@ func main() {
 		defer cancel()
 	}
 	res, err := a.RunContext(ctx)
+	var graphs map[string]string // -json prints reports only
+	if err == nil && *supergraph != "" && !*jsonOut {
+		graphs, err = a.Supergraph(ctx, *supergraph)
+	}
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			fmt.Fprintln(os.Stderr, "xgcc: analysis cancelled:", err)
@@ -267,9 +269,9 @@ func main() {
 	}
 	fmt.Printf("%d reports\n", len(res.Reports))
 
-	for _, name := range sortedNames(res.Supergraph) {
+	for _, name := range sortedNames(graphs) {
 		fmt.Printf("--- supergraph of %s under checker %s ---\n", *supergraph, name)
-		fmt.Print(res.Supergraph[name])
+		fmt.Print(graphs[name])
 	}
 	if *stats {
 		for _, n := range sortedNames(res.Stats) {

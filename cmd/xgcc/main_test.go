@@ -202,13 +202,20 @@ func TestCacheFlagWarmRunIdentical(t *testing.T) {
 	if code != 0 || !strings.Contains(stats, "cache: files parsed=1; units live=0 replayed=2;") {
 		t.Errorf("warm -stats did not report a full replay: code %d, %.400s", code, stats)
 	}
-	// -supergraph through the cache renders what the plain engine
-	// renders: it asks for a live run, so the warm store is left alone.
+	// -supergraph keeps the cache: inspection is a run of its own, so a
+	// run that fills the store and one that replays every unit from it
+	// print the plain run's section.
 	plain, _ := runXgcc(t, dir, "-checker", "free", "-supergraph", "use_after", buggy)
-	cached, code := runXgcc(t, dir, "-checker", "free", "-cache", cacheDir, "-supergraph", "use_after", "-stats", buggy)
 	graph := plain[strings.Index(plain, "--- supergraph"):]
-	if code != 0 || !strings.Contains(graph, "->") || !strings.Contains(cached, graph) {
-		t.Errorf("-supergraph through the cache differs from the plain run:\nplain:\n%s\ncached:\n%s", plain, cached)
+	sgCache := filepath.Join(dir, "sg-cache")
+	for run, want := range []string{"units live=1 replayed=0;", "units live=0 replayed=1;"} {
+		cached, code := runXgcc(t, dir, "-checker", "free", "-cache", sgCache, "-supergraph", "use_after", "-stats", buggy)
+		if code != 0 || !strings.Contains(graph, "->") || !strings.Contains(cached, graph) {
+			t.Errorf("-supergraph through the cache, run %d, differs from the plain run:\nplain:\n%s\ncached:\n%s", run, plain, cached)
+		}
+		if !strings.Contains(cached, want) {
+			t.Errorf("-supergraph -cache run %d: -stats does not say %q:\n%s", run, want, cached)
+		}
 	}
 	// The cache directory holds the one packed log, and -stats says what
 	// is in it and that no write failed.
@@ -222,9 +229,9 @@ func TestCacheFlagWarmRunIdentical(t *testing.T) {
 }
 
 // TestSupergraphRunsResident: every run retires what it has finished
-// with, and -supergraph prints what each engine rendered on the way out:
-// byte for byte what a resident engine — a core.Engine nobody called
-// SetRetire on — holds for the function at the end of its run.
+// with, and -supergraph prints what its own inspection run's engines
+// hold: byte for byte what a resident engine — a core.Engine nobody
+// called SetRetire on — holds for the function at the end of its run.
 func TestSupergraphRunsResident(t *testing.T) {
 	ringbuf, err := filepath.Abs("../../testdata/corpus/ringbuf.c")
 	if err != nil {

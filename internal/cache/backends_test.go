@@ -1,8 +1,8 @@
 package cache_test
 
 // Backend conformance (DESIGN.md §15): every Store backend — memory,
-// dir, HTTP-over-memory, HTTP-over-dir, and the metrics wrapper —
-// must pass the one shared suite, under -race; the disk store also
+// dir, HTTP-over-memory and HTTP-over-dir — must pass the one shared
+// suite, under -race; the disk store also
 // passes the reopen suite (DESIGN.md §8). The HTTP cases spin a
 // real CASServer over a loopback listener, so the wire encoding
 // (base64 batch envelopes, one-key batches for Get and Put) is covered
@@ -44,12 +44,6 @@ func TestDirStoreReopen(t *testing.T) {
 		}
 		return s
 	}, func(dir string) string { return filepath.Join(dir, "store.log") })
-}
-
-func TestMetricsWrapperConformance(t *testing.T) {
-	cachetest.Conformance(t, func(t *testing.T) cache.Store {
-		return cache.WithMetrics(cache.NewMemStore(), &cache.Metrics{})
-	})
 }
 
 // newCAS serves a CASServer over backing and returns a client store.

@@ -77,25 +77,3 @@ func (s *MemStore) PutBatch(entries map[string][]byte) error {
 	}
 	return nil
 }
-
-// counted batch extensions: batch traffic lands in the same
-// hit/miss/put counters as single-key traffic, and the underlying
-// store's batching (or lack of it) passes through.
-
-// GetBatch counts one hit per found key and one miss per absent key.
-func (c *counted) GetBatch(keys []string) map[string][]byte {
-	out := GetBatch(c.s, keys)
-	c.m.hits.Add(int64(len(out)))
-	c.m.misses.Add(int64(len(keys) - len(out)))
-	return out
-}
-
-// PutBatch counts one put per entry, and one error per failed call.
-func (c *counted) PutBatch(entries map[string][]byte) error {
-	c.m.puts.Add(int64(len(entries)))
-	err := PutBatch(c.s, entries)
-	if err != nil {
-		c.m.putErrs.Add(1)
-	}
-	return err
-}

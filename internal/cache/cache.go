@@ -11,7 +11,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"sync"
-	"sync/atomic"
 )
 
 // FormatVersion is folded into every key; bump it when any serialized
@@ -45,53 +44,6 @@ func Key(parts ...string) string {
 type Store interface {
 	Get(key string) (data []byte, ok bool)
 	Put(key string, data []byte) error
-}
-
-// Metrics counts store traffic. All fields are manipulated
-// atomically; read them with the corresponding Load methods while
-// other goroutines may be writing.
-type Metrics struct {
-	hits    atomic.Int64
-	misses  atomic.Int64
-	puts    atomic.Int64
-	putErrs atomic.Int64
-}
-
-// Hits returns the hit count.
-func (m *Metrics) Hits() int64 { return m.hits.Load() }
-
-// Misses returns the miss count.
-func (m *Metrics) Misses() int64 { return m.misses.Load() }
-
-// Puts returns the put count.
-func (m *Metrics) Puts() int64 { return m.puts.Load() }
-
-// PutErrors returns how many put calls the store failed: callers treat
-// cache writes as best effort, so this is the only sign of a full disk.
-func (m *Metrics) PutErrors() int64 { return m.putErrs.Load() }
-
-// counted wraps a Store with traffic counting.
-type counted struct {
-	s Store
-	m *Metrics
-}
-
-// WithMetrics returns a view of s that counts hits, misses, puts and
-// failed puts into m.
-func WithMetrics(s Store, m *Metrics) Store { return &counted{s: s, m: m} }
-
-func (c *counted) Get(key string) ([]byte, bool) {
-	data, ok := c.s.Get(key)
-	if ok {
-		c.m.hits.Add(1)
-	} else {
-		c.m.misses.Add(1)
-	}
-	return data, ok
-}
-
-func (c *counted) Put(key string, data []byte) error {
-	return c.PutBatch(map[string][]byte{key: data})
 }
 
 // MemStore is an in-memory store: the daemon's resident cache, and

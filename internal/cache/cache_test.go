@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -74,36 +73,6 @@ func TestDirStoreAtomicNoTempLeftovers(t *testing.T) {
 	ents, err := os.ReadDir(dir)
 	if err != nil || len(ents) != 1 || ents[0].Name() != "store.log" {
 		t.Errorf("store directory holds %v (%v), want only store.log", ents, err)
-	}
-}
-
-func TestMetricsCounting(t *testing.T) {
-	var m Metrics
-	s := WithMetrics(NewMemStore(), &m)
-	s.Get(Key("a"))
-	s.Put(Key("a"), []byte("x"))
-	s.Get(Key("a"))
-	if m.Hits() != 1 || m.Misses() != 1 || m.Puts() != 1 || m.PutErrors() != 0 {
-		t.Errorf("metrics = %d/%d/%d/%d, want 1/1/1/0", m.Hits(), m.Misses(), m.Puts(), m.PutErrors())
-	}
-}
-
-// failingStore refuses every write, like a full disk.
-type failingStore struct{ Store }
-
-func (failingStore) Put(string, []byte) error { return errors.New("disk full") }
-
-func TestMetricsCountPutErrors(t *testing.T) {
-	var m Metrics
-	s := WithMetrics(failingStore{NewMemStore()}, &m)
-	if err := s.Put(Key("a"), []byte("x")); err == nil {
-		t.Fatal("failing Put reported success")
-	}
-	if err := PutBatch(s, map[string][]byte{Key("b"): nil, Key("c"): nil}); err == nil {
-		t.Fatal("failing PutBatch reported success")
-	}
-	if m.PutErrors() != 2 {
-		t.Errorf("PutErrors = %d, want 2 (one per failed call)", m.PutErrors())
 	}
 }
 

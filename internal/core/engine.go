@@ -194,12 +194,9 @@ type Engine struct {
 	checkerIdx int
 	// Retirement (stream.go): rootsRun counts the roots run per unit,
 	// by unit index (nil = this engine never retires); onRetire
-	// notifies the mc releaser; inspect names the function whose
-	// supergraph is rendered, into inspected, before its unit goes.
-	rootsRun  []int32
-	onRetire  func(*prog.Unit)
-	inspect   string
-	inspected string
+	// notifies the mc releaser.
+	rootsRun []int32
+	onRetire func(*prog.Unit)
 
 	// Memory whose lifetime is the DFS's is the engine's, not re-made per
 	// split, per point or per call (DESIGN.md §5).

@@ -102,21 +102,16 @@ func (s *Shared) Events() []MarkEvent {
 	return evs
 }
 
-// Snapshot renders the annotation store as a deterministic string
-// (sorted "name|key" lines). The incremental cache folds it into each
-// phase's cache key: a unit analyzed under different visible marks is
-// a different computation. Must not be called while engines are
-// running.
+// Snapshot renders Events as "name|key" lines. The incremental cache
+// folds it into each phase's cache key: a unit analyzed under different
+// visible marks is a different computation. Must not be called while
+// engines are running.
 func (s *Shared) Snapshot() string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var lines []string
-	for name, keys := range s.FnMarks {
-		for k := range keys {
-			lines = append(lines, name+"|"+k)
-		}
+	evs := s.Events()
+	lines := make([]string, len(evs))
+	for i, ev := range evs {
+		lines[i] = ev.Name + "|" + ev.Key
 	}
-	sort.Strings(lines)
 	return strings.Join(lines, "\n")
 }
 

@@ -5,7 +5,8 @@ package core
 // unit's last root has finished. No call edge crosses a unit boundary and
 // summaries flow only along call edges, so no later traversal can read
 // them: output is that of an engine nobody called SetRetire on. Nothing
-// comes back, so what is to be inspected is rendered on the way out.
+// comes back; inspection runs an engine that never retires (mc's
+// Analyzer.Supergraph).
 
 import "repro/internal/prog"
 
@@ -20,26 +21,6 @@ func (en *Engine) SetRetire(onRetire func(*prog.Unit)) {
 	en.onRetire = onRetire
 }
 
-// Inspect names one function whose SupergraphString a retiring engine
-// renders just before it evicts the function's unit. Must be called
-// before the engine runs.
-func (en *Engine) Inspect(fnName string) { en.inspect = fnName }
-
-// Inspection returns the supergraph of the function Inspect named — as
-// rendered at retirement, or as it stands if the unit never retired (a
-// failed or cancelled engine, a withheld root) — and false if there is
-// no such function or this engine ran no root of its unit.
-func (en *Engine) Inspection() (string, bool) {
-	fn := en.Prog.Lookup(en.inspect)
-	if fn == nil || en.rootsRun == nil || en.rootsRun[fn.Unit.Index] == 0 {
-		return "", false
-	}
-	if en.inspected == "" {
-		return en.SupergraphString(en.inspect), true
-	}
-	return en.inspected, true
-}
-
 // retireAfter counts one root that has been run and retires its unit
 // with the last. A failed or cancelled engine stops retiring: its state is about
 // to be discarded wholesale, and the panic may have left this root's
@@ -51,9 +32,6 @@ func (en *Engine) retireAfter(root *prog.Function) {
 	u := root.Unit
 	if en.rootsRun[u.Index]++; int(en.rootsRun[u.Index]) != len(u.Roots) || en.Failure != nil || en.cancelled {
 		return
-	}
-	if fn := en.Prog.Lookup(en.inspect); fn != nil && fn.Unit == u {
-		en.inspected = en.SupergraphString(en.inspect)
 	}
 	for _, fn := range u.Funcs {
 		if en.funcs[fn.Index] != nil {

@@ -268,8 +268,8 @@ type retirement struct {
 }
 
 // retireRun runs the roots one at a time on a resident engine and on a
-// retiring one that inspects a_leaf, and returns both with the retiring
-// engine's retirement log.
+// retiring one, and returns both with the retiring engine's retirement
+// log.
 func retireRun(t *testing.T, roots func(*prog.Program) []*prog.Function) (ref, en *Engine, order []*prog.Function, log []retirement) {
 	t.Helper()
 	refProg := rebuild(t, "retire-ref", map[string]string{"r.c": retireSrc})
@@ -281,7 +281,6 @@ func retireRun(t *testing.T, roots func(*prog.Program) []*prog.Function) (ref, e
 	en = NewEngine(p, mustTestChecker(t, "free"), DefaultOptions())
 	ran := 0
 	en.SetRetire(func(u *prog.Unit) { log = append(log, retirement{u, ran}) })
-	en.Inspect("a_leaf")
 	order = roots(p)
 	for _, r := range order {
 		ran++
@@ -314,8 +313,7 @@ func namedRoots(names ...string) func(*prog.Program) []*prog.Function {
 
 // A unit retires exactly once, after its LAST root in whatever order the
 // roots arrive — the invariant eviction safety rests on (no call edge
-// crosses a unit, so nothing after that root can revisit it) — and what
-// the engine rendered on the way out is what the resident engine holds.
+// crosses a unit, so nothing after that root can revisit it).
 func TestRetireLastRootPerUnit(t *testing.T) {
 	var perms [][]string
 	var permute func(done, rest []string)
@@ -356,18 +354,13 @@ func TestRetireLastRootPerUnit(t *testing.T) {
 		if n := liveFuncInfos(en); n != 0 {
 			t.Errorf("%v: %d funcInfo blocks survived full retirement", perm, n)
 		}
-		got, ok := en.Inspection()
-		if want := ref.SupergraphString("a_leaf"); !ok || got != want || !strings.Contains(got, "->") {
-			t.Errorf("%v: rendered at retirement (ok=%v):\n%s\nthe resident engine holds:\n%s", perm, ok, got, want)
-		}
 	}
 }
 
 // Withholding one root of a unit means the unit never retires; a unit
-// whose every root ran still does. What was to be inspected is rendered
-// as it stands.
+// whose every root ran still does.
 func TestRetireRootSubset(t *testing.T) {
-	ref, en, order, log := retireRun(t, namedRoots("a1", "b1", "a3"))
+	_, en, order, log := retireRun(t, namedRoots("a1", "b1", "a3"))
 	if len(log) != 1 || log[0].unit != order[1].Unit || log[0].after != 2 {
 		t.Fatalf("retirements %+v; want only b1's unit, after the second root", log)
 	}
@@ -376,28 +369,19 @@ func TestRetireRootSubset(t *testing.T) {
 			t.Errorf("%s was evicted although a2 never ran", fn.Name)
 		}
 	}
-	got, ok := en.Inspection()
-	if want := ref.SupergraphString("a_leaf"); !ok || got != want {
-		t.Errorf("inspection of a unit that never retired (ok=%v):\n%s\nwant:\n%s", ok, got, want)
-	}
 }
 
-// No roots, nothing retired, nothing to show; and an engine nobody
-// called SetRetire on never retires at all.
+// No roots, nothing retired; and an engine nobody called SetRetire on
+// never retires at all.
 func TestRetireEmpty(t *testing.T) {
 	_, en, _, log := retireRun(t, namedRoots())
-	if _, ok := en.Inspection(); ok || len(log) != 0 || en.Evictions != 0 {
-		t.Errorf("an engine that ran no root retired %d units, evicted %d blocks, inspection ok=%v", len(log), en.Evictions, ok)
-	}
-	_, en, _, _ = retireRun(t, namedRoots("b1"))
-	if _, ok := en.Inspection(); ok {
-		t.Error("inspection of a_leaf reported by an engine that ran no root of its unit")
+	if len(log) != 0 || en.Evictions != 0 {
+		t.Errorf("an engine that ran no root retired %d units, evicted %d blocks", len(log), en.Evictions)
 	}
 	p := rebuild(t, "retire-resident", map[string]string{"r.c": retireSrc})
 	resident := NewEngine(p, mustTestChecker(t, "free"), DefaultOptions())
-	resident.Inspect("a_leaf")
 	resident.Run()
-	if _, ok := resident.Inspection(); ok || resident.Evictions != 0 || liveFuncInfos(resident) == 0 {
-		t.Errorf("a resident engine evicted %d blocks (inspection ok=%v)", resident.Evictions, ok)
+	if resident.Evictions != 0 || liveFuncInfos(resident) == 0 {
+		t.Errorf("a resident engine evicted %d blocks", resident.Evictions)
 	}
 }

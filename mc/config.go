@@ -5,7 +5,10 @@ package mc
 // (budgets included), parallelism, the cache store, fleet dispatch —
 // and Configure applies it in one call. A run's deadline is the
 // caller's context, and a cache directory is a store the caller opens
-// (cache.NewDirStore).
+// (cache.NewDirStore). Configuration is all an analyzer keeps between
+// runs: each run builds its own annotation store and counts its own
+// store traffic, and inspecting a function's summaries is a run of its
+// own (Analyzer.Supergraph), not a setting.
 // This is the only configuration surface; the per-field setters from
 // earlier releases are gone (see README.md "Configuring the analyzer").
 
@@ -47,10 +50,6 @@ type RunConfig struct {
 	// MaxResidentMB is ignored: every run retires (DESIGN.md §12). It
 	// stays only because the frozen benchmark/workloads.go:74 sets it.
 	MaxResidentMB int
-	// Supergraph names one function whose summaries each engine that
-	// traverses it live renders just before retiring its unit
-	// (Result.Supergraph). It changes no traversal and no report.
-	Supergraph string
 	// UnitRunner, when non-nil, is offered each phase's cache-miss
 	// units before they run locally (fleet dispatch, DESIGN.md §15).
 	// Requires a cache store: workers fill unit keys in the shared
@@ -66,16 +65,11 @@ func (a *Analyzer) Configure(cfg RunConfig) error {
 	if cfg.Options != nil {
 		a.opts = *cfg.Options
 	}
-	if cfg.Supergraph != "" {
-		a.supergraph = cfg.Supergraph
-	}
 	if cfg.Jobs > 0 {
 		a.jobs = cfg.Jobs
 	}
 	if cfg.CacheStore != nil {
-		a.diskStore, _ = cfg.CacheStore.(interface{ Stats() *cache.StoreStats })
-		a.cacheMetrics = &cache.Metrics{}
-		a.cacheStore = cache.WithMetrics(cfg.CacheStore, a.cacheMetrics)
+		a.cacheStore = cfg.CacheStore
 	}
 	if cfg.UnitRunner != nil {
 		a.unitRunner = cfg.UnitRunner

@@ -69,12 +69,13 @@ type IncrStats struct {
 }
 
 // probeTasks replays tasks from the store in one batched round-trip
-// (cache.GetBatch collapses to one POST on a batch-capable backend). A
-// record that does not decode, or whose root list is not this unit's,
-// is a miss: the unit re-runs live and is overwritten. Two checkers
-// loaded from the same source derive the same keys; each of their tasks
-// gets the record.
-func (a *Analyzer) probeTasks(tasks []*unitTask) {
+// (cache.GetBatch collapses to one POST on a batch-capable backend) and
+// counts the keys it found and did not into incr. A record that does
+// not decode, or whose root list is not this unit's, is a miss: the
+// unit re-runs live and is overwritten. Two checkers loaded from the
+// same source derive the same keys; each of their tasks gets the
+// record.
+func (a *Analyzer) probeTasks(tasks []*unitTask, incr *IncrStats) {
 	var keys []string
 	byKey := map[string][]*unitTask{}
 	for _, t := range tasks {
@@ -89,7 +90,10 @@ func (a *Analyzer) probeTasks(tasks []*unitTask) {
 	if len(keys) == 0 {
 		return
 	}
-	for key, data := range cache.GetBatch(a.cacheStore, keys) {
+	found := cache.GetBatch(a.cacheStore, keys)
+	incr.CacheHits += int64(len(found))
+	incr.CacheMisses += int64(len(keys) - len(found))
+	for key, data := range found {
 		for _, t := range byKey[key] {
 			// Decoded per task, so no two tasks share a report.
 			if e, err := cache.DecodeUnit(data); err == nil && len(e.Roots) == len(t.roots) {
@@ -105,12 +109,12 @@ func (a *Analyzer) probeTasks(tasks []*unitTask) {
 // the ordinary path. Keys the runner did not fill stay misses and run
 // locally — worker loss or a runner error never fails the analysis.
 // Pre-parsed ASTs (AddAST) have no source text to ship, so such runs
-// never dispatch.
-func (a *Analyzer) dispatchRemote(ctx context.Context, tasks []*unitTask, incr *IncrStats) {
+// never dispatch. marks is the run's annotation store at the barrier.
+func (a *Analyzer) dispatchRemote(ctx context.Context, tasks []*unitTask, marks *core.Shared, incr *IncrStats) {
 	if a.unitRunner == nil || len(a.files) > 0 {
 		return
 	}
-	run := &UnitRun{Files: a.srcs, Options: a.opts, Marks: a.shared.Events()}
+	run := &UnitRun{Files: a.srcs, Options: a.opts, Marks: marks.Events()}
 	var pending []*unitTask
 	offered := map[string]bool{} // a key two checkers share is offered once
 	last := -1                   // tasks arrive grouped by checker
@@ -135,7 +139,7 @@ func (a *Analyzer) dispatchRemote(ctx context.Context, tasks []*unitTask, incr *
 	if err := a.unitRunner(ctx, run); err != nil {
 		return // every unit falls back to a local run
 	}
-	a.probeTasks(pending)
+	a.probeTasks(pending, incr)
 	for _, t := range pending {
 		if t.replayed {
 			incr.UnitsRemote++
@@ -174,9 +178,8 @@ func sumAnalyses(s *core.Stats) int {
 
 // optionsFingerprint renders every Options field into the cache key
 // (TestOptionsFingerprintCoversEveryField holds a new field to that).
-// RunConfig.Supergraph is not an Options field and is not keyed: it
-// cannot change any output byte. Nor are the engine's caps: a unit
-// that hits one is degraded and never stored.
+// The engine's caps are not keyed: a unit that hits one is degraded and
+// never stored.
 func optionsFingerprint(o Options) string {
 	var sb strings.Builder
 	sb.WriteString("opts|")

@@ -44,13 +44,14 @@ func DefaultOptions() Options { return core.DefaultOptions() }
 // Report re-exports the report type.
 type Report = report.Report
 
-// Analyzer assembles sources and checkers and runs the engine.
+// Analyzer assembles sources and checkers and runs the engine. It holds
+// configuration only: every run starts from it and nothing else, so two
+// runs of one analyzer are the same run.
 type Analyzer struct {
 	opts     Options
 	srcs     map[string]string
 	files    []*cc.File
 	checkers []*metal.Checker
-	shared   *core.Shared
 	history  *report.History
 	// Marks lets callers pre-annotate function names (e.g. blocking
 	// functions for the block checker).
@@ -61,10 +62,8 @@ type Analyzer struct {
 	// Incremental cache (RunConfig.CacheStore); nil keys and stores
 	// nothing. checkerFPs tracks one source fingerprint per
 	// loaded checker for cache keying.
-	cacheStore   cache.Store
-	cacheMetrics *cache.Metrics
-	diskStore    interface{ Stats() *cache.StoreStats } // the store, when it reports its shape
-	checkerFPs   []string
+	cacheStore cache.Store
+	checkerFPs []string
 	// checkerSrcs retains each loaded checker's metal source so fleet
 	// jobs can ship it to workers (RunConfig.UnitRunner); entries are
 	// "" for checkers without shippable source.
@@ -72,18 +71,14 @@ type Analyzer struct {
 	// unitRunner, when set, is offered each phase's cache-miss units
 	// before they run locally (RunConfig.UnitRunner; DESIGN.md §15).
 	unitRunner func(ctx context.Context, run *UnitRun) error
-	// supergraph names the function each live engine renders before it
-	// retires the function's unit (RunConfig.Supergraph).
-	supergraph string
 }
 
 // NewAnalyzer returns an analyzer with default options.
 func NewAnalyzer() *Analyzer {
 	return &Analyzer{
-		opts:   core.DefaultOptions(),
-		srcs:   map[string]string{},
-		shared: core.NewShared(),
-		marks:  map[string][]string{},
+		opts:  core.DefaultOptions(),
+		srcs:  map[string]string{},
+		marks: map[string][]string{},
 	}
 }
 
@@ -204,12 +199,6 @@ type Result struct {
 	RuleStats map[string]rank.RuleStat
 	// Stats aggregates engine counters per checker.
 	Stats map[string]core.Stats
-	// Supergraph holds, by checker name, the block and suffix summaries
-	// of the function RunConfig.Supergraph names, rendered by each
-	// engine that traversed the function's unit live, just before it
-	// retired the unit. A checker that replayed the unit from a store
-	// has no entry; empty when no function was named.
-	Supergraph map[string]string
 	// Incr reports what a run with a store replayed versus analyzed
 	// live; nil without one.
 	Incr *IncrStats
@@ -283,13 +272,7 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 		tree = &UnitTree{Prog: prog.Build(files...)}
 	}
 	p := tree.Prog
-
-	// Pre-annotations apply before any checker runs; sorted order keeps
-	// the engine's input stream deterministic (the paper's caching model
-	// assumes deterministic extensions, §5.1).
-	for _, m := range a.sortedMarks() {
-		a.shared.Mark(m.name, m.key)
-	}
+	shared := a.preMarked()
 
 	// Retirement (DESIGN.md §12): engines drop a unit's state when its
 	// last root finishes, and its ASTs go once every checker pass is
@@ -312,14 +295,14 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 		// intra-phase write-then-read.
 		var tasks []*unitTask
 		for _, ci := range phase {
-			tasksByChecker[ci] = tree.tasks(ci, a.checkers[ci], a.checkerFPs[ci], a.opts, a.shared)
+			tasksByChecker[ci] = tree.tasks(ci, a.checkers[ci], a.checkerFPs[ci], a.opts, shared)
 			tasks = append(tasks, tasksByChecker[ci]...)
 		}
 
 		// Probe the store for every keyed task in one batched
 		// round-trip, offer what is still missing to the fleet
 		// (DESIGN.md §15), and run what nobody filled.
-		a.probeTasks(tasks)
+		a.probeTasks(tasks, incr)
 		for _, t := range tasks {
 			if t.key != "" && !t.replayed {
 				for _, fn := range t.funcs {
@@ -330,9 +313,9 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 				}
 			}
 		}
-		a.dispatchRemote(ctx, tasks, incr)
+		a.dispatchRemote(ctx, tasks, shared, incr)
 		runLive(ctx, sem, tasks, func(ci int) *core.Engine {
-			engines[ci] = a.liveEngine(p, ci, compiled)
+			engines[ci] = a.liveEngine(p, ci, compiled, shared)
 			return engines[ci]
 		}, release.pass)
 
@@ -346,14 +329,18 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 				continue
 			}
 			for _, ev := range t.cut.Marks {
-				a.shared.Mark(ev.Name, ev.Key)
+				shared.Mark(ev.Name, ev.Key)
 			}
 			for _, u := range t.units {
 				release.pass(u)
 			}
 		}
 		if puts := records(tasks); len(puts) > 0 {
-			cache.PutBatch(a.cacheStore, puts) // best effort; failures land in CachePutErrors
+			// Best effort: a failed call is counted, not returned.
+			incr.CachePuts += int64(len(puts))
+			if cache.PutBatch(a.cacheStore, puts) != nil {
+				incr.CachePutErrors++
+			}
 		}
 	}
 	incr.AnalyzeNanos = time.Since(t0).Nanoseconds()
@@ -367,11 +354,10 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 	// different units cannot repeat one another.
 	t0 = time.Now()
 	res := &Result{
-		Program:    p,
-		RuleStats:  map[string]rank.RuleStat{},
-		Stats:      map[string]core.Stats{},
-		Supergraph: map[string]string{},
-		Spill:      &SpillStats{},
+		Program:   p,
+		RuleStats: map[string]rank.RuleStat{},
+		Stats:     map[string]core.Stats{},
+		Spill:     &SpillStats{},
 	}
 	for ci, c := range a.checkers {
 		agg := core.Stats{Analyses: map[string]int{}}
@@ -408,9 +394,6 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 				res.Failures = append(res.Failures, en.Failure)
 			}
 			res.Spill.Evictions += en.Evictions
-			if s, ok := en.Inspection(); ok {
-				res.Supergraph[c.Name] = s
-			}
 		}
 	}
 	res.Spill.ASTsReleased = release.released // every engine has finished
@@ -420,12 +403,8 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 	}
 	if cached {
 		incr.MergeNanos = time.Since(t0).Nanoseconds()
-		incr.CacheHits = a.cacheMetrics.Hits()
-		incr.CacheMisses = a.cacheMetrics.Misses()
-		incr.CachePuts = a.cacheMetrics.Puts()
-		incr.CachePutErrors = a.cacheMetrics.PutErrors()
-		if a.diskStore != nil {
-			incr.Store = a.diskStore.Stats()
+		if ds, ok := a.cacheStore.(interface{ Stats() *cache.StoreStats }); ok {
+			incr.Store = ds.Stats()
 		}
 		res.Incr = incr
 	}
@@ -456,6 +435,35 @@ func (a *Analyzer) InferPairs(filter func(string) bool) ([]checkers.InferredPair
 		return nil, err
 	}
 	return checkers.InferPairs(prog.Build(files...), filter), nil
+}
+
+// Supergraph renders the block and suffix summaries of the named
+// function (Figure 5 style) under each loaded checker, by checker name.
+// Inspection is a run of its own: it parses the registered sources,
+// builds the program once, and runs one engine per checker in
+// core.PlanPhases order over one annotation store seeded with the
+// pre-annotations, none of them retiring anything — what a run's engine
+// holds for the function just before it retires the function's unit.
+// A function the program does not define renders nil.
+func (a *Analyzer) Supergraph(ctx context.Context, fn string) (map[string]string, error) {
+	files, err := a.parseSources(&IncrStats{})
+	if err != nil {
+		return nil, err
+	}
+	p := prog.Build(files...)
+	if p.Lookup(fn) == nil {
+		return nil, nil
+	}
+	shared := a.preMarked()
+	out := map[string]string{}
+	for _, phase := range core.PlanPhases(a.checkers) {
+		for _, ci := range phase {
+			en := core.NewEngineShared(p, a.checkers[ci], a.opts, shared)
+			en.RunContext(ctx)
+			out[a.checkers[ci].Name] = en.SupergraphString(fn)
+		}
+	}
+	return out, ctx.Err()
 }
 
 // Callout re-exports the custom-callout type for native extensions.

@@ -29,14 +29,26 @@ func (a *Analyzer) parseSources(incr *IncrStats) ([]*cc.File, error) {
 	return append(append([]*cc.File(nil), a.files...), parsed...), nil
 }
 
-// liveEngine builds the traversal engine for checker ci: compiled
-// dispatch attached (DESIGN.md §11), the function to render before its
-// unit retires named (RunConfig.Supergraph). runLive adds the retire hook.
-func (a *Analyzer) liveEngine(p *prog.Program, ci int, cd *core.CompiledDispatch) *core.Engine {
-	en := core.NewEngineShared(p, a.checkers[ci], a.opts, a.shared)
+// liveEngine builds the traversal engine for checker ci over the run's
+// annotation store, compiled dispatch attached (DESIGN.md §11). runLive
+// adds the retire hook.
+func (a *Analyzer) liveEngine(p *prog.Program, ci int, cd *core.CompiledDispatch, shared *core.Shared) *core.Engine {
+	en := core.NewEngineShared(p, a.checkers[ci], a.opts, shared)
 	en.SetCompiled(cd, ci)
-	en.Inspect(a.supergraph)
 	return en
+}
+
+// preMarked returns a fresh annotation store holding the
+// pre-annotations, applied in sorted order so the engine's input stream
+// is deterministic (the paper's caching model assumes deterministic
+// extensions, §5.1). Each run starts from one: marks never outlive
+// their run.
+func (a *Analyzer) preMarked() *core.Shared {
+	shared := core.NewShared()
+	for _, m := range a.sortedMarks() {
+		shared.Mark(m.name, m.key)
+	}
+	return shared
 }
 
 // markEntry is one pre-annotation: MarkFunction(name, key).

@@ -1,8 +1,7 @@
 package mc_test
 
 // Replay-path tests (DESIGN.md §8): emission order on multi-root units,
-// what a cached run renders for inspection, and damaged or foreign
-// records.
+// inspection after a cached run, and damaged or foreign records.
 
 import (
 	"context"
@@ -71,18 +70,20 @@ func TestMultiRootUnitsRankLikePlain(t *testing.T) {
 	}
 }
 
-// supergraphRun is runDigest with RunConfig.Supergraph set.
-func supergraphRun(t *testing.T, srcs map[string]string, fn string, store cache.Store) *mc.Result {
+// supergraphRun runs newIncrAnalyzer's analyzer, then inspects fn on
+// it, and returns both.
+func supergraphRun(t *testing.T, srcs map[string]string, fn string, store cache.Store) (*mc.Result, map[string]string) {
 	t.Helper()
 	a := newIncrAnalyzer(t, srcs, 2, store)
-	if err := a.Configure(mc.RunConfig{Supergraph: fn}); err != nil {
-		t.Fatal(err)
-	}
 	res, err := a.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	graphs, err := a.Supergraph(context.Background(), fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, graphs
 }
 
 // residentSupergraphs renders fn under every checker of newIncrAnalyzer
@@ -128,13 +129,13 @@ func diffSupergraphs(t *testing.T, label string, want, got map[string]string) {
 	}
 }
 
-// TestSupergraphThroughCache: Result.Supergraph holds what each engine
-// that traversed the named function rendered just before it retired the
-// function's unit. Without a store and on a cold one that is every
-// checker, byte for byte what an engine that retires nothing holds at
-// the end of its run — for a root, a hot helper and a leaf alike. On a
-// warm run a replayed unit was not traversed and has no entry; a unit an
-// edit sent back to the engines has.
+// TestSupergraphThroughCache: Analyzer.Supergraph is a run of its own,
+// so it renders what an engine that retires nothing holds at the end of
+// its run — for a root, a hot helper and a leaf alike, under every
+// checker — whatever the analysis run before it replayed: no store, a
+// cold one, a warm one, and a warm one after an edit that sends one unit
+// back to the engines and replays the other. A name the program does
+// not define renders nil.
 func TestSupergraphThroughCache(t *testing.T) {
 	srcs := workload.CallRichTree()
 	edges := 0
@@ -144,18 +145,23 @@ func TestSupergraphThroughCache(t *testing.T) {
 			edges += strings.Count(s, "->")
 		}
 		store := cache.NewMemStore()
-		diffSupergraphs(t, fn+", no store", want, supergraphRun(t, srcs, fn, nil).Supergraph)
-		diffSupergraphs(t, fn+", cold store", want, supergraphRun(t, srcs, fn, store).Supergraph)
-		warm := supergraphRun(t, srcs, fn, store)
-		if warm.Incr.UnitsLive != 0 || len(warm.Supergraph) != 0 {
-			t.Errorf("%s, warm store: %d units live, rendered %v; want nothing traversed, nothing rendered", fn, warm.Incr.UnitsLive, warm.Supergraph)
+		_, plain := supergraphRun(t, srcs, fn, nil)
+		diffSupergraphs(t, fn+", no store", want, plain)
+		_, cold := supergraphRun(t, srcs, fn, store)
+		diffSupergraphs(t, fn+", cold store", want, cold)
+		res, warm := supergraphRun(t, srcs, fn, store)
+		if res.Incr.UnitsLive != 0 {
+			t.Errorf("%s, warm store: %d units live, want a full replay", fn, res.Incr.UnitsLive)
 		}
+		diffSupergraphs(t, fn+", warm store", want, warm)
 	}
 	if edges == 0 {
 		t.Fatal("the resident engines rendered no summary edge; the comparison would be vacuous")
 	}
-	if res := supergraphRun(t, srcs, "", nil); len(res.Supergraph) != 0 {
-		t.Errorf("no function named, yet Result.Supergraph = %v", res.Supergraph)
+	for _, fn := range []string{"", "no_such_function"} {
+		if _, graphs := supergraphRun(t, srcs, fn, nil); graphs != nil {
+			t.Errorf("%q is not defined, yet it rendered %v", fn, graphs)
+		}
 	}
 
 	// Warm, after a body edit to root_clean: its unit {root_clean, add}
@@ -169,14 +175,13 @@ func TestSupergraphThroughCache(t *testing.T) {
 	if edited["roots.c"] == srcs["roots.c"] {
 		t.Fatal("the edit did not apply")
 	}
-	res := supergraphRun(t, edited, "add", store)
+	res, add := supergraphRun(t, edited, "add", store)
 	if in := res.Incr; in.UnitsLive == 0 || in.UnitsReplayed == 0 {
 		t.Fatalf("edit should mix live and replayed units, got %d/%d", in.UnitsLive, in.UnitsReplayed)
 	}
-	diffSupergraphs(t, "add, warm store after an edit to its caller", residentSupergraphs(t, edited, "add"), res.Supergraph)
-	if res := supergraphRun(t, edited, "drop", store); len(res.Supergraph) != 0 {
-		t.Errorf("drop's unit replayed, yet it rendered under %d checkers", len(res.Supergraph))
-	}
+	diffSupergraphs(t, "add, warm store after an edit to its caller", residentSupergraphs(t, edited, "add"), add)
+	_, drop := supergraphRun(t, edited, "drop", store)
+	diffSupergraphs(t, "drop, its unit replayed after the edit", residentSupergraphs(t, edited, "drop"), drop)
 }
 
 // recordingStore remembers which keys hold unit records.

@@ -95,23 +95,96 @@ type refusingStore struct{ cache.Store }
 func (refusingStore) Put(string, []byte) error { return errors.New("no space left on device") }
 
 // TestCachePutErrorsSurface: a store that cannot be written leaves the
-// run's output alone and every later run cold; IncrStats says so.
+// run's output alone and every later run cold; IncrStats says so, and
+// says it per run: one analyzer run twice counts each run's own failed
+// calls, not the sum so far.
 func TestCachePutErrorsSurface(t *testing.T) {
 	srcs, _ := workload.MixedTree(2, 6, 7)
 	plain, _ := runDigest(t, srcs, 2, nil)
-	store := refusingStore{cache.NewMemStore()}
+	a := newIncrAnalyzer(t, srcs, 2, refusingStore{cache.NewMemStore()})
+	var first *mc.IncrStats
 	for run := 0; run < 2; run++ {
-		got, res := runDigest(t, srcs, 2, store)
-		if got != plain {
+		res, err := a.RunContext(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := outputDigest(res); got != plain {
 			t.Errorf("run %d over a refusing store differs from the plain run:\n%s", run, firstDiff(plain, got))
 		}
 		// One failed call for every phase's unit batch.
-		if res.Incr.CachePutErrors < 2 || res.Incr.UnitsReplayed != 0 {
-			t.Errorf("run %d: put errors=%d units replayed=%d, want >= 2 and a cold run", run, res.Incr.CachePutErrors, res.Incr.UnitsReplayed)
+		in := res.Incr
+		if in.CachePutErrors < 2 || in.UnitsReplayed != 0 {
+			t.Errorf("run %d: put errors=%d units replayed=%d, want >= 2 and a cold run", run, in.CachePutErrors, in.UnitsReplayed)
+		}
+		if first == nil {
+			first = in
+		} else if in.CachePutErrors != first.CachePutErrors || in.CachePuts != first.CachePuts || in.CacheMisses != first.CacheMisses {
+			t.Errorf("second run counted put errors=%d puts=%d misses=%d, the first %d/%d/%d: counters carried over",
+				in.CachePutErrors, in.CachePuts, in.CacheMisses, first.CachePutErrors, first.CachePuts, first.CacheMisses)
 		}
 	}
 	if _, res := runDigest(t, srcs, 2, cache.NewMemStore()); res.Incr.CachePutErrors != 0 {
 		t.Errorf("healthy store counted %d put errors", res.Incr.CachePutErrors)
+	}
+}
+
+// pathkillReader reports every call to a function marked "pathkill".
+// Loaded before panic-marker, which writes that mark, it must see none
+// (§3.2: a checker sees the marks of checkers loaded before it).
+const pathkillReader = `
+sm reader;
+decl any_fn_call fn;
+decl any_arguments args;
+start:
+    { fn(args) } && ${ mc_fn_marked(fn, "pathkill") } ==> start, { err("call to a path-killing function"); }
+;`
+
+// TestRunTwiceIsOneRun: an analyzer keeps configuration, not state, so
+// running it twice is running the same analysis twice. The second run
+// sees none of the marks the first wrote, so pathkillReader stays
+// silent both times; over a store it replays every unit the first ran
+// live and counts only its own store traffic.
+func TestRunTwiceIsOneRun(t *testing.T) {
+	for _, store := range []cache.Store{nil, cache.NewMemStore()} {
+		a := mc.NewAnalyzer()
+		if err := a.Configure(mc.RunConfig{Jobs: 1, CacheStore: store}); err != nil {
+			t.Fatal(err)
+		}
+		a.AddSource("t.c", "void panic(void);\nvoid die(int x) { if (x) { panic(); } }\n")
+		if err := a.LoadChecker(pathkillReader); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.LoadBundledChecker("panic-marker"); err != nil {
+			t.Fatal(err)
+		}
+		var first *mc.Result
+		for run := 0; run < 2; run++ {
+			res, err := a.RunContext(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Reports) != 0 {
+				t.Errorf("store %v, run %d: the reader saw a mark written after it (%d reports)", store != nil, run, len(res.Reports))
+			}
+			if run == 0 {
+				first = res
+				continue
+			}
+			if got, want := rankedText(res), rankedText(first); got != want {
+				t.Errorf("store %v: the second run differs from the first:\n%s", store != nil, firstDiff(want, got))
+			}
+			if store == nil {
+				continue
+			}
+			if first.Incr.UnitsLive == 0 {
+				t.Fatal("the cold run ran no unit live")
+			}
+			if in := res.Incr; in.UnitsLive != 0 || in.UnitsReplayed != first.Incr.UnitsLive ||
+				in.CacheMisses != 0 || in.CachePuts != 0 || in.CachePutErrors != 0 {
+				t.Errorf("second run: units live=%d replayed=%d (cold: %d live); store misses=%d puts=%d put-errors=%d, want a full replay that writes nothing",
+					in.UnitsLive, in.UnitsReplayed, first.Incr.UnitsLive, in.CacheMisses, in.CachePuts, in.CachePutErrors)
+			}
+		}
 	}
 }
 

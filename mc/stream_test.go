@@ -63,14 +63,12 @@ func residentReference(t *testing.T, a *Analyzer) *Result {
 		t.Fatal(err)
 	}
 	p := prog.Build(files...)
-	for _, m := range a.sortedMarks() {
-		a.shared.Mark(m.name, m.key)
-	}
+	shared := a.preMarked()
 	compiled := core.CompileDispatch(p, a.checkers)
 	engines := make([]*core.Engine, len(a.checkers))
 	for _, phase := range core.PlanPhases(a.checkers) {
 		for _, ci := range phase {
-			engines[ci] = a.liveEngine(p, ci, compiled)
+			engines[ci] = a.liveEngine(p, ci, compiled, shared)
 			engines[ci].RunContext(context.Background())
 		}
 	}

@@ -85,24 +85,22 @@ func (s cutSuite) referenceRecords(t *testing.T) (recs map[string][]byte, tasks 
 		t.Fatal(err)
 	}
 	tree := NewUnitTree(files)
-	for _, m := range a.sortedMarks() {
-		a.shared.Mark(m.name, m.key)
-	}
+	shared := a.preMarked()
 	compiled := core.CompileDispatch(tree.Prog, a.checkers)
 	recs = map[string][]byte{}
 	for _, phase := range core.PlanPhases(a.checkers) {
 		var phaseTasks []*unitTask
 		for _, ci := range phase {
-			phaseTasks = append(phaseTasks, tree.tasks(ci, a.checkers[ci], a.checkerFPs[ci], a.opts, a.shared)...)
+			phaseTasks = append(phaseTasks, tree.tasks(ci, a.checkers[ci], a.checkerFPs[ci], a.opts, shared)...)
 		}
-		// Live marks land in a.shared as the engines run; nothing reads
+		// Live marks land in shared as the engines run; nothing reads
 		// them before the next phase's keys are derived.
 		for _, task := range phaseTasks {
 			if task.key == "" {
 				continue
 			}
 			tasks++
-			en := a.liveEngine(tree.Prog, task.ci, compiled)
+			en := a.liveEngine(tree.Prog, task.ci, compiled, shared)
 			runs := en.RunRootsContext(context.Background(), task.roots)
 			if cut := en.CutUnit(); cut.Complete {
 				if recs[task.key], err = cache.EncodeUnit(cache.NewUnitEntry(cut, runs)); err != nil {
