@@ -13,7 +13,7 @@
 //
 // Checkers can also be uploaded at runtime through the /v1/checkers
 // admission pipeline (upload, validate, enable; DESIGN.md §14) — an
-// enabled checker is live on the tenant's next analyze without a
+// enabled checker is live on the daemon's next analyze without a
 // restart, and with -registry the uploaded set survives restarts.
 //
 // The HTTP surface is versioned under /v1/; any other path answers

@@ -33,7 +33,7 @@ func TestCoordinatorOversizeReplyIsTransportFailure(t *testing.T) {
 	co.maxReply = 1 << 10
 
 	run := &mc.UnitRun{Checkers: []string{"sm x;"}, Jobs: []mc.UnitJob{{Key: "00", Weight: 1}, {Key: "01", Weight: 2}}}
-	if err := co.RunnerFor("t1")(context.Background(), run); err != nil {
+	if err := co.RunnerFor("")(context.Background(), run); err != nil {
 		t.Fatal(err)
 	}
 	want := Stats{Dispatched: 2, LocalFallback: 2, Requeues: 1, Batches: 2, Workers: 1}

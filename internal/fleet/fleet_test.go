@@ -160,7 +160,7 @@ func TestFleetByteIdenticalColdAndWarm(t *testing.T) {
 				co := fleet.NewCoordinator(fleet.Config{Workers: startWorkers(t, cas, workers)})
 				defer co.Close()
 
-				cold, coldDigest := tc.run(t, cas, co.RunnerFor("t1"))
+				cold, coldDigest := tc.run(t, cas, co.RunnerFor(""))
 				if coldDigest != plain {
 					t.Fatalf("N=%d cold fleet output differs from single-process", workers)
 				}
@@ -172,7 +172,7 @@ func TestFleetByteIdenticalColdAndWarm(t *testing.T) {
 						workers, cold.Incr.UnitsRemote, cold.Incr.UnitsReplayed, cold.Incr.UnitsLive)
 				}
 
-				warm, warmDigest := tc.run(t, cas, co.RunnerFor("t1"))
+				warm, warmDigest := tc.run(t, cas, co.RunnerFor(""))
 				if warmDigest != plain {
 					t.Fatalf("N=%d warm fleet output differs from single-process", workers)
 				}
@@ -185,29 +185,29 @@ func TestFleetByteIdenticalColdAndWarm(t *testing.T) {
 	}
 }
 
-// TestFleetSharedCASSecondTenant pins the warm-reuse acceptance bar:
+// TestFleetSharedCASSecondCoordinator pins the warm-reuse acceptance bar:
 // a second coordinator sharing the CAS replays >= 90% of its units
 // without dispatching anything.
-func TestFleetSharedCASSecondTenant(t *testing.T) {
+func TestFleetSharedCASSecondCoordinator(t *testing.T) {
 	srcs, _ := workload.MixedTree(3, 8, 42)
 	cas := cache.NewMemStore()
 	co := fleet.NewCoordinator(fleet.Config{Workers: startWorkers(t, cas, 2)})
 	defer co.Close()
-	_, first := run(t, srcs, cas, co.RunnerFor("tenant-a"))
+	_, first := run(t, srcs, cas, co.RunnerFor(""))
 
 	co2 := fleet.NewCoordinator(fleet.Config{Workers: startWorkers(t, cas, 2)})
 	defer co2.Close()
-	second, secondDigest := run(t, srcs, cas, co2.RunnerFor("tenant-b"))
+	second, secondDigest := run(t, srcs, cas, co2.RunnerFor(""))
 	if secondDigest != first {
-		t.Fatal("second tenant's output differs")
+		t.Fatal("second coordinator's output differs")
 	}
 	total := second.Incr.UnitsReplayed + second.Incr.UnitsLive
 	if total == 0 || second.Incr.UnitsReplayed*10 < total*9 {
-		t.Fatalf("second tenant replayed %d of %d units, want >= 90%%",
+		t.Fatalf("second coordinator replayed %d of %d units, want >= 90%%",
 			second.Incr.UnitsReplayed, total)
 	}
 	if got := co2.Stats().Dispatched; got != 0 {
-		t.Fatalf("second tenant dispatched %d jobs over a warm CAS", got)
+		t.Fatalf("second coordinator dispatched %d jobs over a warm CAS", got)
 	}
 }
 
@@ -269,7 +269,7 @@ func TestFleetWorkerLossRequeues(t *testing.T) {
 	co := fleet.NewCoordinator(fleet.Config{Workers: []string{doomed.URL, good}})
 	defer co.Close()
 
-	res, got := run(t, srcs, cas, co.RunnerFor("t1"))
+	res, got := run(t, srcs, cas, co.RunnerFor(""))
 	if got != plain {
 		t.Fatal("output with a dying worker differs from single-process")
 	}
@@ -394,7 +394,7 @@ func TestWorkerFillsOnlyDerivedKeys(t *testing.T) {
 
 	co := fleet.NewCoordinator(fleet.Config{Workers: []string{url}})
 	defer co.Close()
-	if _, got := a.run(t, cas, co.RunnerFor("t1")); got != plainA {
+	if _, got := a.run(t, cas, co.RunnerFor("")); got != plainA {
 		t.Fatal("replay of A over the store the mismatched request touched differs from the plain run")
 	}
 }
@@ -430,7 +430,7 @@ func TestWorkerTreeReuse(t *testing.T) {
 	co := fleet.NewCoordinator(fleet.Config{Workers: []string{srv.URL}})
 	defer co.Close()
 
-	run(t, srcs, cas, co.RunnerFor("t1"))
+	run(t, srcs, cas, co.RunnerFor(""))
 	st := w.Stats()
 	if st.TreesBuilt != 1 {
 		t.Fatalf("worker built %d trees for one source set (reused %d)", st.TreesBuilt, st.TreesReused)
@@ -453,7 +453,7 @@ func TestWorkerCompilesCheckerOncePerTree(t *testing.T) {
 	co := fleet.NewCoordinator(fleet.Config{Workers: []string{srv.URL}})
 	defer co.Close()
 
-	run(t, srcs, cas, co.RunnerFor("t1"))
+	run(t, srcs, cas, co.RunnerFor(""))
 	st := w.Stats()
 	if st.CheckersCompiled != int64(len(fleetCheckers)) {
 		t.Errorf("worker compiled %d checkers for %d loaded", st.CheckersCompiled, len(fleetCheckers))

@@ -1,7 +1,7 @@
 // Package registry is the daemon's versioned checker inventory
 // (DESIGN.md §14): uploaded metal checker sources stored
-// content-addressed and versioned, with per-tenant enable/disable
-// state, all persisted on disk so a daemon restart loses nothing.
+// content-addressed and versioned, with the daemon's one enabled set,
+// all persisted on disk so a daemon restart loses nothing.
 //
 // The content address — cc.HashBytes over the exact source text — is
 // the checker ID. It is deliberately the same fingerprint the
@@ -12,17 +12,19 @@
 //
 // Admission pipeline: an uploaded checker starts "pending" and cannot
 // be enabled. A validation run (internal/harness) moves it to
-// "admitted" or "rejected"; only admitted checkers are eligible for
-// Enable. Enabling a checker implicitly disables any other version of
-// the same state machine for that tenant — "upgrade" is one call.
+// "admitted" or "rejected"; only admitted checkers can be enabled.
+// Enabling a checker implicitly disables any other version of the same
+// state machine — "upgrade" is one call.
 package registry
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/cc"
@@ -35,9 +37,6 @@ const (
 	StatusAdmitted = "admitted"
 	StatusRejected = "rejected"
 )
-
-// DefaultTenant is the tenant name used when a request names none.
-const DefaultTenant = "default"
 
 // Entry describes one stored checker version. Source text lives in a
 // content-addressed blob next to the state file, not in the entry.
@@ -53,24 +52,30 @@ type Entry struct {
 	Lines int `json:"lines"`
 	// Status is the admission state: pending, admitted, or rejected.
 	Status string `json:"status"`
+	// Enabled puts the checker in the daemon's active set: every
+	// analysis run loads the enabled entries.
+	Enabled bool `json:"enabled,omitempty"`
 	// Verdict is the validation harness's structured verdict, JSON
 	// encoded; empty until a validation ran.
 	Verdict json.RawMessage `json:"verdict,omitempty"`
 }
 
-// Registry is the inventory. All methods are safe for concurrent use.
+// Registry is the inventory. All methods are safe for concurrent use,
+// and every Entry they return is a copy.
 type Registry struct {
 	mu      sync.Mutex
 	dir     string // "" = memory-only (no persistence)
 	entries map[string]*Entry
-	sources map[string]string          // id -> source (memory mode or cache)
-	tenants map[string]map[string]bool // tenant -> enabled ids
+	sources map[string]string // id -> source (memory mode or cache)
 }
 
 // state.json's on-disk shape.
 type diskState struct {
-	Entries []*Entry            `json:"entries"`
-	Tenants map[string][]string `json:"tenants,omitempty"`
+	Entries []*Entry `json:"entries"`
+	// Legacy is the per-name enabled sets of a state file written
+	// before the registry kept one set. Open enables its "default"
+	// set; save never writes it.
+	Legacy map[string][]string `json:"tenants,omitempty"`
 }
 
 // Open loads (or creates) a registry rooted at dir. An empty dir
@@ -81,7 +86,6 @@ func Open(dir string) (*Registry, error) {
 		dir:     dir,
 		entries: map[string]*Entry{},
 		sources: map[string]string{},
-		tenants: map[string]map[string]bool{},
 	}
 	if dir == "" {
 		return r, nil
@@ -103,16 +107,25 @@ func Open(dir string) (*Registry, error) {
 	for _, e := range st.Entries {
 		r.entries[e.ID] = e
 	}
-	for tenant, ids := range st.Tenants {
-		set := map[string]bool{}
-		for _, id := range ids {
-			if _, ok := r.entries[id]; ok {
-				set[id] = true
-			}
+	for _, id := range st.Legacy["default"] {
+		if e, ok := r.entries[id]; ok {
+			e.Enabled = true
 		}
-		r.tenants[tenant] = set
 	}
 	return r, nil
+}
+
+// sortedLocked returns the live entries in (name, version) order, the
+// order of every listing and of state.json. Callers hold r.mu.
+func (r *Registry) sortedLocked() []*Entry {
+	out := make([]*Entry, 0, len(r.entries))
+	for _, e := range r.entries {
+		out = append(out, e)
+	}
+	slices.SortFunc(out, func(a, b *Entry) int {
+		return cmp.Or(strings.Compare(a.Name, b.Name), a.Version-b.Version)
+	})
+	return out
 }
 
 // save writes state.json atomically (temp file + rename). Callers
@@ -121,28 +134,7 @@ func (r *Registry) save() error {
 	if r.dir == "" {
 		return nil
 	}
-	st := diskState{Tenants: map[string][]string{}}
-	for _, e := range r.entries {
-		st.Entries = append(st.Entries, e)
-	}
-	sort.Slice(st.Entries, func(i, j int) bool {
-		a, b := st.Entries[i], st.Entries[j]
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		return a.Version < b.Version
-	})
-	for tenant, set := range r.tenants {
-		var ids []string
-		for id, on := range set {
-			if on {
-				ids = append(ids, id)
-			}
-		}
-		sort.Strings(ids)
-		st.Tenants[tenant] = ids
-	}
-	data, err := json.MarshalIndent(st, "", "  ")
+	data, err := json.MarshalIndent(diskState{Entries: r.sortedLocked()}, "", "  ")
 	if err != nil {
 		return err
 	}
@@ -167,17 +159,17 @@ func (r *Registry) save() error {
 // syntactic gate; behavioral gates are the harness's job). The
 // returned bool is false when this exact text was already stored —
 // uploads are idempotent by content address.
-func (r *Registry) Upload(src string) (*Entry, bool, error) {
+func (r *Registry) Upload(src string) (Entry, bool, error) {
 	c, err := metal.Parse(src)
 	if err != nil {
-		return nil, false, fmt.Errorf("checker does not parse: %w", err)
+		return Entry{}, false, fmt.Errorf("checker does not parse: %w", err)
 	}
 	id := cc.HashBytes([]byte(src))
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if e, ok := r.entries[id]; ok {
-		return e, false, nil
+		return *e, false, nil
 	}
 	maxVer := 0
 	for _, e := range r.entries {
@@ -194,15 +186,15 @@ func (r *Registry) Upload(src string) (*Entry, bool, error) {
 	}
 	if r.dir != "" {
 		if err := os.WriteFile(r.blobPath(id), []byte(src), 0o644); err != nil {
-			return nil, false, err
+			return Entry{}, false, err
 		}
 	}
 	r.entries[id] = e
 	r.sources[id] = src
 	if err := r.save(); err != nil {
-		return nil, false, err
+		return Entry{}, false, err
 	}
-	return e, true, nil
+	return *e, true, nil
 }
 
 func (r *Registry) blobPath(id string) string {
@@ -210,11 +202,13 @@ func (r *Registry) blobPath(id string) string {
 }
 
 // Get returns the entry for an ID.
-func (r *Registry) Get(id string) (*Entry, bool) {
+func (r *Registry) Get(id string) (Entry, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e, ok := r.entries[id]
-	return e, ok
+	if e, ok := r.entries[id]; ok {
+		return *e, true
+	}
+	return Entry{}, false
 }
 
 // Source returns the stored checker text for an ID, reading the blob
@@ -242,19 +236,13 @@ func (r *Registry) sourceLocked(id string) (string, error) {
 
 // List returns every entry, ordered by (name, version) so output is
 // deterministic.
-func (r *Registry) List() []*Entry {
+func (r *Registry) List() []Entry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]*Entry, 0, len(r.entries))
-	for _, e := range r.entries {
-		out = append(out, e)
+	var out []Entry
+	for _, e := range r.sortedLocked() {
+		out = append(out, *e)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].Version < out[j].Version
-	})
 	return out
 }
 
@@ -276,65 +264,39 @@ func (r *Registry) SetVerdict(id string, admitted bool, verdict json.RawMessage)
 	return r.save()
 }
 
-// Enable turns a checker on for a tenant. Only admitted checkers are
-// eligible; any other version of the same checker name is implicitly
-// disabled for that tenant, so an upgrade is a single Enable.
-func (r *Registry) Enable(tenant, id string) error {
-	if tenant == "" {
-		tenant = DefaultTenant
-	}
+// SetEnabled turns a checker on or off. Only admitted checkers can be
+// turned on, and turning one on turns off every other version of the
+// same checker name, so an upgrade is a single call.
+func (r *Registry) SetEnabled(id string, on bool) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e, ok := r.entries[id]
 	if !ok {
 		return fmt.Errorf("no checker %s", id)
 	}
-	if e.Status != StatusAdmitted {
+	if on && e.Status != StatusAdmitted {
 		return fmt.Errorf("checker %s (%s v%d) is %s, not admitted", id, e.Name, e.Version, e.Status)
 	}
-	set := r.tenants[tenant]
-	if set == nil {
-		set = map[string]bool{}
-		r.tenants[tenant] = set
+	if e.Enabled == on {
+		return nil
 	}
-	for otherID, on := range set {
-		if on && otherID != id {
-			if other, ok := r.entries[otherID]; ok && other.Name == e.Name {
-				delete(set, otherID)
+	if on {
+		for _, other := range r.entries {
+			if other.Name == e.Name {
+				other.Enabled = false
 			}
 		}
 	}
-	set[id] = true
+	e.Enabled = on
 	return r.save()
 }
 
-// Disable turns a checker off for a tenant (a no-op if it was off).
-func (r *Registry) Disable(tenant, id string) error {
-	if tenant == "" {
-		tenant = DefaultTenant
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.entries[id]; !ok {
-		return fmt.Errorf("no checker %s", id)
-	}
-	if set := r.tenants[tenant]; set[id] {
-		delete(set, id)
-		return r.save()
-	}
-	return nil
-}
-
-// Delete removes a checker version everywhere: the entry, its blob,
-// and any tenant enablement.
+// Delete removes a checker version everywhere: the entry and its blob.
 func (r *Registry) Delete(id string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.entries[id]; !ok {
 		return fmt.Errorf("no checker %s", id)
-	}
-	for _, set := range r.tenants {
-		delete(set, id)
 	}
 	delete(r.entries, id)
 	delete(r.sources, id)
@@ -344,61 +306,29 @@ func (r *Registry) Delete(id string) error {
 	return r.save()
 }
 
-// EnabledSource is one active checker for a tenant: the entry plus
-// its source text, ready to load into an analyzer.
+// EnabledSource is one active checker: the entry plus its source
+// text, ready to load into an analyzer.
 type EnabledSource struct {
-	Entry  *Entry
+	Entry  Entry
 	Source string
 }
 
-// Enabled returns the tenant's active checkers in deterministic
-// (name, version) order — the hot-reload read path: every analysis
-// run calls this and loads exactly what it returns.
-func (r *Registry) Enabled(tenant string) ([]EnabledSource, error) {
-	if tenant == "" {
-		tenant = DefaultTenant
-	}
+// Enabled returns the active checkers in (name, version) order — the
+// hot-reload read path: every analysis run loads exactly what one call
+// returns.
+func (r *Registry) Enabled() ([]EnabledSource, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var ids []string
-	for id, on := range r.tenants[tenant] {
-		if on {
-			ids = append(ids, id)
+	var out []EnabledSource
+	for _, e := range r.sortedLocked() {
+		if !e.Enabled {
+			continue
 		}
-	}
-	out := make([]EnabledSource, 0, len(ids))
-	for _, id := range ids {
-		src, err := r.sourceLocked(id)
+		src, err := r.sourceLocked(e.ID)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, EnabledSource{Entry: r.entries[id], Source: src})
+		out = append(out, EnabledSource{Entry: *e, Source: src})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Entry, out[j].Entry
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		return a.Version < b.Version
-	})
 	return out, nil
-}
-
-// EnabledIDs returns the tenant's active checker IDs sorted — the
-// cheap fingerprint the daemon compares across runs to count
-// hot-reloads.
-func (r *Registry) EnabledIDs(tenant string) []string {
-	if tenant == "" {
-		tenant = DefaultTenant
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var ids []string
-	for id, on := range r.tenants[tenant] {
-		if on {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
-	return ids
 }

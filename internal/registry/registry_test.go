@@ -2,9 +2,13 @@ package registry
 
 import (
 	"encoding/json"
+	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"repro/internal/cc"
 )
 
 const checkerV1 = `
@@ -85,28 +89,24 @@ func TestEnableRequiresAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Enable("t1", e.ID); err == nil {
+	if err := r.SetEnabled(e.ID, true); err == nil {
 		t.Fatal("pending checker was enabled")
 	}
 	if err := r.SetVerdict(e.ID, false, json.RawMessage(`{"status":"rejected"}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Enable("t1", e.ID); err == nil {
+	if err := r.SetEnabled(e.ID, true); err == nil {
 		t.Fatal("rejected checker was enabled")
 	}
 	if err := r.SetVerdict(e.ID, true, json.RawMessage(`{"status":"admitted"}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Enable("t1", e.ID); err != nil {
+	if err := r.SetEnabled(e.ID, true); err != nil {
 		t.Fatal(err)
 	}
-	on, err := r.Enabled("t1")
+	on, err := r.Enabled()
 	if err != nil || len(on) != 1 || on[0].Entry.ID != e.ID || on[0].Source != checkerV1 {
 		t.Fatalf("enabled = %+v err=%v", on, err)
-	}
-	// Other tenants see nothing.
-	if off, _ := r.Enabled("t2"); len(off) != 0 {
-		t.Errorf("tenant t2 sees t1's checkers: %+v", off)
 	}
 }
 
@@ -116,13 +116,13 @@ func TestEnableNewVersionSupersedesOld(t *testing.T) {
 	e2, _, _ := r.Upload(checkerV2)
 	r.SetVerdict(e1.ID, true, nil)
 	r.SetVerdict(e2.ID, true, nil)
-	if err := r.Enable("t", e1.ID); err != nil {
+	if err := r.SetEnabled(e1.ID, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Enable("t", e2.ID); err != nil {
+	if err := r.SetEnabled(e2.ID, true); err != nil {
 		t.Fatal(err)
 	}
-	on, _ := r.Enabled("t")
+	on, _ := r.Enabled()
 	if len(on) != 1 || on[0].Entry.ID != e2.ID {
 		t.Fatalf("v2 did not supersede v1: %+v", on)
 	}
@@ -130,7 +130,7 @@ func TestEnableNewVersionSupersedesOld(t *testing.T) {
 
 // TestPersistenceRoundTrip pins the ISSUE's restart criterion: upload,
 // validate, enable, then reopen the directory as a fresh registry —
-// entries, sources, verdicts, and per-tenant enable state all survive.
+// entries, sources, verdicts, and the enabled set all survive.
 func TestPersistenceRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	r, err := Open(dir)
@@ -146,7 +146,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	verdict := json.RawMessage(`{"status":"admitted","z":3.1}`)
 	r.SetVerdict(e1.ID, true, verdict)
 	r.SetVerdict(o.ID, false, json.RawMessage(`{"status":"rejected"}`))
-	if err := r.Enable("alice", e1.ID); err != nil {
+	if err := r.SetEnabled(e1.ID, true); err != nil {
 		t.Fatal(err)
 	}
 
@@ -179,7 +179,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if err != nil || src != checkerV1 {
 		t.Fatalf("source blob lost: %q err=%v", src, err)
 	}
-	on, err := r2.Enabled("alice")
+	on, err := r2.Enabled()
 	if err != nil || len(on) != 1 || on[0].Entry.ID != e1.ID {
 		t.Fatalf("enable state lost across restart: %+v err=%v", on, err)
 	}
@@ -198,14 +198,14 @@ func TestDeleteClearsEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.SetVerdict(e.ID, true, nil)
-	r.Enable("t", e.ID)
+	r.SetEnabled(e.ID, true)
 	if err := r.Delete(e.ID); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := r.Get(e.ID); ok {
 		t.Error("entry survives delete")
 	}
-	if on, _ := r.Enabled("t"); len(on) != 0 {
+	if on, _ := r.Enabled(); len(on) != 0 {
 		t.Error("enable state survives delete")
 	}
 	r2, _ := Open(dir)
@@ -217,28 +217,27 @@ func TestDeleteClearsEverything(t *testing.T) {
 	}
 }
 
-// TestEnableStateTracksActiveSet: only enable and disable move a
-// tenant's active set (EnabledIDs, what the daemon counts reloads by);
-// a verdict and a repeated disable do not.
+// TestEnableStateTracksActiveSet: only enable and disable move the
+// active set; a verdict and a repeated disable do not.
 func TestEnableStateTracksActiveSet(t *testing.T) {
 	r, _ := Open("")
 	e, _, _ := r.Upload(checkerV1)
 	r.SetVerdict(e.ID, true, nil)
-	if ids := r.EnabledIDs("t"); len(ids) != 0 {
+	if ids := enabledIDs(t, r); len(ids) != 0 {
 		t.Errorf("verdict enabled %v", ids)
 	}
-	r.Enable("t", e.ID)
-	if ids := r.EnabledIDs("t"); len(ids) != 1 || ids[0] != e.ID {
+	r.SetEnabled(e.ID, true)
+	if ids := enabledIDs(t, r); len(ids) != 1 || ids[0] != e.ID {
 		t.Errorf("after enable: %v", ids)
 	}
-	r.Disable("t", e.ID)
-	if ids := r.EnabledIDs("t"); len(ids) != 0 {
+	r.SetEnabled(e.ID, false)
+	if ids := enabledIDs(t, r); len(ids) != 0 {
 		t.Errorf("after disable: %v", ids)
 	}
-	if err := r.Disable("t", e.ID); err != nil { // already off: no-op
+	if err := r.SetEnabled(e.ID, false); err != nil { // already off: no-op
 		t.Errorf("no-op disable: %v", err)
 	}
-	if ids := r.EnabledIDs("t"); len(ids) != 0 {
+	if ids := enabledIDs(t, r); len(ids) != 0 {
 		t.Errorf("after no-op disable: %v", ids)
 	}
 }
@@ -255,17 +254,90 @@ func TestConcurrentAccess(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			tenant := string(rune('a' + i%4))
 			for j := 0; j < 20; j++ {
-				r.Enable(tenant, e.ID)
-				r.Enabled(tenant)
-				r.EnabledIDs(tenant)
+				r.SetEnabled(e.ID, true)
+				r.Enabled()
 				r.List()
-				r.Disable(tenant, e.ID)
+				r.SetEnabled(e.ID, false)
 			}
-		}(i)
+		}()
 	}
 	wg.Wait()
+}
+
+// TestOldStateFileMigrates: a state.json written while the registry
+// kept one enabled set per name opens with its "default" set enabled
+// and every other set dropped, and the next save writes only the one
+// set.
+func TestOldStateFileMigrates(t *testing.T) {
+	dir := t.TempDir()
+	a, b := cc.HashBytes([]byte(checkerV1)), cc.HashBytes([]byte(otherChecker))
+	if err := os.MkdirAll(filepath.Join(dir, "blobs"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for id, src := range map[string]string{a: checkerV1, b: otherChecker} {
+		if err := os.WriteFile(filepath.Join(dir, "blobs", id), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := fmt.Sprintf(`{
+  "entries": [
+    {"id": %[1]q, "name": "demo_checker", "version": 1, "lines": 11, "status": "admitted"},
+    {"id": %[2]q, "name": "other_checker", "version": 1, "lines": 10, "status": "admitted"}
+  ],
+  "tenants": {"default": [%[1]q], "other": [%[2]q]}
+}`, a, b)
+	if err := os.WriteFile(filepath.Join(dir, "state.json"), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids := enabledIDs(t, r); len(ids) != 1 || ids[0] != a {
+		t.Fatalf("migrated enabled set = %v, want [%s]", ids, a)
+	}
+	on, err := r.Enabled()
+	if err != nil || len(on) != 1 || on[0].Source != checkerV1 {
+		t.Fatalf("migrated checker does not load: %+v err=%v", on, err)
+	}
+
+	if err := r.SetVerdict(b, false, nil); err != nil { // any save
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "state.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var saved map[string]json.RawMessage
+	if err := json.Unmarshal(data, &saved); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := saved["tenants"]; ok {
+		t.Errorf("save wrote the old per-name sets: %s", data)
+	}
+	r2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids := enabledIDs(t, r2); len(ids) != 1 || ids[0] != a {
+		t.Errorf("enabled set after a save and reopen = %v, want [%s]", ids, a)
+	}
+}
+
+// enabledIDs is the active set's IDs in (name, version) order.
+func enabledIDs(t *testing.T, r *Registry) []string {
+	t.Helper()
+	on, err := r.Enabled()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, es := range on {
+		ids = append(ids, es.Entry.ID)
+	}
+	return ids
 }

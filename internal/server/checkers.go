@@ -14,8 +14,8 @@ import (
 	"repro/internal/registry"
 )
 
-// CheckerJSON renders one registry entry. Enabled reflects the
-// requesting tenant.
+// CheckerJSON renders one registry entry. Enabled reports whether it
+// is in the daemon's active set.
 type CheckerJSON struct {
 	ID      string          `json:"id"`
 	Name    string          `json:"name"`
@@ -27,24 +27,16 @@ type CheckerJSON struct {
 	Source  string          `json:"source,omitempty"`
 }
 
-func checkerJSON(e *registry.Entry, enabledIDs map[string]bool) CheckerJSON {
+func checkerJSON(e registry.Entry) CheckerJSON {
 	return CheckerJSON{
 		ID:      e.ID,
 		Name:    e.Name,
 		Version: e.Version,
 		Lines:   e.Lines,
 		Status:  e.Status,
-		Enabled: enabledIDs[e.ID],
+		Enabled: e.Enabled,
 		Verdict: e.Verdict,
 	}
-}
-
-func (s *Server) enabledSet(tenant string) map[string]bool {
-	set := map[string]bool{}
-	for _, id := range s.cfg.Registry.EnabledIDs(tenant) {
-		set[id] = true
-	}
-	return set
 }
 
 // UploadRequest is the POST /v1/checkers body.
@@ -77,14 +69,13 @@ func (s *Server) handleCheckerUpload(w http.ResponseWriter, r *http.Request) {
 	if created {
 		status = http.StatusCreated
 	}
-	writeJSON(w, status, checkerJSON(e, s.enabledSet(tenantOf(r))))
+	writeJSON(w, status, checkerJSON(e))
 }
 
 func (s *Server) handleCheckerList(w http.ResponseWriter, r *http.Request) {
-	enabled := s.enabledSet(tenantOf(r))
 	out := []CheckerJSON{}
 	for _, e := range s.cfg.Registry.List() {
-		out = append(out, checkerJSON(e, enabled))
+		out = append(out, checkerJSON(e))
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -96,7 +87,7 @@ func (s *Server) handleCheckerGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "not_found", "no such checker", id)
 		return
 	}
-	out := checkerJSON(e, s.enabledSet(tenantOf(r)))
+	out := checkerJSON(e)
 	if src, err := s.cfg.Registry.Source(id); err == nil {
 		out.Source = src
 	}
@@ -166,40 +157,31 @@ func (s *Server) handleCheckerValidate(w http.ResponseWriter, r *http.Request) {
 	}{id, v.Status, v, time.Since(t0).Nanoseconds()})
 }
 
-// handleCheckerEnable switches a checker on for the tenant. Only
-// admitted checkers are eligible (409 otherwise); any other version
-// of the same checker name is implicitly disabled, so an upgrade is
-// one call. The change is live on the tenant's next analyze.
-func (s *Server) handleCheckerEnable(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	tenant := tenantOf(r)
-	e, ok := s.cfg.Registry.Get(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "not_found", "no such checker", id)
-		return
+// handleCheckerSwitch turns a checker on or off. Only admitted
+// checkers can be enabled (409 otherwise); enabling one disables any
+// other version of the same checker name, so an upgrade is one call.
+// The change is live on the next analyze.
+func (s *Server) handleCheckerSwitch(on bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
+		e, ok := s.cfg.Registry.Get(id)
+		if !ok {
+			writeError(w, http.StatusNotFound, "not_found", "no such checker", id)
+			return
+		}
+		if err := s.cfg.Registry.SetEnabled(id, on); err != nil {
+			if on {
+				writeError(w, http.StatusConflict, "not_admitted",
+					"checker is not admitted for enablement", err.Error())
+			} else {
+				writeError(w, http.StatusInternalServerError, "internal",
+					"disable failed", err.Error())
+			}
+			return
+		}
+		e.Enabled = on
+		writeJSON(w, http.StatusOK, checkerJSON(e))
 	}
-	if err := s.cfg.Registry.Enable(tenant, id); err != nil {
-		writeError(w, http.StatusConflict, "not_admitted",
-			"checker is not admitted for enablement", err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, checkerJSON(e, s.enabledSet(tenant)))
-}
-
-func (s *Server) handleCheckerDisable(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	tenant := tenantOf(r)
-	e, ok := s.cfg.Registry.Get(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "not_found", "no such checker", id)
-		return
-	}
-	if err := s.cfg.Registry.Disable(tenant, id); err != nil {
-		writeError(w, http.StatusInternalServerError, "internal",
-			"disable failed", err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, checkerJSON(e, s.enabledSet(tenant)))
 }
 
 func (s *Server) handleCheckerDelete(w http.ResponseWriter, r *http.Request) {

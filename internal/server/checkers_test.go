@@ -3,11 +3,12 @@ package server
 // Checker-platform tests (DESIGN.md §14): the /v1/checkers admission
 // pipeline, hot-reload on the analyze path, registry persistence
 // through a daemon "restart", and isolation — a buggy checker is a
-// structured rejection while other tenants keep analyzing. Everything
-// here must hold under -race.
+// structured rejection while analyze requests keep succeeding.
+// Everything here must hold under -race.
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,6 +16,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/registry"
@@ -105,7 +107,7 @@ func doJSON(t *testing.T, method, url string, body interface{}) (int, []byte) {
 
 // upload + validate + enable, failing the test on any unexpected
 // status. Returns the checker ID.
-func admitChecker(t *testing.T, ts *httptest.Server, src, tenant string) string {
+func admitChecker(t *testing.T, ts *httptest.Server, src string) string {
 	t.Helper()
 	code, body := doJSON(t, "POST", ts.URL+"/v1/checkers", UploadRequest{Source: src})
 	if code != http.StatusCreated && code != http.StatusOK {
@@ -117,17 +119,17 @@ func admitChecker(t *testing.T, ts *httptest.Server, src, tenant string) string 
 	if code != http.StatusOK {
 		t.Fatalf("validate: status %d: %s", code, body)
 	}
-	code, body = doJSON(t, "POST", ts.URL+"/v1/checkers/"+e.ID+"/enable?tenant="+tenant, nil)
+	code, body = doJSON(t, "POST", ts.URL+"/v1/checkers/"+e.ID+"/enable", nil)
 	if code != http.StatusOK {
 		t.Fatalf("enable: status %d: %s", code, body)
 	}
 	return e.ID
 }
 
-func analyzeReports(t *testing.T, ts *httptest.Server, tenant string, req AnalyzeRequest) AnalyzeResponse {
+func analyzeReports(t *testing.T, ts *httptest.Server, req AnalyzeRequest) AnalyzeResponse {
 	t.Helper()
 	raw, _ := json.Marshal(req)
-	resp, err := http.Post(ts.URL+"/v1/analyze?tenant="+tenant, "application/json", bytes.NewReader(raw))
+	resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +169,7 @@ func TestCheckerLifecycleAndHotReload(t *testing.T) {
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
 
-			base := analyzeReports(t, ts, "", AnalyzeRequest{Files: map[string]string{"p.c": platformSrc}})
+			base := analyzeReports(t, ts, AnalyzeRequest{Files: map[string]string{"p.c": platformSrc}})
 			if base.Reports == 0 {
 				t.Fatal("bundled checker found nothing")
 			}
@@ -197,7 +199,7 @@ func TestCheckerLifecycleAndHotReload(t *testing.T) {
 			}
 
 			// Hot-reload: the very next analyze runs the new checker.
-			v1run := analyzeReports(t, ts, "", AnalyzeRequest{})
+			v1run := analyzeReports(t, ts, AnalyzeRequest{})
 			v1ByChecker := renderByChecker(v1run)
 			if len(v1ByChecker["uaf_checker"]) == 0 {
 				t.Fatalf("enabled checker emitted nothing: %+v", v1run.Ranked)
@@ -211,8 +213,8 @@ func TestCheckerLifecycleAndHotReload(t *testing.T) {
 
 			// Upgrade to v2: one upload+validate+enable; v1 is
 			// superseded automatically.
-			id2 := admitChecker(t, ts, uafCheckerV2, registry.DefaultTenant)
-			v2run := analyzeReports(t, ts, "", AnalyzeRequest{})
+			id2 := admitChecker(t, ts, uafCheckerV2)
+			v2run := analyzeReports(t, ts, AnalyzeRequest{})
 			v2ByChecker := renderByChecker(v2run)
 			if len(v2ByChecker["uaf_checker"]) <= len(v1ByChecker["uaf_checker"]) {
 				t.Errorf("v2 (double-free aware) did not add reports: v1=%v v2=%v",
@@ -269,7 +271,7 @@ func equalStrings(a, b []string) bool {
 // TestBuggyCheckerIsVerdictNotOutage pins the ISSUE's isolation
 // criterion: an over-reporting checker validates to a structured
 // rejection with a negative z-score, cannot be enabled, and while its
-// validation runs, another tenant's analyze requests keep succeeding.
+// validation runs, analyze requests keep succeeding.
 func TestBuggyCheckerIsVerdictNotOutage(t *testing.T) {
 	srv := New(Config{Checkers: []string{"free"}, MaxInFlight: 8})
 	ts := httptest.NewServer(srv.Handler())
@@ -282,13 +284,13 @@ func TestBuggyCheckerIsVerdictNotOutage(t *testing.T) {
 	var e CheckerJSON
 	json.Unmarshal(body, &e)
 
-	// Another tenant analyzes concurrently with the validation.
+	// Analyze concurrently with the validation.
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 3; i++ {
-			analyzeReports(t, ts, "tenant-b", AnalyzeRequest{Files: map[string]string{"p.c": platformSrc}})
+			analyzeReports(t, ts, AnalyzeRequest{Files: map[string]string{"p.c": platformSrc}})
 		}
 	}()
 	code, body = doJSON(t, "POST", ts.URL+"/v1/checkers/"+e.ID+"/validate", nil)
@@ -323,8 +325,8 @@ func TestBuggyCheckerIsVerdictNotOutage(t *testing.T) {
 }
 
 // TestHotReloadUnderConcurrentAnalyze drives analyze traffic from two
-// tenants while a third goroutine flips a checker on and off — the
-// race detector guards the registry/analyze interleaving, and every
+// goroutines while a third flips a checker on and off — the race
+// detector guards the registry/analyze interleaving, and every
 // response must be internally consistent (the flipped checker's
 // reports are either all present or all absent).
 func TestHotReloadUnderConcurrentAnalyze(t *testing.T) {
@@ -332,35 +334,31 @@ func TestHotReloadUnderConcurrentAnalyze(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	seed := analyzeReports(t, ts, "flip", AnalyzeRequest{Files: map[string]string{"p.c": platformSrc}})
+	seed := analyzeReports(t, ts, AnalyzeRequest{Files: map[string]string{"p.c": platformSrc}})
 	baseFree := renderByChecker(seed)["free_checker"]
-	analyzeReports(t, ts, "steady", AnalyzeRequest{})
 
-	code, body := doJSON(t, "POST", ts.URL+"/v1/checkers", UploadRequest{Source: uafCheckerV1})
-	if code != http.StatusCreated {
-		t.Fatalf("upload: status %d: %s", code, body)
+	// The flipped checker's full report set, taken with it on.
+	id := admitChecker(t, ts, uafCheckerV1)
+	allUAF := renderByChecker(analyzeReports(t, ts, AnalyzeRequest{}))["uaf_checker"]
+	if len(allUAF) == 0 {
+		t.Fatal("enabled checker emitted nothing")
 	}
-	var e CheckerJSON
-	json.Unmarshal(body, &e)
-	if code, body = doJSON(t, "POST", ts.URL+"/v1/checkers/"+e.ID+"/validate", nil); code != http.StatusOK {
-		t.Fatalf("validate: status %d: %s", code, body)
+	if code, body := doJSON(t, "POST", ts.URL+"/v1/checkers/"+id+"/disable", nil); code != http.StatusOK {
+		t.Fatalf("disable: status %d: %s", code, body)
 	}
 
 	var wg sync.WaitGroup
-	for _, tenant := range []string{"flip", "steady"} {
-		tenant := tenant
+	for g := 0; g < 2; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 6; i++ {
-				resp := analyzeReports(t, ts, tenant, AnalyzeRequest{})
-				by := renderByChecker(resp)
+				by := renderByChecker(analyzeReports(t, ts, AnalyzeRequest{}))
 				if !equalStrings(by["free_checker"], baseFree) {
-					t.Errorf("tenant %s: bundled reports drifted mid-reload:\n%v\n%v",
-						tenant, by["free_checker"], baseFree)
+					t.Errorf("bundled reports drifted mid-reload:\n%v\n%v", by["free_checker"], baseFree)
 				}
-				if tenant == "steady" && len(by["uaf_checker"]) != 0 {
-					t.Errorf("tenant steady saw tenant flip's checker: %v", by["uaf_checker"])
+				if got := by["uaf_checker"]; len(got) != 0 && !equalStrings(got, allUAF) {
+					t.Errorf("flipped checker's reports are partial:\n%v\nwant none or\n%v", got, allUAF)
 				}
 			}
 		}()
@@ -369,10 +367,10 @@ func TestHotReloadUnderConcurrentAnalyze(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 6; i++ {
-			if code, body := doJSON(t, "POST", ts.URL+"/v1/checkers/"+e.ID+"/enable?tenant=flip", nil); code != http.StatusOK {
+			if code, body := doJSON(t, "POST", ts.URL+"/v1/checkers/"+id+"/enable", nil); code != http.StatusOK {
 				t.Errorf("enable: status %d: %s", code, body)
 			}
-			if code, body := doJSON(t, "POST", ts.URL+"/v1/checkers/"+e.ID+"/disable?tenant=flip", nil); code != http.StatusOK {
+			if code, body := doJSON(t, "POST", ts.URL+"/v1/checkers/"+id+"/disable", nil); code != http.StatusOK {
 				t.Errorf("disable: status %d: %s", code, body)
 			}
 		}
@@ -380,9 +378,53 @@ func TestHotReloadUnderConcurrentAnalyze(t *testing.T) {
 	wg.Wait()
 }
 
+// TestReloadCountsTheLoadedSet: checker_reloads compares the sets runs
+// loaded, not the registry as it stands when a run ends. Three runs
+// all load the empty set; an enable lands inside run 2, after its
+// registry read, and a disable follows it. No run loaded a different
+// set, so the count stays 0.
+func TestReloadCountsTheLoadedSet(t *testing.T) {
+	srv := New(Config{Checkers: []string{"free"}})
+	e, _, err := srv.cfg.Registry.Upload(uafCheckerV1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.cfg.Registry.SetVerdict(e.ID, true, nil); err != nil {
+		t.Fatal(err)
+	}
+	var runs atomic.Int32
+	srv.testRunHook = func(context.Context) {
+		if runs.Add(1) == 2 {
+			if err := srv.cfg.Registry.SetEnabled(e.ID, true); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	for run := 1; run <= 3; run++ {
+		resp := analyzeReports(t, ts, AnalyzeRequest{Files: map[string]string{"p.c": platformSrc}})
+		if got := renderByChecker(resp)["uaf_checker"]; len(got) != 0 {
+			t.Errorf("run %d ran a checker it did not load: %v", run, got)
+		}
+		if run == 2 {
+			if on, _ := srv.cfg.Registry.Enabled(); len(on) != 1 {
+				t.Fatalf("the mid-run enable did not land: %+v", on)
+			}
+			if code, body := doJSON(t, "POST", ts.URL+"/v1/checkers/"+e.ID+"/disable", nil); code != http.StatusOK {
+				t.Fatalf("disable: status %d: %s", code, body)
+			}
+		}
+	}
+	if st := getStats(t, ts.URL); st["checker_reloads"] != 0.0 {
+		t.Errorf("checker_reloads = %v, want 0: every run loaded the empty set", st["checker_reloads"])
+	}
+}
+
 // TestRegistryPersistenceAcrossDaemonRestart: a daemon over an
 // on-disk registry is stopped and a new one opened over the same
-// directory — uploads, verdicts, and the tenant's enabled set are all
+// directory — uploads, verdicts, and the enabled set are all
 // intact, and the enabled checker runs in the first analyze of the
 // new daemon.
 func TestRegistryPersistenceAcrossDaemonRestart(t *testing.T) {
@@ -393,7 +435,7 @@ func TestRegistryPersistenceAcrossDaemonRestart(t *testing.T) {
 	}
 	srv1 := New(Config{Checkers: []string{"free"}, Registry: reg1})
 	ts1 := httptest.NewServer(srv1.Handler())
-	id := admitChecker(t, ts1, uafCheckerV1, registry.DefaultTenant)
+	id := admitChecker(t, ts1, uafCheckerV1)
 	ts1.Close()
 
 	reg2, err := registry.Open(dir)
@@ -414,7 +456,7 @@ func TestRegistryPersistenceAcrossDaemonRestart(t *testing.T) {
 		t.Fatalf("registry state lost across restart: %s", body)
 	}
 
-	resp := analyzeReports(t, ts2, "", AnalyzeRequest{Files: map[string]string{"p.c": platformSrc}})
+	resp := analyzeReports(t, ts2, AnalyzeRequest{Files: map[string]string{"p.c": platformSrc}})
 	if len(renderByChecker(resp)["uaf_checker"]) == 0 {
 		t.Errorf("restored enabled checker emitted nothing: %+v", resp.Ranked)
 	}

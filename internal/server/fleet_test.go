@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/fleet"
-	"repro/internal/registry"
 	"repro/internal/workload"
 )
 
@@ -32,7 +31,7 @@ func TestAnalyzeCoalescing(t *testing.T) {
 	srcs, _ := workload.MixedTree(2, 5, 7)
 	s := New(Config{})
 	req := AnalyzeRequest{Files: srcs}
-	key := s.analyzeKey(registry.DefaultTenant, &req)
+	key := s.analyzeKey(nil, &req)
 
 	const n = 8 // deliberately above DefaultMaxInFlight: followers skip admission
 	s.testRunHook = func(ctx context.Context) {
@@ -83,16 +82,37 @@ func TestAnalyzeCoalescing(t *testing.T) {
 }
 
 // TestDistinctRequestsDoNotCoalesce guards the key: different patches
-// must run separately.
+// must run separately, and so must one patch before and after a
+// checker is enabled.
 func TestDistinctRequestsDoNotCoalesce(t *testing.T) {
 	s := New(Config{})
 	a := AnalyzeRequest{Files: map[string]string{"a.c": "void a(void) {}"}}
 	b := AnalyzeRequest{Files: map[string]string{"a.c": "void b(void) {}"}}
-	if s.analyzeKey(registry.DefaultTenant, &a) == s.analyzeKey(registry.DefaultTenant, &b) {
+	if s.analyzeKey(nil, &a) == s.analyzeKey(nil, &b) {
 		t.Fatal("distinct patches share an analyze key")
 	}
-	if s.analyzeKey("t1", &a) == s.analyzeKey("t2", &a) {
-		t.Fatal("distinct tenants share an analyze key")
+
+	reg := s.cfg.Registry
+	before, err := reg.Enabled()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, _, err := reg.Upload(uafCheckerV1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.SetVerdict(e.ID, true, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.SetEnabled(e.ID, true); err != nil {
+		t.Fatal(err)
+	}
+	after, err := reg.Enabled()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.analyzeKey(before, &a) == s.analyzeKey(after, &a) {
+		t.Fatal("enabling a checker left the analyze key unchanged")
 	}
 }
 

@@ -16,13 +16,13 @@
 //	GET    /v1/checkers
 //	GET    /v1/checkers/{id}
 //	POST   /v1/checkers/{id}/validate
-//	POST   /v1/checkers/{id}/enable    ?tenant=...
-//	POST   /v1/checkers/{id}/disable   ?tenant=...
+//	POST   /v1/checkers/{id}/enable
+//	POST   /v1/checkers/{id}/disable
 //	DELETE /v1/checkers/{id}
 //
 // The checker routes are the admission pipeline (DESIGN.md §14):
 // upload stores a version in the registry, validate runs the harness
-// and attaches a verdict, enable switches a tenant's active set — the
+// and attaches a verdict, enable switches the daemon's active set — the
 // next analyze run picks it up without a restart or losing the
 // resident tree, and unchanged checkers replay byte-identically
 // because cache keys fingerprint checker text.
@@ -118,7 +118,7 @@ type Server struct {
 	maxBody int64 // maxRequestBody; tests shrink it
 
 	// flight coalesces concurrent identical analyze requests: K posts
-	// that denote the same (tree, patch, tenant, checker set) share one
+	// that denote the same (tree, patch, checker set) share one
 	// analysis and one response (DESIGN.md §15). Coalescing sits in
 	// front of admission, so a burst of duplicates costs one semaphore
 	// slot.
@@ -150,13 +150,13 @@ type Server struct {
 	cachePuts      int64
 	cachePutErrors int64
 	// Checker-platform counters (DESIGN.md §14): hot-reloads observed
-	// on the analyze path and validation outcomes. lastEnabled tracks
-	// each tenant's active-set fingerprint so a changed set on the next
-	// run counts as exactly one reload.
+	// on the analyze path and validation outcomes. loadedSet is the
+	// active set the last committed run loaded, so a run that loads a
+	// different one counts as exactly one reload.
 	checkerReloads      int64
 	validationsAdmitted int64
 	validationsRejected int64
-	lastEnabled         map[string]string
+	loadedSet           string
 	// coalescedAnalyzes counts analyze requests that shared another
 	// request's in-flight run instead of starting their own.
 	coalescedAnalyzes int64
@@ -182,12 +182,11 @@ func New(cfg Config) *Server {
 		cfg.Options = &opts
 	}
 	return &Server{
-		cfg:         cfg,
-		store:       store,
-		sem:         make(chan struct{}, cfg.MaxInFlight),
-		srcs:        map[string]string{},
-		lastEnabled: map[string]string{},
-		maxBody:     maxRequestBody,
+		cfg:     cfg,
+		store:   store,
+		sem:     make(chan struct{}, cfg.MaxInFlight),
+		srcs:    map[string]string{},
+		maxBody: maxRequestBody,
 	}
 }
 
@@ -216,16 +215,15 @@ func retryAfterSeconds(d time.Duration, inflight int64) int {
 	return secs
 }
 
-// newAnalyzer assembles a fresh analyzer over the given tree and the
-// resident store for one tenant. Analyzer construction is cheap; the
-// heavy state that outlives a run (unit results) lives in the store,
-// and every run parses the tree it is given. The
-// registry read here IS the hot-reload: every run loads the tenant's
-// currently enabled checkers, so an enable/disable between requests
-// takes effect on the next analyze with no restart — and because unit
-// cache keys fingerprint checker text, a changed set invalidates only
-// its own units.
-func (s *Server) newAnalyzer(tree map[string]string, tenant string) (*mc.Analyzer, error) {
+// newAnalyzer assembles a fresh analyzer over the given tree, the
+// resident store and the given read of the registry's enabled set.
+// Analyzer construction is cheap; the heavy state that outlives a run
+// (unit results) lives in the store, and every run parses the tree it
+// is given. Loading the enabled set per run IS the hot-reload: an
+// enable/disable between requests takes effect on the next analyze
+// with no restart — and because unit cache keys fingerprint checker
+// text, a changed set invalidates only its own units.
+func (s *Server) newAnalyzer(tree map[string]string, enabled []registry.EnabledSource) (*mc.Analyzer, error) {
 	a := mc.NewAnalyzer()
 	cfg := mc.RunConfig{
 		Options:    s.cfg.Options,
@@ -233,7 +231,7 @@ func (s *Server) newAnalyzer(tree map[string]string, tenant string) (*mc.Analyze
 		CacheStore: s.store,
 	}
 	if s.cfg.Fleet != nil {
-		cfg.UnitRunner = s.cfg.Fleet.RunnerFor(tenant)
+		cfg.UnitRunner = s.cfg.Fleet.RunnerFor("")
 	}
 	if err := a.Configure(cfg); err != nil {
 		return nil, err
@@ -248,10 +246,6 @@ func (s *Server) newAnalyzer(tree map[string]string, tenant string) (*mc.Analyze
 			return nil, err
 		}
 	}
-	enabled, err := s.cfg.Registry.Enabled(tenant)
-	if err != nil {
-		return nil, err
-	}
 	for _, es := range enabled {
 		if err := a.LoadChecker(es.Source); err != nil {
 			return nil, fmt.Errorf("registry checker %s: %w", es.Entry.ID, err)
@@ -263,27 +257,14 @@ func (s *Server) newAnalyzer(tree map[string]string, tenant string) (*mc.Analyze
 	return a, nil
 }
 
-// noteReload compares the tenant's active checker set against the one
-// its previous analyze ran with, counting one hot-reload per change.
-// Called with s.mu held.
-func (s *Server) noteReloadLocked(tenant string) {
-	key := strings.Join(s.cfg.Registry.EnabledIDs(tenant), ",")
-	if prev, ok := s.lastEnabled[tenant]; ok && prev != key {
-		s.checkerReloads++
+// setKey fingerprints one read of the enabled set: its IDs in the
+// registry's deterministic order.
+func setKey(enabled []registry.EnabledSource) string {
+	ids := make([]string, len(enabled))
+	for i, es := range enabled {
+		ids[i] = es.Entry.ID
 	}
-	s.lastEnabled[tenant] = key
-}
-
-// tenantOf extracts the request's tenant: the "tenant" query
-// parameter, then the X-Tenant header, then the default tenant.
-func tenantOf(r *http.Request) string {
-	if t := r.URL.Query().Get("tenant"); t != "" {
-		return t
-	}
-	if t := r.Header.Get("X-Tenant"); t != "" {
-		return t
-	}
-	return registry.DefaultTenant
+	return strings.Join(ids, ",")
 }
 
 // ErrorEnvelope is the uniform error body every endpoint returns on
@@ -392,8 +373,8 @@ func (s *Server) Handler() http.Handler {
 	api("GET /v1/checkers", s.handleCheckerList)
 	api("GET /v1/checkers/{id}", s.handleCheckerGet)
 	api("POST /v1/checkers/{id}/validate", s.handleCheckerValidate)
-	api("POST /v1/checkers/{id}/enable", s.handleCheckerEnable)
-	api("POST /v1/checkers/{id}/disable", s.handleCheckerDisable)
+	api("POST /v1/checkers/{id}/enable", s.handleCheckerSwitch(true))
+	api("POST /v1/checkers/{id}/disable", s.handleCheckerSwitch(false))
 	api("DELETE /v1/checkers/{id}", s.handleCheckerDelete)
 	// Any other method on these paths, and an unknown subpath under
 	// /v1/checkers/, would otherwise get the mux's plain-text 405; keep
@@ -435,23 +416,32 @@ func (s *Server) Handler() http.Handler {
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	tenant := tenantOf(r)
 	var req AnalyzeRequest
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
+	// The request reads the registry once: its key, the checkers its
+	// run loads and the reload count all see this set, so an enable
+	// that lands mid-run is charged to the next run, which loads it.
+	enabled, err := s.cfg.Registry.Enabled()
+	if err != nil {
+		s.bumpFailures()
+		writeError(w, http.StatusInternalServerError, "internal",
+			"registry unreadable", err.Error())
+		return
+	}
 
 	// Request coalescing (DESIGN.md §15): concurrent requests that
-	// denote the same analysis — same resulting tree, tenant, and
-	// active checker set — share one run and one response. Sound
+	// denote the same analysis — same resulting tree and active
+	// checker set — share one run and one response. Sound
 	// because the patch is idempotent: applying it once on behalf of
 	// everyone commits the same resident tree. The run executes under
 	// the flight's call-scoped context, so one impatient client cannot
 	// cancel the work for the rest.
-	key := s.analyzeKey(tenant, &req)
+	key := s.analyzeKey(enabled, &req)
 	out, shared, err := s.flight.Do(r.Context(), key, func(ctx context.Context) *bufferedResponse {
 		br := newBufferedResponse()
-		s.runAnalyze(br, ctx, tenant, &req)
+		s.runAnalyze(br, ctx, enabled, &req)
 		return br
 	})
 	if err != nil {
@@ -470,11 +460,11 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 }
 
 // analyzeKey fingerprints the analysis a request denotes: the resident
-// tree it would commit (base tree plus canonical patch), the tenant,
-// and the tenant's active checker set. Content-addressed like the
-// cache itself, so two requests coalesce exactly when their runs would
-// be indistinguishable.
-func (s *Server) analyzeKey(tenant string, req *AnalyzeRequest) string {
+// tree it would commit (base tree plus canonical patch) and the
+// active checker set it read. Content-addressed like the cache itself,
+// so two requests coalesce exactly when their runs would be
+// indistinguishable.
+func (s *Server) analyzeKey(enabled []registry.EnabledSource, req *AnalyzeRequest) string {
 	var base []string
 	if !req.Reset {
 		s.mu.Lock()
@@ -491,8 +481,8 @@ func (s *Server) analyzeKey(tenant string, req *AnalyzeRequest) string {
 		patch = append(patch, name+"\x00"+src)
 	}
 	sort.Strings(patch)
-	return cache.Key("analyze", tenant,
-		strings.Join(s.cfg.Registry.EnabledIDs(tenant), ","),
+	return cache.Key("analyze",
+		setKey(enabled),
 		strconv.FormatBool(req.Reset),
 		strings.Join(base, "\x01"),
 		strings.Join(removes, "\x01"),
@@ -502,7 +492,7 @@ func (s *Server) analyzeKey(tenant string, req *AnalyzeRequest) string {
 // runAnalyze is the admitted analysis path; it writes exactly one
 // response to w (a bufferedResponse when the request came through the
 // coalescing layer).
-func (s *Server) runAnalyze(w http.ResponseWriter, ctx context.Context, tenant string, req *AnalyzeRequest) {
+func (s *Server) runAnalyze(w http.ResponseWriter, ctx context.Context, enabled []registry.EnabledSource, req *AnalyzeRequest) {
 	ctx, release, ok := s.admit(w, ctx)
 	if !ok {
 		return
@@ -537,7 +527,7 @@ func (s *Server) runAnalyze(w http.ResponseWriter, ctx context.Context, tenant s
 		return
 	}
 
-	a, err := s.newAnalyzer(next, tenant)
+	a, err := s.newAnalyzer(next, enabled)
 	if err != nil {
 		s.bumpFailures()
 		writeError(w, http.StatusInternalServerError, "internal",
@@ -552,8 +542,12 @@ func (s *Server) runAnalyze(w http.ResponseWriter, ctx context.Context, tenant s
 	}
 
 	s.mu.Lock()
+	set := setKey(enabled)
+	if s.analyses > 0 && set != s.loadedSet {
+		s.checkerReloads++
+	}
+	s.loadedSet = set
 	s.analyses++
-	s.noteReloadLocked(tenant)
 	s.checkerFailures += int64(len(res.Failures))
 	if res.Degraded {
 		s.degradedRuns++
