@@ -73,7 +73,10 @@ vet:
 # retire-time inspection hook and the Supergraph setting and result
 # field that fed it stay gone. And the daemon serves one checker set
 # (DESIGN.md §14): the tenant selector and its default, the per-tenant
-# reload map and the registry's per-tenant sets stay gone.
+# reload map and the registry's per-tenant sets stay gone. And the front
+# end allocates like the engine (DESIGN.md §10.4): the lexer's '$' knob
+# and token, which only a test set, and the parser's heap scope per block
+# stay gone.
 no-deleted-knobs:
 	! grep -rnE 'Match[M]emo|Block[F]ilter|Tuple[I]ntern|Lean[A]lloc|Multi[D]ispatch|Tenant[Q]uota|Queue[D]epth|Batch[S]ize' --include=*.go .
 	! grep -rnE 'Load[S]ummaries|summary[S]ource|Retired[S]et|Allow[S]pillReload|Summaries[L]oaded|SummaryBytes[D]eferred' --include=*.go .
@@ -94,6 +97,7 @@ no-deleted-knobs:
 	! grep -rnE 'internal/[f]eas|[f]eas[.]|Verified[O]nly|Verdict(R[a]nk|W[h]y|U[n]verified|C[o]nfirmed|I[n]feasible|U[n]known)|Term[O]f|Canon[T]erm|Const[T]erm|Term[C]onst|Path[S]tep\b|Multi[P]ath|log[E]vent' --include=*.go --exclude-dir=benchmark .
 	! grep -rnE 'With[M]etrics|cache\.[M]etrics|\*[c]ounted\b|[c]ounted\{|cache[M]etrics|disk[S]tore|\.Inspec[t]\(|Inspectio[n]\(|\binspecte[d]\b|(RunConfig|Result|cfg|res)\.Supergrap[h]\b|RunConfig\{[^}]*Supergrap[h]:|a\.share[d]\b' --include=*.go .
 	! grep -rnE 'tenant[O]f|Default[T]enant|X-[T]enant|last[E]nabled|\?[t]enant=|\bT[e]nants\b' --include=*.go --exclude-dir=benchmark .
+	! grep -rnE 'Allow[D]ollar|TokDollar[H]ole|newParse[S]cope' --include=*.go .
 	! ls BENCH_*.json 2>/dev/null | grep .
 
 # staticcheck is optional locally (the repo adds no dependencies) but
@@ -147,14 +151,14 @@ fuzz:
 
 # Microbenchmarks for the §10 hot paths (pattern match, block and
 # call-rich traversal, instance clone, an interned tuple's id, the
-# per-path FPP environment's copy and fingerprint, edge-set insertion)
-# and the disk store (§8:
+# per-path FPP environment's copy and fingerprint, edge-set insertion),
+# the front end (parse + prog.Build, §10.4) and the disk store (§8:
 # 2685 records / 5.6 MB, written as one batch and indexed at open).
 # -benchtime 100x keeps the target quick enough for CI; drop the
 # override for stable local numbers.
 bench-micro:
-	$(GO) test -run '^$$' -bench 'BenchmarkBaseMatch|BenchmarkBlockTraversal|BenchmarkCallRichTraversal|BenchmarkInstanceClone|BenchmarkInternHit|BenchmarkEdgeSetAdd|BenchmarkEnvCopy|BenchmarkEnvFingerprint|BenchmarkStoreOpen|BenchmarkStorePutBatch' \
-		-benchtime 100x ./internal/pattern/ ./internal/core/ ./internal/fpp/ ./internal/cache/
+	$(GO) test -run '^$$' -bench 'BenchmarkBaseMatch|BenchmarkBlockTraversal|BenchmarkCallRichTraversal|BenchmarkInstanceClone|BenchmarkInternHit|BenchmarkEdgeSetAdd|BenchmarkEnvCopy|BenchmarkEnvFingerprint|BenchmarkFrontEnd|BenchmarkStoreOpen|BenchmarkStorePutBatch' \
+		-benchtime 100x ./internal/pattern/ ./internal/core/ ./internal/fpp/ ./internal/prog/ ./internal/cache/
 
 # CPU + allocation profiles (written to pprof/): the 5/50/200-checker
 # suite runs, and the cold-calls shape — the full bundled suite over a
@@ -166,11 +170,15 @@ bench-micro:
 # map per match was 10 % of the objects and 20 % of the bytes):
 #               go tool pprof -sample_index=alloc_objects pprof/core.test pprof/callrich.mem
 #               go tool pprof -sample_index=alloc_space   pprof/core.test pprof/callrich.mem
+# The front end alone (parse + prog.Build over leaf-L's shape, §10.4):
+#               go tool pprof -sample_index=alloc_objects pprof/prog.test pprof/frontend.mem
 profile:
 	mkdir -p pprof
 	$(GO) test -run '^$$' -bench BenchmarkCheckerSuite -benchtime 20x -o pprof/repro.test -cpuprofile pprof/suite.cpu -memprofile pprof/suite.mem .
 	$(GO) test -run '^$$' -bench BenchmarkCallRichTraversal/plain -benchtime 2000x -o pprof/core.test \
 		-cpuprofile pprof/callrich.cpu -memprofile pprof/callrich.mem ./internal/core/
+	$(GO) test -run '^$$' -bench BenchmarkFrontEnd -benchtime 200x -o pprof/prog.test \
+		-cpuprofile pprof/frontend.cpu -memprofile pprof/frontend.mem ./internal/prog/
 
 clean:
 	rm -rf pprof

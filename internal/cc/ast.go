@@ -392,8 +392,11 @@ type FuncDecl struct {
 // Signature returns the function's type.
 func (d *FuncDecl) Signature() *Type {
 	t := &Type{Kind: TypeFunc, Ret: d.Result, Variadic: d.Variadic}
-	for _, p := range d.Params {
-		t.Params = append(t.Params, p.Type)
+	if len(d.Params) > 0 {
+		t.Params = make([]*Type, len(d.Params))
+		for i, p := range d.Params {
+			t.Params[i] = p.Type
+		}
 	}
 	return t
 }

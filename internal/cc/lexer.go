@@ -1,22 +1,18 @@
 package cc
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Lexer converts C source text into a token stream. It strips // and
 // /* */ comments and skips preprocessor directives (lines whose first
 // non-blank character is '#'); the fixtures and generated workloads in
-// this repository are preprocessed-free C.
+// this repository are preprocessed-free C. A '#' anywhere else on a
+// line is a lexical error.
 type Lexer struct {
 	src  string
 	file string
 	off  int
 	line int
 	col  int
-	// AllowDollar enables the '$' token used by metal pattern callouts.
-	AllowDollar bool
 }
 
 // NewLexer returns a lexer over src, attributing positions to file.
@@ -32,7 +28,9 @@ type LexError struct {
 
 func (e *LexError) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
-func (l *Lexer) pos() Pos { return Pos{File: l.file, Line: l.line, Col: l.col} }
+func (l *Lexer) errAt(line, col int, msg string) error {
+	return &LexError{Pos: Pos{File: l.file, Line: line, Col: col}, Msg: msg}
+}
 
 func (l *Lexer) peek() byte {
 	if l.off >= len(l.src) {
@@ -80,7 +78,7 @@ func (l *Lexer) skipTrivia() error {
 				l.advance()
 			}
 		case c == '/' && l.peek2() == '*':
-			start := l.pos()
+			line, col := l.line, l.col
 			l.advance()
 			l.advance()
 			closed := false
@@ -94,9 +92,9 @@ func (l *Lexer) skipTrivia() error {
 				l.advance()
 			}
 			if !closed {
-				return &LexError{Pos: start, Msg: "unterminated block comment"}
+				return l.errAt(line, col, "unterminated block comment")
 			}
-		case c == '#' && l.col == l.lineStartCol():
+		case c == '#' && l.atLineStart():
 			// Preprocessor directive: skip to end of (possibly continued) line.
 			for l.off < len(l.src) {
 				if l.peek() == '\\' && l.peek2() == '\n' {
@@ -116,21 +114,31 @@ func (l *Lexer) skipTrivia() error {
 	return nil
 }
 
-// lineStartCol returns the column at which a directive may begin. We
-// accept '#' anywhere after leading whitespace; since skipTrivia eats
-// whitespace first, the current column is by construction the first
-// non-blank column, so this always matches.
-func (l *Lexer) lineStartCol() int { return l.col }
+// atLineStart reports whether only blanks precede the current byte on
+// its line: where a '#' begins a directive.
+func (l *Lexer) atLineStart() bool {
+	for i := l.off - 1; i >= 0; i-- {
+		switch l.src[i] {
+		case '\n':
+			return true
+		case ' ', '\t', '\r', '\v', '\f':
+		default:
+			return false
+		}
+	}
+	return true
+}
 
 // Next returns the next token.
 func (l *Lexer) Next() (Token, error) {
 	if err := l.skipTrivia(); err != nil {
 		return Token{}, err
 	}
-	p := l.pos()
+	t := Token{Line: int32(l.line), Col: int32(l.col)}
 	if l.off >= len(l.src) {
-		return Token{Kind: TokEOF, Pos: p}, nil
+		return t, nil // TokEOF
 	}
+	var err error
 	c := l.peek()
 	switch {
 	case isAlpha(c):
@@ -138,22 +146,29 @@ func (l *Lexer) Next() (Token, error) {
 		for l.off < len(l.src) && isAlnum(l.peek()) {
 			l.advance()
 		}
-		text := l.src[start:l.off]
-		if k, ok := keywords[text]; ok {
-			return Token{Kind: k, Text: text, Pos: p}, nil
+		t.Text = l.src[start:l.off]
+		t.Kind = TokIdent
+		if k, ok := keywords[t.Text]; ok {
+			t.Kind = k
 		}
-		return Token{Kind: TokIdent, Text: text, Pos: p}, nil
 	case isDigit(c) || (c == '.' && isDigit(l.peek2())):
-		return l.lexNumber(p)
+		t.Kind, t.Text = l.lexNumber()
 	case c == '\'':
-		return l.lexCharLit(p)
+		t.Kind = TokCharLit
+		t.Text, err = l.lexQuoted('\'', "character literal")
 	case c == '"':
-		return l.lexStringLit(p)
+		t.Kind = TokStringLit
+		t.Text, err = l.lexQuoted('"', "string literal")
+	default:
+		t.Kind, err = l.lexPunct()
 	}
-	return l.lexPunct(p)
+	if err != nil {
+		return Token{}, err
+	}
+	return t, nil
 }
 
-func (l *Lexer) lexNumber(p Pos) (Token, error) {
+func (l *Lexer) lexNumber() (TokKind, string) {
 	start := l.off
 	isFloat := false
 	if l.peek() == '0' && (l.peek2() == 'x' || l.peek2() == 'X') {
@@ -197,114 +212,92 @@ func (l *Lexer) lexNumber(p Pos) (Token, error) {
 			break
 		}
 	}
-	text := l.src[start:l.off]
-	kind := TokIntLit
 	if isFloat {
-		kind = TokFloatLit
+		return TokFloatLit, l.src[start:l.off]
 	}
-	return Token{Kind: kind, Text: text, Pos: p}, nil
+	return TokIntLit, l.src[start:l.off]
 }
 
-func (l *Lexer) lexCharLit(p Pos) (Token, error) {
-	l.advance() // '
-	var sb strings.Builder
+// lexQuoted scans a character or string literal opening at the current
+// byte. Its text is the source between the quotes, escapes as written.
+func (l *Lexer) lexQuoted(quote byte, what string) (string, error) {
+	line, col := l.line, l.col
+	l.advance() // opening quote
+	start := l.off
 	for {
 		if l.off >= len(l.src) {
-			return Token{}, &LexError{Pos: p, Msg: "unterminated character literal"}
+			return "", l.errAt(line, col, "unterminated "+what)
 		}
 		c := l.advance()
-		if c == '\'' {
-			break
+		if c == quote {
+			return l.src[start : l.off-1], nil
 		}
-		sb.WriteByte(c)
+		if c == '\n' && quote == '"' {
+			return "", l.errAt(line, col, "newline in "+what)
+		}
 		if c == '\\' {
 			if l.off >= len(l.src) {
-				return Token{}, &LexError{Pos: p, Msg: "unterminated character literal"}
+				return "", l.errAt(line, col, "unterminated "+what)
 			}
-			sb.WriteByte(l.advance())
+			l.advance()
 		}
 	}
-	return Token{Kind: TokCharLit, Text: sb.String(), Pos: p}, nil
 }
 
-func (l *Lexer) lexStringLit(p Pos) (Token, error) {
-	l.advance() // "
-	var sb strings.Builder
-	for {
-		if l.off >= len(l.src) {
-			return Token{}, &LexError{Pos: p, Msg: "unterminated string literal"}
-		}
-		c := l.advance()
-		if c == '"' {
-			break
-		}
-		if c == '\n' {
-			return Token{}, &LexError{Pos: p, Msg: "newline in string literal"}
-		}
-		sb.WriteByte(c)
-		if c == '\\' {
-			if l.off >= len(l.src) {
-				return Token{}, &LexError{Pos: p, Msg: "unterminated string literal"}
-			}
-			sb.WriteByte(l.advance())
-		}
-	}
-	return Token{Kind: TokStringLit, Text: sb.String(), Pos: p}, nil
-}
-
-func (l *Lexer) lexPunct(p Pos) (Token, error) {
+func (l *Lexer) lexPunct() (TokKind, error) {
+	line, col := l.line, l.col
 	c := l.advance()
-	two := func(next byte, k2, k1 TokKind) Token {
+	two := func(next byte, k2, k1 TokKind) TokKind {
 		if l.peek() == next {
 			l.advance()
-			return Token{Kind: k2, Pos: p}
+			return k2
 		}
-		return Token{Kind: k1, Pos: p}
+		return k1
 	}
 	switch c {
 	case '(':
-		return Token{Kind: TokLParen, Pos: p}, nil
+		return TokLParen, nil
 	case ')':
-		return Token{Kind: TokRParen, Pos: p}, nil
+		return TokRParen, nil
 	case '{':
-		return Token{Kind: TokLBrace, Pos: p}, nil
+		return TokLBrace, nil
 	case '}':
-		return Token{Kind: TokRBrace, Pos: p}, nil
+		return TokRBrace, nil
 	case '[':
-		return Token{Kind: TokLBracket, Pos: p}, nil
+		return TokLBracket, nil
 	case ']':
-		return Token{Kind: TokRBracket, Pos: p}, nil
+		return TokRBracket, nil
 	case ',':
-		return Token{Kind: TokComma, Pos: p}, nil
+		return TokComma, nil
 	case ';':
-		return Token{Kind: TokSemi, Pos: p}, nil
+		return TokSemi, nil
 	case ':':
-		return Token{Kind: TokColon, Pos: p}, nil
+		return TokColon, nil
 	case '?':
-		return Token{Kind: TokQuestion, Pos: p}, nil
+		return TokQuestion, nil
 	case '~':
-		return Token{Kind: TokTilde, Pos: p}, nil
+		return TokTilde, nil
 	case '.':
 		if l.peek() == '.' && l.peek2() == '.' {
 			l.advance()
 			l.advance()
-			return Token{Kind: TokEllipsis, Pos: p}, nil
+			return TokEllipsis, nil
 		}
-		return Token{Kind: TokDot, Pos: p}, nil
+		return TokDot, nil
 	case '+':
 		if l.peek() == '+' {
 			l.advance()
-			return Token{Kind: TokInc, Pos: p}, nil
+			return TokInc, nil
 		}
 		return two('=', TokAddAssign, TokPlus), nil
 	case '-':
 		if l.peek() == '-' {
 			l.advance()
-			return Token{Kind: TokDec, Pos: p}, nil
+			return TokDec, nil
 		}
 		if l.peek() == '>' {
 			l.advance()
-			return Token{Kind: TokArrow, Pos: p}, nil
+			return TokArrow, nil
 		}
 		return two('=', TokSubAssign, TokMinus), nil
 	case '*':
@@ -316,13 +309,13 @@ func (l *Lexer) lexPunct(p Pos) (Token, error) {
 	case '&':
 		if l.peek() == '&' {
 			l.advance()
-			return Token{Kind: TokAndAnd, Pos: p}, nil
+			return TokAndAnd, nil
 		}
 		return two('=', TokAndAssign, TokAmp), nil
 	case '|':
 		if l.peek() == '|' {
 			l.advance()
-			return Token{Kind: TokOrOr, Pos: p}, nil
+			return TokOrOr, nil
 		}
 		return two('=', TokOrAssign, TokPipe), nil
 	case '^':
@@ -343,19 +336,16 @@ func (l *Lexer) lexPunct(p Pos) (Token, error) {
 			return two('=', TokShrAssign, TokShr), nil
 		}
 		return two('=', TokGe, TokGt), nil
-	case '$':
-		if l.AllowDollar {
-			return Token{Kind: TokDollarHole, Pos: p}, nil
-		}
 	}
-	return Token{}, &LexError{Pos: p, Msg: fmt.Sprintf("unexpected character %q", string(c))}
+	return 0, l.errAt(line, col, fmt.Sprintf("unexpected character %q", string(c)))
 }
 
 // LexAll tokenizes the whole input, returning all tokens up to and
-// including EOF.
+// including EOF. The slice is sized for C's density, at most one token
+// per three source bytes plus EOF, so it is allocated once.
 func LexAll(file, src string) ([]Token, error) {
 	l := NewLexer(file, src)
-	var toks []Token
+	toks := make([]Token, 0, len(src)/3+2)
 	for {
 		t, err := l.Next()
 		if err != nil {

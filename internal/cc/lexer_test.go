@@ -185,26 +185,52 @@ func TestLexPositions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if toks[0].Pos.Line != 1 || toks[0].Pos.Col != 1 {
-		t.Errorf("int at %v, want 1:1", toks[0].Pos)
+	if toks[0].Line != 1 || toks[0].Col != 1 {
+		t.Errorf("int at %d:%d, want 1:1", toks[0].Line, toks[0].Col)
 	}
-	if toks[1].Pos.Line != 2 || toks[1].Pos.Col != 3 {
-		t.Errorf("x at %v, want 2:3", toks[1].Pos)
+	if toks[1].Line != 2 || toks[1].Col != 3 {
+		t.Errorf("x at %d:%d, want 2:3", toks[1].Line, toks[1].Col)
 	}
-	if toks[0].Pos.File != "f.c" {
-		t.Errorf("file = %q", toks[0].Pos.File)
+	// A token leaves its file to the parser, which stamps every node.
+	f, err := ParseFile("f.c", "int\n  x;")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Decls[0].Pos(); got != (Pos{File: "f.c", Line: 2, Col: 3}) {
+		t.Errorf("x declared at %v, want f.c:2:3", got)
 	}
 }
 
+// TestLexDollarRejectedInPlainC: '$' is no C token (metal lexes its own
+// holes).
 func TestLexDollarRejectedInPlainC(t *testing.T) {
 	if _, err := LexAll("t.c", "int $x;"); err == nil {
-		t.Error("want error for $ outside pattern mode")
+		t.Error("want error for $ in C")
 	}
-	l := NewLexer("p", "${0}")
-	l.AllowDollar = true
-	tok, err := l.Next()
-	if err != nil || tok.Kind != TokDollarHole {
-		t.Errorf("pattern mode $: tok=%v err=%v", tok, err)
+}
+
+// TestLexMidLineHash: '#' opens a directive only as the first non-blank
+// character of its line; anywhere else it is an error at its position,
+// not a directive that swallows the rest of the line.
+func TestLexMidLineHash(t *testing.T) {
+	toks, err := LexAll("p.c", "int a;\n  \t# define X 1 \\\n  continued\nb;")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, tk := range toks {
+		got = append(got, tk.String())
+	}
+	if want := `int identifier "a" ; identifier "b" ; EOF`; strings.Join(got, " ") != want {
+		t.Errorf("directive: got %s, want %s", strings.Join(got, " "), want)
+	}
+	_, err = LexAll("p.c", "a = b # c d\ne;")
+	le, ok := err.(*LexError)
+	if !ok {
+		t.Fatalf("mid-line #: err = %v, want a *LexError", err)
+	}
+	if le.Pos != (Pos{File: "p.c", Line: 1, Col: 7}) {
+		t.Errorf("mid-line # at %v, want p.c:1:7", le.Pos)
 	}
 }
 

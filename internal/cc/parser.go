@@ -10,24 +10,62 @@ import (
 // classic declaration/expression ambiguities resolve the way a C
 // compiler resolves them.
 type Parser struct {
-	toks   []Token
-	pos    int
-	scopes []*parseScope
-	file   string
+	toks []Token
+	pos  int
+	file string
+
+	// names is the scope stack: every typedef, tag and enum constant in
+	// scope, innermost last, and marks[i] is where the i-th open block's
+	// entries begin. latest indexes the innermost entry of each name;
+	// an entry links the one it shadows, so closing a block restores
+	// the index without a map or an object per block.
+	names  []scopeEntry
+	marks  []int
+	latest [numNamespaces]map[string]int32
+
+	// derivs is the stack of the declarators being parsed (a parameter's
+	// sits above its function's). decls, stmts, args and params (a
+	// parameter list's or a block declaration's) stack the lists under
+	// construction the same way: each is copied into an array of its
+	// exact size when it is complete.
+	derivs []derivation
+	decls  []Decl
+	stmts  []Stmt
+	args   []Expr
+	params []*VarDecl
 }
 
-type parseScope struct {
-	typedefs map[string]*Type
-	tags     map[string]*Type
-	enums    map[string]int64
-}
-
-func newParseScope() *parseScope {
-	return &parseScope{
-		typedefs: map[string]*Type{},
-		tags:     map[string]*Type{},
-		enums:    map[string]int64{},
+// popList returns (*stack)[start:] in an array of its own, nil when it
+// is empty, and truncates the stack to start.
+func popList[T any](stack *[]T, start int) []T {
+	s := *stack
+	if len(s) == start {
+		return nil
 	}
+	out := make([]T, len(s)-start)
+	copy(out, s[start:])
+	clear(s[start:])
+	*stack = s[:start]
+	return out
+}
+
+// namespace is one of C's ordinary-identifier and tag name spaces, as
+// far as the parser needs them.
+type namespace uint8
+
+const (
+	nsTypedef namespace = iota
+	nsTag
+	nsEnum
+	numNamespaces
+)
+
+type scopeEntry struct {
+	name string
+	typ  *Type // typedef or tag
+	val  int64 // enum constant
+	prev int32 // index of the entry this one shadows, or -1
+	ns   namespace
 }
 
 // ParseError is a syntax error with position.
@@ -40,7 +78,7 @@ func (e *ParseError) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg)
 
 // NewParser returns a parser over the given token stream.
 func NewParser(file string, toks []Token) *Parser {
-	return &Parser{toks: toks, file: file, scopes: []*parseScope{newParseScope()}}
+	return &Parser{toks: toks, file: file}
 }
 
 // ParseFile lexes and parses a complete translation unit.
@@ -144,46 +182,90 @@ func (p *Parser) expect(k TokKind) (Token, error) {
 	return Token{}, p.errf("expected %s, found %s", k, p.cur())
 }
 
+// backtrack is where parseCastExpr and sizeof resume when a
+// parenthesized type name does not parse: the token position and the
+// depth of the argument stack, which a call in an array length that
+// failed midway leaves entries on. (The other list stacks are popped on
+// every path, or hold no list inside a type name.)
+type backtrack struct{ pos, args int }
+
+func (p *Parser) save() backtrack { return backtrack{p.pos, len(p.args)} }
+
+func (p *Parser) restore(b backtrack) {
+	p.pos = b.pos
+	clear(p.args[b.args:])
+	p.args = p.args[:b.args]
+}
+
+// at is the position of token t in the parser's file.
+func (p *Parser) at(t Token) Pos { return Pos{File: p.file, Line: int(t.Line), Col: int(t.Col)} }
+
 func (p *Parser) errf(format string, args ...interface{}) error {
-	return &ParseError{Pos: p.cur().Pos, Msg: fmt.Sprintf(format, args...)}
+	return &ParseError{Pos: p.at(p.cur()), Msg: fmt.Sprintf(format, args...)}
 }
 
 // ---------------------------------------------------------------------------
 // Scopes
 // ---------------------------------------------------------------------------
 
-func (p *Parser) pushScope() { p.scopes = append(p.scopes, newParseScope()) }
-func (p *Parser) popScope()  { p.scopes = p.scopes[:len(p.scopes)-1] }
+func (p *Parser) pushScope() { p.marks = append(p.marks, len(p.names)) }
 
-func (p *Parser) declareTypedef(name string, t *Type) {
-	p.scopes[len(p.scopes)-1].typedefs[name] = t
+func (p *Parser) popScope() {
+	m := p.marks[len(p.marks)-1]
+	p.marks = p.marks[:len(p.marks)-1]
+	for i := len(p.names) - 1; i >= m; i-- {
+		e := &p.names[i]
+		if e.prev < 0 {
+			delete(p.latest[e.ns], e.name)
+		} else {
+			p.latest[e.ns][e.name] = e.prev
+		}
+	}
+	p.names = p.names[:m]
 }
+
+// declare adds a name to the innermost scope, shadowing any outer one.
+func (p *Parser) declare(ns namespace, name string, t *Type, v int64) {
+	idx := p.latest[ns]
+	if idx == nil {
+		idx = map[string]int32{}
+		p.latest[ns] = idx
+	}
+	prev, ok := idx[name]
+	if !ok {
+		prev = -1
+	}
+	idx[name] = int32(len(p.names))
+	p.names = append(p.names, scopeEntry{name: name, typ: t, val: v, prev: prev, ns: ns})
+}
+
+func (p *Parser) lookup(ns namespace, name string) (*scopeEntry, bool) {
+	i, ok := p.latest[ns][name]
+	if !ok {
+		return nil, false
+	}
+	return &p.names[i], true
+}
+
+func (p *Parser) declareTypedef(name string, t *Type) { p.declare(nsTypedef, name, t, 0) }
 
 func (p *Parser) lookupTypedef(name string) (*Type, bool) {
-	for i := len(p.scopes) - 1; i >= 0; i-- {
-		if t, ok := p.scopes[i].typedefs[name]; ok {
-			return t, true
-		}
+	if e, ok := p.lookup(nsTypedef, name); ok {
+		return e.typ, true
 	}
 	return nil, false
 }
 
-func (p *Parser) declareTag(name string, t *Type) {
-	p.scopes[len(p.scopes)-1].tags[name] = t
-}
+func (p *Parser) declareTag(name string, t *Type) { p.declare(nsTag, name, t, 0) }
 
 func (p *Parser) lookupTag(name string) (*Type, bool) {
-	for i := len(p.scopes) - 1; i >= 0; i-- {
-		if t, ok := p.scopes[i].tags[name]; ok {
-			return t, true
-		}
+	if e, ok := p.lookup(nsTag, name); ok {
+		return e.typ, true
 	}
 	return nil, false
 }
 
-func (p *Parser) declareEnumConst(name string, v int64) {
-	p.scopes[len(p.scopes)-1].enums[name] = v
-}
+func (p *Parser) declareEnumConst(name string, v int64) { p.declare(nsEnum, name, nil, v) }
 
 // ---------------------------------------------------------------------------
 // Translation unit
@@ -195,49 +277,48 @@ func (p *Parser) parseTranslationUnit() (*File, error) {
 		if p.accept(TokSemi) {
 			continue // stray semicolon
 		}
-		decls, err := p.parseExternalDecl()
-		if err != nil {
+		if err := p.parseExternalDecl(); err != nil {
 			return nil, err
 		}
-		f.Decls = append(f.Decls, decls...)
 	}
+	f.Decls = popList(&p.decls, 0)
 	return f, nil
 }
 
 // parseExternalDecl parses one external declaration: a function
-// definition, or a declaration possibly declaring several names.
-func (p *Parser) parseExternalDecl() ([]Decl, error) {
-	startPos := p.cur().Pos
+// definition, or a declaration possibly declaring several names. It
+// pushes what it declares on p.decls.
+func (p *Parser) parseExternalDecl() error {
+	startPos := p.at(p.cur())
 	storage, base, err := p.parseDeclSpecifiers()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Tag-only declaration: "struct foo { ... };" or "enum e {...};".
 	if p.cur().Kind == TokSemi {
 		p.next()
 		switch base.Underlying().Kind {
 		case TypeStruct, TypeUnion:
-			return []Decl{&RecordDecl{P: startPos, Type: base}}, nil
+			p.decls = append(p.decls, &RecordDecl{P: startPos, Type: base})
 		case TypeEnum:
-			return []Decl{&EnumDecl{P: startPos, Type: base}}, nil
+			p.decls = append(p.decls, &EnumDecl{P: startPos, Type: base})
 		}
-		return nil, nil
+		return nil
 	}
 
-	var decls []Decl
 	first := true
 	for {
-		declPos := p.cur().Pos
-		name, wrap, params, variadic, isFunc, err := p.parseNamedDeclarator(base)
+		declPos := p.at(p.cur())
+		d, t, err := p.parseNamedDeclarator(base)
 		if err != nil {
-			return nil, err
+			return err
 		}
+		name, params, variadic := d.name, d.params, d.variadic
 		if name == "" {
-			return nil, p.errf("expected a declarator name")
+			return p.errf("expected a declarator name")
 		}
-		t := wrap(base)
 
-		if first && isFunc && p.cur().Kind == TokLBrace {
+		if first && d.isFunc && p.cur().Kind == TokLBrace {
 			// Function definition.
 			fd := &FuncDecl{
 				P:        declPos,
@@ -252,19 +333,20 @@ func (p *Parser) parseExternalDecl() ([]Decl, error) {
 			body, err := p.parseCompoundStmt()
 			p.popScope()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			fd.Body = body
-			return []Decl{fd}, nil
+			p.decls = append(p.decls, fd)
+			return nil
 		}
 		first = false
 
 		if storage == StorageTypedef {
 			named := &Type{Kind: TypeNamed, Name: name, Def: t}
 			p.declareTypedef(name, named)
-			decls = append(decls, &TypedefDecl{P: declPos, Name: name, Type: named})
-		} else if isFunc {
-			decls = append(decls, &FuncDecl{
+			p.decls = append(p.decls, &TypedefDecl{P: declPos, Name: name, Type: named})
+		} else if d.isFunc {
+			p.decls = append(p.decls, &FuncDecl{
 				P: declPos, Name: name, Result: t.Ret, Params: params,
 				Variadic: variadic, Storage: storage, File: p.file,
 			})
@@ -273,20 +355,18 @@ func (p *Parser) parseExternalDecl() ([]Decl, error) {
 			if p.accept(TokAssign) {
 				init, err := p.parseInitializer()
 				if err != nil {
-					return nil, err
+					return err
 				}
 				vd.Init = init
 			}
-			decls = append(decls, vd)
+			p.decls = append(p.decls, vd)
 		}
 
 		if p.accept(TokComma) {
 			continue
 		}
-		if _, err := p.expect(TokSemi); err != nil {
-			return nil, err
-		}
-		return decls, nil
+		_, err = p.expect(TokSemi)
+		return err
 	}
 }
 
@@ -326,11 +406,7 @@ func (p *Parser) parseDeclSpecifiers() (StorageClass, *Type, error) {
 		t := p.cur()
 		switch t.Kind {
 		case TokAuto, TokRegister, TokStatic, TokExtern, TokTypedef:
-			sc := map[TokKind]StorageClass{
-				TokAuto: StorageAuto, TokRegister: StorageRegister,
-				TokStatic: StorageStatic, TokExtern: StorageExtern,
-				TokTypedef: StorageTypedef,
-			}[t.Kind]
+			sc := storageOf(t.Kind)
 			if storage != StorageNone && storage != sc {
 				return 0, nil, p.errf("conflicting storage classes")
 			}
@@ -457,6 +533,20 @@ done:
 	return storage, base, nil
 }
 
+func storageOf(k TokKind) StorageClass {
+	switch k {
+	case TokAuto:
+		return StorageAuto
+	case TokRegister:
+		return StorageRegister
+	case TokStatic:
+		return StorageStatic
+	case TokExtern:
+		return StorageExtern
+	}
+	return StorageTypedef
+}
+
 // parseRecordSpecifier parses struct/union specifiers.
 func (p *Parser) parseRecordSpecifier() (*Type, error) {
 	kw := p.next() // struct or union
@@ -501,18 +591,17 @@ func (p *Parser) parseRecordSpecifier() (*Type, error) {
 			return nil, err
 		}
 		for {
-			name, wrap, _, _, _, err := p.parseNamedDeclarator(base)
+			d, ft, err := p.parseNamedDeclarator(base)
 			if err != nil {
 				return nil, err
 			}
-			ft := wrap(base)
 			// Bit-fields: accept and ignore the width.
 			if p.accept(TokColon) {
 				if _, err := p.parseCondExpr(); err != nil {
 					return nil, err
 				}
 			}
-			t.Fields = append(t.Fields, Field{Name: name, Type: ft})
+			t.Fields = append(t.Fields, Field{Name: d.name, Type: ft})
 			if !p.accept(TokComma) {
 				break
 			}
@@ -581,29 +670,50 @@ func (p *Parser) parseEnumSpecifier() (*Type, error) {
 // Declarators
 // ---------------------------------------------------------------------------
 
-// parseNamedDeclarator parses a (possibly abstract) declarator.
-// It returns the declared name ("" when abstract), a type wrapper to
-// apply to the base type, and — when the outermost derivation is a
-// function — the parsed parameter declarations.
-func (p *Parser) parseNamedDeclarator(base *Type) (name string, wrap func(*Type) *Type, params []*VarDecl, variadic bool, isFunc bool, err error) {
-	d, err := p.parseDeclaratorRec()
-	if err != nil {
-		return "", nil, nil, false, false, err
-	}
-	return d.name, d.wrap, d.params, d.variadic, d.isFunc, nil
-}
-
+// declarator is what a declarator names: the declared name ("" when
+// abstract) and, when the outermost derivation is a function, the
+// parsed parameter declarations. The derivations from the base type
+// sit on the parser's derivs stack while it is parsed.
 type declarator struct {
 	name     string
-	wrap     func(*Type) *Type
 	params   []*VarDecl
 	variadic bool
 	isFunc   bool // outermost derivation is a function
 }
 
-func identityWrap(t *Type) *Type { return t }
+// derivation is one step of a declarator's type: a pointer to, an
+// array of, or a function returning the type before it.
+type derivation struct {
+	kind     TypeKind // TypePointer, TypeArray or TypeFunc
+	n        int64    // array length
+	params   []*Type
+	variadic bool
+}
 
-func (p *Parser) parseDeclaratorRec() (*declarator, error) {
+// parseNamedDeclarator parses a (possibly abstract) declarator and
+// returns it with the type it gives base.
+func (p *Parser) parseNamedDeclarator(base *Type) (declarator, *Type, error) {
+	start := len(p.derivs)
+	d, err := p.parseDeclaratorRec()
+	// The derivations were pushed in source order, so the one nearest
+	// the base type is last.
+	t := base
+	for i := len(p.derivs) - 1; err == nil && i >= start; i-- {
+		switch dv := p.derivs[i]; dv.kind {
+		case TypePointer:
+			t = PointerTo(t)
+		case TypeArray:
+			t = &Type{Kind: TypeArray, Elem: t, ArrayLen: dv.n}
+		default:
+			t = &Type{Kind: TypeFunc, Ret: t, Params: dv.params, Variadic: dv.variadic}
+		}
+	}
+	clear(p.derivs[start:])
+	p.derivs = p.derivs[:start]
+	return d, t, err
+}
+
+func (p *Parser) parseDeclaratorRec() (declarator, error) {
 	// Pointer prefix. The star binds to the base type: "T *f(args)"
 	// declares a function returning T* (isFunc is preserved), while
 	// "T (*fp)(args)" declares a pointer variable (the parenthesized
@@ -612,19 +722,15 @@ func (p *Parser) parseDeclaratorRec() (*declarator, error) {
 		for p.cur().Kind == TokConst || p.cur().Kind == TokVolatile {
 			p.next()
 		}
-		inner, err := p.parseDeclaratorRec()
-		if err != nil {
-			return nil, err
-		}
-		w := inner.wrap
-		inner.wrap = func(b *Type) *Type { return w(PointerTo(b)) }
-		return inner, nil
+		d, err := p.parseDeclaratorRec()
+		p.derivs = append(p.derivs, derivation{kind: TypePointer})
+		return d, err
 	}
 	return p.parseDirectDeclarator()
 }
 
-func (p *Parser) parseDirectDeclarator() (*declarator, error) {
-	d := &declarator{wrap: identityWrap}
+func (p *Parser) parseDirectDeclarator() (declarator, error) {
+	var d declarator
 	parenthesized := false
 	switch {
 	case p.cur().Kind == TokIdent:
@@ -633,12 +739,14 @@ func (p *Parser) parseDirectDeclarator() (*declarator, error) {
 		p.next()
 		inner, err := p.parseDeclaratorRec()
 		if err != nil {
-			return nil, err
+			return d, err
 		}
 		if _, err := p.expect(TokRParen); err != nil {
-			return nil, err
+			return d, err
 		}
 		d = inner
+		// A parenthesized inner declarator (e.g. (*f)(int)) declares a
+		// function pointer, not a function.
 		d.isFunc = false
 		parenthesized = true
 	default:
@@ -646,13 +754,8 @@ func (p *Parser) parseDirectDeclarator() (*declarator, error) {
 		// suffixes (or no suffixes at all).
 	}
 
-	// Suffixes, applied right-to-left onto the base.
-	type suffix struct {
-		apply func(*Type) *Type
-	}
-	var suffixes []suffix
-	first := true
-	for {
+	// Suffixes, each pushed after the inner declarator's derivations.
+	for first := true; ; first = false {
 		switch p.cur().Kind {
 		case TokLBracket:
 			p.next()
@@ -660,59 +763,35 @@ func (p *Parser) parseDirectDeclarator() (*declarator, error) {
 			if p.cur().Kind != TokRBracket {
 				e, err := p.parseAssignExpr()
 				if err != nil {
-					return nil, err
+					return d, err
 				}
 				if v, ok := p.constEval(e); ok {
 					length = v
 				}
 			}
 			if _, err := p.expect(TokRBracket); err != nil {
-				return nil, err
+				return d, err
 			}
-			n := length
-			suffixes = append(suffixes, suffix{func(b *Type) *Type {
-				return &Type{Kind: TypeArray, Elem: b, ArrayLen: n}
-			}})
-			first = false
+			p.derivs = append(p.derivs, derivation{kind: TypeArray, n: length})
 		case TokLParen:
 			p.next()
 			params, types, variadic, err := p.parseParamList()
 			if err != nil {
-				return nil, err
+				return d, err
 			}
 			if _, err := p.expect(TokRParen); err != nil {
-				return nil, err
+				return d, err
 			}
 			if first && !parenthesized {
-				// A parenthesized inner declarator (e.g. (*f)(int))
-				// declares a function pointer, not a function.
 				d.isFunc = true
 				d.params = params
 				d.variadic = variadic
 			}
-			vd := variadic
-			suffixes = append(suffixes, suffix{func(b *Type) *Type {
-				return &Type{Kind: TypeFunc, Ret: b, Params: types, Variadic: vd}
-			}})
-			first = false
+			p.derivs = append(p.derivs, derivation{kind: TypeFunc, params: types, variadic: variadic})
 		default:
-			goto suffixesDone
+			return d, nil
 		}
 	}
-suffixesDone:
-	if len(suffixes) > 0 {
-		innerWrap := d.wrap
-		d.wrap = func(b *Type) *Type {
-			for i := len(suffixes) - 1; i >= 0; i-- {
-				b = suffixes[i].apply(b)
-			}
-			return innerWrap(b)
-		}
-		// d.isFunc already set above for the first suffix; a
-		// parenthesized inner declarator (e.g. (*f)(int)) is not a
-		// plain function declaration.
-	}
-	return d, nil
 }
 
 // parenStartsDeclarator disambiguates "(" beginning a parenthesized
@@ -732,8 +811,8 @@ func (p *Parser) parenStartsDeclarator() bool {
 
 // parseParamList parses a function parameter list (without parens).
 func (p *Parser) parseParamList() ([]*VarDecl, []*Type, bool, error) {
-	var decls []*VarDecl
-	var types []*Type
+	start := len(p.params)
+	defer func() { clear(p.params[start:]); p.params = p.params[:start] }()
 	variadic := false
 	if p.cur().Kind == TokRParen {
 		return nil, nil, false, nil
@@ -749,24 +828,30 @@ func (p *Parser) parseParamList() ([]*VarDecl, []*Type, bool, error) {
 			variadic = true
 			break
 		}
-		declPos := p.cur().Pos
+		declPos := p.at(p.cur())
 		_, base, err := p.parseDeclSpecifiers()
 		if err != nil {
 			return nil, nil, false, err
 		}
-		name, wrap, _, _, _, err := p.parseNamedDeclarator(base)
+		d, t, err := p.parseNamedDeclarator(base)
 		if err != nil {
 			return nil, nil, false, err
 		}
-		t := wrap(base)
 		// Array parameters decay to pointers.
 		if t.Underlying().Kind == TypeArray {
 			t = PointerTo(t.Underlying().Elem)
 		}
-		decls = append(decls, &VarDecl{P: declPos, Name: name, Type: t})
-		types = append(types, t)
+		p.params = append(p.params, &VarDecl{P: declPos, Name: d.name, Type: t})
 		if !p.accept(TokComma) {
 			break
+		}
+	}
+	decls := popList(&p.params, start)
+	var types []*Type
+	if decls != nil {
+		types = make([]*Type, len(decls))
+		for i, d := range decls {
+			types[i] = d.Type
 		}
 	}
 	return decls, types, variadic, nil
@@ -778,14 +863,14 @@ func (p *Parser) parseTypeName() (*Type, error) {
 	if err != nil {
 		return nil, err
 	}
-	name, wrap, _, _, _, err := p.parseNamedDeclarator(base)
+	d, t, err := p.parseNamedDeclarator(base)
 	if err != nil {
 		return nil, err
 	}
-	if name != "" {
-		return nil, p.errf("unexpected identifier %q in type name", name)
+	if d.name != "" {
+		return nil, p.errf("unexpected identifier %q in type name", d.name)
 	}
-	return wrap(base), nil
+	return t, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -797,9 +882,10 @@ func (p *Parser) parseCompoundStmt() (*CompoundStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	cs := &CompoundStmt{P: lb.Pos}
+	cs := &CompoundStmt{P: p.at(lb)}
 	p.pushScope()
 	defer p.popScope()
+	start := len(p.stmts)
 	for p.cur().Kind != TokRBrace {
 		if p.cur().Kind == TokEOF {
 			return nil, p.errf("unexpected EOF in block")
@@ -808,9 +894,10 @@ func (p *Parser) parseCompoundStmt() (*CompoundStmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		cs.List = append(cs.List, s)
+		p.stmts = append(p.stmts, s)
 	}
 	p.next() // }
+	cs.List = popList(&p.stmts, start)
 	return cs, nil
 }
 
@@ -821,7 +908,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		return p.parseCompoundStmt()
 	case TokSemi:
 		p.next()
-		return &EmptyStmt{P: t.Pos}, nil
+		return &EmptyStmt{P: p.at(t)}, nil
 	case TokIf:
 		p.next()
 		if _, err := p.expect(TokLParen); err != nil {
@@ -845,7 +932,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 				return nil, err
 			}
 		}
-		return &IfStmt{P: t.Pos, Cond: cond, Then: then, Else: els}, nil
+		return &IfStmt{P: p.at(t), Cond: cond, Then: then, Else: els}, nil
 	case TokWhile:
 		p.next()
 		if _, err := p.expect(TokLParen); err != nil {
@@ -862,7 +949,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &WhileStmt{P: t.Pos, Cond: cond, Body: body}, nil
+		return &WhileStmt{P: p.at(t), Cond: cond, Body: body}, nil
 	case TokDo:
 		p.next()
 		body, err := p.parseStmt()
@@ -885,13 +972,13 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if _, err := p.expect(TokSemi); err != nil {
 			return nil, err
 		}
-		return &DoWhileStmt{P: t.Pos, Body: body, Cond: cond}, nil
+		return &DoWhileStmt{P: p.at(t), Body: body, Cond: cond}, nil
 	case TokFor:
 		p.next()
 		if _, err := p.expect(TokLParen); err != nil {
 			return nil, err
 		}
-		fs := &ForStmt{P: t.Pos}
+		fs := &ForStmt{P: p.at(t)}
 		p.pushScope()
 		defer p.popScope()
 		if !p.accept(TokSemi) {
@@ -954,7 +1041,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &SwitchStmt{P: t.Pos, Tag: tag, Body: body}, nil
+		return &SwitchStmt{P: p.at(t), Tag: tag, Body: body}, nil
 	case TokCase:
 		p.next()
 		val, err := p.parseCondExpr()
@@ -968,7 +1055,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &CaseStmt{P: t.Pos, Val: val, Body: body}, nil
+		return &CaseStmt{P: p.at(t), Val: val, Body: body}, nil
 	case TokDefault:
 		p.next()
 		if _, err := p.expect(TokColon); err != nil {
@@ -978,22 +1065,22 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &CaseStmt{P: t.Pos, Val: nil, Body: body}, nil
+		return &CaseStmt{P: p.at(t), Val: nil, Body: body}, nil
 	case TokBreak:
 		p.next()
 		if _, err := p.expect(TokSemi); err != nil {
 			return nil, err
 		}
-		return &BreakStmt{P: t.Pos}, nil
+		return &BreakStmt{P: p.at(t)}, nil
 	case TokContinue:
 		p.next()
 		if _, err := p.expect(TokSemi); err != nil {
 			return nil, err
 		}
-		return &ContinueStmt{P: t.Pos}, nil
+		return &ContinueStmt{P: p.at(t)}, nil
 	case TokReturn:
 		p.next()
-		rs := &ReturnStmt{P: t.Pos}
+		rs := &ReturnStmt{P: p.at(t)}
 		if p.cur().Kind != TokSemi {
 			e, err := p.parseExpr()
 			if err != nil {
@@ -1014,7 +1101,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if _, err := p.expect(TokSemi); err != nil {
 			return nil, err
 		}
-		return &GotoStmt{P: t.Pos, Label: lbl.Text}, nil
+		return &GotoStmt{P: p.at(t), Label: lbl.Text}, nil
 	case TokIdent:
 		// Label?
 		if p.la(1).Kind == TokColon {
@@ -1024,7 +1111,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &LabeledStmt{P: t.Pos, Label: name, Body: body}, nil
+			return &LabeledStmt{P: p.at(t), Label: name, Body: body}, nil
 		}
 	}
 	if p.startsDeclSpecifiers() {
@@ -1043,7 +1130,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 // parseBlockDecl parses a block-scope declaration statement (including
 // the trailing semicolon).
 func (p *Parser) parseBlockDecl() (*DeclStmt, error) {
-	startPos := p.cur().Pos
+	startPos := p.at(p.cur())
 	storage, base, err := p.parseDeclSpecifiers()
 	if err != nil {
 		return nil, err
@@ -1052,16 +1139,18 @@ func (p *Parser) parseBlockDecl() (*DeclStmt, error) {
 	if p.accept(TokSemi) {
 		return ds, nil // struct/enum definition with no declarator
 	}
+	start := len(p.params)
+	defer func() { clear(p.params[start:]); p.params = p.params[:start] }()
 	for {
-		declPos := p.cur().Pos
-		name, wrap, _, _, _, err := p.parseNamedDeclarator(base)
+		declPos := p.at(p.cur())
+		d, t, err := p.parseNamedDeclarator(base)
 		if err != nil {
 			return nil, err
 		}
+		name := d.name
 		if name == "" {
 			return nil, p.errf("expected a declarator name")
 		}
-		t := wrap(base)
 		if storage == StorageTypedef {
 			named := &Type{Kind: TypeNamed, Name: name, Def: t}
 			p.declareTypedef(name, named)
@@ -1078,11 +1167,12 @@ func (p *Parser) parseBlockDecl() (*DeclStmt, error) {
 			}
 			vd.Init = init
 		}
-		ds.Decls = append(ds.Decls, vd)
+		p.params = append(p.params, vd)
 		if !p.accept(TokComma) {
 			break
 		}
 	}
+	ds.Decls = popList(&p.params, start)
 	if _, err := p.expect(TokSemi); err != nil {
 		return nil, err
 	}
@@ -1092,7 +1182,7 @@ func (p *Parser) parseBlockDecl() (*DeclStmt, error) {
 func (p *Parser) parseInitializer() (Expr, error) {
 	if p.cur().Kind == TokLBrace {
 		lb := p.next()
-		il := &InitList{P: lb.Pos}
+		il := &InitList{P: p.at(lb)}
 		for p.cur().Kind != TokRBrace {
 			e, err := p.parseInitializer()
 			if err != nil {
@@ -1246,7 +1336,7 @@ func (p *Parser) startsTypeName() bool {
 func (p *Parser) parseCastExpr() (Expr, error) {
 	if p.cur().Kind == TokLParen {
 		// Possible cast: "(" type-name ")" cast-expr.
-		save := p.pos
+		save := p.save()
 		lp := p.next()
 		if p.startsTypeName() {
 			t, err := p.parseTypeName()
@@ -1258,10 +1348,10 @@ func (p *Parser) parseCastExpr() (Expr, error) {
 				if err != nil {
 					return nil, err
 				}
-				return &CastExpr{P: lp.Pos, To: t, X: x}, nil
+				return &CastExpr{P: p.at(lp), To: t, X: x}, nil
 			}
 		}
-		p.pos = save
+		p.restore(save)
 	}
 	return p.parseUnaryExpr()
 }
@@ -1275,33 +1365,33 @@ func (p *Parser) parseUnaryExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &UnaryExpr{P: t.Pos, Op: t.Kind, X: x}, nil
+		return &UnaryExpr{P: p.at(t), Op: t.Kind, X: x}, nil
 	case TokAmp, TokStar, TokPlus, TokMinus, TokTilde, TokNot:
 		p.next()
 		x, err := p.parseCastExpr()
 		if err != nil {
 			return nil, err
 		}
-		return &UnaryExpr{P: t.Pos, Op: t.Kind, X: x}, nil
+		return &UnaryExpr{P: p.at(t), Op: t.Kind, X: x}, nil
 	case TokSizeof:
 		p.next()
 		if p.cur().Kind == TokLParen {
-			save := p.pos
+			save := p.save()
 			p.next()
 			if p.startsTypeName() {
 				tn, err := p.parseTypeName()
 				if err == nil && p.cur().Kind == TokRParen {
 					p.next()
-					return &SizeofExpr{P: t.Pos, Type: tn}, nil
+					return &SizeofExpr{P: p.at(t), Type: tn}, nil
 				}
 			}
-			p.pos = save
+			p.restore(save)
 		}
 		x, err := p.parseUnaryExpr()
 		if err != nil {
 			return nil, err
 		}
-		return &SizeofExpr{P: t.Pos, X: x}, nil
+		return &SizeofExpr{P: p.at(t), X: x}, nil
 	}
 	return p.parsePostfixExpr()
 }
@@ -1317,16 +1407,18 @@ func (p *Parser) parsePostfixExpr() (Expr, error) {
 		case TokLParen:
 			p.next()
 			call := &CallExpr{P: e.Pos(), Fun: e}
+			start := len(p.args)
 			for p.cur().Kind != TokRParen {
 				arg, err := p.parseAssignExpr()
 				if err != nil {
 					return nil, err
 				}
-				call.Args = append(call.Args, arg)
+				p.args = append(p.args, arg)
 				if !p.accept(TokComma) {
 					break
 				}
 			}
+			call.Args = popList(&p.args, start)
 			if _, err := p.expect(TokRParen); err != nil {
 				return nil, err
 			}
@@ -1362,17 +1454,17 @@ func (p *Parser) parsePrimaryExpr() (Expr, error) {
 	switch t.Kind {
 	case TokIdent:
 		p.next()
-		return &Ident{P: t.Pos, Name: t.Text}, nil
+		return &Ident{P: p.at(t), Name: t.Text}, nil
 	case TokIntLit:
 		p.next()
 		v := parseIntText(t.Text)
-		return &IntLit{P: t.Pos, Text: t.Text, Value: v}, nil
+		return &IntLit{P: p.at(t), Text: t.Text, Value: v}, nil
 	case TokFloatLit:
 		p.next()
-		return &FloatLit{P: t.Pos, Text: t.Text}, nil
+		return &FloatLit{P: p.at(t), Text: t.Text}, nil
 	case TokCharLit:
 		p.next()
-		return &CharLit{P: t.Pos, Text: t.Text}, nil
+		return &CharLit{P: p.at(t), Text: t.Text}, nil
 	case TokStringLit:
 		p.next()
 		// Adjacent string literals concatenate.
@@ -1380,7 +1472,7 @@ func (p *Parser) parsePrimaryExpr() (Expr, error) {
 		for p.cur().Kind == TokStringLit {
 			text += p.next().Text
 		}
-		return &StringLit{P: t.Pos, Text: text}, nil
+		return &StringLit{P: p.at(t), Text: text}, nil
 	case TokLParen:
 		p.next()
 		e, err := p.parseExpr()
@@ -1419,10 +1511,8 @@ func parseIntText(s string) int64 {
 // stack available for enum-constant lookup.
 func (p *Parser) constEval(e Expr) (int64, bool) {
 	return ConstEvalEnv(e, func(name string) (int64, bool) {
-		for i := len(p.scopes) - 1; i >= 0; i-- {
-			if v, ok := p.scopes[i].enums[name]; ok {
-				return v, true
-			}
+		if e, ok := p.lookup(nsEnum, name); ok {
+			return e.val, true
 		}
 		return 0, false
 	})

@@ -460,3 +460,55 @@ unsigned int u;
 		t.Error("int should differ from unsigned int")
 	}
 }
+
+// TestBlockScopesShadowAndRestore: a typedef, tag or enum constant
+// declared in a block shadows the outer one until the block closes,
+// and the outer one is back after it.
+func TestBlockScopesShadowAndRestore(t *testing.T) {
+	f := mustParse(t, `
+typedef int T;
+struct s { int i; };
+enum { N = 3 };
+void f(void) {
+	{
+		typedef char *T;
+		struct s { char *c; };
+		enum { N = 7 };
+		T in;
+		struct s sin;
+		int ain[N];
+	}
+	T out;
+	struct s sout;
+	int aout[N];
+	out = (T)1;
+}
+`)
+	types := map[string]*Type{}
+	var walk func(s Stmt)
+	walk = func(s Stmt) {
+		switch s := s.(type) {
+		case *CompoundStmt:
+			for _, c := range s.List {
+				walk(c)
+			}
+		case *DeclStmt:
+			for _, d := range s.Decls {
+				types[d.Name] = d.Type
+			}
+		}
+	}
+	walk(f.Funcs()[0].Body)
+	if !types["in"].IsPointer() || types["out"].Underlying().Kind != TypeInt || types["out"].IsPointer() {
+		t.Errorf("typedef T: in %s, out %s; want char * inside the block, int after it", types["in"], types["out"])
+	}
+	if got := types["sin"].Underlying().Fields[0].Name; got != "c" {
+		t.Errorf("struct s inside the block has field %q, want c", got)
+	}
+	if got := types["sout"].Underlying().Fields[0].Name; got != "i" {
+		t.Errorf("struct s after the block has field %q, want i", got)
+	}
+	if types["ain"].ArrayLen != 7 || types["aout"].ArrayLen != 3 {
+		t.Errorf("enum N: array lengths %d inside, %d after; want 7, 3", types["ain"].ArrayLen, types["aout"].ArrayLen)
+	}
+}

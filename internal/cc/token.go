@@ -67,131 +67,129 @@ const (
 	TokQuestion // ?
 	TokEllipsis // ...
 
-	TokAssign     // =
-	TokAddAssign  // +=
-	TokSubAssign  // -=
-	TokMulAssign  // *=
-	TokDivAssign  // /=
-	TokModAssign  // %=
-	TokAndAssign  // &=
-	TokOrAssign   // |=
-	TokXorAssign  // ^=
-	TokShlAssign  // <<=
-	TokShrAssign  // >>=
-	TokInc        // ++
-	TokDec        // --
-	TokPlus       // +
-	TokMinus      // -
-	TokStar       // *
-	TokSlash      // /
-	TokPercent    // %
-	TokAmp        // &
-	TokPipe       // |
-	TokCaret      // ^
-	TokTilde      // ~
-	TokNot        // !
-	TokAndAnd     // &&
-	TokOrOr       // ||
-	TokEq         // ==
-	TokNe         // !=
-	TokLt         // <
-	TokGt         // >
-	TokLe         // <=
-	TokGe         // >=
-	TokShl        // <<
-	TokShr        // >>
-	TokDot        // .
-	TokArrow      // ->
-	TokDollarHole // $  (metal pattern extension; never produced from plain C)
+	TokAssign    // =
+	TokAddAssign // +=
+	TokSubAssign // -=
+	TokMulAssign // *=
+	TokDivAssign // /=
+	TokModAssign // %=
+	TokAndAssign // &=
+	TokOrAssign  // |=
+	TokXorAssign // ^=
+	TokShlAssign // <<=
+	TokShrAssign // >>=
+	TokInc       // ++
+	TokDec       // --
+	TokPlus      // +
+	TokMinus     // -
+	TokStar      // *
+	TokSlash     // /
+	TokPercent   // %
+	TokAmp       // &
+	TokPipe      // |
+	TokCaret     // ^
+	TokTilde     // ~
+	TokNot       // !
+	TokAndAnd    // &&
+	TokOrOr      // ||
+	TokEq        // ==
+	TokNe        // !=
+	TokLt        // <
+	TokGt        // >
+	TokLe        // <=
+	TokGe        // >=
+	TokShl       // <<
+	TokShr       // >>
+	TokDot       // .
+	TokArrow     // ->
 )
 
 var tokNames = map[TokKind]string{
-	TokEOF:        "EOF",
-	TokIdent:      "identifier",
-	TokIntLit:     "integer literal",
-	TokFloatLit:   "float literal",
-	TokCharLit:    "char literal",
-	TokStringLit:  "string literal",
-	TokAuto:       "auto",
-	TokBreak:      "break",
-	TokCase:       "case",
-	TokChar:       "char",
-	TokConst:      "const",
-	TokContinue:   "continue",
-	TokDefault:    "default",
-	TokDo:         "do",
-	TokDouble:     "double",
-	TokElse:       "else",
-	TokEnum:       "enum",
-	TokExtern:     "extern",
-	TokFloat:      "float",
-	TokFor:        "for",
-	TokGoto:       "goto",
-	TokIf:         "if",
-	TokInline:     "inline",
-	TokInt:        "int",
-	TokLong:       "long",
-	TokRegister:   "register",
-	TokReturn:     "return",
-	TokShort:      "short",
-	TokSigned:     "signed",
-	TokSizeof:     "sizeof",
-	TokStatic:     "static",
-	TokStruct:     "struct",
-	TokSwitch:     "switch",
-	TokTypedef:    "typedef",
-	TokUnion:      "union",
-	TokUnsigned:   "unsigned",
-	TokVoid:       "void",
-	TokVolatile:   "volatile",
-	TokWhile:      "while",
-	TokLParen:     "(",
-	TokRParen:     ")",
-	TokLBrace:     "{",
-	TokRBrace:     "}",
-	TokLBracket:   "[",
-	TokRBracket:   "]",
-	TokComma:      ",",
-	TokSemi:       ";",
-	TokColon:      ":",
-	TokQuestion:   "?",
-	TokEllipsis:   "...",
-	TokAssign:     "=",
-	TokAddAssign:  "+=",
-	TokSubAssign:  "-=",
-	TokMulAssign:  "*=",
-	TokDivAssign:  "/=",
-	TokModAssign:  "%=",
-	TokAndAssign:  "&=",
-	TokOrAssign:   "|=",
-	TokXorAssign:  "^=",
-	TokShlAssign:  "<<=",
-	TokShrAssign:  ">>=",
-	TokInc:        "++",
-	TokDec:        "--",
-	TokPlus:       "+",
-	TokMinus:      "-",
-	TokStar:       "*",
-	TokSlash:      "/",
-	TokPercent:    "%",
-	TokAmp:        "&",
-	TokPipe:       "|",
-	TokCaret:      "^",
-	TokTilde:      "~",
-	TokNot:        "!",
-	TokAndAnd:     "&&",
-	TokOrOr:       "||",
-	TokEq:         "==",
-	TokNe:         "!=",
-	TokLt:         "<",
-	TokGt:         ">",
-	TokLe:         "<=",
-	TokGe:         ">=",
-	TokShl:        "<<",
-	TokShr:        ">>",
-	TokDot:        ".",
-	TokArrow:      "->",
-	TokDollarHole: "$",
+	TokEOF:       "EOF",
+	TokIdent:     "identifier",
+	TokIntLit:    "integer literal",
+	TokFloatLit:  "float literal",
+	TokCharLit:   "char literal",
+	TokStringLit: "string literal",
+	TokAuto:      "auto",
+	TokBreak:     "break",
+	TokCase:      "case",
+	TokChar:      "char",
+	TokConst:     "const",
+	TokContinue:  "continue",
+	TokDefault:   "default",
+	TokDo:        "do",
+	TokDouble:    "double",
+	TokElse:      "else",
+	TokEnum:      "enum",
+	TokExtern:    "extern",
+	TokFloat:     "float",
+	TokFor:       "for",
+	TokGoto:      "goto",
+	TokIf:        "if",
+	TokInline:    "inline",
+	TokInt:       "int",
+	TokLong:      "long",
+	TokRegister:  "register",
+	TokReturn:    "return",
+	TokShort:     "short",
+	TokSigned:    "signed",
+	TokSizeof:    "sizeof",
+	TokStatic:    "static",
+	TokStruct:    "struct",
+	TokSwitch:    "switch",
+	TokTypedef:   "typedef",
+	TokUnion:     "union",
+	TokUnsigned:  "unsigned",
+	TokVoid:      "void",
+	TokVolatile:  "volatile",
+	TokWhile:     "while",
+	TokLParen:    "(",
+	TokRParen:    ")",
+	TokLBrace:    "{",
+	TokRBrace:    "}",
+	TokLBracket:  "[",
+	TokRBracket:  "]",
+	TokComma:     ",",
+	TokSemi:      ";",
+	TokColon:     ":",
+	TokQuestion:  "?",
+	TokEllipsis:  "...",
+	TokAssign:    "=",
+	TokAddAssign: "+=",
+	TokSubAssign: "-=",
+	TokMulAssign: "*=",
+	TokDivAssign: "/=",
+	TokModAssign: "%=",
+	TokAndAssign: "&=",
+	TokOrAssign:  "|=",
+	TokXorAssign: "^=",
+	TokShlAssign: "<<=",
+	TokShrAssign: ">>=",
+	TokInc:       "++",
+	TokDec:       "--",
+	TokPlus:      "+",
+	TokMinus:     "-",
+	TokStar:      "*",
+	TokSlash:     "/",
+	TokPercent:   "%",
+	TokAmp:       "&",
+	TokPipe:      "|",
+	TokCaret:     "^",
+	TokTilde:     "~",
+	TokNot:       "!",
+	TokAndAnd:    "&&",
+	TokOrOr:      "||",
+	TokEq:        "==",
+	TokNe:        "!=",
+	TokLt:        "<",
+	TokGt:        ">",
+	TokLe:        "<=",
+	TokGe:        ">=",
+	TokShl:       "<<",
+	TokShr:       ">>",
+	TokDot:       ".",
+	TokArrow:     "->",
 }
 
 // String returns the human-readable spelling of the token kind.
@@ -233,11 +231,13 @@ func (p Pos) String() string {
 // IsValid reports whether the position has been set.
 func (p Pos) IsValid() bool { return p.Line > 0 }
 
-// Token is a single lexical token.
+// Token is a single lexical token. It carries its line and column but
+// not its file: every token of a stream shares one, which the parser
+// puts into the Pos of each node it builds.
 type Token struct {
-	Kind TokKind
-	Text string // raw spelling for identifiers and literals
-	Pos  Pos
+	Kind      TokKind
+	Text      string // raw spelling for identifiers and literals
+	Line, Col int32
 }
 
 // String renders the token for diagnostics.

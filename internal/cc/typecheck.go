@@ -21,6 +21,12 @@ type TypeEnv struct {
 	Globals map[string]*Type
 	Funcs   map[string]*FuncDecl
 	Enums   map[string]int64
+
+	// sigs holds each function's Signature, built at its first use, so
+	// every reference to a function shares one *Type.
+	sigs map[*FuncDecl]*Type
+	// tc is CheckFunc's scratch, kept from one function to the next.
+	tc typeChecker
 }
 
 // NewTypeEnv builds a TypeEnv from the given translation units.
@@ -29,6 +35,7 @@ func NewTypeEnv(files ...*File) *TypeEnv {
 		Globals: map[string]*Type{},
 		Funcs:   map[string]*FuncDecl{},
 		Enums:   map[string]int64{},
+		sigs:    map[*FuncDecl]*Type{},
 	}
 	for _, f := range files {
 		for _, d := range f.Decls {
@@ -58,49 +65,85 @@ func NewTypeEnv(files ...*File) *TypeEnv {
 
 // checker carries scope state while typing one function.
 type typeChecker struct {
-	env    *TypeEnv
-	scopes []map[string]*Type
-	types  TypeMap
+	env *TypeEnv
+	// locals is the scope stack, innermost declaration last; marks[i]
+	// is where the i-th open block's declarations begin. A function
+	// declares tens of names, so lookup scans.
+	locals []local
+	marks  []int
+	// typed lists every expression with its type, in the order they
+	// were typed, until CheckFunc moves them into a map of exact size.
+	typed []typedExpr
+}
+
+type local struct {
+	name string
+	typ  *Type
+}
+
+type typedExpr struct {
+	e Expr
+	t *Type
 }
 
 // CheckFunc infers a type for every expression in fd's body and
 // returns the map. It never fails: unknown constructs type as unknown.
+// It works in env's scratch, so one env types one function at a time.
 func (env *TypeEnv) CheckFunc(fd *FuncDecl) TypeMap {
-	tc := &typeChecker{env: env, types: TypeMap{}}
-	tc.push()
+	tc := &env.tc
+	tc.env = env
 	for _, p := range fd.Params {
 		tc.declare(p.Name, p.Type)
 	}
 	if fd.Body != nil {
 		tc.stmt(fd.Body)
 	}
-	tc.pop()
-	return tc.types
+	types := make(TypeMap, len(tc.typed))
+	for _, x := range tc.typed {
+		types[x.e] = x.t
+	}
+	clear(tc.locals)
+	clear(tc.typed)
+	tc.locals, tc.marks, tc.typed = tc.locals[:0], tc.marks[:0], tc.typed[:0]
+	return types
 }
 
-func (tc *typeChecker) push() { tc.scopes = append(tc.scopes, map[string]*Type{}) }
-func (tc *typeChecker) pop()  { tc.scopes = tc.scopes[:len(tc.scopes)-1] }
+func (tc *typeChecker) push() { tc.marks = append(tc.marks, len(tc.locals)) }
+
+func (tc *typeChecker) pop() {
+	tc.locals = tc.locals[:tc.marks[len(tc.marks)-1]]
+	tc.marks = tc.marks[:len(tc.marks)-1]
+}
 
 func (tc *typeChecker) declare(name string, t *Type) {
-	tc.scopes[len(tc.scopes)-1][name] = t
+	tc.locals = append(tc.locals, local{name, t})
 }
 
 func (tc *typeChecker) lookup(name string) *Type {
-	for i := len(tc.scopes) - 1; i >= 0; i-- {
-		if t, ok := tc.scopes[i][name]; ok {
-			return t
+	for i := len(tc.locals) - 1; i >= 0; i-- {
+		if tc.locals[i].name == name {
+			return tc.locals[i].typ
 		}
 	}
 	if t, ok := tc.env.Globals[name]; ok {
 		return t
 	}
 	if fd, ok := tc.env.Funcs[name]; ok {
-		return fd.Signature()
+		return tc.env.signature(fd)
 	}
 	if _, ok := tc.env.Enums[name]; ok {
 		return TypeIntV
 	}
 	return TypeUnknownV
+}
+
+func (env *TypeEnv) signature(fd *FuncDecl) *Type {
+	t, ok := env.sigs[fd]
+	if !ok {
+		t = fd.Signature()
+		env.sigs[fd] = t
+	}
+	return t
 }
 
 func (tc *typeChecker) stmt(s Stmt) {
@@ -168,7 +211,7 @@ func (tc *typeChecker) stmt(s Stmt) {
 
 func (tc *typeChecker) expr(e Expr) *Type {
 	t := tc.exprType(e)
-	tc.types[e] = t
+	tc.typed = append(tc.typed, typedExpr{e, t})
 	return t
 }
 

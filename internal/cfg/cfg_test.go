@@ -266,7 +266,7 @@ int f(int x) {
 	// Find case 1's block; it must flow into case 2's block.
 	var c1, c2 *Block
 	for _, b := range g.Blocks {
-		switch b.Comment {
+		switch b.Comment() {
 		case "case 1:":
 			c1 = b
 		case "case 2:":
@@ -366,7 +366,7 @@ int f(void) {
 }`, "f")
 	// The second return is unreachable and pruned.
 	for _, b := range g.Blocks {
-		if b.Comment == "return 2;" {
+		if b.Comment() == "return 2;" {
 			t.Errorf("dead block not pruned:\n%s", g)
 		}
 	}

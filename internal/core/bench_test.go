@@ -112,8 +112,10 @@ func BenchmarkCallRichTraversal(b *testing.B) {
 	}
 }
 
-// callRichAllocCeiling bounds the heap allocations of one runCallRich,
-// about 5 % above the measured 2,358 (go1.24; governed 2,363). The count
+// callRichAllocCeiling bounds the heap allocations of one runCallRich.
+// It was set about 5 % above the measured 2,358 (go1.24; governed
+// 2,363); the run now measures 1,752 (governed 1,756, ~1,825 under
+// -race), all of the fall in prog.Build, which every run here pays. The count
 // repeats to the unit, so a regression in the per-path state (fpp.Env,
 // edge sets, fpSeen), in pattern dispatch (DESIGN.md §10.1), in what
 // prog.Build holds for every engine or in what the engine, the funcInfo
@@ -133,7 +135,11 @@ func BenchmarkCallRichTraversal(b *testing.B) {
 // and every engine built two StateRef-keyed maps of per-state slices
 // where it now numbers its checker's states into flat arrays (§10.3),
 // and 2,368 (ceiling 2,487) while every path logged its branch,
-// assignment and havoc events for the verdict tier.
+// assignment and havoc events for the verdict tier. 2,358 is while
+// prog.Build made every CFG block, successor list and predecessor list
+// an object of its own, a type-checker map per block scope and a
+// signature per reference to a function (TestFrontEndAllocs in
+// internal/prog gates that half alone).
 // The governed run sits under the same ceiling (+4, its context): step
 // counters and amortized polls allocate nothing.
 const callRichAllocCeiling = 2_476

@@ -374,7 +374,7 @@ func (en *Engine) BlockFor(fnName, commentPrefix string) *cfg.Block {
 		return nil
 	}
 	for _, b := range fn.Graph.Blocks {
-		if len(b.Comment) >= len(commentPrefix) && b.Comment[:len(commentPrefix)] == commentPrefix {
+		if strings.HasPrefix(b.Comment(), commentPrefix) {
 			return b
 		}
 	}

@@ -416,7 +416,7 @@ func (en *Engine) SupergraphString(fnName string) string {
 	}
 	var sb strings.Builder
 	for _, b := range fn.Graph.Blocks {
-		fmt.Fprintf(&sb, "B%d: %s\n", b.ID, b.Comment)
+		fmt.Fprintf(&sb, "B%d: %s\n", b.ID, b.Comment())
 		fmt.Fprintf(&sb, "  block:  %s\n", en.BlockSummaryString(fnName, b))
 		fmt.Fprintf(&sb, "  suffix: %s\n", en.SuffixSummaryString(fnName, b))
 	}

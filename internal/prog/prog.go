@@ -13,6 +13,7 @@ package prog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -71,18 +72,22 @@ type CallSite struct {
 }
 
 // argMaps pairs a call's actuals with the callee's formals. A
-// parameter without a name can hold no state and is skipped.
+// parameter without a name can hold no state and is skipped. The
+// site's formal nodes share one array.
 func argMaps(call *cc.CallExpr, callee *Function) []ArgMap {
+	n := min(len(callee.Decl.Params), len(call.Args))
 	var maps []ArgMap
-	for i, p := range callee.Decl.Params {
-		if i >= len(call.Args) {
-			break
-		}
+	var formals []cc.Ident
+	for i, p := range callee.Decl.Params[:n] {
 		if p.Name == "" {
 			continue
 		}
+		if maps == nil {
+			maps, formals = make([]ArgMap, 0, n), make([]cc.Ident, n)
+		}
 		actual := call.Args[i]
-		formal := &cc.Ident{Name: p.Name}
+		formal := &formals[i]
+		formal.Name = p.Name
 		if u, ok := actual.(*cc.UnaryExpr); ok && u.Op == cc.TokAmp && !u.Postfix {
 			maps = append(maps, ArgMap{Actual: u.X, Formal: formal, Deref: true})
 			continue
@@ -183,11 +188,21 @@ func Build(files ...*cc.File) *Program {
 			}
 		}
 	}
-	// Collect definitions.
-	for _, f := range files {
-		for _, fd := range f.Funcs() {
-			decl := *fd // the Program's own: ReleaseBody empties it
-			fn := &Function{Name: fd.Name, Index: len(p.All), Decl: &decl}
+	// Collect definitions: the Functions and the Program's own copies of
+	// their declarations (ReleaseBody empties them) are two arrays.
+	defs, n := make([][]*cc.FuncDecl, len(files)), 0
+	for i, f := range files {
+		defs[i] = f.Funcs()
+		n += len(defs[i])
+	}
+	fns, decls := make([]Function, n), make([]cc.FuncDecl, n)
+	p.All = make([]*Function, 0, n)
+	for i, f := range files {
+		for _, fd := range defs[i] {
+			k := len(p.All)
+			decls[k] = *fd
+			fn := &fns[k]
+			fn.Name, fn.Index, fn.Decl = fd.Name, k, &decls[k]
 			p.All = append(p.All, fn)
 			if fd.Storage == cc.StorageStatic {
 				p.Funcs[staticKey(f.Name, fd.Name)] = fn
@@ -201,19 +216,18 @@ func Build(files ...*cc.File) *Program {
 	}
 	// Build CFGs, types and scope sets; then resolve every call site,
 	// which links the call graph.
+	var cb cfg.Builder
 	for _, fn := range p.All {
-		fn.Graph = cfg.Build(fn.Decl)
+		fn.Graph = cb.Build(fn.Decl)
 		fn.Types = env.CheckFunc(fn.Decl)
-		fn.NonParamLocals = map[string]bool{}
-		for name := range fn.Graph.Locals {
-			fn.NonParamLocals[name] = true
-		}
-		for _, param := range fn.Decl.Params {
-			delete(fn.NonParamLocals, param.Name)
-		}
+		fn.NonParamLocals = nonParams(fn.Graph.Locals, fn.Decl.Params)
 	}
+	// linked[callee.Index] is the index+1 of the last caller linked to
+	// callee: a caller's callees are distinct.
+	linked := make([]int, len(p.All))
+	var sites []CallSite // one function's, copied out at its exact size
 	for _, fn := range p.All {
-		seen := map[*Function]bool{}
+		sites = sites[:0]
 		for _, b := range fn.Graph.Blocks {
 			for i, pt := range b.Points {
 				call, ok := pt.(*cc.CallExpr)
@@ -224,19 +238,38 @@ func Build(files ...*cc.File) *Program {
 				if callee == nil {
 					continue
 				}
-				fn.Sites = append(fn.Sites, CallSite{Block: b.ID, Point: i, Callee: callee, Args: argMaps(call, callee)})
-				if seen[callee] {
+				sites = append(sites, CallSite{Block: b.ID, Point: i, Callee: callee, Args: argMaps(call, callee)})
+				if linked[callee.Index] == fn.Index+1 {
 					continue
 				}
-				seen[callee] = true
+				linked[callee.Index] = fn.Index + 1
 				fn.Callees = append(fn.Callees, callee)
 				callee.Callers = append(callee.Callers, fn)
 			}
+		}
+		if len(sites) > 0 {
+			fn.Sites = slices.Clone(sites)
 		}
 	}
 	p.computeRoots()
 	p.buildUnits()
 	return p
+}
+
+// nonParams is the set of locals that are not parameters, nil when
+// there is none.
+func nonParams(locals map[string]bool, params []*cc.VarDecl) map[string]bool {
+	var out map[string]bool
+	for name := range locals {
+		if slices.ContainsFunc(params, func(p *cc.VarDecl) bool { return p.Name == name }) {
+			continue
+		}
+		if out == nil {
+			out = make(map[string]bool, len(locals))
+		}
+		out[name] = true
+	}
+	return out
 }
 
 // BuildSource parses the given named sources and assembles a program.

@@ -242,31 +242,32 @@ func TestStreamingDeterminismMatrix(t *testing.T) {
 // nothing and costs O(1) objects beyond the engines' own (the unit list
 // is built once, in a handful of objects whatever the tree's size:
 // TestUnitsMatchReference in internal/prog). Allocation counts repeat
-// exactly, so the bound is tight: an mc run of the bundled suite over
-// the call-rich tree allocates 8,732 objects against the 8,558 of the
-// engines that retire nothing, 1.020x. 154 of the 174 are mc's task and
-// merge bookkeeping, which its resident path paid too (8,697 against
-// 8,543 at PR 22); retirement's own are one counter slice per engine and
-// the releaser. (1.27x while retirement encoded every summary for a
-// store nothing read.)
+// to a few objects (more under -race, hence 20 runs a side), so the
+// bound is tight and absolute: an mc run of the bundled
+// suite over the call-rich tree allocates 5,279 objects against the
+// 5,116 of the engines that retire nothing, 163 more, and the bound is
+// that excess plus 5 %. Most of the 163 are mc's task and merge
+// bookkeeping, which its resident path paid too; retirement's own are
+// one counter slice per engine and the releaser. Both sides parse and
+// build the tree, so a cheaper front end moves both counts and not the
+// excess (7,624 against 7,460, 164 more, before the front end's
+// allocations fell; the bound was a ratio then, 1.025x). (1.27x while
+// retirement encoded every summary for a store nothing read.)
 func TestStreamingAllocatesLikePlain(t *testing.T) {
+	const maxExcess = 172
 	srcs := workload.CallRichTree()
-	resident := testing.AllocsPerRun(3, func() { residentReference(t, streamAnalyzer(t, srcs, 1, nil)) })
+	resident := testing.AllocsPerRun(20, func() { residentReference(t, streamAnalyzer(t, srcs, 1, nil)) })
 	var res *Result
-	retiring := testing.AllocsPerRun(3, func() { res = streamRun(t, srcs, 1, nil) })
-	t.Logf("allocations per suite run: resident engines %.0f, mc run %.0f (%.3fx)", resident, retiring, retiring/resident)
-	if retiring > 1.025*resident {
-		t.Errorf("the mc run allocates %.0f, the resident engines %.0f: %.3fx, want <= 1.025x", retiring, resident, retiring/resident)
+	retiring := testing.AllocsPerRun(20, func() { res = streamRun(t, srcs, 1, nil) })
+	t.Logf("allocations per suite run: resident engines %.0f, mc run %.0f (%.0f more)", resident, retiring, retiring-resident)
+	if retiring-resident > maxExcess {
+		t.Errorf("the mc run allocates %.0f, the resident engines %.0f: %.0f more, want <= %d", retiring, resident, retiring-resident, maxExcess)
 	}
 	if res.Spill.Evictions == 0 || res.Spill.ASTsReleased == 0 {
 		t.Errorf("the run retired nothing: %+v", res.Spill)
 	}
 }
 
-// TestStreamingTouchesNoFile: retirement is a drop, so a run needs no
-// directory to put anything in. With TMPDIR pointing at a path that
-// does not exist the run completes with the resident reference's output
-// (it failed in os.MkdirTemp while there was a spill store).
 func TestStreamingTouchesNoFile(t *testing.T) {
 	srcs, _ := workload.MixedTree(2, 10, 7)
 	ref := streamDigest(residentReference(t, streamAnalyzer(t, srcs, 2, nil)))
