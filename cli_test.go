@@ -109,6 +109,41 @@ v.freed: { *v } ==> v.stop, { err("MY-MARKER %s", mc_identifier(v)); };
 	if !strings.Contains(out, "MY-MARKER p") {
 		t.Errorf("custom checker not applied:\n%s", out)
 	}
+
+	// -two-pass takes the direct run's file list: a directory is its .c
+	// files, a path is cleaned (reports and -baseline history name the
+	// file the same way in both modes), and a path named twice fails.
+	tp := filepath.Join(t.TempDir(), "tp")
+	if err := os.Mkdir(tp, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	corpus, _ := filepath.Glob("testdata/corpus/*.c")
+	for _, p := range corpus {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(tp, filepath.Base(p)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	unclean := filepath.Join(tp, "..", "tp", "slab.c")
+	for _, arg := range []string{tp, unclean} {
+		direct, err := runCmd(t, "./cmd/xgcc", "-checker", "free,lock,null", arg)
+		if err != nil {
+			t.Fatalf("xgcc %s: %v\n%s", arg, err, direct)
+		}
+		twoPass, err := runCmd(t, "./cmd/xgcc", "-checker", "free,lock,null", "-two-pass", arg)
+		if err != nil {
+			t.Fatalf("xgcc -two-pass %s: %v\n%s", arg, err, twoPass)
+		}
+		if twoPass != direct || !strings.Contains(direct, filepath.Join(tp, "slab.c")+":56:5:") {
+			t.Errorf("%s: -two-pass output differs from the direct run's:\n%s\n---\n%s", arg, twoPass, direct)
+		}
+	}
+	if out, err := runCmd(t, "./cmd/xgcc", "-two-pass", filepath.Join(tp, "slab.c"), unclean); err == nil || !strings.Contains(out, "duplicate source") {
+		t.Errorf("-two-pass with one file named twice: want a duplicate source error (err %v):\n%s", err, out)
+	}
 }
 
 func TestMetalcCLI(t *testing.T) {

@@ -123,7 +123,13 @@ func main() {
 		fatal(err)
 	}
 
-	for _, path := range flag.Args() {
+	// Both modes take one file list: cleaned names, a directory's .c
+	// files, a duplicate an error.
+	paths, err := mc.SourcePaths(flag.Args())
+	if err != nil {
+		fatal(err)
+	}
+	for _, path := range paths {
 		if *twoPass {
 			data, err := os.ReadFile(path)
 			if err != nil {
@@ -151,12 +157,6 @@ func main() {
 				fatal(err)
 			}
 			a.AddAST(f)
-			continue
-		}
-		if info, err := os.Stat(path); err == nil && info.IsDir() {
-			if err := a.AddDirectory(path); err != nil {
-				fatal(err)
-			}
 			continue
 		}
 		if err := a.AddFile(path); err != nil {

@@ -7,55 +7,649 @@ package cc
 // graph." The emitted form is a plain-text s-expression encoding; the
 // paper reports emitted files "typically four or five times larger
 // than the text representation" (experiment E8 measures ours).
+//
+// The form is stated once. A codec walks a node's fields in wire order,
+// and the same walk writes them (EmitFile, and the hashes of hash.go)
+// or reads them back (ReadFile): typeFields, declFields, stmtFields and
+// exprFields have one case per node kind, and a head→constructor table
+// per category picks the node a read fills.
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
-	"strings"
 )
 
 // EmitFile serializes a parsed translation unit.
 func EmitFile(f *File) []byte {
-	w := &emitter{types: map[*Type]int{}}
-	var body strings.Builder
-	for _, d := range f.Decls {
-		w.decl(&body, d)
+	c := newWriter()
+	for i := range f.Decls {
+		c.decl(&f.Decls[i])
 	}
-	var out strings.Builder
-	out.WriteString("(xgcc-ast 1 ")
-	out.WriteString(quote(f.Name))
-	out.WriteString("\n(types\n")
-	// w.typeDefs was filled while emitting the body; entries are in
-	// first-use order, so forward references use ids already assigned.
-	for _, line := range w.typeDefs {
-		out.WriteString(line)
-		out.WriteByte('\n')
-	}
-	out.WriteString(")\n")
-	out.WriteString(body.String())
-	out.WriteString(")\n")
-	return []byte(out.String())
+	// The type definitions were numbered while the body was written, in
+	// first-use order, so each refers only to ids already assigned.
+	out := append(make([]byte, 0, len(c.buf)+len(f.Name)+64), "(xgcc-ast 1 "...)
+	out = strconv.AppendQuote(out, f.Name)
+	out = append(out, "\n(types\n"...)
+	out = c.typeLines(out)
+	out = append(out, ")\n"...)
+	out = append(out, c.buf...)
+	return append(out, ")\n"...)
 }
 
-// ReadFile deserializes an emitted translation unit. Structurally
-// malformed input yields an error, never a panic.
-func ReadFile(data []byte) (f *File, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			f, err = nil, fmt.Errorf("malformed AST data: %v", r)
-		}
-	}()
+// ReadFile deserializes an emitted translation unit. Malformed input
+// yields an error naming the node and field that did not fit.
+func ReadFile(data []byte) (*File, error) {
 	s, err := parseSexpr(string(data))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("malformed AST data: %w", err)
 	}
-	r := &reader{types: map[int]*Type{}}
-	return r.file(s)
+	if s.head() != "xgcc-ast" {
+		return nil, fmt.Errorf("not an emitted AST file (head %q)", s.head())
+	}
+	c := &codec{}
+	f := &File{}
+	c.within(s, func() {
+		version := 0
+		c.num(&version)
+		if c.err == nil && version != 1 {
+			c.fail("format version %d, want 1", version)
+		}
+		c.str(&f.Name)
+		c.file = f.Name
+		c.sub("types", c.readTypes)
+		each(c, &f.Decls, c.decl)
+	})
+	if c.err != nil {
+		return nil, c.err
+	}
+	return f, nil
 }
 
 // RoundTrip emits and re-reads a file; tests use it to verify pass-1 /
 // pass-2 fidelity.
 func RoundTrip(f *File) (*File, error) { return ReadFile(EmitFile(f)) }
+
+// ---------------------------------------------------------------------------
+// The codec
+// ---------------------------------------------------------------------------
+
+// codec is one walk over the emitted form. A writer (w) appends each
+// field to buf, space-separated, and numbers types on first use. A
+// reader consumes the current node's items (items[i:], items[0] being
+// its head) and keeps the first error it meets; after it, every
+// primitive is a no-op.
+type codec struct {
+	w bool
+
+	buf  []byte
+	ids  map[*Type]int
+	defs [][]byte // defs[id] is "(t id ...)"
+
+	items []*sexpr
+	i     int
+	types []*Type
+	file  string
+	err   error
+}
+
+func newWriter() *codec { return &codec{w: true, ids: map[*Type]int{}} }
+
+func (c *codec) fail(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf("malformed AST data: (%s field %d: %s", c.items[0].Atom, c.i, fmt.Sprintf(format, args...))
+	}
+}
+
+// next consumes the current node's next item; nil after an error or at
+// the node's end, which is an error.
+func (c *codec) next() *sexpr {
+	if c.err != nil {
+		return nil
+	}
+	if c.i == len(c.items) {
+		c.fail("missing field")
+		return nil
+	}
+	c.i++
+	return c.items[c.i-1]
+}
+
+// within reads list s as the current node: f reads its items after the
+// head, and an item f leaves unread is an error.
+func (c *codec) within(s *sexpr, f func()) {
+	if c.err != nil {
+		return
+	}
+	items, i := c.items, c.i
+	c.items, c.i = s.List, 1
+	f()
+	if c.err == nil && c.i < len(c.items) {
+		c.fail("trailing field")
+	}
+	c.items, c.i = items, i
+}
+
+// head opens a node on write. On read the node's head has already
+// picked its constructor.
+func (c *codec) head(h string) *codec {
+	if c.w {
+		c.buf = append(append(c.buf, '('), h...)
+	}
+	return c
+}
+
+// opt reports whether a trailing optional field is there: on write
+// whether it is set, on read whether the node has items left.
+func (c *codec) opt(set bool) bool {
+	if c.w {
+		return set
+	}
+	return c.err == nil && c.i < len(c.items)
+}
+
+// atom reads a bare (unquoted) atom.
+func (c *codec) atom() string {
+	s := c.next()
+	if s != nil && (s.isList() || s.Str) {
+		c.fail("want an atom")
+	}
+	if c.err != nil {
+		return ""
+	}
+	return s.Atom
+}
+
+// num lists an integer field.
+func (c *codec) num(p any) *codec {
+	switch p := p.(type) {
+	case *int:
+		number(c, p)
+	case *int64:
+		number(c, p)
+	case *TokKind:
+		number(c, p)
+	case *StorageClass:
+		number(c, p)
+	default:
+		panic("cc: num of a field type with no wire form")
+	}
+	return c
+}
+
+func number[T ~int | ~int64](c *codec, p *T) {
+	if c.w {
+		c.buf = strconv.AppendInt(append(c.buf, ' '), int64(*p), 10)
+		return
+	}
+	a := c.atom()
+	v, err := strconv.ParseInt(a, 10, 64)
+	if c.err == nil && err != nil {
+		c.fail("want a number, got %q", a)
+	}
+	*p = T(v)
+}
+
+func (c *codec) flag(p *bool) *codec {
+	v := 0
+	if *p {
+		v = 1
+	}
+	number(c, &v)
+	if !c.w && c.err == nil {
+		if v != 0 && v != 1 {
+			c.fail("flag %d", v)
+		}
+		*p = v == 1
+	}
+	return c
+}
+
+func (c *codec) str(p *string) *codec {
+	if c.w {
+		c.buf = strconv.AppendQuote(append(c.buf, ' '), *p)
+		return c
+	}
+	s := c.next()
+	if s != nil && !s.Str {
+		c.fail("want a string")
+	}
+	if c.err == nil {
+		*p = s.Atom
+	}
+	return c
+}
+
+// pos lists a position's line and column; a read position is in the
+// file being read.
+func (c *codec) pos(p *Pos) *codec {
+	number(c, &p.Line)
+	number(c, &p.Col)
+	if !c.w {
+		p.File = c.file
+	}
+	return c
+}
+
+// typ lists a type by id (-1 for none).
+func (c *codec) typ(p **Type) *codec {
+	id := -1
+	if c.w {
+		id = c.typeID(*p)
+	}
+	number(c, &id)
+	if c.w || c.err != nil {
+		return c
+	}
+	if id < -1 || id >= len(c.types) {
+		c.fail("undefined type id %d", id)
+	} else if id >= 0 {
+		*p = c.types[id]
+	}
+	return c
+}
+
+// each lists a trailing sequence: every element on write, and on read
+// one element per remaining item (or group of items).
+func each[T any](c *codec, list *[]T, f func(*T) *codec) {
+	if c.w {
+		for i := range *list {
+			f(&(*list)[i])
+		}
+		return
+	}
+	var zero T
+	for c.opt(false) {
+		*list = append(*list, zero)
+		f(&(*list)[len(*list)-1])
+	}
+}
+
+// sub lists a nested list's fields under its head.
+func (c *codec) sub(h string, f func()) *codec {
+	if c.w {
+		c.buf = append(c.buf, ' ')
+		c.head(h)
+		f()
+		c.buf = append(c.buf, ')')
+		return c
+	}
+	s := c.next()
+	if c.err == nil && s.head() != h {
+		c.fail("got (%s, want (%s", s.head(), h)
+	}
+	c.within(s, f)
+	return c
+}
+
+// node writes *p, or reads the next item into it: the item's head picks
+// a constructor from table, and fields lists the node either way.
+func node[N any](c *codec, p *N, table map[string]func() N, fields func(N)) {
+	if c.w {
+		fields(*p)
+		c.buf = append(c.buf, ')')
+		return
+	}
+	s := c.next()
+	if c.err != nil {
+		return
+	}
+	mk, ok := table[s.head()]
+	if !ok {
+		c.fail("unknown node (%s", s.head())
+		return
+	}
+	n := mk()
+	c.within(s, func() { fields(n) })
+	*p = n
+}
+
+func (c *codec) decl(p *Decl) *codec {
+	node(c, p, declNodes, c.declFields)
+	if c.w {
+		c.buf = append(c.buf, '\n')
+	}
+	return c
+}
+
+// stmt lists a statement; a nil one is (nil).
+func (c *codec) stmt(p *Stmt) *codec {
+	if c.w {
+		c.buf = append(c.buf, ' ')
+	}
+	node(c, p, stmtNodes, c.stmtFields)
+	return c
+}
+
+// exprOrNil lists an expression that may be nil, as (nil).
+func (c *codec) exprOrNil(p *Expr) *codec {
+	if c.w {
+		c.buf = append(c.buf, ' ')
+	}
+	node(c, p, exprNodes, c.exprFields)
+	return c
+}
+
+func (c *codec) expr(p *Expr) *codec {
+	c.exprOrNil(p)
+	if !c.w && c.err == nil && *p == nil {
+		c.fail("missing expression")
+	}
+	return c
+}
+
+// body lists a function body, which must be a block.
+func (c *codec) body(p **CompoundStmt) {
+	var s Stmt = *p
+	c.stmt(&s)
+	if !c.w && c.err == nil {
+		b, ok := s.(*CompoundStmt)
+		if !ok {
+			c.fail("body is not a block")
+		}
+		*p = b
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Types
+// ---------------------------------------------------------------------------
+
+// typeKinds names each TypeKind on the wire.
+var typeKinds = [...]string{
+	TypeUnknown: "unknown", TypeVoid: "void", TypeInt: "int", TypeFloat: "float",
+	TypePointer: "ptr", TypeArray: "array", TypeFunc: "func", TypeStruct: "struct",
+	TypeUnion: "union", TypeEnum: "enum", TypeNamed: "named",
+}
+
+// typeID numbers t on first use and writes its definition into its own
+// slot, so a recursive type finds its id already assigned.
+func (c *codec) typeID(t *Type) int {
+	if t == nil {
+		return -1
+	}
+	if id, ok := c.ids[t]; ok {
+		return id
+	}
+	id := len(c.defs)
+	c.ids[t] = id
+	c.defs = append(c.defs, nil)
+	body := c.buf
+	c.buf = append(make([]byte, 0, 32), "(t"...)
+	c.typeDef(id, t)
+	c.defs[id] = append(c.buf, ')')
+	c.buf = body
+	return id
+}
+
+// typeLines appends the numbered type definitions, one a line.
+func (c *codec) typeLines(out []byte) []byte {
+	for _, d := range c.defs {
+		out = append(append(out, d...), '\n')
+	}
+	return out
+}
+
+// readTypes reads the types section. Entry i defines id i, and every
+// type is allocated before any is filled, so recursive types resolve.
+func (c *codec) readTypes() {
+	slab := make([]Type, len(c.items)-c.i)
+	c.types = make([]*Type, len(slab))
+	for i := range slab {
+		c.types[i] = &slab[i]
+	}
+	for i, t := range c.types {
+		c.sub("t", func() { c.typeDef(i, t) })
+	}
+}
+
+// typeDef lists a type definition: its id, its kind, the kind's fields.
+func (c *codec) typeDef(id int, t *Type) {
+	got := id
+	c.num(&got)
+	if got != id {
+		c.fail("type id %d, want %d", got, id)
+	}
+	if c.w {
+		kind := ""
+		if uint(t.Kind) < uint(len(typeKinds)) {
+			kind = typeKinds[t.Kind]
+		}
+		c.buf = append(append(c.buf, ' '), kind...)
+	} else if kind := c.atom(); c.err == nil {
+		k := slices.Index(typeKinds[:], kind)
+		if k < 0 {
+			c.fail("unknown type kind %q", kind)
+		}
+		t.Kind = TypeKind(k)
+	}
+	c.typeFields(t)
+}
+
+func (c *codec) typeFields(t *Type) {
+	switch t.Kind {
+	case TypeInt:
+		c.num(&t.Size).flag(&t.Unsigned)
+	case TypeFloat:
+		c.num(&t.Size)
+	case TypePointer:
+		c.typ(&t.Elem)
+	case TypeArray:
+		c.typ(&t.Elem).num(&t.ArrayLen)
+	case TypeFunc:
+		c.typ(&t.Ret).flag(&t.Variadic)
+		each(c, &t.Params, c.typ)
+	case TypeStruct, TypeUnion:
+		c.str(&t.Tag)
+		each(c, &t.Fields, func(f *Field) *codec { return c.str(&f.Name).typ(&f.Type) })
+	case TypeEnum:
+		c.str(&t.Tag)
+		each(c, &t.Enums, func(e *EnumConst) *codec { return c.str(&e.Name).num(&e.Value) })
+	case TypeNamed:
+		c.str(&t.Name).typ(&t.Def)
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Declarations, statements, expressions
+// ---------------------------------------------------------------------------
+
+var declNodes = map[string]func() Decl{
+	"var":      func() Decl { return new(VarDecl) },
+	"fn":       func() Decl { return new(FuncDecl) },
+	"typedef":  func() Decl { return new(TypedefDecl) },
+	"record":   func() Decl { return new(RecordDecl) },
+	"enumdecl": func() Decl { return new(EnumDecl) },
+}
+
+func (c *codec) declFields(d Decl) {
+	switch d := d.(type) {
+	case *VarDecl:
+		c.head("var").varFields(d)
+	case *FuncDecl:
+		c.head("fn").str(&d.Name).typ(&d.Result).flag(&d.Variadic).num(&d.Storage).str(&d.File).pos(&d.P)
+		c.sub("params", func() {
+			each(c, &d.Params, func(p **VarDecl) *codec {
+				v := fill(p)
+				return c.sub("p", func() { c.str(&v.Name).typ(&v.Type).pos(&v.P) })
+			})
+		})
+		if c.opt(d.Body != nil) {
+			c.body(&d.Body)
+		}
+	case *TypedefDecl:
+		c.head("typedef").str(&d.Name).typ(&d.Type).pos(&d.P)
+	case *RecordDecl:
+		c.head("record").typ(&d.Type).pos(&d.P)
+	case *EnumDecl:
+		c.head("enumdecl").typ(&d.Type).pos(&d.P)
+	}
+}
+
+// varFields lists a variable: a file-scope (var ...) and a local
+// (v ...) alike.
+func (c *codec) varFields(v *VarDecl) {
+	c.str(&v.Name).typ(&v.Type).num(&v.Storage).pos(&v.P)
+	if c.opt(v.Init != nil) {
+		c.expr(&v.Init)
+	}
+}
+
+// fill returns *p, allocating it for a read.
+func fill[T any](p **T) *T {
+	if *p == nil {
+		*p = new(T)
+	}
+	return *p
+}
+
+var stmtNodes = map[string]func() Stmt{
+	"nil":      func() Stmt { return nil },
+	"es":       func() Stmt { return new(ExprStmt) },
+	"ds":       func() Stmt { return new(DeclStmt) },
+	"blk":      func() Stmt { return new(CompoundStmt) },
+	"nop":      func() Stmt { return new(EmptyStmt) },
+	"if":       func() Stmt { return new(IfStmt) },
+	"while":    func() Stmt { return new(WhileStmt) },
+	"do":       func() Stmt { return new(DoWhileStmt) },
+	"for":      func() Stmt { return new(ForStmt) },
+	"switch":   func() Stmt { return new(SwitchStmt) },
+	"case":     func() Stmt { return new(CaseStmt) },
+	"break":    func() Stmt { return new(BreakStmt) },
+	"continue": func() Stmt { return new(ContinueStmt) },
+	"return":   func() Stmt { return new(ReturnStmt) },
+	"goto":     func() Stmt { return new(GotoStmt) },
+	"label":    func() Stmt { return new(LabeledStmt) },
+}
+
+func (c *codec) stmtFields(s Stmt) {
+	switch s := s.(type) {
+	case *ExprStmt:
+		// The statement is at its expression and carries no position.
+		c.head("es").expr(&s.X)
+		if !c.w && c.err == nil {
+			s.P = s.X.Pos()
+		}
+	case *DeclStmt:
+		c.head("ds").pos(&s.P)
+		each(c, &s.Decls, func(p **VarDecl) *codec {
+			v := fill(p)
+			return c.sub("v", func() { c.varFields(v) })
+		})
+	case *CompoundStmt:
+		c.head("blk").pos(&s.P)
+		each(c, &s.List, c.stmt)
+	case *EmptyStmt:
+		c.head("nop").pos(&s.P)
+	case *IfStmt:
+		c.head("if").pos(&s.P).expr(&s.Cond).stmt(&s.Then)
+		if c.opt(s.Else != nil) {
+			c.stmt(&s.Else)
+		}
+	case *WhileStmt:
+		c.head("while").pos(&s.P).expr(&s.Cond).stmt(&s.Body)
+	case *DoWhileStmt:
+		c.head("do").pos(&s.P).stmt(&s.Body).expr(&s.Cond)
+	case *ForStmt:
+		c.head("for").pos(&s.P).stmt(&s.Init).exprOrNil(&s.Cond).exprOrNil(&s.Post).stmt(&s.Body)
+	case *SwitchStmt:
+		c.head("switch").pos(&s.P).expr(&s.Tag).stmt(&s.Body)
+	case *CaseStmt:
+		c.head("case").pos(&s.P).exprOrNil(&s.Val).stmt(&s.Body)
+	case *BreakStmt:
+		c.head("break").pos(&s.P)
+	case *ContinueStmt:
+		c.head("continue").pos(&s.P)
+	case *ReturnStmt:
+		c.head("return").pos(&s.P)
+		if c.opt(s.X != nil) {
+			c.expr(&s.X)
+		}
+	case *GotoStmt:
+		c.head("goto").str(&s.Label).pos(&s.P)
+	case *LabeledStmt:
+		c.head("label").str(&s.Label).pos(&s.P).stmt(&s.Body)
+	default:
+		c.head("nil")
+	}
+}
+
+var exprNodes = map[string]func() Expr{
+	"nil":      func() Expr { return nil },
+	"id":       func() Expr { return new(Ident) },
+	"i":        func() Expr { return new(IntLit) },
+	"f":        func() Expr { return new(FloatLit) },
+	"c":        func() Expr { return new(CharLit) },
+	"s":        func() Expr { return new(StringLit) },
+	"un":       func() Expr { return new(UnaryExpr) },
+	"bin":      func() Expr { return new(BinaryExpr) },
+	"asg":      func() Expr { return new(AssignExpr) },
+	"cond":     func() Expr { return new(CondExpr) },
+	"call":     func() Expr { return new(CallExpr) },
+	"idx":      func() Expr { return new(IndexExpr) },
+	"fld":      func() Expr { return new(FieldExpr) },
+	"cast":     func() Expr { return new(CastExpr) },
+	"sizeof-t": func() Expr { return new(SizeofExpr) },
+	"sizeof":   func() Expr { return new(SizeofExpr) },
+	"comma":    func() Expr { return new(CommaExpr) },
+	"init":     func() Expr { return new(InitList) },
+	"hole":     func() Expr { return new(HoleExpr) },
+	"holeargs": func() Expr { return new(HoleArgs) },
+}
+
+func (c *codec) exprFields(e Expr) {
+	switch e := e.(type) {
+	case *Ident:
+		c.head("id").str(&e.Name).pos(&e.P)
+	case *IntLit:
+		c.head("i").num(&e.Value).str(&e.Text).pos(&e.P)
+	case *FloatLit:
+		c.head("f").str(&e.Text).pos(&e.P)
+	case *CharLit:
+		c.head("c").str(&e.Text).pos(&e.P)
+	case *StringLit:
+		c.head("s").str(&e.Text).pos(&e.P)
+	case *UnaryExpr:
+		c.head("un").num(&e.Op).flag(&e.Postfix).pos(&e.P).expr(&e.X)
+	case *BinaryExpr:
+		c.head("bin").num(&e.Op).pos(&e.P).expr(&e.X).expr(&e.Y)
+	case *AssignExpr:
+		c.head("asg").num(&e.Op).pos(&e.P).expr(&e.LHS).expr(&e.RHS)
+	case *CondExpr:
+		c.head("cond").pos(&e.P).expr(&e.Cond).expr(&e.Then).expr(&e.Else)
+	case *CallExpr:
+		c.head("call").pos(&e.P).expr(&e.Fun)
+		each(c, &e.Args, c.expr)
+	case *IndexExpr:
+		c.head("idx").pos(&e.P).expr(&e.X).expr(&e.Index)
+	case *FieldExpr:
+		c.head("fld").str(&e.Name).flag(&e.Arrow).pos(&e.P).expr(&e.X)
+	case *CastExpr:
+		c.head("cast").typ(&e.To).pos(&e.P).expr(&e.X)
+	case *SizeofExpr:
+		// sizeof(type) and sizeof expr are two heads of one node.
+		if c.w && e.Type != nil || !c.w && c.items[0].Atom == "sizeof-t" {
+			c.head("sizeof-t").typ(&e.Type).pos(&e.P)
+			if e.Type == nil {
+				c.fail("sizeof-t without a type")
+			}
+		} else {
+			c.head("sizeof").pos(&e.P).expr(&e.X)
+		}
+	case *CommaExpr:
+		c.head("comma").pos(&e.P)
+		each(c, &e.List, c.expr)
+	case *InitList:
+		c.head("init").pos(&e.P)
+		each(c, &e.List, c.expr)
+	case *HoleExpr:
+		c.head("hole").str(&e.Name).str(&e.Meta).typ(&e.CType).pos(&e.P)
+	case *HoleArgs:
+		c.head("holeargs").str(&e.Name).pos(&e.P)
+	default:
+		c.head("nil")
+	}
+}
 
 // ---------------------------------------------------------------------------
 // S-expressions
@@ -67,8 +661,6 @@ type sexpr struct {
 	Str  bool // Atom was a quoted string
 	List []*sexpr
 }
-
-func quote(s string) string { return strconv.Quote(s) }
 
 func parseSexpr(src string) (*sexpr, error) {
 	p := &sexprParser{src: src}
@@ -163,894 +755,4 @@ func (s *sexpr) head() string {
 		return s.List[0].Atom
 	}
 	return ""
-}
-
-func (s *sexpr) intAt(i int) (int64, error) {
-	if !s.isList() || i >= len(s.List) {
-		return 0, fmt.Errorf("missing int operand %d in %s", i, s.head())
-	}
-	return strconv.ParseInt(s.List[i].Atom, 10, 64)
-}
-
-func (s *sexpr) strAt(i int) (string, error) {
-	if !s.isList() || i >= len(s.List) {
-		return "", fmt.Errorf("missing operand %d in %s", i, s.head())
-	}
-	return s.List[i].Atom, nil
-}
-
-// ---------------------------------------------------------------------------
-// Emitter
-// ---------------------------------------------------------------------------
-
-type emitter struct {
-	types    map[*Type]int
-	typeDefs []string
-}
-
-// typeID interns a type, emitting its definition on first use.
-func (w *emitter) typeID(t *Type) int {
-	if t == nil {
-		return -1
-	}
-	if id, ok := w.types[t]; ok {
-		return id
-	}
-	id := len(w.types)
-	w.types[t] = id
-	// Reserve a slot, then fill it: recursive struct types refer back
-	// to their own id.
-	w.typeDefs = append(w.typeDefs, "")
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "(t %d ", id)
-	switch t.Kind {
-	case TypeUnknown:
-		sb.WriteString("unknown")
-	case TypeVoid:
-		sb.WriteString("void")
-	case TypeInt:
-		fmt.Fprintf(&sb, "int %d %d", t.Size, b2i(t.Unsigned))
-	case TypeFloat:
-		fmt.Fprintf(&sb, "float %d", t.Size)
-	case TypePointer:
-		fmt.Fprintf(&sb, "ptr %d", w.typeID(t.Elem))
-	case TypeArray:
-		fmt.Fprintf(&sb, "array %d %d", w.typeID(t.Elem), t.ArrayLen)
-	case TypeFunc:
-		fmt.Fprintf(&sb, "func %d %d", w.typeID(t.Ret), b2i(t.Variadic))
-		for _, p := range t.Params {
-			fmt.Fprintf(&sb, " %d", w.typeID(p))
-		}
-	case TypeStruct, TypeUnion:
-		kw := "struct"
-		if t.Kind == TypeUnion {
-			kw = "union"
-		}
-		fmt.Fprintf(&sb, "%s %s", kw, quote(t.Tag))
-		for _, f := range t.Fields {
-			fmt.Fprintf(&sb, " %s %d", quote(f.Name), w.typeID(f.Type))
-		}
-	case TypeEnum:
-		fmt.Fprintf(&sb, "enum %s", quote(t.Tag))
-		for _, ec := range t.Enums {
-			fmt.Fprintf(&sb, " %s %d", quote(ec.Name), ec.Value)
-		}
-	case TypeNamed:
-		fmt.Fprintf(&sb, "named %s %d", quote(t.Name), w.typeID(t.Def))
-	}
-	sb.WriteString(")")
-	w.typeDefs[id] = sb.String()
-	return id
-}
-
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func (w *emitter) pos(sb *strings.Builder, p Pos) {
-	fmt.Fprintf(sb, " %d %d", p.Line, p.Col)
-}
-
-func (w *emitter) decl(sb *strings.Builder, d Decl) {
-	switch d := d.(type) {
-	case *VarDecl:
-		fmt.Fprintf(sb, "(var %s %d %d", quote(d.Name), w.typeID(d.Type), int(d.Storage))
-		w.pos(sb, d.P)
-		if d.Init != nil {
-			sb.WriteByte(' ')
-			w.expr(sb, d.Init)
-		}
-		sb.WriteString(")\n")
-	case *FuncDecl:
-		fmt.Fprintf(sb, "(fn %s %d %d %d %s", quote(d.Name), w.typeID(d.Result), b2i(d.Variadic), int(d.Storage), quote(d.File))
-		w.pos(sb, d.P)
-		sb.WriteString(" (params")
-		for _, p := range d.Params {
-			fmt.Fprintf(sb, " (p %s %d", quote(p.Name), w.typeID(p.Type))
-			w.pos(sb, p.P)
-			sb.WriteString(")")
-		}
-		sb.WriteString(")")
-		if d.Body != nil {
-			sb.WriteByte(' ')
-			w.stmt(sb, d.Body)
-		}
-		sb.WriteString(")\n")
-	case *TypedefDecl:
-		fmt.Fprintf(sb, "(typedef %s %d", quote(d.Name), w.typeID(d.Type))
-		w.pos(sb, d.P)
-		sb.WriteString(")\n")
-	case *RecordDecl:
-		fmt.Fprintf(sb, "(record %d", w.typeID(d.Type))
-		w.pos(sb, d.P)
-		sb.WriteString(")\n")
-	case *EnumDecl:
-		fmt.Fprintf(sb, "(enumdecl %d", w.typeID(d.Type))
-		w.pos(sb, d.P)
-		sb.WriteString(")\n")
-	}
-}
-
-func (w *emitter) stmt(sb *strings.Builder, s Stmt) {
-	if s == nil {
-		sb.WriteString("(nil)")
-		return
-	}
-	switch s := s.(type) {
-	case *ExprStmt:
-		sb.WriteString("(es ")
-		w.expr(sb, s.X)
-		sb.WriteString(")")
-	case *DeclStmt:
-		sb.WriteString("(ds")
-		w.pos(sb, s.P)
-		for _, d := range s.Decls {
-			fmt.Fprintf(sb, " (v %s %d %d", quote(d.Name), w.typeID(d.Type), int(d.Storage))
-			w.pos(sb, d.P)
-			if d.Init != nil {
-				sb.WriteByte(' ')
-				w.expr(sb, d.Init)
-			}
-			sb.WriteString(")")
-		}
-		sb.WriteString(")")
-	case *CompoundStmt:
-		sb.WriteString("(blk")
-		w.pos(sb, s.P)
-		for _, c := range s.List {
-			sb.WriteByte(' ')
-			w.stmt(sb, c)
-		}
-		sb.WriteString(")")
-	case *EmptyStmt:
-		sb.WriteString("(nop")
-		w.pos(sb, s.P)
-		sb.WriteString(")")
-	case *IfStmt:
-		sb.WriteString("(if")
-		w.pos(sb, s.P)
-		sb.WriteByte(' ')
-		w.expr(sb, s.Cond)
-		sb.WriteByte(' ')
-		w.stmt(sb, s.Then)
-		if s.Else != nil {
-			sb.WriteByte(' ')
-			w.stmt(sb, s.Else)
-		}
-		sb.WriteString(")")
-	case *WhileStmt:
-		sb.WriteString("(while")
-		w.pos(sb, s.P)
-		sb.WriteByte(' ')
-		w.expr(sb, s.Cond)
-		sb.WriteByte(' ')
-		w.stmt(sb, s.Body)
-		sb.WriteString(")")
-	case *DoWhileStmt:
-		sb.WriteString("(do")
-		w.pos(sb, s.P)
-		sb.WriteByte(' ')
-		w.stmt(sb, s.Body)
-		sb.WriteByte(' ')
-		w.expr(sb, s.Cond)
-		sb.WriteString(")")
-	case *ForStmt:
-		sb.WriteString("(for")
-		w.pos(sb, s.P)
-		sb.WriteByte(' ')
-		w.stmt(sb, s.Init)
-		sb.WriteByte(' ')
-		w.optExpr(sb, s.Cond)
-		sb.WriteByte(' ')
-		w.optExpr(sb, s.Post)
-		sb.WriteByte(' ')
-		w.stmt(sb, s.Body)
-		sb.WriteString(")")
-	case *SwitchStmt:
-		sb.WriteString("(switch")
-		w.pos(sb, s.P)
-		sb.WriteByte(' ')
-		w.expr(sb, s.Tag)
-		sb.WriteByte(' ')
-		w.stmt(sb, s.Body)
-		sb.WriteString(")")
-	case *CaseStmt:
-		sb.WriteString("(case")
-		w.pos(sb, s.P)
-		sb.WriteByte(' ')
-		w.optExpr(sb, s.Val)
-		sb.WriteByte(' ')
-		w.stmt(sb, s.Body)
-		sb.WriteString(")")
-	case *BreakStmt:
-		sb.WriteString("(break")
-		w.pos(sb, s.P)
-		sb.WriteString(")")
-	case *ContinueStmt:
-		sb.WriteString("(continue")
-		w.pos(sb, s.P)
-		sb.WriteString(")")
-	case *ReturnStmt:
-		sb.WriteString("(return")
-		w.pos(sb, s.P)
-		if s.X != nil {
-			sb.WriteByte(' ')
-			w.expr(sb, s.X)
-		}
-		sb.WriteString(")")
-	case *GotoStmt:
-		fmt.Fprintf(sb, "(goto %s", quote(s.Label))
-		w.pos(sb, s.P)
-		sb.WriteString(")")
-	case *LabeledStmt:
-		fmt.Fprintf(sb, "(label %s", quote(s.Label))
-		w.pos(sb, s.P)
-		sb.WriteByte(' ')
-		w.stmt(sb, s.Body)
-		sb.WriteString(")")
-	default:
-		sb.WriteString("(nil)")
-	}
-}
-
-func (w *emitter) optExpr(sb *strings.Builder, e Expr) {
-	if e == nil {
-		sb.WriteString("(nil)")
-		return
-	}
-	w.expr(sb, e)
-}
-
-func (w *emitter) expr(sb *strings.Builder, e Expr) {
-	switch e := e.(type) {
-	case *Ident:
-		fmt.Fprintf(sb, "(id %s", quote(e.Name))
-		w.pos(sb, e.P)
-		sb.WriteString(")")
-	case *IntLit:
-		fmt.Fprintf(sb, "(i %d %s", e.Value, quote(e.Text))
-		w.pos(sb, e.P)
-		sb.WriteString(")")
-	case *FloatLit:
-		fmt.Fprintf(sb, "(f %s", quote(e.Text))
-		w.pos(sb, e.P)
-		sb.WriteString(")")
-	case *CharLit:
-		fmt.Fprintf(sb, "(c %s", quote(e.Text))
-		w.pos(sb, e.P)
-		sb.WriteString(")")
-	case *StringLit:
-		fmt.Fprintf(sb, "(s %s", quote(e.Text))
-		w.pos(sb, e.P)
-		sb.WriteString(")")
-	case *UnaryExpr:
-		fmt.Fprintf(sb, "(un %d %d", int(e.Op), b2i(e.Postfix))
-		w.pos(sb, e.P)
-		sb.WriteByte(' ')
-		w.expr(sb, e.X)
-		sb.WriteString(")")
-	case *BinaryExpr:
-		fmt.Fprintf(sb, "(bin %d", int(e.Op))
-		w.pos(sb, e.P)
-		sb.WriteByte(' ')
-		w.expr(sb, e.X)
-		sb.WriteByte(' ')
-		w.expr(sb, e.Y)
-		sb.WriteString(")")
-	case *AssignExpr:
-		fmt.Fprintf(sb, "(asg %d", int(e.Op))
-		w.pos(sb, e.P)
-		sb.WriteByte(' ')
-		w.expr(sb, e.LHS)
-		sb.WriteByte(' ')
-		w.expr(sb, e.RHS)
-		sb.WriteString(")")
-	case *CondExpr:
-		sb.WriteString("(cond")
-		w.pos(sb, e.P)
-		sb.WriteByte(' ')
-		w.expr(sb, e.Cond)
-		sb.WriteByte(' ')
-		w.expr(sb, e.Then)
-		sb.WriteByte(' ')
-		w.expr(sb, e.Else)
-		sb.WriteString(")")
-	case *CallExpr:
-		sb.WriteString("(call")
-		w.pos(sb, e.P)
-		sb.WriteByte(' ')
-		w.expr(sb, e.Fun)
-		for _, a := range e.Args {
-			sb.WriteByte(' ')
-			w.expr(sb, a)
-		}
-		sb.WriteString(")")
-	case *IndexExpr:
-		sb.WriteString("(idx")
-		w.pos(sb, e.P)
-		sb.WriteByte(' ')
-		w.expr(sb, e.X)
-		sb.WriteByte(' ')
-		w.expr(sb, e.Index)
-		sb.WriteString(")")
-	case *FieldExpr:
-		fmt.Fprintf(sb, "(fld %s %d", quote(e.Name), b2i(e.Arrow))
-		w.pos(sb, e.P)
-		sb.WriteByte(' ')
-		w.expr(sb, e.X)
-		sb.WriteString(")")
-	case *CastExpr:
-		fmt.Fprintf(sb, "(cast %d", w.typeID(e.To))
-		w.pos(sb, e.P)
-		sb.WriteByte(' ')
-		w.expr(sb, e.X)
-		sb.WriteString(")")
-	case *SizeofExpr:
-		if e.Type != nil {
-			fmt.Fprintf(sb, "(sizeof-t %d", w.typeID(e.Type))
-			w.pos(sb, e.P)
-			sb.WriteString(")")
-		} else {
-			sb.WriteString("(sizeof")
-			w.pos(sb, e.P)
-			sb.WriteByte(' ')
-			w.expr(sb, e.X)
-			sb.WriteString(")")
-		}
-	case *CommaExpr:
-		sb.WriteString("(comma")
-		w.pos(sb, e.P)
-		for _, x := range e.List {
-			sb.WriteByte(' ')
-			w.expr(sb, x)
-		}
-		sb.WriteString(")")
-	case *InitList:
-		sb.WriteString("(init")
-		w.pos(sb, e.P)
-		for _, x := range e.List {
-			sb.WriteByte(' ')
-			w.expr(sb, x)
-		}
-		sb.WriteString(")")
-	case *HoleExpr:
-		fmt.Fprintf(sb, "(hole %s %s %d", quote(e.Name), quote(e.Meta), w.typeID(e.CType))
-		w.pos(sb, e.P)
-		sb.WriteString(")")
-	case *HoleArgs:
-		fmt.Fprintf(sb, "(holeargs %s", quote(e.Name))
-		w.pos(sb, e.P)
-		sb.WriteString(")")
-	default:
-		sb.WriteString("(nil)")
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Reader
-// ---------------------------------------------------------------------------
-
-type reader struct {
-	types map[int]*Type
-	file_ string
-}
-
-func (r *reader) file(s *sexpr) (*File, error) {
-	if s.head() != "xgcc-ast" {
-		return nil, fmt.Errorf("not an emitted AST file (head %q)", s.head())
-	}
-	name, err := s.strAt(2)
-	if err != nil {
-		return nil, err
-	}
-	r.file_ = name
-	f := &File{Name: name}
-	for _, child := range s.List[3:] {
-		switch child.head() {
-		case "types":
-			if err := r.readTypes(child); err != nil {
-				return nil, err
-			}
-		case "var", "fn", "typedef", "record", "enumdecl":
-			d, err := r.decl(child)
-			if err != nil {
-				return nil, err
-			}
-			f.Decls = append(f.Decls, d)
-		default:
-			return nil, fmt.Errorf("unknown top-level node %q", child.head())
-		}
-	}
-	return f, nil
-}
-
-func (r *reader) readTypes(s *sexpr) error {
-	// Two-phase: allocate all type objects first so cyclic references
-	// resolve, then fill them in.
-	entries := s.List[1:]
-	for _, e := range entries {
-		id, err := e.intAt(1)
-		if err != nil {
-			return err
-		}
-		r.types[int(id)] = &Type{}
-	}
-	for _, e := range entries {
-		id, _ := e.intAt(1)
-		t := r.types[int(id)]
-		kind, err := e.strAt(2)
-		if err != nil {
-			return err
-		}
-		switch kind {
-		case "unknown":
-			t.Kind = TypeUnknown
-		case "void":
-			t.Kind = TypeVoid
-		case "int":
-			t.Kind = TypeInt
-			sz, _ := e.intAt(3)
-			us, _ := e.intAt(4)
-			t.Size = int(sz)
-			t.Unsigned = us != 0
-		case "float":
-			t.Kind = TypeFloat
-			sz, _ := e.intAt(3)
-			t.Size = int(sz)
-		case "ptr":
-			t.Kind = TypePointer
-			elem, _ := e.intAt(3)
-			t.Elem = r.typeRef(elem)
-		case "array":
-			t.Kind = TypeArray
-			elem, _ := e.intAt(3)
-			n, _ := e.intAt(4)
-			t.Elem = r.typeRef(elem)
-			t.ArrayLen = n
-		case "func":
-			t.Kind = TypeFunc
-			ret, _ := e.intAt(3)
-			vd, _ := e.intAt(4)
-			t.Ret = r.typeRef(ret)
-			t.Variadic = vd != 0
-			for i := 5; i < len(e.List); i++ {
-				pid, _ := e.intAt(i)
-				t.Params = append(t.Params, r.typeRef(pid))
-			}
-		case "struct", "union":
-			if kind == "struct" {
-				t.Kind = TypeStruct
-			} else {
-				t.Kind = TypeUnion
-			}
-			tag, _ := e.strAt(3)
-			t.Tag = tag
-			for i := 4; i+1 < len(e.List); i += 2 {
-				fname, _ := e.strAt(i)
-				ftid, _ := e.intAt(i + 1)
-				t.Fields = append(t.Fields, Field{Name: fname, Type: r.typeRef(ftid)})
-			}
-		case "enum":
-			t.Kind = TypeEnum
-			tag, _ := e.strAt(3)
-			t.Tag = tag
-			for i := 4; i+1 < len(e.List); i += 2 {
-				ename, _ := e.strAt(i)
-				ev, _ := e.intAt(i + 1)
-				t.Enums = append(t.Enums, EnumConst{Name: ename, Value: ev})
-			}
-		case "named":
-			t.Kind = TypeNamed
-			name, _ := e.strAt(3)
-			def, _ := e.intAt(4)
-			t.Name = name
-			t.Def = r.typeRef(def)
-		default:
-			return fmt.Errorf("unknown type kind %q", kind)
-		}
-	}
-	return nil
-}
-
-func (r *reader) typeRef(id int64) *Type {
-	if id < 0 {
-		return nil
-	}
-	if t, ok := r.types[int(id)]; ok {
-		return t
-	}
-	return TypeUnknownV
-}
-
-func (r *reader) pos(s *sexpr, i int) Pos {
-	line, err1 := s.intAt(i)
-	col, err2 := s.intAt(i + 1)
-	if err1 != nil || err2 != nil {
-		return Pos{File: r.file_}
-	}
-	return Pos{File: r.file_, Line: int(line), Col: int(col)}
-}
-
-func (r *reader) decl(s *sexpr) (Decl, error) {
-	switch s.head() {
-	case "var":
-		name, err := s.strAt(1)
-		if err != nil {
-			return nil, err
-		}
-		tid, _ := s.intAt(2)
-		st, _ := s.intAt(3)
-		d := &VarDecl{Name: name, Type: r.typeRef(tid), Storage: StorageClass(st), P: r.pos(s, 4)}
-		if len(s.List) > 6 {
-			init, err := r.expr(s.List[6])
-			if err != nil {
-				return nil, err
-			}
-			d.Init = init
-		}
-		return d, nil
-	case "fn":
-		name, err := s.strAt(1)
-		if err != nil {
-			return nil, err
-		}
-		rid, _ := s.intAt(2)
-		vd, _ := s.intAt(3)
-		st, _ := s.intAt(4)
-		file, _ := s.strAt(5)
-		d := &FuncDecl{
-			Name: name, Result: r.typeRef(rid), Variadic: vd != 0,
-			Storage: StorageClass(st), File: file, P: r.pos(s, 6),
-		}
-		i := 8
-		if i < len(s.List) && s.List[i].head() == "params" {
-			for _, ps := range s.List[i].List[1:] {
-				pname, _ := ps.strAt(1)
-				ptid, _ := ps.intAt(2)
-				d.Params = append(d.Params, &VarDecl{Name: pname, Type: r.typeRef(ptid), P: r.pos(ps, 3)})
-			}
-			i++
-		}
-		if i < len(s.List) {
-			body, err := r.stmt(s.List[i])
-			if err != nil {
-				return nil, err
-			}
-			cs, ok := body.(*CompoundStmt)
-			if !ok {
-				return nil, fmt.Errorf("function %s body is %T", name, body)
-			}
-			d.Body = cs
-		}
-		return d, nil
-	case "typedef":
-		name, _ := s.strAt(1)
-		tid, _ := s.intAt(2)
-		return &TypedefDecl{Name: name, Type: r.typeRef(tid), P: r.pos(s, 3)}, nil
-	case "record":
-		tid, _ := s.intAt(1)
-		return &RecordDecl{Type: r.typeRef(tid), P: r.pos(s, 2)}, nil
-	case "enumdecl":
-		tid, _ := s.intAt(1)
-		return &EnumDecl{Type: r.typeRef(tid), P: r.pos(s, 2)}, nil
-	}
-	return nil, fmt.Errorf("unknown decl %q", s.head())
-}
-
-func (r *reader) stmt(s *sexpr) (Stmt, error) {
-	switch s.head() {
-	case "nil":
-		return nil, nil
-	case "es":
-		x, err := r.expr(s.List[1])
-		if err != nil {
-			return nil, err
-		}
-		return &ExprStmt{P: x.Pos(), X: x}, nil
-	case "ds":
-		d := &DeclStmt{P: r.pos(s, 1)}
-		for _, vs := range s.List[3:] {
-			name, _ := vs.strAt(1)
-			tid, _ := vs.intAt(2)
-			st, _ := vs.intAt(3)
-			v := &VarDecl{Name: name, Type: r.typeRef(tid), Storage: StorageClass(st), P: r.pos(vs, 4)}
-			if len(vs.List) > 6 {
-				init, err := r.expr(vs.List[6])
-				if err != nil {
-					return nil, err
-				}
-				v.Init = init
-			}
-			d.Decls = append(d.Decls, v)
-		}
-		return d, nil
-	case "blk":
-		b := &CompoundStmt{P: r.pos(s, 1)}
-		for _, cs := range s.List[3:] {
-			c, err := r.stmt(cs)
-			if err != nil {
-				return nil, err
-			}
-			b.List = append(b.List, c)
-		}
-		return b, nil
-	case "nop":
-		return &EmptyStmt{P: r.pos(s, 1)}, nil
-	case "if":
-		cond, err := r.expr(s.List[3])
-		if err != nil {
-			return nil, err
-		}
-		then, err := r.stmt(s.List[4])
-		if err != nil {
-			return nil, err
-		}
-		st := &IfStmt{P: r.pos(s, 1), Cond: cond, Then: then}
-		if len(s.List) > 5 {
-			els, err := r.stmt(s.List[5])
-			if err != nil {
-				return nil, err
-			}
-			st.Else = els
-		}
-		return st, nil
-	case "while":
-		cond, err := r.expr(s.List[3])
-		if err != nil {
-			return nil, err
-		}
-		body, err := r.stmt(s.List[4])
-		if err != nil {
-			return nil, err
-		}
-		return &WhileStmt{P: r.pos(s, 1), Cond: cond, Body: body}, nil
-	case "do":
-		body, err := r.stmt(s.List[3])
-		if err != nil {
-			return nil, err
-		}
-		cond, err := r.expr(s.List[4])
-		if err != nil {
-			return nil, err
-		}
-		return &DoWhileStmt{P: r.pos(s, 1), Body: body, Cond: cond}, nil
-	case "for":
-		init, err := r.stmt(s.List[3])
-		if err != nil {
-			return nil, err
-		}
-		cond, err := r.optExpr(s.List[4])
-		if err != nil {
-			return nil, err
-		}
-		post, err := r.optExpr(s.List[5])
-		if err != nil {
-			return nil, err
-		}
-		body, err := r.stmt(s.List[6])
-		if err != nil {
-			return nil, err
-		}
-		return &ForStmt{P: r.pos(s, 1), Init: init, Cond: cond, Post: post, Body: body}, nil
-	case "switch":
-		tag, err := r.expr(s.List[3])
-		if err != nil {
-			return nil, err
-		}
-		body, err := r.stmt(s.List[4])
-		if err != nil {
-			return nil, err
-		}
-		return &SwitchStmt{P: r.pos(s, 1), Tag: tag, Body: body}, nil
-	case "case":
-		val, err := r.optExpr(s.List[3])
-		if err != nil {
-			return nil, err
-		}
-		body, err := r.stmt(s.List[4])
-		if err != nil {
-			return nil, err
-		}
-		return &CaseStmt{P: r.pos(s, 1), Val: val, Body: body}, nil
-	case "break":
-		return &BreakStmt{P: r.pos(s, 1)}, nil
-	case "continue":
-		return &ContinueStmt{P: r.pos(s, 1)}, nil
-	case "return":
-		st := &ReturnStmt{P: r.pos(s, 1)}
-		if len(s.List) > 3 {
-			x, err := r.expr(s.List[3])
-			if err != nil {
-				return nil, err
-			}
-			st.X = x
-		}
-		return st, nil
-	case "goto":
-		lbl, _ := s.strAt(1)
-		return &GotoStmt{P: r.pos(s, 2), Label: lbl}, nil
-	case "label":
-		lbl, _ := s.strAt(1)
-		body, err := r.stmt(s.List[4])
-		if err != nil {
-			return nil, err
-		}
-		return &LabeledStmt{P: r.pos(s, 2), Label: lbl, Body: body}, nil
-	}
-	return nil, fmt.Errorf("unknown stmt %q", s.head())
-}
-
-func (r *reader) optExpr(s *sexpr) (Expr, error) {
-	if s.head() == "nil" {
-		return nil, nil
-	}
-	return r.expr(s)
-}
-
-func (r *reader) expr(s *sexpr) (Expr, error) {
-	switch s.head() {
-	case "id":
-		name, err := s.strAt(1)
-		if err != nil {
-			return nil, err
-		}
-		return &Ident{Name: name, P: r.pos(s, 2)}, nil
-	case "i":
-		v, _ := s.intAt(1)
-		text, _ := s.strAt(2)
-		return &IntLit{Value: v, Text: text, P: r.pos(s, 3)}, nil
-	case "f":
-		text, _ := s.strAt(1)
-		return &FloatLit{Text: text, P: r.pos(s, 2)}, nil
-	case "c":
-		text, _ := s.strAt(1)
-		return &CharLit{Text: text, P: r.pos(s, 2)}, nil
-	case "s":
-		text, _ := s.strAt(1)
-		return &StringLit{Text: text, P: r.pos(s, 2)}, nil
-	case "un":
-		op, _ := s.intAt(1)
-		pf, _ := s.intAt(2)
-		x, err := r.expr(s.List[5])
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryExpr{Op: TokKind(op), Postfix: pf != 0, X: x, P: r.pos(s, 3)}, nil
-	case "bin":
-		op, _ := s.intAt(1)
-		x, err := r.expr(s.List[4])
-		if err != nil {
-			return nil, err
-		}
-		y, err := r.expr(s.List[5])
-		if err != nil {
-			return nil, err
-		}
-		return &BinaryExpr{Op: TokKind(op), X: x, Y: y, P: r.pos(s, 2)}, nil
-	case "asg":
-		op, _ := s.intAt(1)
-		lhs, err := r.expr(s.List[4])
-		if err != nil {
-			return nil, err
-		}
-		rhs, err := r.expr(s.List[5])
-		if err != nil {
-			return nil, err
-		}
-		return &AssignExpr{Op: TokKind(op), LHS: lhs, RHS: rhs, P: r.pos(s, 2)}, nil
-	case "cond":
-		c, err := r.expr(s.List[3])
-		if err != nil {
-			return nil, err
-		}
-		t, err := r.expr(s.List[4])
-		if err != nil {
-			return nil, err
-		}
-		e, err := r.expr(s.List[5])
-		if err != nil {
-			return nil, err
-		}
-		return &CondExpr{Cond: c, Then: t, Else: e, P: r.pos(s, 1)}, nil
-	case "call":
-		fun, err := r.expr(s.List[3])
-		if err != nil {
-			return nil, err
-		}
-		ce := &CallExpr{Fun: fun, P: r.pos(s, 1)}
-		for _, as := range s.List[4:] {
-			a, err := r.expr(as)
-			if err != nil {
-				return nil, err
-			}
-			ce.Args = append(ce.Args, a)
-		}
-		return ce, nil
-	case "idx":
-		x, err := r.expr(s.List[3])
-		if err != nil {
-			return nil, err
-		}
-		i, err := r.expr(s.List[4])
-		if err != nil {
-			return nil, err
-		}
-		return &IndexExpr{X: x, Index: i, P: r.pos(s, 1)}, nil
-	case "fld":
-		name, _ := s.strAt(1)
-		arrow, _ := s.intAt(2)
-		x, err := r.expr(s.List[5])
-		if err != nil {
-			return nil, err
-		}
-		return &FieldExpr{Name: name, Arrow: arrow != 0, X: x, P: r.pos(s, 3)}, nil
-	case "cast":
-		tid, _ := s.intAt(1)
-		x, err := r.expr(s.List[4])
-		if err != nil {
-			return nil, err
-		}
-		return &CastExpr{To: r.typeRef(tid), X: x, P: r.pos(s, 2)}, nil
-	case "sizeof-t":
-		tid, _ := s.intAt(1)
-		return &SizeofExpr{Type: r.typeRef(tid), P: r.pos(s, 2)}, nil
-	case "sizeof":
-		x, err := r.expr(s.List[3])
-		if err != nil {
-			return nil, err
-		}
-		return &SizeofExpr{X: x, P: r.pos(s, 1)}, nil
-	case "comma":
-		ce := &CommaExpr{P: r.pos(s, 1)}
-		for _, xs := range s.List[3:] {
-			x, err := r.expr(xs)
-			if err != nil {
-				return nil, err
-			}
-			ce.List = append(ce.List, x)
-		}
-		return ce, nil
-	case "init":
-		il := &InitList{P: r.pos(s, 1)}
-		for _, xs := range s.List[3:] {
-			x, err := r.expr(xs)
-			if err != nil {
-				return nil, err
-			}
-			il.List = append(il.List, x)
-		}
-		return il, nil
-	case "hole":
-		name, _ := s.strAt(1)
-		meta, _ := s.strAt(2)
-		tid, _ := s.intAt(3)
-		return &HoleExpr{Name: name, Meta: meta, CType: r.typeRef(tid), P: r.pos(s, 4)}, nil
-	case "holeargs":
-		name, _ := s.strAt(1)
-		return &HoleArgs{Name: name, P: r.pos(s, 2)}, nil
-	}
-	return nil, fmt.Errorf("unknown expr %q", s.head())
 }

@@ -1,8 +1,15 @@
 package cc
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 const emitFixture = `
@@ -88,6 +95,15 @@ func TestEmitPositionsSurvive(t *testing.T) {
 	}
 }
 
+// readFileRejects holds inputs ReadFile must reject with a structured
+// error, each with a fragment of that error: a field that is not a
+// number, an extra trailing field and a truncated node.
+var readFileRejects = []struct{ src, want string }{
+	{`(xgcc-ast 1 "f.c" (types) (var "x" notanumber 0 1 1))`, "want a number"},
+	{`(xgcc-ast 1 "f.c" (types) (var "x" -1 0 1 1 (id "y" 1 1) (extra)))`, "trailing field"},
+	{`(xgcc-ast 1 "f.c" (types) (fn "f" -1 0 0 "f.c" 1 1 (params) (blk 1 1 (if 3 3))))`, "missing field"},
+}
+
 func TestReadFileErrors(t *testing.T) {
 	bad := []string{
 		"",
@@ -102,6 +118,42 @@ func TestReadFileErrors(t *testing.T) {
 			t.Errorf("%q: expected error", src)
 		}
 	}
+	for _, tc := range readFileRejects {
+		f, err := ReadFile([]byte(tc.src))
+		if err == nil {
+			t.Errorf("%s: read %d decls, want an error", tc.src, len(f.Decls))
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q, want one with %q", tc.src, err, tc.want)
+		}
+	}
+}
+
+// FuzzReadFile holds ReadFile to two properties: it never panics, and
+// whatever it decodes emits a form that reads back and re-emits to the
+// same bytes.
+func FuzzReadFile(f *testing.F) {
+	parsed, err := ParseFile("fix.c", emitFixture)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(EmitFile(parsed))
+	for _, tc := range readFileRejects {
+		f.Add([]byte(tc.src))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		file, err := ReadFile(data)
+		if err != nil {
+			return
+		}
+		once := EmitFile(file)
+		again, err := ReadFile(once)
+		if err != nil {
+			t.Fatalf("re-reading the emitted form: %v\n%s", err, once)
+		}
+		if twice := EmitFile(again); string(twice) != string(once) {
+			t.Fatalf("re-emit differs:\n%s\n---\n%s", once, twice)
+		}
+	})
 }
 
 func TestEmitSizeRatio(t *testing.T) {
@@ -137,5 +189,57 @@ func TestEmitIsText(t *testing.T) {
 	out := string(EmitFile(f))
 	if !strings.HasPrefix(out, "(xgcc-ast 1") {
 		t.Errorf("unexpected header: %.40s", out)
+	}
+}
+
+// emitFormGolden is the SHA-256 of emitFormDigest's input. It pins
+// the emitted pass-1 form byte for byte: every cache key is a hash of
+// it (HashDecl, FuncSignature, EnvHash), so a codec change that moves
+// one byte re-keys every stored unit.
+const emitFormGolden = "67719272a3eac1a155fdb594e8e57c06893dede018f128ec3b43978562f8d6cf"
+
+// TestEmitFormIsStable hashes EmitFile, per-declaration HashDecl,
+// FuncSignature and EnvHash over the checked-in corpus, emitFixture and
+// a generated tree, file by file in name order.
+func TestEmitFormIsStable(t *testing.T) {
+	srcs, _ := workload.MixedTree(8, 25, 2002)
+	srcs["emit.c"] = emitFixture
+	for _, glob := range []string{"../../testdata/corpus/*.c", "../../testdata/rootorder/*.c"} {
+		paths, err := filepath.Glob(glob)
+		if err != nil || len(paths) == 0 {
+			t.Fatalf("%s: %v (%d files)", glob, err, len(paths))
+		}
+		for _, p := range paths {
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srcs[filepath.Base(filepath.Dir(p))+"/"+filepath.Base(p)] = string(data)
+		}
+	}
+	names := make([]string, 0, len(srcs))
+	for name := range srcs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	h := sha256.New()
+	var files []*File
+	for _, name := range names {
+		f, err := ParseFile(name, srcs[name])
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		files = append(files, f)
+		h.Write(EmitFile(f))
+		for _, d := range f.Decls {
+			h.Write([]byte(HashDecl(d)))
+			if fd, ok := d.(*FuncDecl); ok {
+				h.Write([]byte(FuncSignature(fd)))
+			}
+		}
+	}
+	h.Write([]byte(EnvHash(files)))
+	if got := hex.EncodeToString(h.Sum(nil)); got != emitFormGolden {
+		t.Errorf("emitted form moved: digest %s, want %s", got, emitFormGolden)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -21,21 +22,15 @@ func HashBytes(data []byte) string {
 }
 
 // HashDecl content-hashes one declaration by emitting it with a fresh
-// emitter (private type table included, so resolved types participate
-// in identity). The hash covers source positions; it deliberately does
-// NOT cover the file name — callers that need per-file identity
-// combine it with the file name themselves.
+// type table (so resolved types participate in identity): its type
+// definitions, one a line, then the declaration. The hash covers
+// source positions; it deliberately does NOT cover the file name —
+// callers that need per-file identity combine it with the file name
+// themselves.
 func HashDecl(d Decl) string {
-	w := &emitter{types: map[*Type]int{}}
-	var body strings.Builder
-	w.decl(&body, d)
-	var out strings.Builder
-	for _, line := range w.typeDefs {
-		out.WriteString(line)
-		out.WriteByte('\n')
-	}
-	out.WriteString(body.String())
-	return HashBytes([]byte(out.String()))
+	c := newWriter()
+	c.decl(&d)
+	return HashBytes(append(c.typeLines(nil), c.buf...))
 }
 
 // FuncSignature renders the position-independent interface of a
@@ -61,22 +56,16 @@ func FuncSignature(fd *FuncDecl) string {
 	return sb.String()
 }
 
-// typeShape renders a type's structural identity without positions,
-// reusing the emitter's type table (one fresh table per call keeps the
-// ids deterministic for identical structures).
+// typeShape renders a type's structural identity without positions:
+// the emitted definitions of a fresh type table (one per call keeps the
+// ids deterministic for identical structures) and the type's id.
 func typeShape(t *Type) string {
 	if t == nil {
 		return "?"
 	}
-	w := &emitter{types: map[*Type]int{}}
-	id := w.typeID(t)
-	var sb strings.Builder
-	for _, line := range w.typeDefs {
-		sb.WriteString(line)
-		sb.WriteByte('\n')
-	}
-	fmt.Fprintf(&sb, "#%d", id)
-	return HashBytes([]byte(sb.String()))[:16]
+	c := newWriter()
+	id := c.typeID(t)
+	return HashBytes(strconv.AppendInt(append(c.typeLines(nil), '#'), int64(id), 10))[:16]
 }
 
 // EnvHash fingerprints the whole-program declaration environment the

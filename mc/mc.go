@@ -21,6 +21,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"time"
 
 	"repro/internal/cache"
@@ -112,19 +113,58 @@ func (a *Analyzer) AddFile(path string) error {
 // AddDirectory registers every .c file in a directory (not
 // recursive).
 func (a *Analyzer) AddDirectory(dir string) error {
-	entries, err := os.ReadDir(dir)
+	paths, err := cFiles(dir)
 	if err != nil {
 		return err
 	}
-	for _, e := range entries {
-		if e.IsDir() || filepath.Ext(e.Name()) != ".c" {
-			continue
-		}
-		if err := a.AddFile(filepath.Join(dir, e.Name())); err != nil {
+	for _, p := range paths {
+		if err := a.AddFile(p); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// cFiles lists a directory's .c files, not recursively, in name order.
+func cFiles(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var paths []string
+	for _, e := range entries {
+		if !e.IsDir() && filepath.Ext(e.Name()) == ".c" {
+			paths = append(paths, filepath.Join(dir, e.Name()))
+		}
+	}
+	return paths, nil
+}
+
+// SourcePaths expands command-line inputs into the source names AddFile
+// and AddDirectory register for them: a directory becomes its .c files
+// (not recursive), every path is cleaned, and a path named twice is an
+// error. The names come back sorted, the order a run parses sources in.
+func SourcePaths(inputs []string) ([]string, error) {
+	var out []string
+	seen := map[string]bool{}
+	for _, in := range inputs {
+		paths := []string{in}
+		if info, err := os.Stat(in); err == nil && info.IsDir() {
+			if paths, err = cFiles(in); err != nil {
+				return nil, err
+			}
+		}
+		for _, p := range paths {
+			p = filepath.Clean(p)
+			if seen[p] {
+				return nil, fmt.Errorf("duplicate source %s", p)
+			}
+			seen[p] = true
+			out = append(out, p)
+		}
+	}
+	sort.Strings(out)
+	return out, nil
 }
 
 // AddAST registers a pre-parsed translation unit (pass 2 of the

@@ -355,6 +355,19 @@ int f(int *p) { kfree(p); return *p; }
 	if err := b.AddDirectory(filepath.Join(dir, "nosuch")); err == nil {
 		t.Error("missing directory should error")
 	}
+
+	// SourcePaths names what AddFile and AddDirectory register: a
+	// directory's .c files, cleaned paths in sorted order, and a path
+	// named twice (however spelled) an error.
+	two := filepath.Join(dir, "two.c")
+	paths, err := SourcePaths([]string{filepath.Join(dir, "..", filepath.Base(dir), "two.c"), dir + "/"})
+	if err == nil || !strings.Contains(err.Error(), "duplicate source "+two) {
+		t.Errorf("two.c named twice: paths %v, err %v", paths, err)
+	}
+	paths, err = SourcePaths([]string{two, filepath.Join(dir, ".", "one.c")})
+	if err != nil || strings.Join(paths, " ") != filepath.Join(dir, "one.c")+" "+two {
+		t.Errorf("SourcePaths = %v, %v", paths, err)
+	}
 }
 
 func TestEmitASTErrors(t *testing.T) {
