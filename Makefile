@@ -78,6 +78,8 @@ vet:
 # and token, which only a test set, and the parser's heap scope per block
 # stay gone. And the front end's decoders return errors (DESIGN.md §3):
 # the panic catcher ReadFile had, or any other, stays out of internal/cc.
+# And the FPP table is the engine's (DESIGN.md §5): the string-keyed
+# fingerprint map and the per-function table in funcInfo stay gone.
 no-deleted-knobs:
 	! grep -rnE 'Match[M]emo|Block[F]ilter|Tuple[I]ntern|Lean[A]lloc|Multi[D]ispatch|Tenant[Q]uota|Queue[D]epth|Batch[S]ize' --include=*.go .
 	! grep -rnE 'Load[S]ummaries|summary[S]ource|Retired[S]et|Allow[S]pillReload|Summaries[L]oaded|SummaryBytes[D]eferred' --include=*.go .
@@ -100,6 +102,7 @@ no-deleted-knobs:
 	! grep -rnE 'tenant[O]f|Default[T]enant|X-[T]enant|last[E]nabled|\?[t]enant=|\bT[e]nants\b' --include=*.go --exclude-dir=benchmark .
 	! grep -rnE 'Allow[D]ollar|TokDollar[H]ole|newParse[S]cope' --include=*.go .
 	! grep -rn 'recove[r]()' --include=*.go internal/cc
+	! grep -rnE 'map\[[s]tring\]uint32|fp[s]\[[s]tring|fi[.]term[s]\b|funcInfo[.]term[s]\b' --include=*.go .
 	! ls BENCH_*.json 2>/dev/null | grep .
 
 # staticcheck is optional locally (the repo adds no dependencies) but

@@ -114,8 +114,10 @@ func BenchmarkCallRichTraversal(b *testing.B) {
 
 // callRichAllocCeiling bounds the heap allocations of one runCallRich.
 // It was set about 5 % above the measured 2,358 (go1.24; governed
-// 2,363); the run now measures 1,752 (governed 1,756, ~1,825 under
-// -race), all of the fall in prog.Build, which every run here pays. The count
+// 2,363); the run now measures 1,724 (governed 1,728, ~1,795 under
+// -race): 1,752 when the front end went lean, all of that fall in
+// prog.Build, which every run here pays, then 28 fewer when the engine
+// kept one FPP table and carved four-key fpSeen slots. The count
 // repeats to the unit, so a regression in the per-path state (fpp.Env,
 // edge sets, fpSeen), in pattern dispatch (DESIGN.md §10.1), in what
 // prog.Build holds for every engine or in what the engine, the funcInfo

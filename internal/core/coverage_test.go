@@ -48,10 +48,12 @@ func TestDuplicateReportRendersNothing(t *testing.T) {
 	if r := en.Reports.Reports[0]; len(r.Trace) != 2 || len(r.Vars) != 1 {
 		t.Errorf("retained report: %d trace lines, vars %v; want 2, [p]", len(r.Trace), r.Vars)
 	}
-	// 9 objects: the Report and its key's format. The race
-	// detector adds one or two of its own; rendering would add more.
-	if dup > 9+2 {
-		t.Errorf("a duplicate report allocates %.0f objects, want the handful of the report and its key", dup)
+	// 9 objects: the Report and its key's format; rendering would add
+	// more. The count is exact without -race (20 of 20 runs); the race
+	// detector adds one to three of its own, so under it only the
+	// report and trace assertions above hold.
+	if !raceEnabled && dup != 9 {
+		t.Errorf("a duplicate report allocates %.0f objects, want 9: the report and its key", dup)
 	}
 }
 

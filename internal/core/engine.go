@@ -171,7 +171,17 @@ type Engine struct {
 	shared *Shared
 	// funcs is indexed by prog.Function.Index; a nil slot is a function
 	// this engine has not entered yet, or one it evicted (stream.go).
+	// liveFuncs counts the non-nil slots.
 	funcs     []*funcInfo
+	liveFuncs int
+	// terms interns the FPP terms and fact-set fingerprints of every
+	// path environment the engine makes. An environment never crosses a
+	// call boundary and ids need only be unique within the table, so
+	// one table serves every function; the fpSeen sets that hold its
+	// fingerprint ids are the funcInfos', and when retirement has
+	// evicted the last of them the table is emptied for the next unit
+	// (stream.go).
+	terms     fpp.Table
 	actions   map[string]ActionFunc
 	callouts  pattern.Registry
 	nextGroup int
@@ -352,6 +362,7 @@ func (en *Engine) funcInfo(fn *prog.Function) *funcInfo {
 	if fi == nil {
 		fi = newFuncInfo(fn.Graph, en.intern)
 		en.funcs[fn.Index] = fi
+		en.liveFuncs++
 	}
 	return fi
 }
@@ -432,10 +443,10 @@ func (en *Engine) release(st *pathState) { en.frames = append(en.frames, st) }
 // enter takes a frame for a new traversal of fn — a root (caller nil) or
 // a followed callee: nothing tracked, nothing pending, no facts, and its
 // parts of the engine's stacks beginning at the caller's tops.
-func (en *Engine) enter(caller *pathState, fn *prog.Function, fi *funcInfo, g int32) *pathState {
+func (en *Engine) enter(caller *pathState, fn *prog.Function, g int32) *pathState {
 	st := en.frame()
 	*st = pathState{sm: SM{g: g, Active: st.sm.Active[:0]}, env: st.env, fn: fn, pending: st.pending[:0]}
-	st.env.Reset(&fi.terms)
+	st.env.Reset(&en.terms)
 	if caller != nil {
 		st.btBase, st.btTop = caller.btTop, caller.btTop
 		st.callDepth = caller.callDepth + 1

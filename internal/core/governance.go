@@ -266,7 +266,7 @@ func (en *Engine) runRootIsolated(root *prog.Function) {
 	}()
 	fi := en.funcInfo(root)
 	en.callStack = append(en.callStack[:0], root)
-	st := en.enter(nil, root, fi, en.initG)
+	st := en.enter(nil, root, en.initG)
 	en.Stats.Analyses[root.Name]++
 	fi.Analyses++
 	en.beginRoot(root)

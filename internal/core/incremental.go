@@ -53,10 +53,11 @@ type UnitCut struct {
 // (or since it was built) and resets it, so one engine run over several
 // units in turn yields, per unit, what a fresh engine would have.
 // Everything the engine keeps across the cut is either keyed by
-// function — summaries and term tables in funcInfo, and the report
+// function — summaries and fpSeen sets in funcInfo, and the report
 // set's dedup keys, which carry function and position — and units
-// share no function, or is identity only (interned tuple ids,
-// synonym group numbers). Budgets are per root already. Failure and
+// share no function, or is emptied when the unit retires — the FPP
+// table, whose ids then restart at 0 as a fresh engine's do — or is
+// identity only (interned tuple ids, synonym group numbers). Budgets are per root already. Failure and
 // cancellation are not reset: they stop the engine for good, and every
 // later cut is incomplete.
 func (en *Engine) CutUnit() UnitCut {

@@ -111,7 +111,7 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, bi *blockInfo, rec *bl
 			calleeFi.Analyses++
 			// The callee's frame of the stacks begins above the caller's.
 			en.callStack = append(en.callStack[:st.callDepth+1], callee)
-			cst := en.enter(st, callee, calleeFi, refined.g)
+			cst := en.enter(st, callee, refined.g)
 			for _, in := range refined.Active {
 				if in.Inactive || !covered(instTuple(refined.g, in)) {
 					cst.sm.Active = append(cst.sm.Active, in.clone())

@@ -1,12 +1,14 @@
 package core
 
 // Retirement (DESIGN.md §12). A retiring engine drops a call-graph
-// unit's funcInfo blocks — summaries, FPP term tables, slabs — when the
+// unit's funcInfo blocks — summaries, fpSeen sets, slabs — when the
 // unit's last root has finished. No call edge crosses a unit boundary and
 // summaries flow only along call edges, so no later traversal can read
-// them: output is that of an engine nobody called SetRetire on. Nothing
-// comes back; inspection runs an engine that never retires (mc's
-// Analyzer.Supergraph).
+// them: output is that of an engine nobody called SetRetire on. When no
+// funcInfo is left, the engine's FPP table is emptied too: no fpSeen set
+// holds its ids any more, and the next unit starts on the ids a fresh
+// engine would hand out. Nothing comes back; inspection runs an engine
+// that never retires (mc's Analyzer.Supergraph).
 
 import "repro/internal/prog"
 
@@ -36,19 +38,22 @@ func (en *Engine) retireAfter(root *prog.Function) {
 	for _, fn := range u.Funcs {
 		if en.funcs[fn.Index] != nil {
 			en.funcs[fn.Index] = nil
+			en.liveFuncs--
 			en.Evictions++
 		}
+	}
+	if en.liveFuncs == 0 {
+		en.terms.Reset()
 	}
 	// The DFS is between roots, so everything in its own buffers is
 	// dead — and would pin the evicted blocks, their instances and the
 	// ASTs about to be released until a later root overwrote it.
 	clear(en.backtrace[:cap(en.backtrace)])
-	// Every frame is in the pool between roots. A stale env would pin a
-	// whole evicted funcInfo: its table is &funcInfo.terms.
+	// Every frame is in the pool between roots. Its environment is left
+	// as it is: its facts are integers and its table is the engine's.
 	for _, st := range en.frames {
 		clear(st.sm.Active[:cap(st.sm.Active)])
 		clear(st.pending[:cap(st.pending)])
-		st.env.Reset(nil)
 	}
 	clear(en.snapshot[:cap(en.snapshot)])
 	clear(en.outs[:cap(en.outs)])

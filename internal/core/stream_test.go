@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -79,8 +80,8 @@ type pins struct {
 	// slabs counts edge and fpSeen-key arrays: edge sets, fpSeen sets and
 	// the slabs their first elements are carved from alike.
 	slabs int
-	// tables counts FPP term tables, held by value in a funcInfo or by
-	// pointer from an environment.
+	// tables counts the times a non-empty FPP table is reached, by
+	// value (the engine's own) or by pointer (an environment's).
 	tables int
 }
 
@@ -91,12 +92,19 @@ func (p *pins) walk(v reflect.Value, seen map[unsafe.Pointer]bool) {
 		}
 		return t.PkgPath() == "repro/internal/core" && t != reflect.TypeOf(CompiledDispatch{}) || t == reflect.TypeOf(fpp.Env{})
 	}
+	// A table is read through unsafe: it is only ever reached through
+	// unexported fields, whose values reflect will not hand out.
+	table := func(tab *fpp.Table) {
+		if terms, fps := tab.Len(); terms != 0 || fps != 0 {
+			p.tables++
+		}
+	}
 	switch v.Kind() {
 	case reflect.Pointer:
 		switch {
 		case v.IsNil():
 		case v.Type() == reflect.TypeOf((*fpp.Table)(nil)):
-			p.tables++
+			table((*fpp.Table)(v.UnsafePointer()))
 		case !seen[v.UnsafePointer()] && ours(v.Type()):
 			seen[v.UnsafePointer()] = true
 			p.walk(v.Elem(), seen)
@@ -104,7 +112,7 @@ func (p *pins) walk(v reflect.Value, seen map[unsafe.Pointer]bool) {
 	case reflect.Struct:
 		switch v.Type() {
 		case reflect.TypeOf(fpp.Table{}):
-			p.tables++
+			table((*fpp.Table)(unsafe.Pointer(v.UnsafeAddr())))
 		default:
 			for i := 0; i < v.NumField(); i++ {
 				p.walk(v.Field(i), seen)
@@ -130,33 +138,51 @@ func pinsOf(en *Engine) pins {
 	return p
 }
 
-// The FPP term/fingerprint table and the fpSeen sets that hold its ids
-// are owned by a function's funcInfo, and so are the slabs the first
-// edge of every edge set and the first fpSeen key are carved from:
-// retiring the function drops them all together. None can outgrow the
-// units still in flight, and inspection afterwards brings nothing back.
-// Nor may the DFS's own memory keep them: a pooled frame's environment
-// points at the table of the last function it ran in.
-func TestRetirementDropsFPPState(t *testing.T) {
-	srcs := workload.CallRichTree()
-	fppState := func(en *Engine) (terms, fps, seen int) {
-		for _, fi := range en.funcs {
-			if fi == nil {
-				continue
-			}
-			nt, nf := fi.terms.Len()
-			terms, fps = terms+nt, fps+nf
-			for i := range fi.blocks {
-				seen += len(fi.blocks[i].fpSeen)
+// fpSeenOf renders the fpSeen sets of a unit's blocks as function,
+// block, fingerprint id and tuple, so that two engines whose interners
+// numbered the tuples differently can be compared.
+func fpSeenOf(en *Engine, u *prog.Unit) []string {
+	var out []string
+	for _, fn := range u.Funcs {
+		fi := en.funcs[fn.Index]
+		if fi == nil {
+			continue
+		}
+		for b := range fi.blocks {
+			for _, key := range fi.blocks[b].fpSeen {
+				out = append(out, fmt.Sprintf("%s B%d fp%d %s", fn.Name, b, key>>32, en.intern.key(tid(uint32(key)))))
 			}
 		}
-		return
+	}
+	return out
+}
+
+// The FPP term/fingerprint table is the engine's; the fpSeen sets that
+// hold its ids are owned by a function's funcInfo, and so are the slabs
+// the first edge of every edge set and the first fpSeen keys are carved
+// from. Retiring a unit drops its sets and slabs, and retiring the last
+// live function empties the table: none can outgrow the units still in
+// flight, and inspection afterwards brings nothing back. Nor may the
+// DFS's own memory keep them: a pooled frame's environment points at the
+// table. And since the table is emptied between units, a unit run after
+// another on one retiring engine sees the ids a fresh engine would.
+func TestRetirementDropsFPPState(t *testing.T) {
+	srcs := workload.CallRichTree()
+	seenKeys := func(en *Engine) (seen int) {
+		for _, fi := range en.funcs {
+			if fi != nil {
+				for i := range fi.blocks {
+					seen += len(fi.blocks[i].fpSeen)
+				}
+			}
+		}
+		return seen
 	}
 
 	resident := NewEngine(rebuild(t, "fpp-resident", srcs), mustTestChecker(t, "free"), DefaultOptions())
 	resident.Run()
-	if terms, fps, seen := fppState(resident); terms == 0 || fps == 0 || seen == 0 {
-		t.Fatalf("resident run holds terms=%d fingerprints=%d fpSeen=%d; the tree no longer exercises FPP", terms, fps, seen)
+	if terms, fps := resident.terms.Len(); terms == 0 || fps == 0 || seenKeys(resident) == 0 {
+		t.Fatalf("resident run holds terms=%d fingerprints=%d fpSeen=%d; the tree no longer exercises FPP", terms, fps, seenKeys(resident))
 	}
 	if p := pinsOf(resident); p.slabs == 0 || p.tables == 0 {
 		t.Fatalf("under the resident engine the walk finds %+v; it is blind to one of them", p)
@@ -169,27 +195,64 @@ func TestRetirementDropsFPPState(t *testing.T) {
 	en := NewEngine(p, mustTestChecker(t, "free"), DefaultOptions())
 	en.SetRetire(nil)
 	en.Run()
-	if n := liveFuncInfos(en); n != 0 {
-		t.Fatalf("%d funcInfo blocks survived full retirement", n)
+	if n := liveFuncInfos(en); n != 0 || en.liveFuncs != 0 {
+		t.Fatalf("%d funcInfo blocks (counted %d) survived full retirement", n, en.liveFuncs)
 	}
 	// The slabs die with the funcInfo: hung off the interner or the
 	// engine they would pin every retired unit's AST nodes and instances.
-	// A table still reachable pins its whole funcInfo (an environment's
-	// table is &funcInfo.terms).
+	// A table that is not empty holds the names of retired functions.
 	if got := pinsOf(en); got != (pins{}) {
-		t.Errorf("after full retirement the engine still reaches %d edge or fpSeen arrays and %d term tables",
+		t.Errorf("after full retirement the engine still reaches %d edge or fpSeen arrays and %d non-empty term tables",
 			got.slabs, got.tables)
 	}
 	for _, fn := range p.All {
 		en.SupergraphString(fn.Name)
 	}
-	if terms, fps, seen := fppState(en); terms != 0 || fps != 0 || seen != 0 {
-		t.Errorf("retired functions left terms=%d fingerprints=%d fpSeen=%d behind", terms, fps, seen)
+	if terms, fps := en.terms.Len(); terms != 0 || fps != 0 || seenKeys(en) != 0 {
+		t.Errorf("retired functions left terms=%d fingerprints=%d fpSeen=%d behind", terms, fps, seenKeys(en))
 	}
-	// Inspection rebuilds a funcInfo per retired function, and with it an
-	// empty term table; it must bring back no edge or fpSeen array.
+	// Inspection rebuilds a funcInfo per retired function; it must bring
+	// back no edge or fpSeen array.
 	if got := pinsOf(en); got.slabs != 0 {
 		t.Errorf("after inspection the engine reaches %d edge or fpSeen arrays", got.slabs)
+	}
+
+	// A cut equals a fresh engine: unit A then unit B on one retiring
+	// engine leave B's fpSeen sets and the table as B alone leaves them.
+	// B stays resident (the engine stops retiring after A) so that its
+	// state can be read.
+	mixed, _ := workload.MixedTree(2, 10, 7)
+	p = rebuild(t, "fpp-cut", mixed)
+	var fppUnits []*prog.Unit
+	for _, u := range p.Units() {
+		alone := NewEngine(p, mustTestChecker(t, "free"), DefaultOptions())
+		alone.RunRoots(u.Roots)
+		if len(fpSeenOf(alone, u)) > 0 {
+			fppUnits = append(fppUnits, u)
+		}
+	}
+	if len(fppUnits) < 2 {
+		t.Fatalf("%d units exercise FPP; the cut comparison needs two", len(fppUnits))
+	}
+	a, b := fppUnits[0], fppUnits[1]
+	shared := NewEngine(p, mustTestChecker(t, "free"), DefaultOptions())
+	shared.SetRetire(nil)
+	shared.RunRoots(a.Roots)
+	if shared.Evictions == 0 || shared.liveFuncs != 0 {
+		t.Fatalf("unit A did not retire: %d evictions, %d live funcInfos", shared.Evictions, shared.liveFuncs)
+	}
+	shared.rootsRun = nil
+	shared.RunRoots(b.Roots)
+	fresh := NewEngine(p, mustTestChecker(t, "free"), DefaultOptions())
+	fresh.RunRoots(b.Roots)
+	got, want := fpSeenOf(shared, b), fpSeenOf(fresh, b)
+	if !slices.Equal(got, want) {
+		t.Errorf("after unit A, unit B's fpSeen sets are\n  %v\nalone they are\n  %v", got, want)
+	}
+	gt, gf := shared.terms.Len()
+	wt, wf := fresh.terms.Len()
+	if gt != wt || gf != wf {
+		t.Errorf("after unit A the table holds %d terms and %d fingerprints; unit B alone leaves %d and %d", gt, gf, wt, wf)
 	}
 }
 

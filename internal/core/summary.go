@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/cc"
 	"repro/internal/cfg"
-	"repro/internal/fpp"
 )
 
 // edge is a directed summary edge between state tuples (§5.2).
@@ -59,7 +58,7 @@ func (s *edgeSet) group(in *interner, id tid) (lo, hi int) {
 // reallocates the set privately, as every later growth does.
 func (s *edgeSet) add(fi *funcInfo, e edge) bool {
 	if len(s.edges) == 0 {
-		s.edges = carve(&fi.edgeSlab, 3*len(fi.blocks), e)
+		s.edges = carve(&fi.edgeSlab, 3*len(fi.blocks), 1, e)
 		return true
 	}
 	lo, hi := s.group(fi.in, e.from)
@@ -116,7 +115,8 @@ type blockInfo struct {
 	// fingerprint<<32|tid pairs seen, fpCount the distinct fingerprints
 	// among them; once fpCount passes fpCacheCap, coverage falls back to
 	// tuple-only (the paper's behaviour) for good and fpSeen is dropped.
-	// The ids belong to the function's fpp.Table (funcInfo.terms).
+	// The fingerprint ids belong to the engine's fpp.Table (Engine.terms),
+	// which is emptied only once every funcInfo is gone.
 	fpSeen  []uint64
 	fpCount int
 	// fi is the function's funcInfo: the interner, and the slabs the
@@ -126,6 +126,12 @@ type blockInfo struct {
 
 // fpCacheCap bounds the distinct FPP fingerprints tracked per block.
 const fpCacheCap = 16
+
+// fpSlot is the capacity of a block's first fpSeen array, carved from
+// its funcInfo's slab: a block reached under two or three fact sets (a
+// branch's arms meeting again) grows its set in place, and only a
+// fifth key reallocates it.
+const fpSlot = 4
 
 // coversUnder reports whether the tuple is covered for the given FPP
 // fingerprint. With the cap exceeded (or no FPP facts at all, fp ==
@@ -159,7 +165,7 @@ func (en *Engine) noteSeen(b *blockInfo, t Tuple, fp uint32) {
 		}
 	}
 	if len(b.fpSeen) == 0 {
-		b.fpSeen = carve(&b.fi.fpSlab, len(b.fi.blocks), key)
+		b.fpSeen = carve(&b.fi.fpSlab, len(b.fi.blocks), fpSlot, key)
 		return
 	}
 	b.fpSeen = slices.Insert(b.fpSeen, i, key)
@@ -177,20 +183,15 @@ type funcInfo struct {
 	// Analyses counts full traversals started on this function's CFG
 	// (experiment E2: memoization avoids re-traversal).
 	Analyses int
-	// terms interns the FPP terms and fingerprints of this function's
-	// path environments (an environment never crosses a call boundary,
-	// so neither do its ids). It shares the funcInfo's lifetime with
-	// the fpSeen sets that hold its fingerprint ids: eviction drops
-	// both together.
-	terms fpp.Table
-	in    *interner
+	in       *interner
 	// edgeSlab and fpSlab are what is left of the chunks that the first
-	// edge of every edge set and the first key of every fpSeen are carved
-	// from: a traversed block owns three singleton sets, and one array
-	// apiece was a tenth of the engine's objects. The slabs are the
-	// funcInfo's, not the engine's, because edges hold AST nodes and
-	// instances: eviction must drop them with the sets (stream.go). A
-	// chunk stays whole until then even if its sets outgrow their slots.
+	// edge of every edge set and the first fpSlot keys of every fpSeen
+	// are carved from: a traversed block owns three singleton sets, and
+	// one array apiece was a tenth of the engine's objects. The slabs
+	// are the funcInfo's, not the engine's, because edges hold AST nodes
+	// and instances: eviction must drop them with the sets (stream.go).
+	// A chunk stays whole until then even if its sets outgrow their
+	// slots.
 	edgeSlab []edge
 	fpSlab   []uint64
 }
@@ -207,15 +208,15 @@ func newFuncInfo(g *cfg.Graph, in *interner) *funcInfo {
 // barely entered does not pay for all of its blocks up front.
 const slabChunk = 32
 
-// carve cuts a one-element slice of capacity one off the slab and
-// stores v in it. A used-up slab is replaced by a chunk of want
-// elements, at most slabChunk.
-func carve[T any](slab *[]T, want int, v T) []T {
+// carve cuts a one-element slice of capacity width off the slab and
+// stores v in it. A used-up slab is replaced by a chunk of want slots,
+// at most slabChunk, of width elements each.
+func carve[T any](slab *[]T, want, width int, v T) []T {
 	if len(*slab) == 0 {
-		*slab = make([]T, min(max(want, 1), slabChunk))
+		*slab = make([]T, min(max(want, 1), slabChunk)*width)
 	}
-	s := (*slab)[:1:1]
-	*slab = (*slab)[1:]
+	s := (*slab)[:1:width]
+	*slab = (*slab)[width:]
 	s[0] = v
 	return s
 }

@@ -5,10 +5,15 @@ package fpp
 // side by side. They must agree on every verdict, on Contradicted, on
 // every rendered term — and, over all environment states one stream
 // produces, the new fingerprint ids must be equal exactly when the old
-// fingerprint strings are.
+// fingerprint strings are. Each stream runs on three tables, as the
+// engine's table is found: a new one, one another stream used and that
+// was Reset (a retiring engine's next unit), and one still shared with
+// another stream (a non-retiring engine's next function, whose ids are
+// numbered after the earlier function's).
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -128,9 +133,9 @@ const (
 )
 
 // runOps interprets data as a program over a pool of environments
-// that share one Table, and reports the first disagreement.
-func runOps(t testing.TB, data []byte) {
-	tab := NewTable()
+// that share tab, reports the first disagreement and returns the
+// fingerprint observed after each step.
+func runOps(t testing.TB, tab *Table, data []byte) []fpPair {
 	envs := []envPair{{tab.NewEnv(), newRefEnv()}}
 	var seen []fpPair
 	// warm is the recycled frame every copy passes through, as the
@@ -256,14 +261,38 @@ func runOps(t testing.TB, data []byte) {
 			}
 		}
 	}
+	return seen
+}
+
+// runOpsOnTables runs data on a new table, on a table other ran on and
+// that was then Reset, and on a table other ran on and that is shared
+// still. A Reset table must hand out exactly the new table's ids.
+func runOpsOnTables(t testing.TB, other, data []byte) {
+	fresh := runOps(t, NewTable(), data)
+	reused := NewTable()
+	runOps(t, reused, other)
+	reused.Reset()
+	if terms, fps := reused.Len(); terms != 0 || fps != 0 {
+		t.Fatalf("Reset left %d terms and %d fingerprints", terms, fps)
+	}
+	for i, x := range runOps(t, reused, data) {
+		if x != fresh[i] {
+			t.Fatalf("step %d: fingerprint id %d on a Reset table, %d on a new one", i, x.id, fresh[i].id)
+		}
+	}
+	shared := NewTable()
+	runOps(t, shared, other)
+	runOps(t, shared, data)
 }
 
 func TestEnvMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
+	var prev []byte
 	for i := 0; i < 400; i++ {
 		data := make([]byte, 40+rng.Intn(400))
 		rng.Read(data)
-		runOps(t, data)
+		runOpsOnTables(t, prev, data)
+		prev = data
 	}
 }
 
@@ -273,6 +302,10 @@ func FuzzEnvOps(f *testing.F) {
 		if len(data) > 2048 {
 			data = data[:2048]
 		}
-		runOps(t, data)
+		// The other stream is this one backwards: the same variables
+		// and constants, met in another order.
+		other := slices.Clone(data)
+		slices.Reverse(other)
+		runOpsOnTables(t, other, data)
 	})
 }

@@ -47,7 +47,7 @@ func (e *Env) CopyFrom(src *Env) {
 }
 
 // Reset makes e an empty environment over tab, as tab.NewEnv would,
-// keeping its fact array. A nil tab leaves e pinning no table.
+// keeping its fact array.
 func (e *Env) Reset(tab *Table) { *e = Env{tab: tab, facts: e.facts[:0]} }
 
 // Contradicted reports whether the path's facts became inconsistent

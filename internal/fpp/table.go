@@ -1,7 +1,7 @@
 package fpp
 
 import (
-	"encoding/binary"
+	"slices"
 
 	"repro/internal/cc"
 )
@@ -36,20 +36,35 @@ type node struct {
 
 // Table interns the terms and fact-set fingerprints of the
 // environments created from it. Term ids and fingerprint ids are only
-// comparable within one table; the engine keeps one per analyzed
-// function (environments never cross a call boundary), so the table
-// dies with that function's caches. Not safe for concurrent use.
+// comparable within one table, and only until Reset; ids count from 0
+// (terms) and 1 (fingerprints) in first-seen order, so a table that has
+// been Reset hands out exactly the ids a new one would. The engine keeps
+// one (core.Engine's terms): an environment never crosses a call
+// boundary, and ids need only be unique within their table, so one table
+// serves every function the engine enters, and the engine empties it
+// when its last function is retired. Not safe for concurrent use.
 type Table struct {
 	names   map[string]int32
 	nameStr []string
 	ids     map[node]term
 	nodes   []node
-	// fps maps a canonical fact list (sorted, 12 bytes a fact) to its
-	// fingerprint id, counting from 1; 0 is the empty list.
-	fps map[string]uint32
-	// sorted and buf are Fingerprint's scratch space.
+	// A fact set is interned by a hash of its canonical (sorted,
+	// version-free) facts: heads maps a hash to the newest fingerprint
+	// id with that hash, and sets[id-1] holds the id's facts,
+	// arena[start:end], and the next older id with the same hash (0
+	// ends the chain). Every set's facts are kept once, in arena.
+	heads map[uint64]uint32
+	sets  []factSet
+	arena []fact
+	// sorted is Fingerprint's scratch space.
 	sorted []fact
-	buf    []byte
+}
+
+// factSet is one interned fact set: a span of its table's arena and the
+// link to the next set of its hash chain.
+type factSet struct {
+	start, end int32
+	next       uint32
 }
 
 // NewTable returns an empty table.
@@ -59,7 +74,21 @@ func NewTable() *Table { return &Table{} }
 func (tb *Table) NewEnv() *Env { return &Env{tab: tb} }
 
 // Len reports how many terms and fingerprints the table holds.
-func (tb *Table) Len() (terms, fingerprints int) { return len(tb.nodes), len(tb.fps) }
+func (tb *Table) Len() (terms, fingerprints int) { return len(tb.nodes), len(tb.sets) }
+
+// Reset empties the table in place, keeping the capacity of its maps
+// and arrays, and lets go of the names it held. Every id handed out
+// before is void, and so is every environment over the table.
+func (tb *Table) Reset() {
+	clear(tb.names)
+	clear(tb.nameStr)
+	tb.nameStr = tb.nameStr[:0]
+	clear(tb.ids)
+	tb.nodes = tb.nodes[:0]
+	clear(tb.heads)
+	tb.sets = tb.sets[:0]
+	tb.arena = tb.arena[:0]
+}
 
 func (tb *Table) nameID(s string) int32 {
 	id, ok := tb.names[s]
@@ -95,26 +124,39 @@ func (tb *Table) constVal(t term) (int64, bool) {
 	return n.v, n.kind == kindConst
 }
 
-// fingerprint interns a canonical (sorted, duplicate-free) fact list,
-// allocating only the first time the list is seen.
+// fingerprint interns a canonical (sorted, duplicate-free) fact list.
+// A list the table has seen costs a hash and a comparison; a new one is
+// appended to the arena, which allocates only while the table grows.
 func (tb *Table) fingerprint(facts []fact) uint32 {
 	if len(facts) == 0 {
 		return 0
 	}
-	buf := tb.buf[:0]
-	for _, f := range facts {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(f.kind))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(f.a))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(f.b))
-	}
-	tb.buf = buf
-	id, ok := tb.fps[string(buf)]
-	if !ok {
-		if tb.fps == nil {
-			tb.fps = map[string]uint32{}
+	h := hashFacts(facts)
+	for id := tb.heads[h]; id != 0; id = tb.sets[id-1].next {
+		if s := tb.sets[id-1]; slices.Equal(tb.arena[s.start:s.end], facts) {
+			return id
 		}
-		id = uint32(len(tb.fps)) + 1
-		tb.fps[string(buf)] = id
 	}
+	if tb.heads == nil {
+		tb.heads = map[uint64]uint32{}
+	}
+	start := int32(len(tb.arena))
+	tb.arena = append(tb.arena, facts...)
+	tb.sets = append(tb.sets, factSet{start: start, end: int32(len(tb.arena)), next: tb.heads[h]})
+	id := uint32(len(tb.sets))
+	tb.heads[h] = id
 	return id
+}
+
+// hashFacts is FNV-1a over the facts' three words. Two sets that share a
+// hash are told apart by their facts, so the hash only needs to spread.
+func hashFacts(facts []fact) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for _, f := range facts {
+		h = (h ^ uint64(uint32(f.kind))) * prime
+		h = (h ^ uint64(uint32(f.a))) * prime
+		h = (h ^ uint64(uint32(f.b))) * prime
+	}
+	return h
 }
