@@ -80,6 +80,11 @@ vet:
 # the panic catcher ReadFile had, or any other, stays out of internal/cc.
 # And the FPP table is the engine's (DESIGN.md §5): the string-keyed
 # fingerprint map and the per-function table in funcInfo stay gone.
+# And the product's API is what the product calls (TestNoTestOnlyExports):
+# the loop havoc no engine path ran, the statement parser and printer,
+# the test-only checker, rank, report, server and analyzer helpers, the
+# engine's second and third run doors and its per-engine action and
+# callout registration stay gone.
 no-deleted-knobs:
 	! grep -rnE 'Match[M]emo|Block[F]ilter|Tuple[I]ntern|Lean[A]lloc|Multi[D]ispatch|Tenant[Q]uota|Queue[D]epth|Batch[S]ize' --include=*.go .
 	! grep -rnE 'Load[S]ummaries|summary[S]ource|Retired[S]et|Allow[S]pillReload|Summaries[L]oaded|SummaryBytes[D]eferred' --include=*.go .
@@ -103,6 +108,7 @@ no-deleted-knobs:
 	! grep -rnE 'Allow[D]ollar|TokDollar[H]ole|newParse[S]cope' --include=*.go .
 	! grep -rn 'recove[r]()' --include=*.go internal/cc
 	! grep -rnE 'map\[[s]tring\]uint32|fp[s]\[[s]tring|fi[.]term[s]\b|funcInfo[.]term[s]\b' --include=*.go .
+	! grep -rnE 'Havoc[A]ssigned|havoc[S]tmt|havoc[E]xpr|Stmt[S]tring|write[S]tmt|Is[I]nteger|\.Transitions[F]rom\(|\.Has[V]arState\(|Must[P]arse|\bBy[Z]\(|\.By[R]ule\(|Sorted[F]iles|Add[D]irectory|cc\.Round[T]rip|func Round[T]rip|Block[F]or\(|Register[A]ction|Register[C]allout|\.Run[F]unction\(|\.Run[R]oots\(' --include=*.go .
 	! ls BENCH_*.json 2>/dev/null | grep .
 
 # staticcheck is optional locally (the repo adds no dependencies) but

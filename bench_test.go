@@ -54,7 +54,7 @@ func BenchmarkF4Caching(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				en := core.NewEngine(p, mustCheckerB(b, "free"), opts)
-				en.Run()
+				en.RunContext(context.Background())
 			}
 		})
 		b.Run(fmt.Sprintf("CacheOff/diamonds=%d", n), func(b *testing.B) {
@@ -66,7 +66,7 @@ func BenchmarkF4Caching(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				en := core.NewEngine(p, mustCheckerB(b, "free"), opts)
-				en.Run()
+				en.RunContext(context.Background())
 			}
 		})
 	}
@@ -83,7 +83,7 @@ func BenchmarkE1Independence(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				en := core.NewEngine(p, mustCheckerB(b, "free"), core.DefaultOptions())
-				en.Run()
+				en.RunContext(context.Background())
 			}
 		})
 	}
@@ -99,7 +99,7 @@ func BenchmarkE2FunctionCache(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			en := core.NewEngine(p, mustCheckerB(b, "free"), core.DefaultOptions())
-			en.Run()
+			en.RunContext(context.Background())
 		}
 	})
 	b.Run("CacheOff", func(b *testing.B) {
@@ -109,7 +109,7 @@ func BenchmarkE2FunctionCache(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			en := core.NewEngine(p, mustCheckerB(b, "free"), opts)
-			en.Run()
+			en.RunContext(context.Background())
 		}
 	})
 }
@@ -131,7 +131,7 @@ func BenchmarkE3FPP(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				en := core.NewEngine(p, mustCheckerB(b, "free"), opts)
-				en.Run()
+				en.RunContext(context.Background())
 			}
 		})
 	}
@@ -143,7 +143,7 @@ func BenchmarkE5Ranking(b *testing.B) {
 	pr := workload.LockReliability(120, 8, 40)
 	p := mustProgB(b, map[string]string{"lk.c": pr.Source})
 	en := core.NewEngine(p, mustCheckerB(b, "lock"), core.DefaultOptions())
-	rs := en.Run()
+	rs := en.RunContext(context.Background())
 	stats := map[string]rank.RuleStat{}
 	for rule, rc := range en.RuleStats {
 		stats[rule] = rank.RuleStat{Rule: rule, Examples: rc.Examples, Violations: rc.Violations}
@@ -184,7 +184,7 @@ func BenchmarkScaleLinuxLike(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, cname := range []string{"free", "lock", "null", "interrupt"} {
 					en := core.NewEngine(p, mustCheckerB(b, cname), core.DefaultOptions())
-					en.Run()
+					en.RunContext(context.Background())
 				}
 			}
 		})
@@ -216,7 +216,7 @@ func BenchmarkPatternMatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		en := core.NewEngine(p, c, core.DefaultOptions())
-		en.Run()
+		en.RunContext(context.Background())
 	}
 }
 

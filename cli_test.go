@@ -5,6 +5,10 @@ package repro
 // for its exit code) from the repository root.
 
 import (
+	"context"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"os/exec"
@@ -12,6 +16,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 )
 
 func runCmd(t *testing.T, args ...string) (string, error) {
@@ -143,6 +148,77 @@ v.freed: { *v } ==> v.stop, { err("MY-MARKER %s", mc_identifier(v)); };
 	}
 	if out, err := runCmd(t, "./cmd/xgcc", "-two-pass", filepath.Join(tp, "slab.c"), unclean); err == nil || !strings.Contains(out, "duplicate source") {
 		t.Errorf("-two-pass with one file named twice: want a duplicate source error (err %v):\n%s", err, out)
+	}
+}
+
+// TestXgccCLICheckerFileWithChecker: -checker names bundled checkers
+// to run beside -checker-file's, even when it names the default, free.
+func TestXgccCLICheckerFileWithChecker(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns go run")
+	}
+	src := writeTemp(t, "fix.c", cliFixture)
+	checker := writeTemp(t, "my.metal", `
+sm my_checker;
+state decl any_pointer v;
+start: { kfree(v) } ==> v.freed;
+v.freed: { *v } ==> v.stop, { err("MY-MARKER %s", mc_identifier(v)); };
+`)
+	out, err := runCmd(t, "./cmd/xgcc", "-checker-file", checker, "-checker", "free", src)
+	if err != nil {
+		t.Fatalf("xgcc failed: %v\n%s", err, out)
+	}
+	for _, want := range []string{"[my_checker] MY-MARKER p", "[free_checker] using p after free!", "2 reports"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestXgccCLIMalformedInput: a -mark entry that is not fn=annotation
+// and a -rank that is not a ranking are usage errors that name the
+// entry, not settings silently dropped.
+func TestXgccCLIMalformedInput(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns go run")
+	}
+	src := writeTemp(t, "fix.c", cliFixture)
+	for _, tc := range []struct{ flag, value, entry string }{
+		{"-mark", "might_sleep", `"might_sleep"`},
+		{"-mark", "a=b,=blocking", `"=blocking"`},
+		{"-mark", "panic=", `"panic="`},
+		{"-rank", "zscore", `"zscore"`},
+	} {
+		out, err := runCmd(t, "./cmd/xgcc", tc.flag, tc.value, src)
+		if err == nil || !strings.Contains(out, "exit status 2") || !strings.Contains(out, tc.flag+" ") || !strings.Contains(out, tc.entry) {
+			t.Errorf("%s %s: err %v, want exit 2 naming %s:\n%s", tc.flag, tc.value, err, tc.entry, out)
+		}
+	}
+}
+
+// TestXgccdRejectsUnloadableCheckers: a daemon whose checkers do not
+// load would answer every analyze with 500, so it exits at start-up
+// and names the checker instead of listening.
+func TestXgccdRejectsUnloadableCheckers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns go build")
+	}
+	bin := filepath.Join(t.TempDir(), "xgccd")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/xgccd").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	bad := writeTemp(t, "bad.metal", "sm broken;\nstart: {\n")
+	for _, tc := range []struct{ flag, value, names string }{
+		{"-checkers", "free,nosuch", "nosuch"},
+		{"-checker-file", bad, bad},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		out, err := exec.CommandContext(ctx, bin, "-addr", "127.0.0.1:0", tc.flag, tc.value).CombinedOutput()
+		expired := ctx.Err()
+		cancel()
+		if expired != nil || err == nil || !strings.Contains(string(out), tc.names) {
+			t.Errorf("xgccd %s %s: err %v (deadline %v), want a non-zero exit naming %s:\n%s", tc.flag, tc.value, err, expired, tc.names, out)
+		}
 	}
 }
 
@@ -318,6 +394,110 @@ func TestDocsCiteWhatExists(t *testing.T) {
 			}
 		}
 	}
+}
+
+// testOnlyExemptDirs are fixture packages: their exports exist for
+// tests to call.
+var testOnlyExemptDirs = map[string]bool{
+	"internal/workload":        true,
+	"internal/cache/cachetest": true,
+}
+
+// testOnlyExemptSeams are exports only tests call, kept because each
+// observes or injects a safety path the product cannot be made to hit
+// on demand.
+var testOnlyExemptSeams = map[string]string{
+	"singleflight.Group.Waiters":   "observes that joiners are parked before the leader finishes, which the coalescing tests must see",
+	"harness.ValidateWithCallouts": "injects a callout so the validator's budget and panic paths run without a slow bundled checker",
+}
+
+// TestNoTestOnlyExports: the product's API is what the product calls.
+// Every exported function or method declared in non-test Go under
+// internal/ or mc/ is named by some non-test file (cmd/, examples/ and
+// benchmark/ count), so no test certifies code the product never runs.
+func TestNoTestOnlyExports(t *testing.T) {
+	type decl struct{ key, pos string }
+	var decls []decl
+	refs := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		product := (strings.HasPrefix(dir, "internal/") || dir == "mc") && !testOnlyExemptDirs[dir]
+		declared := map[*ast.Ident]bool{}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			declared[fn.Name] = true
+			if !product || !fn.Name.IsExported() {
+				continue
+			}
+			key := f.Name.Name + "." + fn.Name.Name
+			if fn.Recv != nil {
+				typ := fn.Recv.List[0].Type
+				if star, ok := typ.(*ast.StarExpr); ok {
+					typ = star.X
+				}
+				if idx, ok := typ.(*ast.IndexExpr); ok {
+					typ = idx.X
+				}
+				key = f.Name.Name + "." + typ.(*ast.Ident).Name + "." + fn.Name.Name
+			}
+			decls = append(decls, decl{key, fset.Position(fn.Pos()).String()})
+		}
+		ast.Walk(identVisitor(func(id *ast.Ident) {
+			if !declared[id] {
+				refs[id.Name] = true
+			}
+		}), f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, d := range decls {
+		name := d.key[strings.LastIndex(d.key, ".")+1:]
+		if _, ok := testOnlyExemptSeams[d.key]; ok {
+			seen[d.key] = true
+			continue
+		}
+		if !refs[name] {
+			t.Errorf("%s: %s is exported but no non-test file names it: delete it or move it into a _test.go file", d.pos, d.key)
+		}
+	}
+	for key := range testOnlyExemptSeams {
+		if !seen[key] {
+			t.Errorf("exempt seam %s is not declared any more: drop it from testOnlyExemptSeams", key)
+		}
+	}
+}
+
+// identVisitor calls itself on every identifier of a tree.
+type identVisitor func(*ast.Ident)
+
+func (v identVisitor) Visit(n ast.Node) ast.Visitor {
+	if id, ok := n.(*ast.Ident); ok {
+		v(id)
+	}
+	return v
 }
 
 func TestXgccCLIJSONAndDirectory(t *testing.T) {

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -135,7 +136,7 @@ func runFig1(srcs map[string]string, opts core.Options) (*core.Engine, *report.S
 		panic(err)
 	}
 	en := core.NewEngine(mustProg(srcs), c, opts)
-	return en, en.Run()
+	return en, en.RunContext(context.Background())
 }
 
 func mustProg(srcs map[string]string) *prog.Program {
@@ -156,7 +157,7 @@ func mustChecker(name string) *metal.Checker {
 
 func runEngine(srcs map[string]string, checkerName string, opts core.Options) (*core.Engine, *report.Set) {
 	en := core.NewEngine(mustProg(srcs), mustChecker(checkerName), opts)
-	return en, en.Run()
+	return en, en.RunContext(context.Background())
 }
 
 func expF1() {
@@ -458,7 +459,7 @@ func expE5() {
 	pr := workload.LockReliability(60, 4, 30)
 	p := mustProg(map[string]string{"lk.c": pr.Source})
 	en := core.NewEngine(p, mustChecker("lock"), core.DefaultOptions())
-	rs := en.Run()
+	rs := en.RunContext(context.Background())
 
 	stats := map[string]rank.RuleStat{}
 	for rule, rc := range en.RuleStats {
@@ -492,7 +493,7 @@ func expE5() {
 	var codeStats []rank.CodeStat
 	for _, fn := range p.All {
 		enF := core.NewEngine(p, mustChecker("lock"), intra)
-		enF.RunFunction(fn.Name)
+		enF.RunRootsContext(context.Background(), []*prog.Function{fn})
 		cs := rank.CodeStat{Function: fn.Name}
 		for _, rc := range enF.RuleStats {
 			cs.Successes += rc.Examples
@@ -632,7 +633,7 @@ func expE11() {
 	totalTP, totalFP, totalSeeded := 0, 0, 0
 	for _, cname := range []string{"free", "lock", "null", "leak", "interrupt"} {
 		en := core.NewEngine(p, mustChecker(cname), core.DefaultOptions())
-		rs := en.Run()
+		rs := en.RunContext(context.Background())
 		tp, fp := 0, 0
 		hit := map[string]bool{}
 		for _, r := range rs.Reports {
@@ -671,7 +672,7 @@ func expE12() {
 		var all []*report.Report
 		for _, cname := range []string{"free", "lock", "null", "leak", "interrupt"} {
 			en := core.NewEngine(p, mustChecker(cname), core.DefaultOptions())
-			all = append(all, en.Run().Reports...)
+			all = append(all, en.RunContext(context.Background()).Reports...)
 		}
 		if history != nil {
 			all = report.NewHistory(history).Suppress(all)

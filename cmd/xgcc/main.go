@@ -75,6 +75,11 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
+	switch *rankMode {
+	case "generic", "z", "grouped":
+	default:
+		fatal(fmt.Errorf("-rank %q: want generic, z or grouped", *rankMode))
+	}
 
 	if *list {
 		for _, s := range checkers.All() {
@@ -173,7 +178,11 @@ func main() {
 			fatal(err)
 		}
 	}
-	if *checkerFile == "" || *checkerNames != "free" {
+	// -checker adds to -checker-file only when given: its default,
+	// free, is for a run that names no checker at all.
+	checkerSet := false
+	flag.Visit(func(f *flag.Flag) { checkerSet = checkerSet || f.Name == "checker" })
+	if *checkerFile == "" || checkerSet {
 		for _, name := range strings.Split(*checkerNames, ",") {
 			name = strings.TrimSpace(name)
 			if name == "" {
@@ -186,10 +195,11 @@ func main() {
 	}
 	if *marks != "" {
 		for _, m := range strings.Split(*marks, ",") {
-			kv := strings.SplitN(m, "=", 2)
-			if len(kv) == 2 {
-				a.MarkFunction(kv[0], kv[1])
+			fn, key, ok := strings.Cut(m, "=")
+			if !ok || fn == "" || key == "" {
+				fatal(fmt.Errorf("-mark entry %q: want function=annotation", m))
 			}
+			a.MarkFunction(fn, key)
 		}
 	}
 

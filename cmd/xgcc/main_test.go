@@ -5,6 +5,7 @@ package main
 // (-cache), and baseline atomicity.
 
 import (
+	"context"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -250,7 +251,7 @@ func TestSupergraphRunsResident(t *testing.T) {
 		t.Fatal(err)
 	}
 	resident := core.NewEngine(p, c, core.DefaultOptions())
-	resident.Run()
+	resident.RunContext(context.Background())
 	want := "--- supergraph of ring_push under checker " + c.Name + " ---\n" + resident.SupergraphString("ring_push")
 	if strings.Count(want, "\nB") != 9 || !strings.Contains(want, "->") {
 		t.Fatalf("the resident engine rendered %d blocks, want 9 and some edges:\n%s", strings.Count(want, "\nB"), want)

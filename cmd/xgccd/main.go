@@ -143,6 +143,7 @@ func main() {
 		cfg.Registry = reg
 	}
 
+	var workers []string
 	if *coordinator {
 		// The coordinator's store IS the shared CAS: served at
 		// /v1/cas/ for workers (setting cfg.Fleet mounts it), analyzed
@@ -151,7 +152,6 @@ func main() {
 		if *casURL != "" {
 			cfg.Store = cache.NewHTTPStore(*casURL, nil)
 		}
-		var workers []string
 		for _, u := range strings.Split(*workerList, ",") {
 			if u = strings.TrimSpace(u); u != "" {
 				workers = append(workers, u)
@@ -163,11 +163,17 @@ func main() {
 		co := fleet.NewCoordinator(fleet.Config{Workers: workers})
 		defer co.Close()
 		cfg.Fleet = co
-		log.Printf("xgccd: coordinator listening on %s (workers: %d)", *addr, len(workers))
 	}
 
 	srv := server.New(cfg)
-	if !*coordinator {
+	// A checker that does not load would fail every analyze: refuse to
+	// start instead.
+	if err := srv.CheckCheckers(); err != nil {
+		log.Fatalf("xgccd: checkers do not load (-checkers %s, -checker-file %s): %v", *checkerList, strings.Join(checkerFiles, ","), err)
+	}
+	if *coordinator {
+		log.Printf("xgccd: coordinator listening on %s (workers: %d)", *addr, len(workers))
+	} else {
 		log.Printf("xgccd: listening on %s (checkers: %s, max-inflight: %d)", *addr, *checkerList, *maxInflight)
 	}
 	serve(*addr, *readyFile, srv.Handler())

@@ -40,7 +40,7 @@ type UnitEntry struct {
 }
 
 // NewUnitEntry is the one producer of unit records: the entry for a
-// live run of one unit, from the per-root segments RunRoots returned and
+// live run of one unit, from the per-root segments RunRootsContext returned and
 // the engine's cut at the unit boundary.
 func NewUnitEntry(cut core.UnitCut, runs []core.RootRun) *UnitEntry {
 	e := &UnitEntry{Stats: cut.Stats, Rules: cut.Rules, Marks: cut.Marks, Roots: make([]RootReports, len(runs))}

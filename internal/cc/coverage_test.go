@@ -89,12 +89,6 @@ func TestSameTypeMatrix(t *testing.T) {
 }
 
 func TestTypePredicates(t *testing.T) {
-	if !mustType(t, "int").IsInteger() || !mustType(t, "enum e").IsInteger() {
-		t.Error("IsInteger")
-	}
-	if mustType(t, "float").IsInteger() || mustType(t, "int *").IsInteger() {
-		t.Error("IsInteger false cases")
-	}
 	var nilT *Type
 	if !nilT.IsUnknown() {
 		t.Error("nil type is unknown")

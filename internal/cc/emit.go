@@ -66,10 +66,6 @@ func ReadFile(data []byte) (*File, error) {
 	return f, nil
 }
 
-// RoundTrip emits and re-reads a file; tests use it to verify pass-1 /
-// pass-2 fidelity.
-func RoundTrip(f *File) (*File, error) { return ReadFile(EmitFile(f)) }
-
 // ---------------------------------------------------------------------------
 // The codec
 // ---------------------------------------------------------------------------

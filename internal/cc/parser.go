@@ -129,23 +129,6 @@ func ParseTypeString(src string) (*Type, error) {
 	return t, nil
 }
 
-// ParseStmtString parses a single statement.
-func ParseStmtString(src string) (Stmt, error) {
-	toks, err := LexAll("<stmt>", src)
-	if err != nil {
-		return nil, err
-	}
-	p := NewParser("<stmt>", toks)
-	s, err := p.parseStmt()
-	if err != nil {
-		return nil, err
-	}
-	if p.cur().Kind != TokEOF {
-		return nil, p.errf("trailing tokens after statement")
-	}
-	return s, nil
-}
-
 // ---------------------------------------------------------------------------
 // Token plumbing
 // ---------------------------------------------------------------------------

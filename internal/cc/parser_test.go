@@ -377,19 +377,6 @@ func TestExprStringRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStmtStringSmoke(t *testing.T) {
-	s, err := ParseStmtString("if (x) { y = 1; } else y = 2;")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := StmtString(s)
-	for _, frag := range []string{"if (x)", "y = 1;", "else", "y = 2;"} {
-		if !strings.Contains(out, frag) {
-			t.Errorf("output missing %q:\n%s", frag, out)
-		}
-	}
-}
-
 func TestExecOrderAssignment(t *testing.T) {
 	// RHS before LHS before the assignment itself (§5).
 	e := mustExpr(t, "q = p")

@@ -155,139 +155,3 @@ func writeExpr(sb *strings.Builder, e Expr, minPrec int) {
 		sb.WriteString("<?expr?>")
 	}
 }
-
-// StmtString renders a statement back to C text with the given
-// indentation, primarily for diagnostics and golden tests.
-func StmtString(s Stmt) string {
-	var sb strings.Builder
-	writeStmt(&sb, s, 0)
-	return sb.String()
-}
-
-func indent(sb *strings.Builder, n int) {
-	for i := 0; i < n; i++ {
-		sb.WriteString("    ")
-	}
-}
-
-func writeStmt(sb *strings.Builder, s Stmt, depth int) {
-	switch s := s.(type) {
-	case *ExprStmt:
-		indent(sb, depth)
-		writeExpr(sb, s.X, 0)
-		sb.WriteString(";\n")
-	case *DeclStmt:
-		for _, d := range s.Decls {
-			indent(sb, depth)
-			fmt.Fprintf(sb, "%s %s", d.Type, d.Name)
-			if d.Init != nil {
-				sb.WriteString(" = ")
-				writeExpr(sb, d.Init, 2)
-			}
-			sb.WriteString(";\n")
-		}
-		if len(s.Decls) == 0 {
-			indent(sb, depth)
-			sb.WriteString(";\n")
-		}
-	case *CompoundStmt:
-		indent(sb, depth)
-		sb.WriteString("{\n")
-		for _, c := range s.List {
-			writeStmt(sb, c, depth+1)
-		}
-		indent(sb, depth)
-		sb.WriteString("}\n")
-	case *EmptyStmt:
-		indent(sb, depth)
-		sb.WriteString(";\n")
-	case *IfStmt:
-		indent(sb, depth)
-		sb.WriteString("if (")
-		writeExpr(sb, s.Cond, 0)
-		sb.WriteString(")\n")
-		writeStmt(sb, s.Then, depth+1)
-		if s.Else != nil {
-			indent(sb, depth)
-			sb.WriteString("else\n")
-			writeStmt(sb, s.Else, depth+1)
-		}
-	case *WhileStmt:
-		indent(sb, depth)
-		sb.WriteString("while (")
-		writeExpr(sb, s.Cond, 0)
-		sb.WriteString(")\n")
-		writeStmt(sb, s.Body, depth+1)
-	case *DoWhileStmt:
-		indent(sb, depth)
-		sb.WriteString("do\n")
-		writeStmt(sb, s.Body, depth+1)
-		indent(sb, depth)
-		sb.WriteString("while (")
-		writeExpr(sb, s.Cond, 0)
-		sb.WriteString(");\n")
-	case *ForStmt:
-		indent(sb, depth)
-		sb.WriteString("for (")
-		if es, ok := s.Init.(*ExprStmt); ok {
-			writeExpr(sb, es.X, 0)
-		} else if ds, ok := s.Init.(*DeclStmt); ok && len(ds.Decls) > 0 {
-			d := ds.Decls[0]
-			fmt.Fprintf(sb, "%s %s", d.Type, d.Name)
-			if d.Init != nil {
-				sb.WriteString(" = ")
-				writeExpr(sb, d.Init, 2)
-			}
-		}
-		sb.WriteString("; ")
-		if s.Cond != nil {
-			writeExpr(sb, s.Cond, 0)
-		}
-		sb.WriteString("; ")
-		if s.Post != nil {
-			writeExpr(sb, s.Post, 0)
-		}
-		sb.WriteString(")\n")
-		writeStmt(sb, s.Body, depth+1)
-	case *SwitchStmt:
-		indent(sb, depth)
-		sb.WriteString("switch (")
-		writeExpr(sb, s.Tag, 0)
-		sb.WriteString(")\n")
-		writeStmt(sb, s.Body, depth+1)
-	case *CaseStmt:
-		indent(sb, depth)
-		if s.Val != nil {
-			sb.WriteString("case ")
-			writeExpr(sb, s.Val, 0)
-			sb.WriteString(":\n")
-		} else {
-			sb.WriteString("default:\n")
-		}
-		writeStmt(sb, s.Body, depth+1)
-	case *BreakStmt:
-		indent(sb, depth)
-		sb.WriteString("break;\n")
-	case *ContinueStmt:
-		indent(sb, depth)
-		sb.WriteString("continue;\n")
-	case *ReturnStmt:
-		indent(sb, depth)
-		sb.WriteString("return")
-		if s.X != nil {
-			sb.WriteByte(' ')
-			writeExpr(sb, s.X, 0)
-		}
-		sb.WriteString(";\n")
-	case *GotoStmt:
-		indent(sb, depth)
-		fmt.Fprintf(sb, "goto %s;\n", s.Label)
-	case *LabeledStmt:
-		indent(sb, depth)
-		fmt.Fprintf(sb, "%s:\n", s.Label)
-		writeStmt(sb, s.Body, depth)
-	default:
-		indent(sb, depth)
-		sb.WriteString("<?stmt?>\n")
-	}
-}

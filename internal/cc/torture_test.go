@@ -2,6 +2,7 @@ package cc
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -83,12 +84,12 @@ func TestTortureParses(t *testing.T) {
 		t.Errorf("funcs = %d", len(f.Funcs()))
 	}
 	// Round trip through the emitter preserves structure.
-	f2, err := RoundTrip(f)
+	f2, err := roundTrip(f)
 	if err != nil {
 		t.Fatalf("round trip: %v", err)
 	}
 	for i, fn := range f.Funcs() {
-		if StmtString(fn.Body) != StmtString(f2.Funcs()[i].Body) {
+		if !reflect.DeepEqual(fn.Body, f2.Funcs()[i].Body) {
 			t.Errorf("%s: body changed after emit/reload", fn.Name)
 		}
 	}
@@ -300,11 +301,11 @@ func TestEmitRandomExprsProperty(t *testing.T) {
 			// string-literal calls are); skip unparseable forms.
 			continue
 		}
-		f2, err := RoundTrip(f)
+		f2, err := roundTrip(f)
 		if err != nil {
 			t.Fatalf("iteration %d: reload failed for %q: %v", i, src, err)
 		}
-		if StmtString(f.Funcs()[0].Body) != StmtString(f2.Funcs()[0].Body) {
+		if !reflect.DeepEqual(f.Funcs()[0].Body, f2.Funcs()[0].Body) {
 			t.Fatalf("iteration %d: emit round trip changed %q", i, src)
 		}
 	}

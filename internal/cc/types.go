@@ -115,12 +115,6 @@ func (t *Type) IsScalar() bool {
 	return u.Kind == TypeInt || u.Kind == TypeFloat || u.Kind == TypeEnum
 }
 
-// IsInteger reports whether the type is an integer or enum type.
-func (t *Type) IsInteger() bool {
-	u := t.Underlying()
-	return u.Kind == TypeInt || u.Kind == TypeEnum
-}
-
 // IsUnknown reports whether the type is the unknown type.
 func (t *Type) IsUnknown() bool { return t == nil || t.Underlying().Kind == TypeUnknown }
 

@@ -122,8 +122,8 @@ const (
 
 // Comment is a short rendering of the block's source for printing
 // supergraphs in the Figure 5 style. It is rendered from the block's
-// statement on every call; only printing (and the engine's BlockFor
-// test helper) reads it.
+// statement on every call; only printing (and a test helper of the
+// engine's) reads it.
 func (b *Block) Comment() string {
 	switch b.role {
 	case roleEntry:

@@ -1,6 +1,7 @@
 package checkers
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -21,7 +22,7 @@ func run(t *testing.T, checkerName, src string) *report.Set {
 		t.Fatal(err)
 	}
 	en := core.NewEngine(p, c, core.DefaultOptions())
-	return en.Run()
+	return en.RunContext(context.Background())
 }
 
 func msgs(rs *report.Set) []string {
@@ -201,7 +202,7 @@ void good(void) {
 	}
 	en := core.NewEngine(p, c, core.DefaultOptions())
 	en.MarkFn("might_sleep", "blocking")
-	rs := en.Run()
+	rs := en.RunContext(context.Background())
 	if rs.Len() != 1 || rs.Reports[0].Func != "bad" {
 		t.Errorf("reports = %v", msgs(rs))
 	}
@@ -242,7 +243,7 @@ int handler(int *p, void *ubuf) {
 		t.Fatal(err)
 	}
 	en := core.NewEngine(p, c, core.DefaultOptions())
-	rs := en.Run()
+	rs := en.RunContext(context.Background())
 	if rs.Len() != 1 {
 		t.Fatalf("reports = %v", msgs(rs))
 	}
@@ -273,7 +274,7 @@ void bad(int *c) { kfree(c); kfree(c); }
 	p, _ := prog.BuildSource(map[string]string{"t.c": src})
 	c, _ := Parse("free")
 	en := core.NewEngine(p, c, core.DefaultOptions())
-	en.Run()
+	en.RunContext(context.Background())
 	rc := en.RuleStats["kfree"]
 	if rc == nil {
 		t.Fatal("no kfree rule stats")

@@ -29,8 +29,8 @@ type ActionCtx struct {
 	Rule string
 }
 
-// ActionFunc implements one action verb.
-type ActionFunc func(ctx *ActionCtx, args []metal.ActionArg)
+// actionFunc implements one action verb.
+type actionFunc func(ctx *ActionCtx, args []metal.ActionArg)
 
 // argString renders an action argument: bindings for holes, literal
 // text otherwise, and the mc_identifier(v)/mc_location() helper calls.
@@ -84,123 +84,123 @@ func (ctx *ActionCtx) argInstance(a metal.ActionArg) *Instance {
 // instVar names the triggering instance's state variable.
 func (ctx *ActionCtx) instVar() string { return ctx.Engine.intern.vars.name(ctx.Inst.v) }
 
-// builtinActions returns the standard action library.
-func builtinActions() map[string]ActionFunc {
-	return map[string]ActionFunc{
-		// err("fmt", args...): report a rule violation. %s directives
-		// are substituted with the remaining arguments in order.
-		"err": func(ctx *ActionCtx, args []metal.ActionArg) {
-			if len(args) == 0 {
-				return
+// verbs is the action library: metal's verbs (§3.2). Native Go code
+// extends a checker through its pattern callouts
+// (metal.Checker.Callouts), not with new verbs.
+var verbs = map[string]actionFunc{
+	// err("fmt", args...): report a rule violation. %s directives
+	// are substituted with the remaining arguments in order.
+	"err": func(ctx *ActionCtx, args []metal.ActionArg) {
+		if len(args) == 0 {
+			return
+		}
+		msg := ctx.argString(args[0])
+		for _, a := range args[1:] {
+			msg = strings.Replace(msg, "%s", ctx.argString(a), 1)
+		}
+		ctx.Engine.emitReport(ctx, msg)
+	},
+	// classify("SECURITY"|"ERROR"|"MINOR"): set the severity
+	// class for errors reported by this transition (§9).
+	"classify": func(ctx *ActionCtx, args []metal.ActionArg) {
+		if len(args) == 1 && args[0].IsStr {
+			ctx.Class = report.Class(args[0].Str)
+		}
+	},
+	// rule("fact") or rule(fn): set the grouping fact used by
+	// statistical ranking (§9).
+	"rule": func(ctx *ActionCtx, args []metal.ActionArg) {
+		if len(args) >= 1 {
+			parts := make([]string, len(args))
+			for i, a := range args {
+				parts[i] = ctx.argString(a)
 			}
-			msg := ctx.argString(args[0])
-			for _, a := range args[1:] {
-				msg = strings.Replace(msg, "%s", ctx.argString(a), 1)
+			ctx.Rule = strings.Join(parts, ":")
+		}
+	},
+	// example(fact...): count one successful rule check (§9
+	// z-statistic numerator input e).
+	"example": func(ctx *ActionCtx, args []metal.ActionArg) {
+		ctx.Engine.countRule(ctx.ruleName(args), true)
+	},
+	// violation(fact...): count one rule violation (c).
+	"violation": func(ctx *ActionCtx, args []metal.ActionArg) {
+		ctx.Engine.countRule(ctx.ruleName(args), false)
+	},
+	// annotate("SECURITY"): attach a path annotation; subsequent
+	// errors on this path inherit the class (§9 checker-specific
+	// ranking — the SECURITY/ERROR path annotator).
+	"annotate": func(ctx *ActionCtx, args []metal.ActionArg) {
+		if len(args) == 1 && args[0].IsStr {
+			ctx.State.setPathClass(report.Class(args[0].Str))
+		}
+	},
+	// kill_path(): stop traversing the current path — the
+	// path-kill composition idiom for panic-like functions (§3.2).
+	"kill_path": func(ctx *ActionCtx, args []metal.ActionArg) {
+		ctx.State.killPath = true
+	},
+	// mark_fn(fn, "key"): annotate the called function so
+	// composed checkers can see it (AST annotation composition,
+	// §3.2). fn must be bound to a call or a name.
+	"mark_fn": func(ctx *ActionCtx, args []metal.ActionArg) {
+		if len(args) != 2 || !args[1].IsStr {
+			return
+		}
+		name := calleeNameOf(ctx, args[0])
+		if name != "" {
+			ctx.Engine.MarkFn(name, args[1].Str)
+		}
+	},
+	// incr(v)/decr(v)/set_data(v, n): manipulate the instance's
+	// data value (the recursive-lock depth example of §3.2).
+	"incr": func(ctx *ActionCtx, args []metal.ActionArg) {
+		if in := ctx.firstInstance(args); in != nil {
+			in.Data++
+		}
+	},
+	"decr": func(ctx *ActionCtx, args []metal.ActionArg) {
+		if in := ctx.firstInstance(args); in != nil {
+			in.Data--
+		}
+	},
+	"set_data": func(ctx *ActionCtx, args []metal.ActionArg) {
+		if len(args) == 2 && args[1].IsInt {
+			if in := ctx.argInstance(args[0]); in != nil {
+				in.Data = args[1].Int
 			}
-			ctx.Engine.emitReport(ctx, msg)
-		},
-		// classify("SECURITY"|"ERROR"|"MINOR"): set the severity
-		// class for errors reported by this transition (§9).
-		"classify": func(ctx *ActionCtx, args []metal.ActionArg) {
-			if len(args) == 1 && args[0].IsStr {
-				ctx.Class = report.Class(args[0].Str)
-			}
-		},
-		// rule("fact") or rule(fn): set the grouping fact used by
-		// statistical ranking (§9).
-		"rule": func(ctx *ActionCtx, args []metal.ActionArg) {
-			if len(args) >= 1 {
-				parts := make([]string, len(args))
-				for i, a := range args {
-					parts[i] = ctx.argString(a)
-				}
-				ctx.Rule = strings.Join(parts, ":")
-			}
-		},
-		// example(fact...): count one successful rule check (§9
-		// z-statistic numerator input e).
-		"example": func(ctx *ActionCtx, args []metal.ActionArg) {
-			ctx.Engine.countRule(ctx.ruleName(args), true)
-		},
-		// violation(fact...): count one rule violation (c).
-		"violation": func(ctx *ActionCtx, args []metal.ActionArg) {
-			ctx.Engine.countRule(ctx.ruleName(args), false)
-		},
-		// annotate("SECURITY"): attach a path annotation; subsequent
-		// errors on this path inherit the class (§9 checker-specific
-		// ranking — the SECURITY/ERROR path annotator).
-		"annotate": func(ctx *ActionCtx, args []metal.ActionArg) {
-			if len(args) == 1 && args[0].IsStr {
-				ctx.State.setPathClass(report.Class(args[0].Str))
-			}
-		},
-		// kill_path(): stop traversing the current path — the
-		// path-kill composition idiom for panic-like functions (§3.2).
-		"kill_path": func(ctx *ActionCtx, args []metal.ActionArg) {
-			ctx.State.killPath = true
-		},
-		// mark_fn(fn, "key"): annotate the called function so
-		// composed checkers can see it (AST annotation composition,
-		// §3.2). fn must be bound to a call or a name.
-		"mark_fn": func(ctx *ActionCtx, args []metal.ActionArg) {
-			if len(args) != 2 || !args[1].IsStr {
-				return
-			}
-			name := calleeNameOf(ctx, args[0])
-			if name != "" {
-				ctx.Engine.MarkFn(name, args[1].Str)
-			}
-		},
-		// incr(v)/decr(v)/set_data(v, n): manipulate the instance's
-		// data value (the recursive-lock depth example of §3.2).
-		"incr": func(ctx *ActionCtx, args []metal.ActionArg) {
-			if in := ctx.firstInstance(args); in != nil {
-				in.Data++
-			}
-		},
-		"decr": func(ctx *ActionCtx, args []metal.ActionArg) {
-			if in := ctx.firstInstance(args); in != nil {
-				in.Data--
-			}
-		},
-		"set_data": func(ctx *ActionCtx, args []metal.ActionArg) {
-			if len(args) == 2 && args[1].IsInt {
-				if in := ctx.argInstance(args[0]); in != nil {
-					in.Data = args[1].Int
-				}
-			}
-		},
-		// check_data(v, lo, hi, "msg"): report when the data value
-		// leaves [lo, hi] — "If this depth ever went below 0 or
-		// exceeded a small constant, the extension would report an
-		// incorrect lock pairing" (§3.2).
-		"check_data": func(ctx *ActionCtx, args []metal.ActionArg) {
-			if len(args) != 4 || !args[1].IsInt || !args[2].IsInt || !args[3].IsStr {
-				return
-			}
-			in := ctx.argInstance(args[0])
-			if in == nil {
-				return
-			}
-			if in.Data < args[1].Int || in.Data > args[2].Int {
-				ctx.Engine.emitReport(ctx, fmt.Sprintf("%s (%s depth %d)", args[3].Str, ctx.Engine.intern.objs.name(in.obj), in.Data))
-			}
-		},
-		// note("text", args...): append a step to the instance's
-		// why-trace without reporting.
-		"note": func(ctx *ActionCtx, args []metal.ActionArg) {
-			if len(args) == 0 {
-				return
-			}
-			msg := ctx.argString(args[0])
-			for _, a := range args[1:] {
-				msg = strings.Replace(msg, "%s", ctx.argString(a), 1)
-			}
-			if ctx.Inst != nil {
-				ctx.Inst.trace = ctx.Inst.trace.push(fmt.Sprintf("%s: %s", ctx.Pos, msg))
-			}
-		},
-	}
+		}
+	},
+	// check_data(v, lo, hi, "msg"): report when the data value
+	// leaves [lo, hi] — "If this depth ever went below 0 or
+	// exceeded a small constant, the extension would report an
+	// incorrect lock pairing" (§3.2).
+	"check_data": func(ctx *ActionCtx, args []metal.ActionArg) {
+		if len(args) != 4 || !args[1].IsInt || !args[2].IsInt || !args[3].IsStr {
+			return
+		}
+		in := ctx.argInstance(args[0])
+		if in == nil {
+			return
+		}
+		if in.Data < args[1].Int || in.Data > args[2].Int {
+			ctx.Engine.emitReport(ctx, fmt.Sprintf("%s (%s depth %d)", args[3].Str, ctx.Engine.intern.objs.name(in.obj), in.Data))
+		}
+	},
+	// note("text", args...): append a step to the instance's
+	// why-trace without reporting.
+	"note": func(ctx *ActionCtx, args []metal.ActionArg) {
+		if len(args) == 0 {
+			return
+		}
+		msg := ctx.argString(args[0])
+		for _, a := range args[1:] {
+			msg = strings.Replace(msg, "%s", ctx.argString(a), 1)
+		}
+		if ctx.Inst != nil {
+			ctx.Inst.trace = ctx.Inst.trace.push(fmt.Sprintf("%s: %s", ctx.Pos, msg))
+		}
+	},
 }
 
 // ruleName builds the rule fact string from example()/violation()
@@ -258,7 +258,7 @@ func (en *Engine) runActions(ctx *ActionCtx, actions []metal.Action) {
 	for _, a := range actions {
 		switch a.Fn {
 		case "classify", "rule":
-			if fn, ok := en.actions[a.Fn]; ok {
+			if fn, ok := verbs[a.Fn]; ok {
 				fn(ctx, a.Args)
 			}
 		}
@@ -268,7 +268,7 @@ func (en *Engine) runActions(ctx *ActionCtx, actions []metal.Action) {
 		case "classify", "rule":
 			continue
 		}
-		if fn, ok := en.actions[a.Fn]; ok {
+		if fn, ok := verbs[a.Fn]; ok {
 			fn(ctx, a.Args)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -55,15 +56,14 @@ void f(int *p) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		en := NewEngine(p, c, DefaultOptions())
 		// mc_uses(v): the current point is a call mentioning v.
-		en.RegisterCallout("mc_uses", func(ctx *pattern.Ctx, args []pattern.CalloutArg) bool {
+		c.Callouts = pattern.Registry{"mc_uses": func(ctx *pattern.Ctx, args []pattern.CalloutArg) bool {
 			if len(args) != 1 || !args[0].Bound || args[0].Binding.Expr == nil {
 				return false
 			}
 			return ctx.Point != nil && cc.SubExprOf(args[0].Binding.Expr, ctx.Point)
-		})
-		rs := en.Run()
+		}}
+		rs := NewEngine(p, c, DefaultOptions()).RunContext(context.Background())
 		if i == 0 && rs.Len() != 1 {
 			t.Errorf("conservative checker should flag the printk idiom: %v", rs.Reports)
 		}
@@ -241,7 +241,7 @@ void b(void) { deprecated_api(); }
 		t.Fatal(err)
 	}
 	en := NewEngine(p, c, DefaultOptions())
-	rs := en.Run()
+	rs := en.RunContext(context.Background())
 	if rs.Len() != 2 {
 		t.Fatalf("reports = %v", rs.Reports)
 	}

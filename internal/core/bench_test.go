@@ -55,7 +55,7 @@ func BenchmarkBlockTraversal(b *testing.B) {
 	files, c := benchInputs(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		NewEngine(prog.Build(files...), c, DefaultOptions()).Run()
+		NewEngine(prog.Build(files...), c, DefaultOptions()).RunContext(context.Background())
 	}
 }
 
@@ -114,10 +114,12 @@ func BenchmarkCallRichTraversal(b *testing.B) {
 
 // callRichAllocCeiling bounds the heap allocations of one runCallRich.
 // It was set about 5 % above the measured 2,358 (go1.24; governed
-// 2,363); the run now measures 1,724 (governed 1,728, ~1,795 under
-// -race): 1,752 when the front end went lean, all of that fall in
-// prog.Build, which every run here pays, then 28 fewer when the engine
-// kept one FPP table and carved four-key fpSeen slots. The count
+// 2,363); the run now measures 1,660 (governed 1,663): 1,752 when the
+// front end went lean, all of that fall in prog.Build, which every run
+// here pays, then 28 fewer when the engine kept one FPP table and
+// carved four-key fpSeen slots (~1,795 under -race then), then 64 fewer
+// when each engine stopped copying the action verbs into a map of its
+// own. The count
 // repeats to the unit, so a regression in the per-path state (fpp.Env,
 // edge sets, fpSeen), in pattern dispatch (DESIGN.md §10.1), in what
 // prog.Build holds for every engine or in what the engine, the funcInfo

@@ -167,7 +167,7 @@ func newDispatch(checkers []*metal.Checker) *CompiledDispatch {
 		cd.firstEntry[ci] = int32(len(cd.entries))
 		init := metal.StateRef{Val: c.InitialGlobal()}
 		// A checker that overrides mc_is_call_to keeps the callout
-		// opaque (filterOf); Engine.RegisterCallout refuses the name.
+		// opaque (filterOf).
 		_, ownCallTo := c.Callouts["mc_is_call_to"]
 		for _, tr := range c.Transitions {
 			id := int32(len(cd.entries))
@@ -361,7 +361,7 @@ func (cd *CompiledDispatch) SkipRoot(ci int, root *prog.Function) bool {
 	}
 	ra := cd.rootAdmit[root.Index]
 	if ra == nil {
-		return false // RunRoots on a non-root: stay conservative
+		return false // a run rooted at a non-root: stay conservative
 	}
 	return !cd.canFire(ci, ra)
 }

@@ -7,6 +7,7 @@ package core
 // the output is identical.
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -184,7 +185,7 @@ func suiteEngines(p *prog.Program, cs []*metal.Checker, cd *CompiledDispatch) []
 	}
 	for _, phase := range PlanPhases(cs) {
 		for _, i := range phase {
-			engines[i].Run()
+			engines[i].RunContext(context.Background())
 		}
 	}
 	return engines
@@ -382,24 +383,8 @@ int reader(char *b) { my_gets(b); return 0; }
 	attached := NewEngine(p, c, DefaultOptions())
 	attached.SetCompiled(cd, 1)
 	alone := NewEngine(p, override(), DefaultOptions())
-	got, want := reportKeys(attached.Run()), reportKeys(alone.Run())
+	got, want := reportKeys(attached.RunContext(context.Background())), reportKeys(alone.RunContext(context.Background()))
 	if len(want) != 1 || !reflect.DeepEqual(got, want) {
 		t.Errorf("reports under the shared dispatch %v, with none attached %v; want the one my_gets report in both", got, want)
 	}
-}
-
-// TestRegisterCallToPanics: the compiled dispatch is shared by engines
-// and cannot see one engine's registry, so RegisterCallout refuses
-// mc_is_call_to and says where an override goes instead.
-func TestRegisterCallToPanics(t *testing.T) {
-	en := NewEngine(buildProg(t, map[string]string{"a.c": "int f(void) { return 0; }"}),
-		mustChecker(t, checkers.PanicMarker), DefaultOptions())
-	defer func() {
-		msg, _ := recover().(string)
-		if !strings.Contains(msg, "mc_is_call_to") || !strings.Contains(msg, "LoadCheckerWithCallouts") {
-			t.Errorf("RegisterCallout(mc_is_call_to) panicked with %q; want it to name the checker's Callouts", msg)
-		}
-	}()
-	en.RegisterCallout("mc_is_call_to", func(*pattern.Ctx, []pattern.CalloutArg) bool { return true })
-	t.Error("RegisterCallout(mc_is_call_to) returned")
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -45,7 +46,7 @@ func runWith(t *testing.T, p *prog.Program, checkerSrc string, opts Options) *re
 		t.Fatal(err)
 	}
 	en := NewEngine(p, c, opts)
-	return en.Run()
+	return en.RunContext(context.Background())
 }
 
 // rebuild re-assembles a fresh Program (fresh *Function identities, so
@@ -135,12 +136,12 @@ func TestCacheExampleCountsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	cached := NewEngine(rebuild(t, "examples", srcs), c, DefaultOptions())
-	cached.Run()
+	cached.RunContext(context.Background())
 	off := DefaultOptions()
 	off.BlockCache = false
 	off.FunctionCache = false
 	uncached := NewEngine(rebuild(t, "examples", srcs), c, off)
-	uncached.Run()
+	uncached.RunContext(context.Background())
 
 	rcC, rcU := cached.RuleStats["lock"], uncached.RuleStats["lock"]
 	if rcC == nil || rcU == nil {

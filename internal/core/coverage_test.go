@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/cc"
 	"repro/internal/metal"
+	"repro/internal/prog"
 	"repro/internal/report"
 )
 
@@ -18,12 +20,12 @@ int other(int *q) { kfree(q); return *q; }
 	p := buildProg(t, map[string]string{"r.c": src})
 	c, _ := parseChecker(freeChecker)
 	en := NewEngine(p, c, DefaultOptions())
-	rs := en.RunFunction("bad")
-	if rs.Len() != 1 || rs.Reports[0].Func != "bad" {
-		t.Errorf("RunFunction leaked beyond bad: %v", rs.Reports)
+	en.RunRootsContext(context.Background(), []*prog.Function{p.Lookup("bad")})
+	if rs := en.Reports; rs.Len() != 1 || rs.Reports[0].Func != "bad" {
+		t.Errorf("a run rooted at bad leaked beyond it: %v", rs.Reports)
 	}
-	if en.RunFunction("nosuch").Len() != 1 {
-		t.Error("unknown function should be a no-op")
+	if en.RunRootsContext(context.Background(), nil); en.Reports.Len() != 1 {
+		t.Error("a run with no roots should be a no-op")
 	}
 }
 
@@ -176,7 +178,7 @@ int entry(int *p) { helper(p); return *p; }
 	p := buildProg(t, map[string]string{"s.c": src})
 	c, _ := parseChecker(freeChecker)
 	en := NewEngine(p, c, DefaultOptions())
-	en.Run()
+	en.RunContext(context.Background())
 	out := en.SupergraphString("helper")
 	if !strings.Contains(out, "Entry to helper") || !strings.Contains(out, "block:") || !strings.Contains(out, "suffix:") {
 		t.Errorf("supergraph output:\n%s", out)
@@ -217,7 +219,7 @@ void f(int *p) { seed(p); }
 		t.Fatal(err)
 	}
 	en := NewEngine(p, c, DefaultOptions())
-	rs := en.Run()
+	rs := en.RunContext(context.Background())
 	if rs.Len() != 1 {
 		t.Fatalf("reports = %v", rs.Reports)
 	}
@@ -258,7 +260,7 @@ void f(void) { seed(); }
 	}
 	shared := NewShared()
 	en := NewEngineShared(p, c, DefaultOptions(), shared)
-	en.Run()
+	en.RunContext(context.Background())
 	if !shared.FnMarks["target"]["flagged"] {
 		t.Errorf("marks = %v", shared.FnMarks)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -39,7 +40,7 @@ func TestEngineDeterministicAcrossRuns(t *testing.T) {
 					t.Fatal(err)
 				}
 				en := NewEngine(p, c, DefaultOptions())
-				en.Run()
+				en.RunContext(context.Background())
 				seq := reportSeq(en)
 				if run == 0 {
 					first = seq
@@ -102,7 +103,7 @@ func TestEngineNeverPanics(t *testing.T) {
 						}
 					}()
 					en := NewEngine(p, c, opts)
-					en.Run()
+					en.RunContext(context.Background())
 				}()
 			}
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -278,8 +279,8 @@ int f(int *p, int n) {
 }
 
 func TestNativeGoExtension(t *testing.T) {
-	// The general-purpose escape: a custom action verb and a custom
-	// callout registered from Go (the paper's C-code escapes).
+	// The general-purpose escape: a callout written in Go, the
+	// checker's own (the paper's C-code escapes).
 	src := `
 void audit_log(int level, const char *msg);
 void f(void) {
@@ -293,33 +294,28 @@ decl any_expr msg;
 
 start:
     { audit_log(lvl, msg) } && ${ my_level_above(lvl, 5) } ==> start,
-        { my_record(lvl); err("noisy audit at level %s", mc_identifier(lvl)); }
+        { err("noisy audit at level %s", mc_identifier(lvl)); }
 ;`
 	p := buildProg(t, map[string]string{"a.c": src})
 	c, err := metal.Parse(checkerSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	en := NewEngine(p, c, DefaultOptions())
-	var recorded []string
-	en.RegisterCallout("my_level_above", func(ctx *pattern.Ctx, args []pattern.CalloutArg) bool {
+	var asked []string
+	c.Callouts = pattern.Registry{"my_level_above": func(ctx *pattern.Ctx, args []pattern.CalloutArg) bool {
 		if len(args) != 2 || !args[0].Bound || !args[1].IsInt {
 			return false
 		}
+		asked = append(asked, args[0].Binding.String())
 		v, ok := cc.ConstEval(args[0].Binding.Expr)
 		return ok && v > args[1].Int
-	})
-	en.RegisterAction("my_record", func(ctx *ActionCtx, args []metal.ActionArg) {
-		if len(args) == 1 {
-			recorded = append(recorded, ctx.argString(args[0]))
-		}
-	})
-	rs := en.Run()
+	}}
+	rs := NewEngine(p, c, DefaultOptions()).RunContext(context.Background())
 	if rs.Len() != 1 || !strings.Contains(rs.Reports[0].Msg, "level 9") {
-		t.Errorf("custom callout/action: %v", rs.Reports)
+		t.Errorf("custom callout: %v", rs.Reports)
 	}
-	if len(recorded) != 1 || recorded[0] != "9" {
-		t.Errorf("custom action recorded %v", recorded)
+	if strings.Join(asked, " ") != "9 1" {
+		t.Errorf("custom callout asked about levels %v, want 9 1", asked)
 	}
 }
 
@@ -472,9 +468,9 @@ int entry(int *p, int n) {
 // TestMaxPartitionsCap: a callee that leaves five objects in two
 // states each has 2^5 = 32 disjoint exit states; the caller continues
 // from exactly 16 of them (maxPartitions, §6.3 step 5) and drops the
-// rest, which degrades the run. tick() counts the continuations that
-// reach mark(); the block cache is off so that none of them stops
-// early, covered by another.
+// rest, which degrades the run. The tick callout counts the
+// continuations that reach mark(); the block cache is off so that none
+// of them stops early, covered by another.
 func TestMaxPartitionsCap(t *testing.T) {
 	checkerSrc := `
 sm two_way;
@@ -482,7 +478,7 @@ state decl any_pointer v;
 
 start:
     { begin(v) } ==> v.s0
-  | { mark() }   ==> start, { tick(); }
+  | { mark() } && ${ tick() } ==> start
 ;
 
 v.s0:
@@ -508,12 +504,12 @@ void entry(int *a, int *b, int *c, int *d, int *e, int x) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ticks := 0
+	c.Callouts = pattern.Registry{"tick": func(*pattern.Ctx, []pattern.CalloutArg) bool { ticks++; return true }}
 	opts := DefaultOptions()
 	opts.BlockCache = false
 	en := NewEngine(buildProg(t, map[string]string{"p.c": src}), c, opts)
-	ticks := 0
-	en.RegisterAction("tick", func(*ActionCtx, []metal.ActionArg) { ticks++ })
-	en.Run()
+	en.RunContext(context.Background())
 	if ticks != 16 {
 		t.Errorf("caller continued from %d of the callee's 32 exit states, want the cap, 16", ticks)
 	}

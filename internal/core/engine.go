@@ -182,7 +182,6 @@ type Engine struct {
 	// evicted the last of them the table is emptied for the next unit
 	// (stream.go).
 	terms     fpp.Table
-	actions   map[string]ActionFunc
 	callouts  pattern.Registry
 	nextGroup int
 	// intern numbers the checker's state symbols and the tracked
@@ -256,7 +255,6 @@ func NewEngineShared(p *prog.Program, c *metal.Checker, opts Options, shared *Sh
 		RuleStats: map[string]*RuleCount{},
 		shared:    shared,
 		funcs:     make([]*funcInfo, len(p.All)),
-		actions:   builtinActions(),
 		intern:    newInterner(),
 		backtrace: make([]traceEntry, 0, stackInitCap),
 		callStack: make([]*prog.Function, 0, stackInitCap),
@@ -319,23 +317,6 @@ func (en *Engine) ensureCompiled() {
 	}
 }
 
-// RegisterAction installs a custom action verb (general-purpose escape
-// for native Go checkers).
-func (en *Engine) RegisterAction(name string, fn ActionFunc) { en.actions[name] = fn }
-
-// RegisterCallout installs a custom pattern callout. mc_is_call_to is
-// refused: the compiled dispatch, shared by engines, reads the builtin's
-// meaning into its callee index (filterOf) and cannot see one engine's
-// registry. A checker overrides it in its own Callouts instead
-// (mc.Analyzer.LoadCheckerWithCallouts), which the dispatch does see.
-func (en *Engine) RegisterCallout(name string, fn pattern.CalloutFunc) {
-	if name == "mc_is_call_to" {
-		panic("core: RegisterCallout: mc_is_call_to is keyed by the compiled dispatch; " +
-			"override it in the checker's Callouts (metal.Checker.Callouts, mc.Analyzer.LoadCheckerWithCallouts) instead")
-	}
-	en.callouts[name] = fn
-}
-
 // MarkFn annotates a function name with a composition flag. The mark
 // is also appended to the engine's MarkLog for cache replay.
 func (en *Engine) MarkFn(name, key string) {
@@ -370,22 +351,6 @@ func (en *Engine) funcInfo(fn *prog.Function) *funcInfo {
 // Analyses returns how many times the named function's traversal was
 // started (experiment E2).
 func (en *Engine) Analyses(name string) int { return en.Stats.Analyses[name] }
-
-// Run applies the checker to the whole program, starting a DFS at each
-// callgraph root (§2.1, §6).
-func (en *Engine) Run() *report.Set {
-	en.RunRoots(en.Prog.Roots)
-	return en.Reports
-}
-
-// RunFunction applies the checker to a single function (used by
-// intraprocedural checkers and tests).
-func (en *Engine) RunFunction(name string) *report.Set {
-	if fn := en.Prog.Lookup(name); fn != nil {
-		en.RunRoots([]*prog.Function{fn})
-	}
-	return en.Reports
-}
 
 // ---------------------------------------------------------------------------
 // Path state

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -64,7 +65,7 @@ func runChecker(t *testing.T, checkerSrc string, srcs map[string]string, opts Op
 		t.Fatalf("checker: %v", err)
 	}
 	en := NewEngine(p, c, opts)
-	return en, en.Run()
+	return en, en.RunContext(context.Background())
 }
 
 func reportLines(rs *report.Set) []int {

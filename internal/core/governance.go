@@ -201,19 +201,22 @@ func (en *Engine) overBudget(st *pathState, b *cfg.Block) bool {
 	return false
 }
 
-// RunContext applies the checker to the whole program under a
-// context: cancellation or deadline expiry stops the traversal at the
-// next poll, records a DegradeCancelled event, and returns whatever
-// reports were emitted so far.
+// RunContext applies the checker to the whole program, starting a DFS
+// at each callgraph root (§2.1, §6), under a context: cancellation or
+// deadline expiry stops the traversal at the next poll, records a
+// DegradeCancelled event, and returns whatever reports were emitted so
+// far.
 func (en *Engine) RunContext(ctx context.Context) *report.Set {
 	en.RunRootsContext(ctx, en.Prog.Roots)
 	return en.Reports
 }
 
-// RunRootsContext is RunRoots under a context, with per-checker panic
-// containment: a panic in a metal action or Go callout stops this
-// checker (recording en.Failure with the panic value and stack) but
-// leaves already-emitted reports intact and the process alive.
+// RunRootsContext applies the checker to the given roots in order
+// under a context, recording the report segment each root contributed;
+// running all of Prog.Roots is RunContext. A panic in a metal action or
+// Go callout stops this checker (recording en.Failure with the panic
+// value and stack) but leaves already-emitted reports intact and the
+// process alive.
 func (en *Engine) RunRootsContext(ctx context.Context, roots []*prog.Function) []RootRun {
 	if ctx != nil && ctx.Done() != nil {
 		en.runCtx = ctx

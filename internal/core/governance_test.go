@@ -11,12 +11,13 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/metal"
+	"repro/internal/pattern"
 	"repro/internal/workload"
 )
 
-// crashyChecker reports use-after-free normally but invokes the
-// custom "explode" action when it sees boom(v) on a freed pointer.
+// crashyChecker reports use-after-free normally but calls the Go
+// callout explode (crashyCallouts) when it sees boom(v) on a freed
+// pointer.
 const crashyChecker = `
 sm crashy;
 state decl any_pointer v;
@@ -27,7 +28,7 @@ start:
 
 v.freed:
     { *v }       ==> v.stop, { err("use after free of %s", mc_identifier(v)); }
-  | { boom(v) }  ==> v.stop, { explode(); }
+  | { boom(v) } && ${ explode() } ==> v.stop
 ;
 `
 
@@ -51,14 +52,15 @@ func newCrashyEngine(t *testing.T, opts Options) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	en := NewEngine(p, c, opts)
-	en.RegisterAction("explode", func(ctx *ActionCtx, args []metal.ActionArg) {
-		panic("checker bug: explode() fired")
-	})
-	return en
+	c.Callouts = crashyCallouts
+	return NewEngine(p, c, opts)
 }
 
-// TestPanicContainedKeepsEarlierReports: a panicking action becomes a
+var crashyCallouts = pattern.Registry{"explode": func(*pattern.Ctx, []pattern.CalloutArg) bool {
+	panic("checker bug: explode() fired")
+}}
+
+// TestPanicContainedKeepsEarlierReports: a panicking callout becomes a
 // structured CheckerFailure; the reports emitted before the crash
 // survive and the process stays alive.
 func TestPanicContainedKeepsEarlierReports(t *testing.T) {
@@ -109,10 +111,8 @@ int never_reached(int *p) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.Callouts = crashyCallouts
 	en := NewEngine(p, c, DefaultOptions())
-	en.RegisterAction("explode", func(ctx *ActionCtx, args []metal.ActionArg) {
-		panic("checker bug: explode() fired")
-	})
 	runs := en.RunRootsContext(context.Background(), en.Prog.Roots)
 	if en.Failure == nil {
 		t.Fatal("no CheckerFailure recorded")
@@ -318,7 +318,7 @@ func TestPreCancelledContextStopsPromptly(t *testing.T) {
 }
 
 // TestCancelMidTraversal: a cancel fired from inside the traversal (a
-// registered action, standing in for an external caller) stops the
+// checker callout, standing in for an external caller) stops the
 // engine within one poll interval instead of finishing the
 // exponential exploration.
 func TestCancelMidTraversal(t *testing.T) {
@@ -327,15 +327,15 @@ func TestCancelMidTraversal(t *testing.T) {
 	c, err := parseChecker(`
 sm tripper;
 state decl any_pointer v;
-start: { kfree(v) } ==> v.freed, { trip(); };
+start: { kfree(v) } && ${ trip() } ==> v.freed;
 `)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	c.Callouts = pattern.Registry{"trip": func(*pattern.Ctx, []pattern.CalloutArg) bool { cancel(); return true }}
 	en := NewEngine(p, c, explosionOpts())
-	en.RegisterAction("trip", func(actx *ActionCtx, args []metal.ActionArg) { cancel() })
 	en.RunContext(ctx)
 	if !en.Degraded() || !hasKind(en, DegradeCancelled) {
 		t.Fatalf("mid-run cancel not recorded: %v", en.Degradations)

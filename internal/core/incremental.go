@@ -10,7 +10,6 @@ package core
 // left (see its section below).
 
 import (
-	"context"
 	"sort"
 	"strings"
 
@@ -21,20 +20,10 @@ import (
 
 // RootRun is one call-graph root's traversal output: the reports the
 // DFS starting at that root added (deduplicated against everything the
-// engine emitted earlier, exactly as the plain Run loop would).
+// engine emitted earlier, exactly as RunContext's loop would).
 type RootRun struct {
 	Root    *prog.Function
 	Reports []*report.Report
-}
-
-// RunRoots applies the checker to the given roots in order, recording
-// the report segment each root contributed. Running all of
-// Prog.Roots through RunRoots is behavior-identical to Run — Run is
-// implemented on top of it. Panic containment and budgets apply (see
-// governance.go); pass a context via RunRootsContext for
-// cancellation.
-func (en *Engine) RunRoots(roots []*prog.Function) []RootRun {
-	return en.RunRootsContext(context.Background(), roots)
 }
 
 // UnitCut is what an engine accumulated while running one unit's roots:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"reflect"
 	"slices"
@@ -34,10 +35,10 @@ func incrEngine(t *testing.T) (*Engine, *prog.Program) {
 
 func TestRunRootsMatchesRun(t *testing.T) {
 	en1, _ := incrEngine(t)
-	plain := en1.Run()
+	plain := en1.RunContext(context.Background())
 
 	en2, p := incrEngine(t)
-	runs := en2.RunRoots(p.Roots)
+	runs := en2.RunRootsContext(context.Background(), p.Roots)
 	if len(runs) != len(p.Roots) {
 		t.Fatalf("got %d root runs, want %d", len(runs), len(p.Roots))
 	}
@@ -78,7 +79,7 @@ func TestSharedSnapshotDeterministic(t *testing.T) {
 
 func TestSummaryExportImportRoundTrip(t *testing.T) {
 	en, p := incrEngine(t)
-	en.Run()
+	en.RunContext(context.Background())
 
 	sd := en.ExportSummaries(p.All)
 	data, err := json.Marshal(sd)
@@ -122,7 +123,7 @@ void take(int *l) { spin_lock(l); }
 int f(int *l, int n) { kfree(l); take(l); return n; }
 `})
 	lock := NewEngine(p, mustChecker(t, checkers.Lock), DefaultOptions())
-	lock.Run()
+	lock.RunContext(context.Background())
 	sd := lock.ExportSummaries([]*prog.Function{p.Lookup("take")})
 
 	free := NewEngine(p, mustChecker(t, checkers.Free), DefaultOptions())
@@ -146,7 +147,7 @@ int f(int *l, int n) { kfree(l); take(l); return n; }
 	if got := free.ExportSummaries([]*prog.Function{p.Lookup("take")}); !reflect.DeepEqual(got, sd) {
 		t.Errorf("re-export differs from the imported record:\ngot  %+v\nwant %+v", got, sd)
 	}
-	free.Run()
+	free.RunContext(context.Background())
 	if !strings.Contains(free.SupergraphString("f"), "(start,l:l->unknown) --> (start,l:l->locked)") {
 		t.Errorf("the call to take restored no lock instance into f:\n%s", free.SupergraphString("f"))
 	}
@@ -174,7 +175,7 @@ start:
 		t.Fatal(err)
 	}
 	en := NewEngine(p, c, DefaultOptions())
-	en.Run()
+	en.RunContext(context.Background())
 	found := false
 	for _, ev := range en.MarkLog {
 		if ev.Name == "panic" && ev.Key == "pathkill" {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -118,13 +119,13 @@ func TestInternerStableAcrossRuns(t *testing.T) {
 		}
 		return [6]int{len(in.ids), len(in.tups), len(in.strs), rendered, len(in.objs.strs), len(in.vals.strs)}
 	}
-	en.RunRoots(p.Roots)
+	en.RunRootsContext(context.Background(), p.Roots)
 	first := size()
 	if first[0] == 0 || first[3] == 0 {
 		t.Fatalf("first run interned %d tuples and rendered %d; workload too small to test growth", first[0], first[3])
 	}
 	for i := 0; i < 5; i++ {
-		en.RunRoots(p.Roots)
+		en.RunRootsContext(context.Background(), p.Roots)
 		if got := size(); got != first {
 			t.Fatalf("run %d: ids, tups, strs, rendered, objs, vals = %v, after the first run %v; a resident tree must not grow them",
 				i+2, got, first)

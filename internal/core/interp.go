@@ -365,18 +365,3 @@ func (en *Engine) restoreInstance(t Tuple, maps []prog.ArgMap, caller, callee *p
 	en.classifyScope(caller, inst)
 	return inst
 }
-
-// BlockFor finds a block by comment prefix (test helper for Figure 5
-// style assertions).
-func (en *Engine) BlockFor(fnName, commentPrefix string) *cfg.Block {
-	fn := en.Prog.Lookup(fnName)
-	if fn == nil {
-		return nil
-	}
-	for _, b := range fn.Graph.Blocks {
-		if strings.HasPrefix(b.Comment(), commentPrefix) {
-			return b
-		}
-	}
-	return nil
-}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"slices"
 	"strings"
 	"testing"
@@ -327,7 +328,7 @@ int f(int *p, int c) {
 			t.Fatal(err)
 		}
 		en := NewEngineShared(p, c, DefaultOptions(), shared)
-		rs := en.Run()
+		rs := en.RunContext(context.Background())
 		if c.Name == "free_nopanic" && rs.Len() != 0 {
 			t.Errorf("path after panic should be killed; got %v", rs.Reports)
 		}

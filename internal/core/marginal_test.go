@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -26,7 +27,7 @@ func marginalAllocs(t *testing.T, gen func(n int) string, small, large int) (per
 		allocs := testing.AllocsPerRun(5, func() {
 			en := NewEngine(p, free, DefaultOptions())
 			en.SetCompiled(cd, 0)
-			if len(en.Run().Reports) != 0 {
+			if len(en.RunContext(context.Background()).Reports) != 0 {
 				t.Fatal("the checker fired")
 			}
 			stats = en.Stats

@@ -13,9 +13,10 @@ import "repro/internal/metal"
 // concurrency.
 
 // annotatorOf reports whether the checker writes shared annotations.
-// Checkers with custom Go callouts are treated as writers too: native
-// code can reach the engine through RegisterAction/RegisterCallout in
-// ways the planner cannot inspect, so it is scheduled conservatively.
+// Checkers with Go callouts (metal.Checker.Callouts, the one way native
+// code enters the engine) are treated as writers too: the planner
+// cannot inspect what they read or write, so they are scheduled
+// conservatively.
 func annotatorOf(c *metal.Checker) bool {
 	return c.UsesAction("mark_fn") || len(c.Callouts) > 0
 }
@@ -43,7 +44,8 @@ func consumerOf(c *metal.Checker) bool {
 //
 // Annotation writes are idempotent boolean sets, so annotators commute
 // with each other; consumers only read and commute trivially. Checkers
-// that do neither join any phase.
+// that do neither join any phase; a checker carrying Go callouts counts
+// as both.
 func PlanPhases(cs []*metal.Checker) [][]int {
 	var phases [][]int
 	var cur []int

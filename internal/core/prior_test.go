@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -74,7 +75,7 @@ func spied(t *testing.T, srcs map[string]string, suite []*metal.Checker) (objs m
 			tr.Pat = priorSpy{Pattern: tr.Pat, t: t, tr: tr, en: &en, objs: objs}
 		}
 		en = NewEngineShared(p, c, DefaultOptions(), shared)
-		for _, r := range en.Run().Reports {
+		for _, r := range en.RunContext(context.Background()).Reports {
 			reports = append(reports, r.Msg)
 		}
 	}

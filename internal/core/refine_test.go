@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/cc"
+	"repro/internal/cfg"
 )
 
 // TestTable2RefineRestore is experiment T2: each row of Table 2,
@@ -247,7 +249,7 @@ func TestFig5Summaries(t *testing.T) {
 
 	// B2 in the paper: the "kfree(p);" block of contrived_caller.
 	// Block summary: (start,v:p->unknown) --> (start,v:p->freed)
-	b2 := en.BlockFor("contrived_caller", "kfree(p)")
+	b2 := blockFor(en, "contrived_caller", "kfree(p)")
 	if b2 == nil {
 		t.Fatal("kfree(p) block not found")
 	}
@@ -264,14 +266,14 @@ func TestFig5Summaries(t *testing.T) {
 	// gives each statement its own block; the kfree(w) block must have
 	// the add edge for w, and the p = 0 block the kill edge
 	// (start,v:p->freed) --> (start,v:p->stop).
-	bw := en.BlockFor("contrived", "kfree(w)")
+	bw := blockFor(en, "contrived", "kfree(w)")
 	if bw == nil {
 		t.Fatal("kfree(w) block not found")
 	}
 	if bs := en.BlockSummaryString("contrived", bw); !strings.Contains(bs, "(start,v:w->unknown) --> (start,v:w->freed)") {
 		t.Errorf("kfree(w) block summary = %q", bs)
 	}
-	bp := en.BlockFor("contrived", "p = 0")
+	bp := blockFor(en, "contrived", "p = 0")
 	if bp == nil {
 		t.Fatal("p = 0 block not found")
 	}
@@ -318,7 +320,7 @@ func TestRelaxIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	en := NewEngine(p, c, DefaultOptions())
-	en.Run()
+	en.RunContext(context.Background())
 	count := func() int {
 		total := 0
 		for _, fn := range p.All {
@@ -331,8 +333,23 @@ func TestRelaxIdempotent(t *testing.T) {
 		return total
 	}
 	first := count()
-	en.Run()
+	en.RunContext(context.Background())
 	if second := count(); second != first {
 		t.Errorf("summary edges grew on re-run: %d -> %d", first, second)
 	}
+}
+
+// blockFor finds a block of the named function by the prefix of its
+// comment (Figure 5 style assertions).
+func blockFor(en *Engine, fnName, commentPrefix string) *cfg.Block {
+	fn := en.Prog.Lookup(fnName)
+	if fn == nil {
+		return nil
+	}
+	for _, b := range fn.Graph.Blocks {
+		if strings.HasPrefix(b.Comment(), commentPrefix) {
+			return b
+		}
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"reflect"
@@ -55,7 +56,7 @@ func TestRootOrderFinding4(t *testing.T) {
 				union := map[string]bool{}
 				for _, root := range p.Roots {
 					en := NewEngine(p, free, opts)
-					en.RunRoots([]*prog.Function{root})
+					en.RunRootsContext(context.Background(), []*prog.Function{root})
 					for _, k := range keys(en) {
 						union[k] = true
 					}
@@ -70,7 +71,7 @@ func TestRootOrderFinding4(t *testing.T) {
 				}
 
 				shared := NewEngine(p, free, opts)
-				shared.Run()
+				shared.RunContext(context.Background())
 				var missing []string
 				got := keys(shared)
 				for _, k := range got {

@@ -26,7 +26,7 @@ func TestStreamingRunMatchesInMemory(t *testing.T) {
 
 	plainProg := rebuild(t, "stream-plain", srcs)
 	plain := NewEngine(plainProg, mustTestChecker(t, "lock"), DefaultOptions())
-	plainReports := reportKeys(plain.Run())
+	plainReports := reportKeys(plain.RunContext(context.Background()))
 	if len(plainReports) == 0 {
 		t.Fatal("in-memory run produced no reports; workload regressed")
 	}
@@ -38,7 +38,7 @@ func TestStreamingRunMatchesInMemory(t *testing.T) {
 	en.SetRetire(func(u *prog.Unit) {
 		retired = append(retired, u.Funcs...)
 	})
-	got := reportKeys(en.Run())
+	got := reportKeys(en.RunContext(context.Background()))
 
 	if !equalKeys(got, plainReports) {
 		t.Errorf("retirement changed reports:\n  resident: %v\n  retiring: %v", plainReports, got)
@@ -180,7 +180,7 @@ func TestRetirementDropsFPPState(t *testing.T) {
 	}
 
 	resident := NewEngine(rebuild(t, "fpp-resident", srcs), mustTestChecker(t, "free"), DefaultOptions())
-	resident.Run()
+	resident.RunContext(context.Background())
 	if terms, fps := resident.terms.Len(); terms == 0 || fps == 0 || seenKeys(resident) == 0 {
 		t.Fatalf("resident run holds terms=%d fingerprints=%d fpSeen=%d; the tree no longer exercises FPP", terms, fps, seenKeys(resident))
 	}
@@ -194,7 +194,7 @@ func TestRetirementDropsFPPState(t *testing.T) {
 	p := rebuild(t, "fpp-stream", srcs)
 	en := NewEngine(p, mustTestChecker(t, "free"), DefaultOptions())
 	en.SetRetire(nil)
-	en.Run()
+	en.RunContext(context.Background())
 	if n := liveFuncInfos(en); n != 0 || en.liveFuncs != 0 {
 		t.Fatalf("%d funcInfo blocks (counted %d) survived full retirement", n, en.liveFuncs)
 	}
@@ -226,7 +226,7 @@ func TestRetirementDropsFPPState(t *testing.T) {
 	var fppUnits []*prog.Unit
 	for _, u := range p.Units() {
 		alone := NewEngine(p, mustTestChecker(t, "free"), DefaultOptions())
-		alone.RunRoots(u.Roots)
+		alone.RunRootsContext(context.Background(), u.Roots)
 		if len(fpSeenOf(alone, u)) > 0 {
 			fppUnits = append(fppUnits, u)
 		}
@@ -237,14 +237,14 @@ func TestRetirementDropsFPPState(t *testing.T) {
 	a, b := fppUnits[0], fppUnits[1]
 	shared := NewEngine(p, mustTestChecker(t, "free"), DefaultOptions())
 	shared.SetRetire(nil)
-	shared.RunRoots(a.Roots)
+	shared.RunRootsContext(context.Background(), a.Roots)
 	if shared.Evictions == 0 || shared.liveFuncs != 0 {
 		t.Fatalf("unit A did not retire: %d evictions, %d live funcInfos", shared.Evictions, shared.liveFuncs)
 	}
 	shared.rootsRun = nil
-	shared.RunRoots(b.Roots)
+	shared.RunRootsContext(context.Background(), b.Roots)
 	fresh := NewEngine(p, mustTestChecker(t, "free"), DefaultOptions())
-	fresh.RunRoots(b.Roots)
+	fresh.RunRootsContext(context.Background(), b.Roots)
 	got, want := fpSeenOf(shared, b), fpSeenOf(fresh, b)
 	if !slices.Equal(got, want) {
 		t.Errorf("after unit A, unit B's fpSeen sets are\n  %v\nalone they are\n  %v", got, want)
@@ -267,7 +267,7 @@ func TestReleasedBodyRendersEmpty(t *testing.T) {
 	}
 	p := prog.Build(files...)
 	en := NewEngine(p, mustTestChecker(t, "lock"), DefaultOptions())
-	en.Run()
+	en.RunContext(context.Background())
 	fn := p.All[0]
 	decl, id := files[0].Funcs()[0], prog.FuncID(fn)
 	if decl.Name != fn.Name || decl.Body == nil {
@@ -443,7 +443,7 @@ func TestRetireEmpty(t *testing.T) {
 	}
 	p := rebuild(t, "retire-resident", map[string]string{"r.c": retireSrc})
 	resident := NewEngine(p, mustTestChecker(t, "free"), DefaultOptions())
-	resident.Run()
+	resident.RunContext(context.Background())
 	if resident.Evictions != 0 || liveFuncInfos(resident) == 0 {
 		t.Errorf("a resident engine evicted %d blocks", resident.Evictions)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"os"
@@ -101,7 +102,7 @@ func digestRun(t *testing.T, tree digestTree, visit func(p *prog.Program, en *En
 	for i, c := range suite {
 		en := NewEngineShared(p, c, DefaultOptions(), shared)
 		en.SetCompiled(cd, i)
-		en.Run()
+		en.RunContext(context.Background())
 		visit(p, en)
 	}
 }

@@ -3,8 +3,6 @@ package fpp
 import (
 	"fmt"
 	"testing"
-
-	"repro/internal/cc"
 )
 
 func TestEvalArithmeticOperators(t *testing.T) {
@@ -78,39 +76,6 @@ func TestConstOfThroughClasses(t *testing.T) {
 	}
 	if v, ok := e.constOf(expr(t, "4 + 4")); !ok || v != 8 {
 		t.Errorf("constOf(4+4) = %d, %v", v, ok)
-	}
-}
-
-func TestHavocStatementForms(t *testing.T) {
-	// Every statement form walks without panics and havocs its
-	// assignments.
-	body, err := cc.ParseStmtString(`{
-    int z = 1;
-    i = i + 1;
-    j++;
-    while (i < 10) { i = i * 2; }
-    do { k--; } while (k);
-    for (m = 0; m < 3; m++) { n = m; }
-    switch (i) { case 1: q = 1; break; default: r = 2; }
-    if (i) s = 1; else s2 = 2;
-    lbl: t1 = 0;
-    return i;
-}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewEnv()
-	for _, v := range []string{"i", "j", "k", "m", "n", "q", "r", "s", "s2", "t1", "z", "keep"} {
-		e.Assign(expr(t, v), expr(t, "7"))
-	}
-	e.HavocAssigned(body)
-	for _, v := range []string{"i", "j", "k", "m", "n", "q", "r", "s", "s2", "t1", "z"} {
-		if got := e.EvalCond(expr(t, v+" == 7")); got != Unknown {
-			t.Errorf("%s should be havocked, got %v", v, got)
-		}
-	}
-	if got := e.EvalCond(expr(t, "keep == 7")); got != MustTrue {
-		t.Errorf("keep should survive havoc, got %v", got)
 	}
 }
 

@@ -30,16 +30,7 @@ var (
 		"(long)a", "s.f", "p->f", "p->f.g", "buf[a]", "buf[1]", "*p", "&a",
 		"f(a)", "a ? b : c", "a == b", "c < 5",
 	)
-	diffRels  = []cc.TokKind{cc.TokEq, cc.TokNe, cc.TokLt, cc.TokGt, cc.TokLe, cc.TokGe}
-	diffStmts = mustStmts(
-		"a = 1;",
-		"{ a = b; c++; }",
-		"while (a < 10) { a = a * 2; --d; }",
-		"for (b = 0; b < 3; b++) { c = b; }",
-		"{ int d = 1; if (a) b = 2; else c = 3; }",
-		"switch (a) { case 1: b = 1; break; default: c = 2; }",
-		"do { p->f = 1; d--; } while (d);",
-	)
+	diffRels = []cc.TokKind{cc.TokEq, cc.TokNe, cc.TokLt, cc.TokGt, cc.TokLe, cc.TokGe}
 )
 
 func mustExprs(srcs ...string) []cc.Expr {
@@ -50,18 +41,6 @@ func mustExprs(srcs ...string) []cc.Expr {
 			panic(s + ": " + err.Error())
 		}
 		out[i] = e
-	}
-	return out
-}
-
-func mustStmts(srcs ...string) []cc.Stmt {
-	out := make([]cc.Stmt, len(srcs))
-	for i, s := range srcs {
-		st, err := cc.ParseStmtString(s)
-		if err != nil {
-			panic(s + ": " + err.Error())
-		}
-		out[i] = st
 	}
 	return out
 }
@@ -183,7 +162,7 @@ func runOps(t testing.TB, tab *Table, data []byte) []fpPair {
 
 	for step := 0; pos < len(data); step++ {
 		p := envs[next()%len(envs)]
-		switch op := next() % 9; op {
+		switch op := next() % 8; op {
 		case 0:
 			lhs := &cc.Ident{Name: diffVars[next()%len(diffVars)]}
 			rhs := pick()
@@ -194,35 +173,31 @@ func runOps(t testing.TB, tab *Table, data []byte) []fpPair {
 			p.got.Havoc(v)
 			p.ref.Havoc(v)
 		case 2:
-			s := diffStmts[next()%len(diffStmts)]
-			p.got.HavocAssigned(s)
-			p.ref.HavocAssigned(s)
-		case 3:
 			c, truth := cond(0), next()%2 == 1
 			p.got.AssumeCond(c, truth)
 			p.ref.AssumeCond(c, truth)
-		case 4, 5:
+		case 3, 4:
 			tag, val := pick(), int64(next()%7-2)
-			if op == 4 {
+			if op == 3 {
 				p.got.AssumeCase(tag, val)
 				p.ref.AssumeCase(tag, val)
 			} else {
 				p.got.AssumeNotCase(tag, val)
 				p.ref.AssumeNotCase(tag, val)
 			}
-		case 6:
+		case 5:
 			c := cond(0)
 			if g, w := p.got.EvalCond(c), p.ref.EvalCond(c); g != w {
 				t.Fatalf("step %d: EvalCond(%s) = %v, reference %v", step, cc.ExprString(c), g, w)
 			}
-		case 7:
+		case 6:
 			if len(envs) < diffMaxEnvs {
 				warm.CopyFrom(p.got)
 				got := new(Env)
 				got.CopyFrom(&warm)
 				envs = append(envs, envPair{got, p.ref.Clone()})
 			}
-		case 8:
+		case 7:
 			x := pick()
 			id, w := p.got.term(x), p.ref.term(x)
 			if g := p.got.render(id); g != w {

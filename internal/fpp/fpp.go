@@ -251,85 +251,9 @@ func (e *Env) Assign(lhs, rhs cc.Expr) {
 	}
 }
 
-// Havoc invalidates a variable (used for loop bodies, §8 step 3, and
-// address-taken escapes).
+// Havoc invalidates a variable: an increment or compound update, or an
+// address passed to a call.
 func (e *Env) Havoc(name string) { e.bump(e.tab.nameID(name)) }
-
-// HavocAssigned havocs every variable assigned anywhere in the
-// statement (loop bodies): "we set the value of all variables defined
-// in the loop to unknown after the loop body".
-func (e *Env) HavocAssigned(stmts ...cc.Stmt) {
-	for _, s := range stmts {
-		havocStmt(e, s)
-	}
-}
-
-func havocStmt(e *Env, s cc.Stmt) {
-	switch s := s.(type) {
-	case *cc.ExprStmt:
-		havocExpr(e, s.X)
-	case *cc.DeclStmt:
-		for _, d := range s.Decls {
-			e.Havoc(d.Name)
-		}
-	case *cc.CompoundStmt:
-		for _, c := range s.List {
-			havocStmt(e, c)
-		}
-	case *cc.IfStmt:
-		havocExpr(e, s.Cond)
-		havocStmt(e, s.Then)
-		if s.Else != nil {
-			havocStmt(e, s.Else)
-		}
-	case *cc.WhileStmt:
-		havocExpr(e, s.Cond)
-		havocStmt(e, s.Body)
-	case *cc.DoWhileStmt:
-		havocStmt(e, s.Body)
-		havocExpr(e, s.Cond)
-	case *cc.ForStmt:
-		if s.Init != nil {
-			havocStmt(e, s.Init)
-		}
-		if s.Cond != nil {
-			havocExpr(e, s.Cond)
-		}
-		if s.Post != nil {
-			havocExpr(e, s.Post)
-		}
-		havocStmt(e, s.Body)
-	case *cc.SwitchStmt:
-		havocExpr(e, s.Tag)
-		havocStmt(e, s.Body)
-	case *cc.CaseStmt:
-		havocStmt(e, s.Body)
-	case *cc.ReturnStmt:
-		if s.X != nil {
-			havocExpr(e, s.X)
-		}
-	case *cc.LabeledStmt:
-		havocStmt(e, s.Body)
-	}
-}
-
-func havocExpr(e *Env, x cc.Expr) {
-	cc.WalkExpr(x, func(sub cc.Expr) bool {
-		switch sub := sub.(type) {
-		case *cc.AssignExpr:
-			if id, ok := sub.LHS.(*cc.Ident); ok {
-				e.Havoc(id.Name)
-			}
-		case *cc.UnaryExpr:
-			if sub.Op == cc.TokInc || sub.Op == cc.TokDec {
-				if id, ok := sub.X.(*cc.Ident); ok {
-					e.Havoc(id.Name)
-				}
-			}
-		}
-		return true
-	})
-}
 
 // EvalCond evaluates a branch condition against the facts (§8 step 5).
 func (e *Env) EvalCond(cond cc.Expr) Verdict {

@@ -156,24 +156,6 @@ func TestShortCircuitAssumptions(t *testing.T) {
 	}
 }
 
-func TestLoopHavoc(t *testing.T) {
-	// §8 step 3: variables assigned in loops become unknown after.
-	e := NewEnv()
-	e.Assign(expr(t, "i"), expr(t, "0"))
-	e.Assign(expr(t, "k"), expr(t, "5"))
-	body, err := cc.ParseStmtString("{ i = i + 1; }")
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.HavocAssigned(body)
-	if got := e.EvalCond(expr(t, "i == 0")); got != Unknown {
-		t.Errorf("i after loop should be unknown, got %v", got)
-	}
-	if got := e.EvalCond(expr(t, "k == 5")); got != MustTrue {
-		t.Errorf("k untouched by loop should stay known, got %v", got)
-	}
-}
-
 func TestSwitchCaseFacts(t *testing.T) {
 	e := NewEnv()
 	e.AssumeCase(expr(t, "x"), 3)

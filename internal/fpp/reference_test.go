@@ -199,87 +199,11 @@ func (e *refEnv) Assign(lhs, rhs cc.Expr) {
 	}
 }
 
-// Havoc invalidates a variable (used for loop bodies, §8 step 3, and
-// address-taken escapes).
+// Havoc invalidates a variable: an increment or compound update, or an
+// address passed to a call.
 func (e *refEnv) Havoc(name string) {
 	e.versions[name]++
 	e.fpValid = false
-}
-
-// HavocAssigned havocs every variable assigned anywhere in the
-// statement (loop bodies): "we set the value of all variables defined
-// in the loop to unknown after the loop body".
-func (e *refEnv) HavocAssigned(stmts ...cc.Stmt) {
-	for _, s := range stmts {
-		refHavocStmt(e, s)
-	}
-}
-
-func refHavocStmt(e *refEnv, s cc.Stmt) {
-	switch s := s.(type) {
-	case *cc.ExprStmt:
-		refHavocExpr(e, s.X)
-	case *cc.DeclStmt:
-		for _, d := range s.Decls {
-			e.Havoc(d.Name)
-		}
-	case *cc.CompoundStmt:
-		for _, c := range s.List {
-			refHavocStmt(e, c)
-		}
-	case *cc.IfStmt:
-		refHavocExpr(e, s.Cond)
-		refHavocStmt(e, s.Then)
-		if s.Else != nil {
-			refHavocStmt(e, s.Else)
-		}
-	case *cc.WhileStmt:
-		refHavocExpr(e, s.Cond)
-		refHavocStmt(e, s.Body)
-	case *cc.DoWhileStmt:
-		refHavocStmt(e, s.Body)
-		refHavocExpr(e, s.Cond)
-	case *cc.ForStmt:
-		if s.Init != nil {
-			refHavocStmt(e, s.Init)
-		}
-		if s.Cond != nil {
-			refHavocExpr(e, s.Cond)
-		}
-		if s.Post != nil {
-			refHavocExpr(e, s.Post)
-		}
-		refHavocStmt(e, s.Body)
-	case *cc.SwitchStmt:
-		refHavocExpr(e, s.Tag)
-		refHavocStmt(e, s.Body)
-	case *cc.CaseStmt:
-		refHavocStmt(e, s.Body)
-	case *cc.ReturnStmt:
-		if s.X != nil {
-			refHavocExpr(e, s.X)
-		}
-	case *cc.LabeledStmt:
-		refHavocStmt(e, s.Body)
-	}
-}
-
-func refHavocExpr(e *refEnv, x cc.Expr) {
-	cc.WalkExpr(x, func(sub cc.Expr) bool {
-		switch sub := sub.(type) {
-		case *cc.AssignExpr:
-			if id, ok := sub.LHS.(*cc.Ident); ok {
-				e.Havoc(id.Name)
-			}
-		case *cc.UnaryExpr:
-			if sub.Op == cc.TokInc || sub.Op == cc.TokDec {
-				if id, ok := sub.X.(*cc.Ident); ok {
-					e.Havoc(id.Name)
-				}
-			}
-		}
-		return true
-	})
 }
 
 // EvalCond evaluates a branch condition against the facts (§8 step 5).

@@ -157,32 +157,6 @@ func (c *Checker) InitialGlobal() string {
 	return c.GlobalStates[0]
 }
 
-// TransitionsFrom returns the transitions whose source is the given
-// state reference, in source order.
-func (c *Checker) TransitionsFrom(ref StateRef) []*Transition {
-	var out []*Transition
-	for _, t := range c.Transitions {
-		if t.Source == ref {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// HasVarState reports whether the checker declares the given
-// variable-specific state value.
-func (c *Checker) HasVarState(varName, val string) bool {
-	if val == StopState {
-		return true
-	}
-	for _, s := range c.VarStates[varName] {
-		if s == val {
-			return true
-		}
-	}
-	return false
-}
-
 // UsesAction reports whether any transition runs the named action
 // verb (directly; nested calls inside action arguments are rendering
 // helpers, not effects). The engine uses it to detect checkers that

@@ -18,16 +18,6 @@ func Parse(src string) (*Checker, error) {
 	return p.parseChecker()
 }
 
-// MustParse is Parse for known-good embedded checkers; it panics on
-// error.
-func MustParse(src string) *Checker {
-	c, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // ---------------------------------------------------------------------------
 // Lexer
 // ---------------------------------------------------------------------------

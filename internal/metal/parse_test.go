@@ -1,6 +1,7 @@
 package metal
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -111,12 +112,18 @@ func TestParseLockChecker(t *testing.T) {
 	}
 }
 
+// TestTransitionsFrom: each transition carries the source state it was
+// declared under, which the engine indexes its dispatch by.
 func TestTransitionsFrom(t *testing.T) {
-	c := MustParse(freeCheckerSrc)
-	if got := len(c.TransitionsFrom(StateRef{Val: "start"})); got != 1 {
+	c := mustParse(t, freeCheckerSrc)
+	from := map[StateRef]int{}
+	for _, tr := range c.Transitions {
+		from[tr.Source]++
+	}
+	if got := from[StateRef{Val: "start"}]; got != 1 {
 		t.Errorf("from start: %d", got)
 	}
-	if got := len(c.TransitionsFrom(StateRef{Var: "v", Val: "freed"})); got != 2 {
+	if got := from[StateRef{Var: "v", Val: "freed"}]; got != 2 {
 		t.Errorf("from v.freed: %d", got)
 	}
 }
@@ -244,7 +251,7 @@ start: { f(v) } ==> v.s, { 1 + 2; };`, "action"},
 }
 
 func TestCheckerString(t *testing.T) {
-	c := MustParse(freeCheckerSrc)
+	c := mustParse(t, freeCheckerSrc)
 	out := c.String()
 	for _, frag := range []string{"sm free_checker;", "v.freed", "==>", "err("} {
 		if !strings.Contains(out, frag) {
@@ -254,7 +261,7 @@ func TestCheckerString(t *testing.T) {
 }
 
 func TestSourceLinesCounted(t *testing.T) {
-	c := MustParse(freeCheckerSrc)
+	c := mustParse(t, freeCheckerSrc)
 	// Figure 1 is ~9 lines; our version is close. E9 checks the
 	// 10-200 line claim.
 	if c.SourceLines < 5 || c.SourceLines > 30 {
@@ -293,16 +300,18 @@ start: { f(v) } ==> v.s, { adjust(v, -3); };
 	}
 }
 
+// TestHasVarState: the checker's state values per variable are the ones
+// its transitions name, stop aside, which every variable has.
 func TestHasVarState(t *testing.T) {
-	c := MustParse(freeCheckerSrc)
-	if !c.HasVarState("v", "freed") {
-		t.Error("v.freed should exist")
+	c := mustParse(t, freeCheckerSrc)
+	if got := c.VarStates["v"]; !slices.Equal(got, []string{"freed"}) {
+		t.Errorf("v's states = %v, want [freed]", got)
 	}
-	if !c.HasVarState("v", "stop") {
+	if got := c.VarStates["w"]; got != nil {
+		t.Errorf("undeclared variable w has states %v", got)
+	}
+	if !(StateRef{Var: "v", Val: StopState}).IsStop() {
 		t.Error("stop is always a valid state")
-	}
-	if c.HasVarState("v", "locked") || c.HasVarState("w", "freed") {
-		t.Error("unknown states/vars must be rejected")
 	}
 }
 
@@ -345,4 +354,13 @@ func TestPatternErrors(t *testing.T) {
 			t.Errorf("%q: expected error", src)
 		}
 	}
+}
+
+func mustParse(t *testing.T, src string) *Checker {
+	t.Helper()
+	c, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }

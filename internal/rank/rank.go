@@ -75,21 +75,6 @@ func (r RuleStat) Z() float64 {
 	return ZStatistic(n, r.Examples, 0.5)
 }
 
-// ByZ sorts rule statistics by descending z-statistic: the most
-// trustworthy rules — whose violations are most likely true errors —
-// first.
-func ByZ(stats []RuleStat) []RuleStat {
-	out := append([]RuleStat(nil), stats...)
-	sort.SliceStable(out, func(i, j int) bool {
-		zi, zj := out[i].Z(), out[j].Z()
-		if zi != zj {
-			return zi > zj
-		}
-		return out[i].Rule < out[j].Rule
-	})
-	return out
-}
-
 // Statistical orders reports by the reliability of the rules that
 // produced them (§9 "Statistical ranking"): reports whose Rule has a
 // higher z-statistic come first; within a rule, the generic criteria

@@ -1,7 +1,9 @@
 package rank
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -206,19 +208,28 @@ func TestHistorySuppression(t *testing.T) {
 	}
 }
 
+// TestByZOrdering: Grouped puts each rule's reports in one group and
+// orders the groups by descending z, equal z by rule name, unknown
+// rules last.
 func TestByZOrdering(t *testing.T) {
-	stats := []RuleStat{
-		{Rule: "noisy", Examples: 10, Violations: 10},
-		{Rule: "solid", Examples: 99, Violations: 1},
-		{Rule: "alpha", Examples: 50, Violations: 50},
+	stats := map[string]RuleStat{
+		"noisy": {Rule: "noisy", Examples: 10, Violations: 10},
+		"solid": {Rule: "solid", Examples: 99, Violations: 1},
+		"alpha": {Rule: "alpha", Examples: 50, Violations: 50},
 	}
-	out := ByZ(stats)
-	if out[0].Rule != "solid" {
-		t.Errorf("top = %s", out[0].Rule)
+	var reports []*report.Report
+	for i, rule := range []string{"mystery", "noisy", "solid", "alpha", "solid"} {
+		r := mkReport(10+i, 5, 0, 0, false, 0, report.ClassNone)
+		r.Rule = rule
+		reports = append(reports, r)
+	}
+	var got []string
+	for _, g := range Grouped(reports, stats) {
+		got = append(got, fmt.Sprintf("%s:%d", g.Rule, len(g.Reports)))
 	}
 	// Equal z (noisy and alpha both 0.0) tie-break by name.
-	if out[1].Rule != "alpha" || out[2].Rule != "noisy" {
-		t.Errorf("tie-break order: %s, %s", out[1].Rule, out[2].Rule)
+	if want := "solid:2 alpha:1 noisy:1 mystery:1"; strings.Join(got, " ") != want {
+		t.Errorf("groups = %v, want %s", got, want)
 	}
 }
 

@@ -144,17 +144,6 @@ func (s *Set) Add(r *Report) bool {
 // Len returns the number of distinct reports.
 func (s *Set) Len() int { return len(s.Reports) }
 
-// ByRule groups reports by their Rule fact (§9: "we also group all
-// errors that are computed from a common analysis fact into the same
-// class").
-func (s *Set) ByRule() map[string][]*Report {
-	out := map[string][]*Report{}
-	for _, r := range s.Reports {
-		out[r.Rule] = append(out[r.Rule], r)
-	}
-	return out
-}
-
 // History is the remembered set of past-version reports used to
 // suppress known false positives (§8 "History").
 type History struct {

@@ -58,23 +58,6 @@ func TestSetDeduplicates(t *testing.T) {
 	}
 }
 
-func TestByRule(t *testing.T) {
-	s := &Set{}
-	a := mk("a.c", 1, "f", "x")
-	a.Rule = "r1"
-	b := mk("a.c", 2, "f", "y")
-	b.Rule = "r1"
-	c := mk("a.c", 3, "f", "z")
-	c.Rule = "r2"
-	s.Add(a)
-	s.Add(b)
-	s.Add(c)
-	groups := s.ByRule()
-	if len(groups["r1"]) != 2 || len(groups["r2"]) != 1 {
-		t.Errorf("groups = %v", groups)
-	}
-}
-
 func TestHistoryKeyInvariants(t *testing.T) {
 	// Line changes do not affect the key; file, function, vars, and
 	// message do (§8).

@@ -251,8 +251,8 @@ func TestRequestTimeout503(t *testing.T) {
 	if env := decodeEnvelope(t, body); env.Code != "timeout" {
 		t.Errorf("envelope code %q, want timeout", env.Code)
 	}
-	if files := srv.SortedFiles(); len(files) != 0 {
-		t.Errorf("timed-out request committed the tree: %v", files)
+	if st := getStats(t, ts.URL); st["files"] != 0.0 {
+		t.Errorf("timed-out request committed the tree: %v resident files", st["files"])
 	}
 
 	// The daemon is healthy afterwards: the next (un-held) request

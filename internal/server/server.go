@@ -257,6 +257,14 @@ func (s *Server) newAnalyzer(tree map[string]string, enabled []registry.EnabledS
 	return a, nil
 }
 
+// CheckCheckers loads the daemon's own checkers (Config.Checkers and
+// CheckerSources) as every analyze does and returns the error each
+// analyze would meet, so the daemon can refuse to start instead.
+func (s *Server) CheckCheckers() error {
+	_, err := s.newAnalyzer(nil, nil)
+	return err
+}
+
 // setKey fingerprints one read of the enabled set: its IDs in the
 // registry's deterministic order.
 func setKey(enabled []registry.EnabledSource) string {
@@ -842,16 +850,4 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
-}
-
-// SortedFiles returns the resident file names (tests and logs).
-func (s *Server) SortedFiles() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.srcs))
-	for n := range s.srcs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"net/http/httptest"
 	"strings"
@@ -29,7 +30,7 @@ func residentReports(t *testing.T, srcs map[string]string) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		all = append(all, core.NewEngine(p, c, core.DefaultOptions()).Run().Reports...)
+		all = append(all, core.NewEngine(p, c, core.DefaultOptions()).RunContext(context.Background()).Reports...)
 	}
 	var sb strings.Builder
 	for _, rep := range rank.Generic(all) {

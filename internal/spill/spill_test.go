@@ -2,6 +2,7 @@ package spill
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/checkers"
@@ -32,7 +33,7 @@ int root(int *p, int x) {
 		t.Fatal(err)
 	}
 	en := core.NewEngine(p, c, core.DefaultOptions())
-	en.Run()
+	en.RunContext(context.Background())
 	sd := en.ExportSummaries(p.All)
 	if len(sd.Funcs) == 0 {
 		t.Fatal("engine exported no summaries; workload regressed")

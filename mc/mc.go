@@ -110,48 +110,25 @@ func (a *Analyzer) AddFile(path string) error {
 	return nil
 }
 
-// AddDirectory registers every .c file in a directory (not
-// recursive).
-func (a *Analyzer) AddDirectory(dir string) error {
-	paths, err := cFiles(dir)
-	if err != nil {
-		return err
-	}
-	for _, p := range paths {
-		if err := a.AddFile(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// cFiles lists a directory's .c files, not recursively, in name order.
-func cFiles(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var paths []string
-	for _, e := range entries {
-		if !e.IsDir() && filepath.Ext(e.Name()) == ".c" {
-			paths = append(paths, filepath.Join(dir, e.Name()))
-		}
-	}
-	return paths, nil
-}
-
 // SourcePaths expands command-line inputs into the source names AddFile
-// and AddDirectory register for them: a directory becomes its .c files
-// (not recursive), every path is cleaned, and a path named twice is an
-// error. The names come back sorted, the order a run parses sources in.
+// registers for them: a directory becomes its .c files (not recursive),
+// every path is cleaned, and a path named twice is an error. The names
+// come back sorted, the order a run parses sources in.
 func SourcePaths(inputs []string) ([]string, error) {
 	var out []string
 	seen := map[string]bool{}
 	for _, in := range inputs {
 		paths := []string{in}
 		if info, err := os.Stat(in); err == nil && info.IsDir() {
-			if paths, err = cFiles(in); err != nil {
+			entries, err := os.ReadDir(in)
+			if err != nil {
 				return nil, err
+			}
+			paths = nil
+			for _, e := range entries {
+				if !e.IsDir() && filepath.Ext(e.Name()) == ".c" {
+					paths = append(paths, filepath.Join(in, e.Name()))
+				}
 			}
 		}
 		for _, p := range paths {

@@ -321,8 +321,14 @@ int f(int *p) { kfree(p); return *p; }
 	}
 
 	a := NewAnalyzer()
-	if err := a.AddDirectory(dir); err != nil {
+	paths, err := SourcePaths([]string{dir})
+	if err != nil {
 		t.Fatal(err)
+	}
+	for _, p := range paths {
+		if err := a.AddFile(p); err != nil {
+			t.Fatal(err)
+		}
 	}
 	a.LoadBundledChecker("free")
 	res, err := a.RunContext(context.Background())
@@ -352,15 +358,12 @@ int f(int *p) { kfree(p); return *p; }
 	if err := b.AddFile(filepath.Join(dir, "missing.c")); err == nil {
 		t.Error("missing file should error")
 	}
-	if err := b.AddDirectory(filepath.Join(dir, "nosuch")); err == nil {
-		t.Error("missing directory should error")
-	}
 
-	// SourcePaths names what AddFile and AddDirectory register: a
-	// directory's .c files, cleaned paths in sorted order, and a path
-	// named twice (however spelled) an error.
+	// SourcePaths names what AddFile registers: a directory's .c files,
+	// cleaned paths in sorted order, and a path named twice (however
+	// spelled) an error.
 	two := filepath.Join(dir, "two.c")
-	paths, err := SourcePaths([]string{filepath.Join(dir, "..", filepath.Base(dir), "two.c"), dir + "/"})
+	paths, err = SourcePaths([]string{filepath.Join(dir, "..", filepath.Base(dir), "two.c"), dir + "/"})
 	if err == nil || !strings.Contains(err.Error(), "duplicate source "+two) {
 		t.Errorf("two.c named twice: paths %v, err %v", paths, err)
 	}

@@ -109,7 +109,7 @@ func residentSupergraphs(t *testing.T, srcs map[string]string, fn string) map[st
 	for _, phase := range core.PlanPhases(cs) {
 		for _, ci := range phase {
 			en := core.NewEngineShared(p, cs[ci], mc.DefaultOptions(), shared)
-			en.Run()
+			en.RunContext(context.Background())
 			out[cs[ci].Name] = en.SupergraphString(fn)
 		}
 	}
