@@ -84,7 +84,9 @@ vet:
 # the loop havoc no engine path ran, the statement parser and printer,
 # the test-only checker, rank, report, server and analyzer helpers, the
 # engine's second and third run doors and its per-engine action and
-# callout registration stay gone.
+# callout registration stay gone. And a retired function's summary
+# memory is pooled by the engine that evicted it (DESIGN.md §12.1): no
+# sync.Pool or other process-wide pool enters internal/core.
 no-deleted-knobs:
 	! grep -rnE 'Match[M]emo|Block[F]ilter|Tuple[I]ntern|Lean[A]lloc|Multi[D]ispatch|Tenant[Q]uota|Queue[D]epth|Batch[S]ize' --include=*.go .
 	! grep -rnE 'Load[S]ummaries|summary[S]ource|Retired[S]et|Allow[S]pillReload|Summaries[L]oaded|SummaryBytes[D]eferred' --include=*.go .
@@ -109,6 +111,7 @@ no-deleted-knobs:
 	! grep -rn 'recove[r]()' --include=*.go internal/cc
 	! grep -rnE 'map\[[s]tring\]uint32|fp[s]\[[s]tring|fi[.]term[s]\b|funcInfo[.]term[s]\b' --include=*.go .
 	! grep -rnE 'Havoc[A]ssigned|havoc[S]tmt|havoc[E]xpr|Stmt[S]tring|write[S]tmt|Is[I]nteger|\.Transitions[F]rom\(|\.Has[V]arState\(|Must[P]arse|\bBy[Z]\(|\.By[R]ule\(|Sorted[F]iles|Add[D]irectory|cc\.Round[T]rip|func Round[T]rip|Block[F]or\(|Register[A]ction|Register[C]allout|\.Run[F]unction\(|\.Run[R]oots\(' --include=*.go .
+	! grep -rn 'sync\.[P]ool' --include=*.go internal/core
 	! ls BENCH_*.json 2>/dev/null | grep .
 
 # staticcheck is optional locally (the repo adds no dependencies) but
@@ -189,7 +192,7 @@ bench-micro:
 profile:
 	mkdir -p pprof
 	$(GO) test -run '^$$' -bench BenchmarkCheckerSuite -benchtime 20x -o pprof/repro.test -cpuprofile pprof/suite.cpu -memprofile pprof/suite.mem .
-	$(GO) test -run '^$$' -bench BenchmarkCallRichTraversal/plain -benchtime 2000x -o pprof/core.test \
+	$(GO) test -run '^$$' -bench 'BenchmarkCallRichTraversal/(plain|retiring)' -benchtime 2000x -o pprof/core.test \
 		-cpuprofile pprof/callrich.cpu -memprofile pprof/callrich.mem ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkFrontEnd -benchtime 200x -o pprof/prog.test \
 		-cpuprofile pprof/frontend.cpu -memprofile pprof/frontend.mem ./internal/prog/

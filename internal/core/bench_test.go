@@ -70,16 +70,19 @@ func suiteInputs(tb testing.TB) ([]*cc.File, []*metal.Checker) {
 
 // runCallRich is one cold run: every bundled checker in order over a
 // fresh Program, sharing one annotation store and — as in every mc run
-// — one compiled dispatch. governed runs it the
-// way every governed caller does when nothing is cut: a cancellable
-// context and budgets that never trip. It returns the report count so
-// callers can check the run did something.
-func runCallRich(files []*cc.File, suite []*metal.Checker, governed bool) int {
+// — one compiled dispatch. The mode is a sub-benchmark's name: "plain";
+// "governed" runs it the way every governed caller does when nothing is
+// cut, a cancellable context and budgets that never trip; "retiring"
+// sets every engine retiring, as mc does, so that each unit's funcInfos
+// go to the engine's pool when it is done and the next unit's functions
+// are carved from them. It returns the report count so callers can
+// check the run did something.
+func runCallRich(files []*cc.File, suite []*metal.Checker, mode string) int {
 	p := prog.Build(files...)
 	shared := NewShared()
 	shared.Mark("net_wait", "blocking")
 	opts, ctx := DefaultOptions(), context.Background()
-	if governed {
+	if mode == "governed" {
 		opts.Budgets = Budgets{PathSteps: 1 << 40, FuncBlocks: 1 << 40, FuncTime: time.Hour}
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithCancel(ctx)
@@ -90,23 +93,29 @@ func runCallRich(files []*cc.File, suite []*metal.Checker, governed bool) int {
 	for i, c := range suite {
 		en := NewEngineShared(p, c, opts, shared)
 		en.SetCompiled(cd, i)
+		if mode == "retiring" {
+			en.SetRetire(nil)
+		}
 		reports += len(en.RunContext(ctx).Reports)
 	}
 	return reports
 }
 
+// callRichModes are BenchmarkCallRichTraversal's sub-benchmarks.
+var callRichModes = []string{"plain", "governed", "retiring"}
+
 // BenchmarkCallRichTraversal is BenchmarkBlockTraversal for the
-// interprocedural half of the engine (`make profile` profiles it).
-// governed/plain, read with -count N, is what governance costs when it
-// never fires (DESIGN.md §9.6).
+// interprocedural half of the engine (`make profile` profiles plain and
+// retiring). governed/plain, read with -count N, is what governance
+// costs when it never fires (DESIGN.md §9.6); retiring/plain is what
+// retirement and the pool of evicted funcInfos save (§12.1).
 func BenchmarkCallRichTraversal(b *testing.B) {
 	files, suite := suiteInputs(b)
-	for _, name := range []string{"plain", "governed"} {
-		governed := name == "governed"
-		b.Run(name, func(b *testing.B) {
+	for _, mode := range callRichModes {
+		b.Run(mode, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				runCallRich(files, suite, governed)
+				runCallRich(files, suite, mode)
 			}
 		})
 	}
@@ -119,7 +128,11 @@ func BenchmarkCallRichTraversal(b *testing.B) {
 // here pays, then 28 fewer when the engine kept one FPP table and
 // carved four-key fpSeen slots (~1,795 under -race then), then 64 fewer
 // when each engine stopped copying the action verbs into a map of its
-// own. The count
+// own. Pooling evicted funcInfos left plain at 1,660 and governed at
+// 1,664 (their engines never retire); retiring, every engine retiring as
+// in an mc run, reads 1,670: one rootsRun slice per engine, less the
+// funcInfos, block arrays and slab chunks later units took from the
+// pool, on a tree whose 16 engines run few units each. The count
 // repeats to the unit, so a regression in the per-path state (fpp.Env,
 // edge sets, fpSeen), in pattern dispatch (DESIGN.md §10.1), in what
 // prog.Build holds for every engine or in what the engine, the funcInfo
@@ -144,24 +157,24 @@ func BenchmarkCallRichTraversal(b *testing.B) {
 // an object of its own, a type-checker map per block scope and a
 // signature per reference to a function (TestFrontEndAllocs in
 // internal/prog gates that half alone).
-// The governed run sits under the same ceiling (+4, its context): step
-// counters and amortized polls allocate nothing.
+// The governed and retiring runs sit under the same ceiling (+4, its
+// context; +10): step counters and amortized polls allocate nothing.
 const callRichAllocCeiling = 2_476
 
 func TestCallRichTraversalAllocs(t *testing.T) {
 	files, suite := suiteInputs(t)
-	plain := runCallRich(files, suite, false)
+	plain := runCallRich(files, suite, "plain")
 	if plain == 0 {
 		t.Fatal("the suite reported nothing on the call-rich tree")
 	}
-	if got := runCallRich(files, suite, true); got != plain {
-		t.Errorf("governed run: %d reports, plain run has %d", got, plain)
-	}
-	for _, governed := range []bool{false, true} {
-		got := testing.AllocsPerRun(5, func() { runCallRich(files, suite, governed) })
-		t.Logf("governed=%v: %.0f allocations per suite run (ceiling %d)", governed, got, callRichAllocCeiling)
+	for _, mode := range callRichModes {
+		if got := runCallRich(files, suite, mode); got != plain {
+			t.Errorf("%s run: %d reports, plain run has %d", mode, got, plain)
+		}
+		got := testing.AllocsPerRun(5, func() { runCallRich(files, suite, mode) })
+		t.Logf("%s: %.0f allocations per suite run (ceiling %d)", mode, got, callRichAllocCeiling)
 		if got > callRichAllocCeiling {
-			t.Errorf("governed=%v: %.0f allocations per suite run, ceiling %d", governed, got, callRichAllocCeiling)
+			t.Errorf("%s: %.0f allocations per suite run, ceiling %d", mode, got, callRichAllocCeiling)
 		}
 	}
 }

@@ -149,7 +149,7 @@ type Engine struct {
 	// Failure is set when the checker panicked mid-run (a metal action
 	// or Go-callout bug); reports emitted before the crash survive.
 	Failure *CheckerFailure
-	// Evictions counts funcInfo blocks dropped at unit retirement
+	// Evictions counts funcInfos evicted at unit retirement
 	// (stream.go).
 	Evictions int64
 
@@ -174,6 +174,9 @@ type Engine struct {
 	// liveFuncs counts the non-nil slots.
 	funcs     []*funcInfo
 	liveFuncs int
+	// pool holds the funcInfos retirement evicted, cleared, for the
+	// functions entered after (summary.go).
+	pool funcPool
 	// terms interns the FPP terms and fact-set fingerprints of every
 	// path environment the engine makes. An environment never crosses a
 	// call boundary and ids need only be unique within the table, so
@@ -341,7 +344,7 @@ func (en *Engine) countRule(rule string, example bool) {
 func (en *Engine) funcInfo(fn *prog.Function) *funcInfo {
 	fi := en.funcs[fn.Index]
 	if fi == nil {
-		fi = newFuncInfo(fn.Graph, en.intern)
+		fi = en.newFuncInfo(fn.Graph)
 		en.funcs[fn.Index] = fi
 		en.liveFuncs++
 	}

@@ -16,8 +16,9 @@ import (
 // each extra unit of n costs, with the engines' counters for the
 // caller to check the shape against. Nothing in the programs can be
 // freed: kfree is only ever handed an int, so the checker is admitted
-// to one block (the root is not skipped) and never fires.
-func marginalAllocs(t *testing.T, gen func(n int) string, small, large int) (perUnit float64, lo, hi Stats) {
+// to one block (the root is not skipped) and never fires. A retiring
+// engine must evict every function it entered.
+func marginalAllocs(t *testing.T, gen func(n int) string, small, large int, retire bool) (perUnit float64, lo, hi Stats) {
 	t.Helper()
 	free := mustChecker(t, checkers.Free)
 	run := func(n int) (float64, Stats) {
@@ -27,8 +28,14 @@ func marginalAllocs(t *testing.T, gen func(n int) string, small, large int) (per
 		allocs := testing.AllocsPerRun(5, func() {
 			en := NewEngine(p, free, DefaultOptions())
 			en.SetCompiled(cd, 0)
+			if retire {
+				en.SetRetire(nil)
+			}
 			if len(en.RunContext(context.Background()).Reports) != 0 {
 				t.Fatal("the checker fired")
+			}
+			if retire && (en.liveFuncs != 0 || en.Evictions != int64(len(p.All))) {
+				t.Fatalf("%d of %d functions evicted, %d live", en.Evictions, len(p.All), en.liveFuncs)
 			}
 			stats = en.Stats
 		})
@@ -51,7 +58,9 @@ func marginalAllocs(t *testing.T, gen func(n int) string, small, large int) (per
 // 2.178 and (d) from 6.478 to 1.500; deleting the witness log took them
 // to 2.161 and 1.467 (1.433 later). One FPP table per engine, emptied and
 // reused between units, and a four-key first fpSeen slot took them to
-// 1.661 and 0.467.
+// 1.661 and 0.467. (a)-(d) run engines that never retire, so the pool of
+// evicted funcInfos left them at 0.111, 0, 1.661 and 0.467; (e) is the
+// one it moved, from 4.067 to 0.067.
 func TestTraversalMarginalAllocs(t *testing.T) {
 	const small, large = 10, 100
 
@@ -61,7 +70,7 @@ func TestTraversalMarginalAllocs(t *testing.T) {
 		return "void kfree(void *p);\nvoid tick(void);\nint f(int n) {\n" +
 			strings.Repeat("    tick();\n", n) + "    kfree(n);\n    return n;\n}\n"
 	}
-	perBlock, lo, hi := marginalAllocs(t, blocks, small, large)
+	perBlock, lo, hi := marginalAllocs(t, blocks, small, large, false)
 	if got := hi.Blocks - lo.Blocks; got != large-small {
 		t.Fatalf("(a) %d extra blocks traversed, want %d", got, large-small)
 	}
@@ -80,7 +89,7 @@ func TestTraversalMarginalAllocs(t *testing.T) {
 		return "void kfree(void *p);\nint leaf(int n) { return n; }\nint f(int n) {\n    kfree(n);\n    return leaf(n)" +
 			strings.Repeat(" + leaf(n)", n-1) + ";\n}\n"
 	}
-	perCall, lo, hi := marginalAllocs(t, calls, small, large)
+	perCall, lo, hi := marginalAllocs(t, calls, small, large, false)
 	if got := hi.FuncCacheHits - lo.FuncCacheHits; got != large-small || hi.FuncFollows != 1 || hi.Blocks != lo.Blocks {
 		t.Fatalf("(b) %d extra summary hits, %d follows, %d extra blocks; want %d, 1, 0",
 			got, hi.FuncFollows, hi.Blocks-lo.Blocks, large-small)
@@ -100,7 +109,7 @@ func TestTraversalMarginalAllocs(t *testing.T) {
 		return "void kfree(void *p);\nvoid tick(void);\nint f(int n) {\n" +
 			strings.Repeat("    if (n) tick();\n", n) + "    kfree(n);\n    return n;\n}\n"
 	}
-	perIf, lo, hi := marginalAllocs(t, ifs, small, large)
+	perIf, lo, hi := marginalAllocs(t, ifs, small, large, false)
 	if hi.Paths != 2 || hi.PrunedPaths-lo.PrunedPaths != 2*(large-small) {
 		t.Fatalf("(c) %d paths, %d extra pruned arms; want 2, %d", hi.Paths, hi.PrunedPaths-lo.PrunedPaths, 2*(large-small))
 	}
@@ -128,7 +137,7 @@ func TestTraversalMarginalAllocs(t *testing.T) {
 		sb.WriteString("    }\n    kfree(n);\n    return n;\n}\n")
 		return sb.String()
 	}
-	perArm, lo, hi := marginalAllocs(t, arms, small, large)
+	perArm, lo, hi := marginalAllocs(t, arms, small, large, false)
 	if hi.PrunedPaths != 0 || hi.Blocks-lo.Blocks < 2*(large-small) {
 		t.Fatalf("(d) %d pruned arms, %d extra blocks; want 0, >= %d (each arm's block and the join after it)",
 			hi.PrunedPaths, hi.Blocks-lo.Blocks, 2*(large-small))
@@ -141,5 +150,28 @@ func TestTraversalMarginalAllocs(t *testing.T) {
 	t.Logf("(d) %.3f objects per extra arm", perArm)
 	if perArm > 0.49 {
 		t.Errorf("(d) %.3f objects per extra arm, want <= 0.49", perArm)
+	}
+
+	// (e) A retired unit: n leaf functions, each a root and a unit of its
+	// own, on one retiring engine.
+	leaves := func(n int) string {
+		var sb strings.Builder
+		sb.WriteString("void kfree(void *p);\nvoid tick(void);\n")
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&sb, "int f%d(int n) {\n    if (n) tick();\n    kfree(n);\n    return n;\n}\n", i)
+		}
+		return sb.String()
+	}
+	perUnit, lo, hi := marginalAllocs(t, leaves, small, large, true)
+	if hi.Analyses["f0"] != 1 || hi.Blocks-lo.Blocks < 2*(large-small) {
+		t.Fatalf("(e) f0 analysed %d times, %d extra blocks; want 1, >= %d", hi.Analyses["f0"], hi.Blocks-lo.Blocks, 2*(large-small))
+	}
+	// A retired unit's funcInfo, block array and slab chunks go to the
+	// engine's pool and the next unit's function is carved from them
+	// (4.067 objects a unit before the pool). What remains is the growth
+	// of Stats.Analyses, a map entry per root.
+	t.Logf("(e) %.3f objects per extra retired unit", perUnit)
+	if perUnit > 0.070 {
+		t.Errorf("(e) %.3f objects per extra retired unit, want <= 0.070", perUnit)
 	}
 }

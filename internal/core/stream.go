@@ -1,14 +1,16 @@
 package core
 
-// Retirement (DESIGN.md §12). A retiring engine drops a call-graph
-// unit's funcInfo blocks — summaries, fpSeen sets, slabs — when the
-// unit's last root has finished. No call edge crosses a unit boundary and
+// Retirement (DESIGN.md §12). A retiring engine evicts a call-graph
+// unit's funcInfos — summaries, fpSeen sets, slabs — when the unit's
+// last root has finished. No call edge crosses a unit boundary and
 // summaries flow only along call edges, so no later traversal can read
-// them: output is that of an engine nobody called SetRetire on. When no
-// funcInfo is left, the engine's FPP table is emptied too: no fpSeen set
-// holds its ids any more, and the next unit starts on the ids a fresh
-// engine would hand out. Nothing comes back; inspection runs an engine
-// that never retires (mc's Analyzer.Supergraph).
+// them: output is that of an engine nobody called SetRetire on. Their
+// memory is zeroed into the engine's pool (funcPool), and the functions
+// the engine enters later are carved from it. When no funcInfo is
+// left, the engine's FPP table is emptied too: no fpSeen set holds its
+// ids any more, and the next unit starts on the ids a fresh engine would
+// hand out. Nothing comes back; inspection runs an engine that never
+// retires (mc's Analyzer.Supergraph).
 
 import "repro/internal/prog"
 
@@ -36,8 +38,9 @@ func (en *Engine) retireAfter(root *prog.Function) {
 		return
 	}
 	for _, fn := range u.Funcs {
-		if en.funcs[fn.Index] != nil {
+		if fi := en.funcs[fn.Index]; fi != nil {
 			en.funcs[fn.Index] = nil
+			en.pool.put(fi)
 			en.liveFuncs--
 			en.Evictions++
 		}

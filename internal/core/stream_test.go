@@ -72,14 +72,18 @@ func TestStreamingRunMatchesInMemory(t *testing.T) {
 
 // pins counts what a value holds through the engine's own types and
 // the fpp.Env a path frame keeps, wherever it hangs — a funcInfo, the
-// interner, a pooled frame or the engine itself — reading every slice to
-// its capacity: a stale slot past the length pins what it points to all
-// the same. The compiled dispatch is shared, not the engine's, and its
-// bitsets are skipped.
+// engine's pool of evicted ones, the interner, a pooled frame or the
+// engine itself — reading every slice to its capacity: a stale slot past
+// the length pins what it points to all the same. The compiled dispatch
+// is shared, not the engine's, and its bitsets are skipped.
 type pins struct {
-	// slabs counts edge and fpSeen-key arrays: edge sets, fpSeen sets and
-	// the slabs their first elements are carved from alike.
-	slabs int
+	// slots counts the edges in edge sets and the non-zero elements of
+	// edge and fpSeen-key arrays: edge sets, fpSeen sets, the slabs
+	// their first elements are carved from and the cleared arrays the
+	// pool keeps alike.
+	slots int
+	// refs counts the instances and AST expressions those edges hold.
+	refs int
 	// tables counts the times a non-empty FPP table is reached, by
 	// value (the engine's own) or by pointer (an environment's).
 	tables int
@@ -87,7 +91,7 @@ type pins struct {
 
 func (p *pins) walk(v reflect.Value, seen map[unsafe.Pointer]bool) {
 	ours := func(t reflect.Type) bool {
-		for t.Kind() == reflect.Pointer || t.Kind() == reflect.Slice || t.Kind() == reflect.Map {
+		for t.Kind() == reflect.Pointer || t.Kind() == reflect.Slice || t.Kind() == reflect.Array || t.Kind() == reflect.Map {
 			t = t.Elem()
 		}
 		return t.PkgPath() == "repro/internal/core" && t != reflect.TypeOf(CompiledDispatch{}) || t == reflect.TypeOf(fpp.Env{})
@@ -114,6 +118,11 @@ func (p *pins) walk(v reflect.Value, seen map[unsafe.Pointer]bool) {
 		case reflect.TypeOf(fpp.Table{}):
 			table((*fpp.Table)(unsafe.Pointer(v.UnsafeAddr())))
 		default:
+			if v.Type() == reflect.TypeOf(edgeSet{}) {
+				// A set's edges are its length, zero-valued or not (an
+				// edge between two placeholder tuples can be).
+				p.slots += v.Field(0).Len()
+			}
 			for i := 0; i < v.NumField(); i++ {
 				p.walk(v.Field(i), seen)
 			}
@@ -122,11 +131,29 @@ func (p *pins) walk(v reflect.Value, seen map[unsafe.Pointer]bool) {
 		for it := v.MapRange(); ours(v.Type()) && it.Next(); {
 			p.walk(it.Value(), seen)
 		}
-	case reflect.Slice:
-		if et := v.Type().Elem(); v.Cap() > 0 && (et == reflect.TypeOf(edge{}) || et.Kind() == reflect.Uint64) {
-			p.slabs++
+	case reflect.Array:
+		for i := 0; ours(v.Type()) && i < v.Len(); i++ {
+			p.walk(v.Index(i), seen)
 		}
-		for i, full := 0, v.Slice(0, v.Cap()); ours(v.Type()) && i < full.Len(); i++ {
+	case reflect.Slice:
+		full := v.Slice(0, v.Cap())
+		if et := v.Type().Elem(); et == reflect.TypeOf(edge{}) || et.Kind() == reflect.Uint64 {
+			for i := 0; i < full.Len(); i++ {
+				el := full.Index(i)
+				if el.IsZero() {
+					continue
+				}
+				p.slots++
+				if el.Kind() == reflect.Struct {
+					for _, f := range []string{"fromExpr", "toExpr", "prov"} {
+						if !el.FieldByName(f).IsNil() {
+							p.refs++
+						}
+					}
+				}
+			}
+		}
+		for i := 0; ours(v.Type()) && i < full.Len(); i++ {
 			p.walk(full.Index(i), seen)
 		}
 	}
@@ -140,7 +167,8 @@ func pinsOf(en *Engine) pins {
 
 // fpSeenOf renders the fpSeen sets of a unit's blocks as function,
 // block, fingerprint id and tuple, so that two engines whose interners
-// numbered the tuples differently can be compared.
+// numbered the tuples differently can be compared, and each block's
+// count of distinct fingerprints.
 func fpSeenOf(en *Engine, u *prog.Unit) []string {
 	var out []string
 	for _, fn := range u.Funcs {
@@ -149,6 +177,9 @@ func fpSeenOf(en *Engine, u *prog.Unit) []string {
 			continue
 		}
 		for b := range fi.blocks {
+			if n := fi.blocks[b].fpCount; n != 0 {
+				out = append(out, fmt.Sprintf("%s B%d %d fingerprints", fn.Name, b, n))
+			}
 			for _, key := range fi.blocks[b].fpSeen {
 				out = append(out, fmt.Sprintf("%s B%d fp%d %s", fn.Name, b, key>>32, en.intern.key(tid(uint32(key)))))
 			}
@@ -157,15 +188,27 @@ func fpSeenOf(en *Engine, u *prog.Unit) []string {
 	return out
 }
 
+// pooled returns the funcInfos in the engine's pool.
+func pooled(en *Engine) []*funcInfo {
+	var out []*funcInfo
+	for _, head := range en.pool {
+		for fi := head; fi != nil; fi = fi.next {
+			out = append(out, fi)
+		}
+	}
+	return out
+}
+
 // The FPP term/fingerprint table is the engine's; the fpSeen sets that
 // hold its ids are owned by a function's funcInfo, and so are the slabs
 // the first edge of every edge set and the first fpSeen keys are carved
-// from. Retiring a unit drops its sets and slabs, and retiring the last
-// live function empties the table: none can outgrow the units still in
-// flight, and inspection afterwards brings nothing back. Nor may the
-// DFS's own memory keep them: a pooled frame's environment points at the
-// table. And since the table is emptied between units, a unit run after
-// another on one retiring engine sees the ids a fresh engine would.
+// from. Retiring a unit clears its sets and slabs into the engine's
+// pool, and retiring the last live function empties the table: neither
+// can outgrow the units still in flight, and inspection afterwards
+// brings nothing back. Nor may the DFS's own memory keep them: a pooled
+// frame's environment points at the table. And since the table is
+// emptied between units and recycled memory is cleared, a unit run after
+// another on one retiring engine ends as it does on a fresh engine.
 func TestRetirementDropsFPPState(t *testing.T) {
 	srcs := workload.CallRichTree()
 	seenKeys := func(en *Engine) (seen int) {
@@ -184,7 +227,7 @@ func TestRetirementDropsFPPState(t *testing.T) {
 	if terms, fps := resident.terms.Len(); terms == 0 || fps == 0 || seenKeys(resident) == 0 {
 		t.Fatalf("resident run holds terms=%d fingerprints=%d fpSeen=%d; the tree no longer exercises FPP", terms, fps, seenKeys(resident))
 	}
-	if p := pinsOf(resident); p.slabs == 0 || p.tables == 0 {
+	if p := pinsOf(resident); p.slots == 0 || p.refs == 0 || p.tables == 0 {
 		t.Fatalf("under the resident engine the walk finds %+v; it is blind to one of them", p)
 	}
 	if len(resident.frames) == 0 {
@@ -198,27 +241,48 @@ func TestRetirementDropsFPPState(t *testing.T) {
 	if n := liveFuncInfos(en); n != 0 || en.liveFuncs != 0 {
 		t.Fatalf("%d funcInfo blocks (counted %d) survived full retirement", n, en.liveFuncs)
 	}
-	// The slabs die with the funcInfo: hung off the interner or the
-	// engine they would pin every retired unit's AST nodes and instances.
-	// A table that is not empty holds the names of retired functions.
-	if got := pinsOf(en); got != (pins{}) {
-		t.Errorf("after full retirement the engine still reaches %d edge or fpSeen arrays and %d non-empty term tables",
-			got.slabs, got.tables)
+	if len(pooled(en)) == 0 {
+		t.Fatal("full retirement pooled no funcInfo")
 	}
+	// The pool keeps the arrays, cleared: what they held would pin every
+	// retired unit's AST nodes and instances. A table that is not empty
+	// holds the names of retired functions.
+	if got := pinsOf(en); got != (pins{}) {
+		t.Errorf("after full retirement the engine still reaches %d edge or fpSeen slots, %d instances or expressions and %d non-empty term tables",
+			got.slots, got.refs, got.tables)
+	}
+	// The walk sees into the pool: one pooled edge set by hand is found.
+	var probe *edge
+	for _, fi := range pooled(en) {
+		for i := range fi.blocks[:cap(fi.blocks)] {
+			if s := fi.blocks[i].trans.edges; probe == nil && cap(s) > 0 {
+				probe = &s[:1][0]
+			}
+		}
+	}
+	if probe == nil {
+		t.Fatal("no pooled block kept an edge array")
+	}
+	probe.prov = &Instance{}
+	if got := pinsOf(en); got.slots != 1 || got.refs != 1 {
+		t.Errorf("with one pooled edge set by hand the walk finds %+v; it is blind to the pool", got)
+	}
+	*probe = edge{}
 	for _, fn := range p.All {
 		en.SupergraphString(fn.Name)
 	}
 	if terms, fps := en.terms.Len(); terms != 0 || fps != 0 || seenKeys(en) != 0 {
 		t.Errorf("retired functions left terms=%d fingerprints=%d fpSeen=%d behind", terms, fps, seenKeys(en))
 	}
-	// Inspection rebuilds a funcInfo per retired function; it must bring
-	// back no edge or fpSeen array.
-	if got := pinsOf(en); got.slabs != 0 {
-		t.Errorf("after inspection the engine reaches %d edge or fpSeen arrays", got.slabs)
+	// Inspection takes a funcInfo per retired function from the pool; it
+	// must bring back no edge or fpSeen key.
+	if got := pinsOf(en); got.slots != 0 {
+		t.Errorf("after inspection the engine reaches %d edge or fpSeen slots", got.slots)
 	}
 
 	// A cut equals a fresh engine: unit A then unit B on one retiring
-	// engine leave B's fpSeen sets and the table as B alone leaves them.
+	// engine leave B's summaries, fpSeen sets and the table as B alone
+	// leaves them, though B's functions are carved from what A left.
 	// B stays resident (the engine stops retiring after A) so that its
 	// state can be read.
 	mixed, _ := workload.MixedTree(2, 10, 7)
@@ -241,10 +305,26 @@ func TestRetirementDropsFPPState(t *testing.T) {
 	if shared.Evictions == 0 || shared.liveFuncs != 0 {
 		t.Fatalf("unit A did not retire: %d evictions, %d live funcInfos", shared.Evictions, shared.liveFuncs)
 	}
+	left := map[*funcInfo]bool{}
+	for _, fi := range pooled(shared) {
+		left[fi] = true
+	}
 	shared.rootsRun = nil
 	shared.RunRootsContext(context.Background(), b.Roots)
 	fresh := NewEngine(p, mustTestChecker(t, "free"), DefaultOptions())
 	fresh.RunRootsContext(context.Background(), b.Roots)
+	reused := 0
+	for _, fn := range b.Funcs {
+		if left[shared.funcs[fn.Index]] {
+			reused++
+		}
+		if got, want := shared.SupergraphString(fn.Name), fresh.SupergraphString(fn.Name); got != want {
+			t.Errorf("after unit A, %s renders\n%s\nalone it renders\n%s", fn.Name, got, want)
+		}
+	}
+	if reused == 0 {
+		t.Fatal("unit B reused none of the funcInfos unit A left; the comparison is vacuous")
+	}
 	got, want := fpSeenOf(shared, b), fpSeenOf(fresh, b)
 	if !slices.Equal(got, want) {
 		t.Errorf("after unit A, unit B's fpSeen sets are\n  %v\nalone they are\n  %v", got, want)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -53,11 +54,13 @@ func (s *edgeSet) group(in *interner, id tid) (lo, hi int) {
 	return lo, hi
 }
 
-// add inserts the edge; it reports whether the edge was new. The first
-// edge of a set lives in fi's slab at capacity one, so the second
-// reallocates the set privately, as every later growth does.
+// add inserts the edge; it reports whether the edge was new. A set
+// with no array carves its first edge from fi's slab at capacity one,
+// so the second reallocates the set privately, as every later growth
+// does. A set of a recycled block keeps the cleared array the block's
+// previous owner left and fills it in place first (funcPool).
 func (s *edgeSet) add(fi *funcInfo, e edge) bool {
-	if len(s.edges) == 0 {
+	if cap(s.edges) == 0 {
 		s.edges = carve(&fi.edgeSlab, 3*len(fi.blocks), 1, e)
 		return true
 	}
@@ -91,6 +94,12 @@ func (s *edgeSet) all() []edge { return s.edges }
 
 func (s *edgeSet) len() int { return len(s.edges) }
 
+// reset zeroes the set and keeps its array for the block's next owner.
+func (s *edgeSet) reset() {
+	clear(s.edges)
+	s.edges = s.edges[:0]
+}
+
 // blockInfo is the per-block cache: the block summary (transition +
 // add edges, §5.2) and the suffix summary (§6.2).
 type blockInfo struct {
@@ -114,7 +123,7 @@ type blockInfo struct {
 	// paper's footnote-1 gap). It is the sorted set of
 	// fingerprint<<32|tid pairs seen, fpCount the distinct fingerprints
 	// among them; once fpCount passes fpCacheCap, coverage falls back to
-	// tuple-only (the paper's behaviour) for good and fpSeen is dropped.
+	// tuple-only (the paper's behaviour) for good and fpSeen is emptied.
 	// The fingerprint ids belong to the engine's fpp.Table (Engine.terms),
 	// which is emptied only once every funcInfo is gone.
 	fpSeen  []uint64
@@ -159,12 +168,15 @@ func (en *Engine) noteSeen(b *blockInfo, t Tuple, fp uint32) {
 	// shows in the neighbours.
 	if (i == 0 || uint32(b.fpSeen[i-1]>>32) != fp) && (i == len(b.fpSeen) || uint32(b.fpSeen[i]>>32) != fp) {
 		if b.fpCount++; b.fpCount > fpCacheCap {
-			b.fpSeen = nil
+			// The emptied array stays with the block: the block's next
+			// owner fills it (funcPool).
+			clear(b.fpSeen)
+			b.fpSeen = b.fpSeen[:0]
 			en.Stats.FingerprintFallbacks++
 			return
 		}
 	}
-	if len(b.fpSeen) == 0 {
+	if cap(b.fpSeen) == 0 {
 		b.fpSeen = carve(&b.fi.fpSlab, len(b.fi.blocks), fpSlot, key)
 		return
 	}
@@ -179,6 +191,9 @@ func (b *blockInfo) covers(t Tuple) bool { return b.trans.hasFrom(b.fi.in, t) }
 // basic block, indexed by cfg.Block.ID. The function summary (§6.2) is
 // the entry block's suffix summary.
 type funcInfo struct {
+	// blocks is as long as the function's CFG. A recycled funcInfo's
+	// array may have more capacity, left by a longer function; the
+	// blockInfos past the length are cleared and wait for one.
 	blocks []blockInfo
 	// Analyses counts full traversals started on this function's CFG
 	// (experiment E2: memoization avoids re-traversal).
@@ -189,19 +204,80 @@ type funcInfo struct {
 	// are carved from: a traversed block owns three singleton sets, and
 	// one array apiece was a tenth of the engine's objects. The slabs
 	// are the funcInfo's, not the engine's, because edges hold AST nodes
-	// and instances: eviction must drop them with the sets (stream.go).
-	// A chunk stays whole until then even if its sets outgrow their
-	// slots.
+	// and instances: eviction must clear them with the sets. A chunk's
+	// carved slots stay with the blocks they went to, through eviction
+	// and reuse (funcPool), even if their sets outgrow them.
 	edgeSlab []edge
 	fpSlab   []uint64
+	// next links an evicted funcInfo into its engine's pool.
+	next *funcInfo
 }
 
-func newFuncInfo(g *cfg.Graph, in *interner) *funcInfo {
-	fi := &funcInfo{blocks: make([]blockInfo, len(g.Blocks)), in: in}
+// newFuncInfo returns the function's funcInfo: a pooled one whose block
+// array is long enough, or else a new one with an exact-length array.
+func (en *Engine) newFuncInfo(g *cfg.Graph) *funcInfo {
+	n := len(g.Blocks)
+	if fi := en.pool.take(n); fi != nil {
+		fi.blocks = fi.blocks[:n]
+		return fi
+	}
+	fi := &funcInfo{blocks: make([]blockInfo, n), in: en.intern}
 	for i := range fi.blocks {
 		fi.blocks[i].fi = fi
 	}
 	return fi
+}
+
+// funcPool holds an engine's evicted funcInfos, cleared, for the
+// functions it enters next (DESIGN.md §12.1). A funcInfo keeps its
+// block array, and every blockInfo its edge and fpSeen arrays — slab
+// slots and grown arrays alike — so a recycled block's sets fill their
+// predecessor's memory before they carve or grow; the slab remainders
+// stay too. Nothing else is tracked: the pieces hang off the funcInfo,
+// and the funcInfos are chained through next. Class k holds block
+// arrays of capacity [2^(k-1), 2^k), the last class everything above;
+// eleven heads keep the Engine in the 1,024-byte size class it had
+// without them. The pool is the engine's: one goroutine, no lock.
+type funcPool [11]*funcInfo
+
+func poolClass(n int) int { return min(bits.Len(uint(n)), len(funcPool{})-1) }
+
+// put clears fi and pools it. Only the blocks up to the length can
+// hold anything: the ones past it were cleared when fi last came in.
+func (p *funcPool) put(fi *funcInfo) {
+	for i := range fi.blocks {
+		b := &fi.blocks[i]
+		b.trans.reset()
+		b.adds.reset()
+		b.gstate.reset()
+		b.sfxTrans.reset()
+		b.sfxAdds.reset()
+		clear(b.fpSeen)
+		b.fpSeen, b.fpCount = b.fpSeen[:0], 0
+	}
+	fi.Analyses = 0
+	k := poolClass(cap(fi.blocks))
+	fi.next, p[k] = p[k], fi
+}
+
+// take unlinks a pooled funcInfo with room for n blocks, or returns
+// nil: the first long enough in n's own class, else the head of the
+// smallest class above it, every member of which is.
+func (p *funcPool) take(n int) *funcInfo {
+	k := poolClass(n)
+	for link := &p[k]; *link != nil; link = &(*link).next {
+		if fi := *link; cap(fi.blocks) >= n {
+			*link, fi.next = fi.next, nil
+			return fi
+		}
+	}
+	for k++; k < len(p); k++ {
+		if fi := p[k]; fi != nil {
+			p[k], fi.next = fi.next, nil
+			return fi
+		}
+	}
+	return nil
 }
 
 // slabChunk bounds one slab chunk, so that a long function that is
