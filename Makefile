@@ -86,7 +86,10 @@ vet:
 # engine's second and third run doors and its per-engine action and
 # callout registration stay gone. And a retired function's summary
 # memory is pooled by the engine that evicted it (DESIGN.md §12.1): no
-# sync.Pool or other process-wide pool enters internal/core.
+# sync.Pool or other process-wide pool enters internal/core. And a C
+# expression is folded, walked and rewritten in internal/cc (DESIGN.md
+# §3): fpp's second operator switch and the identifier search only the
+# kill pass called stay gone.
 no-deleted-knobs:
 	! grep -rnE 'Match[M]emo|Block[F]ilter|Tuple[I]ntern|Lean[A]lloc|Multi[D]ispatch|Tenant[Q]uota|Queue[D]epth|Batch[S]ize' --include=*.go .
 	! grep -rnE 'Load[S]ummaries|summary[S]ource|Retired[S]et|Allow[S]pillReload|Summaries[L]oaded|SummaryBytes[D]eferred' --include=*.go .
@@ -112,6 +115,7 @@ no-deleted-knobs:
 	! grep -rnE 'map\[[s]tring\]uint32|fp[s]\[[s]tring|fi[.]term[s]\b|funcInfo[.]term[s]\b' --include=*.go .
 	! grep -rnE 'Havoc[A]ssigned|havoc[S]tmt|havoc[E]xpr|Stmt[S]tring|write[S]tmt|Is[I]nteger|\.Transitions[F]rom\(|\.Has[V]arState\(|Must[P]arse|\bBy[Z]\(|\.By[R]ule\(|Sorted[F]iles|Add[D]irectory|cc\.Round[T]rip|func Round[T]rip|Block[F]or\(|Register[A]ction|Register[C]allout|\.Run[F]unction\(|\.Run[R]oots\(' --include=*.go .
 	! grep -rn 'sync\.[P]ool' --include=*.go internal/core
+	! grep -rnE 'apply[B]inop|Contains[I]dent' --include=*.go .
 	! ls BENCH_*.json 2>/dev/null | grep .
 
 # staticcheck is optional locally (the repo adds no dependencies) but

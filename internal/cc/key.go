@@ -1,10 +1,13 @@
 package cc
 
+import "slices"
+
 // This file provides canonical expression keys and structural AST
 // equality. The analysis engine identifies tracked program objects by
 // key (§5.1: "The tree in the var field can be any tree in the code"),
 // and patterns with repeated hole variables require "equivalent ASTs"
-// (§4).
+// (§4). The walks every other package reads and rebuilds expressions
+// through (WalkExpr, Rewrite, ExecOrder) are here too.
 
 // ExprKey returns a canonical string identifying the expression's
 // structure. Two expressions have the same key iff EqualExpr reports
@@ -112,20 +115,6 @@ func EqualExpr(a, b Expr) bool {
 	return false
 }
 
-// ContainsIdent reports whether the expression mentions the named
-// identifier anywhere. The kill-on-redefinition pass (§8) uses this to
-// stop tracking expressions whose components are redefined.
-func ContainsIdent(e Expr, name string) bool {
-	found := false
-	WalkExpr(e, func(sub Expr) bool {
-		if id, ok := sub.(*Ident); ok && id.Name == name {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
 // SubExprOf reports whether needle occurs (structurally) within
 // haystack, including haystack itself.
 func SubExprOf(needle, haystack Expr) bool {
@@ -183,6 +172,106 @@ func WalkExpr(e Expr, visit func(Expr) bool) {
 			WalkExpr(x, visit)
 		}
 	}
+}
+
+// Rewrite returns e with sub-expressions replaced by f. f sees the
+// nodes in pre-order and returns nil to keep a node and descend into
+// it, or the node's replacement, which is not descended (returning the
+// node itself keeps it whole). Rewrite copies only the nodes above a
+// replacement and shares every other subtree with e, so a rewrite
+// that replaces nothing returns e itself.
+func Rewrite(e Expr, f func(Expr) Expr) Expr {
+	if e == nil {
+		return nil
+	}
+	if r := f(e); r != nil {
+		return r
+	}
+	switch e := e.(type) {
+	case *UnaryExpr:
+		if x := Rewrite(e.X, f); x != e.X {
+			c := *e
+			c.X = x
+			return &c
+		}
+	case *BinaryExpr:
+		if x, y := Rewrite(e.X, f), Rewrite(e.Y, f); x != e.X || y != e.Y {
+			c := *e
+			c.X, c.Y = x, y
+			return &c
+		}
+	case *AssignExpr:
+		if l, r := Rewrite(e.LHS, f), Rewrite(e.RHS, f); l != e.LHS || r != e.RHS {
+			c := *e
+			c.LHS, c.RHS = l, r
+			return &c
+		}
+	case *CondExpr:
+		co, th, el := Rewrite(e.Cond, f), Rewrite(e.Then, f), Rewrite(e.Else, f)
+		if co != e.Cond || th != e.Then || el != e.Else {
+			c := *e
+			c.Cond, c.Then, c.Else = co, th, el
+			return &c
+		}
+	case *CallExpr:
+		fun, args := Rewrite(e.Fun, f), rewriteList(e.Args, f)
+		if fun != e.Fun || args != nil {
+			c := *e
+			c.Fun = fun
+			if args != nil {
+				c.Args = args
+			}
+			return &c
+		}
+	case *IndexExpr:
+		if x, i := Rewrite(e.X, f), Rewrite(e.Index, f); x != e.X || i != e.Index {
+			c := *e
+			c.X, c.Index = x, i
+			return &c
+		}
+	case *FieldExpr:
+		if x := Rewrite(e.X, f); x != e.X {
+			c := *e
+			c.X = x
+			return &c
+		}
+	case *CastExpr:
+		if x := Rewrite(e.X, f); x != e.X {
+			c := *e
+			c.X = x
+			return &c
+		}
+	case *SizeofExpr:
+		if x := Rewrite(e.X, f); x != e.X {
+			c := *e
+			c.X = x
+			return &c
+		}
+	case *CommaExpr:
+		if list := rewriteList(e.List, f); list != nil {
+			return &CommaExpr{P: e.P, List: list}
+		}
+	case *InitList:
+		if list := rewriteList(e.List, f); list != nil {
+			return &InitList{P: e.P, List: list}
+		}
+	}
+	return e
+}
+
+// rewriteList rewrites each element of list, returning the new list,
+// or nil if no element changed.
+func rewriteList(list []Expr, f func(Expr) Expr) []Expr {
+	var out []Expr
+	for i, x := range list {
+		if y := Rewrite(x, f); y != x {
+			if out == nil {
+				out = slices.Clone(list)
+			}
+			out[i] = y
+		}
+	}
+	return out
 }
 
 // ExecOrder appends to out the evaluation-ordered sequence of program

@@ -1507,7 +1507,9 @@ func (p *Parser) constEval(e Expr) (int64, bool) {
 func ConstEval(e Expr) (int64, bool) { return ConstEvalEnv(e, nil) }
 
 // ConstEvalEnv is ConstEval with an optional resolver for identifiers
-// (enum constants, known globals).
+// (enum constants, known globals, a path's tracked values). It is the
+// one constant folder: every package that folds a C expression calls
+// it, or Binop for an operator over values it already holds.
 func ConstEvalEnv(e Expr, resolve func(string) (int64, bool)) (int64, bool) {
 	ev := func(x Expr) (int64, bool) { return ConstEvalEnv(x, resolve) }
 	switch e := e.(type) {
@@ -1519,26 +1521,7 @@ func ConstEvalEnv(e Expr, resolve func(string) (int64, bool)) (int64, bool) {
 	case *IntLit:
 		return e.Value, true
 	case *CharLit:
-		if len(e.Text) == 1 {
-			return int64(e.Text[0]), true
-		}
-		if len(e.Text) == 2 && e.Text[0] == '\\' {
-			switch e.Text[1] {
-			case 'n':
-				return '\n', true
-			case 't':
-				return '\t', true
-			case 'r':
-				return '\r', true
-			case '0':
-				return 0, true
-			case '\\':
-				return '\\', true
-			case '\'':
-				return '\'', true
-			}
-		}
-		return 0, false
+		return charValue(e.Text)
 	case *UnaryExpr:
 		v, ok := ev(e.X)
 		if !ok {
@@ -1552,10 +1535,7 @@ func ConstEvalEnv(e Expr, resolve func(string) (int64, bool)) (int64, bool) {
 		case TokTilde:
 			return ^v, true
 		case TokNot:
-			if v == 0 {
-				return 1, true
-			}
-			return 0, true
+			return b2i(v == 0), true
 		}
 		return 0, false
 	case *BinaryExpr:
@@ -1567,63 +1547,7 @@ func ConstEvalEnv(e Expr, resolve func(string) (int64, bool)) (int64, bool) {
 		if !ok {
 			return 0, false
 		}
-		b2i := func(b bool) int64 {
-			if b {
-				return 1
-			}
-			return 0
-		}
-		switch e.Op {
-		case TokPlus:
-			return x + y, true
-		case TokMinus:
-			return x - y, true
-		case TokStar:
-			return x * y, true
-		case TokSlash:
-			if y == 0 {
-				return 0, false
-			}
-			return x / y, true
-		case TokPercent:
-			if y == 0 {
-				return 0, false
-			}
-			return x % y, true
-		case TokShl:
-			if y < 0 || y > 63 {
-				return 0, false
-			}
-			return x << uint(y), true
-		case TokShr:
-			if y < 0 || y > 63 {
-				return 0, false
-			}
-			return x >> uint(y), true
-		case TokAmp:
-			return x & y, true
-		case TokPipe:
-			return x | y, true
-		case TokCaret:
-			return x ^ y, true
-		case TokEq:
-			return b2i(x == y), true
-		case TokNe:
-			return b2i(x != y), true
-		case TokLt:
-			return b2i(x < y), true
-		case TokGt:
-			return b2i(x > y), true
-		case TokLe:
-			return b2i(x <= y), true
-		case TokGe:
-			return b2i(x >= y), true
-		case TokAndAnd:
-			return b2i(x != 0 && y != 0), true
-		case TokOrOr:
-			return b2i(x != 0 || y != 0), true
-		}
-		return 0, false
+		return Binop(e.Op, x, y)
 	case *CondExpr:
 		c, ok := ev(e.Cond)
 		if !ok {
@@ -1644,6 +1568,103 @@ func ConstEvalEnv(e Expr, resolve func(string) (int64, bool)) (int64, bool) {
 		return 0, false
 	}
 	return 0, false
+}
+
+// Binop applies a binary operator to two constants. It fails on an
+// operator that is not arithmetic, bitwise, relational or logical, on
+// division by zero and on a shift count outside 0..63.
+func Binop(op TokKind, x, y int64) (int64, bool) {
+	switch op {
+	case TokPlus:
+		return x + y, true
+	case TokMinus:
+		return x - y, true
+	case TokStar:
+		return x * y, true
+	case TokSlash:
+		if y == 0 {
+			return 0, false
+		}
+		return x / y, true
+	case TokPercent:
+		if y == 0 {
+			return 0, false
+		}
+		return x % y, true
+	case TokShl:
+		if y < 0 || y > 63 {
+			return 0, false
+		}
+		return x << uint(y), true
+	case TokShr:
+		if y < 0 || y > 63 {
+			return 0, false
+		}
+		return x >> uint(y), true
+	case TokAmp:
+		return x & y, true
+	case TokPipe:
+		return x | y, true
+	case TokCaret:
+		return x ^ y, true
+	case TokEq:
+		return b2i(x == y), true
+	case TokNe:
+		return b2i(x != y), true
+	case TokLt:
+		return b2i(x < y), true
+	case TokGt:
+		return b2i(x > y), true
+	case TokLe:
+		return b2i(x <= y), true
+	case TokGe:
+		return b2i(x >= y), true
+	case TokAndAnd:
+		return b2i(x != 0 && y != 0), true
+	case TokOrOr:
+		return b2i(x != 0 || y != 0), true
+	}
+	return 0, false
+}
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// charValue folds the text of a character literal (quotes excluded)
+// holding one character or one escape sequence: a simple escape, an
+// octal \ooo (one to three digits) or a hex \xHH. char is signed, as
+// on x86-64, so an escape above 0x7f folds to a negative value. A
+// multi-character constant does not fold.
+func charValue(text string) (int64, bool) {
+	if len(text) == 1 {
+		return int64(text[0]), true
+	}
+	if len(text) < 2 || text[0] != '\\' {
+		return 0, false
+	}
+	if v, ok := simpleEscapes[text[1]]; ok && len(text) == 2 {
+		return v, true
+	}
+	digits, base := text[1:], 8
+	if text[1] == 'x' {
+		digits, base = text[2:], 16
+	} else if len(digits) > 3 {
+		return 0, false
+	}
+	v, err := strconv.ParseUint(digits, base, 8)
+	if err != nil {
+		return 0, false
+	}
+	return int64(int8(v)), true
+}
+
+var simpleEscapes = map[byte]int64{
+	'n': '\n', 't': '\t', 'r': '\r', 'a': '\a', 'b': '\b', 'f': '\f', 'v': '\v',
+	'\\': '\\', '\'': '\'', '"': '"', '?': '?',
 }
 
 // sizeOf gives a best-effort byte size for a type (LP64 model).

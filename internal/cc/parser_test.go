@@ -312,6 +312,11 @@ func TestConstEval(t *testing.T) {
 		{"3 > 2", 1},
 		{"'A'", 65},
 		{"'\\n'", 10},
+		{"'\\033'", 27},
+		{"'\\x1b'", 27},
+		{"'\\a'", 7},
+		{"'\\?'", '?'},
+		{"'\\377'", -1}, // char is signed
 	}
 	for _, c := range cases {
 		e := mustExpr(t, c.src)
@@ -325,7 +330,7 @@ func TestConstEval(t *testing.T) {
 		}
 	}
 	// Non-constant cases.
-	for _, src := range []string{"x + 1", "f(2)", "1 / 0"} {
+	for _, src := range []string{"x + 1", "f(2)", "1 / 0", "'ab'", "'\\400'", "'\\0123'", "'\\x'", "'\\q'"} {
 		if _, ok := ConstEval(mustExpr(t, src)); ok {
 			t.Errorf("%q: should not be const", src)
 		}
@@ -408,17 +413,55 @@ func TestExecOrderCall(t *testing.T) {
 	}
 }
 
-func TestContainsIdentAndSubExpr(t *testing.T) {
+func TestSubExprOf(t *testing.T) {
 	e := mustExpr(t, "a[i] + f(j)")
-	if !ContainsIdent(e, "i") || !ContainsIdent(e, "j") || ContainsIdent(e, "k") {
-		t.Error("ContainsIdent wrong")
-	}
 	needle := mustExpr(t, "a[i]")
 	if !SubExprOf(needle, e) {
 		t.Error("a[i] should be a subexpr")
 	}
 	if SubExprOf(mustExpr(t, "a[j]"), e) {
 		t.Error("a[j] should not be a subexpr")
+	}
+}
+
+func TestRewrite(t *testing.T) {
+	e := mustExpr(t, "a[i] + f(i, j) * sizeof(i)")
+	// Every i becomes k; nothing else is copied.
+	toK := func(x Expr) Expr {
+		if id, ok := x.(*Ident); ok && id.Name == "i" {
+			return &Ident{P: id.P, Name: "k"}
+		}
+		return nil
+	}
+	out := Rewrite(e, toK)
+	if got, want := ExprString(out), "a[k] + f(k, j) * sizeof k"; got != want {
+		t.Fatalf("Rewrite = %s, want %s", got, want)
+	}
+	if ExprString(e) != "a[i] + f(i, j) * sizeof i" {
+		t.Error("Rewrite modified its input")
+	}
+	call := out.(*BinaryExpr).Y.(*BinaryExpr).X.(*CallExpr)
+	orig := e.(*BinaryExpr).Y.(*BinaryExpr).X.(*CallExpr)
+	if call.Fun != orig.Fun || call.Args[1] != orig.Args[1] {
+		t.Error("unchanged subtrees must be shared, not copied")
+	}
+	// A rewrite that replaces nothing returns its input.
+	if Rewrite(e, func(Expr) Expr { return nil }) != e {
+		t.Error("an empty rewrite must return e itself")
+	}
+	// A replaced node is not descended: f sees a[i] but not its i.
+	saw := 0
+	out = Rewrite(e, func(x Expr) Expr {
+		if id, ok := x.(*Ident); ok && id.Name == "i" {
+			saw++
+		}
+		if _, ok := x.(*IndexExpr); ok {
+			return mustExpr(t, "b")
+		}
+		return nil
+	})
+	if got, want := ExprString(out), "b + f(i, j) * sizeof i"; got != want || saw != 2 {
+		t.Errorf("Rewrite = %s (saw i %d times), want %s (2)", got, saw, want)
 	}
 }
 

@@ -157,6 +157,9 @@ func TestValueDependsOnForms(t *testing.T) {
 		{"(long)x", "x", true},
 		{"&arr[i]", "i", true},
 		{"s.f", "s", true},
+		{"c ? &x : y", "x", false},
+		{"c ? x : y", "x", true},
+		{"sizeof(x)", "x", true},
 	}
 	for _, c := range cases {
 		e, err := cc.ParseExprString(c.expr)

@@ -1293,39 +1293,21 @@ func (en *Engine) killMentions(st *pathState, rec *blockRec, lval cc.Expr, spare
 // variable's value. Occurrences directly under address-of (&name) are
 // excluded: the address is storage identity, not content.
 func valueDependsOn(e cc.Expr, name string) bool {
-	switch e := e.(type) {
-	case nil:
-		return false
-	case *cc.Ident:
-		return e.Name == name
-	case *cc.UnaryExpr:
-		if e.Op == cc.TokAmp && !e.Postfix {
-			if id, ok := e.X.(*cc.Ident); ok && id.Name == name {
+	found := false
+	cc.WalkExpr(e, func(x cc.Expr) bool {
+		switch x := x.(type) {
+		case *cc.Ident:
+			if x.Name == name {
+				found = true
+			}
+		case *cc.UnaryExpr:
+			if id, ok := x.X.(*cc.Ident); ok && x.Op == cc.TokAmp && !x.Postfix && id.Name == name {
 				return false
 			}
 		}
-		return valueDependsOn(e.X, name)
-	case *cc.BinaryExpr:
-		return valueDependsOn(e.X, name) || valueDependsOn(e.Y, name)
-	case *cc.IndexExpr:
-		return valueDependsOn(e.X, name) || valueDependsOn(e.Index, name)
-	case *cc.FieldExpr:
-		return valueDependsOn(e.X, name)
-	case *cc.CastExpr:
-		return valueDependsOn(e.X, name)
-	case *cc.CallExpr:
-		if valueDependsOn(e.Fun, name) {
-			return true
-		}
-		for _, a := range e.Args {
-			if valueDependsOn(a, name) {
-				return true
-			}
-		}
-		return false
-	default:
-		return cc.ContainsIdent(e, name)
-	}
+		return !found
+	})
+	return found
 }
 
 // ---------------------------------------------------------------------------

@@ -266,56 +266,20 @@ func bindsPointCall(p pattern.Pattern, h string) bool {
 // evaluated, so ExecOrder does not emit points inside it and nothing
 // below a SizeofExpr may be required.
 func requiredCallee(e cc.Expr) string {
-	switch e := e.(type) {
-	case *cc.CallExpr:
-		if id, ok := e.Fun.(*cc.Ident); ok {
-			return id.Name
+	name := ""
+	cc.WalkExpr(e, func(x cc.Expr) bool {
+		if name != "" {
+			return false
 		}
-		if n := requiredCallee(e.Fun); n != "" {
-			return n
-		}
-		for _, a := range e.Args {
-			if n := requiredCallee(a); n != "" {
-				return n
+		if call, ok := x.(*cc.CallExpr); ok {
+			if id, ok := call.Fun.(*cc.Ident); ok {
+				name = id.Name
 			}
 		}
-	case *cc.UnaryExpr:
-		return requiredCallee(e.X)
-	case *cc.BinaryExpr:
-		if n := requiredCallee(e.X); n != "" {
-			return n
-		}
-		return requiredCallee(e.Y)
-	case *cc.AssignExpr:
-		if n := requiredCallee(e.LHS); n != "" {
-			return n
-		}
-		return requiredCallee(e.RHS)
-	case *cc.CondExpr:
-		if n := requiredCallee(e.Cond); n != "" {
-			return n
-		}
-		if n := requiredCallee(e.Then); n != "" {
-			return n
-		}
-		return requiredCallee(e.Else)
-	case *cc.IndexExpr:
-		if n := requiredCallee(e.X); n != "" {
-			return n
-		}
-		return requiredCallee(e.Index)
-	case *cc.FieldExpr:
-		return requiredCallee(e.X)
-	case *cc.CastExpr:
-		return requiredCallee(e.X)
-	case *cc.CommaExpr:
-		for _, x := range e.List {
-			if n := requiredCallee(x); n != "" {
-				return n
-			}
-		}
-	}
-	return ""
+		_, isSizeof := x.(*cc.SizeofExpr)
+		return !isSizeof
+	})
+	return name
 }
 
 // blockFeats summarizes a block's program points for the filter.

@@ -62,7 +62,7 @@ func propHoles() map[string]*pattern.Hole {
 // any-call holes, and return statements.
 func randBaseSrc(r chooser, names []string) string {
 	name := names[r.Intn(len(names))]
-	switch r.Intn(12) {
+	switch r.Intn(13) {
 	case 0:
 		return name + "(v)"
 	case 1:
@@ -85,8 +85,12 @@ func randBaseSrc(r chooser, names []string) string {
 		return name + "(args) + idx"
 	case 10:
 		return "fn(args)"
-	default:
+	case 11:
 		return "return"
+	default:
+		// The call is matched but is no program point: sizeof does
+		// not evaluate its operand.
+		return "v = sizeof(" + name + "(args))"
 	}
 }
 
@@ -165,7 +169,7 @@ func randFuncSrc(r chooser, names []string, name string) string {
 	var emit func(depth int)
 	stmt := func(depth int) {
 		callee := names[r.Intn(len(names))]
-		switch r.Intn(12) {
+		switch r.Intn(13) {
 		case 0:
 			fmt.Fprintf(&b, "\t%s(p);\n", callee)
 		case 1:
@@ -198,8 +202,10 @@ func randFuncSrc(r chooser, names []string, name string) string {
 			}
 		case 10:
 			fmt.Fprintf(&b, "\treturn *%s(p);\n", callee)
-		default:
+		case 11:
 			b.WriteString("\ty = y - 1;\n")
+		default:
+			fmt.Fprintf(&b, "\tp = sizeof(%s(p));\n", callee)
 		}
 	}
 	emit = func(depth int) {

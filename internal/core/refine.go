@@ -22,108 +22,19 @@ import (
 // else local to the caller is saved and restored around the call.
 
 // substExpr replaces every occurrence of from (structural equality)
-// with to, returning the rewritten tree and whether anything changed.
+// with to, returning the rewritten tree, its *(&x) and &(*x) pairs
+// cancelled, and whether anything changed.
 func substExpr(e, from, to cc.Expr) (cc.Expr, bool) {
-	if e == nil {
-		return nil, false
+	out := cc.Rewrite(e, func(x cc.Expr) cc.Expr {
+		if cc.EqualExpr(x, from) {
+			return to
+		}
+		return nil
+	})
+	if out == e {
+		return e, false
 	}
-	if cc.EqualExpr(e, from) {
-		return to, true
-	}
-	switch e := e.(type) {
-	case *cc.UnaryExpr:
-		x, ch := substExpr(e.X, from, to)
-		if !ch {
-			return e, false
-		}
-		return simplifyExpr(&cc.UnaryExpr{P: e.P, Op: e.Op, Postfix: e.Postfix, X: x}), true
-	case *cc.BinaryExpr:
-		x, ch1 := substExpr(e.X, from, to)
-		y, ch2 := substExpr(e.Y, from, to)
-		if !ch1 && !ch2 {
-			return e, false
-		}
-		return &cc.BinaryExpr{P: e.P, Op: e.Op, X: x, Y: y}, true
-	case *cc.IndexExpr:
-		x, ch1 := substExpr(e.X, from, to)
-		i, ch2 := substExpr(e.Index, from, to)
-		if !ch1 && !ch2 {
-			return e, false
-		}
-		return &cc.IndexExpr{P: e.P, X: x, Index: i}, true
-	case *cc.FieldExpr:
-		x, ch := substExpr(e.X, from, to)
-		if !ch {
-			return e, false
-		}
-		return &cc.FieldExpr{P: e.P, X: x, Name: e.Name, Arrow: e.Arrow}, true
-	case *cc.CastExpr:
-		x, ch := substExpr(e.X, from, to)
-		if !ch {
-			return e, false
-		}
-		return &cc.CastExpr{P: e.P, To: e.To, X: x}, true
-	case *cc.CallExpr:
-		changed := false
-		fun, ch := substExpr(e.Fun, from, to)
-		changed = changed || ch
-		args := make([]cc.Expr, len(e.Args))
-		for i, a := range e.Args {
-			na, ch := substExpr(a, from, to)
-			args[i] = na
-			changed = changed || ch
-		}
-		if !changed {
-			return e, false
-		}
-		return &cc.CallExpr{P: e.P, Fun: fun, Args: args}, true
-	case *cc.AssignExpr:
-		lhs, ch1 := substExpr(e.LHS, from, to)
-		rhs, ch2 := substExpr(e.RHS, from, to)
-		if !ch1 && !ch2 {
-			return e, false
-		}
-		return &cc.AssignExpr{P: e.P, Op: e.Op, LHS: lhs, RHS: rhs}, true
-	case *cc.CondExpr:
-		c, ch1 := substExpr(e.Cond, from, to)
-		th, ch2 := substExpr(e.Then, from, to)
-		el, ch3 := substExpr(e.Else, from, to)
-		if !ch1 && !ch2 && !ch3 {
-			return e, false
-		}
-		return &cc.CondExpr{P: e.P, Cond: c, Then: th, Else: el}, true
-	case *cc.CommaExpr:
-		changed := false
-		list := make([]cc.Expr, len(e.List))
-		for i, x := range e.List {
-			nx, ch := substExpr(x, from, to)
-			list[i] = nx
-			changed = changed || ch
-		}
-		if !changed {
-			return e, false
-		}
-		return &cc.CommaExpr{P: e.P, List: list}, true
-	}
-	return e, false
-}
-
-// simplifyExpr cancels *(&x) and &(*x) pairs introduced by
-// substitution.
-func simplifyExpr(e cc.Expr) cc.Expr {
-	u, ok := e.(*cc.UnaryExpr)
-	if !ok || u.Postfix {
-		return e
-	}
-	inner, ok := u.X.(*cc.UnaryExpr)
-	if !ok || inner.Postfix {
-		return e
-	}
-	if (u.Op == cc.TokStar && inner.Op == cc.TokAmp) ||
-		(u.Op == cc.TokAmp && inner.Op == cc.TokStar) {
-		return inner.X
-	}
-	return e
+	return simplifyDeep(out), true
 }
 
 // refineObj maps a caller-scope object expression into the callee's
@@ -143,9 +54,7 @@ func refineObj(obj cc.Expr, maps []prog.ArgMap) (cc.Expr, bool) {
 }
 
 // restoreObj maps a callee-scope object expression back into the
-// caller's scope (the inverse substitution). It reports whether the
-// expression still mentions callee-local names afterwards (in which
-// case the instance dies with the callee frame).
+// caller's scope (the inverse substitution).
 func restoreObj(obj cc.Expr, maps []prog.ArgMap) cc.Expr {
 	out := obj
 	for _, m := range maps {
@@ -168,25 +77,31 @@ func restoreObj(obj cc.Expr, maps []prog.ArgMap) cc.Expr {
 			// formal == &actual.
 			addr := &cc.UnaryExpr{Op: cc.TokAmp, X: m.Actual}
 			if res, changed := substExpr(out, m.Formal, addr); changed {
-				out = simplifyDeep(res)
+				out = res
 			}
 		}
 	}
 	return simplifyDeep(out)
 }
 
-// simplifyDeep applies simplifyExpr bottom-up.
+// simplifyDeep cancels *(&x) and &(*x) pairs bottom-up, copying only
+// the nodes above a cancellation.
 func simplifyDeep(e cc.Expr) cc.Expr {
-	switch x := e.(type) {
-	case *cc.UnaryExpr:
-		inner := simplifyDeep(x.X)
-		return simplifyExpr(&cc.UnaryExpr{P: x.P, Op: x.Op, Postfix: x.Postfix, X: inner})
-	case *cc.FieldExpr:
-		return &cc.FieldExpr{P: x.P, X: simplifyDeep(x.X), Name: x.Name, Arrow: x.Arrow}
-	case *cc.IndexExpr:
-		return &cc.IndexExpr{P: x.P, X: simplifyDeep(x.X), Index: simplifyDeep(x.Index)}
-	}
-	return e
+	return cc.Rewrite(e, func(x cc.Expr) cc.Expr {
+		u, ok := x.(*cc.UnaryExpr)
+		if !ok || u.Postfix {
+			return nil
+		}
+		inner := simplifyDeep(u.X)
+		if in, ok := inner.(*cc.UnaryExpr); ok && !in.Postfix &&
+			(u.Op == cc.TokStar && in.Op == cc.TokAmp || u.Op == cc.TokAmp && in.Op == cc.TokStar) {
+			return in.X
+		}
+		if inner == u.X {
+			return u
+		}
+		return &cc.UnaryExpr{P: u.P, Op: u.Op, X: inner}
+	})
 }
 
 // mentionsAny reports whether the expression mentions any name in the

@@ -179,6 +179,8 @@ func TestSubstExpr(t *testing.T) {
 		{"a[i]", "i", "j", "a[j]"},
 		{"*(p->q)", "p->q", "r", "*r"},
 		{"x + y", "z", "w", "x + y"}, // no change
+		{"sizeof(xa)", "xa", "xf", "sizeof xf"},
+		{"f(*xf)", "xf", "&xa", "f(xa)"}, // *(&xa) cancels under any node
 	}
 	for _, c := range cases {
 		got, changed := substExpr(parseE(t, c.obj), parseE(t, c.from), parseE(t, c.to))

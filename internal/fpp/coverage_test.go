@@ -31,6 +31,8 @@ func TestEvalArithmeticOperators(t *testing.T) {
 		{"x / 0 == 1", Unknown}, // division by zero never folds
 		{"x % 0 == 1", Unknown},
 		{"(x << 99) == 0", Unknown},
+		{"x + sizeof(int) == 16", MustTrue}, // cc's LP64 sizes
+		{"x != '\\033'", MustTrue},
 	}
 	for _, c := range cases {
 		if got := e.EvalCond(expr(t, c.src)); got != c.want {

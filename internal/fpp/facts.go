@@ -225,7 +225,7 @@ func (e *Env) relate(op cc.TokKind, a, b term) Verdict {
 	ca, oka := e.rootConst(ra)
 	cb, okb := e.rootConst(rb)
 	if oka && okb {
-		v, ok := applyBinop(op, ca, cb)
+		v, ok := cc.Binop(op, ca, cb)
 		if !ok {
 			return Unknown
 		}

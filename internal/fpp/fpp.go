@@ -117,114 +117,13 @@ func (e *Env) constOf(x cc.Expr) (int64, bool) {
 }
 
 // eval tries to evaluate an expression using tracked values (§8 step
-// 2: "If we know that x is 10, then we will assign y the value 11").
+// 2: "If we know that x is 10, then we will assign y the value 11"):
+// cc's constant folder, reading each variable through its current
+// class.
 func (e *Env) eval(x cc.Expr) (int64, bool) {
-	switch x := x.(type) {
-	case *cc.IntLit:
-		return x.Value, true
-	case *cc.CharLit:
-		return cc.ConstEval(x)
-	case *cc.Ident:
-		return e.termConst(e.term(x))
-	case *cc.UnaryExpr:
-		v, ok := e.eval(x.X)
-		if !ok {
-			return 0, false
-		}
-		switch x.Op {
-		case cc.TokMinus:
-			return -v, true
-		case cc.TokPlus:
-			return v, true
-		case cc.TokNot:
-			if v == 0 {
-				return 1, true
-			}
-			return 0, true
-		case cc.TokTilde:
-			return ^v, true
-		}
-		return 0, false
-	case *cc.BinaryExpr:
-		l, lok := e.eval(x.X)
-		r, rok := e.eval(x.Y)
-		if !lok || !rok {
-			return 0, false
-		}
-		return applyBinop(x.Op, l, r)
-	case *cc.CondExpr:
-		c, ok := e.eval(x.Cond)
-		if !ok {
-			return 0, false
-		}
-		if c != 0 {
-			return e.eval(x.Then)
-		}
-		return e.eval(x.Else)
-	case *cc.CastExpr:
-		return e.eval(x.X)
-	}
-	return 0, false
-}
-
-func applyBinop(op cc.TokKind, l, r int64) (int64, bool) {
-	b2i := func(b bool) int64 {
-		if b {
-			return 1
-		}
-		return 0
-	}
-	switch op {
-	case cc.TokPlus:
-		return l + r, true
-	case cc.TokMinus:
-		return l - r, true
-	case cc.TokStar:
-		return l * r, true
-	case cc.TokSlash:
-		if r == 0 {
-			return 0, false
-		}
-		return l / r, true
-	case cc.TokPercent:
-		if r == 0 {
-			return 0, false
-		}
-		return l % r, true
-	case cc.TokAmp:
-		return l & r, true
-	case cc.TokPipe:
-		return l | r, true
-	case cc.TokCaret:
-		return l ^ r, true
-	case cc.TokShl:
-		if r < 0 || r > 63 {
-			return 0, false
-		}
-		return l << uint(r), true
-	case cc.TokShr:
-		if r < 0 || r > 63 {
-			return 0, false
-		}
-		return l >> uint(r), true
-	case cc.TokEq:
-		return b2i(l == r), true
-	case cc.TokNe:
-		return b2i(l != r), true
-	case cc.TokLt:
-		return b2i(l < r), true
-	case cc.TokGt:
-		return b2i(l > r), true
-	case cc.TokLe:
-		return b2i(l <= r), true
-	case cc.TokGe:
-		return b2i(l >= r), true
-	case cc.TokAndAnd:
-		return b2i(l != 0 && r != 0), true
-	case cc.TokOrOr:
-		return b2i(l != 0 || r != 0), true
-	}
-	return 0, false
+	return cc.ConstEvalEnv(x, func(name string) (int64, bool) {
+		return e.termConst(e.varTerm(e.tab.nameID(name)))
+	})
 }
 
 // Assign records "lhs = rhs": the left side gets a fresh version, then

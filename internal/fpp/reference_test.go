@@ -128,52 +128,9 @@ func (e *refEnv) constOf(x cc.Expr) (int64, bool) {
 // eval tries to evaluate an expression using tracked values (§8 step
 // 2: "If we know that x is 10, then we will assign y the value 11").
 func (e *refEnv) eval(x cc.Expr) (int64, bool) {
-	switch x := x.(type) {
-	case *cc.IntLit:
-		return x.Value, true
-	case *cc.CharLit:
-		return cc.ConstEval(x)
-	case *cc.Ident:
-		return e.uf.constOf(e.term(x))
-	case *cc.UnaryExpr:
-		v, ok := e.eval(x.X)
-		if !ok {
-			return 0, false
-		}
-		switch x.Op {
-		case cc.TokMinus:
-			return -v, true
-		case cc.TokPlus:
-			return v, true
-		case cc.TokNot:
-			if v == 0 {
-				return 1, true
-			}
-			return 0, true
-		case cc.TokTilde:
-			return ^v, true
-		}
-		return 0, false
-	case *cc.BinaryExpr:
-		l, lok := e.eval(x.X)
-		r, rok := e.eval(x.Y)
-		if !lok || !rok {
-			return 0, false
-		}
-		return applyBinop(x.Op, l, r)
-	case *cc.CondExpr:
-		c, ok := e.eval(x.Cond)
-		if !ok {
-			return 0, false
-		}
-		if c != 0 {
-			return e.eval(x.Then)
-		}
-		return e.eval(x.Else)
-	case *cc.CastExpr:
-		return e.eval(x.X)
-	}
-	return 0, false
+	return cc.ConstEvalEnv(x, func(name string) (int64, bool) {
+		return e.uf.constOf(e.term(&cc.Ident{Name: name}))
+	})
 }
 
 // Assign records "lhs = rhs": the left side gets a fresh version, then
@@ -556,7 +513,7 @@ func (u *unionFind) relate(op cc.TokKind, a, b string) Verdict {
 	ra, rb := u.find(a), u.find(b)
 	ca, cb := u.konst[ra], u.konst[rb]
 	if ca != nil && cb != nil {
-		v, ok := applyBinop(op, *ca, *cb)
+		v, ok := cc.Binop(op, *ca, *cb)
 		if !ok {
 			return Unknown
 		}

@@ -221,55 +221,28 @@ func CompileBase(src string, holes map[string]*Hole) (*Base, error) {
 // substituteHoles rewrites identifiers that name declared holes into
 // HoleExpr/HoleArgs nodes.
 func substituteHoles(e cc.Expr, holes map[string]*Hole) cc.Expr {
-	if e == nil {
+	var sub func(x cc.Expr) cc.Expr
+	sub = func(x cc.Expr) cc.Expr {
+		switch x := x.(type) {
+		case *cc.Ident:
+			if h, ok := holes[x.Name]; ok {
+				return &cc.HoleExpr{P: x.P, Name: h.Name, Meta: string(h.Meta), CType: h.CType}
+			}
+		case *cc.CallExpr:
+			out := &cc.CallExpr{P: x.P, Fun: cc.Rewrite(x.Fun, sub)}
+			for _, a := range x.Args {
+				na := cc.Rewrite(a, sub)
+				// A lone any_arguments hole stands for the entire list.
+				if he, ok := na.(*cc.HoleExpr); ok && MetaKind(he.Meta) == MetaAnyArgs {
+					na = &cc.HoleArgs{P: he.P, Name: he.Name}
+				}
+				out.Args = append(out.Args, na)
+			}
+			return out
+		}
 		return nil
 	}
-	sub := func(x cc.Expr) cc.Expr { return substituteHoles(x, holes) }
-	switch e := e.(type) {
-	case *cc.Ident:
-		if h, ok := holes[e.Name]; ok {
-			return &cc.HoleExpr{P: e.P, Name: h.Name, Meta: string(h.Meta), CType: h.CType}
-		}
-		return e
-	case *cc.UnaryExpr:
-		return &cc.UnaryExpr{P: e.P, Op: e.Op, Postfix: e.Postfix, X: sub(e.X)}
-	case *cc.BinaryExpr:
-		return &cc.BinaryExpr{P: e.P, Op: e.Op, X: sub(e.X), Y: sub(e.Y)}
-	case *cc.AssignExpr:
-		return &cc.AssignExpr{P: e.P, Op: e.Op, LHS: sub(e.LHS), RHS: sub(e.RHS)}
-	case *cc.CondExpr:
-		return &cc.CondExpr{P: e.P, Cond: sub(e.Cond), Then: sub(e.Then), Else: sub(e.Else)}
-	case *cc.CallExpr:
-		out := &cc.CallExpr{P: e.P, Fun: sub(e.Fun)}
-		for _, a := range e.Args {
-			na := sub(a)
-			// A lone any_arguments hole stands for the entire list.
-			if he, ok := na.(*cc.HoleExpr); ok && MetaKind(he.Meta) == MetaAnyArgs {
-				na = &cc.HoleArgs{P: he.P, Name: he.Name}
-			}
-			out.Args = append(out.Args, na)
-		}
-		return out
-	case *cc.IndexExpr:
-		return &cc.IndexExpr{P: e.P, X: sub(e.X), Index: sub(e.Index)}
-	case *cc.FieldExpr:
-		return &cc.FieldExpr{P: e.P, X: sub(e.X), Name: e.Name, Arrow: e.Arrow}
-	case *cc.CastExpr:
-		return &cc.CastExpr{P: e.P, To: e.To, X: sub(e.X)}
-	case *cc.SizeofExpr:
-		if e.X != nil {
-			return &cc.SizeofExpr{P: e.P, X: sub(e.X)}
-		}
-		return e
-	case *cc.CommaExpr:
-		out := &cc.CommaExpr{P: e.P}
-		for _, x := range e.List {
-			out.List = append(out.List, sub(x))
-		}
-		return out
-	default:
-		return e
-	}
+	return cc.Rewrite(e, sub)
 }
 
 // Match implements Pattern.
