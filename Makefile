@@ -89,7 +89,9 @@ vet:
 # sync.Pool or other process-wide pool enters internal/core. And a C
 # expression is folded, walked and rewritten in internal/cc (DESIGN.md
 # §3): fpp's second operator switch and the identifier search only the
-# kill pass called stay gone.
+# kill pass called stay gone. And a path allocates only what outlives it
+# (DESIGN.md §10.4): the eager why-trace format, the formatted report key
+# and the per-block feature map stay gone.
 no-deleted-knobs:
 	! grep -rnE 'Match[M]emo|Block[F]ilter|Tuple[I]ntern|Lean[A]lloc|Multi[D]ispatch|Tenant[Q]uota|Queue[D]epth|Batch[S]ize' --include=*.go .
 	! grep -rnE 'Load[S]ummaries|summary[S]ource|Retired[S]et|Allow[S]pillReload|Summaries[L]oaded|SummaryBytes[D]eferred' --include=*.go .
@@ -116,6 +118,9 @@ no-deleted-knobs:
 	! grep -rnE 'Havoc[A]ssigned|havoc[S]tmt|havoc[E]xpr|Stmt[S]tring|write[S]tmt|Is[I]nteger|\.Transitions[F]rom\(|\.Has[V]arState\(|Must[P]arse|\bBy[Z]\(|\.By[R]ule\(|Sorted[F]iles|Add[D]irectory|cc\.Round[T]rip|func Round[T]rip|Block[F]or\(|Register[A]ction|Register[C]allout|\.Run[F]unction\(|\.Run[R]oots\(' --include=*.go .
 	! grep -rn 'sync\.[P]ool' --include=*.go internal/core
 	! grep -rnE 'apply[B]inop|Contains[I]dent' --include=*.go .
+	! grep -rnE 'trace[.]push\(fmt' --include=*.go internal/core
+	! grep -rnE 'seen +map\[[s]tring\]bool' --include=*.go internal/report
+	! grep -rnE 'callees +map\[[s]tring\]bool' --include=*.go internal/core
 	! ls BENCH_*.json 2>/dev/null | grep .
 
 # staticcheck is optional locally (the repo adds no dependencies) but

@@ -198,7 +198,7 @@ var verbs = map[string]actionFunc{
 			msg = strings.Replace(msg, "%s", ctx.argString(a), 1)
 		}
 		if ctx.Inst != nil {
-			ctx.Inst.trace = ctx.Inst.trace.push(fmt.Sprintf("%s: %s", ctx.Pos, msg))
+			ctx.Inst.trace = ctx.Inst.trace.push(traceNote, ctx.Point, msg, "")
 		}
 	},
 }

@@ -57,12 +57,6 @@ func (s bitset) or(t bitset) {
 	}
 }
 
-func (s bitset) clone() bitset {
-	out := make(bitset, len(s))
-	copy(out, s)
-	return out
-}
-
 // anyOf reports whether any listed entry bit is set.
 func (s bitset) anyOf(ids []int32) bool {
 	for _, id := range ids {
@@ -149,7 +143,8 @@ func CompileDispatch(p *prog.Program, checkers []*metal.Checker) *CompiledDispat
 			}
 		}
 	}
-	cd.fill(p, cd.admitSet)
+	var feats blockFeats
+	cd.fill(p, func(b *cfg.Block, bits bitset) { cd.admitSet(&feats, b, bits) })
 	return cd
 }
 
@@ -185,44 +180,63 @@ func newDispatch(checkers []*metal.Checker) *CompiledDispatch {
 	return cd
 }
 
-// fill computes the admit tables from a per-block admit function: one
-// walk per block, then the per-function, per-program and per-root
-// (callee closure) unions and the skip tables.
-func (cd *CompiledDispatch) fill(p *prog.Program, admit func(*cfg.Block) bitset) {
-	n := len(cd.entries)
+// fill computes the admit tables from a per-block admit function, which
+// sets a block's bits in the zeroed set it is given: one walk per block,
+// then the per-function, per-program and per-root (callee closure) unions
+// and the skip tables. Every set is carved from one array and every
+// function's block table from one slice, so the tables cost a handful of
+// objects however many blocks the program has.
+func (cd *CompiledDispatch) fill(p *prog.Program, admit func(*cfg.Block, bitset)) {
+	words := (len(cd.entries) + 63) / 64
+	blocks := 0
+	for _, fn := range p.All {
+		blocks += len(fn.Graph.Blocks)
+	}
+	slab := make([]uint64, (blocks+len(p.All)+len(p.Roots)+1)*words)
+	carve := func() bitset {
+		s := bitset(slab[:words:words])
+		slab = slab[words:]
+		return s
+	}
+	tables := make([]bitset, blocks)
 	cd.blockAdmit = make([][]bitset, len(p.All))
 	cd.funcAdmit = make([]bitset, len(p.All))
 	cd.rootAdmit = make([]bitset, len(p.All))
-	cd.progAdmit = newBitset(n)
+	cd.progAdmit = carve()
 	for _, fn := range p.All {
-		fa := newBitset(n)
-		blocks := make([]bitset, len(fn.Graph.Blocks))
+		fa := carve()
+		n := len(fn.Graph.Blocks)
+		tab := tables[:n:n]
+		tables = tables[n:]
 		for i, b := range fn.Graph.Blocks {
-			blocks[i] = admit(b)
-			fa.or(blocks[i])
+			tab[i] = carve()
+			admit(b, tab[i])
+			fa.or(tab[i])
 		}
-		cd.blockAdmit[fn.Index] = blocks
+		cd.blockAdmit[fn.Index] = tab
 		cd.funcAdmit[fn.Index] = fa
 		cd.progAdmit.or(fa)
 	}
 
 	// visited[fn.Index] is the ordinal (from 1) of the last root whose
-	// closure walk reached fn.
+	// closure walk reached fn; work is the walk's stack.
 	visited := make([]int, len(p.All))
+	var work []*prog.Function
 	for ri, root := range p.Roots {
-		ra := newBitset(n)
-		var walk func(*prog.Function)
-		walk = func(fn *prog.Function) {
-			if visited[fn.Index] == ri+1 {
-				return
-			}
-			visited[fn.Index] = ri + 1
+		ra := carve()
+		visited[root.Index] = ri + 1
+		work = append(work[:0], root)
+		for len(work) > 0 {
+			fn := work[len(work)-1]
+			work = work[:len(work)-1]
 			ra.or(cd.funcAdmit[fn.Index])
 			for _, c := range fn.Callees {
-				walk(c)
+				if visited[c.Index] != ri+1 {
+					visited[c.Index] = ri + 1
+					work = append(work, c)
+				}
 			}
 		}
-		walk(root)
 		cd.rootAdmit[root.Index] = ra
 	}
 	for ci := range cd.checkers {
@@ -230,13 +244,13 @@ func (cd *CompiledDispatch) fill(p *prog.Program, admit func(*cfg.Block) bitset)
 	}
 }
 
-// admitSet computes one block's candidate-entry bitset: block features
-// once, then one literal-index probe per distinct callee, one
-// discrimination-tree bucket per present root kind, the return bucket
-// if the block returns, and the always mask.
-func (cd *CompiledDispatch) admitSet(b *cfg.Block) bitset {
-	feats := featsOf(b)
-	bits := cd.alwaysMask.clone()
+// admitSet sets one block's candidate entries in bits: block features
+// once, into the compiler's one scratch, then one literal-index probe
+// per distinct callee, one discrimination-tree bucket per present root
+// kind, the return bucket if the block returns, and the always mask.
+func (cd *CompiledDispatch) admitSet(feats *blockFeats, b *cfg.Block, bits bitset) {
+	feats.load(b)
+	copy(bits, cd.alwaysMask)
 	if feats.isReturn {
 		for _, row := range cd.byRet {
 			if feats.admits(row.atom) {
@@ -244,7 +258,7 @@ func (cd *CompiledDispatch) admitSet(b *cfg.Block) bitset {
 			}
 		}
 	}
-	for name := range feats.callees {
+	for _, name := range feats.callees {
 		for _, row := range cd.byCallee[name] {
 			if feats.admits(row.atom) {
 				bits.set(row.id)
@@ -261,7 +275,6 @@ func (cd *CompiledDispatch) admitSet(b *cfg.Block) bitset {
 			bits.set(row.id)
 		}
 	}
-	return bits
 }
 
 // stateSym is a metal.StateRef numbered by an engine's interner: v 0 is

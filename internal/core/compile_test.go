@@ -145,9 +145,9 @@ type suiteRun struct {
 // no index in between.
 func bruteDispatch(p *prog.Program, cs []*metal.Checker) *CompiledDispatch {
 	cd := newDispatch(cs)
-	cd.fill(p, func(b *cfg.Block) bitset {
-		feats := featsOf(b)
-		bits := newBitset(len(cd.entries))
+	var feats blockFeats
+	cd.fill(p, func(b *cfg.Block, bits bitset) {
+		feats.load(b)
 		for id, atoms := range cd.entries {
 			for _, a := range atoms {
 				if feats.admits(a) {
@@ -156,7 +156,6 @@ func bruteDispatch(p *prog.Program, cs []*metal.Checker) *CompiledDispatch {
 				}
 			}
 		}
-		return bits
 	})
 	return cd
 }

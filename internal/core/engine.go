@@ -236,6 +236,10 @@ type Engine struct {
 	// re-enters runFrom and, at the next call, this buffer.
 	outs  []outTuple
 	parts []partition
+	// tuples is the stack the block recorders' entry lists are carved
+	// from (blockRec.start): a traversal pushes its entry tuples and pops
+	// and clears them when it returns, and every root starts it empty.
+	tuples []Tuple
 }
 
 // stackInitCap is the capacity both DFS stacks start with; they grow
@@ -458,7 +462,9 @@ func (st *pathState) setPathClass(c report.Class) {
 type blockRec struct {
 	entryG int32
 	fp     uint32
-	// entry holds the tuple of every instance active at block entry.
+	// entry holds the tuple of every instance active at block entry: a
+	// cap-limited frame of the engine's tuple stack (start), valid until
+	// the traversal that carved it returns.
 	entry []Tuple
 	// kills holds a stop tuple per instance removed during the block, in
 	// order: the last one for an entry instance ends its transition edge,
@@ -480,21 +486,26 @@ func lastOf(ts []Tuple, v, obj int32) *Tuple {
 }
 
 // start fills in the traversal record, which is a local of
-// traverseBlock: most traversals of most blocks carry no active
-// instances and kill nothing, and then both lists stay nil and the
-// record allocates nothing ("rec does not escape", -gcflags=-m).
-func (rec *blockRec) start(sm *SM, fp uint32) {
+// traverseBlock ("rec does not escape", -gcflags=-m), and carves its
+// entry list from the top of the engine's tuple stack, which it returns
+// grown. Most traversals of most blocks carry no active instances and
+// kill nothing, and then the record allocates nothing; the others reuse
+// the stack's array.
+func (rec *blockRec) start(sm *SM, fp uint32, stack []Tuple) []Tuple {
 	rec.entryG, rec.fp = sm.g, fp
+	base := len(stack)
 	for _, in := range sm.Active {
 		if in.Inactive {
 			continue
 		}
-		if prev := lastOf(rec.entry, in.v, in.obj); prev != nil {
+		if prev := lastOf(stack[base:], in.v, in.obj); prev != nil {
 			*prev = instTuple(sm.g, in)
 		} else {
-			rec.entry = append(rec.entry, instTuple(sm.g, in))
+			stack = append(stack, instTuple(sm.g, in))
 		}
 	}
+	rec.entry = stack[base:len(stack):len(stack)]
+	return stack
 }
 
 func (r *blockRec) clone() *blockRec {
@@ -530,8 +541,11 @@ func (en *Engine) traverseBlock(st *pathState, b *cfg.Block) {
 		fp = st.env.Fingerprint()
 	}
 	if en.Opts.BlockCache {
+		// The survivors are compacted into the frame's own array (DESIGN.md
+		// §5): nothing reads a frame's instances after traverseBlock
+		// returns, so a full hit may leave the array scrambled.
 		allHit, live := true, false
-		var keep []*Instance
+		keep := st.sm.Active[:0]
 		for _, in := range st.sm.Active {
 			if in.Inactive {
 				keep = append(keep, in)
@@ -563,15 +577,18 @@ func (en *Engine) traverseBlock(st *pathState, b *cfg.Block) {
 	en.backtrace = append(en.backtrace[:st.btTop], traceEntry{block: b, info: bi})
 	st.btTop++
 	var rec blockRec
-	rec.start(&st.sm, fp)
+	base := len(en.tuples)
+	en.tuples = rec.start(&st.sm, fp, en.tuples)
 
 	if b.Exit {
 		en.endOfPath(st, &rec)
 		en.finishBlock(st, b, bi, &rec)
-		return
+	} else {
+		en.runFrom(st, b, bi, &rec, 0)
 	}
-
-	en.runFrom(st, b, bi, &rec, 0)
+	// Every traversal below this one has popped its own entries.
+	clear(en.tuples[base:])
+	en.tuples = en.tuples[:base]
 }
 
 // runFrom processes block points starting at index idx, then finishes
@@ -987,8 +1004,7 @@ func (en *Engine) applyExtension(st *pathState, b *cfg.Block, rec *blockRec, pt 
 				for _, m := range st.sm.GroupMembers(inst) {
 					if m.val == oldVal {
 						m.val = r.dest.val
-						m.trace = m.trace.push(fmt.Sprintf("%s: %s -> %s at %s",
-							posOf(pt), en.intern.vals.name(oldVal), r.Dest.Val, cc.ExprString(pt)))
+						m.trace = m.trace.push(traceMoves, pt, en.intern.vals.name(oldVal), r.Dest.Val)
 					}
 				}
 			}
@@ -1124,8 +1140,7 @@ func (en *Engine) createInstance(st *pathState, rec *blockRec, dest stateSym, ob
 		CallDepth: st.callDepth,
 	}
 	if pt != nil {
-		inst.trace = inst.trace.push(fmt.Sprintf("%s: %s enters state %s at %s",
-			posOf(pt), obj, en.intern.vals.name(dest.val), cc.ExprString(pt)))
+		inst.trace = inst.trace.push(traceEnters, pt, obj, en.intern.vals.name(dest.val))
 	}
 	en.classifyScope(st.fn, inst)
 	st.sm.Active = append(st.sm.Active, inst)
@@ -1229,8 +1244,7 @@ func (en *Engine) handleAssign(st *pathState, rec *blockRec, asg *cc.AssignExpr,
 				newInst.ObjExpr = asg.LHS
 				newInst.SynDepth = src.SynDepth + 1
 				newInst.CreatedAt = pt
-				newInst.trace = newInst.trace.push(fmt.Sprintf("%s: %s becomes a synonym of %s",
-					posOf(pt), lhsKey, srcKey))
+				newInst.trace = newInst.trace.push(traceSynonym, pt, lhsKey, srcKey)
 				en.classifyScope(st.fn, newInst)
 			}
 		}
@@ -1367,41 +1381,42 @@ func (en *Engine) endOfPath(st *pathState, rec *blockRec) {
 }
 
 // emitReport materializes an err() action into a ranked report. The set
-// is asked before anything is rendered: a duplicate only marks the first.
+// is asked before anything is built: a duplicate allocates nothing.
 func (en *Engine) emitReport(ctx *ActionCtx, msg string) {
-	st := ctx.State
-	r := &report.Report{
-		Checker: en.Checker.Name,
-		Msg:     msg,
-		Pos:     ctx.Pos,
-		Start:   ctx.Pos,
-		Func:    st.fn.Name,
-		Class:   ctx.Class,
-		Rule:    ctx.Rule,
+	st, in := ctx.State, ctx.Inst
+	k := report.Key{Pos: ctx.Pos, Func: st.fn.Name, Checker: en.Checker.Name, Msg: msg, Rule: ctx.Rule}
+	if k.Rule == "" {
+		k.Rule = en.Checker.Name
 	}
-	if r.Class == report.ClassNone {
-		r.Class = st.pathClass
-	}
-	if r.Rule == "" {
-		r.Rule = en.Checker.Name
-	}
-	in := ctx.Inst
+	start := ctx.Pos
 	if in != nil {
-		r.Start = in.StartPos
+		start = in.StartPos
 		// End-of-path transitions have no program point; anchor the
 		// report where tracking began (the unreleased lock site).
-		if !r.Pos.IsValid() {
-			r.Pos = in.StartPos
+		if !k.Pos.IsValid() {
+			k.Pos = in.StartPos
 		}
-	} else if !r.Pos.IsValid() {
+	} else if !k.Pos.IsValid() {
 		// Global end-of-path reports carry no program point; anchor
 		// them at the function so reports from different functions
 		// stay distinct.
-		r.Pos = st.fn.Decl.P
-		r.Start = r.Pos
+		k.Pos = st.fn.Decl.P
+		start = k.Pos
 	}
-	if !en.Reports.Add(r) {
+	if en.Reports.Has(k) {
 		return
+	}
+	r := &report.Report{
+		Checker: k.Checker,
+		Msg:     k.Msg,
+		Pos:     k.Pos,
+		Start:   start,
+		Func:    k.Func,
+		Class:   ctx.Class,
+		Rule:    k.Rule,
+	}
+	if r.Class == report.ClassNone {
+		r.Class = st.pathClass
 	}
 	if in != nil {
 		r.Conditionals = in.Conds
@@ -1421,6 +1436,7 @@ func (en *Engine) emitReport(ctx *ActionCtx, msg string) {
 		r.Trace = append(in.trace.strings(),
 			fmt.Sprintf("%s: %s", ctx.Pos, msg))
 	}
+	en.Reports.Add(r)
 }
 
 // identsOf lists the identifier names mentioned by an expression.

@@ -269,6 +269,9 @@ func (en *Engine) runRootIsolated(root *prog.Function) {
 	}()
 	fi := en.funcInfo(root)
 	en.callStack = append(en.callStack[:0], root)
+	// A root that panicked left its entry tuples on the stack.
+	clear(en.tuples)
+	en.tuples = en.tuples[:0]
 	st := en.enter(nil, root, en.initG)
 	en.Stats.Analyses[root.Name]++
 	fi.Analyses++

@@ -15,6 +15,8 @@ package core
 // never have matched.
 
 import (
+	"slices"
+
 	"repro/internal/cc"
 	"repro/internal/cfg"
 	"repro/internal/pattern"
@@ -282,33 +284,35 @@ func requiredCallee(e cc.Expr) string {
 	return name
 }
 
-// blockFeats summarizes a block's program points for the filter.
+// blockFeats summarizes a block's program points for the filter. The
+// dispatch compiler reloads one per block (load), so its callee list
+// keeps its array from block to block.
 type blockFeats struct {
-	kinds    uint32 // bit i set iff some point has root kind i
-	callees  map[string]bool
+	kinds    uint32   // bit i set iff some point has root kind i
+	callees  []string // the names called directly, each once
 	isReturn bool
 }
 
-// featsOf computes the block's features from the point expansion
-// runFrom dispatches over.
-func featsOf(b *cfg.Block) *blockFeats {
-	f := &blockFeats{isReturn: b.IsReturn}
+// load computes the block's features from the point expansion runFrom
+// dispatches over.
+func (f *blockFeats) load(b *cfg.Block) {
+	f.kinds, f.callees, f.isReturn = 0, f.callees[:0], b.IsReturn
 	for _, pt := range b.Points {
 		k := kindOf(pt)
 		if k >= 0 {
 			f.kinds |= 1 << uint(k)
 		}
 		if call, ok := pt.(*cc.CallExpr); ok {
-			if id, ok := call.Fun.(*cc.Ident); ok {
-				if f.callees == nil {
-					f.callees = map[string]bool{}
-				}
-				f.callees[id.Name] = true
+			if id, ok := call.Fun.(*cc.Ident); ok && !f.calls(id.Name) {
+				f.callees = append(f.callees, id.Name)
 			}
 		}
 	}
-	return f
 }
+
+// calls reports whether some point of the block calls name directly. A
+// block calls a handful of names, so the list is scanned.
+func (f *blockFeats) calls(name string) bool { return slices.Contains(f.callees, name) }
 
 // admits reports whether some point of the block can satisfy the atom.
 // Callee requirements — root or nested — check the block's callee set:
@@ -319,12 +323,12 @@ func (f *blockFeats) admits(a filterAtom) bool {
 		return true
 	}
 	if a.ret {
-		return f.isReturn && (a.callee == "" || f.callees[a.callee])
+		return f.isReturn && (a.callee == "" || f.calls(a.callee))
 	}
 	if f.kinds&(1<<uint(a.kind)) == 0 {
 		return false
 	}
-	return a.callee == "" || f.callees[a.callee]
+	return a.callee == "" || f.calls(a.callee)
 }
 
 // mayFire reports whether any of the rules sourced at one state

@@ -320,7 +320,8 @@ func TestPrefilterSoundnessProperty(t *testing.T) {
 			priors := []*cc.CallExpr{nil}
 			priors = append(priors, callsOf(fn)...)
 			for _, b := range fn.Graph.Blocks {
-				feats := featsOf(b)
+				feats := &blockFeats{}
+				feats.load(b)
 				for _, pat := range pats {
 					if admitted(feats, filterOf(pat, true)) {
 						continue
@@ -374,8 +375,9 @@ func FuzzPrefilterSound(f *testing.F) {
 			if calls := callsOf(fn); prior > 0 && len(calls) > 0 {
 				call = calls[int(prior-1)%len(calls)]
 			}
+			var feats blockFeats
 			for _, b := range fn.Graph.Blocks {
-				if admitted(featsOf(b), atoms) {
+				if feats.load(b); admitted(&feats, atoms) {
 					continue
 				}
 				if where, _ := matchIn(fn, b, pat, fnPrior(call)); where != "" {

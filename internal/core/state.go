@@ -6,6 +6,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/cc"
 	"repro/internal/pattern"
 )
@@ -53,8 +55,11 @@ type Instance struct {
 	// clones share the list with the original, so cloning an instance
 	// (the hottest allocation site in the DFS — every path split and
 	// every call boundary clones the whole Active set) copies one
-	// pointer instead of the accumulated history. Rendered to []string
-	// only when a report is emitted.
+	// pointer instead of the accumulated history. A cell holds its event,
+	// not its line: the point and the strings the event had at hand. The
+	// lines are rendered only for a report the set keeps (emitReport),
+	// so an instance whose history no report reads costs one cell per
+	// event and no formatting.
 	trace *traceList
 
 	// Scope classification of the object.
@@ -90,22 +95,54 @@ func (in *Instance) clone() *Instance {
 	return &cp
 }
 
-// traceList is an immutable persistent list of trace messages, newest
-// first. Pushing never mutates existing cells, so any number of
-// cloned instances can share a tail.
+// traceKind names a why-trace event; each renders one line format.
+type traceKind uint8
+
+const (
+	traceEnters  traceKind = iota // "<pos>: <a> enters state <b> at <pt>"
+	traceMoves                    // "<pos>: <a> -> <b> at <pt>"
+	traceSynonym                  // "<pos>: <a> becomes a synonym of <b>"
+	traceNote                     // "<pos>: <a>"
+)
+
+// traceList is an immutable persistent list of why-trace events, newest
+// first. Pushing never mutates existing cells, so any number of cloned
+// instances can share a tail. A cell's position is its point's: a
+// note's action context is positioned at the point it runs at
+// (runTransitionActions), and an event with no point renders as 0:0.
+// Rendering reads the point's expression, which no phase mutates once
+// the program is built (ReleaseBody drops references, it does not
+// rewrite nodes).
 type traceList struct {
 	prev *traceList
-	msg  string
-	n    int
+	pt   cc.Expr
+	a, b string
+	n    int32
+	kind traceKind
 }
 
-// push returns a new list with msg appended. Works on a nil receiver.
-func (t *traceList) push(msg string) *traceList {
-	n := 1
+// push returns a new list with the event appended. Works on a nil
+// receiver.
+func (t *traceList) push(kind traceKind, pt cc.Expr, a, b string) *traceList {
+	n := int32(1)
 	if t != nil {
 		n = t.n + 1
 	}
-	return &traceList{prev: t, msg: msg, n: n}
+	return &traceList{prev: t, pt: pt, a: a, b: b, n: n, kind: kind}
+}
+
+// line renders one event.
+func (t *traceList) line() string {
+	pos := posOf(t.pt)
+	switch t.kind {
+	case traceEnters:
+		return fmt.Sprintf("%s: %s enters state %s at %s", pos, t.a, t.b, cc.ExprString(t.pt))
+	case traceMoves:
+		return fmt.Sprintf("%s: %s -> %s at %s", pos, t.a, t.b, cc.ExprString(t.pt))
+	case traceSynonym:
+		return fmt.Sprintf("%s: %s becomes a synonym of %s", pos, t.a, t.b)
+	}
+	return fmt.Sprintf("%s: %s", pos, t.a)
 }
 
 // strings renders the list oldest-first.
@@ -115,7 +152,7 @@ func (t *traceList) strings() []string {
 	}
 	out := make([]string, t.n)
 	for c := t; c != nil; c = c.prev {
-		out[c.n-1] = c.msg
+		out[c.n-1] = c.line()
 	}
 	return out
 }

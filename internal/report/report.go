@@ -118,25 +118,39 @@ func (r *Report) Detailed() string {
 	return sb.String()
 }
 
+// Key is a report's identity in a Set: two reports with the same
+// position, function, checker, message and rule are one violation
+// reached along several paths.
+type Key struct {
+	Pos                      cc.Pos
+	Func, Checker, Msg, Rule string
+}
+
 // Set collects reports and deduplicates exact repeats (the same
 // violation reached along several paths).
 type Set struct {
 	Reports []*Report
-	seen    map[string]bool
+	seen    map[Key]struct{}
 }
 
-// Add inserts a report unless an identical one (same position, checker,
-// message, rule) is already present. It reports whether the report was
-// new.
+// Has reports whether a report with identity k is already present, so
+// that a caller can skip building one the set would drop.
+func (s *Set) Has(k Key) bool {
+	_, ok := s.seen[k]
+	return ok
+}
+
+// Add inserts a report unless one with the same identity (Key) is
+// already present. It reports whether the report was new.
 func (s *Set) Add(r *Report) bool {
-	if s.seen == nil {
-		s.seen = map[string]bool{}
-	}
-	key := fmt.Sprintf("%s|%s|%s|%s|%s", r.Pos, r.Func, r.Checker, r.Msg, r.Rule)
-	if s.seen[key] {
+	k := Key{Pos: r.Pos, Func: r.Func, Checker: r.Checker, Msg: r.Msg, Rule: r.Rule}
+	if s.Has(k) {
 		return false
 	}
-	s.seen[key] = true
+	if s.seen == nil {
+		s.seen = map[Key]struct{}{}
+	}
+	s.seen[k] = struct{}{}
 	s.Reports = append(s.Reports, r)
 	return true
 }

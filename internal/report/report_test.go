@@ -58,6 +58,22 @@ func TestSetDeduplicates(t *testing.T) {
 	}
 }
 
+// TestSetKeepsReportsWithBarInFields: two reports that differ only in
+// where a '|' splits their message and rule are two reports, not one.
+func TestSetKeepsReportsWithBarInFields(t *testing.T) {
+	s := &Set{}
+	r1 := mk("a.c", 10, "f", "a|b")
+	r1.Rule = "r"
+	r2 := mk("a.c", 10, "f", "a")
+	r2.Rule = "b|r"
+	if !s.Add(r1) || !s.Add(r2) {
+		t.Error("the second report was taken for a repeat of the first")
+	}
+	if s.Len() != 2 {
+		t.Errorf("len = %d, want 2", s.Len())
+	}
+}
+
 func TestHistoryKeyInvariants(t *testing.T) {
 	// Line changes do not affect the key; file, function, vars, and
 	// message do (§8).
