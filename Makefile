@@ -91,7 +91,11 @@ vet:
 # §3): fpp's second operator switch and the identifier search only the
 # kill pass called stay gone. And a path allocates only what outlives it
 # (DESIGN.md §10.4): the eager why-trace format, the formatted report key
-# and the per-block feature map stay gone.
+# and the per-block feature map stay gone. And a checker's calls are
+# parsed once (DESIGN.md §3): metal's action converter and argument
+# type, the callout's private argument list and core's callee resolver
+# stay gone, and a direct call's name is read by cc.CalleeName only
+# (benchmark/ keeps its own until it is unfrozen).
 no-deleted-knobs:
 	! grep -rnE 'Match[M]emo|Block[F]ilter|Tuple[I]ntern|Lean[A]lloc|Multi[D]ispatch|Tenant[Q]uota|Queue[D]epth|Batch[S]ize' --include=*.go .
 	! grep -rnE 'Load[S]ummaries|summary[S]ource|Retired[S]et|Allow[S]pillReload|Summaries[L]oaded|SummaryBytes[D]eferred' --include=*.go .
@@ -121,6 +125,8 @@ no-deleted-knobs:
 	! grep -rnE 'trace[.]push\(fmt' --include=*.go internal/core
 	! grep -rnE 'seen +map\[[s]tring\]bool' --include=*.go internal/report
 	! grep -rnE 'callees +map\[[s]tring\]bool' --include=*.go internal/core
+	! grep -rnE 'exprTo[A]ction|calloutArg[S]rc|calleeName[O]f|\bAction[A]rg\b' --include=*.go .
+	! grep -rnE 'Fun\.\(\*cc\.[I]dent\)' --include=*.go --exclude-dir=benchmark .
 	! ls BENCH_*.json 2>/dev/null | grep .
 
 # staticcheck is optional locally (the repo adds no dependencies) but

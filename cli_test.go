@@ -17,6 +17,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/mc"
 )
 
 func runCmd(t *testing.T, args ...string) (string, error) {
@@ -218,6 +220,47 @@ func TestXgccdRejectsUnloadableCheckers(t *testing.T) {
 		cancel()
 		if expired != nil || err == nil || !strings.Contains(string(out), tc.names) {
 			t.Errorf("xgccd %s %s: err %v (deadline %v), want a non-zero exit naming %s:\n%s", tc.flag, tc.value, err, expired, tc.names, out)
+		}
+	}
+}
+
+// TestMetalcBundledGolden: metalc's dump of every bundled checker is
+// pinned byte for byte in testdata/metalc, so a change to how a
+// transition, pattern or action renders shows up here.
+func TestMetalcBundledGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns go build")
+	}
+	bin := filepath.Join(t.TempDir(), "metalc")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/metalc").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, s := range mc.BundledCheckers() {
+		want, err := os.ReadFile(filepath.Join("testdata", "metalc", s.Name+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := exec.Command(bin, "-bundled", s.Name).CombinedOutput()
+		if err != nil || string(got) != string(want) {
+			t.Errorf("metalc -bundled %s (err %v) differs from testdata/metalc/%s.txt; got:\n%s", s.Name, err, s.Name, got)
+		}
+	}
+}
+
+// TestXgccValidateUnknownChecker: -validate names a bundled checker the
+// way -checker does, and an unknown name is a usage error that lists
+// the bundled ones.
+func TestXgccValidateUnknownChecker(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns go run")
+	}
+	out, err := runCmd(t, "./cmd/xgcc", "-validate", "-checker", "nosuch")
+	if err == nil || !strings.Contains(out, "exit status 2") || !strings.Contains(out, "unknown checker nosuch (have: ") {
+		t.Errorf("err %v, want exit 2 and an unknown-checker error:\n%s", err, out)
+	}
+	for _, s := range mc.BundledCheckers() {
+		if !strings.Contains(out, s.Name) {
+			t.Errorf("the error does not list bundled checker %s:\n%s", s.Name, out)
 		}
 	}
 }

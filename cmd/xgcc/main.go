@@ -340,16 +340,12 @@ func runValidate(checkerFile, checkerNames string, jobs int, timeout time.Durati
 		if len(names) != 1 || strings.TrimSpace(names[0]) == "" {
 			fatal(errors.New("-validate takes one checker: -checker-file path, or a single -checker name"))
 		}
-		found := false
-		for _, s := range checkers.All() {
-			if s.Name == strings.TrimSpace(names[0]) {
-				src, found = s.Text, true
-				break
-			}
+		name := strings.TrimSpace(names[0])
+		s, ok := checkers.Lookup(name)
+		if !ok {
+			fatal(&checkers.UnknownCheckerError{Name: name})
 		}
-		if !found {
-			fatal(fmt.Errorf("no bundled checker %q (try -list)", names[0]))
-		}
+		src = s.Text
 	}
 
 	cfg := harness.DefaultConfig()

@@ -91,6 +91,15 @@ type CallExpr struct {
 	Args []Expr
 }
 
+// CalleeName names the function a direct call calls: "" for an
+// indirect call (through a pointer, a field, a hole...).
+func CalleeName(call *CallExpr) string {
+	if id, ok := call.Fun.(*Ident); ok {
+		return id.Name
+	}
+	return ""
+}
+
 // IndexExpr is array subscripting x[i].
 type IndexExpr struct {
 	P        Pos

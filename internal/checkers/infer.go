@@ -129,8 +129,8 @@ func callSequence(fn *prog.Function) []callSite {
 	}
 	for _, b := range fn.Graph.Blocks {
 		for _, call := range cfg.CallsIn(b) {
-			if id, ok := call.Fun.(*cc.Ident); ok {
-				out = append(out, callSite{name: id.Name, pos: call.P})
+			if name := cc.CalleeName(call); name != "" {
+				out = append(out, callSite{name: name, pos: call.P})
 			}
 		}
 	}

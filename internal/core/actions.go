@@ -5,15 +5,14 @@ import (
 	"strings"
 
 	"repro/internal/cc"
-	"repro/internal/metal"
 	"repro/internal/pattern"
 	"repro/internal/report"
 )
 
-// ActionCtx is the context in which a transition's actions execute:
+// actionCtx is the context in which a transition's actions execute:
 // the escape hatch metal provides in place of the paper's C code
 // actions (§3.2).
-type ActionCtx struct {
+type actionCtx struct {
 	Engine   *Engine
 	State    *pathState
 	Point    cc.Expr
@@ -30,11 +29,11 @@ type ActionCtx struct {
 }
 
 // actionFunc implements one action verb.
-type actionFunc func(ctx *ActionCtx, args []metal.ActionArg)
+type actionFunc func(ctx *actionCtx, args []pattern.Arg)
 
 // argString renders an action argument: bindings for holes, literal
 // text otherwise, and the mc_identifier(v)/mc_location() helper calls.
-func (ctx *ActionCtx) argString(a metal.ActionArg) string {
+func (ctx *actionCtx) argString(a pattern.Arg) string {
 	switch {
 	case a.IsStr:
 		return a.Str
@@ -66,7 +65,7 @@ func (ctx *ActionCtx) argString(a metal.ActionArg) string {
 // argInstance resolves an action argument to the instance it refers
 // to: the triggering instance when the hole names its state variable,
 // else the instance attached to the bound object.
-func (ctx *ActionCtx) argInstance(a metal.ActionArg) *Instance {
+func (ctx *actionCtx) argInstance(a pattern.Arg) *Instance {
 	if a.Hole == "" {
 		return nil
 	}
@@ -82,89 +81,80 @@ func (ctx *ActionCtx) argInstance(a metal.ActionArg) *Instance {
 }
 
 // instVar names the triggering instance's state variable.
-func (ctx *ActionCtx) instVar() string { return ctx.Engine.intern.vars.name(ctx.Inst.v) }
+func (ctx *actionCtx) instVar() string { return ctx.Engine.intern.vars.name(ctx.Inst.v) }
 
-// verbs is the action library: metal's verbs (§3.2). Native Go code
-// extends a checker through its pattern callouts
+// verbs is the action library: metal.Verbs (§3.2), each implemented.
+// Native Go code extends a checker through its pattern callouts
 // (metal.Checker.Callouts), not with new verbs.
 var verbs = map[string]actionFunc{
 	// err("fmt", args...): report a rule violation. %s directives
 	// are substituted with the remaining arguments in order.
-	"err": func(ctx *ActionCtx, args []metal.ActionArg) {
-		if len(args) == 0 {
-			return
+	"err": func(ctx *actionCtx, args []pattern.Arg) {
+		if len(args) > 0 {
+			ctx.Engine.emitReport(ctx, ctx.format(args))
 		}
-		msg := ctx.argString(args[0])
-		for _, a := range args[1:] {
-			msg = strings.Replace(msg, "%s", ctx.argString(a), 1)
-		}
-		ctx.Engine.emitReport(ctx, msg)
 	},
 	// classify("SECURITY"|"ERROR"|"MINOR"): set the severity
 	// class for errors reported by this transition (§9).
-	"classify": func(ctx *ActionCtx, args []metal.ActionArg) {
+	"classify": func(ctx *actionCtx, args []pattern.Arg) {
 		if len(args) == 1 && args[0].IsStr {
 			ctx.Class = report.Class(args[0].Str)
 		}
 	},
 	// rule("fact") or rule(fn): set the grouping fact used by
 	// statistical ranking (§9).
-	"rule": func(ctx *ActionCtx, args []metal.ActionArg) {
-		if len(args) >= 1 {
-			parts := make([]string, len(args))
-			for i, a := range args {
-				parts[i] = ctx.argString(a)
-			}
-			ctx.Rule = strings.Join(parts, ":")
+	"rule": func(ctx *actionCtx, args []pattern.Arg) {
+		if len(args) > 0 {
+			ctx.Rule = ctx.join(args)
 		}
 	},
 	// example(fact...): count one successful rule check (§9
 	// z-statistic numerator input e).
-	"example": func(ctx *ActionCtx, args []metal.ActionArg) {
+	"example": func(ctx *actionCtx, args []pattern.Arg) {
 		ctx.Engine.countRule(ctx.ruleName(args), true)
 	},
 	// violation(fact...): count one rule violation (c).
-	"violation": func(ctx *ActionCtx, args []metal.ActionArg) {
+	"violation": func(ctx *actionCtx, args []pattern.Arg) {
 		ctx.Engine.countRule(ctx.ruleName(args), false)
 	},
 	// annotate("SECURITY"): attach a path annotation; subsequent
 	// errors on this path inherit the class (§9 checker-specific
 	// ranking — the SECURITY/ERROR path annotator).
-	"annotate": func(ctx *ActionCtx, args []metal.ActionArg) {
+	"annotate": func(ctx *actionCtx, args []pattern.Arg) {
 		if len(args) == 1 && args[0].IsStr {
 			ctx.State.setPathClass(report.Class(args[0].Str))
 		}
 	},
 	// kill_path(): stop traversing the current path — the
 	// path-kill composition idiom for panic-like functions (§3.2).
-	"kill_path": func(ctx *ActionCtx, args []metal.ActionArg) {
+	"kill_path": func(ctx *actionCtx, args []pattern.Arg) {
 		ctx.State.killPath = true
 	},
 	// mark_fn(fn, "key"): annotate the called function so
 	// composed checkers can see it (AST annotation composition,
 	// §3.2). fn must be bound to a call or a name.
-	"mark_fn": func(ctx *ActionCtx, args []metal.ActionArg) {
+	"mark_fn": func(ctx *actionCtx, args []pattern.Arg) {
 		if len(args) != 2 || !args[1].IsStr {
 			return
 		}
-		name := calleeNameOf(ctx, args[0])
-		if name != "" {
+		b, _ := ctx.Bindings.Get(args[0].Hole)
+		if name := fnNamed(args[0], b); name != "" {
 			ctx.Engine.MarkFn(name, args[1].Str)
 		}
 	},
 	// incr(v)/decr(v)/set_data(v, n): manipulate the instance's
 	// data value (the recursive-lock depth example of §3.2).
-	"incr": func(ctx *ActionCtx, args []metal.ActionArg) {
+	"incr": func(ctx *actionCtx, args []pattern.Arg) {
 		if in := ctx.firstInstance(args); in != nil {
 			in.Data++
 		}
 	},
-	"decr": func(ctx *ActionCtx, args []metal.ActionArg) {
+	"decr": func(ctx *actionCtx, args []pattern.Arg) {
 		if in := ctx.firstInstance(args); in != nil {
 			in.Data--
 		}
 	},
-	"set_data": func(ctx *ActionCtx, args []metal.ActionArg) {
+	"set_data": func(ctx *actionCtx, args []pattern.Arg) {
 		if len(args) == 2 && args[1].IsInt {
 			if in := ctx.argInstance(args[0]); in != nil {
 				in.Data = args[1].Int
@@ -175,7 +165,7 @@ var verbs = map[string]actionFunc{
 	// leaves [lo, hi] — "If this depth ever went below 0 or
 	// exceeded a small constant, the extension would report an
 	// incorrect lock pairing" (§3.2).
-	"check_data": func(ctx *ActionCtx, args []metal.ActionArg) {
+	"check_data": func(ctx *actionCtx, args []pattern.Arg) {
 		if len(args) != 4 || !args[1].IsInt || !args[2].IsInt || !args[3].IsStr {
 			return
 		}
@@ -189,29 +179,28 @@ var verbs = map[string]actionFunc{
 	},
 	// note("text", args...): append a step to the instance's
 	// why-trace without reporting.
-	"note": func(ctx *ActionCtx, args []metal.ActionArg) {
-		if len(args) == 0 {
-			return
-		}
-		msg := ctx.argString(args[0])
-		for _, a := range args[1:] {
-			msg = strings.Replace(msg, "%s", ctx.argString(a), 1)
-		}
-		if ctx.Inst != nil {
-			ctx.Inst.trace = ctx.Inst.trace.push(traceNote, ctx.Point, msg, "")
+	"note": func(ctx *actionCtx, args []pattern.Arg) {
+		if len(args) > 0 && ctx.Inst != nil {
+			ctx.Inst.trace = ctx.Inst.trace.push(traceNote, ctx.Point, ctx.format(args), "")
 		}
 	},
 }
 
 // ruleName builds the rule fact string from example()/violation()
 // arguments, defaulting to the checker name.
-func (ctx *ActionCtx) ruleName(args []metal.ActionArg) string {
+func (ctx *actionCtx) ruleName(args []pattern.Arg) string {
 	if len(args) == 0 {
 		if ctx.Rule != "" {
 			return ctx.Rule
 		}
 		return ctx.Engine.Checker.Name
 	}
+	return ctx.join(args)
+}
+
+// join renders the arguments of rule(), example() and violation() as
+// one rule fact.
+func (ctx *actionCtx) join(args []pattern.Arg) string {
 	parts := make([]string, len(args))
 	for i, a := range args {
 		parts[i] = ctx.argString(a)
@@ -219,9 +208,19 @@ func (ctx *ActionCtx) ruleName(args []metal.ActionArg) string {
 	return strings.Join(parts, ":")
 }
 
+// format renders the arguments of err() and note(): the first with
+// each %s replaced, in order, by the rest.
+func (ctx *actionCtx) format(args []pattern.Arg) string {
+	msg := ctx.argString(args[0])
+	for _, a := range args[1:] {
+		msg = strings.Replace(msg, "%s", ctx.argString(a), 1)
+	}
+	return msg
+}
+
 // firstInstance resolves the first argument to an instance, falling
 // back to the triggering instance.
-func (ctx *ActionCtx) firstInstance(args []metal.ActionArg) *Instance {
+func (ctx *actionCtx) firstInstance(args []pattern.Arg) *Instance {
 	if len(args) > 0 {
 		if in := ctx.argInstance(args[0]); in != nil {
 			return in
@@ -230,21 +229,16 @@ func (ctx *ActionCtx) firstInstance(args []metal.ActionArg) *Instance {
 	return ctx.Inst
 }
 
-// calleeNameOf extracts a function name from a binding: the callee of
-// a bound call, or the bound identifier.
-func calleeNameOf(ctx *ActionCtx, a metal.ActionArg) string {
+// fnNamed is the function a mark_fn or mc_fn_marked argument names: a
+// string literal's text, or the callee of the call or the identifier
+// the hole is bound to (b).
+func fnNamed(a pattern.Arg, b pattern.Binding) string {
 	if a.IsStr {
 		return a.Str
 	}
-	b, ok := ctx.Bindings.Get(a.Hole)
-	if !ok || b.Expr == nil {
-		return ""
-	}
 	switch e := b.Expr.(type) {
 	case *cc.CallExpr:
-		if id, ok := e.Fun.(*cc.Ident); ok {
-			return id.Name
-		}
+		return cc.CalleeName(e)
 	case *cc.Ident:
 		return e.Name
 	}
@@ -254,22 +248,15 @@ func calleeNameOf(ctx *ActionCtx, a metal.ActionArg) string {
 // runActions executes a transition's actions in order. classify() and
 // rule() are prescanned so their effect applies regardless of textual
 // position relative to err().
-func (en *Engine) runActions(ctx *ActionCtx, actions []metal.Action) {
+func (en *Engine) runActions(ctx *actionCtx, actions []pattern.Call) {
 	for _, a := range actions {
-		switch a.Fn {
-		case "classify", "rule":
-			if fn, ok := verbs[a.Fn]; ok {
-				fn(ctx, a.Args)
-			}
+		if a.Fn == "classify" || a.Fn == "rule" {
+			verbs[a.Fn](ctx, a.Args)
 		}
 	}
 	for _, a := range actions {
-		switch a.Fn {
-		case "classify", "rule":
-			continue
-		}
-		if fn, ok := verbs[a.Fn]; ok {
-			fn(ctx, a.Args)
+		if a.Fn != "classify" && a.Fn != "rule" {
+			verbs[a.Fn](ctx, a.Args)
 		}
 	}
 }

@@ -2,13 +2,67 @@ package core
 
 import (
 	"context"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/cc"
+	"repro/internal/checkers"
+	"repro/internal/metal"
 	"repro/internal/pattern"
 	"repro/internal/report"
 )
+
+// TestVerbsAreMetalVerbs: the engine implements exactly the verbs the
+// metal parser admits.
+func TestVerbsAreMetalVerbs(t *testing.T) {
+	var got []string
+	for v := range verbs {
+		got = append(got, v)
+	}
+	if slices.Sort(got); !slices.Equal(got, metal.Verbs) {
+		t.Errorf("engine verbs %v, metal.Verbs %v", got, metal.Verbs)
+	}
+}
+
+// TestCallRoundTrip: an action and a call-form callout are one parsed
+// form with one renderer, so every call in the bundled checkers and in
+// the why-trace checkers renders to text that parses back to itself.
+func TestCallRoundTrip(t *testing.T) {
+	srcs := []string{freeChecker, lockChecker, traceChecker}
+	for _, s := range checkers.All() {
+		srcs = append(srcs, s.Text)
+	}
+	var actions, callouts int
+	check := func(checker string, c pattern.Call) {
+		back, err := pattern.ParseCall(c.String())
+		if err != nil || !reflect.DeepEqual(back, c) {
+			t.Errorf("%s: %s parses back to %+v (err %v), want %+v", checker, c, back, err, c)
+		}
+	}
+	for _, src := range srcs {
+		c, err := metal.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tr := range c.Transitions {
+			for _, a := range tr.Actions {
+				actions++
+				check(c.Name, a)
+			}
+			pattern.Walk(tr.Pat, func(p pattern.Pattern) {
+				if co, ok := p.(*pattern.Callout); ok && !co.Const {
+					callouts++
+					check(c.Name, co.Call)
+				}
+			})
+		}
+	}
+	if actions == 0 || callouts == 0 {
+		t.Errorf("%d actions and %d callouts checked", actions, callouts)
+	}
+}
 
 // TestTargetedSuppression reproduces §8 "Targeted suppression of false
 // positives": the conservative free checker flags passing freed

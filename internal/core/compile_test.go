@@ -363,11 +363,7 @@ int reader(char *b) { my_gets(b); return 0; }
 		c := mustChecker(t, wrappedGets)
 		c.Callouts["mc_is_call_to"] = func(ctx *pattern.Ctx, args []pattern.CalloutArg) bool {
 			call, ok := args[0].Binding.Expr.(*cc.CallExpr)
-			if !ok {
-				return false
-			}
-			id, ok := call.Fun.(*cc.Ident)
-			return ok && strings.HasSuffix(id.Name, args[1].Str)
+			return ok && strings.HasSuffix(cc.CalleeName(call), args[1].Str)
 		}
 		return c
 	}

@@ -280,19 +280,7 @@ func NewEngineShared(p *prog.Program, c *metal.Checker, opts Options, shared *Sh
 		if len(args) != 2 || !args[1].IsStr {
 			return false
 		}
-		var name string
-		if args[0].IsStr {
-			name = args[0].Str
-		} else if args[0].Bound && args[0].Binding.Expr != nil {
-			switch e := args[0].Binding.Expr.(type) {
-			case *cc.CallExpr:
-				if id, ok := e.Fun.(*cc.Ident); ok {
-					name = id.Name
-				}
-			case *cc.Ident:
-				name = e.Name
-			}
-		}
+		name := fnNamed(args[0].Arg, args[0].Binding)
 		return name != "" && en.shared.Marked(name, args[1].Str)
 	}
 	return en
@@ -1047,7 +1035,7 @@ func transitionReports(tr *metal.Transition) bool {
 // runTransitionActions executes a transition's actions with a fresh
 // action context.
 func (en *Engine) runTransitionActions(st *pathState, tr *metal.Transition, bnd pattern.Bindings, pt cc.Expr, inst *Instance) {
-	ctx := &ActionCtx{
+	ctx := &actionCtx{
 		Engine:   en,
 		State:    st,
 		Point:    pt,
@@ -1382,7 +1370,7 @@ func (en *Engine) endOfPath(st *pathState, rec *blockRec) {
 
 // emitReport materializes an err() action into a ranked report. The set
 // is asked before anything is built: a duplicate allocates nothing.
-func (en *Engine) emitReport(ctx *ActionCtx, msg string) {
+func (en *Engine) emitReport(ctx *actionCtx, msg string) {
 	st, in := ctx.State, ctx.Inst
 	k := report.Key{Pos: ctx.Pos, Func: st.fn.Name, Checker: en.Checker.Name, Msg: msg, Rule: ctx.Rule}
 	if k.Rule == "" {

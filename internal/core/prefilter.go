@@ -211,8 +211,8 @@ func baseAtom(b *pattern.Base) filterAtom {
 	if isReturn {
 		atom := filterAtom{ret: true}
 		if call, ok := tmpl.(*cc.CallExpr); ok {
-			if id, ok := call.Fun.(*cc.Ident); ok {
-				atom.callee, atom.rootCallee = id.Name, true
+			if name := cc.CalleeName(call); name != "" {
+				atom.callee, atom.rootCallee = name, true
 				return atom
 			}
 		}
@@ -224,8 +224,8 @@ func baseAtom(b *pattern.Base) filterAtom {
 		return anyAtom
 	case *cc.CallExpr:
 		atom := filterAtom{kind: kindCall}
-		if id, ok := t.Fun.(*cc.Ident); ok {
-			atom.callee, atom.rootCallee = id.Name, true
+		if name := cc.CalleeName(t); name != "" {
+			atom.callee, atom.rootCallee = name, true
 		} else {
 			atom.callee = requiredCallee(t)
 		}
@@ -274,9 +274,7 @@ func requiredCallee(e cc.Expr) string {
 			return false
 		}
 		if call, ok := x.(*cc.CallExpr); ok {
-			if id, ok := call.Fun.(*cc.Ident); ok {
-				name = id.Name
-			}
+			name = cc.CalleeName(call)
 		}
 		_, isSizeof := x.(*cc.SizeofExpr)
 		return !isSizeof
@@ -303,8 +301,8 @@ func (f *blockFeats) load(b *cfg.Block) {
 			f.kinds |= 1 << uint(k)
 		}
 		if call, ok := pt.(*cc.CallExpr); ok {
-			if id, ok := call.Fun.(*cc.Ident); ok && !f.calls(id.Name) {
-				f.callees = append(f.callees, id.Name)
+			if name := cc.CalleeName(call); name != "" && !f.calls(name) {
+				f.callees = append(f.callees, name)
 			}
 		}
 	}

@@ -23,9 +23,10 @@
 // Patterns compose with && and ||, escape to general-purpose
 // predicates with ${ callout(...) }, and the special pattern
 // $end_of_path$ fires when an instance permanently leaves scope
-// (§3.2). Actions are calls into a registered action library (err,
-// annotate, example, violation, incr, decr, kill_path, ...) — the
-// general-purpose escape that C code actions provide in the paper.
+// (§3.2). Actions are calls to the verbs in Verbs (err, annotate,
+// example, violation, incr, decr, kill_path, ...) — the
+// general-purpose escape that C code actions provide in the paper. An
+// action and a call-form callout are one parsed form, pattern.Call.
 package metal
 
 import (
@@ -57,39 +58,11 @@ func (r StateRef) String() string {
 	return r.Var + "." + r.Val
 }
 
-// ActionArg is an argument to an action call: a hole reference, a
-// literal, or a nested call (e.g. mc_identifier(v)).
-type ActionArg struct {
-	Hole  string
-	Str   string
-	IsStr bool
-	Int   int64
-	IsInt bool
-	Call  *Action
-}
-
-// Action is one action-call statement in a transition's action block.
-type Action struct {
-	Fn   string
-	Args []ActionArg
-}
-
-// String renders the action.
-func (a *Action) String() string {
-	parts := make([]string, len(a.Args))
-	for i, arg := range a.Args {
-		switch {
-		case arg.IsStr:
-			parts[i] = fmt.Sprintf("%q", arg.Str)
-		case arg.IsInt:
-			parts[i] = fmt.Sprintf("%d", arg.Int)
-		case arg.Call != nil:
-			parts[i] = arg.Call.String()
-		default:
-			parts[i] = arg.Hole
-		}
-	}
-	return a.Fn + "(" + strings.Join(parts, ", ") + ")"
+// Verbs lists the action verbs (§3.2) a transition may call; Parse
+// rejects any other, and the engine implements exactly these.
+var Verbs = []string{
+	"annotate", "check_data", "classify", "decr", "err", "example", "incr",
+	"kill_path", "mark_fn", "note", "rule", "set_data", "violation",
 }
 
 // Transition is one rule: in state Source, when Pat matches, move to
@@ -105,7 +78,7 @@ type Transition struct {
 	PathSpecific bool
 	TrueDest     StateRef
 	FalseDest    StateRef
-	Actions      []Action
+	Actions      []pattern.Call
 	Line         int
 }
 
@@ -179,7 +152,7 @@ func (c *Checker) UsesCallout(name string) bool {
 	found := false
 	for _, t := range c.Transitions {
 		pattern.Walk(t.Pat, func(p pattern.Pattern) {
-			if co, ok := p.(*pattern.Callout); ok && co.FnName == name {
+			if co, ok := p.(*pattern.Callout); ok && co.Fn == name {
 				found = true
 			}
 		})

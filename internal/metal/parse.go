@@ -2,6 +2,7 @@ package metal
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/cc"
@@ -640,11 +641,7 @@ func (p *parser) parsePatternPrimary() (pattern.Pattern, error) {
 	switch t.kind {
 	case tBrace:
 		p.next()
-		holes := map[string]*pattern.Hole{}
-		for n, h := range p.c.Vars {
-			holes[n] = h
-		}
-		return pattern.CompileBase(t.text, holes)
+		return pattern.CompileBase(t.text, p.c.Vars)
 	case tCallout:
 		p.next()
 		return pattern.CompileCallout(t.text)
@@ -666,23 +663,22 @@ func (p *parser) parsePatternPrimary() (pattern.Pattern, error) {
 }
 
 // parseActions parses the text of an action block: semicolon-separated
-// call statements, each parsed with the C expression parser.
-func parseActions(text string, line int) ([]Action, error) {
-	var out []Action
+// calls to the verbs in Verbs.
+func parseActions(text string, line int) ([]pattern.Call, error) {
+	var out []pattern.Call
 	for _, stmt := range splitStatements(text) {
 		stmt = strings.TrimSpace(stmt)
 		if stmt == "" {
 			continue
 		}
-		e, err := cc.ParseExprString(stmt)
+		act, err := pattern.ParseCall(stmt)
 		if err != nil {
 			return nil, fmt.Errorf("metal:%d: bad action %q: %v", line, stmt, err)
 		}
-		act, err := exprToAction(e)
-		if err != nil {
-			return nil, fmt.Errorf("metal:%d: %v", line, err)
+		if !slices.Contains(Verbs, act.Fn) {
+			return nil, fmt.Errorf("metal:%d: unknown action %s", line, act.Fn)
 		}
-		out = append(out, *act)
+		out = append(out, act)
 	}
 	return out, nil
 }
@@ -723,43 +719,4 @@ func splitStatements(s string) []string {
 		out = append(out, s[start:])
 	}
 	return out
-}
-
-func exprToAction(e cc.Expr) (*Action, error) {
-	call, ok := e.(*cc.CallExpr)
-	if !ok {
-		return nil, fmt.Errorf("action must be a call, got %s", cc.ExprString(e))
-	}
-	fn, ok := call.Fun.(*cc.Ident)
-	if !ok {
-		return nil, fmt.Errorf("action function must be a name")
-	}
-	act := &Action{Fn: fn.Name}
-	for _, a := range call.Args {
-		switch a := a.(type) {
-		case *cc.Ident:
-			act.Args = append(act.Args, ActionArg{Hole: a.Name})
-		case *cc.StringLit:
-			act.Args = append(act.Args, ActionArg{Str: a.Text, IsStr: true})
-		case *cc.IntLit:
-			act.Args = append(act.Args, ActionArg{Int: a.Value, IsInt: true})
-		case *cc.UnaryExpr:
-			if a.Op == cc.TokMinus {
-				if il, ok := a.X.(*cc.IntLit); ok {
-					act.Args = append(act.Args, ActionArg{Int: -il.Value, IsInt: true})
-					continue
-				}
-			}
-			return nil, fmt.Errorf("unsupported action argument %s", cc.ExprString(a))
-		case *cc.CallExpr:
-			nested, err := exprToAction(a)
-			if err != nil {
-				return nil, err
-			}
-			act.Args = append(act.Args, ActionArg{Call: nested})
-		default:
-			return nil, fmt.Errorf("unsupported action argument %s", cc.ExprString(a))
-		}
-	}
-	return act, nil
 }

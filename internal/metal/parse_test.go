@@ -288,7 +288,7 @@ func TestNegativeIntActionArg(t *testing.T) {
 	src := `
 sm d;
 decl any_pointer v;
-start: { f(v) } ==> v.s, { adjust(v, -3); };
+start: { f(v) } ==> v.s, { set_data(v, -3); };
 `
 	c, err := Parse(src)
 	if err != nil {
@@ -297,6 +297,20 @@ start: { f(v) } ==> v.s, { adjust(v, -3); };
 	arg := c.Transitions[0].Actions[0].Args[1]
 	if !arg.IsInt || arg.Int != -3 {
 		t.Errorf("arg = %+v", arg)
+	}
+}
+
+// TestUnknownActionVerb: an action calls one of Verbs; a misspelled
+// verb is a parse error, not an action the engine silently skips.
+func TestUnknownActionVerb(t *testing.T) {
+	src := `sm typo;
+start: { f() } ==> start,
+    { er("x"); }
+;
+`
+	_, err := Parse(src)
+	if err == nil || err.Error() != "metal:3: unknown action er" {
+		t.Errorf("err = %v, want metal:3: unknown action er", err)
 	}
 }
 

@@ -18,11 +18,7 @@ func Builtins() Registry {
 				return false
 			}
 			call, ok := args[0].Binding.Expr.(*cc.CallExpr)
-			if !ok {
-				return false
-			}
-			id, ok := call.Fun.(*cc.Ident)
-			return ok && id.Name == args[1].Str
+			return ok && args[1].Str != "" && cc.CalleeName(call) == args[1].Str
 		},
 		// mc_name_contains(v, "frag"): the bound expression's source
 		// text contains the fragment.

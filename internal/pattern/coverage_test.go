@@ -201,18 +201,18 @@ func TestBuiltinEdgeCases(t *testing.T) {
 
 	// mc_name_contains.
 	if !reg["mc_name_contains"](ctx, []CalloutArg{
-		{Bound: true, Binding: Binding{Expr: e}}, {IsStr: true, Str: "f("},
+		{Bound: true, Binding: Binding{Expr: e}}, {Arg: Arg{IsStr: true, Str: "f("}},
 	}) {
 		t.Error("mc_name_contains should find substring")
 	}
 	// mc_is_arg_count.
 	if !reg["mc_is_arg_count"](ctx, []CalloutArg{
-		{Bound: true, Binding: Binding{Expr: e}}, {IsInt: true, Int: 1},
+		{Bound: true, Binding: Binding{Expr: e}}, {Arg: Arg{IsInt: true, Int: 1}},
 	}) {
 		t.Error("mc_is_arg_count(f(x), 1) should hold")
 	}
 	if reg["mc_is_arg_count"](ctx, []CalloutArg{
-		{Bound: true, Binding: Binding{Expr: e}}, {IsInt: true, Int: 2},
+		{Bound: true, Binding: Binding{Expr: e}}, {Arg: Arg{IsInt: true, Int: 2}},
 	}) {
 		t.Error("mc_is_arg_count(f(x), 2) must not hold")
 	}
@@ -461,7 +461,7 @@ func TestSubstituteHolesCoverage(t *testing.T) {
 			continue
 		}
 		count := 0
-		cc.WalkExpr(b.Tmpl, func(e cc.Expr) bool {
+		cc.WalkExpr(b.tmpl, func(e cc.Expr) bool {
 			if _, ok := e.(*cc.HoleExpr); ok {
 				count++
 			}
@@ -470,8 +470,8 @@ func TestSubstituteHolesCoverage(t *testing.T) {
 		if count == 0 {
 			t.Errorf("%q: no holes substituted", src)
 		}
-		if strings.Contains(cc.ExprString(b.Tmpl), "v") && count < strings.Count(src, "v") {
-			t.Errorf("%q: some v left unsubstituted: %s", src, cc.ExprString(b.Tmpl))
+		if strings.Contains(cc.ExprString(b.tmpl), "v") && count < strings.Count(src, "v") {
+			t.Errorf("%q: some v left unsubstituted: %s", src, cc.ExprString(b.tmpl))
 		}
 	}
 }

@@ -7,6 +7,7 @@ package pattern
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/cc"
@@ -109,16 +110,12 @@ func (b *binder) set(name string, v Binding) {
 // source syntax.
 type CalloutFunc func(ctx *Ctx, args []CalloutArg) bool
 
-// CalloutArg is one argument to a callout: a bound hole (Bound=true),
-// a string literal, or an integer literal.
+// CalloutArg is one argument to a callout: the argument as written
+// and, for a hole (Bound), what the hole is bound to.
 type CalloutArg struct {
+	Arg
 	Bound   bool
-	Name    string // hole name when Bound
 	Binding Binding
-	Str     string
-	IsStr   bool
-	Int     int64
-	IsInt   bool
 }
 
 // Registry resolves callout names to functions.
@@ -186,13 +183,11 @@ type Pattern interface {
 // language constructs"): "{ return v }" and "{ return }" match return
 // statements.
 type Base struct {
-	Src   string
-	Tmpl  cc.Expr
-	holes map[string]*Hole
-	// retTmpl is set for return-statement patterns: the template for
-	// the returned expression (nil matches the bare "return;").
+	Src string
+	// tmpl is the structural template; for a return-statement pattern,
+	// the returned expression's (nil matches the bare "return;").
+	tmpl     cc.Expr
 	isReturn bool
-	retTmpl  cc.Expr
 }
 
 // CompileBase parses src (the text inside the braces) as a C
@@ -203,19 +198,15 @@ func CompileBase(src string, holes map[string]*Hole) (*Base, error) {
 	if trimmed == "return" {
 		return &Base{Src: src, isReturn: true}, nil
 	}
-	if rest, ok := strings.CutPrefix(trimmed, "return "); ok {
-		e, err := cc.ParseExprString(rest)
-		if err != nil {
-			return nil, fmt.Errorf("pattern {%s}: %w", src, err)
-		}
-		return &Base{Src: src, isReturn: true, retTmpl: substituteHoles(e, holes)}, nil
+	rest, isReturn := strings.CutPrefix(trimmed, "return ")
+	if !isReturn {
+		rest = src
 	}
-	e, err := cc.ParseExprString(src)
+	e, err := cc.ParseExprString(rest)
 	if err != nil {
 		return nil, fmt.Errorf("pattern {%s}: %w", src, err)
 	}
-	tmpl := substituteHoles(e, holes)
-	return &Base{Src: src, Tmpl: tmpl, holes: holes}, nil
+	return &Base{Src: src, tmpl: substituteHoles(e, holes), isReturn: isReturn}, nil
 }
 
 // substituteHoles rewrites identifiers that name declared holes into
@@ -268,12 +259,7 @@ func (b *Base) String() string { return "{ " + b.Src + " }" }
 // is a return-statement pattern (then the template is the returned
 // expression's, nil for bare "return;"). The engine's block
 // pre-filter reads the root node through this.
-func (b *Base) Template() (cc.Expr, bool) {
-	if b.isReturn {
-		return b.retTmpl, true
-	}
-	return b.Tmpl, false
-}
+func (b *Base) Template() (cc.Expr, bool) { return b.tmpl, b.isReturn }
 
 // matchExpr matches the template against the target, extending bnd.
 func matchExpr(ctx *Ctx, tmpl, target cc.Expr, bnd *binder) bool {
@@ -481,6 +467,91 @@ func (o *Or) Match(ctx *Ctx, prior Bindings) (Bindings, bool) {
 // String implements Pattern.
 func (o *Or) String() string { return o.X.String() + " || " + o.Y.String() }
 
+// Call is a checker's call into general-purpose code: a transition's
+// action (§3.2) or a call-form ${...} callout (§4), e.g.
+// err("double free of %s!", mc_identifier(v)).
+type Call struct {
+	Fn   string
+	Args []Arg
+}
+
+// Arg is one argument of a Call: a hole name, a string literal (its
+// text as written, escapes undecoded), an integer literal (negative
+// included), or a nested call.
+type Arg struct {
+	Hole  string
+	Str   string
+	IsStr bool
+	Int   int64
+	IsInt bool
+	Call  *Call
+}
+
+// ParseCall parses src as a Call: a named function applied to Args.
+func ParseCall(src string) (Call, error) {
+	e, err := cc.ParseExprString(src)
+	if err != nil {
+		return Call{}, err
+	}
+	return callOf(e)
+}
+
+func callOf(e cc.Expr) (Call, error) {
+	call, ok := e.(*cc.CallExpr)
+	if !ok {
+		return Call{}, fmt.Errorf("%s is not a call", cc.ExprString(e))
+	}
+	c := Call{Fn: cc.CalleeName(call)}
+	if c.Fn == "" {
+		return Call{}, fmt.Errorf("function must be a name")
+	}
+	for _, a := range call.Args {
+		var arg Arg
+		switch x := a.(type) {
+		case *cc.Ident:
+			arg.Hole = x.Name
+		case *cc.StringLit:
+			arg.Str, arg.IsStr = x.Text, true
+		case *cc.IntLit:
+			arg.Int, arg.IsInt = x.Value, true
+		case *cc.UnaryExpr:
+			lit, ok := x.X.(*cc.IntLit)
+			if x.Op != cc.TokMinus || !ok {
+				return Call{}, fmt.Errorf("unsupported argument %s", cc.ExprString(a))
+			}
+			arg.Int, arg.IsInt = -lit.Value, true
+		case *cc.CallExpr:
+			nested, err := callOf(x)
+			if err != nil {
+				return Call{}, err
+			}
+			arg.Call = &nested
+		default:
+			return Call{}, fmt.Errorf("unsupported argument %s", cc.ExprString(a))
+		}
+		c.Args = append(c.Args, arg)
+	}
+	return c, nil
+}
+
+// String renders the call as ParseCall reads it.
+func (c Call) String() string {
+	parts := make([]string, len(c.Args))
+	for i, a := range c.Args {
+		switch {
+		case a.IsStr:
+			parts[i] = `"` + a.Str + `"`
+		case a.IsInt:
+			parts[i] = strconv.FormatInt(a.Int, 10)
+		case a.Call != nil:
+			parts[i] = a.Call.String()
+		default:
+			parts[i] = a.Hole
+		}
+	}
+	return c.Fn + "(" + strings.Join(parts, ", ") + ")"
+}
+
 // Callout is a ${...} escape: a boolean general-purpose predicate
 // identified by function name. The degenerate callouts ${0} and ${1}
 // match nothing and everything respectively.
@@ -489,18 +560,9 @@ type Callout struct {
 	// Const is set for ${0} / ${1}.
 	Const    bool
 	ConstVal bool
-	// FnName and ArgSrcs describe a call-form callout,
-	// e.g. ${ mc_is_call_to(fn, "gets") }.
-	FnName  string
-	ArgSrcs []calloutArgSrc
-}
-
-type calloutArgSrc struct {
-	hole  string
-	str   string
-	isStr bool
-	num   int64
-	isNum bool
+	// Call is a call-form callout, e.g. ${ mc_is_call_to(fn, "gets") },
+	// whose arguments are holes and literals.
+	Call
 }
 
 // CompileCallout parses the text inside ${...}.
@@ -509,32 +571,16 @@ func CompileCallout(src string) (*Callout, error) {
 	if s == "0" || s == "1" {
 		return &Callout{Raw: src, Const: true, ConstVal: s == "1"}, nil
 	}
-	e, err := cc.ParseExprString(s)
+	call, err := ParseCall(s)
 	if err != nil {
 		return nil, fmt.Errorf("callout ${%s}: %w", src, err)
 	}
-	call, ok := e.(*cc.CallExpr)
-	if !ok {
-		return nil, fmt.Errorf("callout ${%s}: must be 0, 1, or a call to a registered function", src)
-	}
-	fn, ok := call.Fun.(*cc.Ident)
-	if !ok {
-		return nil, fmt.Errorf("callout ${%s}: function must be a name", src)
-	}
-	c := &Callout{Raw: src, FnName: fn.Name}
 	for _, a := range call.Args {
-		switch a := a.(type) {
-		case *cc.Ident:
-			c.ArgSrcs = append(c.ArgSrcs, calloutArgSrc{hole: a.Name})
-		case *cc.StringLit:
-			c.ArgSrcs = append(c.ArgSrcs, calloutArgSrc{str: a.Text, isStr: true})
-		case *cc.IntLit:
-			c.ArgSrcs = append(c.ArgSrcs, calloutArgSrc{num: a.Value, isNum: true})
-		default:
+		if a.Call != nil {
 			return nil, fmt.Errorf("callout ${%s}: arguments must be hole names or literals", src)
 		}
 	}
-	return c, nil
+	return &Callout{Raw: src, Call: call}, nil
 }
 
 // Match implements Pattern.
@@ -545,21 +591,17 @@ func (c *Callout) Match(ctx *Ctx, prior Bindings) (Bindings, bool) {
 		}
 		return nil, false
 	}
-	fn, ok := ctx.Callouts[c.FnName]
+	fn, ok := ctx.Callouts[c.Fn]
 	if !ok {
 		return nil, false
 	}
 	args := ctx.args[:0]
-	for _, src := range c.ArgSrcs {
-		switch {
-		case src.isStr:
-			args = append(args, CalloutArg{Str: src.str, IsStr: true})
-		case src.isNum:
-			args = append(args, CalloutArg{Int: src.num, IsInt: true})
-		default:
-			b, _ := prior.Get(src.hole)
-			args = append(args, CalloutArg{Bound: true, Name: src.hole, Binding: b})
+	for _, a := range c.Args {
+		arg := CalloutArg{Arg: a, Bound: a.Hole != ""}
+		if arg.Bound {
+			arg.Binding, _ = prior.Get(a.Hole)
 		}
+		args = append(args, arg)
 	}
 	ctx.args = args
 	if fn(ctx, args) {
@@ -573,14 +615,14 @@ func (c *Callout) Match(ctx *Ctx, prior Bindings) (Bindings, bool) {
 // hole's binding is a call whose function is the identifier name. The
 // engine's pre-filter reads it to key such a conjunct by callee.
 func (c *Callout) CallTo() (hole, name string, ok bool) {
-	if c.FnName != "mc_is_call_to" || len(c.ArgSrcs) != 2 {
+	if c.Fn != "mc_is_call_to" || len(c.Args) != 2 {
 		return "", "", false
 	}
-	h, n := c.ArgSrcs[0], c.ArgSrcs[1]
-	if h.isStr || h.isNum || !n.isStr {
+	h, n := c.Args[0], c.Args[1]
+	if h.Hole == "" || !n.IsStr {
 		return "", "", false
 	}
-	return h.hole, n.str, true
+	return h.Hole, n.Str, true
 }
 
 // String implements Pattern.
@@ -648,15 +690,9 @@ func Walk(p Pattern, visit func(Pattern)) {
 // order. The metal checker uses it to validate transitions.
 func HolesOf(p Pattern) map[string]bool {
 	out := map[string]bool{}
-	var walk func(Pattern)
-	walk = func(p Pattern) {
-		switch p := p.(type) {
-		case *Base:
-			tmpl := p.Tmpl
-			if p.isReturn {
-				tmpl = p.retTmpl
-			}
-			cc.WalkExpr(tmpl, func(e cc.Expr) bool {
+	Walk(p, func(p Pattern) {
+		if b, ok := p.(*Base); ok {
+			cc.WalkExpr(b.tmpl, func(e cc.Expr) bool {
 				switch e := e.(type) {
 				case *cc.HoleExpr:
 					out[e.Name] = true
@@ -665,14 +701,7 @@ func HolesOf(p Pattern) map[string]bool {
 				}
 				return true
 			})
-		case *And:
-			walk(p.X)
-			walk(p.Y)
-		case *Or:
-			walk(p.X)
-			walk(p.Y)
 		}
-	}
-	walk(p)
+	})
 	return out
 }

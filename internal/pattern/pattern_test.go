@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cc"
@@ -332,6 +333,34 @@ func TestCompileErrors(t *testing.T) {
 	}
 	if _, err := CompileCallout("f(a+b)"); err == nil {
 		t.Error("want error for complex callout arg")
+	}
+}
+
+// TestCalloutArgForms: a callout takes what an action takes, a negative
+// integer included, and reaches the registered function with it; a
+// nested call stays an action-only argument.
+func TestCalloutArgForms(t *testing.T) {
+	co, err := CompileCallout("mc_is_arg_count(fn, -1)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []CalloutArg
+	ctx := ctxFor(t, freeSrc, "x")
+	ctx.Callouts = Registry{"mc_is_arg_count": func(_ *Ctx, args []CalloutArg) bool {
+		got = append(got, args...)
+		return true
+	}}
+	if _, ok := co.Match(ctx, Bindings{}); !ok || len(got) != 2 {
+		t.Fatalf("match %v, args %+v", ok, got)
+	}
+	if !got[0].Bound || got[0].Hole != "fn" {
+		t.Errorf("first argument = %+v, want the hole fn", got[0])
+	}
+	if got[1].Int != -1 || !got[1].IsInt || got[1].Bound {
+		t.Errorf("second argument = %+v, want Int: -1, IsInt: true", got[1])
+	}
+	if _, err := CompileCallout("mc_fn_marked(fn, mc_identifier(v))"); err == nil || !strings.Contains(err.Error(), "hole names or literals") {
+		t.Errorf("a nested call argument compiled: err %v", err)
 	}
 }
 

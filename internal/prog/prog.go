@@ -286,17 +286,17 @@ func BuildSource(srcs map[string]string) (*Program, error) {
 // indirect calls and functions without bodies. Per §6, a missing CFG
 // is not an error — the analysis silently continues.
 func (p *Program) Resolve(caller *Function, call *cc.CallExpr) *Function {
-	id, ok := call.Fun.(*cc.Ident)
-	if !ok {
+	name := cc.CalleeName(call)
+	if name == "" {
 		return nil // indirect call
 	}
 	// Static function in the same file shadows externals.
 	if caller != nil {
-		if fn, ok := p.Funcs[staticKey(caller.Decl.File, id.Name)]; ok {
+		if fn, ok := p.Funcs[staticKey(caller.Decl.File, name)]; ok {
 			return fn
 		}
 	}
-	return p.Funcs[id.Name]
+	return p.Funcs[name]
 }
 
 // computeRoots finds call-graph roots. Functions with no callers are
