@@ -96,6 +96,11 @@ vet:
 # type, the callout's private argument list and core's callee resolver
 # stay gone, and a direct call's name is read by cc.CalleeName only
 # (benchmark/ keeps its own until it is unfrozen).
+# And a transition and a call return allocate only what they keep
+# (DESIGN.md §10.4): the per-transition action context, the per-instance
+# match prior, the cloned partition tuples, the object keys core rendered
+# to a string only to look them up, and the joined and re-scanned strings
+# actions built their facts and messages from stay gone.
 no-deleted-knobs:
 	! grep -rnE 'Match[M]emo|Block[F]ilter|Tuple[I]ntern|Lean[A]lloc|Multi[D]ispatch|Tenant[Q]uota|Queue[D]epth|Batch[S]ize' --include=*.go .
 	! grep -rnE 'Load[S]ummaries|summary[S]ource|Retired[S]et|Allow[S]pillReload|Summaries[L]oaded|SummaryBytes[D]eferred' --include=*.go .
@@ -127,6 +132,9 @@ no-deleted-knobs:
 	! grep -rnE 'callees +map\[[s]tring\]bool' --include=*.go internal/core
 	! grep -rnE 'exprTo[A]ction|calloutArg[S]rc|calleeName[O]f|\bAction[A]rg\b' --include=*.go .
 	! grep -rnE 'Fun\.\(\*cc\.[I]dent\)' --include=*.go --exclude-dir=benchmark .
+	! grep -rnE '&action[C]tx\{|slices\.Clone\(c\.tuple[s]\)|inst\.prio[r]\b' --include=*.go internal/core
+	! grep -rnE 'cc\.ExprKe[y]\(' --include=*.go --exclude=*_test.go internal/core
+	! grep -nE 'strings\.(Joi[n]|Replac[e])' internal/core/actions.go
 	! ls BENCH_*.json 2>/dev/null | grep .
 
 # staticcheck is optional locally (the repo adds no dependencies) but

@@ -2,23 +2,13 @@ package cc
 
 import "slices"
 
-// This file provides canonical expression keys and structural AST
-// equality. The analysis engine identifies tracked program objects by
-// key (§5.1: "The tree in the var field can be any tree in the code"),
-// and patterns with repeated hole variables require "equivalent ASTs"
-// (§4). The walks every other package reads and rebuilds expressions
-// through (WalkExpr, Rewrite, ExecOrder) are here too.
-
-// ExprKey returns a canonical string identifying the expression's
-// structure. Two expressions have the same key iff EqualExpr reports
-// them equal. Keys are stable across parses: they derive only from the
-// canonical printed form, never from positions.
-func ExprKey(e Expr) string {
-	if e == nil {
-		return ""
-	}
-	return ExprString(e)
-}
+// This file provides structural AST equality. The analysis engine
+// identifies tracked program objects by their canonical text
+// (AppendExpr; §5.1: "The tree in the var field can be any tree in the
+// code"), and two expressions have the same text iff EqualExpr reports
+// them equal; patterns with repeated hole variables require "equivalent
+// ASTs" (§4). The walks every other package reads and rebuilds
+// expressions through (WalkExpr, Rewrite, ExecOrder) are here too.
 
 // EqualExpr reports structural equality of two expressions, ignoring
 // positions and lexical artifacts. Hole expressions compare by name.

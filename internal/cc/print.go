@@ -1,26 +1,33 @@
 package cc
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // ExprString renders an expression back to C text. The output is fully
 // parenthesized where needed, canonical, and independent of the
 // original source spacing — the same property the paper relies on when
 // it matches ASTs rather than text.
 func ExprString(e Expr) string {
-	// A leaf is its own text: no builder for what is nearly always an
-	// identifier (ExprKey of a tracked object).
+	// A leaf is its own text: no buffer for what is nearly always an
+	// identifier.
 	switch e := e.(type) {
 	case *Ident:
 		return e.Name
 	case *IntLit:
 		return e.Text
 	}
-	var sb strings.Builder
-	writeExpr(&sb, e, 0)
-	return sb.String()
+	var buf [64]byte
+	return string(writeExpr(buf[:0], e, 0))
+}
+
+// AppendExpr appends ExprString(e) to dst and returns the extended
+// buffer; a nil e appends nothing. An object key probed from a reused
+// buffer costs no allocation unless the expression holds a cast or a
+// sizeof(type), whose type is rendered with fmt.
+func AppendExpr(dst []byte, e Expr) []byte {
+	if e == nil {
+		return dst
+	}
+	return writeExpr(dst, e, 0)
 }
 
 // Operator precedence levels used to decide parenthesization when
@@ -47,111 +54,115 @@ func exprPrec(e Expr) int {
 	}
 }
 
-func writeExpr(sb *strings.Builder, e Expr, minPrec int) {
+func writeExpr(b []byte, e Expr, minPrec int) []byte {
 	prec := exprPrec(e)
-	if prec < minPrec {
-		sb.WriteByte('(')
-		defer sb.WriteByte(')')
+	paren := prec < minPrec
+	if paren {
+		b = append(b, '(')
 	}
 	switch e := e.(type) {
 	case *Ident:
-		sb.WriteString(e.Name)
+		b = append(b, e.Name...)
 	case *IntLit:
-		sb.WriteString(e.Text)
+		b = append(b, e.Text...)
 	case *FloatLit:
-		sb.WriteString(e.Text)
+		b = append(b, e.Text...)
 	case *CharLit:
-		sb.WriteByte('\'')
-		sb.WriteString(e.Text)
-		sb.WriteByte('\'')
+		b = append(b, '\'')
+		b = append(b, e.Text...)
+		b = append(b, '\'')
 	case *StringLit:
-		sb.WriteByte('"')
-		sb.WriteString(e.Text)
-		sb.WriteByte('"')
+		b = append(b, '"')
+		b = append(b, e.Text...)
+		b = append(b, '"')
 	case *UnaryExpr:
 		if e.Postfix {
-			writeExpr(sb, e.X, prec)
-			sb.WriteString(e.Op.String())
+			b = writeExpr(b, e.X, prec)
+			b = append(b, e.Op.String()...)
 		} else {
-			sb.WriteString(e.Op.String())
+			b = append(b, e.Op.String()...)
 			// Avoid "- -x" gluing into "--x".
 			if u, ok := e.X.(*UnaryExpr); ok && !u.Postfix && (u.Op == e.Op && (e.Op == TokMinus || e.Op == TokPlus || e.Op == TokAmp)) {
-				sb.WriteByte(' ')
+				b = append(b, ' ')
 			}
-			writeExpr(sb, e.X, prec)
+			b = writeExpr(b, e.X, prec)
 		}
 	case *BinaryExpr:
-		writeExpr(sb, e.X, prec)
-		sb.WriteByte(' ')
-		sb.WriteString(e.Op.String())
-		sb.WriteByte(' ')
-		writeExpr(sb, e.Y, prec+1)
+		b = writeExpr(b, e.X, prec)
+		b = append(b, ' ')
+		b = append(b, e.Op.String()...)
+		b = append(b, ' ')
+		b = writeExpr(b, e.Y, prec+1)
 	case *AssignExpr:
-		writeExpr(sb, e.LHS, prec+1)
-		sb.WriteByte(' ')
-		sb.WriteString(e.Op.String())
-		sb.WriteByte(' ')
-		writeExpr(sb, e.RHS, prec)
+		b = writeExpr(b, e.LHS, prec+1)
+		b = append(b, ' ')
+		b = append(b, e.Op.String()...)
+		b = append(b, ' ')
+		b = writeExpr(b, e.RHS, prec)
 	case *CondExpr:
-		writeExpr(sb, e.Cond, prec+1)
-		sb.WriteString(" ? ")
-		writeExpr(sb, e.Then, 0)
-		sb.WriteString(" : ")
-		writeExpr(sb, e.Else, prec)
+		b = writeExpr(b, e.Cond, prec+1)
+		b = append(b, " ? "...)
+		b = writeExpr(b, e.Then, 0)
+		b = append(b, " : "...)
+		b = writeExpr(b, e.Else, prec)
 	case *CallExpr:
-		writeExpr(sb, e.Fun, prec)
-		sb.WriteByte('(')
+		b = writeExpr(b, e.Fun, prec)
+		b = append(b, '(')
 		for i, a := range e.Args {
 			if i > 0 {
-				sb.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			writeExpr(sb, a, 2) // assignment level: commas separate args
+			b = writeExpr(b, a, 2) // assignment level: commas separate args
 		}
-		sb.WriteByte(')')
+		b = append(b, ')')
 	case *IndexExpr:
-		writeExpr(sb, e.X, prec)
-		sb.WriteByte('[')
-		writeExpr(sb, e.Index, 0)
-		sb.WriteByte(']')
+		b = writeExpr(b, e.X, prec)
+		b = append(b, '[')
+		b = writeExpr(b, e.Index, 0)
+		b = append(b, ']')
 	case *FieldExpr:
-		writeExpr(sb, e.X, prec)
+		b = writeExpr(b, e.X, prec)
 		if e.Arrow {
-			sb.WriteString("->")
+			b = append(b, "->"...)
 		} else {
-			sb.WriteByte('.')
+			b = append(b, '.')
 		}
-		sb.WriteString(e.Name)
+		b = append(b, e.Name...)
 	case *CastExpr:
-		fmt.Fprintf(sb, "(%s)", e.To)
-		writeExpr(sb, e.X, prec)
+		b = fmt.Appendf(b, "(%s)", e.To)
+		b = writeExpr(b, e.X, prec)
 	case *SizeofExpr:
 		if e.Type != nil {
-			fmt.Fprintf(sb, "sizeof(%s)", e.Type)
+			b = fmt.Appendf(b, "sizeof(%s)", e.Type)
 		} else {
-			sb.WriteString("sizeof ")
-			writeExpr(sb, e.X, prec)
+			b = append(b, "sizeof "...)
+			b = writeExpr(b, e.X, prec)
 		}
 	case *CommaExpr:
 		for i, x := range e.List {
 			if i > 0 {
-				sb.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			writeExpr(sb, x, 2)
+			b = writeExpr(b, x, 2)
 		}
 	case *InitList:
-		sb.WriteByte('{')
+		b = append(b, '{')
 		for i, x := range e.List {
 			if i > 0 {
-				sb.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			writeExpr(sb, x, 2)
+			b = writeExpr(b, x, 2)
 		}
-		sb.WriteByte('}')
+		b = append(b, '}')
 	case *HoleExpr:
-		fmt.Fprintf(sb, "$%s", e.Name)
+		b = append(append(b, '$'), e.Name...)
 	case *HoleArgs:
-		fmt.Fprintf(sb, "$%s...", e.Name)
+		b = append(append(append(b, '$'), e.Name...), "..."...)
 	default:
-		sb.WriteString("<?expr?>")
+		b = append(b, "<?expr?>"...)
 	}
+	if paren {
+		b = append(b, ')')
+	}
+	return b
 }

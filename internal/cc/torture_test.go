@@ -231,7 +231,8 @@ func TestPrintReparseProperty(t *testing.T) {
 	}
 }
 
-// Property: ExprKey equality coincides with EqualExpr.
+// Property: equality of the canonical text the engine keys objects by
+// (AppendExpr) coincides with EqualExpr.
 func TestExprKeyEqualityProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	var pool []Expr
@@ -242,11 +243,12 @@ func TestExprKeyEqualityProperty(t *testing.T) {
 	}
 	for i, a := range pool {
 		for j, b := range pool {
-			keyEq := ExprKey(a) == ExprKey(b)
+			ka, kb := string(AppendExpr(nil, a)), string(AppendExpr(nil, b))
+			keyEq := ka == kb
 			astEq := EqualExpr(a, b)
 			if keyEq != astEq {
 				t.Fatalf("pool[%d] vs pool[%d]: key equality %v but AST equality %v\n  a: %s\n  b: %s",
-					i, j, keyEq, astEq, ExprKey(a), ExprKey(b))
+					i, j, keyEq, astEq, ka, kb)
 			}
 		}
 	}

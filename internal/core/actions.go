@@ -1,8 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/cc"
 	"repro/internal/pattern"
@@ -11,7 +12,9 @@ import (
 
 // actionCtx is the context in which a transition's actions execute:
 // the escape hatch metal provides in place of the paper's C code
-// actions (§3.2).
+// actions (§3.2). There is one per engine (Engine.act), refilled for
+// every fired transition (runTransitionActions): actions never fire
+// transitions, so no two are live at once.
 type actionCtx struct {
 	Engine   *Engine
 	State    *pathState
@@ -24,41 +27,50 @@ type actionCtx struct {
 	// Class is the severity annotation collected from classify()
 	// actions on the same transition.
 	Class report.Class
-	// Rule is the grouping fact for statistical ranking.
-	Rule string
+	// rule holds the arguments of the transition's rule(), whose fact
+	// groups its reports for statistical ranking; nil without one.
+	rule []pattern.Arg
+	// buf is the scratch rule facts and messages are rendered into. It
+	// keeps its capacity from one transition to the next; a rendering is
+	// good until the next one.
+	buf []byte
 }
 
 // actionFunc implements one action verb.
 type actionFunc func(ctx *actionCtx, args []pattern.Arg)
 
-// argString renders an action argument: bindings for holes, literal
-// text otherwise, and the mc_identifier(v)/mc_location() helper calls.
-func (ctx *actionCtx) argString(a pattern.Arg) string {
+// appendArg appends an action argument's text to b: bindings for holes,
+// literal text otherwise, and the mc_identifier(v)/mc_location()/
+// mc_function() helper calls.
+func (ctx *actionCtx) appendArg(b []byte, a pattern.Arg) []byte {
 	switch {
 	case a.IsStr:
-		return a.Str
+		return append(b, a.Str...)
 	case a.IsInt:
-		return fmt.Sprintf("%d", a.Int)
+		return strconv.AppendInt(b, a.Int, 10)
 	case a.Call != nil:
 		switch a.Call.Fn {
 		case "mc_identifier":
 			if len(a.Call.Args) == 1 {
-				return ctx.argString(a.Call.Args[0])
+				return ctx.appendArg(b, a.Call.Args[0])
 			}
 		case "mc_location":
-			return ctx.Pos.String()
+			return append(b, ctx.Pos.String()...)
 		case "mc_function":
-			return ctx.State.fn.Name
+			return append(b, ctx.State.fn.Name...)
 		}
-		return a.Call.String()
+		return append(b, a.Call.String()...)
 	default:
-		if b, ok := ctx.Bindings.Get(a.Hole); ok {
-			return b.String()
+		if bnd, ok := ctx.Bindings.Get(a.Hole); ok {
+			if bnd.Expr != nil {
+				return cc.AppendExpr(b, bnd.Expr)
+			}
+			return append(b, bnd.String()...)
 		}
 		if ctx.Inst != nil && a.Hole == ctx.instVar() {
-			return ctx.Engine.intern.objs.name(ctx.Inst.obj)
+			return append(b, ctx.Engine.intern.objs.name(ctx.Inst.obj)...)
 		}
-		return a.Hole
+		return append(b, a.Hole...)
 	}
 }
 
@@ -73,7 +85,7 @@ func (ctx *actionCtx) argInstance(a pattern.Arg) *Instance {
 		return ctx.Inst
 	}
 	if b, ok := ctx.Bindings.Get(a.Hole); ok && b.Expr != nil {
-		if obj, ok := ctx.Engine.intern.objs.find(cc.ExprKey(b.Expr)); ok {
+		if obj, ok := ctx.Engine.intern.findObj(b.Expr); ok {
 			return ctx.State.sm.FindObj(obj)
 		}
 	}
@@ -105,17 +117,17 @@ var verbs = map[string]actionFunc{
 	// statistical ranking (§9).
 	"rule": func(ctx *actionCtx, args []pattern.Arg) {
 		if len(args) > 0 {
-			ctx.Rule = ctx.join(args)
+			ctx.rule = args
 		}
 	},
 	// example(fact...): count one successful rule check (§9
 	// z-statistic numerator input e).
 	"example": func(ctx *actionCtx, args []pattern.Arg) {
-		ctx.Engine.countRule(ctx.ruleName(args), true)
+		ctx.Engine.countRule(ctx.ruleFact(args), true)
 	},
 	// violation(fact...): count one rule violation (c).
 	"violation": func(ctx *actionCtx, args []pattern.Arg) {
-		ctx.Engine.countRule(ctx.ruleName(args), false)
+		ctx.Engine.countRule(ctx.ruleFact(args), false)
 	},
 	// annotate("SECURITY"): attach a path annotation; subsequent
 	// errors on this path inherit the class (§9 checker-specific
@@ -186,37 +198,71 @@ var verbs = map[string]actionFunc{
 	},
 }
 
-// ruleName builds the rule fact string from example()/violation()
-// arguments, defaulting to the checker name.
-func (ctx *actionCtx) ruleName(args []pattern.Arg) string {
-	if len(args) == 0 {
-		if ctx.Rule != "" {
-			return ctx.Rule
-		}
-		return ctx.Engine.Checker.Name
+// ruleFact renders the rule fact of example()/violation() into the
+// context's buffer: the arguments joined by ':', or without arguments
+// the transition's rule() fact when that is not empty, else the
+// checker's name.
+func (ctx *actionCtx) ruleFact(args []pattern.Arg) []byte {
+	ruled := len(args) == 0
+	if ruled {
+		args = ctx.rule
 	}
-	return ctx.join(args)
-}
-
-// join renders the arguments of rule(), example() and violation() as
-// one rule fact.
-func (ctx *actionCtx) join(args []pattern.Arg) string {
-	parts := make([]string, len(args))
+	b := ctx.buf[:0]
 	for i, a := range args {
-		parts[i] = ctx.argString(a)
+		if i > 0 {
+			b = append(b, ':')
+		}
+		b = ctx.appendArg(b, a)
 	}
-	return strings.Join(parts, ":")
+	if ruled && len(b) == 0 {
+		b = append(b, ctx.Engine.Checker.Name...)
+	}
+	ctx.buf = b
+	return b
 }
 
-// format renders the arguments of err() and note(): the first with
-// each %s replaced, in order, by the rest.
-func (ctx *actionCtx) format(args []pattern.Arg) string {
-	msg := ctx.argString(args[0])
-	for _, a := range args[1:] {
-		msg = strings.Replace(msg, "%s", ctx.argString(a), 1)
+// ruleKey is the rule fact a report of this transition is grouped by:
+// ruleFact's without arguments, as a string. A fact that is one string
+// literal, as every bundled checker's is, is that literal; another is
+// rendered and copied.
+func (ctx *actionCtx) ruleKey() string {
+	switch r := ctx.rule; {
+	case r == nil:
+		return ctx.Engine.Checker.Name
+	case len(r) == 1 && r[0].IsStr && r[0].Str != "":
+		return r[0].Str
 	}
-	return msg
+	return string(ctx.ruleFact(nil))
 }
+
+// format renders the arguments of err() and note(): the first, with
+// each %s in it replaced, left to right, by the next of the rest. The
+// text an argument puts in is not scanned again.
+func (ctx *actionCtx) format(args []pattern.Arg) string {
+	if len(args) == 1 && args[0].IsStr {
+		return args[0].Str
+	}
+	b := ctx.appendArg(ctx.buf[:0], args[0])
+	n := len(b)
+	// The template stays readable where it is when b grows: append
+	// copies, it never writes the array it leaves.
+	tmpl, rest := b[:n:n], args[1:]
+	for len(rest) > 0 {
+		i := bytes.Index(tmpl, directive)
+		if i < 0 {
+			break
+		}
+		b = append(b, tmpl[:i]...)
+		b = ctx.appendArg(b, rest[0])
+		tmpl, rest = tmpl[i+len(directive):], rest[1:]
+	}
+	b = append(b, tmpl...)
+	ctx.buf = b
+	return string(b[n:])
+}
+
+// directive is the one substitution err() and note() know.
+var directive = []byte("%s")
 
 // firstInstance resolves the first argument to an instance, falling
 // back to the triggering instance.

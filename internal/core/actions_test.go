@@ -308,3 +308,101 @@ void b(void) { deprecated_api(); }
 		t.Errorf("rule stats = %+v", en.RuleStats)
 	}
 }
+
+// TestRuleFactForms pins the rule fact every argument form of rule(),
+// example() and violation() renders to, as RuleStats keys: a hole bound
+// to an identifier, to a field access and to a call; a string; an int;
+// mc_identifier and mc_function; several arguments joined by ':'; and no
+// arguments, which is the transition's rule() when it has one and the
+// checker's name when it has none.
+func TestRuleFactForms(t *testing.T) {
+	checker := `
+sm facts;
+decl any_expr a;
+
+start:
+    { ident_site(a) } ==> start, { example(a); }
+  | { field_site(a) } ==> start, { violation(a); }
+  | { call_site(a) }  ==> start, { example(a); }
+  | { str_site() }    ==> start, { example("str_fact"); }
+  | { int_site() }    ==> start, { violation(42); }
+  | { id_site(a) }    ==> start, { example(mc_identifier(a)); }
+  | { fn_site() }     ==> start, { violation(mc_function()); }
+  | { join_site(a) }  ==> start, { example("str", 7, a); }
+  | { ruled_site(a) } ==> start, { rule(a, "tag"); example(); violation(); }
+  | { bare_site() }   ==> start, { violation(); }
+;
+`
+	src := `
+struct S { int lock; };
+void ident_site(int x);
+void field_site(int x);
+void call_site(int x);
+void str_site(void);
+void int_site(void);
+void id_site(int x);
+void fn_site(void);
+void join_site(int x);
+void ruled_site(int x);
+void bare_site(void);
+int mk(int n);
+void f(struct S *s, int x, int y, int w, int z, int n) {
+    ident_site(x);
+    field_site(s->lock);
+    call_site(mk(n));
+    str_site();
+    int_site();
+    id_site(y);
+    fn_site();
+    join_site(w);
+    ruled_site(z);
+    bare_site();
+}
+`
+	en, _ := runChecker(t, checker, map[string]string{"r.c": src}, DefaultOptions())
+	got := map[string]RuleCount{}
+	for k, rc := range en.RuleStats {
+		got[k] = *rc
+	}
+	want := map[string]RuleCount{
+		"x":        {Examples: 1},
+		"s->lock":  {Violations: 1},
+		"mk(n)":    {Examples: 1},
+		"str_fact": {Examples: 1},
+		"42":       {Violations: 1},
+		"y":        {Examples: 1},
+		"f":        {Violations: 1},
+		"str:7:w":  {Examples: 1},
+		"z:tag":    {Examples: 1, Violations: 1},
+		"facts":    {Violations: 1},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("RuleStats %v, want %v", got, want)
+	}
+}
+
+// TestFormatSubstitutesOnce: err() and note() replace each %s once, left
+// to right, and never look for a directive inside the text an argument
+// put in: a bound string literal that reads "%s" stays as it is.
+func TestFormatSubstitutesOnce(t *testing.T) {
+	checker := `
+sm fmt2;
+decl any_expr a;
+decl any_expr b;
+
+start:
+    { log2(a, b) } ==> start, { err("first %s second %s", mc_identifier(a), mc_identifier(b)); }
+;
+`
+	src := `
+void log2(const char *s, int n);
+void f(int n) { log2("%s", n); }
+`
+	_, rs := runChecker(t, checker, map[string]string{"f.c": src}, DefaultOptions())
+	if rs.Len() != 1 {
+		t.Fatalf("reports = %v", rs.Reports)
+	}
+	if got, want := rs.Reports[0].Msg, `first "%s" second n`; got != want {
+		t.Errorf("message %q, want %q", got, want)
+	}
+}

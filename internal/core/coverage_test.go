@@ -43,7 +43,8 @@ func TestDuplicateReportRendersNothing(t *testing.T) {
 	inst := &Instance{v: ix.vars.id("v"), obj: ix.objs.id("p->next"), ObjExpr: obj, val: ix.vals.id("freed"), StartFunc: "f"}
 	free, _ := cc.ParseExprString("kfree(p->next)")
 	inst.trace = inst.trace.push(traceEnters, free, "p->next", "freed")
-	ctx := &actionCtx{Engine: en, State: st, Pos: cc.Pos{File: "d.c", Line: 1}, Inst: inst}
+	ctx := &en.act
+	*ctx = actionCtx{Engine: en, State: st, Pos: cc.Pos{File: "d.c", Line: 1}, Inst: inst}
 	en.emitReport(ctx, "using p->next after free!")
 	dup := testing.AllocsPerRun(20, func() { en.emitReport(ctx, "using p->next after free!") })
 	if en.Reports.Len() != 1 {

@@ -231,14 +231,27 @@ type Engine struct {
 	// that use it never nest.
 	ctx      pattern.Ctx
 	snapshot []*Instance
-	// outs and parts are partitionResults' buffers. parts is handed to
-	// followCall, which copies it before it forks: each continuation
-	// re-enters runFrom and, at the next call, this buffer.
+	// prior is the one-entry binding a variable-specific match starts
+	// from, {var: the instance's object}, refilled for every Match
+	// (priorFor). Match never writes its prior and reads it only while
+	// it runs; at cap 1 an append to it would copy.
+	prior [1]pattern.Bound
+	// act is the one action context, refilled for every fired
+	// transition (runTransitionActions).
+	act actionCtx
+	// outs is partitionResults' buffer of distinct out tuples; parts is
+	// the stack of exit partitions and next its scratch for a product
+	// step. followCall pops the partitions it restored (and their tuples
+	// from the tuple stack); a forked continuation re-enters runFrom and,
+	// at its next call, pushes above them.
 	outs  []outTuple
 	parts []partition
-	// tuples is the stack the block recorders' entry lists are carved
-	// from (blockRec.start): a traversal pushes its entry tuples and pops
-	// and clears them when it returns, and every root starts it empty.
+	next  []partition
+	// tuples is the stack the block recorders' lists are carved from: a
+	// traversal pushes its entry tuples (blockRec.start), a block's kill
+	// list grows on top (noteKill), a call return pushes its partitions'
+	// tuples and pops them once restored, and a traversal pops and clears
+	// what it pushed when it returns. Every root starts it empty.
 	tuples []Tuple
 }
 
@@ -319,12 +332,14 @@ func (en *Engine) MarkFn(name, key string) {
 	en.shared.Mark(name, key)
 }
 
-// countRule accumulates an example or violation for a rule (§9).
-func (en *Engine) countRule(rule string, example bool) {
-	rc := en.RuleStats[rule]
+// countRule accumulates an example or violation for a rule (§9). The
+// fact is probed as the caller's bytes; only a rule not seen before
+// copies it into a key.
+func (en *Engine) countRule(rule []byte, example bool) {
+	rc := en.RuleStats[string(rule)]
 	if rc == nil {
 		rc = &RuleCount{}
-		en.RuleStats[rule] = rc
+		en.RuleStats[string(rule)] = rc
 	}
 	if example {
 		rc.Examples++
@@ -452,13 +467,15 @@ type blockRec struct {
 	fp     uint32
 	// entry holds the tuple of every instance active at block entry: a
 	// cap-limited frame of the engine's tuple stack (start), valid until
-	// the traversal that carved it returns.
+	// the traversal that carved it returns. It is never written after.
 	entry []Tuple
 	// kills holds a stop tuple per instance removed during the block, in
 	// order: the last one for an entry instance ends its transition edge,
 	// the others are instances created and then killed within the block
-	// (add edges ending in stop).
-	kills []Tuple
+	// (add edges ending in stop). It is the frame of the tuple stack from
+	// killBase up, on top of the stack whenever a kill is noted.
+	kills    []Tuple
+	killBase int
 }
 
 func sameObj(t *Tuple, v, obj int32) bool { return t.v == v && t.obj == obj }
@@ -476,9 +493,9 @@ func lastOf(ts []Tuple, v, obj int32) *Tuple {
 // start fills in the traversal record, which is a local of
 // traverseBlock ("rec does not escape", -gcflags=-m), and carves its
 // entry list from the top of the engine's tuple stack, which it returns
-// grown. Most traversals of most blocks carry no active instances and
-// kill nothing, and then the record allocates nothing; the others reuse
-// the stack's array.
+// grown; the kill list starts empty above it. Most traversals of most
+// blocks carry no active instances and kill nothing, and then the record
+// allocates nothing; the others reuse the stack's array.
 func (rec *blockRec) start(sm *SM, fp uint32, stack []Tuple) []Tuple {
 	rec.entryG, rec.fp = sm.g, fp
 	base := len(stack)
@@ -493,16 +510,39 @@ func (rec *blockRec) start(sm *SM, fp uint32, stack []Tuple) []Tuple {
 		}
 	}
 	rec.entry = stack[base:len(stack):len(stack)]
+	rec.killBase = len(stack)
 	return stack
 }
 
-func (r *blockRec) clone() *blockRec {
-	return &blockRec{entryG: r.entryG, fp: r.fp, entry: slices.Clone(r.entry), kills: slices.Clone(r.kills)}
+// noteKill records an instance's removal for summary generation. The
+// record's kill list is the top of the engine's tuple stack: whatever a
+// followed call or a forked continuation pushed above it since its last
+// kill has been popped. So the stop tuple is pushed and the list
+// re-carved over it.
+func (en *Engine) noteKill(rec *blockRec, g int32, in *Instance) {
+	if len(en.tuples) != rec.killBase+len(rec.kills) {
+		panic("core: a block's kill list is not on top of the tuple stack")
+	}
+	en.tuples = append(en.tuples, Tuple{tupleKey: tupleKey{g: g, v: in.v, val: symStop, obj: in.obj}, ObjExpr: in.ObjExpr})
+	rec.kills = en.tuples[rec.killBase:len(en.tuples):len(en.tuples)]
 }
 
-// noteKill records an instance's removal for summary generation.
-func (r *blockRec) noteKill(g int32, in *Instance) {
-	r.kills = append(r.kills, Tuple{tupleKey: tupleKey{g: g, v: in.v, val: symStop, obj: in.obj}, ObjExpr: in.ObjExpr})
+// fork copies a record for a forked continuation of its block: the
+// entry list is shared, the kill list copied to the top of the tuple
+// stack, where the continuation's own kills grow. The caller pops the
+// copy (popTuples) when the continuation returns.
+func (en *Engine) fork(r *blockRec) blockRec {
+	c := *r
+	c.killBase = len(en.tuples)
+	en.tuples = append(en.tuples, r.kills...)
+	c.kills = en.tuples[c.killBase:len(en.tuples):len(en.tuples)]
+	return c
+}
+
+// popTuples pops and clears the tuple stack down to base.
+func (en *Engine) popTuples(base int) {
+	clear(en.tuples[base:])
+	en.tuples = en.tuples[:base]
 }
 
 // ---------------------------------------------------------------------------
@@ -575,8 +615,7 @@ func (en *Engine) traverseBlock(st *pathState, b *cfg.Block) {
 		en.runFrom(st, b, bi, &rec, 0)
 	}
 	// Every traversal below this one has popped its own entries.
-	clear(en.tuples[base:])
-	en.tuples = en.tuples[:base]
+	en.popTuples(base)
 }
 
 // runFrom processes block points starting at index idx, then finishes
@@ -811,7 +850,7 @@ func (en *Engine) applyPending(st *pathState, taken bool) {
 			if !ok || bnd.Expr == nil {
 				continue
 			}
-			en.createInstance(st, nil, dest, bnd.Expr, cc.ExprKey(bnd.Expr), nil)
+			en.createInstance(st, nil, dest, bnd.Expr, nil)
 			continue
 		}
 		// Instance transition.
@@ -862,6 +901,14 @@ func (en *Engine) matchCtx(st *pathState, b *cfg.Block, pt cc.Expr, endOfPath, r
 // noBindings is the empty prior of global-state dispatch.
 var noBindings pattern.Bindings
 
+// priorFor refills the engine's one prior with {varName: ObjExpr}, the
+// binding every match of an instance's transitions starts from, and
+// returns it.
+func (en *Engine) priorFor(varName string, inst *Instance) pattern.Bindings {
+	en.prior[0] = pattern.Bound{Name: varName, Binding: pattern.Binding{Expr: inst.ObjExpr}}
+	return en.prior[:]
+}
+
 // applyExtension runs the checker at one program point; it reports
 // whether any transition matched (used to decide whether to follow a
 // call: "The analysis does not follow calls to kfree because the
@@ -892,7 +939,7 @@ func (en *Engine) applyExtension(st *pathState, b *cfg.Block, rec *blockRec, pt 
 					creation, cv = r.FalseDest, r.falseDest.v
 				}
 				if creation.Var != "" {
-					if obj, ok := bnd.Get(creation.Var); !ok || obj.Expr == nil || en.tracked(st, cv, cc.ExprKey(obj.Expr)) {
+					if obj, ok := bnd.Get(creation.Var); !ok || obj.Expr == nil || en.tracked(st, cv, obj.Expr) {
 						continue
 					}
 				}
@@ -911,14 +958,13 @@ func (en *Engine) applyExtension(st *pathState, b *cfg.Block, rec *blockRec, pt 
 				if !ok || objBnd.Expr == nil {
 					continue
 				}
-				obj := cc.ExprKey(objBnd.Expr)
-				if en.tracked(st, r.dest.v, obj) {
+				if en.tracked(st, r.dest.v, objBnd.Expr) {
 					continue
 				}
 				matched = true
 				var created *Instance
 				if r.dest.val != symStop {
-					created = en.createInstance(st, rec, r.dest, objBnd.Expr, obj, pt)
+					created = en.createInstance(st, rec, r.dest, objBnd.Expr, pt)
 				}
 				// Actions on a creation transition see the new instance
 				// (so note()/incr() initialize its trace and data).
@@ -965,7 +1011,7 @@ func (en *Engine) applyExtension(st *pathState, b *cfg.Block, rec *blockRec, pt 
 		}
 		for i := range src.rules {
 			r := &src.rules[i]
-			bnd, ok := r.Pat.Match(ctx, inst.matchPrior(r.Source.Var))
+			bnd, ok := r.Pat.Match(ctx, en.priorFor(r.Source.Var, inst))
 			if !ok {
 				continue
 			}
@@ -1005,10 +1051,10 @@ func (en *Engine) applyExtension(st *pathState, b *cfg.Block, rec *blockRec, pt 
 	return matched
 }
 
-// tracked reports whether the object, by its canonical key, has an
+// tracked reports whether the object, by its canonical text, has an
 // active instance of state variable v.
-func (en *Engine) tracked(st *pathState, v int32, obj string) bool {
-	id, ok := en.intern.objs.find(obj)
+func (en *Engine) tracked(st *pathState, v int32, e cc.Expr) bool {
+	id, ok := en.intern.findObj(e)
 	return ok && st.sm.Find(v, id) != nil
 }
 
@@ -1032,16 +1078,18 @@ func transitionReports(tr *metal.Transition) bool {
 	return false
 }
 
-// runTransitionActions executes a transition's actions with a fresh
-// action context.
+// runTransitionActions executes a transition's actions in the engine's
+// action context, refilled for them; its buffer keeps its array.
 func (en *Engine) runTransitionActions(st *pathState, tr *metal.Transition, bnd pattern.Bindings, pt cc.Expr, inst *Instance) {
-	ctx := &actionCtx{
+	ctx := &en.act
+	*ctx = actionCtx{
 		Engine:   en,
 		State:    st,
 		Point:    pt,
 		Pos:      posOf(pt),
 		Bindings: bnd,
 		Inst:     inst,
+		buf:      ctx.buf,
 	}
 	en.runActions(ctx, tr.Actions)
 }
@@ -1114,12 +1162,12 @@ func findPolarity(e cc.Expr, target cc.Expr, neg bool) (bool, bool) {
 // Instance lifecycle
 // ---------------------------------------------------------------------------
 
-// createInstance attaches a new state to a program object, whose
-// canonical key is obj, spawning a new state machine (§2.1).
-func (en *Engine) createInstance(st *pathState, rec *blockRec, dest stateSym, objExpr cc.Expr, obj string, pt cc.Expr) *Instance {
+// createInstance attaches a new state to a program object, spawning a
+// new state machine (§2.1).
+func (en *Engine) createInstance(st *pathState, rec *blockRec, dest stateSym, objExpr cc.Expr, pt cc.Expr) *Instance {
 	inst := &Instance{
 		v:         dest.v,
-		obj:       en.intern.objs.id(obj),
+		obj:       en.intern.objID(objExpr),
 		ObjExpr:   objExpr,
 		val:       dest.val,
 		CreatedAt: pt,
@@ -1128,7 +1176,7 @@ func (en *Engine) createInstance(st *pathState, rec *blockRec, dest stateSym, ob
 		CallDepth: st.callDepth,
 	}
 	if pt != nil {
-		inst.trace = inst.trace.push(traceEnters, pt, obj, en.intern.vals.name(dest.val))
+		inst.trace = inst.trace.push(traceEnters, pt, en.intern.objs.name(inst.obj), en.intern.vals.name(dest.val))
 	}
 	en.classifyScope(st.fn, inst)
 	st.sm.Active = append(st.sm.Active, inst)
@@ -1182,7 +1230,7 @@ func (en *Engine) killInstance(st *pathState, rec *blockRec, inst *Instance, mir
 	}
 	for _, v := range victims {
 		if rec != nil {
-			rec.noteKill(st.sm.g, v)
+			en.noteKill(rec, st.sm.g, v)
 		}
 		st.sm.Remove(v)
 	}
@@ -1207,10 +1255,10 @@ func (en *Engine) handleAssign(st *pathState, rec *blockRec, asg *cc.AssignExpr,
 	// Synonyms: "If a variable tracked by an extension is assigned to
 	// another variable, both variables become synonyms." Chained
 	// assignments (p = q = kmalloc(...)) look through to the inner
-	// LHS, which carries the value — the paper's §8 example. A key is
-	// rendered only when there is an instance it could name.
+	// LHS, which carries the value — the paper's §8 example. An object
+	// is looked up only when there is an instance it could name.
 	var newInst *Instance
-	if en.Opts.Synonyms && len(st.sm.Active) > 0 {
+	if ix := en.intern; en.Opts.Synonyms && len(st.sm.Active) > 0 {
 		srcExpr := asg.RHS
 		for {
 			inner, ok := srcExpr.(*cc.AssignExpr)
@@ -1219,20 +1267,18 @@ func (en *Engine) handleAssign(st *pathState, rec *blockRec, asg *cc.AssignExpr,
 			}
 			srcExpr = inner.LHS
 		}
-		srcKey := cc.ExprKey(srcExpr)
-		if obj, ok := en.intern.objs.find(srcKey); ok {
+		if obj, ok := ix.findObj(srcExpr); ok {
 			if src := st.sm.FindObj(obj); src != nil && !src.Inactive {
 				if src.Group == 0 {
 					en.nextGroup++
 					src.Group = en.nextGroup
 				}
-				lhsKey := cc.ExprKey(asg.LHS)
 				newInst = src.clone()
-				newInst.obj = en.intern.objs.id(lhsKey)
+				newInst.obj = ix.objID(asg.LHS)
 				newInst.ObjExpr = asg.LHS
 				newInst.SynDepth = src.SynDepth + 1
 				newInst.CreatedAt = pt
-				newInst.trace = newInst.trace.push(traceSynonym, pt, lhsKey, srcKey)
+				newInst.trace = newInst.trace.push(traceSynonym, pt, ix.objs.name(newInst.obj), ix.objs.name(obj))
 				en.classifyScope(st.fn, newInst)
 			}
 		}
@@ -1338,7 +1384,7 @@ func (en *Engine) endOfPath(st *pathState, rec *blockRec) {
 		rules := en.transIdx.at(inst.v, inst.val).rules
 		for i := range rules {
 			r := &rules[i]
-			bnd, ok := r.Pat.Match(ctx, inst.matchPrior(r.Source.Var))
+			bnd, ok := r.Pat.Match(ctx, en.priorFor(r.Source.Var, inst))
 			if !ok {
 				continue
 			}
@@ -1372,10 +1418,7 @@ func (en *Engine) endOfPath(st *pathState, rec *blockRec) {
 // is asked before anything is built: a duplicate allocates nothing.
 func (en *Engine) emitReport(ctx *actionCtx, msg string) {
 	st, in := ctx.State, ctx.Inst
-	k := report.Key{Pos: ctx.Pos, Func: st.fn.Name, Checker: en.Checker.Name, Msg: msg, Rule: ctx.Rule}
-	if k.Rule == "" {
-		k.Rule = en.Checker.Name
-	}
+	k := report.Key{Pos: ctx.Pos, Func: st.fn.Name, Checker: en.Checker.Name, Msg: msg, Rule: ctx.ruleKey()}
 	start := ctx.Pos
 	if in != nil {
 		start = in.StartPos

@@ -10,10 +10,11 @@ import (
 // and the suffix-summary relaxation both key on state tuples. A tuple's
 // global state, state variable and value are symbols of the checker —
 // a finite set, numbered once when the engine is built (numberStates) —
-// and its object is an expression key, numbered on first sight. So a
-// tuple is five integers, and the interner hash-conses those into one
-// small id per distinct tuple: edgeSet membership, fpSeen coverage and
-// summary edges are integer comparisons. The rendered string, the
+// and its object is an expression's canonical text, numbered on first
+// sight and looked up from a scratch buffer (findObj). So a tuple is
+// five integers, and the interner hash-conses those into one small id
+// per distinct tuple: edgeSet membership, fpSeen coverage and summary
+// edges are integer comparisons. The rendered string, the
 // tuple's canonical identity (two tuples are the same tuple iff they
 // render the same), is built only when something reads it: the edgeSet
 // group order, summaries rendered for a person, exported summaries.
@@ -92,6 +93,9 @@ type interner struct {
 	ids              map[tupleKey]tid
 	tups             []tupleKey // tid -> identity
 	strs             []string   // tid -> rendered key, "" until key asks
+	// keyBuf is the scratch an object's text is rendered into to be
+	// looked up (findObj).
+	keyBuf []byte
 }
 
 func newInterner() *interner {
@@ -164,5 +168,20 @@ func (in *interner) toTuple(e edge) Tuple {
 	return t
 }
 
-// objID numbers an object expression's canonical key.
-func (in *interner) objID(e cc.Expr) int32 { return in.objs.id(cc.ExprKey(e)) }
+// objID numbers an object expression by its canonical text, which is
+// rendered into the interner's scratch buffer and copied only for an
+// object seen for the first time.
+func (in *interner) objID(e cc.Expr) int32 {
+	if id, ok := in.findObj(e); ok {
+		return id
+	}
+	return in.objs.id(string(in.keyBuf))
+}
+
+// findObj returns the number of an object expression's canonical text
+// without giving it one. A probe allocates nothing.
+func (in *interner) findObj(e cc.Expr) (int32, bool) {
+	in.keyBuf = cc.AppendExpr(in.keyBuf[:0], e)
+	id, ok := in.objs.ids[string(in.keyBuf)]
+	return id, ok
+}

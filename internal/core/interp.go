@@ -123,6 +123,10 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, bi *blockInfo, rec *bl
 	}
 
 	// --- Apply summary edges (§6.3 steps 3-5) ---
+	// The partitions and their tuples go on the engine's stacks, above
+	// whatever this call's block holds there, and are popped once
+	// restored.
+	pbase, tbase := len(en.parts), len(en.tuples)
 	parts := en.partitionResults(&refined, callee, entry)
 
 	// FPP: values reachable by the callee through pointers may change.
@@ -142,22 +146,24 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, bi *blockInfo, rec *bl
 		return false
 	}
 	forked := len(parts) > 1
-	if forked {
-		// Each continuation below re-enters runFrom, and with it this
-		// function and the engine's partition buffer.
-		parts = slices.Clone(parts)
-	}
 
 	// --- Restore (§6.1) and continue (§6.3 step 6) ---
+	// A forked continuation re-enters runFrom and, at its next call, this
+	// function, which pushes above this call's partitions: parts stays
+	// valid, and its tuples are read by index, since the continuation may
+	// move the tuple stack's array. frec, the continuation's record, is
+	// declared outside the loop so that it stays on the stack.
+	var frec blockRec
 	for _, part := range parts {
 		ns, nrec := st, rec
 		if forked {
-			ns, nrec = en.split(st), rec.clone()
+			ns, frec = en.split(st), en.fork(rec)
+			nrec = &frec
 		}
 		// The state's own instance array is free to refill: refined and
 		// saved hold what is still needed of it (a split's is empty).
 		restored := SM{g: part.gstate, Active: ns.sm.Active[:0]}
-		for _, t := range part.tuples {
+		for _, t := range en.tuples[part.lo:part.hi] {
 			if in := en.restoreInstance(t, maps, st.fn, callee); in != nil {
 				restored.Active = append(restored.Active, in)
 			}
@@ -177,17 +183,21 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, bi *blockInfo, rec *bl
 		ns.sm = restored
 		if forked {
 			en.runFrom(ns, b, bi, nrec, idx+1)
+			en.popTuples(frec.killBase)
 			en.release(ns)
 		}
 	}
+	en.parts = en.parts[:pbase]
+	en.popTuples(tbase)
 	return forked
 }
 
 // partition is one disjoint exit state: a global state value plus at
-// most one tuple per program object (§6.3 step 5).
+// most one tuple per program object (§6.3 step 5), the engine's
+// en.tuples[lo:hi].
 type partition struct {
 	gstate int32
-	tuples []Tuple
+	lo, hi int
 }
 
 // outTuple is one distinct summary out-tuple, with its interned id.
@@ -218,8 +228,9 @@ func (in *interner) cmpOut(a, b outTuple) int {
 // been traversed, which distinguishes "the callee stopped this object
 // on every path" (edges ending in stop are omitted from function
 // summaries, §6.3) from "the callee was never analyzed in this state"
-// (possible under recursion, §7). The result is the engine's partition
-// buffer: it is valid until the next call.
+// (possible under recursion, §7). The partitions are pushed on the
+// engine's partition stack and their tuples on its tuple stack; the
+// result is the pushed frame of the first, for the caller to pop.
 func (en *Engine) partitionResults(refined *SM, callee *prog.Function, entry *blockInfo) []partition {
 	// The exit global states come from the placeholder suffix edges;
 	// their absence means the callee has no summary at all in this
@@ -282,17 +293,21 @@ func (en *Engine) partitionResults(refined *SM, callee *prog.Function, entry *bl
 	en.outs = outs
 
 	// Build partitions: group by out gstate; within a group, take the
-	// cartesian product over objects with multiple possible values.
-	// Past maxPartitions the rest are dropped; states counts them all
-	// (saturating per group) for the degrade record.
+	// cartesian product over objects with multiple possible values, each
+	// step building its partitions in the engine's scratch and their
+	// tuples above the last step's. Past maxPartitions the rest are
+	// dropped; states counts them all (saturating per group) for the
+	// degrade record.
 	slices.SortFunc(gs, ix.cmpG)
 	slices.SortStableFunc(outs, ix.cmpOut)
-	parts := en.parts[:0]
+	base := len(en.parts)
+	parts := en.parts
 	states := 0
 	for _, g := range gs {
 		first := len(parts)
-		if first < maxPartitions {
-			parts = append(parts, partition{gstate: g})
+		if first-base < maxPartitions {
+			top := len(en.tuples)
+			parts = append(parts, partition{gstate: g, lo: top, hi: top})
 		}
 		inG := 1
 		for len(outs) > 0 && outs[0].t.g == g {
@@ -303,26 +318,29 @@ func (en *Engine) partitionResults(refined *SM, callee *prog.Function, entry *bl
 				n++
 			}
 			inG = min(inG*n, math.MaxInt32)
-			var next []partition
+			next := en.next[:0]
 			for _, c := range parts[first:] {
 				for _, o := range outs[:n] {
 					if len(next) < maxPartitions {
-						next = append(next, partition{gstate: g, tuples: append(slices.Clone(c.tuples), o.t)})
+						lo := len(en.tuples)
+						en.tuples = append(append(en.tuples, en.tuples[c.lo:c.hi]...), o.t)
+						next = append(next, partition{gstate: g, lo: lo, hi: len(en.tuples)})
 					}
 				}
 			}
+			en.next = next
 			parts = append(parts[:first], next...)
 			outs = outs[n:]
 		}
 		states += inG
 	}
-	parts = parts[:min(len(parts), maxPartitions)]
-	if states > len(parts) {
+	parts = parts[:min(len(parts), base+maxPartitions)]
+	if states > len(parts)-base {
 		en.noteDegrade(DegradePartitions, en.curRoot,
-			fmt.Sprintf("%s: %d exit states, continued from %d", callee.Name, states, len(parts)))
+			fmt.Sprintf("%s: %d exit states, continued from %d", callee.Name, states, len(parts)-base))
 	}
 	en.parts = parts
-	return parts
+	return parts[base:]
 }
 
 // restoreInstance rebuilds a caller-scope instance from a callee

@@ -12,11 +12,6 @@ import (
 	"repro/internal/workload"
 )
 
-// sameSlice reports whether a and b are one slice, not equal copies.
-func sameSlice(a, b pattern.Bindings) bool {
-	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
-}
-
 // exactPrior reports whether m is exactly {varName: inst.ObjExpr}.
 func exactPrior(m pattern.Bindings, varName string, inst *Instance) bool {
 	return len(m) == 1 && m[0].Name == varName && m[0].Expr == inst.ObjExpr && m[0].Args == nil
@@ -24,13 +19,11 @@ func exactPrior(m pattern.Bindings, varName string, inst *Instance) bool {
 
 // priorSpy wraps a transition's pattern and checks the prior of every
 // variable-specific dispatch against the engine's own state. Both
-// dispatch loops range over en.snapshot and hand Match the dispatching
-// instance's prior slice itself, so some snapshot instance in the
-// transition's source state must hold that very slice for its current
-// ObjExpr, and it must be exactly {Var: ObjExpr}. (A clone that has not
-// dispatched since it was re-pointed may still hold its original's
-// slice; it builds its own at its first dispatch, which is what this
-// sees.)
+// dispatch loops range over en.snapshot and hand Match the engine's one
+// prior, refilled for the dispatching instance: so the prior is that
+// one-entry array, at cap 1, some snapshot instance in the transition's
+// source state has exactly {Var: ObjExpr} for its current ObjExpr, and
+// the match leaves it as it found it.
 type priorSpy struct {
 	pattern.Pattern
 	t    *testing.T
@@ -40,24 +33,31 @@ type priorSpy struct {
 }
 
 func (s priorSpy) Match(ctx *pattern.Ctx, prior pattern.Bindings) (pattern.Bindings, bool) {
-	if src := s.tr.Source; src.Var != "" {
-		held := false
-		ix := (*s.en).intern
-		for _, inst := range (*s.en).snapshot {
-			if ix.vars.name(inst.v) != src.Var || ix.vals.name(inst.val) != src.Val || !sameSlice(inst.prior, prior) || prior[0].Expr != inst.ObjExpr {
-				continue
-			}
-			held = true
-			if !exactPrior(prior, src.Var, inst) {
-				s.t.Errorf("%s dispatched on %s with prior %v", src, ix.objs.name(inst.obj), prior)
-			}
-		}
-		if !held {
-			s.t.Errorf("%s dispatched with prior %v, which no active instance in that state holds for its current object", src, prior)
-		}
-		s.objs[cc.ExprKey(prior[0].Expr)]++
+	src := s.tr.Source
+	if src.Var == "" {
+		return s.Pattern.Match(ctx, prior)
 	}
-	return s.Pattern.Match(ctx, prior)
+	en := *s.en
+	if len(prior) != 1 || cap(prior) != 1 || &prior[0] != &en.prior[0] {
+		s.t.Fatalf("%s dispatched with prior %v (cap %d), not the engine's one-entry prior", src, prior, cap(prior))
+	}
+	held := false
+	ix := en.intern
+	for _, inst := range en.snapshot {
+		if ix.vars.name(inst.v) == src.Var && ix.vals.name(inst.val) == src.Val && exactPrior(prior, src.Var, inst) {
+			held = true
+		}
+	}
+	if !held {
+		s.t.Errorf("%s dispatched with prior %v, which is not {%s: ObjExpr} of any active instance in that state", src, prior, src.Var)
+	}
+	s.objs[cc.ExprString(prior[0].Expr)]++
+	before := prior[0]
+	bnd, ok := s.Pattern.Match(ctx, prior)
+	if prior[0].Name != before.Name || prior[0].Expr != before.Expr || prior[0].Args != nil {
+		s.t.Errorf("%s: the match wrote its prior: %v, was %v", src, prior, pattern.Bindings{before})
+	}
+	return bnd, ok
 }
 
 // spied runs the suite over the sources in load order on one annotation
@@ -83,31 +83,14 @@ func spied(t *testing.T, srcs map[string]string, suite []*metal.Checker) (objs m
 }
 
 // TestInstancePrior: the prior an instance's transitions match from is
-// shared, current and never written (Match's half of that is
+// the engine's one prior, exactly {Var: ObjExpr} of the dispatching
+// instance, and the match leaves it alone (Match's half of that is
 // TestMatchNeverWritesPrior in internal/pattern).
 func TestInstancePrior(t *testing.T) {
-	p, q := &cc.Ident{Name: "p"}, &cc.Ident{Name: "q"}
-	inst := &Instance{ObjExpr: p}
-	orig := inst.matchPrior("v")
-	if !exactPrior(orig, "v", inst) {
-		t.Fatalf("prior %v, want exactly {v: p}", orig)
-	}
-	cp := inst.clone()
-	if !sameSlice(cp.matchPrior("v"), orig) || !sameSlice(inst.matchPrior("v"), orig) {
-		t.Error("an instance and its clone must share one prior slice")
-	}
-	// What refine's mapped copy and the synonym copy do to a clone.
-	cp.ObjExpr = q
-	if moved := cp.matchPrior("v"); sameSlice(moved, orig) || !exactPrior(moved, "v", cp) {
-		t.Errorf("re-pointed clone's prior %v, want a slice of its own, exactly {v: q}", moved)
-	}
-	if !sameSlice(inst.matchPrior("v"), orig) || !exactPrior(orig, "v", inst) {
-		t.Errorf("the original's prior became %v, want it untouched at {v: p}", inst.matchPrior("v"))
-	}
-
-	// The two sites themselves, under the engine: use() sees p as its
-	// formal q (refine), r becomes a synonym of p (handleAssign), and
-	// each dispatches — and so fires — on a prior for its own expression.
+	// The two sites that re-point a copy of an instance, under the engine:
+	// use() sees p as its formal q (refine), r becomes a synonym of p
+	// (handleAssign), and each dispatches — and so fires — on a prior for
+	// its own expression.
 	objs, reports := spied(t, map[string]string{"sites.c": `
 void kfree(void *p);
 int use(int *q) { return *q; }

@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"repro/internal/cc"
-	"repro/internal/pattern"
 )
 
 // UnknownVal is the distinguished value used in the start tuple of add
@@ -69,23 +68,6 @@ type Instance struct {
 	// Inactive marks file-scope instances temporarily out of scope
 	// while the analysis is in another file (§6.1).
 	Inactive bool
-
-	// prior is the one-entry binding every match of this instance's
-	// transitions starts from (matchPrior).
-	prior pattern.Bindings
-}
-
-// matchPrior returns {varName: ObjExpr} as pattern bindings, varName
-// being the instance's state variable. Match never writes its prior, so
-// the slice is built once and shared by the instance's clones; a clone
-// whose ObjExpr is re-pointed (refine at a call boundary, a synonym) no
-// longer finds its expression there, builds its own on first use and
-// leaves the original's alone.
-func (inst *Instance) matchPrior(varName string) pattern.Bindings {
-	if inst.prior == nil || inst.prior[0].Expr != inst.ObjExpr {
-		inst.prior = pattern.Bindings{{Name: varName, Binding: pattern.Binding{Expr: inst.ObjExpr}}}
-	}
-	return inst.prior
 }
 
 // clone copies an instance. The trace cons list is immutable and

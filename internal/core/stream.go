@@ -12,7 +12,10 @@ package core
 // hand out. Nothing comes back; inspection runs an engine that never
 // retires (mc's Analyzer.Supergraph).
 
-import "repro/internal/prog"
+import (
+	"repro/internal/pattern"
+	"repro/internal/prog"
+)
 
 // SetRetire makes the engine retire: it counts the roots it has run per
 // unit, in whatever order they arrive (each at most once), and evicts
@@ -60,7 +63,8 @@ func (en *Engine) retireAfter(root *prog.Function) {
 	}
 	clear(en.snapshot[:cap(en.snapshot)])
 	clear(en.outs[:cap(en.outs)])
-	clear(en.parts[:cap(en.parts)])
+	en.prior[0] = pattern.Bound{}
+	en.act = actionCtx{buf: en.act.buf}
 	en.ctx.Reset()
 	if en.onRetire != nil {
 		en.onRetire(u)
