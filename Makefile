@@ -100,7 +100,9 @@ vet:
 # (DESIGN.md §10.4): the per-transition action context, the per-instance
 # match prior, the cloned partition tuples, the object keys core rendered
 # to a string only to look them up, and the joined and re-scanned strings
-# actions built their facts and messages from stay gone.
+# actions built their facts and messages from stay gone. And a warm run
+# decodes without encoding/json (DESIGN.md §8 "The unit record"): the
+# unit record's JSON codec stays out of internal/cache/entry.go.
 no-deleted-knobs:
 	! grep -rnE 'Match[M]emo|Block[F]ilter|Tuple[I]ntern|Lean[A]lloc|Multi[D]ispatch|Tenant[Q]uota|Queue[D]epth|Batch[S]ize' --include=*.go .
 	! grep -rnE 'Load[S]ummaries|summary[S]ource|Retired[S]et|Allow[S]pillReload|Summaries[L]oaded|SummaryBytes[D]eferred' --include=*.go .
@@ -135,6 +137,7 @@ no-deleted-knobs:
 	! grep -rnE '&action[C]tx\{|slices\.Clone\(c\.tuple[s]\)|inst\.prio[r]\b' --include=*.go internal/core
 	! grep -rnE 'cc\.ExprKe[y]\(' --include=*.go --exclude=*_test.go internal/core
 	! grep -nE 'strings\.(Joi[n]|Replac[e])' internal/core/actions.go
+	! grep -nE 'encoding/[j]son|[j]son\.' internal/cache/entry.go
 	! ls BENCH_*.json 2>/dev/null | grep .
 
 # staticcheck is optional locally (the repo adds no dependencies) but

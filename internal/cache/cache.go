@@ -9,6 +9,7 @@ package cache
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"sync"
 )
@@ -16,26 +17,36 @@ import (
 // FormatVersion is folded into every key; bump it when any serialized
 // form changes so old cache directories degrade to cold runs instead
 // of mis-deserializing.
-const FormatVersion = "xgcc-cache-v4" // v4: one-section unit records (entry.go)
+const FormatVersion = "xgcc-cache-v5" // v5: binary unit records (entry.go)
 
 // Key derives a cache key: the hex SHA-256 of the format version and
-// the given parts, length-prefixed so part boundaries can't alias.
+// the given parts, length-prefixed so part boundaries can't alias. The
+// parts are laid out in one buffer, on the stack when they fit, and
+// hashed in one call: the key string is the one allocation.
 func Key(parts ...string) string {
-	h := sha256.New()
-	writePart := func(p string) {
-		var lenbuf [8]byte
-		n := len(p)
-		for i := 0; i < 8; i++ {
-			lenbuf[i] = byte(n >> (8 * i))
-		}
-		h.Write(lenbuf[:])
-		h.Write([]byte(p))
-	}
-	writePart(FormatVersion)
+	n := 8 + len(FormatVersion)
 	for _, p := range parts {
-		writePart(p)
+		n += 8 + len(p)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	var stack [1024]byte
+	buf := stack[:0]
+	if n > len(stack) {
+		buf = make([]byte, 0, n)
+	}
+	buf = appendPart(buf, FormatVersion)
+	for _, p := range parts {
+		buf = appendPart(buf, p)
+	}
+	sum := sha256.Sum256(buf)
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
+}
+
+// appendPart appends one key part: its length, 8 bytes little-endian,
+// then its bytes.
+func appendPart(buf []byte, p string) []byte {
+	return append(binary.LittleEndian.AppendUint64(buf, uint64(len(p))), p...)
 }
 
 // Store is a content-addressed blob store. Get reports a miss with

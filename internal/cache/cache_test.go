@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,6 +21,61 @@ func TestKeyDistinguishesBoundaries(t *testing.T) {
 	}
 	if Key("x") == Key("y") {
 		t.Error("distinct parts collide")
+	}
+}
+
+// refKey is Key as it was written before it laid its parts out in one
+// buffer: a hash.Hash fed each part's length and a copy of its bytes.
+// It is the oracle TestKeyMatchesReference holds Key to.
+func refKey(parts ...string) string {
+	h := sha256.New()
+	writePart := func(p string) {
+		var lenbuf [8]byte
+		n := len(p)
+		for i := 0; i < 8; i++ {
+			lenbuf[i] = byte(n >> (8 * i))
+		}
+		h.Write(lenbuf[:])
+		h.Write([]byte(p))
+	}
+	writePart(FormatVersion)
+	for _, p := range parts {
+		writePart(p)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestKeyMatchesReference: Key derives the reference's key for no
+// parts, empty parts, parts either side of its stack buffer's size, a
+// very long part and many parts; and it allocates only the key string
+// while the parts fit that buffer.
+func TestKeyMatchesReference(t *testing.T) {
+	long := strings.Repeat("0123456789abcdef", 1<<16)
+	cases := [][]string{
+		nil,
+		{""},
+		{"", "", ""},
+		{"unit", "x"},
+		{"ab", "c"},
+		{"a", "bc"},
+		{strings.Repeat("k", 1024-16-len(FormatVersion))},   // exactly fills the buffer
+		{strings.Repeat("k", 1024-16-len(FormatVersion)+1)}, // one byte past it
+		{long},
+		{"unit", long, "", long[:100]},
+	}
+	many := make([]string, 300)
+	for i := range many {
+		many[i] = strings.Repeat("m", i%7)
+	}
+	cases = append(cases, many)
+	for i, parts := range cases {
+		if got, want := Key(parts...), refKey(parts...); got != want {
+			t.Errorf("case %d: Key = %s, reference %s", i, got, want)
+		}
+	}
+	parts := []string{"unit", strings.Repeat("f", 64), "opts|111111|0,0,0,0", strings.Repeat("e", 64)}
+	if n := testing.AllocsPerRun(100, func() { Key(parts...) }); n != 1 {
+		t.Errorf("Key allocates %v objects, want 1 (the key)", n)
 	}
 }
 

@@ -211,3 +211,37 @@ func BenchmarkStoreOpen(b *testing.B) {
 		l.Close()
 	}
 }
+
+// TestLogFrameIsStable pins the on-disk frame of one known record:
+// uvarint(len key), uvarint(len data), CRC-32C of key then data (little
+// endian), key, data. A store written by an earlier release still opens
+// and verifies, however checksum reads the key.
+func TestLogFrameIsStable(t *testing.T) {
+	const golden = "08096b7dcd9b756e69742d6b6579786775350102030405"
+	frame, sp := appendRecord(nil, "unit-key", []byte("xgu5\x01\x02\x03\x04\x05"))
+	if got := fmt.Sprintf("%x", frame); got != golden {
+		t.Errorf("frame = %s, golden %s", got, golden)
+	}
+	if sp.off != int64(len(frame)-9) || sp.len != 9 || sp.sum != checksum("unit-key", []byte("xgu5\x01\x02\x03\x04\x05")) {
+		t.Errorf("span = %+v", sp)
+	}
+}
+
+// TestLogGetAllocs: a warm Get allocates only the buffer it returns;
+// checksumming the key copies nothing (it allocated 2 while checksum
+// converted the key with []byte).
+func TestLogGetAllocs(t *testing.T) {
+	l := openLog(t, filepath.Join(t.TempDir(), "store.log"))
+	defer l.Close()
+	key := Key("unit", "warm")
+	if err := l.Put(key, bytes.Repeat([]byte{7}, 300)); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if _, ok := l.Get(key); !ok {
+			t.Fatal("miss")
+		}
+	}); got != 1 {
+		t.Errorf("a warm Get allocates %v objects, want 1 (the returned buffer)", got)
+	}
+}

@@ -91,6 +91,15 @@ type codec struct {
 
 func newWriter() *codec { return &codec{w: true, ids: map[*Type]int{}} }
 
+// reset empties a writer for its next declaration or type, keeping its
+// buffers: a Hasher's writer numbers every type afresh, as a new one
+// would.
+func (c *codec) reset() {
+	clear(c.ids)
+	c.defs = c.defs[:0]
+	c.buf = c.buf[:0]
+}
+
 func (c *codec) fail(format string, args ...any) {
 	if c.err == nil {
 		c.err = fmt.Errorf("malformed AST data: (%s field %d: %s", c.items[0].Atom, c.i, fmt.Sprintf(format, args...))
@@ -369,9 +378,18 @@ func (c *codec) typeID(t *Type) int {
 	}
 	id := len(c.defs)
 	c.ids[t] = id
+	// A reset writer writes the definition into the buffer the id's
+	// previous one left, if any.
+	var def []byte
+	if id < cap(c.defs) {
+		def = c.defs[:id+1][id][:0]
+	}
+	if def == nil {
+		def = make([]byte, 0, 32)
+	}
 	c.defs = append(c.defs, nil)
 	body := c.buf
-	c.buf = append(make([]byte, 0, 32), "(t"...)
+	c.buf = append(def, "(t"...)
 	c.typeDef(id, t)
 	c.defs[id] = append(c.buf, ')')
 	c.buf = body

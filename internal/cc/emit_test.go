@@ -239,7 +239,7 @@ func TestEmitFormIsStable(t *testing.T) {
 		for _, d := range f.Decls {
 			h.Write([]byte(HashDecl(d)))
 			if fd, ok := d.(*FuncDecl); ok {
-				h.Write([]byte(FuncSignature(fd)))
+				h.Write(NewHasher().signature(nil, fd))
 			}
 		}
 	}

@@ -3,9 +3,8 @@ package cc
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
+	"hash"
 	"strconv"
-	"strings"
 )
 
 // This file provides stable content hashing of emitted ASTs — the
@@ -28,44 +27,8 @@ func HashBytes(data []byte) string {
 // callers that need per-file identity combine it with the file name
 // themselves.
 func HashDecl(d Decl) string {
-	c := newWriter()
-	c.decl(&d)
-	return HashBytes(append(c.typeLines(nil), c.buf...))
-}
-
-// FuncSignature renders the position-independent interface of a
-// function declaration: storage class, name, result and parameter type
-// shapes, variadic flag, and defining file (file-static shadowing is
-// part of call resolution, §6.1). Bodies and positions are excluded:
-// the signature changes only when the function's externally visible
-// shape changes, so edits inside one body do not invalidate the
-// analysis of functions that merely call it by name.
-func FuncSignature(fd *FuncDecl) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "fn|%d|%s|%s|%s(", int(fd.Storage), fd.File, fd.Name, typeShape(fd.Result))
-	for i, p := range fd.Params {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(typeShape(p.Type))
-	}
-	if fd.Variadic {
-		sb.WriteString(",...")
-	}
-	sb.WriteByte(')')
-	return sb.String()
-}
-
-// typeShape renders a type's structural identity without positions:
-// the emitted definitions of a fresh type table (one per call keeps the
-// ids deterministic for identical structures) and the type's id.
-func typeShape(t *Type) string {
-	if t == nil {
-		return "?"
-	}
-	c := newWriter()
-	id := c.typeID(t)
-	return HashBytes(strconv.AppendInt(append(c.typeLines(nil), '#'), int64(id), 10))[:16]
+	sum := NewHasher().Decl(d)
+	return hex.EncodeToString(sum[:])
 }
 
 // EnvHash fingerprints the whole-program declaration environment the
@@ -80,27 +43,129 @@ func typeShape(t *Type) string {
 // on. A body edit likewise invalidates only the functions the call
 // graph says it can reach (prog's dirty closure).
 func EnvHash(files []*File) string {
-	h := sha256.New()
+	sum := NewHasher().Env(files)
+	return hex.EncodeToString(sum[:])
+}
+
+// Hasher computes HashDecl's and EnvHash's digests, unrendered, with
+// one type writer and two SHA-256 states reused across every
+// declaration and type shape it hashes, so hashing a tree allocates per
+// tree rather than per type. A type's shape is memoised by pointer: the
+// types of the files one Hasher sees must not change while it is in
+// use. A Hasher is not safe for concurrent use.
+type Hasher struct {
+	c         *codec
+	d         Decl // the declaration Decl is hashing, addressable without an allocation
+	env, decl hash.Hash
+	shapes    map[*Type][8]byte
+	line      []byte // the environment line being written
+	scratch   []byte // type definitions, one a line
+	sum       []byte // a digest as hash.Hash.Sum appends it
+}
+
+// NewHasher returns a Hasher with an empty shape memo.
+func NewHasher() *Hasher {
+	return &Hasher{c: newWriter(), env: sha256.New(), decl: sha256.New(), shapes: map[*Type][8]byte{}}
+}
+
+// Decl is HashDecl's digest: the SHA-256 of d's type definitions, one a
+// line, then d, as a fresh type table emits them, streamed into the
+// hash.
+func (x *Hasher) Decl(d Decl) [sha256.Size]byte {
+	x.c.reset()
+	x.d = d
+	x.c.decl(&x.d)
+	x.d = nil
+	x.scratch = x.c.typeLines(x.scratch[:0])
+	x.decl.Reset()
+	x.decl.Write(x.scratch)
+	x.decl.Write(x.c.buf)
+	return x.digest(x.decl)
+}
+
+// digest returns h's sum. It is appended to the Hasher's buffer and
+// copied out: an array handed to Sum through the interface would escape.
+func (x *Hasher) digest(h hash.Hash) (sum [sha256.Size]byte) {
+	x.sum = h.Sum(x.sum[:0])
+	copy(sum[:], x.sum)
+	return sum
+}
+
+// Env is EnvHash's digest: one line per file and per declaration,
+// streamed into the hash.
+func (x *Hasher) Env(files []*File) [sha256.Size]byte {
+	x.env.Reset()
 	for _, f := range files {
-		fmt.Fprintf(h, "file %s\n", f.Name)
+		x.write(append(append(x.line[:0], "file "...), f.Name...))
 		for _, d := range f.Decls {
+			l := x.line[:0]
 			switch d := d.(type) {
 			case *FuncDecl:
-				fmt.Fprintf(h, "%s\n", FuncSignature(d))
+				l = x.signature(l, d)
 			case *VarDecl:
-				init := ""
-				if d.Init != nil {
-					init = ExprString(d.Init)
-				}
-				fmt.Fprintf(h, "var|%d|%s|%s|%s\n", int(d.Storage), d.Name, typeShape(d.Type), init)
+				l = strconv.AppendInt(append(l, "var|"...), int64(d.Storage), 10)
+				l = x.shape(append(append(append(l, '|'), d.Name...), '|'), d.Type)
+				l = AppendExpr(append(l, '|'), d.Init)
 			case *TypedefDecl:
-				fmt.Fprintf(h, "typedef|%s|%s\n", d.Name, typeShape(d.Type))
+				l = x.shape(append(append(append(l, "typedef|"...), d.Name...), '|'), d.Type)
 			case *RecordDecl:
-				fmt.Fprintf(h, "record|%s\n", typeShape(d.Type))
+				l = x.shape(append(l, "record|"...), d.Type)
 			default:
-				fmt.Fprintf(h, "decl %s\n", HashDecl(d))
+				sum := x.Decl(d)
+				l = hex.AppendEncode(append(l, "decl "...), sum[:])
 			}
+			x.write(l)
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return x.digest(x.env)
+}
+
+// write ends line l and streams it into the environment hash, keeping
+// its buffer for the next line.
+func (x *Hasher) write(l []byte) {
+	x.line = append(l, '\n')
+	x.env.Write(x.line)
+}
+
+// signature appends the position-independent interface of a function
+// declaration: storage class, name, result and parameter type shapes,
+// variadic flag, and defining file (file-static shadowing is part of
+// call resolution, §6.1). Bodies and positions are excluded: the
+// signature changes only when the function's externally visible shape
+// changes, so edits inside one body do not invalidate the analysis of
+// functions that merely call it by name.
+func (x *Hasher) signature(l []byte, fd *FuncDecl) []byte {
+	l = strconv.AppendInt(append(l, "fn|"...), int64(fd.Storage), 10)
+	l = append(append(append(append(append(l, '|'), fd.File...), '|'), fd.Name...), '|')
+	l = append(x.shape(l, fd.Result), '(')
+	for i, p := range fd.Params {
+		if i > 0 {
+			l = append(l, ',')
+		}
+		l = x.shape(l, p.Type)
+	}
+	if fd.Variadic {
+		l = append(l, ",..."...)
+	}
+	return append(l, ')')
+}
+
+// shape appends a type's structural identity without positions: the
+// first 16 hex digits of the SHA-256 of a fresh type table's emitted
+// definitions (a fresh table per type keeps the ids deterministic for
+// identical structures) and the type's id; "?" for none.
+func (x *Hasher) shape(l []byte, t *Type) []byte {
+	if t == nil {
+		return append(l, '?')
+	}
+	short, ok := x.shapes[t]
+	if !ok {
+		x.c.reset()
+		id := x.c.typeID(t)
+		x.scratch = strconv.AppendInt(append(x.c.typeLines(x.scratch[:0]), '#'), int64(id), 10)
+		sum := sha256.Sum256(x.scratch)
+		copy(short[:], sum[:])
+		x.shapes[t] = short
+	}
+	return hex.AppendEncode(l, short[:])
 }

@@ -1,8 +1,17 @@
 package cc
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 const hashFixture = `
@@ -109,15 +118,157 @@ func TestFuncSignatureStability(t *testing.T) {
 	var sa, sb string
 	for _, fd := range a.Funcs() {
 		if fd.Name == "alpha" {
-			sa = FuncSignature(fd)
+			sa = string(NewHasher().signature(nil, fd))
 		}
 	}
 	for _, fd := range b.Funcs() {
 		if fd.Name == "alpha" {
-			sb = FuncSignature(fd)
+			sb = string(NewHasher().signature(nil, fd))
 		}
 	}
 	if sa == "" || sa != sb {
 		t.Errorf("signature unstable: %q vs %q", sa, sb)
+	}
+}
+
+// The reference hashes: HashDecl, FuncSignature, typeShape and EnvHash
+// as they were written before a Hasher reused one type writer, with a
+// fresh codec, map, SHA-256 and hex string per type shape. They are
+// the oracle TestEnvHashMatchesReference holds the Hasher to.
+
+func refHashDecl(d Decl) string {
+	c := newWriter()
+	c.decl(&d)
+	return HashBytes(append(c.typeLines(nil), c.buf...))
+}
+
+func refFuncSignature(fd *FuncDecl) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "fn|%d|%s|%s|%s(", int(fd.Storage), fd.File, fd.Name, refTypeShape(fd.Result))
+	for i, p := range fd.Params {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		sb.WriteString(refTypeShape(p.Type))
+	}
+	if fd.Variadic {
+		sb.WriteString(",...")
+	}
+	sb.WriteByte(')')
+	return sb.String()
+}
+
+func refTypeShape(t *Type) string {
+	if t == nil {
+		return "?"
+	}
+	c := newWriter()
+	id := c.typeID(t)
+	return HashBytes(strconv.AppendInt(append(c.typeLines(nil), '#'), int64(id), 10))[:16]
+}
+
+func refEnvHash(files []*File) string {
+	h := sha256.New()
+	for _, f := range files {
+		fmt.Fprintf(h, "file %s\n", f.Name)
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *FuncDecl:
+				fmt.Fprintf(h, "%s\n", refFuncSignature(d))
+			case *VarDecl:
+				init := ""
+				if d.Init != nil {
+					init = ExprString(d.Init)
+				}
+				fmt.Fprintf(h, "var|%d|%s|%s|%s\n", int(d.Storage), d.Name, refTypeShape(d.Type), init)
+			case *TypedefDecl:
+				fmt.Fprintf(h, "typedef|%s|%s\n", d.Name, refTypeShape(d.Type))
+			case *RecordDecl:
+				fmt.Fprintf(h, "record|%s\n", refTypeShape(d.Type))
+			default:
+				fmt.Fprintf(h, "decl %s\n", refHashDecl(d))
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestEnvHashMatchesReference: over the checked-in corpus, the
+// root-order fixture, the hash fixture and a generated tree after every
+// edit of workload's edit stream, EnvHash, HashDecl and every function
+// signature are byte-equal to the reference's — also through one
+// Hasher reused across a whole tree, environment first, as
+// mc.NewUnitTree uses it.
+func TestEnvHashMatchesReference(t *testing.T) {
+	if got := string(NewHasher().shape(nil, nil)); got != refTypeShape(nil) {
+		t.Errorf("no type's shape = %q, reference %q", got, refTypeShape(nil))
+	}
+	trees := map[string]map[string]string{"fixture": {"h.c": hashFixture, "emit.c": emitFixture}}
+	for _, glob := range []string{"../../testdata/corpus/*.c", "../../testdata/rootorder/*.c"} {
+		paths, err := filepath.Glob(glob)
+		if err != nil || len(paths) == 0 {
+			t.Fatalf("%s: %v (%d files)", glob, err, len(paths))
+		}
+		srcs := map[string]string{}
+		for _, p := range paths {
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srcs[filepath.Base(p)] = string(data)
+		}
+		trees[glob] = srcs
+	}
+	srcs, _ := workload.MixedTree(3, 10, 2002)
+	trees["mixed"] = srcs
+	for i, e := range workload.RandomEdits(srcs, []string{"f0_fn_0", "f1_fn_1"}, 12, 99) {
+		srcs = e.Apply(srcs)
+		trees[fmt.Sprintf("edit %d: %s", i, e.Name)] = srcs
+	}
+	for name, srcs := range trees {
+		names := make([]string, 0, len(srcs))
+		for n := range srcs {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		var files []*File
+		for _, n := range names {
+			f, err := ParseFile(n, srcs[n])
+			if err != nil {
+				t.Fatalf("%s: %s: %v", name, n, err)
+			}
+			files = append(files, f)
+		}
+		if got, want := EnvHash(files), refEnvHash(files); got != want {
+			t.Errorf("%s: EnvHash = %s, reference %s", name, got, want)
+		}
+		h := NewHasher()
+		if env := h.Env(files); hex.EncodeToString(env[:]) != refEnvHash(files) {
+			t.Errorf("%s: a fresh Hasher's Env differs from the reference", name)
+		}
+		decls := 0
+		for _, f := range files {
+			for _, d := range f.Decls {
+				decls++
+				want := refHashDecl(d)
+				if got := HashDecl(d); got != want {
+					t.Errorf("%s: HashDecl = %s, reference %s", name, got, want)
+				}
+				if sum := h.Decl(d); hex.EncodeToString(sum[:]) != want {
+					t.Errorf("%s: a reused Hasher's Decl differs from the reference", name)
+				}
+				if fd, ok := d.(*FuncDecl); ok {
+					if got, want := string(h.signature(nil, fd)), refFuncSignature(fd); got != want {
+						t.Errorf("%s: signature = %q, reference %q", name, got, want)
+					}
+				}
+			}
+		}
+		if decls == 0 {
+			t.Fatalf("%s: no declarations; the comparison is vacuous", name)
+		}
+		if env := h.Env(files); hex.EncodeToString(env[:]) != refEnvHash(files) {
+			t.Errorf("%s: a reused Hasher's Env differs from the reference", name)
+		}
 	}
 }

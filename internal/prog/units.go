@@ -12,6 +12,11 @@ func FuncID(fn *Function) string {
 	return fn.Decl.File + "\x00" + fn.Name
 }
 
+// AppendFuncID appends fn's FuncID to b.
+func AppendFuncID(b []byte, fn *Function) []byte {
+	return append(append(append(b, fn.Decl.File...), 0), fn.Name...)
+}
+
 // FuncByID resolves a FuncID to its function, or nil. The index is built
 // on first use, once per Program; it is the one piece of lazily derived
 // state a built Program carries, and safe under concurrent readers.

@@ -76,16 +76,18 @@ type IncrStats struct {
 // same source derive the same keys; each of their tasks gets the
 // record.
 func (a *Analyzer) probeTasks(tasks []*unitTask, incr *IncrStats) {
-	var keys []string
-	byKey := map[string][]*unitTask{}
+	probed := make([]*unitTask, 0, len(tasks))
+	keys := make([]string, 0, len(tasks))
+	asked := make(map[string]bool, len(tasks))
 	for _, t := range tasks {
 		if t.key == "" || t.replayed {
 			continue
 		}
-		if byKey[t.key] == nil {
+		probed = append(probed, t)
+		if !asked[t.key] {
+			asked[t.key] = true
 			keys = append(keys, t.key)
 		}
-		byKey[t.key] = append(byKey[t.key], t)
 	}
 	if len(keys) == 0 {
 		return
@@ -93,10 +95,13 @@ func (a *Analyzer) probeTasks(tasks []*unitTask, incr *IncrStats) {
 	found := cache.GetBatch(a.cacheStore, keys)
 	incr.CacheHits += int64(len(found))
 	incr.CacheMisses += int64(len(keys) - len(found))
-	for key, data := range found {
-		for _, t := range byKey[key] {
-			// Decoded per task, so no two tasks share a report.
-			if e, err := cache.DecodeUnit(data); err == nil && len(e.Roots) == len(t.roots) {
+	// One decoder for the probe: a string its records repeat (a file,
+	// function, checker or message) is allocated once.
+	var dec cache.UnitDecoder
+	for _, t := range probed {
+		// Decoded per task, so no two tasks share a report.
+		if data, ok := found[t.key]; ok {
+			if e, err := dec.Decode(data); err == nil && len(e.Roots) == len(t.roots) {
 				t.replay(e)
 			}
 		}

@@ -214,13 +214,18 @@ func (s *recordingStore) rewriteUnits(t *testing.T, f func(data []byte) []byte) 
 	}
 }
 
-// TestDamagedRecords: a record that is torn, or in an older format — v2,
-// bare JSON, or v3, two sections (testdata holds a real one) — is a miss
-// that re-runs live and is overwritten.
+// TestDamagedRecords: a record that is scribbled on, or in an older
+// format — v2, bare JSON; v3, two sections; v4, magic and JSON
+// (testdata holds a real one of each of the last two) — is a miss that
+// re-runs live and is overwritten.
 func TestDamagedRecords(t *testing.T) {
 	srcs, _ := workload.MixedTree(2, 8, 7)
 	want, _ := runDigest(t, srcs, 2, nil)
 	v3, err := os.ReadFile("../internal/cache/testdata/unit-v3.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v4, err := os.ReadFile("../internal/cache/testdata/unit-v4.bin")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,6 +241,7 @@ func TestDamagedRecords(t *testing.T) {
 			return v2
 		},
 		"v3 record": func([]byte) []byte { return v3 },
+		"v4 record": func([]byte) []byte { return v4 },
 	} {
 		t.Run(name, func(t *testing.T) {
 			store := &recordingStore{inner: cache.NewMemStore()}
@@ -258,4 +264,41 @@ func TestDamagedRecords(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestEveryRecordRejectsDamage: over every record a cold run of a
+// generated tree writes, every truncation and every single-byte change
+// is a decode error, never a different entry. The record's CRC-32C
+// trailer is what makes this hold: the body alone would decode many a
+// scribble into other reports.
+func TestEveryRecordRejectsDamage(t *testing.T) {
+	srcs, _ := workload.MixedTree(2, 8, 7)
+	store := &recordingStore{inner: cache.NewMemStore()}
+	runDigest(t, srcs, 2, store)
+	if len(store.keys) == 0 {
+		t.Fatal("cold run stored no unit records")
+	}
+	var cuts, flips int
+	for _, k := range store.keys {
+		data, _ := store.Get(k)
+		for cut := 0; cut < len(data); cut++ {
+			cuts++
+			if _, err := cache.DecodeUnit(data[:cut]); err == nil {
+				t.Fatalf("record %.8s cut at %d of %d decoded", k, cut, len(data))
+			}
+		}
+		damaged := append([]byte(nil), data...)
+		for i := range damaged {
+			for _, x := range []byte{0x01, 0x80, 0xff} {
+				flips++
+				damaged[i] ^= x
+				_, err := cache.DecodeUnit(damaged)
+				damaged[i] ^= x
+				if err == nil {
+					t.Fatalf("record %.8s with byte %d xor %#x decoded", k, i, x)
+				}
+			}
+		}
+	}
+	t.Logf("%d records: %d cuts and %d byte changes, each refused", len(store.keys), cuts, flips)
 }

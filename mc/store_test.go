@@ -49,10 +49,12 @@ func (s *keyLog) Put(key string, data []byte) error {
 // options fingerprint (every key moved; a cache filled before runs cold
 // once), and again when the engine's two caps left it (a unit that hits
 // one is degraded and never stored, so no record depends on them; the
-// key was 00813a86…).
+// key was 00813a86…), and again for xgcc-cache-v5 (unit records became
+// binary; only the version folded into each key changed: under
+// "xgcc-cache-v4" the derivation still gives 69afda82…).
 func TestStoreKeysAreStable(t *testing.T) {
 	golden := []string{
-		"69afda82f1a974cb266bacb71ff0b2ed7b6d81f2d1f78b90d56e47478ac357ec", // the {helper, entry} unit under "free"
+		"7dd70ae9446b6a72b2b9e0688b064ac1e993d59056aadbc00a3c28e2da316efd", // the {helper, entry} unit under "free"
 	}
 
 	store := &keyLog{Store: cache.NewMemStore()}

@@ -22,8 +22,11 @@ package mc
 // always stands for a complete analysis, wherever it ran.
 
 import (
+	"bytes"
 	"context"
-	"sort"
+	"crypto/sha256"
+	"encoding/hex"
+	"slices"
 	"strings"
 	"sync"
 
@@ -77,9 +80,9 @@ type UnitTree struct {
 	Prog     *prog.Program
 	keyed    bool
 	envFP    string
-	funcHash map[*prog.Function]string
-	unitFPs  []string      // parallel to Prog.Units()
-	wholeFP  func() string // of Prog.All, derived on first use
+	funcHash [][sha256.Size]byte // by Function.Index
+	unitFPs  []string            // parallel to Prog.Units()
+	wholeFP  func() string       // of Prog.All, derived on first use
 
 	mu       sync.Mutex
 	checkers map[string]*unitChecker // by source text; nil = does not parse
@@ -87,13 +90,17 @@ type UnitTree struct {
 
 // NewUnitTree assembles parsed files into a program and fingerprints
 // it: the position-independent declaration environment and each
-// function's content are what every unit key derives from.
+// function's content are what every unit key derives from. One
+// cc.Hasher hashes them all; a digest is rendered as hex only where it
+// enters a key.
 func NewUnitTree(files []*cc.File) *UnitTree {
 	p := prog.Build(files...)
+	h := cc.NewHasher()
+	env := h.Env(files)
 	t := &UnitTree{Prog: p, keyed: true, checkers: map[string]*unitChecker{},
-		envFP: cc.EnvHash(files), funcHash: make(map[*prog.Function]string, len(p.All))}
+		envFP: hex.EncodeToString(env[:]), funcHash: make([][sha256.Size]byte, len(p.All))}
 	for _, fn := range p.All {
-		t.funcHash[fn] = cc.HashDecl(fn.Decl)
+		t.funcHash[fn.Index] = h.Decl(fn.Decl)
 	}
 	t.unitFPs = make([]string, len(p.Units()))
 	for i, u := range p.Units() {
@@ -103,14 +110,31 @@ func NewUnitTree(files []*cc.File) *UnitTree {
 	return t
 }
 
-// unitFP fingerprints a member list: sorted FuncID=hash lines.
+// unitFP fingerprints a member list: its FuncID=hash lines, sorted and
+// joined by newlines. The lines are written into one buffer and sorted
+// as slices of it.
 func (t *UnitTree) unitFP(fns []*prog.Function) string {
-	lines := make([]string, len(fns))
-	for i, fn := range fns {
-		lines[i] = prog.FuncID(fn) + "=" + t.funcHash[fn]
+	n := 0
+	for _, fn := range fns {
+		n += len(fn.Decl.File) + len(fn.Name) + 2 + hex.EncodedLen(sha256.Size)
 	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
+	buf := make([]byte, 0, n)
+	lines := make([][]byte, len(fns))
+	for i, fn := range fns {
+		start := len(buf)
+		buf = hex.AppendEncode(append(prog.AppendFuncID(buf, fn), '='), t.funcHash[fn.Index][:])
+		lines[i] = buf[start:]
+	}
+	slices.SortFunc(lines, bytes.Compare)
+	var sb strings.Builder
+	sb.Grow(n + len(lines))
+	for i, l := range lines {
+		if i > 0 {
+			sb.WriteByte('\n')
+		}
+		sb.Write(l)
+	}
+	return sb.String()
 }
 
 // unitTask is one (checker, unit) work item in a phase. Replayed from
@@ -134,7 +158,10 @@ type unitTask struct {
 func (t *unitTask) replay(e *cache.UnitEntry) {
 	t.replayed = true
 	t.cut = core.UnitCut{Stats: e.Stats, Rules: e.Rules, Marks: e.Marks, Complete: true}
-	t.runs = make([]core.RootRun, len(e.Roots))
+	if cap(t.runs) < len(e.Roots) {
+		t.runs = make([]core.RootRun, len(e.Roots))
+	}
+	t.runs = t.runs[:len(e.Roots)]
 	for i, rr := range e.Roots {
 		t.runs[i] = core.RootRun{Root: t.roots[i], Reports: rr.Reports}
 	}
@@ -161,9 +188,21 @@ func (t *UnitTree) tasks(ci int, c *metal.Checker, checkerFP string, opts Option
 	if c.UsesAction("mark_fn") && c.UsesCallout("mc_fn_marked") {
 		return []*unitTask{{ci: ci, units: p.Units(), funcs: p.All, roots: p.Roots, key: key(t.wholeFP())}}
 	}
-	out := make([]*unitTask, len(p.Units()))
-	for i, u := range p.Units() {
-		out[i] = &unitTask{ci: ci, units: p.Units()[i : i+1], funcs: u.Funcs, roots: u.Roots, key: key(t.unitFPs[i])}
+	// One slab of tasks, and one of root runs a replay fills in place:
+	// each task's runs start empty with room for its unit's roots.
+	units := p.Units()
+	slab := make([]unitTask, len(units))
+	nroots := 0
+	for _, u := range units {
+		nroots += len(u.Roots)
+	}
+	runs := make([]core.RootRun, nroots)
+	out := make([]*unitTask, len(units))
+	for i, u := range units {
+		slab[i] = unitTask{ci: ci, units: units[i : i+1], funcs: u.Funcs, roots: u.Roots, key: key(t.unitFPs[i]),
+			runs: runs[:0:len(u.Roots)]}
+		runs = runs[len(u.Roots):]
+		out[i] = &slab[i]
 	}
 	return out
 }
