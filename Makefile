@@ -16,128 +16,80 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# The engine has one configuration per paper feature switch and no
-# semantics-preserving ones: to ablate an optimisation, benchmark the
-# commit before it (README "Ablating an optimisation"). The one-letter
-# brackets keep this line from matching itself when the same search is
-# run over Makefiles too; they match the plain identifiers. The fleet
-# likewise has one configuration, its worker list: the queue, quota and
-# batch knobs of its deleted scheduler stay gone (DESIGN.md §15). And a
-# cached run is the plain run (DESIGN.md §8): the record's summary
-# section, the lazy merge engines that read it and the sibling-engine
-# reload gate stay gone too. And a run stores only what a later run
-# reads (DESIGN.md §8, §12): the pass-1 AST entries and the streaming
-# summary spill stay gone. And there is one bench system (DESIGN.md
-# §10.5): mcbench's perf tiers, their flags and their BENCH_*.json
-# stay gone; a gate is a go test assertion, a number is BENCHMARK.json's.
-# And pattern dispatch has one matcher and one gate (DESIGN.md §10.1):
-# the per-point match memo and its second matcher, the dispatch strategy
-# labels and the string-keyed callout context stay gone. And the
-# program model is built once (DESIGN.md §5): the per-engine point
-# expansion, argument pairing, scope-set memos and second dispatch gate
-# stay gone. And the DFS owns its stacks (DESIGN.md §5): the per-block
-# dispatch context, the string-keyed block recorder and the per-call
-# miss-id map stay gone. And a run has one mode (DESIGN.md §12): the
-# streaming switch, its flags and the retirement plan stay gone. And a
-# match binds into the context's buffer (DESIGN.md §10.1): the per-match
-# binding map and its copy stay gone. And the shared CAS speaks two batch
-# operations (DESIGN.md §15.1): the probe interface, the GET coalescing
-# and its counters, the unread server counters and the engine-global
-# block bound stay gone. And a path's memory is the engine's (DESIGN.md
-# §5): the per-event witness cell, the per-split state clone and the fact
-# environment's clone stay gone. And the daemon names each series once
-# (DESIGN.md §9.5): the hand-copied stats body, the CAS-sharing switch
-# a coordinator already implies and the per-handler method checks the
-# route patterns replaced stay gone. And every setting has a second
-# value in use (DESIGN.md §7, §9.1, §14.3): the engine's two caps are
-# constants, a run's deadline is its context's, a cache directory is a
-# store the caller opens, the harness corpus and z gate are fixed, and
-# the one-call analyze form, the registry generation, the pair-stats
-# map and the second verdict-budget derivation stay gone. And every key
-# in the store names its content (DESIGN.md §8): the per-configuration
-# manifest, its changed-function count and the log compaction only its
-# re-puts needed stay gone. And a tuple is five integers (DESIGN.md
-# §10.3): the engine's capped struct-key cache and the rendered-key map
-# it fronted stay gone. And a
-# verdict is a loop (DESIGN.md §13.4): the daemon's verdict queue, its
-# worker-count knob, its stale-verdict bookkeeping and latency sample,
-# and the verdict cache stay gone. And a cap is a budget (DESIGN.md §7,
-# §9.2): the engine's two caps record a degrade event and are not
-# exported, so nothing outside the engine names them. And there is one
-# false-path model (DESIGN.md §8): the verdict tier, its filter, rank
-# stratum and report fields, the term-string hooks only it read, and
-# the witness path with the engine's log that recorded it stay gone
-# (benchmark/ still names its feas.* metrics until it is unfrozen). And
-# a run owns its state (DESIGN.md §8): the analyzer-lifetime mark store,
-# the counting store wrapper and its counters, the engine's
-# retire-time inspection hook and the Supergraph setting and result
-# field that fed it stay gone. And the daemon serves one checker set
-# (DESIGN.md §14): the tenant selector and its default, the per-tenant
-# reload map and the registry's per-tenant sets stay gone. And the front
-# end allocates like the engine (DESIGN.md §10.4): the lexer's '$' knob
-# and token, which only a test set, and the parser's heap scope per block
-# stay gone. And the front end's decoders return errors (DESIGN.md §3):
-# the panic catcher ReadFile had, or any other, stays out of internal/cc.
-# And the FPP table is the engine's (DESIGN.md §5): the string-keyed
-# fingerprint map and the per-function table in funcInfo stay gone.
-# And the product's API is what the product calls (TestNoTestOnlyExports):
-# the loop havoc no engine path ran, the statement parser and printer,
-# the test-only checker, rank, report, server and analyzer helpers, the
-# engine's second and third run doors and its per-engine action and
-# callout registration stay gone. And a retired function's summary
-# memory is pooled by the engine that evicted it (DESIGN.md §12.1): no
-# sync.Pool or other process-wide pool enters internal/core. And a C
-# expression is folded, walked and rewritten in internal/cc (DESIGN.md
-# §3): fpp's second operator switch and the identifier search only the
-# kill pass called stay gone. And a path allocates only what outlives it
-# (DESIGN.md §10.4): the eager why-trace format, the formatted report key
-# and the per-block feature map stay gone. And a checker's calls are
-# parsed once (DESIGN.md §3): metal's action converter and argument
-# type, the callout's private argument list and core's callee resolver
-# stay gone, and a direct call's name is read by cc.CalleeName only
-# (benchmark/ keeps its own until it is unfrozen).
-# And a transition and a call return allocate only what they keep
-# (DESIGN.md §10.4): the per-transition action context, the per-instance
-# match prior, the cloned partition tuples, the object keys core rendered
-# to a string only to look them up, and the joined and re-scanned strings
-# actions built their facts and messages from stay gone. And a warm run
-# decodes without encoding/json (DESIGN.md §8 "The unit record"): the
-# unit record's JSON codec stays out of internal/cache/entry.go.
+# Keeps deleted settings, mechanisms and representations gone: each grep
+# follows a line naming what it keeps out and the DESIGN section that
+# states the decision. The one-letter brackets keep a pattern from
+# matching itself when the search is run over Makefiles too.
 no-deleted-knobs:
+# the ablation knobs (DESIGN §10) and the fleet scheduler's queue, quota and batch knobs (DESIGN §15).
 	! grep -rnE 'Match[M]emo|Block[F]ilter|Tuple[I]ntern|Lean[A]lloc|Multi[D]ispatch|Tenant[Q]uota|Queue[D]epth|Batch[S]ize' --include=*.go .
+# the record's summary section, the lazy merge engines and the reload gate (DESIGN §8).
 	! grep -rnE 'Load[S]ummaries|summary[S]ource|Retired[S]et|Allow[S]pillReload|Summaries[L]oaded|SummaryBytes[D]eferred' --include=*.go .
+# the pass-1 AST entries and the streaming summary spill (DESIGN §8, §12).
 	! grep -rnE 'Load[S]ources|AST[K]ey|Files[R]eplayed|Set[S]pill|Summary[S]pill|maybe[R]eload|Spill[D]ir|Put[S]ummary|Get[S]ummary' --include=*.go .
+# mcbench's perf tiers, their flags and host facts (DESIGN §10.5).
 	! grep -rnE 'exp[P]ar|exp[I]ncr|exp[G]ov|exp[M]ulticheck|exp[S]cale|exp[F]eas|exp[R]egistry|exp[F]leet|scale[-]cell|(scale|feas|fleet)[-]short|Host[F]acts' --include=*.go .
+# the per-point match memo, its second matcher, the dispatch strategy labels and the string-keyed callout context (DESIGN §10.1).
 	! grep -rnE 'Pre[M]atch|Syn[M]atch|pre[K]ey|match[T]rans|dispatch[S]trategy|Ctx[.]Extra|\.Extra\[' --include=*.go .
+# the per-engine point expansion, argument pairing, scope-set memos and second dispatch gate (DESIGN §5).
 	! grep -rnE 'points[O]K|block[P]oints|build[F]ilters|formal[N]odes|build[A]rgMaps|local[O]mitFor|nonParam[L]ocals|new[B]lockInfo' --include=*.go .
+# the per-block dispatch context, the string-keyed block recorder and the per-call miss-id map (DESIGN §5).
 	! grep -rnE 'point[D]ispatch|inst[K]ey|new[B]lockRec|created[K]illed|miss[I]Ds|callee[S]M' --include=*.go .
+# the streaming switch, its flags and the retirement plan (DESIGN §12).
 	! grep -rnE 'max[-]resident|stream[S]tate|Retire[P]lan|new[S]tream' --include=*.go .
+# the per-match binding map and its copy (DESIGN §10.1).
 	! grep -rnE 'map\[[s]tring\]Binding|Bindings[.]clone' --include=*.go .
+# the CAS probe interface, GET coalescing and its counters, the unread server counters and the engine-global block bound (DESIGN §15.1).
 	! grep -rnE 'Prob[e]r|CoalescedG[e]ts|FlightWait[e]rs|CASCount[e]rs|httpRes[u]lt|MaxBl[o]cks|HitBl[o]ckLimit' --include=*.go .
+# the per-event witness cell, the per-split state clone and the fact environment's clone (DESIGN §5).
 	! grep -rnE 'path[L]og|clone[F]or|clone[S]lack' --include=*.go .
+# the hand-copied stats body, the CAS-sharing switch and the per-handler method checks (DESIGN §9.5).
 	! grep -rnE 'Share[C]AS|StatsRes[p]onse|GET [o]nly|POST [o]nly' --include=*.go .
+# single-valued settings: option caps, the run timeout, the cache directory, the harness corpus and z gate, the one-call analyze form, the registry generation, the pair-stats map, the verdict budget (DESIGN §7, §9.1, §14.3).
 	! grep -rnE 'Analyze[C]ontext|Corpus[S]cale|Min[R]eports|Max[I]ters|\bCache[D]ir\b|Pair[S]tats|Verdict[B]udget|[Oo]pts\.Max[CP]|core\.Max[CP]|\.Generatio[n]\(|cfg\.Harnes[s]' --include=*.go .
+# the per-configuration manifest, its changed-function count and the log compaction it needed (DESIGN §8).
 	! grep -rnE 'Load[M]anifest|Save[M]anifest|Manifest[K]ey|cache\.[M]anifest|diff[M]anifest|config[F]ingerprint|Funcs[C]hanged|maybe[C]ompact|\.Compaction[s]' --include=*.go .
+# the engine's capped struct-key cache and the rendered-key map it fronted (DESIGN §10.3).
 	! grep -rnE 'idsCache[C]ap|by[S]tr|idBy[S]tr' --include=*.go internal/core
+# the daemon's verdict queue, its worker-count knob, stale-verdict bookkeeping, latency sample and verdict cache (DESIGN §13).
 	! grep -rnE 'Verify[W]orkers|verify[-]workers|New[P]ipeline|Drain[V]erdicts|Verdict[K]ey|feas[-]v1|verify[C]ur|verify[S]tale|lat[S]ample|P50[M]icros' --include=*.go .
+# the verdict tier, its filter, rank stratum, report fields and term-string hooks, and the witness path with its log (DESIGN §13; benchmark/ still names feas.*).
 	! grep -rnE 'internal/[f]eas|[f]eas[.]|Verified[O]nly|Verdict(R[a]nk|W[h]y|U[n]verified|C[o]nfirmed|I[n]feasible|U[n]known)|Term[O]f|Canon[T]erm|Const[T]erm|Term[C]onst|Path[S]tep\b|Multi[P]ath|log[E]vent' --include=*.go --exclude-dir=benchmark .
+# the analyzer-lifetime mark store, the counting store wrapper, the retire-time inspection hook and the Supergraph setting and result (DESIGN §8).
 	! grep -rnE 'With[M]etrics|cache\.[M]etrics|\*[c]ounted\b|[c]ounted\{|cache[M]etrics|disk[S]tore|\.Inspec[t]\(|Inspectio[n]\(|\binspecte[d]\b|(RunConfig|Result|cfg|res)\.Supergrap[h]\b|RunConfig\{[^}]*Supergrap[h]:|a\.share[d]\b' --include=*.go .
+# the tenant selector, its default, the per-tenant reload map and the registry's per-tenant sets (DESIGN §14.1).
 	! grep -rnE 'tenant[O]f|Default[T]enant|X-[T]enant|last[E]nabled|\?[t]enant=|\bT[e]nants\b' --include=*.go --exclude-dir=benchmark .
+# the lexer's '$' knob and token and the parser's heap scope per block (DESIGN §10.4).
 	! grep -rnE 'Allow[D]ollar|TokDollar[H]ole|newParse[S]cope' --include=*.go .
+# a panic catcher in the front end's decoders (DESIGN §3).
 	! grep -rn 'recove[r]()' --include=*.go internal/cc
+# the string-keyed fingerprint map and the per-function FPP table (DESIGN §5).
 	! grep -rnE 'map\[[s]tring\]uint32|fp[s]\[[s]tring|fi[.]term[s]\b|funcInfo[.]term[s]\b' --include=*.go .
+# exports only tests called: loop havoc, statement parser and printer, test-only helpers, extra run doors, action and callout registration (TestNoTestOnlyExports).
 	! grep -rnE 'Havoc[A]ssigned|havoc[S]tmt|havoc[E]xpr|Stmt[S]tring|write[S]tmt|Is[I]nteger|\.Transitions[F]rom\(|\.Has[V]arState\(|Must[P]arse|\bBy[Z]\(|\.By[R]ule\(|Sorted[F]iles|Add[D]irectory|cc\.Round[T]rip|func Round[T]rip|Block[F]or\(|Register[A]ction|Register[C]allout|\.Run[F]unction\(|\.Run[R]oots\(' --include=*.go .
+# a process-wide pool in the engine: retired summary memory is the evicting engine's (DESIGN §12.1).
 	! grep -rn 'sync\.[P]ool' --include=*.go internal/core
+# fpp's second operator switch and the kill pass's identifier search (DESIGN §3).
 	! grep -rnE 'apply[B]inop|Contains[I]dent' --include=*.go .
+# the eager why-trace format (DESIGN §5).
 	! grep -rnE 'trace[.]push\(fmt' --include=*.go internal/core
+# the formatted report key (DESIGN §5).
 	! grep -rnE 'seen +map\[[s]tring\]bool' --include=*.go internal/report
+# the per-block feature map of the dispatch compiler (DESIGN §11.1).
 	! grep -rnE 'callees +map\[[s]tring\]bool' --include=*.go internal/core
+# metal's action converter and argument type, the callout's private argument list and core's callee resolver (DESIGN §3).
 	! grep -rnE 'exprTo[A]ction|calloutArg[S]rc|calleeName[O]f|\bAction[A]rg\b' --include=*.go .
+# a direct call's name read anywhere but cc.CalleeName (DESIGN §3; benchmark/ keeps its own).
 	! grep -rnE 'Fun\.\(\*cc\.[I]dent\)' --include=*.go --exclude-dir=benchmark .
+# the per-transition action context, the cloned partition tuples and the per-instance match prior (DESIGN §5).
 	! grep -rnE '&action[C]tx\{|slices\.Clone\(c\.tuple[s]\)|inst\.prio[r]\b' --include=*.go internal/core
+# object keys rendered to a string only to look them up (DESIGN §10.3).
 	! grep -rnE 'cc\.ExprKe[y]\(' --include=*.go --exclude=*_test.go internal/core
+# the joined and re-scanned strings actions built facts and messages from (DESIGN §5).
 	! grep -nE 'strings\.(Joi[n]|Replac[e])' internal/core/actions.go
+# the unit record's JSON codec (DESIGN §8 "The unit record").
 	! grep -nE 'encoding/[j]son|[j]son\.' internal/cache/entry.go
+# mcbench's BENCH_*.json series (DESIGN §10.5).
 	! ls BENCH_*.json 2>/dev/null | grep .
 
 # staticcheck is optional locally (the repo adds no dependencies) but

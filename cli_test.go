@@ -14,6 +14,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -376,9 +377,11 @@ func TestMcbenchCLISingleExperiment(t *testing.T) {
 
 // TestDocsCiteWhatExists: every test, benchmark and fuzz target, make
 // target, mcbench experiment and repo-root JSON file the documentation
-// names is there. A trailing * on a test name is a prefix match.
+// names is there, and every DESIGN section a file cites is one DESIGN.md
+// has. A trailing * on a test name is a prefix match.
 func TestDocsCiteWhatExists(t *testing.T) {
 	funcs := map[string]bool{}
+	cites := []string{"Makefile", "README.md", "TUTORIAL.md", "EXPERIMENTS.md", "ROADMAP.md", "DESIGN.md", verifySkill}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -390,6 +393,9 @@ func TestDocsCiteWhatExists(t *testing.T) {
 			for _, f := range submatches(t, path, `(?m)^func ((?:Test|Benchmark|Fuzz)\w+)\(`) {
 				funcs[f] = true
 			}
+		}
+		if strings.HasSuffix(path, ".go") || strings.HasPrefix(path, "scripts"+string(filepath.Separator)) && !d.IsDir() {
+			cites = append(cites, path)
 		}
 		return nil
 	})
@@ -406,7 +412,7 @@ func TestDocsCiteWhatExists(t *testing.T) {
 	targets := set(submatches(t, "Makefile", `(?m)^([a-z][\w-]*):`))
 	ids := set(append(mcbenchIDs(t), "all"))
 
-	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "TUTORIAL.md"} {
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "TUTORIAL.md", verifySkill} {
 		for _, cite := range submatches(t, doc, `\b((?:Test|Benchmark|Fuzz)[A-Z0-9]\w*\*?)`) {
 			name := strings.TrimSuffix(cite, "*")
 			ok := funcs[name]
@@ -437,6 +443,97 @@ func TestDocsCiteWhatExists(t *testing.T) {
 			}
 		}
 	}
+
+	sections := designSections(t)
+	for _, file := range cites {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := commentBreak.ReplaceAllString(string(data), " ")
+		var refs [][]string
+		for _, list := range designCite.FindAllStringSubmatch(text, -1) {
+			refs = append(refs, sectionRef.FindAllStringSubmatch(list[1], -1)...)
+		}
+		if file == "DESIGN.md" {
+			// Inside DESIGN.md a bare § is often the paper's; a quoted
+			// lead-in after it is always DESIGN's own.
+			refs = append(refs, leadInRef.FindAllStringSubmatch(text, -1)...)
+		}
+		for _, ref := range refs {
+			if msg := sections.resolve(ref[1], ref[2]); msg != "" {
+				t.Errorf("%s cites DESIGN %s: %s", file, ref[0], msg)
+			}
+		}
+	}
+}
+
+// verifySkill is the build-and-run notes every change reads first.
+var verifySkill = filepath.Join(".claude", "skills", "verify", "SKILL.md")
+
+var (
+	// commentBreak joins a comment or paragraph's lines, so a citation
+	// wrapped across them reads as one.
+	commentBreak = regexp.MustCompile(`[ \t]*\n[ \t]*(?:(?://|#)[ \t]*)?`)
+	// designCite is "DESIGN §8", "DESIGN.md §7, §9.2" or
+	// "DESIGN §5 \"Who owns memory\"": group 1 is the list of sections.
+	designCite = regexp.MustCompile(`DESIGN(?:\.md)?(?:'s)?,?\s+((?:§\d+(?:\.\d+)?(?:\s+"[^"]+")?(?:,\s*|\s+and\s+)?)+)`)
+	sectionRef = regexp.MustCompile(`§(\d+(?:\.\d+)?)(?:\s+"([^"]+)")?`)
+	leadInRef  = regexp.MustCompile(`§(\d+(?:\.\d+)?)\s+"([^"]+)"`)
+)
+
+// designIndex maps each DESIGN.md section number ("8", "10.4") to the
+// lead-ins a citation of it may quote: its headings' titles and, for a
+// top-level section, the bold lead-ins of its paragraphs and bullets.
+type designIndex map[string][]string
+
+func designSections(t *testing.T) designIndex {
+	t.Helper()
+	data, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	heading := regexp.MustCompile(`^(##|###) (\d+(?:\.\d+)?)\.? (.*)$`)
+	bold := regexp.MustCompile(`\*\*([^*]+)\*\*`)
+	idx := designIndex{}
+	text := map[string]*strings.Builder{}
+	top := ""
+	for _, line := range strings.Split(string(data), "\n") {
+		if m := heading.FindStringSubmatch(line); m != nil {
+			if m[1] == "##" {
+				top = m[2]
+				text[top] = &strings.Builder{}
+			} else if !strings.HasPrefix(m[2], top+".") {
+				t.Fatalf("DESIGN.md heading %q is not inside §%s", line, top)
+			}
+			idx[m[2]] = append(idx[m[2]], m[3])
+			idx[top] = append(idx[top], m[3])
+		}
+		if top != "" {
+			text[top].WriteString(line + "\n")
+		}
+	}
+	for n, b := range text {
+		for _, m := range bold.FindAllStringSubmatch(commentBreak.ReplaceAllString(b.String(), " "), -1) {
+			idx[n] = append(idx[n], m[1])
+		}
+	}
+	return idx
+}
+
+// resolve says what is wrong with a citation of section num and, when
+// leadIn is set, of the heading or bold lead-in it quotes from inside it.
+func (d designIndex) resolve(num, leadIn string) string {
+	if _, ok := d[num]; !ok {
+		return "no such heading"
+	}
+	top, _, _ := strings.Cut(num, ".")
+	for _, lead := range append(d[num], d[top]...) {
+		if strings.HasPrefix(lead, leadIn) {
+			return ""
+		}
+	}
+	return "no heading or bold lead-in " + strconv.Quote(leadIn) + " in §" + top
 }
 
 // testOnlyExemptDirs are fixture packages: their exports exist for

@@ -121,60 +121,14 @@ func BenchmarkCallRichTraversal(b *testing.B) {
 	}
 }
 
-// callRichAllocCeiling bounds the heap allocations of one runCallRich.
-// The run measures 1,364 (go1.24; governed 1,368, retiring 1,374) since
-// a transition and a call return allocate only what they keep: the
-// engine owns one action context and one match prior, rule facts and
-// object keys are probed from scratch buffers, and exit partitions and
-// kill lists are carved from the engine's tuple stack. 5 % above that
-// is 1,432, inside what -race reads (1,422-1,441 over eighteen
-// readings, six runs of the three modes), so the ceiling is 1,455, the
-// highest of those plus the margin the last ceiling kept over its own
-// -race readings. It was 1,495 over 1,407 (governed 1,411, retiring
-// 1,417; 1,466-1,479 under -race, three runs), since a path
-// allocates only what outlives it: the dispatch compiler carves every
-// admit set from one array and reuses one feature scratch across blocks
-// (~3 objects per block before), the report set is probed with a
-// comparable key before a Report is built, why-trace lines are rendered
-// only for a kept report, and block recorders and the cache filter
-// reuse the engine's arrays. It was 2,476 over 1,660 (governed 1,664,
-// retiring 1,670) before that, set about 5 % above the measured 2,358
-// (governed 2,363); the run measured 1,660 (governed 1,663): 1,752 when the
-// front end went lean, all of that fall in prog.Build, which every run
-// here pays, then 28 fewer when the engine kept one FPP table and
-// carved four-key fpSeen slots (~1,795 under -race then), then 64 fewer
-// when each engine stopped copying the action verbs into a map of its
-// own. Pooling evicted funcInfos left plain at 1,660 and governed at
-// 1,664 (their engines never retire); retiring, every engine retiring as
-// in an mc run, reads 1,670: one rootsRun slice per engine, less the
-// funcInfos, block arrays and slab chunks later units took from the
-// pool, on a tree whose 16 engines run few units each. The count
-// repeats to the unit, so a regression in the per-path state (fpp.Env,
-// edge sets, fpSeen), in pattern dispatch (DESIGN.md §10.1), in what
-// prog.Build holds for every engine or in what the engine, the funcInfo
-// and the instance own for the DFS (§5) fails here without a timer;
-// TestTraversalMarginalAllocs says which. The same run, same dispatch,
-// allocated 5,140 objects while every split copied both stacks, every
-// edge set owned its first edge and every dispatch built its context
-// and prior, 6,068 before the program model moved into prog.Build,
-// 3,442 (ceiling 3,600) while every binding match built a map and every
-// duplicate report was rendered before the set dropped it, 3,082
-// (ceiling 3,240) while every split allocated its path state and fact
-// array and every witness event its own list cell, and 2,897 (ceiling
-// 3,042) while banned, sec-annotator and panic-marker traversed every
-// root that makes a call, their mc_is_call_to conjuncts outside the
-// callee index (DESIGN.md §11.1), and 2,489 (ceiling 2,613) while a tuple
-// was four strings: every distinct tuple rendered its key into a map,
-// and every engine built two StateRef-keyed maps of per-state slices
-// where it now numbers its checker's states into flat arrays (§10.3),
-// and 2,368 (ceiling 2,487) while every path logged its branch,
-// assignment and havoc events for the verdict tier. 2,358 is while
-// prog.Build made every CFG block, successor list and predecessor list
-// an object of its own, a type-checker map per block scope and a
-// signature per reference to a function (TestFrontEndAllocs in
-// internal/prog gates that half alone).
-// The governed and retiring runs sit under the same ceiling (+4, its
-// context; +10): step counters and amortized polls allocate nothing.
+// callRichAllocCeiling bounds the heap allocations of one runCallRich:
+// 1,364 plain, 1,368 governed, 1,374 retiring (go1.24), 1,422-1,441
+// under -race. 5 % above plain is inside what -race reads, so the
+// ceiling is the highest -race reading plus the margin the previous
+// ceiling kept over its own (PR 45). The count repeats to the unit, so a
+// regression in the per-path state, pattern dispatch, prog.Build or what
+// the engine owns for the DFS fails here without a timer, and
+// TestTraversalMarginalAllocs says which (DESIGN §10.4).
 const callRichAllocCeiling = 1_455
 
 func TestCallRichTraversalAllocs(t *testing.T) {

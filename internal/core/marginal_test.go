@@ -43,25 +43,13 @@ func marginalAllocs(t *testing.T, c *metal.Checker, gen func(n int) string, smal
 	return (b - a) / float64(large-small), lo, hi
 }
 
-// TestTraversalMarginalAllocs is the ownership rule of DESIGN.md §5 as a
+// TestTraversalMarginalAllocs is the ownership rule of DESIGN §5 as a
 // counter: memory whose lifetime is the DFS's, the function's or the
-// instance's is not re-made per block, per call or per split. Each bound
-// is the measurement (go1.24) + 5 %; before the engine owned its stacks,
-// slabs and match context (a)-(c) read 3.03, 3.00 and 11.76. Nothing
-// binds in these programs (the checker never fires), so moving bindings
-// into the match context's buffer left all three where they were:
-// 0.111, 0 and 4.644 before and after. Recycling path frames and moving
-// the witness log onto the engine's event stack took (c) from 4.644 to
-// 2.178 and (d) from 6.478 to 1.500; deleting the witness log took them
-// to 2.161 and 1.467 (1.433 later). One FPP table per engine, emptied and
-// reused between units, and a four-key first fpSeen slot took them to
-// 1.661 and 0.467. (a)-(d) run engines that never retire, so the pool of
-// evicted funcInfos left them at 0.111, 0, 1.661 and 0.467; (e) is the
-// one it moved, from 4.067 to 0.067. (f) and (g) fire transitions and
-// return from calls in more than one exit state: the engine's action
-// context, rule-fact buffer and tuple stack took them from 3.000 and
-// 8.059 to 0 and 4.404, and left (a)-(e) where they were. Nothing binds
-// in (a)-(e) (the checker never fires); in (f) and (g) it does.
+// instance's is not re-made per block, call, split, arm, retired unit,
+// fired transition or exit partition. Each bound is the go1.24 reading
+// + 5 %: (a) 0.111, (b) 0, (c) 1.661, (d) 0.467, (e) 0.067, (f) 0 and
+// (g) 4.404, as PR 45 left them. Nothing binds in (a)-(e), where the
+// checker never fires; in (f) and (g) it does.
 func TestTraversalMarginalAllocs(t *testing.T) {
 	const small, large = 10, 100
 	// (a)-(e) run the free checker over programs in which nothing can be
@@ -173,8 +161,8 @@ func TestTraversalMarginalAllocs(t *testing.T) {
 	}
 	// A retired unit's funcInfo, block array and slab chunks go to the
 	// engine's pool and the next unit's function is carved from them
-	// (4.067 objects a unit before the pool). What remains is the growth
-	// of Stats.Analyses, a map entry per root.
+	// (PR 41). What remains is the growth of Stats.Analyses, a map entry
+	// per root.
 	t.Logf("(e) %.3f objects per extra retired unit", perUnit)
 	if perUnit > 0.070 {
 		t.Errorf("(e) %.3f objects per extra retired unit, want <= 0.070", perUnit)
@@ -199,9 +187,7 @@ start:
 		t.Fatalf("(f) rule stats %v, want only x, counted %d times each way", hi.RuleStats, large)
 	}
 	// The engine's action context is refilled, the facts are rendered
-	// into its buffer and RuleStats is probed with the bytes: 3.000
-	// objects a transition when each made its own context and rule() and
-	// example() each a list of the parts they joined.
+	// into its buffer and RuleStats is probed with the bytes (PR 45).
 	t.Logf("(f) %.3f objects per extra fired transition", perFire)
 	if perFire > 0 {
 		t.Errorf("(f) %.3f objects per extra fired transition, want 0", perFire)
@@ -247,10 +233,7 @@ v.held:
 	// instances; the two refined copies of the lock and the two refined
 	// sets that hold them, one per followed call; the frame of the DFS
 	// level the fork adds, with its instance array; and the new block's
-	// summary edges. It read 8.059 a partition while each partition
-	// cloned its tuples, each product step grew a partition list of its
-	// own, and a fork cloned the partition list and, per continuation,
-	// the block record and its entry list.
+	// summary edges (PR 45).
 	t.Logf("(g) %.3f objects per extra exit partition", perReturn/3)
 	if perReturn/3 > 4.62 {
 		t.Errorf("(g) %.3f objects per extra exit partition, want <= 4.62", perReturn/3)

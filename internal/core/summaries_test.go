@@ -54,16 +54,9 @@ int root(int *p, int *q, int *s, int n) { return mid(p, q, s, n) + *s; }
 // function under every bundled checker for the three trees below. Report
 // digests do not see block and suffix summaries; this does. A change
 // that moves it changed what the engine computes, not who owns the
-// memory.
-//
-// It moved once, when "{ fn(args) } && ${ mc_is_call_to(fn, "name") }"
-// joined the compiled dispatch's callee index (e989146… before): banned,
-// sec-annotator and panic-marker stopped traversing roots that never
-// call their names. Rendered per (tree, checker, function) on both
-// sides, 177 of the 960 renderings changed, all of the three checkers'
-// (banned 60, sec-annotator 60, panic-marker 57), and each went from
-// placeholder-only — 1,972 edges in all, every one (start,<>) -->
-// (start,<>) — to empty; the other 783 are byte-identical.
+// memory, and moves it deliberately: when the callee index admitted
+// "{ fn(args) } && ${ mc_is_call_to(fn, "name") }", three checkers
+// stopped traversing roots that never call their names (PR 27).
 const summariesDigest = "0f71f0df737a312183b10363089d9bc7bd9285f5235e1895ef8541a65dc9515a"
 
 // digestTree is one program the digest runs the bundled suite over.

@@ -36,20 +36,14 @@ func frontEnd(tb testing.TB, srcs map[string]string, names []string) *Program {
 }
 
 // frontEndAllocCeiling bounds the objects of one frontEnd over
-// frontEndTree, about 5 % above the measured 7,479 (go1.24). The count
-// repeats to the unit. The same front end allocated 22,301 while every
-// token carried its file and the token slice grew by doubling, every
-// block scope was a heap scope (three maps in the parser, one in the
-// type checker), every declarator built its type through closures,
-// every list grew by appending, every CFG block, successor list and
-// predecessor list was an object of its own, every block rendered its
-// comment when it was built and every reference to a function built
-// its signature.
+// frontEndTree, about 5 % above the measured 7,479 (go1.24, PR 37). The
+// count repeats to the unit, so a token, scope, list or CFG block that
+// starts allocating on its own fails here (DESIGN §10.4).
 const frontEndAllocCeiling = 7_853
 
 // frontEndRetainedCeiling bounds the heap a built Program keeps alive
-// (after runtime.GC, sources excluded) at the 930,376 bytes the front
-// end above retained on the same tree (go1.24); it retains ~850,000 now.
+// (after runtime.GC, sources excluded) at the 930,376 bytes it retained
+// on this tree before PR 37 (go1.24); it retains 849,112 now.
 // A builder slab, a grown list's spare capacity or a comment string
 // kept with the Program shows here first.
 const frontEndRetainedCeiling = 930_376

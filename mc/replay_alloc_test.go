@@ -58,17 +58,11 @@ func warmReplayAllocs(t *testing.T, gen func(n int) string, n int) (allocs float
 
 // TestWarmReplayAllocs is the warm path's ownership rule as a counter,
 // in TestTraversalMarginalAllocs' idiom: what one more replayed unit and
-// one more replayed report cost, read as the difference between a
-// small and a large tree. Each bound is the measurement (go1.24) + 5 %.
-// While unit records were JSON (xgcc-cache-v4), decoded one string at a
-// time, and keys were hashed part by part through a hash.Hash, (a) read
-// 34.160 objects per unit and (b) 13.040 per report. What remains per
-// unit (11.160): its key string, the store's read buffer, the entry, its
-// roots, its Analyses and Rules maps (two objects each), its one rule
-// count, and the two strings its record brings that no other record had
-// (the function's name and FuncID); per report (4.200), the strings it
-// brings (its message, its variable and two trace lines). The fractions
-// are the probe's string table growing.
+// one more replayed report cost. Each bound is the go1.24 reading + 5 %
+// (PR 46). (a) 11.160 per unit: its key string, the store's read buffer,
+// the entry, its roots, its Analyses and Rules maps, its rule count and
+// the two strings no other record had; (b) 4.200 per report: the strings
+// it brings. The fractions are the probe's string table growing.
 func TestWarmReplayAllocs(t *testing.T) {
 	const small, large = 10, 60
 	// (a) Units: n leaf functions, each its own unit; each frees its

@@ -41,17 +41,10 @@ func (s *keyLog) Put(key string, data []byte) error {
 // TestStoreKeysAreStable pins the key derivation: the keys a cold run
 // writes for one small unit are the ones the previous release derived
 // (golden, below), so a cache it filled still hits. Hoisting a hash out
-// of a loop, or handing it to another function, must not move a key;
-// changing what a key covers means moving these goldens deliberately —
-// done for xgcc-cache-v4 (unit records lost their summary section; only
-// the version folded into each key changed), and again when the
-// engine-global block bound left core.Options and its column left the
-// options fingerprint (every key moved; a cache filled before runs cold
-// once), and again when the engine's two caps left it (a unit that hits
-// one is degraded and never stored, so no record depends on them; the
-// key was 00813a86…), and again for xgcc-cache-v5 (unit records became
-// binary; only the version folded into each key changed: under
-// "xgcc-cache-v4" the derivation still gives 69afda82…).
+// of a loop, or handing it to another function, must not move a key.
+// The golden moves only deliberately, when FormatVersion or what a key
+// covers changes, and a cache filled before then runs cold once (PRs
+// 17, 25, 33 and 46 moved it).
 func TestStoreKeysAreStable(t *testing.T) {
 	golden := []string{
 		"7dd70ae9446b6a72b2b9e0688b064ac1e993d59056aadbc00a3c28e2da316efd", // the {helper, entry} unit under "free"

@@ -239,23 +239,13 @@ func TestStreamingDeterminismMatrix(t *testing.T) {
 }
 
 // TestStreamingAllocatesLikePlain: retirement serialises nothing, hashes
-// nothing and costs O(1) objects beyond the engines' own (the unit list
-// is built once, in a handful of objects whatever the tree's size:
-// TestUnitsMatchReference in internal/prog). Allocation counts repeat
-// to a few objects (more under -race, hence 20 runs a side), so the
-// bound is tight and absolute: an mc run of the bundled
-// suite over the call-rich tree allocated 5,279 objects against the
-// 5,116 of the engines that retire nothing, 163 more, and the bound is
-// that excess plus 5 %. Most of the excess is mc's task and merge
-// bookkeeping, which its resident path paid too; retirement's own are
-// one counter slice per engine and the releaser. Since a retiring
-// engine carves the functions it enters from the funcInfos it evicted
-// (DESIGN.md §12.1) the run reads 5,181 against 5,024, 157 more (5,187,
-// 163 more, just before). Both sides parse and
-// build the tree, so a cheaper front end moves both counts and not the
-// excess (7,624 against 7,460, 164 more, before the front end's
-// allocations fell; the bound was a ratio then, 1.025x). (1.27x while
-// retirement encoded every summary for a store nothing read.)
+// nothing and costs O(1) objects beyond the engines' own. An mc run of
+// the bundled suite over the call-rich tree allocates 4,651 objects
+// against the 4,487 of engines that retire nothing (go1.24), 164 more
+// (166 under -race, which jitters it: hence 20 runs a side). The bound
+// is that excess + 5 %, absolute (PR 37). The excess is mostly mc's task
+// and merge bookkeeping; retirement's own is one counter slice per
+// engine and the releaser (DESIGN §12.3).
 func TestStreamingAllocatesLikePlain(t *testing.T) {
 	const maxExcess = 172
 	srcs := workload.CallRichTree()
