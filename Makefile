@@ -91,6 +91,8 @@ no-deleted-knobs:
 	! grep -nE 'encoding/[j]son|[j]son\.' internal/cache/entry.go
 # mcbench's BENCH_*.json series (DESIGN §10.5).
 	! ls BENCH_*.json 2>/dev/null | grep .
+# the analyzer's parallel checker fingerprint and source lists, and the wire bound's three copies (DESIGN §9.5, §14.1, §15.1).
+	! grep -rnE 'checker[F]Ps|checker[S]rcs|maxRequest[B]ody|casMax[B]lob|workerMax[B]ody' --include=*.go .
 
 # staticcheck is optional locally (the repo adds no dependencies) but
 # mandatory in CI, which installs it. Configured by staticcheck.conf.

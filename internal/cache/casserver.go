@@ -14,12 +14,6 @@ import (
 	"strings"
 )
 
-// casMaxBlob bounds a request body (a whole batch envelope, base64
-// included, so each blob in it too): unit entries for large trees run
-// to a few MB; 256 MiB leaves two orders of magnitude of headroom while
-// keeping a misbehaving client from exhausting the host.
-const casMaxBlob = 256 << 20
-
 // CASServer is the http.Handler; expose it with
 // mux.Handle("/v1/cas/", http.StripPrefix("/v1/cas", h)).
 type CASServer struct {
@@ -54,7 +48,7 @@ func (h *CASServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, casMaxBlob)
+	body := http.MaxBytesReader(w, r.Body, MaxWireBody)
 	switch r.URL.Query().Get("op") {
 	case "get":
 		var req batchGetRequest

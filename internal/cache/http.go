@@ -37,7 +37,7 @@ import (
 type HTTPStore struct {
 	base    string
 	client  *http.Client
-	maxBlob int64 // casMaxBlob; tests shrink it
+	maxBlob int64 // MaxWireBody; tests shrink it
 }
 
 // NewHTTPStore opens a client for the CAS at base (e.g.
@@ -47,7 +47,7 @@ func NewHTTPStore(base string, client *http.Client) *HTTPStore {
 	if client == nil {
 		client = &http.Client{Timeout: 30 * time.Second}
 	}
-	return &HTTPStore{base: strings.TrimRight(base, "/"), client: client, maxBlob: casMaxBlob}
+	return &HTTPStore{base: strings.TrimRight(base, "/"), client: client, maxBlob: MaxWireBody}
 }
 
 // Get is a one-key GetBatch: any transport or status failure is a miss.
@@ -60,6 +60,14 @@ func (s *HTTPStore) Get(key string) ([]byte, bool) {
 func (s *HTTPStore) Put(key string, data []byte) error {
 	return s.PutBatch(map[string][]byte{key: data})
 }
+
+// MaxWireBody bounds every body a peer sends, read either way: a daemon
+// request (a source tree or a checker), a fleet work request and its
+// reply, and a CAS batch envelope, base64 included, so each blob in it
+// too. Unit entries for large trees run to a few MB; 256 MiB leaves two
+// orders of magnitude of headroom while keeping a misbehaving peer from
+// exhausting the host.
+const MaxWireBody = 256 << 20
 
 // ReadCapped reads r to its end, failing once it has yielded more than
 // max bytes: nothing a peer sends is read unbounded.

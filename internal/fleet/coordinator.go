@@ -36,7 +36,7 @@ type Config struct {
 type Coordinator struct {
 	workers  []string
 	client   *http.Client
-	maxReply int64 // workerMaxBody; tests shrink it
+	maxReply int64 // cache.MaxWireBody; tests shrink it
 
 	dispatched    atomic.Int64
 	filled        atomic.Int64
@@ -51,7 +51,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 	return &Coordinator{
 		workers:  cfg.Workers,
 		client:   &http.Client{Timeout: 5 * time.Minute},
-		maxReply: workerMaxBody,
+		maxReply: cache.MaxWireBody,
 	}
 }
 

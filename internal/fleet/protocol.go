@@ -12,10 +12,6 @@ package fleet
 
 import "repro/mc"
 
-// workerMaxBody bounds a /v1/work request body, and the reply a
-// coordinator will read back.
-const workerMaxBody = 256 << 20
-
 // WorkRequest is the body posted to a worker's /v1/work: the source
 // tree, the options and the barrier marks once, and each checker's
 // source once with the unit keys wanted.

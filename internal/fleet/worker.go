@@ -90,7 +90,7 @@ func (w *Worker) Stats() WorkerStats {
 func (w *Worker) handleWork(rw http.ResponseWriter, r *http.Request) {
 	w.requests.Add(1)
 	var req WorkRequest
-	body := http.MaxBytesReader(rw, r.Body, workerMaxBody)
+	body := http.MaxBytesReader(rw, r.Body, cache.MaxWireBody)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		http.Error(rw, "bad request: "+err.Error(), http.StatusBadRequest)
 		return

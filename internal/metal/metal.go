@@ -103,6 +103,12 @@ func (t *Transition) String() string {
 // Checker is a compiled metal extension.
 type Checker struct {
 	Name string
+	// Source is the text Parse compiled, and ID its content address
+	// (cc.HashBytes over Source): a checker is its text, so ID is both
+	// the registry ID and the checker's part of every cache key
+	// (DESIGN.md §14.1).
+	Source string
+	ID     string
 	// Vars maps state-variable names to their hole declarations.
 	Vars map[string]*pattern.Hole
 	// GlobalStates lists global state values in declaration order;

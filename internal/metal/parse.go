@@ -355,6 +355,8 @@ func (p *parser) errf(format string, args ...interface{}) error {
 
 func (p *parser) parseChecker() (*Checker, error) {
 	p.c = &Checker{
+		Source:    p.src,
+		ID:        cc.HashBytes([]byte(p.src)),
 		Vars:      map[string]*pattern.Hole{},
 		VarStates: map[string][]string{},
 		Callouts:  pattern.Registry{},

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cc"
 	"repro/internal/pattern"
 )
 
@@ -266,6 +267,19 @@ func TestSourceLinesCounted(t *testing.T) {
 	// 10-200 line claim.
 	if c.SourceLines < 5 || c.SourceLines > 30 {
 		t.Errorf("source lines = %d", c.SourceLines)
+	}
+}
+
+// TestCheckerIsItsText: Parse keeps the text it compiled and names the
+// checker by that text's content address, the one identity the registry
+// and the cache share.
+func TestCheckerIsItsText(t *testing.T) {
+	c := mustParse(t, freeCheckerSrc)
+	if c.Source != freeCheckerSrc {
+		t.Errorf("Source = %q, want the parsed text", c.Source)
+	}
+	if want := cc.HashBytes([]byte(freeCheckerSrc)); c.ID != want {
+		t.Errorf("ID = %s, want %s", c.ID, want)
 	}
 }
 

@@ -3,12 +3,12 @@
 // content-addressed and versioned, with the daemon's one enabled set,
 // all persisted on disk so a daemon restart loses nothing.
 //
-// The content address — cc.HashBytes over the exact source text — is
-// the checker ID. It is deliberately the same fingerprint the
-// incremental cache keys units by (mc loads checkers with
-// cc.HashBytes(source) as the checker fingerprint), so enabling a new
-// checker version invalidates exactly that checker's cached units and
-// nothing else: unchanged checkers keep replaying byte-identically.
+// The checker ID is metal.Checker.ID, the content address of the exact
+// source text. It is deliberately the same fingerprint the incremental
+// cache keys units by, so enabling a new checker version invalidates
+// exactly that checker's cached units and nothing else: unchanged
+// checkers keep replaying byte-identically. A blob read back from disk
+// is served only if it still hashes to its ID.
 //
 // Admission pipeline: an uploaded checker starts "pending" and cannot
 // be enabled. A validation run (internal/harness) moves it to
@@ -27,7 +27,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/cc"
 	"repro/internal/metal"
 )
 
@@ -41,7 +40,7 @@ const (
 // Entry describes one stored checker version. Source text lives in a
 // content-addressed blob next to the state file, not in the entry.
 type Entry struct {
-	// ID is the content address: cc.HashBytes over the source text.
+	// ID is the content address: metal.Checker.ID of the source text.
 	ID string `json:"id"`
 	// Name is the checker's state-machine name (sm <name>;).
 	Name string `json:"name"`
@@ -164,11 +163,10 @@ func (r *Registry) Upload(src string) (Entry, bool, error) {
 	if err != nil {
 		return Entry{}, false, fmt.Errorf("checker does not parse: %w", err)
 	}
-	id := cc.HashBytes([]byte(src))
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e, ok := r.entries[id]; ok {
+	if e, ok := r.entries[c.ID]; ok {
 		return *e, false, nil
 	}
 	maxVer := 0
@@ -178,19 +176,19 @@ func (r *Registry) Upload(src string) (Entry, bool, error) {
 		}
 	}
 	e := &Entry{
-		ID:      id,
+		ID:      c.ID,
 		Name:    c.Name,
 		Version: maxVer + 1,
 		Lines:   c.SourceLines,
 		Status:  StatusPending,
 	}
 	if r.dir != "" {
-		if err := os.WriteFile(r.blobPath(id), []byte(src), 0o644); err != nil {
+		if err := os.WriteFile(r.blobPath(c.ID), []byte(src), 0o644); err != nil {
 			return Entry{}, false, err
 		}
 	}
-	r.entries[id] = e
-	r.sources[id] = src
+	r.entries[c.ID] = e
+	r.sources[c.ID] = src
 	if err := r.save(); err != nil {
 		return Entry{}, false, err
 	}
@@ -212,7 +210,8 @@ func (r *Registry) Get(id string) (Entry, bool) {
 }
 
 // Source returns the stored checker text for an ID, reading the blob
-// on demand after a restart.
+// on demand after a restart; a blob that no longer hashes to its ID is
+// an error, like a missing one.
 func (r *Registry) Source(id string) (string, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -229,6 +228,9 @@ func (r *Registry) sourceLocked(id string) (string, error) {
 	data, err := os.ReadFile(r.blobPath(id))
 	if err != nil {
 		return "", err
+	}
+	if c, err := metal.Parse(string(data)); err != nil || c.ID != id {
+		return "", fmt.Errorf("checker %s: blob does not match its content address", id)
 	}
 	r.sources[id] = string(data)
 	return string(data), nil

@@ -190,6 +190,40 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAlteredBlobIsAnError: a blob edited on disk no longer matches its
+// content address, so a reopened registry refuses to serve it, through
+// Source and through the enabled set, as it would a missing blob.
+func TestAlteredBlobIsAnError(t *testing.T) {
+	dir := t.TempDir()
+	r, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, _, err := r.Upload(checkerV1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.SetVerdict(e.ID, true, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.SetEnabled(e.ID, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "blobs", e.ID), []byte(checkerV2), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src, err := r2.Source(e.ID); err == nil {
+		t.Fatalf("altered blob served: %q", src)
+	}
+	if on, err := r2.Enabled(); err == nil {
+		t.Fatalf("altered blob enabled: %+v", on)
+	}
+}
+
 func TestDeleteClearsEverything(t *testing.T) {
 	dir := t.TempDir()
 	r, _ := Open(dir)

@@ -53,15 +53,13 @@ func (s *Server) handleCheckerUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Source == "" {
-		s.bumpFailures()
-		writeError(w, http.StatusBadRequest, "bad_request",
+		s.fail(w, http.StatusBadRequest, "bad_request",
 			"empty checker source", `body must be {"source": "sm ...;"}`)
 		return
 	}
 	e, created, err := s.cfg.Registry.Upload(req.Source)
 	if err != nil {
-		s.bumpFailures()
-		writeError(w, http.StatusBadRequest, "checker_invalid",
+		s.fail(w, http.StatusBadRequest, "checker_invalid",
 			"checker rejected at upload", err.Error())
 		return
 	}
@@ -80,15 +78,24 @@ func (s *Server) handleCheckerList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-func (s *Server) handleCheckerGet(w http.ResponseWriter, r *http.Request) {
+// entry looks up the checker the path names, answering 404 when the
+// registry has none.
+func (s *Server) entry(w http.ResponseWriter, r *http.Request) (registry.Entry, bool) {
 	id := r.PathValue("id")
 	e, ok := s.cfg.Registry.Get(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, "not_found", "no such checker", id)
+	}
+	return e, ok
+}
+
+func (s *Server) handleCheckerGet(w http.ResponseWriter, r *http.Request) {
+	e, ok := s.entry(w, r)
+	if !ok {
 		return
 	}
 	out := checkerJSON(e)
-	if src, err := s.cfg.Registry.Source(id); err == nil {
+	if src, err := s.cfg.Registry.Source(e.ID); err == nil {
 		out.Source = src
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -102,15 +109,13 @@ func (s *Server) handleCheckerGet(w http.ResponseWriter, r *http.Request) {
 // isolation counts — is stored on the entry and returned; a buggy
 // checker is a structured rejection, never a daemon outage.
 func (s *Server) handleCheckerValidate(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if _, ok := s.cfg.Registry.Get(id); !ok {
-		writeError(w, http.StatusNotFound, "not_found", "no such checker", id)
+	e, ok := s.entry(w, r)
+	if !ok {
 		return
 	}
-	src, err := s.cfg.Registry.Source(id)
+	src, err := s.cfg.Registry.Source(e.ID)
 	if err != nil {
-		s.bumpFailures()
-		writeError(w, http.StatusInternalServerError, "internal",
+		s.fail(w, http.StatusInternalServerError, "internal",
 			"checker source unreadable", err.Error())
 		return
 	}
@@ -131,30 +136,26 @@ func (s *Server) handleCheckerValidate(w http.ResponseWriter, r *http.Request) {
 	}
 	raw, err := json.Marshal(v)
 	if err != nil {
-		s.bumpFailures()
-		writeError(w, http.StatusInternalServerError, "internal",
+		s.fail(w, http.StatusInternalServerError, "internal",
 			"verdict encoding failed", err.Error())
 		return
 	}
-	if err := s.cfg.Registry.SetVerdict(id, v.Admitted(), raw); err != nil {
-		s.bumpFailures()
-		writeError(w, http.StatusNotFound, "not_found",
+	if err := s.cfg.Registry.SetVerdict(e.ID, v.Admitted(), raw); err != nil {
+		s.fail(w, http.StatusNotFound, "not_found",
 			"checker vanished during validation", err.Error())
 		return
 	}
-	s.mu.Lock()
+	outcome := &s.validationsRejected
 	if v.Admitted() {
-		s.validationsAdmitted++
-	} else {
-		s.validationsRejected++
+		outcome = &s.validationsAdmitted
 	}
-	s.mu.Unlock()
+	s.add(outcome, 1)
 	writeJSON(w, http.StatusOK, struct {
 		ID          string           `json:"id"`
 		Status      string           `json:"status"`
 		Verdict     *harness.Verdict `json:"verdict"`
 		ElapsedNano int64            `json:"elapsed_nanos"`
-	}{id, v.Status, v, time.Since(t0).Nanoseconds()})
+	}{e.ID, v.Status, v, time.Since(t0).Nanoseconds()})
 }
 
 // handleCheckerSwitch turns a checker on or off. Only admitted
@@ -163,13 +164,11 @@ func (s *Server) handleCheckerValidate(w http.ResponseWriter, r *http.Request) {
 // The change is live on the next analyze.
 func (s *Server) handleCheckerSwitch(on bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		e, ok := s.cfg.Registry.Get(id)
+		e, ok := s.entry(w, r)
 		if !ok {
-			writeError(w, http.StatusNotFound, "not_found", "no such checker", id)
 			return
 		}
-		if err := s.cfg.Registry.SetEnabled(id, on); err != nil {
+		if err := s.cfg.Registry.SetEnabled(e.ID, on); err != nil {
 			if on {
 				writeError(w, http.StatusConflict, "not_admitted",
 					"checker is not admitted for enablement", err.Error())
@@ -185,12 +184,11 @@ func (s *Server) handleCheckerSwitch(on bool) http.HandlerFunc {
 }
 
 func (s *Server) handleCheckerDelete(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if _, ok := s.cfg.Registry.Get(id); !ok {
-		writeError(w, http.StatusNotFound, "not_found", "no such checker", id)
+	e, ok := s.entry(w, r)
+	if !ok {
 		return
 	}
-	if err := s.cfg.Registry.Delete(id); err != nil {
+	if err := s.cfg.Registry.Delete(e.ID); err != nil {
 		writeError(w, http.StatusInternalServerError, "internal",
 			"delete failed", err.Error())
 		return
@@ -198,5 +196,5 @@ func (s *Server) handleCheckerDelete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, struct {
 		ID      string `json:"id"`
 		Deleted bool   `json:"deleted"`
-	}{id, true})
+	}{e.ID, true})
 }

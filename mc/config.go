@@ -14,7 +14,6 @@ package mc
 
 import (
 	"repro/internal/cache"
-	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/metal"
 )
@@ -80,9 +79,10 @@ func (a *Analyzer) Configure(cfg RunConfig) error {
 // LoadCheckerWithCallouts compiles metal checker source and registers
 // custom Go callout functions the checker's patterns may invoke (by
 // name, over the builtin callout library). Checkers with native
-// callouts always run live — Go code is invisible to the cache
-// fingerprint — and a callout that panics is contained per checker
-// like any other checker fault (Result.Failures).
+// callouts always run live in this process — Go code is invisible to
+// the cache fingerprint and cannot ride a fleet job — and a callout
+// that panics is contained per checker like any other checker fault
+// (Result.Failures).
 func (a *Analyzer) LoadCheckerWithCallouts(src string, callouts map[string]Callout) error {
 	c, err := metal.Parse(src)
 	if err != nil {
@@ -92,11 +92,5 @@ func (a *Analyzer) LoadCheckerWithCallouts(src string, callouts map[string]Callo
 		c.Callouts[name] = fn
 	}
 	a.checkers = append(a.checkers, c)
-	a.checkerFPs = append(a.checkerFPs, cc.HashBytes([]byte(src)))
-	// Native callouts cannot ride a fleet job (the Go code is not in
-	// the source text), so no shippable source is retained — such
-	// checkers always run on the coordinator, exactly as they always
-	// run live for the cache.
-	a.checkerSrcs = append(a.checkerSrcs, "")
 	return nil
 }

@@ -124,7 +124,7 @@ func (a *Analyzer) dispatchRemote(ctx context.Context, tasks []*unitTask, marks 
 	offered := map[string]bool{} // a key two checkers share is offered once
 	last := -1                   // tasks arrive grouped by checker
 	for _, t := range tasks {
-		if t.key == "" || t.replayed || a.checkerSrcs[t.ci] == "" {
+		if t.key == "" || t.replayed {
 			continue
 		}
 		pending = append(pending, t)
@@ -133,7 +133,7 @@ func (a *Analyzer) dispatchRemote(ctx context.Context, tasks []*unitTask, marks 
 		}
 		offered[t.key] = true
 		if t.ci != last {
-			run.Checkers = append(run.Checkers, a.checkerSrcs[t.ci])
+			run.Checkers = append(run.Checkers, a.checkers[t.ci].Source)
 			last = t.ci
 		}
 		run.Jobs = append(run.Jobs, UnitJob{Key: t.key, Checker: len(run.Checkers) - 1, Weight: len(t.funcs)})

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/pattern"
 	"repro/internal/workload"
 	"repro/mc"
 )
@@ -226,4 +227,58 @@ func firstDiff(a, b string) string {
 		}
 	}
 	return fmt.Sprintf("lengths differ: %d vs %d lines", len(al), len(bl))
+}
+
+// TestCalloutCheckerNeverDispatched: native Go callouts cannot ride a
+// fleet job, so a checker loaded with LoadCheckerWithCallouts is never
+// offered to a UnitRunner — no job names it and no UnitRun carries its
+// text — while a bundled checker beside it is.
+func TestCalloutCheckerNeverDispatched(t *testing.T) {
+	const calloutChecker = `
+sm callout_checker;
+state decl any_pointer v;
+
+start:
+    { kfree(v) } && ${ always(v) } ==> v.freed
+;
+
+v.freed:
+    { *v } ==> v.stop, { err("use after free"); }
+;
+`
+	srcs, _ := workload.MixedTree(2, 5, 7)
+	var runs []*mc.UnitRun
+	a := mc.NewAnalyzer()
+	err := a.Configure(mc.RunConfig{CacheStore: cache.NewMemStore(), UnitRunner: func(ctx context.Context, run *mc.UnitRun) error {
+		runs = append(runs, run)
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range srcs {
+		a.AddSource(name, src)
+	}
+	if err := a.LoadBundledChecker("free"); err != nil {
+		t.Fatal(err)
+	}
+	err = a.LoadCheckerWithCallouts(calloutChecker, map[string]mc.Callout{
+		"always": func(*pattern.Ctx, []pattern.CalloutArg) bool { return true },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.RunContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) == 0 {
+		t.Fatal("the bundled checker's units were never offered")
+	}
+	for _, run := range runs {
+		for _, src := range run.Checkers {
+			if src == calloutChecker {
+				t.Fatalf("callout checker offered to the unit runner, %d jobs", len(run.Jobs))
+			}
+		}
+	}
 }

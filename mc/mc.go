@@ -61,14 +61,8 @@ type Analyzer struct {
 	// execution; 0 means runtime.GOMAXPROCS(0).
 	jobs int
 	// Incremental cache (RunConfig.CacheStore); nil keys and stores
-	// nothing. checkerFPs tracks one source fingerprint per
-	// loaded checker for cache keying.
+	// nothing.
 	cacheStore cache.Store
-	checkerFPs []string
-	// checkerSrcs retains each loaded checker's metal source so fleet
-	// jobs can ship it to workers (RunConfig.UnitRunner); entries are
-	// "" for checkers without shippable source.
-	checkerSrcs []string
 	// unitRunner, when set, is offered each phase's cache-miss units
 	// before they run locally (RunConfig.UnitRunner; DESIGN.md §15).
 	unitRunner func(ctx context.Context, run *UnitRun) error
@@ -163,16 +157,7 @@ func EmitAST(name, src string) ([]byte, error) {
 func LoadAST(data []byte) (*cc.File, error) { return cc.ReadFile(data) }
 
 // LoadChecker compiles metal checker source text.
-func (a *Analyzer) LoadChecker(src string) error {
-	c, err := metal.Parse(src)
-	if err != nil {
-		return err
-	}
-	a.checkers = append(a.checkers, c)
-	a.checkerFPs = append(a.checkerFPs, cc.HashBytes([]byte(src)))
-	a.checkerSrcs = append(a.checkerSrcs, src)
-	return nil
-}
+func (a *Analyzer) LoadChecker(src string) error { return a.LoadCheckerWithCallouts(src, nil) }
 
 // LoadBundledChecker loads one of the shipped checkers by name (free,
 // lock, null, interrupt, block, banned, format, leak, realloc,
@@ -312,7 +297,7 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 		// intra-phase write-then-read.
 		var tasks []*unitTask
 		for _, ci := range phase {
-			tasksByChecker[ci] = tree.tasks(ci, a.checkers[ci], a.checkerFPs[ci], a.opts, shared)
+			tasksByChecker[ci] = tree.tasks(ci, a.checkers[ci], a.opts, shared)
 			tasks = append(tasks, tasksByChecker[ci]...)
 		}
 

@@ -41,7 +41,7 @@ func warmReplayAllocs(t *testing.T, gen func(n int) string, n int) (allocs float
 	shared := a.preMarked()
 	var tasks []*unitTask
 	allocs = testing.AllocsPerRun(5, func() {
-		tasks = tree.tasks(0, a.checkers[0], a.checkerFPs[0], a.opts, shared)
+		tasks = tree.tasks(0, a.checkers[0], a.opts, shared)
 		a.probeTasks(tasks, &IncrStats{})
 	})
 	for _, task := range tasks {

@@ -172,18 +172,19 @@ func (t *unitTask) replay(e *cache.UnitEntry) {
 // annotation store at that barrier. Without a store to key for, and for
 // two kinds of checker, one task per call-graph unit is too fine:
 //   - custom Go callouts: native code is invisible to the source
-//     fingerprint, so the checker runs live, whole-program, unkeyed;
+//     fingerprint, so the checker runs live, whole-program, unkeyed,
+//     and never rides a fleet job;
 //   - self-coupled checkers (both mark_fn and mc_fn_marked): their own
 //     marks flow across units within one run, so they key as a single
 //     whole-program unit.
-func (t *UnitTree) tasks(ci int, c *metal.Checker, checkerFP string, opts Options, marks *core.Shared) []*unitTask {
+func (t *UnitTree) tasks(ci int, c *metal.Checker, opts Options, marks *core.Shared) []*unitTask {
 	p := t.Prog
 	if !t.keyed || len(c.Callouts) > 0 {
 		return []*unitTask{{ci: ci, units: p.Units(), funcs: p.All, roots: p.Roots}}
 	}
 	optsFP, marksFP := optionsFingerprint(opts), marksFingerprint(marks)
 	key := func(unitFP string) string {
-		return cache.UnitKey(checkerFP, optsFP, t.envFP, marksFP, unitFP)
+		return cache.UnitKey(c.ID, optsFP, t.envFP, marksFP, unitFP)
 	}
 	if c.UsesAction("mark_fn") && c.UsesCallout("mc_fn_marked") {
 		return []*unitTask{{ci: ci, units: p.Units(), funcs: p.All, roots: p.Roots, key: key(t.wholeFP())}}
@@ -271,7 +272,6 @@ func records(tasks []*unitTask) map[string][]byte {
 // Engines only read it, so concurrent runs share one.
 type unitChecker struct {
 	c        *metal.Checker
-	fp       string
 	compiled *core.CompiledDispatch
 }
 
@@ -284,8 +284,7 @@ func (t *UnitTree) checker(src string) (uc *unitChecker, fresh bool) {
 	uc, seen := t.checkers[src]
 	if !seen {
 		if c, err := metal.Parse(src); err == nil {
-			uc = &unitChecker{c: c, fp: cc.HashBytes([]byte(src)),
-				compiled: core.CompileDispatch(t.Prog, []*metal.Checker{c})}
+			uc = &unitChecker{c: c, compiled: core.CompileDispatch(t.Prog, []*metal.Checker{c})}
 		}
 		t.checkers[src] = uc
 	}
@@ -327,7 +326,7 @@ func (t *UnitTree) RunUnits(ctx context.Context, sem chan struct{}, run *UnitRun
 		if checkers[ci] = uc; uc == nil {
 			continue
 		}
-		for _, task := range t.tasks(ci, uc.c, uc.fp, run.Options, shared[ci]) {
+		for _, task := range t.tasks(ci, uc.c, run.Options, shared[ci]) {
 			if task.key != "" && want[UnitJob{Key: task.key, Checker: ci}] {
 				tasks = append(tasks, task)
 			}
