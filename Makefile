@@ -93,6 +93,10 @@ no-deleted-knobs:
 	! ls BENCH_*.json 2>/dev/null | grep .
 # the analyzer's parallel checker fingerprint and source lists, and the wire bound's three copies (DESIGN §9.5, §14.1, §15.1).
 	! grep -rnE 'checker[F]Ps|checker[S]rcs|maxRequest[B]ody|casMax[B]lob|workerMax[B]ody' --include=*.go .
+# xgcc's and xgccd's ablation flags: the paper's ablations are mcbench experiments over core.Options (DESIGN §4).
+	! grep -rnE '"(i[n]tra|no-[f]pp|no-[i]nter)"' --include=*.go cmd
+# the sorted pre-annotation list, the engine's second and third mention walks, the mark-role tests by name and the per-switch case list (DESIGN §5).
+	! grep -rnE 'sorted[M]arks|mark[E]ntry|mentions[A]ny|leftoverCaller[L]ocals|annotator[O]f|consumer[O]f|Uses[A]ction|Uses[C]allout|case[V]als' --include=*.go .
 
 # staticcheck is optional locally (the repo adds no dependencies) but
 # mandatory in CI, which installs it. Configured by staticcheck.conf.
@@ -137,6 +141,9 @@ bench-check:
 # but the §8 fact environment driven against its map-based reference
 # implementation, and the §11 pre-filter held to the matcher (a block no
 # atom admits has no matching point, under any prior).
+# FuzzBuildCFG feeds C source, seeded from testdata/corpus, to the
+# parser (no input panics it) and holds every CFG it builds to
+# TestOnlyBranchesFork's invariants.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzEnvOps -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/fpp/
@@ -145,6 +152,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzOpenStore -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/cache/
 	$(GO) test -run '^$$' -fuzz FuzzWorkRequest -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/fleet/
 	$(GO) test -run '^$$' -fuzz FuzzReadFile -fuzztime $(FUZZTIME) ./internal/cc/
+	$(GO) test -run '^$$' -fuzz FuzzBuildCFG -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/cfg/
 
 # Microbenchmarks for the §10 hot paths (pattern match, block and
 # call-rich traversal, instance clone, an interned tuple's id, the

@@ -712,12 +712,14 @@ int fresh_bug(int *q) {
 // TestRemovedModeFlagRejected: a run has one mode (DESIGN.md §12) and
 // one false-path model (§8), and the flags that switched on a second
 // are unknown flags to both binaries: exit 2, before anything runs or
-// listens.
+// listens. So are the ablation switches: the paper's ablations are
+// mcbench experiments, set through core.Options (§4).
 func TestRemovedModeFlagRejected(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns go run")
 	}
-	for _, args := range [][]string{{"-max-" + "resident-mb", "1"}, {"-" + "verify"}} {
+	for _, args := range [][]string{{"-max-" + "resident-mb", "1"}, {"-" + "verify"},
+		{"-" + "intra"}, {"-no-" + "fpp"}, {"-no-" + "inter"}} {
 		flag := args[0]
 		for _, cmd := range []string{"./cmd/xgcc", "./cmd/xgccd"} {
 			out, err := runCmd(t, append([]string{cmd}, args...)...)

@@ -55,8 +55,6 @@ func main() {
 		detailed     = flag.Bool("why", false, "print why-traces with each report")
 		validate     = flag.Bool("validate", false, "run the admission harness on the checker instead of analyzing files: exit 0 admitted, 1 rejected, 2 error (combine with -checker-file or -checker; -json for the raw verdict)")
 		jsonOut      = flag.Bool("json", false, "emit reports as JSON lines")
-		intra        = flag.Bool("intra", false, "disable interprocedural analysis")
-		noFPP        = flag.Bool("no-fpp", false, "disable false path pruning")
 		marks        = flag.String("mark", "", "function annotations, e.g. might_sleep=blocking,panic=pathkill")
 		baseline     = flag.String("baseline", "", "history file: suppress reports recorded there; new reports are appended (§8 History)")
 		jobs         = flag.Int("j", 0, "parallel workers for parsing and checker execution (0 = GOMAXPROCS); output is identical at every level")
@@ -113,8 +111,6 @@ func main() {
 
 	a := mc.NewAnalyzer()
 	opts := mc.DefaultOptions()
-	opts.Interprocedural = !*intra
-	opts.FPP = !*noFPP
 	opts.Budgets = budgets
 	cfg := mc.RunConfig{Options: &opts, Jobs: *jobs}
 	if *cacheDir != "" {

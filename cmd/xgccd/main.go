@@ -59,8 +59,6 @@ func main() {
 		cacheDir    = flag.String("cache", "", "persist the analysis cache in this directory (default: in-memory)")
 		registryDir = flag.String("registry", "", "persist uploaded checkers in this directory so /v1/checkers state survives restarts (default: in-memory)")
 		jobs        = flag.Int("j", 0, "analysis parallelism (0 = GOMAXPROCS)")
-		noFPP       = flag.Bool("no-fpp", false, "disable false path pruning")
-		noInter     = flag.Bool("no-inter", false, "disable interprocedural analysis")
 		maxInflight = flag.Int("max-inflight", server.DefaultMaxInFlight, "max concurrently admitted analyze requests (excess gets 429)")
 		reqTimeout  = flag.Duration("request-timeout", 0, "per-request analysis deadline (503 on expiry; 0 = unbounded)")
 		pathSteps   = flag.Int64("budget-path-steps", 0, "per-path program-point budget (0 = unbounded)")
@@ -102,8 +100,6 @@ func main() {
 	}
 
 	opts := mc.DefaultOptions()
-	opts.FPP = !*noFPP
-	opts.Interprocedural = !*noInter
 	opts.Budgets = mc.Budgets{
 		PathSteps:  *pathSteps,
 		FuncBlocks: *funcBlocks,

@@ -2,6 +2,7 @@ package cc
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 )
 
@@ -33,6 +34,10 @@ type Parser struct {
 	stmts  []Stmt
 	args   []Expr
 	params []*VarDecl
+
+	// labels holds the labels of the function body being parsed: a
+	// label may appear once per function (C11 6.8.1).
+	labels []string
 }
 
 // popList returns (*stack)[start:] in an array of its own, nil when it
@@ -312,6 +317,7 @@ func (p *Parser) parseExternalDecl() error {
 				Storage:  storage,
 				File:     p.file,
 			}
+			p.labels = p.labels[:0]
 			p.pushScope()
 			body, err := p.parseCompoundStmt()
 			p.popScope()
@@ -1088,7 +1094,11 @@ func (p *Parser) parseStmt() (Stmt, error) {
 	case TokIdent:
 		// Label?
 		if p.la(1).Kind == TokColon {
+			if slices.Contains(p.labels, t.Text) {
+				return nil, p.errf("duplicate label %s", t.Text)
+			}
 			name := p.next().Text
+			p.labels = append(p.labels, name)
 			p.next() // :
 			body, err := p.parseStmt()
 			if err != nil {

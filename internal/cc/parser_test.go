@@ -286,11 +286,17 @@ func TestParseErrors(t *testing.T) {
 		"struct { int",
 		"int f(void) { if }",
 		"int f(void) { return 1 }",
+		"void f(void) { L:; L:; }",
+		"void f(int x) { L: if (x) { L: x--; } }",
 	}
 	for _, src := range bad {
 		if _, err := ParseFile("bad.c", src); err == nil {
 			t.Errorf("%q: expected error", src)
 		}
+	}
+	// A label's scope is its function.
+	if _, err := ParseFile("ok.c", "void f(void) { L:; } void g(void) { L:; goto L; }"); err != nil {
+		t.Errorf("one label per function: %v", err)
 	}
 }
 

@@ -577,12 +577,12 @@ func (b *Builder) stmt(s cc.Stmt) {
 		}
 		b.cur = nil
 	case *cc.LabeledStmt:
-		target, ok := b.labels[s.Label]
-		if !ok {
-			target = b.newBlock()
-			target.Label = s.Label
-			b.labels[s.Label] = target
-		}
+		// A label starts a block of its own; gotos find it once the body
+		// is built. (The parser rejects a repeated label; a built AST
+		// that repeats one sends its gotos to the last.)
+		target := b.newBlock()
+		target.Label = s.Label
+		b.labels[s.Label] = target
 		if b.cur != nil {
 			b.cur.addSucc(Edge{Kind: EdgeAlways, To: target})
 		}

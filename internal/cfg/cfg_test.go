@@ -14,7 +14,11 @@ func buildFor(t *testing.T, src, fn string) *Graph {
 	}
 	for _, fd := range f.Funcs() {
 		if fd.Name == fn {
-			return Build(fd)
+			g := Build(fd)
+			for _, fault := range forkFaults(g) {
+				t.Error(fault)
+			}
+			return g
 		}
 	}
 	t.Fatalf("function %s not found", fn)

@@ -33,6 +33,12 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, bi *blockInfo, rec *bl
 	}
 
 	// --- Refine (§6.1) ---
+	// callerLocal tells a caller local left in a mapped object from the
+	// site's substituted formals, by pointer: a formal named "p" is not
+	// a leftover caller local "p".
+	callerLocal := func(id *cc.Ident) bool {
+		return st.fn.Graph.Locals[id.Name] && !slices.ContainsFunc(maps, func(m prog.ArgMap) bool { return m.Formal == id })
+	}
 	refined := SM{g: st.sm.g}
 	var saved []*Instance
 	for _, inst := range st.sm.Active {
@@ -55,7 +61,7 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, bi *blockInfo, rec *bl
 			}
 		default:
 			mapped, ok := refineObj(inst.ObjExpr, maps)
-			if ok && !leftoverCallerLocals(mapped, st.fn.Graph.Locals, maps) {
+			if ok && !mentions(mapped, callerLocal) {
 				cp.ObjExpr = mapped
 				cp.obj = en.intern.objID(mapped)
 				refined.Active = append(refined.Active, cp)
@@ -353,14 +359,9 @@ func (en *Engine) restoreInstance(t Tuple, maps []prog.ArgMap, caller, callee *p
 	// Formals were substituted away by restoreObj; any remaining
 	// mention of a callee non-parameter local (one that is not also a
 	// caller local's name) means the object died with the callee frame.
-	died := false
-	cc.WalkExpr(objExpr, func(sub cc.Expr) bool {
-		if id, ok := sub.(*cc.Ident); ok && callee.NonParamLocals[id.Name] && !caller.Graph.Locals[id.Name] {
-			died = true
-		}
-		return !died
-	})
-	if died {
+	if mentions(objExpr, func(id *cc.Ident) bool {
+		return callee.NonParamLocals[id.Name] && !caller.Graph.Locals[id.Name]
+	}) {
 		return nil
 	}
 	// The tuple's recorded value and data win over provenance (the

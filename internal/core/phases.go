@@ -12,20 +12,6 @@ import "repro/internal/metal"
 // loaded before it. The phase plan preserves that semantics under
 // concurrency.
 
-// annotatorOf reports whether the checker writes shared annotations.
-// Checkers with Go callouts (metal.Checker.Callouts, the one way native
-// code enters the engine) are treated as writers too: the planner
-// cannot inspect what they read or write, so they are scheduled
-// conservatively.
-func annotatorOf(c *metal.Checker) bool {
-	return c.UsesAction("mark_fn") || len(c.Callouts) > 0
-}
-
-// consumerOf reports whether the checker reads shared annotations.
-func consumerOf(c *metal.Checker) bool {
-	return c.UsesCallout("mc_fn_marked") || len(c.Callouts) > 0
-}
-
 // PlanPhases partitions checkers (given in load order) into phases.
 // Checkers within one phase may run concurrently; a barrier separates
 // phases. The plan returns indices into the input slice; concatenated,
@@ -42,16 +28,17 @@ func consumerOf(c *metal.Checker) bool {
 //     (its writes must stay invisible to that consumer, which ran
 //     before it sequentially).
 //
+// Annotators and consumers are what metal.Checker.WritesMarks and
+// ReadsMarks say; a checker carrying Go callouts counts as both.
 // Annotation writes are idempotent boolean sets, so annotators commute
 // with each other; consumers only read and commute trivially. Checkers
-// that do neither join any phase; a checker carrying Go callouts counts
-// as both.
+// that do neither join any phase.
 func PlanPhases(cs []*metal.Checker) [][]int {
 	var phases [][]int
 	var cur []int
 	hasAnnotator, hasConsumer := false, false
 	for i, c := range cs {
-		w, r := annotatorOf(c), consumerOf(c)
+		w, r := c.WritesMarks(), c.ReadsMarks()
 		if (r && hasAnnotator) || (w && hasConsumer) {
 			phases = append(phases, cur)
 			cur = nil

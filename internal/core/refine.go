@@ -104,12 +104,14 @@ func simplifyDeep(e cc.Expr) cc.Expr {
 	})
 }
 
-// mentionsAny reports whether the expression mentions any name in the
-// set.
-func mentionsAny(e cc.Expr, names map[string]bool) bool {
+// mentions reports whether some identifier in e passes the test: the
+// one walk behind every "does this object mention a name in this set"
+// question (scope at creation, refine and restore, end of path, suffix
+// omission).
+func mentions(e cc.Expr, test func(*cc.Ident) bool) bool {
 	found := false
 	cc.WalkExpr(e, func(sub cc.Expr) bool {
-		if id, ok := sub.(*cc.Ident); ok && names[id.Name] {
+		if id, ok := sub.(*cc.Ident); ok && test(id) {
 			found = true
 		}
 		return !found
@@ -117,34 +119,11 @@ func mentionsAny(e cc.Expr, names map[string]bool) bool {
 	return found
 }
 
-// leftoverCallerLocals reports whether e still mentions caller locals
-// after refine substitution — ignoring the site's substituted formal
-// nodes themselves, matched by pointer identity so that a formal named
-// "p" is told from a leftover caller local that shares the name.
-func leftoverCallerLocals(e cc.Expr, callerLocals map[string]bool, maps []prog.ArgMap) bool {
-	isFormal := func(id *cc.Ident) bool {
-		for _, m := range maps {
-			if m.Formal == id {
-				return true
-			}
-		}
-		return false
-	}
-	found := false
-	cc.WalkExpr(e, func(sub cc.Expr) bool {
-		if id, ok := sub.(*cc.Ident); ok && callerLocals[id.Name] && !isFormal(id) {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// classifyObj records the scope category of a tracked object in the
-// given function: global (no local names), or local-mentioning.
+// mentionsLocals reports whether e mentions a local of fn: an object
+// that does not is a global, a file-scope static or extern (§6.1).
 func mentionsLocals(e cc.Expr, fn *prog.Function) bool {
 	if fn == nil || e == nil {
 		return false
 	}
-	return mentionsAny(e, fn.Graph.Locals)
+	return mentions(e, func(id *cc.Ident) bool { return fn.Graph.Locals[id.Name] })
 }

@@ -365,7 +365,8 @@ func (in *interner) suffixSkip(e edge, locals map[string]bool) bool {
 	if in.tups[e.to].val == symStop {
 		return true
 	}
-	return mentionsAny(e.fromExpr, locals) || mentionsAny(e.toExpr, locals)
+	local := func(id *cc.Ident) bool { return locals[id.Name] }
+	return mentions(e.fromExpr, local) || mentions(e.toExpr, local)
 }
 
 // compose joins a block edge and a suffix edge that starts where it

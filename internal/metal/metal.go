@@ -136,14 +136,17 @@ func (c *Checker) InitialGlobal() string {
 	return c.GlobalStates[0]
 }
 
-// UsesAction reports whether any transition runs the named action
-// verb (directly; nested calls inside action arguments are rendering
-// helpers, not effects). The engine uses it to detect checkers that
-// write shared composition annotations (mark_fn).
-func (c *Checker) UsesAction(name string) bool {
+// WritesMarks reports whether the checker may write the §3.2
+// composition marks: a transition runs mark_fn, or the checker carries
+// Go callouts (Callouts), which nothing can inspect. Nested calls inside
+// action arguments are rendering helpers, not effects.
+func (c *Checker) WritesMarks() bool {
+	if len(c.Callouts) > 0 {
+		return true
+	}
 	for _, t := range c.Transitions {
 		for _, a := range t.Actions {
-			if a.Fn == name {
+			if a.Fn == "mark_fn" {
 				return true
 			}
 		}
@@ -151,22 +154,19 @@ func (c *Checker) UsesAction(name string) bool {
 	return false
 }
 
-// UsesCallout reports whether any transition's pattern invokes the
-// named ${...} callout. The engine uses it to detect checkers that
-// read shared composition annotations (mc_fn_marked).
-func (c *Checker) UsesCallout(name string) bool {
-	found := false
+// ReadsMarks reports whether the checker may read the composition
+// marks: a pattern invokes the ${mc_fn_marked(...)} callout, or the
+// checker carries Go callouts.
+func (c *Checker) ReadsMarks() bool {
+	found := len(c.Callouts) > 0
 	for _, t := range c.Transitions {
 		pattern.Walk(t.Pat, func(p pattern.Pattern) {
-			if co, ok := p.(*pattern.Callout); ok && co.Fn == name {
+			if co, ok := p.(*pattern.Callout); ok && co.Fn == "mc_fn_marked" {
 				found = true
 			}
 		})
-		if found {
-			return true
-		}
 	}
-	return false
+	return found
 }
 
 // String renders a summary of the checker.

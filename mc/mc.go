@@ -54,9 +54,9 @@ type Analyzer struct {
 	files    []*cc.File
 	checkers []*metal.Checker
 	history  *report.History
-	// Marks lets callers pre-annotate function names (e.g. blocking
-	// functions for the block checker).
-	marks map[string][]string
+	// marks are the pre-annotations (MarkFunction), e.g. blocking
+	// functions for the block checker.
+	marks []MarkEvent
 	// jobs is the worker count for parallel parsing and checker
 	// execution; 0 means runtime.GOMAXPROCS(0).
 	jobs int
@@ -71,9 +71,8 @@ type Analyzer struct {
 // NewAnalyzer returns an analyzer with default options.
 func NewAnalyzer() *Analyzer {
 	return &Analyzer{
-		opts:  core.DefaultOptions(),
-		srcs:  map[string]string{},
-		marks: map[string][]string{},
+		opts: core.DefaultOptions(),
+		srcs: map[string]string{},
 	}
 }
 
@@ -176,7 +175,7 @@ func BundledCheckers() []checkers.Source { return checkers.All() }
 // MarkFunction pre-annotates a function name (composition flags such
 // as "blocking" or "pathkill").
 func (a *Analyzer) MarkFunction(name, key string) {
-	a.marks[name] = append(a.marks[name], key)
+	a.marks = append(a.marks, MarkEvent{Name: name, Key: key})
 }
 
 // SetHistory installs a prior version's reports; matching reports are

@@ -1,8 +1,6 @@
 package mc
 
 import (
-	"sort"
-
 	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/prog"
@@ -39,38 +37,13 @@ func (a *Analyzer) liveEngine(p *prog.Program, ci int, cd *core.CompiledDispatch
 }
 
 // preMarked returns a fresh annotation store holding the
-// pre-annotations, applied in sorted order so the engine's input stream
-// is deterministic (the paper's caching model assumes deterministic
-// extensions, §5.1). Each run starts from one: marks never outlive
-// their run.
+// pre-annotations. The store is a set and every reader of it ignores
+// the order marks went in, so they are applied as registered. Each run
+// starts from one: marks never outlive their run.
 func (a *Analyzer) preMarked() *core.Shared {
 	shared := core.NewShared()
-	for _, m := range a.sortedMarks() {
-		shared.Mark(m.name, m.key)
+	for _, m := range a.marks {
+		shared.Mark(m.Name, m.Key)
 	}
 	return shared
-}
-
-// markEntry is one pre-annotation: MarkFunction(name, key).
-type markEntry struct {
-	name, key string
-}
-
-// sortedMarks flattens the mark map into a deterministic application
-// order: names sorted, keys in registration order per name. Ranging
-// over the map directly would hand marks to the engine in a different
-// order each run — the determinism hazard §5.1 forbids.
-func (a *Analyzer) sortedMarks() []markEntry {
-	names := make([]string, 0, len(a.marks))
-	for n := range a.marks {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var out []markEntry
-	for _, n := range names {
-		for _, k := range a.marks[n] {
-			out = append(out, markEntry{name: n, key: k})
-		}
-	}
-	return out
 }

@@ -159,27 +159,6 @@ void die(int x) { if (x) { panic(); } }
 	}
 }
 
-// TestSortedMarksDeterministic pins the marks-order bugfix: marks apply
-// in sorted name order with per-name registration order, not map order.
-func TestSortedMarksDeterministic(t *testing.T) {
-	a := NewAnalyzer()
-	a.MarkFunction("zeta", "blocking")
-	a.MarkFunction("alpha", "pathkill")
-	a.MarkFunction("mid", "blocking")
-	a.MarkFunction("alpha", "blocking")
-	want := []markEntry{
-		{"alpha", "pathkill"},
-		{"alpha", "blocking"},
-		{"mid", "blocking"},
-		{"zeta", "blocking"},
-	}
-	for trial := 0; trial < 20; trial++ {
-		if got := a.sortedMarks(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: sortedMarks = %v, want %v", trial, got, want)
-		}
-	}
-}
-
 // TestAddFileKeepsSameBasenameDistinct pins the AddFile bugfix:
 // registering a/util.c and b/util.c must analyze both, and re-adding a
 // path already registered is an error.

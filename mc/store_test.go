@@ -9,7 +9,9 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -80,6 +82,58 @@ func TestStoreKeysAreStable(t *testing.T) {
 	// A store holding only the golden keys is a full hit.
 	if res := run(store.Store); res.Incr.UnitsLive != 0 || res.Incr.FuncsInvalidated != 0 {
 		t.Errorf("warm run over the golden keys: %+v", res.Incr)
+	}
+}
+
+// TestPreMarkOrderIsInvisible: the pre-annotations are a set. Two
+// analyzers given the same MarkFunction calls in opposite orders return
+// identical results (reports, RuleStats and Stats) and write the same
+// unit keys. A run without the marks differs, so they are seen.
+func TestPreMarkOrderIsInvisible(t *testing.T) {
+	marks := [][2]string{{"net_wait", "blocking"}, {"die_if", "pathkill"}, {"add", "blocking"}, {"net_wait", "pathkill"}}
+	run := func(marks [][2]string) (*mc.Result, []string) {
+		t.Helper()
+		store := &keyLog{Store: cache.NewMemStore()}
+		a := mc.NewAnalyzer()
+		if err := a.Configure(mc.RunConfig{Jobs: 1, CacheStore: store}); err != nil {
+			t.Fatal(err)
+		}
+		for name, src := range workload.CallRichTree() {
+			a.AddSource(name, src)
+		}
+		for _, c := range mc.BundledCheckers() {
+			if err := a.LoadBundledChecker(c.Name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, m := range marks {
+			a.MarkFunction(m[0], m[1])
+		}
+		res, err := a.RunContext(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sort.Strings(store.keys)
+		return res, store.keys
+	}
+	fwd, fwdKeys := run(marks)
+	backward := slices.Clone(marks)
+	slices.Reverse(backward)
+	rev, revKeys := run(backward)
+	if !reflect.DeepEqual(fwd.Reports, rev.Reports) {
+		t.Errorf("reports differ:\n%s", firstDiff(outputDigest(fwd), outputDigest(rev)))
+	}
+	if !reflect.DeepEqual(fwd.RuleStats, rev.RuleStats) {
+		t.Errorf("RuleStats differ:\n  %v\n  %v", fwd.RuleStats, rev.RuleStats)
+	}
+	if !reflect.DeepEqual(fwd.Stats, rev.Stats) {
+		t.Errorf("Stats differ:\n  %v\n  %v", fwd.Stats, rev.Stats)
+	}
+	if len(fwdKeys) == 0 || !slices.Equal(fwdKeys, revKeys) {
+		t.Errorf("unit keys differ:\n  %q\n  %q", fwdKeys, revKeys)
+	}
+	if none, _ := run(nil); outputDigest(none) == outputDigest(fwd) {
+		t.Error("the run without pre-annotations reads like the run with them")
 	}
 }
 

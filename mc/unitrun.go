@@ -186,7 +186,7 @@ func (t *UnitTree) tasks(ci int, c *metal.Checker, opts Options, marks *core.Sha
 	key := func(unitFP string) string {
 		return cache.UnitKey(c.ID, optsFP, t.envFP, marksFP, unitFP)
 	}
-	if c.UsesAction("mark_fn") && c.UsesCallout("mc_fn_marked") {
+	if c.WritesMarks() && c.ReadsMarks() {
 		return []*unitTask{{ci: ci, units: p.Units(), funcs: p.All, roots: p.Roots, key: key(t.wholeFP())}}
 	}
 	// One slab of tasks, and one of root runs a replay fills in place:
