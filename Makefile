@@ -61,6 +61,10 @@ no-deleted-knobs:
 	! grep -rnE 'tenant[O]f|Default[T]enant|X-[T]enant|last[E]nabled|\?[t]enant=|\bT[e]nants\b' --include=*.go --exclude-dir=benchmark .
 # the lexer's '$' knob and token and the parser's heap scope per block (DESIGN §10.4).
 	! grep -rnE 'Allow[D]ollar|TokDollar[H]ole|newParse[S]cope' --include=*.go .
+# metal's literal tokens, which no rule read, and the nine type-keyword flags (DESIGN §3).
+	! grep -rnE '\bt[S]tring\b|\bt[I]nt\b|sawLong[L]ong|sawUnsig[n]' --include=*.go .
+# a second structural comparison in the pattern matcher, which is cc.MatchExpr plus the hole hook: comparing a compound node asserts the point's node type (DESIGN §3).
+	! grep -nE '\.\(\*cc\.(U[n]aryExpr|B[i]naryExpr|A[s]signExpr|C[o]ndExpr|I[n]dexExpr|F[i]eldExpr|C[a]stExpr|S[i]zeofExpr|C[o]mmaExpr)\)' internal/pattern/pattern.go
 # a panic catcher in the front end's decoders (DESIGN §3).
 	! grep -rn 'recove[r]()' --include=*.go internal/cc
 # the string-keyed fingerprint map and the per-function FPP table (DESIGN §5).
@@ -144,6 +148,9 @@ bench-check:
 # FuzzBuildCFG feeds C source, seeded from testdata/corpus, to the
 # parser (no input panics it) and holds every CFG it builds to
 # TestOnlyBranchesFork's invariants.
+# FuzzMetalParse feeds checker text, seeded from the bundled checkers
+# and testdata/metalc, to metal.Parse: no input panics it, and what
+# parses parses again from its Source to the same String().
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzEnvOps -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/fpp/
@@ -153,6 +160,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWorkRequest -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/fleet/
 	$(GO) test -run '^$$' -fuzz FuzzReadFile -fuzztime $(FUZZTIME) ./internal/cc/
 	$(GO) test -run '^$$' -fuzz FuzzBuildCFG -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/cfg/
+	$(GO) test -run '^$$' -fuzz FuzzMetalParse -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/metal/
 
 # Microbenchmarks for the §10 hot paths (pattern match, block and
 # call-rich traversal, instance clone, an interned tuple's id, the

@@ -1,0 +1,467 @@
+package cc
+
+// ---------------------------------------------------------------------------
+// Declaration specifiers
+// ---------------------------------------------------------------------------
+
+// startsDeclSpecifiers reports whether the current token can begin
+// declaration specifiers.
+func (p *Parser) startsDeclSpecifiers() bool {
+	switch p.cur().Kind {
+	case TokAuto, TokRegister, TokStatic, TokExtern, TokTypedef, TokInline,
+		TokConst, TokVolatile,
+		TokVoid, TokChar, TokShort, TokInt, TokLong, TokFloat, TokDouble,
+		TokSigned, TokUnsigned, TokStruct, TokUnion, TokEnum:
+		return true
+	case TokIdent:
+		_, ok := p.lookupTypedef(p.cur().Text)
+		return ok
+	}
+	return false
+}
+
+// parseDeclSpecifiers parses storage-class specifiers, type
+// specifiers, and qualifiers, returning the storage class and the base
+// type.
+func (p *Parser) parseDeclSpecifiers() (StorageClass, *Type, error) {
+	storage := StorageNone
+	var (
+		saw                 [TokVoid + 1]bool // the type keywords seen
+		isConst, isVolatile bool
+		complexType         *Type
+	)
+	seenAny := false
+	for {
+		t := p.cur()
+		switch t.Kind {
+		case TokAuto, TokRegister, TokStatic, TokExtern, TokTypedef:
+			sc := storageOf(t.Kind)
+			if storage != StorageNone && storage != sc {
+				return 0, nil, p.errf("conflicting storage classes")
+			}
+			storage = sc
+			p.next()
+		case TokInline:
+			p.next() // accepted, ignored
+		case TokConst:
+			isConst = true
+			p.next()
+		case TokVolatile:
+			isVolatile = true
+			p.next()
+		case TokVoid, TokChar, TokShort, TokInt, TokLong, TokFloat, TokDouble, TokSigned, TokUnsigned:
+			saw[t.Kind] = true
+			seenAny = true
+			p.next()
+		case TokStruct, TokUnion:
+			if seenAny || complexType != nil {
+				return 0, nil, p.errf("unexpected %s in declaration specifiers", t.Kind)
+			}
+			rt, err := p.parseRecordSpecifier()
+			if err != nil {
+				return 0, nil, err
+			}
+			complexType = rt
+			seenAny = true
+		case TokEnum:
+			if complexType != nil {
+				return 0, nil, p.errf("unexpected enum in declaration specifiers")
+			}
+			et, err := p.parseEnumSpecifier()
+			if err != nil {
+				return 0, nil, err
+			}
+			complexType = et
+			seenAny = true
+		case TokIdent:
+			// A typedef name is a type specifier only if we have no
+			// other type specifier yet.
+			if !seenAny && complexType == nil {
+				if td, ok := p.lookupTypedef(t.Text); ok {
+					complexType = td
+					seenAny = true
+					p.next()
+					continue
+				}
+			}
+			goto done
+		default:
+			goto done
+		}
+	}
+done:
+	if !seenAny {
+		return 0, nil, p.errf("expected type specifier, found %s", p.cur())
+	}
+	// Long and long long are both 8 bytes (LP64); what is left once the
+	// other keywords are ruled out is int, signed or unsigned.
+	var base *Type
+	unsigned := saw[TokUnsigned]
+	switch {
+	case complexType != nil:
+		base = complexType
+	case saw[TokVoid]:
+		base = TypeVoidV
+	case saw[TokFloat]:
+		base = TypeFloatV
+	case saw[TokDouble]:
+		base = TypeDoubleV
+	case saw[TokChar] && unsigned:
+		base = TypeUCharV
+	case saw[TokChar]:
+		base = TypeCharV
+	case saw[TokShort]:
+		base = &Type{Kind: TypeInt, Size: 2, Unsigned: unsigned}
+	case saw[TokLong]:
+		base = &Type{Kind: TypeInt, Size: 8, Unsigned: unsigned}
+	default:
+		base = &Type{Kind: TypeInt, Size: 4, Unsigned: unsigned}
+	}
+	if isConst || isVolatile {
+		cp := *base
+		cp.Const = isConst
+		cp.Volatile = isVolatile
+		base = &cp
+	}
+	return storage, base, nil
+}
+
+func storageOf(k TokKind) StorageClass {
+	switch k {
+	case TokAuto:
+		return StorageAuto
+	case TokRegister:
+		return StorageRegister
+	case TokStatic:
+		return StorageStatic
+	case TokExtern:
+		return StorageExtern
+	}
+	return StorageTypedef
+}
+
+// parseRecordSpecifier parses struct/union specifiers.
+func (p *Parser) parseRecordSpecifier() (*Type, error) {
+	kw := p.next() // struct or union
+	kind := TypeStruct
+	if kw.Kind == TokUnion {
+		kind = TypeUnion
+	}
+	tag := ""
+	if p.cur().Kind == TokIdent {
+		tag = p.next().Text
+	}
+	if p.cur().Kind != TokLBrace {
+		if tag == "" {
+			return nil, p.errf("expected struct tag or body")
+		}
+		if t, ok := p.lookupTag(tag); ok && t.Underlying().Kind == kind {
+			return t, nil
+		}
+		// Forward reference: create an incomplete record and register
+		// it so that a later definition fills it in.
+		t := &Type{Kind: kind, Tag: tag}
+		p.declareTag(tag, t)
+		return t, nil
+	}
+	// Definition.
+	var t *Type
+	if tag != "" {
+		if prev, ok := p.lookupTag(tag); ok && prev.Kind == kind && prev.Fields == nil {
+			t = prev // complete a forward declaration in place
+		}
+	}
+	if t == nil {
+		t = &Type{Kind: kind, Tag: tag}
+		if tag != "" {
+			p.declareTag(tag, t)
+		}
+	}
+	p.next() // {
+	for p.cur().Kind != TokRBrace {
+		_, base, err := p.parseDeclSpecifiers()
+		if err != nil {
+			return nil, err
+		}
+		for {
+			d, ft, err := p.parseNamedDeclarator(base)
+			if err != nil {
+				return nil, err
+			}
+			// Bit-fields: accept and ignore the width.
+			if p.accept(TokColon) {
+				if _, err := p.parseCondExpr(); err != nil {
+					return nil, err
+				}
+			}
+			t.Fields = append(t.Fields, Field{Name: d.name, Type: ft})
+			if !p.accept(TokComma) {
+				break
+			}
+		}
+		if _, err := p.expect(TokSemi); err != nil {
+			return nil, err
+		}
+	}
+	p.next() // }
+	return t, nil
+}
+
+// parseEnumSpecifier parses enum specifiers and registers enumerators.
+func (p *Parser) parseEnumSpecifier() (*Type, error) {
+	p.next() // enum
+	tag := ""
+	if p.cur().Kind == TokIdent {
+		tag = p.next().Text
+	}
+	if p.cur().Kind != TokLBrace {
+		if tag == "" {
+			return nil, p.errf("expected enum tag or body")
+		}
+		if t, ok := p.lookupTag(tag); ok && t.Underlying().Kind == TypeEnum {
+			return t, nil
+		}
+		t := &Type{Kind: TypeEnum, Tag: tag}
+		p.declareTag(tag, t)
+		return t, nil
+	}
+	t := &Type{Kind: TypeEnum, Tag: tag}
+	if tag != "" {
+		p.declareTag(tag, t)
+	}
+	p.next() // {
+	var nextVal int64
+	for p.cur().Kind != TokRBrace {
+		nameTok, err := p.expect(TokIdent)
+		if err != nil {
+			return nil, err
+		}
+		val := nextVal
+		if p.accept(TokAssign) {
+			e, err := p.parseCondExpr()
+			if err != nil {
+				return nil, err
+			}
+			if v, ok := p.constEval(e); ok {
+				val = v
+			}
+		}
+		t.Enums = append(t.Enums, EnumConst{Name: nameTok.Text, Value: val})
+		p.declareEnumConst(nameTok.Text, val)
+		nextVal = val + 1
+		if !p.accept(TokComma) {
+			break
+		}
+	}
+	if _, err := p.expect(TokRBrace); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// ---------------------------------------------------------------------------
+// Declarators
+// ---------------------------------------------------------------------------
+
+// declarator is what a declarator names: the declared name ("" when
+// abstract) and, when the outermost derivation is a function, the
+// parsed parameter declarations. The derivations from the base type
+// sit on the parser's derivs stack while it is parsed.
+type declarator struct {
+	name     string
+	params   []*VarDecl
+	variadic bool
+	isFunc   bool // outermost derivation is a function
+}
+
+// derivation is one step of a declarator's type: a pointer to, an
+// array of, or a function returning the type before it.
+type derivation struct {
+	kind     TypeKind // TypePointer, TypeArray or TypeFunc
+	n        int64    // array length
+	params   []*Type
+	variadic bool
+}
+
+// parseNamedDeclarator parses a (possibly abstract) declarator and
+// returns it with the type it gives base.
+func (p *Parser) parseNamedDeclarator(base *Type) (declarator, *Type, error) {
+	start := len(p.derivs)
+	d, err := p.parseDeclaratorRec()
+	// The derivations were pushed in source order, so the one nearest
+	// the base type is last.
+	t := base
+	for i := len(p.derivs) - 1; err == nil && i >= start; i-- {
+		switch dv := p.derivs[i]; dv.kind {
+		case TypePointer:
+			t = PointerTo(t)
+		case TypeArray:
+			t = &Type{Kind: TypeArray, Elem: t, ArrayLen: dv.n}
+		default:
+			t = &Type{Kind: TypeFunc, Ret: t, Params: dv.params, Variadic: dv.variadic}
+		}
+	}
+	clear(p.derivs[start:])
+	p.derivs = p.derivs[:start]
+	return d, t, err
+}
+
+func (p *Parser) parseDeclaratorRec() (declarator, error) {
+	// Pointer prefix. The star binds to the base type: "T *f(args)"
+	// declares a function returning T* (isFunc is preserved), while
+	// "T (*fp)(args)" declares a pointer variable (the parenthesized
+	// direct declarator already cleared isFunc).
+	if p.accept(TokStar) {
+		for p.cur().Kind == TokConst || p.cur().Kind == TokVolatile {
+			p.next()
+		}
+		d, err := p.parseDeclaratorRec()
+		p.derivs = append(p.derivs, derivation{kind: TypePointer})
+		return d, err
+	}
+	return p.parseDirectDeclarator()
+}
+
+func (p *Parser) parseDirectDeclarator() (declarator, error) {
+	var d declarator
+	parenthesized := false
+	switch {
+	case p.cur().Kind == TokIdent:
+		d.name = p.next().Text
+	case p.cur().Kind == TokLParen && p.parenStartsDeclarator():
+		p.next()
+		inner, err := p.parseDeclaratorRec()
+		if err != nil {
+			return d, err
+		}
+		if _, err := p.expect(TokRParen); err != nil {
+			return d, err
+		}
+		d = inner
+		// A parenthesized inner declarator (e.g. (*f)(int)) declares a
+		// function pointer, not a function.
+		d.isFunc = false
+		parenthesized = true
+	default:
+		// Abstract declarator with no name: fine, fall through to
+		// suffixes (or no suffixes at all).
+	}
+
+	// Suffixes, each pushed after the inner declarator's derivations.
+	for first := true; ; first = false {
+		switch p.cur().Kind {
+		case TokLBracket:
+			p.next()
+			length := int64(-1)
+			if p.cur().Kind != TokRBracket {
+				e, err := p.parseAssignExpr()
+				if err != nil {
+					return d, err
+				}
+				if v, ok := p.constEval(e); ok {
+					length = v
+				}
+			}
+			if _, err := p.expect(TokRBracket); err != nil {
+				return d, err
+			}
+			p.derivs = append(p.derivs, derivation{kind: TypeArray, n: length})
+		case TokLParen:
+			p.next()
+			params, types, variadic, err := p.parseParamList()
+			if err != nil {
+				return d, err
+			}
+			if _, err := p.expect(TokRParen); err != nil {
+				return d, err
+			}
+			if first && !parenthesized {
+				d.isFunc = true
+				d.params = params
+				d.variadic = variadic
+			}
+			p.derivs = append(p.derivs, derivation{kind: TypeFunc, params: types, variadic: variadic})
+		default:
+			return d, nil
+		}
+	}
+}
+
+// parenStartsDeclarator disambiguates "(" beginning a parenthesized
+// declarator (e.g. (*f)(int)) from "(" beginning a parameter list.
+func (p *Parser) parenStartsDeclarator() bool {
+	nxt := p.la(1)
+	switch nxt.Kind {
+	case TokStar, TokLParen:
+		return true
+	case TokIdent:
+		// "(name)" is a declarator only if name is not a typedef name.
+		_, isType := p.lookupTypedef(nxt.Text)
+		return !isType
+	}
+	return false
+}
+
+// parseParamList parses a function parameter list (without parens).
+func (p *Parser) parseParamList() ([]*VarDecl, []*Type, bool, error) {
+	start := len(p.params)
+	defer func() { clear(p.params[start:]); p.params = p.params[:start] }()
+	variadic := false
+	if p.cur().Kind == TokRParen {
+		return nil, nil, false, nil
+	}
+	// "(void)" means no parameters.
+	if p.cur().Kind == TokVoid && p.la(1).Kind == TokRParen {
+		p.next()
+		return nil, nil, false, nil
+	}
+	for {
+		if p.cur().Kind == TokEllipsis {
+			p.next()
+			variadic = true
+			break
+		}
+		declPos := p.at(p.cur())
+		_, base, err := p.parseDeclSpecifiers()
+		if err != nil {
+			return nil, nil, false, err
+		}
+		d, t, err := p.parseNamedDeclarator(base)
+		if err != nil {
+			return nil, nil, false, err
+		}
+		// Array parameters decay to pointers.
+		if t.Underlying().Kind == TypeArray {
+			t = PointerTo(t.Underlying().Elem)
+		}
+		p.params = append(p.params, &VarDecl{P: declPos, Name: d.name, Type: t})
+		if !p.accept(TokComma) {
+			break
+		}
+	}
+	decls := popList(&p.params, start)
+	var types []*Type
+	if decls != nil {
+		types = make([]*Type, len(decls))
+		for i, d := range decls {
+			types[i] = d.Type
+		}
+	}
+	return decls, types, variadic, nil
+}
+
+// parseTypeName parses a type-name (as in casts and sizeof).
+func (p *Parser) parseTypeName() (*Type, error) {
+	_, base, err := p.parseDeclSpecifiers()
+	if err != nil {
+		return nil, err
+	}
+	d, t, err := p.parseNamedDeclarator(base)
+	if err != nil {
+		return nil, err
+	}
+	if d.name != "" {
+		return nil, p.errf("unexpected identifier %q in type name", d.name)
+	}
+	return t, nil
+}

@@ -12,10 +12,22 @@ import "slices"
 
 // EqualExpr reports structural equality of two expressions, ignoring
 // positions and lexical artifacts. Hole expressions compare by name.
-func EqualExpr(a, b Expr) bool {
+func EqualExpr(a, b Expr) bool { return MatchExpr(a, b, nil) }
+
+// MatchExpr is the one structural comparison: EqualExpr with a hook
+// that sees each pair of nodes before the walk compares them. When the
+// hook reports handled, its ok is the pair's verdict and the walk does
+// not descend there; a pattern's holes bind through it (§4).
+func MatchExpr(a, b Expr, hook func(a, b Expr) (ok, handled bool)) bool {
 	if a == nil || b == nil {
 		return a == nil && b == nil
 	}
+	if hook != nil {
+		if ok, handled := hook(a, b); handled {
+			return ok
+		}
+	}
+	eq := func(x, y Expr) bool { return MatchExpr(x, y, hook) }
 	switch a := a.(type) {
 	case *Ident:
 		b, ok := b.(*Ident)
@@ -34,36 +46,28 @@ func EqualExpr(a, b Expr) bool {
 		return ok && a.Text == b.Text
 	case *UnaryExpr:
 		b, ok := b.(*UnaryExpr)
-		return ok && a.Op == b.Op && a.Postfix == b.Postfix && EqualExpr(a.X, b.X)
+		return ok && a.Op == b.Op && a.Postfix == b.Postfix && eq(a.X, b.X)
 	case *BinaryExpr:
 		b, ok := b.(*BinaryExpr)
-		return ok && a.Op == b.Op && EqualExpr(a.X, b.X) && EqualExpr(a.Y, b.Y)
+		return ok && a.Op == b.Op && eq(a.X, b.X) && eq(a.Y, b.Y)
 	case *AssignExpr:
 		b, ok := b.(*AssignExpr)
-		return ok && a.Op == b.Op && EqualExpr(a.LHS, b.LHS) && EqualExpr(a.RHS, b.RHS)
+		return ok && a.Op == b.Op && eq(a.LHS, b.LHS) && eq(a.RHS, b.RHS)
 	case *CondExpr:
 		b, ok := b.(*CondExpr)
-		return ok && EqualExpr(a.Cond, b.Cond) && EqualExpr(a.Then, b.Then) && EqualExpr(a.Else, b.Else)
+		return ok && eq(a.Cond, b.Cond) && eq(a.Then, b.Then) && eq(a.Else, b.Else)
 	case *CallExpr:
 		b, ok := b.(*CallExpr)
-		if !ok || !EqualExpr(a.Fun, b.Fun) || len(a.Args) != len(b.Args) {
-			return false
-		}
-		for i := range a.Args {
-			if !EqualExpr(a.Args[i], b.Args[i]) {
-				return false
-			}
-		}
-		return true
+		return ok && eq(a.Fun, b.Fun) && slices.EqualFunc(a.Args, b.Args, eq)
 	case *IndexExpr:
 		b, ok := b.(*IndexExpr)
-		return ok && EqualExpr(a.X, b.X) && EqualExpr(a.Index, b.Index)
+		return ok && eq(a.X, b.X) && eq(a.Index, b.Index)
 	case *FieldExpr:
 		b, ok := b.(*FieldExpr)
-		return ok && a.Name == b.Name && a.Arrow == b.Arrow && EqualExpr(a.X, b.X)
+		return ok && a.Name == b.Name && a.Arrow == b.Arrow && eq(a.X, b.X)
 	case *CastExpr:
 		b, ok := b.(*CastExpr)
-		return ok && SameType(a.To, b.To) && EqualExpr(a.X, b.X)
+		return ok && SameType(a.To, b.To) && eq(a.X, b.X)
 	case *SizeofExpr:
 		b, ok := b.(*SizeofExpr)
 		if !ok {
@@ -72,29 +76,13 @@ func EqualExpr(a, b Expr) bool {
 		if a.Type != nil || b.Type != nil {
 			return a.Type != nil && b.Type != nil && SameType(a.Type, b.Type)
 		}
-		return EqualExpr(a.X, b.X)
+		return eq(a.X, b.X)
 	case *CommaExpr:
 		b, ok := b.(*CommaExpr)
-		if !ok || len(a.List) != len(b.List) {
-			return false
-		}
-		for i := range a.List {
-			if !EqualExpr(a.List[i], b.List[i]) {
-				return false
-			}
-		}
-		return true
+		return ok && slices.EqualFunc(a.List, b.List, eq)
 	case *InitList:
 		b, ok := b.(*InitList)
-		if !ok || len(a.List) != len(b.List) {
-			return false
-		}
-		for i := range a.List {
-			if !EqualExpr(a.List[i], b.List[i]) {
-				return false
-			}
-		}
-		return true
+		return ok && slices.EqualFunc(a.List, b.List, eq)
 	case *HoleExpr:
 		b, ok := b.(*HoleExpr)
 		return ok && a.Name == b.Name

@@ -548,3 +548,41 @@ void f(void) {
 		t.Errorf("enum N: array lengths %d inside, %d after; want 7, 3", types["ain"].ArrayLen, types["aout"].ArrayLen)
 	}
 }
+
+// TestDeclaratorLists pins the init-declarator list file scope and
+// block scope share (initDeclarators).
+func TestDeclaratorLists(t *testing.T) {
+	f := mustParse(t, "int a, *b = 0, f(void);")
+	if len(f.Decls) != 3 {
+		t.Fatalf("int a, *b = 0, f(void): %d decls, want 3", len(f.Decls))
+	}
+	a, aOK := f.Decls[0].(*VarDecl)
+	b, bOK := f.Decls[1].(*VarDecl)
+	fn, fnOK := f.Decls[2].(*FuncDecl)
+	if !aOK || a.Name != "a" || a.Init != nil || !bOK || b.Name != "b" || b.Init == nil || !fnOK || fn.Name != "f" || fn.Body != nil {
+		t.Errorf("int a, *b = 0, f(void): got %T %T %T, want VarDecl a, VarDecl b with its initializer, FuncDecl f", f.Decls[0], f.Decls[1], f.Decls[2])
+	}
+
+	// A definition ends its declaration, and only the first declarator
+	// can be one.
+	f = mustParse(t, "int g(void) { return 0; } int h;")
+	if g, ok := f.Decls[0].(*FuncDecl); len(f.Decls) != 2 || !ok || g.Body == nil {
+		t.Errorf("int g(void) {...} int h: got %d decls, want the definition of g then h", len(f.Decls))
+	}
+	if _, err := ParseFile("test.c", "int a, f(void) {}"); err == nil {
+		t.Error("int a, f(void) {}: parsed, want an error")
+	}
+
+	// In a block, a typedef declares its name and emits no decl, and a
+	// prototype is a VarDecl of function type.
+	body := mustParse(t, "void k(void) { typedef int T; T x; int g(int); }").Funcs()[0].Body.List
+	if td := body[0].(*DeclStmt); len(td.Decls) != 0 {
+		t.Errorf("block typedef emitted %d decls, want none", len(td.Decls))
+	}
+	if x := body[1].(*DeclStmt).Decls[0]; x.Type.Kind != TypeNamed || x.Type.Name != "T" {
+		t.Errorf("T x: x has type %s, want the typedef T", x.Type)
+	}
+	if g := body[2].(*DeclStmt).Decls; len(g) != 1 || g[0].Name != "g" || g[0].Type.Kind != TypeFunc {
+		t.Errorf("local int g(int): got %d decls, want one VarDecl g of function type", len(g))
+	}
+}

@@ -23,9 +23,10 @@ import (
 	"repro/internal/prog"
 )
 
-// Root node kinds for the pre-filter. Every matchExpr template case
-// type-asserts the target to the template's own concrete node type,
-// so a template rooted at kind k only matches points of kind k.
+// Root node kinds for the pre-filter. cc.MatchExpr type-asserts the
+// point to the template's own concrete node type, and the hole hook
+// handles only holes and calls, so a template rooted at kind k only
+// matches points of kind k.
 const (
 	kindAny int8 = iota - 1 // no constraint (hole at root)
 	kindCall
@@ -237,10 +238,10 @@ func baseAtom(b *pattern.Base) filterAtom {
 
 // bindsPointCall reports whether p, whenever it matches, leaves hole h
 // bound to an expression equal to the point, which is a call: p is the
-// Base "{ h(args) }" with h an any_fn_call hole — matchExpr binds h to
-// the whole call or, when the prior already holds h, requires that
-// binding to be EqualExpr to it — or an And with such a conjunct on
-// either side, since no pattern rebinds a bound hole.
+// Base "{ h(args) }" with h an any_fn_call hole — the matcher's hole
+// hook binds h to the whole call or, when the prior already holds h,
+// requires that binding to be EqualExpr to it — or an And with such a
+// conjunct on either side, since no pattern rebinds a bound hole.
 func bindsPointCall(p pattern.Pattern, h string) bool {
 	switch p := p.(type) {
 	case *pattern.Base:

@@ -9,7 +9,7 @@ package core
 // property is checked over a generated corpus of pattern × program
 // pairs rather than a handful of fixtures, under the empty prior and
 // under priors that bind fn to each call of the function — the prior an
-// instance carries into a dispatch, and the branch of matchHole the
+// instance carries into a dispatch, and the branch of the hole hook the
 // mc_is_call_to refinement (filterOf) leans on. FuzzPrefilterSound
 // drives the same generators from the fuzzer's bytes.
 

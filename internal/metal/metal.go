@@ -31,6 +31,7 @@ package metal
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/pattern"
@@ -169,11 +170,18 @@ func (c *Checker) ReadsMarks() bool {
 	return found
 }
 
-// String renders a summary of the checker.
+// String renders a summary of the checker, its variables in name
+// order.
 func (c *Checker) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "sm %s;\n", c.Name)
-	for name, h := range c.Vars {
+	names := make([]string, 0, len(c.Vars))
+	for name := range c.Vars {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		h := c.Vars[name]
 		meta := string(h.Meta)
 		if meta == "" && h.CType != nil {
 			meta = h.CType.String()

@@ -28,8 +28,6 @@ type tkind int
 const (
 	tEOF tkind = iota
 	tIdent
-	tString
-	tInt
 	tBrace     // { ... } raw pattern or action text
 	tCallout   // ${ ... } raw callout text
 	tEndOfPath // $end_of_path$
@@ -54,7 +52,7 @@ type mtok struct {
 
 func (t mtok) String() string {
 	switch t.kind {
-	case tIdent, tString, tInt:
+	case tIdent:
 		return fmt.Sprintf("%q", t.text)
 	case tBrace:
 		return "{...}"
@@ -158,34 +156,38 @@ func (l *mlexer) skip() error {
 // already been consumed) and returns the inner text. Strings and char
 // literals inside are respected.
 func (l *mlexer) braceBlock() (string, error) {
-	start := l.off
-	startLine := l.line
-	depth := 1
-	for l.off < len(l.src) {
-		c := l.adv()
-		switch c {
+	start, depth := l.off, 1
+	for i := start; i < len(l.src); i++ {
+		switch l.src[i] {
 		case '{':
 			depth++
 		case '}':
-			depth--
-			if depth == 0 {
-				return l.src[start : l.off-1], nil
+			if depth--; depth == 0 {
+				l.line += strings.Count(l.src[start:i], "\n")
+				l.off = i + 1
+				return l.src[start:i], nil
 			}
 		case '"', '\'':
-			quote := c
-			for l.off < len(l.src) {
-				d := l.adv()
-				if d == '\\' && l.off < len(l.src) {
-					l.adv()
-					continue
-				}
-				if d == quote {
-					break
-				}
-			}
+			i = skipQuoted(l.src, i)
 		}
 	}
-	return "", fmt.Errorf("metal:%d: unterminated brace block", startLine)
+	return "", fmt.Errorf("metal:%d: unterminated brace block", l.line)
+}
+
+// skipQuoted returns the index of the quote that closes the string or
+// character literal opening at s[i], or len(s) when none does. A
+// backslash escapes the byte after it.
+func skipQuoted(s string, i int) int {
+	q := s[i]
+	for i++; i < len(s); i++ {
+		switch s[i] {
+		case '\\':
+			i++
+		case q:
+			return i
+		}
+	}
+	return len(s)
 }
 
 func isIdentByte(c byte, first bool) bool {
@@ -211,28 +213,6 @@ func (l *mlexer) next() (mtok, error) {
 			l.adv()
 		}
 		return mtok{kind: tIdent, text: l.src[start:l.off], line: line}, nil
-	case c >= '0' && c <= '9':
-		start := l.off
-		for l.off < len(l.src) && ((l.peek() >= '0' && l.peek() <= '9') || l.peek() == 'x' || (l.peek() >= 'a' && l.peek() <= 'f') || (l.peek() >= 'A' && l.peek() <= 'F')) {
-			l.adv()
-		}
-		return mtok{kind: tInt, text: l.src[start:l.off], line: line}, nil
-	case c == '"':
-		l.adv()
-		var sb strings.Builder
-		for l.off < len(l.src) {
-			d := l.adv()
-			if d == '\\' && l.off < len(l.src) {
-				sb.WriteByte(d)
-				sb.WriteByte(l.adv())
-				continue
-			}
-			if d == '"' {
-				return mtok{kind: tString, text: sb.String(), line: line}, nil
-			}
-			sb.WriteByte(d)
-		}
-		return mtok{}, l.errf("unterminated string")
 	case c == '{':
 		l.adv()
 		text, err := l.braceBlock()
@@ -698,18 +678,7 @@ func splitStatements(s string) []string {
 		case ')', ']':
 			depth--
 		case '"', '\'':
-			q := s[i]
-			i++
-			for i < len(s) {
-				if s[i] == '\\' {
-					i += 2
-					continue
-				}
-				if s[i] == q {
-					break
-				}
-				i++
-			}
+			i = skipQuoted(s, i)
 		case ';':
 			if depth == 0 {
 				out = append(out, s[start:i])

@@ -238,6 +238,9 @@ sm x;
 decl any_pointer v;
 start: { f(v) } ==> v.s, { 1 + 2; };`, "action"},
 		{"unterminated brace", `sm x; start: { f(`, "unterminated"},
+		// The grammar reads no literal outside braces.
+		{"stray string", `sm x; "s"`, ""},
+		{"stray integer", `sm x; 42`, ""},
 	}
 	for _, tc := range cases {
 		_, err := Parse(tc.src)

@@ -68,8 +68,8 @@ func matchAt(t *testing.T, p Pattern, src string) (Bindings, bool) {
 	return p.Match(ctx, Bindings{})
 }
 
-// TestMatchAllNodeKinds drives matchExpr through every template node
-// kind.
+// TestMatchAllNodeKinds drives the matcher, cc.MatchExpr and its hole
+// hook, through every template node kind.
 func TestMatchAllNodeKinds(t *testing.T) {
 	holes := map[string]*Hole{
 		"e": {Name: "e", Meta: MetaAnyExpr},

@@ -7,6 +7,7 @@ package pattern
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -240,13 +241,13 @@ func substituteHoles(e cc.Expr, holes map[string]*Hole) cc.Expr {
 func (b *Base) Match(ctx *Ctx, prior Bindings) (Bindings, bool) {
 	// A return pattern matches only the synthetic return point and an
 	// expression pattern never does; a bare "return;" is the nil
-	// template against the nil point, which matchExpr accepts.
+	// template against the nil point, which cc.MatchExpr accepts.
 	tmpl, isReturn := b.Template()
 	if isReturn != ctx.ReturnPoint || (!isReturn && ctx.Point == nil) {
 		return nil, false
 	}
 	bnd := binder{ctx: ctx, cur: prior}
-	if !matchExpr(ctx, tmpl, ctx.Point, &bnd) {
+	if !cc.MatchExpr(tmpl, ctx.Point, bnd.Match) {
 		return nil, false
 	}
 	return bnd.cur, true
@@ -261,121 +262,74 @@ func (b *Base) String() string { return "{ " + b.Src + " }" }
 // pre-filter reads the root node through this.
 func (b *Base) Template() (cc.Expr, bool) { return b.tmpl, b.isReturn }
 
-// matchExpr matches the template against the target, extending bnd.
-func matchExpr(ctx *Ctx, tmpl, target cc.Expr, bnd *binder) bool {
-	if tmpl == nil || target == nil {
-		return tmpl == nil && target == nil
-	}
+// Match is the hole hook of cc.MatchExpr, the one structural walk a
+// template matches through. It handles the three template shapes a
+// hole gives meaning to and leaves every other node to the walk: a
+// hole binds; an any_arguments hole anywhere but a call's sole
+// argument fails; and a call whose callee is an any_fn_call hole, or
+// whose sole argument is an any_arguments hole, binds that hole.
+func (b *binder) Match(tmpl, target cc.Expr) (ok, handled bool) {
 	switch t := tmpl.(type) {
 	case *cc.HoleExpr:
-		return matchHole(ctx, t, target, bnd)
-	case *cc.Ident:
-		tg, ok := target.(*cc.Ident)
-		return ok && t.Name == tg.Name
-	case *cc.IntLit:
-		tg, ok := target.(*cc.IntLit)
-		return ok && t.Value == tg.Value
-	case *cc.FloatLit:
-		tg, ok := target.(*cc.FloatLit)
-		return ok && t.Text == tg.Text
-	case *cc.CharLit:
-		tg, ok := target.(*cc.CharLit)
-		return ok && t.Text == tg.Text
-	case *cc.StringLit:
-		tg, ok := target.(*cc.StringLit)
-		return ok && t.Text == tg.Text
-	case *cc.UnaryExpr:
-		tg, ok := target.(*cc.UnaryExpr)
-		return ok && t.Op == tg.Op && t.Postfix == tg.Postfix && matchExpr(ctx, t.X, tg.X, bnd)
-	case *cc.BinaryExpr:
-		tg, ok := target.(*cc.BinaryExpr)
-		return ok && t.Op == tg.Op && matchExpr(ctx, t.X, tg.X, bnd) && matchExpr(ctx, t.Y, tg.Y, bnd)
-	case *cc.AssignExpr:
-		tg, ok := target.(*cc.AssignExpr)
-		return ok && t.Op == tg.Op && matchExpr(ctx, t.LHS, tg.LHS, bnd) && matchExpr(ctx, t.RHS, tg.RHS, bnd)
-	case *cc.CondExpr:
-		tg, ok := target.(*cc.CondExpr)
-		return ok && matchExpr(ctx, t.Cond, tg.Cond, bnd) &&
-			matchExpr(ctx, t.Then, tg.Then, bnd) && matchExpr(ctx, t.Else, tg.Else, bnd)
+		return b.hole(t, target), true
+	case *cc.HoleArgs:
+		return false, true
 	case *cc.CallExpr:
+		fn, _ := t.Fun.(*cc.HoleExpr)
+		if fn != nil && MetaKind(fn.Meta) != MetaAnyFnCall {
+			fn = nil
+		}
+		var args *cc.HoleArgs
+		if len(t.Args) == 1 {
+			args, _ = t.Args[0].(*cc.HoleArgs)
+		}
+		if fn == nil && args == nil {
+			return false, false
+		}
 		tg, ok := target.(*cc.CallExpr)
 		if !ok {
-			return false
+			return false, true
 		}
 		// "{ fn(args) }" with fn : any_fn_call matches any call; fn
 		// binds to the whole call expression so callouts like
 		// mc_is_call_to(fn, ...) can inspect it (§4).
-		if h, isHole := t.Fun.(*cc.HoleExpr); isHole && MetaKind(h.Meta) == MetaAnyFnCall {
-			if !matchHole(ctx, h, tg, bnd) {
-				return false
-			}
-		} else if !matchExpr(ctx, t.Fun, tg.Fun, bnd) {
-			return false
+		if fn != nil {
+			ok = b.hole(fn, tg)
+		} else {
+			ok = cc.MatchExpr(t.Fun, tg.Fun, b.Match)
 		}
-		// any_arguments hole as the sole template argument swallows
-		// the whole target list.
-		if len(t.Args) == 1 {
-			if ha, ok := t.Args[0].(*cc.HoleArgs); ok {
-				return bindArgs(ha, tg.Args, bnd)
-			}
-		}
-		if len(t.Args) != len(tg.Args) {
-			return false
-		}
-		for i := range t.Args {
-			if !matchExpr(ctx, t.Args[i], tg.Args[i], bnd) {
-				return false
-			}
-		}
-		return true
-	case *cc.IndexExpr:
-		tg, ok := target.(*cc.IndexExpr)
-		return ok && matchExpr(ctx, t.X, tg.X, bnd) && matchExpr(ctx, t.Index, tg.Index, bnd)
-	case *cc.FieldExpr:
-		tg, ok := target.(*cc.FieldExpr)
-		return ok && t.Name == tg.Name && t.Arrow == tg.Arrow && matchExpr(ctx, t.X, tg.X, bnd)
-	case *cc.CastExpr:
-		tg, ok := target.(*cc.CastExpr)
-		return ok && cc.SameType(t.To, tg.To) && matchExpr(ctx, t.X, tg.X, bnd)
-	case *cc.SizeofExpr:
-		tg, ok := target.(*cc.SizeofExpr)
 		if !ok {
-			return false
+			return false, true
 		}
-		if t.Type != nil || tg.Type != nil {
-			return t.Type != nil && tg.Type != nil && cc.SameType(t.Type, tg.Type)
+		if args != nil {
+			return b.args(args, tg.Args), true
 		}
-		return matchExpr(ctx, t.X, tg.X, bnd)
-	case *cc.CommaExpr:
-		tg, ok := target.(*cc.CommaExpr)
-		if !ok || len(t.List) != len(tg.List) {
-			return false
-		}
-		for i := range t.List {
-			if !matchExpr(ctx, t.List[i], tg.List[i], bnd) {
-				return false
-			}
-		}
-		return true
+		return slices.EqualFunc(t.Args, tg.Args, func(x, y cc.Expr) bool { return cc.MatchExpr(x, y, b.Match) }), true
 	}
-	return false
+	return false, false
 }
 
-// matchHole checks a hole against a target expression: type constraint
+// hole checks a hole against a target expression: type constraint
 // plus repeated-hole consistency ("If the same hole variable appears
 // multiple times in a pattern, each appearance must contain equivalent
 // ASTs", §4).
-func matchHole(ctx *Ctx, h *cc.HoleExpr, target cc.Expr, bnd *binder) bool {
-	if prev, ok := bnd.cur.Get(h.Name); ok {
-		if prev.Expr == nil || !cc.EqualExpr(prev.Expr, target) {
-			return false
-		}
-		return true
+func (b *binder) hole(h *cc.HoleExpr, target cc.Expr) bool {
+	if prev, ok := b.cur.Get(h.Name); ok {
+		return prev.Expr != nil && cc.EqualExpr(prev.Expr, target)
 	}
-	if !holeTypeOK(ctx, h, target) {
+	if !holeTypeOK(b.ctx, h, target) {
 		return false
 	}
-	bnd.set(h.Name, Binding{Expr: target})
+	b.set(h.Name, Binding{Expr: target})
+	return true
+}
+
+// args binds an any_arguments hole to a call's whole argument list.
+func (b *binder) args(h *cc.HoleArgs, args []cc.Expr) bool {
+	if prev, ok := b.cur.Get(h.Name); ok {
+		return slices.EqualFunc(prev.Args, args, cc.EqualExpr)
+	}
+	b.set(h.Name, Binding{Args: args})
 	return true
 }
 
@@ -411,22 +365,6 @@ func typeOf(ctx *Ctx, e cc.Expr) *cc.Type {
 		return cc.TypeUnknownV
 	}
 	return ctx.Types.TypeOf(e)
-}
-
-func bindArgs(h *cc.HoleArgs, args []cc.Expr, bnd *binder) bool {
-	if prev, ok := bnd.cur.Get(h.Name); ok {
-		if len(prev.Args) != len(args) {
-			return false
-		}
-		for i := range args {
-			if !cc.EqualExpr(prev.Args[i], args[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	bnd.set(h.Name, Binding{Args: args})
-	return true
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 package pattern
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/cc"
+	"repro/internal/cfg"
 )
 
 // ctxFor builds a match context over the last function in src, with
@@ -412,4 +415,56 @@ int g(char *msg) {
 	if _, ok := p3.Match(ctxFor(t, src, "f(msg, 4)"), Bindings{}); !ok {
 		t.Error("mc_in_function should match g")
 	}
+}
+
+// TestHoleFreeMatchIsEqualExpr holds the matcher to the one structural
+// comparison it runs through: a hole-free template leaves the hole hook
+// nothing to handle, so a Base compiled from the text of a point of
+// testdata/corpus matches exactly the points of its function that
+// cc.EqualExpr finds equal to its template.
+func TestHoleFreeMatchIsEqualExpr(t *testing.T) {
+	paths, err := filepath.Glob("../../testdata/corpus/*.c")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("testdata/corpus: no files (%v)", err)
+	}
+	var pairs, matches int
+	ctx := &Ctx{}
+	for _, path := range paths {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		file, err := cc.ParseFile(path, string(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fd := range file.Funcs() {
+			var points []cc.Expr
+			for _, b := range cfg.Build(fd).Blocks {
+				points = append(points, b.Points...)
+			}
+			for _, pt := range points {
+				base, err := CompileBase(cc.ExprString(pt), nil)
+				if err != nil {
+					continue
+				}
+				tmpl, _ := base.Template()
+				for _, other := range points {
+					ctx.Point = other
+					_, got := base.Match(ctx, nil)
+					if want := cc.EqualExpr(tmpl, other); got != want {
+						t.Errorf("%s: {%s} at %s: Match %v, EqualExpr %v", fd.Name, base.Src, cc.ExprString(other), got, want)
+					}
+					pairs++
+					if got {
+						matches++
+					}
+				}
+			}
+		}
+	}
+	if matches == 0 || matches == pairs {
+		t.Fatalf("%d of %d pairs match: the oracle separates nothing", matches, pairs)
+	}
+	t.Logf("%d of %d pairs match", matches, pairs)
 }
