@@ -59,6 +59,9 @@ no-deleted-knobs:
 	! grep -rnE 'With[M]etrics|cache\.[M]etrics|\*[c]ounted\b|[c]ounted\{|cache[M]etrics|disk[S]tore|\.Inspec[t]\(|Inspectio[n]\(|\binspecte[d]\b|(RunConfig|Result|cfg|res)\.Supergrap[h]\b|RunConfig\{[^}]*Supergrap[h]:|a\.share[d]\b' --include=*.go .
 # the tenant selector, its default, the per-tenant reload map and the registry's per-tenant sets (DESIGN §14.1).
 	! grep -rnE 'tenant[O]f|Default[T]enant|X-[T]enant|last[E]nabled|\?[t]enant=|\bT[e]nants\b' --include=*.go --exclude-dir=benchmark .
+# a pointer in a summary edge: its end expressions or an instance field, which the interner's representatives and the provenance table replace (DESIGN §10.3).
+	! grep -rnE 'fromExp[r]|toExp[r]' --include=*.go internal/core
+	! awk '/^type edge struct/,/^}/' internal/core/*.go | grep -n '\*Instanc[e]'
 # the lexer's '$' knob and token and the parser's heap scope per block (DESIGN §10.4).
 	! grep -rnE 'Allow[D]ollar|TokDollar[H]ole|newParse[S]cope' --include=*.go .
 # metal's literal tokens, which no rule read, and the nine type-keyword flags (DESIGN §3).

@@ -20,17 +20,41 @@ func (p *Parser) startsDeclSpecifiers() bool {
 	return false
 }
 
+// typeKeywords orders the type keywords in typeSpecifiers' keys.
+var typeKeywords = [...]TokKind{TokSigned, TokUnsigned, TokShort, TokLong, TokChar, TokInt, TokFloat, TokDouble, TokVoid}
+
+// typeSpecifiers maps each multiset of type keywords that C11 6.7.2p2
+// allows, its keywords in typeKeywords' order, to the type it names; any
+// other multiset is an error. Long and long long are both 8 bytes
+// (LP64), and long double is double. A struct, union or enum specifier
+// or a typedef name stands alone.
+var typeSpecifiers = map[string]*Type{
+	"void": TypeVoidV,
+	"char": TypeCharV, "signed char": TypeCharV, "unsigned char": TypeUCharV,
+	"short": TypeShortV, "signed short": TypeShortV, "short int": TypeShortV, "signed short int": TypeShortV,
+	"unsigned short": typeUShortV, "unsigned short int": typeUShortV,
+	"int": TypeIntV, "signed": TypeIntV, "signed int": TypeIntV,
+	"unsigned": TypeUIntV, "unsigned int": TypeUIntV,
+	"long": TypeLongV, "signed long": TypeLongV, "long int": TypeLongV, "signed long int": TypeLongV,
+	"long long": TypeLongV, "signed long long": TypeLongV, "long long int": TypeLongV, "signed long long int": TypeLongV,
+	"unsigned long": TypeULongV, "unsigned long int": TypeULongV,
+	"unsigned long long": TypeULongV, "unsigned long long int": TypeULongV,
+	"float": TypeFloatV, "double": TypeDoubleV, "long double": TypeDoubleV,
+}
+
+var typeUShortV = &Type{Kind: TypeInt, Size: 2, Unsigned: true}
+
 // parseDeclSpecifiers parses storage-class specifiers, type
 // specifiers, and qualifiers, returning the storage class and the base
 // type.
 func (p *Parser) parseDeclSpecifiers() (StorageClass, *Type, error) {
 	storage := StorageNone
 	var (
-		saw                 [TokVoid + 1]bool // the type keywords seen
+		count               [TokVoid + 1]uint8 // each type keyword's occurrences
+		keywords            bool
 		isConst, isVolatile bool
 		complexType         *Type
 	)
-	seenAny := false
 	for {
 		t := p.cur()
 		switch t.Kind {
@@ -50,36 +74,31 @@ func (p *Parser) parseDeclSpecifiers() (StorageClass, *Type, error) {
 			isVolatile = true
 			p.next()
 		case TokVoid, TokChar, TokShort, TokInt, TokLong, TokFloat, TokDouble, TokSigned, TokUnsigned:
-			saw[t.Kind] = true
-			seenAny = true
-			p.next()
-		case TokStruct, TokUnion:
-			if seenAny || complexType != nil {
+			if complexType != nil {
 				return 0, nil, p.errf("unexpected %s in declaration specifiers", t.Kind)
 			}
-			rt, err := p.parseRecordSpecifier()
+			count[t.Kind] = min(count[t.Kind]+1, 3)
+			keywords = true
+			p.next()
+		case TokStruct, TokUnion, TokEnum:
+			if keywords || complexType != nil {
+				return 0, nil, p.errf("unexpected %s in declaration specifiers", t.Kind)
+			}
+			var err error
+			if t.Kind == TokEnum {
+				complexType, err = p.parseEnumSpecifier()
+			} else {
+				complexType, err = p.parseRecordSpecifier()
+			}
 			if err != nil {
 				return 0, nil, err
 			}
-			complexType = rt
-			seenAny = true
-		case TokEnum:
-			if complexType != nil {
-				return 0, nil, p.errf("unexpected enum in declaration specifiers")
-			}
-			et, err := p.parseEnumSpecifier()
-			if err != nil {
-				return 0, nil, err
-			}
-			complexType = et
-			seenAny = true
 		case TokIdent:
 			// A typedef name is a type specifier only if we have no
 			// other type specifier yet.
-			if !seenAny && complexType == nil {
+			if !keywords && complexType == nil {
 				if td, ok := p.lookupTypedef(t.Text); ok {
 					complexType = td
-					seenAny = true
 					p.next()
 					continue
 				}
@@ -90,32 +109,29 @@ func (p *Parser) parseDeclSpecifiers() (StorageClass, *Type, error) {
 		}
 	}
 done:
-	if !seenAny {
+	base := complexType
+	if keywords {
+		var buf [32]byte
+		key := buf[:0]
+		for _, k := range typeKeywords {
+			for range count[k] {
+				if len(key) > 0 {
+					key = append(key, ' ')
+				}
+				key = append(key, tokNames[k]...)
+			}
+		}
+		if base = typeSpecifiers[string(key)]; base == nil {
+			return 0, nil, p.errf("invalid type specifiers %q", string(key))
+		}
+		// An integer wider than char is a new Type per declaration: the
+		// emitted form and the AST hash number types by pointer.
+		if base.Kind == TypeInt && base.Size > 1 {
+			cp := *base
+			base = &cp
+		}
+	} else if base == nil {
 		return 0, nil, p.errf("expected type specifier, found %s", p.cur())
-	}
-	// Long and long long are both 8 bytes (LP64); what is left once the
-	// other keywords are ruled out is int, signed or unsigned.
-	var base *Type
-	unsigned := saw[TokUnsigned]
-	switch {
-	case complexType != nil:
-		base = complexType
-	case saw[TokVoid]:
-		base = TypeVoidV
-	case saw[TokFloat]:
-		base = TypeFloatV
-	case saw[TokDouble]:
-		base = TypeDoubleV
-	case saw[TokChar] && unsigned:
-		base = TypeUCharV
-	case saw[TokChar]:
-		base = TypeCharV
-	case saw[TokShort]:
-		base = &Type{Kind: TypeInt, Size: 2, Unsigned: unsigned}
-	case saw[TokLong]:
-		base = &Type{Kind: TypeInt, Size: 8, Unsigned: unsigned}
-	default:
-		base = &Type{Kind: TypeInt, Size: 4, Unsigned: unsigned}
 	}
 	if isConst || isVolatile {
 		cp := *base

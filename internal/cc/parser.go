@@ -311,7 +311,9 @@ func (p *Parser) initDeclarators(storage StorageClass, base *Type, fileScope boo
 		isFunc := fileScope && d.isFunc
 		def := isFunc && first && p.cur().Kind == TokLBrace
 		switch {
-		case storage == StorageTypedef && !def:
+		case storage == StorageTypedef && def:
+			return p.errf("a function definition cannot be a typedef")
+		case storage == StorageTypedef:
 			named := &Type{Kind: TypeNamed, Name: d.name, Def: t}
 			p.declareTypedef(d.name, named)
 			if fileScope {

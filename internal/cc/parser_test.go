@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -288,6 +289,14 @@ func TestParseErrors(t *testing.T) {
 		"int f(void) { return 1 }",
 		"void f(void) { L:; L:; }",
 		"void f(int x) { L: if (x) { L: x--; } }",
+		// C11 6.7.2p2 allows none of these type-keyword multisets.
+		"long char c;",
+		"void int x;",
+		"unsigned float y;",
+		"long long long z;",
+		"struct s { int a; } int w;",
+		// A definition has no typedef storage (6.9.1p4).
+		"typedef int f(void) { return 0; }",
 	}
 	for _, src := range bad {
 		if _, err := ParseFile("bad.c", src); err == nil {
@@ -297,6 +306,72 @@ func TestParseErrors(t *testing.T) {
 	// A label's scope is its function.
 	if _, err := ParseFile("ok.c", "void f(void) { L:; } void g(void) { L:; goto L; }"); err != nil {
 		t.Errorf("one label per function: %v", err)
+	}
+}
+
+// TestTypeSpecifierSets parses every multiset of type keywords C11
+// 6.7.2p2 allows, in its canonical order and reversed, and checks the
+// type it declares. char, unsigned char, void, float and double are the
+// package's shared types; a wider integer is a Type of its own per
+// declaration, since the emitted form and the AST hash number types by
+// pointer.
+func TestTypeSpecifierSets(t *testing.T) {
+	type want struct {
+		kind     TypeKind
+		size     int
+		unsigned bool
+		shared   *Type
+	}
+	sets := map[string]want{
+		"void": {TypeVoid, 0, false, TypeVoidV},
+		"char": {TypeInt, 1, false, TypeCharV}, "signed char": {TypeInt, 1, false, TypeCharV},
+		"unsigned char": {TypeInt, 1, true, TypeUCharV},
+		"float":         {TypeFloat, 4, false, TypeFloatV},
+		"double":        {TypeFloat, 8, false, TypeDoubleV}, "long double": {TypeFloat, 8, false, TypeDoubleV},
+	}
+	for _, s := range []string{"short", "signed short", "short int", "signed short int"} {
+		sets[s] = want{TypeInt, 2, false, nil}
+	}
+	for _, s := range []string{"unsigned short", "unsigned short int"} {
+		sets[s] = want{TypeInt, 2, true, nil}
+	}
+	for _, s := range []string{"int", "signed", "signed int"} {
+		sets[s] = want{TypeInt, 4, false, nil}
+	}
+	for _, s := range []string{"unsigned", "unsigned int"} {
+		sets[s] = want{TypeInt, 4, true, nil}
+	}
+	for _, s := range []string{"long", "signed long", "long int", "signed long int",
+		"long long", "signed long long", "long long int", "signed long long int"} {
+		sets[s] = want{TypeInt, 8, false, nil}
+	}
+	for _, s := range []string{"unsigned long", "unsigned long int", "unsigned long long", "unsigned long long int"} {
+		sets[s] = want{TypeInt, 8, true, nil}
+	}
+	if len(typeSpecifiers) != len(sets) {
+		t.Errorf("the table holds %d multisets, C11 allows %d", len(typeSpecifiers), len(sets))
+	}
+	for set, w := range sets {
+		words := strings.Fields(set)
+		slices.Reverse(words)
+		for _, spec := range []string{set, strings.Join(words, " ")} {
+			decl := spec + " x;"
+			f, err := ParseFile("spec.c", decl+"\n"+decl)
+			if err != nil {
+				t.Errorf("%q: %v", spec, err)
+				continue
+			}
+			a, b := f.Decls[0].(*VarDecl).Type, f.Decls[1].(*VarDecl).Type
+			if a.Kind != w.kind || a.Size != w.size || a.Unsigned != w.unsigned {
+				t.Errorf("%q declares %+v, want kind %v size %d unsigned %v", spec, *a, w.kind, w.size, w.unsigned)
+			}
+			if w.shared != nil && (a != w.shared || b != w.shared) {
+				t.Errorf("%q: not the shared %+v", spec, *w.shared)
+			}
+			if w.shared == nil && a == b {
+				t.Errorf("%q: two declarations share one Type", spec)
+			}
+		}
 	}
 }
 

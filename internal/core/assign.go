@@ -25,7 +25,7 @@ func (en *Engine) handleAssign(st *pathState, rec *blockRec, asg *cc.AssignExpr,
 	// LHS, which carries the value — the paper's §8 example. An object
 	// is looked up only when there is an instance it could name.
 	var newInst *Instance
-	if ix := en.intern; en.Opts.Synonyms && len(st.sm.Active) > 0 {
+	if ix := &en.intern; en.Opts.Synonyms && len(st.sm.Active) > 0 {
 		srcExpr := asg.RHS
 		for {
 			inner, ok := srcExpr.(*cc.AssignExpr)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -122,14 +123,21 @@ func BenchmarkCallRichTraversal(b *testing.B) {
 }
 
 // callRichAllocCeiling bounds the heap allocations of one runCallRich:
-// 1,364 plain, 1,368 governed, 1,374 retiring (go1.24), 1,422-1,441
-// under -race. 5 % above plain is inside what -race reads, so the
-// ceiling is the highest -race reading plus the margin the previous
-// ceiling kept over its own (PR 45). The count repeats to the unit, so a
+// 1,352 plain, 1,355-1,357 governed, 1,362 retiring (go1.24),
+// 1,417-1,424 under -race. 5 % above plain is inside what -race reads,
+// so the ceiling is the highest -race reading plus the margin the
+// previous ceiling kept over its own (PR 45). The count repeats to the unit, so a
 // regression in the per-path state, pattern dispatch, prog.Build or what
 // the engine owns for the DFS fails here without a timer, and
 // TestTraversalMarginalAllocs says which (DESIGN §10.4).
 const callRichAllocCeiling = 1_455
+
+// callRichByteCeiling bounds the bytes one runCallRich allocates: 205,120
+// plain, 205,312 governed, 202,736 retiring (go1.24), 205,465-208,419
+// under -race, and the ceiling is the plain reading plus 5 %: a change
+// that grows what every engine or path keeps shows here without a timer.
+// The edge's own size is TestEdgeIsThreeIntegers'.
+const callRichByteCeiling = 215_376
 
 func TestCallRichTraversalAllocs(t *testing.T) {
 	files, suite := suiteInputs(t)
@@ -141,10 +149,22 @@ func TestCallRichTraversalAllocs(t *testing.T) {
 		if got := runCallRich(files, suite, mode); got != plain {
 			t.Errorf("%s run: %d reports, plain run has %d", mode, got, plain)
 		}
-		got := testing.AllocsPerRun(5, func() { runCallRich(files, suite, mode) })
+		run := func() { runCallRich(files, suite, mode) }
+		got := testing.AllocsPerRun(5, run)
 		t.Logf("%s: %.0f allocations per suite run (ceiling %d)", mode, got, callRichAllocCeiling)
 		if got > callRichAllocCeiling {
 			t.Errorf("%s: %.0f allocations per suite run, ceiling %d", mode, got, callRichAllocCeiling)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range 5 {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		bytes := (after.TotalAlloc - before.TotalAlloc) / 5
+		t.Logf("%s: %d bytes per suite run (ceiling %d)", mode, bytes, callRichByteCeiling)
+		if bytes > callRichByteCeiling {
+			t.Errorf("%s: %d bytes per suite run, ceiling %d", mode, bytes, callRichByteCeiling)
 		}
 	}
 }

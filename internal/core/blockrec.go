@@ -10,9 +10,10 @@ package core
 type blockRec struct {
 	entryG int32
 	fp     uint32
-	// entry holds the tuple of every instance active at block entry: a
-	// cap-limited frame of the engine's tuple stack (start), valid until
-	// the traversal that carved it returns. It is never written after.
+	// entry holds the tuple of every instance active at block entry, with
+	// the id the cache check found: a cap-limited frame of the engine's
+	// tuple stack (enter, start), valid until the traversal that carved
+	// it returns. Nothing but a missing id is written to it after.
 	entry []Tuple
 	// kills holds a stop tuple per instance removed during the block, in
 	// order: the last one for an entry instance ends its transition edge,
@@ -35,28 +36,28 @@ func lastOf(ts []Tuple, v, obj int32) *Tuple {
 	return nil
 }
 
-// start fills in the traversal record, which is a local of
-// traverseBlock ("rec does not escape", -gcflags=-m), and carves its
-// entry list from the top of the engine's tuple stack, which it returns
-// grown; the kill list starts empty above it. Most traversals of most
-// blocks carry no active instances and kill nothing, and then the record
-// allocates nothing; the others reuse the stack's array.
-func (rec *blockRec) start(sm *SM, fp uint32, stack []Tuple) []Tuple {
-	rec.entryG, rec.fp = sm.g, fp
-	base := len(stack)
-	for _, in := range sm.Active {
-		if in.Inactive {
-			continue
-		}
-		if prev := lastOf(stack[base:], in.v, in.obj); prev != nil {
-			*prev = instTuple(sm.g, in)
-		} else {
-			stack = append(stack, instTuple(sm.g, in))
-		}
+// enter pushes an entry tuple onto the engine's tuple stack, whose
+// frame from base up is a block's entry list in the making, and returns
+// the stack; a later instance of the same object replaces the earlier
+// one's tuple.
+func enter(stack []Tuple, base int, t Tuple) []Tuple {
+	if prev := lastOf(stack[base:], t.v, t.obj); prev != nil {
+		*prev = t
+		return stack
 	}
+	return append(stack, t)
+}
+
+// start fills in the traversal record, which is a local of
+// traverseBlock ("rec does not escape", -gcflags=-m), with the entry
+// list entered on the engine's tuple stack from base up; the kill list
+// starts empty above it. Most traversals of most blocks carry no active
+// instances and kill nothing, and then the record allocates nothing; the
+// others reuse the stack's array.
+func (rec *blockRec) start(g int32, fp uint32, stack []Tuple, base int) {
+	rec.entryG, rec.fp = g, fp
 	rec.entry = stack[base:len(stack):len(stack)]
 	rec.killBase = len(stack)
-	return stack
 }
 
 // noteKill records an instance's removal for summary generation. The

@@ -39,7 +39,7 @@ func TestDuplicateReportRendersNothing(t *testing.T) {
 	obj, _ := cc.ParseExprString("p->next")
 	en := NewEngine(p, c, DefaultOptions())
 	st := &pathState{fn: p.Lookup("f")}
-	ix := en.intern
+	ix := &en.intern
 	inst := &Instance{v: ix.vars.id("v"), obj: ix.objs.id("p->next"), ObjExpr: obj, val: ix.vals.id("freed"), StartFunc: "f"}
 	free, _ := cc.ParseExprString("kfree(p->next)")
 	inst.trace = inst.trace.push(traceEnters, free, "p->next", "freed")

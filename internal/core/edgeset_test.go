@@ -3,8 +3,12 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
+	"unsafe"
+
+	"repro/internal/cc"
 )
 
 // edgeModel is the naive edge set the grouped slice must behave like:
@@ -71,7 +75,8 @@ func TestEdgeSetMatchesModel(t *testing.T) {
 				Val: []string{"freed", UnknownVal, StopVal}[rng.Intn(3)], Data: int64(rng.Intn(2))}
 		}
 		for i := 0; i < 120; i++ {
-			e := in.edge(in.tupleOf(draw()), in.tupleOf(draw()))
+			from, to := in.tupleOf(draw()), in.tupleOf(draw())
+			e := in.edge(&from, &to)
 			if got, want := set.add(fi, e), model.add(e); got != want {
 				t.Fatalf("seed %d step %d: add = %v, model %v", seed, i, got, want)
 			}
@@ -81,11 +86,11 @@ func TestEdgeSetMatchesModel(t *testing.T) {
 			td := draw()
 			probe, key := in.tupleOf(td), oracleKey(td)
 			want := model.buckets[key]
-			if got := set.from(in, probe); renderEdges(in, got) != renderEdges(in, want) {
+			if got := set.from(in, &probe); renderEdges(in, got) != renderEdges(in, want) {
 				t.Fatalf("seed %d step %d: from(%s) =\n%swant\n%s", seed, i, key, renderEdges(in, got), renderEdges(in, want))
 			}
-			if set.hasFrom(in, probe) != (len(want) > 0) {
-				t.Fatalf("seed %d step %d: hasFrom(%s) = %v", seed, i, key, set.hasFrom(in, probe))
+			if set.hasFrom(in, &probe) != (len(want) > 0) {
+				t.Fatalf("seed %d step %d: hasFrom(%s) = %v", seed, i, key, set.hasFrom(in, &probe))
 			}
 			if got, want := renderEdges(in, set.all()), renderEdges(in, model.all()); got != want {
 				t.Fatalf("seed %d step %d: all() =\n%swant\n%s", seed, i, got, want)
@@ -94,19 +99,55 @@ func TestEdgeSetMatchesModel(t *testing.T) {
 	}
 }
 
-// An edge rebuilds exactly the tuples it was made from, identity from
-// the interner and the rest from the edge.
+// TestEdgeIsThreeIntegers pins the representation (DESIGN §10.3): a
+// summary edge is two tuple ids and a provenance index, 12 bytes that
+// the garbage collector never scans. An AST node or instance back in an
+// edge, or a fourth field, fails here.
+func TestEdgeIsThreeIntegers(t *testing.T) {
+	if got := unsafe.Sizeof(edge{}); got != 12 {
+		t.Errorf("an edge is %d bytes, want 12", got)
+	}
+	et := reflect.TypeOf(edge{})
+	for i := range et.NumField() {
+		switch f := et.Field(i); f.Type.Kind() {
+		case reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64, reflect.Int,
+			reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uint:
+		default:
+			t.Errorf("edge.%s is a %s, not an integer", f.Name, f.Type)
+		}
+	}
+}
+
+// An edge rebuilds exactly the tuples it was made from: identity and
+// the object's expression from the interner, provenance from its
+// function's table. An edge the set already holds keeps its first
+// provenance.
 func TestEdgeRoundTrip(t *testing.T) {
+	var en Engine
 	in := newInterner()
-	inst := &Instance{v: in.vars.id("v"), obj: in.objs.id("p"), val: in.vals.id("freed"), Data: 2}
+	fi, set := &funcInfo{in: in}, &edgeSet{}
+	p := &cc.Ident{Name: "p"}
+	inst := &Instance{v: in.vars.id("v"), obj: in.objs.id("p"), ObjExpr: p, val: in.vals.id("freed"), Data: 2}
 	from := unknownTuple(in.vals.id("start"), inst.v, inst.obj)
 	to := instTuple(in.vals.id("locked"), inst)
-	e := in.edge(from, to)
-	if got := in.fromTuple(e); got != from {
-		t.Errorf("fromTuple = %+v, want %+v", got, from)
+	if !en.addEdge(fi, set, &from, &to) {
+		t.Fatal("a new edge was not kept")
 	}
-	if got := in.toTuple(e); got != to {
-		t.Errorf("toTuple = %+v, want %+v", got, to)
+	later := *inst
+	again := instTuple(to.g, &later)
+	if en.addEdge(fi, set, &from, &again) {
+		t.Fatal("a duplicate edge was kept")
+	}
+	e := set.all()[0]
+	from.ObjExpr = p
+	if got := in.tuple(e.from); got != from {
+		t.Errorf("from tuple = %+v, want %+v", got, from)
+	}
+	if got := fi.toTuple(e); got != to {
+		t.Errorf("to tuple = %+v, want %+v", got, to)
+	}
+	if len(fi.provs) != 1 {
+		t.Errorf("provenance table holds %d entries, want 1", len(fi.provs))
 	}
 }
 
@@ -118,7 +159,7 @@ func BenchmarkEdgeSetAdd(b *testing.B) {
 		for _, val := range []string{"freed", StopVal} {
 			to := from
 			to.val = in.vals.id(val)
-			edges = append(edges, in.edge(from, to))
+			edges = append(edges, in.edge(&from, &to))
 		}
 	}
 	b.ReportAllocs()

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cfg"
 	"repro/internal/fpp"
 	"repro/internal/metal"
 	"repro/internal/pattern"
@@ -170,8 +171,10 @@ type Engine struct {
 	funcs     []*funcInfo
 	liveFuncs int
 	// pool holds the funcInfos retirement evicted, cleared, for the
-	// functions entered after (summary.go).
-	pool funcPool
+	// functions entered after (summary.go). provSlab is what is left of
+	// the chunk their provenance tables are first carved from (addEdge).
+	pool     funcPool
+	provSlab []*Instance
 	// terms interns the FPP terms and fact-set fingerprints of every
 	// path environment the engine makes. An environment never crosses a
 	// call boundary and ids need only be unique within the table, so
@@ -185,7 +188,8 @@ type Engine struct {
 	// intern numbers the checker's state symbols and the tracked
 	// objects, and hash-conses state tuples for the summary caches
 	// (intern.go); one table per engine, engines are single-goroutine.
-	intern *interner
+	// Every funcInfo points at it.
+	intern interner
 	// initG is the initial global state's symbol; transIdx indexes the
 	// checker's transitions by source state (numberStates), so the
 	// per-point hot loop neither rescans the transition list nor hashes a
@@ -204,6 +208,11 @@ type Engine struct {
 	// notifies the mc releaser.
 	rootsRun []int32
 	onRetire func(*prog.Unit)
+	// traversed, when set, is told of every successor pair the DFS
+	// follows within a function: a block entered from the block below it
+	// on the backtrace. These are the pairs relax composes suffix
+	// summaries over (Figure 6), and the pairs a test recomputes them on.
+	traversed func(from, to *cfg.Block)
 
 	// Memory whose lifetime is the DFS's is the engine's, not re-made per
 	// split, per point or per call (DESIGN.md §5).
@@ -239,11 +248,11 @@ type Engine struct {
 	// step. followCall pops the partitions it restored (and their tuples
 	// from the tuple stack); a forked continuation re-enters runFrom and,
 	// at its next call, pushes above them.
-	outs  []outTuple
+	outs  []Tuple
 	parts []partition
 	next  []partition
 	// tuples is the stack the block recorders' lists are carved from: a
-	// traversal pushes its entry tuples (blockRec.start), a block's kill
+	// traversal pushes its entry tuples (enter), a block's kill
 	// list grows on top (noteKill), a call return pushes its partitions'
 	// tuples and pops them once restored, and a traversal pops and clears
 	// what it pushed when it returns. Every root starts it empty.
@@ -270,13 +279,13 @@ func NewEngineShared(p *prog.Program, c *metal.Checker, opts Options, shared *Sh
 		RuleStats: map[string]*RuleCount{},
 		shared:    shared,
 		funcs:     make([]*funcInfo, len(p.All)),
-		intern:    newInterner(),
 		backtrace: make([]traceEntry, 0, stackInitCap),
 		callStack: make([]*prog.Function, 0, stackInitCap),
 	}
+	en.intern.init()
 	en.govern = opts.Budgets.Active()
 	en.Stats.Analyses = map[string]int{}
-	en.initG, en.transIdx = numberStates(en.intern, c)
+	en.initG, en.transIdx = numberStates(&en.intern, c)
 	en.callouts = pattern.Registry{}
 	for k, v := range pattern.Builtins() {
 		en.callouts[k] = v

@@ -195,14 +195,15 @@ func edgeData(in *interner, s *edgeSet) []EdgeData {
 	}
 	out := make([]EdgeData, len(edges))
 	for i, e := range edges {
-		out[i] = EdgeData{From: in.tupleData(in.fromTuple(e)), To: in.tupleData(in.toTuple(e))}
+		out[i] = EdgeData{From: in.tupleData(in.tuple(e.from)), To: in.tupleData(in.tuple(e.to))}
 	}
 	return out
 }
 
 func importEdges(fi *funcInfo, s *edgeSet, data []EdgeData) {
 	for _, ed := range data {
-		s.add(fi, fi.in.edge(fi.in.tupleOf(ed.From), fi.in.tupleOf(ed.To)))
+		from, to := fi.in.tupleOf(ed.From), fi.in.tupleOf(ed.To)
+		s.add(fi, fi.in.edge(&from, &to))
 	}
 }
 
@@ -220,11 +221,11 @@ func (en *Engine) ExportSummaries(fns []*prog.Function) *SummaryData {
 				bi := fi.info(b)
 				bd := BlockSummaryData{
 					Block:    b.ID,
-					Trans:    edgeData(en.intern, &bi.trans),
-					Adds:     edgeData(en.intern, &bi.adds),
-					GState:   edgeData(en.intern, &bi.gstate),
-					SfxTrans: edgeData(en.intern, &bi.sfxTrans),
-					SfxAdds:  edgeData(en.intern, &bi.sfxAdds),
+					Trans:    edgeData(&en.intern, &bi.trans),
+					Adds:     edgeData(&en.intern, &bi.adds),
+					GState:   edgeData(&en.intern, &bi.gstate),
+					SfxTrans: edgeData(&en.intern, &bi.sfxTrans),
+					SfxAdds:  edgeData(&en.intern, &bi.sfxAdds),
 				}
 				if bd.Trans == nil && bd.Adds == nil && bd.GState == nil &&
 					bd.SfxTrans == nil && bd.SfxAdds == nil {

@@ -127,7 +127,7 @@ int f(int *l, int n) { kfree(l); take(l); return n; }
 	sd := lock.ExportSummaries([]*prog.Function{p.Lookup("take")})
 
 	free := NewEngine(p, mustChecker(t, checkers.Free), DefaultOptions())
-	ix := free.intern
+	ix := &free.intern
 	vars, vals := slices.Clone(ix.vars.strs), slices.Clone(ix.vals.strs)
 	if _, ok := ix.vals.find("locked"); ok {
 		t.Fatal("the free checker declares locked; the record would not be foreign")

@@ -14,13 +14,20 @@ import (
 // sight and looked up from a scratch buffer (findObj). So a tuple is
 // five integers, and the interner hash-conses those into one small id
 // per distinct tuple: edgeSet membership, fpSeen coverage and summary
-// edges are integer comparisons. The rendered string, the
-// tuple's canonical identity (two tuples are the same tuple iff they
-// render the same), is built only when something reads it: the edgeSet
-// group order, summaries rendered for a person, exported summaries.
+// edges are integer comparisons, and a tuple that already has its id
+// (Tuple.id) is not hashed again. A summary edge is two such ids and a
+// provenance index: the expression of an edge's object is the
+// interner's representative for the object's id (reps), not the edge's.
+// The rendered string, the tuple's canonical identity (two tuples are
+// the same tuple iff they render the same), is built only when
+// something reads it: the edgeSet group order, summaries rendered for
+// a person, exported summaries.
 
-// tid is an interned tuple id, unique within one engine.
+// tid is an interned tuple id, unique within one engine. Id 0 is
+// reserved: a Tuple whose id is noTID has not been looked up.
 type tid int32
+
+const noTID tid = 0
 
 // names numbers strings densely within one engine, from the fixed ones
 // it starts with. A checker's variables and values are a dozen strings,
@@ -68,6 +75,9 @@ var (
 	fixedVars = [...]string{""}
 	fixedVals = [...]string{"", UnknownVal, StopVal}
 	fixedObjs = [...]string{""}
+	// noTID's slot: in no map, and no edge or tuple names it.
+	fixedTups = [...]tupleKey{{}}
+	fixedStrs = [...]string{""}
 )
 
 const (
@@ -93,26 +103,46 @@ type interner struct {
 	ids              map[tupleKey]tid
 	tups             []tupleKey // tid -> identity
 	strs             []string   // tid -> rendered key, "" until key asks
+	// reps holds one expression per object id: the first an edge was
+	// made with (edge). Expressions of one canonical text are one object,
+	// and what reads an edge's end expressions (suffixSkip, restoreObj,
+	// exported summaries) reads only their names and text. The engine
+	// empties it with its FPP table, once no funcInfo holds an edge
+	// (retireAfter), so that no retired unit's AST stays reachable.
+	reps []cc.Expr
+	// phIDs holds the placeholder ids of global states 0-7, noTID until
+	// first interned (id).
+	phIDs [8]tid
 	// keyBuf is the scratch an object's text is rendered into to be
 	// looked up (findObj).
 	keyBuf []byte
-}
-
-func newInterner() *interner {
-	in := &interner{}
-	in.init()
-	return in
 }
 
 func (in *interner) init() {
 	in.vars.strs, in.vals.strs = fixedVars[:], fixedVals[:]
 	in.objs = names{ids: map[string]int32{"": 0}, strs: fixedObjs[:]}
 	in.ids = map[tupleKey]tid{}
+	in.tups, in.strs = fixedTups[:], fixedStrs[:]
 }
 
-// id interns the tuple.
+// idOf returns the tuple's id, interning it and recording the id in the
+// tuple the first time it is asked.
+func (in *interner) idOf(t *Tuple) tid {
+	if t.id == noTID {
+		t.id = in.id(*t)
+	}
+	return t.id
+}
+
+// id interns the tuple. The placeholder of each of the first few global
+// states is also kept by state (phIDs): every traversal records a
+// placeholder edge, and its two ends are then looked up without hashing.
 func (in *interner) id(t Tuple) tid {
 	k := t.tupleKey
+	ph := k.obj == 0 && int(k.g) < len(in.phIDs)
+	if ph && in.phIDs[k.g] != noTID {
+		return in.phIDs[k.g]
+	}
 	if k.obj == 0 {
 		k = tupleKey{g: k.g}
 	}
@@ -123,6 +153,9 @@ func (in *interner) id(t Tuple) tid {
 	in.tups = append(in.tups, k)
 	in.strs = append(in.strs, "")
 	in.ids[k] = id
+	if ph {
+		in.phIDs[k.g] = id
+	}
 	return id
 }
 
@@ -147,25 +180,42 @@ func (in *interner) key(id tid) string {
 	return s
 }
 
-// tuple rebuilds the identity part of an interned tuple.
-func (in *interner) tuple(id tid) Tuple { return Tuple{tupleKey: in.tups[id]} }
-
-// edge interns the two tuples into an edge.
-func (in *interner) edge(from, to Tuple) edge {
-	return edge{from: in.id(from), to: in.id(to), fromExpr: from.ObjExpr, toExpr: to.ObjExpr, prov: to.Prov}
-}
-
-// fromTuple and toTuple rebuild an edge's end points.
-func (in *interner) fromTuple(e edge) Tuple {
-	t := in.tuple(e.from)
-	t.ObjExpr = e.fromExpr
+// tuple rebuilds an interned tuple, its id and its object's
+// representative expression; provenance is the edge's (funcInfo.toTuple).
+func (in *interner) tuple(id tid) Tuple {
+	t := Tuple{tupleKey: in.tups[id], id: id}
+	t.ObjExpr = in.rep(t.obj)
 	return t
 }
 
-func (in *interner) toTuple(e edge) Tuple {
-	t := in.tuple(e.to)
-	t.ObjExpr, t.Prov = e.toExpr, e.prov
-	return t
+// rep returns the object's representative expression, nil for the
+// placeholder.
+func (in *interner) rep(obj int32) cc.Expr {
+	if int(obj) < len(in.reps) {
+		return in.reps[obj]
+	}
+	return nil
+}
+
+// edge interns the two tuples into an edge without provenance
+// (Engine.addEdge enters it), making each end's expression its object's
+// representative if the object has none yet.
+func (in *interner) edge(from, to *Tuple) edge {
+	in.represent(from)
+	in.represent(to)
+	return edge{from: in.idOf(from), to: in.idOf(to)}
+}
+
+func (in *interner) represent(t *Tuple) {
+	if t.obj == 0 || t.ObjExpr == nil {
+		return
+	}
+	if n := int(t.obj) + 1 - len(in.reps); n > 0 {
+		in.reps = append(in.reps, make([]cc.Expr, n)...)
+	}
+	if in.reps[t.obj] == nil {
+		in.reps[t.obj] = t.ObjExpr
+	}
 }
 
 // objID numbers an object expression by its canonical text, which is

@@ -10,6 +10,12 @@ import (
 	"repro/internal/workload"
 )
 
+func newInterner() *interner {
+	in := &interner{}
+	in.init()
+	return in
+}
+
 // oracleKey renders a tuple the way the string-keyed interner identified
 // it: two tuples are one tuple iff their keys are equal, and an interned
 // id renders to its tuple's key. The interner numbers symbols instead
@@ -49,7 +55,7 @@ func TestInternerMatchesKey(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		pick := func(xs []string) string { return xs[rng.Intn(len(xs))] }
-		in := NewEngine(p, mustChecker(t, checkers.Free), DefaultOptions()).intern
+		in := &NewEngine(p, mustChecker(t, checkers.Free), DefaultOptions()).intern
 		tds := make([]TupleData, 300)
 		ids := make([]tid, len(tds))
 		for i := range tds {
@@ -110,7 +116,7 @@ func TestInternerStableAcrossRuns(t *testing.T) {
 	en := NewEngine(p, free, DefaultOptions())
 
 	size := func() [6]int {
-		in := en.intern
+		in := &en.intern
 		rendered := 0
 		for _, s := range in.strs {
 			if s != "" {

@@ -84,7 +84,7 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, bi *blockInfo, rec *bl
 	entry := calleeFi.info(callee.Graph.Entry)
 	// covered: the summary already has an edge out of the tuple.
 	covered := func(t Tuple) bool {
-		return en.Opts.FunctionCache && entry.sfxTrans.hasFrom(en.intern, t)
+		return en.Opts.FunctionCache && entry.sfxTrans.hasFrom(&en.intern, &t)
 	}
 	missing, live := false, false
 	for _, in := range refined.Active {
@@ -206,25 +206,19 @@ type partition struct {
 	lo, hi int
 }
 
-// outTuple is one distinct summary out-tuple, with its interned id.
-type outTuple struct {
-	id tid
-	t  Tuple
-}
-
 // cmpG orders global states by name.
 func (in *interner) cmpG(a, b int32) int { return strings.Compare(in.vals.name(a), in.vals.name(b)) }
 
 // cmpOut orders out-tuples by exit global state, then by object in the
 // order of the objects' "var|obj" renderings.
-func (in *interner) cmpOut(a, b outTuple) int {
-	if c := in.cmpG(a.t.g, b.t.g); c != 0 {
+func (in *interner) cmpOut(a, b Tuple) int {
+	if c := in.cmpG(a.g, b.g); c != 0 {
 		return c
 	}
-	if a.t.v == b.t.v {
-		return strings.Compare(in.objs.name(a.t.obj), in.objs.name(b.t.obj))
+	if a.v == b.v {
+		return strings.Compare(in.objs.name(a.obj), in.objs.name(b.obj))
 	}
-	return strings.Compare(in.vars.name(a.t.v)+"|"+in.objs.name(a.t.obj), in.vars.name(b.t.v)+"|"+in.objs.name(b.t.obj))
+	return strings.Compare(in.vars.name(a.v)+"|"+in.objs.name(a.obj), in.vars.name(b.v)+"|"+in.objs.name(b.obj))
 }
 
 // partitionResults computes the edges applicable to the current state
@@ -241,7 +235,7 @@ func (en *Engine) partitionResults(refined *SM, callee *prog.Function, entry *bl
 	// The exit global states come from the placeholder suffix edges;
 	// their absence means the callee has no summary at all in this
 	// state.
-	ix := en.intern
+	ix := &en.intern
 	var gsBuf [4]int32
 	gs := gsBuf[:0]
 	addG := func(g int32) {
@@ -249,41 +243,44 @@ func (en *Engine) partitionResults(refined *SM, callee *prog.Function, entry *bl
 			gs = append(gs, g)
 		}
 	}
-	for _, e := range entry.sfxTrans.from(ix, placeholderTuple(refined.g)) {
+	pt := placeholderTuple(refined.g)
+	for _, e := range entry.sfxTrans.from(ix, &pt) {
 		addG(ix.tups[e.to].g)
 	}
 	if len(gs) == 0 {
 		return nil
 	}
 
-	// outs collects the distinct out tuples; an id names its exit state
-	// and object too.
+	// outs collects the distinct out tuples, each with its id, which
+	// names its exit state and object too.
 	outs := en.outs[:0]
-	record := func(id tid, t Tuple) {
+	fi := entry.fi
+	record := func(t Tuple) {
 		addG(t.g)
-		if t.obj == 0 || slices.ContainsFunc(outs, func(o outTuple) bool { return o.id == id }) {
+		if t.obj == 0 || slices.ContainsFunc(outs, func(o Tuple) bool { return o.id == t.id }) {
 			return
 		}
-		outs = append(outs, outTuple{id, t})
+		outs = append(outs, t)
 	}
 	for _, inst := range refined.Active {
 		if inst.Inactive {
 			continue
 		}
 		in := instTuple(refined.g, inst)
-		edges := entry.sfxTrans.from(ix, in)
+		edges := entry.sfxTrans.from(ix, &in)
 		if len(edges) == 0 {
-			if !entry.trans.hasFrom(ix, in) {
+			if !entry.trans.hasFrom(ix, &in) {
 				// Never traversed in this state (incomplete recursive
 				// summary): pass the instance through unchanged (§7).
-				record(ix.id(in), in)
+				ix.idOf(&in)
+				record(in)
 			}
 			// Else: every path stopped the object — it drops out of
 			// the outgoing state (§6.3).
 			continue
 		}
 		for _, e := range edges {
-			record(e.to, ix.toTuple(e))
+			record(fi.toTuple(e))
 		}
 	}
 	// Add edges: apply when the object has no instance at entry
@@ -294,7 +291,7 @@ func (en *Engine) partitionResults(refined *SM, callee *prog.Function, entry *bl
 		if from.g != refined.g || refined.lastLive(from.v, from.obj) != nil {
 			continue
 		}
-		record(e.to, ix.toTuple(e))
+		record(fi.toTuple(e))
 	}
 	en.outs = outs
 
@@ -316,11 +313,11 @@ func (en *Engine) partitionResults(refined *SM, callee *prog.Function, entry *bl
 			parts = append(parts, partition{gstate: g, lo: top, hi: top})
 		}
 		inG := 1
-		for len(outs) > 0 && outs[0].t.g == g {
+		for len(outs) > 0 && outs[0].g == g {
 			// The out tuples of one object: each combination so far
 			// continues with each of them.
 			n := 1
-			for n < len(outs) && outs[n].t.g == g && sameObj(&outs[n].t, outs[0].t.v, outs[0].t.obj) {
+			for n < len(outs) && outs[n].g == g && sameObj(&outs[n], outs[0].v, outs[0].obj) {
 				n++
 			}
 			inG = min(inG*n, math.MaxInt32)
@@ -329,7 +326,7 @@ func (en *Engine) partitionResults(refined *SM, callee *prog.Function, entry *bl
 				for _, o := range outs[:n] {
 					if len(next) < maxPartitions {
 						lo := len(en.tuples)
-						en.tuples = append(append(en.tuples, en.tuples[c.lo:c.hi]...), o.t)
+						en.tuples = append(append(en.tuples, en.tuples[c.lo:c.hi]...), o)
 						next = append(next, partition{gstate: g, lo: lo, hi: len(en.tuples)})
 					}
 				}

@@ -42,7 +42,7 @@ func (s priorSpy) Match(ctx *pattern.Ctx, prior pattern.Bindings) (pattern.Bindi
 		s.t.Fatalf("%s dispatched with prior %v (cap %d), not the engine's one-entry prior", src, prior, cap(prior))
 	}
 	held := false
-	ix := en.intern
+	ix := &en.intern
 	for _, inst := range en.snapshot {
 		if ix.vars.name(inst.v) == src.Var && ix.vals.name(inst.val) == src.Val && exactPrior(prior, src.Var, inst) {
 			held = true

@@ -145,9 +145,15 @@ func (t *traceList) strings() []string {
 // in add-edge starts.
 type Tuple struct {
 	tupleKey
+	// id is the tuple's interned id once something has looked it up
+	// (interner.idOf), else noTID: a block's entry tuples carry the id
+	// the cache check found, so recording their edges hashes nothing.
+	id tid
 	// ObjExpr and Prov carry reconstruction material for applying
 	// summary edges at call boundaries; they do not participate in
-	// identity.
+	// identity. An edge stores neither: a tuple rebuilt from one takes
+	// its object's representative expression and the edge's entry in its
+	// function's provenance table (funcInfo.toTuple).
 	ObjExpr cc.Expr
 	Prov    *Instance
 }
@@ -179,9 +185,9 @@ type SM struct {
 
 // cloneActive appends clones of from's instances to s's own array, for a
 // path split: modifications on one path revert when the DFS backtracks
-// (§5.1). The instances themselves are cloned, not shared, because
-// summary edges hold their end tuple's instance (edge.prov) and restore
-// reads it after the split.
+// (§5.1). The instances themselves are cloned, not shared, because a
+// function's provenance table holds the end instance of its summary
+// edges (funcInfo.provs) and restore reads it after the split.
 func (s *SM) cloneActive(from *SM) {
 	for _, in := range from.Active {
 		s.Active = append(s.Active, in.clone())

@@ -49,7 +49,9 @@ func (en *Engine) retireAfter(root *prog.Function) {
 		}
 	}
 	if en.liveFuncs == 0 {
+		// No edge is left to read an object's representative.
 		en.terms.Reset()
+		clear(en.intern.reps)
 	}
 	// The DFS is between roots, so everything in its own buffers is
 	// dead — and would pin the evicted blocks, their instances and the

@@ -82,7 +82,9 @@ type pins struct {
 	// their first elements are carved from and the cleared arrays the
 	// pool keeps alike.
 	slots int
-	// refs counts the instances and AST expressions those edges hold.
+	// refs counts the non-nil elements of every slice of instances or of
+	// AST expressions: provenance tables and their slab, the interner's
+	// representatives, a frame's active set, the engine's snapshot.
 	refs int
 	// tables counts the times a non-empty FPP table is reached, by
 	// value (the engine's own) or by pointer (an environment's).
@@ -137,21 +139,18 @@ func (p *pins) walk(v reflect.Value, seen map[unsafe.Pointer]bool) {
 		}
 	case reflect.Slice:
 		full := v.Slice(0, v.Cap())
-		if et := v.Type().Elem(); et == reflect.TypeOf(edge{}) || et.Kind() == reflect.Uint64 {
+		count := func(n *int) {
 			for i := 0; i < full.Len(); i++ {
-				el := full.Index(i)
-				if el.IsZero() {
-					continue
-				}
-				p.slots++
-				if el.Kind() == reflect.Struct {
-					for _, f := range []string{"fromExpr", "toExpr", "prov"} {
-						if !el.FieldByName(f).IsNil() {
-							p.refs++
-						}
-					}
+				if !full.Index(i).IsZero() {
+					*n++
 				}
 			}
+		}
+		switch et := v.Type().Elem(); {
+		case et == reflect.TypeOf(edge{}) || et.Kind() == reflect.Uint64:
+			count(&p.slots)
+		case et == reflect.TypeOf((*Instance)(nil)) || et == reflect.TypeOf((*cc.Expr)(nil)).Elem():
+			count(&p.refs)
 		}
 		for i := 0; ours(v.Type()) && i < full.Len(); i++ {
 			p.walk(full.Index(i), seen)
@@ -251,23 +250,33 @@ func TestRetirementDropsFPPState(t *testing.T) {
 		t.Errorf("after full retirement the engine still reaches %d edge or fpSeen slots, %d instances or expressions and %d non-empty term tables",
 			got.slots, got.refs, got.tables)
 	}
-	// The walk sees into the pool: one pooled edge set by hand is found.
+	// The walk sees into the pool: one pooled edge and one pooled
+	// provenance entry, each set by hand, are found.
 	var probe *edge
+	var provProbe **Instance
 	for _, fi := range pooled(en) {
+		if cap(fi.provs) > 0 && provProbe == nil {
+			provProbe = &fi.provs[:1][0]
+		}
 		for i := range fi.blocks[:cap(fi.blocks)] {
 			if s := fi.blocks[i].trans.edges; probe == nil && cap(s) > 0 {
 				probe = &s[:1][0]
 			}
 		}
 	}
-	if probe == nil {
-		t.Fatal("no pooled block kept an edge array")
+	if probe == nil || provProbe == nil {
+		t.Fatal("no pooled block kept an edge array, or no pooled function a provenance table")
 	}
-	probe.prov = &Instance{}
-	if got := pinsOf(en); got.slots != 1 || got.refs != 1 {
+	probe.to = 1
+	if got := pinsOf(en); got.slots != 1 || got.refs != 0 {
 		t.Errorf("with one pooled edge set by hand the walk finds %+v; it is blind to the pool", got)
 	}
 	*probe = edge{}
+	*provProbe = &Instance{}
+	if got := pinsOf(en); got.slots != 0 || got.refs != 1 {
+		t.Errorf("with one pooled provenance entry set by hand the walk finds %+v; it is blind to the pool", got)
+	}
+	*provProbe = nil
 	for _, fn := range p.All {
 		en.SupergraphString(fn.Name)
 	}

@@ -14,13 +14,14 @@ import (
 // edge is a directed summary edge between state tuples (§5.2).
 // Transition edges start at a concrete tuple; add edges start at an
 // "(g, v:t->unknown)" tuple. The tuples' identity lives in the
-// interner, once; the edge holds their ids plus the material that is
-// not identity and that applying a summary at a call boundary needs:
-// both object expressions and the end tuple's provenance.
+// interner, once, and so do their objects' expressions (interner.reps);
+// the end tuple's instance, which restoring a summary at a call boundary
+// reads, is entry prov-1 of its function's provenance table
+// (funcInfo.provs), 0 for none. So an edge is three integers, and its
+// arrays hold nothing the garbage collector must scan.
 type edge struct {
-	from, to         tid
-	fromExpr, toExpr cc.Expr
-	prov             *Instance
+	from, to tid
+	prov     int32
 }
 
 // edgeSet stores edges deduplicated by (from, to) id pair in one
@@ -75,15 +76,15 @@ func (s *edgeSet) add(fi *funcInfo, e edge) bool {
 }
 
 // hasFrom reports whether any edge starts at the given tuple.
-func (s *edgeSet) hasFrom(in *interner, t Tuple) bool { return len(s.from(in, t)) > 0 }
+func (s *edgeSet) hasFrom(in *interner, t *Tuple) bool { return len(s.from(in, t)) > 0 }
 
 // from returns the edges starting at the tuple. The slice aliases the
-// set: it is valid until the next add.
-func (s *edgeSet) from(in *interner, t Tuple) []edge {
+// set: it is valid until the next add. An empty set interns nothing.
+func (s *edgeSet) from(in *interner, t *Tuple) []edge {
 	if len(s.edges) == 0 {
 		return nil
 	}
-	lo, hi := s.group(in, in.id(t))
+	lo, hi := s.group(in, in.idOf(t))
 	return s.edges[lo:hi]
 }
 
@@ -144,22 +145,23 @@ const fpSlot = 4
 
 // coversUnder reports whether the tuple is covered for the given FPP
 // fingerprint. With the cap exceeded (or no FPP facts at all, fp ==
-// 0), coverage degrades to the tuple-only §5.2 condition.
-func (b *blockInfo) coversUnder(t Tuple, fp uint32) bool {
+// 0), coverage degrades to the tuple-only §5.2 condition. The tuple
+// keeps the id the probe found (interner.idOf).
+func (b *blockInfo) coversUnder(t *Tuple, fp uint32) bool {
 	if fp == 0 || b.fpCount > fpCacheCap {
 		return b.covers(t)
 	}
-	_, seen := slices.BinarySearch(b.fpSeen, uint64(fp)<<32|uint64(b.fi.in.id(t)))
+	_, seen := slices.BinarySearch(b.fpSeen, uint64(fp)<<32|uint64(b.fi.in.idOf(t)))
 	return seen
 }
 
 // noteSeen records that the tuple reached block b under the given
 // fingerprint, and counts the block's fall-back past fpCacheCap.
-func (en *Engine) noteSeen(b *blockInfo, t Tuple, fp uint32) {
+func (en *Engine) noteSeen(b *blockInfo, t *Tuple, fp uint32) {
 	if fp == 0 || b.fpCount > fpCacheCap {
 		return
 	}
-	key := uint64(fp)<<32 | uint64(b.fi.in.id(t))
+	key := uint64(fp)<<32 | uint64(b.fi.in.idOf(t))
 	i, seen := slices.BinarySearch(b.fpSeen, key)
 	if seen {
 		return
@@ -185,7 +187,7 @@ func (en *Engine) noteSeen(b *blockInfo, t Tuple, fp uint32) {
 
 // covers reports whether the block summary already contains the tuple
 // as the start of some transition edge — the §5.2 cache condition.
-func (b *blockInfo) covers(t Tuple) bool { return b.trans.hasFrom(b.fi.in, t) }
+func (b *blockInfo) covers(t *Tuple) bool { return b.trans.hasFrom(b.fi.in, t) }
 
 // funcInfo caches per-function analysis state: one blockInfo per
 // basic block, indexed by cfg.Block.ID. The function summary (§6.2) is
@@ -199,12 +201,14 @@ type funcInfo struct {
 	// (experiment E2: memoization avoids re-traversal).
 	Analyses int
 	in       *interner
+	// provs is the provenance table: the end instance of every summary
+	// edge of this function that has one, at index edge.prov-1. Its
+	// first array is carved from the engine's provSlab (addEdge).
+	provs []*Instance
 	// edgeSlab and fpSlab are what is left of the chunks that the first
 	// edge of every edge set and the first fpSlot keys of every fpSeen
 	// are carved from: a traversed block owns three singleton sets, and
-	// one array apiece was a tenth of the engine's objects. The slabs
-	// are the funcInfo's, not the engine's, because edges hold AST nodes
-	// and instances: eviction must clear them with the sets. A chunk's
+	// one array apiece was a tenth of the engine's objects. A chunk's
 	// carved slots stay with the blocks they went to, through eviction
 	// and reuse (funcPool), even if their sets outgrow them.
 	edgeSlab []edge
@@ -221,7 +225,7 @@ func (en *Engine) newFuncInfo(g *cfg.Graph) *funcInfo {
 		fi.blocks = fi.blocks[:n]
 		return fi
 	}
-	fi := &funcInfo{blocks: make([]blockInfo, n), in: en.intern}
+	fi := &funcInfo{blocks: make([]blockInfo, n), in: &en.intern}
 	for i := range fi.blocks {
 		fi.blocks[i].fi = fi
 	}
@@ -230,14 +234,14 @@ func (en *Engine) newFuncInfo(g *cfg.Graph) *funcInfo {
 
 // funcPool holds an engine's evicted funcInfos, cleared, for the
 // functions it enters next (DESIGN.md §12.1). A funcInfo keeps its
-// block array, and every blockInfo its edge and fpSeen arrays — slab
-// slots and grown arrays alike — so a recycled block's sets fill their
-// predecessor's memory before they carve or grow; the slab remainders
-// stay too. Nothing else is tracked: the pieces hang off the funcInfo,
-// and the funcInfos are chained through next. Class k holds block
-// arrays of capacity [2^(k-1), 2^k), the last class everything above;
-// eleven heads keep the Engine in the 1,024-byte size class it had
-// without them. The pool is the engine's: one goroutine, no lock.
+// block array and provenance table, and every blockInfo its edge and
+// fpSeen arrays — slab slots and grown arrays alike — so a recycled
+// block's sets fill their predecessor's memory before they carve or
+// grow; the slab remainders stay too. Nothing else is tracked: the
+// pieces hang off the funcInfo, and the funcInfos are chained through
+// next. Class k holds block arrays of capacity [2^(k-1), 2^k), the last
+// class everything above. The pool is the engine's: one goroutine, no
+// lock.
 type funcPool [11]*funcInfo
 
 func poolClass(n int) int { return min(bits.Len(uint(n)), len(funcPool{})-1) }
@@ -255,7 +259,8 @@ func (p *funcPool) put(fi *funcInfo) {
 		clear(b.fpSeen)
 		b.fpSeen, b.fpCount = b.fpSeen[:0], 0
 	}
-	fi.Analyses = 0
+	clear(fi.provs)
+	fi.provs, fi.Analyses = fi.provs[:0], 0
 	k := poolClass(cap(fi.blocks))
 	fi.next, p[k] = p[k], fi
 }
@@ -298,6 +303,49 @@ func carve[T any](slab *[]T, want, width int, v T) []T {
 }
 
 func (fi *funcInfo) info(b *cfg.Block) *blockInfo { return &fi.blocks[b.ID] }
+
+// provSlot is the capacity of a function's first provenance array,
+// carved from the engine's provSlab. The slab is the engine's, not the
+// funcInfo's: over half the functions a run enters record no
+// provenance, and a chunk apiece for the others would be an allocation
+// per function. An evicted funcInfo's array is cleared (funcPool.put),
+// so a chunk shared with live functions pins nothing of it.
+const provSlot = 8
+
+// addEdge adds the edge between two tuples to one of fi's sets. The end
+// tuple's instance is entered in fi's provenance table only when the set
+// keeps the edge, so a set's first edge between two tuples keeps the
+// provenance it came with. Consecutive edges that end in one instance,
+// as a straight path's blocks do, share its entry.
+func (en *Engine) addEdge(fi *funcInfo, s *edgeSet, from, to *Tuple) bool {
+	e := fi.in.edge(from, to)
+	n := int32(len(fi.provs))
+	if p := to.Prov; p != nil {
+		if e.prov = n + 1; n > 0 && fi.provs[n-1] == p {
+			e.prov = n
+		}
+	}
+	if !s.add(fi, e) {
+		return false
+	}
+	switch {
+	case e.prov <= n:
+	case cap(fi.provs) == 0:
+		fi.provs = carve(&en.provSlab, slabChunk, provSlot, to.Prov)
+	default:
+		fi.provs = append(fi.provs, to.Prov)
+	}
+	return true
+}
+
+// toTuple rebuilds an edge's end tuple with its provenance.
+func (fi *funcInfo) toTuple(e edge) Tuple {
+	t := fi.in.tuple(e.to)
+	if e.prov != 0 {
+		t.Prov = fi.provs[e.prov-1]
+	}
+	return t
+}
 
 // traceEntry records one block traversal on the current path: the
 // edges generated during that traversal. relax composes these
@@ -366,13 +414,13 @@ func (in *interner) suffixSkip(e edge, locals map[string]bool) bool {
 		return true
 	}
 	local := func(id *cc.Ident) bool { return locals[id.Name] }
-	return mentions(e.fromExpr, local) || mentions(e.toExpr, local)
+	return mentions(in.rep(in.tups[e.from].obj), local) || mentions(in.rep(in.tups[e.to].obj), local)
 }
 
 // compose joins a block edge and a suffix edge that starts where it
-// ends: the block edge's start, the suffix edge's end.
+// ends: the block edge's start, the suffix edge's end and provenance.
 func compose(pe, sfx edge) edge {
-	sfx.from, sfx.fromExpr = pe.from, pe.fromExpr
+	sfx.from = pe.from
 	return sfx
 }
 
@@ -469,7 +517,7 @@ func (en *Engine) BlockSummaryString(fnName string, b *cfg.Block) string {
 		return ""
 	}
 	bi := en.funcInfo(fn).info(b)
-	return formatEdges(en.intern, &bi.trans, &bi.adds)
+	return formatEdges(&en.intern, &bi.trans, &bi.adds)
 }
 
 // SuffixSummaryString renders the suffix summary (the middle field of
@@ -480,7 +528,7 @@ func (en *Engine) SuffixSummaryString(fnName string, b *cfg.Block) string {
 		return ""
 	}
 	bi := en.funcInfo(fn).info(b)
-	return formatEdges(en.intern, &bi.sfxTrans, &bi.sfxAdds)
+	return formatEdges(&en.intern, &bi.sfxTrans, &bi.sfxAdds)
 }
 
 // SupergraphString renders every block of a function with its block

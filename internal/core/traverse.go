@@ -19,6 +19,9 @@ func (en *Engine) traverseBlock(st *pathState, b *cfg.Block) {
 	}
 	en.Stats.Blocks++
 	bi := en.funcInfo(st.fn).info(b)
+	if en.traversed != nil && st.btTop > st.btBase {
+		en.traversed(en.backtrace[st.btTop-1].block, b)
+	}
 
 	// Block-level cache check (§5.2): drop every state tuple already
 	// covered by the block summary; abort the path when nothing
@@ -29,45 +32,51 @@ func (en *Engine) traverseBlock(st *pathState, b *cfg.Block) {
 	if en.Opts.FPP {
 		fp = st.env.Fingerprint()
 	}
-	if en.Opts.BlockCache {
-		// The survivors are compacted into the frame's own array (DESIGN.md
-		// §5): nothing reads a frame's instances after traverseBlock
-		// returns, so a full hit may leave the array scrambled.
-		allHit, live := true, false
-		keep := st.sm.Active[:0]
-		for _, in := range st.sm.Active {
-			if in.Inactive {
-				keep = append(keep, in)
-				continue
-			}
-			live = true
-			if bi.coversUnder(instTuple(st.sm.g, in), fp) {
-				en.Stats.CacheHits++
-			} else {
-				allHit = false
-				keep = append(keep, in)
-			}
+	// The tuple of every live instance the cache does not cover goes on
+	// the engine's tuple stack, with the id the probe found: from base
+	// up, the stack is the block's entry list (enter). The
+	// survivors are compacted into the frame's own array (DESIGN.md §5):
+	// nothing reads a frame's instances after traverseBlock returns, so a
+	// full hit may leave the array scrambled.
+	base := len(en.tuples)
+	cache := en.Opts.BlockCache
+	allHit, live := cache, false
+	keep := st.sm.Active[:0]
+	for _, in := range st.sm.Active {
+		if in.Inactive {
+			keep = append(keep, in)
+			continue
 		}
-		if !live {
-			// The placeholder is the extension state.
-			allHit = bi.coversUnder(placeholderTuple(st.sm.g), fp)
-			if allHit {
-				en.Stats.CacheHits++
-			}
+		live = true
+		t := instTuple(st.sm.g, in)
+		if cache && bi.coversUnder(&t, fp) {
+			en.Stats.CacheHits++
+			continue
 		}
-		if allHit {
-			relax(en.backtrace[st.btBase:st.btTop], bi, false, st.fn.NonParamLocals)
-			return
+		allHit = false
+		keep = append(keep, in)
+		en.tuples = enter(en.tuples, base, t)
+	}
+	st.sm.Active = keep
+	if cache && !live {
+		// The placeholder is the extension state.
+		pt := placeholderTuple(st.sm.g)
+		if allHit = bi.coversUnder(&pt, fp); allHit {
+			en.Stats.CacheHits++
 		}
+	}
+	if allHit {
+		relax(en.backtrace[st.btBase:st.btTop], bi, false, st.fn.NonParamLocals)
+		return
+	}
+	if cache {
 		en.Stats.CacheMisses++
-		st.sm.Active = keep
 	}
 
 	en.backtrace = append(en.backtrace[:st.btTop], traceEntry{block: b, info: bi})
 	st.btTop++
 	var rec blockRec
-	base := len(en.tuples)
-	en.tuples = rec.start(&st.sm, fp, en.tuples)
+	rec.start(st.sm.g, fp, en.tuples, base)
 
 	if b.Exit {
 		en.endOfPath(st, &rec)
@@ -128,46 +137,46 @@ func (en *Engine) finishBlock(st *pathState, b *cfg.Block, bi *blockInfo, rec *b
 	// to relax add edges through gstate-preserving blocks). It joins
 	// the cache-relevant transition edges only when the placeholder
 	// actually was the extension state.
-	fi, ix := bi.fi, en.intern
-	ghost := ix.edge(placeholderTuple(rec.entryG), placeholderTuple(gEnd))
+	fi := bi.fi
+	entryPT, endPT := placeholderTuple(rec.entryG), placeholderTuple(gEnd)
+	ghost := fi.in.edge(&entryPT, &endPT)
 	bi.gstate.add(fi, ghost)
 	if len(rec.entry) == 0 {
 		bi.trans.add(fi, ghost)
-		en.noteSeen(bi, placeholderTuple(rec.entryG), rec.fp)
+		en.noteSeen(bi, &entryPT, rec.fp)
 	}
 	// Transition edges for each entry tuple ("Each state tuple that
 	// reaches a block generates exactly one transition edge, where the
 	// transition can be the identity").
 	for i := range rec.entry {
 		from := &rec.entry[i]
-		en.noteSeen(bi, *from, rec.fp)
+		en.noteSeen(bi, from, rec.fp)
 		// Where the instance went: killed, still here, or out of scope
 		// some other way (e.g. dropped at a call boundary) — a stop edge.
 		to := *from
-		to.g, to.val = gEnd, symStop
+		to.g, to.val, to.id = gEnd, symStop, noTID
 		if stop := lastOf(rec.kills, from.v, from.obj); stop != nil {
 			to = *stop
 		} else if inst := st.sm.lastLive(from.v, from.obj); inst != nil {
 			to = instTuple(gEnd, inst)
 		}
-		bi.trans.add(fi, ix.edge(*from, to))
+		en.addEdge(fi, &bi.trans, from, &to)
 	}
 	// Add edges for instances created during the block.
 	for _, inst := range st.sm.Active {
 		if inst.Inactive || lastOf(rec.entry, inst.v, inst.obj) != nil || st.sm.lastLive(inst.v, inst.obj) != inst {
 			continue
 		}
-		from := unknownTuple(rec.entryG, inst.v, inst.obj)
-		from.ObjExpr = inst.ObjExpr
-		bi.adds.add(fi, ix.edge(from, instTuple(gEnd, inst)))
+		from, to := unknownTuple(rec.entryG, inst.v, inst.obj), instTuple(gEnd, inst)
+		en.addEdge(fi, &bi.adds, &from, &to)
 	}
-	for _, stop := range rec.kills {
+	for i := range rec.kills {
+		stop := &rec.kills[i]
 		if lastOf(rec.entry, stop.v, stop.obj) != nil {
 			continue
 		}
 		from := unknownTuple(rec.entryG, stop.v, stop.obj)
-		from.ObjExpr = stop.ObjExpr
-		bi.adds.add(fi, ix.edge(from, stop))
+		en.addEdge(fi, &bi.adds, &from, stop)
 	}
 
 	if st.killPath || len(b.Succs) == 0 {
@@ -212,10 +221,10 @@ func (en *Engine) descend(st *pathState, b *cfg.Block) {
 			en.Stats.PrunedPaths++
 			continue
 		}
-		// The last successor is split too: summary edges hold their end
-		// tuple's instance (edge.prov) and restore reads its Conds and
-		// trace later, so an instance that lived on past its split would
-		// change ranking input.
+		// The last successor is split too: a function's provenance table
+		// holds the end instance of its summary edges (funcInfo.provs) and
+		// restore reads its Conds and trace later, so an instance that
+		// lived on past its split would change ranking input.
 		ns := en.split(st)
 		if en.Opts.FPP {
 			assume(&ns.env, b, e)
