@@ -154,6 +154,10 @@ bench-check:
 # FuzzMetalParse feeds checker text, seeded from the bundled checkers
 # and testdata/metalc, to metal.Parse: no input panics it, and what
 # parses parses again from its Source to the same String().
+# FuzzSkim feeds C source to pass 1's body skim: no input panics it,
+# its spans are brace-balanced, and wherever the parser accepts a file
+# the skim names the CFG's callees and its bodies parse on demand to
+# the whole-file parse's bytes (DESIGN §8).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzEnvOps -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/fpp/
@@ -164,6 +168,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadFile -fuzztime $(FUZZTIME) ./internal/cc/
 	$(GO) test -run '^$$' -fuzz FuzzBuildCFG -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/cfg/
 	$(GO) test -run '^$$' -fuzz FuzzMetalParse -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/metal/
+	$(GO) test -run '^$$' -fuzz FuzzSkim -fuzztime $(FUZZTIME) -fuzzminimizetime 1s .
 
 # Microbenchmarks for the §10 hot paths (pattern match, block and
 # call-rich traversal, instance clone, an interned tuple's id, the

@@ -167,31 +167,51 @@ func (l *LogStore) PutBatch(entries map[string][]byte) error {
 	return nil
 }
 
-// read preads and verifies key's record; the caller holds a lock.
-func (l *LogStore) read(key string) ([]byte, bool) {
-	sp, ok := l.idx[key]
-	buf := make([]byte, sp.len)
-	if _, err := l.f.ReadAt(buf, sp.off); !ok || err != nil || checksum(key, buf) != sp.sum {
-		return nil, false
-	}
-	return buf, true
+// readAt preads key's record at sp into buf, which is sp.len long, and
+// verifies it; the caller holds a lock.
+func (l *LogStore) readAt(key string, sp span, buf []byte) bool {
+	_, err := l.f.ReadAt(buf, sp.off)
+	return err == nil && checksum(key, buf) == sp.sum
 }
 
 // Get returns key's latest record, or a miss if it no longer verifies.
 func (l *LogStore) Get(key string) ([]byte, bool) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return l.read(key)
+	sp, ok := l.idx[key]
+	if !ok {
+		return nil, false
+	}
+	buf := make([]byte, sp.len)
+	if !l.readAt(key, sp, buf) {
+		return nil, false
+	}
+	return buf, true
 }
 
-// GetBatch looks every key up under one lock, one pread per hit.
+// GetBatch looks every key up under one lock and reads the hits into
+// one buffer, each record a slice of it, one pread per hit. A record
+// held keeps the whole buffer alive, which is why a unit record's
+// decoder (UnitDecoder) copies every string it keeps: a decoded entry
+// pins none of it.
 func (l *LogStore) GetBatch(keys []string) map[string][]byte {
 	out := make(map[string][]byte, len(keys))
 	l.mu.RLock()
 	defer l.mu.RUnlock()
+	var total int64
 	for _, k := range keys {
-		if data, ok := l.read(k); ok {
-			out[k] = data
+		total += l.idx[k].len
+	}
+	slab := make([]byte, total)
+	for _, k := range keys {
+		sp, ok := l.idx[k]
+		if !ok {
+			continue
+		}
+		buf := slab[:sp.len:sp.len]
+		slab = slab[sp.len:]
+		if l.readAt(k, sp, buf) {
+			out[k] = buf
 		}
 	}
 	return out

@@ -245,3 +245,46 @@ func TestLogGetAllocs(t *testing.T) {
 		t.Errorf("a warm Get allocates %v objects, want 1 (the returned buffer)", got)
 	}
 }
+
+// mapSink keeps TestLogGetBatchAllocs' reference map on the heap.
+var mapSink map[string][]byte
+
+// TestLogGetBatchAllocs: apart from the result map, a batch allocates
+// one read buffer however many records it hits; each record is a slice
+// of it (it allocated one buffer per record).
+func TestLogGetBatchAllocs(t *testing.T) {
+	l := openLog(t, filepath.Join(t.TempDir(), "store.log"))
+	defer l.Close()
+	entries := map[string][]byte{}
+	var keys []string
+	for i := 0; i < 64; i++ {
+		k := Key("unit", fmt.Sprint(i))
+		entries[k] = bytes.Repeat([]byte{byte(i)}, 100+i)
+		keys = append(keys, k)
+	}
+	if err := l.PutBatch(entries); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{2, 64} {
+		batch := testing.AllocsPerRun(50, func() {
+			if got := l.GetBatch(keys[:n]); len(got) != n {
+				t.Fatalf("%d of %d hits", len(got), n)
+			}
+		})
+		result := testing.AllocsPerRun(50, func() {
+			mapSink = make(map[string][]byte, n)
+			for _, k := range keys[:n] {
+				mapSink[k] = nil
+			}
+		})
+		if batch-result != 1 {
+			t.Errorf("a batch of %d hits allocates %v objects beside its result map's %v, want 1 (one read buffer)", n, batch-result, result)
+		}
+	}
+	got := l.GetBatch(keys)
+	for _, k := range keys {
+		if !bytes.Equal(got[k], entries[k]) {
+			t.Fatalf("%s read back other bytes", k)
+		}
+	}
+}

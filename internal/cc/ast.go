@@ -396,7 +396,15 @@ type FuncDecl struct {
 	// File records the source file; the refine/restore machinery uses
 	// it to scope file-static state (Section 6.1).
 	File string
+	// Skim is pass 1's record of a definition's body (SkimFile): the
+	// body stays unparsed until ParseBody parses it into Body. ParseFile
+	// and ReadFile leave it empty.
+	Skim BodySkim
 }
+
+// IsDefinition reports whether the declaration has a body, parsed or
+// only skimmed.
+func (d *FuncDecl) IsDefinition() bool { return d.Body != nil || d.Skim.src != nil }
 
 // Signature returns the function's type.
 func (d *FuncDecl) Signature() *Type {
@@ -447,12 +455,12 @@ type File struct {
 	Decls []Decl
 }
 
-// Funcs returns the function definitions (declarations with bodies) in
-// the file, in source order.
+// Funcs returns the function definitions (declarations with bodies,
+// parsed or skimmed) in the file, in source order.
 func (f *File) Funcs() []*FuncDecl {
 	var out []*FuncDecl
 	for _, d := range f.Decls {
-		if fd, ok := d.(*FuncDecl); ok && fd.Body != nil {
+		if fd, ok := d.(*FuncDecl); ok && fd.IsDefinition() {
 			out = append(out, fd)
 		}
 	}

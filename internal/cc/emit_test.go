@@ -200,8 +200,11 @@ func TestEmitIsText(t *testing.T) {
 // emitFormGolden is the SHA-256 of emitFormDigest's input. It pins
 // the emitted pass-1 form byte for byte: every cache key is a hash of
 // it (HashDecl, FuncSignature, EnvHash), so a codec change that moves
-// one byte re-keys every stored unit.
-const emitFormGolden = "67719272a3eac1a155fdb594e8e57c06893dede018f128ec3b43978562f8d6cf"
+// one byte re-keys every stored unit. Re-taken when every declaration
+// of one integer keyword set came to share the package's Type: the
+// form numbers types by pointer, so a declaration that names int twice
+// now lists one type.
+const emitFormGolden = "1802f4d8883e1652637eabfba0684797886bbb955558af5ec8ca3d2a89e47b4b"
 
 // TestEmitFormIsStable hashes EmitFile, per-declaration HashDecl,
 // FuncSignature and EnvHash over the checked-in corpus, emitFixture and

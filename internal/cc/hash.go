@@ -2,6 +2,7 @@ package cc
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"hash"
 	"strconv"
@@ -55,7 +56,8 @@ func EnvHash(files []*File) string {
 // use. A Hasher is not safe for concurrent use.
 type Hasher struct {
 	c         *codec
-	d         Decl // the declaration Decl is hashing, addressable without an allocation
+	d         Decl     // the declaration Decl is hashing, addressable without an allocation
+	head      FuncDecl // the declaration Func hashes without its body
 	env, decl hash.Hash
 	shapes    map[*Type][8]byte
 	line      []byte // the environment line being written
@@ -80,6 +82,45 @@ func (x *Hasher) Decl(d Decl) [sha256.Size]byte {
 	x.decl.Reset()
 	x.decl.Write(x.scratch)
 	x.decl.Write(x.c.buf)
+	return x.digest(x.decl)
+}
+
+// Func is the digest a unit key holds for a function definition. For
+// one pass 1 skimmed, it covers the declaration without its body, as
+// Decl would hash it, then the body's tokens and their positions:
+// streamed from the token span, with no AST and no emitted form. For
+// any other, it is Decl's digest. An edit that changes Decl's digest of
+// the parsed definition changes Func's of the skimmed one
+// (TestSkimMatchesParse); types the body names are covered by the
+// declaration environment every unit key also holds.
+func (x *Hasher) Func(fd *FuncDecl) [sha256.Size]byte {
+	s := &fd.Skim
+	if s.src == nil {
+		return x.Decl(fd)
+	}
+	x.head = *fd
+	x.head.Body, x.head.Skim = nil, BodySkim{}
+	x.c.reset()
+	x.d = &x.head
+	x.c.decl(&x.d)
+	x.d, x.head = nil, FuncDecl{}
+	x.scratch = x.c.typeLines(x.scratch[:0])
+	x.decl.Reset()
+	x.decl.Write(x.scratch)
+	x.decl.Write(x.c.buf)
+	l := append(x.line[:0], "body\n"...)
+	for _, t := range s.src.toks[s.Lo : s.Hi+1] {
+		l = binary.AppendUvarint(l, uint64(t.Kind))
+		l = binary.AppendUvarint(l, uint64(len(t.Text)))
+		l = append(l, t.Text...)
+		l = binary.AppendUvarint(binary.AppendUvarint(l, uint64(t.Line)), uint64(t.Col))
+		if len(l) >= 4096 {
+			x.decl.Write(l)
+			l = l[:0]
+		}
+	}
+	x.decl.Write(l)
+	x.line = l
 	return x.digest(x.decl)
 }
 

@@ -34,6 +34,14 @@ type Parser struct {
 	// labels holds the labels of the function body being parsed: a
 	// label may appear once per function (C11 6.8.1).
 	labels []string
+
+	// Pass 1 skims each function body for ParseBody to parse later
+	// (decl.go), and with callees names its callees too. While a
+	// skimmed body is parsed, the file-scope entries from horizon to
+	// fileEnd are hidden: they were declared after the definition.
+	callees          bool
+	horizon, fileEnd int32
+	sk               skimmer
 }
 
 // popList returns (*stack)[start:] in an array of its own, nil when it
@@ -82,14 +90,24 @@ func NewParser(file string, toks []Token) *Parser {
 	return &Parser{toks: toks, file: file}
 }
 
-// ParseFile lexes and parses a complete translation unit.
+// ParseFile lexes and parses a complete translation unit: pass 1's
+// skim, then every body in source order. The first error in source
+// order is the one returned, whether a body or a declaration holds it.
+// No skim outlives the call: the file's tokens go with its parser.
 func ParseFile(file, src string) (*File, error) {
-	toks, err := LexAll(file, src)
+	f, err := skimFile(file, src, false)
 	if err != nil {
 		return nil, err
 	}
-	p := NewParser(file, toks)
-	return p.parseTranslationUnit()
+	for _, d := range f.Decls {
+		if fd, ok := d.(*FuncDecl); ok {
+			if err := ParseBody(fd); err != nil {
+				return nil, err
+			}
+			fd.Skim = BodySkim{}
+		}
+	}
+	return f, nil
 }
 
 // ParseExprString parses src as one C expression: a pattern's
@@ -225,6 +243,10 @@ func (p *Parser) declare(ns namespace, name string, t *Type, v int64) {
 
 func (p *Parser) lookup(ns namespace, name string) (*scopeEntry, bool) {
 	i, ok := p.latest[ns][name]
+	for ok && i >= p.horizon && i < p.fileEnd {
+		i = p.names[i].prev
+		ok = i >= 0
+	}
 	if !ok {
 		return nil, false
 	}
@@ -326,11 +348,7 @@ func (p *Parser) initDeclarators(storage StorageClass, base *Type, fileScope boo
 			}
 			p.decls = append(p.decls, fd)
 			if def {
-				p.labels = p.labels[:0]
-				p.pushScope()
-				fd.Body, err = p.parseCompoundStmt()
-				p.popScope()
-				return err
+				return p.defineBody(fd)
 			}
 		default:
 			vd := &VarDecl{P: declPos, Name: d.name, Type: t, Storage: storage}

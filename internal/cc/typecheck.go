@@ -44,7 +44,7 @@ func NewTypeEnv(files ...*File) *TypeEnv {
 				env.Globals[d.Name] = d.Type
 			case *FuncDecl:
 				// Prefer definitions over prototypes.
-				if prev, ok := env.Funcs[d.Name]; !ok || (prev.Body == nil && d.Body != nil) {
+				if prev, ok := env.Funcs[d.Name]; !ok || (!prev.IsDefinition() && d.IsDefinition()) {
 					env.Funcs[d.Name] = d
 				}
 			case *EnumDecl:

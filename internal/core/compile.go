@@ -103,7 +103,9 @@ type CompiledDispatch struct {
 	// blockAdmit[fn.Index][b.ID]: the entries some point of the block
 	// can satisfy. funcAdmit[fn.Index] unions a function's blocks;
 	// rootAdmit[root.Index] unions a root's callee closure (nil for a
-	// function that is no root); progAdmit unions everything.
+	// function that is no root, or whose unit is not built yet);
+	// progAdmit unions everything, when every unit was built at compile
+	// time.
 	blockAdmit [][]bitset
 	funcAdmit  []bitset
 	rootAdmit  []bitset
@@ -112,7 +114,10 @@ type CompiledDispatch struct {
 	// initEntries lists, per checker, the entries sourced at its
 	// initial global state — the only transitions that can fire before
 	// any checker state exists. initEOP marks checkers with an initial
-	// transition that fires at end-of-path (never skippable).
+	// transition that fires at end-of-path (never skippable). skipAll
+	// marks the checkers that fire nowhere in a program every unit of
+	// which was built at compile time; otherwise it stays false and
+	// SkipRoot's per-root test decides alone, with the same answers.
 	initEntries [][]int32
 	initEOP     []bool
 	skipAll     []bool
@@ -180,67 +185,122 @@ func newDispatch(checkers []*metal.Checker) *CompiledDispatch {
 	return cd
 }
 
-// fill computes the admit tables from a per-block admit function, which
-// sets a block's bits in the zeroed set it is given: one walk per block,
-// then the per-function, per-program and per-root (callee closure) unions
-// and the skip tables. Every set is carved from one array and every
-// function's block table from one slice, so the tables cost a handful of
-// objects however many blocks the program has.
+// fill computes the admit tables of the whole program from a per-block
+// admit function, which sets a block's bits in the zeroed set it is
+// given, and, when every unit is built, the skip tables: a unit whose
+// bodies are not built yet gets its tables from AddUnits once they
+// are.
 func (cd *CompiledDispatch) fill(p *prog.Program, admit func(*cfg.Block, bitset)) {
-	words := (len(cd.entries) + 63) / 64
-	blocks := 0
-	for _, fn := range p.All {
-		blocks += len(fn.Graph.Blocks)
+	cd.blockAdmit = make([][]bitset, len(p.All))
+	cd.funcAdmit = make([]bitset, len(p.All))
+	cd.rootAdmit = make([]bitset, len(p.All))
+	built := p.Units()
+	if slices.ContainsFunc(built, unbuilt) {
+		built = slices.DeleteFunc(slices.Clone(built), unbuilt)
 	}
-	slab := make([]uint64, (blocks+len(p.All)+len(p.Roots)+1)*words)
+	all := len(built) == len(p.Units())
+	cd.fillUnits(p, built, admit, all)
+	if all {
+		for ci := range cd.checkers {
+			cd.skipAll[ci] = !cd.canFire(ci, cd.progAdmit)
+		}
+	}
+}
+
+// unbuilt reports whether some function of u has no CFG yet.
+func unbuilt(u *prog.Unit) bool {
+	return slices.ContainsFunc(u.Funcs, func(fn *prog.Function) bool { return fn.Graph == nil })
+}
+
+// AddUnits computes the admit tables of units whose bodies were built
+// after the dispatch was compiled (prog.Program.BuildUnits), skipping
+// any it already has. It writes only those units' entries, so engines
+// running other units may read the dispatch meanwhile; two AddUnits
+// calls must not overlap.
+func (cd *CompiledDispatch) AddUnits(p *prog.Program, units []*prog.Unit) {
+	var todo []*prog.Unit
+	for _, u := range units {
+		if cd.rootAdmit[u.Roots[0].Index] == nil {
+			todo = append(todo, u)
+		}
+	}
+	slices.SortFunc(todo, func(a, b *prog.Unit) int { return a.Index - b.Index })
+	todo = slices.Compact(todo) // units may repeat
+	if len(todo) > 0 {
+		var feats blockFeats
+		cd.fillUnits(p, todo, func(b *cfg.Block, bits bitset) { cd.admitSet(&feats, b, bits) }, false)
+	}
+}
+
+// fillUnits computes the given units' admit tables: one walk per block,
+// then the per-function and per-root (callee closure) unions, and with
+// whole the per-program union. Every set is carved from one array and
+// every function's block table from one slice, so the tables cost a
+// handful of objects however many blocks the units have.
+func (cd *CompiledDispatch) fillUnits(p *prog.Program, units []*prog.Unit, admit func(*cfg.Block, bitset), whole bool) {
+	words := (len(cd.entries) + 63) / 64
+	blocks, funcs, roots := 0, 0, 0
+	for _, u := range units {
+		for _, fn := range u.Funcs {
+			blocks += len(fn.Graph.Blocks)
+		}
+		funcs += len(u.Funcs)
+		roots += len(u.Roots)
+	}
+	slab := make([]uint64, (blocks+funcs+roots+1)*words)
 	carve := func() bitset {
 		s := bitset(slab[:words:words])
 		slab = slab[words:]
 		return s
 	}
 	tables := make([]bitset, blocks)
-	cd.blockAdmit = make([][]bitset, len(p.All))
-	cd.funcAdmit = make([]bitset, len(p.All))
-	cd.rootAdmit = make([]bitset, len(p.All))
-	cd.progAdmit = carve()
-	for _, fn := range p.All {
-		fa := carve()
-		n := len(fn.Graph.Blocks)
-		tab := tables[:n:n]
-		tables = tables[n:]
-		for i, b := range fn.Graph.Blocks {
-			tab[i] = carve()
-			admit(b, tab[i])
-			fa.or(tab[i])
+	if whole {
+		cd.progAdmit = carve()
+	}
+	for _, u := range units {
+		for _, fn := range u.Funcs {
+			fa := carve()
+			n := len(fn.Graph.Blocks)
+			tab := tables[:n:n]
+			tables = tables[n:]
+			for i, b := range fn.Graph.Blocks {
+				tab[i] = carve()
+				admit(b, tab[i])
+				fa.or(tab[i])
+			}
+			cd.blockAdmit[fn.Index] = tab
+			cd.funcAdmit[fn.Index] = fa
+			if whole {
+				cd.progAdmit.or(fa)
+			}
 		}
-		cd.blockAdmit[fn.Index] = tab
-		cd.funcAdmit[fn.Index] = fa
-		cd.progAdmit.or(fa)
 	}
 
 	// visited[fn.Index] is the ordinal (from 1) of the last root whose
-	// closure walk reached fn; work is the walk's stack.
+	// closure walk reached fn; work is the walk's stack. A root's
+	// closure stays inside its unit.
 	visited := make([]int, len(p.All))
 	var work []*prog.Function
-	for ri, root := range p.Roots {
-		ra := carve()
-		visited[root.Index] = ri + 1
-		work = append(work[:0], root)
-		for len(work) > 0 {
-			fn := work[len(work)-1]
-			work = work[:len(work)-1]
-			ra.or(cd.funcAdmit[fn.Index])
-			for _, c := range fn.Callees {
-				if visited[c.Index] != ri+1 {
-					visited[c.Index] = ri + 1
-					work = append(work, c)
+	ri := 0
+	for _, u := range units {
+		for _, root := range u.Roots {
+			ri++
+			ra := carve()
+			visited[root.Index] = ri
+			work = append(work[:0], root)
+			for len(work) > 0 {
+				fn := work[len(work)-1]
+				work = work[:len(work)-1]
+				ra.or(cd.funcAdmit[fn.Index])
+				for _, c := range fn.Callees {
+					if visited[c.Index] != ri {
+						visited[c.Index] = ri
+						work = append(work, c)
+					}
 				}
 			}
+			cd.rootAdmit[root.Index] = ra
 		}
-		cd.rootAdmit[root.Index] = ra
-	}
-	for ci := range cd.checkers {
-		cd.skipAll[ci] = !cd.canFire(ci, cd.progAdmit)
 	}
 }
 

@@ -120,8 +120,8 @@ func (w *Worker) handleWork(rw http.ResponseWriter, r *http.Request) {
 // tree returns the built program for a source set, building (and
 // caching) it on first sight. The cache key is computed here from the
 // sources themselves, so a request cannot alias another tree. The
-// worker parses the sources it was sent (cc.ParseFiles, the
-// coordinator's own pass 1).
+// worker runs the coordinator's own pass 1 over the sources it was sent
+// (cc.SkimFiles); RunUnits parses the bodies of the units it runs.
 func (w *Worker) tree(srcs map[string]string) *workerTree {
 	canon, _ := json.Marshal(srcs) // keys sorted: one encoding per source set
 	fp := cache.Key(string(canon))
@@ -146,7 +146,7 @@ func (w *Worker) tree(srcs map[string]string) *workerTree {
 	w.mu.Unlock()
 	t.once.Do(func() {
 		w.treesBuilt.Add(1)
-		files, err := cc.ParseFiles(srcs, cap(w.sem))
+		files, err := cc.SkimFiles(srcs, cap(w.sem))
 		if t.err = err; err == nil {
 			t.tree = mc.NewUnitTree(files)
 		}

@@ -5,10 +5,13 @@
 // Functions with no callers are roots; recursive call chains are broken
 // arbitrarily (§6 step 2).
 //
-// A Program is immutable once Build returns: engines running
+// Build assembles the program and builds every body. Assemble builds
+// the skeleton from pass 1's skims, and BuildUnits builds a unit's
+// bodies when a run needs them (DESIGN.md §8). Engines running
 // concurrently (DESIGN.md §5 "Engine parallelism") share one Program
-// and may only read it. Anything needing per-run mutable state must
-// live in the engine, never here.
+// and may only read it: BuildUnits and ReleaseBody write only functions
+// no engine can reach meanwhile. Anything needing per-run mutable state
+// must live in the engine, never here.
 package prog
 
 import (
@@ -110,13 +113,14 @@ func (fn *Function) Site(b *cfg.Block, point int) *CallSite {
 	return &fn.Sites[i]
 }
 
-// ReleaseBody drops the function's CFG, type map, program model and
-// body AST so the garbage collector can reclaim them — the AST half of
-// retirement (DESIGN.md §12). The declaration shell (name, file,
-// params) survives, so FuncID and the call-graph links keep working;
-// Decl is the Program's own copy of it (Build), so the declaration a
-// caller handed to AddAST is never written. This is the one sanctioned
-// mutation of a built Program; the caller must guarantee no traversal
+// ReleaseBody drops the function's CFG, type map, program model, body
+// AST and skim so the garbage collector can reclaim them — the AST half
+// of retirement (DESIGN.md §12); a body never parsed has only its skim
+// to drop. The declaration shell (name, file, params) survives, so
+// FuncID and the call-graph links keep working; Decl is the Program's
+// own copy of it (Assemble), so the declaration a caller handed to
+// AddAST is never written. This and BuildUnits are the sanctioned
+// mutations of an assembled Program; the caller must guarantee no traversal
 // can still visit the function (no call edge leaves a unit, so once a
 // unit's last root finishes nothing can) and must publish the write
 // with an ordering barrier of its own (the mc releaser does it under a
@@ -130,6 +134,7 @@ func (fn *Function) ReleaseBody() {
 	fn.Sites = nil
 	if fn.Decl != nil {
 		fn.Decl.Body = nil
+		fn.Decl.Skim = cc.BodySkim{}
 	}
 }
 
@@ -156,8 +161,11 @@ type Program struct {
 	GlobalNames map[string]bool
 	Statics     map[string]string
 
-	// units is the call-graph partition (units.go), built by Build.
+	// units is the call-graph partition (units.go), built by Assemble.
 	units []*Unit
+	// env types the bodies BuildUnits builds (nil after
+	// ReleaseFrontEnd).
+	env *cc.TypeEnv
 
 	// FuncByID's lazily built index (units.go).
 	byIDOnce sync.Once
@@ -167,15 +175,31 @@ type Program struct {
 // staticKey names a file-scoped function uniquely.
 func staticKey(file, name string) string { return file + ":" + name }
 
-// Build assembles a program from parsed files.
+// Build assembles a program from parsed files and builds every
+// function's body: Assemble, then BuildUnits over every unit. A
+// skimmed body that does not parse is left unbuilt, like a missing
+// CFG (§6); mc reports such an error through BuildUnits instead.
 func Build(files ...*cc.File) *Program {
-	// The type environment indexes every declaration, body included, so
-	// it is Build's own: a released body has no referent in the Program.
-	env := cc.NewTypeEnv(files...)
+	p := Assemble(files...)
+	p.BuildUnits(p.units, 1)
+	p.ReleaseFrontEnd()
+	return p
+}
+
+// Assemble builds a program's skeleton from pass 1's files: every
+// definition, the file-scope variables, the call graph, its roots and
+// its units. A body pass 1 parsed is typed and given its CFG and call
+// sites now, and its calls link the call graph; a skimmed body links
+// its skim's callee names, and is parsed and built when BuildUnits asks
+// for its unit.
+func Assemble(files ...*cc.File) *Program {
 	p := &Program{
 		Funcs:       map[string]*Function{},
 		GlobalNames: map[string]bool{},
 		Statics:     map[string]string{},
+		// The type environment indexes every declaration, so it is the
+		// program's own: a released body has no referent in the Program.
+		env: cc.NewTypeEnv(files...),
 	}
 	// Collect file-scope variables.
 	for _, f := range files {
@@ -214,46 +238,161 @@ func Build(files ...*cc.File) *Program {
 			}
 		}
 	}
-	// Build CFGs, types and scope sets; then resolve every call site,
-	// which links the call graph.
+	// Build the parsed bodies; then link the call graph, from each
+	// built body's call sites and each skimmed one's callee names.
 	var cb cfg.Builder
 	for _, fn := range p.All {
-		fn.Graph = cb.Build(fn.Decl)
-		fn.Types = env.CheckFunc(fn.Decl)
-		fn.NonParamLocals = nonParams(fn.Graph.Locals, fn.Decl.Params)
+		if fn.Decl.Body != nil {
+			p.buildBody(&cb, fn)
+		}
 	}
 	// linked[callee.Index] is the index+1 of the last caller linked to
 	// callee: a caller's callees are distinct.
 	linked := make([]int, len(p.All))
+	link := func(fn, callee *Function) {
+		if linked[callee.Index] != fn.Index+1 {
+			linked[callee.Index] = fn.Index + 1
+			fn.Callees = append(fn.Callees, callee)
+			callee.Callers = append(callee.Callers, fn)
+		}
+	}
 	var sites []CallSite // one function's, copied out at its exact size
 	for _, fn := range p.All {
-		sites = sites[:0]
-		for _, b := range fn.Graph.Blocks {
-			for i, pt := range b.Points {
-				call, ok := pt.(*cc.CallExpr)
-				if !ok {
-					continue
-				}
-				callee := p.Resolve(fn, call)
-				if callee == nil {
-					continue
-				}
-				sites = append(sites, CallSite{Block: b.ID, Point: i, Callee: callee, Args: argMaps(call, callee)})
-				if linked[callee.Index] == fn.Index+1 {
-					continue
-				}
-				linked[callee.Index] = fn.Index + 1
-				fn.Callees = append(fn.Callees, callee)
-				callee.Callers = append(callee.Callers, fn)
-			}
+		if fn.Graph != nil {
+			sites = p.resolveSites(fn, sites, link)
+			continue
 		}
-		if len(sites) > 0 {
-			fn.Sites = slices.Clone(sites)
+		for _, name := range fn.Decl.Skim.Callees {
+			if callee := p.resolve(fn, name); callee != nil {
+				link(fn, callee)
+			}
 		}
 	}
 	p.computeRoots()
 	p.buildUnits()
 	return p
+}
+
+// buildBody types fn's parsed body and builds its CFG and scope set.
+func (p *Program) buildBody(cb *cfg.Builder, fn *Function) {
+	fn.Graph = cb.Build(fn.Decl)
+	fn.Types = p.env.CheckFunc(fn.Decl)
+	fn.NonParamLocals = nonParams(fn.Graph.Locals, fn.Decl.Params)
+}
+
+// resolveSites records fn's direct calls to defined functions, ordered
+// by (Block, Point), as fn.Sites, and hands each callee to link (nil:
+// the call graph is already linked). sites is scratch, returned for
+// reuse.
+func (p *Program) resolveSites(fn *Function, sites []CallSite, link func(fn, callee *Function)) []CallSite {
+	sites = sites[:0]
+	for _, b := range fn.Graph.Blocks {
+		for i, pt := range b.Points {
+			call, ok := pt.(*cc.CallExpr)
+			if !ok {
+				continue
+			}
+			callee := p.Resolve(fn, call)
+			if callee == nil {
+				continue
+			}
+			sites = append(sites, CallSite{Block: b.ID, Point: i, Callee: callee, Args: argMaps(call, callee)})
+			if link != nil {
+				link(fn, callee)
+			}
+		}
+	}
+	if len(sites) > 0 {
+		fn.Sites = slices.Clone(sites)
+	}
+	return sites
+}
+
+// BuildUnits parses the skimmed bodies of the given units' functions
+// (cc.ParseBody, the files on a pool of at most workers goroutines),
+// then types them and builds their CFGs and call sites, as Assemble
+// does for a parsed body. Functions already built, and released ones,
+// are skipped. It returns how many bodies it parsed. Its error is the
+// first parse error in source order among the bodies it parsed; the
+// program is then unusable, and the count 0. Like ReleaseBody, it
+// writes an assembled Program: the caller must guarantee that nothing
+// reads the functions of these units meanwhile, and that no other
+// BuildUnits call on the program runs at the same time.
+func (p *Program) BuildUnits(units []*Unit, workers int) (parsed int, err error) {
+	var todo []*Function
+	for _, u := range units {
+		for _, fn := range u.Funcs {
+			if fn.Graph == nil && fn.Decl.IsDefinition() {
+				todo = append(todo, fn)
+			}
+		}
+	}
+	if len(todo) == 0 {
+		return 0, nil
+	}
+	slices.SortFunc(todo, func(a, b *Function) int { return a.Index - b.Index })
+	todo = slices.Compact(todo) // units may repeat
+	// A file's bodies share its parser: one goroutine per file at a
+	// time, files in parallel.
+	errs := make([]error, len(todo))
+	var groups [][2]int // the [lo, hi) of each file's run in todo
+	for lo := 0; lo < len(todo); {
+		hi := lo + 1
+		for hi < len(todo) && todo[hi].Decl.File == todo[lo].Decl.File {
+			hi++
+		}
+		groups = append(groups, [2]int{lo, hi})
+		lo = hi
+	}
+	parseGroup := func(g [2]int) {
+		for i := g[0]; i < g[1]; i++ {
+			errs[i] = cc.ParseBody(todo[i].Decl)
+		}
+	}
+	if workers = min(workers, len(groups)); workers > 1 {
+		next := make(chan [2]int)
+		var wg sync.WaitGroup
+		for range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for g := range next {
+					parseGroup(g)
+				}
+			}()
+		}
+		for _, g := range groups {
+			next <- g
+		}
+		close(next)
+		wg.Wait()
+	} else {
+		for _, g := range groups {
+			parseGroup(g)
+		}
+	}
+	for i, err := range errs {
+		if err != nil {
+			return 0, fmt.Errorf("parse %s: %w", todo[i].Decl.File, err)
+		}
+	}
+	var cb cfg.Builder
+	var sites []CallSite
+	for _, fn := range todo {
+		p.buildBody(&cb, fn)
+		sites = p.resolveSites(fn, sites, nil)
+	}
+	return len(todo), nil
+}
+
+// ReleaseFrontEnd drops what BuildUnits reads — the type environment
+// and every skimmed body's token stream — once nothing will build a
+// unit again. Built bodies are unaffected.
+func (p *Program) ReleaseFrontEnd() {
+	p.env = nil
+	for _, fn := range p.All {
+		fn.Decl.Skim = cc.BodySkim{}
+	}
 }
 
 // nonParams is the set of locals that are not parameters, nil when
@@ -286,9 +425,14 @@ func BuildSource(srcs map[string]string) (*Program, error) {
 // indirect calls and functions without bodies. Per §6, a missing CFG
 // is not an error — the analysis silently continues.
 func (p *Program) Resolve(caller *Function, call *cc.CallExpr) *Function {
-	name := cc.CalleeName(call)
+	return p.resolve(caller, cc.CalleeName(call))
+}
+
+// resolve finds the definition a direct call of name from caller
+// targets; nil for "", an indirect call.
+func (p *Program) resolve(caller *Function, name string) *Function {
 	if name == "" {
-		return nil // indirect call
+		return nil
 	}
 	// Static function in the same file shadows externals.
 	if caller != nil {

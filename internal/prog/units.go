@@ -1,6 +1,6 @@
 // Incremental-analysis support: partitioning the call graph into
 // independent units and computing the dirty closure of an edit
-// (DESIGN.md §8). Both operate on the immutable Program, so they are
+// (DESIGN.md §8). Both read only the call graph, so they are
 // safe to call from concurrent engines.
 package prog
 
@@ -56,7 +56,7 @@ type Unit struct {
 // Units returns the partition of the program into units, ordered by
 // the position of each unit's first root in Program.Roots. Every
 // function belongs to exactly one unit (Function.Unit) and every unit
-// has a root (computeRoots reaches every function from Roots). Build
+// has a root (computeRoots reaches every function from Roots). Assemble
 // computed it; callers only read it.
 func (p *Program) Units() []*Unit { return p.units }
 
@@ -64,7 +64,7 @@ func (p *Program) Units() []*Unit { return p.units }
 // stays only because the frozen benchmark/layers.go:344 calls it.
 func (p *Program) PlanRetire([]*Function) {}
 
-// buildUnits is Build's last step: a flood fill over undirected call
+// buildUnits is Assemble's last step: a flood fill over undirected call
 // edges from each root not yet reached, in Program.Roots order, so units
 // come out ordered by FirstRoot. The Unit structs, their Funcs and
 // their Roots are carved from three backing arrays: the partition costs

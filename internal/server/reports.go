@@ -142,7 +142,7 @@ func (s *Server) eachSeries(emit emitter) (nested map[string]any) {
 	gauge("xgccd_units_live", "", float64(in.UnitsLive), "units analyzed live")
 	gauge("xgccd_units_replayed", "", float64(in.UnitsReplayed), "units replayed from cache")
 	gauge("xgccd_units_remote", "", float64(in.UnitsRemote), "units a fleet worker filled during the last run")
-	gauge("xgccd_files_reparsed", "", float64(in.FilesReparsed), "files parsed (every file, every run)")
+	gauge("xgccd_files_reparsed", "", float64(in.FilesReparsed), "files pass 1 skimmed (every file, every run)")
 	gauge("xgccd_phase_parse_seconds", "", float64(in.ParseNanos)/1e9, "pass-1 wall time")
 	gauge("xgccd_phase_build_seconds", "", float64(in.BuildNanos)/1e9, "program assembly wall time")
 	gauge("xgccd_phase_analyze_seconds", "", float64(in.AnalyzeNanos)/1e9, "checker execution wall time")

@@ -56,12 +56,12 @@ func TestDaemonStreaming(t *testing.T) {
 		t.Errorf("the daemon's reports differ from the resident engines':\n daemon:\n%s\n resident:\n%s", got, want)
 	}
 
-	// A second run replays from the daemon's resident cache (no live
-	// engines, so no new evictions) but still releases the rebuilt
-	// ASTs, and /v1/stats keeps the cumulative totals.
+	// A second run replays from the daemon's resident cache: no live
+	// engines, so no new evictions, and no body parsed, so no AST to
+	// release. /v1/stats keeps the cumulative totals.
 	second := postAnalyze(t, ts, AnalyzeRequest{})
-	if second.Spill == nil || second.Spill.ASTsReleased == 0 {
-		t.Errorf("replayed run reported %+v; want AST releases", second.Spill)
+	if second.Spill == nil || second.Spill.ASTsReleased != 0 || second.Incr == nil || second.Incr.BodiesParsed != 0 {
+		t.Errorf("replayed run reported %+v, %+v; want no body parsed or released", second.Spill, second.Incr)
 	}
 	stats := getStats(t, ts.URL)
 	if want := first.Spill.ASTsReleased + second.Spill.ASTsReleased; stats["asts_released"] != float64(want) {

@@ -36,10 +36,14 @@ type IncrStats struct {
 	AnalyzeNanos int64 `json:"analyze_nanos"`
 	MergeNanos   int64 `json:"merge_nanos"`
 
-	// FilesReparsed is the number of source files pass 1 parsed: all
+	// FilesReparsed is the number of source files pass 1 skimmed: all
 	// of them, every run (the name dates from a pass-1 AST cache and is
-	// pinned by the frozen benchmark/layers.go:162).
+	// pinned by the frozen benchmark/layers.go:162). Bodies are parsed
+	// on demand: BodiesParsed counts the functions whose bodies this run
+	// parsed, in pass 1 (a body the skim leaves to the parser) or
+	// because some checker ran their unit live.
 	FilesReparsed int `json:"files_reparsed"`
+	BodiesParsed  int `json:"bodies_parsed"`
 
 	// Unit reuse, counted per (checker, unit) pair. UnitsRemote is the
 	// subset of UnitsReplayed that a fleet worker filled during this

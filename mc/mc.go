@@ -217,8 +217,8 @@ type Result struct {
 	Degradations []DegradeEvent
 }
 
-// RunContext parses everything (pass 1 fans out over a worker pool),
-// assembles the program, and applies each loaded checker: one engine
+// RunContext runs pass 1 (it fans out over a worker pool), assembles
+// the program, and applies each loaded checker: one engine
 // per checker, engines of a phase concurrently, phases ordered around
 // the composition barrier. Results are merged deterministically in
 // checker load order, so the output is bit-identical at every
@@ -227,9 +227,9 @@ type Result struct {
 // There is one body for every run (DESIGN.md §8). With a store, each
 // checker's work is one keyed task per call-graph unit: units whose
 // record the store (or a fleet worker) holds replay, the rest run on the
-// checker's engine in order, cut into records at the unit boundaries.
-// Without one, nothing is keyed and each checker's work is one task,
-// the whole program.
+// checker's engine in order, cut into records at the unit boundaries;
+// only those units' bodies are parsed and built. Without one, nothing
+// is keyed and each checker's work is one task, the whole program.
 //
 // The context cancels the analysis mid-traversal, and its deadline is
 // the run's time bound (context.WithTimeout): the engines stop at the
@@ -256,8 +256,17 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 	cached := a.cacheStore != nil
 	incr := &IncrStats{} // Result.Incr when cached
 
+	// Pass 1. With a store it skims each body (DESIGN.md §8): a unit's
+	// bodies are parsed and built only when some checker's task for the
+	// unit runs live. Without one, every body is parsed and built here.
 	t0 := time.Now()
-	files, err := a.parseSources(incr)
+	var files []*cc.File
+	var err error
+	if cached {
+		files, err = a.skimSources(incr)
+	} else {
+		files, err = a.parseSources(incr)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -273,6 +282,12 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 		tree = &UnitTree{Prog: prog.Build(files...)}
 	}
 	p := tree.Prog
+	defer p.ReleaseFrontEnd()
+	for _, fn := range p.All {
+		if fn.Graph != nil {
+			incr.BodiesParsed++ // parsed by pass 1
+		}
+	}
 	shared := a.preMarked()
 
 	// Retirement (DESIGN.md §12): engines drop a unit's state when its
@@ -315,6 +330,12 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 			}
 		}
 		a.dispatchRemote(ctx, tasks, shared, incr)
+		if cached {
+			parsed, err := tree.build(tasks, a.parallelism(), func(int) *core.CompiledDispatch { return compiled })
+			if incr.BodiesParsed += parsed; err != nil {
+				return nil, err
+			}
+		}
 		runLive(ctx, sem, tasks, func(ci int) *core.Engine {
 			engines[ci] = a.liveEngine(p, ci, compiled, shared)
 			return engines[ci]

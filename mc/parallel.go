@@ -14,17 +14,28 @@ import (
 // prog.Program and the mutex-guarded core.Shared store, and the merge
 // in RunContext reads tasks back in checker load order.
 
-// parseSources runs pass 1 (cc.ParseFiles): every registered source is
-// parsed on the worker pool, on every run — no store stands in for a
-// parse (DESIGN.md §8). Pre-parsed ASTs (AddAST) pass through untouched.
-// incr receives the parsed file count.
+// parseSources runs pass 1 and parses every body (cc.ParseFiles) on the
+// worker pool. Pre-parsed ASTs (AddAST) pass through untouched. incr
+// receives the file count.
 func (a *Analyzer) parseSources(incr *IncrStats) ([]*cc.File, error) {
-	parsed, err := cc.ParseFiles(a.srcs, a.parallelism())
+	return a.pass1(incr, cc.ParseFiles)
+}
+
+// skimSources runs pass 1 alone (cc.SkimFiles) on the worker pool, on
+// every run: declarations are parsed and bodies skimmed, and no store
+// stands in for it (DESIGN.md §8). UnitTree.build parses the bodies a
+// run needs.
+func (a *Analyzer) skimSources(incr *IncrStats) ([]*cc.File, error) {
+	return a.pass1(incr, cc.SkimFiles)
+}
+
+func (a *Analyzer) pass1(incr *IncrStats, pass func(map[string]string, int) ([]*cc.File, error)) ([]*cc.File, error) {
+	files, err := pass(a.srcs, a.parallelism())
 	if err != nil {
 		return nil, err
 	}
-	incr.FilesReparsed = len(parsed)
-	return append(append([]*cc.File(nil), a.files...), parsed...), nil
+	incr.FilesReparsed = len(files)
+	return append(append([]*cc.File(nil), a.files...), files...), nil
 }
 
 // liveEngine builds the traversal engine for checker ci over the run's

@@ -17,7 +17,7 @@ type SpillStats struct {
 	// retirement.
 	Evictions int64 `json:"evictions"`
 	// ASTsReleased counts functions whose CFG/body AST was freed after
-	// every checker retired them.
+	// every checker retired them: those whose bodies the run parsed.
 	ASTsReleased int64 `json:"asts_released"`
 	// Reloads, SpillPuts and SpillBytes are vestiges of the deleted
 	// spill store: never set, kept only because the frozen
@@ -48,7 +48,9 @@ func (ar *astReleaser) pass(u *prog.Unit) {
 		return
 	}
 	for _, fn := range u.Funcs {
+		if fn.Graph != nil { // a body never parsed has nothing to release
+			ar.released++
+		}
 		fn.ReleaseBody()
 	}
-	ar.released += int64(len(u.Funcs))
 }

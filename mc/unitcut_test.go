@@ -80,11 +80,14 @@ func (s cutSuite) run(t *testing.T, jobs int, store cache.Store) *Result {
 func (s cutSuite) referenceRecords(t *testing.T) (recs map[string][]byte, tasks int) {
 	t.Helper()
 	a := s.analyzer(t, 1, nil)
-	files, err := a.parseSources(&IncrStats{})
+	files, err := a.skimSources(&IncrStats{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tree := NewUnitTree(files)
+	if _, err := tree.Prog.BuildUnits(tree.Prog.Units(), 1); err != nil {
+		t.Fatal(err)
+	}
 	shared := a.preMarked()
 	compiled := core.CompileDispatch(tree.Prog, a.checkers)
 	recs = map[string][]byte{}

@@ -88,19 +88,20 @@ type UnitTree struct {
 	checkers map[string]*unitChecker // by source text; nil = does not parse
 }
 
-// NewUnitTree assembles parsed files into a program and fingerprints
-// it: the position-independent declaration environment and each
-// function's content are what every unit key derives from. One
-// cc.Hasher hashes them all; a digest is rendered as hex only where it
-// enters a key.
+// NewUnitTree assembles pass 1's files into a program (prog.Assemble:
+// skimmed bodies stay unparsed until a unit runs) and fingerprints it:
+// the position-independent declaration environment and each function's
+// declaration and body tokens (cc.Hasher.Func) are what every unit key
+// derives from. One cc.Hasher hashes them all; a digest is rendered as
+// hex only where it enters a key.
 func NewUnitTree(files []*cc.File) *UnitTree {
-	p := prog.Build(files...)
+	p := prog.Assemble(files...)
 	h := cc.NewHasher()
 	env := h.Env(files)
 	t := &UnitTree{Prog: p, keyed: true, checkers: map[string]*unitChecker{},
 		envFP: hex.EncodeToString(env[:]), funcHash: make([][sha256.Size]byte, len(p.All))}
 	for _, fn := range p.All {
-		t.funcHash[fn.Index] = h.Decl(fn.Decl)
+		t.funcHash[fn.Index] = h.Func(fn.Decl)
 	}
 	t.unitFPs = make([]string, len(p.Units()))
 	for i, u := range p.Units() {
@@ -332,10 +333,53 @@ func (t *UnitTree) RunUnits(ctx context.Context, sem chan struct{}, run *UnitRun
 			}
 		}
 	}
+	if _, err := t.build(tasks, 1, func(ci int) *core.CompiledDispatch { return checkers[ci].compiled }); err != nil {
+		return nil, compiled // a body does not parse: the coordinator's own run reports it
+	}
 	runLive(ctx, sem, tasks, func(ci int) *core.Engine {
 		en := core.NewEngineShared(t.Prog, checkers[ci].c, run.Options, shared[ci])
 		en.SetCompiled(checkers[ci].compiled, 0)
 		return en
 	}, nil) // no AST goes: the tree outlives the call
 	return records(tasks), compiled
+}
+
+// build parses and builds the bodies of the units of the tasks nothing
+// replayed that the tree has not built yet, on a pool of at most
+// workers goroutines, and adds those units to the dispatch each task's
+// checker runs with (DESIGN.md §8): a unit every checker replays is
+// never parsed. It returns how many bodies it parsed, and the first
+// parse error in source order. Under the tree's lock: the engines of a
+// concurrent RunUnits call read only their own units, which it does
+// not write; RunContext calls it between phases.
+func (t *UnitTree) build(tasks []*unitTask, workers int, dispatch func(ci int) *core.CompiledDispatch) (int, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var units []*prog.Unit
+	seen := make([]bool, len(t.Prog.Units()))
+	byDispatch := map[*core.CompiledDispatch][]*prog.Unit{}
+	for _, task := range tasks {
+		if task.replayed {
+			continue
+		}
+		cd := dispatch(task.ci)
+		byDispatch[cd] = append(byDispatch[cd], task.units...)
+		for _, u := range task.units {
+			if !seen[u.Index] {
+				seen[u.Index] = true
+				units = append(units, u)
+			}
+		}
+	}
+	if len(units) == 0 {
+		return 0, nil
+	}
+	parsed, err := t.Prog.BuildUnits(units, workers)
+	if err != nil {
+		return parsed, err
+	}
+	for cd, us := range byDispatch {
+		cd.AddUnits(t.Prog, us)
+	}
+	return parsed, nil
 }
