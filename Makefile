@@ -76,6 +76,8 @@ no-deleted-knobs:
 	! grep -rnE 'Havoc[A]ssigned|havoc[S]tmt|havoc[E]xpr|Stmt[S]tring|write[S]tmt|Is[I]nteger|\.Transitions[F]rom\(|\.Has[V]arState\(|Must[P]arse|\bBy[Z]\(|\.By[R]ule\(|Sorted[F]iles|Add[D]irectory|cc\.Round[T]rip|func Round[T]rip|Block[F]or\(|Register[A]ction|Register[C]allout|\.Run[F]unction\(|\.Run[R]oots\(' --include=*.go .
 # a process-wide pool in the engine: retired summary memory is the evicting engine's (DESIGN §12.1).
 	! grep -rn 'sync\.[P]ool' --include=*.go internal/core
+# a process-wide pool in the front end: an arena is a pass's, not the process's (DESIGN §10.4).
+	! grep -rn 'sync\.[P]ool' --include=*.go internal/cc internal/cfg internal/prog internal/slab
 # fpp's second operator switch and the kill pass's identifier search (DESIGN §3).
 	! grep -rnE 'apply[B]inop|Contains[I]dent' --include=*.go .
 # the eager why-trace format (DESIGN §5).

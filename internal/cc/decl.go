@@ -448,12 +448,12 @@ func (p *Parser) parseParamList() ([]*VarDecl, []*Type, bool, error) {
 		if t.Underlying().Kind == TypeArray {
 			t = PointerTo(t.Underlying().Elem)
 		}
-		p.params = append(p.params, &VarDecl{P: declPos, Name: d.name, Type: t})
+		p.params = append(p.params, newNode(p, VarDecl{P: declPos, Name: d.name, Type: t}))
 		if !p.accept(TokComma) {
 			break
 		}
 	}
-	decls := popList(&p.params, start)
+	decls := popList(p, &p.params, start)
 	var types []*Type
 	if decls != nil {
 		types = make([]*Type, len(decls))
@@ -513,23 +513,25 @@ type BodySkim struct {
 // exact: where the parser accepts a body, the skim's names equal the
 // direct calls of the CFG built from it (TestSkimMatchesParse). An
 // error is the first in source order among the declarations and the
-// bodies before it.
-func SkimFile(file, src string) (*File, error) { return skimFile(file, src, true) }
+// bodies before it. A body parsed in place is carved from a.
+func SkimFile(a *Arena, file, src string) (*File, error) { return skimFile(a, file, src, true) }
 
 // skimFile parses a translation unit, skimming each body into its span
-// and, with callees, into its callees too.
-func skimFile(file, src string, callees bool) (*File, error) {
+// and, with callees, into its callees too. A body it parses in place is
+// carved from a.
+func skimFile(a *Arena, file, src string, callees bool) (*File, error) {
 	toks, err := LexAll(file, src)
 	if err != nil {
 		return nil, err
 	}
 	p := NewParser(file, toks)
-	p.callees = callees
+	p.callees, p.arena = callees, a
 	f, err := p.parseTranslationUnit()
+	p.arena = nil // the parser outlives the call in each skim
 	if err != nil {
 		for _, d := range p.decls {
 			if fd, ok := d.(*FuncDecl); ok {
-				if berr := ParseBody(fd); berr != nil {
+				if berr := ParseBody(fd, a); berr != nil {
 					return nil, berr
 				}
 			}
@@ -539,19 +541,19 @@ func skimFile(file, src string, callees bool) (*File, error) {
 	return f, nil
 }
 
-// ParseBody parses the body pass 1 skimmed into fd.Body; a declaration
-// with no skimmed body is left as it is. The bodies of one file share
-// its parser, so ParseBody must not run concurrently with another call
-// for the same file.
-func ParseBody(fd *FuncDecl) error {
+// ParseBody parses the body pass 1 skimmed into fd.Body, carving its
+// nodes from a; a declaration with no skimmed body is left as it is.
+// The bodies of one file share its parser, so ParseBody must not run
+// concurrently with another call for the same file.
+func ParseBody(fd *FuncDecl, a *Arena) error {
 	s := &fd.Skim
 	p := s.src
 	if p == nil || fd.Body != nil {
 		return nil
 	}
-	p.pos, p.horizon, p.fileEnd = int(s.Lo), s.horizon, int32(len(p.names))
+	p.pos, p.horizon, p.fileEnd, p.arena = int(s.Lo), s.horizon, int32(len(p.names)), a
 	body, err := p.parseBody()
-	p.horizon, p.fileEnd = 0, 0
+	p.horizon, p.fileEnd, p.arena = 0, 0, nil
 	if err != nil {
 		// The list stacks hold what the failed parse left: drop it.
 		clear(p.stmts)
@@ -564,11 +566,13 @@ func ParseBody(fd *FuncDecl) error {
 	return nil
 }
 
-// parseBody parses a function body in a scope of its own.
+// parseBody parses a function body in a scope of its own, carving its
+// nodes from the pass's arena.
 func (p *Parser) parseBody() (*CompoundStmt, error) {
 	p.labels = p.labels[:0]
+	p.a = p.arena
 	p.pushScope()
-	defer p.popScope()
+	defer func() { p.popScope(); p.a = nil }()
 	return p.parseCompoundStmt()
 }
 

@@ -62,7 +62,7 @@ func (p *Parser) parseAssignExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &AssignExpr{P: lhs.Pos(), Op: op, LHS: lhs, RHS: rhs}, nil
+		return newNode(p, AssignExpr{P: lhs.Pos(), Op: op, LHS: lhs, RHS: rhs}), nil
 	}
 	return lhs, nil
 }
@@ -86,7 +86,7 @@ func (p *Parser) parseCondExpr() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CondExpr{P: cond.Pos(), Cond: cond, Then: then, Else: els}, nil
+	return newNode(p, CondExpr{P: cond.Pos(), Cond: cond, Then: then, Else: els}), nil
 }
 
 // binPrec returns the precedence of a binary operator token, or -1.
@@ -131,7 +131,7 @@ func (p *Parser) parseBinaryExpr(minPrec int) (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		lhs = &BinaryExpr{P: lhs.Pos(), Op: op, X: lhs, Y: rhs}
+		lhs = newNode(p, BinaryExpr{P: lhs.Pos(), Op: op, X: lhs, Y: rhs})
 	}
 }
 
@@ -165,7 +165,7 @@ func (p *Parser) parseCastExpr() (Expr, error) {
 				if err != nil {
 					return nil, err
 				}
-				return &CastExpr{P: p.at(lp), To: t, X: x}, nil
+				return newNode(p, CastExpr{P: p.at(lp), To: t, X: x}), nil
 			}
 		}
 		p.restore(save)
@@ -182,14 +182,14 @@ func (p *Parser) parseUnaryExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &UnaryExpr{P: p.at(t), Op: t.Kind, X: x}, nil
+		return newNode(p, UnaryExpr{P: p.at(t), Op: t.Kind, X: x}), nil
 	case TokAmp, TokStar, TokPlus, TokMinus, TokTilde, TokNot:
 		p.next()
 		x, err := p.parseCastExpr()
 		if err != nil {
 			return nil, err
 		}
-		return &UnaryExpr{P: p.at(t), Op: t.Kind, X: x}, nil
+		return newNode(p, UnaryExpr{P: p.at(t), Op: t.Kind, X: x}), nil
 	case TokSizeof:
 		p.next()
 		if p.cur().Kind == TokLParen {
@@ -199,7 +199,7 @@ func (p *Parser) parseUnaryExpr() (Expr, error) {
 				tn, err := p.parseTypeName()
 				if err == nil && p.cur().Kind == TokRParen {
 					p.next()
-					return &SizeofExpr{P: p.at(t), Type: tn}, nil
+					return newNode(p, SizeofExpr{P: p.at(t), Type: tn}), nil
 				}
 			}
 			p.restore(save)
@@ -208,7 +208,7 @@ func (p *Parser) parseUnaryExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &SizeofExpr{P: p.at(t), X: x}, nil
+		return newNode(p, SizeofExpr{P: p.at(t), X: x}), nil
 	}
 	return p.parsePostfixExpr()
 }
@@ -223,7 +223,7 @@ func (p *Parser) parsePostfixExpr() (Expr, error) {
 		switch t.Kind {
 		case TokLParen:
 			p.next()
-			call := &CallExpr{P: e.Pos(), Fun: e}
+			call := newNode(p, CallExpr{P: e.Pos(), Fun: e})
 			start := len(p.args)
 			for p.cur().Kind != TokRParen {
 				arg, err := p.parseAssignExpr()
@@ -235,7 +235,7 @@ func (p *Parser) parsePostfixExpr() (Expr, error) {
 					break
 				}
 			}
-			call.Args = popList(&p.args, start)
+			call.Args = popList(p, &p.args, start)
 			if _, err := p.expect(TokRParen); err != nil {
 				return nil, err
 			}
@@ -249,17 +249,17 @@ func (p *Parser) parsePostfixExpr() (Expr, error) {
 			if _, err := p.expect(TokRBracket); err != nil {
 				return nil, err
 			}
-			e = &IndexExpr{P: e.Pos(), X: e, Index: idx}
+			e = newNode(p, IndexExpr{P: e.Pos(), X: e, Index: idx})
 		case TokDot, TokArrow:
 			p.next()
 			name, err := p.expect(TokIdent)
 			if err != nil {
 				return nil, err
 			}
-			e = &FieldExpr{P: e.Pos(), X: e, Name: name.Text, Arrow: t.Kind == TokArrow}
+			e = newNode(p, FieldExpr{P: e.Pos(), X: e, Name: name.Text, Arrow: t.Kind == TokArrow})
 		case TokInc, TokDec:
 			p.next()
-			e = &UnaryExpr{P: e.Pos(), Op: t.Kind, X: e, Postfix: true}
+			e = newNode(p, UnaryExpr{P: e.Pos(), Op: t.Kind, X: e, Postfix: true})
 		default:
 			return e, nil
 		}
@@ -271,17 +271,16 @@ func (p *Parser) parsePrimaryExpr() (Expr, error) {
 	switch t.Kind {
 	case TokIdent:
 		p.next()
-		return &Ident{P: p.at(t), Name: t.Text}, nil
+		return newNode(p, Ident{P: p.at(t), Name: t.Text}), nil
 	case TokIntLit:
 		p.next()
-		v := parseIntText(t.Text)
-		return &IntLit{P: p.at(t), Text: t.Text, Value: v}, nil
+		return newNode(p, IntLit{P: p.at(t), Text: t.Text, Value: parseIntText(t.Text)}), nil
 	case TokFloatLit:
 		p.next()
-		return &FloatLit{P: p.at(t), Text: t.Text}, nil
+		return newNode(p, FloatLit{P: p.at(t), Text: t.Text}), nil
 	case TokCharLit:
 		p.next()
-		return &CharLit{P: p.at(t), Text: t.Text}, nil
+		return newNode(p, CharLit{P: p.at(t), Text: t.Text}), nil
 	case TokStringLit:
 		p.next()
 		// Adjacent string literals concatenate.
@@ -289,7 +288,7 @@ func (p *Parser) parsePrimaryExpr() (Expr, error) {
 		for p.cur().Kind == TokStringLit {
 			text += p.next().Text
 		}
-		return &StringLit{P: p.at(t), Text: text}, nil
+		return newNode(p, StringLit{P: p.at(t), Text: text}), nil
 	case TokLParen:
 		return p.parseParenExpr() // parens folded away
 	}

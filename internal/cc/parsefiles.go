@@ -11,7 +11,7 @@ import (
 // surface exactly as in a sequential name-ordered parse — the failure
 // for the first (sorted) offending name wins.
 func ParseFiles(srcs map[string]string, workers int) ([]*File, error) {
-	names, files, errs := eachFile(srcs, workers, ParseFile)
+	names, files, errs := eachFile(srcs, workers, parseFile)
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("parse %s: %w", names[i], err)
@@ -31,10 +31,11 @@ func SkimFiles(srcs map[string]string, workers int) ([]*File, error) {
 		if err == nil {
 			continue
 		}
+		var a Arena
 		for j, f := range files[:i] {
 			for _, d := range f.Decls {
 				if fd, ok := d.(*FuncDecl); ok {
-					if berr := ParseBody(fd); berr != nil {
+					if berr := ParseBody(fd, &a); berr != nil {
 						return nil, fmt.Errorf("parse %s: %w", names[j], berr)
 					}
 				}
@@ -46,8 +47,9 @@ func SkimFiles(srcs map[string]string, workers int) ([]*File, error) {
 }
 
 // eachFile runs pass over every source on a pool of at most workers
-// goroutines, into name-sorted slots.
-func eachFile(srcs map[string]string, workers int, pass func(name, src string) (*File, error)) ([]string, []*File, []error) {
+// goroutines, into name-sorted slots. Each goroutine hands pass an
+// arena of its own, which dies with the pool.
+func eachFile(srcs map[string]string, workers int, pass func(a *Arena, name, src string) (*File, error)) ([]string, []*File, []error) {
 	names := make([]string, 0, len(srcs))
 	for n := range srcs {
 		names = append(names, n)
@@ -56,7 +58,7 @@ func eachFile(srcs map[string]string, workers int, pass func(name, src string) (
 
 	files := make([]*File, len(names))
 	errs := make([]error, len(names))
-	one := func(i int) { files[i], errs[i] = pass(names[i], srcs[names[i]]) }
+	one := func(a *Arena, i int) { files[i], errs[i] = pass(a, names[i], srcs[names[i]]) }
 
 	if workers > len(names) {
 		workers = len(names)
@@ -68,8 +70,9 @@ func eachFile(srcs map[string]string, workers int, pass func(name, src string) (
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				var a Arena
 				for i := range idxCh {
-					one(i)
+					one(&a, i)
 				}
 			}()
 		}
@@ -79,8 +82,9 @@ func eachFile(srcs map[string]string, workers int, pass func(name, src string) (
 		close(idxCh)
 		wg.Wait()
 	} else {
+		var a Arena
 		for i := range names {
-			one(i)
+			one(&a, i)
 		}
 	}
 	return names, files, errs

@@ -42,20 +42,11 @@ type Parser struct {
 	callees          bool
 	horizon, fileEnd int32
 	sk               skimmer
-}
 
-// popList returns (*stack)[start:] in an array of its own, nil when it
-// is empty, and truncates the stack to start.
-func popList[T any](stack *[]T, start int) []T {
-	s := *stack
-	if len(s) == start {
-		return nil
-	}
-	out := make([]T, len(s)-start)
-	copy(out, s[start:])
-	clear(s[start:])
-	*stack = s[:start]
-	return out
+	// arena is the pass's, set for the length of a call that parses
+	// bodies; a is it while a body is being parsed and nil outside one
+	// (arena.go).
+	arena, a *Arena
 }
 
 // namespace is one of C's ordinary-identifier and tag name spaces, as
@@ -93,15 +84,19 @@ func NewParser(file string, toks []Token) *Parser {
 // ParseFile lexes and parses a complete translation unit: pass 1's
 // skim, then every body in source order. The first error in source
 // order is the one returned, whether a body or a declaration holds it.
-// No skim outlives the call: the file's tokens go with its parser.
-func ParseFile(file, src string) (*File, error) {
-	f, err := skimFile(file, src, false)
+// No skim outlives the call: the file's tokens go with its parser. The
+// bodies are carved from an arena of the call's own.
+func ParseFile(file, src string) (*File, error) { return parseFile(new(Arena), file, src) }
+
+// parseFile is ParseFile with the bodies carved from a.
+func parseFile(a *Arena, file, src string) (*File, error) {
+	f, err := skimFile(a, file, src, false)
 	if err != nil {
 		return nil, err
 	}
 	for _, d := range f.Decls {
 		if fd, ok := d.(*FuncDecl); ok {
-			if err := ParseBody(fd); err != nil {
+			if err := ParseBody(fd, a); err != nil {
 				return nil, err
 			}
 			fd.Skim = BodySkim{}
@@ -287,7 +282,7 @@ func (p *Parser) parseTranslationUnit() (*File, error) {
 			return nil, err
 		}
 	}
-	f.Decls = popList(&p.decls, 0)
+	f.Decls = popList(p, &p.decls, 0)
 	return f, nil
 }
 
@@ -351,7 +346,7 @@ func (p *Parser) initDeclarators(storage StorageClass, base *Type, fileScope boo
 				return p.defineBody(fd)
 			}
 		default:
-			vd := &VarDecl{P: declPos, Name: d.name, Type: t, Storage: storage}
+			vd := newNode(p, VarDecl{P: declPos, Name: d.name, Type: t, Storage: storage})
 			if p.accept(TokAssign) {
 				if vd.Init, err = p.parseInitializer(); err != nil {
 					return err

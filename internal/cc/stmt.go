@@ -11,7 +11,7 @@ func (p *Parser) parseCompoundStmt() (*CompoundStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	cs := &CompoundStmt{P: p.at(lb)}
+	cs := newNode(p, CompoundStmt{P: p.at(lb)})
 	p.pushScope()
 	defer p.popScope()
 	start := len(p.stmts)
@@ -26,7 +26,7 @@ func (p *Parser) parseCompoundStmt() (*CompoundStmt, error) {
 		p.stmts = append(p.stmts, s)
 	}
 	p.next() // }
-	cs.List = popList(&p.stmts, start)
+	cs.List = popList(p, &p.stmts, start)
 	return cs, nil
 }
 
@@ -55,7 +55,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 				return nil, err
 			}
 		}
-		return &IfStmt{P: p.at(t), Cond: cond, Then: then, Else: els}, nil
+		return newNode(p, IfStmt{P: p.at(t), Cond: cond, Then: then, Else: els}), nil
 	case TokWhile:
 		p.next()
 		cond, err := p.parseParenExpr()
@@ -66,7 +66,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &WhileStmt{P: p.at(t), Cond: cond, Body: body}, nil
+		return newNode(p, WhileStmt{P: p.at(t), Cond: cond, Body: body}), nil
 	case TokDo:
 		p.next()
 		body, err := p.parseStmt()
@@ -89,7 +89,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if _, err := p.expect(TokLParen); err != nil {
 			return nil, err
 		}
-		fs := &ForStmt{P: p.at(t)}
+		fs := newNode(p, ForStmt{P: p.at(t)})
 		p.pushScope()
 		defer p.popScope()
 		if !p.accept(TokSemi) {
@@ -104,7 +104,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 				if err != nil {
 					return nil, err
 				}
-				fs.Init = &ExprStmt{P: e.Pos(), X: e}
+				fs.Init = newNode(p, ExprStmt{P: e.Pos(), X: e})
 				if _, err := p.expect(TokSemi); err != nil {
 					return nil, err
 				}
@@ -160,7 +160,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &CaseStmt{P: p.at(t), Val: val, Body: body}, nil
+		return newNode(p, CaseStmt{P: p.at(t), Val: val, Body: body}), nil
 	case TokDefault:
 		p.next()
 		if _, err := p.expect(TokColon); err != nil {
@@ -170,13 +170,13 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &CaseStmt{P: p.at(t), Val: nil, Body: body}, nil
+		return newNode(p, CaseStmt{P: p.at(t), Body: body}), nil
 	case TokBreak:
 		p.next()
 		if _, err := p.expect(TokSemi); err != nil {
 			return nil, err
 		}
-		return &BreakStmt{P: p.at(t)}, nil
+		return newNode(p, BreakStmt{P: p.at(t)}), nil
 	case TokContinue:
 		p.next()
 		if _, err := p.expect(TokSemi); err != nil {
@@ -185,7 +185,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		return &ContinueStmt{P: p.at(t)}, nil
 	case TokReturn:
 		p.next()
-		rs := &ReturnStmt{P: p.at(t)}
+		rs := newNode(p, ReturnStmt{P: p.at(t)})
 		if p.cur().Kind != TokSemi {
 			e, err := p.parseExpr()
 			if err != nil {
@@ -233,13 +233,13 @@ func (p *Parser) parseStmt() (Stmt, error) {
 	if _, err := p.expect(TokSemi); err != nil {
 		return nil, err
 	}
-	return &ExprStmt{P: e.Pos(), X: e}, nil
+	return newNode(p, ExprStmt{P: e.Pos(), X: e}), nil
 }
 
 // parseBlockDecl parses a block-scope declaration statement (including
 // the trailing semicolon).
 func (p *Parser) parseBlockDecl() (*DeclStmt, error) {
-	ds := &DeclStmt{P: p.at(p.cur())}
+	ds := newNode(p, DeclStmt{P: p.at(p.cur())})
 	storage, base, err := p.parseDeclSpecifiers()
 	if err != nil {
 		return nil, err
@@ -252,6 +252,6 @@ func (p *Parser) parseBlockDecl() (*DeclStmt, error) {
 	if err := p.initDeclarators(storage, base, false); err != nil {
 		return nil, err
 	}
-	ds.Decls = popList(&p.params, start)
+	ds.Decls = popList(p, &p.params, start)
 	return ds, nil
 }

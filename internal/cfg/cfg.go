@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"repro/internal/cc"
+	"repro/internal/slab"
 )
 
 // EdgeKind classifies a CFG edge.
@@ -210,10 +211,13 @@ func (g *Graph) String() string {
 // come from a slab kept from one function to the next; Build then moves
 // what is reachable into arrays of exact size that belong to the Graph
 // (blocks, edges, and one array of block pointers for Graph.Blocks and
-// every Preds), and the expressions and points into a fourth. A Builder reused for every
-// function of a program allocates per function what the Graph keeps
-// and little else. The zero value is ready to use; a Builder is not
-// safe for concurrent use.
+// every Preds), and the expressions and points into a fourth. The Graph,
+// its edges, block pointers and expressions, and the assignments
+// desugared from declarations, are carved from the Builder's own slabs,
+// so a Builder reused for every function of a pass allocates by the
+// chunk, not by the function (DESIGN §10.4); a graph's blocks, at least
+// three of 200 bytes, are always longer than a slab hands out. The zero
+// value is ready to use; a Builder is not safe for concurrent use.
 type Builder struct {
 	g     *Graph
 	entry *Block
@@ -229,16 +233,24 @@ type Builder struct {
 	labels map[string]*Block
 	gotos  []pendingGoto
 
-	// Scratch, reused across functions: the slab the blocks of the
+	// Work memory, reused across functions: the chunks the blocks of the
 	// function being built are carved from (each keeps its Exprs' and
 	// Succs' arrays for the next function), those blocks by ID, and
 	// prune's and finish's work arrays.
-	slab   [][]Block
+	chunks [][]Block
 	blocks []*Block
 	newID  []int32
 	ends   []int32
 	stack  []*Block
 	points []cc.Expr
+
+	// What the Graphs keep, carved for every function built.
+	graphs  slab.Slab[Graph]
+	edges   slab.Slab[Edge]
+	ptrs    slab.Slab[*Block]
+	exprs   slab.Slab[cc.Expr]
+	assigns slab.Slab[cc.AssignExpr]
+	idents  slab.Slab[cc.Ident]
 }
 
 type switchCtx struct {
@@ -260,7 +272,8 @@ func Build(fn *cc.FuncDecl) *Graph {
 // Build constructs the CFG for a function definition, reusing the
 // Builder's scratch.
 func (b *Builder) Build(fn *cc.FuncDecl) *Graph {
-	g := &Graph{Fn: fn, Locals: map[string]bool{}}
+	g := b.graphs.New()
+	*g = Graph{Fn: fn, Locals: map[string]bool{}}
 	b.g, b.cur = g, nil
 	b.blocks, b.gotos = b.blocks[:0], b.gotos[:0]
 	if b.labels == nil {
@@ -308,16 +321,23 @@ func (b *Block) addSucc(e Edge) {
 func (b *Builder) newBlock() *Block {
 	id := len(b.blocks)
 	k, i := 0, id
-	for k < len(b.slab) && i >= len(b.slab[k]) {
-		i -= len(b.slab[k])
+	for k < len(b.chunks) && i >= len(b.chunks[k]) {
+		i -= len(b.chunks[k])
 		k++
 	}
-	if k == len(b.slab) {
+	if k == len(b.chunks) {
 		// Each new chunk doubles the slab; earlier chunks never move,
-		// so a *Block stays valid while the function is built.
-		b.slab = append(b.slab, make([]Block, max(16, id)))
+		// so a *Block stays valid while the function is built. Its
+		// blocks start with room for two expressions and two edges,
+		// from two arrays of their own: most blocks never need more.
+		n := max(16, id)
+		chunk, exprs, succs := make([]Block, n), make([]cc.Expr, 2*n), make([]Edge, 2*n)
+		for j := range chunk {
+			chunk[j].Exprs, chunk[j].Succs = exprs[2*j:2*j:2*j+2], succs[2*j:2*j:2*j+2]
+		}
+		b.chunks = append(b.chunks, chunk)
 	}
-	blk := &b.slab[k][i]
+	blk := &b.chunks[k][i]
 	*blk = Block{ID: id, Exprs: blk.Exprs[:0], Succs: blk.Succs[:0]}
 	b.blocks = append(b.blocks, blk)
 	return blk
@@ -386,12 +406,9 @@ func (b *Builder) stmt(s cc.Stmt) {
 			}
 			// Desugar "T x = e;" to the assignment "x = e" so that
 			// synonym tracking and kill analysis see it uniformly.
-			asg := &cc.AssignExpr{
-				P:   d.P,
-				Op:  cc.TokAssign,
-				LHS: &cc.Ident{P: d.P, Name: d.Name},
-				RHS: d.Init,
-			}
+			lhs, asg := b.idents.New(), b.assigns.New()
+			*lhs = cc.Ident{P: d.P, Name: d.Name}
+			*asg = cc.AssignExpr{P: d.P, Op: cc.TokAssign, LHS: lhs, RHS: d.Init}
 			blk.Exprs = append(blk.Exprs, asg)
 			b.setComment(blk, s, asg, roleDecl)
 		}
@@ -649,9 +666,9 @@ func (b *Builder) finish(kept int) {
 	b.points = points
 
 	blocks := make([]Block, kept)
-	edges := make([]Edge, nEdges)
-	ptrs := make([]*Block, kept+nEdges)
-	exprs := make([]cc.Expr, nExprs+len(points))
+	edges := b.edges.Take(nEdges)
+	ptrs := b.ptrs.Take(kept + nEdges)
+	exprs := b.exprs.Take(nExprs + len(points))
 	copy(exprs[nExprs:], points)
 	clear(points)
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -125,6 +126,10 @@ type blockInfo struct {
 	// fingerprint<<32|tid pairs seen, fpCount the distinct fingerprints
 	// among them; once fpCount passes fpCacheCap, coverage falls back to
 	// tuple-only (the paper's behaviour) for good and fpSeen is emptied.
+	// While a block has been reached under no facts only (fpCount 0),
+	// its pairs under fingerprint 0 are implicit: they are the starts
+	// of its transition edges, and noteSeen writes them out when a
+	// first fact set arrives (keyZero).
 	// The fingerprint ids belong to the engine's fpp.Table (Engine.terms),
 	// which is emptied only once every funcInfo is gone.
 	fpSeen  []uint64
@@ -143,12 +148,17 @@ const fpCacheCap = 16
 // fifth key reallocates it.
 const fpSlot = 4
 
+// noFP is the fingerprint of a traversal without FPP. With FPP on, a
+// path that carries no facts has fingerprint 0, a fact set like any
+// other: a visit made under facts that pruned an arm does not cover it.
+const noFP uint32 = math.MaxUint32
+
 // coversUnder reports whether the tuple is covered for the given FPP
-// fingerprint. With the cap exceeded (or no FPP facts at all, fp ==
-// 0), coverage degrades to the tuple-only §5.2 condition. The tuple
-// keeps the id the probe found (interner.idOf).
+// fingerprint. Without FPP (noFP), or with the cap exceeded, coverage
+// is the tuple-only §5.2 condition. The tuple keeps the id the probe
+// found (interner.idOf).
 func (b *blockInfo) coversUnder(t *Tuple, fp uint32) bool {
-	if fp == 0 || b.fpCount > fpCacheCap {
+	if fp == noFP || b.fpCount > fpCacheCap || fp == 0 && b.fpCount == 0 {
 		return b.covers(t)
 	}
 	_, seen := slices.BinarySearch(b.fpSeen, uint64(fp)<<32|uint64(b.fi.in.idOf(t)))
@@ -157,9 +167,20 @@ func (b *blockInfo) coversUnder(t *Tuple, fp uint32) bool {
 
 // noteSeen records that the tuple reached block b under the given
 // fingerprint, and counts the block's fall-back past fpCacheCap.
+//
+// It must run before the visit adds its own transition edges: a block
+// reached under no facts only keys its fingerprint-0 pairs by its
+// transition edges, and the first visit under facts writes out the
+// ones there are.
 func (en *Engine) noteSeen(b *blockInfo, t *Tuple, fp uint32) {
-	if fp == 0 || b.fpCount > fpCacheCap {
+	if fp == noFP || b.fpCount > fpCacheCap {
 		return
+	}
+	if b.fpCount == 0 {
+		if fp == 0 {
+			return
+		}
+		b.keyZero()
 	}
 	key := uint64(fp)<<32 | uint64(b.fi.in.idOf(t))
 	i, seen := slices.BinarySearch(b.fpSeen, key)
@@ -183,6 +204,27 @@ func (en *Engine) noteSeen(b *blockInfo, t *Tuple, fp uint32) {
 		return
 	}
 	b.fpSeen = slices.Insert(b.fpSeen, i, key)
+}
+
+// keyZero writes out the block's implicit fingerprint-0 pairs, the
+// starts of its transition edges, into fpSeen, and counts fingerprint
+// 0 when there is one.
+func (b *blockInfo) keyZero() {
+	for _, e := range b.trans.all() {
+		key := uint64(e.from)
+		i, seen := slices.BinarySearch(b.fpSeen, key)
+		if seen {
+			continue
+		}
+		if cap(b.fpSeen) == 0 {
+			b.fpSeen = carve(&b.fi.fpSlab, len(b.fi.blocks), fpSlot, key)
+			continue
+		}
+		b.fpSeen = slices.Insert(b.fpSeen, i, key)
+	}
+	if len(b.fpSeen) > 0 {
+		b.fpCount = 1
+	}
 }
 
 // covers reports whether the block summary already contains the tuple

@@ -28,7 +28,7 @@ func (en *Engine) traverseBlock(st *pathState, b *cfg.Block) {
 	// remains. Coverage is refined by the FPP fact fingerprint so that
 	// paths with different branch facts are not conflated (see
 	// blockInfo.coversUnder).
-	var fp uint32
+	fp := noFP
 	if en.Opts.FPP {
 		fp = st.env.Fingerprint()
 	}
@@ -142,8 +142,8 @@ func (en *Engine) finishBlock(st *pathState, b *cfg.Block, bi *blockInfo, rec *b
 	ghost := fi.in.edge(&entryPT, &endPT)
 	bi.gstate.add(fi, ghost)
 	if len(rec.entry) == 0 {
-		bi.trans.add(fi, ghost)
 		en.noteSeen(bi, &entryPT, rec.fp)
+		bi.trans.add(fi, ghost)
 	}
 	// Transition edges for each entry tuple ("Each state tuple that
 	// reaches a block generates exactly one transition edge, where the

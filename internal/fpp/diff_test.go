@@ -218,7 +218,7 @@ func runOps(t testing.TB, tab *Table, data []byte) []fpPair {
 		if g, w := p.got.Contradicted(), p.ref.Contradicted(); g != w {
 			t.Fatalf("step %d: Contradicted = %v, reference %v", step, g, w)
 		}
-		if g, w := p.got.oldFingerprint(), p.ref.Fingerprint(); g != w {
+		if g, w := p.got.oldFingerprint(), p.ref.Facts(); g != w {
 			t.Fatalf("step %d: facts %q, reference %q", step, g, w)
 		}
 		seen = append(seen, fpPair{p.got.Fingerprint(), p.ref.Fingerprint()})

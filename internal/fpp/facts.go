@@ -64,6 +64,12 @@ func (e *Env) version(name int32) int32 {
 }
 
 func (e *Env) bump(name int32) {
+	// The facts of the version it ends may drop out of the fingerprint
+	// (canonical); a bump adds none, so only a fact that names that
+	// version can change it.
+	if e.fpValid && e.fp != 0 && e.mentions(name, e.version(name)) {
+		e.fpValid = false
+	}
 	for i := range e.facts {
 		if f := &e.facts[i]; f.kind == factVer && f.a == name {
 			f.b++
@@ -71,6 +77,34 @@ func (e *Env) bump(name int32) {
 		}
 	}
 	e.facts = append(e.facts, fact{factVer, name, 1})
+}
+
+// mentions reports whether a fact names the variable at version ver.
+func (e *Env) mentions(name, ver int32) bool {
+	for _, f := range e.facts {
+		switch {
+		case f.kind == factVer:
+		case e.names(term(f.a), name, ver):
+			return true
+		case f.kind != factConst && e.names(term(f.b), name, ver):
+			return true
+		}
+	}
+	return false
+}
+
+// names reports whether term t names the variable at version ver.
+func (e *Env) names(t term, name, ver int32) bool {
+	switch n := &e.tab.nodes[t]; n.kind {
+	case kindVar:
+		return n.a == name && n.b == ver
+	case kindConst:
+		return false
+	case kindBinary, kindIndex:
+		return e.names(term(n.a), name, ver) || e.names(term(n.b), name, ver)
+	default: // unary, field
+		return e.names(term(n.a), name, ver)
+	}
 }
 
 // find returns the root of the term's class.
@@ -334,21 +368,154 @@ func (e *Env) addLeq(lo, hi term) {
 	}
 }
 
-// canonical appends the facts a fingerprint covers — everything but
-// the variable versions — to buf in sorted order.
+// canonical returns, sorted in buf's array, the facts a fingerprint
+// covers: every fact the path can still use. A variable's earlier
+// versions can no longer be named, so a class that holds none of its
+// current terms (variables at their current version, or expressions
+// over them) is dead, unless a relation ties it to a live class: a
+// dead class pinned to 3 with x < it still says x < 3. So the
+// fingerprint keeps the live classes and the classes related to them
+// (their constants and relations), and each live term's link into its
+// class; the versions and the links of dead terms drop out. A loop
+// head re-entered after i++ then differs from its first entry under
+// i = 0 in exactly what the FPP knows (DESIGN §5 "Caching vs FPP").
+// buf first holds the variables' versions, then the kept roots
+// (relevant), then the kept facts, which end up at its front.
 func (e *Env) canonical(buf []fact) []fact {
+	buf = buf[:0]
 	for _, f := range e.facts {
 		if f.kind == factVer {
+			buf = append(buf, f)
+		}
+	}
+	lv := liveness{e.tab.nodes, buf}
+	buf = e.relevant(buf, &lv)
+	nv, nr := len(lv.vers), len(buf)
+	for _, f := range e.facts {
+		switch f.kind {
+		case factVer:
 			continue
+		case factLink:
+			if !lv.live(term(f.a)) {
+				continue
+			}
+		default:
+			if !hasRoot(buf[nv:nr], f.a) {
+				continue
+			}
 		}
 		i := len(buf)
 		buf = append(buf, f)
-		for ; i > 0 && less(f, buf[i-1]); i-- {
+		for ; i > nr && less(f, buf[i-1]); i-- {
 			buf[i] = buf[i-1]
 		}
 		buf[i] = f
 	}
+	return buf[:copy(buf, buf[nr:])]
+}
+
+// relevant appends to buf, after the versions lv holds, the class
+// roots the fingerprint keeps, each as fact{a: root}: a root that is a
+// live term or has a live member, and every root a relation ties to one
+// already kept, to a fixed point.
+func (e *Env) relevant(buf []fact, lv *liveness) []fact {
+	nv, open := len(lv.vers), false
+	keep := func(r int32) {
+		if !hasRoot(buf[nv:], r) {
+			buf = append(buf, fact{a: r})
+		}
+	}
+	for _, f := range e.facts {
+		switch f.kind {
+		case factVer:
+		case factLink:
+			if lv.live(term(f.a)) {
+				keep(f.b)
+			}
+		case factConst:
+			if lv.live(term(f.a)) {
+				keep(f.a)
+			}
+		default:
+			// A relation with a live end keeps both; one with none waits
+			// for the fixed point.
+			if lv.live(term(f.a)) || lv.live(term(f.b)) {
+				keep(f.a)
+				keep(f.b)
+			} else {
+				open = true
+			}
+		}
+	}
+	for open {
+		grown := false
+		open = false
+		for _, f := range e.facts {
+			if f.kind < factNe {
+				continue
+			}
+			switch a, b := hasRoot(buf[nv:], f.a), hasRoot(buf[nv:], f.b); {
+			case a != b:
+				keep(f.a)
+				keep(f.b)
+				grown = true
+			case !a:
+				open = true
+			}
+		}
+		open = open && grown
+	}
 	return buf
+}
+
+// hasRoot reports whether roots holds r.
+func hasRoot(roots []fact, r int32) bool {
+	for _, f := range roots {
+		if f.a == r {
+			return true
+		}
+	}
+	return false
+}
+
+// liveness reads terms against the versions facts of one environment.
+type liveness struct {
+	nodes []node
+	vers  []fact
+}
+
+// live reports whether t names a variable and every variable it names
+// at its current version: a term the path can still reach.
+func (lv *liveness) live(t term) bool {
+	vars, current := lv.current(t)
+	return vars && current
+}
+
+// version is a variable's current version: 0 without a version fact.
+func (lv *liveness) version(name int32) int32 {
+	for _, f := range lv.vers {
+		if f.a == name {
+			return f.b
+		}
+	}
+	return 0
+}
+
+// current reports whether t names a variable, and whether every one it
+// names is at its current version.
+func (lv *liveness) current(t term) (vars, current bool) {
+	n := &lv.nodes[t]
+	switch n.kind {
+	case kindVar:
+		return true, lv.version(n.a) == n.b
+	case kindConst:
+		return false, true
+	case kindBinary, kindIndex:
+		va, ca := lv.current(term(n.a))
+		vb, cb := lv.current(term(n.b))
+		return va || vb, ca && cb
+	}
+	return lv.current(term(n.a)) // unary, field
 }
 
 func less(x, y fact) bool {

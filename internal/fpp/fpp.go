@@ -314,9 +314,9 @@ func (e *Env) AssumeNotCase(tag cc.Expr, val int64) {
 	e.assume(cc.TokNe, e.term(tag), e.tab.constID(val))
 }
 
-// Fingerprint summarizes the facts (not the versions) for cache
-// keying: within one Table, two environments get the same id exactly
-// when they hold the same set of facts; 0 means no facts. The result
+// Fingerprint summarizes the facts the path can still use (canonical)
+// for cache keying: within one Table, two environments get the same id
+// exactly when they hold the same such facts; 0 means none. The result
 // is cached until the next mutation.
 func (e *Env) Fingerprint() uint32 {
 	if !e.fpValid {

@@ -7,6 +7,7 @@ package fpp
 
 import (
 	"fmt"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -327,11 +328,14 @@ func (e *refEnv) AssumeNotCase(tag cc.Expr, val int64) {
 // the next mutation.
 func (e *refEnv) Fingerprint() string {
 	if !e.fpValid {
-		e.fp = e.uf.fingerprint(e.versions)
+		e.fp = e.uf.fingerprint(e.versions, false)
 		e.fpValid = true
 	}
 	return e.fp
 }
+
+// Facts renders every fact but the versions, in Fingerprint's form.
+func (e *refEnv) Facts() string { return e.uf.fingerprint(e.versions, true) }
 
 // unionFind is the congruence-closure core (§8 step 4): equivalence
 // classes over terms, each optionally carrying a constant; plus
@@ -675,35 +679,77 @@ func (u *unionFind) addLeq(ra, rb string) {
 	}
 }
 
-// fingerprint renders a canonical summary of all facts.
-func (u *unionFind) fingerprint(versions map[string]int) string {
+// fingerprint renders a canonical summary of the facts the path can
+// still use (Env.canonical's rule): the classes holding a live term —
+// one naming variables all at their current version — and the classes
+// a relation ties to those, each with its constant and relations, and
+// the live terms' links. Every other fact, and the versions, drop out;
+// with all set, nothing does but the versions.
+func (u *unionFind) fingerprint(versions map[string]int, all bool) string {
+	live := func(t string) bool {
+		if all {
+			return true
+		}
+		vars := varRef.FindAllStringSubmatch(t, -1)
+		for _, v := range vars {
+			if strconv.Itoa(versions[v[1]]) != v[2] {
+				return false
+			}
+		}
+		return len(vars) > 0
+	}
+	keep := map[string]bool{}
+	for t := range u.parent {
+		if live(t) {
+			keep[u.find(t)] = true
+		}
+	}
+	for grown := true; grown; {
+		grown = false
+		for _, rel := range []map[string]map[string]bool{u.diseq, u.less, u.leq} {
+			for a, m := range rel {
+				for b := range m {
+					if keep[a] != keep[b] {
+						keep[a], keep[b], grown = true, true, true
+					}
+				}
+			}
+		}
+	}
 	var parts []string
 	for t := range u.parent {
 		r := u.find(t)
-		if r != t {
+		if r != t && live(t) {
 			parts = append(parts, t+"="+r)
 		}
-		if c := u.konst[r]; c != nil && !strings.HasPrefix(t, "$") {
+		if c := u.konst[r]; c != nil && !strings.HasPrefix(t, "$") && keep[r] && (t == r || live(t)) {
 			parts = append(parts, t+"#"+strconv.FormatInt(*c, 10))
 		}
 	}
 	for a, m := range u.diseq {
 		for b := range m {
-			if a < b {
+			if a < b && keep[a] {
 				parts = append(parts, a+"!="+b)
 			}
 		}
 	}
 	for a, m := range u.less {
 		for b := range m {
-			parts = append(parts, a+"<"+b)
+			if keep[a] {
+				parts = append(parts, a+"<"+b)
+			}
 		}
 	}
 	for a, m := range u.leq {
 		for b := range m {
-			parts = append(parts, a+"<="+b)
+			if keep[a] {
+				parts = append(parts, a+"<="+b)
+			}
 		}
 	}
 	sort.Strings(parts)
 	return strings.Join(parts, ";")
 }
+
+// varRef matches a variable at a version in a rendered term ("a#2").
+var varRef = regexp.MustCompile(`([A-Za-z_][A-Za-z0-9_]*)#([0-9]+)`)

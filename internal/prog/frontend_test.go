@@ -1,8 +1,10 @@
 package prog
 
 import (
+	"fmt"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/cc"
@@ -36,16 +38,19 @@ func frontEnd(tb testing.TB, srcs map[string]string, names []string) *Program {
 }
 
 // frontEndAllocCeiling bounds the objects of one frontEnd over
-// frontEndTree, about 5 % above the measured 7,479 (go1.24, PR 37). The
-// count repeats to the unit, so a token, scope, list or CFG block that
-// starts allocating on its own fails here (DESIGN §10.4).
-const frontEndAllocCeiling = 7_853
+// frontEndTree, about 5 % above the measured 3,619 (go1.24): each of the
+// eight files is parsed by a ParseFile call with an arena of its own.
+// The count repeats to the unit, so a token, scope, node, list or CFG
+// array that starts allocating on its own fails here (DESIGN §10.4).
+const frontEndAllocCeiling = 3_800
 
 // frontEndRetainedCeiling bounds the heap a built Program keeps alive
 // (after runtime.GC, sources excluded) at the 930,376 bytes it retained
-// on this tree before PR 37 (go1.24); it retains 849,112 now.
-// A builder slab, a grown list's spare capacity or a comment string
-// kept with the Program shows here first.
+// on this tree before the front end's allocation work (go1.24); it
+// retains 862,232 now, 794,520 before the arenas: the rest is the unclaimed tails of the last chunk
+// of each slab, one set per file parsed alone. A larger chunk, a
+// builder slab, a grown list's spare capacity or a comment string kept
+// with the Program shows here first.
 const frontEndRetainedCeiling = 930_376
 
 func TestFrontEndAllocs(t *testing.T) {
@@ -77,5 +82,57 @@ func BenchmarkFrontEnd(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		frontEnd(b, srcs, names)
+	}
+}
+
+// frontEndMarginal parses and builds gen(small) and gen(large) and
+// returns the heap objects each extra unit of n costs.
+func frontEndMarginal(t *testing.T, gen func(n int) string, small, large int) float64 {
+	t.Helper()
+	run := func(n int) float64 {
+		srcs := map[string]string{"m.c": gen(n)}
+		return testing.AllocsPerRun(5, func() { frontEnd(t, srcs, []string{"m.c"}) })
+	}
+	a := run(small)
+	b := run(large)
+	return (b - a) / float64(large-small)
+}
+
+// TestFrontEndMarginalAllocs is the arena rule of DESIGN §10.4 as a
+// counter: a body's nodes, lists and CFG arrays come from slabs, so one
+// more statement or one more function body costs a share of a chunk,
+// not an object per node. Each bound is the go1.24 reading + 5 %: (a)
+// 0.661 objects per extra statement (12.133 before the arenas), (b)
+// 17.622 per extra function (40.167), nearly all of them its
+// declaration's (parameters, types, signature) and its program model's
+// maps, which outlive the body.
+func TestFrontEndMarginalAllocs(t *testing.T) {
+	const small, large = 20, 200
+	// (a) One body of n statements, in pairs: a call with an arithmetic
+	// argument, and a guarded assignment. A pair is sixteen nodes.
+	stmts := func(n int) string {
+		return "void tick(int v);\nint f(int x) {\n" +
+			strings.Repeat("    tick(x + 1);\n    if (x > 3) x = x - 2;\n", n/2) + "    return x;\n}\n"
+	}
+	perStmt := frontEndMarginal(t, stmts, small, large)
+	t.Logf("(a) %.3f objects per extra statement", perStmt)
+	if perStmt > 0.70 {
+		t.Errorf("(a) %.3f objects per extra statement, want <= 0.70", perStmt)
+	}
+
+	// (b) n functions, each a parameter, a local and a call to the
+	// previous one.
+	funcs := func(n int) string {
+		var sb strings.Builder
+		sb.WriteString("int f0(int x) { return x; }\n")
+		for i := 1; i < n; i++ {
+			fmt.Fprintf(&sb, "int f%d(int x) { int y = x * 2; return f%d(y) + 1; }\n", i, i-1)
+		}
+		return sb.String()
+	}
+	perFunc := frontEndMarginal(t, funcs, small, large)
+	t.Logf("(b) %.3f objects per extra function", perFunc)
+	if perFunc > 18.5 {
+		t.Errorf("(b) %.3f objects per extra function, want <= 18.5", perFunc)
 	}
 }

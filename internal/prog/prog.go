@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/cc"
 	"repro/internal/cfg"
+	"repro/internal/slab"
 )
 
 // Function is one analyzed function: its declaration, CFG, inferred
@@ -74,10 +75,18 @@ type CallSite struct {
 	Args         []ArgMap
 }
 
+// sitesSlab holds what one build gives its functions' call sites: the
+// Sites arrays, and each site's ArgMaps and formal nodes.
+type sitesSlab struct {
+	sites   slab.Slab[CallSite]
+	maps    slab.Slab[ArgMap]
+	formals slab.Slab[cc.Ident]
+}
+
 // argMaps pairs a call's actuals with the callee's formals. A
 // parameter without a name can hold no state and is skipped. The
-// site's formal nodes share one array.
-func argMaps(call *cc.CallExpr, callee *Function) []ArgMap {
+// site's maps and formal nodes are carved from s.
+func (s *sitesSlab) argMaps(call *cc.CallExpr, callee *Function) []ArgMap {
 	n := min(len(callee.Decl.Params), len(call.Args))
 	var maps []ArgMap
 	var formals []cc.Ident
@@ -86,7 +95,7 @@ func argMaps(call *cc.CallExpr, callee *Function) []ArgMap {
 			continue
 		}
 		if maps == nil {
-			maps, formals = make([]ArgMap, 0, n), make([]cc.Ident, n)
+			maps, formals = s.maps.Take(n)[:0], s.formals.Take(n)
 		}
 		actual := call.Args[i]
 		formal := &formals[i]
@@ -256,10 +265,11 @@ func Assemble(files ...*cc.File) *Program {
 			callee.Callers = append(callee.Callers, fn)
 		}
 	}
+	var ss sitesSlab
 	var sites []CallSite // one function's, copied out at its exact size
 	for _, fn := range p.All {
 		if fn.Graph != nil {
-			sites = p.resolveSites(fn, sites, link)
+			sites = p.resolveSites(fn, &ss, sites, link)
 			continue
 		}
 		for _, name := range fn.Decl.Skim.Callees {
@@ -281,10 +291,10 @@ func (p *Program) buildBody(cb *cfg.Builder, fn *Function) {
 }
 
 // resolveSites records fn's direct calls to defined functions, ordered
-// by (Block, Point), as fn.Sites, and hands each callee to link (nil:
-// the call graph is already linked). sites is scratch, returned for
-// reuse.
-func (p *Program) resolveSites(fn *Function, sites []CallSite, link func(fn, callee *Function)) []CallSite {
+// by (Block, Point), as fn.Sites, carved from ss, and hands each callee
+// to link (nil: the call graph is already linked). sites is a work
+// array, returned for reuse.
+func (p *Program) resolveSites(fn *Function, ss *sitesSlab, sites []CallSite, link func(fn, callee *Function)) []CallSite {
 	sites = sites[:0]
 	for _, b := range fn.Graph.Blocks {
 		for i, pt := range b.Points {
@@ -296,14 +306,15 @@ func (p *Program) resolveSites(fn *Function, sites []CallSite, link func(fn, cal
 			if callee == nil {
 				continue
 			}
-			sites = append(sites, CallSite{Block: b.ID, Point: i, Callee: callee, Args: argMaps(call, callee)})
+			sites = append(sites, CallSite{Block: b.ID, Point: i, Callee: callee, Args: ss.argMaps(call, callee)})
 			if link != nil {
 				link(fn, callee)
 			}
 		}
 	}
 	if len(sites) > 0 {
-		fn.Sites = slices.Clone(sites)
+		fn.Sites = ss.sites.Take(len(sites))
+		copy(fn.Sites, sites)
 	}
 	return sites
 }
@@ -344,9 +355,10 @@ func (p *Program) BuildUnits(units []*Unit, workers int) (parsed int, err error)
 		groups = append(groups, [2]int{lo, hi})
 		lo = hi
 	}
-	parseGroup := func(g [2]int) {
+	// Each parse worker carves its bodies from an arena of its own.
+	parseGroup := func(a *cc.Arena, g [2]int) {
 		for i := g[0]; i < g[1]; i++ {
-			errs[i] = cc.ParseBody(todo[i].Decl)
+			errs[i] = cc.ParseBody(todo[i].Decl, a)
 		}
 	}
 	if workers = min(workers, len(groups)); workers > 1 {
@@ -356,8 +368,9 @@ func (p *Program) BuildUnits(units []*Unit, workers int) (parsed int, err error)
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				var a cc.Arena
 				for g := range next {
-					parseGroup(g)
+					parseGroup(&a, g)
 				}
 			}()
 		}
@@ -367,8 +380,9 @@ func (p *Program) BuildUnits(units []*Unit, workers int) (parsed int, err error)
 		close(next)
 		wg.Wait()
 	} else {
+		var a cc.Arena
 		for _, g := range groups {
-			parseGroup(g)
+			parseGroup(&a, g)
 		}
 	}
 	for i, err := range errs {
@@ -377,10 +391,11 @@ func (p *Program) BuildUnits(units []*Unit, workers int) (parsed int, err error)
 		}
 	}
 	var cb cfg.Builder
+	var ss sitesSlab
 	var sites []CallSite
 	for _, fn := range todo {
 		p.buildBody(&cb, fn)
-		sites = p.resolveSites(fn, sites, nil)
+		sites = p.resolveSites(fn, &ss, sites, nil)
 	}
 	return len(todo), nil
 }

@@ -147,7 +147,7 @@ func checkSkim(t *testing.T, name string, srcs map[string]string) (skimmed, eage
 	for i := len(files) - 1; i >= 0; i-- {
 		fns := files[i].Funcs()
 		for j := len(fns) - 1; j >= 0; j-- {
-			if err := cc.ParseBody(fns[j]); err != nil {
+			if err := cc.ParseBody(fns[j], new(cc.Arena)); err != nil {
 				t.Fatalf("%s: %s: %v", name, fns[j].Name, err)
 			}
 		}
@@ -193,7 +193,7 @@ func TestSkimMatchesParse(t *testing.T) {
 		skimmed, eager = skimmed+s, eager+e
 	}
 	for _, c := range skimCases {
-		f, err := cc.SkimFile(c.name+".c", c.src)
+		f, err := cc.SkimFile(new(cc.Arena), c.name+".c", c.src)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -265,12 +265,12 @@ func digests(t *testing.T, srcs map[string]string) map[string]digestPair {
 // firstError is the error a run that builds every body reports: pass
 // 1's, or the first body's in source order.
 func firstError(name, src string) error {
-	f, err := cc.SkimFile(name, src)
+	f, err := cc.SkimFile(new(cc.Arena), name, src)
 	if err != nil {
 		return err
 	}
 	for _, fd := range f.Funcs() {
-		if err := cc.ParseBody(fd); err != nil {
+		if err := cc.ParseBody(fd, new(cc.Arena)); err != nil {
 			return err
 		}
 	}
@@ -323,7 +323,7 @@ func FuzzSkim(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		toks, lexErr := cc.LexAll("z.c", src)
-		skimmed, skimErr := cc.SkimFile("z.c", src)
+		skimmed, skimErr := cc.SkimFile(new(cc.Arena), "z.c", src)
 		if skimErr == nil {
 			for _, fd := range skimmed.Funcs() {
 				lo, hi := int(fd.Skim.Lo), int(fd.Skim.Hi)
@@ -353,7 +353,7 @@ func FuzzSkim(f *testing.F) {
 			}
 		}
 		for _, fd := range skimmed.Funcs() {
-			if err := cc.ParseBody(fd); err != nil {
+			if err := cc.ParseBody(fd, new(cc.Arena)); err != nil {
 				t.Fatalf("%s: the parser accepts the file, its body on demand fails: %v", fd.Name, err)
 			}
 		}
