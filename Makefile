@@ -41,6 +41,10 @@ no-deleted-knobs:
 	! grep -rnE 'map\[[s]tring\]Binding|Bindings[.]clone' --include=*.go .
 # the CAS probe interface, GET coalescing and its counters, the unread server counters and the engine-global block bound (DESIGN §15.1).
 	! grep -rnE 'Prob[e]r|CoalescedG[e]ts|FlightWait[e]rs|CASCount[e]rs|httpRes[u]lt|MaxBl[o]cks|HitBl[o]ckLimit' --include=*.go .
+# a function's type map and locals sets, beside the body they describe (DESIGN §10.4).
+	! grep -rnE 'Type[M]ap\b|NonParam[L]ocals|(fn|ctx)\.Type[s]\b' --include=*.go .
+# a why-trace line formatted on its own: a kept report renders its trace into one string (DESIGN §5).
+	! grep -rnE 'Sprintf\("%s: %s' --include=*.go --exclude=*_test.go internal/core
 # the per-event witness cell, the per-split state clone and the fact environment's clone (DESIGN §5).
 	! grep -rnE 'path[L]og|clone[F]or|clone[S]lack' --include=*.go .
 # the hand-copied stats body, the CAS-sharing switch and the per-handler method checks (DESIGN §9.5).
@@ -174,13 +178,14 @@ fuzz:
 
 # Microbenchmarks for the §10 hot paths (pattern match, block and
 # call-rich traversal, instance clone, an interned tuple's id, the
-# per-path FPP environment's copy and fingerprint, edge-set insertion),
+# per-path FPP environment's copy and fingerprint, edge-set insertion,
+# a kept report's rendering),
 # the front end (parse + prog.Build, §10.4) and the disk store (§8:
 # 2685 records / 5.6 MB, written as one batch and indexed at open).
 # -benchtime 100x keeps the target quick enough for CI; drop the
 # override for stable local numbers.
 bench-micro:
-	$(GO) test -run '^$$' -bench 'BenchmarkBaseMatch|BenchmarkBlockTraversal|BenchmarkCallRichTraversal|BenchmarkInstanceClone|BenchmarkInternHit|BenchmarkEdgeSetAdd|BenchmarkEnvCopy|BenchmarkEnvFingerprint|BenchmarkFrontEnd|BenchmarkStoreOpen|BenchmarkStorePutBatch' \
+	$(GO) test -run '^$$' -bench 'BenchmarkBaseMatch|BenchmarkBlockTraversal|BenchmarkCallRichTraversal|BenchmarkInstanceClone|BenchmarkInternHit|BenchmarkEdgeSetAdd|BenchmarkEnvCopy|BenchmarkEnvFingerprint|BenchmarkReportRender|BenchmarkFrontEnd|BenchmarkStoreOpen|BenchmarkStorePutBatch' \
 		-benchtime 100x ./internal/pattern/ ./internal/core/ ./internal/fpp/ ./internal/prog/ ./internal/cache/
 
 # CPU + allocation profiles (written to pprof/): the 5/50/200-checker
@@ -195,6 +200,10 @@ bench-micro:
 #               go tool pprof -sample_index=alloc_space   pprof/core.test pprof/callrich.mem
 # The front end alone (parse + prog.Build over leaf-L's shape, §10.4):
 #               go tool pprof -sample_index=alloc_objects pprof/prog.test pprof/frontend.mem
+# The cold-leaf op of BENCHMARK.json itself (BenchmarkColdLeaf: leaf-L,
+# seed 2002, every bundled checker, Jobs 2), a warm-up op and six more,
+# the heap sampled every 4096 bytes:
+#               go tool pprof -sample_index=alloc_objects pprof/coldleaf.test pprof/coldleaf.mem
 profile:
 	mkdir -p pprof
 	$(GO) test -run '^$$' -bench BenchmarkCheckerSuite -benchtime 20x -o pprof/repro.test -cpuprofile pprof/suite.cpu -memprofile pprof/suite.mem .
@@ -202,6 +211,8 @@ profile:
 		-cpuprofile pprof/callrich.cpu -memprofile pprof/callrich.mem ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkFrontEnd -benchtime 200x -o pprof/prog.test \
 		-cpuprofile pprof/frontend.cpu -memprofile pprof/frontend.mem ./internal/prog/
+	$(GO) test -run '^$$' -bench BenchmarkColdLeaf -benchtime 6x -o pprof/coldleaf.test \
+		-cpuprofile pprof/coldleaf.cpu -memprofile pprof/coldleaf.mem -memprofilerate 4096 .
 
 clean:
 	rm -rf pprof

@@ -353,3 +353,32 @@ func TestCheckerSuiteVariantsTraverseNothing(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkColdLeaf is the benchmark's cold-leaf op (BENCHMARK.json):
+// a fresh mc.Analyzer over leaf-L's tree, workload.MixedTree(256, 25,
+// 2002), with every bundled checker, net_wait marked blocking and Jobs
+// 2, run with no cache. `make profile` writes pprof/coldleaf.{cpu,mem}
+// from a warm-up op and six more.
+func BenchmarkColdLeaf(b *testing.B) {
+	srcs, _ := workload.MixedTree(256, 25, 2002)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		a := mc.NewAnalyzer()
+		if err := a.Configure(mc.RunConfig{Jobs: 2}); err != nil {
+			b.Fatal(err)
+		}
+		for name, src := range srcs {
+			a.AddSource(name, src)
+		}
+		for _, s := range mc.BundledCheckers() {
+			if err := a.LoadBundledChecker(s.Name); err != nil {
+				b.Fatal(err)
+			}
+		}
+		a.MarkFunction("net_wait", "blocking")
+		res, err := a.RunContext(context.Background())
+		if err != nil || res.Degraded || len(res.Failures) > 0 {
+			b.Fatalf("incomplete run: %v", err)
+		}
+	}
+}

@@ -234,10 +234,13 @@ func expF6() {
 }
 
 func expT1() {
+	// The targets are the body's expression statements: CheckFunc types
+	// them from the declarations, as prog.Build types every body.
 	src := `
 struct point { int x; };
 void sink(void);
 int f(int i, float fl, int *p, char *s, struct point pt) {
+    i; fl; p; s; pt;
     sink();
     return 0;
 }`
@@ -245,20 +248,14 @@ int f(int i, float fl, int *p, char *s, struct point pt) {
 	if err != nil {
 		panic(err)
 	}
-	env := cc.NewTypeEnv(f)
 	fn := f.Funcs()[0]
-	tm := env.CheckFunc(fn)
-
-	exprs := map[string]cc.Expr{}
-	for _, name := range []string{"i", "fl", "p", "s", "pt"} {
-		exprs[name], _ = cc.ParseExprString(name)
+	cc.NewTypeEnv(f).CheckFunc(fn)
+	var targets []cc.Expr
+	for _, st := range fn.Body.List {
+		if es, ok := st.(*cc.ExprStmt); ok {
+			targets = append(targets, es.X)
+		}
 	}
-	// Give the parsed idents their declared types by matching names.
-	types := map[string]*cc.Type{}
-	for _, p := range fn.Params {
-		types[p.Name] = p.Type
-	}
-	callExpr, _ := cc.ParseExprString("sink()")
 
 	metas := []pattern.MetaKind{pattern.MetaAnyExpr, pattern.MetaAnyScalar, pattern.MetaAnyPtr, pattern.MetaAnyFnCall}
 	fmt.Printf("%-12s", "hole type")
@@ -267,21 +264,12 @@ int f(int i, float fl, int *p, char *s, struct point pt) {
 		fmt.Printf("  %-10s", n)
 	}
 	fmt.Println()
-	targets := []cc.Expr{exprs["i"], exprs["fl"], exprs["p"], exprs["s"], exprs["pt"], callExpr}
-	fakeTM := cc.TypeMap{}
-	for name, e := range exprs {
-		fakeTM[e] = types[name]
-	}
-	fakeTM[callExpr] = cc.TypeVoidV
-	_ = tm
 	for _, m := range metas {
 		fmt.Printf("%-12s", string(m))
 		for _, tgt := range targets {
-			h := &cc.HoleExpr{Name: "h", Meta: string(m)}
-			ctx := &pattern.Ctx{Point: tgt, Types: fakeTM, Callouts: pattern.Builtins()}
+			ctx := &pattern.Ctx{Point: tgt, Callouts: pattern.Builtins()}
 			b, _ := pattern.CompileBase("h", map[string]*pattern.Hole{"h": {Name: "h", Meta: m}})
 			_, ok := b.Match(ctx, pattern.Bindings{})
-			_ = h
 			mark := "-"
 			if ok {
 				mark = "match"
@@ -294,7 +282,7 @@ int f(int i, float fl, int *p, char *s, struct point pt) {
 	fmt.Printf("%-12s", "int")
 	for _, tgt := range targets {
 		b, _ := pattern.CompileBase("h", map[string]*pattern.Hole{"h": {Name: "h", CType: cc.TypeIntV}})
-		ctx := &pattern.Ctx{Point: tgt, Types: fakeTM, Callouts: pattern.Builtins()}
+		ctx := &pattern.Ctx{Point: tgt, Callouts: pattern.Builtins()}
 		_, ok := b.Match(ctx, pattern.Bindings{})
 		mark := "-"
 		if ok {
@@ -307,7 +295,7 @@ int f(int i, float fl, int *p, char *s, struct point pt) {
 	argHoles := map[string]*pattern.Hole{"args": {Name: "args", Meta: pattern.MetaAnyArgs}}
 	ap, _ := pattern.CompileBase("g(args)", argHoles)
 	callTgt, _ := cc.ParseExprString("g(1, x, s)")
-	actx := &pattern.Ctx{Point: callTgt, Types: fakeTM, Callouts: pattern.Builtins()}
+	actx := &pattern.Ctx{Point: callTgt, Callouts: pattern.Builtins()}
 	if bnd, ok := ap.Match(actx, pattern.Bindings{}); ok {
 		args, _ := bnd.Get("args")
 		fmt.Printf("%-12s  { g(args) } on g(1, x, s) binds args = [%s]\n", "any_arguments", args)

@@ -104,7 +104,7 @@ func showMatches(c *metal.Checker, path string) error {
 		for _, b := range fn.Graph.Blocks {
 			for _, pt := range b.Points {
 				ctx := &pattern.Ctx{
-					Point: pt, Types: fn.Types, Callouts: reg, FuncName: fn.Name,
+					Point: pt, Callouts: reg, FuncName: fn.Name,
 					Locals: fn.Graph.Locals, BranchCond: b.Cond, ReturnExpr: b.ReturnX,
 				}
 				for _, tr := range c.Transitions {

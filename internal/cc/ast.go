@@ -17,13 +17,22 @@ type Node interface {
 // not interfere with matching").
 type Expr interface {
 	Node
-	isExpr()
+	slot() *typeSlot
 }
+
+// typeSlot is where CheckFunc records an expression's type. Every
+// expression node embeds one, so the type is carved with the node and
+// dies with it; TypeOf reads it. A node CheckFunc never saw (a pattern's,
+// the CFG's desugared assignments, a copy Rewrite made) reads unknown.
+type typeSlot struct{ t *Type }
+
+func (s *typeSlot) slot() *typeSlot { return s }
 
 // Ident is a use of a named variable, function, or enum constant.
 type Ident struct {
 	P    Pos
 	Name string
+	typeSlot
 }
 
 // IntLit is an integer literal; Value holds its decoded value.
@@ -31,18 +40,21 @@ type IntLit struct {
 	P     Pos
 	Text  string
 	Value int64
+	typeSlot
 }
 
 // FloatLit is a floating-point literal.
 type FloatLit struct {
 	P    Pos
 	Text string
+	typeSlot
 }
 
 // CharLit is a character literal; Text excludes the quotes.
 type CharLit struct {
 	P    Pos
 	Text string
+	typeSlot
 }
 
 // StringLit is a string literal; Text excludes the quotes but keeps
@@ -50,6 +62,7 @@ type CharLit struct {
 type StringLit struct {
 	P    Pos
 	Text string
+	typeSlot
 }
 
 // UnaryExpr is a prefix or postfix unary operation. Op is one of
@@ -60,6 +73,7 @@ type UnaryExpr struct {
 	Op      TokKind
 	X       Expr
 	Postfix bool
+	typeSlot
 }
 
 // BinaryExpr is a binary operation (arithmetic, relational, logical,
@@ -68,6 +82,7 @@ type BinaryExpr struct {
 	P    Pos
 	Op   TokKind
 	X, Y Expr
+	typeSlot
 }
 
 // AssignExpr is an assignment; Op is TokAssign or a compound
@@ -76,12 +91,14 @@ type AssignExpr struct {
 	P        Pos
 	Op       TokKind
 	LHS, RHS Expr
+	typeSlot
 }
 
 // CondExpr is the ternary conditional cond ? then : els.
 type CondExpr struct {
 	P                Pos
 	Cond, Then, Else Expr
+	typeSlot
 }
 
 // CallExpr is a function call.
@@ -89,6 +106,7 @@ type CallExpr struct {
 	P    Pos
 	Fun  Expr
 	Args []Expr
+	typeSlot
 }
 
 // CalleeName names the function a direct call calls: "" for an
@@ -104,6 +122,7 @@ func CalleeName(call *CallExpr) string {
 type IndexExpr struct {
 	P        Pos
 	X, Index Expr
+	typeSlot
 }
 
 // FieldExpr is member access: x.Name or, when Arrow is set, x->Name.
@@ -112,6 +131,7 @@ type FieldExpr struct {
 	X     Expr
 	Name  string
 	Arrow bool
+	typeSlot
 }
 
 // CastExpr is an explicit cast (T)x.
@@ -119,6 +139,7 @@ type CastExpr struct {
 	P  Pos
 	To *Type
 	X  Expr
+	typeSlot
 }
 
 // SizeofExpr is sizeof(expr) or sizeof(type); exactly one of X and
@@ -127,18 +148,21 @@ type SizeofExpr struct {
 	P    Pos
 	X    Expr
 	Type *Type
+	typeSlot
 }
 
 // CommaExpr is the comma operator; List has at least two elements.
 type CommaExpr struct {
 	P    Pos
 	List []Expr
+	typeSlot
 }
 
 // InitList is a braced initializer list { a, b, ... }.
 type InitList struct {
 	P    Pos
 	List []Expr
+	typeSlot
 }
 
 // HoleExpr is a metal pattern hole. It never results from parsing
@@ -151,6 +175,7 @@ type HoleExpr struct {
 	Name  string
 	Meta  string
 	CType *Type
+	typeSlot
 }
 
 // HoleArgs is a metal any_arguments hole standing for an entire
@@ -159,6 +184,7 @@ type HoleExpr struct {
 type HoleArgs struct {
 	P    Pos
 	Name string
+	typeSlot
 }
 
 func (e *Ident) Pos() Pos      { return e.P }
@@ -179,25 +205,6 @@ func (e *CommaExpr) Pos() Pos  { return e.P }
 func (e *InitList) Pos() Pos   { return e.P }
 func (e *HoleExpr) Pos() Pos   { return e.P }
 func (e *HoleArgs) Pos() Pos   { return e.P }
-
-func (*Ident) isExpr()      {}
-func (*IntLit) isExpr()     {}
-func (*FloatLit) isExpr()   {}
-func (*CharLit) isExpr()    {}
-func (*StringLit) isExpr()  {}
-func (*UnaryExpr) isExpr()  {}
-func (*BinaryExpr) isExpr() {}
-func (*AssignExpr) isExpr() {}
-func (*CondExpr) isExpr()   {}
-func (*CallExpr) isExpr()   {}
-func (*IndexExpr) isExpr()  {}
-func (*FieldExpr) isExpr()  {}
-func (*CastExpr) isExpr()   {}
-func (*SizeofExpr) isExpr() {}
-func (*CommaExpr) isExpr()  {}
-func (*InitList) isExpr()   {}
-func (*HoleExpr) isExpr()   {}
-func (*HoleArgs) isExpr()   {}
 
 // ---------------------------------------------------------------------------
 // Statements

@@ -274,7 +274,7 @@ int f(char c, short s, int i, unsigned int u, long l, float fl, double d) {
 	}
 	env := NewTypeEnv(f)
 	fd := f.Funcs()[0]
-	_ = env.CheckFunc(fd)
+	env.CheckFunc(fd)
 	types := map[string]*Type{}
 	for _, p := range fd.Params {
 		types[p.Name] = p.Type

@@ -157,7 +157,8 @@ func WalkExpr(e Expr, visit func(Expr) bool) {
 // it, or the node's replacement, which is not descended (returning the
 // node itself keeps it whole). Rewrite copies only the nodes above a
 // replacement and shares every other subtree with e, so a rewrite
-// that replaces nothing returns e itself.
+// that replaces nothing returns e itself. A copy is untyped: CheckFunc
+// typed the original, not the expression the copy now stands for.
 func Rewrite(e Expr, f func(Expr) Expr) Expr {
 	if e == nil {
 		return nil
@@ -169,18 +170,21 @@ func Rewrite(e Expr, f func(Expr) Expr) Expr {
 	case *UnaryExpr:
 		if x := Rewrite(e.X, f); x != e.X {
 			c := *e
+			c.typeSlot = typeSlot{}
 			c.X = x
 			return &c
 		}
 	case *BinaryExpr:
 		if x, y := Rewrite(e.X, f), Rewrite(e.Y, f); x != e.X || y != e.Y {
 			c := *e
+			c.typeSlot = typeSlot{}
 			c.X, c.Y = x, y
 			return &c
 		}
 	case *AssignExpr:
 		if l, r := Rewrite(e.LHS, f), Rewrite(e.RHS, f); l != e.LHS || r != e.RHS {
 			c := *e
+			c.typeSlot = typeSlot{}
 			c.LHS, c.RHS = l, r
 			return &c
 		}
@@ -188,6 +192,7 @@ func Rewrite(e Expr, f func(Expr) Expr) Expr {
 		co, th, el := Rewrite(e.Cond, f), Rewrite(e.Then, f), Rewrite(e.Else, f)
 		if co != e.Cond || th != e.Then || el != e.Else {
 			c := *e
+			c.typeSlot = typeSlot{}
 			c.Cond, c.Then, c.Else = co, th, el
 			return &c
 		}
@@ -195,6 +200,7 @@ func Rewrite(e Expr, f func(Expr) Expr) Expr {
 		fun, args := Rewrite(e.Fun, f), rewriteList(e.Args, f)
 		if fun != e.Fun || args != nil {
 			c := *e
+			c.typeSlot = typeSlot{}
 			c.Fun = fun
 			if args != nil {
 				c.Args = args
@@ -204,24 +210,28 @@ func Rewrite(e Expr, f func(Expr) Expr) Expr {
 	case *IndexExpr:
 		if x, i := Rewrite(e.X, f), Rewrite(e.Index, f); x != e.X || i != e.Index {
 			c := *e
+			c.typeSlot = typeSlot{}
 			c.X, c.Index = x, i
 			return &c
 		}
 	case *FieldExpr:
 		if x := Rewrite(e.X, f); x != e.X {
 			c := *e
+			c.typeSlot = typeSlot{}
 			c.X = x
 			return &c
 		}
 	case *CastExpr:
 		if x := Rewrite(e.X, f); x != e.X {
 			c := *e
+			c.typeSlot = typeSlot{}
 			c.X = x
 			return &c
 		}
 	case *SizeofExpr:
 		if x := Rewrite(e.X, f); x != e.X {
 			c := *e
+			c.typeSlot = typeSlot{}
 			c.X = x
 			return &c
 		}

@@ -1,6 +1,9 @@
 package cc
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // ExprString renders an expression back to C text. The output is fully
 // parenthesized where needed, canonical, and independent of the
@@ -28,6 +31,16 @@ func AppendExpr(dst []byte, e Expr) []byte {
 		return dst
 	}
 	return writeExpr(dst, e, 0)
+}
+
+// AppendPos appends p.String() to dst and returns the extended buffer,
+// without allocating.
+func AppendPos(dst []byte, p Pos) []byte {
+	if p.File != "" {
+		dst = append(append(dst, p.File...), ':')
+	}
+	dst = append(strconv.AppendInt(dst, int64(p.Line), 10), ':')
+	return strconv.AppendInt(dst, int64(p.Col), 10)
 }
 
 // Operator precedence levels used to decide parenthesization when

@@ -1,6 +1,9 @@
 package cc
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // printCases covers every expression kind, with the spacing and
 // parenthesisation the canonical text must keep.
@@ -99,6 +102,24 @@ func TestAppendExprAllocs(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(20, func() { buf = AppendExpr(buf[:0], c.e) }); n != 0 {
 			t.Errorf("AppendExpr(%s) into a warmed buffer: %.0f allocations, want 0", c.want, n)
+		}
+	}
+}
+
+// TestAppendPos: a position appends as it always printed, file or none,
+// and into a warmed buffer without allocating.
+func TestAppendPos(t *testing.T) {
+	buf := make([]byte, 0, 64)
+	for _, p := range []Pos{{}, {Line: 3, Col: 14}, {File: "fs/ext4/inode.c", Line: 1204, Col: 9}} {
+		want := fmt.Sprintf("%s:%d:%d", p.File, p.Line, p.Col)
+		if p.File == "" {
+			want = fmt.Sprintf("%d:%d", p.Line, p.Col)
+		}
+		if got := string(AppendPos(buf[:0], p)); got != want || p.String() != want {
+			t.Errorf("AppendPos %q, String %q, want %q", got, p.String(), want)
+		}
+		if n := testing.AllocsPerRun(20, func() { buf = AppendPos(buf[:0], p) }); n != 0 {
+			t.Errorf("AppendPos(%s) into a warmed buffer: %.0f allocations, want 0", want, n)
 		}
 	}
 }

@@ -222,10 +222,8 @@ type Pos struct {
 
 // String renders the position as file:line:col.
 func (p Pos) String() string {
-	if p.File == "" {
-		return fmt.Sprintf("%d:%d", p.Line, p.Col)
-	}
-	return fmt.Sprintf("%s:%d:%d", p.File, p.Line, p.Col)
+	var buf [64]byte
+	return string(AppendPos(buf[:0], p))
 }
 
 // IsValid reports whether the position has been set.

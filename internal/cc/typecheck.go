@@ -1,14 +1,13 @@
 package cc
 
-// TypeMap records the inferred type of every expression node in a
-// function body, keyed by node identity. The pattern matcher consults
+// TypeOf returns the type CheckFunc recorded in e, or the unknown type
+// for a node it never typed (and for nil). The pattern matcher consults
 // it to decide whether a typed hole can be filled by an expression.
-type TypeMap map[Expr]*Type
-
-// TypeOf returns the recorded type, or the unknown type.
-func (m TypeMap) TypeOf(e Expr) *Type {
-	if t, ok := m[e]; ok && t != nil {
-		return t
+func TypeOf(e Expr) *Type {
+	if e != nil {
+		if t := e.slot().t; t != nil {
+			return t
+		}
 	}
 	return TypeUnknownV
 }
@@ -71,9 +70,6 @@ type typeChecker struct {
 	// declares tens of names, so lookup scans.
 	locals []local
 	marks  []int
-	// typed lists every expression with its type, in the order they
-	// were typed, until CheckFunc moves them into a map of exact size.
-	typed []typedExpr
 }
 
 type local struct {
@@ -81,15 +77,12 @@ type local struct {
 	typ  *Type
 }
 
-type typedExpr struct {
-	e Expr
-	t *Type
-}
-
-// CheckFunc infers a type for every expression in fd's body and
-// returns the map. It never fails: unknown constructs type as unknown.
-// It works in env's scratch, so one env types one function at a time.
-func (env *TypeEnv) CheckFunc(fd *FuncDecl) TypeMap {
+// CheckFunc infers a type for every expression in fd's body and records
+// it in the expression's node (TypeOf). It never fails: unknown
+// constructs type as unknown. It works in env's scratch, so one env
+// types one function at a time, and it writes the body: nothing may
+// read the body's types meanwhile.
+func (env *TypeEnv) CheckFunc(fd *FuncDecl) {
 	tc := &env.tc
 	tc.env = env
 	for _, p := range fd.Params {
@@ -98,14 +91,8 @@ func (env *TypeEnv) CheckFunc(fd *FuncDecl) TypeMap {
 	if fd.Body != nil {
 		tc.stmt(fd.Body)
 	}
-	types := make(TypeMap, len(tc.typed))
-	for _, x := range tc.typed {
-		types[x.e] = x.t
-	}
 	clear(tc.locals)
-	clear(tc.typed)
-	tc.locals, tc.marks, tc.typed = tc.locals[:0], tc.marks[:0], tc.typed[:0]
-	return types
+	tc.locals, tc.marks = tc.locals[:0], tc.marks[:0]
 }
 
 func (tc *typeChecker) push() { tc.marks = append(tc.marks, len(tc.locals)) }
@@ -211,7 +198,7 @@ func (tc *typeChecker) stmt(s Stmt) {
 
 func (tc *typeChecker) expr(e Expr) *Type {
 	t := tc.exprType(e)
-	tc.typed = append(tc.typed, typedExpr{e, t})
+	e.slot().t = t
 	return t
 }
 

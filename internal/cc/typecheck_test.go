@@ -63,12 +63,12 @@ func typeOfIn(t *testing.T, src, expr string) string {
 	env := NewTypeEnv(f)
 	funcs := f.Funcs()
 	fd := funcs[len(funcs)-1]
-	tm := env.CheckFunc(fd)
+	env.CheckFunc(fd)
 	e := findExpr(fd, expr)
 	if e == nil {
 		t.Fatalf("expression %q not found", expr)
 	}
-	return tm.TypeOf(e).String()
+	return TypeOf(e).String()
 }
 
 func TestTypeOfLocals(t *testing.T) {

@@ -12,6 +12,7 @@ package cfg
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/cc"
@@ -173,10 +174,39 @@ type Graph struct {
 	Exit   *Block
 	Blocks []*Block
 
-	// Locals is the set of names declared in the function (parameters
-	// and block-scope variables). The engine uses it for scope-based
+	// Locals lists the names declared in the function (parameters and
+	// block-scope variables). The engine uses it for scope-based
 	// refine/restore and end-of-path events.
-	Locals map[string]bool
+	Locals Locals
+}
+
+// Local is one name a function declares. Param is set when some
+// parameter has the name, even if a block also declares it.
+type Local struct {
+	Name  string
+	Param bool
+}
+
+// Locals is a function's local names, sorted, each once.
+type Locals []Local
+
+// Has reports whether name is a local of the function, parameters
+// included.
+func (l Locals) Has(name string) bool {
+	_, ok := l.find(name)
+	return ok
+}
+
+// HasNonParam reports whether name is a local that is no parameter:
+// an object that dies with the function's frame ($end_of_path$, §3.2)
+// and that suffix summaries omit (Figure 5).
+func (l Locals) HasNonParam(name string) bool {
+	i, ok := l.find(name)
+	return ok && !l[i].Param
+}
+
+func (l Locals) find(name string) (int, bool) {
+	return slices.BinarySearchFunc(l, name, func(x Local, name string) int { return strings.Compare(x.Name, name) })
 }
 
 // String renders the graph for debugging.
@@ -232,6 +262,9 @@ type Builder struct {
 
 	labels map[string]*Block
 	gotos  []pendingGoto
+	// names collects the function's locals in declaration order, until
+	// finishLocals sorts them into the Graph's list.
+	names []Local
 
 	// Work memory, reused across functions: the chunks the blocks of the
 	// function being built are carved from (each keeps its Exprs' and
@@ -249,6 +282,7 @@ type Builder struct {
 	edges   slab.Slab[Edge]
 	ptrs    slab.Slab[*Block]
 	exprs   slab.Slab[cc.Expr]
+	locals  slab.Slab[Local]
 	assigns slab.Slab[cc.AssignExpr]
 	idents  slab.Slab[cc.Ident]
 }
@@ -273,15 +307,15 @@ func Build(fn *cc.FuncDecl) *Graph {
 // Builder's scratch.
 func (b *Builder) Build(fn *cc.FuncDecl) *Graph {
 	g := b.graphs.New()
-	*g = Graph{Fn: fn, Locals: map[string]bool{}}
+	*g = Graph{Fn: fn}
 	b.g, b.cur = g, nil
-	b.blocks, b.gotos = b.blocks[:0], b.gotos[:0]
+	b.blocks, b.gotos, b.names = b.blocks[:0], b.gotos[:0], b.names[:0]
 	if b.labels == nil {
 		b.labels = map[string]*Block{}
 	}
 	clear(b.labels)
 	for _, p := range fn.Params {
-		g.Locals[p.Name] = true
+		b.names = append(b.names, Local{Name: p.Name, Param: true})
 	}
 	b.entry = b.newBlock()
 	b.entry.Entry = true
@@ -308,8 +342,32 @@ func (b *Builder) Build(fn *cc.FuncDecl) *Graph {
 		// silently continue (§6).
 	}
 	b.finish(b.prune())
+	b.finishLocals()
 	b.g, b.entry, b.exit, b.cur = nil, nil, nil, nil
 	return g
+}
+
+// finishLocals sorts the names the function declares, merges each
+// name's declarations into one entry (a parameter if any of them is),
+// and carves the Graph's list of exact size.
+func (b *Builder) finishLocals() {
+	names := b.names
+	slices.SortFunc(names, func(x, y Local) int { return strings.Compare(x.Name, y.Name) })
+	n := 0
+	for _, l := range names {
+		if n > 0 && names[n-1].Name == l.Name {
+			names[n-1].Param = names[n-1].Param || l.Param
+			continue
+		}
+		names[n] = l
+		n++
+	}
+	if n > 0 {
+		b.g.Locals = b.locals.Take(n)
+		copy(b.g.Locals, names[:n])
+	}
+	clear(names)
+	b.names = names[:0]
 }
 
 // addSucc links b -> e.To. Only a Builder's scratch blocks grow their
@@ -397,7 +455,7 @@ func (b *Builder) stmt(s cc.Stmt) {
 	case *cc.DeclStmt:
 		var blk *Block
 		for _, d := range s.Decls {
-			b.g.Locals[d.Name] = true
+			b.names = append(b.names, Local{Name: d.Name})
 			if d.Init == nil {
 				continue
 			}

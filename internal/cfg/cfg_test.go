@@ -1,6 +1,7 @@
 package cfg
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cc"
@@ -393,7 +394,7 @@ int f(int *p) {
 	if !found {
 		t.Errorf("decl init not desugared to assignment:\n%s", g)
 	}
-	if !g.Locals["q"] || !g.Locals["p"] {
+	if !g.Locals.Has("q") || !g.Locals.Has("p") {
 		t.Errorf("locals = %v", g.Locals)
 	}
 }
@@ -405,15 +406,23 @@ int f(int a, char *b) {
     int c;
     for (int d = 0; d < a; d++) {
         double e;
+        int a;
     }
+    { int c; }
     return 0;
 }`, "f")
-	for _, name := range []string{"a", "b", "c", "d", "e"} {
-		if !g.Locals[name] {
-			t.Errorf("local %q missing", name)
+	// One entry a name, sorted; a parameter stays one when a block
+	// redeclares it.
+	want := Locals{{"a", true}, {"b", true}, {"c", false}, {"d", false}, {"e", false}}
+	if !slices.Equal(g.Locals, want) {
+		t.Errorf("locals = %v, want %v", g.Locals, want)
+	}
+	for _, l := range want {
+		if !g.Locals.Has(l.Name) || g.Locals.HasNonParam(l.Name) == l.Param {
+			t.Errorf("%q: Has %v, HasNonParam %v", l.Name, g.Locals.Has(l.Name), g.Locals.HasNonParam(l.Name))
 		}
 	}
-	if g.Locals["glob"] {
+	if g.Locals.Has("glob") || g.Locals.HasNonParam("glob") {
 		t.Error("global recorded as local")
 	}
 }

@@ -1,8 +1,7 @@
 package core
 
 import (
-	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/cc"
 	"repro/internal/report"
@@ -18,7 +17,7 @@ import (
 // scope or when the program terminates").
 func (en *Engine) endOfPath(st *pathState, rec *blockRec) {
 	isRoot := st.callDepth == 0
-	nonParam := st.fn.NonParamLocals
+	locals := st.fn.Graph.Locals
 	ctx := en.matchCtx(st, nil, nil, true, false)
 
 	en.snapshot = append(en.snapshot[:0], st.sm.Active...)
@@ -26,7 +25,7 @@ func (en *Engine) endOfPath(st *pathState, rec *blockRec) {
 		if inst.Inactive || !en.stillActive(st, inst) {
 			continue
 		}
-		leavesScope := isRoot || mentions(inst.ObjExpr, func(id *cc.Ident) bool { return nonParam[id.Name] })
+		leavesScope := isRoot || mentions(inst.ObjExpr, func(id *cc.Ident) bool { return locals.HasNonParam(id.Name) })
 		if !leavesScope {
 			continue
 		}
@@ -112,24 +111,67 @@ func (en *Engine) emitReport(ctx *actionCtx, msg string) {
 			}
 			r.CallChain = d
 		}
-		r.Vars = identsOf(in.ObjExpr)
-		r.Trace = append(in.trace.strings(),
-			fmt.Sprintf("%s: %s", ctx.Pos, msg))
+		r.Vars = en.report.identsOf(in.ObjExpr)
+		r.Trace = en.report.trace(in.trace, ctx.Pos, msg)
 	}
 	en.Reports.Add(r)
 }
 
-// identsOf lists the identifier names mentioned by an expression.
-func identsOf(e cc.Expr) []string {
-	seen := map[string]bool{}
-	var out []string
+// reportScratch is the engine's work memory for the report emitReport
+// keeps, so that what the report holds is allocated at its exact size:
+// the trace's cells oldest first, the trace's text and where each of
+// its lines ends, and the object's identifier names.
+type reportScratch struct {
+	cells []*traceList
+	text  []byte
+	ends  []int
+	names []string
+}
+
+// trace renders a kept report's why-trace: each event's line, oldest
+// first, then the report's own "pos: msg" line. The lines are rendered
+// into the scratch and converted to one string, which the returned
+// lines are substrings of.
+func (s *reportScratch) trace(t *traceList, pos cc.Pos, msg string) []string {
+	cells := s.cells[:0]
+	for c := t; c != nil; c = c.prev {
+		cells = append(cells, c)
+	}
+	text, ends := s.text[:0], s.ends[:0]
+	for i := len(cells) - 1; i >= 0; i-- {
+		text = cells[i].render(text)
+		ends = append(ends, len(text))
+	}
+	text = append(append(cc.AppendPos(text, pos), ": "...), msg...)
+	ends = append(ends, len(text))
+	all := string(text)
+	lines := make([]string, len(ends))
+	lo := 0
+	for i, hi := range ends {
+		lines[i], lo = all[lo:hi], hi
+	}
+	clear(cells)
+	s.cells, s.text, s.ends = cells[:0], text[:0], ends[:0]
+	return lines
+}
+
+// identsOf lists the identifier names e mentions, sorted, each once;
+// nil when it mentions none.
+func (s *reportScratch) identsOf(e cc.Expr) []string {
+	names := s.names[:0]
 	cc.WalkExpr(e, func(sub cc.Expr) bool {
-		if id, ok := sub.(*cc.Ident); ok && !seen[id.Name] {
-			seen[id.Name] = true
-			out = append(out, id.Name)
+		if id, ok := sub.(*cc.Ident); ok {
+			names = append(names, id.Name)
 		}
 		return true
 	})
-	sort.Strings(out)
+	slices.Sort(names)
+	names = slices.Compact(names)
+	var out []string
+	if len(names) > 0 {
+		out = slices.Clone(names)
+	}
+	clear(names)
+	s.names = names[:0]
 	return out
 }

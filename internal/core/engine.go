@@ -251,6 +251,12 @@ type Engine struct {
 	outs  []Tuple
 	parts []partition
 	next  []partition
+	// refined and saved are followCall's stacks of the instances a call
+	// hands the callee and those it holds across the call: each call
+	// pushes its own above its caller's and pops them when it returns.
+	refined, saved []*Instance
+	// report is emitReport's scratch for the report it keeps.
+	report reportScratch
 	// tuples is the stack the block recorders' lists are carved from: a
 	// traversal pushes its entry tuples (enter), a block's kill
 	// list grows on top (noteKill), a call return pushes its partitions'

@@ -18,12 +18,12 @@ import (
 // read them (the null checker's bare "if (v)", the leak checker's
 // "return v"). Every field is written at every point: a call followed
 // between two points of a block runs the callee's points through the
-// same context, and the caller must not resume on the callee's types,
+// same context, and the caller must not resume on the callee's
 // locals or name.
 func (en *Engine) matchCtx(st *pathState, b *cfg.Block, pt cc.Expr, endOfPath, returnPoint bool) *pattern.Ctx {
 	ctx := &en.ctx
 	ctx.Point, ctx.EndOfPath, ctx.ReturnPoint = pt, endOfPath, returnPoint
-	ctx.Types, ctx.FuncName, ctx.Locals = st.fn.Types, st.fn.Name, st.fn.Graph.Locals
+	ctx.FuncName, ctx.Locals = st.fn.Name, st.fn.Graph.Locals
 	ctx.Callouts = en.callouts
 	ctx.BranchCond, ctx.ReturnExpr = nil, nil
 	if b != nil {

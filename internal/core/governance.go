@@ -269,9 +269,11 @@ func (en *Engine) runRootIsolated(root *prog.Function) {
 	}()
 	fi := en.funcInfo(root)
 	en.callStack = append(en.callStack[:0], root)
-	// A root that panicked left its tuples and partitions on the stacks.
+	// A root that panicked left its tuples, partitions and instances on
+	// the stacks.
 	en.popTuples(0)
 	en.parts = en.parts[:0]
+	en.popInstances(0, 0)
 	st := en.enter(nil, root, en.initG)
 	en.Stats.Analyses[root.Name]++
 	fi.Analyses++

@@ -37,15 +37,16 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, bi *blockInfo, rec *bl
 	// site's substituted formals, by pointer: a formal named "p" is not
 	// a leftover caller local "p".
 	callerLocal := func(id *cc.Ident) bool {
-		return st.fn.Graph.Locals[id.Name] && !slices.ContainsFunc(maps, func(m prog.ArgMap) bool { return m.Formal == id })
+		return st.fn.Graph.Locals.Has(id.Name) && !slices.ContainsFunc(maps, func(m prog.ArgMap) bool { return m.Formal == id })
 	}
-	refined := SM{g: st.sm.g}
-	var saved []*Instance
+	// The refined copies and the saved instances go on the engine's
+	// stacks, above whatever the calls this one is nested in hold there,
+	// and are popped when it returns; only a refined instance is cloned.
+	rbase, sbase := len(en.refined), len(en.saved)
 	for _, inst := range st.sm.Active {
-		cp := inst.clone()
 		switch {
 		case inst.GlobalObj:
-			refined.Active = append(refined.Active, cp)
+			en.refined = append(en.refined, inst.clone())
 		case inst.Static:
 			// File-scope variables pass when the callee is in their
 			// file; otherwise they are held inactive at the boundary
@@ -53,30 +54,38 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, bi *blockInfo, rec *bl
 			// reenter-scope-down-the-call-chain case by holding them
 			// with the caller's saved state).
 			if callee.Decl.File == inst.HomeFile {
+				cp := inst.clone()
 				cp.Inactive = false
-				refined.Active = append(refined.Active, cp)
+				en.refined = append(en.refined, cp)
 			} else {
-				saved = append(saved, inst)
+				en.saved = append(en.saved, inst)
 				en.Stats.StaticsHeld++
 			}
 		default:
 			mapped, ok := refineObj(inst.ObjExpr, maps)
 			if ok && !mentions(mapped, callerLocal) {
+				cp := inst.clone()
 				cp.ObjExpr = mapped
 				cp.obj = en.intern.objID(mapped)
-				refined.Active = append(refined.Active, cp)
+				en.refined = append(en.refined, cp)
 			} else if !mentionsLocals(inst.ObjExpr, st.fn) {
 				// Mentions no caller locals: passes through (unknown
 				// or extern objects).
-				refined.Active = append(refined.Active, cp)
+				en.refined = append(en.refined, inst.clone())
 			} else {
 				// "All state attached to variables and expressions
 				// that are local to the caller is saved at the call
 				// boundary" (§6.1).
-				saved = append(saved, inst)
+				en.saved = append(en.saved, inst)
 			}
 		}
 	}
+	// A nested call pushes above these two frames and may move the
+	// stacks' arrays; the frames stay valid, and their capacity ends
+	// where they do.
+	rtop, stop := len(en.refined), len(en.saved)
+	refined := SM{g: st.sm.g, Active: en.refined[rbase:rtop:rtop]}
+	saved := en.saved[sbase:stop:stop]
 
 	// --- Function summary check (§6.2) ---
 	calleeFi := en.funcInfo(callee)
@@ -149,6 +158,7 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, bi *blockInfo, rec *bl
 	if len(parts) == 0 {
 		// No summary information (e.g. recursion with an empty
 		// summary): leave the caller state unchanged (§7 unsoundness).
+		en.popInstances(rbase, sbase)
 		return false
 	}
 	forked := len(parts) > 1
@@ -195,7 +205,16 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, bi *blockInfo, rec *bl
 	}
 	en.parts = en.parts[:pbase]
 	en.popTuples(tbase)
+	en.popInstances(rbase, sbase)
 	return forked
+}
+
+// popInstances pops a followCall's frames off the refined and saved
+// stacks, dropping their references.
+func (en *Engine) popInstances(rbase, sbase int) {
+	clear(en.refined[rbase:])
+	clear(en.saved[sbase:])
+	en.refined, en.saved = en.refined[:rbase], en.saved[:sbase]
 }
 
 // partition is one disjoint exit state: a global state value plus at
@@ -357,7 +376,7 @@ func (en *Engine) restoreInstance(t Tuple, maps []prog.ArgMap, caller, callee *p
 	// mention of a callee non-parameter local (one that is not also a
 	// caller local's name) means the object died with the callee frame.
 	if mentions(objExpr, func(id *cc.Ident) bool {
-		return callee.NonParamLocals[id.Name] && !caller.Graph.Locals[id.Name]
+		return callee.Graph.Locals.HasNonParam(id.Name) && !caller.Graph.Locals.Has(id.Name)
 	}) {
 		return nil
 	}

@@ -278,7 +278,6 @@ func admitted(feats *blockFeats, atoms []filterAtom) bool {
 // nowhere) and how many attempts that took.
 func matchIn(fn *prog.Function, b *cfg.Block, pat pattern.Pattern, prior pattern.Bindings) (where string, attempts int) {
 	ctx := &pattern.Ctx{
-		Types:      fn.Types,
 		Callouts:   pattern.Builtins(),
 		FuncName:   fn.Name,
 		Locals:     fn.Graph.Locals,

@@ -125,5 +125,5 @@ func mentionsLocals(e cc.Expr, fn *prog.Function) bool {
 	if fn == nil || e == nil {
 		return false
 	}
-	return mentions(e, func(id *cc.Ident) bool { return fn.Graph.Locals[id.Name] })
+	return mentions(e, func(id *cc.Ident) bool { return fn.Graph.Locals.Has(id.Name) })
 }

@@ -228,6 +228,46 @@ void caller(int *xa, int ya) { f(xa, &ya); }`})
 	}
 }
 
+// TestRefinedCopiesReadUntyped: an object refine, restore or the
+// *(&x) cancellation builds is a new expression, so it reads as untyped
+// (cc.TypeOf), while the body node it was built from keeps the type
+// CheckFunc wrote into it.
+func TestRefinedCopiesReadUntyped(t *testing.T) {
+	p := buildProg(t, map[string]string{"h.c": `
+struct s { int f; };
+void g(struct s *sf) {}
+int caller(struct s *sa) { g(sa); return (*&sa)->f + sa->f; }`})
+	fn := p.Lookup("caller")
+	var ret *cc.BinaryExpr
+	for _, b := range fn.Graph.Blocks {
+		if x, ok := b.ReturnX.(*cc.BinaryExpr); ok {
+			ret = x
+		}
+	}
+	if ret == nil {
+		t.Fatal("no returned sum")
+	}
+	cancelled, field := ret.X, ret.Y
+	maps := fn.Sites[0].Args
+	refined, ok := refineObj(field, maps)
+	if !ok {
+		t.Fatalf("%s did not refine", cc.ExprString(field))
+	}
+	restored := restoreObj(refined, maps)
+	simplified := simplifyDeep(cancelled)
+	for _, c := range []struct {
+		e    cc.Expr
+		want string
+	}{{field, "int"}, {cancelled, "int"}, {refined, "<unknown>"}, {restored, "<unknown>"}, {simplified, "<unknown>"}} {
+		if got := cc.TypeOf(c.e).String(); got != c.want {
+			t.Errorf("%s reads %s, want %s", cc.ExprString(c.e), got, c.want)
+		}
+	}
+	if cc.ExprString(restored) != "sa->f" || cc.ExprString(simplified) != "sa->f" {
+		t.Errorf("restored %s, simplified %s; want sa->f both", cc.ExprString(restored), cc.ExprString(simplified))
+	}
+}
+
 // TestRefineSkipsUnnamedParam: a parameter without a name (legal C23,
 // and what people write for an unused one) holds no state, and must not
 // end the pairing of the parameters after it.

@@ -5,11 +5,7 @@
 // (kill-on-redefinition, synonyms, false path pruning) built in.
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/cc"
-)
+import "repro/internal/cc"
 
 // UnknownVal is the distinguished value used in the start tuple of add
 // edges: "(s, v:t→unknown)" means nothing is known about t at block
@@ -113,30 +109,32 @@ func (t *traceList) push(kind traceKind, pt cc.Expr, a, b string) *traceList {
 	return &traceList{prev: t, pt: pt, a: a, b: b, n: n, kind: kind}
 }
 
-// line renders one event.
-func (t *traceList) line() string {
-	pos := posOf(t.pt)
+// render appends the event's line to buf.
+func (t *traceList) render(buf []byte) []byte {
+	buf = append(append(cc.AppendPos(buf, posOf(t.pt)), ": "...), t.a...)
 	switch t.kind {
 	case traceEnters:
-		return fmt.Sprintf("%s: %s enters state %s at %s", pos, t.a, t.b, cc.ExprString(t.pt))
+		buf = append(append(append(buf, " enters state "...), t.b...), " at "...)
+		return appendPoint(buf, t.pt)
 	case traceMoves:
-		return fmt.Sprintf("%s: %s -> %s at %s", pos, t.a, t.b, cc.ExprString(t.pt))
+		buf = append(append(append(buf, " -> "...), t.b...), " at "...)
+		return appendPoint(buf, t.pt)
 	case traceSynonym:
-		return fmt.Sprintf("%s: %s becomes a synonym of %s", pos, t.a, t.b)
+		return append(append(buf, " becomes a synonym of "...), t.b...)
 	}
-	return fmt.Sprintf("%s: %s", pos, t.a)
+	return buf
 }
 
-// strings renders the list oldest-first.
-func (t *traceList) strings() []string {
-	if t == nil {
-		return nil
+// noPoint is cc.ExprString's rendering of a missing point (a bare
+// "return;" offers none), which cc.AppendExpr skips.
+var noPoint = cc.ExprString(nil)
+
+// appendPoint appends cc.ExprString(pt).
+func appendPoint(buf []byte, pt cc.Expr) []byte {
+	if pt == nil {
+		return append(buf, noPoint...)
 	}
-	out := make([]string, t.n)
-	for c := t; c != nil; c = c.prev {
-		out[c.n-1] = c.line()
-	}
-	return out
+	return cc.AppendExpr(buf, pt)
 }
 
 // Tuple is one state tuple (§5.2): the global instance value plus one

@@ -363,7 +363,7 @@ func TestReleasedBodyRendersEmpty(t *testing.T) {
 		t.Fatalf("%s is not the declaration %s was built from", decl.Name, fn.Name)
 	}
 	fn.ReleaseBody()
-	if fn.Graph != nil || fn.Decl.Body != nil || fn.Sites != nil || fn.NonParamLocals != nil {
+	if fn.Graph != nil || fn.Decl.Body != nil || fn.Sites != nil {
 		t.Fatal("ReleaseBody left the CFG, the body or the program model behind")
 	}
 	if decl.Body == nil {

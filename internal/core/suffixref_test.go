@@ -63,7 +63,7 @@ func referenceSuffixes(fn *prog.Function, fd FuncSummaryData, pairs map[[2]int]b
 			return hit
 		}
 		e, err := cc.ParseExprString(td.Obj)
-		local[td.Obj] = err == nil && mentions(e, func(id *cc.Ident) bool { return fn.NonParamLocals[id.Name] })
+		local[td.Obj] = err == nil && mentions(e, func(id *cc.Ident) bool { return fn.Graph.Locals.HasNonParam(id.Name) })
 		return local[td.Obj]
 	}
 	skip := func(e refEdge) bool { return e.to.Val == StopVal || mentionsLocal(e.from) || mentionsLocal(e.to) }

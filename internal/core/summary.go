@@ -400,10 +400,10 @@ type traceEntry struct {
 // relax propagates suffix edges backwards along the just-finished
 // path (Figure 6). final is the block whose suffix summary seeds the
 // propagation: the exit block at a normal path end, or the cache-hit
-// block on an abort. locals is the function's non-parameter locals set:
-// suffix edges about objects that mention one are skipped because "the
+// block on an abort. locals is the function's locals: suffix edges
+// about objects that mention a non-parameter one are skipped because "the
 // analysis would never use these edges" (Figure 5 caption).
-func relax(backtrace []traceEntry, final *blockInfo, seedFinal bool, locals map[string]bool) {
+func relax(backtrace []traceEntry, final *blockInfo, seedFinal bool, locals cfg.Locals) {
 	// Seed only at a true path end: "ep's suffix summary equals its
 	// block summary" (§6.2) holds for the exit block alone. On a
 	// cache-hit abort the hit block's suffix is already populated from
@@ -430,7 +430,7 @@ func relax(backtrace []traceEntry, final *blockInfo, seedFinal bool, locals map[
 // summary (dropping stop-ending edges and local objects). Global
 // instance edges always seed: they carry the reachable exit gstates
 // that function-summary application reads.
-func seedSuffix(bi *blockInfo, locals map[string]bool) {
+func seedSuffix(bi *blockInfo, locals cfg.Locals) {
 	fi := bi.fi
 	for _, e := range bi.gstate.all() {
 		bi.sfxTrans.add(fi, e)
@@ -451,11 +451,11 @@ func seedSuffix(bi *blockInfo, locals map[string]bool) {
 // ending in stop are unnecessary ("the suffix summary intentionally
 // omits edges that end in a tuple with the value stop"), and edges
 // about function-local objects are never used by callers.
-func (in *interner) suffixSkip(e edge, locals map[string]bool) bool {
+func (in *interner) suffixSkip(e edge, locals cfg.Locals) bool {
 	if in.tups[e.to].val == symStop {
 		return true
 	}
-	local := func(id *cc.Ident) bool { return locals[id.Name] }
+	local := func(id *cc.Ident) bool { return locals.HasNonParam(id.Name) }
 	return mentions(in.rep(in.tups[e.from].obj), local) || mentions(in.rep(in.tups[e.to].obj), local)
 }
 
@@ -469,7 +469,7 @@ func compose(pe, sfx edge) edge {
 // combineSuffix merges next's suffix edges through cur's block
 // summary into cur's suffix summary; it reports whether anything new
 // was added.
-func combineSuffix(cur, next *blockInfo, locals map[string]bool) bool {
+func combineSuffix(cur, next *blockInfo, locals cfg.Locals) bool {
 	fi, in := cur.fi, cur.fi.in
 	grew := false
 	// On a loop cur can be next: range over next's edges as they stand,

@@ -66,7 +66,7 @@ func (en *Engine) traverseBlock(st *pathState, b *cfg.Block) {
 		}
 	}
 	if allHit {
-		relax(en.backtrace[st.btBase:st.btTop], bi, false, st.fn.NonParamLocals)
+		relax(en.backtrace[st.btBase:st.btTop], bi, false, st.fn.Graph.Locals)
 		return
 	}
 	if cache {
@@ -195,7 +195,7 @@ func (en *Engine) endPath(st *pathState) {
 	}
 	last := en.backtrace[st.btTop-1]
 	relax(en.backtrace[st.btBase:st.btTop-1], last.info, last.block.Exit && !st.killPath,
-		st.fn.NonParamLocals)
+		st.fn.Graph.Locals)
 }
 
 // descend explores the block's successors (§2.2 step 4). Only a branch

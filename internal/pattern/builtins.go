@@ -33,7 +33,7 @@ func Builtins() Registry {
 			if len(args) != 1 || !args[0].Bound || args[0].Binding.Expr == nil {
 				return false
 			}
-			return typeOf(ctx, args[0].Binding.Expr).IsPointer()
+			return cc.TypeOf(args[0].Binding.Expr).IsPointer()
 		},
 		// mc_is_constant(v): the bound expression is a compile-time
 		// constant.
@@ -86,7 +86,7 @@ func Builtins() Registry {
 				return false
 			}
 			id, ok := args[0].Binding.Expr.(*cc.Ident)
-			return ok && ctx.Locals[id.Name]
+			return ok && ctx.Locals.Has(id.Name)
 		},
 		// mc_is_returned(v): the current block returns the bound
 		// expression (a value escape for leak-style checkers).

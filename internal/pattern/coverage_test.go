@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cc"
+	"repro/internal/cfg"
 )
 
 func TestKnownMeta(t *testing.T) {
@@ -231,7 +232,7 @@ func TestBuiltinEdgeCases(t *testing.T) {
 	}
 	// mc_is_local and mc_is_returned read the context's other two
 	// fields the same way: false above, where neither was set.
-	ctx3 := &Ctx{Point: e, Callouts: reg, Locals: map[string]bool{"x": true}, ReturnExpr: id}
+	ctx3 := &Ctx{Point: e, Callouts: reg, Locals: cfg.Locals{{Name: "x"}}, ReturnExpr: id}
 	for _, name := range []string{"mc_is_local", "mc_is_returned"} {
 		if !reg[name](ctx3, []CalloutArg{{Bound: true, Binding: Binding{Expr: id}}}) {
 			t.Errorf("%s(x) should hold with x local and returned", name)
@@ -429,7 +430,7 @@ func TestMatchAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx := &Ctx{Point: e, Callouts: Builtins(), Locals: map[string]bool{"p": true}}
+		ctx := &Ctx{Point: e, Callouts: Builtins(), Locals: cfg.Locals{{Name: "p"}}}
 		// The warm-up: the first bind and the first callout grow the
 		// context's buffers.
 		if _, ok := c.pat.Match(ctx, nil); ok != c.matches {

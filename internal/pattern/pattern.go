@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"repro/internal/cc"
+	"repro/internal/cfg"
 )
 
 // MetaKind names a hole's type class (Table 1).
@@ -122,12 +123,11 @@ type CalloutArg struct {
 // Registry resolves callout names to functions.
 type Registry map[string]CalloutFunc
 
-// Ctx is the context for one match attempt: the current program point,
-// its function's type map, the callout registry, and whether this
-// point is an end-of-path event.
+// Ctx is the context for one match attempt: the current program point
+// (its nodes carry their types, cc.TypeOf), the callout registry, and
+// whether this point is an end-of-path event.
 type Ctx struct {
 	Point     cc.Expr
-	Types     cc.TypeMap
 	Callouts  Registry
 	EndOfPath bool
 	// ReturnPoint marks the synthetic program point offered at a
@@ -140,7 +140,7 @@ type Ctx struct {
 	// (mc_is_local). BranchCond and ReturnExpr are the current block's
 	// branch condition and returned expression, nil when it has none
 	// (mc_is_branch_cond, mc_is_returned).
-	Locals     map[string]bool
+	Locals     cfg.Locals
 	BranchCond cc.Expr
 	ReturnExpr cc.Expr
 	// args is Callout.Match's argument buffer, reused from one callout
@@ -317,7 +317,7 @@ func (b *binder) hole(h *cc.HoleExpr, target cc.Expr) bool {
 	if prev, ok := b.cur.Get(h.Name); ok {
 		return prev.Expr != nil && cc.EqualExpr(prev.Expr, target)
 	}
-	if !holeTypeOK(b.ctx, h, target) {
+	if !holeTypeOK(h, target) {
 		return false
 	}
 	b.set(h.Name, Binding{Expr: target})
@@ -333,7 +333,7 @@ func (b *binder) args(h *cc.HoleArgs, args []cc.Expr) bool {
 	return true
 }
 
-func holeTypeOK(ctx *Ctx, h *cc.HoleExpr, target cc.Expr) bool {
+func holeTypeOK(h *cc.HoleExpr, target cc.Expr) bool {
 	switch MetaKind(h.Meta) {
 	case MetaAnyExpr:
 		return true
@@ -345,26 +345,19 @@ func holeTypeOK(ctx *Ctx, h *cc.HoleExpr, target cc.Expr) bool {
 		// cannot match a single expression.
 		return false
 	case MetaAnyPtr:
-		t := typeOf(ctx, target)
+		t := cc.TypeOf(target)
 		return t.IsPointer() || t.IsUnknown()
 	case MetaAnyScalar:
-		t := typeOf(ctx, target)
+		t := cc.TypeOf(target)
 		return t.IsScalar() || t.IsUnknown()
 	case MetaNone:
 		if h.CType == nil {
 			return true
 		}
-		t := typeOf(ctx, target)
+		t := cc.TypeOf(target)
 		return t.IsUnknown() || cc.SameType(h.CType, t)
 	}
 	return false
-}
-
-func typeOf(ctx *Ctx, e cc.Expr) *cc.Type {
-	if ctx.Types == nil {
-		return cc.TypeUnknownV
-	}
-	return ctx.Types.TypeOf(e)
 }
 
 // ---------------------------------------------------------------------------

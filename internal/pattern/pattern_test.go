@@ -22,7 +22,7 @@ func ctxFor(t *testing.T, src, point string) *Ctx {
 	env := cc.NewTypeEnv(f)
 	funcs := f.Funcs()
 	fd := funcs[len(funcs)-1]
-	tm := env.CheckFunc(fd)
+	env.CheckFunc(fd)
 
 	var target cc.Expr
 	var findStmt func(cc.Stmt)
@@ -62,7 +62,7 @@ func ctxFor(t *testing.T, src, point string) *Ctx {
 	if target == nil {
 		t.Fatalf("point %q not found in %s", point, fd.Name)
 	}
-	return &Ctx{Point: target, Types: tm, Callouts: Builtins(), FuncName: fd.Name}
+	return &Ctx{Point: target, Callouts: Builtins(), FuncName: fd.Name}
 }
 
 var ptrHoles = map[string]*Hole{"v": {Name: "v", Meta: MetaAnyPtr}}

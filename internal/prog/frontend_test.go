@@ -38,20 +38,24 @@ func frontEnd(tb testing.TB, srcs map[string]string, names []string) *Program {
 }
 
 // frontEndAllocCeiling bounds the objects of one frontEnd over
-// frontEndTree, about 5 % above the measured 3,619 (go1.24): each of the
-// eight files is parsed by a ParseFile call with an arena of its own.
-// The count repeats to the unit, so a token, scope, node, list or CFG
-// array that starts allocating on its own fails here (DESIGN §10.4).
-const frontEndAllocCeiling = 3_800
+// frontEndTree, about 5 % above the measured 2,552 (go1.24; 3,619 while
+// every function kept a type map and two locals sets, and its call-graph
+// lists grew one edge at a time): each of the eight files is parsed by a
+// ParseFile call with an arena of its own. The count repeats to the
+// unit, so a token, scope, node, list, CFG array or per-function table
+// that starts allocating on its own fails here (DESIGN §10.4).
+const frontEndAllocCeiling = 2_680
 
 // frontEndRetainedCeiling bounds the heap a built Program keeps alive
-// (after runtime.GC, sources excluded) at the 930,376 bytes it retained
-// on this tree before the front end's allocation work (go1.24); it
-// retains 862,232 now, 794,520 before the arenas: the rest is the unclaimed tails of the last chunk
-// of each slab, one set per file parsed alone. A larger chunk, a
-// builder slab, a grown list's spare capacity or a comment string kept
-// with the Program shows here first.
-const frontEndRetainedCeiling = 930_376
+// (after runtime.GC, sources excluded) about 5 % above the 729,728 bytes
+// it retains on this tree (go1.24; 729,840 under -race). It retained
+// 930,376 before the front end's allocation work, 794,520 before the
+// arenas and 862,232 with them, while every function kept a type map
+// and two locals sets: the rest is the unclaimed tails of the last
+// chunk of each slab, one set per file parsed alone. A larger chunk, a
+// builder slab, a grown list's spare capacity, a map per function or a
+// comment string kept with the Program shows here first.
+const frontEndRetainedCeiling = 766_300
 
 func TestFrontEndAllocs(t *testing.T) {
 	srcs, names := frontEndTree()
@@ -103,9 +107,10 @@ func frontEndMarginal(t *testing.T, gen func(n int) string, small, large int) fl
 // more statement or one more function body costs a share of a chunk,
 // not an object per node. Each bound is the go1.24 reading + 5 %: (a)
 // 0.661 objects per extra statement (12.133 before the arenas), (b)
-// 17.622 per extra function (40.167), nearly all of them its
-// declaration's (parameters, types, signature) and its program model's
-// maps, which outlive the body.
+// 9.778 per extra function (40.167; 17.622 while it kept a type map and
+// two locals sets), nearly all of them its declaration's (parameters,
+// types, signature), which outlives the body. (a) reads 0.683 since an
+// expression node holds its type: a chunk holds fewer nodes.
 func TestFrontEndMarginalAllocs(t *testing.T) {
 	const small, large = 20, 200
 	// (a) One body of n statements, in pairs: a call with an arithmetic
@@ -132,7 +137,7 @@ func TestFrontEndMarginalAllocs(t *testing.T) {
 	}
 	perFunc := frontEndMarginal(t, funcs, small, large)
 	t.Logf("(b) %.3f objects per extra function", perFunc)
-	if perFunc > 18.5 {
-		t.Errorf("(b) %.3f objects per extra function, want <= 18.5", perFunc)
+	if perFunc > 10.3 {
+		t.Errorf("(b) %.3f objects per extra function, want <= 10.3", perFunc)
 	}
 }

@@ -3,9 +3,11 @@ package prog
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/cc"
+	"repro/internal/cfg"
 	"repro/internal/workload"
 )
 
@@ -50,7 +52,8 @@ func corpusSources(t *testing.T) map[string]string {
 // TestProgramModelMatchesReference: what Build precomputes equals what
 // its readers used to derive for themselves — the ExecOrder expansion
 // of every block, Resolve and the Table 2 pairs at every call point,
-// the locals-minus-parameters set — and ReleaseBody drops all of it.
+// the locals with their parameter flags — and ReleaseBody drops all of
+// it.
 func TestProgramModelMatchesReference(t *testing.T) {
 	mixed, _ := workload.MixedTree(4, 25, 2002)
 	for name, srcs := range map[string]map[string]string{
@@ -67,18 +70,29 @@ func TestProgramModelMatchesReference(t *testing.T) {
 				if fn.Index != i {
 					t.Fatalf("%s: Index = %d at All[%d]", fn.Name, fn.Index, i)
 				}
+				// The locals: every name declared, a parameter's
+				// whatever a block redeclares.
 				params := map[string]bool{}
 				for _, prm := range fn.Decl.Params {
 					params[prm.Name] = true
 				}
-				for name := range fn.Graph.Locals {
-					if fn.NonParamLocals[name] == params[name] {
-						t.Errorf("%s: NonParamLocals[%s] = %v, parameter = %v", fn.Name, name, fn.NonParamLocals[name], params[name])
+				walkBody(fn.Decl.Body, func(d *cc.VarDecl) {
+					if _, ok := params[d.Name]; !ok {
+						params[d.Name] = false
 					}
+				}, func(cc.Expr) {})
+				locals := fn.Graph.Locals
+				if len(locals) != len(params) {
+					t.Errorf("%s: locals %v, want the %d names %v", fn.Name, locals, len(params), params)
 				}
-				for name := range fn.NonParamLocals {
-					if !fn.Graph.Locals[name] {
-						t.Errorf("%s: NonParamLocals holds %s, which is no local", fn.Name, name)
+				for k, l := range locals {
+					if k > 0 && locals[k-1].Name >= l.Name {
+						t.Errorf("%s: locals %v not sorted and distinct", fn.Name, locals)
+					}
+					param, ok := params[l.Name]
+					if !ok || l.Param != param || !locals.Has(l.Name) || locals.HasNonParam(l.Name) == param {
+						t.Errorf("%s: local %+v (Has %v, HasNonParam %v), want declared %v, parameter %v",
+							fn.Name, l, locals.Has(l.Name), locals.HasNonParam(l.Name), ok, param)
 					}
 				}
 				fnSites := 0
@@ -136,10 +150,50 @@ func TestProgramModelMatchesReference(t *testing.T) {
 			}
 			for _, fn := range p.All {
 				fn.ReleaseBody()
-				if fn.Graph != nil || fn.Sites != nil || fn.NonParamLocals != nil {
-					t.Fatalf("%s: ReleaseBody left graph, sites or scope set behind", fn.Name)
+				if fn.Graph != nil || fn.Sites != nil || fn.Decl.Body != nil {
+					t.Fatalf("%s: ReleaseBody left graph, sites or body behind", fn.Name)
 				}
 			}
 		})
+	}
+}
+
+// TestFunctionTablesHaveNoMaps pins the representation of what a built
+// function keeps for the whole run (DESIGN §10.4): its tables are arrays
+// (sorted locals, call sites, blocks) and its expressions' types live in
+// their nodes, because a map per function is a pointer-dense allocation
+// the garbage collector scans for as long as the program lives. A map
+// field in Function or cfg.Graph fails here, and so does one in a struct
+// of this package or cfg's they reach by value, slice or pointer.
+func TestFunctionTablesHaveNoMaps(t *testing.T) {
+	seen := map[reflect.Type]bool{}
+	var check func(path string, ty reflect.Type)
+	check = func(path string, ty reflect.Type) {
+		switch ty.Kind() {
+		case reflect.Map:
+			t.Errorf("%s is a map (%s)", path, ty)
+		case reflect.Slice, reflect.Array:
+			check(path+"[]", ty.Elem())
+		case reflect.Pointer:
+			if pkg := ty.Elem().PkgPath(); pkg == "repro/internal/prog" || pkg == "repro/internal/cfg" {
+				check(path, ty.Elem())
+			}
+		case reflect.Struct:
+			if seen[ty] {
+				return
+			}
+			seen[ty] = true
+			for i := range ty.NumField() {
+				f := ty.Field(i)
+				check(path+"."+f.Name, f.Type)
+			}
+		}
+	}
+	check("prog.Function", reflect.TypeOf(Function{}))
+	check("cfg.Graph", reflect.TypeOf(cfg.Graph{}))
+	for _, ty := range []reflect.Type{reflect.TypeOf(cfg.Block{}), reflect.TypeOf(cfg.Local{}), reflect.TypeOf(CallSite{}), reflect.TypeOf(Unit{})} {
+		if !seen[ty] {
+			t.Errorf("%s not reached: the walk is vacuous", ty)
+		}
 	}
 }

@@ -26,10 +26,11 @@ import (
 	"repro/internal/slab"
 )
 
-// Function is one analyzed function: its declaration, CFG, inferred
-// expression types, call-graph links, and the part of the program
-// model (DESIGN.md §5) that is a function of the program alone, so
-// that Build computes it once and no engine computes it again.
+// Function is one analyzed function: its declaration (whose body's
+// expression nodes hold their inferred types, cc.TypeOf), CFG,
+// call-graph links, and the part of the program model (DESIGN.md §5)
+// that is a function of the program alone, so that Build computes it
+// once and no engine computes it again.
 type Function struct {
 	Name string
 	// Index is the function's position in Program.All: the dense id
@@ -38,16 +39,11 @@ type Function struct {
 	Index   int
 	Decl    *cc.FuncDecl
 	Graph   *cfg.Graph
-	Types   cc.TypeMap
 	Callees []*Function
 	Callers []*Function
 	// Unit is the call-graph component the function belongs to
 	// (units.go).
 	Unit *Unit
-	// NonParamLocals is the set of names the body declares, parameters
-	// excluded: the objects that die with the function's frame
-	// ($end_of_path$, §3.2) and that suffix summaries omit (Figure 5).
-	NonParamLocals map[string]bool
 	// Sites holds one record per direct call in the body whose callee
 	// has a definition, ordered by (Block, Point).
 	Sites []CallSite
@@ -122,10 +118,10 @@ func (fn *Function) Site(b *cfg.Block, point int) *CallSite {
 	return &fn.Sites[i]
 }
 
-// ReleaseBody drops the function's CFG, type map, program model, body
-// AST and skim so the garbage collector can reclaim them — the AST half
-// of retirement (DESIGN.md §12); a body never parsed has only its skim
-// to drop. The declaration shell (name, file, params) survives, so
+// ReleaseBody drops the function's CFG, program model, body AST (and
+// with it the body's types) and skim so the garbage collector can
+// reclaim them — the AST half of retirement (DESIGN.md §12); a body
+// never parsed has only its skim to drop. The declaration shell (name, file, params) survives, so
 // FuncID and the call-graph links keep working; Decl is the Program's
 // own copy of it (Assemble), so the declaration a caller handed to
 // AddAST is never written. This and BuildUnits are the sanctioned
@@ -138,8 +134,6 @@ func (fn *Function) Site(b *cfg.Block, point int) *CallSite {
 // is only sound post-traversal.
 func (fn *Function) ReleaseBody() {
 	fn.Graph = nil
-	fn.Types = nil
-	fn.NonParamLocals = nil
 	fn.Sites = nil
 	if fn.Decl != nil {
 		fn.Decl.Body = nil
@@ -200,7 +194,9 @@ func Build(files ...*cc.File) *Program {
 // its units. A body pass 1 parsed is typed and given its CFG and call
 // sites now, and its calls link the call graph; a skimmed body links
 // its skim's callee names, and is parsed and built when BuildUnits asks
-// for its unit.
+// for its unit. Typing writes the types into the body's nodes, so two
+// programs assembled from the same parsed files must not be built, or
+// one built while the other runs, at the same time.
 func Assemble(files ...*cc.File) *Program {
 	p := &Program{
 		Funcs:       map[string]*Function{},
@@ -247,54 +243,89 @@ func Assemble(files ...*cc.File) *Program {
 			}
 		}
 	}
-	// Build the parsed bodies; then link the call graph, from each
-	// built body's call sites and each skimmed one's callee names.
+	// Build the parsed bodies; then link the call graph.
 	var cb cfg.Builder
-	for _, fn := range p.All {
-		if fn.Decl.Body != nil {
-			p.buildBody(&cb, fn)
-		}
-	}
-	// linked[callee.Index] is the index+1 of the last caller linked to
-	// callee: a caller's callees are distinct.
-	linked := make([]int, len(p.All))
-	link := func(fn, callee *Function) {
-		if linked[callee.Index] != fn.Index+1 {
-			linked[callee.Index] = fn.Index + 1
-			fn.Callees = append(fn.Callees, callee)
-			callee.Callers = append(callee.Callers, fn)
-		}
-	}
 	var ss sitesSlab
 	var sites []CallSite // one function's, copied out at its exact size
 	for _, fn := range p.All {
-		if fn.Graph != nil {
-			sites = p.resolveSites(fn, &ss, sites, link)
-			continue
-		}
-		for _, name := range fn.Decl.Skim.Callees {
-			if callee := p.resolve(fn, name); callee != nil {
-				link(fn, callee)
-			}
+		if fn.Decl.Body != nil {
+			p.buildBody(&cb, fn)
+			sites = p.resolveSites(fn, &ss, sites)
 		}
 	}
+	p.linkCalls()
 	p.computeRoots()
 	p.buildUnits()
 	return p
 }
 
-// buildBody types fn's parsed body and builds its CFG and scope set.
+// buildBody types fn's parsed body and builds its CFG.
 func (p *Program) buildBody(cb *cfg.Builder, fn *Function) {
 	fn.Graph = cb.Build(fn.Decl)
-	fn.Types = p.env.CheckFunc(fn.Decl)
-	fn.NonParamLocals = nonParams(fn.Graph.Locals, fn.Decl.Params)
+	p.env.CheckFunc(fn.Decl)
+}
+
+// linkCalls links the call graph, from each built body's call sites
+// and each skimmed one's callee names: it counts every function's
+// distinct callees and callers, carves both lists from one array, and
+// fills them, callers in the order of p.All.
+func (p *Program) linkCalls() {
+	n := len(p.All)
+	// linked[callee.Index] is the index+1 of the last caller that named
+	// callee, so a caller's callees are distinct; callers and callees
+	// count each function's.
+	work := make([]int, 3*n)
+	linked, callers, callees := work[:n], work[n:2*n], work[2*n:]
+	eachCallee := func(fn *Function, f func(callee *Function)) {
+		visit := func(callee *Function) {
+			if callee != nil && linked[callee.Index] != fn.Index+1 {
+				linked[callee.Index] = fn.Index + 1
+				f(callee)
+			}
+		}
+		if fn.Graph != nil {
+			for i := range fn.Sites {
+				visit(fn.Sites[i].Callee)
+			}
+			return
+		}
+		for _, name := range fn.Decl.Skim.Callees {
+			visit(p.resolve(fn, name))
+		}
+	}
+	edges := 0
+	for _, fn := range p.All {
+		eachCallee(fn, func(callee *Function) {
+			callees[fn.Index]++
+			callers[callee.Index]++
+			edges++
+		})
+	}
+	if edges == 0 {
+		return
+	}
+	lists := make([]*Function, 2*edges)
+	for _, fn := range p.All {
+		if k := callees[fn.Index]; k > 0 {
+			fn.Callees, lists = lists[:0:k], lists[k:]
+		}
+		if k := callers[fn.Index]; k > 0 {
+			fn.Callers, lists = lists[:0:k], lists[k:]
+		}
+	}
+	clear(linked)
+	for _, fn := range p.All {
+		eachCallee(fn, func(callee *Function) {
+			fn.Callees = append(fn.Callees, callee)
+			callee.Callers = append(callee.Callers, fn)
+		})
+	}
 }
 
 // resolveSites records fn's direct calls to defined functions, ordered
-// by (Block, Point), as fn.Sites, carved from ss, and hands each callee
-// to link (nil: the call graph is already linked). sites is a work
+// by (Block, Point), as fn.Sites, carved from ss. sites is a work
 // array, returned for reuse.
-func (p *Program) resolveSites(fn *Function, ss *sitesSlab, sites []CallSite, link func(fn, callee *Function)) []CallSite {
+func (p *Program) resolveSites(fn *Function, ss *sitesSlab, sites []CallSite) []CallSite {
 	sites = sites[:0]
 	for _, b := range fn.Graph.Blocks {
 		for i, pt := range b.Points {
@@ -307,9 +338,6 @@ func (p *Program) resolveSites(fn *Function, ss *sitesSlab, sites []CallSite, li
 				continue
 			}
 			sites = append(sites, CallSite{Block: b.ID, Point: i, Callee: callee, Args: ss.argMaps(call, callee)})
-			if link != nil {
-				link(fn, callee)
-			}
 		}
 	}
 	if len(sites) > 0 {
@@ -395,7 +423,7 @@ func (p *Program) BuildUnits(units []*Unit, workers int) (parsed int, err error)
 	var sites []CallSite
 	for _, fn := range todo {
 		p.buildBody(&cb, fn)
-		sites = p.resolveSites(fn, &ss, sites, nil)
+		sites = p.resolveSites(fn, &ss, sites)
 	}
 	return len(todo), nil
 }
@@ -408,22 +436,6 @@ func (p *Program) ReleaseFrontEnd() {
 	for _, fn := range p.All {
 		fn.Decl.Skim = cc.BodySkim{}
 	}
-}
-
-// nonParams is the set of locals that are not parameters, nil when
-// there is none.
-func nonParams(locals map[string]bool, params []*cc.VarDecl) map[string]bool {
-	var out map[string]bool
-	for name := range locals {
-		if slices.ContainsFunc(params, func(p *cc.VarDecl) bool { return p.Name == name }) {
-			continue
-		}
-		if out == nil {
-			out = make(map[string]bool, len(locals))
-		}
-		out[name] = true
-	}
-	return out
 }
 
 // BuildSource parses the given named sources and assembles a program.

@@ -246,7 +246,8 @@ func TestStreamingDeterminismMatrix(t *testing.T) {
 // nothing and costs O(1) objects beyond the engines' own. An mc run of
 // the bundled suite over the call-rich tree allocates 4,587 objects
 // against the 4,423 of engines that retire nothing (go1.24), 164 more
-// (166 under -race, which jitters it: hence 20 runs a side). The bound
+// (166 under -race, which jitters it: hence 20 runs a side); 4,305
+// against 4,140, 165 more, since a function's tables are arrays. The bound
 // is that excess + 5 %, absolute (PR 37). The excess is mostly mc's task
 // and merge bookkeeping; retirement's own is one counter slice per
 // engine and the releaser (DESIGN §12.3).
