@@ -1,8 +1,9 @@
 // Package repro's root benchmarks regenerate the paper's performance
-// claims: one benchmark per figure/table axis (see DESIGN.md §4 and
-// EXPERIMENTS.md). Run with:
+// claims (see DESIGN.md §4 and EXPERIMENTS.md). Those of F4, E1-E3 and
+// E8 time the experiments' own runs, so they sit beside them in
+// internal/paper. Run with:
 //
-//	go test -bench=. -benchmem
+//	go test -bench=. -benchmem . ./internal/paper
 package repro
 
 import (
@@ -40,103 +41,6 @@ func mustCheckerB(b *testing.B, name string) *metal.Checker {
 	return c
 }
 
-// BenchmarkF4Caching measures the Figure 4 claim: block-level caching
-// turns the exponential path DFS linear. CacheOn stays flat in n;
-// CacheOff doubles per diamond.
-func BenchmarkF4Caching(b *testing.B) {
-	for _, n := range []int{8, 10, 12} {
-		pr := workload.DiamondChain(n)
-		srcs := map[string]string{"d.c": pr.Source}
-		b.Run(fmt.Sprintf("CacheOn/diamonds=%d", n), func(b *testing.B) {
-			p := mustProgB(b, srcs)
-			opts := core.DefaultOptions()
-			opts.FPP = false
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				en := core.NewEngine(p, mustCheckerB(b, "free"), opts)
-				en.RunContext(context.Background())
-			}
-		})
-		b.Run(fmt.Sprintf("CacheOff/diamonds=%d", n), func(b *testing.B) {
-			p := mustProgB(b, srcs)
-			opts := core.DefaultOptions()
-			opts.FPP = false
-			opts.BlockCache = false
-			opts.Budgets.FuncBlocks = 5_000_000
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				en := core.NewEngine(p, mustCheckerB(b, "free"), opts)
-				en.RunContext(context.Background())
-			}
-		})
-	}
-}
-
-// BenchmarkE1Independence measures §5.2: analysis work grows linearly
-// with the number of tracked instances.
-func BenchmarkE1Independence(b *testing.B) {
-	for _, k := range []int{4, 16, 64} {
-		pr := workload.InstanceScaling(k, 8)
-		srcs := map[string]string{"s.c": pr.Source}
-		b.Run(fmt.Sprintf("instances=%d", k), func(b *testing.B) {
-			p := mustProgB(b, srcs)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				en := core.NewEngine(p, mustCheckerB(b, "free"), core.DefaultOptions())
-				en.RunContext(context.Background())
-			}
-		})
-	}
-}
-
-// BenchmarkE2FunctionCache measures §6.2: function-summary memoization
-// across many callsites.
-func BenchmarkE2FunctionCache(b *testing.B) {
-	pr := workload.CallsiteFanout(64)
-	srcs := map[string]string{"c.c": pr.Source}
-	b.Run("CacheOn", func(b *testing.B) {
-		p := mustProgB(b, srcs)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			en := core.NewEngine(p, mustCheckerB(b, "free"), core.DefaultOptions())
-			en.RunContext(context.Background())
-		}
-	})
-	b.Run("CacheOff", func(b *testing.B) {
-		p := mustProgB(b, srcs)
-		opts := core.DefaultOptions()
-		opts.FunctionCache = false
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			en := core.NewEngine(p, mustCheckerB(b, "free"), opts)
-			en.RunContext(context.Background())
-		}
-	})
-}
-
-// BenchmarkE3FPP measures the cost and effect of false path pruning
-// over the contradictory-branch population.
-func BenchmarkE3FPP(b *testing.B) {
-	pr := workload.ContradictoryBranches(50, 0.2, 42)
-	srcs := map[string]string{"x.c": pr.Source}
-	for _, on := range []bool{true, false} {
-		name := "FPPOn"
-		if !on {
-			name = "FPPOff"
-		}
-		b.Run(name, func(b *testing.B) {
-			p := mustProgB(b, srcs)
-			opts := core.DefaultOptions()
-			opts.FPP = on
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				en := core.NewEngine(p, mustCheckerB(b, "free"), opts)
-				en.RunContext(context.Background())
-			}
-		})
-	}
-}
-
 // BenchmarkE5Ranking measures the statistical ranking pipeline over a
 // realistic report population.
 func BenchmarkE5Ranking(b *testing.B) {
@@ -151,24 +55,6 @@ func BenchmarkE5Ranking(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rank.Statistical(rs.Reports, stats)
-	}
-}
-
-// BenchmarkE8Emit measures pass-1 AST emission (the paper's two-pass
-// front end).
-func BenchmarkE8Emit(b *testing.B) {
-	srcs := workload.LinuxLike(2, 30, 7)
-	var name string
-	var src string
-	for n, s := range srcs {
-		name, src = n, s
-		break
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mc.EmitAST(name, src); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/paper"
 	"repro/mc"
 )
 
@@ -319,16 +320,6 @@ func submatches(t *testing.T, file, re string) []string {
 	return out
 }
 
-// mcbenchIDs reads the experiment registry out of mcbench's source.
-func mcbenchIDs(t *testing.T) []string {
-	t.Helper()
-	ids := submatches(t, "cmd/mcbench/main.go", `(?m)^\t\{"(\w+)", "`)
-	if len(ids) == 0 {
-		t.Fatal("no experiment registry found in cmd/mcbench/main.go")
-	}
-	return ids
-}
-
 // TestMcbenchCLISingleExperiment drives the built binary: one
 // experiment, all of them (one banner each, nothing written to the
 // working directory), and unknown ids, which must fail the whole
@@ -346,7 +337,7 @@ func TestMcbenchCLISingleExperiment(t *testing.T) {
 		exit, banners, oks int // oks: Table 2 rows reproduced
 	}{
 		{"t2", 0, 1, 5},
-		{"all", 0, len(mcbenchIDs(t)), 5},
+		{"all", 0, len(paper.Experiments), 5},
 		{"t2,par", 2, 0, 0},
 		{"par", 2, 0, 0},
 	} {
@@ -410,7 +401,10 @@ func TestDocsCiteWhatExists(t *testing.T) {
 		return m
 	}
 	targets := set(submatches(t, "Makefile", `(?m)^([a-z][\w-]*):`))
-	ids := set(append(mcbenchIDs(t), "all"))
+	ids := map[string]bool{"all": true}
+	for _, e := range paper.Experiments {
+		ids[e.ID] = true
+	}
 
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "TUTORIAL.md", verifySkill} {
 		for _, cite := range submatches(t, doc, `\b((?:Test|Benchmark|Fuzz)[A-Z0-9]\w*\*?)`) {

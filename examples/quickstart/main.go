@@ -15,7 +15,9 @@ import (
 // preserved. The checker must find exactly two errors: the use of q
 // after free at line 12 and the use of w after free at line 17. The
 // potential report at line 11 is a false path (x and !x contradict)
-// and is pruned.
+// and is pruned. The tests and internal/paper read the same text as
+// workload.Fig2; this program keeps its own copy so that it reads on
+// its own.
 const fig2 = `int contrived(int *p, int *w, int x) {
     int *q;
 

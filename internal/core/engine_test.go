@@ -8,45 +8,14 @@ import (
 	"repro/internal/metal"
 	"repro/internal/prog"
 	"repro/internal/report"
+	"repro/internal/workload"
 )
 
-// freeChecker is Figure 1 of the paper.
-const freeChecker = `
-sm free_checker;
-state decl any_pointer v;
-
-start:
-    { kfree(v) } ==> v.freed
-;
-
-v.freed:
-    { *v }       ==> v.stop, { err("using %s after free!", mc_identifier(v)); }
-  | { kfree(v) } ==> v.stop, { err("double free of %s!", mc_identifier(v)); }
-;
-`
-
-// fig2 is the example code of Figure 2, with the paper's line numbers
-// preserved (contrived at line 1, the errors at lines 12 and 17).
-const fig2 = `int contrived(int *p, int *w, int x) {
-    int *q;
-
-    if(x)
-    {
-        kfree(w);
-        q = p;
-        p = 0;
-    }
-    if(!x)
-        return *w;
-    return *q;
-}
-int contrived_caller(int *w, int x, int *p) {
-    kfree(p);
-    contrived(p, w, x);
-    return *w;
-}
-void kfree(void *p);
-`
+// freeChecker is the paper's Figure 1 and fig2 its Figure 2.
+const (
+	freeChecker = workload.Fig1Checker
+	fig2        = workload.Fig2
+)
 
 func buildProg(t *testing.T, srcs map[string]string) *prog.Program {
 	t.Helper()

@@ -7,23 +7,11 @@ import (
 
 	"repro/internal/cc"
 	"repro/internal/pattern"
+	"repro/internal/workload"
 )
 
-// freeCheckerSrc is Figure 1 of the paper, in this repository's metal
-// syntax.
-const freeCheckerSrc = `
-sm free_checker;
-state decl any_pointer v;
-
-start:
-    { kfree(v) } ==> v.freed
-;
-
-v.freed:
-    { *v }       ==> v.stop, { err("using %s after free!", mc_identifier(v)); }
-  | { kfree(v) } ==> v.stop, { err("double free of %s!", mc_identifier(v)); }
-;
-`
+// freeCheckerSrc is Figure 1 of the paper.
+const freeCheckerSrc = workload.Fig1Checker
 
 // lockCheckerSrc is Figure 3 of the paper.
 const lockCheckerSrc = `

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/report"
-	"repro/internal/workload"
 )
 
 const driverSrc = `
@@ -188,54 +187,6 @@ start:
 	}
 	if len(res.Reports) != 1 || res.Reports[0].Class != report.ClassSecurity {
 		t.Errorf("reports = %v", res.Reports)
-	}
-}
-
-// TestE11SuitePrecision is the headline end-to-end experiment: the
-// full checker suite over a seeded multi-file tree must find every
-// seeded bug with no false positives (see EXPERIMENTS.md E11).
-func TestE11SuitePrecision(t *testing.T) {
-	srcs, bugs := workload.MixedTree(4, 25, 2002)
-	kindToChecker := map[string]string{
-		"use-after-free": "free_checker",
-		"double-free":    "free_checker",
-		"missing-unlock": "lock_checker",
-		"null-deref":     "null_checker",
-		"leak":           "leak_checker",
-		"interrupt":      "interrupt_checker",
-	}
-	buggy := map[string]string{}
-	for _, b := range bugs {
-		buggy[b.Func] = b.Kind
-	}
-
-	a := NewAnalyzer()
-	for name, src := range srcs {
-		a.AddSource(name, src)
-	}
-	for _, c := range []string{"free", "lock", "null", "leak", "interrupt"} {
-		if err := a.LoadBundledChecker(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := a.RunContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	hit := map[string]bool{}
-	for _, r := range res.Reports {
-		kind, isBuggy := buggy[r.Func]
-		if !isBuggy || kindToChecker[kind] != r.Checker {
-			t.Errorf("false positive: %s (func %s)", r, r.Func)
-			continue
-		}
-		hit[r.Func] = true
-	}
-	for _, b := range bugs {
-		if !hit[b.Func] {
-			t.Errorf("missed seeded %s in %s (line %d)", b.Kind, b.Func, b.Line)
-		}
 	}
 }
 
