@@ -68,6 +68,8 @@ no-deleted-knobs:
 	! awk '/^type edge struct/,/^}/' internal/core/*.go | grep -n '\*Instanc[e]'
 # the lexer's '$' knob and token and the parser's heap scope per block (DESIGN §10.4).
 	! grep -rnE 'Allow[D]ollar|TokDollar[H]ole|newParse[S]cope' --include=*.go .
+# a pointer type made anywhere but PointerTo, which makes one per element type (DESIGN §10.4).
+	! awk '/^func PointerTo\(/,/^}/ {next} /&Type\{Kind: TypePointe[r]/ {print FILENAME ":" FNR ": " $$0; found=1} END {exit !found}' internal/cc/*.go
 # metal's literal tokens, which no rule read, and the nine type-keyword flags (DESIGN §3).
 	! grep -rnE '\bt[S]tring\b|\bt[I]nt\b|sawLong[L]ong|sawUnsig[n]' --include=*.go .
 # a second structural comparison in the pattern matcher, which is cc.MatchExpr plus the hole hook: comparing a compound node asserts the point's node type (DESIGN §3).

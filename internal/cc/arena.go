@@ -2,17 +2,17 @@ package cc
 
 import "repro/internal/slab"
 
-// Arena holds the slabs a pass carves function bodies from: every node
-// the parser makes inside a body, and the lists it pops off its stacks
-// there (a block's statements, a call's arguments, a declaration's
-// declarators). An arena belongs to one worker of one pass — a
-// goroutine of ParseFiles or SkimFiles, a parse worker of a program's
-// BuildUnits, one ParseFile call — and dies with it; a body's memory
-// returns when the last body carved from the same chunks is dropped
-// (DESIGN §12.1). Outside a body the parser has no arena, so file-scope
-// declarations, parameters and types are allocated one by one and no
-// declaration that outlives its body pins a body's chunk. The zero
-// value is ready to use; an Arena is not safe for concurrent use.
+// Arena holds the slabs a pass carves its declarations and function
+// bodies from: every node the parser makes, and the lists it pops off
+// its stacks (a block's statements, a call's arguments, a parameter
+// list, a declaration's declarators). An arena belongs to one worker of
+// one pass — a goroutine of ParseFiles or SkimFiles, a parse worker of a
+// program's BuildUnits, one ParseFile call — and dies with it; its
+// memory returns when the last node carved from the same chunks is
+// dropped (DESIGN §12.1). A declaration that outlives its pass is copied
+// out of the arena by whoever keeps it (prog.Assemble), and types are
+// never carved (decl.go's declUse), so nothing kept pins a chunk. The
+// zero value is ready to use; an Arena is not safe for concurrent use.
 type Arena struct {
 	idents   slab.Slab[Ident]
 	ints     slab.Slab[IntLit]
@@ -39,19 +39,26 @@ type Arena struct {
 	returns   slab.Slab[ReturnStmt]
 	breaks    slab.Slab[BreakStmt]
 	vars      slab.Slab[VarDecl]
+	funcs     slab.Slab[FuncDecl]
 
 	stmtLists slab.Slab[Stmt]
 	exprLists slab.Slab[Expr]
 	varLists  slab.Slab[*VarDecl]
+
+	// The parser's stacks and skim scratch, between the parses they are
+	// lent to (Parser.useArena).
+	stacks stacks
+	sk     skimmer
 }
 
 // newNode is the constructor of every node kind the parser makes: v in
-// a T carved from the parser's arena inside a body, or allocated on its
-// own outside one (p.a nil). The rare kinds (do-while, switch,
-// continue, goto, labels, empty statements, comma expressions,
-// initializer lists) have no slab and are allocated alone.
+// a T carved from the parser's arena, or allocated on its own without
+// one (a pattern's or a type name's parse). The rare kinds (do-while,
+// switch, continue, goto, labels, empty statements, comma expressions,
+// initializer lists, typedef, record and enum declarations) have no
+// slab and are allocated alone.
 func newNode[T any](p *Parser, v T) *T {
-	a := p.a
+	a := p.arena
 	if a == nil {
 		n := new(T)
 		*n = v
@@ -107,6 +114,8 @@ func newNode[T any](p *Parser, v T) *T {
 		s = &a.breaks
 	case *VarDecl:
 		s = &a.vars
+	case *FuncDecl:
+		s = &a.funcs
 	default:
 		n := new(T)
 		*n = v
@@ -118,26 +127,28 @@ func newNode[T any](p *Parser, v T) *T {
 }
 
 // popList returns (*stack)[start:] in an array of its own, nil when it
-// is empty, and truncates the stack to start. Inside a body the array
-// is carved from the parser's arena.
+// is empty, and truncates the stack to start. The array is carved from
+// the parser's arena, but for a file's declarations: one list a file.
 func popList[T any](p *Parser, stack *[]T, start int) []T {
 	s := *stack
 	if len(s) == start {
 		return nil
 	}
-	var out []T
-	if p.a == nil {
-		out = make([]T, len(s)-start)
-	} else {
-		var lists any
+	var lists any
+	if a := p.arena; a != nil {
 		switch any(stack).(type) {
 		case *[]Stmt:
-			lists = &p.a.stmtLists
+			lists = &a.stmtLists
 		case *[]Expr:
-			lists = &p.a.exprLists
+			lists = &a.exprLists
 		case *[]*VarDecl:
-			lists = &p.a.varLists
+			lists = &a.varLists
 		}
+	}
+	var out []T
+	if lists == nil {
+		out = make([]T, len(s)-start)
+	} else {
 		out = lists.(*slab.Slab[T]).Take(len(s) - start)
 	}
 	copy(out, s[start:])

@@ -413,18 +413,6 @@ type FuncDecl struct {
 // only skimmed.
 func (d *FuncDecl) IsDefinition() bool { return d.Body != nil || d.Skim.src != nil }
 
-// Signature returns the function's type.
-func (d *FuncDecl) Signature() *Type {
-	t := &Type{Kind: TypeFunc, Ret: d.Result, Variadic: d.Variadic}
-	if len(d.Params) > 0 {
-		t.Params = make([]*Type, len(d.Params))
-		for i, p := range d.Params {
-			t.Params[i] = p.Type
-		}
-	}
-	return t
-}
-
 // TypedefDecl introduces a typedef name.
 type TypedefDecl struct {
 	P    Pos
@@ -465,7 +453,16 @@ type File struct {
 // Funcs returns the function definitions (declarations with bodies,
 // parsed or skimmed) in the file, in source order.
 func (f *File) Funcs() []*FuncDecl {
-	var out []*FuncDecl
+	n := 0
+	for _, d := range f.Decls {
+		if fd, ok := d.(*FuncDecl); ok && fd.IsDefinition() {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]*FuncDecl, 0, n)
 	for _, d := range f.Decls {
 		if fd, ok := d.(*FuncDecl); ok && fd.IsDefinition() {
 			out = append(out, fd)

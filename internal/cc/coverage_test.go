@@ -246,7 +246,7 @@ func TestSignature(t *testing.T) {
 		t.Fatal(err)
 	}
 	fd := f.Decls[0].(*FuncDecl)
-	sig := fd.Signature()
+	sig := NewTypeEnv(f).signature(fd)
 	if sig.String() != "long (int, char *, ...)" {
 		t.Errorf("signature = %s", sig)
 	}

@@ -132,10 +132,7 @@ done:
 		return 0, nil, p.errf("expected type specifier, found %s", p.cur())
 	}
 	if isConst || isVolatile {
-		cp := *base
-		cp.Const = isConst
-		cp.Volatile = isVolatile
-		base = &cp
+		base = base.qualified(isConst, isVolatile)
 	}
 	return storage, base, nil
 }
@@ -198,7 +195,7 @@ func (p *Parser) parseRecordSpecifier() (*Type, error) {
 			return nil, err
 		}
 		for {
-			d, ft, err := p.parseNamedDeclarator(base)
+			d, ft, err := p.parseNamedDeclarator(base, useKept)
 			if err != nil {
 				return nil, err
 			}
@@ -293,26 +290,56 @@ type declarator struct {
 type derivation struct {
 	kind     TypeKind // TypePointer, TypeArray or TypeFunc
 	n        int64    // array length
-	params   []*Type
+	params   []*VarDecl
 	variadic bool
 }
 
+// declUse says what becomes of a declarator's type. Only the outermost
+// derivation's type can be left unmade: every type made is made alone
+// (or shared, PointerTo), since a kept declaration may point at it
+// after the pass (DESIGN §12.1).
+type declUse uint8
+
+const (
+	// useKept: the type as declared.
+	useKept declUse = iota
+	// useParam: a parameter's; an outermost array decays to a pointer
+	// and is never made.
+	useParam
+	// useFile: a file-scope declaration's. A function keeps only its
+	// result type: its declarator gives that, and no function type is
+	// made.
+	useFile
+)
+
 // parseNamedDeclarator parses a (possibly abstract) declarator and
-// returns it with the type it gives base.
-func (p *Parser) parseNamedDeclarator(base *Type) (declarator, *Type, error) {
+// returns it with the type it gives base, or, for a function declarator
+// with useFile, the function's result type.
+func (p *Parser) parseNamedDeclarator(base *Type, use declUse) (declarator, *Type, error) {
 	start := len(p.derivs)
 	d, err := p.parseDeclaratorRec()
 	// The derivations were pushed in source order, so the one nearest
-	// the base type is last.
+	// the base type is last and the outermost is at start.
 	t := base
 	for i := len(p.derivs) - 1; err == nil && i >= start; i-- {
-		switch dv := p.derivs[i]; dv.kind {
-		case TypePointer:
+		dv := p.derivs[i]
+		outer := i == start
+		switch {
+		case outer && use == useFile && d.isFunc:
+			// t is the result type.
+		case dv.kind == TypePointer || dv.kind == TypeArray && outer && use == useParam:
 			t = PointerTo(t)
-		case TypeArray:
+		case dv.kind == TypeArray:
 			t = &Type{Kind: TypeArray, Elem: t, ArrayLen: dv.n}
 		default:
-			t = &Type{Kind: TypeFunc, Ret: t, Params: dv.params, Variadic: dv.variadic}
+			ft := &Type{Kind: TypeFunc, Ret: t, Variadic: dv.variadic}
+			if len(dv.params) > 0 {
+				ft.Params = make([]*Type, len(dv.params))
+				for i, pd := range dv.params {
+					ft.Params[i] = pd.Type
+				}
+			}
+			t = ft
 		}
 	}
 	clear(p.derivs[start:])
@@ -382,7 +409,7 @@ func (p *Parser) parseDirectDeclarator() (declarator, error) {
 			p.derivs = append(p.derivs, derivation{kind: TypeArray, n: length})
 		case TokLParen:
 			p.next()
-			params, types, variadic, err := p.parseParamList()
+			params, variadic, err := p.parseParamList()
 			if err != nil {
 				return d, err
 			}
@@ -394,7 +421,7 @@ func (p *Parser) parseDirectDeclarator() (declarator, error) {
 				d.params = params
 				d.variadic = variadic
 			}
-			p.derivs = append(p.derivs, derivation{kind: TypeFunc, params: types, variadic: variadic})
+			p.derivs = append(p.derivs, derivation{kind: TypeFunc, params: params, variadic: variadic})
 		default:
 			return d, nil
 		}
@@ -417,17 +444,17 @@ func (p *Parser) parenStartsDeclarator() bool {
 }
 
 // parseParamList parses a function parameter list (without parens).
-func (p *Parser) parseParamList() ([]*VarDecl, []*Type, bool, error) {
+func (p *Parser) parseParamList() ([]*VarDecl, bool, error) {
 	start := len(p.params)
 	defer func() { clear(p.params[start:]); p.params = p.params[:start] }()
 	variadic := false
 	if p.cur().Kind == TokRParen {
-		return nil, nil, false, nil
+		return nil, false, nil
 	}
 	// "(void)" means no parameters.
 	if p.cur().Kind == TokVoid && p.la(1).Kind == TokRParen {
 		p.next()
-		return nil, nil, false, nil
+		return nil, false, nil
 	}
 	for {
 		if p.cur().Kind == TokEllipsis {
@@ -438,13 +465,13 @@ func (p *Parser) parseParamList() ([]*VarDecl, []*Type, bool, error) {
 		declPos := p.at(p.cur())
 		_, base, err := p.parseDeclSpecifiers()
 		if err != nil {
-			return nil, nil, false, err
+			return nil, false, err
 		}
-		d, t, err := p.parseNamedDeclarator(base)
+		d, t, err := p.parseNamedDeclarator(base, useParam)
 		if err != nil {
-			return nil, nil, false, err
+			return nil, false, err
 		}
-		// Array parameters decay to pointers.
+		// Array parameters decay to pointers: a typedef's too.
 		if t.Underlying().Kind == TypeArray {
 			t = PointerTo(t.Underlying().Elem)
 		}
@@ -453,15 +480,7 @@ func (p *Parser) parseParamList() ([]*VarDecl, []*Type, bool, error) {
 			break
 		}
 	}
-	decls := popList(p, &p.params, start)
-	var types []*Type
-	if decls != nil {
-		types = make([]*Type, len(decls))
-		for i, d := range decls {
-			types[i] = d.Type
-		}
-	}
-	return decls, types, variadic, nil
+	return popList(p, &p.params, start), variadic, nil
 }
 
 // parseTypeName parses a type-name (as in casts and sizeof).
@@ -470,7 +489,7 @@ func (p *Parser) parseTypeName() (*Type, error) {
 	if err != nil {
 		return nil, err
 	}
-	d, t, err := p.parseNamedDeclarator(base)
+	d, t, err := p.parseNamedDeclarator(base, useKept)
 	if err != nil {
 		return nil, err
 	}
@@ -513,23 +532,31 @@ type BodySkim struct {
 // exact: where the parser accepts a body, the skim's names equal the
 // direct calls of the CFG built from it (TestSkimMatchesParse). An
 // error is the first in source order among the declarations and the
-// bodies before it. A body parsed in place is carved from a.
+// bodies before it. The declarations, and a body parsed in place, are
+// carved from a.
 func SkimFile(a *Arena, file, src string) (*File, error) { return skimFile(a, file, src, true) }
 
 // skimFile parses a translation unit, skimming each body into its span
-// and, with callees, into its callees too. A body it parses in place is
-// carved from a.
+// and, with callees, into its callees too. The declarations, and a body
+// it parses in place, are carved from a.
 func skimFile(a *Arena, file, src string, callees bool) (*File, error) {
 	toks, err := LexAll(file, src)
 	if err != nil {
 		return nil, err
 	}
 	p := NewParser(file, toks)
-	p.callees, p.arena = callees, a
+	p.callees = callees
+	p.useArena(a)
 	f, err := p.parseTranslationUnit()
-	p.arena = nil // the parser outlives the call in each skim
+	// The bodies before an error are parsed: one of theirs may come
+	// first. The stack they are on goes back to the arena.
+	var parsed []Decl
 	if err != nil {
-		for _, d := range p.decls {
+		parsed = slices.Clone(p.decls)
+	}
+	p.releaseArena() // the parser outlives the call in each skim
+	if err != nil {
+		for _, d := range parsed {
 			if fd, ok := d.(*FuncDecl); ok {
 				if berr := ParseBody(fd, a); berr != nil {
 					return nil, berr
@@ -551,15 +578,12 @@ func ParseBody(fd *FuncDecl, a *Arena) error {
 	if p == nil || fd.Body != nil {
 		return nil
 	}
-	p.pos, p.horizon, p.fileEnd, p.arena = int(s.Lo), s.horizon, int32(len(p.names)), a
+	p.pos, p.horizon, p.fileEnd = int(s.Lo), s.horizon, int32(len(p.names))
+	p.useArena(a)
 	body, err := p.parseBody()
-	p.horizon, p.fileEnd, p.arena = 0, 0, nil
+	p.releaseArena() // with whatever a failed parse left on the stacks
+	p.horizon, p.fileEnd = 0, 0
 	if err != nil {
-		// The list stacks hold what the failed parse left: drop it.
-		clear(p.stmts)
-		clear(p.args)
-		clear(p.params)
-		p.stmts, p.args, p.params, p.derivs = p.stmts[:0], p.args[:0], p.params[:0], p.derivs[:0]
 		return err
 	}
 	fd.Body = body
@@ -570,9 +594,8 @@ func ParseBody(fd *FuncDecl, a *Arena) error {
 // nodes from the pass's arena.
 func (p *Parser) parseBody() (*CompoundStmt, error) {
 	p.labels = p.labels[:0]
-	p.a = p.arena
 	p.pushScope()
-	defer func() { p.popScope(); p.a = nil }()
+	defer p.popScope()
 	return p.parseCompoundStmt()
 }
 
@@ -646,8 +669,8 @@ func (p *Parser) matchBrace(lo int) (int, bool) {
 
 func isTagKeyword(k TokKind) bool { return k == TokStruct || k == TokUnion || k == TokEnum }
 
-// skimmer is a parser's scratch for skimming one body at a time: the
-// body's reachability graph, mirroring cfg.Builder block for block as
+// skimmer is the scratch for skimming one body at a time, which the
+// pass's arena lends the parser (useArena): the body's reachability graph, mirroring cfg.Builder block for block as
 // far as reachability goes (a node per block, cur -1 where cfg.Builder's
 // current block is nil), and the calls found in each node.
 type skimmer struct {
@@ -664,7 +687,7 @@ type skimmer struct {
 	start    []int32
 	adj      []int32
 	stack    []int32
-	callees  []string // the file's callee names, carved per body
+	callees  []string // the callee names of the pass worker's bodies, carved per body
 }
 
 type skimCall struct {
@@ -715,7 +738,7 @@ func (sk *skimmer) flow(n int32) {
 }
 
 // skimCallees skims the body spanning toks[lo..hi] and returns its
-// callees, carved from the file's array; false leaves it to the parser.
+// callees, carved from the skimmer's array; false leaves it to the parser.
 func (p *Parser) skimCallees(lo, hi int) ([]string, bool) {
 	sk := &p.sk
 	sk.nodes, sk.edges, sk.calls, sk.labels, sk.gotos = 0, sk.edges[:0], sk.calls[:0], sk.labels[:0], sk.gotos[:0]

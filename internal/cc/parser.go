@@ -20,16 +20,9 @@ type Parser struct {
 	marks  []int
 	latest [numNamespaces]map[string]int32
 
-	// derivs is the stack of the declarators being parsed (a parameter's
-	// sits above its function's). decls, stmts, args and params (a
-	// parameter list's or a block declaration's) stack the lists under
-	// construction the same way: each is copied into an array of its
-	// exact size when it is complete.
-	derivs []derivation
-	decls  []Decl
-	stmts  []Stmt
-	args   []Expr
-	params []*VarDecl
+	// The stacks of the declarators and lists being parsed, which an
+	// arena lends (stacks).
+	stacks
 
 	// labels holds the labels of the function body being parsed: a
 	// label may appear once per function (C11 6.8.1).
@@ -44,9 +37,55 @@ type Parser struct {
 	sk               skimmer
 
 	// arena is the pass's, set for the length of a call that parses
-	// bodies; a is it while a body is being parsed and nil outside one
-	// (arena.go).
-	arena, a *Arena
+	// declarations or bodies (arena.go, useArena).
+	arena *Arena
+}
+
+// stacks are a parser's scratch. derivs is the stack of the declarators
+// being parsed (a parameter's sits above its function's). decls, stmts,
+// args and params (a parameter list's or a block declaration's) stack
+// the lists under construction the same way: each is copied into an
+// array of its exact size when it is complete. Between parses they are
+// the arena's, so a pass grows them once, not once a file.
+type stacks struct {
+	derivs []derivation
+	decls  []Decl
+	stmts  []Stmt
+	args   []Expr
+	params []*VarDecl
+}
+
+// useArena gives the parser the arena a for one call that parses, with
+// the stacks and skim scratch the arena holds; releaseArena hands them
+// back, emptied, so nothing a failed parse left on them stays
+// reachable. The skim's callee array is appended to, never emptied:
+// each body's callee names are a capped slice of it.
+func (p *Parser) useArena(a *Arena) {
+	p.arena = a
+	if a != nil {
+		p.stacks, a.stacks = a.stacks, stacks{}
+		p.sk, a.sk = a.sk, skimmer{}
+	}
+}
+
+func (p *Parser) releaseArena() {
+	a := p.arena
+	p.arena = nil
+	if a == nil {
+		return
+	}
+	st, sk := &p.stacks, &p.sk
+	st.derivs, st.decls, st.stmts = emptied(st.derivs), emptied(st.decls), emptied(st.stmts)
+	st.args, st.params = emptied(st.args), emptied(st.params)
+	sk.calls, sk.labels, sk.gotos = emptied(sk.calls), emptied(sk.labels), emptied(sk.gotos)
+	a.stacks, p.stacks = p.stacks, stacks{}
+	a.sk, p.sk = p.sk, skimmer{}
+}
+
+// emptied clears s up to its length and truncates it.
+func emptied[T any](s []T) []T {
+	clear(s)
+	return s[:0]
 }
 
 // namespace is one of C's ordinary-identifier and tag name spaces, as
@@ -85,7 +124,7 @@ func NewParser(file string, toks []Token) *Parser {
 // skim, then every body in source order. The first error in source
 // order is the one returned, whether a body or a declaration holds it.
 // No skim outlives the call: the file's tokens go with its parser. The
-// bodies are carved from an arena of the call's own.
+// declarations and bodies are carved from an arena of the call's own.
 func ParseFile(file, src string) (*File, error) { return parseFile(new(Arena), file, src) }
 
 // parseFile is ParseFile with the bodies carved from a.
@@ -316,9 +355,13 @@ func (p *Parser) parseExternalDecl() error {
 // other declarator is a VarDecl, a block's local prototype included.
 // File-scope decls go on p.decls, a block's on p.params.
 func (p *Parser) initDeclarators(storage StorageClass, base *Type, fileScope bool) error {
+	use := useKept
+	if fileScope && storage != StorageTypedef {
+		use = useFile
+	}
 	for first := true; ; first = false {
 		declPos := p.at(p.cur())
-		d, t, err := p.parseNamedDeclarator(base)
+		d, t, err := p.parseNamedDeclarator(base, use)
 		if err != nil {
 			return err
 		}
@@ -337,10 +380,10 @@ func (p *Parser) initDeclarators(storage StorageClass, base *Type, fileScope boo
 				p.decls = append(p.decls, &TypedefDecl{P: declPos, Name: d.name, Type: named})
 			}
 		case isFunc:
-			fd := &FuncDecl{
-				P: declPos, Name: d.name, Result: t.Ret, Params: d.params,
+			fd := newNode(p, FuncDecl{
+				P: declPos, Name: d.name, Result: t, Params: d.params,
 				Variadic: d.variadic, Storage: storage, File: p.file,
-			}
+			})
 			p.decls = append(p.decls, fd)
 			if def {
 				return p.defineBody(fd)

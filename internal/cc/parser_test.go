@@ -361,10 +361,10 @@ func TestTypeSpecifierSets(t *testing.T) {
 			}
 			a, b := f.Decls[0].(*VarDecl).Type, f.Decls[1].(*VarDecl).Type
 			if a.Kind != w.kind || a.Size != w.size || a.Unsigned != w.unsigned {
-				t.Errorf("%q declares %+v, want kind %v size %d unsigned %v", spec, *a, w.kind, w.size, w.unsigned)
+				t.Errorf("%q declares %+v, want kind %v size %d unsigned %v", spec, a, w.kind, w.size, w.unsigned)
 			}
 			if a != w.shared || b != w.shared {
-				t.Errorf("%q: not the shared %+v", spec, *w.shared)
+				t.Errorf("%q: not the shared %+v", spec, w.shared)
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package cc
 
 import (
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -89,7 +88,7 @@ func TestTortureParses(t *testing.T) {
 		t.Fatalf("round trip: %v", err)
 	}
 	for i, fn := range f.Funcs() {
-		if !reflect.DeepEqual(fn.Body, f2.Funcs()[i].Body) {
+		if !sameAST(fn.Body, f2.Funcs()[i].Body) {
 			t.Errorf("%s: body changed after emit/reload", fn.Name)
 		}
 	}
@@ -307,7 +306,7 @@ func TestEmitRandomExprsProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iteration %d: reload failed for %q: %v", i, src, err)
 		}
-		if !reflect.DeepEqual(f.Funcs()[0].Body, f2.Funcs()[0].Body) {
+		if !sameAST(f.Funcs()[0].Body, f2.Funcs()[0].Body) {
 			t.Fatalf("iteration %d: emit round trip changed %q", i, src)
 		}
 	}

@@ -1,5 +1,7 @@
 package cc
 
+import "repro/internal/slab"
+
 // TypeOf returns the type CheckFunc recorded in e, or the unknown type
 // for a node it never typed (and for nil). The pattern matcher consults
 // it to decide whether a typed hole can be filled by an expression.
@@ -21,9 +23,14 @@ type TypeEnv struct {
 	Funcs   map[string]*FuncDecl
 	Enums   map[string]int64
 
-	// sigs holds each function's Signature, built at its first use, so
-	// every reference to a function shares one *Type.
-	sigs map[*FuncDecl]*Type
+	// sigs holds each function's type, built at its first use, so every
+	// reference to a function shares one *Type. The types and their
+	// parameter lists are carved from the env's slabs: only the bodies
+	// it types point at them, and a body dies before its program's env
+	// (DESIGN §12.1).
+	sigs      map[*FuncDecl]*Type
+	sigTypes  slab.Slab[Type]
+	sigParams slab.Slab[*Type]
 	// tc is CheckFunc's scratch, kept from one function to the next.
 	tc typeChecker
 }
@@ -124,10 +131,19 @@ func (tc *typeChecker) lookup(name string) *Type {
 	return TypeUnknownV
 }
 
+// signature returns fd's type: its result, parameter types and
+// variadic flag.
 func (env *TypeEnv) signature(fd *FuncDecl) *Type {
 	t, ok := env.sigs[fd]
 	if !ok {
-		t = fd.Signature()
+		t = env.sigTypes.New()
+		t.Kind, t.Ret, t.Variadic = TypeFunc, fd.Result, fd.Variadic
+		if len(fd.Params) > 0 {
+			t.Params = env.sigParams.Take(len(fd.Params))
+			for i, p := range fd.Params {
+				t.Params[i] = p.Type
+			}
+		}
 		env.sigs[fd] = t
 	}
 	return t

@@ -3,6 +3,7 @@ package cc
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 )
 
 // TypeKind enumerates the kinds of C types the front end models.
@@ -37,7 +38,8 @@ type EnumConst struct {
 
 // Type is a structural C type. Types are compared structurally (see
 // SameType); typedefs are transparent for compatibility but preserved
-// for printing.
+// for printing. A Type is never copied whole: its pointer memo is its
+// own (go vet holds this).
 type Type struct {
 	Kind TypeKind
 
@@ -66,6 +68,9 @@ type Type struct {
 	// Qualifiers (informational; not used for compatibility).
 	Const    bool
 	Volatile bool
+
+	// ptr is PointerTo's memo: the pointer type to this one.
+	ptr atomic.Pointer[Type]
 }
 
 // Prebuilt basic types shared across the package. They must be treated
@@ -84,8 +89,42 @@ var (
 	TypeUnknownV = &Type{Kind: TypeUnknown}
 )
 
-// PointerTo returns a pointer type to elem.
-func PointerTo(elem *Type) *Type { return &Type{Kind: TypePointer, Elem: elem} }
+// PointerTo returns the pointer type to elem: one per element type,
+// made at its first use and kept with the element, so every int * of
+// every parse is the one kept with TypeIntV. The memo is atomic because
+// the package's scalar types, and the pointers to them, are shared by
+// every parse in the process. A pointer type is allocated alone, never
+// carved: a kept declaration may point at it after the pass (DESIGN
+// §12.1). A nil element (a decoded type may have one) gets a type of
+// its own.
+func PointerTo(elem *Type) *Type {
+	if elem == nil {
+		return &Type{Kind: TypePointer}
+	}
+	if p := elem.ptr.Load(); p != nil {
+		return p
+	}
+	p := &Type{Kind: TypePointer, Elem: elem}
+	if elem.ptr.CompareAndSwap(nil, p) {
+		return p
+	}
+	return elem.ptr.Load()
+}
+
+// qualified returns a copy of t with the given qualifiers: a type of
+// its own, without t's pointer memo. It names the fields it copies:
+// reading t whole would race with a parse that sets a shared type's
+// memo.
+func (t *Type) qualified(isConst, isVolatile bool) *Type {
+	return &Type{
+		Kind: t.Kind, Unsigned: t.Unsigned, Size: t.Size,
+		Elem: t.Elem, ArrayLen: t.ArrayLen,
+		Ret: t.Ret, Params: t.Params, Variadic: t.Variadic,
+		Tag: t.Tag, Fields: t.Fields, Enums: t.Enums,
+		Name: t.Name, Def: t.Def,
+		Const: isConst, Volatile: isVolatile,
+	}
+}
 
 // Underlying resolves typedef chains to the structural type.
 func (t *Type) Underlying() *Type {

@@ -127,7 +127,9 @@ func BenchmarkCallRichTraversal(b *testing.B) {
 // 1,417-1,424 under -race; 1,294, 1,297, 1,305 and 1,361-1,369 since
 // prog.Build carves CFGs and call sites from slabs; 1,184, 1,187, 1,194
 // and 1,231-1,241 since a function's tables are arrays, a report's
-// trace is one string and a followed call clones only what it keeps.
+// trace is one string and a followed call clones only what it keeps;
+// 1,158, 1,161, 1,168 and 1,205-1,215 since a pointer type is made once
+// per element and a type environment carves its signatures.
 // 5 % above plain is inside what -race reads, so the ceiling is the
 // highest -race reading plus the 86 the previous ceiling kept over its
 // own. The count repeats to the unit, so a
@@ -143,7 +145,10 @@ const callRichAllocCeiling = 1_327
 // With the slabs' unclaimed tails it read 209,808, 210,230, 207,440 and
 // up to 213,065 under -race; it reads 201,840, 202,048, 199,472 and up to
 // 203,888 under -race since a function's tables are arrays, and the
-// ceiling is that plain reading plus 5 %.
+// ceiling is that plain reading plus 5 %. It reads 203,888, 204,096,
+// 201,520 and up to 205,936 under -race since Assemble copies the
+// parameters it keeps and a type environment carves its signatures from
+// slabs (the chunks' tails).
 // The edge's own size is TestEdgeIsThreeIntegers'.
 const callRichByteCeiling = 211_932
 

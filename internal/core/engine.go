@@ -205,9 +205,11 @@ type Engine struct {
 	checkerIdx int
 	// Retirement (stream.go): rootsRun counts the roots run per unit,
 	// by unit index (nil = this engine never retires); onRetire
-	// notifies the mc releaser.
+	// notifies the mc releaser. dfsDirty is set when a root is
+	// traversed and cleared with the DFS's buffers.
 	rootsRun []int32
 	onRetire func(*prog.Unit)
+	dfsDirty bool
 	// traversed, when set, is told of every successor pair the DFS
 	// follows within a function: a block entered from the block below it
 	// on the backtrace. These are the pairs relax composes suffix

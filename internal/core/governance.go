@@ -267,6 +267,7 @@ func (en *Engine) runRootIsolated(root *prog.Function) {
 			}
 		}
 	}()
+	en.dfsDirty = true
 	fi := en.funcInfo(root)
 	en.callStack = append(en.callStack[:0], root)
 	// A root that panicked left its tuples, partitions and instances on

@@ -49,25 +49,35 @@ func (en *Engine) retireAfter(root *prog.Function) {
 		}
 	}
 	if en.liveFuncs == 0 {
-		// No edge is left to read an object's representative.
+		// No edge is left to read an object's representative. Roots of
+		// different units interleave, so a skipped root can be the one
+		// that empties liveFuncs: this runs on every retirement, and
+		// costs nothing when the table and representatives are empty.
 		en.terms.Reset()
 		clear(en.intern.reps)
+		en.intern.reps = en.intern.reps[:0]
 	}
 	// The DFS is between roots, so everything in its own buffers is
 	// dead — and would pin the evicted blocks, their instances and the
-	// ASTs about to be released until a later root overwrote it.
-	clear(en.backtrace[:cap(en.backtrace)])
-	// Every frame is in the pool between roots. Its environment is left
-	// as it is: its facts are integers and its table is the engine's.
-	for _, st := range en.frames {
-		clear(st.sm.Active[:cap(st.sm.Active)])
-		clear(st.pending[:cap(st.pending)])
+	// ASTs about to be released until a later root overwrote it. A
+	// skipped root wrote nothing there: the buffers are cleared once per
+	// run of traversed roots.
+	if en.dfsDirty {
+		en.dfsDirty = false
+		clear(en.backtrace[:cap(en.backtrace)])
+		// Every frame is in the pool between roots. Its environment is
+		// left as it is: its facts are integers and its table is the
+		// engine's.
+		for _, st := range en.frames {
+			clear(st.sm.Active[:cap(st.sm.Active)])
+			clear(st.pending[:cap(st.pending)])
+		}
+		clear(en.snapshot[:cap(en.snapshot)])
+		clear(en.outs[:cap(en.outs)])
+		en.prior[0] = pattern.Bound{}
+		en.act = actionCtx{buf: en.act.buf}
+		en.ctx.Reset()
 	}
-	clear(en.snapshot[:cap(en.snapshot)])
-	clear(en.outs[:cap(en.outs)])
-	en.prior[0] = pattern.Bound{}
-	en.act = actionCtx{buf: en.act.buf}
-	en.ctx.Reset()
 	if en.onRetire != nil {
 		en.onRetire(u)
 	}

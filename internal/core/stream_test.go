@@ -343,7 +343,53 @@ func TestRetirementDropsFPPState(t *testing.T) {
 	if gt != wt || gf != wf {
 		t.Errorf("after unit A the table holds %d terms and %d fingerprints; unit B alone leaves %d and %d", gt, gf, wt, wf)
 	}
+
+	// A skipped root writes nothing to the DFS's buffers, so retirement
+	// clears them only after a traversed one; the table is emptied
+	// whenever the last live function goes. Both must hold when the
+	// retiring root is a skipped one: (i) a unit's last root is skipped
+	// after a traversed root, (ii) interleaved units empty liveFuncs on
+	// a skipped root after another unit's traversed one.
+	p = rebuild(t, "fpp-skip", map[string]string{"skip.c": skipSrc})
+	unit := func(name string) *prog.Unit { return p.Lookup(name).Unit }
+	ua, ub := unit("a1"), unit("b1")
+	if ua == ub || len(ua.Roots) != 2 || ua.Roots[1].Name != "a2" {
+		t.Fatalf("skip.c's units are not {a1, a2, a_leaf} and {b1}")
+	}
+	for _, c := range []struct {
+		name  string
+		roots []*prog.Function
+	}{
+		{"last root skipped", ua.Roots},
+		{"interleaved units", []*prog.Function{ua.Roots[0], ub.Roots[0], ua.Roots[1]}},
+	} {
+		en := NewEngine(p, mustTestChecker(t, "free"), DefaultOptions())
+		var retired []*prog.Unit
+		en.SetRetire(func(u *prog.Unit) { retired = append(retired, u) })
+		en.RunRootsContext(context.Background(), c.roots)
+		if en.Stats.RootsSkipped != 1 || len(retired) == 0 || retired[len(retired)-1] != ua {
+			t.Fatalf("%s: %d roots skipped, units retired %v; want a2 skipped, retiring unit A last", c.name, en.Stats.RootsSkipped, retired)
+		}
+		if en.liveFuncs != 0 {
+			t.Fatalf("%s: %d live funcInfos after every unit retired", c.name, en.liveFuncs)
+		}
+		if got := pinsOf(en); got != (pins{}) {
+			t.Errorf("%s: the engine still reaches %d edge or fpSeen slots, %d instances or expressions and %d non-empty term tables",
+				c.name, got.slots, got.refs, got.tables)
+		}
+	}
 }
+
+// skipSrc has two units, each with FPP state: A = {a1, a2, a_leaf}, whose
+// last root a2 the free checker skips (nothing in its closure frees),
+// and B = {b1}.
+const skipSrc = `
+void kfree(void *p);
+int a_leaf(int *p) { return *p; }
+int a1(int *p, int f) { if (f) kfree(p); a_leaf(p); if (!f) return *p; return 0; }
+int a2(int *p) { return a_leaf(p); }
+int b1(int *q, int g) { if (g) kfree(q); if (!g) return *q; return 0; }
+`
 
 // A released function body renders an empty supergraph instead of
 // panicking, and the release writes nothing through the declaration it

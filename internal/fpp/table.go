@@ -80,6 +80,9 @@ func (tb *Table) Len() (terms, fingerprints int) { return len(tb.nodes), len(tb.
 // and arrays, and lets go of the names it held. Every id handed out
 // before is void, and so is every environment over the table.
 func (tb *Table) Reset() {
+	if len(tb.nameStr) == 0 && len(tb.nodes) == 0 && len(tb.sets) == 0 {
+		return // empty already: every map entry has its list entry
+	}
 	clear(tb.names)
 	clear(tb.nameStr)
 	tb.nameStr = tb.nameStr[:0]

@@ -38,24 +38,27 @@ func frontEnd(tb testing.TB, srcs map[string]string, names []string) *Program {
 }
 
 // frontEndAllocCeiling bounds the objects of one frontEnd over
-// frontEndTree, about 5 % above the measured 2,552 (go1.24; 3,619 while
-// every function kept a type map and two locals sets, and its call-graph
-// lists grew one edge at a time): each of the eight files is parsed by a
+// frontEndTree, about 5 % above the measured 1,254 (go1.24; 2,552 while
+// file-scope declarations were allocated one by one, 3,619 while every
+// function kept a type map and two locals sets, and its call-graph lists
+// grew one edge at a time): each of the eight files is parsed by a
 // ParseFile call with an arena of its own. The count repeats to the
-// unit, so a token, scope, node, list, CFG array or per-function table
-// that starts allocating on its own fails here (DESIGN §10.4).
-const frontEndAllocCeiling = 2_680
+// unit, so a token, scope, declaration, node, list, CFG array or
+// per-function table that starts allocating on its own fails here
+// (DESIGN §10.4).
+const frontEndAllocCeiling = 1_317
 
 // frontEndRetainedCeiling bounds the heap a built Program keeps alive
-// (after runtime.GC, sources excluded) about 5 % above the 729,728 bytes
-// it retains on this tree (go1.24; 729,840 under -race). It retained
+// (after runtime.GC, sources excluded) about 5 % above the 713,616 bytes
+// it retains on this tree (go1.24; 718,896 in some runs). It retained
 // 930,376 before the front end's allocation work, 794,520 before the
-// arenas and 862,232 with them, while every function kept a type map
-// and two locals sets: the rest is the unclaimed tails of the last
-// chunk of each slab, one set per file parsed alone. A larger chunk, a
-// builder slab, a grown list's spare capacity, a map per function or a
-// comment string kept with the Program shows here first.
-const frontEndRetainedCeiling = 766_300
+// arenas, 862,232 with them while every function kept a type map and
+// two locals sets, and 729,728 while every pointer declarator made a
+// type of its own: the rest is the unclaimed tails of the last chunk of
+// each slab, one set per file parsed alone. A larger chunk, a builder
+// slab, a grown list's spare capacity, a map per function, a comment
+// string or a pass chunk kept with the Program shows here first.
+const frontEndRetainedCeiling = 754_800
 
 func TestFrontEndAllocs(t *testing.T) {
 	srcs, names := frontEndTree()
@@ -103,14 +106,16 @@ func frontEndMarginal(t *testing.T, gen func(n int) string, small, large int) fl
 }
 
 // TestFrontEndMarginalAllocs is the arena rule of DESIGN §10.4 as a
-// counter: a body's nodes, lists and CFG arrays come from slabs, so one
-// more statement or one more function body costs a share of a chunk,
-// not an object per node. Each bound is the go1.24 reading + 5 %: (a)
-// 0.661 objects per extra statement (12.133 before the arenas), (b)
-// 9.778 per extra function (40.167; 17.622 while it kept a type map and
-// two locals sets), nearly all of them its declaration's (parameters,
-// types, signature), which outlives the body. (a) reads 0.683 since an
-// expression node holds its type: a chunk holds fewer nodes.
+// counter: declarations, a body's nodes and lists and its CFG arrays come
+// from slabs, so one more statement, function or prototype costs a share
+// of a chunk, not an object per node. Each bound is the go1.24 reading +
+// 5 %: (a) 0.661 objects per extra statement (12.133 before the arenas),
+// 0.683 since an expression node holds its type (a chunk holds fewer
+// nodes); (b) 3.233 per extra function (40.167 before the arenas, 17.622
+// while it kept a type map and two locals sets, 9.778 while its
+// declaration was allocated node by node): the CFG's block array, and
+// the Program's maps and arrays as they grow; (c) 0.556 per extra
+// prototype and global (8.117 node by node): their share of the chunks.
 func TestFrontEndMarginalAllocs(t *testing.T) {
 	const small, large = 20, 200
 	// (a) One body of n statements, in pairs: a call with an arithmetic
@@ -137,7 +142,23 @@ func TestFrontEndMarginalAllocs(t *testing.T) {
 	}
 	perFunc := frontEndMarginal(t, funcs, small, large)
 	t.Logf("(b) %.3f objects per extra function", perFunc)
-	if perFunc > 10.3 {
-		t.Errorf("(b) %.3f objects per extra function, want <= 10.3", perFunc)
+	if perFunc > 3.40 {
+		t.Errorf("(b) %.3f objects per extra function, want <= 3.40", perFunc)
+	}
+
+	// (c) n prototypes, each with a pointer parameter, and n globals
+	// beside one function.
+	protos := func(n int) string {
+		var sb strings.Builder
+		for i := range n {
+			fmt.Fprintf(&sb, "void ext%d(int *p, int n);\nint g%d;\n", i, i)
+		}
+		sb.WriteString("int f(int x) { return x; }\n")
+		return sb.String()
+	}
+	perProto := frontEndMarginal(t, protos, small, large)
+	t.Logf("(c) %.3f objects per extra prototype and global", perProto)
+	if perProto > 0.58 {
+		t.Errorf("(c) %.3f objects per extra prototype and global, want <= 0.58", perProto)
 	}
 }

@@ -121,17 +121,18 @@ func (fn *Function) Site(b *cfg.Block, point int) *CallSite {
 // ReleaseBody drops the function's CFG, program model, body AST (and
 // with it the body's types) and skim so the garbage collector can
 // reclaim them — the AST half of retirement (DESIGN.md §12); a body
-// never parsed has only its skim to drop. The declaration shell (name, file, params) survives, so
-// FuncID and the call-graph links keep working; Decl is the Program's
-// own copy of it (Assemble), so the declaration a caller handed to
-// AddAST is never written. This and BuildUnits are the sanctioned
-// mutations of an assembled Program; the caller must guarantee no traversal
-// can still visit the function (no call edge leaves a unit, so once a
-// unit's last root finishes nothing can) and must publish the write
-// with an ordering barrier of its own (the mc releaser does it under a
-// mutex its readers also pass through). A released function looks like
-// one without a body — the §6 missing-CFG case — which is why release
-// is only sound post-traversal.
+// never parsed has only its skim to drop. The declaration shell (name,
+// file, params) survives, so FuncID and the call-graph links keep
+// working; Decl and its parameters are the Program's own copies
+// (Assemble), so the declaration a caller handed to AddAST is never
+// written. This and BuildUnits are the sanctioned mutations of an
+// assembled Program; the caller must guarantee no traversal can still
+// visit the function (no call edge leaves a unit, so once a unit's last
+// root finishes nothing can) and must publish the write with an
+// ordering barrier of its own (the mc releaser writes after an atomic
+// count that every reader's own count precedes). A released function
+// looks like one without a body — the §6 missing-CFG case — which is
+// why release is only sound post-traversal.
 func (fn *Function) ReleaseBody() {
 	fn.Graph = nil
 	fn.Sites = nil
@@ -206,32 +207,52 @@ func Assemble(files ...*cc.File) *Program {
 		// program's own: a released body has no referent in the Program.
 		env: cc.NewTypeEnv(files...),
 	}
-	// Collect file-scope variables.
+	// Collect file-scope variables, and count the definitions and their
+	// parameters.
+	n, params := 0, 0
 	for _, f := range files {
 		for _, d := range f.Decls {
-			if vd, ok := d.(*cc.VarDecl); ok {
-				p.GlobalNames[vd.Name] = true
-				if vd.Storage == cc.StorageStatic {
-					p.Statics[vd.Name] = f.Name
+			switch d := d.(type) {
+			case *cc.VarDecl:
+				p.GlobalNames[d.Name] = true
+				if d.Storage == cc.StorageStatic {
+					p.Statics[d.Name] = f.Name
+				}
+			case *cc.FuncDecl:
+				if d.IsDefinition() {
+					n++
+					params += len(d.Params)
 				}
 			}
 		}
 	}
-	// Collect definitions: the Functions and the Program's own copies of
-	// their declarations (ReleaseBody empties them) are two arrays.
-	defs, n := make([][]*cc.FuncDecl, len(files)), 0
-	for i, f := range files {
-		defs[i] = f.Funcs()
-		n += len(defs[i])
-	}
+	// Collect definitions. The Functions, the Program's own copies of
+	// their declarations (ReleaseBody empties them) and of the
+	// declarations' parameters are four arrays: the parser's are carved
+	// from its pass's arena, which a kept shell must not pin (DESIGN
+	// §12.1).
 	fns, decls := make([]Function, n), make([]cc.FuncDecl, n)
+	vars, varList := make([]cc.VarDecl, params), make([]*cc.VarDecl, params)
 	p.All = make([]*Function, 0, n)
-	for i, f := range files {
-		for _, fd := range defs[i] {
+	for _, f := range files {
+		for _, d := range f.Decls {
+			fd, ok := d.(*cc.FuncDecl)
+			if !ok || !fd.IsDefinition() {
+				continue
+			}
 			k := len(p.All)
-			decls[k] = *fd
+			decl := &decls[k]
+			*decl = *fd
+			if m := len(fd.Params); m > 0 {
+				decl.Params, varList = varList[:m:m], varList[m:]
+				for i, vd := range fd.Params {
+					vars[i] = *vd
+					decl.Params[i] = &vars[i]
+				}
+				vars = vars[m:]
+			}
 			fn := &fns[k]
-			fn.Name, fn.Index, fn.Decl = fd.Name, k, &decls[k]
+			fn.Name, fn.Index, fn.Decl = fd.Name, k, decl
 			p.All = append(p.All, fn)
 			if fd.Storage == cc.StorageStatic {
 				p.Funcs[staticKey(f.Name, fd.Name)] = fn

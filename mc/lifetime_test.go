@@ -1,7 +1,9 @@
 package mc
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -14,10 +16,12 @@ import (
 // and a run through a store. Each is its reading before the front end
 // carved bodies from arenas (go1.24: 181,520 and 181,584 bytes, and the
 // same with them, the second up to 181,776) + 2 %; they read 178,256 and
-// 178,320 since a function's tables are arrays. The retired Program keeps its
-// declaration shells; a parameter carved from a body's arena would pin
-// the chunk, and through it the body nodes it shares a chunk with
-// (DESIGN §12.1): 293,168 and 194,864 bytes.
+// 178,320 since a function's tables are arrays, and 170,560 and 170,624
+// since a pointer type is made once per element. The retired Program
+// keeps its declaration shells, copied out of the pass's arena; a
+// parameter it kept in a pass chunk would pin the chunk, and through it
+// the nodes it shares a chunk with (DESIGN §12.1): 283,472 and 179,552
+// bytes (293,168 and 194,864 when parameters were a body's).
 var heldResultCeilings = map[string]int64{"cold": 185_150, "store": 185_216}
 
 func TestHeldResultRetains(t *testing.T) {
@@ -38,6 +42,56 @@ func TestHeldResultRetains(t *testing.T) {
 			t.Errorf("%s: a held Result retains %d bytes, ceiling %d", name, retained, heldResultCeilings[name])
 		}
 	}
+}
+
+// heldPrototypeSlack bounds how many more bytes a held Result over
+// MixedTree(8, 25, 2002) keeps when each file declares 100 extra
+// prototypes, spread over its definitions, than when it declares 10
+// (go1.24: 170,560 and 170,608 bytes; 297,936 and 429,312 when the
+// Program kept the parser's parameters instead of copying them). Prototypes are
+// transient, and their parameters share the parser's chunks with the
+// definitions': a Program that kept pointing at the parser's parameters
+// instead of its own copies would pin those chunks, and with them every
+// prototype parameter the list chunks point at (DESIGN §12.1).
+const heldPrototypeSlack = 2_048
+
+func TestHeldResultIgnoresPrototypes(t *testing.T) {
+	srcs, _ := workload.MixedTree(8, 25, 2002)
+	held := func(k int) int64 {
+		tree := withPrototypes(srcs, k)
+		heldResult(t, tree, false)
+		retained := int64(-1)
+		for range 3 {
+			if r := heldResult(t, tree, false); retained < 0 || r < retained {
+				retained = r
+			}
+		}
+		return retained
+	}
+	few, many := held(10), held(100)
+	t.Logf("a held Result retains %d bytes with 10 extra prototypes a file, %d with 100", few, many)
+	if many-few > heldPrototypeSlack {
+		t.Errorf("a held Result retains %d bytes with 100 extra prototypes a file, %d with 10: more than %d apart",
+			many, few, heldPrototypeSlack)
+	}
+}
+
+// withPrototypes spreads k prototypes of two parameters each over every
+// file's definitions.
+func withPrototypes(srcs map[string]string, k int) map[string]string {
+	out := make(map[string]string, len(srcs))
+	for name, src := range srcs {
+		defs := strings.SplitAfter(src, "\n}\n")
+		var sb strings.Builder
+		for i, d := range defs {
+			sb.WriteString(d)
+			for j := i * k / len(defs); j < (i+1)*k/len(defs); j++ {
+				fmt.Fprintf(&sb, "int ext%d(int *p, int n);\n", j)
+			}
+		}
+		out[name] = sb.String()
+	}
+	return out
 }
 
 // heldResult runs the bundled suite over srcs, through a fresh store or

@@ -382,15 +382,26 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 		Spill:     &SpillStats{},
 	}
 	for ci, c := range a.checkers {
-		agg := core.Stats{Analyses: map[string]int{}}
+		// A checker that ran as one task adopts the task's stats, its
+		// Analyses map included: the cut owns the map (core.CutUnit).
+		tasks := tasksByChecker[ci]
+		var agg core.Stats
+		if len(tasks) != 1 || tasks[0].cut.Stats.Analyses == nil {
+			agg.Analyses = map[string]int{}
+		}
 		segs := map[*prog.Function][]*Report{}
-		for _, t := range tasksByChecker[ci] {
+		for _, t := range tasks {
 			for _, rr := range t.runs {
 				if len(rr.Reports) > 0 {
 					segs[rr.Root] = rr.Reports
 				}
 			}
-			mergeStats(&agg, &t.cut.Stats)
+			analyses := sumAnalyses(&t.cut.Stats) // before agg may take the map
+			if agg.Analyses == nil {
+				agg = t.cut.Stats
+			} else {
+				mergeStats(&agg, &t.cut.Stats)
+			}
 			for rule, rc := range t.cut.Rules {
 				prev := res.RuleStats[rule]
 				prev.Rule = rule
@@ -401,10 +412,10 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 			res.Degradations = append(res.Degradations, t.cut.Degradations...)
 			if t.replayed {
 				incr.UnitsReplayed++
-				incr.FuncsAnalyzedReplayed += sumAnalyses(&t.cut.Stats)
+				incr.FuncsAnalyzedReplayed += analyses
 			} else {
 				incr.UnitsLive++
-				incr.FuncsAnalyzedLive += sumAnalyses(&t.cut.Stats)
+				incr.FuncsAnalyzedLive += analyses
 			}
 		}
 		for _, root := range p.Roots {
@@ -418,7 +429,7 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 			res.Spill.Evictions += en.Evictions
 		}
 	}
-	res.Spill.ASTsReleased = release.released // every engine has finished
+	res.Spill.ASTsReleased = release.released.Load() // every engine has finished
 	res.Degraded = len(res.Degradations) > 0
 	if a.history != nil {
 		res.Reports = a.history.Suppress(res.Reports)

@@ -6,7 +6,7 @@ package mc
 // go too. No remaining traversal can read either, and no file is touched.
 
 import (
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/prog"
 )
@@ -29,27 +29,27 @@ type SpillStats struct {
 
 // astReleaser frees a unit's ASTs once every checker pass has retired
 // it. Each engine's retire callback (and each replayed task) counts one
-// pass for the unit; the goroutine counting the last one releases the
-// bodies while holding the mutex, which also orders the write after
-// every earlier reader's own count — so the release is race-free without
-// the readers taking any lock on their hot path.
+// pass for the unit with an atomic add; the goroutine whose add counts
+// the last one releases the bodies. An atomic add is a synchronizing
+// operation in the Go memory model, and each add reads the count the
+// previous one wrote, so every earlier pass — and every read its
+// engine made of the unit's ASTs before counting — happens before the
+// release: the release is race-free without the readers taking any
+// lock on their hot path.
 type astReleaser struct {
-	mu       sync.Mutex
 	passes   int32   // one per loaded checker
-	done     []int32 // passes finished, by unit index
-	released int64
+	done     []int32 // passes finished, by unit index (atomic)
+	released atomic.Int64
 }
 
 // pass records that one checker pass is finished with the unit.
 func (ar *astReleaser) pass(u *prog.Unit) {
-	ar.mu.Lock()
-	defer ar.mu.Unlock()
-	if ar.done[u.Index]++; ar.done[u.Index] != ar.passes {
+	if atomic.AddInt32(&ar.done[u.Index], 1) != ar.passes {
 		return
 	}
 	for _, fn := range u.Funcs {
 		if fn.Graph != nil { // a body never parsed has nothing to release
-			ar.released++
+			ar.released.Add(1)
 		}
 		fn.ReleaseBody()
 	}

@@ -247,12 +247,14 @@ func TestStreamingDeterminismMatrix(t *testing.T) {
 // the bundled suite over the call-rich tree allocates 4,587 objects
 // against the 4,423 of engines that retire nothing (go1.24), 164 more
 // (166 under -race, which jitters it: hence 20 runs a side); 4,305
-// against 4,140, 165 more, since a function's tables are arrays. The bound
+// against 4,140, 165 more, since a function's tables are arrays; 4,100
+// against 3,957, 143 more (also under -race), since the merge adopts a
+// checker's stats when it ran as one task. The bound
 // is that excess + 5 %, absolute (PR 37). The excess is mostly mc's task
 // and merge bookkeeping; retirement's own is one counter slice per
 // engine and the releaser (DESIGN §12.3).
 func TestStreamingAllocatesLikePlain(t *testing.T) {
-	const maxExcess = 172
+	const maxExcess = 150
 	srcs := workload.CallRichTree()
 	resident := testing.AllocsPerRun(20, func() { residentReference(t, streamAnalyzer(t, srcs, 1, nil)) })
 	var res *Result
