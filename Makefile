@@ -110,6 +110,8 @@ no-deleted-knobs:
 	! grep -rnE 'checker[F]Ps|checker[S]rcs|maxRequest[B]ody|casMax[B]lob|workerMax[B]ody' --include=*.go .
 # xgcc's and xgccd's ablation flags: the paper's ablations are mcbench experiments over core.Options (DESIGN §4).
 	! grep -rnE '"(i[n]tra|no-[f]pp|no-[i]nter)"' --include=*.go cmd
+# the second pass 1 that parsed every body of a run without a store, and the dispatch's second fill with its program-wide skip table (DESIGN §8, §11.1).
+	! grep -rnE 'parse[S]ources|skip[A]ll|prog[A]dmit|cc\.Parse[F]iles' --include=*.go .
 # the sorted pre-annotation list, the engine's second and third mention walks, the mark-role tests by name and the per-switch case list (DESIGN §5).
 	! grep -rnE 'sorted[M]arks|mark[E]ntry|mentions[A]ny|leftoverCaller[L]ocals|annotator[O]f|consumer[O]f|Uses[A]ction|Uses[C]allout|case[V]als' --include=*.go .
 

@@ -117,6 +117,17 @@ func TestExitCodeFlag(t *testing.T) {
 	}
 }
 
+// TestFunctionPointerResult: a file that defines a function returning a
+// function pointer, and declares signal(2), parses, and the use after
+// free beside them is reported.
+func TestFunctionPointerResult(t *testing.T) {
+	dir := t.TempDir()
+	src := writeSrc(t, dir, "fp.c", "int g(int);\nvoid (*signal(int, void (*)(int)))(int);\nint (*pick(void))(int) { return g; }\n"+buggySrc)
+	if out, code := runXgcc(t, dir, "-checker", "free", src); code != 0 || !strings.Contains(out, "fp.c:7:12: [free_checker] using p after free!") {
+		t.Errorf("code %d, out %.300s; want the use after free at fp.c:7:12", code, out)
+	}
+}
+
 // TestStatsRootsSkipped: -stats says, per checker, how many roots the
 // compiled dispatch skipped. banned's "{ fn(args) } && ${ mc_is_call_to(fn,
 // "gets") }" idiom is keyed by its callee names, none of which use_after

@@ -6,7 +6,7 @@ import "repro/internal/slab"
 // bodies from: every node the parser makes, and the lists it pops off
 // its stacks (a block's statements, a call's arguments, a parameter
 // list, a declaration's declarators). An arena belongs to one worker of
-// one pass — a goroutine of ParseFiles or SkimFiles, a parse worker of a
+// one pass — a goroutine of SkimFiles, a parse worker of a
 // program's BuildUnits, one ParseFile call — and dies with it; its
 // memory returns when the last node carved from the same chunks is
 // dropped (DESIGN §12.1). A declaration that outlives its pass is copied

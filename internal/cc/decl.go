@@ -351,7 +351,7 @@ func (p *Parser) parseDeclaratorRec() (declarator, error) {
 	// Pointer prefix. The star binds to the base type: "T *f(args)"
 	// declares a function returning T* (isFunc is preserved), while
 	// "T (*fp)(args)" declares a pointer variable (the parenthesized
-	// direct declarator already cleared isFunc).
+	// declarator's outermost derivation is the pointer).
 	if p.accept(TokStar) {
 		for p.cur().Kind == TokConst || p.cur().Kind == TokVolatile {
 			p.next()
@@ -378,10 +378,9 @@ func (p *Parser) parseDirectDeclarator() (declarator, error) {
 		if _, err := p.expect(TokRParen); err != nil {
 			return d, err
 		}
+		// The inner declarator's derivations are the outermost: (*f)(int)
+		// declares a pointer, (*f(void))(int) a function returning one.
 		d = inner
-		// A parenthesized inner declarator (e.g. (*f)(int)) declares a
-		// function pointer, not a function.
-		d.isFunc = false
 		parenthesized = true
 	default:
 		// Abstract declarator with no name: fine, fall through to
@@ -571,7 +570,11 @@ func skimFile(a *Arena, file, src string, callees bool) (*File, error) {
 // ParseBody parses the body pass 1 skimmed into fd.Body, carving its
 // nodes from a; a declaration with no skimmed body is left as it is.
 // The bodies of one file share its parser, so ParseBody must not run
-// concurrently with another call for the same file.
+// concurrently with another call for the same file. Each skimmed body
+// is parsed once, through whichever copy of its declaration, and the
+// last lets the file's tokens and scope stack go. The span of a body
+// pass 1 parsed in place then reads nothing: Hasher.Func hashes a file
+// before any of its skimmed bodies is parsed (mc.NewUnitTree).
 func ParseBody(fd *FuncDecl, a *Arena) error {
 	s := &fd.Skim
 	p := s.src
@@ -587,6 +590,9 @@ func ParseBody(fd *FuncDecl, a *Arena) error {
 		return err
 	}
 	fd.Body = body
+	if p.unparsed--; p.unparsed == 0 {
+		p.toks, p.names, p.marks, p.latest = nil, nil, nil, [numNamespaces]map[string]int32{}
+	}
 	return nil
 }
 
@@ -606,7 +612,9 @@ func (p *Parser) defineBody(fd *FuncDecl) error {
 		return nil
 	}
 	var err error
-	fd.Body, err = p.parseBody()
+	if fd.Body, err = p.parseBody(); err != nil {
+		fd.Skim = BodySkim{} // not one ParseBody parses: the file fails here
+	}
 	return err
 }
 
@@ -633,6 +641,7 @@ func (p *Parser) skimBody(fd *FuncDecl) bool {
 		return false
 	}
 	p.pos = hi + 1
+	p.unparsed++
 	return true
 }
 

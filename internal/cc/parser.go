@@ -32,8 +32,11 @@ type Parser struct {
 	// (decl.go), and with callees names its callees too. While a
 	// skimmed body is parsed, the file-scope entries from horizon to
 	// fileEnd are hidden: they were declared after the definition.
+	// unparsed counts the skimmed bodies ParseBody has yet to parse; the
+	// last one drops the tokens and the scope stack.
 	callees          bool
 	horizon, fileEnd int32
+	unparsed         int32
 	sk               skimmer
 
 	// arena is the pass's, set for the length of a call that parses
@@ -125,10 +128,8 @@ func NewParser(file string, toks []Token) *Parser {
 // order is the one returned, whether a body or a declaration holds it.
 // No skim outlives the call: the file's tokens go with its parser. The
 // declarations and bodies are carved from an arena of the call's own.
-func ParseFile(file, src string) (*File, error) { return parseFile(new(Arena), file, src) }
-
-// parseFile is ParseFile with the bodies carved from a.
-func parseFile(a *Arena, file, src string) (*File, error) {
+func ParseFile(file, src string) (*File, error) {
+	a := new(Arena)
 	f, err := skimFile(a, file, src, false)
 	if err != nil {
 		return nil, err

@@ -655,4 +655,28 @@ func TestDeclaratorLists(t *testing.T) {
 	if g := body[2].(*DeclStmt).Decls; len(g) != 1 || g[0].Name != "g" || g[0].Type.Kind != TypeFunc {
 		t.Errorf("local int g(int): got %d decls, want one VarDecl g of function type", len(g))
 	}
+
+	// A function that returns a function pointer: the parenthesized
+	// declarator keeps its inner declarator's function-ness, and a
+	// parenthesized pointer declarator is a variable.
+	f = mustParse(t, "int g(int); void (*signal(int, void (*)(int)))(int); int (*pick(void))(int) { return g; } int (*fp)(int);")
+	if len(f.Decls) != 4 {
+		t.Fatalf("function-pointer results: %d decls, want 4", len(f.Decls))
+	}
+	for i, want := range []struct {
+		name    string
+		params  int
+		defined bool
+	}{{"signal", 2, false}, {"pick", 0, true}} {
+		fd, ok := f.Decls[i+1].(*FuncDecl)
+		if !ok || fd.Name != want.name || len(fd.Params) != want.params || (fd.Body != nil) != want.defined {
+			t.Fatalf("decl %d: got %T, want FuncDecl %s with %d params, defined %v", i+1, f.Decls[i+1], want.name, want.params, want.defined)
+		}
+		if r := fd.Result; r.Kind != TypePointer || r.Elem.Kind != TypeFunc || len(r.Elem.Params) != 1 {
+			t.Errorf("%s returns %s, want a pointer to a function of one parameter", fd.Name, r)
+		}
+	}
+	if fp, ok := f.Decls[3].(*VarDecl); !ok || fp.Name != "fp" || fp.Type.Kind != TypePointer {
+		t.Errorf("int (*fp)(int): got %T, want VarDecl fp of pointer type", f.Decls[3])
+	}
 }

@@ -129,7 +129,8 @@ func BenchmarkCallRichTraversal(b *testing.B) {
 // and 1,231-1,241 since a function's tables are arrays, a report's
 // trace is one string and a followed call clones only what it keeps;
 // 1,158, 1,161, 1,168 and 1,205-1,215 since a pointer type is made once
-// per element and a type environment carves its signatures.
+// per element and a type environment carves its signatures; 1,157,
+// 1,160, 1,167 since the dispatch has no program-wide skip table.
 // 5 % above plain is inside what -race reads, so the ceiling is the
 // highest -race reading plus the 86 the previous ceiling kept over its
 // own. The count repeats to the unit, so a
@@ -148,7 +149,9 @@ const callRichAllocCeiling = 1_327
 // ceiling is that plain reading plus 5 %. It reads 203,888, 204,096,
 // 201,520 and up to 205,936 under -race since Assemble copies the
 // parameters it keeps and a type environment carves its signatures from
-// slabs (the chunks' tails).
+// slabs (the chunks' tails); 203,824, 204,032 and 201,456 since the
+// dispatch has no program-wide skip table or union and a Program
+// counts the bodies it has yet to build.
 // The edge's own size is TestEdgeIsThreeIntegers'.
 const callRichByteCeiling = 211_932
 
@@ -215,9 +218,9 @@ func dispatchTree(tb testing.TB, files, funcsPerFile int) (*prog.Program, int) {
 // TestCompileDispatchAllocs: compiling the bundled suite's dispatch
 // allocates per program, not per block — the block features go into one
 // reused scratch and every admit bitset is carved from one array — so a
-// tree four times the size costs no more objects. Both trees read 204
-// (at the parent, when every block had a feature map and a bitset of
-// its own, 501 and 1,429: ~3 per block). The slack is for the two
+// tree four times the size costs no more objects. Both trees read 203
+// (204 with the program-wide skip table; 501 and 1,429, ~3 per block,
+// when every block had a feature map and a bitset of its own). The slack is for the two
 // scratch lists, which grow with the widest block and the deepest call
 // chain, not with the number of blocks.
 func TestCompileDispatchAllocs(t *testing.T) {

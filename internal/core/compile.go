@@ -26,8 +26,8 @@ package core
 // transition FIRES, so a checker none of whose initial-global-state
 // transitions can fire anywhere in a scope is a provable no-op over
 // that scope. Per-root callee-closure admit sets turn that into whole
-// root skips (and whole-checker skips), which is what makes dispatch
-// cost sublinear in the number of loaded checkers.
+// root skips (a checker that fires nowhere skips every root), which is
+// what makes dispatch cost sublinear in the number of loaded checkers.
 //
 // Everything here is immutable after CompileDispatch returns, so one
 // CompiledDispatch is safely shared by engines running concurrently.
@@ -103,32 +103,27 @@ type CompiledDispatch struct {
 	// blockAdmit[fn.Index][b.ID]: the entries some point of the block
 	// can satisfy. funcAdmit[fn.Index] unions a function's blocks;
 	// rootAdmit[root.Index] unions a root's callee closure (nil for a
-	// function that is no root, or whose unit is not built yet);
-	// progAdmit unions everything, when every unit was built at compile
-	// time.
+	// function that is no root, or whose unit is not built yet).
 	blockAdmit [][]bitset
 	funcAdmit  []bitset
 	rootAdmit  []bitset
-	progAdmit  bitset
 
 	// initEntries lists, per checker, the entries sourced at its
 	// initial global state — the only transitions that can fire before
 	// any checker state exists. initEOP marks checkers with an initial
-	// transition that fires at end-of-path (never skippable). skipAll
-	// marks the checkers that fire nowhere in a program every unit of
-	// which was built at compile time; otherwise it stays false and
-	// SkipRoot's per-root test decides alone, with the same answers.
+	// transition that fires at end-of-path (never skippable).
 	initEntries [][]int32
 	initEOP     []bool
-	skipAll     []bool
 }
 
 // CompileDispatch builds the union automaton for the loaded checkers
-// over the program. Cost is one feature pass per block plus one index
-// probe per (block feature, bucket row) — paid once per run, then
-// shared by every engine.
+// over the program, and the admit tables of every unit whose bodies are
+// built (AddUnits): a unit built later gets its tables from AddUnits
+// then. Cost is one feature pass per block plus one index probe per
+// (block feature, bucket row) — paid once per run, then shared by every
+// engine.
 func CompileDispatch(p *prog.Program, checkers []*metal.Checker) *CompiledDispatch {
-	cd := newDispatch(checkers)
+	cd := newDispatch(p, checkers)
 
 	// Index construction: each atom lands in exactly one bucket, keyed
 	// by its sharpest requirement.
@@ -148,20 +143,22 @@ func CompileDispatch(p *prog.Program, checkers []*metal.Checker) *CompiledDispat
 			}
 		}
 	}
-	var feats blockFeats
-	cd.fill(p, func(b *cfg.Block, bits bitset) { cd.admitSet(&feats, b, bits) })
+	cd.AddUnits(p, p.Units())
 	return cd
 }
 
-// newDispatch numbers the checkers' transitions and records which of
-// them are sourced at each checker's initial global state.
-func newDispatch(checkers []*metal.Checker) *CompiledDispatch {
+// newDispatch numbers the checkers' transitions, records which of them
+// are sourced at each checker's initial global state, and makes the
+// program's admit tables, empty.
+func newDispatch(p *prog.Program, checkers []*metal.Checker) *CompiledDispatch {
 	cd := &CompiledDispatch{
 		checkers:    checkers,
 		firstEntry:  make([]int32, len(checkers)),
 		initEntries: make([][]int32, len(checkers)),
 		initEOP:     make([]bool, len(checkers)),
-		skipAll:     make([]bool, len(checkers)),
+		blockAdmit:  make([][]bitset, len(p.All)),
+		funcAdmit:   make([]bitset, len(p.All)),
+		rootAdmit:   make([]bitset, len(p.All)),
 	}
 	for ci, c := range checkers {
 		cd.firstEntry[ci] = int32(len(cd.entries))
@@ -185,59 +182,38 @@ func newDispatch(checkers []*metal.Checker) *CompiledDispatch {
 	return cd
 }
 
-// fill computes the admit tables of the whole program from a per-block
-// admit function, which sets a block's bits in the zeroed set it is
-// given, and, when every unit is built, the skip tables: a unit whose
-// bodies are not built yet gets its tables from AddUnits once they
-// are.
-func (cd *CompiledDispatch) fill(p *prog.Program, admit func(*cfg.Block, bitset)) {
-	cd.blockAdmit = make([][]bitset, len(p.All))
-	cd.funcAdmit = make([]bitset, len(p.All))
-	cd.rootAdmit = make([]bitset, len(p.All))
-	built := p.Units()
-	if slices.ContainsFunc(built, unbuilt) {
-		built = slices.DeleteFunc(slices.Clone(built), unbuilt)
-	}
-	all := len(built) == len(p.Units())
-	cd.fillUnits(p, built, admit, all)
-	if all {
-		for ci := range cd.checkers {
-			cd.skipAll[ci] = !cd.canFire(ci, cd.progAdmit)
-		}
-	}
-}
-
-// unbuilt reports whether some function of u has no CFG yet.
-func unbuilt(u *prog.Unit) bool {
-	return slices.ContainsFunc(u.Funcs, func(fn *prog.Function) bool { return fn.Graph == nil })
-}
-
-// AddUnits computes the admit tables of units whose bodies were built
-// after the dispatch was compiled (prog.Program.BuildUnits), skipping
-// any it already has. It writes only those units' entries, so engines
-// running other units may read the dispatch meanwhile; two AddUnits
-// calls must not overlap.
+// AddUnits computes the admit tables of the given units whose bodies
+// are built (prog.Program.BuildUnits), skipping any it already has and
+// any with a body not built yet. It writes only those units' entries,
+// so engines running other units may read the dispatch meanwhile; two
+// AddUnits calls must not overlap.
 func (cd *CompiledDispatch) AddUnits(p *prog.Program, units []*prog.Unit) {
-	var todo []*prog.Unit
-	for _, u := range units {
-		if cd.rootAdmit[u.Roots[0].Index] == nil {
-			todo = append(todo, u)
-		}
+	skip := func(u *prog.Unit) bool {
+		return cd.rootAdmit[u.Roots[0].Index] != nil ||
+			slices.ContainsFunc(u.Funcs, func(fn *prog.Function) bool { return fn.Graph == nil })
 	}
-	slices.SortFunc(todo, func(a, b *prog.Unit) int { return a.Index - b.Index })
-	todo = slices.Compact(todo) // units may repeat
-	if len(todo) > 0 {
+	if i := slices.IndexFunc(units, skip); i >= 0 {
+		todo := slices.Clone(units[:i]) // no array while nothing is kept
+		for _, u := range units[i+1:] {
+			if !skip(u) {
+				todo = append(todo, u)
+			}
+		}
+		units = todo
+	}
+	if len(units) > 0 {
 		var feats blockFeats
-		cd.fillUnits(p, todo, func(b *cfg.Block, bits bitset) { cd.admitSet(&feats, b, bits) }, false)
+		cd.fillUnits(p, units, func(b *cfg.Block, bits bitset) { cd.admitSet(&feats, b, bits) })
 	}
 }
 
-// fillUnits computes the given units' admit tables: one walk per block,
-// then the per-function and per-root (callee closure) unions, and with
-// whole the per-program union. Every set is carved from one array and
-// every function's block table from one slice, so the tables cost a
-// handful of objects however many blocks the units have.
-func (cd *CompiledDispatch) fillUnits(p *prog.Program, units []*prog.Unit, admit func(*cfg.Block, bitset), whole bool) {
+// fillUnits computes the given units' admit tables from a per-block
+// admit function, which sets a block's bits in the zeroed set it is
+// given: one walk per block, then the per-function and per-root (callee
+// closure) unions. Every set is carved from one array and every
+// function's block table from one slice, so the tables cost a handful
+// of objects however many blocks the units have.
+func (cd *CompiledDispatch) fillUnits(p *prog.Program, units []*prog.Unit, admit func(*cfg.Block, bitset)) {
 	words := (len(cd.entries) + 63) / 64
 	blocks, funcs, roots := 0, 0, 0
 	for _, u := range units {
@@ -247,16 +223,13 @@ func (cd *CompiledDispatch) fillUnits(p *prog.Program, units []*prog.Unit, admit
 		funcs += len(u.Funcs)
 		roots += len(u.Roots)
 	}
-	slab := make([]uint64, (blocks+funcs+roots+1)*words)
+	slab := make([]uint64, (blocks+funcs+roots)*words)
 	carve := func() bitset {
 		s := bitset(slab[:words:words])
 		slab = slab[words:]
 		return s
 	}
 	tables := make([]bitset, blocks)
-	if whole {
-		cd.progAdmit = carve()
-	}
 	for _, u := range units {
 		for _, fn := range u.Funcs {
 			fa := carve()
@@ -270,9 +243,6 @@ func (cd *CompiledDispatch) fillUnits(p *prog.Program, units []*prog.Unit, admit
 			}
 			cd.blockAdmit[fn.Index] = tab
 			cd.funcAdmit[fn.Index] = fa
-			if whole {
-				cd.progAdmit.or(fa)
-			}
 		}
 	}
 
@@ -415,26 +385,14 @@ func numberStates(in *interner, c *metal.Checker) (initG int32, idx stateIdx) {
 	return initG, idx
 }
 
-// canFire reports whether checker ci's initial-global-state transitions
-// can fire somewhere in the scope described by the admit set. A checker
-// whose initial transitions cannot fire in a scope is a no-op over it:
-// state only changes when a transition fires, so no instance is ever
-// created, the global state never moves, and no action (report, mark,
-// rule count) ever runs.
-func (cd *CompiledDispatch) canFire(ci int, scope bitset) bool {
-	return cd.initEOP[ci] || scope.anyOf(cd.initEntries[ci])
-}
-
 // SkipRoot reports that checker ci provably fires nothing anywhere in
 // the given root's callee closure, so its traversal can be skipped
-// with byte-identical output.
+// with byte-identical output: state only changes when a transition
+// fires, so where none of the checker's initial-global-state
+// transitions can fire, no instance is ever created, the global state
+// never moves, and no action (report, mark, rule count) ever runs. A
+// run rooted at a non-root stays conservative.
 func (cd *CompiledDispatch) SkipRoot(ci int, root *prog.Function) bool {
-	if cd.skipAll[ci] {
-		return true
-	}
 	ra := cd.rootAdmit[root.Index]
-	if ra == nil {
-		return false // a run rooted at a non-root: stay conservative
-	}
-	return !cd.canFire(ci, ra)
+	return ra != nil && !cd.initEOP[ci] && !ra.anyOf(cd.initEntries[ci])
 }

@@ -31,9 +31,19 @@ func mustChecker(t testing.TB, src string) *metal.Checker {
 	return c
 }
 
+// skipsEvery reports whether checker ci skips every root of p.
+func skipsEvery(cd *CompiledDispatch, ci int, p *prog.Program) bool {
+	for _, root := range p.Roots {
+		if !cd.SkipRoot(ci, root) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestDispatchWholeCheckerSkip: in a program that only frees, the lock
 // checker's initial transitions can never fire, so the compiler proves
-// the whole checker a no-op; the free checker stays live.
+// it a no-op over every root; the free checker stays live at each.
 func TestDispatchWholeCheckerSkip(t *testing.T) {
 	free := mustChecker(t, checkers.Free)
 	lock := mustChecker(t, checkers.Lock)
@@ -42,12 +52,6 @@ void kfree(void *p);
 int f(int *p) { kfree(p); return *p; }
 `})
 	cd := CompileDispatch(p, []*metal.Checker{free, lock})
-	if cd.skipAll[1] != true {
-		t.Error("lock checker should be provably skippable: no lock-family callee anywhere")
-	}
-	if cd.skipAll[0] != false {
-		t.Error("free checker must stay live: kfree is called")
-	}
 	for _, root := range p.Roots {
 		if !cd.SkipRoot(1, root) {
 			t.Errorf("SkipRoot(lock, %s) = false, want true", root.Name)
@@ -74,7 +78,7 @@ int free_root(int *p) { free_leaf(p); return 0; }
 int lock_root(int *l) { lock_leaf(l); return 0; }
 `})
 	cd := CompileDispatch(p, []*metal.Checker{free, lock})
-	if cd.skipAll[0] || cd.skipAll[1] {
+	if skipsEvery(cd, 0, p) || skipsEvery(cd, 1, p) {
 		t.Fatal("neither checker is skippable program-wide here")
 	}
 	freeRoot := p.Lookup("free_root")
@@ -108,7 +112,7 @@ func TestDispatchGlobalCheckerNotOverSkipped(t *testing.T) {
 	intr := mustChecker(t, checkers.Interrupt)
 	noCli := buildProg(t, map[string]string{"a.c": "int f(void) { return 1; }"})
 	cd := CompileDispatch(noCli, []*metal.Checker{intr})
-	if !cd.skipAll[0] {
+	if !skipsEvery(cd, 0, noCli) {
 		t.Error("interrupt checker should skip a program with no cli/sti")
 	}
 	withCli := buildProg(t, map[string]string{"a.c": `
@@ -116,7 +120,7 @@ void cli(void);
 int f(void) { cli(); return 1; }
 `})
 	cd = CompileDispatch(withCli, []*metal.Checker{intr})
-	if cd.skipAll[0] {
+	if skipsEvery(cd, 0, withCli) {
 		t.Error("interrupt checker must run: cli() starts the protocol")
 	}
 }
@@ -140,13 +144,13 @@ type suiteRun struct {
 	marks   [][]MarkEvent
 }
 
-// bruteDispatch fills a CompiledDispatch by the reference gate: every
-// filter atom of every transition against every block's features, with
-// no index in between.
+// bruteDispatch fills a CompiledDispatch's admit tables by the
+// reference gate: every filter atom of every transition against every
+// block's features, with no index in between.
 func bruteDispatch(p *prog.Program, cs []*metal.Checker) *CompiledDispatch {
-	cd := newDispatch(cs)
+	cd := newDispatch(p, cs)
 	var feats blockFeats
-	cd.fill(p, func(b *cfg.Block, bits bitset) {
+	cd.fillUnits(p, p.Units(), func(b *cfg.Block, bits bitset) {
 		feats.load(b)
 		for id, atoms := range cd.entries {
 			for _, a := range atoms {
@@ -223,7 +227,7 @@ func runSuite(t *testing.T, srcs map[string]string, dispatch int) suiteRun {
 
 // TestDispatchEquivalence: the index changes no output byte. Over the
 // seeded mixed tree and a call-rich multi-root tree, the indexed
-// dispatcher's admit and skip tables equal the brute-force reference's
+// dispatcher's admit tables equal the brute-force reference's
 // bit for bit, and the full bundled suite emits each checker's report
 // stream (in emission order), rule counts and mark log identically
 // whether its engines share the indexed dispatch, share the reference,
@@ -239,8 +243,8 @@ func TestDispatchEquivalence(t *testing.T) {
 			cs := bundledSuite(t)
 			indexed, brute := CompileDispatch(p, cs), bruteDispatch(p, cs)
 			if !reflect.DeepEqual(indexed.blockAdmit, brute.blockAdmit) ||
-				!reflect.DeepEqual(indexed.rootAdmit, brute.rootAdmit) ||
-				!reflect.DeepEqual(indexed.skipAll, brute.skipAll) {
+				!reflect.DeepEqual(indexed.funcAdmit, brute.funcAdmit) ||
+				!reflect.DeepEqual(indexed.rootAdmit, brute.rootAdmit) {
 				t.Error("the indexed dispatcher's admit tables differ from the brute-force reference's")
 			}
 

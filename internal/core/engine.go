@@ -215,6 +215,10 @@ type Engine struct {
 	// on the backtrace. These are the pairs relax composes suffix
 	// summaries over (Figure 6), and the pairs a test recomputes them on.
 	traversed func(from, to *cfg.Block)
+	// auditHit, when set, is told of every function-summary hit: the
+	// callee and the entry tuple its summary answered for, which a test
+	// traverses afresh to audit the summary (followCall).
+	auditHit func(callee *prog.Function, t Tuple)
 
 	// Memory whose lifetime is the DFS's is the engine's, not re-made per
 	// split, per point or per call (DESIGN.md §5).

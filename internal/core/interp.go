@@ -96,23 +96,24 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, bi *blockInfo, rec *bl
 		return en.Opts.FunctionCache && entry.sfxTrans.hasFrom(&en.intern, &t)
 	}
 	missing, live := false, false
-	for _, in := range refined.Active {
-		if in.Inactive {
-			continue
-		}
-		live = true
-		if covered(instTuple(refined.g, in)) {
-			en.Stats.FuncCacheHits++
-		} else {
+	hit := func(t Tuple) {
+		if !covered(t) {
 			missing = true
+			return
+		}
+		en.Stats.FuncCacheHits++
+		if en.auditHit != nil {
+			en.auditHit(callee, t)
+		}
+	}
+	for _, in := range refined.Active {
+		if !in.Inactive {
+			live = true
+			hit(instTuple(refined.g, in))
 		}
 	}
 	if !live {
-		if covered(placeholderTuple(refined.g)) {
-			en.Stats.FuncCacheHits++
-		} else {
-			missing = true
-		}
+		hit(placeholderTuple(refined.g))
 	}
 
 	if missing {

@@ -396,10 +396,7 @@ int b1(int *q, int g) { if (g) kfree(q); if (!g) return *q; return 0; }
 // was built from: the caller of AddAST still owns that.
 func TestReleasedBodyRendersEmpty(t *testing.T) {
 	srcs, _ := workload.MixedTree(2, 10, 7)
-	files, err := cc.ParseFiles(srcs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	files := parseSorted(t, srcs)
 	p := prog.Build(files...)
 	en := NewEngine(p, mustTestChecker(t, "lock"), DefaultOptions())
 	en.RunContext(context.Background())

@@ -168,8 +168,10 @@ type Program struct {
 	// units is the call-graph partition (units.go), built by Assemble.
 	units []*Unit
 	// env types the bodies BuildUnits builds (nil after
-	// ReleaseFrontEnd).
-	env *cc.TypeEnv
+	// ReleaseFrontEnd), and unbuilt counts the definitions it has yet to
+	// build: the last one releases the front end.
+	env     *cc.TypeEnv
+	unbuilt int
 
 	// FuncByID's lazily built index (units.go).
 	byIDOnce sync.Once
@@ -269,10 +271,12 @@ func Assemble(files ...*cc.File) *Program {
 	var ss sitesSlab
 	var sites []CallSite // one function's, copied out at its exact size
 	for _, fn := range p.All {
-		if fn.Decl.Body != nil {
-			p.buildBody(&cb, fn)
-			sites = p.resolveSites(fn, &ss, sites)
+		if fn.Decl.Body == nil {
+			p.unbuilt++
+			continue
 		}
+		p.buildBody(&cb, fn)
+		sites = p.resolveSites(fn, &ss, sites)
 	}
 	p.linkCalls()
 	p.computeRoots()
@@ -379,7 +383,10 @@ func (p *Program) resolveSites(fn *Function, ss *sitesSlab, sites []CallSite) []
 // reads the functions of these units meanwhile, and that no other
 // BuildUnits call on the program runs at the same time.
 func (p *Program) BuildUnits(units []*Unit, workers int) (parsed int, err error) {
-	var todo []*Function
+	if p.unbuilt == 0 {
+		return 0, nil
+	}
+	todo := make([]*Function, 0, p.unbuilt) // at most every body not built yet
 	for _, u := range units {
 		for _, fn := range u.Funcs {
 			if fn.Graph == nil && fn.Decl.IsDefinition() {
@@ -393,25 +400,29 @@ func (p *Program) BuildUnits(units []*Unit, workers int) (parsed int, err error)
 	slices.SortFunc(todo, func(a, b *Function) int { return a.Index - b.Index })
 	todo = slices.Compact(todo) // units may repeat
 	// A file's bodies share its parser: one goroutine per file at a
-	// time, files in parallel.
-	errs := make([]error, len(todo))
-	var groups [][2]int // the [lo, hi) of each file's run in todo
+	// time, files in parallel. A file's parse stops at its first error,
+	// so the first file's error is the first in source order.
+	type group struct {
+		lo, hi int // the file's run in todo
+		err    error
+	}
+	var groups []group
 	for lo := 0; lo < len(todo); {
 		hi := lo + 1
 		for hi < len(todo) && todo[hi].Decl.File == todo[lo].Decl.File {
 			hi++
 		}
-		groups = append(groups, [2]int{lo, hi})
+		groups = append(groups, group{lo: lo, hi: hi})
 		lo = hi
 	}
 	// Each parse worker carves its bodies from an arena of its own.
-	parseGroup := func(a *cc.Arena, g [2]int) {
-		for i := g[0]; i < g[1]; i++ {
-			errs[i] = cc.ParseBody(todo[i].Decl, a)
+	parseGroup := func(a *cc.Arena, g *group) {
+		for i := g.lo; i < g.hi && g.err == nil; i++ {
+			g.err = cc.ParseBody(todo[i].Decl, a)
 		}
 	}
 	if workers = min(workers, len(groups)); workers > 1 {
-		next := make(chan [2]int)
+		next := make(chan *group)
 		var wg sync.WaitGroup
 		for range workers {
 			wg.Add(1)
@@ -423,20 +434,20 @@ func (p *Program) BuildUnits(units []*Unit, workers int) (parsed int, err error)
 				}
 			}()
 		}
-		for _, g := range groups {
-			next <- g
+		for i := range groups {
+			next <- &groups[i]
 		}
 		close(next)
 		wg.Wait()
 	} else {
 		var a cc.Arena
-		for _, g := range groups {
-			parseGroup(&a, g)
+		for i := range groups {
+			parseGroup(&a, &groups[i])
 		}
 	}
-	for i, err := range errs {
-		if err != nil {
-			return 0, fmt.Errorf("parse %s: %w", todo[i].Decl.File, err)
+	for _, g := range groups {
+		if g.err != nil {
+			return 0, fmt.Errorf("parse %s: %w", todo[g.lo].Decl.File, g.err)
 		}
 	}
 	var cb cfg.Builder
@@ -446,12 +457,16 @@ func (p *Program) BuildUnits(units []*Unit, workers int) (parsed int, err error)
 		p.buildBody(&cb, fn)
 		sites = p.resolveSites(fn, &ss, sites)
 	}
+	if p.unbuilt -= len(todo); p.unbuilt == 0 {
+		p.ReleaseFrontEnd()
+	}
 	return len(todo), nil
 }
 
 // ReleaseFrontEnd drops what BuildUnits reads — the type environment
 // and every skimmed body's token stream — once nothing will build a
-// unit again. Built bodies are unaffected.
+// unit again; BuildUnits calls it when it has built every body. Built
+// bodies are unaffected.
 func (p *Program) ReleaseFrontEnd() {
 	p.env = nil
 	for _, fn := range p.All {
@@ -459,14 +474,19 @@ func (p *Program) ReleaseFrontEnd() {
 	}
 }
 
-// BuildSource parses the given named sources and assembles a program.
-// srcs maps file name to C source text.
+// BuildSource runs pass 1 over the given named sources (cc.SkimFiles),
+// assembles a program and builds every unit, returning the first parse
+// error in source order. srcs maps file name to C source text.
 func BuildSource(srcs map[string]string) (*Program, error) {
-	files, err := cc.ParseFiles(srcs, 1)
+	files, err := cc.SkimFiles(srcs, 1)
 	if err != nil {
 		return nil, err
 	}
-	return Build(files...), nil
+	p := Assemble(files...)
+	if _, err := p.BuildUnits(p.units, 1); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // Resolve finds the definition a call expression targets, or nil for

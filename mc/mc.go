@@ -227,9 +227,10 @@ type Result struct {
 // There is one body for every run (DESIGN.md §8). With a store, each
 // checker's work is one keyed task per call-graph unit: units whose
 // record the store (or a fleet worker) holds replay, the rest run on the
-// checker's engine in order, cut into records at the unit boundaries;
-// only those units' bodies are parsed and built. Without one, nothing
-// is keyed and each checker's work is one task, the whole program.
+// checker's engine in order, cut into records at the unit boundaries.
+// Without one, nothing is keyed and each checker's work is one task,
+// the whole program. Either way only the units of live tasks have
+// their bodies parsed and built.
 //
 // The context cancels the analysis mid-traversal, and its deadline is
 // the run's time bound (context.WithTimeout): the engines stop at the
@@ -256,31 +257,18 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 	cached := a.cacheStore != nil
 	incr := &IncrStats{} // Result.Incr when cached
 
-	// Pass 1. With a store it skims each body (DESIGN.md §8): a unit's
-	// bodies are parsed and built only when some checker's task for the
-	// unit runs live. Without one, every body is parsed and built here.
+	// Pass 1 skims each body (DESIGN.md §8): a unit's bodies are parsed
+	// and built only when some checker's task for the unit runs live.
 	t0 := time.Now()
-	var files []*cc.File
-	var err error
-	if cached {
-		files, err = a.skimSources(incr)
-	} else {
-		files, err = a.parseSources(incr)
-	}
+	files, err := a.skimSources(incr)
 	if err != nil {
 		return nil, err
 	}
 	incr.ParseNanos = time.Since(t0).Nanoseconds()
 
 	t0 = time.Now()
-	var tree *UnitTree
+	tree := newUnitTree(files, cached)
 	var missed []bool // by Function.Index: in a keyed task the store lacked, counted once into FuncsInvalidated
-	if cached {
-		tree = NewUnitTree(files)
-		missed = make([]bool, len(tree.Prog.All))
-	} else {
-		tree = &UnitTree{Prog: prog.Build(files...)}
-	}
 	p := tree.Prog
 	defer p.ReleaseFrontEnd()
 	for _, fn := range p.All {
@@ -321,6 +309,9 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 		a.probeTasks(tasks, incr)
 		for _, t := range tasks {
 			if t.key != "" && !t.replayed {
+				if missed == nil {
+					missed = make([]bool, len(p.All))
+				}
 				for _, fn := range t.funcs {
 					if !missed[fn.Index] {
 						missed[fn.Index] = true
@@ -330,11 +321,9 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 			}
 		}
 		a.dispatchRemote(ctx, tasks, shared, incr)
-		if cached {
-			parsed, err := tree.build(tasks, a.parallelism(), func(int) *core.CompiledDispatch { return compiled })
-			if incr.BodiesParsed += parsed; err != nil {
-				return nil, err
-			}
+		parsed, err := tree.build(tasks, a.parallelism(), func(int) *core.CompiledDispatch { return compiled })
+		if incr.BodiesParsed += parsed; err != nil {
+			return nil, err
 		}
 		runLive(ctx, sem, tasks, func(ci int) *core.Engine {
 			engines[ci] = a.liveEngine(p, ci, compiled, shared)
@@ -463,11 +452,11 @@ func (r *Result) Grouped() []rank.RuleGroup { return rank.Grouped(r.Reports, r.R
 // over the registered sources: it parses them and assembles the
 // program, and needs neither a checker nor a run.
 func (a *Analyzer) InferPairs(filter func(string) bool) ([]checkers.InferredPair, error) {
-	files, err := a.parseSources(&IncrStats{})
+	p, err := a.program()
 	if err != nil {
 		return nil, err
 	}
-	return checkers.InferPairs(prog.Build(files...), filter), nil
+	return checkers.InferPairs(p, filter), nil
 }
 
 // Supergraph renders the block and suffix summaries of the named
@@ -479,11 +468,10 @@ func (a *Analyzer) InferPairs(filter func(string) bool) ([]checkers.InferredPair
 // holds for the function just before it retires the function's unit.
 // A function the program does not define renders nil.
 func (a *Analyzer) Supergraph(ctx context.Context, fn string) (map[string]string, error) {
-	files, err := a.parseSources(&IncrStats{})
+	p, err := a.program()
 	if err != nil {
 		return nil, err
 	}
-	p := prog.Build(files...)
 	if p.Lookup(fn) == nil {
 		return nil, nil
 	}

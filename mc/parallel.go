@@ -7,35 +7,40 @@ import (
 )
 
 // This file is the set-up half of RunContext's parallel execution:
-// pass-1 parsing fans out over a worker pool, and checker engines run
+// pass 1 fans out over a worker pool, and checker engines run
 // concurrently within the phases planned by core.PlanPhases (runLive,
 // unitrun.go). The scheduling never changes observable output — sources
 // are parsed into name-sorted slots, engines only share the read-only
 // prog.Program and the mutex-guarded core.Shared store, and the merge
 // in RunContext reads tasks back in checker load order.
 
-// parseSources runs pass 1 and parses every body (cc.ParseFiles) on the
-// worker pool. Pre-parsed ASTs (AddAST) pass through untouched. incr
-// receives the file count.
-func (a *Analyzer) parseSources(incr *IncrStats) ([]*cc.File, error) {
-	return a.pass1(incr, cc.ParseFiles)
-}
-
-// skimSources runs pass 1 alone (cc.SkimFiles) on the worker pool, on
-// every run: declarations are parsed and bodies skimmed, and no store
-// stands in for it (DESIGN.md §8). UnitTree.build parses the bodies a
-// run needs.
+// skimSources runs pass 1 (cc.SkimFiles) on the worker pool, on every
+// run: declarations are parsed and bodies skimmed, and no store stands
+// in for it (DESIGN.md §8). UnitTree.build parses the bodies a run
+// needs. Pre-parsed ASTs (AddAST) pass through untouched. incr receives
+// the file count.
 func (a *Analyzer) skimSources(incr *IncrStats) ([]*cc.File, error) {
-	return a.pass1(incr, cc.SkimFiles)
-}
-
-func (a *Analyzer) pass1(incr *IncrStats, pass func(map[string]string, int) ([]*cc.File, error)) ([]*cc.File, error) {
-	files, err := pass(a.srcs, a.parallelism())
+	files, err := cc.SkimFiles(a.srcs, a.parallelism())
 	if err != nil {
 		return nil, err
 	}
 	incr.FilesReparsed = len(files)
 	return append(append([]*cc.File(nil), a.files...), files...), nil
+}
+
+// program runs pass 1 and builds every unit: the whole program that
+// Supergraph and InferPairs inspect. Its error is the first parse error
+// in source order, as a run's is.
+func (a *Analyzer) program() (*prog.Program, error) {
+	files, err := a.skimSources(&IncrStats{})
+	if err != nil {
+		return nil, err
+	}
+	p := prog.Assemble(files...)
+	if _, err := p.BuildUnits(p.Units(), a.parallelism()); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // liveEngine builds the traversal engine for checker ci over the run's

@@ -5,7 +5,7 @@ package mc
 // through a cold or warm incremental cache, or none — must produce
 // output byte-identical to that of engines that retire nothing: one
 // core.Engine per checker nobody called SetRetire on, phase by phase
-// over one prog.Build (residentReference).
+// over one whole program (residentReference).
 
 import (
 	"context"
@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/prog"
 	"repro/internal/rank"
 	"repro/internal/workload"
 )
@@ -54,15 +53,15 @@ func streamRun(t *testing.T, srcs map[string]string, jobs int, store cache.Store
 
 // residentReference is what the product is held to: the analyzer's
 // sources and checkers run on engines that retire nothing, one per
-// checker in core.PlanPhases order over one prog.Build, their report
-// streams and rule counts merged in checker load order.
+// checker in core.PlanPhases order over one program built whole by the
+// run's own pass 1, their report streams and rule counts merged in
+// checker load order.
 func residentReference(t *testing.T, a *Analyzer) *Result {
 	t.Helper()
-	files, err := a.parseSources(&IncrStats{})
+	p, err := a.program()
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := prog.Build(files...)
 	shared := a.preMarked()
 	compiled := core.CompileDispatch(p, a.checkers)
 	engines := make([]*core.Engine, len(a.checkers))
@@ -249,7 +248,10 @@ func TestStreamingDeterminismMatrix(t *testing.T) {
 // (166 under -race, which jitters it: hence 20 runs a side); 4,305
 // against 4,140, 165 more, since a function's tables are arrays; 4,100
 // against 3,957, 143 more (also under -race), since the merge adopts a
-// checker's stats when it ran as one task. The bound
+// checker's stats when it ran as one task; 4,132 against 3,985, 147
+// more, since a run without a store skims and builds its units as a
+// run with one does, and the reference builds its program by the same
+// pass 1 (Analyzer.program). The bound
 // is that excess + 5 %, absolute (PR 37). The excess is mostly mc's task
 // and merge bookkeeping; retirement's own is one counter slice per
 // engine and the releaser (DESIGN §12.3).

@@ -72,10 +72,11 @@ type UnitRun struct {
 // key) means those units run locally; it never fails the analysis.
 type UnitRunner = func(ctx context.Context, run *UnitRun) error
 
-// UnitTree is a built program with the content fingerprints every unit
-// key is derived from. RunContext builds one without them (keyed false)
-// for a run that has no store: nothing is keyed, and tasks hands every
-// checker the whole program.
+// UnitTree is an assembled program with the content fingerprints every
+// unit key is derived from; build builds the units its tasks run.
+// RunContext makes one without the fingerprints (keyed false) for a run
+// that has no store: nothing is keyed, and tasks hands every checker
+// the whole program.
 type UnitTree struct {
 	Prog     *prog.Program
 	keyed    bool
@@ -94,12 +95,18 @@ type UnitTree struct {
 // declaration and body tokens (cc.Hasher.Func) are what every unit key
 // derives from. One cc.Hasher hashes them all; a digest is rendered as
 // hex only where it enters a key.
-func NewUnitTree(files []*cc.File) *UnitTree {
+func NewUnitTree(files []*cc.File) *UnitTree { return newUnitTree(files, true) }
+
+// newUnitTree is NewUnitTree, fingerprinted only when keyed.
+func newUnitTree(files []*cc.File, keyed bool) *UnitTree {
 	p := prog.Assemble(files...)
+	t := &UnitTree{Prog: p, keyed: keyed}
+	if !keyed {
+		return t
+	}
 	h := cc.NewHasher()
 	env := h.Env(files)
-	t := &UnitTree{Prog: p, keyed: true, checkers: map[string]*unitChecker{},
-		envFP: hex.EncodeToString(env[:]), funcHash: make([][sha256.Size]byte, len(p.All))}
+	t.envFP, t.funcHash = hex.EncodeToString(env[:]), make([][sha256.Size]byte, len(p.All))
 	for _, fn := range p.All {
 		t.funcHash[fn.Index] = h.Func(fn.Decl)
 	}
@@ -284,6 +291,9 @@ func (t *UnitTree) checker(src string) (uc *unitChecker, fresh bool) {
 	defer t.mu.Unlock()
 	uc, seen := t.checkers[src]
 	if !seen {
+		if t.checkers == nil {
+			t.checkers = map[string]*unitChecker{}
+		}
 		if c, err := metal.Parse(src); err == nil {
 			uc = &unitChecker{c: c, compiled: core.CompileDispatch(t.Prog, []*metal.Checker{c})}
 		}
@@ -346,24 +356,30 @@ func (t *UnitTree) RunUnits(ctx context.Context, sem chan struct{}, run *UnitRun
 
 // build parses and builds the bodies of the units of the tasks nothing
 // replayed that the tree has not built yet, on a pool of at most
-// workers goroutines, and adds those units to the dispatch each task's
-// checker runs with (DESIGN.md §8): a unit every checker replays is
-// never parsed. It returns how many bodies it parsed, and the first
-// parse error in source order. Under the tree's lock: the engines of a
+// workers goroutines, and adds those units to the dispatch of each
+// task's checker (DESIGN.md §8): a unit every checker replays is never
+// parsed. It returns how many bodies it parsed, and the first parse
+// error in source order. Under the tree's lock: the engines of a
 // concurrent RunUnits call read only their own units, which it does
 // not write; RunContext calls it between phases.
 func (t *UnitTree) build(tasks []*unitTask, workers int, dispatch func(ci int) *core.CompiledDispatch) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var units []*prog.Unit
-	seen := make([]bool, len(t.Prog.Units()))
-	byDispatch := map[*core.CompiledDispatch][]*prog.Unit{}
+	// Every dispatch is handed the one list of units, each once: a unit
+	// only another checker runs costs it tables it never reads, where a
+	// list per checker would cost a run without a store, whose every
+	// task covers every unit, an entry per checker and unit.
+	n := len(t.Prog.Units())
+	units, seen := make([]*prog.Unit, 0, n), make([]bool, n)
+	var one [1]*core.CompiledDispatch // room for a run's one dispatch
+	cds := one[:0]
 	for _, task := range tasks {
 		if task.replayed {
 			continue
 		}
-		cd := dispatch(task.ci)
-		byDispatch[cd] = append(byDispatch[cd], task.units...)
+		if cd := dispatch(task.ci); !slices.Contains(cds, cd) {
+			cds = append(cds, cd)
+		}
 		for _, u := range task.units {
 			if !seen[u.Index] {
 				seen[u.Index] = true
@@ -378,8 +394,8 @@ func (t *UnitTree) build(tasks []*unitTask, workers int, dispatch func(ci int) *
 	if err != nil {
 		return parsed, err
 	}
-	for cd, us := range byDispatch {
-		cd.AddUnits(t.Prog, us)
+	for _, cd := range cds {
+		cd.AddUnits(t.Prog, units)
 	}
 	return parsed, nil
 }

@@ -10,6 +10,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -19,10 +20,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/cc"
 	"repro/internal/cfg"
 	"repro/internal/prog"
 	"repro/internal/workload"
+	"repro/mc"
 )
 
 // skimCases are bodies at the edges of the skim's grammar, each one a
@@ -57,6 +60,7 @@ var skimCases = []struct{ name, src, callees string }{
 	{"late-typedef", "int g(int); int f(int T, int x) { T * x; return g(T); } typedef int T;", "f:g"},
 	{"late-tag", "int g(int); int f(void) { struct s *p = 0; return g(p != 0); } struct s { int a; };", "f:g"},
 	{"shadowed-typedef", "typedef int T; int g(int); int f(void) { T x = 1; return g(x); } typedef long U; typedef char T2;", "f:g"},
+	{"returns-function-pointer", "int g(int); void (*signal(int, void (*)(int)))(int); int (*pick(void))(int) { return g; } int f(void) { signal(2, 0); return pick()(1); }", "pick: f:pick,signal"},
 }
 
 // cfgCallees lists the names of the direct calls among the points of
@@ -102,11 +106,30 @@ func skimTrees(t *testing.T) map[string]map[string]string {
 	return trees
 }
 
+// parseEach parses each file whole (cc.ParseFile), in name order: the
+// oracle pass 1 is held to. Its error is the first file's that fails.
+func parseEach(srcs map[string]string) ([]*cc.File, error) {
+	names := make([]string, 0, len(srcs))
+	for n := range srcs {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	files := make([]*cc.File, len(names))
+	for i, n := range names {
+		f, err := cc.ParseFile(n, srcs[n])
+		if err != nil {
+			return nil, fmt.Errorf("parse %s: %w", n, err)
+		}
+		files[i] = f
+	}
+	return files, nil
+}
+
 // checkSkim runs the oracle over one tree and returns how many bodies
 // the skim left to the parser.
 func checkSkim(t *testing.T, name string, srcs map[string]string) (skimmed, eager int) {
 	t.Helper()
-	parsed, err := cc.ParseFiles(srcs, 1)
+	parsed, err := parseEach(srcs)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -244,7 +267,7 @@ type digestPair struct {
 // digests maps each function of the tree to its parsed definition's
 // HashDecl and its skimmed definition's Hasher.Func digest.
 func digests(t *testing.T, srcs map[string]string) map[string]digestPair {
-	parsed, err := cc.ParseFiles(srcs, 1)
+	parsed, err := parseEach(srcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,21 +300,26 @@ func firstError(name, src string) error {
 	return nil
 }
 
+// skimErrorCases are files that do not parse: the error sits in a
+// declaration, in a body, or in both, in either order.
+var skimErrorCases = []string{
+	"int f(void) { return 1 } int g(void) { return 2; }",
+	"int f(void) { return 1 } int x = ;",
+	"int f(void) { return 1; } int x = ; int g(void) { return 2 }",
+	"int f(void) { if }",
+	"void f(void) { L:; L:; }",
+	"int f(void) { typedef int T; T x = ; }",
+	"int f(void) { x = (; }",
+	"int f(void) { return 0;",
+	"int f(void) { return 0; } }",
+	"int A(){}int A(){00}",
+}
+
 // TestSkimErrors: a run that skims reports the error a whole-file parse
 // reports, whether a declaration or a body holds it, and whichever
 // comes first in source order.
 func TestSkimErrors(t *testing.T) {
-	for _, src := range []string{
-		"int f(void) { return 1 } int g(void) { return 2; }",
-		"int f(void) { return 1 } int x = ;",
-		"int f(void) { return 1; } int x = ; int g(void) { return 2 }",
-		"int f(void) { if }",
-		"void f(void) { L:; L:; }",
-		"int f(void) { typedef int T; T x = ; }",
-		"int f(void) { x = (; }",
-		"int f(void) { return 0;",
-		"int f(void) { return 0; } }",
-	} {
+	for _, src := range skimErrorCases {
 		_, want := cc.ParseFile("e.c", src)
 		got := firstError("e.c", src)
 		if want == nil || got == nil || got.Error() != want.Error() {
@@ -300,7 +328,7 @@ func TestSkimErrors(t *testing.T) {
 	}
 	// Across files, the first sorted file's error wins.
 	srcs := map[string]string{"a.c": "int f(void) { return 1 }", "b.c": "int x = ;"}
-	_, want := cc.ParseFiles(srcs, 2)
+	_, want := parseEach(srcs)
 	_, got := cc.SkimFiles(srcs, 2)
 	var pe *cc.ParseError
 	if want == nil || got == nil || got.Error() != want.Error() || !errors.As(got, &pe) {
@@ -376,4 +404,46 @@ func balanced(toks []cc.Token) bool {
 		}
 	}
 	return depth == 0
+}
+
+// TestParseErrorsAgreeOnEveryPath: every door that parses sources fails
+// a file that does not parse with the one message a whole-file parse
+// gives — a run without a store, a run with an empty store,
+// Supergraph, InferPairs and prog.BuildSource alike.
+func TestParseErrorsAgreeOnEveryPath(t *testing.T) {
+	for _, src := range skimErrorCases {
+		srcs := map[string]string{"a.c": "int ok(void) { return 0; }", "e.c": src}
+		_, want := parseEach(srcs)
+		if want == nil {
+			t.Fatalf("%q parses", src)
+		}
+		analyzer := func(store cache.Store) *mc.Analyzer {
+			a := mc.NewAnalyzer()
+			if err := a.Configure(mc.RunConfig{Jobs: 2, CacheStore: store}); err != nil {
+				t.Fatal(err)
+			}
+			for name, src := range srcs {
+				a.AddSource(name, src)
+			}
+			if err := a.LoadBundledChecker("free"); err != nil {
+				t.Fatal(err)
+			}
+			return a
+		}
+		paths := map[string]func() error{
+			"run": func() error { _, err := analyzer(nil).RunContext(context.Background()); return err },
+			"run with a store": func() error {
+				_, err := analyzer(cache.NewMemStore()).RunContext(context.Background())
+				return err
+			},
+			"Supergraph":  func() error { _, err := analyzer(nil).Supergraph(context.Background(), "ok"); return err },
+			"InferPairs":  func() error { _, err := analyzer(nil).InferPairs(nil); return err },
+			"BuildSource": func() error { _, err := prog.BuildSource(srcs); return err },
+		}
+		for name, run := range paths {
+			if got := run(); got == nil || got.Error() != want.Error() {
+				t.Errorf("%q: %s fails with %v, a whole-file parse with %v", src, name, got, want)
+			}
+		}
+	}
 }
