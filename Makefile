@@ -80,6 +80,8 @@ no-deleted-knobs:
 	! grep -rnE 'map\[[s]tring\]uint32|fp[s]\[[s]tring|fi[.]term[s]\b|funcInfo[.]term[s]\b' --include=*.go .
 # exports only tests called: loop havoc, statement parser and printer, test-only helpers, extra run doors, action and callout registration (TestNoTestOnlyExports).
 	! grep -rnE 'Havoc[A]ssigned|havoc[S]tmt|havoc[E]xpr|Stmt[S]tring|write[S]tmt|Is[I]nteger|\.Transitions[F]rom\(|\.Has[V]arState\(|Must[P]arse|\bBy[Z]\(|\.By[R]ule\(|Sorted[F]iles|Add[D]irectory|cc\.Round[T]rip|func Round[T]rip|Block[F]or\(|Register[A]ction|Register[C]allout|\.Run[F]unction\(|\.Run[R]oots\(' --include=*.go .
+# an instance or why-trace cell made outside the engine's slabs: a split, a refine, a restore, a synonym and a trace event take the next element (DESIGN §5).
+	! grep -rnE '&Instanc[e]\{|&traceLis[t]\{|new\((Instanc[e]|traceLis[t])\)' --include=*.go --exclude=*_test.go internal/core
 # a process-wide pool in the engine: retired summary memory is the evicting engine's (DESIGN §12.1).
 	! grep -rn 'sync\.[P]ool' --include=*.go internal/core
 # a process-wide pool in the front end: an arena is a pass's, not the process's (DESIGN §10.4).

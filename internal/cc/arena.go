@@ -44,6 +44,7 @@ type Arena struct {
 	stmtLists slab.Slab[Stmt]
 	exprLists slab.Slab[Expr]
 	varLists  slab.Slab[*VarDecl]
+	callees   slab.Slab[string] // a skimmed body's callee names
 
 	// The parser's stacks and skim scratch, between the parses they are
 	// lent to (Parser.useArena).
@@ -143,6 +144,8 @@ func popList[T any](p *Parser, stack *[]T, start int) []T {
 			lists = &a.exprLists
 		case *[]*VarDecl:
 			lists = &a.varLists
+		case *[]string:
+			lists = &a.callees
 		}
 	}
 	var out []T

@@ -696,7 +696,7 @@ type skimmer struct {
 	start    []int32
 	adj      []int32
 	stack    []int32
-	callees  []string // the callee names of the pass worker's bodies, carved per body
+	callees  []string // the body's callee names, until they are carved
 }
 
 type skimCall struct {
@@ -747,7 +747,8 @@ func (sk *skimmer) flow(n int32) {
 }
 
 // skimCallees skims the body spanning toks[lo..hi] and returns its
-// callees, carved from the skimmer's array; false leaves it to the parser.
+// callees, carved from the pass's arena at their count; false leaves it
+// to the parser.
 func (p *Parser) skimCallees(lo, hi int) ([]string, bool) {
 	sk := &p.sk
 	sk.nodes, sk.edges, sk.calls, sk.labels, sk.gotos = 0, sk.edges[:0], sk.calls[:0], sk.labels[:0], sk.gotos[:0]
@@ -766,17 +767,13 @@ func (p *Parser) skimCallees(lo, hi int) ([]string, bool) {
 		}
 	}
 	sk.reachFrom(0)
-	start := len(sk.callees)
 	for _, c := range sk.calls {
-		if sk.reach[c.node] && !slices.Contains(sk.callees[start:], c.name) {
+		if sk.reach[c.node] && !slices.Contains(sk.callees, c.name) {
 			sk.callees = append(sk.callees, c.name)
 		}
 	}
 	clear(sk.calls)
-	if len(sk.callees) == start {
-		return nil, true
-	}
-	return sk.callees[start:len(sk.callees):len(sk.callees)], true
+	return popList(p, &sk.callees, 0), true
 }
 
 // reachFrom marks the nodes reachable from n over the edges.

@@ -61,8 +61,7 @@ type stacks struct {
 // useArena gives the parser the arena a for one call that parses, with
 // the stacks and skim scratch the arena holds; releaseArena hands them
 // back, emptied, so nothing a failed parse left on them stays
-// reachable. The skim's callee array is appended to, never emptied:
-// each body's callee names are a capped slice of it.
+// reachable.
 func (p *Parser) useArena(a *Arena) {
 	p.arena = a
 	if a != nil {

@@ -193,7 +193,7 @@ var verbs = map[string]actionFunc{
 	// why-trace without reporting.
 	"note": func(ctx *actionCtx, args []pattern.Arg) {
 		if len(args) > 0 && ctx.Inst != nil {
-			ctx.Inst.trace = ctx.Inst.trace.push(traceNote, ctx.Point, ctx.format(args), "")
+			ctx.Inst.trace = ctx.Engine.push(ctx.Inst.trace, traceNote, ctx.Point, ctx.format(args), "")
 		}
 	},
 }

@@ -40,12 +40,12 @@ func (en *Engine) handleAssign(st *pathState, rec *blockRec, asg *cc.AssignExpr,
 					en.nextGroup++
 					src.Group = en.nextGroup
 				}
-				newInst = src.clone()
+				newInst = en.clone(src)
 				newInst.obj = ix.objID(asg.LHS)
 				newInst.ObjExpr = asg.LHS
 				newInst.SynDepth = src.SynDepth + 1
 				newInst.CreatedAt = pt
-				newInst.trace = newInst.trace.push(traceSynonym, pt, ix.objs.name(newInst.obj), ix.objs.name(obj))
+				newInst.trace = en.push(newInst.trace, traceSynonym, pt, ix.objs.name(newInst.obj), ix.objs.name(obj))
 				en.classifyScope(st.fn, newInst)
 			}
 		}

@@ -130,7 +130,9 @@ func BenchmarkCallRichTraversal(b *testing.B) {
 // trace is one string and a followed call clones only what it keeps;
 // 1,158, 1,161, 1,168 and 1,205-1,215 since a pointer type is made once
 // per element and a type environment carves its signatures; 1,157,
-// 1,160, 1,167 since the dispatch has no program-wide skip table.
+// 1,160, 1,167 since the dispatch has no program-wide skip table;
+// 1,148, 1,151, 1,158 and 1,195-1,205 since an instance and a trace
+// cell are elements of the engine's slabs.
 // 5 % above plain is inside what -race reads, so the ceiling is the
 // highest -race reading plus the 86 the previous ceiling kept over its
 // own. The count repeats to the unit, so a
@@ -151,7 +153,10 @@ const callRichAllocCeiling = 1_327
 // parameters it keeps and a type environment carves its signatures from
 // slabs (the chunks' tails); 203,824, 204,032 and 201,456 since the
 // dispatch has no program-wide skip table or union and a Program
-// counts the bodies it has yet to build.
+// counts the bodies it has yet to build; 204,368, 204,576 and 202,000,
+// up to 206,416 under -race, since instances and trace cells come from
+// the engine's slabs (the chunks' tails; an Instance shrank from 176
+// bytes to 144 to pay for them).
 // The edge's own size is TestEdgeIsThreeIntegers'.
 const callRichByteCeiling = 211_932
 
@@ -188,16 +193,18 @@ func TestCallRichTraversalAllocs(t *testing.T) {
 // BenchmarkInstanceClone measures the per-clone cost of an instance
 // with a shared cons-list trace. Cloning happens at every path split
 // and call boundary for every active instance, so this is the engine's
-// hottest allocation site.
+// hottest instance site: a clone is the next element of the engine's
+// slab, one chunk per few clones.
 func BenchmarkInstanceClone(b *testing.B) {
+	en := new(Engine)
 	in := &Instance{v: 1, obj: 1, val: 3}
 	for i := 0; i < 8; i++ {
-		in.trace = in.trace.push(traceMoves, nil, "locked", "unlocked")
+		in.trace = en.push(in.trace, traceMoves, nil, "locked", "unlocked")
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if cp := in.clone(); cp.trace != in.trace {
-			b.Fatal("clone must share the trace")
+		if cp := en.clone(in); cp == in || cp.trace != in.trace {
+			b.Fatal("a clone must be a new instance that shares the trace")
 		}
 	}
 }

@@ -182,6 +182,10 @@ func newDispatch(p *prog.Program, checkers []*metal.Checker) *CompiledDispatch {
 	return cd
 }
 
+// HasUnit reports whether the dispatch has u's admit tables (AddUnits),
+// which it has only once u's bodies are built.
+func (cd *CompiledDispatch) HasUnit(u *prog.Unit) bool { return cd.rootAdmit[u.Roots[0].Index] != nil }
+
 // AddUnits computes the admit tables of the given units whose bodies
 // are built (prog.Program.BuildUnits), skipping any it already has and
 // any with a body not built yet. It writes only those units' entries,
@@ -189,7 +193,7 @@ func newDispatch(p *prog.Program, checkers []*metal.Checker) *CompiledDispatch {
 // AddUnits calls must not overlap.
 func (cd *CompiledDispatch) AddUnits(p *prog.Program, units []*prog.Unit) {
 	skip := func(u *prog.Unit) bool {
-		return cd.rootAdmit[u.Roots[0].Index] != nil ||
+		return cd.HasUnit(u) ||
 			slices.ContainsFunc(u.Funcs, func(fn *prog.Function) bool { return fn.Graph == nil })
 	}
 	if i := slices.IndexFunc(units, skip); i >= 0 {

@@ -42,7 +42,7 @@ func TestDuplicateReportRendersNothing(t *testing.T) {
 	ix := &en.intern
 	inst := &Instance{v: ix.vars.id("v"), obj: ix.objs.id("p->next"), ObjExpr: obj, val: ix.vals.id("freed"), StartFunc: "f"}
 	free, _ := cc.ParseExprString("kfree(p->next)")
-	inst.trace = inst.trace.push(traceEnters, free, "p->next", "freed")
+	inst.trace = en.push(nil, traceEnters, free, "p->next", "freed")
 	ctx := &en.act
 	*ctx = actionCtx{Engine: en, State: st, Pos: cc.Pos{File: "d.c", Line: 1}, Inst: inst}
 	en.emitReport(ctx, "using p->next after free!")

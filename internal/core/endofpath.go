@@ -98,11 +98,11 @@ func (en *Engine) emitReport(ctx *actionCtx, msg string) {
 		r.Class = st.pathClass
 	}
 	if in != nil {
-		r.Conditionals = in.Conds
-		r.SynonymDepth = in.SynDepth
+		r.Conditionals = int(in.Conds)
+		r.SynonymDepth = int(in.SynDepth)
 		r.Interprocedural = in.StartFunc != st.fn.Name
 		if r.Interprocedural {
-			d := st.callDepth - in.CallDepth
+			d := st.callDepth - int(in.CallDepth)
 			if d < 0 {
 				d = -d
 			}

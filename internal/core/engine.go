@@ -11,6 +11,7 @@ import (
 	"repro/internal/pattern"
 	"repro/internal/prog"
 	"repro/internal/report"
+	"repro/internal/slab"
 )
 
 // Options selects engine features; the default enables everything the
@@ -184,7 +185,7 @@ type Engine struct {
 	// (stream.go).
 	terms     fpp.Table
 	callouts  pattern.Registry
-	nextGroup int
+	nextGroup int32
 	// intern numbers the checker's state symbols and the tracked
 	// objects, and hash-conses state tuples for the summary caches
 	// (intern.go); one table per engine, engines are single-goroutine.
@@ -231,6 +232,15 @@ type Engine struct {
 	// observed by an earlier one, which has already returned.
 	backtrace []traceEntry
 	callStack []*prog.Function
+	// insts and cells are the slabs every instance and every why-trace
+	// cell is taken from (Engine.clone, Engine.push): a split, a call's
+	// refine and restore and a synonym copy an instance into the next
+	// element instead of a heap object of its own. An element is never
+	// handed out twice; its chunk lives as long as anything points into
+	// it, a path's active set, a provenance table (funcInfo.provs) or a
+	// Tuple.Prov.
+	insts slab.Slab[Instance]
+	cells slab.Slab[traceList]
 	// frames is the pool of path states whose traversal has returned
 	// (frame, release). A frame keeps its instance, pending and fact
 	// arrays, so a split copies into arrays an earlier path grew.

@@ -172,7 +172,7 @@ func (en *Engine) applyExtension(st *pathState, b *cfg.Block, rec *blockRec, pt 
 				for _, m := range st.sm.GroupMembers(inst) {
 					if m.val == oldVal {
 						m.val = r.dest.val
-						m.trace = m.trace.push(traceMoves, pt, en.intern.vals.name(oldVal), r.Dest.Val)
+						m.trace = en.push(m.trace, traceMoves, pt, en.intern.vals.name(oldVal), r.Dest.Val)
 					}
 				}
 			}

@@ -10,7 +10,8 @@ import (
 // createInstance attaches a new state to a program object, spawning a
 // new state machine (§2.1).
 func (en *Engine) createInstance(st *pathState, rec *blockRec, dest stateSym, objExpr cc.Expr, pt cc.Expr) *Instance {
-	inst := &Instance{
+	inst := en.insts.New()
+	*inst = Instance{
 		v:         dest.v,
 		obj:       en.intern.objID(objExpr),
 		ObjExpr:   objExpr,
@@ -18,10 +19,10 @@ func (en *Engine) createInstance(st *pathState, rec *blockRec, dest stateSym, ob
 		CreatedAt: pt,
 		StartPos:  posOf(pt),
 		StartFunc: st.fn.Name,
-		CallDepth: st.callDepth,
+		CallDepth: int32(st.callDepth),
 	}
 	if pt != nil {
-		inst.trace = inst.trace.push(traceEnters, pt, en.intern.objs.name(inst.obj), en.intern.vals.name(dest.val))
+		inst.trace = en.push(nil, traceEnters, pt, en.intern.objs.name(inst.obj), en.intern.vals.name(dest.val))
 	}
 	en.classifyScope(st.fn, inst)
 	st.sm.Active = append(st.sm.Active, inst)

@@ -46,7 +46,7 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, bi *blockInfo, rec *bl
 	for _, inst := range st.sm.Active {
 		switch {
 		case inst.GlobalObj:
-			en.refined = append(en.refined, inst.clone())
+			en.refined = append(en.refined, en.clone(inst))
 		case inst.Static:
 			// File-scope variables pass when the callee is in their
 			// file; otherwise they are held inactive at the boundary
@@ -54,7 +54,7 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, bi *blockInfo, rec *bl
 			// reenter-scope-down-the-call-chain case by holding them
 			// with the caller's saved state).
 			if callee.Decl.File == inst.HomeFile {
-				cp := inst.clone()
+				cp := en.clone(inst)
 				cp.Inactive = false
 				en.refined = append(en.refined, cp)
 			} else {
@@ -64,14 +64,14 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, bi *blockInfo, rec *bl
 		default:
 			mapped, ok := refineObj(inst.ObjExpr, maps)
 			if ok && !mentions(mapped, callerLocal) {
-				cp := inst.clone()
+				cp := en.clone(inst)
 				cp.ObjExpr = mapped
 				cp.obj = en.intern.objID(mapped)
 				en.refined = append(en.refined, cp)
 			} else if !mentionsLocals(inst.ObjExpr, st.fn) {
 				// Mentions no caller locals: passes through (unknown
 				// or extern objects).
-				en.refined = append(en.refined, inst.clone())
+				en.refined = append(en.refined, en.clone(inst))
 			} else {
 				// "All state attached to variables and expressions
 				// that are local to the caller is saved at the call
@@ -130,7 +130,7 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, bi *blockInfo, rec *bl
 			cst := en.enter(st, callee, refined.g)
 			for _, in := range refined.Active {
 				if in.Inactive || !covered(instTuple(refined.g, in)) {
-					cst.sm.Active = append(cst.sm.Active, in.clone())
+					cst.sm.Active = append(cst.sm.Active, en.clone(in))
 				}
 			}
 			en.traverseBlock(cst, callee.Graph.Entry)
@@ -187,7 +187,7 @@ func (en *Engine) followCall(st *pathState, b *cfg.Block, bi *blockInfo, rec *bl
 		}
 		for _, inst := range saved {
 			if forked {
-				inst = inst.clone()
+				inst = en.clone(inst)
 			}
 			restored.Active = append(restored.Active, inst)
 		}
@@ -383,7 +383,8 @@ func (en *Engine) restoreInstance(t Tuple, maps []prog.ArgMap, caller, callee *p
 	}
 	// The tuple's recorded value and data win over provenance (the
 	// instance snapshot may predate later transitions).
-	inst := &Instance{
+	inst := en.insts.New()
+	*inst = Instance{
 		v:       t.v,
 		obj:     en.intern.objID(objExpr),
 		ObjExpr: objExpr,

@@ -77,7 +77,7 @@ func (en *Engine) enter(caller *pathState, fn *prog.Function, g int32) *pathStat
 // split takes a frame that continues st's path: every field copied, the
 // facts and pending transitions into the frame's own arrays. Its
 // instance array is left empty for the caller to fill: a successor of a
-// branch clones st's instances into it (SM.cloneActive), a call-return
+// branch clones st's instances into it (Engine.cloneActive), a call-return
 // partition restores its own.
 func (en *Engine) split(st *pathState) *pathState {
 	ns := en.frame()

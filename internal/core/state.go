@@ -23,54 +23,53 @@ type Instance struct {
 	// expression key and the state value, numbered by the engine's
 	// interner (intern.go).
 	v, obj, val int32
-	ObjExpr     cc.Expr
+	// Group links synonym instances (§8): instances in the same
+	// nonzero group mirror state changes.
+	Group   int32
+	ObjExpr cc.Expr
 	// Data is the extension-manipulable data value (the paper allows
 	// an arbitrary C struct; we provide an integer, which the action
 	// library manipulates). Data participates in tuple identity so
 	// caching stays sound under determinism.
 	Data int64
 
-	// Group links synonym instances (§8): instances in the same
-	// nonzero group mirror state changes.
-	Group int
-	// SynDepth is the length of the assignment chain that created
-	// this instance (§9 ranking criterion 3).
-	SynDepth int
-
 	// CreatedAt is the program point that created the instance; an
 	// instance cannot trigger a transition at that point (§3.1).
 	CreatedAt cc.Expr
 
-	// Provenance for ranking and error reporting.
+	// Provenance for ranking and error reporting. SynDepth is the
+	// length of the assignment chain that created this instance (§9
+	// ranking criterion 3).
 	StartPos  cc.Pos
 	StartFunc string
-	Conds     int
-	CallDepth int
+	SynDepth  int32
+	Conds     int32
+	CallDepth int32
+
+	// Scope classification of the object. Inactive marks file-scope
+	// instances temporarily out of scope while the analysis is in
+	// another file (§6.1).
+	GlobalObj, Static, Inactive bool
+	HomeFile                    string
+
 	// trace is the instance's event history as an immutable cons list:
 	// clones share the list with the original, so cloning an instance
-	// (the hottest allocation site in the DFS — every path split and
-	// every call boundary clones the whole Active set) copies one
-	// pointer instead of the accumulated history. A cell holds its event,
+	// (every path split and every call boundary clones the whole Active
+	// set) copies one pointer instead of the accumulated history. A cell holds its event,
 	// not its line: the point and the strings the event had at hand. The
 	// lines are rendered only for a report the set keeps (emitReport),
 	// so an instance whose history no report reads costs one cell per
 	// event and no formatting.
 	trace *traceList
-
-	// Scope classification of the object.
-	GlobalObj bool
-	Static    bool
-	HomeFile  string
-	// Inactive marks file-scope instances temporarily out of scope
-	// while the analysis is in another file (§6.1).
-	Inactive bool
 }
 
-// clone copies an instance. The trace cons list is immutable and
-// shared, so the struct copy is the whole operation.
-func (in *Instance) clone() *Instance {
-	cp := *in
-	return &cp
+// clone copies an instance into one taken from the engine's slab. The
+// trace cons list is immutable and shared, so the struct copy is the
+// whole operation.
+func (en *Engine) clone(in *Instance) *Instance {
+	cp := en.insts.New()
+	*cp = *in
+	return cp
 }
 
 // traceKind names a why-trace event; each renders one line format.
@@ -99,14 +98,16 @@ type traceList struct {
 	kind traceKind
 }
 
-// push returns a new list with the event appended. Works on a nil
-// receiver.
-func (t *traceList) push(kind traceKind, pt cc.Expr, a, b string) *traceList {
+// push returns t with the event appended, in a cell taken from the
+// engine's slab. t may be nil.
+func (en *Engine) push(t *traceList, kind traceKind, pt cc.Expr, a, b string) *traceList {
 	n := int32(1)
 	if t != nil {
 		n = t.n + 1
 	}
-	return &traceList{prev: t, pt: pt, a: a, b: b, n: n, kind: kind}
+	c := en.cells.New()
+	*c = traceList{prev: t, pt: pt, a: a, b: b, n: n, kind: kind}
+	return c
 }
 
 // render appends the event's line to buf.
@@ -186,9 +187,9 @@ type SM struct {
 // (§5.1). The instances themselves are cloned, not shared, because a
 // function's provenance table holds the end instance of its summary
 // edges (funcInfo.provs) and restore reads it after the split.
-func (s *SM) cloneActive(from *SM) {
+func (en *Engine) cloneActive(s, from *SM) {
 	for _, in := range from.Active {
-		s.Active = append(s.Active, in.clone())
+		s.Active = append(s.Active, en.clone(in))
 	}
 }
 

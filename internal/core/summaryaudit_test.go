@@ -50,7 +50,7 @@ func freshSummary(en *Engine, cd *CompiledDispatch, ci int, callee *prog.Functio
 	st := fresh.enter(caller, callee, g)
 	start := placeholderTuple(g)
 	if t.obj != 0 {
-		in := t.Prov.clone()
+		in := fresh.clone(t.Prov)
 		in.v, in.val = fx.vars.id(ix.vars.name(in.v)), fx.vals.id(ix.vals.name(in.val))
 		in.obj = fx.objID(in.ObjExpr)
 		st.sm.Active = append(st.sm.Active, in)
@@ -82,6 +82,16 @@ var summaryAuditKnownMisses = map[string][]string{
 // from the exact tuple the summary answered for, and the summary's
 // edges out of that tuple must include the fresh engine's. The hits
 // that fall short must be exactly summaryAuditKnownMisses.
+//
+// The trees audit 13 distinct hits: 11 are
+// rootorder/hothelpers.c's, whose helpers each enter from several
+// callers in one tracked state (a freed pointer, a held lock, an
+// unchecked or live allocation, two freed pointers at once, interrupts
+// disabled, a jail not yet left); the other two are finding4.c's leaf
+// and CallRichTree's drop. The floor is that reading: a change that
+// makes summaries answer fewer calls, or the audit see fewer, fails.
+const minAuditedHits = 13
+
 func TestFunctionSummaryAudit(t *testing.T) {
 	hits := 0
 	for _, tree := range suffixRefTrees(t) {
@@ -91,10 +101,10 @@ func TestFunctionSummaryAudit(t *testing.T) {
 			t.Errorf("%s: summaries fall short at %v, known misses are %v", tree.name, misses, want)
 		}
 	}
-	if hits == 0 {
-		t.Fatal("no function summary was hit; the audit is vacuous")
-	}
 	t.Logf("%d function-summary hits audited", hits)
+	if hits < minAuditedHits {
+		t.Errorf("%d function-summary hits audited, want >= %d", hits, minAuditedHits)
+	}
 }
 
 // summaryAuditMisses runs every bundled checker over the tree, phase by

@@ -92,7 +92,7 @@ func TestReportRenderAllocs(t *testing.T) {
 	var trace *traceList
 	var want []string
 	push := func(kind traceKind, pt cc.Expr, a, b string) {
-		trace = trace.push(kind, pt, a, b)
+		trace = en.push(trace, kind, pt, a, b)
 		pos := posOf(pt)
 		switch kind {
 		case traceEnters:
@@ -156,9 +156,10 @@ func TestReportRenderAllocs(t *testing.T) {
 func BenchmarkReportRender(b *testing.B) {
 	obj, _ := cc.ParseExprString("p->next")
 	free, _ := cc.ParseExprString("kfree(p->next)")
-	trace := (*traceList)(nil).push(traceEnters, free, "p->next", "freed")
+	en := new(Engine)
+	trace := en.push(nil, traceEnters, free, "p->next", "freed")
 	for range 7 {
-		trace = trace.push(traceMoves, free, "freed", "stale")
+		trace = en.push(trace, traceMoves, free, "freed", "stale")
 	}
 	var s reportScratch
 	pos := cc.Pos{File: "d.c", Line: 1, Col: 9}

@@ -234,7 +234,7 @@ func (en *Engine) descend(st *pathState, b *cfg.Block) {
 				continue
 			}
 		}
-		ns.sm.cloneActive(&st.sm)
+		en.cloneActive(&ns.sm, &st.sm)
 		en.noteConditional(ns)
 		en.applyPending(ns, taken)
 		en.traverseBlock(ns, e.To)

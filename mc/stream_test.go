@@ -251,7 +251,9 @@ func TestStreamingDeterminismMatrix(t *testing.T) {
 // checker's stats when it ran as one task; 4,132 against 3,985, 147
 // more, since a run without a store skims and builds its units as a
 // run with one does, and the reference builds its program by the same
-// pass 1 (Analyzer.program). The bound
+// pass 1 (Analyzer.program); 4,121 against 3,976, 145 more (also under
+// -race), since a phase whose units are all built allocates nothing to
+// build them. The bound
 // is that excess + 5 %, absolute (PR 37). The excess is mostly mc's task
 // and merge bookkeeping; retirement's own is one counter slice per
 // engine and the releaser (DESIGN §12.3).

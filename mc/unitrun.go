@@ -368,19 +368,29 @@ func (t *UnitTree) build(tasks []*unitTask, workers int, dispatch func(ci int) *
 	// Every dispatch is handed the one list of units, each once: a unit
 	// only another checker runs costs it tables it never reads, where a
 	// list per checker would cost a run without a store, whose every
-	// task covers every unit, an entry per checker and unit.
-	n := len(t.Prog.Units())
-	units, seen := make([]*prog.Unit, 0, n), make([]bool, n)
+	// task covers every unit, an entry per checker and unit. A unit its
+	// task's dispatch has is built already, so a phase after the first
+	// of a run without a store lists nothing and allocates nothing.
+	var units []*prog.Unit
+	var seen []bool
 	var one [1]*core.CompiledDispatch // room for a run's one dispatch
 	cds := one[:0]
 	for _, task := range tasks {
 		if task.replayed {
 			continue
 		}
-		if cd := dispatch(task.ci); !slices.Contains(cds, cd) {
-			cds = append(cds, cd)
-		}
+		cd := dispatch(task.ci)
 		for _, u := range task.units {
+			if cd.HasUnit(u) {
+				continue
+			}
+			if !slices.Contains(cds, cd) {
+				cds = append(cds, cd)
+			}
+			if seen == nil {
+				n := len(t.Prog.Units())
+				units, seen = make([]*prog.Unit, 0, n), make([]bool, n)
+			}
 			if !seen[u.Index] {
 				seen[u.Index] = true
 				units = append(units, u)
