@@ -82,6 +82,8 @@ no-deleted-knobs:
 	! grep -rnE 'Havoc[A]ssigned|havoc[S]tmt|havoc[E]xpr|Stmt[S]tring|write[S]tmt|Is[I]nteger|\.Transitions[F]rom\(|\.Has[V]arState\(|Must[P]arse|\bBy[Z]\(|\.By[R]ule\(|Sorted[F]iles|Add[D]irectory|cc\.Round[T]rip|func Round[T]rip|Block[F]or\(|Register[A]ction|Register[C]allout|\.Run[F]unction\(|\.Run[R]oots\(' --include=*.go .
 # an instance or why-trace cell made outside the engine's slabs: a split, a refine, a restore, a synonym and a trace event take the next element (DESIGN §5).
 	! grep -rnE '&Instanc[e]\{|&traceLis[t]\{|new\((Instanc[e]|traceLis[t])\)' --include=*.go --exclude=*_test.go internal/core
+# a summary table's second allocator: a funcInfo's carve slabs and the engine's provenance slab, beside the engine's slabs every edge-set, fpSeen and provenance array comes from (DESIGN §5, §12.1).
+	! grep -rnE 'func [c]arve|edge[S]lab|fp[S]lab|prov[S]lab' --include=*.go internal/core
 # a process-wide pool in the engine: retired summary memory is the evicting engine's (DESIGN §12.1).
 	! grep -rn 'sync\.[P]ool' --include=*.go internal/core
 # a process-wide pool in the front end: an arena is a pass's, not the process's (DESIGN §10.4).

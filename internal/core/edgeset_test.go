@@ -46,6 +46,14 @@ func (m *edgeModel) all() []edge {
 	return out
 }
 
+// bareFuncInfo returns a funcInfo of no blocks on an engine of its own,
+// whose interner and slabs its sets use, and that interner.
+func bareFuncInfo() (*funcInfo, *interner) {
+	en := new(Engine)
+	en.intern.init()
+	return &funcInfo{en: en}, &en.intern
+}
+
 func renderEdges(in *interner, edges []edge) string {
 	s := ""
 	for _, e := range edges {
@@ -61,8 +69,8 @@ func renderEdges(in *interner, edges []edge) string {
 func TestEdgeSetMatchesModel(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		in := newInterner()
-		fi, set := &funcInfo{in: in}, &edgeSet{}
+		fi, in := bareFuncInfo()
+		set := &edgeSet{}
 		model := &edgeModel{in: in, buckets: map[string][]edge{}}
 		// A small tuple universe, so starts repeat, pairs collide and
 		// new groups land before, between and after the existing ones.
@@ -123,9 +131,8 @@ func TestEdgeIsThreeIntegers(t *testing.T) {
 // function's table. An edge the set already holds keeps its first
 // provenance.
 func TestEdgeRoundTrip(t *testing.T) {
-	var en Engine
-	in := newInterner()
-	fi, set := &funcInfo{in: in}, &edgeSet{}
+	fi, in := bareFuncInfo()
+	en, set := fi.en, &edgeSet{}
 	p := &cc.Ident{Name: "p"}
 	inst := &Instance{v: in.vars.id("v"), obj: in.objs.id("p"), ObjExpr: p, val: in.vals.id("freed"), Data: 2}
 	from := unknownTuple(in.vals.id("start"), inst.v, inst.obj)
@@ -151,8 +158,42 @@ func TestEdgeRoundTrip(t *testing.T) {
 	}
 }
 
+// A provenance table that outgrows its span moves to one twice as long
+// and clears the one it leaves: that span's chunk is shared with other
+// functions' tables and may outlive this one, so a pointer left in it
+// would pin an instance, and through it an AST, of a retired unit.
+func TestProvenanceGrowthClearsOldSpan(t *testing.T) {
+	fi, in := bareFuncInfo()
+	set := &edgeSet{}
+	var old []*Instance
+	for i := 0; i <= provSlot; i++ {
+		if i == provSlot {
+			old = fi.provs
+		}
+		inst := &Instance{v: in.vars.id("v"), obj: in.objs.id(fmt.Sprintf("p%d", i)), val: in.vals.id("freed")}
+		from, to := unknownTuple(in.vals.id("start"), inst.v, inst.obj), instTuple(in.vals.id("start"), inst)
+		if !fi.en.addEdge(fi, set, &from, &to) {
+			t.Fatalf("edge %d was not kept", i)
+		}
+	}
+	if len(old) != provSlot || cap(fi.provs) != 2*provSlot || len(fi.provs) != provSlot+1 {
+		t.Fatalf("table moved from %d/%d entries to %d/%d, want %d/%d to %d/%d",
+			len(old), cap(old), len(fi.provs), cap(fi.provs), provSlot, provSlot, provSlot+1, 2*provSlot)
+	}
+	for i, p := range old {
+		if p != nil {
+			t.Errorf("the span the table left still points at entry %d's instance", i)
+		}
+	}
+	for i, e := range set.all() {
+		if got := fi.toTuple(e); got.Prov == nil {
+			t.Errorf("edge %d lost its provenance in the move", i)
+		}
+	}
+}
+
 func BenchmarkEdgeSetAdd(b *testing.B) {
-	in := newInterner()
+	owner, in := bareFuncInfo()
 	var edges []edge
 	for f := 0; f < 6; f++ {
 		from := in.tupleOf(TupleData{G: "start", Var: "v", Obj: fmt.Sprintf("p%d", f), Val: "freed"})
@@ -165,7 +206,7 @@ func BenchmarkEdgeSetAdd(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fi, set := &funcInfo{in: in}, &edgeSet{}
+		fi, set := &funcInfo{en: owner.en}, &edgeSet{}
 		for _, e := range edges {
 			set.add(fi, e)
 		}

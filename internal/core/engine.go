@@ -172,10 +172,18 @@ type Engine struct {
 	funcs     []*funcInfo
 	liveFuncs int
 	// pool holds the funcInfos retirement evicted, cleared, for the
-	// functions entered after (summary.go). provSlab is what is left of
-	// the chunk their provenance tables are first carved from (addEdge).
-	pool     funcPool
-	provSlab []*Instance
+	// functions entered after (summary.go).
+	pool funcPool
+	// infos, edges, fpKeys and provTabs are the slabs a function's
+	// summary tables come from (summary.go): its funcInfo, and every
+	// array of its edge sets, fpSeen sets and provenance table, the first
+	// and each one a full table grows into (grow). A chunk is shared by
+	// the engine's functions; a span stays with the table it went to,
+	// through eviction and reuse (funcPool).
+	infos    slab.Slab[funcInfo]
+	edges    slab.Slab[edge]
+	fpKeys   slab.Slab[uint64]
+	provTabs slab.Slab[*Instance]
 	// terms interns the FPP terms and fact-set fingerprints of every
 	// path environment the engine makes. An environment never crosses a
 	// call boundary and ids need only be unique within the table, so

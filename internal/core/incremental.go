@@ -201,9 +201,10 @@ func edgeData(in *interner, s *edgeSet) []EdgeData {
 }
 
 func importEdges(fi *funcInfo, s *edgeSet, data []EdgeData) {
+	in := &fi.en.intern
 	for _, ed := range data {
-		from, to := fi.in.tupleOf(ed.From), fi.in.tupleOf(ed.To)
-		s.add(fi, fi.in.edge(&from, &to))
+		from, to := in.tupleOf(ed.From), in.tupleOf(ed.To)
+		s.add(fi, in.edge(&from, &to))
 	}
 }
 

@@ -1,12 +1,12 @@
 package core
 
 // Retirement (DESIGN.md §12). A retiring engine evicts a call-graph
-// unit's funcInfos — summaries, fpSeen sets, slabs — when the unit's
+// unit's funcInfos — summaries and fpSeen sets — when the unit's
 // last root has finished. No call edge crosses a unit boundary and
 // summaries flow only along call edges, so no later traversal can read
 // them: output is that of an engine nobody called SetRetire on. Their
 // memory is zeroed into the engine's pool (funcPool), and the functions
-// the engine enters later are carved from it. When no funcInfo is
+// the engine enters later fill it. When no funcInfo is
 // left, the engine's FPP table is emptied too: no fpSeen set holds its
 // ids any more, and the next unit starts on the ids a fresh engine would
 // hand out. Nothing comes back; inspection runs an engine that never

@@ -78,9 +78,9 @@ func TestStreamingRunMatchesInMemory(t *testing.T) {
 // is shared, not the engine's, and its bitsets are skipped.
 type pins struct {
 	// slots counts the edges in edge sets and the non-zero elements of
-	// edge and fpSeen-key arrays: edge sets, fpSeen sets, the slabs
-	// their first elements are carved from and the cleared arrays the
-	// pool keeps alike.
+	// edge and fpSeen-key arrays: edge sets, fpSeen sets, the unclaimed
+	// tails of the engine's slabs they are spans of and the cleared
+	// arrays the pool keeps alike.
 	slots int
 	// refs counts the non-nil elements of every slice of instances or of
 	// AST expressions: provenance tables and their slab, the interner's
@@ -199,10 +199,10 @@ func pooled(en *Engine) []*funcInfo {
 }
 
 // The FPP term/fingerprint table is the engine's; the fpSeen sets that
-// hold its ids are owned by a function's funcInfo, and so are the slabs
-// the first edge of every edge set and the first fpSeen keys are carved
-// from. Retiring a unit clears its sets and slabs into the engine's
-// pool, and retiring the last live function empties the table: neither
+// hold its ids are owned by a function's funcInfo, and so are its edge
+// sets, all spans of the engine's slabs. Retiring a unit clears its
+// sets into the engine's pool, spans and all, and retiring the last
+// live function empties the table: neither
 // can outgrow the units still in flight, and inspection afterwards
 // brings nothing back. Nor may the DFS's own memory keep them: a pooled
 // frame's environment points at the table. And since the table is
@@ -291,7 +291,7 @@ func TestRetirementDropsFPPState(t *testing.T) {
 
 	// A cut equals a fresh engine: unit A then unit B on one retiring
 	// engine leave B's summaries, fpSeen sets and the table as B alone
-	// leaves them, though B's functions are carved from what A left.
+	// leaves them, though B's functions fill the spans A left.
 	// B stays resident (the engine stops retiring after A) so that its
 	// state can be read.
 	mixed, _ := workload.MixedTree(2, 10, 7)

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cc"
 	"repro/internal/cfg"
+	"repro/internal/slab"
 )
 
 // edge is a directed summary edge between state tuples (§5.2).
@@ -30,8 +31,8 @@ type edge struct {
 // start tuple's rendered key, insertion order within a group — the
 // original string-keyed ordering, which all() therefore yields without
 // sorting or copying. The zero value is ready and owns nothing; a set's
-// first edge is carved from its funcInfo's slab, so the methods that
-// add or compare keys are handed the owner.
+// arrays are spans of its engine's slab (Engine.edges), so the methods
+// that add or compare keys are handed the owner.
 type edgeSet struct {
 	edges []edge
 }
@@ -56,24 +57,38 @@ func (s *edgeSet) group(in *interner, id tid) (lo, hi int) {
 	return lo, hi
 }
 
-// add inserts the edge; it reports whether the edge was new. A set
-// with no array carves its first edge from fi's slab at capacity one,
-// so the second reallocates the set privately, as every later growth
-// does. A set of a recycled block keeps the cleared array the block's
-// previous owner left and fills it in place first (funcPool).
+// add inserts the edge; it reports whether the edge was new. A set's
+// first array is a one-edge span of the engine's slab, and a full set
+// moves to a span twice its size (grow). A set of a recycled block
+// keeps the cleared array the block's previous owner left and fills it
+// in place first (funcPool).
 func (s *edgeSet) add(fi *funcInfo, e edge) bool {
-	if cap(s.edges) == 0 {
-		s.edges = carve(&fi.edgeSlab, 3*len(fi.blocks), 1, e)
-		return true
-	}
-	lo, hi := s.group(fi.in, e.from)
+	lo, hi := s.group(&fi.en.intern, e.from)
 	for _, prev := range s.edges[lo:hi] {
 		if prev.to == e.to {
 			return false
 		}
 	}
-	s.edges = slices.Insert(s.edges, hi, e)
+	s.edges = slices.Insert(grow(&fi.en.edges, s.edges, 1), hi, e)
 	return true
+}
+
+// grow returns s with room for one more element: s itself while it has
+// some, else a copy in a span of the slab twice s's capacity, or first
+// long for an empty s. The old span stays in its chunk; a summary
+// table's spans hold no pointer but the provenance table's, which
+// addEdge clears, so an abandoned one keeps only bytes alive.
+func grow[T any](sl *slab.Slab[T], s []T, first int) []T {
+	if len(s) < cap(s) {
+		return s
+	}
+	n := first
+	if cap(s) > 0 {
+		n = 2 * cap(s)
+	}
+	out := sl.Take(n)[:len(s)]
+	copy(out, s)
+	return out
 }
 
 // hasFrom reports whether any edge starts at the given tuple.
@@ -134,18 +149,18 @@ type blockInfo struct {
 	// which is emptied only once every funcInfo is gone.
 	fpSeen  []uint64
 	fpCount int
-	// fi is the function's funcInfo: the interner, and the slabs the
-	// first edge of each set above and the first fpSeen key come from.
+	// fi is the function's funcInfo, and through it the engine: the
+	// interner, and the slabs the arrays above come from.
 	fi *funcInfo
 }
 
 // fpCacheCap bounds the distinct FPP fingerprints tracked per block.
 const fpCacheCap = 16
 
-// fpSlot is the capacity of a block's first fpSeen array, carved from
-// its funcInfo's slab: a block reached under two or three fact sets (a
-// branch's arms meeting again) grows its set in place, and only a
-// fifth key reallocates it.
+// fpSlot is the capacity of a block's first fpSeen array, a span of
+// the engine's slab (Engine.fpKeys): a block reached under two or three
+// fact sets (a branch's arms meeting again) fills it in place, and a
+// fifth key moves the set to a span twice as long.
 const fpSlot = 4
 
 // noFP is the fingerprint of a traversal without FPP. With FPP on, a
@@ -161,7 +176,7 @@ func (b *blockInfo) coversUnder(t *Tuple, fp uint32) bool {
 	if fp == noFP || b.fpCount > fpCacheCap || fp == 0 && b.fpCount == 0 {
 		return b.covers(t)
 	}
-	_, seen := slices.BinarySearch(b.fpSeen, uint64(fp)<<32|uint64(b.fi.in.idOf(t)))
+	_, seen := slices.BinarySearch(b.fpSeen, uint64(fp)<<32|uint64(b.fi.en.intern.idOf(t)))
 	return seen
 }
 
@@ -182,7 +197,7 @@ func (en *Engine) noteSeen(b *blockInfo, t *Tuple, fp uint32) {
 		}
 		b.keyZero()
 	}
-	key := uint64(fp)<<32 | uint64(b.fi.in.idOf(t))
+	key := uint64(fp)<<32 | uint64(en.intern.idOf(t))
 	i, seen := slices.BinarySearch(b.fpSeen, key)
 	if seen {
 		return
@@ -199,11 +214,7 @@ func (en *Engine) noteSeen(b *blockInfo, t *Tuple, fp uint32) {
 			return
 		}
 	}
-	if cap(b.fpSeen) == 0 {
-		b.fpSeen = carve(&b.fi.fpSlab, len(b.fi.blocks), fpSlot, key)
-		return
-	}
-	b.fpSeen = slices.Insert(b.fpSeen, i, key)
+	b.fpSeen = slices.Insert(grow(&en.fpKeys, b.fpSeen, fpSlot), i, key)
 }
 
 // keyZero writes out the block's implicit fingerprint-0 pairs, the
@@ -213,14 +224,9 @@ func (b *blockInfo) keyZero() {
 	for _, e := range b.trans.all() {
 		key := uint64(e.from)
 		i, seen := slices.BinarySearch(b.fpSeen, key)
-		if seen {
-			continue
+		if !seen {
+			b.fpSeen = slices.Insert(grow(&b.fi.en.fpKeys, b.fpSeen, fpSlot), i, key)
 		}
-		if cap(b.fpSeen) == 0 {
-			b.fpSeen = carve(&b.fi.fpSlab, len(b.fi.blocks), fpSlot, key)
-			continue
-		}
-		b.fpSeen = slices.Insert(b.fpSeen, i, key)
 	}
 	if len(b.fpSeen) > 0 {
 		b.fpCount = 1
@@ -229,7 +235,7 @@ func (b *blockInfo) keyZero() {
 
 // covers reports whether the block summary already contains the tuple
 // as the start of some transition edge — the §5.2 cache condition.
-func (b *blockInfo) covers(t *Tuple) bool { return b.trans.hasFrom(b.fi.in, t) }
+func (b *blockInfo) covers(t *Tuple) bool { return b.trans.hasFrom(&b.fi.en.intern, t) }
 
 // funcInfo caches per-function analysis state: one blockInfo per
 // basic block, indexed by cfg.Block.ID. The function summary (§6.2) is
@@ -242,32 +248,27 @@ type funcInfo struct {
 	// Analyses counts full traversals started on this function's CFG
 	// (experiment E2: memoization avoids re-traversal).
 	Analyses int
-	in       *interner
+	// en is the engine: its interner numbers the tuples, and its slabs
+	// hold every array of the tables below and the funcInfo itself.
+	en *Engine
 	// provs is the provenance table: the end instance of every summary
-	// edge of this function that has one, at index edge.prov-1. Its
-	// first array is carved from the engine's provSlab (addEdge).
+	// edge of this function that has one, at index edge.prov-1 (addEdge).
 	provs []*Instance
-	// edgeSlab and fpSlab are what is left of the chunks that the first
-	// edge of every edge set and the first fpSlot keys of every fpSeen
-	// are carved from: a traversed block owns three singleton sets, and
-	// one array apiece was a tenth of the engine's objects. A chunk's
-	// carved slots stay with the blocks they went to, through eviction
-	// and reuse (funcPool), even if their sets outgrow them.
-	edgeSlab []edge
-	fpSlab   []uint64
 	// next links an evicted funcInfo into its engine's pool.
 	next *funcInfo
 }
 
 // newFuncInfo returns the function's funcInfo: a pooled one whose block
-// array is long enough, or else a new one with an exact-length array.
+// array is long enough, or else the next element of the engine's slab
+// with an exact-length array.
 func (en *Engine) newFuncInfo(g *cfg.Graph) *funcInfo {
 	n := len(g.Blocks)
 	if fi := en.pool.take(n); fi != nil {
 		fi.blocks = fi.blocks[:n]
 		return fi
 	}
-	fi := &funcInfo{blocks: make([]blockInfo, n), in: &en.intern}
+	fi := en.infos.New()
+	fi.blocks, fi.en = make([]blockInfo, n), en
 	for i := range fi.blocks {
 		fi.blocks[i].fi = fi
 	}
@@ -277,9 +278,8 @@ func (en *Engine) newFuncInfo(g *cfg.Graph) *funcInfo {
 // funcPool holds an engine's evicted funcInfos, cleared, for the
 // functions it enters next (DESIGN.md §12.1). A funcInfo keeps its
 // block array and provenance table, and every blockInfo its edge and
-// fpSeen arrays — slab slots and grown arrays alike — so a recycled
-// block's sets fill their predecessor's memory before they carve or
-// grow; the slab remainders stay too. Nothing else is tracked: the
+// fpSeen arrays, so a recycled block's sets fill their predecessor's
+// spans before they take new ones. Nothing else is tracked: the
 // pieces hang off the funcInfo, and the funcInfos are chained through
 // next. Class k holds block arrays of capacity [2^(k-1), 2^k), the last
 // class everything above. The pool is the engine's: one goroutine, no
@@ -327,31 +327,13 @@ func (p *funcPool) take(n int) *funcInfo {
 	return nil
 }
 
-// slabChunk bounds one slab chunk, so that a long function that is
-// barely entered does not pay for all of its blocks up front.
-const slabChunk = 32
-
-// carve cuts a one-element slice of capacity width off the slab and
-// stores v in it. A used-up slab is replaced by a chunk of want slots,
-// at most slabChunk, of width elements each.
-func carve[T any](slab *[]T, want, width int, v T) []T {
-	if len(*slab) == 0 {
-		*slab = make([]T, min(max(want, 1), slabChunk)*width)
-	}
-	s := (*slab)[:1:width]
-	*slab = (*slab)[width:]
-	s[0] = v
-	return s
-}
-
 func (fi *funcInfo) info(b *cfg.Block) *blockInfo { return &fi.blocks[b.ID] }
 
-// provSlot is the capacity of a function's first provenance array,
-// carved from the engine's provSlab. The slab is the engine's, not the
-// funcInfo's: over half the functions a run enters record no
-// provenance, and a chunk apiece for the others would be an allocation
-// per function. An evicted funcInfo's array is cleared (funcPool.put),
-// so a chunk shared with live functions pins nothing of it.
+// provSlot is the capacity of a function's first provenance array, a
+// span of the engine's slab (Engine.provTabs): over half the functions
+// a run enters record no provenance. An evicted funcInfo's array is
+// cleared (funcPool.put), and so is a span the table outgrew (addEdge),
+// so a chunk shared with live functions pins nothing of either.
 const provSlot = 8
 
 // addEdge adds the edge between two tuples to one of fi's sets. The end
@@ -360,7 +342,7 @@ const provSlot = 8
 // provenance it came with. Consecutive edges that end in one instance,
 // as a straight path's blocks do, share its entry.
 func (en *Engine) addEdge(fi *funcInfo, s *edgeSet, from, to *Tuple) bool {
-	e := fi.in.edge(from, to)
+	e := en.intern.edge(from, to)
 	n := int32(len(fi.provs))
 	if p := to.Prov; p != nil {
 		if e.prov = n + 1; n > 0 && fi.provs[n-1] == p {
@@ -370,19 +352,19 @@ func (en *Engine) addEdge(fi *funcInfo, s *edgeSet, from, to *Tuple) bool {
 	if !s.add(fi, e) {
 		return false
 	}
-	switch {
-	case e.prov <= n:
-	case cap(fi.provs) == 0:
-		fi.provs = carve(&en.provSlab, slabChunk, provSlot, to.Prov)
-	default:
-		fi.provs = append(fi.provs, to.Prov)
+	if e.prov > n {
+		old := fi.provs
+		fi.provs = append(grow(&en.provTabs, old, provSlot), to.Prov)
+		if cap(old) != cap(fi.provs) {
+			clear(old)
+		}
 	}
 	return true
 }
 
 // toTuple rebuilds an edge's end tuple with its provenance.
 func (fi *funcInfo) toTuple(e edge) Tuple {
-	t := fi.in.tuple(e.to)
+	t := fi.en.intern.tuple(e.to)
 	if e.prov != 0 {
 		t.Prov = fi.provs[e.prov-1]
 	}
@@ -431,17 +413,17 @@ func relax(backtrace []traceEntry, final *blockInfo, seedFinal bool, locals cfg.
 // instance edges always seed: they carry the reachable exit gstates
 // that function-summary application reads.
 func seedSuffix(bi *blockInfo, locals cfg.Locals) {
-	fi := bi.fi
+	fi, in := bi.fi, &bi.fi.en.intern
 	for _, e := range bi.gstate.all() {
 		bi.sfxTrans.add(fi, e)
 	}
 	for _, e := range bi.trans.all() {
-		if !fi.in.suffixSkip(e, locals) {
+		if !in.suffixSkip(e, locals) {
 			bi.sfxTrans.add(fi, e)
 		}
 	}
 	for _, e := range bi.adds.all() {
-		if !fi.in.suffixSkip(e, locals) {
+		if !in.suffixSkip(e, locals) {
 			bi.sfxAdds.add(fi, e)
 		}
 	}
@@ -470,7 +452,7 @@ func compose(pe, sfx edge) edge {
 // summary into cur's suffix summary; it reports whether anything new
 // was added.
 func combineSuffix(cur, next *blockInfo, locals cfg.Locals) bool {
-	fi, in := cur.fi, cur.fi.in
+	fi, in := cur.fi, &cur.fi.en.intern
 	grew := false
 	// On a loop cur can be next: range over next's edges as they stand,
 	// not as cur's additions shift them.

@@ -139,7 +139,7 @@ func (en *Engine) finishBlock(st *pathState, b *cfg.Block, bi *blockInfo, rec *b
 	// actually was the extension state.
 	fi := bi.fi
 	entryPT, endPT := placeholderTuple(rec.entryG), placeholderTuple(gEnd)
-	ghost := fi.in.edge(&entryPT, &endPT)
+	ghost := en.intern.edge(&entryPT, &endPT)
 	bi.gstate.add(fi, ghost)
 	if len(rec.entry) == 0 {
 		en.noteSeen(bi, &entryPT, rec.fp)
