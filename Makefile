@@ -66,6 +66,9 @@ no-deleted-knobs:
 # a pointer in a summary edge: its end expressions or an instance field, which the interner's representatives and the provenance table replace (DESIGN §10.3).
 	! grep -rnE 'fromExp[r]|toExp[r]' --include=*.go internal/core
 	! awk '/^type edge struct/,/^}/' internal/core/*.go | grep -n '\*Instanc[e]'
+# a token's text held as a string, and a CFG block's fields that repeat what its successors and expressions say (DESIGN §10.4).
+	! awk '/^type Token struct/,/^}/' internal/cc/*.go | grep -nE '^\s+([A-Za-z_]+, *)*Tex[t]\b.*\bstring\b'
+	! awk '/^type Block struct/,/^}/' internal/cfg/*.go | grep -nE '^\s+([A-Za-z_]+, *)*(Con[d]|Switc[h]|Return[X]|Labe[l])\b'
 # the lexer's '$' knob and token and the parser's heap scope per block (DESIGN §10.4).
 	! grep -rnE 'Allow[D]ollar|TokDollar[H]ole|newParse[S]cope' --include=*.go .
 # a pointer type made anywhere but PointerTo, which makes one per element type (DESIGN §10.4).

@@ -105,7 +105,7 @@ func showMatches(c *metal.Checker, path string) error {
 			for _, pt := range b.Points {
 				ctx := &pattern.Ctx{
 					Point: pt, Callouts: reg, FuncName: fn.Name,
-					Locals: fn.Graph.Locals, BranchCond: b.Cond, ReturnExpr: b.ReturnX,
+					Locals: fn.Graph.Locals, BranchCond: b.Cond(), ReturnExpr: b.ReturnX(),
 				}
 				for _, tr := range c.Transitions {
 					if bnd, ok := tr.Pat.Match(ctx, pattern.Bindings{}); ok {

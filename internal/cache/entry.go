@@ -48,12 +48,18 @@ type UnitEntry struct {
 }
 
 // NewUnitEntry is the one producer of unit records: the entry for a
-// live run of one unit, from the per-root segments RunRootsContext returned and
-// the engine's cut at the unit boundary.
-func NewUnitEntry(cut core.UnitCut, runs []core.RootRun) *UnitEntry {
-	e := &UnitEntry{Stats: cut.Stats, Rules: cut.Rules, Marks: cut.Marks, Roots: make([]RootReports, len(runs))}
-	for i, rr := range runs {
-		e.Roots[i] = RootReports{Root: prog.FuncID(rr.Root), Reports: rr.Reports}
+// live run of one unit's roots, from the engine's cut at the unit
+// boundary and the segments RunRootsContext returned for them. The
+// entry lists every root in order, with an empty segment where runs
+// has none: a replay pairs the record's roots with the unit's by
+// position.
+func NewUnitEntry(cut core.UnitCut, roots []*prog.Function, runs []core.RootRun) *UnitEntry {
+	e := &UnitEntry{Stats: cut.Stats, Rules: cut.Rules, Marks: cut.Marks, Roots: make([]RootReports, len(roots))}
+	for i, root := range roots {
+		e.Roots[i].Root = prog.FuncID(root)
+		if len(runs) > 0 && runs[0].Root == root {
+			e.Roots[i].Reports, runs = runs[0].Reports, runs[1:]
+		}
 	}
 	return e
 }

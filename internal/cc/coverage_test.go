@@ -222,13 +222,13 @@ func TestStorageClassAndTokenStrings(t *testing.T) {
 	if TokShlAssign.String() != "<<=" || TokEOF.String() != "EOF" {
 		t.Error("token kind strings")
 	}
-	tok := Token{Kind: TokIdent, Text: "abc"}
-	if !strings.Contains(tok.String(), "abc") {
-		t.Error("token String")
+	tok := Token{Kind: TokIdent, Start: 1, End: 4}
+	if !strings.Contains(tok.describe(" abc "), `"abc"`) {
+		t.Error("token describe")
 	}
 	punct := Token{Kind: TokSemi}
-	if punct.String() != ";" {
-		t.Error("punct token String")
+	if punct.describe(";") != ";" {
+		t.Error("punct token describe")
 	}
 	var p Pos
 	if p.IsValid() {

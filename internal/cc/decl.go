@@ -16,7 +16,7 @@ func (p *Parser) startsDeclSpecifiers() bool {
 		TokSigned, TokUnsigned, TokStruct, TokUnion, TokEnum:
 		return true
 	case TokIdent:
-		_, ok := p.lookupTypedef(p.cur().Text)
+		_, ok := p.lookupTypedef(p.text(p.cur()))
 		return ok
 	}
 	return false
@@ -99,7 +99,7 @@ func (p *Parser) parseDeclSpecifiers() (StorageClass, *Type, error) {
 			// A typedef name is a type specifier only if we have no
 			// other type specifier yet.
 			if !keywords && complexType == nil {
-				if td, ok := p.lookupTypedef(t.Text); ok {
+				if td, ok := p.lookupTypedef(p.text(t)); ok {
 					complexType = td
 					p.next()
 					continue
@@ -129,7 +129,7 @@ done:
 			return 0, nil, p.errf("invalid type specifiers %q", string(key))
 		}
 	} else if base == nil {
-		return 0, nil, p.errf("expected type specifier, found %s", p.cur())
+		return 0, nil, p.errf("expected type specifier, found %s", p.cur().describe(p.src))
 	}
 	if isConst || isVolatile {
 		base = base.qualified(isConst, isVolatile)
@@ -160,7 +160,7 @@ func (p *Parser) parseRecordSpecifier() (*Type, error) {
 	}
 	tag := ""
 	if p.cur().Kind == TokIdent {
-		tag = p.next().Text
+		tag = p.text(p.next())
 	}
 	if p.cur().Kind != TokLBrace {
 		if tag == "" {
@@ -223,7 +223,7 @@ func (p *Parser) parseEnumSpecifier() (*Type, error) {
 	p.next() // enum
 	tag := ""
 	if p.cur().Kind == TokIdent {
-		tag = p.next().Text
+		tag = p.text(p.next())
 	}
 	if p.cur().Kind != TokLBrace {
 		if tag == "" {
@@ -257,8 +257,8 @@ func (p *Parser) parseEnumSpecifier() (*Type, error) {
 				val = v
 			}
 		}
-		t.Enums = append(t.Enums, EnumConst{Name: nameTok.Text, Value: val})
-		p.declareEnumConst(nameTok.Text, val)
+		t.Enums = append(t.Enums, EnumConst{Name: p.text(nameTok), Value: val})
+		p.declareEnumConst(p.text(nameTok), val)
 		nextVal = val + 1
 		if !p.accept(TokComma) {
 			break
@@ -368,7 +368,7 @@ func (p *Parser) parseDirectDeclarator() (declarator, error) {
 	parenthesized := false
 	switch {
 	case p.cur().Kind == TokIdent:
-		d.name = p.next().Text
+		d.name = p.text(p.next())
 	case p.cur().Kind == TokLParen && p.parenStartsDeclarator():
 		p.next()
 		inner, err := p.parseDeclaratorRec()
@@ -436,7 +436,7 @@ func (p *Parser) parenStartsDeclarator() bool {
 		return true
 	case TokIdent:
 		// "(name)" is a declarator only if name is not a typedef name.
-		_, isType := p.lookupTypedef(nxt.Text)
+		_, isType := p.lookupTypedef(p.text(nxt))
 		return !isType
 	}
 	return false
@@ -543,7 +543,7 @@ func skimFile(a *Arena, file, src string, callees bool) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := NewParser(file, toks)
+	p := newParser(file, src, toks)
 	p.callees = callees
 	p.useArena(a)
 	f, err := p.parseTranslationUnit()
@@ -591,7 +591,7 @@ func ParseBody(fd *FuncDecl, a *Arena) error {
 	}
 	fd.Body = body
 	if p.unparsed--; p.unparsed == 0 {
-		p.toks, p.names, p.marks, p.latest = nil, nil, nil, [numNamespaces]map[string]int32{}
+		p.toks, p.src, p.names, p.marks, p.latest = nil, "", nil, nil, [numNamespaces]map[string]int32{}
 	}
 	return nil
 }
@@ -982,21 +982,21 @@ func (p *Parser) skimStmt() bool {
 			return false
 		}
 		if sk.cur >= 0 {
-			sk.gotos = append(sk.gotos, skimLabel{lbl.Text, sk.cur})
+			sk.gotos = append(sk.gotos, skimLabel{p.text(lbl), sk.cur})
 		}
 		sk.cur = -1
 		return true
 	case TokIdent:
 		if p.la(1).Kind == TokColon {
 			for _, l := range sk.labels {
-				if l.name == t.Text {
+				if l.name == p.text(t) {
 					return false // the parser reports the duplicate
 				}
 			}
 			p.next()
 			p.next()
 			target := sk.node()
-			sk.labels = append(sk.labels, skimLabel{t.Text, target})
+			sk.labels = append(sk.labels, skimLabel{p.text(t), target})
 			sk.flow(target)
 			sk.cur = target
 			return p.skimStmt()
@@ -1092,7 +1092,7 @@ func (p *Parser) skimSpecifiers(typeName bool) bool {
 			if keywords || named {
 				return true
 			}
-			if _, ok := p.lookupTypedef(t.Text); !ok {
+			if _, ok := p.lookupTypedef(p.text(t)); !ok {
 				return false
 			}
 			named = true
@@ -1179,7 +1179,7 @@ func (p *Parser) skimExpr(n int32, stop TokKind, braces bool) bool {
 			operand = true
 		case TokIdent:
 			if p.la(1).Kind == TokLParen && !p.afterMember() {
-				p.record(n, t.Text)
+				p.record(n, p.text(t))
 			}
 			operand = true
 		case TokIntLit, TokFloatLit, TokCharLit, TokStringLit:
@@ -1241,10 +1241,10 @@ func (p *Parser) parenCallee() string {
 	if p.la(2*k+1).Kind != TokLParen {
 		return ""
 	}
-	if _, ok := p.lookupTypedef(id.Text); ok {
+	if _, ok := p.lookupTypedef(p.text(id)); ok {
 		return ""
 	}
-	return id.Text
+	return p.text(id)
 }
 
 // startsTypeNameAt is startsTypeName at token i.

@@ -173,7 +173,12 @@ func (c *codec) num(p any) *codec {
 	case *int64:
 		number(c, p)
 	case *TokKind:
-		number(c, p)
+		v := int(*p)
+		number(c, &v)
+		if !c.w && c.err == nil && int(TokKind(v)) != v {
+			c.fail("operator %d", v)
+		}
+		*p = TokKind(v)
 	case *StorageClass:
 		number(c, p)
 	default:

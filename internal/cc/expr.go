@@ -144,7 +144,7 @@ func (p *Parser) startsTypeName() bool {
 		TokConst, TokVolatile:
 		return true
 	case TokIdent:
-		_, ok := p.lookupTypedef(p.cur().Text)
+		_, ok := p.lookupTypedef(p.text(p.cur()))
 		return ok
 	}
 	return false
@@ -256,7 +256,7 @@ func (p *Parser) parsePostfixExpr() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			e = newNode(p, FieldExpr{P: e.Pos(), X: e, Name: name.Text, Arrow: t.Kind == TokArrow})
+			e = newNode(p, FieldExpr{P: e.Pos(), X: e, Name: p.text(name), Arrow: t.Kind == TokArrow})
 		case TokInc, TokDec:
 			p.next()
 			e = newNode(p, UnaryExpr{P: e.Pos(), Op: t.Kind, X: e, Postfix: true})
@@ -271,28 +271,29 @@ func (p *Parser) parsePrimaryExpr() (Expr, error) {
 	switch t.Kind {
 	case TokIdent:
 		p.next()
-		return newNode(p, Ident{P: p.at(t), Name: t.Text}), nil
+		return newNode(p, Ident{P: p.at(t), Name: p.text(t)}), nil
 	case TokIntLit:
 		p.next()
-		return newNode(p, IntLit{P: p.at(t), Text: t.Text, Value: parseIntText(t.Text)}), nil
+		text := p.text(t)
+		return newNode(p, IntLit{P: p.at(t), Text: text, Value: parseIntText(text)}), nil
 	case TokFloatLit:
 		p.next()
-		return newNode(p, FloatLit{P: p.at(t), Text: t.Text}), nil
+		return newNode(p, FloatLit{P: p.at(t), Text: p.text(t)}), nil
 	case TokCharLit:
 		p.next()
-		return newNode(p, CharLit{P: p.at(t), Text: t.Text}), nil
+		return newNode(p, CharLit{P: p.at(t), Text: p.text(t)}), nil
 	case TokStringLit:
 		p.next()
 		// Adjacent string literals concatenate.
-		text := t.Text
+		text := p.text(t)
 		for p.cur().Kind == TokStringLit {
-			text += p.next().Text
+			text += p.text(p.next())
 		}
 		return newNode(p, StringLit{P: p.at(t), Text: text}), nil
 	case TokLParen:
 		return p.parseParenExpr() // parens folded away
 	}
-	return nil, p.errf("expected expression, found %s", t)
+	return nil, p.errf("expected expression, found %s", t.describe(p.src))
 }
 
 // parseIntText decodes a C integer literal's value (0x.., 0.., decimal

@@ -109,10 +109,12 @@ func (x *Hasher) Func(fd *FuncDecl) [sha256.Size]byte {
 	x.decl.Write(x.scratch)
 	x.decl.Write(x.c.buf)
 	l := append(x.line[:0], "body\n"...)
+	src := s.src.src
 	for _, t := range s.src.toks[s.Lo : s.Hi+1] {
+		text := t.Text(src)
 		l = binary.AppendUvarint(l, uint64(t.Kind))
-		l = binary.AppendUvarint(l, uint64(len(t.Text)))
-		l = append(l, t.Text...)
+		l = binary.AppendUvarint(l, uint64(len(text)))
+		l = append(l, text...)
 		l = binary.AppendUvarint(binary.AppendUvarint(l, uint64(t.Line)), uint64(t.Col))
 		if len(l) >= 4096 {
 			x.decl.Write(l)

@@ -134,7 +134,7 @@ func (l *Lexer) Next() (Token, error) {
 	if err := l.skipTrivia(); err != nil {
 		return Token{}, err
 	}
-	t := Token{Line: int32(l.line), Col: int32(l.col)}
+	t := Token{Start: int32(l.off), End: int32(l.off), Line: int32(l.line), Col: int32(l.col)}
 	if l.off >= len(l.src) {
 		return t, nil // TokEOF
 	}
@@ -142,23 +142,23 @@ func (l *Lexer) Next() (Token, error) {
 	c := l.peek()
 	switch {
 	case isAlpha(c):
-		start := l.off
 		for l.off < len(l.src) && isAlnum(l.peek()) {
 			l.advance()
 		}
-		t.Text = l.src[start:l.off]
+		t.End = int32(l.off)
 		t.Kind = TokIdent
-		if k, ok := keywords[t.Text]; ok {
+		if k, ok := keywords[l.src[t.Start:t.End]]; ok {
 			t.Kind = k
 		}
 	case isDigit(c) || (c == '.' && isDigit(l.peek2())):
-		t.Kind, t.Text = l.lexNumber()
+		t.Kind = l.lexNumber()
+		t.End = int32(l.off)
 	case c == '\'':
 		t.Kind = TokCharLit
-		t.Text, err = l.lexQuoted('\'', "character literal")
+		t.Start, t.End, err = l.lexQuoted('\'', "character literal")
 	case c == '"':
 		t.Kind = TokStringLit
-		t.Text, err = l.lexQuoted('"', "string literal")
+		t.Start, t.End, err = l.lexQuoted('"', "string literal")
 	default:
 		t.Kind, err = l.lexPunct()
 	}
@@ -168,8 +168,8 @@ func (l *Lexer) Next() (Token, error) {
 	return t, nil
 }
 
-func (l *Lexer) lexNumber() (TokKind, string) {
-	start := l.off
+// lexNumber scans a number starting at the current byte.
+func (l *Lexer) lexNumber() TokKind {
 	isFloat := false
 	if l.peek() == '0' && (l.peek2() == 'x' || l.peek2() == 'X') {
 		l.advance()
@@ -213,31 +213,32 @@ func (l *Lexer) lexNumber() (TokKind, string) {
 		}
 	}
 	if isFloat {
-		return TokFloatLit, l.src[start:l.off]
+		return TokFloatLit
 	}
-	return TokIntLit, l.src[start:l.off]
+	return TokIntLit
 }
 
 // lexQuoted scans a character or string literal opening at the current
-// byte. Its text is the source between the quotes, escapes as written.
-func (l *Lexer) lexQuoted(quote byte, what string) (string, error) {
+// byte. Its text, whose span it returns, is the source between the
+// quotes, escapes as written.
+func (l *Lexer) lexQuoted(quote byte, what string) (start, end int32, err error) {
 	line, col := l.line, l.col
 	l.advance() // opening quote
-	start := l.off
+	from := l.off
 	for {
 		if l.off >= len(l.src) {
-			return "", l.errAt(line, col, "unterminated "+what)
+			return 0, 0, l.errAt(line, col, "unterminated "+what)
 		}
 		c := l.advance()
 		if c == quote {
-			return l.src[start : l.off-1], nil
+			return int32(from), int32(l.off - 1), nil
 		}
 		if c == '\n' && quote == '"' {
-			return "", l.errAt(line, col, "newline in "+what)
+			return 0, 0, l.errAt(line, col, "newline in "+what)
 		}
 		if c == '\\' {
 			if l.off >= len(l.src) {
-				return "", l.errAt(line, col, "unterminated "+what)
+				return 0, 0, l.errAt(line, col, "unterminated "+what)
 			}
 			l.advance()
 		}
@@ -341,8 +342,10 @@ func (l *Lexer) lexPunct() (TokKind, error) {
 }
 
 // LexAll tokenizes the whole input, returning all tokens up to and
-// including EOF. The slice is sized for C's density, at most one token
-// per three source bytes plus EOF, so it is allocated once.
+// including EOF. The slice is sized at one token per three source bytes
+// plus EOF. That is a guess, not a bound: the benchmark's generated
+// trees measure 3.24 source bytes a token (calls-L) and 3.27 (leaf-L),
+// so there it is allocated once, and denser source grows it by append.
 func LexAll(file, src string) ([]Token, error) {
 	l := NewLexer(file, src)
 	toks := make([]Token, 0, len(src)/3+2)

@@ -1,9 +1,11 @@
 package cc
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func kinds(toks []Token) []TokKind {
@@ -82,7 +84,7 @@ func TestLexComments(t *testing.T) {
 	var idents []string
 	for _, tk := range toks {
 		if tk.Kind == TokIdent {
-			idents = append(idents, tk.Text)
+			idents = append(idents, tk.Text(src))
 		}
 	}
 	if strings.Join(idents, ",") != "a,b,c" {
@@ -105,7 +107,7 @@ func TestLexPreprocessorSkipped(t *testing.T) {
 	var idents []string
 	for _, tk := range toks {
 		if tk.Kind == TokIdent {
-			idents = append(idents, tk.Text)
+			idents = append(idents, tk.Text(src))
 		}
 	}
 	// The "# if 0" line is skipped entirely, but "int y;" on the next
@@ -162,20 +164,21 @@ func TestLexNumbers(t *testing.T) {
 }
 
 func TestLexStringsAndChars(t *testing.T) {
-	toks, err := LexAll("t.c", `"hello \"world\"" 'a' '\n' '\''`)
+	src := `"hello \"world\"" 'a' '\n' '\''`
+	toks, err := LexAll("t.c", src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if toks[0].Kind != TokStringLit || toks[0].Text != `hello \"world\"` {
+	if toks[0].Kind != TokStringLit || toks[0].Text(src) != `hello \"world\"` {
 		t.Errorf("string: got %v", toks[0])
 	}
-	if toks[1].Kind != TokCharLit || toks[1].Text != "a" {
+	if toks[1].Kind != TokCharLit || toks[1].Text(src) != "a" {
 		t.Errorf("char: got %v", toks[1])
 	}
-	if toks[2].Kind != TokCharLit || toks[2].Text != `\n` {
+	if toks[2].Kind != TokCharLit || toks[2].Text(src) != `\n` {
 		t.Errorf("escaped char: got %v", toks[2])
 	}
-	if toks[3].Kind != TokCharLit || toks[3].Text != `\'` {
+	if toks[3].Kind != TokCharLit || toks[3].Text(src) != `\'` {
 		t.Errorf("quote char: got %v", toks[3])
 	}
 }
@@ -213,13 +216,14 @@ func TestLexDollarRejectedInPlainC(t *testing.T) {
 // character of its line; anywhere else it is an error at its position,
 // not a directive that swallows the rest of the line.
 func TestLexMidLineHash(t *testing.T) {
-	toks, err := LexAll("p.c", "int a;\n  \t# define X 1 \\\n  continued\nb;")
+	src := "int a;\n  \t# define X 1 \\\n  continued\nb;"
+	toks, err := LexAll("p.c", src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []string
 	for _, tk := range toks {
-		got = append(got, tk.String())
+		got = append(got, tk.describe(src))
 	}
 	if want := `int identifier "a" ; identifier "b" ; EOF`; strings.Join(got, " ") != want {
 		t.Errorf("directive: got %s, want %s", strings.Join(got, " "), want)
@@ -276,4 +280,32 @@ func TestLexConcatProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestTokenHasNoPointers pins the token's layout (DESIGN §10.4): kind,
+// the span of its text and its position, at most 20 bytes with no field
+// that holds a pointer, so a file's token array is one the collector
+// never scans. A Text string back in the token fails here.
+func TestTokenHasNoPointers(t *testing.T) {
+	if got := unsafe.Sizeof(Token{}); got > 20 {
+		t.Errorf("a Token is %d bytes, want at most 20", got)
+	}
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Bool, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64, reflect.Int,
+			reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uint, reflect.Uintptr,
+			reflect.Float32, reflect.Float64:
+		default:
+			t.Errorf("%s is a %s, which holds a pointer", path, typ)
+		}
+	}
+	walk("Token", reflect.TypeOf(Token{}))
 }

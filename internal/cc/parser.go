@@ -10,6 +10,7 @@ type Parser struct {
 	toks []Token
 	pos  int
 	file string
+	src  string // what toks were lexed from: their text
 
 	// names is the scope stack: every typedef, tag and enum constant in
 	// scope, innermost last, and marks[i] is where the i-th open block's
@@ -117,9 +118,9 @@ type ParseError struct {
 
 func (e *ParseError) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
-// NewParser returns a parser over the given token stream.
-func NewParser(file string, toks []Token) *Parser {
-	return &Parser{toks: toks, file: file}
+// newParser returns a parser over toks, lexed from src.
+func newParser(file, src string, toks []Token) *Parser {
+	return &Parser{toks: toks, file: file, src: src}
 }
 
 // ParseFile lexes and parses a complete translation unit: pass 1's
@@ -152,7 +153,7 @@ func ParseExprString(src string) (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := NewParser("<expr>", toks)
+	p := newParser("<expr>", src, toks)
 	e, err := p.parseExpr()
 	if err != nil {
 		return nil, err
@@ -171,7 +172,7 @@ func ParseTypeString(src string) (*Type, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := NewParser("<type>", toks)
+	p := newParser("<type>", src, toks)
 	t, err := p.parseTypeName()
 	if err != nil {
 		return nil, err
@@ -215,7 +216,7 @@ func (p *Parser) expect(k TokKind) (Token, error) {
 	if p.cur().Kind == k {
 		return p.next(), nil
 	}
-	return Token{}, p.errf("expected %s, found %s", k, p.cur())
+	return Token{}, p.errf("expected %s, found %s", k, p.cur().describe(p.src))
 }
 
 // backtrack is where parseCastExpr and sizeof resume when a
@@ -232,6 +233,9 @@ func (p *Parser) restore(b backtrack) {
 	clear(p.args[b.args:])
 	p.args = p.args[:b.args]
 }
+
+// text is token t's text.
+func (p *Parser) text(t Token) string { return t.Text(p.src) }
 
 // at is the position of token t in the parser's file.
 func (p *Parser) at(t Token) Pos { return Pos{File: p.file, Line: int(t.Line), Col: int(t.Col)} }

@@ -206,14 +206,14 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if _, err := p.expect(TokSemi); err != nil {
 			return nil, err
 		}
-		return &GotoStmt{P: p.at(t), Label: lbl.Text}, nil
+		return &GotoStmt{P: p.at(t), Label: p.text(lbl)}, nil
 	case TokIdent:
 		// Label?
 		if p.la(1).Kind == TokColon {
-			if slices.Contains(p.labels, t.Text) {
-				return nil, p.errf("duplicate label %s", t.Text)
+			if slices.Contains(p.labels, p.text(t)) {
+				return nil, p.errf("duplicate label %s", p.text(t))
 			}
-			name := p.next().Text
+			name := p.text(p.next())
 			p.labels = append(p.labels, name)
 			p.next() // :
 			body, err := p.parseStmt()

@@ -8,7 +8,7 @@ package cc
 import "fmt"
 
 // TokKind enumerates lexical token kinds.
-type TokKind int
+type TokKind uint8
 
 // Token kinds. Punctuation kinds are named after their spelling.
 const (
@@ -229,20 +229,30 @@ func (p Pos) String() string {
 // IsValid reports whether the position has been set.
 func (p Pos) IsValid() bool { return p.Line > 0 }
 
-// Token is a single lexical token. It carries its line and column but
-// not its file: every token of a stream shares one, which the parser
-// puts into the Pos of each node it builds.
+// Token is a single lexical token: its kind, the span of its text in
+// the source it was lexed from, and its line and column. It holds no
+// pointer, so a file's token array is one the collector never scans
+// (DESIGN §10.4); its text is read through the source (Text). It
+// carries no file: every token of a stream shares one, which the
+// parser puts into the Pos of each node it builds.
 type Token struct {
-	Kind      TokKind
-	Text      string // raw spelling for identifiers and literals
-	Line, Col int32
+	Kind TokKind
+	// Start and End bound the token's text in its source: an
+	// identifier's, keyword's or number's spelling, a character or
+	// string literal's between its quotes, escapes as written. A
+	// punctuation token and EOF have no text (Start == End).
+	Start, End int32
+	Line, Col  int32
 }
 
-// String renders the token for diagnostics.
-func (t Token) String() string {
+// Text returns the token's text in src, the source it was lexed from.
+func (t Token) Text(src string) string { return src[t.Start:t.End] }
+
+// describe renders the token, lexed from src, for diagnostics.
+func (t Token) describe(src string) string {
 	switch t.Kind {
 	case TokIdent, TokIntLit, TokFloatLit, TokCharLit, TokStringLit:
-		return fmt.Sprintf("%s %q", t.Kind, t.Text)
+		return fmt.Sprintf("%s %q", t.Kind, t.Text(src))
 	default:
 		return t.Kind.String()
 	}

@@ -20,7 +20,7 @@ import (
 )
 
 // EdgeKind classifies a CFG edge.
-type EdgeKind int
+type EdgeKind uint8
 
 // Edge kinds. True/False label the two sides of a conditional branch;
 // Case/Default label switch dispatch edges.
@@ -47,49 +47,43 @@ func (k EdgeKind) String() string {
 	return ""
 }
 
-// Edge is a directed CFG edge.
+// Edge is a directed CFG edge: 24 bytes, its kind and CaseConst
+// sharing a word (DESIGN §10.4).
 type Edge struct {
-	Kind    EdgeKind
-	CaseVal int64 // valid when Kind == EdgeCase and CaseConst
+	Kind EdgeKind
 	// CaseConst reports whether CaseVal holds the evaluated constant
 	// of the case label.
 	CaseConst bool
+	CaseVal   int64 // valid when Kind == EdgeCase and CaseConst
 	To        *Block
 }
 
 // Block is a basic block. Exprs lists the top-level expressions
-// executed in the block in execution order; when the block ends in a
-// conditional branch, Cond is the branch condition (and also the last
-// element of Exprs). When the block ends in a switch dispatch, Switch
-// is the tag expression.
+// executed in the block in execution order. A block ending in a
+// conditional branch has T/F successors and its condition as the last
+// element of Exprs (Cond); one ending in a switch dispatch has
+// case/default successors and the tag last (Switch). A Block is at most
+// 128 bytes (DESIGN §10.4): what a field could repeat is read from the
+// others.
 type Block struct {
-	// ID is the block's index in Graph.Blocks.
-	ID    int
 	Exprs []cc.Expr
 	// Points is the cc.ExecOrder expansion of Exprs: the program points
 	// the block's expressions visit, in execution order. Build fills it
 	// once; every reader (the call graph, the dispatch compiler, each
 	// engine's DFS) shares the slice and must not write it.
 	Points []cc.Expr
-	Cond   cc.Expr
-	Switch cc.Expr
 	Succs  []Edge
 	Preds  []*Block
-
-	// Label holds a goto label attached to this block, if any.
-	Label string
-
-	// ReturnX is the returned expression of a block ending in a return
-	// statement (nil for "return;").
-	ReturnX cc.Expr
 
 	// node is the statement (or function, or desugared declaration)
 	// the block was made for, and role says which part of it the block
 	// is: together they render Comment.
 	node cc.Node
 
+	// ID is the block's index in Graph.Blocks.
+	ID int32
 	// Line is the source line of the block's first statement.
-	Line int
+	Line int32
 
 	// Entry/Exit flag the function's unique entry and exit blocks.
 	Entry bool
@@ -100,6 +94,36 @@ type Block struct {
 	IsReturn bool
 
 	role role
+}
+
+// Cond is the branch condition of a block ending in a conditional
+// branch, the last of its Exprs; nil for any other block. The builder
+// gives such a block its T edge first.
+func (b *Block) Cond() cc.Expr {
+	if len(b.Succs) > 0 && b.Succs[0].Kind == EdgeTrue {
+		return b.Exprs[len(b.Exprs)-1]
+	}
+	return nil
+}
+
+// Switch is the tag of a block ending in a switch dispatch, the last of
+// its Exprs; nil for any other block. Every successor of such a block
+// is a case or default edge, and only such a block has one.
+func (b *Block) Switch() cc.Expr {
+	if len(b.Succs) > 0 && (b.Succs[0].Kind == EdgeCase || b.Succs[0].Kind == EdgeDefault) {
+		return b.Exprs[len(b.Exprs)-1]
+	}
+	return nil
+}
+
+// ReturnX is the returned expression of a block ending in a return
+// statement, the last of its Exprs; nil for "return;" and any other
+// block.
+func (b *Block) ReturnX() cc.Expr {
+	if b.IsReturn && len(b.Exprs) > 0 {
+		return b.Exprs[len(b.Exprs)-1]
+	}
+	return nil
 }
 
 // role is the part of its node a block renders as.
@@ -245,9 +269,10 @@ func (g *Graph) String() string {
 // its edges, block pointers and expressions, and the assignments
 // desugared from declarations, are carved from the Builder's own slabs,
 // so a Builder reused for every function of a pass allocates by the
-// chunk, not by the function (DESIGN §10.4); a graph's blocks, at least
-// three of 200 bytes, are always longer than a slab hands out. The zero
-// value is ready to use; a Builder is not safe for concurrent use.
+// chunk, not by the function (DESIGN §10.4); a graph's blocks are an
+// array of their own (a slab hands out at most four 128-byte blocks at
+// a time, and a graph has at least three). The zero value is ready to
+// use; a Builder is not safe for concurrent use.
 type Builder struct {
 	g     *Graph
 	entry *Block
@@ -320,7 +345,7 @@ func (b *Builder) Build(fn *cc.FuncDecl) *Graph {
 	b.entry = b.newBlock()
 	b.entry.Entry = true
 	b.entry.node, b.entry.role = fn, roleEntry
-	b.entry.Line = fn.P.Line
+	b.entry.Line = int32(fn.P.Line)
 	b.exit = b.newBlock()
 	b.exit.Exit = true
 	b.exit.node, b.exit.role = fn, roleExit
@@ -396,7 +421,7 @@ func (b *Builder) newBlock() *Block {
 		b.chunks = append(b.chunks, chunk)
 	}
 	blk := &b.chunks[k][i]
-	*blk = Block{ID: id, Exprs: blk.Exprs[:0], Succs: blk.Succs[:0]}
+	*blk = Block{ID: int32(id), Exprs: blk.Exprs[:0], Succs: blk.Succs[:0]}
 	b.blocks = append(b.blocks, blk)
 	return blk
 }
@@ -417,7 +442,7 @@ func (b *Builder) startBlock() *Block {
 // and unconditional (so consecutive simple statements get one block
 // each, but label targets don't double up).
 func (b *Builder) ensureFresh() *Block {
-	if b.cur != nil && len(b.cur.Exprs) == 0 && b.cur.Cond == nil && b.cur.Switch == nil && !b.cur.Entry {
+	if b.cur != nil && len(b.cur.Exprs) == 0 && !b.cur.Entry {
 		return b.cur
 	}
 	return b.startBlock()
@@ -428,7 +453,7 @@ func (b *Builder) ensureFresh() *Block {
 func (b *Builder) setComment(blk *Block, s cc.Node, n cc.Node, r role) {
 	if blk.role == roleNone {
 		blk.node, blk.role = n, r
-		blk.Line = s.Pos().Line
+		blk.Line = int32(s.Pos().Line)
 	}
 }
 
@@ -473,7 +498,6 @@ func (b *Builder) stmt(s cc.Stmt) {
 	case *cc.IfStmt:
 		condBlk := b.ensureFresh()
 		condBlk.Exprs = append(condBlk.Exprs, s.Cond)
-		condBlk.Cond = s.Cond
 		b.setComment(condBlk, s, s, roleIf)
 		join := b.newBlock()
 
@@ -500,7 +524,6 @@ func (b *Builder) stmt(s cc.Stmt) {
 	case *cc.WhileStmt:
 		head := b.startBlock()
 		head.Exprs = append(head.Exprs, s.Cond)
-		head.Cond = s.Cond
 		b.setComment(head, s, s, roleWhile)
 		after := b.newBlock()
 
@@ -523,7 +546,6 @@ func (b *Builder) stmt(s cc.Stmt) {
 		after := b.newBlock()
 		condBlk := b.newBlock()
 		condBlk.Exprs = append(condBlk.Exprs, s.Cond)
-		condBlk.Cond = s.Cond
 		b.setComment(condBlk, s, s, roleDoWhile)
 
 		b.breakTargets = append(b.breakTargets, after)
@@ -547,7 +569,6 @@ func (b *Builder) stmt(s cc.Stmt) {
 		after := b.newBlock()
 		if s.Cond != nil {
 			head.Exprs = append(head.Exprs, s.Cond)
-			head.Cond = s.Cond
 		}
 		b.setComment(head, s, s, roleFor)
 
@@ -579,7 +600,6 @@ func (b *Builder) stmt(s cc.Stmt) {
 	case *cc.SwitchStmt:
 		head := b.ensureFresh()
 		head.Exprs = append(head.Exprs, s.Tag)
-		head.Switch = s.Tag
 		b.setComment(head, s, s, roleSwitch)
 		after := b.newBlock()
 
@@ -641,7 +661,6 @@ func (b *Builder) stmt(s cc.Stmt) {
 		blk.IsReturn = true
 		if s.X != nil {
 			blk.Exprs = append(blk.Exprs, s.X)
-			blk.ReturnX = s.X
 		}
 		b.setComment(blk, s, s, roleReturn)
 		blk.addSucc(Edge{Kind: EdgeAlways, To: b.exit})
@@ -656,7 +675,6 @@ func (b *Builder) stmt(s cc.Stmt) {
 		// is built. (The parser rejects a repeated label; a built AST
 		// that repeats one sends its gotos to the last.)
 		target := b.newBlock()
-		target.Label = s.Label
 		b.labels[s.Label] = target
 		if b.cur != nil {
 			b.cur.addSucc(Edge{Kind: EdgeAlways, To: target})
@@ -739,7 +757,7 @@ func (b *Builder) finish(kept int) {
 		}
 		blk := &blocks[id]
 		*blk = *src
-		blk.ID, blk.Exprs, blk.Points, blk.Succs = int(id), nil, nil, nil
+		blk.ID, blk.Exprs, blk.Points, blk.Succs = id, nil, nil, nil
 		g.Blocks[id] = blk
 		if k := len(src.Exprs); k > 0 {
 			blk.Exprs = exprs[xlo : xlo+k : xlo+k]

@@ -85,7 +85,7 @@ int f(int x) {
 }`, "f")
 	var condBlk *Block
 	for _, b := range g.Blocks {
-		if b.Cond != nil {
+		if b.Cond() != nil {
 			condBlk = b
 		}
 	}
@@ -96,8 +96,8 @@ int f(int x) {
 	if k[EdgeTrue] != 1 || k[EdgeFalse] != 1 {
 		t.Errorf("cond block edges = %v", k)
 	}
-	if cc.ExprString(condBlk.Cond) != "x > 0" {
-		t.Errorf("cond = %s", cc.ExprString(condBlk.Cond))
+	if cc.ExprString(condBlk.Cond()) != "x > 0" {
+		t.Errorf("cond = %s", cc.ExprString(condBlk.Cond()))
 	}
 }
 
@@ -111,7 +111,7 @@ int f(int x) {
 }`, "f")
 	var condBlk *Block
 	for _, b := range g.Blocks {
-		if b.Cond != nil {
+		if b.Cond() != nil {
 			condBlk = b
 		}
 	}
@@ -132,7 +132,7 @@ int f(int n) {
 }`, "f")
 	var head *Block
 	for _, b := range g.Blocks {
-		if b.Cond != nil {
+		if b.Cond() != nil {
 			head = b
 		}
 	}
@@ -179,7 +179,7 @@ int f(int n) {
 	// There must be exactly one block whose Cond is "i < n".
 	count := 0
 	for _, b := range g.Blocks {
-		if b.Cond != nil && cc.ExprString(b.Cond) == "i < n" {
+		if b.Cond() != nil && cc.ExprString(b.Cond()) == "i < n" {
 			count++
 		}
 	}
@@ -198,7 +198,7 @@ int f(int n) {
 }`, "f")
 	var cond *Block
 	for _, b := range g.Blocks {
-		if b.Cond != nil {
+		if b.Cond() != nil {
 			cond = b
 		}
 	}
@@ -232,7 +232,7 @@ int f(int x) {
 }`, "f")
 	var head *Block
 	for _, b := range g.Blocks {
-		if b.Switch != nil {
+		if b.Switch() != nil {
 			head = b
 		}
 	}
@@ -287,7 +287,7 @@ int f(int x) {
 	seen := map[*Block]bool{}
 	var visit func(b *Block)
 	visit = func(b *Block) {
-		if seen[b] || b.Switch != nil {
+		if seen[b] || b.Switch() != nil {
 			return
 		}
 		seen[b] = true
@@ -316,7 +316,7 @@ int f(int x) {
 }`, "f")
 	var head *Block
 	for _, b := range g.Blocks {
-		if b.Switch != nil {
+		if b.Switch() != nil {
 			head = b
 		}
 	}
@@ -338,7 +338,7 @@ out:
 	}
 	var labelBlk *Block
 	for _, b := range g.Blocks {
-		if b.Label == "out" {
+		if b.Comment() == "out:" {
 			labelBlk = b
 		}
 	}
@@ -465,7 +465,7 @@ int contrived(int *p, int *w, int x) {
 	// before pruning.
 	conds := 0
 	for _, b := range g.Blocks {
-		if b.Cond != nil {
+		if b.Cond() != nil {
 			conds++
 		}
 	}

@@ -19,11 +19,11 @@ import (
 func forkFaults(g *Graph) []string {
 	var out []string
 	for _, b := range g.Blocks {
-		if len(b.Succs) > 1 && b.Cond == nil && b.Switch == nil {
+		if len(b.Succs) > 1 && b.Cond() == nil && b.Switch() == nil {
 			out = append(out, fmt.Sprintf("%s: B%d has %d successors and no branch", g.Fn.Name, b.ID, len(b.Succs)))
 		}
 		for _, e := range b.Succs {
-			if b.Cond != nil && e.Kind != EdgeTrue && e.Kind != EdgeFalse {
+			if b.Cond() != nil && e.Kind != EdgeTrue && e.Kind != EdgeFalse {
 				out = append(out, fmt.Sprintf("%s: B%d's condition has an edge of kind %d", g.Fn.Name, b.ID, e.Kind))
 			}
 		}

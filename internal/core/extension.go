@@ -27,7 +27,7 @@ func (en *Engine) matchCtx(st *pathState, b *cfg.Block, pt cc.Expr, endOfPath, r
 	ctx.Callouts = en.callouts
 	ctx.BranchCond, ctx.ReturnExpr = nil, nil
 	if b != nil {
-		ctx.BranchCond, ctx.ReturnExpr = b.Cond, b.ReturnX
+		ctx.BranchCond, ctx.ReturnExpr = b.Cond(), b.ReturnX()
 	}
 	return ctx
 }
@@ -239,10 +239,14 @@ func posOf(pt cc.Expr) cc.Pos {
 // within the block's branch condition, so path-specific destinations
 // follow source-level truth ("if (!trylock(l))" swaps the branches).
 func polarityOf(b *cfg.Block, pt cc.Expr) bool {
-	if b == nil || b.Cond == nil {
+	if b == nil {
 		return false
 	}
-	neg, found := findPolarity(b.Cond, pt, false)
+	cond := b.Cond()
+	if cond == nil {
+		return false
+	}
+	neg, found := findPolarity(cond, pt, false)
 	if !found {
 		return false
 	}

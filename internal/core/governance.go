@@ -212,8 +212,10 @@ func (en *Engine) RunContext(ctx context.Context) *report.Set {
 }
 
 // RunRootsContext applies the checker to the given roots in order
-// under a context, recording the report segment each root contributed;
-// running all of Prog.Roots is RunContext. A panic in a metal action or
+// under a context, recording the report segment each root contributed:
+// one RootRun, in root order, per root that emitted a report, and none
+// for a root that emitted nothing (cache.NewUnitEntry lays the empty
+// segments out); running all of Prog.Roots is RunContext. A panic in a metal action or
 // Go callout stops this checker (recording en.Failure with the panic
 // value and stack) but leaves already-emitted reports intact and the
 // process alive.
@@ -223,7 +225,7 @@ func (en *Engine) RunRootsContext(ctx context.Context, roots []*prog.Function) [
 		en.govern = true
 	}
 	en.ensureCompiled()
-	out := make([]RootRun, 0, len(roots))
+	var out []RootRun
 	for _, root := range roots {
 		if en.runCtx != nil && !en.cancelled {
 			if err := en.runCtx.Err(); err != nil {
@@ -237,17 +239,18 @@ func (en *Engine) RunRootsContext(ctx context.Context, roots []*prog.Function) [
 		// Compiled-dispatch root skip (compile.go): a checker none of
 		// whose initial-state transitions can fire anywhere in this
 		// root's callee closure is a provable no-op over it — no
-		// reports, marks, or rule counts — so the traversal is skipped
-		// with an empty segment, byte-identical to having run it.
+		// reports, marks, or rule counts — so the traversal is skipped,
+		// its segment empty, byte-identical to having run it.
 		if en.compiled.SkipRoot(en.checkerIdx, root) {
 			en.Stats.RootsSkipped++
-			out = append(out, RootRun{Root: root})
 			en.retireAfter(root)
 			continue
 		}
 		before := len(en.Reports.Reports)
 		en.runRootIsolated(root)
-		out = append(out, RootRun{Root: root, Reports: en.Reports.Reports[before:]})
+		if len(en.Reports.Reports) > before {
+			out = append(out, RootRun{Root: root, Reports: en.Reports.Reports[before:]})
+		}
 		// Drop whatever this root's completion retired (stream.go;
 		// no-op without SetRetire).
 		en.retireAfter(root)

@@ -20,7 +20,8 @@ import (
 
 // RootRun is one call-graph root's traversal output: the reports the
 // DFS starting at that root added (deduplicated against everything the
-// engine emitted earlier, exactly as RunContext's loop would).
+// engine emitted earlier, exactly as RunContext's loop would). A root
+// that added none has no RootRun (RunRootsContext).
 type RootRun struct {
 	Root    *prog.Function
 	Reports []*report.Report
@@ -221,7 +222,7 @@ func (en *Engine) ExportSummaries(fns []*prog.Function) *SummaryData {
 			for _, b := range fn.Graph.Blocks {
 				bi := fi.info(b)
 				bd := BlockSummaryData{
-					Block:    b.ID,
+					Block:    int(b.ID),
 					Trans:    edgeData(&en.intern, &bi.trans),
 					Adds:     edgeData(&en.intern, &bi.adds),
 					GState:   edgeData(&en.intern, &bi.gstate),

@@ -39,11 +39,15 @@ func TestRunRootsMatchesRun(t *testing.T) {
 
 	en2, p := incrEngine(t)
 	runs := en2.RunRootsContext(context.Background(), p.Roots)
-	if len(runs) != len(p.Roots) {
-		t.Fatalf("got %d root runs, want %d", len(runs), len(p.Roots))
+	// One run per root that reported, in root order: use's.
+	if len(runs) != 1 || runs[0].Root.Name != "use" {
+		t.Fatalf("got %d root runs, want use's alone", len(runs))
 	}
 	var cat []string
 	for _, rr := range runs {
+		if len(rr.Reports) == 0 {
+			t.Errorf("%s: a root run with no report", rr.Root.Name)
+		}
 		for _, r := range rr.Reports {
 			cat = append(cat, r.Detailed())
 		}
@@ -54,6 +58,36 @@ func TestRunRootsMatchesRun(t *testing.T) {
 	for i, r := range plain.Reports {
 		if cat[i] != r.Detailed() {
 			t.Errorf("report %d differs:\nsegmented: %s\nplain: %s", i, cat[i], r.Detailed())
+		}
+	}
+}
+
+// TestSilentRootsReturnNoRun: a whole-program run whose roots emit
+// nothing returns no RootRun, whether a root was traversed (safe, other)
+// or skipped as inert (a program with no call for the checker to fire
+// on).
+func TestSilentRootsReturnNoRun(t *testing.T) {
+	c, err := metal.Parse(freeChecker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		src     string
+		skipped int64
+	}{
+		{"void kfree(void *p);\nvoid safe(int *p) { kfree(p); }\nvoid other(int x) { if (x) x = x + 1; }\n", 1},
+		{"int add(int a, int b) { return a + b; }\nint twice(int a) { return a + a; }\n", 2},
+	} {
+		p, err := prog.BuildSource(map[string]string{"quiet.c": tc.src})
+		if err != nil {
+			t.Fatal(err)
+		}
+		en := NewEngine(p, c, DefaultOptions())
+		if runs := en.RunRootsContext(context.Background(), p.Roots); runs != nil || en.Reports.Len() != 0 {
+			t.Errorf("%d roots: %d root runs, %d reports; want none", len(p.Roots), len(runs), en.Reports.Len())
+		}
+		if en.Stats.RootsSkipped != tc.skipped {
+			t.Errorf("%d roots skipped, want %d", en.Stats.RootsSkipped, tc.skipped)
 		}
 	}
 }

@@ -281,8 +281,8 @@ func matchIn(fn *prog.Function, b *cfg.Block, pat pattern.Pattern, prior pattern
 		Callouts:   pattern.Builtins(),
 		FuncName:   fn.Name,
 		Locals:     fn.Graph.Locals,
-		BranchCond: b.Cond,
-		ReturnExpr: b.ReturnX,
+		BranchCond: b.Cond(),
+		ReturnExpr: b.ReturnX(),
 	}
 	for _, pt := range b.Points {
 		ctx.Point, ctx.ReturnPoint = pt, false
@@ -292,7 +292,7 @@ func matchIn(fn *prog.Function, b *cfg.Block, pat pattern.Pattern, prior pattern
 		}
 	}
 	if b.IsReturn {
-		ctx.Point, ctx.ReturnPoint = b.ReturnX, true
+		ctx.Point, ctx.ReturnPoint = b.ReturnX(), true
 		attempts++
 		if _, ok := pat.Match(ctx, prior); ok {
 			return "the return point", attempts

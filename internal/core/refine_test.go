@@ -240,7 +240,7 @@ int caller(struct s *sa) { g(sa); return (*&sa)->f + sa->f; }`})
 	fn := p.Lookup("caller")
 	var ret *cc.BinaryExpr
 	for _, b := range fn.Graph.Blocks {
-		if x, ok := b.ReturnX.(*cc.BinaryExpr); ok {
+		if x, ok := b.ReturnX().(*cc.BinaryExpr); ok {
 			ret = x
 		}
 	}

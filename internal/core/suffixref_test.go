@@ -70,7 +70,7 @@ func referenceSuffixes(fn *prog.Function, fd FuncSummaryData, pairs map[[2]int]b
 
 	sfx := map[int]refSet{}
 	for _, b := range fn.Graph.Blocks {
-		sfx[b.ID] = newRefSet()
+		sfx[int(b.ID)] = newRefSet()
 	}
 	grew := false
 	put := func(m map[string]refEdge, e refEdge) {
@@ -80,15 +80,15 @@ func referenceSuffixes(fn *prog.Function, fd FuncSummaryData, pairs map[[2]int]b
 		}
 	}
 	for _, b := range fn.Graph.Blocks {
-		if bb, ok := blk[b.ID]; ok && b.Exit && len(bb.gstate) > 0 {
+		if bb, ok := blk[int(b.ID)]; ok && b.Exit && len(bb.gstate) > 0 {
 			for _, e := range bb.gstate {
-				put(sfx[b.ID].trans, e)
+				put(sfx[int(b.ID)].trans, e)
 			}
 			for _, e := range bb.trans {
-				put(sfx[b.ID].trans, e)
+				put(sfx[int(b.ID)].trans, e)
 			}
 			for _, e := range bb.adds {
-				put(sfx[b.ID].adds, e)
+				put(sfx[int(b.ID)].adds, e)
 			}
 		}
 	}
@@ -236,7 +236,7 @@ func suffixMisses(t *testing.T, setting string, srcs map[string]string, opts Opt
 			if pairs[fn] == nil {
 				pairs[fn] = map[[2]int]bool{}
 			}
-			pairs[fn][[2]int{from.ID, to.ID}] = true
+			pairs[fn][[2]int{int(from.ID), int(to.ID)}] = true
 		}
 		en.RunContext(context.Background())
 		sd := en.ExportSummaries(p.All)

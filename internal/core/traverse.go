@@ -120,7 +120,7 @@ func (en *Engine) runFrom(st *pathState, b *cfg.Block, bi *blockInfo, rec *block
 	// synthetic point where return-statement patterns match (§4).
 	if b.IsReturn {
 		en.Stats.Points++
-		en.applyExtension(st, b, rec, b.ReturnX, true)
+		en.applyExtension(st, b, rec, b.ReturnX(), true)
 		if st.killPath {
 			en.finishBlock(st, b, bi, rec)
 			return
@@ -205,14 +205,15 @@ func (en *Engine) endPath(st *pathState) {
 // pruning (§8) shows the edge infeasible, and resolves the pending
 // path-specific transitions for its direction (§3.2).
 func (en *Engine) descend(st *pathState, b *cfg.Block) {
-	if b.Cond == nil && b.Switch == nil {
+	cond := b.Cond()
+	if cond == nil && b.Switch() == nil {
 		en.applyPending(st, true)
 		en.traverseBlock(st, b.Succs[0].To)
 		return
 	}
 	verdict := fpp.Unknown
-	if en.Opts.FPP && b.Cond != nil {
-		verdict = st.env.EvalCond(b.Cond)
+	if en.Opts.FPP && cond != nil {
+		verdict = st.env.EvalCond(cond)
 	}
 	for _, e := range b.Succs {
 		// A switch's edges resolve pending transitions as taken.
@@ -247,14 +248,14 @@ func (en *Engine) descend(st *pathState, b *cfg.Block) {
 // case, and on a switch's default edge that no constant case matched.
 func assume(env *fpp.Env, b *cfg.Block, e cfg.Edge) {
 	switch {
-	case b.Cond != nil:
-		env.AssumeCond(b.Cond, e.Kind != cfg.EdgeFalse)
+	case e.Kind == cfg.EdgeTrue || e.Kind == cfg.EdgeFalse:
+		env.AssumeCond(b.Cond(), e.Kind == cfg.EdgeTrue)
 	case e.Kind == cfg.EdgeCase && e.CaseConst:
-		env.AssumeCase(b.Switch, e.CaseVal)
+		env.AssumeCase(b.Switch(), e.CaseVal)
 	case e.Kind == cfg.EdgeDefault:
 		for _, c := range b.Succs {
 			if c.Kind == cfg.EdgeCase && c.CaseConst {
-				env.AssumeNotCase(b.Switch, c.CaseVal)
+				env.AssumeNotCase(b.Switch(), c.CaseVal)
 			}
 		}
 	}

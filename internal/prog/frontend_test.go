@@ -38,7 +38,9 @@ func frontEnd(tb testing.TB, srcs map[string]string, names []string) *Program {
 }
 
 // frontEndAllocCeiling bounds the objects of one frontEnd over
-// frontEndTree, about 5 % above the measured 1,254 (go1.24; 2,552 while
+// frontEndTree, about 5 % above the measured 1,226 (go1.24; 1,254 while
+// a slab's first chunk held two elements whatever its first request, and
+// a parser's tokens each held their text's string; 2,552 while
 // file-scope declarations were allocated one by one, 3,619 while every
 // function kept a type map and two locals sets, and its call-graph lists
 // grew one edge at a time): each of the eight files is parsed by a
@@ -46,19 +48,19 @@ func frontEnd(tb testing.TB, srcs map[string]string, names []string) *Program {
 // unit, so a token, scope, declaration, node, list, CFG array or
 // per-function table that starts allocating on its own fails here
 // (DESIGN §10.4).
-const frontEndAllocCeiling = 1_317
+const frontEndAllocCeiling = 1_287
 
 // frontEndRetainedCeiling bounds the heap a built Program keeps alive
-// (after runtime.GC, sources excluded) about 5 % above the 713,616 bytes
-// it retains on this tree (go1.24; 718,896 in some runs). It retained
-// 930,376 before the front end's allocation work, 794,520 before the
+// (after runtime.GC, sources excluded) about 5 % above the 623,504 bytes
+// it retains on this tree (go1.24; 623,536 under -race). It retained
+// 713,648 while a CFG block was 200 bytes and an edge 32, 930,376 before the front end's allocation work, 794,520 before the
 // arenas, 862,232 with them while every function kept a type map and
 // two locals sets, and 729,728 while every pointer declarator made a
 // type of its own: the rest is the unclaimed tails of the last chunk of
 // each slab, one set per file parsed alone. A larger chunk, a builder
 // slab, a grown list's spare capacity, a map per function, a comment
 // string or a pass chunk kept with the Program shows here first.
-const frontEndRetainedCeiling = 754_800
+const frontEndRetainedCeiling = 654_680
 
 func TestFrontEndAllocs(t *testing.T) {
 	srcs, names := frontEndTree()
@@ -111,7 +113,8 @@ func frontEndMarginal(t *testing.T, gen func(n int) string, small, large int) fl
 // of a chunk, not an object per node. Each bound is the go1.24 reading +
 // 5 %: (a) 0.661 objects per extra statement (12.133 before the arenas),
 // 0.683 since an expression node holds its type (a chunk holds fewer
-// nodes); (b) 3.233 per extra function (40.167 before the arenas, 17.622
+// nodes); (b) 3.200 per extra function (3.233 while a slab's first chunk
+// held two elements whatever its first request, 40.167 before the arenas, 17.622
 // while it kept a type map and two locals sets, 9.778 while its
 // declaration was allocated node by node): the CFG's block array, and
 // the Program's maps and arrays as they grow; (c) 0.556 per extra

@@ -97,7 +97,7 @@ func TestProgramModelMatchesReference(t *testing.T) {
 				}
 				fnSites := 0
 				for bi, b := range fn.Graph.Blocks {
-					if b.ID != bi {
+					if int(b.ID) != bi {
 						t.Fatalf("%s: block ID %d at Blocks[%d]", fn.Name, b.ID, bi)
 					}
 					var want []cc.Expr

@@ -108,11 +108,12 @@ func (s *sitesSlab) argMaps(call *cc.CallExpr, callee *Function) []ArgMap {
 // Site returns the record of the call at b.Points[point], or nil when
 // that point is not a direct call to a defined function.
 func (fn *Function) Site(b *cfg.Block, point int) *CallSite {
+	id := int(b.ID)
 	i := sort.Search(len(fn.Sites), func(i int) bool {
 		s := &fn.Sites[i]
-		return s.Block > b.ID || s.Block == b.ID && s.Point >= point
+		return s.Block > id || s.Block == id && s.Point >= point
 	})
-	if i == len(fn.Sites) || fn.Sites[i].Block != b.ID || fn.Sites[i].Point != point {
+	if i == len(fn.Sites) || fn.Sites[i].Block != id || fn.Sites[i].Point != point {
 		return nil
 	}
 	return &fn.Sites[i]
@@ -362,7 +363,7 @@ func (p *Program) resolveSites(fn *Function, ss *sitesSlab, sites []CallSite) []
 			if callee == nil {
 				continue
 			}
-			sites = append(sites, CallSite{Block: b.ID, Point: i, Callee: callee, Args: ss.argMaps(call, callee)})
+			sites = append(sites, CallSite{Block: int(b.ID), Point: i, Callee: callee, Args: ss.argMaps(call, callee)})
 		}
 	}
 	if len(sites) > 0 {

@@ -9,8 +9,9 @@ package slab
 import "unsafe"
 
 // Slab hands out the elements of a chunk in order. Each chunk is twice
-// its predecessor's length, from minChunk elements up to chunkBytes
-// bytes (never under minChunk elements). A list longer than half the
+// its predecessor's length, up to chunkBytes bytes, and holds at least
+// minChunk lists of the request that opens it: a slab whose first list
+// is of four elements starts with a chunk of eight. A list longer than half the
 // largest chunk gets an array of its own and leaves the chunk as it
 // is: a chunk's unclaimed tail is lost. The zero value is ready to use;
 // a Slab is not safe for concurrent use.
@@ -37,8 +38,8 @@ func (s *Slab[T]) Take(n int) []T {
 		if 2*n > limit {
 			return make([]T, n)
 		}
-		s.size = min(max(2*s.size, minChunk), limit)
-		s.free = make([]T, max(s.size, n))
+		s.size = min(max(2*s.size, minChunk*n), limit)
+		s.free = make([]T, s.size)
 	}
 	out := s.free[:n:n]
 	s.free = s.free[n:]

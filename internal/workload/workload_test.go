@@ -53,7 +53,7 @@ func TestDiamondChain(t *testing.T) {
 	}
 	conds := 0
 	for _, b := range fn.Graph.Blocks {
-		if b.Cond != nil {
+		if b.Cond() != nil {
 			conds++
 		}
 	}

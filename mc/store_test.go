@@ -6,7 +6,10 @@ package mc_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -86,6 +89,82 @@ func TestStoreKeysAreStable(t *testing.T) {
 	// A store holding only the golden keys is a full hit.
 	if res := run(store.Store); res.Incr.UnitsLive != 0 || res.Incr.FuncsInvalidated != 0 {
 		t.Errorf("warm run over the golden keys: %+v", res.Incr)
+	}
+}
+
+// recordLog keeps every record written through it, by key.
+type recordLog struct {
+	cache.Store
+	mu   sync.Mutex
+	recs map[string][]byte
+}
+
+func (s *recordLog) Put(key string, data []byte) error {
+	s.mu.Lock()
+	s.recs[key] = data
+	s.mu.Unlock()
+	return s.Store.Put(key, data)
+}
+
+// TestStoreRecordsAreStable pins the record bytes, as
+// TestStoreKeysAreStable pins the keys: the SHA-256 of every record a
+// cold run under all bundled checkers writes over two trees, hashed
+// in key order with its key into one digest per tree. A change to
+// what the engine hands the cache, such as RunRootsContext returning
+// no segment for a root that reported nothing, must lay out the same
+// records. The golden moves only with the record format (DESIGN §8
+// "The unit record") or with what an analysis reports.
+func TestStoreRecordsAreStable(t *testing.T) {
+	corpus := map[string]string{}
+	paths, err := filepath.Glob("../testdata/corpus/*.c")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("corpus: %v, %d files", err, len(paths))
+	}
+	for _, path := range paths {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corpus[filepath.Base(path)] = string(src)
+	}
+	for _, tc := range []struct {
+		name   string
+		srcs   map[string]string
+		n      int
+		digest string
+	}{
+		{"call-rich", workload.CallRichTree(), 96, "85926b5af3fdb60a686f95d9ef6be5652a584a705e3a1487a1a57244d638ab56"},
+		{"corpus", corpus, 224, "c48d9286defd77e27eacd4b7dd509749f7b9bfc9817ed80507c99abb73e9c3a2"},
+	} {
+		store := &recordLog{Store: cache.NewMemStore(), recs: map[string][]byte{}}
+		a := mc.NewAnalyzer()
+		if err := a.Configure(mc.RunConfig{Jobs: 2, CacheStore: store}); err != nil {
+			t.Fatal(err)
+		}
+		for name, src := range tc.srcs {
+			a.AddSource(name, src)
+		}
+		for _, c := range mc.BundledCheckers() {
+			if err := a.LoadBundledChecker(c.Name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a.MarkFunction("net_wait", "blocking")
+		if _, err := a.RunContext(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		keys := make([]string, 0, len(store.recs))
+		for k := range store.recs {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		h := sha256.New()
+		for _, k := range keys {
+			fmt.Fprintf(h, "%s %x\n", k, sha256.Sum256(store.recs[k]))
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); len(keys) != tc.n || got != tc.digest {
+			t.Errorf("%s: %d records, digest %s; golden %d, %s", tc.name, len(keys), got, tc.n, tc.digest)
+		}
 	}
 }
 

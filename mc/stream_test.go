@@ -253,7 +253,9 @@ func TestStreamingDeterminismMatrix(t *testing.T) {
 // run with one does, and the reference builds its program by the same
 // pass 1 (Analyzer.program); 4,121 against 3,976, 145 more (also under
 // -race), since a phase whose units are all built allocates nothing to
-// build them. The bound
+// build them; 4,089 against 3,940, 149 more (4,122 against 3,973 under
+// -race), since a slab's first chunk holds two of its first request and
+// a root that reports nothing has no segment. The bound
 // is that excess + 5 %, absolute (PR 37). The excess is mostly mc's task
 // and merge bookkeeping; retirement's own is one counter slice per
 // engine and the releaser (DESIGN §12.3).

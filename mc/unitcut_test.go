@@ -106,7 +106,7 @@ func (s cutSuite) referenceRecords(t *testing.T) (recs map[string][]byte, tasks 
 			en := a.liveEngine(tree.Prog, task.ci, compiled, shared)
 			runs := en.RunRootsContext(context.Background(), task.roots)
 			if cut := en.CutUnit(); cut.Complete {
-				if recs[task.key], err = cache.EncodeUnit(cache.NewUnitEntry(cut, runs)); err != nil {
+				if recs[task.key], err = cache.EncodeUnit(cache.NewUnitEntry(cut, task.roots, runs)); err != nil {
 					t.Fatal(err)
 				}
 			}

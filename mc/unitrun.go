@@ -257,7 +257,7 @@ func runLive(ctx context.Context, sem chan struct{}, tasks []*unitTask, newEngin
 				t.runs = en.RunRootsContext(ctx, t.roots)
 				t.cut = en.CutUnit()
 				if t.key != "" && t.cut.Complete {
-					t.record, _ = cache.EncodeUnit(cache.NewUnitEntry(t.cut, t.runs))
+					t.record, _ = cache.EncodeUnit(cache.NewUnitEntry(t.cut, t.roots, t.runs))
 				}
 			}
 		}()
