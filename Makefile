@@ -161,10 +161,13 @@ bench-check:
 # minimisation of every interesting input would eat the budget.
 # FuzzReadFile reads pass-2 ASTs (cc.ReadFile): no input panics it, and
 # what it decodes re-emits to bytes that read back to the same bytes.
-# FuzzEnvOps and FuzzPrefilterSound are the odd ones out: no decoder,
-# but the §8 fact environment driven against its map-based reference
-# implementation, and the §11 pre-filter held to the matcher (a block no
-# atom admits has no matching point, under any prior).
+# FuzzEnvOps, FuzzPrefilterSound and FuzzSilentImpliesSkip are the odd
+# ones out: no decoder, but the §8 fact environment driven against its
+# map-based reference implementation, the §11 pre-filter held to the
+# matcher (a block no atom admits has no matching point, under any
+# prior), and the §8 silent-unit rule held to SkipRoot over the same
+# generators (a unit that calls none of a checker's trigger names has
+# every root skipped).
 # FuzzBuildCFG feeds C source, seeded from testdata/corpus, to the
 # parser (no input panics it) and holds every CFG it builds to
 # TestOnlyBranchesFork's invariants.
@@ -179,6 +182,7 @@ FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzEnvOps -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/fpp/
 	$(GO) test -run '^$$' -fuzz FuzzPrefilterSound -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzSilentImpliesSkip -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeUnit -fuzztime $(FUZZTIME) ./internal/cache/
 	$(GO) test -run '^$$' -fuzz FuzzOpenStore -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/cache/
 	$(GO) test -run '^$$' -fuzz FuzzWorkRequest -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/fleet/

@@ -288,8 +288,8 @@ func main() {
 		}
 		fmt.Printf("stream: evictions=%d asts-released=%d\n", res.Spill.Evictions, res.Spill.ASTsReleased)
 		if in := res.Incr; in != nil {
-			fmt.Printf("cache: files parsed=%d; units live=%d replayed=%d; funcs live=%d replayed=%d invalidated=%d; bodies parsed=%d/%d; store hits=%d misses=%d puts=%d put-errors=%d\n",
-				in.FilesReparsed, in.UnitsLive, in.UnitsReplayed,
+			fmt.Printf("cache: files parsed=%d; units live=%d replayed=%d silent=%d; funcs live=%d replayed=%d invalidated=%d; bodies parsed=%d/%d; store hits=%d misses=%d puts=%d put-errors=%d\n",
+				in.FilesReparsed, in.UnitsLive, in.UnitsReplayed, in.UnitsSilent,
 				in.FuncsAnalyzedLive, in.FuncsAnalyzedReplayed, in.FuncsInvalidated,
 				in.BodiesParsed, len(res.Program.All),
 				in.CacheHits, in.CacheMisses, in.CachePuts, in.CachePutErrors)

@@ -21,32 +21,42 @@ const FormatVersion = "xgcc-cache-v5" // v5: binary unit records (entry.go)
 
 // Key derives a cache key: the hex SHA-256 of the format version and
 // the given parts, length-prefixed so part boundaries can't alias. The
-// parts are laid out in one buffer, on the stack when they fit, and
-// hashed in one call: the key string is the one allocation.
+// parts are laid out a buffer at a time and each full buffer is written
+// into one SHA-256 state, so however long the parts are they are never
+// copied out whole; the buffer and the state stay on the stack, and the
+// key string is the one allocation.
 func Key(parts ...string) string {
-	n := 8 + len(FormatVersion)
-	for _, p := range parts {
-		n += 8 + len(p)
-	}
+	h := sha256.New()
 	var stack [1024]byte
 	buf := stack[:0]
-	if n > len(stack) {
-		buf = make([]byte, 0, n)
+	write := func(p string) {
+		for len(p) > 0 {
+			if len(buf) == cap(buf) {
+				h.Write(buf)
+				buf = buf[:0]
+			}
+			k := copy(buf[len(buf):cap(buf)], p)
+			buf, p = buf[:len(buf)+k], p[k:]
+		}
 	}
-	buf = appendPart(buf, FormatVersion)
+	part := func(p string) {
+		if cap(buf)-len(buf) < 8 {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(p)))
+		write(p)
+	}
+	part(FormatVersion)
 	for _, p := range parts {
-		buf = appendPart(buf, p)
+		part(p)
 	}
-	sum := sha256.Sum256(buf)
+	h.Write(buf)
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
 	var out [2 * sha256.Size]byte
 	hex.Encode(out[:], sum[:])
 	return string(out[:])
-}
-
-// appendPart appends one key part: its length, 8 bytes little-endian,
-// then its bytes.
-func appendPart(buf []byte, p string) []byte {
-	return append(binary.LittleEndian.AppendUint64(buf, uint64(len(p))), p...)
 }
 
 // Store is a content-addressed blob store. Get reports a miss with

@@ -47,8 +47,9 @@ func refKey(parts ...string) string {
 
 // TestKeyMatchesReference: Key derives the reference's key for no
 // parts, empty parts, parts either side of its stack buffer's size, a
-// very long part and many parts; and it allocates only the key string
-// while the parts fit that buffer.
+// very long part and many parts; and it allocates only the key string,
+// whether the parts fit that buffer or fill it many times (go1.24 keeps
+// the SHA-256 state and the buffer on the stack).
 func TestKeyMatchesReference(t *testing.T) {
 	long := strings.Repeat("0123456789abcdef", 1<<16)
 	cases := [][]string{
@@ -76,6 +77,10 @@ func TestKeyMatchesReference(t *testing.T) {
 	parts := []string{"unit", strings.Repeat("f", 64), "opts|111111|0,0,0,0", strings.Repeat("e", 64)}
 	if n := testing.AllocsPerRun(100, func() { Key(parts...) }); n != 1 {
 		t.Errorf("Key allocates %v objects, want 1 (the key)", n)
+	}
+	parts = append(parts, long[:5000])
+	if n := testing.AllocsPerRun(100, func() { Key(parts...) }); n != 1 {
+		t.Errorf("a long Key allocates %v objects, want 1 (the key)", n)
 	}
 }
 

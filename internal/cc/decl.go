@@ -520,6 +520,10 @@ type BodySkim struct {
 	// horizon counts the file-scope scope entries visible at the
 	// definition.
 	horizon int32
+	// Assigns reports that the body's span holds an assignment operator
+	// ("=" of an initializer included): false means its CFG has no
+	// assignment point. It is false for a body parsed in place.
+	Assigns bool
 	src     *Parser // the file's parser: its tokens and file-scope names
 }
 
@@ -634,6 +638,7 @@ func (p *Parser) skimBody(fd *FuncDecl) bool {
 	s.Lo, s.Hi, s.horizon, s.src = int32(lo), int32(hi), int32(len(p.names)), p
 	if ok && p.callees {
 		s.Callees, ok = p.skimCallees(lo, hi)
+		s.Assigns = ok && slices.ContainsFunc(p.toks[lo:hi], func(t Token) bool { return isAssignOp(t.Kind) })
 	}
 	if !ok {
 		s.Callees = nil // the span stays: Hasher.Func reads it

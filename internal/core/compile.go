@@ -36,6 +36,7 @@ import (
 	"cmp"
 	"slices"
 
+	"repro/internal/cc"
 	"repro/internal/cfg"
 	"repro/internal/metal"
 	"repro/internal/pattern"
@@ -399,4 +400,126 @@ func numberStates(in *interner, c *metal.Checker) (initG int32, idx stateIdx) {
 func (cd *CompiledDispatch) SkipRoot(ci int, root *prog.Function) bool {
 	ra := cd.rootAdmit[root.Index]
 	return ra != nil && !cd.initEOP[ci] && !ra.anyOf(cd.initEntries[ci])
+}
+
+// A Trigger is a callee name that an initial-global-state transition
+// requires, and whether it requires it in a block with an assignment
+// point as well: the name is nested under an assignment
+// ("{ v = kmalloc(args) }"), not the call the point is.
+type Trigger struct {
+	Name   string
+	Assign bool
+}
+
+// Triggers returns checker ci's triggers, each name once: an atom with
+// a callee is admitted only in a block that calls that name
+// (blockFeats.admits), and an assignment atom only in one with an
+// assignment point too. So in a unit none of whose functions calls a
+// trigger's name (beside an assignment, where it says so) no block
+// admits an initial entry, and SkipRoot holds for each root: the
+// argument needs no built body. ok is false when the triggers cannot
+// decide that: some alternative of an initial transition names no
+// callee, or one may match at end of path.
+func (cd *CompiledDispatch) Triggers(ci int) (trs []Trigger, ok bool) {
+	if cd.initEOP[ci] {
+		return nil, false
+	}
+	for _, id := range cd.initEntries[ci] {
+		for _, a := range cd.entries[id] {
+			if a.callee == "" {
+				return nil, false
+			}
+			assign := !a.ret && a.kind == kindAssign
+			if i := slices.IndexFunc(trs, func(tr Trigger) bool { return tr.Name == a.callee }); i >= 0 {
+				trs[i].Assign = trs[i].Assign && assign
+			} else {
+				trs = append(trs, Trigger{Name: a.callee, Assign: assign})
+			}
+		}
+	}
+	return trs, true
+}
+
+// UnitCalls lists, per unit of a program (by Unit.Index), the names its
+// functions call directly, each once, and whether a function that calls
+// the name assigns too (ListUnitCalls).
+type UnitCalls [][]unitCall
+
+type unitCall struct {
+	name    string
+	assigns bool
+}
+
+// ListUnitCalls lists what each unit of p calls, into one array, from
+// pass 1's findings: a skimmed body's cc.BodySkim.Callees and Assigns,
+// and for a body pass 1 parsed in place the call and assignment points
+// of its CFG. TestSkimMatchesParse holds the two to each other, and
+// blockFeats reads a block's features from the same points. It must
+// run before any unit is retired: a retired body keeps neither.
+func ListUnitCalls(p *prog.Program) UnitCalls {
+	n := 0
+	for _, fn := range p.All {
+		n += len(fn.Decl.Skim.Callees)
+	}
+	calls := make([]unitCall, 0, n)
+	units := p.Units()
+	out := make(UnitCalls, len(units))
+	for i, u := range units {
+		start := len(calls)
+		for _, fn := range u.Funcs {
+			if fn.Graph == nil {
+				for _, name := range fn.Decl.Skim.Callees {
+					calls = append(calls, unitCall{name, fn.Decl.Skim.Assigns})
+				}
+				continue
+			}
+			assigns := false
+			for _, b := range fn.Graph.Blocks {
+				for _, pt := range b.Points {
+					if _, ok := pt.(*cc.AssignExpr); ok {
+						assigns = true
+					}
+				}
+			}
+			for _, b := range fn.Graph.Blocks {
+				for _, pt := range b.Points {
+					if call, ok := pt.(*cc.CallExpr); ok {
+						if name := cc.CalleeName(call); name != "" {
+							calls = append(calls, unitCall{name, assigns})
+						}
+					}
+				}
+			}
+		}
+		// Each name once: sorted, a run of one name folds into its
+		// first entry, which assigns if any of the run does.
+		uc := calls[start:]
+		slices.SortFunc(uc, func(a, b unitCall) int { return cmp.Compare(a.name, b.name) })
+		k := 0
+		for j := range uc {
+			if k > 0 && uc[k-1].name == uc[j].name {
+				uc[k-1].assigns = uc[k-1].assigns || uc[j].assigns
+				continue
+			}
+			uc[k] = uc[j]
+			k++
+		}
+		calls = calls[:start+k]
+		out[i] = calls[start:len(calls):len(calls)]
+	}
+	return out
+}
+
+// Silent reports that unit u calls none of the triggers' names, beside
+// an assignment where the trigger says so: the checker the triggers are
+// of is a no-op over u, and SkipRoot holds for each of its roots.
+func (uc UnitCalls) Silent(u *prog.Unit, trs []Trigger) bool {
+	for _, c := range uc[u.Index] {
+		for _, tr := range trs {
+			if c.name == tr.Name && (c.assigns || !tr.Assign) {
+				return false
+			}
+		}
+	}
+	return true
 }

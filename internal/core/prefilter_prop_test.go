@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/cc"
 	"repro/internal/cfg"
+	"repro/internal/metal"
 	"repro/internal/pattern"
 	"repro/internal/prog"
 )
@@ -227,6 +228,17 @@ func randFuncSrc(r chooser, names []string, name string) string {
 
 func randProgram(t testing.TB, r chooser, names []string) *prog.Program {
 	t.Helper()
+	src := randSource(r, names)
+	p, err := prog.BuildSource(map[string]string{"gen.c": src})
+	if err != nil {
+		t.Fatalf("generated program does not build: %v\n%s", err, src)
+	}
+	return p
+}
+
+// randSource is randProgram's source: the callees' prototypes, then one
+// to three generated functions.
+func randSource(r chooser, names []string) string {
 	var b strings.Builder
 	for _, c := range names {
 		fmt.Fprintf(&b, "int *%s(int *a);\n", c)
@@ -234,11 +246,7 @@ func randProgram(t testing.TB, r chooser, names []string) *prog.Program {
 	for i, k := 0, 1+r.Intn(3); i < k; i++ {
 		b.WriteString(randFuncSrc(r, names, fmt.Sprintf("gen%d", i)))
 	}
-	p, err := prog.BuildSource(map[string]string{"gen.c": b.String()})
-	if err != nil {
-		t.Fatalf("generated program does not build: %v\n%s", err, b.String())
-	}
-	return p
+	return b.String()
 }
 
 // callsOf lists every call point of the function, in block order: the
@@ -404,4 +412,84 @@ func fuzzIdent(s string) string {
 		return ""
 	}
 	return "z_" + b.String()
+}
+
+// silentImpliesSkip checks the silent-unit rule against SkipRoot over
+// one generated program and a checker whose initial transitions are the
+// given patterns: wherever UnitCalls, read from pass 1 before any body
+// is built, calls a unit silent under the checker's Triggers, SkipRoot
+// holds for each root of the unit once its bodies are built. It returns
+// how many units were silent.
+func silentImpliesSkip(t testing.TB, src string, pats []pattern.Pattern) (silent int) {
+	t.Helper()
+	files, err := cc.SkimFiles(map[string]string{"gen.c": src}, 1)
+	if err != nil {
+		t.Fatalf("generated program does not skim: %v\n%s", err, src)
+	}
+	p := prog.Assemble(files...)
+	calls := ListUnitCalls(p)
+	if _, err := p.BuildUnits(p.Units(), 1); err != nil {
+		t.Fatalf("generated program does not build: %v\n%s", err, src)
+	}
+	c := &metal.Checker{Name: "gen"}
+	for _, pat := range pats {
+		c.Transitions = append(c.Transitions, &metal.Transition{Source: metal.StateRef{Val: "start"}, Pat: pat})
+	}
+	cd := CompileDispatch(p, []*metal.Checker{c})
+	trs, ok := cd.Triggers(0)
+	if !ok {
+		return 0
+	}
+	for _, u := range p.Units() {
+		if !calls.Silent(u, trs) {
+			continue
+		}
+		silent++
+		for _, root := range u.Roots {
+			if !cd.SkipRoot(0, root) {
+				t.Fatalf("unit of %s is silent under triggers %v, but SkipRoot does not hold for %s\n%s",
+					u.Funcs[0].Name, trs, root.Name, src)
+			}
+		}
+	}
+	return silent
+}
+
+// TestSilentImpliesSkipProperty: over a seeded random corpus of
+// checkers of one or two initial transitions and programs, a unit the
+// silent-unit rule settles has every root skipped.
+func TestSilentImpliesSkipProperty(t *testing.T) {
+	r := rand.New(rand.NewSource(2002))
+	silent, units := 0, 0
+	for i := 0; i < 300; i++ {
+		pats := []pattern.Pattern{randPattern(t, r, propCallees)}
+		if r.Intn(2) == 0 {
+			pats = append(pats, randPattern(t, r, propCallees))
+		}
+		src := randSource(r, propCallees)
+		silent += silentImpliesSkip(t, src, pats)
+		units += strings.Count(src, "int gen")
+	}
+	if silent == 0 || silent == units {
+		t.Fatalf("degenerate corpus: %d of %d units silent", silent, units)
+	}
+	t.Logf("%d of %d units silent, each with every root skipped", silent, units)
+}
+
+// FuzzSilentImpliesSkip is the property test with the fuzzer choosing,
+// as FuzzPrefilterSound does: the pattern shape and its callee names
+// from shape, one more callee name for both vocabularies from name, and
+// the function bodies from body.
+func FuzzSilentImpliesSkip(f *testing.F) {
+	f.Add([]byte{3, 1, 0}, "gets", []byte{1, 0, 0, 1})
+	f.Add([]byte{14, 1, 0}, "", []byte{2, 3, 1, 4, 0})
+	f.Fuzz(func(t *testing.T, shape []byte, name string, body []byte) {
+		names := propCallees
+		if id := fuzzIdent(name); id != "" {
+			names = append(names[:len(names):len(names)], id)
+		}
+		sc, bc := byteChooser(shape), byteChooser(body)
+		pat := randPattern(t, &sc, names)
+		silentImpliesSkip(t, randSource(&bc, names), []pattern.Pattern{pat})
+	})
 }

@@ -379,30 +379,70 @@ func (p *Program) resolveSites(fn *Function, ss *sitesSlab, sites []CallSite) []
 // does for a parsed body. Functions already built, and released ones,
 // are skipped. It returns how many bodies it parsed. Its error is the
 // first parse error in source order among the bodies it parsed; the
-// program is then unusable, and the count 0. Like ReleaseBody, it
-// writes an assembled Program: the caller must guarantee that nothing
-// reads the functions of these units meanwhile, and that no other
-// BuildUnits call on the program runs at the same time.
+// program is then unusable but for ParseUnits, and the count 0. Like
+// ReleaseBody, it writes an assembled Program: the caller must
+// guarantee that nothing reads the functions of these units meanwhile,
+// and that no other BuildUnits or ParseUnits call on the program runs
+// at the same time.
 func (p *Program) BuildUnits(units []*Unit, workers int) (parsed int, err error) {
 	if p.unbuilt == 0 {
 		return 0, nil
 	}
-	todo := make([]*Function, 0, p.unbuilt) // at most every body not built yet
+	todo := bodies(units, p.unbuilt, func(fn *Function) bool { return fn.Graph == nil })
+	if len(todo) == 0 {
+		return 0, nil
+	}
+	if err := parseBodies(todo, workers); err != nil {
+		return 0, err
+	}
+	var cb cfg.Builder
+	var ss sitesSlab
+	var sites []CallSite
+	for _, fn := range todo {
+		p.buildBody(&cb, fn)
+		sites = p.resolveSites(fn, &ss, sites)
+	}
+	if p.unbuilt -= len(todo); p.unbuilt == 0 {
+		p.ReleaseFrontEnd()
+	}
+	return len(todo), nil
+}
+
+// ParseUnits parses the skimmed bodies of the given units' functions
+// that are not parsed yet, as BuildUnits does, and builds none of them:
+// no type, CFG or call site. It returns how many bodies it parsed, and
+// the first parse error in source order among them. A body it parsed
+// is built by a later BuildUnits, and released by ReleaseBody.
+func (p *Program) ParseUnits(units []*Unit, workers int) (parsed int, err error) {
+	todo := bodies(units, 0, func(fn *Function) bool { return fn.Graph == nil && fn.Decl.Body == nil })
+	if len(todo) == 0 {
+		return 0, nil
+	}
+	return len(todo), parseBodies(todo, workers)
+}
+
+// bodies lists the definitions among units' functions that want holds
+// of, in source order (by Function.Index) and each once; n is room to
+// start with.
+func bodies(units []*Unit, n int, want func(*Function) bool) []*Function {
+	todo := make([]*Function, 0, n)
 	for _, u := range units {
 		for _, fn := range u.Funcs {
-			if fn.Graph == nil && fn.Decl.IsDefinition() {
+			if want(fn) && fn.Decl.IsDefinition() {
 				todo = append(todo, fn)
 			}
 		}
 	}
-	if len(todo) == 0 {
-		return 0, nil
-	}
 	slices.SortFunc(todo, func(a, b *Function) int { return a.Index - b.Index })
-	todo = slices.Compact(todo) // units may repeat
-	// A file's bodies share its parser: one goroutine per file at a
-	// time, files in parallel. A file's parse stops at its first error,
-	// so the first file's error is the first in source order.
+	return slices.Compact(todo) // units may repeat
+}
+
+// parseBodies parses the skimmed bodies of todo, in source order, on
+// a pool of at most workers goroutines. A file's bodies share its
+// parser: one goroutine per file at a time, files in parallel. A
+// file's parse stops at its first error, so the first file's error is
+// the first in source order.
+func parseBodies(todo []*Function, workers int) error {
 	type group struct {
 		lo, hi int // the file's run in todo
 		err    error
@@ -448,20 +488,10 @@ func (p *Program) BuildUnits(units []*Unit, workers int) (parsed int, err error)
 	}
 	for _, g := range groups {
 		if g.err != nil {
-			return 0, fmt.Errorf("parse %s: %w", todo[g.lo].Decl.File, g.err)
+			return fmt.Errorf("parse %s: %w", todo[g.lo].Decl.File, g.err)
 		}
 	}
-	var cb cfg.Builder
-	var ss sitesSlab
-	var sites []CallSite
-	for _, fn := range todo {
-		p.buildBody(&cb, fn)
-		sites = p.resolveSites(fn, &ss, sites)
-	}
-	if p.unbuilt -= len(todo); p.unbuilt == 0 {
-		p.ReleaseFrontEnd()
-	}
-	return len(todo), nil
+	return nil
 }
 
 // ReleaseFrontEnd drops what BuildUnits reads — the type environment

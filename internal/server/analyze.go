@@ -145,33 +145,35 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 // tree it would commit (base tree plus canonical patch) and the
 // active checker set it read. Content-addressed like the cache itself,
 // so two requests coalesce exactly when their runs would be
-// indistinguishable.
+// indistinguishable. Each file's name and source are key parts of
+// their own, hashed where they lie; the patch's file count separates
+// the patch from the base.
 func (s *Server) analyzeKey(enabled []registry.EnabledSource, req *AnalyzeRequest) string {
-	base := ""
-	if !req.Reset {
-		s.mu.Lock()
-		base = joinSorted(s.srcs)
-		s.mu.Unlock()
-	}
 	removes := append([]string(nil), req.Remove...)
 	sort.Strings(removes)
-	return cache.Key("analyze",
-		setKey(enabled),
-		strconv.FormatBool(req.Reset),
-		base,
-		strings.Join(removes, "\x01"),
-		joinSorted(req.Files))
+	parts := []string{"analyze", setKey(enabled), strconv.FormatBool(req.Reset),
+		strings.Join(removes, "\x01"), strconv.Itoa(len(req.Files))}
+	parts = appendFiles(parts, req.Files)
+	if !req.Reset {
+		s.mu.Lock()
+		parts = appendFiles(parts, s.srcs)
+		s.mu.Unlock()
+	}
+	return cache.Key(parts...)
 }
 
-// joinSorted renders a tree or a patch canonically: each file as name
-// NUL source, sorted, joined by \x01.
-func joinSorted(files map[string]string) string {
-	out := make([]string, 0, len(files))
-	for name, src := range files {
-		out = append(out, name+"\x00"+src)
+// appendFiles appends a tree or a patch to key parts: each file's name,
+// then its source, in name order.
+func appendFiles(parts []string, files map[string]string) []string {
+	names := make([]string, 0, len(files))
+	for name := range files {
+		names = append(names, name)
 	}
-	sort.Strings(out)
-	return strings.Join(out, "\x01")
+	sort.Strings(names)
+	for _, name := range names {
+		parts = append(parts, name, files[name])
+	}
+	return parts
 }
 
 // runAnalyze is the admitted analysis path; it writes exactly one

@@ -45,13 +45,16 @@ type IncrStats struct {
 	FilesReparsed int `json:"files_reparsed"`
 	BodiesParsed  int `json:"bodies_parsed"`
 
-	// Unit reuse, counted per (checker, unit) pair. UnitsRemote is the
-	// subset of UnitsReplayed that a fleet worker filled during this
-	// run (a remote fill is replayed from the shared store like any
-	// warm hit); replays with UnitsRemote == 0 came from prior runs.
+	// Unit reuse, counted per keyed (checker, unit) pair. UnitsRemote
+	// is the subset of UnitsReplayed that a fleet worker filled during
+	// this run (a remote fill is replayed from the shared store like
+	// any warm hit); replays with UnitsRemote == 0 came from prior runs.
+	// UnitsSilent counts the pairs settled without a key: units that
+	// call none of the checker's trigger names (UnitTree.tasks).
 	UnitsLive     int `json:"units_live"`
 	UnitsReplayed int `json:"units_replayed"`
 	UnitsRemote   int `json:"units_remote"`
+	UnitsSilent   int `json:"units_silent"`
 
 	// Function analyses (traversal starts) performed live versus
 	// replayed from cache — the experiment's headline ratio.
@@ -111,6 +114,47 @@ func (a *Analyzer) probeTasks(tasks []*unitTask, incr *IncrStats) {
 		}
 	}
 }
+
+// checkQuiet parses the bodies of the units every checker is silent
+// over (UnitTree.quietUnits), which no task keys or builds, so that a
+// run with a store fails on a body that does not parse as a run
+// without one does. A unit record's key hashes its unit's tokens and
+// is written only once they parsed; a quiet unit has a record of its
+// own to say as much, under parsesKey, and only a unit the store has
+// none for is parsed, then recorded.
+func (a *Analyzer) checkQuiet(tree *UnitTree, cd *core.CompiledDispatch, incr *IncrStats) error {
+	quiet := tree.quietUnits(a.checkers, cd)
+	if len(quiet) == 0 {
+		return nil
+	}
+	keys := make([]string, len(quiet))
+	for i, u := range quiet {
+		keys[i] = tree.parsesKey(u.Index)
+	}
+	found := cache.GetBatch(a.cacheStore, keys)
+	todo, puts := quiet[:0], make(map[string][]byte, len(quiet)-len(found))
+	for i, u := range quiet {
+		if _, ok := found[keys[i]]; !ok {
+			todo, puts[keys[i]] = append(todo, u), parsesRecord
+		}
+	}
+	if len(todo) == 0 {
+		return nil
+	}
+	parsed, err := tree.Prog.ParseUnits(todo, a.parallelism())
+	if incr.BodiesParsed += parsed; err != nil {
+		return err
+	}
+	// Best effort, as the unit records are.
+	incr.CachePuts += int64(len(puts))
+	if cache.PutBatch(a.cacheStore, puts) != nil {
+		incr.CachePutErrors++
+	}
+	return nil
+}
+
+// parsesRecord is what a parsesKey is stored with: the key says it all.
+var parsesRecord = []byte("parses")
 
 // dispatchRemote offers the phase's cache misses to the fleet unit
 // runner (DESIGN.md §15), then re-probes the store: workers fill unit

@@ -217,6 +217,18 @@ type Result struct {
 	Degradations []DegradeEvent
 }
 
+// firstParseError is the error of a run some body of p failed to
+// parse in (err): the first parse error in source order, which a run
+// without a store, building every body at once, fails with. A run with
+// a store parses only some bodies, and some phase by phase, so it
+// parses the rest here to fail alike.
+func firstParseError(p *prog.Program, workers int, err error) error {
+	if _, first := p.ParseUnits(p.Units(), workers); first != nil {
+		return first
+	}
+	return err
+}
+
 // RunContext runs pass 1 (it fans out over a worker pool), assembles
 // the program, and applies each loaded checker: one engine
 // per checker, engines of a phase concurrently, phases ordered around
@@ -227,10 +239,13 @@ type Result struct {
 // There is one body for every run (DESIGN.md §8). With a store, each
 // checker's work is one keyed task per call-graph unit: units whose
 // record the store (or a fleet worker) holds replay, the rest run on the
-// checker's engine in order, cut into records at the unit boundaries.
+// checker's engine in order, cut into records at the unit boundaries;
+// the units that call none of the checker's trigger names are settled
+// by one unkeyed task, as the run would have skipped their roots.
 // Without one, nothing is keyed and each checker's work is one task,
 // the whole program. Either way only the units of live tasks have
-// their bodies parsed and built.
+// their bodies parsed and built, but for the units every checker is
+// silent over, whose bodies are parsed once (checkQuiet).
 //
 // The context cancels the analysis mid-traversal, and its deadline is
 // the run's time bound (context.WithTimeout): the engines stop at the
@@ -290,6 +305,9 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 	// run and shared read-only by every engine (the structure is purely
 	// syntactic, so one build covers all phases).
 	compiled := core.CompileDispatch(p, a.checkers)
+	if err := a.checkQuiet(tree, compiled, incr); err != nil {
+		return nil, firstParseError(p, a.parallelism(), err)
+	}
 	sem := make(chan struct{}, a.parallelism())
 	engines := make([]*core.Engine, len(a.checkers))
 	tasksByChecker := make([][]*unitTask, len(a.checkers))
@@ -299,7 +317,7 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 		// intra-phase write-then-read.
 		var tasks []*unitTask
 		for _, ci := range phase {
-			tasksByChecker[ci] = tree.tasks(ci, a.checkers[ci], a.opts, shared)
+			tasksByChecker[ci] = tree.tasks(ci, a.checkers[ci], compiled, ci, a.opts, shared)
 			tasks = append(tasks, tasksByChecker[ci]...)
 		}
 
@@ -323,7 +341,7 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 		a.dispatchRemote(ctx, tasks, shared, incr)
 		parsed, err := tree.build(tasks, a.parallelism(), func(int) *core.CompiledDispatch { return compiled })
 		if incr.BodiesParsed += parsed; err != nil {
-			return nil, err
+			return nil, firstParseError(p, a.parallelism(), err)
 		}
 		runLive(ctx, sem, tasks, func(ci int) *core.Engine {
 			engines[ci] = a.liveEngine(p, ci, compiled, shared)
@@ -399,7 +417,9 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 				res.RuleStats[rule] = prev
 			}
 			res.Degradations = append(res.Degradations, t.cut.Degradations...)
-			if t.replayed {
+			if t.silent {
+				incr.UnitsSilent += len(t.units)
+			} else if t.replayed {
 				incr.UnitsReplayed++
 				incr.FuncsAnalyzedReplayed += analyses
 			} else {

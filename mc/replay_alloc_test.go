@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/core"
 )
 
 // warmReplayAllocs fills a disk store with a cold run of the free
@@ -39,9 +40,10 @@ func warmReplayAllocs(t *testing.T, gen func(n int) string, n int) (allocs float
 	}
 	tree := NewUnitTree(files)
 	shared := a.preMarked()
+	compiled := core.CompileDispatch(tree.Prog, a.checkers)
 	var tasks []*unitTask
 	allocs = testing.AllocsPerRun(5, func() {
-		tasks = tree.tasks(0, a.checkers[0], a.opts, shared)
+		tasks = tree.tasks(0, a.checkers[0], compiled, 0, a.opts, shared)
 		a.probeTasks(tasks, &IncrStats{})
 	})
 	for _, task := range tasks {

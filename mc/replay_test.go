@@ -134,8 +134,9 @@ func diffSupergraphs(t *testing.T, label string, want, got map[string]string) {
 // its run — for a root, a hot helper and a leaf alike, under every
 // checker — whatever the analysis run before it replayed: no store, a
 // cold one, a warm one, and a warm one after an edit that sends one unit
-// back to the engines and replays the other. A name the program does
-// not define renders nil.
+// back to the engines and replays the other. The edit is to a unit a
+// checker keys: one every checker is silent over would leave nothing
+// live. A name the program does not define renders nil.
 func TestSupergraphThroughCache(t *testing.T) {
 	srcs := workload.CallRichTree()
 	edges := 0
@@ -164,22 +165,22 @@ func TestSupergraphThroughCache(t *testing.T) {
 		}
 	}
 
-	// Warm, after a body edit to root_clean: its unit {root_clean, add}
-	// runs live, drop's unit replays.
+	// Warm, after a body edit to root_lock: its unit {root_lock, grab,
+	// release} runs live under the lock checker, drop's unit replays.
 	store := cache.NewMemStore()
-	supergraphRun(t, srcs, "add", store)
+	supergraphRun(t, srcs, "grab", store)
 	edited := map[string]string{}
 	for name, src := range srcs {
-		edited[name] = strings.Replace(src, "{ return add(a, b) + add(b, a); }", "{ if (a) return add(a, b); return add(b, a); }", 1)
+		edited[name] = strings.Replace(src, "{ grab(l); if (n > 0) return 0;", "{ grab(l); if (n > 1) return 0;", 1)
 	}
 	if edited["roots.c"] == srcs["roots.c"] {
 		t.Fatal("the edit did not apply")
 	}
-	res, add := supergraphRun(t, edited, "add", store)
+	res, grab := supergraphRun(t, edited, "grab", store)
 	if in := res.Incr; in.UnitsLive == 0 || in.UnitsReplayed == 0 {
 		t.Fatalf("edit should mix live and replayed units, got %d/%d", in.UnitsLive, in.UnitsReplayed)
 	}
-	diffSupergraphs(t, "add, warm store after an edit to its caller", residentSupergraphs(t, edited, "add"), add)
+	diffSupergraphs(t, "grab, warm store after an edit to its caller", residentSupergraphs(t, edited, "grab"), grab)
 	_, drop := supergraphRun(t, edited, "drop", store)
 	diffSupergraphs(t, "drop, its unit replayed after the edit", residentSupergraphs(t, edited, "drop"), drop)
 }

@@ -94,7 +94,7 @@ func (s cutSuite) referenceRecords(t *testing.T) (recs map[string][]byte, tasks 
 	for _, phase := range core.PlanPhases(a.checkers) {
 		var phaseTasks []*unitTask
 		for _, ci := range phase {
-			phaseTasks = append(phaseTasks, tree.tasks(ci, a.checkers[ci], a.opts, shared)...)
+			phaseTasks = append(phaseTasks, tree.tasks(ci, a.checkers[ci], compiled, ci, a.opts, shared)...)
 		}
 		// Live marks land in shared as the engines run; nothing reads
 		// them before the next phase's keys are derived.

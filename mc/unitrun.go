@@ -84,6 +84,7 @@ type UnitTree struct {
 	funcHash [][sha256.Size]byte // by Function.Index
 	unitFPs  []string            // parallel to Prog.Units()
 	wholeFP  func() string       // of Prog.All, derived on first use
+	calls    core.UnitCalls      // what each unit calls, for the triggers of tasks' checkers
 
 	mu       sync.Mutex
 	checkers map[string]*unitChecker // by source text; nil = does not parse
@@ -94,10 +95,12 @@ type UnitTree struct {
 // the position-independent declaration environment and each function's
 // declaration and body tokens (cc.Hasher.Func) are what every unit key
 // derives from. One cc.Hasher hashes them all; a digest is rendered as
-// hex only where it enters a key.
+// hex only where it enters a key. It also lists the names each unit
+// calls, from which tasks settles the units a checker is silent over.
 func NewUnitTree(files []*cc.File) *UnitTree { return newUnitTree(files, true) }
 
-// newUnitTree is NewUnitTree, fingerprinted only when keyed.
+// newUnitTree is NewUnitTree, fingerprinted and its calls listed only
+// when keyed.
 func newUnitTree(files []*cc.File, keyed bool) *UnitTree {
 	p := prog.Assemble(files...)
 	t := &UnitTree{Prog: p, keyed: keyed}
@@ -115,6 +118,7 @@ func newUnitTree(files []*cc.File, keyed bool) *UnitTree {
 		t.unitFPs[i] = t.unitFP(u.Funcs)
 	}
 	t.wholeFP = sync.OnceValue(func() string { return t.unitFP(p.All) })
+	t.calls = core.ListUnitCalls(p)
 	return t
 }
 
@@ -146,15 +150,16 @@ func (t *UnitTree) unitFP(fns []*prog.Function) string {
 }
 
 // unitTask is one (checker, unit) work item in a phase. Replayed from
-// the store or run live, it ends up holding the same thing: the unit's
-// per-root report segments and its cut.
+// the store, settled as silent or run live, it ends up holding the same
+// thing: the unit's per-root report segments and its cut.
 type unitTask struct {
 	ci       int // the checker's index in its Analyzer
 	units    []*prog.Unit
 	funcs    []*prog.Function
 	roots    []*prog.Function
-	key      string // "" = uncacheable, always live
-	replayed bool   // runs and cut came from the store
+	key      string // "" = uncacheable, always live, unless silent
+	replayed bool   // runs and cut are known without a run: from the store, or silent
+	silent   bool   // settled from the names its units call (tasks); no key
 	runs     []core.RootRun
 	cut      core.UnitCut
 	record   []byte // the live run's storable encoding, until records takes it
@@ -177,15 +182,23 @@ func (t *unitTask) replay(e *cache.UnitEntry) {
 
 // tasks enumerates checker c's work at one phase barrier, each task
 // with the key its complete analysis is stored under; marks is the
-// annotation store at that barrier. Without a store to key for, and for
-// two kinds of checker, one task per call-graph unit is too fine:
+// annotation store at that barrier, and cd the dispatch that numbers c
+// as its checker di. Without a store to key for, and for two kinds of
+// checker, one task per call-graph unit is too fine:
 //   - custom Go callouts: native code is invisible to the source
 //     fingerprint, so the checker runs live, whole-program, unkeyed,
 //     and never rides a fleet job;
 //   - self-coupled checkers (both mark_fn and mc_fn_marked): their own
 //     marks flow across units within one run, so they key as a single
 //     whole-program unit.
-func (t *UnitTree) tasks(ci int, c *metal.Checker, opts Options, marks *core.Shared) []*unitTask {
+//
+// Every other checker keys one task per unit, except the units it is
+// silent over: those that call none of its trigger names
+// (core.CompiledDispatch.Triggers). There SkipRoot holds for every
+// root, so a live run would skip each one and cut nothing else; one
+// task, first, settles them all with that cut, with no key, probe,
+// record, fleet job or body build.
+func (t *UnitTree) tasks(ci int, c *metal.Checker, cd *core.CompiledDispatch, di int, opts Options, marks *core.Shared) []*unitTask {
 	p := t.Prog
 	if !t.keyed || len(c.Callouts) > 0 {
 		return []*unitTask{{ci: ci, units: p.Units(), funcs: p.All, roots: p.Roots}}
@@ -197,24 +210,87 @@ func (t *UnitTree) tasks(ci int, c *metal.Checker, opts Options, marks *core.Sha
 	if c.WritesMarks() && c.ReadsMarks() {
 		return []*unitTask{{ci: ci, units: p.Units(), funcs: p.All, roots: p.Roots, key: key(t.wholeFP())}}
 	}
+	units := p.Units()
+	var silent []*prog.Unit
+	nroots, nsilent := 0, 0 // the roots of the keyed units, of the silent ones
+	trs, settles := t.triggers(c, cd, di)
+	for _, u := range units {
+		if !settles || !t.calls.Silent(u, trs) {
+			nroots += len(u.Roots)
+			continue
+		}
+		if silent == nil {
+			silent = make([]*prog.Unit, 0, len(units))
+		}
+		silent = append(silent, u)
+		nsilent += len(u.Roots)
+	}
 	// One slab of tasks, and one of root runs a replay fills in place:
 	// each task's runs start empty with room for its unit's roots.
-	units := p.Units()
-	slab := make([]unitTask, len(units))
-	nroots := 0
-	for _, u := range units {
-		nroots += len(u.Roots)
+	slab := make([]unitTask, 0, len(units)-len(silent)+1)
+	if len(silent) > 0 {
+		slab = append(slab, unitTask{ci: ci, units: silent, replayed: true, silent: true,
+			cut: core.UnitCut{Stats: core.Stats{RootsSkipped: int64(nsilent)}, Complete: true}})
 	}
 	runs := make([]core.RootRun, nroots)
-	out := make([]*unitTask, len(units))
 	for i, u := range units {
-		slab[i] = unitTask{ci: ci, units: units[i : i+1], funcs: u.Funcs, roots: u.Roots, key: key(t.unitFPs[i]),
-			runs: runs[:0:len(u.Roots)]}
+		if len(silent) > 0 && silent[0] == u {
+			silent = silent[1:]
+			continue
+		}
+		slab = append(slab, unitTask{ci: ci, units: units[i : i+1], funcs: u.Funcs, roots: u.Roots, key: key(t.unitFPs[i]),
+			runs: runs[:0:len(u.Roots)]})
 		runs = runs[len(u.Roots):]
+	}
+	out := make([]*unitTask, len(slab))
+	for i := range slab {
 		out[i] = &slab[i]
 	}
 	return out
 }
+
+// triggers returns the trigger names by which tasks settles the units
+// checker c (numbered di in cd) is silent over, and false where it
+// settles none: without a store, for a checker it runs unkeyed or keys
+// whole, and where the names cannot decide (Triggers).
+func (t *UnitTree) triggers(c *metal.Checker, cd *core.CompiledDispatch, di int) ([]core.Trigger, bool) {
+	if !t.keyed || len(c.Callouts) > 0 || c.WritesMarks() && c.ReadsMarks() {
+		return nil, false
+	}
+	return cd.Triggers(di)
+}
+
+// quietUnits lists the units that every one of checkers, numbered in
+// cd as in the list, is silent over: units no task of the run keys or
+// builds, so that neither a record nor a build says their bodies parse
+// (Analyzer.checkQuiet).
+func (t *UnitTree) quietUnits(checkers []*metal.Checker, cd *core.CompiledDispatch) []*prog.Unit {
+	trs := make([][]core.Trigger, len(checkers))
+	for ci, c := range checkers {
+		var ok bool
+		if trs[ci], ok = t.triggers(c, cd, ci); !ok {
+			return nil
+		}
+	}
+	var quiet []*prog.Unit
+	for _, u := range t.Prog.Units() {
+		silent := true
+		for _, tr := range trs {
+			if silent = t.calls.Silent(u, tr); !silent {
+				break
+			}
+		}
+		if silent {
+			quiet = append(quiet, u)
+		}
+	}
+	return quiet
+}
+
+// parsesKey is the key of the record that says the bodies of unit i
+// parse. It hashes what parsing them reads, as a unit key does: the
+// declaration environment and the unit's tokens.
+func (t *UnitTree) parsesKey(i int) string { return cache.Key("parses", t.envFP, t.unitFPs[i]) }
 
 // marksFingerprint keys the annotation store visible at a phase barrier.
 func marksFingerprint(s *core.Shared) string { return cache.Key("marks", s.Snapshot()) }
@@ -337,7 +413,7 @@ func (t *UnitTree) RunUnits(ctx context.Context, sem chan struct{}, run *UnitRun
 		if checkers[ci] = uc; uc == nil {
 			continue
 		}
-		for _, task := range t.tasks(ci, uc.c, run.Options, shared[ci]) {
+		for _, task := range t.tasks(ci, uc.c, uc.compiled, 0, run.Options, shared[ci]) {
 			if task.key != "" && want[UnitJob{Key: task.key, Checker: ci}] {
 				tasks = append(tasks, task)
 			}

@@ -78,6 +78,18 @@ func cfgCallees(g *cfg.Graph) []string {
 	return out
 }
 
+// cfgAssigns reports whether some point of the graph is an assignment.
+func cfgAssigns(g *cfg.Graph) bool {
+	for _, b := range g.Blocks {
+		for _, pt := range b.Points {
+			if _, ok := pt.(*cc.AssignExpr); ok {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // skimTrees is every source tree the oracle runs over.
 func skimTrees(t *testing.T) map[string]map[string]string {
 	trees := map[string]map[string]string{}
@@ -152,6 +164,11 @@ func checkSkim(t *testing.T, name string, srcs map[string]string) (skimmed, eage
 			sort.Strings(names)
 			if want := cfgCallees(fn.Graph); !slices.Equal(names, want) {
 				t.Errorf("%s: %s: skim calls %v, the CFG %v", name, fn.Name, names, want)
+			}
+			// A body the skim says assigns nothing has no assignment
+			// point (the silent-unit rule leans on it).
+			if !sk.Decl.Skim.Assigns && cfgAssigns(fn.Graph) {
+				t.Errorf("%s: %s: the skim finds no assignment, the CFG has one", name, fn.Name)
 			}
 		} else {
 			eager++
@@ -338,8 +355,9 @@ func TestSkimErrors(t *testing.T) {
 
 // FuzzSkim: the skim never panics, its spans are brace-balanced, and
 // wherever the parser accepts a file the skim agrees with it — the same
-// callees and the same bodies — and wherever it does not, a run that
-// builds every body fails with the parser's error.
+// callees, no assignment it does not see, and the same bodies — and
+// wherever it does not, a run that builds every body fails with the
+// parser's error.
 func FuzzSkim(f *testing.F) {
 	for _, c := range skimCases {
 		f.Add(c.src)
@@ -378,6 +396,9 @@ func FuzzSkim(f *testing.F) {
 				if want := cfgCallees(fn.Graph); !slices.Equal(names, want) {
 					t.Fatalf("%s: skim calls %v, the CFG %v", fn.Name, names, want)
 				}
+				if !sk.Decl.Skim.Assigns && cfgAssigns(fn.Graph) {
+					t.Fatalf("%s: the skim finds no assignment, the CFG has one", fn.Name)
+				}
 			}
 		}
 		for _, fd := range skimmed.Funcs() {
@@ -409,10 +430,40 @@ func balanced(toks []cc.Token) bool {
 // TestParseErrorsAgreeOnEveryPath: every door that parses sources fails
 // a file that does not parse with the one message a whole-file parse
 // gives — a run without a store, a run with an empty store,
-// Supergraph, InferPairs and prog.BuildSource alike.
+// Supergraph, InferPairs and prog.BuildSource alike. The last trees
+// hold bodies that pass 1 skims and the parser rejects, where a run
+// with a store builds them late or never: in a unit every loaded
+// checker is silent over, alone or after one a checker keys; and in a
+// unit only the second phase's checker keys, before one the first
+// phase's checker keys, so the first error in source order is one no
+// phase meets first. Those trees fail alike too when the store holds
+// the records of a run over them with their bodies mended.
 func TestParseErrorsAgreeOnEveryPath(t *testing.T) {
+	type tree struct {
+		srcs     map[string]string
+		checkers []string
+	}
+	var trees []tree
 	for _, src := range skimErrorCases {
-		srcs := map[string]string{"a.c": "int ok(void) { return 0; }", "e.c": src}
+		trees = append(trees, tree{map[string]string{"a.c": "int ok(void) { return 0; }", "e.c": src}, []string{"free"}})
+	}
+	trees = append(trees,
+		tree{map[string]string{
+			"a.c": "void kfree(void *p);\nint ok(int *p) { kfree(p); return *p; }",
+			"e.c": "int quiet(int x) { return x x; }",
+		}, []string{"free"}},
+		tree{map[string]string{
+			"a.c": "void kfree(void *p);\nint ok(int *p) { kfree(p); return *p p; }",
+			"e.c": "int quiet(int x) { return x x; }",
+		}, []string{"free"}},
+		tree{map[string]string{
+			"a.c": "void cli(void);\nint early(int x) { cli(); return x x; }",
+			"e.c": "void panic(const char *m);\nint ok(int x) { if (x) panic(\"no\"); return x x; }",
+		}, []string{"panic-marker", "block"}},
+	)
+	for _, tc := range trees {
+		srcs := tc.srcs
+		src := srcs["e.c"]
 		_, want := parseEach(srcs)
 		if want == nil {
 			t.Fatalf("%q parses", src)
@@ -425,8 +476,10 @@ func TestParseErrorsAgreeOnEveryPath(t *testing.T) {
 			for name, src := range srcs {
 				a.AddSource(name, src)
 			}
-			if err := a.LoadBundledChecker("free"); err != nil {
-				t.Fatal(err)
+			for _, c := range tc.checkers {
+				if err := a.LoadBundledChecker(c); err != nil {
+					t.Fatal(err)
+				}
 			}
 			return a
 		}
@@ -434,6 +487,22 @@ func TestParseErrorsAgreeOnEveryPath(t *testing.T) {
 			"run": func() error { _, err := analyzer(nil).RunContext(context.Background()); return err },
 			"run with a store": func() error {
 				_, err := analyzer(cache.NewMemStore()).RunContext(context.Background())
+				return err
+			},
+			"run with a filled store": func() error {
+				store := cache.NewMemStore()
+				if strings.Contains(src, "x x") {
+					mended, broken := map[string]string{}, srcs
+					for name, src := range srcs {
+						mended[name] = strings.NewReplacer("x x", "x", "*p p", "*p").Replace(src)
+					}
+					srcs = mended
+					_, err := analyzer(store).RunContext(context.Background())
+					if srcs = broken; err != nil {
+						t.Fatalf("%q mended: %v", src, err)
+					}
+				}
+				_, err := analyzer(store).RunContext(context.Background())
 				return err
 			},
 			"Supergraph":  func() error { _, err := analyzer(nil).Supergraph(context.Background(), "ok"); return err },
