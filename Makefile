@@ -119,6 +119,8 @@ no-deleted-knobs:
 	! grep -rnE '"(i[n]tra|no-[f]pp|no-[i]nter)"' --include=*.go cmd
 # the second pass 1 that parsed every body of a run without a store, and the dispatch's second fill with its program-wide skip table (DESIGN §8, §11.1).
 	! grep -rnE 'parse[S]ources|skip[A]ll|prog[A]dmit|cc\.Parse[F]iles' --include=*.go .
+# the repairs for a pass 1 that skimmed bodies the parser rejects: the quiet units' "parses" records with their check and key, the first-parse-error rescan and the parse-only build (DESIGN §8).
+	! grep -rnE 'check[Q]uiet|quiet[U]nits|parses[K]ey|parses[R]ecord|firstParse[E]rror|Parse[U]nits' --include=*.go .
 # the sorted pre-annotation list, the engine's second and third mention walks, the mark-role tests by name and the per-switch case list (DESIGN §5).
 	! grep -rnE 'sorted[M]arks|mark[E]ntry|mentions[A]ny|leftoverCaller[L]ocals|annotator[O]f|consumer[O]f|Uses[A]ction|Uses[C]allout|case[V]als' --include=*.go .
 
@@ -174,7 +176,8 @@ bench-check:
 # FuzzMetalParse feeds checker text, seeded from the bundled checkers
 # and testdata/metalc, to metal.Parse: no input panics it, and what
 # parses parses again from its Source to the same String().
-# FuzzSkim feeds C source to pass 1's body skim: no input panics it,
+# FuzzSkim feeds C source to pass 1's body skim: no input panics it, it
+# fails exactly where the whole-file parse fails and with its message,
 # its spans are brace-balanced, and wherever the parser accepts a file
 # the skim names the CFG's callees and its bodies parse on demand to
 # the whole-file parse's bytes (DESIGN §8).

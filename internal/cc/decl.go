@@ -114,15 +114,7 @@ done:
 	base := complexType
 	if keywords {
 		var buf [32]byte
-		key := buf[:0]
-		for _, k := range typeKeywords {
-			for range count[k] {
-				if len(key) > 0 {
-					key = append(key, ' ')
-				}
-				key = append(key, tokNames[k]...)
-			}
-		}
+		key := specifierKey(buf[:0], &count)
 		// Every declaration of one keyword set shares the table's Type:
 		// nothing writes a specifier's type after the parse.
 		if base = typeSpecifiers[string(key)]; base == nil {
@@ -135,6 +127,20 @@ done:
 		base = base.qualified(isConst, isVolatile)
 	}
 	return storage, base, nil
+}
+
+// specifierKey appends to key the typeSpecifiers key of the type
+// keywords counted by kind in count.
+func specifierKey(key []byte, count *[TokVoid + 1]uint8) []byte {
+	for _, k := range typeKeywords {
+		for range count[k] {
+			if len(key) > 0 {
+				key = append(key, ' ')
+			}
+			key = append(key, tokNames[k]...)
+		}
+	}
+	return key
 }
 
 func storageOf(k TokKind) StorageClass {
@@ -528,47 +534,30 @@ type BodySkim struct {
 }
 
 // SkimFile lexes and parses a translation unit's declarations, and
-// skims each function body into a BodySkim. A body the skim's grammar
-// does not cover — a local typedef, tag definition or array length
-// sizeof, a cast or sizeof of more than a plain type name, a duplicate
-// label, anything malformed — is parsed in place instead, so Callees is
-// exact: where the parser accepts a body, the skim's names equal the
-// direct calls of the CFG built from it (TestSkimMatchesParse). An
-// error is the first in source order among the declarations and the
-// bodies before it. The declarations, and a body parsed in place, are
-// carved from a.
-func SkimFile(a *Arena, file, src string) (*File, error) { return skimFile(a, file, src, true) }
+// skims each function body into a BodySkim. The skim accepts only a
+// body the parser accepts; a body it cannot prove so — a local typedef,
+// tag definition or array length sizeof, a cast or sizeof of more than
+// a plain type name, a declarator beyond stars, a name, array lengths
+// and plain parameters, a duplicate label, anything malformed — is
+// parsed in place instead. So the error is ParseFile's, the first in
+// source order, and Callees is exact: the skim's names equal the direct
+// calls of the CFG built from the body (TestSkimMatchesParse). The
+// declarations, and a body parsed in place, are carved from a.
+func SkimFile(a *Arena, file, src string) (*File, error) { return parseFile(a, file, src, true) }
 
-// skimFile parses a translation unit, skimming each body into its span
-// and, with callees, into its callees too. The declarations, and a body
-// it parses in place, are carved from a.
-func skimFile(a *Arena, file, src string, callees bool) (*File, error) {
+// parseFile parses a translation unit, carving its declarations from a;
+// with skim, it skims each body it can into its span and callees, and
+// parses the rest in place.
+func parseFile(a *Arena, file, src string, skim bool) (*File, error) {
 	toks, err := LexAll(file, src)
 	if err != nil {
 		return nil, err
 	}
 	p := newParser(file, src, toks)
-	p.callees = callees
+	p.skim = skim
 	p.useArena(a)
-	f, err := p.parseTranslationUnit()
-	// The bodies before an error are parsed: one of theirs may come
-	// first. The stack they are on goes back to the arena.
-	var parsed []Decl
-	if err != nil {
-		parsed = slices.Clone(p.decls)
-	}
-	p.releaseArena() // the parser outlives the call in each skim
-	if err != nil {
-		for _, d := range parsed {
-			if fd, ok := d.(*FuncDecl); ok {
-				if berr := ParseBody(fd, a); berr != nil {
-					return nil, berr
-				}
-			}
-		}
-		return nil, err
-	}
-	return f, nil
+	defer p.releaseArena() // the parser outlives the call in each skim
+	return p.parseTranslationUnit()
 }
 
 // ParseBody parses the body pass 1 skimmed into fd.Body, carving its
@@ -610,9 +599,9 @@ func (p *Parser) parseBody() (*CompoundStmt, error) {
 }
 
 // defineBody skims the body of definition fd, or parses it in place
-// when the skim leaves it to the parser.
+// when the pass does not skim or the skim leaves it to the parser.
 func (p *Parser) defineBody(fd *FuncDecl) error {
-	if p.skimBody(fd) {
+	if p.skim && p.skimBody(fd) {
 		return nil
 	}
 	var err error
@@ -626,8 +615,7 @@ func (p *Parser) defineBody(fd *FuncDecl) error {
 // and steps over it. It reports false, with the position unchanged,
 // for a body it leaves to the parser: one whose braces do not balance,
 // one that the scope would see declared after it as well as before (a
-// tag definition or an array length sizeof), and, when it names
-// callees, one outside the skim's grammar.
+// tag definition), and one outside the skim's grammar.
 func (p *Parser) skimBody(fd *FuncDecl) bool {
 	lo := p.pos
 	hi, ok := p.matchBrace(lo)
@@ -636,7 +624,7 @@ func (p *Parser) skimBody(fd *FuncDecl) bool {
 	}
 	s := &fd.Skim
 	s.Lo, s.Hi, s.horizon, s.src = int32(lo), int32(hi), int32(len(p.names)), p
-	if ok && p.callees {
+	if ok {
 		s.Callees, ok = p.skimCallees(lo, hi)
 		s.Assigns = ok && slices.ContainsFunc(p.toks[lo:hi], func(t Token) bool { return isAssignOp(t.Kind) })
 	}
@@ -652,10 +640,8 @@ func (p *Parser) skimBody(fd *FuncDecl) bool {
 
 // matchBrace returns the index of the "}" matching the "{" at lo, or -1
 // at EOF. It reports false when the span declares a struct, union or
-// enum tag, or, unless the skim reads sizeof operands itself (callees),
-// takes a sizeof: a tag a later file-scope declaration can complete in
-// place, or a sizeof of a type completed after the body, would read
-// differently later than in place.
+// enum tag: a tag a later file-scope declaration can complete in place
+// would read differently later than in place.
 func (p *Parser) matchBrace(lo int) (int, bool) {
 	depth, ok := 0, true
 	for i := lo; i < len(p.toks); i++ {
@@ -669,10 +655,6 @@ func (p *Parser) matchBrace(lo int) (int, bool) {
 		case TokRBrace:
 			if depth--; depth == 0 {
 				return i, ok
-			}
-		case TokSizeof:
-			if !p.callees {
-				ok = false // skimCallees reads a sizeof's operand itself
 			}
 		case TokEOF:
 			return -1, false
@@ -701,7 +683,8 @@ type skimmer struct {
 	start    []int32
 	adj      []int32
 	stack    []int32
-	callees  []string // the body's callee names, until they are carved
+	callees  []string  // the body's callee names, until they are carved
+	owed     []TokKind // what skimExpr's open groups owe (TokSizeof: a sizeof operand's end), innermost last
 }
 
 type skimCall struct {
@@ -902,18 +885,18 @@ func (p *Parser) skimStmt() bool {
 				if !p.skimDecl() {
 					return false
 				}
-			} else if !p.skimExpr(sk.ensureFresh(), TokSemi, false) || !p.accept(TokSemi) {
+			} else if !p.skimExpr(sk.ensureFresh(), TokSemi, formExpr) || !p.accept(TokSemi) {
 				return false
 			}
 		}
 		head := sk.startBlock()
 		after := sk.node()
 		hasCond := p.cur().Kind != TokSemi
-		if hasCond && !p.skimExpr(head, TokSemi, false) || !p.accept(TokSemi) {
+		if hasCond && !p.skimExpr(head, TokSemi, formExpr) || !p.accept(TokSemi) {
 			return false
 		}
 		post := sk.node()
-		if p.cur().Kind != TokRParen && !p.skimExpr(post, TokRParen, false) || !p.accept(TokRParen) {
+		if p.cur().Kind != TokRParen && !p.skimExpr(post, TokRParen, formExpr) || !p.accept(TokRParen) {
 			return false
 		}
 		sk.edge(post, head)
@@ -948,7 +931,7 @@ func (p *Parser) skimStmt() bool {
 	case TokCase, TokDefault:
 		p.next()
 		// A case value is no program point: step over it.
-		if t.Kind == TokCase && !p.skimExpr(-1, TokColon, false) || !p.accept(TokColon) {
+		if t.Kind == TokCase && !p.skimExpr(-1, TokColon, formCond) || !p.accept(TokColon) {
 			return false
 		}
 		if n := len(sk.switches); n > 0 {
@@ -975,7 +958,7 @@ func (p *Parser) skimStmt() bool {
 	case TokReturn:
 		p.next()
 		blk := sk.ensureFresh()
-		if p.cur().Kind != TokSemi && !p.skimExpr(blk, TokSemi, false) {
+		if p.cur().Kind != TokSemi && !p.skimExpr(blk, TokSemi, formExpr) {
 			return false
 		}
 		sk.cur = -1
@@ -1010,7 +993,7 @@ func (p *Parser) skimStmt() bool {
 	if p.startsDeclSpecifiers() {
 		return p.skimDecl()
 	}
-	return p.skimExpr(sk.ensureFresh(), TokSemi, false) && p.accept(TokSemi)
+	return p.skimExpr(sk.ensureFresh(), TokSemi, formExpr) && p.accept(TokSemi)
 }
 
 // skimLoopBody skims a loop's body entered at node body, with break
@@ -1033,7 +1016,7 @@ func (p *Parser) skimLoopBody(body, after, cont int32) bool {
 
 // skimParenExpr skims "( expr )" into node n.
 func (p *Parser) skimParenExpr(n int32) bool {
-	return p.accept(TokLParen) && p.skimExpr(n, TokRParen, false) && p.accept(TokRParen)
+	return p.accept(TokLParen) && p.skimExpr(n, TokRParen, formExpr) && p.accept(TokRParen)
 }
 
 // skimDecl skims a block-scope declaration through its semicolon, as
@@ -1049,14 +1032,14 @@ func (p *Parser) skimDecl() bool {
 	}
 	blk := int32(-1)
 	for {
-		if !p.skimDeclarator() {
+		if !p.skimDeclarator(true) {
 			return false
 		}
 		if p.accept(TokAssign) {
 			if blk < 0 {
 				blk = p.sk.ensureFresh()
 			}
-			if !p.skimExpr(blk, TokComma, true) {
+			if !p.skimExpr(blk, TokComma, formInit) {
 				return false
 			}
 		}
@@ -1070,14 +1053,23 @@ func (p *Parser) skimDecl() bool {
 }
 
 // skimSpecifiers steps over declaration specifiers as
-// parseDeclSpecifiers reads them. A typedef, or a tag with a body,
-// would declare a name the skim does not track: it reports false.
-// typeName limits them to a type name's: no storage class.
+// parseDeclSpecifiers reads them, with its storage-class rule and its
+// typeSpecifiers table. A typedef, or a tag with a body, would declare
+// a name the skim does not track: it reports false. typeName limits
+// them to a type name's: no storage class.
 func (p *Parser) skimSpecifiers(typeName bool) bool {
+	storage := StorageNone
+	var count [TokVoid + 1]uint8 // each type keyword's occurrences
 	keywords, named := false, false
 	for {
 		switch t := p.cur(); t.Kind {
-		case TokAuto, TokRegister, TokStatic, TokExtern, TokInline:
+		case TokAuto, TokRegister, TokStatic, TokExtern:
+			sc := storageOf(t.Kind)
+			if typeName || storage != StorageNone && storage != sc {
+				return false
+			}
+			storage = sc
+		case TokInline:
 			if typeName {
 				return false
 			}
@@ -1086,6 +1078,7 @@ func (p *Parser) skimSpecifiers(typeName bool) bool {
 			if named {
 				return false
 			}
+			count[t.Kind] = min(count[t.Kind]+1, 3)
 			keywords = true
 		case TokStruct, TokUnion, TokEnum:
 			if keywords || named || p.la(1).Kind != TokIdent || p.la(2).Kind == TokLBrace {
@@ -1094,136 +1087,280 @@ func (p *Parser) skimSpecifiers(typeName bool) bool {
 			p.next()
 			named = true
 		case TokIdent:
-			if keywords || named {
-				return true
+			if !keywords && !named {
+				if _, ok := p.lookupTypedef(p.text(t)); ok {
+					named = true
+					break
+				}
 			}
-			if _, ok := p.lookupTypedef(p.text(t)); !ok {
-				return false
-			}
-			named = true
+			return named || keywords && validKeywords(&count)
+		case TokTypedef:
+			return false
 		default:
-			return keywords || named
+			return named || keywords && validKeywords(&count)
 		}
 		p.next()
 	}
 }
 
-// skimDeclarator steps over one declarator, through to the "=", ","
-// or ";" after it. Nothing in a declarator is a program point: an
-// array length is folded, a parameter list declares.
-func (p *Parser) skimDeclarator() bool {
-	depth := 0
+// validKeywords reports whether typeSpecifiers names the type keywords
+// counted in count.
+func validKeywords(count *[TokVoid + 1]uint8) bool {
+	var buf [32]byte
+	return typeSpecifiers[string(specifierKey(buf[:0], count))] != nil
+}
+
+// skimDeclarator steps over a declarator, as parseNamedDeclarator reads
+// it: pointer stars and their qualifiers, the name (which named
+// requires), then array lengths and parameter lists. Nothing in it is a
+// program point: an array length is folded, a parameter list declares.
+// A parenthesized declarator and a parameter skimParams cannot check are
+// left to the parser, and so is an array length that takes a sizeof: a
+// type a later declaration completes would read differently later than
+// in place.
+func (p *Parser) skimDeclarator(named bool) bool {
+	for p.accept(TokStar) {
+		for p.cur().Kind == TokConst || p.cur().Kind == TokVolatile {
+			p.next()
+		}
+	}
+	if !p.accept(TokIdent) && named {
+		return false
+	}
 	for {
 		switch p.cur().Kind {
-		case TokLParen, TokLBracket:
-			depth++
-		case TokRParen, TokRBracket:
-			if depth == 0 {
+		case TokLBracket:
+			p.next()
+			lo := p.pos
+			if p.cur().Kind != TokRBracket && !p.skimExpr(-1, TokRBracket, formAssign) {
 				return false
 			}
-			depth--
-		case TokAssign, TokComma, TokSemi:
-			if depth == 0 {
-				return true
+			for _, t := range p.toks[lo:p.pos] {
+				if t.Kind == TokSizeof {
+					return false
+				}
 			}
-		case TokLBrace, TokEOF, TokSizeof, TokTypedef:
+			p.next() // ]
+		case TokLParen:
+			p.next()
+			if !p.skimParams() {
+				return false
+			}
+		default:
+			return true
+		}
+	}
+}
+
+// skimParams steps over a parameter list and its ")", as parseParamList
+// reads one whose parameters are each a type name's specifiers and a
+// declarator skimDeclarator reads.
+func (p *Parser) skimParams() bool {
+	if p.accept(TokRParen) {
+		return true
+	}
+	for {
+		if p.accept(TokEllipsis) {
+			return p.accept(TokRParen)
+		}
+		if !p.skimSpecifiers(true) || !p.skimDeclarator(false) {
 			return false
-		case TokStruct, TokUnion, TokEnum:
-			if p.la(1).Kind == TokLBrace || p.la(2).Kind == TokLBrace {
+		}
+		if p.accept(TokRParen) {
+			return true
+		}
+		if !p.accept(TokComma) {
+			return false
+		}
+	}
+}
+
+// exprForm is the level of the parser's expression grammar skimExpr
+// reads: what a "," or an assignment outside every group means, and
+// whether braces open an initializer list.
+type exprForm uint8
+
+const (
+	// formExpr is parseExpr's: a "," is the comma operator.
+	formExpr exprForm = iota
+	// formAssign is parseAssignExpr's: the stop must end it before a ",".
+	formAssign
+	// formInit is parseInitializer's: an assignment expression or a
+	// braced list of initializers, ending at a "," or ";".
+	formInit
+	// formCond is parseCondExpr's: the stop must end it before a "," or
+	// an assignment operator.
+	formCond
+)
+
+// skimExpr's states: what the next token may be.
+const (
+	wantOperand  = iota // a primary, a prefix operator, a cast or sizeof
+	afterOperand        // a postfix, binary or assignment operator, a closer or the stop
+	afterSizeof         // as afterOperand but no postfix operator: a sizeof operand took them
+	afterList           // after an initializer list: ",", "}" or the stop
+)
+
+// skimExpr steps over an expression of the given form up to the stop
+// token outside every group it opens, as the parser reads it: operands
+// and operators alternate, each "(", "[", "{" and "?" owes its ")",
+// "]", "}" and ":", and a sizeof's unary operand owes its end (sk.owed).
+// It reports false for a token the parser would not accept where it
+// stands, and for a cast or sizeof type beyond a plain type name. It
+// records in node n (none when n is -1) every direct call: an
+// identifier, or a parenthesized one, that a "(" follows, outside
+// member names, sizeof operands and cast types.
+func (p *Parser) skimExpr(n int32, stop TokKind, form exprForm) bool {
+	sk := &p.sk
+	sk.owed = sk.owed[:0]
+	state := wantOperand
+	init := form == formInit // an initializer, or a list's end, may come next
+	noCast := false          // after a prefix "++" or "--": a unary expression, no cast
+	sizeofType := false      // right after sizeof: "(" type name ")" is all of its operand
+	inSizeof := 0            // the sizeof operands open: no call in them runs
+	for {
+		t := p.cur()
+		owed := TokEOF // what the innermost open group owes; EOF for none
+		if len(sk.owed) > 0 {
+			owed = sk.owed[len(sk.owed)-1]
+		}
+		if owed == TokSizeof && state != wantOperand && (state != afterOperand || !isPostfixOp(t.Kind)) {
+			// The operand is a unary expression: any other operator ends it.
+			sk.owed, inSizeof, state = sk.owed[:len(sk.owed)-1], inSizeof-1, afterSizeof
+			continue
+		}
+		if owed == TokEOF && (t.Kind == stop || form == formInit && t.Kind == TokSemi) {
+			return state != wantOperand
+		}
+		if state == wantOperand {
+			switch t.Kind {
+			case TokIdent:
+				if p.la(1).Kind == TokLParen && inSizeof == 0 {
+					p.record(n, p.text(t))
+				}
+				state = afterOperand
+			case TokIntLit, TokFloatLit, TokCharLit:
+				state = afterOperand
+			case TokStringLit:
+				for p.la(1).Kind == TokStringLit {
+					p.next()
+				}
+				state = afterOperand
+			case TokLParen:
+				if p.startsTypeNameAt(p.pos + 1) {
+					p.next()
+					if noCast || !p.skimTypeName() {
+						return false
+					}
+					if sizeofType { // the whole operand; else a cast, its operand next
+						sk.owed, inSizeof, state = sk.owed[:len(sk.owed)-1], inSizeof-1, afterSizeof
+					}
+					init, sizeofType = false, false
+					continue
+				}
+				if name := p.parenCallee(); name != "" && inSizeof == 0 {
+					p.record(n, name)
+				}
+				sk.owed = append(sk.owed, TokRParen)
+			case TokLBrace:
+				if !init {
+					return false
+				}
+				sk.owed = append(sk.owed, TokRBrace)
+				p.next()
+				continue
+			case TokRBrace:
+				if !init || owed != TokRBrace {
+					return false
+				}
+				sk.owed = sk.owed[:len(sk.owed)-1]
+				state = afterList
+			case TokSizeof:
+				sk.owed, inSizeof = append(sk.owed, TokSizeof), inSizeof+1
+				p.next()
+				init, noCast, sizeofType = false, false, true
+				continue
+			case TokInc, TokDec:
+				p.next()
+				init, noCast, sizeofType = false, true, false
+				continue
+			case TokAmp, TokStar, TokPlus, TokMinus, TokTilde, TokNot:
+			default:
 				return false
 			}
+			init, noCast, sizeofType = false, false, false
+			p.next()
+			continue
+		}
+		k := t.Kind
+		if state == afterList && k != TokComma && k != TokRBrace {
+			return false
+		}
+		switch {
+		case state == afterOperand && k == TokLParen:
+			// A call: its arguments read as the comma operator's operands.
+			if p.la(1).Kind == TokRParen {
+				p.next()
+			} else {
+				sk.owed = append(sk.owed, TokRParen)
+				state = wantOperand
+			}
+		case state == afterOperand && k == TokLBracket:
+			sk.owed = append(sk.owed, TokRBracket)
+			state = wantOperand
+		case state == afterOperand && (k == TokDot || k == TokArrow):
+			if p.la(1).Kind != TokIdent {
+				return false
+			}
+			p.next()
+		case state == afterOperand && (k == TokInc || k == TokDec):
+		case binPrec(k) >= 0:
+			state = wantOperand
+		case isAssignOp(k):
+			if owed == TokEOF && form == formCond {
+				return false
+			}
+			state = wantOperand
+		case k == TokQuestion:
+			sk.owed = append(sk.owed, TokColon)
+			state = wantOperand
+		case k == TokComma:
+			if owed == TokRBrace {
+				init = true // the list's next initializer, or its end
+			} else if owed == TokEOF && form != formExpr {
+				return false
+			}
+			state = wantOperand
+		case k == owed && owed != TokEOF:
+			sk.owed = sk.owed[:len(sk.owed)-1]
+			switch k {
+			case TokColon:
+				state = wantOperand
+			case TokRBrace:
+				state = afterList
+			default:
+				state = afterOperand
+			}
+		default:
+			return false
 		}
 		p.next()
 	}
 }
 
-// skimExpr steps over an expression up to a stop token at nesting depth
-// 0 (or a "," with braces, an initializer's end), recording in node n
-// (none when n is -1) every direct call: an identifier, or a
-// parenthesized one, that a "(" follows, outside member names, sizeof
-// operands and cast types. braces admits an initializer list.
-func (p *Parser) skimExpr(n int32, stop TokKind, braces bool) bool {
-	depth := 0
-	operand := false // the last token ends an operand: a "(" calls it
-	for {
-		t := p.cur()
-		if depth == 0 && (t.Kind == stop || braces && t.Kind == TokSemi) {
-			return true
-		}
-		switch t.Kind {
-		case TokLParen:
-			if !operand {
-				if p.startsTypeNameAt(p.pos + 1) {
-					// A cast: "(" type name ")".
-					p.next()
-					if !p.skimTypeName() {
-						return false
-					}
-					continue
-				}
-				if name := p.parenCallee(); name != "" {
-					p.record(n, name)
-				}
-			}
-			depth++
-			operand = false
-		case TokLBracket:
-			depth++
-			operand = false
-		case TokLBrace:
-			if !braces {
-				return false
-			}
-			depth++
-			operand = false
-		case TokRParen, TokRBracket, TokRBrace:
-			if depth == 0 || t.Kind == TokRBrace && !braces {
-				return false
-			}
-			depth--
-			operand = true
-		case TokIdent:
-			if p.la(1).Kind == TokLParen && !p.afterMember() {
-				p.record(n, p.text(t))
-			}
-			operand = true
-		case TokIntLit, TokFloatLit, TokCharLit, TokStringLit:
-			operand = true
-		case TokSizeof:
-			p.next()
-			if !p.skimSizeofOperand() {
-				return false
-			}
-			operand = true
-			continue
-		case TokInc, TokDec:
-		case TokQuestion:
-			if stop == TokColon && depth == 0 {
-				return false // a case value's ":" would be ambiguous
-			}
-			operand = false
-		case TokEOF, TokSemi:
-			return false
-		default:
-			if t.Kind < TokLParen {
-				return false // a keyword
-			}
-			operand = false
-		}
-		p.next()
+// isPostfixOp reports whether k begins a postfix operator.
+func isPostfixOp(k TokKind) bool {
+	switch k {
+	case TokLParen, TokLBracket, TokDot, TokArrow, TokInc, TokDec:
+		return true
 	}
+	return false
 }
 
 func (p *Parser) record(n int32, name string) {
 	if n >= 0 {
 		p.sk.calls = append(p.sk.calls, skimCall{n, name})
 	}
-}
-
-// afterMember reports whether the current identifier names a member.
-func (p *Parser) afterMember() bool {
-	k := p.toks[p.pos-1].Kind
-	return k == TokDot || k == TokArrow
 }
 
 // parenCallee returns f when the current "(" opens "(f)", "((f))"...
@@ -1273,86 +1410,4 @@ func (p *Parser) skimTypeName() bool {
 		}
 	}
 	return p.accept(TokRParen)
-}
-
-// skimSizeofOperand steps over what parseUnaryExpr reads after sizeof:
-// "(" type name ")", or a unary expression. Nothing in it runs.
-func (p *Parser) skimSizeofOperand() bool {
-	sizeof := true // "(" type name ")" here is all of the operand
-prefix:
-	for {
-		switch p.cur().Kind {
-		case TokSizeof:
-			sizeof = true
-		case TokAmp, TokStar, TokPlus, TokMinus, TokTilde, TokNot:
-			sizeof = false // a cast may follow
-		case TokInc, TokDec:
-			return false
-		case TokLParen:
-			if !p.startsTypeNameAt(p.pos + 1) {
-				break prefix
-			}
-			p.next()
-			if !p.skimTypeName() {
-				return false
-			}
-			if sizeof {
-				return true
-			}
-			continue // a cast: its operand follows
-		default:
-			break prefix
-		}
-		p.next()
-	}
-	switch p.cur().Kind {
-	case TokLParen:
-		if !p.skipGroup() {
-			return false
-		}
-	case TokIdent, TokIntLit, TokFloatLit, TokCharLit:
-		p.next()
-	case TokStringLit:
-		for p.cur().Kind == TokStringLit {
-			p.next()
-		}
-	default:
-		return false
-	}
-	for {
-		switch p.cur().Kind {
-		case TokLParen, TokLBracket:
-			if !p.skipGroup() {
-				return false
-			}
-		case TokDot, TokArrow:
-			p.next()
-			if !p.accept(TokIdent) {
-				return false
-			}
-		case TokInc, TokDec:
-			p.next()
-		default:
-			return true
-		}
-	}
-}
-
-// skipGroup steps over a parenthesized or bracketed group.
-func (p *Parser) skipGroup() bool {
-	depth := 0
-	for {
-		switch p.cur().Kind {
-		case TokLParen, TokLBracket:
-			depth++
-		case TokRParen, TokRBracket:
-			if depth--; depth == 0 {
-				p.next()
-				return true
-			}
-		case TokLBrace, TokRBrace, TokSemi, TokEOF:
-			return false
-		}
-		p.next()
-	}
 }

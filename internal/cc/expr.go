@@ -225,15 +225,12 @@ func (p *Parser) parsePostfixExpr() (Expr, error) {
 			p.next()
 			call := newNode(p, CallExpr{P: e.Pos(), Fun: e})
 			start := len(p.args)
-			for p.cur().Kind != TokRParen {
+			for more := p.cur().Kind != TokRParen; more; more = p.accept(TokComma) {
 				arg, err := p.parseAssignExpr()
 				if err != nil {
 					return nil, err
 				}
 				p.args = append(p.args, arg)
-				if !p.accept(TokComma) {
-					break
-				}
 			}
 			call.Args = popList(p, &p.args, start)
 			if _, err := p.expect(TokRParen); err != nil {

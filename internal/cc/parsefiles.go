@@ -9,10 +9,8 @@ import (
 // SkimFiles is pass 1 over a source set: every file is skimmed
 // (SkimFile) on a pool of at most workers goroutines into name-sorted
 // slots, each goroutine carving from an arena of its own, which dies
-// with the pool. Its error is the one a name-ordered ParseFile of every
-// file would return: before the first (sorted) file that fails, the
-// skimmed bodies of the files sorted ahead of it are parsed in order,
-// and the first of them that fails wins.
+// with the pool. Its error is the first (sorted) failing file's: the one
+// a name-ordered ParseFile of every file returns.
 func SkimFiles(srcs map[string]string, workers int) ([]*File, error) {
 	names := make([]string, 0, len(srcs))
 	for n := range srcs {
@@ -49,20 +47,9 @@ func SkimFiles(srcs map[string]string, workers int) ([]*File, error) {
 	}
 
 	for i, err := range errs {
-		if err == nil {
-			continue
+		if err != nil {
+			return nil, fmt.Errorf("parse %s: %w", names[i], err)
 		}
-		var a Arena
-		for j, f := range files[:i] {
-			for _, d := range f.Decls {
-				if fd, ok := d.(*FuncDecl); ok {
-					if berr := ParseBody(fd, &a); berr != nil {
-						return nil, fmt.Errorf("parse %s: %w", names[j], berr)
-					}
-				}
-			}
-		}
-		return nil, fmt.Errorf("parse %s: %w", names[i], err)
 	}
 	return files, nil
 }

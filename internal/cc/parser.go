@@ -29,13 +29,13 @@ type Parser struct {
 	// label may appear once per function (C11 6.8.1).
 	labels []string
 
-	// Pass 1 skims each function body for ParseBody to parse later
-	// (decl.go), and with callees names its callees too. While a
-	// skimmed body is parsed, the file-scope entries from horizon to
-	// fileEnd are hidden: they were declared after the definition.
-	// unparsed counts the skimmed bodies ParseBody has yet to parse; the
-	// last one drops the tokens and the scope stack.
-	callees          bool
+	// With skim, pass 1 skims each function body it can for ParseBody
+	// to parse later (decl.go). While a skimmed body is parsed, the
+	// file-scope entries from horizon to fileEnd are hidden: they were
+	// declared after the definition. unparsed counts the skimmed bodies
+	// ParseBody has yet to parse; the last one drops the tokens and the
+	// scope stack.
+	skim             bool
 	horizon, fileEnd int32
 	unparsed         int32
 	sk               skimmer
@@ -123,27 +123,11 @@ func newParser(file, src string, toks []Token) *Parser {
 	return &Parser{toks: toks, file: file, src: src}
 }
 
-// ParseFile lexes and parses a complete translation unit: pass 1's
-// skim, then every body in source order. The first error in source
-// order is the one returned, whether a body or a declaration holds it.
-// No skim outlives the call: the file's tokens go with its parser. The
-// declarations and bodies are carved from an arena of the call's own.
-func ParseFile(file, src string) (*File, error) {
-	a := new(Arena)
-	f, err := skimFile(a, file, src, false)
-	if err != nil {
-		return nil, err
-	}
-	for _, d := range f.Decls {
-		if fd, ok := d.(*FuncDecl); ok {
-			if err := ParseBody(fd, a); err != nil {
-				return nil, err
-			}
-			fd.Skim = BodySkim{}
-		}
-	}
-	return f, nil
-}
+// ParseFile lexes and parses a complete translation unit, every body in
+// place: no skim, so it is the whole-file reference pass 1 is held to.
+// Its error is the first in source order. The declarations and bodies
+// are carved from an arena of the call's own.
+func ParseFile(file, src string) (*File, error) { return parseFile(new(Arena), file, src, false) }
 
 // ParseExprString parses src as one C expression: a pattern's
 // template, a callout's or an action's call, a stored object

@@ -51,8 +51,10 @@ func frontEnd(tb testing.TB, srcs map[string]string, names []string) *Program {
 const frontEndAllocCeiling = 1_287
 
 // frontEndRetainedCeiling bounds the heap a built Program keeps alive
-// (after runtime.GC, sources excluded) about 5 % above the 623,504 bytes
-// it retains on this tree (go1.24; 623,536 under -race). It retained
+// (after runtime.GC, sources excluded) about 2 % above the 643,008 bytes
+// it retains on this tree (go1.24), and 5 % above the 623,504 it
+// retained while ParseFile carved a file's declarations before its
+// bodies, which opened the list slabs' chunks at other requests. It retained
 // 713,648 while a CFG block was 200 bytes and an edge 32, 930,376 before the front end's allocation work, 794,520 before the
 // arenas, 862,232 with them while every function kept a type map and
 // two locals sets, and 729,728 while every pointer declarator made a

@@ -377,18 +377,18 @@ func (p *Program) resolveSites(fn *Function, ss *sitesSlab, sites []CallSite) []
 // (cc.ParseBody, the files on a pool of at most workers goroutines),
 // then types them and builds their CFGs and call sites, as Assemble
 // does for a parsed body. Functions already built, and released ones,
-// are skipped. It returns how many bodies it parsed. Its error is the
-// first parse error in source order among the bodies it parsed; the
-// program is then unusable but for ParseUnits, and the count 0. Like
-// ReleaseBody, it writes an assembled Program: the caller must
-// guarantee that nothing reads the functions of these units meanwhile,
-// and that no other BuildUnits or ParseUnits call on the program runs
-// at the same time.
+// are skipped. It returns how many bodies it parsed. Pass 1 accepts
+// only bodies that parse, so its error is safety code: the first parse
+// error in source order among the bodies it parsed, the program then
+// unusable, and the count 0. Like ReleaseBody, it writes an assembled
+// Program: the caller must guarantee that nothing reads the functions
+// of these units meanwhile, and that no other BuildUnits call on the
+// program runs at the same time.
 func (p *Program) BuildUnits(units []*Unit, workers int) (parsed int, err error) {
 	if p.unbuilt == 0 {
 		return 0, nil
 	}
-	todo := bodies(units, p.unbuilt, func(fn *Function) bool { return fn.Graph == nil })
+	todo := bodies(units, p.unbuilt)
 	if len(todo) == 0 {
 		return 0, nil
 	}
@@ -408,27 +408,14 @@ func (p *Program) BuildUnits(units []*Unit, workers int) (parsed int, err error)
 	return len(todo), nil
 }
 
-// ParseUnits parses the skimmed bodies of the given units' functions
-// that are not parsed yet, as BuildUnits does, and builds none of them:
-// no type, CFG or call site. It returns how many bodies it parsed, and
-// the first parse error in source order among them. A body it parsed
-// is built by a later BuildUnits, and released by ReleaseBody.
-func (p *Program) ParseUnits(units []*Unit, workers int) (parsed int, err error) {
-	todo := bodies(units, 0, func(fn *Function) bool { return fn.Graph == nil && fn.Decl.Body == nil })
-	if len(todo) == 0 {
-		return 0, nil
-	}
-	return len(todo), parseBodies(todo, workers)
-}
-
-// bodies lists the definitions among units' functions that want holds
-// of, in source order (by Function.Index) and each once; n is room to
+// bodies lists the definitions among units' functions not built yet,
+// in source order (by Function.Index) and each once; n is room to
 // start with.
-func bodies(units []*Unit, n int, want func(*Function) bool) []*Function {
+func bodies(units []*Unit, n int) []*Function {
 	todo := make([]*Function, 0, n)
 	for _, u := range units {
 		for _, fn := range u.Funcs {
-			if want(fn) && fn.Decl.IsDefinition() {
+			if fn.Graph == nil && fn.Decl.IsDefinition() {
 				todo = append(todo, fn)
 			}
 		}

@@ -115,47 +115,6 @@ func (a *Analyzer) probeTasks(tasks []*unitTask, incr *IncrStats) {
 	}
 }
 
-// checkQuiet parses the bodies of the units every checker is silent
-// over (UnitTree.quietUnits), which no task keys or builds, so that a
-// run with a store fails on a body that does not parse as a run
-// without one does. A unit record's key hashes its unit's tokens and
-// is written only once they parsed; a quiet unit has a record of its
-// own to say as much, under parsesKey, and only a unit the store has
-// none for is parsed, then recorded.
-func (a *Analyzer) checkQuiet(tree *UnitTree, cd *core.CompiledDispatch, incr *IncrStats) error {
-	quiet := tree.quietUnits(a.checkers, cd)
-	if len(quiet) == 0 {
-		return nil
-	}
-	keys := make([]string, len(quiet))
-	for i, u := range quiet {
-		keys[i] = tree.parsesKey(u.Index)
-	}
-	found := cache.GetBatch(a.cacheStore, keys)
-	todo, puts := quiet[:0], make(map[string][]byte, len(quiet)-len(found))
-	for i, u := range quiet {
-		if _, ok := found[keys[i]]; !ok {
-			todo, puts[keys[i]] = append(todo, u), parsesRecord
-		}
-	}
-	if len(todo) == 0 {
-		return nil
-	}
-	parsed, err := tree.Prog.ParseUnits(todo, a.parallelism())
-	if incr.BodiesParsed += parsed; err != nil {
-		return err
-	}
-	// Best effort, as the unit records are.
-	incr.CachePuts += int64(len(puts))
-	if cache.PutBatch(a.cacheStore, puts) != nil {
-		incr.CachePutErrors++
-	}
-	return nil
-}
-
-// parsesRecord is what a parsesKey is stored with: the key says it all.
-var parsesRecord = []byte("parses")
-
 // dispatchRemote offers the phase's cache misses to the fleet unit
 // runner (DESIGN.md §15), then re-probes the store: workers fill unit
 // keys with complete entries, and whatever appeared replays through

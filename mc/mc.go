@@ -217,18 +217,6 @@ type Result struct {
 	Degradations []DegradeEvent
 }
 
-// firstParseError is the error of a run some body of p failed to
-// parse in (err): the first parse error in source order, which a run
-// without a store, building every body at once, fails with. A run with
-// a store parses only some bodies, and some phase by phase, so it
-// parses the rest here to fail alike.
-func firstParseError(p *prog.Program, workers int, err error) error {
-	if _, first := p.ParseUnits(p.Units(), workers); first != nil {
-		return first
-	}
-	return err
-}
-
 // RunContext runs pass 1 (it fans out over a worker pool), assembles
 // the program, and applies each loaded checker: one engine
 // per checker, engines of a phase concurrently, phases ordered around
@@ -244,8 +232,7 @@ func firstParseError(p *prog.Program, workers int, err error) error {
 // by one unkeyed task, as the run would have skipped their roots.
 // Without one, nothing is keyed and each checker's work is one task,
 // the whole program. Either way only the units of live tasks have
-// their bodies parsed and built, but for the units every checker is
-// silent over, whose bodies are parsed once (checkQuiet).
+// their bodies parsed and built: pass 1 met every parse error.
 //
 // The context cancels the analysis mid-traversal, and its deadline is
 // the run's time bound (context.WithTimeout): the engines stop at the
@@ -305,9 +292,6 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 	// run and shared read-only by every engine (the structure is purely
 	// syntactic, so one build covers all phases).
 	compiled := core.CompileDispatch(p, a.checkers)
-	if err := a.checkQuiet(tree, compiled, incr); err != nil {
-		return nil, firstParseError(p, a.parallelism(), err)
-	}
 	sem := make(chan struct{}, a.parallelism())
 	engines := make([]*core.Engine, len(a.checkers))
 	tasksByChecker := make([][]*unitTask, len(a.checkers))
@@ -341,7 +325,7 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 		a.dispatchRemote(ctx, tasks, shared, incr)
 		parsed, err := tree.build(tasks, a.parallelism(), func(int) *core.CompiledDispatch { return compiled })
 		if incr.BodiesParsed += parsed; err != nil {
-			return nil, firstParseError(p, a.parallelism(), err)
+			return nil, err
 		}
 		runLive(ctx, sem, tasks, func(ci int) *core.Engine {
 			engines[ci] = a.liveEngine(p, ci, compiled, shared)

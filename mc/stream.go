@@ -48,7 +48,7 @@ func (ar *astReleaser) pass(u *prog.Unit) {
 		return
 	}
 	for _, fn := range u.Funcs {
-		if fn.Graph != nil || fn.Decl != nil && fn.Decl.Body != nil { // a body never parsed has nothing to release
+		if fn.Graph != nil { // a body never built has nothing to release
 			ar.released.Add(1)
 		}
 		fn.ReleaseBody()

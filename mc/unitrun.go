@@ -260,38 +260,6 @@ func (t *UnitTree) triggers(c *metal.Checker, cd *core.CompiledDispatch, di int)
 	return cd.Triggers(di)
 }
 
-// quietUnits lists the units that every one of checkers, numbered in
-// cd as in the list, is silent over: units no task of the run keys or
-// builds, so that neither a record nor a build says their bodies parse
-// (Analyzer.checkQuiet).
-func (t *UnitTree) quietUnits(checkers []*metal.Checker, cd *core.CompiledDispatch) []*prog.Unit {
-	trs := make([][]core.Trigger, len(checkers))
-	for ci, c := range checkers {
-		var ok bool
-		if trs[ci], ok = t.triggers(c, cd, ci); !ok {
-			return nil
-		}
-	}
-	var quiet []*prog.Unit
-	for _, u := range t.Prog.Units() {
-		silent := true
-		for _, tr := range trs {
-			if silent = t.calls.Silent(u, tr); !silent {
-				break
-			}
-		}
-		if silent {
-			quiet = append(quiet, u)
-		}
-	}
-	return quiet
-}
-
-// parsesKey is the key of the record that says the bodies of unit i
-// parse. It hashes what parsing them reads, as a unit key does: the
-// declaration environment and the unit's tokens.
-func (t *UnitTree) parsesKey(i int) string { return cache.Key("parses", t.envFP, t.unitFPs[i]) }
-
 // marksFingerprint keys the annotation store visible at a phase barrier.
 func marksFingerprint(s *core.Shared) string { return cache.Key("marks", s.Snapshot()) }
 

@@ -8,12 +8,14 @@ package repro
 
 import (
 	"context"
+	"fmt"
 	"io/fs"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/cc"
 	"repro/internal/checkers"
 	"repro/mc"
 )
@@ -26,9 +28,11 @@ const realCFloor = 17
 // TestGorootRealC preprocesses every .c file under $(go env GOROOT)
 // with gcc -E -P -w, runs the bundled suite over each translation unit
 // that preprocesses, and logs per unit whether it parsed, degraded or
-// failed, with its functions and reports. On every unit the parser
-// accepts it runs TestSkimMatchesParse's checks. It skips when gcc is
-// absent.
+// failed, with its functions and reports. On every unit pass 1
+// (cc.SkimFile) fails exactly where the whole-file parse does, with its
+// message; on every unit the parser accepts it runs
+// TestSkimMatchesParse's checks and logs the bodies the skim left to
+// the parser. It skips when gcc is absent.
 func TestGorootRealC(t *testing.T) {
 	gcc, err := exec.LookPath("gcc")
 	if err != nil {
@@ -46,7 +50,7 @@ func TestGorootRealC(t *testing.T) {
 		}
 		return nil
 	})
-	units, accepted := 0, 0
+	units, accepted, skimmed, eager := 0, 0, 0, 0
 	for _, path := range paths {
 		src, err := exec.Command(gcc, "-E", "-P", "-w", path).Output()
 		if err != nil {
@@ -54,6 +58,10 @@ func TestGorootRealC(t *testing.T) {
 		}
 		units++
 		name, _ := filepath.Rel(root, path)
+		_, skimErr := cc.SkimFile(new(cc.Arena), name, string(src))
+		if _, err := cc.ParseFile(name, string(src)); fmt.Sprint(skimErr) != fmt.Sprint(err) {
+			t.Errorf("%s: skim reports %v, the whole-file parse %v", name, skimErr, err)
+		}
 		a := mc.NewAnalyzer()
 		a.AddSource(name, string(src))
 		for _, c := range checkers.All() {
@@ -73,9 +81,13 @@ func TestGorootRealC(t *testing.T) {
 			t.Logf("parsed   %s: %d functions, %d reports", name, len(res.Program.All), len(res.Reports))
 		}
 		accepted++
-		checkSkim(t, name, map[string]string{name: string(src)})
+		s, e := checkSkim(t, name, map[string]string{name: string(src)})
+		if e > 0 {
+			t.Logf("         %s: %d bodies skimmed, %d left to the parser", name, s, e)
+		}
+		skimmed, eager = skimmed+s, eager+e
 	}
-	t.Logf("%d of %d translation units accepted", accepted, units)
+	t.Logf("%d of %d translation units accepted: %d bodies skimmed, %d left to the parser", accepted, units, skimmed, eager)
 	if accepted < realCFloor {
 		t.Errorf("%d of %d translation units accepted, floor %d", accepted, units, realCFloor)
 	}

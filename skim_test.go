@@ -6,7 +6,7 @@ package repro
 // units and the unit keys are built from the skim, so it must say what
 // the parser and the CFG say: the same callees, the same body once
 // parsed on demand, a new digest for every edit that gives the parsed
-// definition a new one, and the same first error.
+// definition a new one, and the same first error, met in pass 1.
 
 import (
 	"bytes"
@@ -302,64 +302,89 @@ func digests(t *testing.T, srcs map[string]string) map[string]digestPair {
 	return out
 }
 
-// firstError is the error a run that builds every body reports: pass
-// 1's, or the first body's in source order.
-func firstError(name, src string) error {
-	f, err := cc.SkimFile(new(cc.Arena), name, src)
-	if err != nil {
-		return err
-	}
-	for _, fd := range f.Funcs() {
-		if err := cc.ParseBody(fd, new(cc.Arena)); err != nil {
-			return err
-		}
-	}
-	return nil
+// inGoodFile wraps body in a file that parses around it.
+func inGoodFile(body string) string {
+	return "int x, y, z, w, a[2]; int f(int);\nint g(void) { " + body + " }\nint h(void) { return f(1); }\n"
 }
 
-// skimErrorCases are files that do not parse: the error sits in a
-// declaration, in a body, or in both, in either order.
-var skimErrorCases = []string{
-	"int f(void) { return 1 } int g(void) { return 2; }",
-	"int f(void) { return 1 } int x = ;",
-	"int f(void) { return 1; } int x = ; int g(void) { return 2 }",
-	"int f(void) { if }",
-	"void f(void) { L:; L:; }",
-	"int f(void) { typedef int T; T x = ; }",
-	"int f(void) { x = (; }",
-	"int f(void) { return 0;",
-	"int f(void) { return 0; } }",
-	"int A(){}int A(){00}",
+// skimErrorCases are files that do not parse, each with the message of
+// its first error in source order: the error sits in a declaration, in
+// a body, or in both, in either order. The bodies inGoodFile wraps have
+// balanced braces, so the skim itself must find their errors.
+var skimErrorCases = []struct{ src, err string }{
+	{"int f(void) { return 1 } int g(void) { return 2; }", "e.c:1:24: expected ;, found }"},
+	{"int f(void) { return 1 } int x = ;", "e.c:1:24: expected ;, found }"},
+	{"int f(void) { return 1; } int x = ; int g(void) { return 2 }", "e.c:1:35: expected expression, found ;"},
+	{"int f(void) { if }", "e.c:1:18: expected (, found }"},
+	{"void f(void) { L:; L:; }", "e.c:1:20: duplicate label L"},
+	{"int f(void) { typedef int T; T x = ; }", "e.c:1:36: expected expression, found ;"},
+	{"int f(void) { x = (; }", "e.c:1:20: expected expression, found ;"},
+	{"int f(void) { return 0;", "e.c:1:24: unexpected EOF in block"},
+	{"int f(void) { return 0; } }", "e.c:1:27: expected type specifier, found }"},
+	{"int A(){}int A(){00}", "e.c:1:20: expected ;, found }"},
+	{inGoodFile("return x x;"), `e.c:2:24: expected ;, found identifier "x"`},
+	{inGoodFile("int y = ;"), "e.c:2:23: expected expression, found ;"},
+	{inGoodFile("short double y;"), `e.c:2:28: invalid type specifiers "short double"`},
+	{inGoodFile("static extern int y;"), "e.c:2:22: conflicting storage classes"},
+	{inGoodFile("int y z;"), `e.c:2:21: expected ;, found identifier "z"`},
+	{inGoodFile("return sizeof(x x);"), `e.c:2:31: expected ), found identifier "x"`},
+	{inGoodFile("f(x x);"), `e.c:2:19: expected ), found identifier "x"`},
+	{inGoodFile("return (x ? 1);"), "e.c:2:28: expected :, found )"},
+	{inGoodFile("x ? 1 : ;"), "e.c:2:23: expected expression, found ;"},
+	{inGoodFile("x + ;"), "e.c:2:19: expected expression, found ;"},
+	{inGoodFile("a[];"), "e.c:2:17: expected expression, found ]"},
+	{inGoodFile("x.;"), "e.c:2:17: expected identifier, found ;"},
+	{inGoodFile("(int) ;"), "e.c:2:21: expected expression, found ;"},
+	{inGoodFile("int y[x x];"), `e.c:2:23: expected ], found identifier "x"`},
+	{inGoodFile("1 2;"), `e.c:2:17: expected ;, found integer literal "2"`},
+	{inGoodFile("x ++ y;"), `e.c:2:20: expected ;, found identifier "y"`},
+	{inGoodFile("x ? y : z : w;"), "e.c:2:25: expected ;, found :"},
+	{inGoodFile("x = = y;"), "e.c:2:19: expected expression, found ="},
+	{inGoodFile("int y = 1 + {2};"), "e.c:2:27: expected expression, found {"},
+	{inGoodFile("return sizeof(int)[0];"), "e.c:2:33: expected ;, found ["},
+	{inGoodFile("++(int)x;"), "e.c:2:18: expected expression, found int"},
+	{inGoodFile("int y, ;"), "e.c:2:22: expected a declarator name"},
+	{inGoodFile("int y[1] = {1 2};"), `e.c:2:29: expected }, found integer literal "2"`},
+	{inGoodFile("int y(int x x);"), `e.c:2:27: expected ), found identifier "x"`},
+	{inGoodFile("switch (x) { case 1 2: ; }"), `e.c:2:35: expected :, found integer literal "2"`},
+	{inGoodFile("case x = 1: ;"), "e.c:2:22: expected :, found ="},
+	// C has no empty argument after a comma.
+	{inGoodFile("f(x,);"), "e.c:2:19: expected expression, found )"},
 }
 
-// TestSkimErrors: a run that skims reports the error a whole-file parse
+// TestSkimErrors: pass 1 alone reports the error a whole-file parse
 // reports, whether a declaration or a body holds it, and whichever
 // comes first in source order.
 func TestSkimErrors(t *testing.T) {
-	for _, src := range skimErrorCases {
-		_, want := cc.ParseFile("e.c", src)
-		got := firstError("e.c", src)
-		if want == nil || got == nil || got.Error() != want.Error() {
-			t.Errorf("%q: skim reports %v, the whole-file parse %v", src, got, want)
+	for _, c := range skimErrorCases {
+		if _, err := cc.SkimFile(new(cc.Arena), "e.c", c.src); err == nil || err.Error() != c.err {
+			t.Errorf("%q: skim reports %v, want %s", c.src, err, c.err)
+		}
+		if _, err := cc.ParseFile("e.c", c.src); err == nil || err.Error() != c.err {
+			t.Errorf("%q: the whole-file parse reports %v, want %s", c.src, err, c.err)
 		}
 	}
-	// Across files, the first sorted file's error wins.
-	srcs := map[string]string{"a.c": "int f(void) { return 1 }", "b.c": "int x = ;"}
-	_, want := parseEach(srcs)
+	// Across files, the first sorted file's error wins: a body in a.c
+	// before a declaration in b.c.
+	srcs := map[string]string{"a.c": "int f(int x) { return x x; }", "b.c": "int x = ;"}
+	const want = `parse a.c: a.c:1:25: expected ;, found identifier "x"`
 	_, got := cc.SkimFiles(srcs, 2)
 	var pe *cc.ParseError
-	if want == nil || got == nil || got.Error() != want.Error() || !errors.As(got, &pe) {
-		t.Errorf("two files: skim reports %v, the whole-file parse %v", got, want)
+	if got == nil || got.Error() != want || !errors.As(got, &pe) {
+		t.Errorf("two files: skim reports %v, want %s", got, want)
 	}
 }
 
-// FuzzSkim: the skim never panics, its spans are brace-balanced, and
-// wherever the parser accepts a file the skim agrees with it — the same
-// callees, no assignment it does not see, and the same bodies — and
-// wherever it does not, a run that builds every body fails with the
-// parser's error.
+// FuzzSkim: the skim never panics, it fails exactly where the
+// whole-file parse fails and with its message, its spans are
+// brace-balanced, and wherever the parser accepts a file the skim
+// agrees with it — the same callees, no assignment it does not see, and
+// every body parsing on demand to the whole-file parse's bytes.
 func FuzzSkim(f *testing.F) {
 	for _, c := range skimCases {
+		f.Add(c.src)
+	}
+	for _, c := range skimErrorCases {
 		f.Add(c.src)
 	}
 	for _, name := range []string{"ringbuf.c", "slab.c", "strutil.c", "sysctl.c"} {
@@ -367,49 +392,47 @@ func FuzzSkim(f *testing.F) {
 			f.Add(string(data))
 		}
 	}
-	f.Fuzz(func(t *testing.T, src string) {
-		toks, lexErr := cc.LexAll("z.c", src)
-		skimmed, skimErr := cc.SkimFile(new(cc.Arena), "z.c", src)
-		if skimErr == nil {
-			for _, fd := range skimmed.Funcs() {
-				lo, hi := int(fd.Skim.Lo), int(fd.Skim.Hi)
-				if lexErr != nil || toks[lo].Kind != cc.TokLBrace || toks[hi].Kind != cc.TokRBrace || !balanced(toks[lo:hi+1]) {
-					t.Fatalf("%s: span [%d, %d] is not a balanced block", fd.Name, lo, hi)
-				}
+	f.Fuzz(skimAgrees)
+}
+
+// skimAgrees is FuzzSkim's check of one file.
+func skimAgrees(t *testing.T, src string) {
+	skimmed, skimErr := cc.SkimFile(new(cc.Arena), "z.c", src)
+	parsed, err := cc.ParseFile("z.c", src)
+	if fmt.Sprint(skimErr) != fmt.Sprint(err) {
+		t.Fatalf("skim reports %v, the whole-file parse %v", skimErr, err)
+	}
+	if err != nil {
+		return
+	}
+	toks, _ := cc.LexAll("z.c", src)
+	for _, fd := range skimmed.Funcs() {
+		lo, hi := int(fd.Skim.Lo), int(fd.Skim.Hi)
+		if toks[lo].Kind != cc.TokLBrace || toks[hi].Kind != cc.TokRBrace || !balanced(toks[lo:hi+1]) {
+			t.Fatalf("%s: span [%d, %d] is not a balanced block", fd.Name, lo, hi)
+		}
+	}
+	p, q := prog.Build(parsed), prog.Assemble(skimmed)
+	for i, fn := range p.All {
+		if sk := q.All[i]; sk.Graph == nil {
+			names := slices.Clone(sk.Decl.Skim.Callees)
+			sort.Strings(names)
+			if want := cfgCallees(fn.Graph); !slices.Equal(names, want) {
+				t.Fatalf("%s: skim calls %v, the CFG %v", fn.Name, names, want)
+			}
+			if !sk.Decl.Skim.Assigns && cfgAssigns(fn.Graph) {
+				t.Fatalf("%s: the skim finds no assignment, the CFG has one", fn.Name)
 			}
 		}
-		parsed, err := cc.ParseFile("z.c", src)
-		if err != nil {
-			if got := firstError("z.c", src); got == nil || got.Error() != err.Error() {
-				t.Fatalf("skim reports %v, the whole-file parse %v", got, err)
-			}
-			return
+	}
+	for _, fd := range skimmed.Funcs() {
+		if err := cc.ParseBody(fd, new(cc.Arena)); err != nil {
+			t.Fatalf("%s: the skim accepts the body, the parser on demand fails: %v", fd.Name, err)
 		}
-		if skimErr != nil {
-			t.Fatalf("the parser accepts the file, the skim reports %v", skimErr)
-		}
-		p, q := prog.Build(parsed), prog.Assemble(skimmed)
-		for i, fn := range p.All {
-			if sk := q.All[i]; sk.Graph == nil {
-				names := slices.Clone(sk.Decl.Skim.Callees)
-				sort.Strings(names)
-				if want := cfgCallees(fn.Graph); !slices.Equal(names, want) {
-					t.Fatalf("%s: skim calls %v, the CFG %v", fn.Name, names, want)
-				}
-				if !sk.Decl.Skim.Assigns && cfgAssigns(fn.Graph) {
-					t.Fatalf("%s: the skim finds no assignment, the CFG has one", fn.Name)
-				}
-			}
-		}
-		for _, fd := range skimmed.Funcs() {
-			if err := cc.ParseBody(fd, new(cc.Arena)); err != nil {
-				t.Fatalf("%s: the parser accepts the file, its body on demand fails: %v", fd.Name, err)
-			}
-		}
-		if !bytes.Equal(cc.EmitFile(skimmed), cc.EmitFile(parsed)) {
-			t.Fatal("bodies parsed on demand emit other bytes than the whole-file parse")
-		}
-	})
+	}
+	if !bytes.Equal(cc.EmitFile(skimmed), cc.EmitFile(parsed)) {
+		t.Fatal("bodies parsed on demand emit other bytes than the whole-file parse")
+	}
 }
 
 func balanced(toks []cc.Token) bool {
@@ -431,21 +454,22 @@ func balanced(toks []cc.Token) bool {
 // a file that does not parse with the one message a whole-file parse
 // gives — a run without a store, a run with an empty store,
 // Supergraph, InferPairs and prog.BuildSource alike. The last trees
-// hold bodies that pass 1 skims and the parser rejects, where a run
-// with a store builds them late or never: in a unit every loaded
-// checker is silent over, alone or after one a checker keys; and in a
-// unit only the second phase's checker keys, before one the first
-// phase's checker keys, so the first error in source order is one no
-// phase meets first. Those trees fail alike too when the store holds
-// the records of a run over them with their bodies mended.
+// hold bodies with balanced braces whose error only a skim that checks
+// them meets in pass 1, and that a run with a store builds late or
+// never: in a unit every loaded checker is silent over, alone or after
+// one a checker keys; and in a unit only the second phase's checker
+// keys, before one the first phase's checker keys, so the first error
+// in source order is one no phase meets first. Those trees fail alike
+// too when the store holds the records of a run over them with their
+// bodies mended.
 func TestParseErrorsAgreeOnEveryPath(t *testing.T) {
 	type tree struct {
 		srcs     map[string]string
 		checkers []string
 	}
 	var trees []tree
-	for _, src := range skimErrorCases {
-		trees = append(trees, tree{map[string]string{"a.c": "int ok(void) { return 0; }", "e.c": src}, []string{"free"}})
+	for _, c := range skimErrorCases {
+		trees = append(trees, tree{map[string]string{"a.c": "int ok(void) { return 0; }", "e.c": c.src}, []string{"free"}})
 	}
 	trees = append(trees,
 		tree{map[string]string{
