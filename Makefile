@@ -121,6 +121,8 @@ no-deleted-knobs:
 	! grep -rnE 'parse[S]ources|skip[A]ll|prog[A]dmit|cc\.Parse[F]iles' --include=*.go .
 # the repairs for a pass 1 that skimmed bodies the parser rejects: the quiet units' "parses" records with their check and key, the first-parse-error rescan and the parse-only build (DESIGN §8).
 	! grep -rnE 'check[Q]uiet|quiet[U]nits|parses[K]ey|parses[R]ecord|firstParse[E]rror|Parse[U]nits' --include=*.go .
+# the block-admit closure tables and the per-unit trigger lists: a root is skipped by one rule, read from pass 1's names (DESIGN §11.2).
+	! grep -rnE 'List[U]nitCalls|Unit[C]alls|root[A]dmit|func[A]dmit|Trigger[s]' --include=*.go .
 # the sorted pre-annotation list, the engine's second and third mention walks, the mark-role tests by name and the per-switch case list (DESIGN §5).
 	! grep -rnE 'sorted[M]arks|mark[E]ntry|mentions[A]ny|leftoverCaller[L]ocals|annotator[O]f|consumer[O]f|Uses[A]ction|Uses[C]allout|case[V]als' --include=*.go .
 

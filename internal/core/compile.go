@@ -21,13 +21,14 @@ package core
 // One walk per block then yields the candidate (checker, transition)
 // admit set as a bitset, shared read-only by every engine; the engines'
 // mayFire gate becomes bitset probes instead of per-engine feature
-// recomputation. On top of the per-block sets the compiler runs the
+// recomputation. Beside the per-block sets the compiler runs the
 // depth-1 reachability argument: checker state only ever changes when a
 // transition FIRES, so a checker none of whose initial-global-state
 // transitions can fire anywhere in a scope is a provable no-op over
-// that scope. Per-root callee-closure admit sets turn that into whole
-// root skips (a checker that fires nowhere skips every root), which is
-// what makes dispatch cost sublinear in the number of loaded checkers.
+// that scope. Decided per root from the names its callee closure calls
+// (fillLive), before any body is built, that turns into whole root
+// skips (a checker that fires nowhere skips every root), which is what
+// makes dispatch cost sublinear in the number of loaded checkers.
 //
 // Everything here is immutable after CompileDispatch returns, so one
 // CompiledDispatch is safely shared by engines running concurrently.
@@ -91,10 +92,11 @@ type CompiledDispatch struct {
 	firstEntry []int32
 
 	// Literal index: callee name -> atom rows requiring that name
-	// (root-callee fast path rows and nested-callee structural rows).
+	// (root-callee fast path rows, nested-callee structural rows and
+	// return-statement rows that name a callee).
 	byCallee map[string][]idxEntry
 	// Discrimination tree: root kind -> atom rows with no callee
-	// requirement; byRet holds return-statement rows.
+	// requirement; byRet holds the other return-statement rows.
 	byKind [kindCount][]idxEntry
 	byRet  []idxEntry
 	// alwaysMask: entries with an unconstrained alternative (a bare
@@ -102,12 +104,13 @@ type CompiledDispatch struct {
 	alwaysMask bitset
 
 	// blockAdmit[fn.Index][b.ID]: the entries some point of the block
-	// can satisfy. funcAdmit[fn.Index] unions a function's blocks;
-	// rootAdmit[root.Index] unions a root's callee closure (nil for a
-	// function that is no root, or whose unit is not built yet).
+	// can satisfy (nil while fn's unit is not built).
 	blockAdmit [][]bitset
-	funcAdmit  []bitset
-	rootAdmit  []bitset
+	// live holds a row of bits per function, by Function.Index, a bit
+	// per checker at a stride of whole words: a root's row has the
+	// checkers that may fire somewhere in its callee closure (fillLive),
+	// any other function's has every bit set.
+	live bitset
 
 	// initEntries lists, per checker, the entries sourced at its
 	// initial global state — the only transitions that can fire before
@@ -118,16 +121,19 @@ type CompiledDispatch struct {
 }
 
 // CompileDispatch builds the union automaton for the loaded checkers
-// over the program, and the admit tables of every unit whose bodies are
-// built (AddUnits): a unit built later gets its tables from AddUnits
-// then. Cost is one feature pass per block plus one index probe per
-// (block feature, bucket row) — paid once per run, then shared by every
-// engine.
+// over the program, every root's skip set from pass 1's names
+// (fillLive), and the admit tables of every unit whose bodies are built
+// (AddUnits): a unit built later gets its tables from AddUnits then. It
+// must run before any unit is retired: a retired body keeps neither its
+// names nor its CFG. Cost is one feature pass per block plus one index
+// probe per (block feature, bucket row) — paid once per run, then
+// shared by every engine.
 func CompileDispatch(p *prog.Program, checkers []*metal.Checker) *CompiledDispatch {
 	cd := newDispatch(p, checkers)
 
 	// Index construction: each atom lands in exactly one bucket, keyed
-	// by its sharpest requirement.
+	// by its sharpest requirement; every atom that names a callee is in
+	// the callee index.
 	cd.byCallee = map[string][]idxEntry{}
 	cd.alwaysMask = newBitset(len(cd.entries))
 	for id, atoms := range cd.entries {
@@ -135,16 +141,17 @@ func CompileDispatch(p *prog.Program, checkers []*metal.Checker) *CompiledDispat
 			switch {
 			case a == anyAtom:
 				cd.alwaysMask.set(int32(id))
-			case a.ret:
-				cd.byRet = append(cd.byRet, idxEntry{id: int32(id), atom: a})
 			case a.callee != "":
 				cd.byCallee[a.callee] = append(cd.byCallee[a.callee], idxEntry{id: int32(id), atom: a})
+			case a.ret:
+				cd.byRet = append(cd.byRet, idxEntry{id: int32(id), atom: a})
 			default:
 				cd.byKind[a.kind] = append(cd.byKind[a.kind], idxEntry{id: int32(id), atom: a})
 			}
 		}
 	}
-	cd.AddUnits(p, p.Units())
+	cd.fillLive(p)
+	cd.AddUnits(p.Units())
 	return cd
 }
 
@@ -158,8 +165,6 @@ func newDispatch(p *prog.Program, checkers []*metal.Checker) *CompiledDispatch {
 		initEntries: make([][]int32, len(checkers)),
 		initEOP:     make([]bool, len(checkers)),
 		blockAdmit:  make([][]bitset, len(p.All)),
-		funcAdmit:   make([]bitset, len(p.All)),
-		rootAdmit:   make([]bitset, len(p.All)),
 	}
 	for ci, c := range checkers {
 		cd.firstEntry[ci] = int32(len(cd.entries))
@@ -183,16 +188,116 @@ func newDispatch(p *prog.Program, checkers []*metal.Checker) *CompiledDispatch {
 	return cd
 }
 
+// fillLive computes each root's live set: the checkers that may fire
+// somewhere in its callee closure, from pass 1's names alone. Before a
+// checker's first transition fires only its initial-global-state
+// entries can, and an atom that names a callee is admitted only in a
+// block that calls the name, an assignment atom only in one with an
+// assignment point too (blockFeats.admits). So a function can fire a
+// checker only where it calls the name of one of the checker's initial
+// rows in the callee index, beside an assignment where the row is an
+// assignment's. What a function calls is its skim's Callees and
+// Assigns, or for a body pass 1 parsed in place the call and assignment
+// points of its CFG (TestSkimMatchesParse holds the two to each other).
+// A checker with an end-of-path initial transition, or an initial
+// alternative that names no callee, is live at every root.
+func (cd *CompiledDispatch) fillLive(p *prog.Program) {
+	words := (len(cd.checkers) + 63) / 64
+	// owner[id] is 1 + the checker whose initial entry id is, 0 for an
+	// entry that is no checker's initial one.
+	owner := make([]int32, len(cd.entries))
+	// Row 0 of the slab holds the checkers live at every root, row
+	// 1+fn.Index the checkers fn's own calls may fire, and the rest is
+	// the live table.
+	n := len(p.All)
+	slab := make([]uint64, (1+2*n)*words)
+	row := func(i int) bitset { return bitset(slab[i*words : (i+1)*words : (i+1)*words]) }
+	anywhere := row(0)
+	for ci, ids := range cd.initEntries {
+		if cd.initEOP[ci] {
+			anywhere.set(int32(ci))
+		}
+		for _, id := range ids {
+			owner[id] = int32(ci) + 1
+			if slices.ContainsFunc(cd.entries[id], func(a filterAtom) bool { return a.callee == "" }) {
+				anywhere.set(int32(ci))
+			}
+		}
+	}
+
+	call := func(fire bitset, name string, assigns bool) {
+		for _, r := range cd.byCallee[name] {
+			if ci := owner[r.id] - 1; ci >= 0 && (assigns || r.atom.ret || r.atom.kind != kindAssign) {
+				fire.set(ci)
+			}
+		}
+	}
+	for _, fn := range p.All {
+		fire := row(1 + fn.Index)
+		if fn.Graph == nil {
+			for _, name := range fn.Decl.Skim.Callees {
+				call(fire, name, fn.Decl.Skim.Assigns)
+			}
+			continue
+		}
+		assigns := false
+		for _, b := range fn.Graph.Blocks {
+			for _, pt := range b.Points {
+				if _, ok := pt.(*cc.AssignExpr); ok {
+					assigns = true
+				}
+			}
+		}
+		for _, b := range fn.Graph.Blocks {
+			for _, pt := range b.Points {
+				if c, ok := pt.(*cc.CallExpr); ok {
+					if name := cc.CalleeName(c); name != "" {
+						call(fire, name, assigns)
+					}
+				}
+			}
+		}
+	}
+
+	// A root's live row unions its callee closure's fire rows.
+	// visited[fn.Index] is the ordinal (from 1) of the last root whose
+	// walk reached fn; work is the walk's stack.
+	cd.live = slab[(1+n)*words:]
+	for i := range cd.live {
+		cd.live[i] = ^uint64(0)
+	}
+	visited := make([]int32, n)
+	var work []*prog.Function
+	for i, root := range p.Roots {
+		ri := int32(i) + 1
+		live := row(1 + n + root.Index)
+		copy(live, anywhere)
+		visited[root.Index] = ri
+		work = append(work[:0], root)
+		for len(work) > 0 {
+			fn := work[len(work)-1]
+			work = work[:len(work)-1]
+			live.or(row(1 + fn.Index))
+			for _, c := range fn.Callees {
+				if visited[c.Index] != ri {
+					visited[c.Index] = ri
+					work = append(work, c)
+				}
+			}
+		}
+	}
+}
+
 // HasUnit reports whether the dispatch has u's admit tables (AddUnits),
 // which it has only once u's bodies are built.
-func (cd *CompiledDispatch) HasUnit(u *prog.Unit) bool { return cd.rootAdmit[u.Roots[0].Index] != nil }
+func (cd *CompiledDispatch) HasUnit(u *prog.Unit) bool { return cd.blockAdmit[u.Funcs[0].Index] != nil }
 
 // AddUnits computes the admit tables of the given units whose bodies
 // are built (prog.Program.BuildUnits), skipping any it already has and
 // any with a body not built yet. It writes only those units' entries,
 // so engines running other units may read the dispatch meanwhile; two
 // AddUnits calls must not overlap.
-func (cd *CompiledDispatch) AddUnits(p *prog.Program, units []*prog.Unit) {
+func (cd *CompiledDispatch) AddUnits(units []*prog.Unit) {
 	skip := func(u *prog.Unit) bool {
 		return cd.HasUnit(u) ||
 			slices.ContainsFunc(u.Funcs, func(fn *prog.Function) bool { return fn.Graph == nil })
@@ -208,73 +313,35 @@ func (cd *CompiledDispatch) AddUnits(p *prog.Program, units []*prog.Unit) {
 	}
 	if len(units) > 0 {
 		var feats blockFeats
-		cd.fillUnits(p, units, func(b *cfg.Block, bits bitset) { cd.admitSet(&feats, b, bits) })
+		cd.fillUnits(units, func(b *cfg.Block, bits bitset) { cd.admitSet(&feats, b, bits) })
 	}
 }
 
 // fillUnits computes the given units' admit tables from a per-block
 // admit function, which sets a block's bits in the zeroed set it is
-// given: one walk per block, then the per-function and per-root (callee
-// closure) unions. Every set is carved from one array and every
-// function's block table from one slice, so the tables cost a handful
-// of objects however many blocks the units have.
-func (cd *CompiledDispatch) fillUnits(p *prog.Program, units []*prog.Unit, admit func(*cfg.Block, bitset)) {
+// given: one walk per block. Every set is carved from one array and
+// every function's block table from one slice, so the tables cost a
+// handful of objects however many blocks the units have.
+func (cd *CompiledDispatch) fillUnits(units []*prog.Unit, admit func(*cfg.Block, bitset)) {
 	words := (len(cd.entries) + 63) / 64
-	blocks, funcs, roots := 0, 0, 0
+	blocks := 0
 	for _, u := range units {
 		for _, fn := range u.Funcs {
 			blocks += len(fn.Graph.Blocks)
 		}
-		funcs += len(u.Funcs)
-		roots += len(u.Roots)
 	}
-	slab := make([]uint64, (blocks+funcs+roots)*words)
-	carve := func() bitset {
-		s := bitset(slab[:words:words])
-		slab = slab[words:]
-		return s
-	}
+	slab := make([]uint64, blocks*words)
 	tables := make([]bitset, blocks)
 	for _, u := range units {
 		for _, fn := range u.Funcs {
-			fa := carve()
 			n := len(fn.Graph.Blocks)
 			tab := tables[:n:n]
 			tables = tables[n:]
 			for i, b := range fn.Graph.Blocks {
-				tab[i] = carve()
+				tab[i], slab = bitset(slab[:words:words]), slab[words:]
 				admit(b, tab[i])
-				fa.or(tab[i])
 			}
 			cd.blockAdmit[fn.Index] = tab
-			cd.funcAdmit[fn.Index] = fa
-		}
-	}
-
-	// visited[fn.Index] is the ordinal (from 1) of the last root whose
-	// closure walk reached fn; work is the walk's stack. A root's
-	// closure stays inside its unit.
-	visited := make([]int, len(p.All))
-	var work []*prog.Function
-	ri := 0
-	for _, u := range units {
-		for _, root := range u.Roots {
-			ri++
-			ra := carve()
-			visited[root.Index] = ri
-			work = append(work[:0], root)
-			for len(work) > 0 {
-				fn := work[len(work)-1]
-				work = work[:len(work)-1]
-				ra.or(cd.funcAdmit[fn.Index])
-				for _, c := range fn.Callees {
-					if visited[c.Index] != ri {
-						visited[c.Index] = ri
-						work = append(work, c)
-					}
-				}
-			}
-			cd.rootAdmit[root.Index] = ra
 		}
 	}
 }
@@ -395,131 +462,11 @@ func numberStates(in *interner, c *metal.Checker) (initG int32, idx stateIdx) {
 // with byte-identical output: state only changes when a transition
 // fires, so where none of the checker's initial-global-state
 // transitions can fire, no instance is ever created, the global state
-// never moves, and no action (report, mark, rule count) ever runs. A
-// run rooted at a non-root stays conservative.
+// never moves, and no action (report, mark, rule count) ever runs. It
+// is decided from pass 1's names (fillLive), so it holds the same
+// before and after the root's bodies are built. A run rooted at a
+// non-root stays conservative.
 func (cd *CompiledDispatch) SkipRoot(ci int, root *prog.Function) bool {
-	ra := cd.rootAdmit[root.Index]
-	return ra != nil && !cd.initEOP[ci] && !ra.anyOf(cd.initEntries[ci])
-}
-
-// A Trigger is a callee name that an initial-global-state transition
-// requires, and whether it requires it in a block with an assignment
-// point as well: the name is nested under an assignment
-// ("{ v = kmalloc(args) }"), not the call the point is.
-type Trigger struct {
-	Name   string
-	Assign bool
-}
-
-// Triggers returns checker ci's triggers, each name once: an atom with
-// a callee is admitted only in a block that calls that name
-// (blockFeats.admits), and an assignment atom only in one with an
-// assignment point too. So in a unit none of whose functions calls a
-// trigger's name (beside an assignment, where it says so) no block
-// admits an initial entry, and SkipRoot holds for each root: the
-// argument needs no built body. ok is false when the triggers cannot
-// decide that: some alternative of an initial transition names no
-// callee, or one may match at end of path.
-func (cd *CompiledDispatch) Triggers(ci int) (trs []Trigger, ok bool) {
-	if cd.initEOP[ci] {
-		return nil, false
-	}
-	for _, id := range cd.initEntries[ci] {
-		for _, a := range cd.entries[id] {
-			if a.callee == "" {
-				return nil, false
-			}
-			assign := !a.ret && a.kind == kindAssign
-			if i := slices.IndexFunc(trs, func(tr Trigger) bool { return tr.Name == a.callee }); i >= 0 {
-				trs[i].Assign = trs[i].Assign && assign
-			} else {
-				trs = append(trs, Trigger{Name: a.callee, Assign: assign})
-			}
-		}
-	}
-	return trs, true
-}
-
-// UnitCalls lists, per unit of a program (by Unit.Index), the names its
-// functions call directly, each once, and whether a function that calls
-// the name assigns too (ListUnitCalls).
-type UnitCalls [][]unitCall
-
-type unitCall struct {
-	name    string
-	assigns bool
-}
-
-// ListUnitCalls lists what each unit of p calls, into one array, from
-// pass 1's findings: a skimmed body's cc.BodySkim.Callees and Assigns,
-// and for a body pass 1 parsed in place the call and assignment points
-// of its CFG. TestSkimMatchesParse holds the two to each other, and
-// blockFeats reads a block's features from the same points. It must
-// run before any unit is retired: a retired body keeps neither.
-func ListUnitCalls(p *prog.Program) UnitCalls {
-	n := 0
-	for _, fn := range p.All {
-		n += len(fn.Decl.Skim.Callees)
-	}
-	calls := make([]unitCall, 0, n)
-	units := p.Units()
-	out := make(UnitCalls, len(units))
-	for i, u := range units {
-		start := len(calls)
-		for _, fn := range u.Funcs {
-			if fn.Graph == nil {
-				for _, name := range fn.Decl.Skim.Callees {
-					calls = append(calls, unitCall{name, fn.Decl.Skim.Assigns})
-				}
-				continue
-			}
-			assigns := false
-			for _, b := range fn.Graph.Blocks {
-				for _, pt := range b.Points {
-					if _, ok := pt.(*cc.AssignExpr); ok {
-						assigns = true
-					}
-				}
-			}
-			for _, b := range fn.Graph.Blocks {
-				for _, pt := range b.Points {
-					if call, ok := pt.(*cc.CallExpr); ok {
-						if name := cc.CalleeName(call); name != "" {
-							calls = append(calls, unitCall{name, assigns})
-						}
-					}
-				}
-			}
-		}
-		// Each name once: sorted, a run of one name folds into its
-		// first entry, which assigns if any of the run does.
-		uc := calls[start:]
-		slices.SortFunc(uc, func(a, b unitCall) int { return cmp.Compare(a.name, b.name) })
-		k := 0
-		for j := range uc {
-			if k > 0 && uc[k-1].name == uc[j].name {
-				uc[k-1].assigns = uc[k-1].assigns || uc[j].assigns
-				continue
-			}
-			uc[k] = uc[j]
-			k++
-		}
-		calls = calls[:start+k]
-		out[i] = calls[start:len(calls):len(calls)]
-	}
-	return out
-}
-
-// Silent reports that unit u calls none of the triggers' names, beside
-// an assignment where the trigger says so: the checker the triggers are
-// of is a no-op over u, and SkipRoot holds for each of its roots.
-func (uc UnitCalls) Silent(u *prog.Unit, trs []Trigger) bool {
-	for _, c := range uc[u.Index] {
-		for _, tr := range trs {
-			if c.name == tr.Name && (c.assigns || !tr.Assign) {
-				return false
-			}
-		}
-	}
-	return true
+	stride := (len(cd.checkers) + 63) / 64 * 64
+	return !cd.live.get(int32(root.Index*stride + ci))
 }

@@ -9,6 +9,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -146,11 +148,12 @@ type suiteRun struct {
 
 // bruteDispatch fills a CompiledDispatch's admit tables by the
 // reference gate: every filter atom of every transition against every
-// block's features, with no index in between.
+// block's features, with no index in between; its root skips are
+// referenceLive's.
 func bruteDispatch(p *prog.Program, cs []*metal.Checker) *CompiledDispatch {
 	cd := newDispatch(p, cs)
 	var feats blockFeats
-	cd.fillUnits(p, p.Units(), func(b *cfg.Block, bits bitset) {
+	cd.fillUnits(p.Units(), func(b *cfg.Block, bits bitset) {
 		feats.load(b)
 		for id, atoms := range cd.entries {
 			for _, a := range atoms {
@@ -161,7 +164,114 @@ func bruteDispatch(p *prog.Program, cs []*metal.Checker) *CompiledDispatch {
 			}
 		}
 	})
+	referenceLive(p, cd)
 	return cd
+}
+
+// referenceLive replaces cd's root skips by the reference the name rule
+// (fillLive) stands in for, read from built bodies: a root's live set
+// holds each checker with an end-of-path initial transition, or with an
+// initial entry that some block of the root's callee closure admits
+// (blockAdmit). Every body must be built and in cd's admit tables.
+func referenceLive(p *prog.Program, cd *CompiledDispatch) {
+	stride := (len(cd.checkers) + 63) / 64 * 64
+	cd.live = newBitset(len(p.All) * stride)
+	for i := range cd.live {
+		cd.live[i] = ^uint64(0)
+	}
+	for _, root := range p.Roots {
+		admit := newBitset(len(cd.entries))
+		seen := map[*prog.Function]bool{root: true}
+		for work := []*prog.Function{root}; len(work) > 0; {
+			fn := work[len(work)-1]
+			work = work[:len(work)-1]
+			for _, bits := range cd.blockAdmit[fn.Index] {
+				admit.or(bits)
+			}
+			for _, c := range fn.Callees {
+				if !seen[c] {
+					seen[c] = true
+					work = append(work, c)
+				}
+			}
+		}
+		for ci := range cd.checkers {
+			if !cd.initEOP[ci] && !admit.anyOf(cd.initEntries[ci]) {
+				cd.live[(root.Index*stride+ci)/64] &^= 1 << uint((root.Index*stride+ci)%64)
+			}
+		}
+	}
+}
+
+// skimmedDispatch assembles srcs from pass 1 and compiles the checkers'
+// dispatch with no body built, so its root skips are read from the skim
+// alone; then it builds every body and adds the admit tables. It
+// returns the dispatch and a copy whose root skips are referenceLive's.
+func skimmedDispatch(t testing.TB, srcs map[string]string, cs []*metal.Checker) (p *prog.Program, cd, ref *CompiledDispatch) {
+	t.Helper()
+	files, err := cc.SkimFiles(srcs, 1)
+	if err != nil {
+		t.Fatalf("does not skim: %v", err)
+	}
+	p = prog.Assemble(files...)
+	cd = CompileDispatch(p, cs)
+	if _, err := p.BuildUnits(p.Units(), 1); err != nil {
+		t.Fatalf("does not build: %v", err)
+	}
+	cd.AddUnits(p.Units())
+	copied := *cd
+	referenceLive(p, &copied)
+	return p, cd, &copied
+}
+
+// TestSkipRootMatchesReference: for the bundled suite the name rule,
+// read from pass 1 before any body is built, skips exactly the
+// (checker, root) pairs the block-admit closure over the built bodies
+// skips. A rule that skips more than the reference is unsound; one that
+// skips less costs CPU.
+func TestSkipRootMatchesReference(t *testing.T) {
+	dir := func(name string) map[string]string {
+		paths, err := filepath.Glob(filepath.Join("../../testdata", name, "*.c"))
+		if err != nil || len(paths) == 0 {
+			t.Fatalf("testdata/%s: %v, %d files", name, err, len(paths))
+		}
+		srcs := map[string]string{}
+		for _, path := range paths {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srcs[filepath.Base(path)] = string(data)
+		}
+		return srcs
+	}
+	mixed, _ := workload.MixedTree(12, 25, 2002)
+	cs := bundledSuite(t)
+	for _, tree := range []digestTree{
+		{"CallRichTree", workload.CallRichTree()},
+		{"MixedTree(12,25,2002)", mixed},
+		{"LinuxLike(3,12,2002)", workload.LinuxLike(3, 12, 2002)},
+		{"testdata/corpus", dir("corpus")},
+		{"testdata/rootorder", dir("rootorder")},
+	} {
+		p, cd, ref := skimmedDispatch(t, tree.srcs, cs)
+		skips := 0
+		for ci, c := range cs {
+			for _, root := range p.Roots {
+				got, want := cd.SkipRoot(ci, root), ref.SkipRoot(ci, root)
+				if got != want {
+					t.Errorf("%s: %s: SkipRoot(%s) = %v, the reference's %v", tree.name, c.Name, root.Name, got, want)
+				}
+				if got {
+					skips++
+				}
+			}
+		}
+		t.Logf("%s: %d of %d (checker, root) pairs skipped", tree.name, skips, len(cs)*len(p.Roots))
+		if skips == 0 {
+			t.Errorf("%s: no pair skipped: the comparison is vacuous", tree.name)
+		}
+	}
 }
 
 // How runSuite's engines get their dispatch.
@@ -242,9 +352,7 @@ func TestDispatchEquivalence(t *testing.T) {
 			p := buildProg(t, tc.srcs)
 			cs := bundledSuite(t)
 			indexed, brute := CompileDispatch(p, cs), bruteDispatch(p, cs)
-			if !reflect.DeepEqual(indexed.blockAdmit, brute.blockAdmit) ||
-				!reflect.DeepEqual(indexed.funcAdmit, brute.funcAdmit) ||
-				!reflect.DeepEqual(indexed.rootAdmit, brute.rootAdmit) {
+			if !reflect.DeepEqual(indexed.blockAdmit, brute.blockAdmit) {
 				t.Error("the indexed dispatcher's admit tables differ from the brute-force reference's")
 			}
 

@@ -414,66 +414,49 @@ func fuzzIdent(s string) string {
 	return "z_" + b.String()
 }
 
-// silentImpliesSkip checks the silent-unit rule against SkipRoot over
-// one generated program and a checker whose initial transitions are the
-// given patterns: wherever UnitCalls, read from pass 1 before any body
-// is built, calls a unit silent under the checker's Triggers, SkipRoot
-// holds for each root of the unit once its bodies are built. It returns
-// how many units were silent.
-func silentImpliesSkip(t testing.TB, src string, pats []pattern.Pattern) (silent int) {
+// silentImpliesSkip checks SkipRoot's name rule against the reference
+// over one generated program and a checker whose initial transitions
+// are the given patterns: wherever the rule, read from pass 1 before
+// any body is built, skips a root, the block-admit closure over the
+// built bodies (referenceLive) skips it too. It returns how many roots
+// the rule skipped, and of how many.
+func silentImpliesSkip(t testing.TB, src string, pats []pattern.Pattern) (skipped, roots int) {
 	t.Helper()
-	files, err := cc.SkimFiles(map[string]string{"gen.c": src}, 1)
-	if err != nil {
-		t.Fatalf("generated program does not skim: %v\n%s", err, src)
-	}
-	p := prog.Assemble(files...)
-	calls := ListUnitCalls(p)
-	if _, err := p.BuildUnits(p.Units(), 1); err != nil {
-		t.Fatalf("generated program does not build: %v\n%s", err, src)
-	}
 	c := &metal.Checker{Name: "gen"}
 	for _, pat := range pats {
 		c.Transitions = append(c.Transitions, &metal.Transition{Source: metal.StateRef{Val: "start"}, Pat: pat})
 	}
-	cd := CompileDispatch(p, []*metal.Checker{c})
-	trs, ok := cd.Triggers(0)
-	if !ok {
-		return 0
-	}
-	for _, u := range p.Units() {
-		if !calls.Silent(u, trs) {
+	p, cd, ref := skimmedDispatch(t, map[string]string{"gen.c": src}, []*metal.Checker{c})
+	for _, root := range p.Roots {
+		if !cd.SkipRoot(0, root) {
 			continue
 		}
-		silent++
-		for _, root := range u.Roots {
-			if !cd.SkipRoot(0, root) {
-				t.Fatalf("unit of %s is silent under triggers %v, but SkipRoot does not hold for %s\n%s",
-					u.Funcs[0].Name, trs, root.Name, src)
-			}
+		skipped++
+		if !ref.SkipRoot(0, root) {
+			t.Fatalf("the name rule skips %s, the reference does not\n%s", root.Name, src)
 		}
 	}
-	return silent
+	return skipped, len(p.Roots)
 }
 
 // TestSilentImpliesSkipProperty: over a seeded random corpus of
-// checkers of one or two initial transitions and programs, a unit the
-// silent-unit rule settles has every root skipped.
+// checkers of one or two initial transitions and programs, a root the
+// name rule skips is one the reference skips.
 func TestSilentImpliesSkipProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(2002))
-	silent, units := 0, 0
+	skipped, roots := 0, 0
 	for i := 0; i < 300; i++ {
 		pats := []pattern.Pattern{randPattern(t, r, propCallees)}
 		if r.Intn(2) == 0 {
 			pats = append(pats, randPattern(t, r, propCallees))
 		}
-		src := randSource(r, propCallees)
-		silent += silentImpliesSkip(t, src, pats)
-		units += strings.Count(src, "int gen")
+		s, n := silentImpliesSkip(t, randSource(r, propCallees), pats)
+		skipped, roots = skipped+s, roots+n
 	}
-	if silent == 0 || silent == units {
-		t.Fatalf("degenerate corpus: %d of %d units silent", silent, units)
+	if skipped == 0 || skipped == roots {
+		t.Fatalf("degenerate corpus: %d of %d roots skipped", skipped, roots)
 	}
-	t.Logf("%d of %d units silent, each with every root skipped", silent, units)
+	t.Logf("%d of %d roots skipped, each skipped by the reference too", skipped, roots)
 }
 
 // FuzzSilentImpliesSkip is the property test with the fuzzer choosing,

@@ -159,24 +159,40 @@ func (a *Analyzer) dispatchRemote(ctx context.Context, tasks []*unitTask, marks 
 	}
 }
 
-// mergeStats accumulates src into dst: counters sum, Analyses maps add.
-func mergeStats(dst, src *core.Stats) {
-	dst.Points += src.Points
-	dst.Blocks += src.Blocks
-	dst.Paths += src.Paths
-	dst.PrunedPaths += src.PrunedPaths
-	dst.CacheHits += src.CacheHits
-	dst.CacheMisses += src.CacheMisses
-	dst.FuncCacheHits += src.FuncCacheHits
-	dst.FuncFollows += src.FuncFollows
-	dst.RecursionCuts += src.RecursionCuts
-	dst.FingerprintFallbacks += src.FingerprintFallbacks
-	dst.StaticsHeld += src.StaticsHeld
-	dst.InstanceOps += src.InstanceOps
-	dst.RootsSkipped += src.RootsSkipped
-	for k, v := range src.Analyses {
-		dst.Analyses[k] += v
+// taskStats sums one checker's task stats: counters sum, and the first
+// Analyses map is adopted and the others' added into it, since every
+// task is done with its cut (core.CutUnit gives each its own map). A
+// checker that ran as one task, beside a settled one or not, so makes
+// no map of its own.
+func taskStats(tasks []*unitTask) core.Stats {
+	var agg core.Stats
+	for _, t := range tasks {
+		src := &t.cut.Stats
+		agg.Points += src.Points
+		agg.Blocks += src.Blocks
+		agg.Paths += src.Paths
+		agg.PrunedPaths += src.PrunedPaths
+		agg.CacheHits += src.CacheHits
+		agg.CacheMisses += src.CacheMisses
+		agg.FuncCacheHits += src.FuncCacheHits
+		agg.FuncFollows += src.FuncFollows
+		agg.RecursionCuts += src.RecursionCuts
+		agg.FingerprintFallbacks += src.FingerprintFallbacks
+		agg.StaticsHeld += src.StaticsHeld
+		agg.InstanceOps += src.InstanceOps
+		agg.RootsSkipped += src.RootsSkipped
+		if agg.Analyses == nil {
+			agg.Analyses = src.Analyses
+			continue
+		}
+		for k, v := range src.Analyses {
+			agg.Analyses[k] += v
+		}
 	}
+	if agg.Analyses == nil {
+		agg.Analyses = map[string]int{}
+	}
+	return agg
 }
 
 // sumAnalyses totals the traversal starts in a stats block.

@@ -224,15 +224,15 @@ type Result struct {
 // checker load order, so the output is bit-identical at every
 // parallelism level; see DESIGN.md §5 "Engine parallelism".
 //
-// There is one body for every run (DESIGN.md §8). With a store, each
-// checker's work is one keyed task per call-graph unit: units whose
-// record the store (or a fleet worker) holds replay, the rest run on the
-// checker's engine in order, cut into records at the unit boundaries;
-// the units that call none of the checker's trigger names are settled
-// by one unkeyed task, as the run would have skipped their roots.
-// Without one, nothing is keyed and each checker's work is one task,
-// the whole program. Either way only the units of live tasks have
-// their bodies parsed and built: pass 1 met every parse error.
+// There is one body for every run (DESIGN.md §8). In every run, the
+// units a checker is silent over (SkipRoot holds at each root) are
+// settled by one unkeyed task, as the run would have skipped their
+// roots. With a store, the rest of the checker's work is one keyed task
+// per call-graph unit: units whose record the store (or a fleet worker)
+// holds replay, the rest run on the checker's engine in order, cut into
+// records at the unit boundaries. Without one, nothing is keyed and the
+// rest is one task. Either way only the units of live tasks have their
+// bodies parsed and built: pass 1 met every parse error.
 //
 // The context cancels the analysis mid-traversal, and its deadline is
 // the run's time bound (context.WithTimeout): the engines stop at the
@@ -373,13 +373,7 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 		Spill:     &SpillStats{},
 	}
 	for ci, c := range a.checkers {
-		// A checker that ran as one task adopts the task's stats, its
-		// Analyses map included: the cut owns the map (core.CutUnit).
 		tasks := tasksByChecker[ci]
-		var agg core.Stats
-		if len(tasks) != 1 || tasks[0].cut.Stats.Analyses == nil {
-			agg.Analyses = map[string]int{}
-		}
 		segs := map[*prog.Function][]*Report{}
 		for _, t := range tasks {
 			for _, rr := range t.runs {
@@ -387,12 +381,7 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 					segs[rr.Root] = rr.Reports
 				}
 			}
-			analyses := sumAnalyses(&t.cut.Stats) // before agg may take the map
-			if agg.Analyses == nil {
-				agg = t.cut.Stats
-			} else {
-				mergeStats(&agg, &t.cut.Stats)
-			}
+			analyses := sumAnalyses(&t.cut.Stats)
 			for rule, rc := range t.cut.Rules {
 				prev := res.RuleStats[rule]
 				prev.Rule = rule
@@ -414,7 +403,7 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 		for _, root := range p.Roots {
 			res.Reports = append(res.Reports, segs[root]...)
 		}
-		res.Stats[c.Name] = agg
+		res.Stats[c.Name] = taskStats(tasks)
 		if en := engines[ci]; en != nil {
 			if en.Failure != nil {
 				res.Failures = append(res.Failures, en.Failure)

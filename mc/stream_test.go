@@ -255,10 +255,14 @@ func TestStreamingDeterminismMatrix(t *testing.T) {
 // -race), since a phase whose units are all built allocates nothing to
 // build them; 4,089 against 3,940, 149 more (4,122 against 3,973 under
 // -race), since a slab's first chunk holds two of its first request and
-// a root that reports nothing has no segment. The bound
-// is that excess + 5 %, absolute (PR 37). The excess is mostly mc's task
-// and merge bookkeeping; retirement's own is one counter slice per
-// engine and the releaser (DESIGN §12.3).
+// a root that reports nothing has no segment; 3,878 against 3,941, 63
+// fewer (3,891 against 3,974 under -race), since a run without a store
+// settles the units a checker is silent over as a run with one does: it
+// builds no unit every checker is silent over, and makes no engine for
+// a checker silent everywhere. The bound is the excess of 149 + 5 %,
+// absolute. The excess is mostly mc's task and merge bookkeeping;
+// retirement's own is one counter slice per engine and the releaser
+// (DESIGN §12.3).
 func TestStreamingAllocatesLikePlain(t *testing.T) {
 	const maxExcess = 150
 	srcs := workload.CallRichTree()

@@ -76,7 +76,7 @@ type UnitRunner = func(ctx context.Context, run *UnitRun) error
 // unit key is derived from; build builds the units its tasks run.
 // RunContext makes one without the fingerprints (keyed false) for a run
 // that has no store: nothing is keyed, and tasks hands every checker
-// the whole program.
+// the units it is not silent over as one task.
 type UnitTree struct {
 	Prog     *prog.Program
 	keyed    bool
@@ -84,7 +84,6 @@ type UnitTree struct {
 	funcHash [][sha256.Size]byte // by Function.Index
 	unitFPs  []string            // parallel to Prog.Units()
 	wholeFP  func() string       // of Prog.All, derived on first use
-	calls    core.UnitCalls      // what each unit calls, for the triggers of tasks' checkers
 
 	mu       sync.Mutex
 	checkers map[string]*unitChecker // by source text; nil = does not parse
@@ -95,12 +94,10 @@ type UnitTree struct {
 // the position-independent declaration environment and each function's
 // declaration and body tokens (cc.Hasher.Func) are what every unit key
 // derives from. One cc.Hasher hashes them all; a digest is rendered as
-// hex only where it enters a key. It also lists the names each unit
-// calls, from which tasks settles the units a checker is silent over.
+// hex only where it enters a key.
 func NewUnitTree(files []*cc.File) *UnitTree { return newUnitTree(files, true) }
 
-// newUnitTree is NewUnitTree, fingerprinted and its calls listed only
-// when keyed.
+// newUnitTree is NewUnitTree, fingerprinted only when keyed.
 func newUnitTree(files []*cc.File, keyed bool) *UnitTree {
 	p := prog.Assemble(files...)
 	t := &UnitTree{Prog: p, keyed: keyed}
@@ -118,7 +115,6 @@ func newUnitTree(files []*cc.File, keyed bool) *UnitTree {
 		t.unitFPs[i] = t.unitFP(u.Funcs)
 	}
 	t.wholeFP = sync.OnceValue(func() string { return t.unitFP(p.All) })
-	t.calls = core.ListUnitCalls(p)
 	return t
 }
 
@@ -155,11 +151,11 @@ func (t *UnitTree) unitFP(fns []*prog.Function) string {
 type unitTask struct {
 	ci       int // the checker's index in its Analyzer
 	units    []*prog.Unit
-	funcs    []*prog.Function
+	funcs    []*prog.Function // a keyed task's members
 	roots    []*prog.Function
 	key      string // "" = uncacheable, always live, unless silent
 	replayed bool   // runs and cut are known without a run: from the store, or silent
-	silent   bool   // settled from the names its units call (tasks); no key
+	silent   bool   // settled because SkipRoot holds at each root (tasks); no key
 	runs     []core.RootRun
 	cut      core.UnitCut
 	record   []byte // the live run's storable encoding, until records takes it
@@ -183,81 +179,89 @@ func (t *unitTask) replay(e *cache.UnitEntry) {
 // tasks enumerates checker c's work at one phase barrier, each task
 // with the key its complete analysis is stored under; marks is the
 // annotation store at that barrier, and cd the dispatch that numbers c
-// as its checker di. Without a store to key for, and for two kinds of
-// checker, one task per call-graph unit is too fine:
-//   - custom Go callouts: native code is invisible to the source
-//     fingerprint, so the checker runs live, whole-program, unkeyed,
-//     and never rides a fleet job;
-//   - self-coupled checkers (both mark_fn and mc_fn_marked): their own
-//     marks flow across units within one run, so they key as a single
-//     whole-program unit.
+// as its checker di.
 //
-// Every other checker keys one task per unit, except the units it is
-// silent over: those that call none of its trigger names
-// (core.CompiledDispatch.Triggers). There SkipRoot holds for every
-// root, so a live run would skip each one and cut nothing else; one
+// First, in every run, the units c is silent over: those at each of
+// whose roots SkipRoot holds (DESIGN.md §11.2), decided from pass 1's
+// names. A live run would skip each root and cut nothing else, so one
 // task, first, settles them all with that cut, with no key, probe,
-// record, fleet job or body build.
+// record, fleet job or body build. The rest is one task per call-graph
+// unit, except where that is too fine:
+//   - without a store to key for, and for a checker with custom Go
+//     callouts (native code is invisible to the source fingerprint),
+//     one unkeyed task runs every unit left, and never rides a fleet
+//     job;
+//   - a self-coupled checker (both mark_fn and mc_fn_marked) keys them
+//     as a single whole-program unit: its own marks flow across units
+//     within one run.
 func (t *UnitTree) tasks(ci int, c *metal.Checker, cd *core.CompiledDispatch, di int, opts Options, marks *core.Shared) []*unitTask {
 	p := t.Prog
-	if !t.keyed || len(c.Callouts) > 0 {
-		return []*unitTask{{ci: ci, units: p.Units(), funcs: p.All, roots: p.Roots}}
-	}
-	optsFP, marksFP := optionsFingerprint(opts), marksFingerprint(marks)
-	key := func(unitFP string) string {
-		return cache.UnitKey(c.ID, optsFP, t.envFP, marksFP, unitFP)
-	}
-	if c.WritesMarks() && c.ReadsMarks() {
-		return []*unitTask{{ci: ci, units: p.Units(), funcs: p.All, roots: p.Roots, key: key(t.wholeFP())}}
-	}
 	units := p.Units()
-	var silent []*prog.Unit
-	nroots, nsilent := 0, 0 // the roots of the keyed units, of the silent ones
-	trs, settles := t.triggers(c, cd, di)
+	silent := make([]bool, len(units)) // by Unit.Index
+	nsilent, nlive, nroots := 0, 0, 0  // the silent units' roots; the other units, their roots
 	for _, u := range units {
-		if !settles || !t.calls.Silent(u, trs) {
-			nroots += len(u.Roots)
-			continue
+		silent[u.Index] = !slices.ContainsFunc(u.Roots, func(r *prog.Function) bool { return !cd.SkipRoot(di, r) })
+		if silent[u.Index] {
+			nsilent += len(u.Roots)
+		} else {
+			nlive, nroots = nlive+1, nroots+len(u.Roots)
 		}
-		if silent == nil {
-			silent = make([]*prog.Unit, 0, len(units))
-		}
-		silent = append(silent, u)
-		nsilent += len(u.Roots)
 	}
+	quiet, rest := units, units // the silent units, the others
+	if nsilent > 0 && nroots > 0 {
+		quiet = slices.DeleteFunc(slices.Clone(units), func(u *prog.Unit) bool { return !silent[u.Index] })
+		rest = slices.DeleteFunc(slices.Clone(units), func(u *prog.Unit) bool { return silent[u.Index] })
+	}
+	keyed := t.keyed && len(c.Callouts) == 0
+	whole := !keyed || c.WritesMarks() && c.ReadsMarks()
+	if whole {
+		nlive = min(nlive, 1)
+	}
+	var key func(unitFP string) string
+	if keyed {
+		optsFP, marksFP := optionsFingerprint(opts), marksFingerprint(marks)
+		key = func(unitFP string) string { return cache.UnitKey(c.ID, optsFP, t.envFP, marksFP, unitFP) }
+	}
+
 	// One slab of tasks, and one of root runs a replay fills in place:
-	// each task's runs start empty with room for its unit's roots.
-	slab := make([]unitTask, 0, len(units)-len(silent)+1)
-	if len(silent) > 0 {
-		slab = append(slab, unitTask{ci: ci, units: silent, replayed: true, silent: true,
+	// each keyed unit's task's runs start empty with room for its roots.
+	slab := make([]unitTask, 0, 1+nlive)
+	if nsilent > 0 {
+		slab = append(slab, unitTask{ci: ci, units: quiet, replayed: true, silent: true,
 			cut: core.UnitCut{Stats: core.Stats{RootsSkipped: int64(nsilent)}, Complete: true}})
 	}
-	runs := make([]core.RootRun, nroots)
-	for i, u := range units {
-		if len(silent) > 0 && silent[0] == u {
-			silent = silent[1:]
-			continue
+	switch {
+	case nlive == 0:
+	case whole:
+		task := unitTask{ci: ci, units: rest, roots: p.Roots}
+		if nsilent > 0 {
+			task.roots = make([]*prog.Function, 0, nroots)
+			for _, r := range p.Roots {
+				if !silent[r.Unit.Index] {
+					task.roots = append(task.roots, r)
+				}
+			}
 		}
-		slab = append(slab, unitTask{ci: ci, units: units[i : i+1], funcs: u.Funcs, roots: u.Roots, key: key(t.unitFPs[i]),
-			runs: runs[:0:len(u.Roots)]})
-		runs = runs[len(u.Roots):]
+		if keyed {
+			for _, u := range rest {
+				task.funcs = append(task.funcs, u.Funcs...)
+			}
+			task.key = key(t.wholeFP())
+		}
+		slab = append(slab, task)
+	default:
+		runs := make([]core.RootRun, nroots)
+		for _, u := range rest {
+			slab = append(slab, unitTask{ci: ci, units: units[u.Index : u.Index+1], funcs: u.Funcs, roots: u.Roots,
+				key: key(t.unitFPs[u.Index]), runs: runs[:0:len(u.Roots)]})
+			runs = runs[len(u.Roots):]
+		}
 	}
 	out := make([]*unitTask, len(slab))
 	for i := range slab {
 		out[i] = &slab[i]
 	}
 	return out
-}
-
-// triggers returns the trigger names by which tasks settles the units
-// checker c (numbered di in cd) is silent over, and false where it
-// settles none: without a store, for a checker it runs unkeyed or keys
-// whole, and where the names cannot decide (Triggers).
-func (t *UnitTree) triggers(c *metal.Checker, cd *core.CompiledDispatch, di int) ([]core.Trigger, bool) {
-	if !t.keyed || len(c.Callouts) > 0 || c.WritesMarks() && c.ReadsMarks() {
-		return nil, false
-	}
-	return cd.Triggers(di)
 }
 
 // marksFingerprint keys the annotation store visible at a phase barrier.
@@ -449,7 +453,7 @@ func (t *UnitTree) build(tasks []*unitTask, workers int, dispatch func(ci int) *
 		return parsed, err
 	}
 	for _, cd := range cds {
-		cd.AddUnits(t.Prog, units)
+		cd.AddUnits(units)
 	}
 	return parsed, nil
 }
