@@ -123,6 +123,9 @@ no-deleted-knobs:
 	! grep -rnE 'check[Q]uiet|quiet[U]nits|parses[K]ey|parses[R]ecord|firstParse[E]rror|Parse[U]nits' --include=*.go .
 # the block-admit closure tables and the per-unit trigger lists: a root is skipped by one rule, read from pass 1's names (DESIGN §11.2).
 	! grep -rnE 'List[U]nitCalls|Unit[C]alls|root[A]dmit|func[A]dmit|Trigger[s]' --include=*.go .
+# a checker text parsed again downstream of where it entered the process: the bundled suite by name, and registry text per analyze request (DESIGN §14.2).
+	! grep -rnE 'checkers\.Pars[e]\(' --include=*.go .
+	! grep -rnE 'LoadChecke[r](WithCallouts)?\([^)]*(\.Source\b|Registry|\bes\b|\.Entry)' --include=*.go internal/server
 # the sorted pre-annotation list, the engine's second and third mention walks, the mark-role tests by name and the per-switch case list (DESIGN §5).
 	! grep -rnE 'sorted[M]arks|mark[E]ntry|mentions[A]ny|leftoverCaller[L]ocals|annotator[O]f|consumer[O]f|Uses[A]ction|Uses[C]allout|case[V]als' --include=*.go .
 

@@ -34,11 +34,11 @@ func mustProgB(b *testing.B, srcs map[string]string) *prog.Program {
 
 func mustCheckerB(b *testing.B, name string) *metal.Checker {
 	b.Helper()
-	c, err := checkers.Parse(name)
-	if err != nil {
-		b.Fatal(err)
+	s, ok := checkers.Lookup(name)
+	if !ok {
+		b.Fatalf("no bundled checker %s", name)
 	}
-	return c
+	return s.Checker
 }
 
 // BenchmarkE5Ranking measures the statistical ranking pipeline over a

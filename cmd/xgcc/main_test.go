@@ -258,10 +258,8 @@ func TestSupergraphRunsResident(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := checkers.Parse("interrupt")
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _ := checkers.Lookup("interrupt")
+	c := s.Checker
 	resident := core.NewEngine(p, c, core.DefaultOptions())
 	resident.RunContext(context.Background())
 	want := "--- supergraph of ring_push under checker " + c.Name + " ---\n" + resident.SupergraphString("ring_push")

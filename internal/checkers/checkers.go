@@ -8,17 +8,21 @@
 package checkers
 
 import (
-	"sort"
+	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/metal"
 )
 
-// Source holds one bundled checker's metal text.
+// Source holds one bundled checker's metal text and its parse.
 type Source struct {
 	Name string
 	Doc  string
 	Text string
+	// Checker is Text's parse, made once per process and shared
+	// read-only by every analyzer that loads it (DESIGN.md §14.2).
+	Checker *metal.Checker
 }
 
 // Free is Figure 1: use-after-free and double-free, extended with the
@@ -310,8 +314,9 @@ start:
 ;
 `
 
-// All returns the bundled checker sources in a stable order.
-func All() []Source {
+// table is the bundled suite in name order, every text parsed on first
+// use. A bundled text that does not parse is a bug of this package.
+var table = sync.OnceValue(func() []Source {
 	out := []Source{
 		{Name: "free", Doc: "use-after-free / double-free (Figure 1)", Text: Free},
 		{Name: "lock", Doc: "lock discipline with trylock (Figure 3)", Text: Lock},
@@ -330,27 +335,29 @@ func All() []Source {
 		{Name: "sec-annotator", Doc: "SECURITY path annotation", Text: SecAnnotator},
 		{Name: "panic-marker", Doc: "path-kill composition marker", Text: PanicMarker},
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b Source) int { return strings.Compare(a.Name, b.Name) })
+	for i := range out {
+		c, err := metal.Parse(out[i].Text)
+		if err != nil {
+			panic("bundled checker " + out[i].Name + ": " + err.Error())
+		}
+		out[i].Checker = c
+	}
 	return out
-}
+})
 
-// Lookup returns a bundled checker source by name.
+// All returns the bundled checkers in name order: a copy of the table,
+// sharing its parsed checkers.
+func All() []Source { return slices.Clone(table()) }
+
+// Lookup returns a bundled checker by name.
 func Lookup(name string) (Source, bool) {
-	for _, s := range All() {
+	for _, s := range table() {
 		if s.Name == name {
 			return s, true
 		}
 	}
 	return Source{}, false
-}
-
-// Parse compiles a bundled checker by name.
-func Parse(name string) (*metal.Checker, error) {
-	s, ok := Lookup(name)
-	if !ok {
-		return nil, &UnknownCheckerError{Name: name}
-	}
-	return metal.Parse(s.Text)
 }
 
 // UnknownCheckerError names a checker that is not bundled.
@@ -360,7 +367,7 @@ type UnknownCheckerError struct {
 
 func (e *UnknownCheckerError) Error() string {
 	names := make([]string, 0)
-	for _, s := range All() {
+	for _, s := range table() {
 		names = append(names, s.Name)
 	}
 	return "unknown checker " + e.Name + " (have: " + strings.Join(names, ", ") + ")"
@@ -370,7 +377,7 @@ func (e *UnknownCheckerError) Error() string {
 // ("extensions are small — usually between 10 and 200 lines of code").
 func LineCount() map[string]int {
 	out := map[string]int{}
-	for _, s := range All() {
+	for _, s := range table() {
 		out[s.Name] = len(strings.Split(strings.TrimSpace(s.Text), "\n"))
 	}
 	return out

@@ -17,12 +17,17 @@ func run(t *testing.T, checkerName, src string) *report.Set {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Parse(checkerName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	en := core.NewEngine(p, c, core.DefaultOptions())
+	en := core.NewEngine(p, mustLookup(t, checkerName), core.DefaultOptions())
 	return en.RunContext(context.Background())
+}
+
+func mustLookup(t *testing.T, name string) *metal.Checker {
+	t.Helper()
+	s, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("no bundled checker %s", name)
+	}
+	return s.Checker
 }
 
 func msgs(rs *report.Set) []string {
@@ -34,10 +39,25 @@ func msgs(rs *report.Set) []string {
 }
 
 func TestAllCheckersParse(t *testing.T) {
-	for _, s := range All() {
-		if _, err := metal.Parse(s.Text); err != nil {
+	all := All()
+	for i, s := range all {
+		c, err := metal.Parse(s.Text)
+		if err != nil {
 			t.Errorf("%s: %v", s.Name, err)
+		} else if s.Checker == nil || s.Checker.ID != c.ID || s.Checker.Source != s.Text {
+			t.Errorf("%s: the table's checker is not its text's parse", s.Name)
 		}
+		if i > 0 && all[i-1].Name >= s.Name {
+			t.Errorf("All is not in name order at %s", s.Name)
+		}
+	}
+	// All hands out a copy: reordering it leaves the table as it was.
+	all[0], all[1] = all[1], all[0]
+	if again := All(); again[0].Name >= again[1].Name {
+		t.Error("reordering All's result reordered the table")
+	}
+	if s, ok := Lookup(all[0].Name); !ok || s.Checker != all[0].Checker {
+		t.Error("Lookup and All hand out different parses of one checker")
 	}
 }
 
@@ -52,10 +72,11 @@ func TestE9CheckerSizes(t *testing.T) {
 }
 
 func TestLookupUnknown(t *testing.T) {
-	if _, err := Parse("no_such_checker"); err == nil {
-		t.Error("want error for unknown checker")
-	} else if !strings.Contains(err.Error(), "free") {
-		t.Errorf("error should list available checkers: %v", err)
+	if _, ok := Lookup("no_such_checker"); ok {
+		t.Error("Lookup found a checker that is not bundled")
+	}
+	if msg := (&UnknownCheckerError{Name: "no_such_checker"}).Error(); !strings.Contains(msg, "free") {
+		t.Errorf("error should list available checkers: %s", msg)
 	}
 }
 
@@ -196,11 +217,7 @@ void good(void) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Parse("block")
-	if err != nil {
-		t.Fatal(err)
-	}
-	en := core.NewEngine(p, c, core.DefaultOptions())
+	en := core.NewEngine(p, mustLookup(t, "block"), core.DefaultOptions())
 	en.MarkFn("might_sleep", "blocking")
 	rs := en.RunContext(context.Background())
 	if rs.Len() != 1 || rs.Reports[0].Func != "bad" {
@@ -272,8 +289,7 @@ void fine2(int *b) { kfree(b); }
 void bad(int *c) { kfree(c); kfree(c); }
 `
 	p, _ := prog.BuildSource(map[string]string{"t.c": src})
-	c, _ := Parse("free")
-	en := core.NewEngine(p, c, core.DefaultOptions())
+	en := core.NewEngine(p, mustLookup(t, "free"), core.DefaultOptions())
 	en.RunContext(context.Background())
 	rc := en.RuleStats["kfree"]
 	if rc == nil {

@@ -1,6 +1,7 @@
 package checkers
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 
@@ -160,7 +161,7 @@ func PairReports(pairs []InferredPair, minZ float64) []*report.Report {
 }
 
 // FormatPairs renders the inferred rules as a table for the examples
-// and the mcbench harness.
+// and the mcbench harness; z is cut, not rounded, to two places.
 func FormatPairs(pairs []InferredPair, limit int) string {
 	var sb strings.Builder
 	sb.WriteString("rule                          examples  violations  z\n")
@@ -168,51 +169,13 @@ func FormatPairs(pairs []InferredPair, limit int) string {
 		if limit > 0 && i >= limit {
 			break
 		}
-		name := pr.Rule
-		for len(name) < 28 {
-			name += " "
+		z, sign := pr.Z(), ""
+		if z < 0 {
+			z, sign = -z, "-"
 		}
-		sb.WriteString(name)
-		sb.WriteString("  ")
-		sb.WriteString(pad(pr.Examples, 8))
-		sb.WriteString("  ")
-		sb.WriteString(pad(pr.Violations, 10))
-		sb.WriteString("  ")
-		sb.WriteString(formatZ(pr.Z()))
-		sb.WriteByte('\n')
+		whole := int(z)
+		fmt.Fprintf(&sb, "%-28s  %8d  %10d  %s%d.%02d\n", pr.Rule, pr.Examples, pr.Violations,
+			sign, whole, int((z-float64(whole))*100))
 	}
 	return sb.String()
-}
-
-func pad(n, w int) string {
-	s := ""
-	for v := n; ; v /= 10 {
-		s = string(rune('0'+v%10)) + s
-		if v < 10 {
-			break
-		}
-	}
-	for len(s) < w {
-		s = " " + s
-	}
-	return s
-}
-
-func formatZ(z float64) string {
-	neg := z < 0
-	if neg {
-		z = -z
-	}
-	whole := int(z)
-	frac := int((z - float64(whole)) * 100)
-	s := pad(whole, 0) + "." + func() string {
-		if frac < 10 {
-			return "0" + pad(frac, 0)
-		}
-		return pad(frac, 0)
-	}()
-	if neg {
-		return "-" + s
-	}
-	return s
 }

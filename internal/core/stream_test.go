@@ -437,11 +437,11 @@ func liveFuncInfos(en *Engine) int {
 
 func mustTestChecker(t *testing.T, name string) *metal.Checker {
 	t.Helper()
-	c, err := checkers.Parse(name)
-	if err != nil {
-		t.Fatal(err)
+	s, ok := checkers.Lookup(name)
+	if !ok {
+		t.Fatalf("no bundled checker %s", name)
 	}
-	return c
+	return s.Checker
 }
 
 // retireSrc has two units: A = {a1, a2, a3, a_leaf} (three roots sharing

@@ -157,11 +157,8 @@ func validate(ctx context.Context, src string, callouts map[string]mc.Callout, c
 	}
 	a.AddSource("corpus.c", corpus.Source)
 	if callouts == nil {
-		err = a.LoadChecker(src)
-	} else {
-		err = a.LoadCheckerWithCallouts(src, callouts)
-	}
-	if err != nil {
+		a.AddChecker(c)
+	} else if err := a.LoadCheckerWithCallouts(src, callouts); err != nil {
 		return nil, err
 	}
 

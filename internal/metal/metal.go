@@ -101,7 +101,10 @@ func (t *Transition) String() string {
 	return sb.String()
 }
 
-// Checker is a compiled metal extension.
+// Checker is a compiled metal extension. It is read-only after Parse
+// returns it: engines and analyzers only read it, so one parse is shared
+// by every analyzer that loads the text, concurrently too. Code that
+// adds Callouts does so to a parse of its own, before sharing it.
 type Checker struct {
 	Name string
 	// Source is the text Parse compiled, and ID its content address

@@ -65,7 +65,9 @@ type Registry struct {
 	mu      sync.Mutex
 	dir     string // "" = memory-only (no persistence)
 	entries map[string]*Entry
-	sources map[string]string // id -> source (memory mode or cache)
+	// id -> the text's one parse, made at Upload or at the blob's first
+	// read back, and shared read-only by every run that loads it.
+	parsed map[string]*metal.Checker
 }
 
 // state.json's on-disk shape.
@@ -84,7 +86,7 @@ func Open(dir string) (*Registry, error) {
 	r := &Registry{
 		dir:     dir,
 		entries: map[string]*Entry{},
-		sources: map[string]string{},
+		parsed:  map[string]*metal.Checker{},
 	}
 	if dir == "" {
 		return r, nil
@@ -188,7 +190,7 @@ func (r *Registry) Upload(src string) (Entry, bool, error) {
 		}
 	}
 	r.entries[c.ID] = e
-	r.sources[c.ID] = src
+	r.parsed[c.ID] = c
 	if err := r.save(); err != nil {
 		return Entry{}, false, err
 	}
@@ -209,31 +211,37 @@ func (r *Registry) Get(id string) (Entry, bool) {
 	return Entry{}, false
 }
 
-// Source returns the stored checker text for an ID, reading the blob
-// on demand after a restart; a blob that no longer hashes to its ID is
-// an error, like a missing one.
+// Source returns the stored checker text for an ID.
 func (r *Registry) Source(id string) (string, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.sourceLocked(id)
-}
-
-func (r *Registry) sourceLocked(id string) (string, error) {
-	if src, ok := r.sources[id]; ok {
-		return src, nil
-	}
-	if _, ok := r.entries[id]; !ok {
-		return "", fmt.Errorf("no checker %s", id)
-	}
-	data, err := os.ReadFile(r.blobPath(id))
+	c, err := r.checkerLocked(id)
 	if err != nil {
 		return "", err
 	}
-	if c, err := metal.Parse(string(data)); err != nil || c.ID != id {
-		return "", fmt.Errorf("checker %s: blob does not match its content address", id)
+	return c.Source, nil
+}
+
+// checkerLocked returns the checker for an ID, reading and parsing its
+// blob on first demand after a restart; a blob that no longer hashes to
+// its ID is an error, like a missing one.
+func (r *Registry) checkerLocked(id string) (*metal.Checker, error) {
+	if c, ok := r.parsed[id]; ok {
+		return c, nil
 	}
-	r.sources[id] = string(data)
-	return string(data), nil
+	if _, ok := r.entries[id]; !ok {
+		return nil, fmt.Errorf("no checker %s", id)
+	}
+	data, err := os.ReadFile(r.blobPath(id))
+	if err != nil {
+		return nil, err
+	}
+	c, err := metal.Parse(string(data))
+	if err != nil || c.ID != id {
+		return nil, fmt.Errorf("checker %s: blob does not match its content address", id)
+	}
+	r.parsed[id] = c
+	return c, nil
 }
 
 // List returns every entry, ordered by (name, version) so output is
@@ -301,18 +309,18 @@ func (r *Registry) Delete(id string) error {
 		return fmt.Errorf("no checker %s", id)
 	}
 	delete(r.entries, id)
-	delete(r.sources, id)
+	delete(r.parsed, id)
 	if r.dir != "" {
 		os.Remove(r.blobPath(id)) // best effort; state.json is the truth
 	}
 	return r.save()
 }
 
-// EnabledSource is one active checker: the entry plus its source
-// text, ready to load into an analyzer.
+// EnabledSource is one active checker: the entry plus its parse,
+// shared and read-only, ready to add to an analyzer (mc.AddChecker).
 type EnabledSource struct {
-	Entry  Entry
-	Source string
+	Entry   Entry
+	Checker *metal.Checker
 }
 
 // Enabled returns the active checkers in (name, version) order — the
@@ -326,11 +334,11 @@ func (r *Registry) Enabled() ([]EnabledSource, error) {
 		if !e.Enabled {
 			continue
 		}
-		src, err := r.sourceLocked(e.ID)
+		c, err := r.checkerLocked(e.ID)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, EnabledSource{Entry: *e, Source: src})
+		out = append(out, EnabledSource{Entry: *e, Checker: c})
 	}
 	return out, nil
 }

@@ -105,7 +105,7 @@ func TestEnableRequiresAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	on, err := r.Enabled()
-	if err != nil || len(on) != 1 || on[0].Entry.ID != e.ID || on[0].Source != checkerV1 {
+	if err != nil || len(on) != 1 || on[0].Entry.ID != e.ID || on[0].Checker.Source != checkerV1 {
 		t.Fatalf("enabled = %+v err=%v", on, err)
 	}
 }
@@ -224,6 +224,34 @@ func TestAlteredBlobIsAnError(t *testing.T) {
 	}
 }
 
+// TestReopenedBlobParsedOnce: a reopened registry parses a blob the
+// first time it is read back and hands out that parse from then on.
+func TestReopenedBlobParsedOnce(t *testing.T) {
+	dir := t.TempDir()
+	r, _ := Open(dir)
+	e, _, err := r.Upload(checkerV1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.SetVerdict(e.ID, true, nil)
+	r.SetEnabled(e.ID, true)
+	r2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := r2.Enabled()
+	if err != nil || len(first) != 1 {
+		t.Fatalf("enabled = %+v err=%v", first, err)
+	}
+	second, _ := r2.Enabled()
+	if first[0].Checker != second[0].Checker || first[0].Checker.ID != e.ID {
+		t.Error("two reads of the enabled set hand out two parses of one blob")
+	}
+	if src, _ := r2.Source(e.ID); src != checkerV1 {
+		t.Errorf("source = %q", src)
+	}
+}
+
 func TestDeleteClearsEverything(t *testing.T) {
 	dir := t.TempDir()
 	r, _ := Open(dir)
@@ -335,7 +363,7 @@ func TestOldStateFileMigrates(t *testing.T) {
 		t.Fatalf("migrated enabled set = %v, want [%s]", ids, a)
 	}
 	on, err := r.Enabled()
-	if err != nil || len(on) != 1 || on[0].Source != checkerV1 {
+	if err != nil || len(on) != 1 || on[0].Checker.Source != checkerV1 {
 		t.Fatalf("migrated checker does not load: %+v err=%v", on, err)
 	}
 

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"maps"
 	"net/http"
 	"sort"
@@ -44,7 +43,8 @@ type AnalyzeResponse struct {
 
 // newAnalyzer assembles a fresh analyzer over the given tree, the
 // resident store and the given read of the registry's enabled set.
-// Analyzer construction is cheap; the heavy state that outlives a run
+// Analyzer construction is cheap: the bundled and registry checkers
+// are parsed already and shared, the heavy state that outlives a run
 // (unit results) lives in the store, and every run parses the tree it
 // is given. Loading the enabled set per run IS the hot-reload: an
 // enable/disable between requests takes effect on the next analyze
@@ -66,15 +66,15 @@ func (s *Server) newAnalyzer(tree map[string]string, enabled []registry.EnabledS
 			return nil, err
 		}
 	}
+	// CheckerSources are still parsed per run: New cannot return the
+	// error a parse once at startup would need.
 	for _, src := range s.cfg.CheckerSources {
 		if err := a.LoadChecker(src); err != nil {
 			return nil, err
 		}
 	}
 	for _, es := range enabled {
-		if err := a.LoadChecker(es.Source); err != nil {
-			return nil, fmt.Errorf("registry checker %s: %w", es.Entry.ID, err)
-		}
+		a.AddChecker(es.Checker)
 	}
 	for name, src := range tree {
 		a.AddSource(name, src)

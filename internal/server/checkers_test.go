@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"repro/internal/registry"
+	"repro/mc"
 )
 
 // uafChecker v1 reports use-after-free only.
@@ -608,5 +609,39 @@ func TestMetricsExposeCheckerPlatform(t *testing.T) {
 		if !strings.Contains(string(metrics), want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+}
+
+// TestAnalyzeParsesNoChecker: an analyze request's analyzer adds the
+// bundled table's parses and the registry's, and parses no checker
+// text. Over all 16 bundled checkers and one registry checker it
+// allocates 8 objects (go1.24, also under -race); parsing the bundled
+// suite alone is some 2,700, and parsing the registry checker 55.
+func TestAnalyzeParsesNoChecker(t *testing.T) {
+	const maxAllocs = 16
+	reg, _ := registry.Open("")
+	e, _, err := reg.Upload(uafCheckerV1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.SetVerdict(e.ID, true, nil)
+	reg.SetEnabled(e.ID, true)
+	var names []string
+	for _, s := range mc.BundledCheckers() {
+		names = append(names, s.Name)
+	}
+	srv := New(Config{Checkers: names, Registry: reg})
+	enabled, err := reg.Enabled()
+	if err != nil || len(enabled) != 1 {
+		t.Fatalf("enabled = %+v err=%v", enabled, err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := srv.newAnalyzer(nil, enabled); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("an analyze request's analyzer: %.0f objects", allocs)
+	if allocs > maxAllocs {
+		t.Errorf("an analyze request's analyzer allocates %.0f objects, want <= %d: it parses checker text", allocs, maxAllocs)
 	}
 }

@@ -142,7 +142,7 @@ func (s *Server) eachSeries(emit emitter) (nested map[string]any) {
 	gauge("xgccd_units_live", "", float64(in.UnitsLive), "units analyzed live")
 	gauge("xgccd_units_replayed", "", float64(in.UnitsReplayed), "units replayed from cache")
 	gauge("xgccd_units_remote", "", float64(in.UnitsRemote), "units a fleet worker filled during the last run")
-	gauge("xgccd_units_silent", "", float64(in.UnitsSilent), "units settled unkeyed: they call none of the checker's trigger names")
+	gauge("xgccd_units_silent", "", float64(in.UnitsSilent), "units settled unkeyed: SkipRoot holds at each of their roots")
 	gauge("xgccd_files_reparsed", "", float64(in.FilesReparsed), "files pass 1 skimmed (every file, every run)")
 	gauge("xgccd_phase_parse_seconds", "", float64(in.ParseNanos)/1e9, "pass-1 wall time")
 	gauge("xgccd_phase_build_seconds", "", float64(in.BuildNanos)/1e9, "program assembly wall time")

@@ -26,11 +26,8 @@ func residentReports(t *testing.T, srcs map[string]string) string {
 	}
 	var all []*report.Report
 	for _, name := range []string{"free", "lock", "null"} {
-		c, err := checkers.Parse(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		all = append(all, core.NewEngine(p, c, core.DefaultOptions()).RunContext(context.Background()).Reports...)
+		s, _ := checkers.Lookup(name)
+		all = append(all, core.NewEngine(p, s.Checker, core.DefaultOptions()).RunContext(context.Background()).Reports...)
 	}
 	var sb strings.Builder
 	for _, rep := range rank.Generic(all) {

@@ -76,13 +76,14 @@ func (a *Analyzer) Configure(cfg RunConfig) error {
 	return nil
 }
 
-// LoadCheckerWithCallouts compiles metal checker source and registers
+// LoadCheckerWithCallouts parses metal checker source and registers
 // custom Go callout functions the checker's patterns may invoke (by
 // name, over the builtin callout library). Checkers with native
 // callouts always run live in this process — Go code is invisible to
 // the cache fingerprint and cannot ride a fleet job — and a callout
 // that panics is contained per checker like any other checker fault
-// (Result.Failures).
+// (Result.Failures). The callouts go into this call's own parse, so no
+// shared checker carries them.
 func (a *Analyzer) LoadCheckerWithCallouts(src string, callouts map[string]Callout) error {
 	c, err := metal.Parse(src)
 	if err != nil {
@@ -91,6 +92,6 @@ func (a *Analyzer) LoadCheckerWithCallouts(src string, callouts map[string]Callo
 	for name, fn := range callouts {
 		c.Callouts[name] = fn
 	}
-	a.checkers = append(a.checkers, c)
+	a.AddChecker(c)
 	return nil
 }

@@ -49,8 +49,8 @@ type IncrStats struct {
 	// is the subset of UnitsReplayed that a fleet worker filled during
 	// this run (a remote fill is replayed from the shared store like
 	// any warm hit); replays with UnitsRemote == 0 came from prior runs.
-	// UnitsSilent counts the pairs settled without a key: units that
-	// call none of the checker's trigger names (UnitTree.tasks).
+	// UnitsSilent counts the pairs settled without a key: units at each
+	// of whose roots the checker's SkipRoot holds (UnitTree.tasks).
 	UnitsLive     int `json:"units_live"`
 	UnitsReplayed int `json:"units_replayed"`
 	UnitsRemote   int `json:"units_remote"`

@@ -155,18 +155,22 @@ func EmitAST(name, src string) ([]byte, error) {
 // LoadAST reassembles an emitted AST (pass 2).
 func LoadAST(data []byte) (*cc.File, error) { return cc.ReadFile(data) }
 
-// LoadChecker compiles metal checker source text.
+// AddChecker adds a parsed checker. The analyzer only reads it, so one
+// checker may be shared by any number of analyzers, also concurrently.
+func (a *Analyzer) AddChecker(c *metal.Checker) { a.checkers = append(a.checkers, c) }
+
+// LoadChecker parses metal checker source text and adds the checker.
 func (a *Analyzer) LoadChecker(src string) error { return a.LoadCheckerWithCallouts(src, nil) }
 
-// LoadBundledChecker loads one of the shipped checkers by name (free,
-// lock, null, interrupt, block, banned, format, leak, realloc,
-// sec-annotator, panic-marker).
+// LoadBundledChecker adds a shipped checker by name (BundledCheckers):
+// the bundled table's parse, not a new one.
 func (a *Analyzer) LoadBundledChecker(name string) error {
 	s, ok := checkers.Lookup(name)
 	if !ok {
 		return &checkers.UnknownCheckerError{Name: name}
 	}
-	return a.LoadChecker(s.Text)
+	a.AddChecker(s.Checker)
+	return nil
 }
 
 // BundledCheckers lists the shipped checker names and docs.
@@ -423,10 +427,7 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 		}
 		res.Incr = incr
 	}
-	if err := ctx.Err(); err != nil {
-		return res, err
-	}
-	return res, nil
+	return res, ctx.Err()
 }
 
 // Ranked returns the reports ordered by the generic ranking criteria

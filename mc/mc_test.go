@@ -2,13 +2,17 @@ package mc
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/checkers"
 	"repro/internal/report"
+	"repro/internal/workload"
 )
 
 const driverSrc = `
@@ -162,6 +166,88 @@ func TestBundledCheckersListed(t *testing.T) {
 	for _, want := range []string{"free", "lock", "null", "interrupt", "leak"} {
 		if !names[want] {
 			t.Errorf("bundled checker %q missing", want)
+		}
+	}
+}
+
+// TestBundledLoadAllocs: loading a bundled checker adds the bundled
+// table's parse and parses nothing. A fresh analyzer loading all 16
+// allocates 6 objects (go1.24, also under -race): the analyzer and the
+// growth of its checker slice. It was 2,684 when every load parsed the
+// checker's text again.
+func TestBundledLoadAllocs(t *testing.T) {
+	const maxAllocs = 16
+	all := BundledCheckers()
+	if len(all) != 16 {
+		t.Fatalf("%d bundled checkers, want 16", len(all))
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		a := NewAnalyzer()
+		for _, s := range all {
+			if err := a.LoadBundledChecker(s.Name); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	t.Logf("a fresh analyzer loading %d bundled checkers: %.0f objects", len(all), allocs)
+	if allocs > maxAllocs {
+		t.Errorf("a fresh analyzer loading the bundled suite allocates %.0f objects, want <= %d", allocs, maxAllocs)
+	}
+}
+
+// TestSharedBundledCheckers: analyzers that share the bundled table's
+// parses and run at once, one of them loading free twice, each report,
+// count and rank as an analyzer given fresh parses of the same texts.
+func TestSharedBundledCheckers(t *testing.T) {
+	srcs := workload.CallRichTree()
+	run := func(fresh bool, extra ...string) string {
+		a := NewAnalyzer()
+		for name, src := range srcs {
+			a.AddSource(name, src)
+		}
+		var names []string
+		for _, s := range BundledCheckers() {
+			names = append(names, s.Name)
+		}
+		for _, name := range append(names, extra...) {
+			s, _ := checkers.Lookup(name)
+			if fresh {
+				a.LoadChecker(s.Text)
+			} else {
+				a.LoadBundledChecker(name)
+			}
+		}
+		a.MarkFunction("net_wait", "blocking")
+		res, err := a.RunContext(context.Background())
+		if err != nil {
+			t.Error(err)
+			return ""
+		}
+		var sb strings.Builder
+		for _, r := range res.Reports {
+			fmt.Fprintln(&sb, reportKey(r))
+		}
+		fmt.Fprintf(&sb, "%d reports\n%v\n%v\n", len(res.Reports), res.RuleStats, res.Stats)
+		return sb.String()
+	}
+	extras := [][]string{{"free"}, nil, nil, nil}
+	got := make([]string, len(extras))
+	var wg sync.WaitGroup
+	for i, extra := range extras {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = run(false, extra...)
+		}()
+	}
+	wg.Wait()
+	for i, extra := range extras {
+		want := run(true, extra...)
+		if strings.HasPrefix(want, "0 reports") {
+			t.Fatal("the reference reports nothing")
+		}
+		if got[i] != want {
+			t.Errorf("analyzer %d (extra checkers %v) over the shared table differs from fresh parses", i, extra)
 		}
 	}
 }

@@ -97,11 +97,8 @@ func residentSupergraphs(t *testing.T, srcs map[string]string, fn string) map[st
 	}
 	var cs []*metal.Checker
 	for _, name := range incrCheckers {
-		c, err := checkers.Parse(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cs = append(cs, c)
+		s, _ := checkers.Lookup(name)
+		cs = append(cs, s.Checker)
 	}
 	shared := core.NewShared()
 	shared.Mark("printk", "blocking")
